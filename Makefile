@@ -114,6 +114,10 @@ loadtest-smoke:
 	$(GO) run ./cmd/qbismload -selfhost -levels 1,2,4 -duration 300ms -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_loadtest_smoke.json
 
 # One tiny iteration through every perfbench measurement — catches read
-# path regressions in CI without the full run's cost.
+# path regressions in CI without the full run's cost — and one
+# BenchmarkLoad iteration (64^3 corpus, ns/op and allocs/op) for the
+# write path: a re-serialized load or a regressed kernel shows here
+# without the 12 s repo benchmark.
 bench-smoke:
 	$(GO) run ./cmd/perfbench -smoke -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_bench_smoke.json
+	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .

@@ -368,15 +368,20 @@ func BenchmarkMingapApproximation(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadSystem measures the whole load pipeline (synthesize,
-// register, warp, band, store) at test scale.
-func BenchmarkLoadSystem(b *testing.B) {
+// BenchmarkLoad measures the whole load pipeline (synthesize, register,
+// warp, reorder, band, encode, store) on the default corpus at half the
+// paper's grid — an eighth of the voxels, well under a second. ns/op moves
+// with every kernel in the pipeline and with how well it fills the
+// processors; allocs/op with what a load leaves for the collector.
+// `make bench-smoke` runs one iteration.
+func BenchmarkLoad(b *testing.B) {
+	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		if _, err := core.New(core.Config{
-			Bits: 5, NumPET: 2, NumMRI: 1, Seed: uint64(n + 1), SmallStudies: true,
-		}); err != nil {
+		s, err := core.New(core.Config{Bits: 6})
+		if err != nil {
 			b.Fatal(err)
 		}
+		s.Close()
 	}
 }
 

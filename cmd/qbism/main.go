@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -149,10 +150,14 @@ func main() {
 		return
 	}
 
+	loadStart := time.Now()
 	sys, err := qbism.NewSystem(cfg)
 	if err != nil {
 		fail("load: %v", err)
 	}
+	// Timing goes to stderr: stdout stays identical run to run.
+	fmt.Fprintf(os.Stderr, "loaded %d studies in %.2f s on %d procs\n",
+		len(sys.Studies), time.Since(loadStart).Seconds(), runtime.GOMAXPROCS(0))
 	fmt.Printf("loaded %d^3 atlas, %d studies, %d structures; cache=%dp gap=%dp workers=%d\n",
 		sys.Side(), len(sys.Studies), len(sys.Atlas.Structures),
 		*cachePages, *gapPages, *workers)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -69,7 +70,8 @@ func run(addr, admin string, maxConns int, rate, burst float64, drainTimeout tim
 		return err
 	}
 	defer sys.Close()
-	fmt.Fprintf(os.Stderr, "qbismd: corpus loaded in %s\n", time.Since(loadStart).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "qbismd: loaded %d studies in %.2f s on %d procs\n",
+		len(sys.Studies), time.Since(loadStart).Seconds(), runtime.GOMAXPROCS(0))
 
 	d := daemon.New(sys, daemon.Config{
 		Addr:      addr,

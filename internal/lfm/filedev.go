@@ -49,8 +49,6 @@ func NewFileBacked(dev *FileDevice, pageSize int) (*Manager, error) {
 		dev.Close()
 		return nil, fmt.Errorf("lfm: grow device: %w", err)
 	}
-	//lint:ignore lockguard m was just built by New and is not yet shared with any other goroutine
-	m.dev = nil
 	m.file = dev.f
 	//lint:ignore lockguard m was just built by New and is not yet shared with any other goroutine
 	m.fdev = dev

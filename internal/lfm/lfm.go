@@ -4,7 +4,8 @@
 // contiguity, with fast random I/O to arbitrary pieces and no internal
 // buffering.
 //
-// The device here is simulated memory with page-granular I/O accounting:
+// The device here is simulated memory — backed lazily, so only ranges
+// that have been written occupy any — with page-granular I/O accounting:
 // every read or write touches whole 4 KB pages and increments counters,
 // which is exactly the "LFM Disk I/Os (4KB Pages)" metric of the paper's
 // Tables 3 and 4. By default there is no buffering, so repeated reads of
@@ -106,7 +107,7 @@ type Manager struct {
 	mu        sync.Mutex
 	pageSize  uint64
 	capacity  uint64
-	dev       []byte      // in-memory device (nil when file-backed); guarded by mu
+	dev       [][]byte    // in-memory device, by extent (unused when file-backed); guarded by mu
 	file      *os.File    // file-backed device (nil when in-memory)
 	fdev      *FileDevice // owner of file, closed by Close; guarded by mu
 	maxOrder  int
@@ -179,7 +180,6 @@ func New(capacity uint64, pageSize int) (*Manager, error) {
 	m := &Manager{
 		pageSize:  ps,
 		capacity:  pages * ps,
-		dev:       make([]byte, pages*ps),
 		maxOrder:  maxOrder,
 		freeLists: make([][]uint64, maxOrder+1),
 		fields:    make(map[Handle]field),
@@ -917,6 +917,14 @@ func (m *Manager) devWrite(off uint64, data []byte) error {
 	return nil
 }
 
+// extentSize is the unit the in-memory device is backed in. The device
+// is capacity bytes of address space, but an extent gets memory only
+// when something is first written into it; an extent never written
+// reads as zeros, exactly as the eagerly zeroed device did. Sixteen
+// default pages: small against any field worth measuring, large enough
+// that a 2 MB VOLUME is a few dozen copies.
+const extentSize = 64 << 10
+
 // devWriteRaw stores bytes at the device offset with no fault policy.
 // Callers must hold m.mu.
 func (m *Manager) devWriteRaw(off uint64, data []byte) error {
@@ -926,7 +934,18 @@ func (m *Manager) devWriteRaw(off uint64, data []byte) error {
 		}
 		return nil
 	}
-	copy(m.dev[off:], data)
+	for len(data) > 0 {
+		e, within := off/extentSize, off%extentSize
+		for uint64(len(m.dev)) <= e {
+			m.dev = append(m.dev, nil)
+		}
+		if m.dev[e] == nil {
+			m.dev[e] = make([]byte, min(extentSize, m.capacity-e*extentSize))
+		}
+		n := copy(m.dev[e][within:], data)
+		off += uint64(n)
+		data = data[n:]
+	}
 	return nil
 }
 
@@ -938,6 +957,16 @@ func (m *Manager) devRead(off uint64, out []byte) error {
 		}
 		return nil
 	}
-	copy(out, m.dev[off:off+uint64(len(out))])
+	for len(out) > 0 {
+		e, within := off/extentSize, off%extentSize
+		n := min(uint64(len(out)), extentSize-within)
+		if e < uint64(len(m.dev)) && m.dev[e] != nil {
+			copy(out[:n], m.dev[e][within:])
+		} else {
+			clear(out[:n])
+		}
+		off += n
+		out = out[n:]
+	}
 	return nil
 }

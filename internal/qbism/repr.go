@@ -7,7 +7,6 @@ import (
 	"qbism/internal/costmodel"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
-	"qbism/internal/volume"
 )
 
 // Per-REGION representation selection (Config.Rencode). Every band is
@@ -68,56 +67,13 @@ func (s *System) setBandRepr(study, lo, hi int, enc string) {
 }
 
 // pickBandRepr runs the representation policy for one band: the
-// candidates' encoded sizes against the probe fraction. Pure — same
-// band bytes and fraction always yield the same label.
-func pickBandRepr(b volume.BandSpec, probeFrac float64) (string, error) {
-	sizeRuns, err := rencode.EncodedSize(rencode.Naive, b.Region)
-	if err != nil {
-		return "", err
-	}
-	sizeK3, err := rencode.EncodedSize(rencode.K3Tree, b.Region)
-	if err != nil {
-		return "", err
-	}
+// encoded sizes of its runs row and its k³-tree row against the probe
+// fraction. Pure — same sizes and fraction always yield the same label.
+func pickBandRepr(sizeRuns, sizeK3 int, probeFrac float64) string {
 	if costmodel.DefaultReprPolicy().Pick(sizeRuns, sizeK3, probeFrac) == costmodel.ReprK3 {
-		return EncK3Tree, nil
+		return EncK3Tree
 	}
-	return EncHilbertNaive, nil
-}
-
-// loadBandRepr runs at load time after the always-stored h-naive row
-// (and any ExtraBandEncodings rows): it stores the representation rows
-// the Rencode mode calls for and records which label default queries
-// resolve to. In auto mode the k³-tree row is stored for every band —
-// row counts stay deterministic; only the resolution varies per REGION.
-func (s *System) loadBandRepr(studyID int, b volume.BandSpec) error {
-	switch mode := s.Cfg.Rencode; mode {
-	case RencodeRuns:
-		return nil
-	case RencodeAuto:
-		if err := s.storeBand(studyID, b, EncK3Tree); err != nil {
-			return err
-		}
-		// No workload has been observed at load time; the policy's
-		// ProbeCutoff doubles as the prior probe fraction (see
-		// costmodel.DefaultReprPolicy).
-		enc, err := pickBandRepr(b, costmodel.DefaultReprPolicy().ProbeCutoff)
-		if err != nil {
-			return err
-		}
-		s.setBandRepr(studyID, int(b.Lo), int(b.Hi), enc)
-		return nil
-	default:
-		// Forced method: store its row and resolve defaults to it. The
-		// h-naive label is already stored; re-storing under the method's
-		// own name keeps resolution uniform ("naive" and "h-naive" rows
-		// may then hold identical bytes under different labels).
-		if err := s.storeBand(studyID, b, mode); err != nil {
-			return err
-		}
-		s.setBandRepr(studyID, int(b.Lo), int(b.Hi), mode)
-		return nil
-	}
+	return EncHilbertNaive
 }
 
 // encodeStructure encodes an atlas structure REGION per the Rencode
@@ -194,10 +150,15 @@ func (s *System) AdaptBandRepr() (int, error) {
 	changed := 0
 	for _, studyID := range studies {
 		for _, b := range s.BandRegions[studyID] {
-			enc, err := pickBandRepr(b, frac)
+			sizeRuns, err := rencode.EncodedSize(rencode.Naive, b.Region)
 			if err != nil {
 				return changed, err
 			}
+			sizeK3, err := rencode.EncodedSize(rencode.K3Tree, b.Region)
+			if err != nil {
+				return changed, err
+			}
+			enc := pickBandRepr(sizeRuns, sizeK3, frac)
 			if s.bandEncoding(studyID, int(b.Lo), int(b.Hi)) != enc {
 				s.setBandRepr(studyID, int(b.Lo), int(b.Hi), enc)
 				changed++

@@ -113,10 +113,17 @@ func TestBandReprPicksRecorded(t *testing.T) {
 		for _, b := range s.BandRegions[st.StudyID] {
 			total++
 			got := s.bandEncoding(st.StudyID, int(b.Lo), int(b.Hi))
-			want, err := pickBandRepr(b, 0.5)
+			// The load picks from the lengths of the rows it encoded;
+			// EncodedSize derives the same two sizes without encoding.
+			sizeRuns, err := rencode.EncodedSize(rencode.Naive, b.Region)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sizeK3, err := rencode.EncodedSize(rencode.K3Tree, b.Region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pickBandRepr(sizeRuns, sizeK3, 0.5)
 			if got != want {
 				t.Errorf("study %d band [%d,%d]: recorded %q, policy says %q",
 					st.StudyID, b.Lo, b.Hi, got, want)

@@ -144,7 +144,7 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 	cfg = cfg.withDefaults()
 	base := cfg.Base.withDefaults()
 
-	// Enumerate the global corpus exactly as loadStudies will: the
+	// Enumerate the global corpus exactly as studyPlans will: the
 	// routing table is derived from IDs alone, before any node exists.
 	part := cluster.NewPartitioner(cfg.Shards)
 	cs := &ClusterSystem{
@@ -242,7 +242,7 @@ func nodeName(shard, replica int) string {
 	return fmt.Sprintf("s%dr%d", shard, replica)
 }
 
-// modalityFor mirrors loadStudies' modality assignment.
+// modalityFor is the corpus's modality assignment, shared with studyPlans.
 func modalityFor(cfg Config, i int) synth.Modality {
 	if i >= cfg.NumPET {
 		return synth.MRI

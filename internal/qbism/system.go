@@ -1,7 +1,6 @@
 package qbism
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"qbism/internal/synth"
 	"qbism/internal/transport"
 	"qbism/internal/volume"
-	"qbism/internal/warp"
 )
 
 // Band-encoding labels stored in the intensityBand.encoding column.
@@ -228,15 +226,17 @@ type System struct {
 
 	// bandRepr records, per stored band, the encoding label a band query
 	// with no explicit Encoding resolves to — the planner's per-REGION
-	// representation pick (see repr.go). Loaded sequentially, then read
-	// by concurrent query workers and rewritten by AdaptBandRepr.
+	// representation pick (see repr.go). Written by the load's commits,
+	// one at a time, then read by concurrent query workers and
+	// rewritten by AdaptBandRepr.
 	reprMu   sync.RWMutex
 	bandRepr map[bandKey]string // guarded by reprMu
 }
 
 // New builds, loads, and wires up a complete system: schema, atlas,
-// synthesized studies (generated, registered, warped, banded), spatial
-// UDFs, and the MedicalServer RPC endpoint.
+// synthesized studies (generated, registered, warped, banded — the load
+// pipeline of load.go), spatial UDFs, and the MedicalServer RPC
+// endpoint.
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := validateRencode(cfg.Rencode); err != nil {
@@ -285,11 +285,7 @@ func New(cfg Config) (*System, error) {
 		s.Close()
 		return nil, err
 	}
-	if err := s.loadAtlas(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := s.loadStudies(); err != nil {
+	if err := s.load(); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -386,224 +382,6 @@ func (s *System) createSchema() error {
 		}
 	}
 	return nil
-}
-
-// loadAtlas builds the procedural atlas and stores it relationally.
-func (s *System) loadAtlas() error {
-	a, err := atlas.Build(s.Curve, s.Cfg.WithMeshes)
-	if err != nil {
-		return err
-	}
-	s.Atlas = a
-	side := 1 << s.Cfg.Bits
-	if _, err := s.DB.Exec(fmt.Sprintf(
-		`insert into atlas values (%d, 'Talairach', %d, 0.0, 0.0, 0.0, %g, %g, %g)`,
-		s.AtlasID, side, a.VoxelMM[0], a.VoxelMM[1], a.VoxelMM[2])); err != nil {
-		return err
-	}
-	systems := make(map[string]int)
-	for _, st := range a.Structures {
-		sysID, ok := systems[st.System]
-		if !ok {
-			sysID = len(systems) + 1
-			systems[st.System] = sysID
-			if _, err := s.DB.Exec(fmt.Sprintf(
-				`insert into neuralSystem values (%d, '%s')`, sysID, st.System)); err != nil {
-				return err
-			}
-		}
-		if _, err := s.DB.Exec(fmt.Sprintf(
-			`insert into neuralStructure values (%d, '%s', %d)`, st.ID, st.Name, sysID)); err != nil {
-			return err
-		}
-		enc, err := s.encodeStructure(st.Region)
-		if err != nil {
-			return err
-		}
-		regionHandle, err := s.LFM.Allocate(enc)
-		if err != nil {
-			return err
-		}
-		surface := sdb.Null()
-		if st.Mesh != nil {
-			h, err := s.LFM.Allocate(st.Mesh.Marshal())
-			if err != nil {
-				return err
-			}
-			surface = sdb.Long(h)
-		}
-		if err := s.DB.InsertRow("atlasStructure", []sdb.Value{
-			sdb.Int(int64(st.ID)), sdb.Int(int64(s.AtlasID)), sdb.Long(regionHandle), surface,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadStudies synthesizes, registers, warps, stores, and bands each study.
-func (s *System) loadStudies() error {
-	side := 1 << s.Cfg.Bits
-	names := []string{"Hughes", "Ramirez", "Okafor", "Lindqvist", "Tanaka", "Moreau", "Petrov", "Osei", "Kim", "Novak"}
-	var only map[int]bool
-	if s.Cfg.OnlyStudies != nil {
-		only = make(map[int]bool, len(s.Cfg.OnlyStudies))
-		for _, id := range s.Cfg.OnlyStudies {
-			only[id] = true
-		}
-	}
-	studyID := 0
-	for i := 0; i < s.Cfg.NumPET+s.Cfg.NumMRI; i++ {
-		modality := synth.PET
-		if i >= s.Cfg.NumPET {
-			modality = synth.MRI
-		}
-		studyID++
-		patientID := i + 1
-		if only != nil && !only[studyID] {
-			// Not this node's shard: the ID/seed slots above stay
-			// consumed so loaded studies match an unsharded load
-			// byte-for-byte.
-			continue
-		}
-		params := synth.Params{
-			StudyID:   studyID,
-			PatientID: patientID,
-			Modality:  modality,
-			Seed:      s.Cfg.Seed + uint64(i)*7919,
-			AtlasSide: side,
-		}
-		if s.Cfg.SmallStudies {
-			g := synth.DefaultGrid(modality, side)
-			params.Grid = warp.Grid{NX: g.NX / 2, NY: g.NY / 2, NZ: g.NZ}
-			if params.Grid.NZ < 2 {
-				params.Grid.NZ = 2
-			}
-		}
-		raw, err := synth.Generate(params)
-		if err != nil {
-			return err
-		}
-		name := names[i%len(names)]
-		age := 25 + int((s.Cfg.Seed+uint64(i)*13)%50)
-		sex := "F"
-		if i%2 == 1 {
-			sex = "M"
-		}
-		if _, err := s.DB.Exec(fmt.Sprintf(
-			`insert into patient values (%d, '%s', %d, '%s')`, patientID, name, age, sex)); err != nil {
-			return err
-		}
-		rawHandle := sdb.Null()
-		if s.Cfg.StoreRaw {
-			h, err := s.LFM.Allocate(raw.Data)
-			if err != nil {
-				return err
-			}
-			rawHandle = sdb.Long(h)
-		}
-		if err := s.DB.InsertRow("rawVolume", []sdb.Value{
-			sdb.Int(int64(studyID)), sdb.Int(int64(patientID)), sdb.Str(raw.Date),
-			sdb.Str(modality.String()),
-			sdb.Int(int64(raw.Grid.NX)), sdb.Int(int64(raw.Grid.NY)), sdb.Int(int64(raw.Grid.NZ)),
-			rawHandle,
-		}); err != nil {
-			return err
-		}
-
-		// Warp to atlas space at load time (Section 2.2: "we generate and
-		// store the warped volume here at database load time ... since
-		// the computation is expensive").
-		scan, fitted, err := raw.WarpToAtlas(side)
-		if err != nil {
-			return err
-		}
-		vol, err := volume.FromScanline(s.Curve, scan)
-		if err != nil {
-			return err
-		}
-		volHandle, err := s.LFM.Allocate(vol.Bytes())
-		if err != nil {
-			return err
-		}
-		wp, err := json.Marshal(fitted.M)
-		if err != nil {
-			return err
-		}
-		if err := s.DB.InsertRow("warpedVolume", []sdb.Value{
-			sdb.Int(int64(studyID)), sdb.Int(int64(s.AtlasID)), sdb.Str(string(wp)), sdb.Long(volHandle),
-		}); err != nil {
-			return err
-		}
-
-		// Banding: uniformly spaced intensity intervals (width 32 in the
-		// paper) stored as REGIONs — the Intensity Band "index".
-		bands, err := vol.UniformBands(s.Cfg.BandWidth)
-		if err != nil {
-			return err
-		}
-		s.BandRegions[studyID] = bands
-		for _, b := range bands {
-			if err := s.storeBand(studyID, b, EncHilbertNaive); err != nil {
-				return err
-			}
-			if s.Cfg.ExtraBandEncodings {
-				for _, enc := range []string{EncZNaive, EncOctant} {
-					if err := s.storeBand(studyID, b, enc); err != nil {
-						return err
-					}
-				}
-			}
-			if err := s.loadBandRepr(studyID, b); err != nil {
-				return err
-			}
-		}
-		s.Studies = append(s.Studies, StudyInfo{StudyID: studyID, PatientID: patientID, Modality: modality})
-	}
-	return nil
-}
-
-// storeBand encodes one band REGION under the named encoding and inserts
-// the intensityBand row. Labels not in the fixed set resolve through
-// rencode.MethodByName and encode on the storage (Hilbert) curve — this
-// is how the k3-tree rows and forced Rencode methods are stored.
-func (s *System) storeBand(studyID int, b volume.BandSpec, encoding string) error {
-	var data []byte
-	var err error
-	switch encoding {
-	case EncHilbertNaive:
-		data, err = rencode.Encode(rencode.Naive, b.Region)
-	case EncZNaive:
-		rz, rerr := b.Region.Recode(s.ZCurve)
-		if rerr != nil {
-			return rerr
-		}
-		data, err = rencode.Encode(rencode.Naive, rz)
-	case EncOctant:
-		rz, rerr := b.Region.Recode(s.ZCurve)
-		if rerr != nil {
-			return rerr
-		}
-		data, err = rencode.Encode(rencode.Octant, rz)
-	default:
-		m, ok := rencode.MethodByName(encoding)
-		if !ok {
-			return fmt.Errorf("qbism: unknown band encoding %q", encoding)
-		}
-		data, err = rencode.Encode(m, b.Region)
-	}
-	if err != nil {
-		return err
-	}
-	h, err := s.LFM.Allocate(data)
-	if err != nil {
-		return err
-	}
-	return s.DB.InsertRow("intensityBand", []sdb.Value{
-		sdb.Int(int64(studyID)), sdb.Int(int64(s.AtlasID)),
-		sdb.Int(int64(b.Lo)), sdb.Int(int64(b.Hi)),
-		sdb.Str(encoding), sdb.Long(h),
-	})
 }
 
 // Side returns the atlas grid side length.

@@ -11,6 +11,7 @@ package region
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"qbism/internal/sfc"
@@ -219,7 +220,7 @@ func fromOwnedIDs(c sfc.Curve, sorted []uint64) (*Region, error) {
 	if len(sorted) == 0 {
 		return Empty(c), nil
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	var runs []Run
 	cur := Run{Lo: sorted[0], Hi: sorted[0]}
 	if cur.Hi >= c.Length() {

@@ -4,11 +4,11 @@ import "testing"
 
 // The Hilbert encode/decode pair is the innermost loop of every region
 // recode, box rasterization, and voxel extraction — at paper scale
-// (128^3 grids) a single full-volume operation decodes 2M ids. Skilling
-// transposition works in a stack [3]uint32 scratch array, so neither
-// direction may allocate; these tests pin that down so a refactor that
-// reintroduces a heap-escaping transpose slice fails loudly rather than
-// silently costing 2M allocations per volume walk.
+// (128^3 grids) a single full-volume operation decodes 2M ids. The
+// state machine works in registers, so neither direction may allocate;
+// these tests pin that down so a refactor that reintroduces a
+// heap-escaping scratch slice fails loudly rather than silently costing
+// 2M allocations per volume walk.
 
 func TestHilbertAllocFree(t *testing.T) {
 	c := MustNew(Hilbert, 3, 7) // paper-scale 128^3 grid
@@ -27,7 +27,7 @@ func TestHilbertAllocFree(t *testing.T) {
 	_, _ = sink, sinkID
 }
 
-func BenchmarkHilbertDecode(b *testing.B) {
+func BenchmarkHilbertPoint(b *testing.B) {
 	c := MustNew(Hilbert, 3, 7)
 	n := c.Length()
 	b.ReportAllocs()
@@ -38,7 +38,7 @@ func BenchmarkHilbertDecode(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkHilbertEncode(b *testing.B) {
+func BenchmarkHilbertID(b *testing.B) {
 	c := MustNew(Hilbert, 3, 7)
 	mask := uint32(1)<<7 - 1
 	b.ReportAllocs()

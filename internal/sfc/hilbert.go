@@ -1,9 +1,12 @@
 package sfc
 
-// hilbertCurve implements Curve using Skilling's transposition algorithm
-// ("Programming the Hilbert curve", AIP Conf. Proc. 707, 2004), which
-// generalizes the classic Butz algorithm referenced by the paper [4].
-// Encoding and decoding cost O(dim*bits), matching the paper's O(n) claim.
+// hilbertCurve implements Curve as a table-driven state machine over
+// the curve Skilling's transposition algorithm defines ("Programming
+// the Hilbert curve", AIP Conf. Proc. 707, 2004 — a generalization of
+// the Butz algorithm the paper cites [4]). Both directions walk the
+// levels from the most significant down, one table lookup per level;
+// the Skilling loops themselves live on in skilling_test.go as the
+// oracle the tables are checked against bit for bit.
 type hilbertCurve struct {
 	dim  int
 	bits int
@@ -15,113 +18,116 @@ func (h hilbertCurve) Bits() int      { return h.bits }
 func (h hilbertCurve) Length() uint64 { return uint64(1) << (h.dim * h.bits) }
 
 func (h hilbertCurve) ID(p Point) uint64 {
-	checkPoint(p, h.dim, h.bits)
-	var x [3]uint32
-	x[0], x[1], x[2] = p.X, p.Y, p.Z
-	axesToTranspose(x[:h.dim], h.bits)
-	return interleaveTransposed(x[:h.dim], h.bits)
+	// Level by level, the coordinate digit (one bit per axis, X most
+	// significant — a Z-order digit) maps to a digit of the id's Gray
+	// code under the current orientation. The Z curve range-checks p.
+	m := zCurve(h).ID(p)
+	enc := &hilbertTables[h.dim].enc
+	dim, mask := uint(h.dim), uint64(1)<<h.dim-1
+	var g uint64
+	var s uint16
+	for shift := dim * uint(h.bits); shift > 0; {
+		shift -= dim
+		e := enc[s][m>>shift&mask]
+		g = g<<dim | uint64(e&7)
+		s = e >> 3
+	}
+	// Gray code to binary: each bit is the XOR of all higher Gray bits.
+	g ^= g >> 1
+	g ^= g >> 2
+	g ^= g >> 4
+	g ^= g >> 8
+	g ^= g >> 16
+	g ^= g >> 32
+	return g
 }
 
 func (h hilbertCurve) Point(id uint64) Point {
 	checkID(id, h.dim, h.bits)
-	var x [3]uint32
-	deinterleaveTransposed(id, x[:h.dim], h.bits)
-	transposeToAxes(x[:h.dim], h.bits)
-	var p Point
-	p.X, p.Y = x[0], x[1]
-	if h.dim == 3 {
-		p.Z = x[2]
+	dec := &hilbertTables[h.dim].dec
+	dim, mask := uint(h.dim), uint64(1)<<h.dim-1
+	g := id ^ id>>1
+	var m uint64
+	var s uint16
+	for shift := dim * uint(h.bits); shift > 0; {
+		shift -= dim
+		e := dec[s][g>>shift&mask]
+		m = m<<dim | uint64(e&7)
+		s = e >> 3
 	}
-	return p
+	return zCurve(h).Point(m)
 }
 
-// axesToTranspose converts Cartesian coordinates in place into the
-// "transposed" Hilbert representation, where bit k of the Hilbert id is
-// bit k/dim of x[k%dim] reading from the most significant end.
-func axesToTranspose(x []uint32, bits int) {
-	n := len(x)
-	m := uint32(1) << (bits - 1)
+// hilbertTable is the state machine for one dimensionality. A state is
+// an orientation: the signed axis permutation the levels above have
+// applied to everything below them. Entries pack next<<3 | digit.
+type hilbertTable struct {
+	dec [48][8]uint16 // [state][Gray-code digit] -> coordinate digit
+	enc [48][8]uint16 // [state][coordinate digit] -> Gray-code digit
+}
 
-	// Inverse undo of the excess-work loop in transposeToAxes.
-	for q := m; q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p // invert low bits of x[0]
-			} else { // exchange low bits of x[i] and x[0]
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
+// hilbertTables is indexed by dimension (2 or 3).
+var hilbertTables = [4]*hilbertTable{2: newHilbertTable(2), 3: newHilbertTable(3)}
+
+// digitMap is a function on level digits, tabulated; orientations and
+// Skilling's per-level transforms are both digitMaps, so composing them
+// is indexing one by the other.
+type digitMap [8]uint8
+
+// newHilbertTable derives the state machine from Skilling's algorithm.
+// Decoding there Gray-codes the id and then, from the least significant
+// level up, lets level q transform every bit below it: for each axis i
+// from the last down, a set bit q of x[i] inverts the low bits of x[0],
+// a clear one swaps the low bits of x[0] and x[i]. Each step acts alike
+// on every lower level, so the levels above q contribute one signed
+// axis permutation to level q — the state — and reading from the top
+// the next state is the current one composed with level q's transform.
+// At most 2^dim * dim! = 48 orientations exist.
+func newHilbertTable(dim int) *hilbertTable {
+	n := 1 << dim
+	top := uint8(n >> 1) // axis 0 is the most significant bit of a digit
+	var identity digitMap
+	for d := range identity {
+		identity[d] = uint8(d)
+	}
+	// level[g] is the transform a level with Gray digit g applies below.
+	var level [8]digitMap
+	for g := 0; g < n; g++ {
+		t := identity
+		for i := dim - 1; i >= 0; i-- {
+			bit := top >> i
+			for d := 0; d < n; d++ {
+				v := t[d]
+				if uint8(g)&bit != 0 {
+					v ^= top
+				} else if (v&top != 0) != (v&bit != 0) {
+					v ^= top | bit
+				}
+				t[d] = v
 			}
 		}
+		level[g] = t
 	}
-
-	// Gray encode.
-	for i := 1; i < n; i++ {
-		x[i] ^= x[i-1]
-	}
-	var t uint32
-	for q := m; q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		x[i] ^= t
-	}
-}
-
-// transposeToAxes is the inverse of axesToTranspose.
-func transposeToAxes(x []uint32, bits int) {
-	n := len(x)
-	m := uint32(2) << (bits - 1)
-
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-
-	// Undo excess work.
-	for q := uint32(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
+	tab := new(hilbertTable)
+	states := []digitMap{identity}
+	for s := 0; s < len(states); s++ {
+		cur := states[s]
+		for g := 0; g < n; g++ {
+			var next digitMap
+			for d := 0; d < n; d++ {
+				next[d] = cur[level[g][d]]
 			}
+			ns := 0
+			for ns < len(states) && states[ns] != next {
+				ns++
+			}
+			if ns == len(states) {
+				states = append(states, next)
+			}
+			c := cur[g]
+			tab.dec[s][g] = uint16(ns)<<3 | uint16(c)
+			tab.enc[s][c] = uint16(ns)<<3 | uint16(g)
 		}
 	}
-}
-
-// interleaveTransposed packs the transposed representation into a single
-// id: the most significant bit of the id is the top bit of x[0], then the
-// top bit of x[1], and so on.
-func interleaveTransposed(x []uint32, bits int) uint64 {
-	var id uint64
-	for b := bits - 1; b >= 0; b-- {
-		for i := 0; i < len(x); i++ {
-			id = id<<1 | uint64(x[i]>>b&1)
-		}
-	}
-	return id
-}
-
-// deinterleaveTransposed is the inverse of interleaveTransposed; it fills
-// x with the transposed representation of id.
-func deinterleaveTransposed(id uint64, x []uint32, bits int) {
-	for i := range x {
-		x[i] = 0
-	}
-	shift := uint(len(x)*bits - 1)
-	for b := bits - 1; b >= 0; b-- {
-		for i := 0; i < len(x); i++ {
-			x[i] |= uint32(id>>shift&1) << b
-			shift--
-		}
-	}
+	return tab
 }

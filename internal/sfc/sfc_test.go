@@ -229,20 +229,6 @@ func TestHilbertFirstCell(t *testing.T) {
 	}
 }
 
-func BenchmarkHilbertID3D(b *testing.B) {
-	c := MustNew(Hilbert, 3, 7)
-	for i := 0; i < b.N; i++ {
-		c.ID(Pt(uint32(i)&127, uint32(i>>7)&127, uint32(i>>14)&127))
-	}
-}
-
-func BenchmarkHilbertPoint3D(b *testing.B) {
-	c := MustNew(Hilbert, 3, 7)
-	for i := 0; i < b.N; i++ {
-		c.Point(uint64(i) % c.Length())
-	}
-}
-
 func BenchmarkZOrderID3D(b *testing.B) {
 	c := MustNew(ZOrder, 3, 7)
 	for i := 0; i < b.N; i++ {

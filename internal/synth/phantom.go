@@ -30,11 +30,21 @@ func (m Modality) String() string {
 // coordinates. Each patient gets its own seed, so activity patterns vary
 // across "patients" while structural anatomy is shared (all studies are
 // registered to the same reference atlas, as in the paper).
+//
+// Intensity is a pure function of the position, but a Phantom is not
+// safe for concurrent use: its noise fields remember the lattice cell
+// they last sampled. Goroutines sampling one study each build their own.
 type Phantom struct {
 	specs    []atlas.StructureSpec
 	noise    valueNoise
 	hotspots []hotspot
 	modality Modality
+
+	// The noise fields Intensity reads, one per (purpose, period).
+	air       fractalNoise // detector noise outside the head
+	activity  fractalNoise // PET baseline metabolic field
+	texture   fractalNoise // MRI textured acquisition noise
+	biasField fractalNoise // MRI gentle bias field
 }
 
 // hotspot is a focal high-activity site (what mixed queries like
@@ -52,6 +62,10 @@ func NewPhantom(modality Modality, seed uint64) *Phantom {
 		noise:    valueNoise{seed: seed},
 		modality: modality,
 	}
+	p.air = newFractalNoise(p.noise, 3)
+	p.activity = newFractalNoise(p.noise, 22)
+	p.texture = newFractalNoise(p.noise, 5)
+	p.biasField = newFractalNoise(p.noise, 60)
 	if modality == PET {
 		// Deterministic per-seed hotspot placement inside the brain.
 		h := valueNoise{seed: seed ^ 0x5117}
@@ -75,7 +89,7 @@ func (p *Phantom) Intensity(x, y, z float64) uint8 {
 	brain := p.specs[0]
 	if !brain.Contains(x, y, z) {
 		// Air: low-level detector noise.
-		return clampU8(6 * p.noise.fractal(x*128, y*128, z*128, 3))
+		return clampU8(6 * p.air.at(x*128, y*128, z*128))
 	}
 	switch p.modality {
 	case PET:
@@ -87,7 +101,7 @@ func (p *Phantom) Intensity(x, y, z float64) uint8 {
 
 func (p *Phantom) petIntensity(x, y, z float64) uint8 {
 	// Baseline metabolic activity: smooth field between ~40 and ~150.
-	base := 40 + 110*p.noise.fractal(x*128, y*128, z*128, 22)
+	base := 40 + 110*p.activity.at(x*128, y*128, z*128)
 	// Voxel-scale acquisition noise. Real PET counts are noisy at the
 	// voxel level; this is what gives intensity-band REGIONs their
 	// heavy-tailed run/gap ("delta") length distribution (EQ 1).
@@ -135,8 +149,8 @@ func (p *Phantom) mriIntensity(x, y, z float64) uint8 {
 	}
 	// Acquisition noise (voxel-scale and textured) and gentle bias field.
 	base += 12*(p.white(x, y, z)-0.5) +
-		12*(p.noise.fractal(x*128, y*128, z*128, 5)-0.5) +
-		10*(p.noise.fractal(x*128, y*128, z*128, 60)-0.5)
+		12*(p.texture.at(x*128, y*128, z*128)-0.5) +
+		10*(p.biasField.at(x*128, y*128, z*128)-0.5)
 	return clampU8(base)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"qbism/internal/par"
 	"qbism/internal/warp"
 )
 
@@ -55,6 +56,10 @@ func DefaultGrid(m Modality, atlasSide int) warp.Grid {
 	}
 }
 
+// sampleGrain is the fewest phantom samples worth handing to another
+// goroutine (a few milliseconds of work).
+const sampleGrain = 1 << 15
+
 // Generate synthesizes one raw study.
 func Generate(p Params) (*RawStudy, error) {
 	if p.AtlasSide < 8 {
@@ -92,19 +97,24 @@ func Generate(p Params) (*RawStudy, error) {
 		return nil, fmt.Errorf("synth: degenerate warp: %v", err)
 	}
 
-	// Sample the phantom through the warp.
-	phantom := NewPhantom(p.Modality, p.Seed)
+	// Sample the phantom through the warp, slabs of slices at a time.
+	// Intensity is a pure function of position, so the cut is invisible
+	// in the data; each slab gets its own Phantom for the noise caches.
 	data := make([]byte, grid.NumVoxels())
-	i := 0
-	for z := 0; z < grid.NZ; z++ {
-		for y := 0; y < grid.NY; y++ {
-			for x := 0; x < grid.NX; x++ {
-				ax, ay, az := atlasFromPatient.Apply(float64(x), float64(y), float64(z))
-				data[i] = phantom.Intensity(ax/side, ay/side, az/side)
-				i++
+	slice := grid.NX * grid.NY
+	par.For(grid.NZ, 1+sampleGrain/slice, func(z0, z1 int) {
+		phantom := NewPhantom(p.Modality, p.Seed)
+		i := z0 * slice
+		for z := z0; z < z1; z++ {
+			for y := 0; y < grid.NY; y++ {
+				for x := 0; x < grid.NX; x++ {
+					ax, ay, az := atlasFromPatient.Apply(float64(x), float64(y), float64(z))
+					data[i] = phantom.Intensity(ax/side, ay/side, az/side)
+					i++
+				}
 			}
 		}
-	}
+	})
 
 	// Fiducial landmarks: known atlas positions observed in patient
 	// space with sub-voxel jitter (operator marking error).

@@ -10,6 +10,7 @@ package volume
 import (
 	"fmt"
 
+	"qbism/internal/par"
 	"qbism/internal/region"
 	"qbism/internal/sfc"
 )
@@ -45,11 +46,17 @@ func FromScanline(c sfc.Curve, scan []byte) (*Volume, error) {
 	}
 	lin := sfc.MustNew(sfc.Scanline, c.Dim(), c.Bits())
 	data := make([]byte, len(scan))
-	for id := uint64(0); id < c.Length(); id++ {
-		data[id] = scan[lin.ID(c.Point(id))]
-	}
+	par.For(len(data), reorderGrain, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			data[id] = scan[lin.ID(c.Point(uint64(id)))]
+		}
+	})
 	return &Volume{curve: c, data: data}, nil
 }
+
+// reorderGrain is the fewest ids worth handing to another goroutine: a
+// 32^3 grid, tens of microseconds of curve decoding.
+const reorderGrain = 1 << 15
 
 // FromFunc samples f over the grid into a volume in curve order.
 func FromFunc(c sfc.Curve, f func(p sfc.Point) uint8) *Volume {
@@ -141,14 +148,28 @@ func (v *Volume) UniformBands(width int) ([]BandSpec, error) {
 	if width < 1 || width > 256 || 256%width != 0 {
 		return nil, fmt.Errorf("volume: band width %d must divide 256", width)
 	}
-	var bands []BandSpec
-	for lo := 0; lo < 256; lo += width {
-		hi := lo + width - 1
-		r, err := v.Band(uint8(lo), uint8(hi))
+	// One pass: consecutive ids in the same band extend its open run, a
+	// change of band closes it — the maximal runs Band finds per band.
+	runs := make([][]region.Run, 256/width)
+	cur, start := -1, uint64(0)
+	for id, val := range v.data {
+		if b := int(val) / width; b != cur {
+			if cur >= 0 {
+				runs[cur] = append(runs[cur], region.Run{Lo: start, Hi: uint64(id) - 1})
+			}
+			cur, start = b, uint64(id)
+		}
+	}
+	if cur >= 0 {
+		runs[cur] = append(runs[cur], region.Run{Lo: start, Hi: uint64(len(v.data)) - 1})
+	}
+	bands := make([]BandSpec, len(runs))
+	for b, rs := range runs {
+		r, err := region.FromRuns(v.curve, rs)
 		if err != nil {
 			return nil, err
 		}
-		bands = append(bands, BandSpec{Lo: uint8(lo), Hi: uint8(hi), Region: r})
+		bands[b] = BandSpec{Lo: uint8(b * width), Hi: uint8(b*width + width - 1), Region: r}
 	}
 	return bands, nil
 }

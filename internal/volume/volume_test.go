@@ -1,7 +1,9 @@
 package volume
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +52,29 @@ func TestFromScanlinePreservesGeometry(t *testing.T) {
 	}
 	if _, err := FromScanline(h3, make([]byte, 3)); err == nil {
 		t.Error("short scanline accepted")
+	}
+}
+
+// TestFromScanlineSplitEqualsSerial reorders a grid large enough to be
+// cut into id ranges and checks every byte against the one-loop
+// definition, at one processor and at several.
+func TestFromScanlineSplitEqualsSerial(t *testing.T) {
+	h, l := sfc.MustNew(sfc.Hilbert, 3, 6), sfc.MustNew(sfc.Scanline, 3, 6)
+	scan := randBytes(rand.New(rand.NewSource(7)), l.Length())
+	want := make([]byte, len(scan))
+	for id := range want {
+		want[id] = scan[l.ID(h.Point(uint64(id)))]
+	}
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		v, err := FromScanline(h, scan)
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v.Bytes(), want) {
+			t.Fatalf("GOMAXPROCS=%d: reordered volume differs from the serial definition", procs)
+		}
 	}
 }
 
@@ -156,6 +181,38 @@ func TestUniformBandsPartition(t *testing.T) {
 	for _, w := range []int{0, 3, 257} {
 		if _, err := v.UniformBands(w); err == nil {
 			t.Errorf("width %d accepted", w)
+		}
+	}
+}
+
+// TestUniformBandsEqualsBandCalls pins the single-pass banding to the
+// per-band scan it replaced: same bounds, same runs, for noisy data
+// (short runs), smooth data (long runs, empty bands) and every width.
+func TestUniformBandsEqualsBandCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	noisy, _ := New(h3, randBytes(rng, h3.Length()))
+	smooth := FromFunc(h3, func(p sfc.Point) uint8 { return uint8(40 + 6*p.X + 2*p.Z) })
+	flat, _ := New(h3, make([]byte, h3.Length()))
+	for name, v := range map[string]*Volume{"noisy": noisy, "smooth": smooth, "flat": flat} {
+		for _, width := range []int{1, 32, 64, 256} {
+			bands, err := v.UniformBands(width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bands) != 256/width {
+				t.Fatalf("%s width %d: %d bands", name, width, len(bands))
+			}
+			for i, b := range bands {
+				lo, hi := i*width, i*width+width-1
+				want, err := v.Band(uint8(lo), uint8(hi))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int(b.Lo) != lo || int(b.Hi) != hi || !b.Region.Equal(want) {
+					t.Fatalf("%s width %d band %d: [%d,%d] %d runs, Band gives [%d,%d] %d runs",
+						name, width, i, b.Lo, b.Hi, b.Region.NumRuns(), lo, hi, want.NumRuns())
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package warp
 import (
 	"fmt"
 	"math"
+
+	"qbism/internal/par"
 )
 
 // Grid describes a raw study's sampling grid in scanline order: NX
@@ -56,6 +58,10 @@ func Trilinear(g Grid, data []byte, x, y, z float64) float64 {
 	return acc
 }
 
+// resampleGrain is the fewest output voxels worth handing to another
+// goroutine.
+const resampleGrain = 1 << 15
+
 // Resample produces a cubic side^3 volume in scanline order by pulling
 // samples from the raw study through the inverse of atlasFromPatient:
 // for every atlas voxel we find the corresponding patient-space point
@@ -73,16 +79,19 @@ func Resample(g Grid, data []byte, atlasFromPatient Affine, side int) ([]byte, e
 		return nil, fmt.Errorf("warp: cannot invert warp: %v", err)
 	}
 	out := make([]byte, side*side*side)
-	i := 0
-	for z := 0; z < side; z++ {
-		for y := 0; y < side; y++ {
-			for x := 0; x < side; x++ {
-				px, py, pz := inv.Apply(float64(x), float64(y), float64(z))
-				v := Trilinear(g, data, px, py, pz)
-				out[i] = uint8(math.Min(255, math.Max(0, math.Round(v))))
-				i++
+	// Every output voxel is independent; slabs of slices run in parallel.
+	par.For(side, 1+resampleGrain/(side*side), func(z0, z1 int) {
+		i := z0 * side * side
+		for z := z0; z < z1; z++ {
+			for y := 0; y < side; y++ {
+				for x := 0; x < side; x++ {
+					px, py, pz := inv.Apply(float64(x), float64(y), float64(z))
+					v := Trilinear(g, data, px, py, pz)
+					out[i] = uint8(math.Min(255, math.Max(0, math.Round(v))))
+					i++
+				}
 			}
 		}
-	}
+	})
 	return out, nil
 }
