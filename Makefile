@@ -1,4 +1,4 @@
-# Pre-merge check: vet, build, the repo's own static analysis
+# Pre-merge check: gofmt, vet, build, the repo's own static analysis
 # (qbismlint — determinism/spanpair/lockguard/errwrap/opproto plus the
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
 # DESIGN.md §11 and §15), the suppression budget (lint-ignores), the
@@ -27,9 +27,14 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check vet build lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
+.PHONY: check fmt vet build lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
 
-check: vet build lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
+check: fmt vet build lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
+
+# Formatting gate: any file gofmt would rewrite fails the check (and is
+# named in the output).
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -114,10 +119,13 @@ loadtest-smoke:
 	$(GO) run ./cmd/qbismload -selfhost -levels 1,2,4 -duration 300ms -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_loadtest_smoke.json
 
 # One tiny iteration through every perfbench measurement — catches read
-# path regressions in CI without the full run's cost — and one
+# path regressions in CI without the full run's cost — one
 # BenchmarkLoad iteration (64^3 corpus, ns/op and allocs/op) for the
 # write path: a re-serialized load or a regressed kernel shows here
-# without the 12 s repo benchmark.
+# without the 12 s repo benchmark — and BenchmarkServeRPCSmall for the
+# server side of one small request (its allocs/op is the number
+# TestServeRPCAllocBudget puts a ceiling on).
 bench-smoke:
 	$(GO) run ./cmd/perfbench -smoke -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_bench_smoke.json
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkServeRPCSmall$$' -benchtime 100x -benchmem ./internal/qbism

@@ -83,6 +83,65 @@ func (o *leafOp) next() (tuple, bool, error) {
 }
 func (o *leafOp) close() {}
 
+// reuseOp hands out one buffer on every next, the way the slot-resolved
+// executor's scans and joins do (a tuple is valid until the producing
+// operator's next next): filling a field-held buffer in place is still
+// a row flowing, and the protocol rules apply unchanged.
+type reuseOp struct {
+	left, right operator
+	st          opStats
+	buf         tuple
+}
+
+func (o *reuseOp) open() error {
+	if err := o.left.open(); err != nil {
+		return err
+	}
+	return o.right.open()
+}
+
+func (o *reuseOp) next() (tuple, bool, error) {
+	t, ok, err := o.left.next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	o.st.rowsIn++
+	copy(o.buf, t)
+	o.st.rowsOut++
+	return o.buf, true, nil
+}
+
+func (o *reuseOp) close() {
+	o.left.close()
+	o.right.close()
+}
+
+// silentReuseOp fills its reused buffer but never counts the row, and
+// forgets the child it only drains lazily.
+type silentReuseOp struct {
+	left, right operator
+	st          opStats
+	buf         tuple
+}
+
+func (o *silentReuseOp) open() error { // want "silentReuseOp.open does not open child .right."
+	return o.left.open()
+}
+
+func (o *silentReuseOp) next() (tuple, bool, error) { // want "silentReuseOp.next never updates rowsOut"
+	t, ok, err := o.left.next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	o.st.rowsIn++
+	copy(o.buf, t)
+	return o.buf, true, nil
+}
+
+func (o *silentReuseOp) close() { // want "silentReuseOp.close does not close child .right."
+	o.left.close()
+}
+
 // notAnOperator has open/next/close lookalikes with the wrong shapes;
 // the analyzer must not claim it.
 type notAnOperator struct {

@@ -234,8 +234,8 @@ func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 // keeps the executor from materializing a mistaken cross product).
 // The returned row remains valid after the iterator is closed. The
 // statement is traced under sp (nil = untraced).
-func (s *System) querySingle(sp *obs.Span, sql string, args ...sdb.Value) (row []sdb.Value, n int, err error) {
-	rows, err := s.DB.QuerySpan(sp, sql, args...)
+func querySingle(sp *obs.Span, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Value, n int, err error) {
+	rows, err := stmt.Query(sp, args...)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -256,15 +256,7 @@ func (s *System) querySingle(sp *obs.Span, sql string, args ...sdb.Value) (row [
 // warped study exists and fetch atlas space and patient information.
 // User-provided strings travel as bind parameters, never spliced text.
 func (s *System) runMetadataQuery(sp *obs.Span, spec QuerySpec) (*QueryMeta, error) {
-	row, n, err := s.querySingle(sp, `
-select a.n, a.x0, a.y0, a.z0, a.dx, a.dy, a.dz,
-       a.atlasId, p.name, p.patientId, rv.date
-from   atlas a, rawVolume rv,
-       warpedVolume wv, patient p
-where  a.atlasId = wv.atlasId and
-       wv.studyId = rv.studyId and
-       rv.patientId = p.patientId and
-       rv.studyId = ? and a.atlasName = ?`,
+	row, n, err := querySingle(sp, s.stmts.metadata,
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
 		return nil, err
@@ -278,57 +270,67 @@ where  a.atlasId = wv.atlasId and
 	}, nil
 }
 
-// dataQuerySQL translates a QuerySpec into the second §3.4 SQL query
-// plus its bind values. The generated text mirrors the paper: a call to
-// extractVoxels() with, for mixed queries, intersection() nested inside
-// and additional joins. Every user-influenced value — study, band
-// bounds, encoding, structure and atlas names — binds through `?`
+// The MedicalServer's SQL. Every request runs the metadata statement
+// and one of the five data-query shapes (plus, on the degraded path, the
+// band fallback lookups), so New prepares them all once — see
+// prepareStatements — and a request only binds values.
+
+// metadataSQL is the paper's first §3.4 query.
+const metadataSQL = `
+select a.n, a.x0, a.y0, a.z0, a.dx, a.dy, a.dz,
+       a.atlasId, p.name, p.patientId, rv.date
+from   atlas a, rawVolume rv,
+       warpedVolume wv, patient p
+where  a.atlasId = wv.atlasId and
+       wv.studyId = rv.studyId and
+       rv.patientId = p.patientId and
+       rv.studyId = ? and a.atlasName = ?`
+
+// dataShape names one of the shapes the second §3.4 query takes.
+type dataShape int
+
+const (
+	shapeFullStudy dataShape = iota
+	shapeBox
+	shapeStructure
+	shapeBand
+	shapeBandStructure
+	numDataShapes
+)
+
+// dataShapeSQL is the text of each shape. It mirrors the paper: a call
+// to extractVoxels() with, for mixed queries, intersection() nested
+// inside and additional joins. Every user-influenced value — study,
+// band bounds, encoding, structure and atlas names — binds through `?`
 // placeholders, so quote characters in a structure name are data.
-func dataQuerySQL(spec QuerySpec) (string, []sdb.Value, error) {
-	encoding := spec.Encoding
-	if encoding == "" {
-		encoding = EncHilbertNaive
-	}
-	study := sdb.Int(int64(spec.StudyID))
-	switch {
-	case spec.FullStudy:
-		return `
+var dataShapeSQL = [numDataShapes]string{
+	shapeFullStudy: `
 select fullVolume(wv.data)
 from   warpedVolume wv
-where  wv.studyId = ?`, []sdb.Value{study}, nil
+where  wv.studyId = ?`,
 
-	case spec.Box != nil && !spec.HasBand && spec.Structure == "":
-		b := spec.Box
-		return `
+	shapeBox: `
 select extractVoxels(wv.data, boxRegion(?, ?, ?, ?, ?, ?))
 from   warpedVolume wv
-where  wv.studyId = ?`, []sdb.Value{
-				sdb.Int(int64(b[0])), sdb.Int(int64(b[1])), sdb.Int(int64(b[2])),
-				sdb.Int(int64(b[3])), sdb.Int(int64(b[4])), sdb.Int(int64(b[5])),
-				study}, nil
+where  wv.studyId = ?`,
 
-	case spec.Structure != "" && !spec.HasBand:
-		return `
+	shapeStructure: `
 select extractVoxels(wv.data, as.region)
 from   warpedVolume wv, atlasStructure as, neuralStructure ns
 where  wv.studyId = ? and
        wv.atlasId = as.atlasId and
        as.structureId = ns.structureId and
-       ns.structureName = ?`, []sdb.Value{study, sdb.Str(spec.Structure)}, nil
+       ns.structureName = ?`,
 
-	case spec.HasBand && spec.Structure == "":
-		return `
+	shapeBand: `
 select extractVoxels(wv.data, ib.region)
 from   warpedVolume wv, intensityBand ib
 where  wv.studyId = ? and
        ib.studyId = wv.studyId and ib.atlasId = wv.atlasId and
-       ib.lo = ? and ib.hi = ? and ib.encoding = ?`, []sdb.Value{
-				study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
-				sdb.Str(encoding)}, nil
+       ib.lo = ? and ib.hi = ? and ib.encoding = ?`,
 
-	case spec.HasBand && spec.Structure != "":
-		// Mixed query: intersection() in the select list, extra joins.
-		return `
+	// Mixed query: intersection() in the select list, extra joins.
+	shapeBandStructure: `
 select extractVoxels(wv.data, intersection(ib.region, as.region))
 from   warpedVolume wv, intensityBand ib, atlasStructure as, neuralStructure ns
 where  wv.studyId = ? and
@@ -336,12 +338,94 @@ where  wv.studyId = ? and
        ib.lo = ? and ib.hi = ? and ib.encoding = ? and
        as.atlasId = wv.atlasId and
        as.structureId = ns.structureId and
-       ns.structureName = ?`, []sdb.Value{
-				study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
-				sdb.Str(encoding), sdb.Str(spec.Structure)}, nil
+       ns.structureName = ?`,
+}
+
+// The band fallback's lookups (bandSlowPath) and the stored-band fetch
+// of ConsistentBandRegion.
+const (
+	bandVolumeSQL = `
+select wv.data
+from   warpedVolume wv, atlas a
+where  wv.studyId = ? and wv.atlasId = a.atlasId and a.atlasName = ?`
+
+	bandStructureSQL = `
+select as.region
+from   atlasStructure as, neuralStructure ns, atlas a
+where  a.atlasName = ? and as.atlasId = a.atlasId and
+       as.structureId = ns.structureId and ns.structureName = ?`
+
+	bandRegionSQL = `
+select ib.region
+from   intensityBand ib
+where  ib.studyId = ? and ib.lo = ? and ib.hi = ? and ib.encoding = ?`
+)
+
+// serverStmts are the prepared forms of the statements above.
+type serverStmts struct {
+	metadata      *sdb.Stmt
+	data          [numDataShapes]*sdb.Stmt
+	bandVolume    *sdb.Stmt
+	bandStructure *sdb.Stmt
+	bandRegion    *sdb.Stmt
+}
+
+// prepareStatements compiles the server's statements against the
+// loaded catalog. It runs after the spatial UDFs are registered, so
+// nothing re-plans unless the catalog changes later.
+func (s *System) prepareStatements() error {
+	var first error
+	prepare := func(sql string) *sdb.Stmt {
+		stmt, err := s.DB.Prepare(sql)
+		if err != nil && first == nil {
+			first = fmt.Errorf("qbism: preparing server statements: %w", err)
+		}
+		return stmt
+	}
+	s.stmts.metadata = prepare(metadataSQL)
+	for shape, sql := range dataShapeSQL {
+		s.stmts.data[shape] = prepare(sql)
+	}
+	s.stmts.bandVolume = prepare(bandVolumeSQL)
+	s.stmts.bandStructure = prepare(bandStructureSQL)
+	s.stmts.bandRegion = prepare(bandRegionSQL)
+	return first
+}
+
+// dataQuerySQL translates a QuerySpec into the second §3.4 SQL query:
+// which prepared shape to run, plus its bind values.
+func dataQuerySQL(spec QuerySpec) (dataShape, []sdb.Value, error) {
+	encoding := spec.Encoding
+	if encoding == "" {
+		encoding = EncHilbertNaive
+	}
+	study := sdb.Int(int64(spec.StudyID))
+	switch {
+	case spec.FullStudy:
+		return shapeFullStudy, []sdb.Value{study}, nil
+
+	case spec.Box != nil && !spec.HasBand && spec.Structure == "":
+		b := spec.Box
+		return shapeBox, []sdb.Value{
+			sdb.Int(int64(b[0])), sdb.Int(int64(b[1])), sdb.Int(int64(b[2])),
+			sdb.Int(int64(b[3])), sdb.Int(int64(b[4])), sdb.Int(int64(b[5])),
+			study}, nil
+
+	case spec.Structure != "" && !spec.HasBand:
+		return shapeStructure, []sdb.Value{study, sdb.Str(spec.Structure)}, nil
+
+	case spec.HasBand && spec.Structure == "":
+		return shapeBand, []sdb.Value{
+			study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
+			sdb.Str(encoding)}, nil
+
+	case spec.HasBand && spec.Structure != "":
+		return shapeBandStructure, []sdb.Value{
+			study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
+			sdb.Str(encoding), sdb.Str(spec.Structure)}, nil
 
 	default:
-		return "", nil, fmt.Errorf("qbism: query spec selects nothing (set FullStudy, Box, Structure, or a band)")
+		return 0, nil, fmt.Errorf("qbism: query spec selects nothing (set FullStudy, Box, Structure, or a band)")
 	}
 }
 
@@ -368,11 +452,11 @@ func (s *System) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warnin
 	if spec.HasBand && spec.Encoding == "" {
 		spec.Encoding = s.bandEncoding(spec.StudyID, spec.BandLo, spec.BandHi)
 	}
-	sql, args, err := dataQuerySQL(spec)
+	shape, args, err := dataQuerySQL(spec)
 	if err != nil {
 		return nil, "", err
 	}
-	row, n, err := s.querySingle(sp, sql, args...)
+	row, n, err := querySingle(sp, s.stmts.data[shape], args...)
 	if spec.HasBand {
 		switch {
 		case err != nil && (errors.Is(err, lfm.ErrChecksum) || errors.Is(err, lfm.ErrReadFault)):
@@ -422,10 +506,7 @@ func (s *System) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 	sp := parent.Child("band.fallback")
 	defer sp.End()
 	sp.SetStr("reason", warning)
-	row, n, err := s.querySingle(sp, `
-select wv.data
-from   warpedVolume wv, atlas a
-where  wv.studyId = ? and wv.atlasId = a.atlasId and a.atlasName = ?`,
+	row, n, err := querySingle(sp, s.stmts.bandVolume,
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
 		return nil, "", err
@@ -437,11 +518,7 @@ where  wv.studyId = ? and wv.atlasId = a.atlasId and a.atlasName = ?`,
 
 	var d *volume.DataRegion
 	if spec.Structure != "" {
-		srow, sn, err := s.querySingle(sp, `
-select as.region
-from   atlasStructure as, neuralStructure ns, atlas a
-where  a.atlasName = ? and as.atlasId = a.atlasId and
-       as.structureId = ns.structureId and ns.structureName = ?`,
+		srow, sn, err := querySingle(sp, s.stmts.bandStructure,
 			sdb.Str(spec.Atlas), sdb.Str(spec.Structure))
 		if err != nil {
 			return nil, "", err

@@ -182,10 +182,7 @@ func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 // fetchBandRegion reads one study's stored band REGION and recodes it
 // onto the system curve (mirroring the nIntersect UDF's normalization).
 func (s *System) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (*region.Region, error) {
-	row, n, err := s.querySingle(nil, `
-select ib.region
-from   intensityBand ib
-where  ib.studyId = ? and ib.lo = ? and ib.hi = ? and ib.encoding = ?`,
+	row, n, err := querySingle(nil, s.stmts.bandRegion,
 		sdb.Int(int64(studyID)), sdb.Int(int64(bandLo)), sdb.Int(int64(bandHi)),
 		sdb.Str(encoding))
 	if err != nil {

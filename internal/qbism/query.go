@@ -322,7 +322,7 @@ func (s *System) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 		}
 		lines = append(lines, fmt.Sprintf("band repr: %s (%s)", spec.Encoding, src))
 	}
-	sql, args, err := dataQuerySQL(spec)
+	shape, args, err := dataQuerySQL(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +330,7 @@ func (s *System) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 	if analyze {
 		prefix = "explain analyze "
 	}
-	res, err := s.DB.Exec(prefix+sql, args...)
+	res, err := s.DB.Exec(prefix+dataShapeSQL[shape], args...)
 	if err != nil {
 		return nil, err
 	}

@@ -231,6 +231,10 @@ type System struct {
 	// rewritten by AdaptBandRepr.
 	reprMu   sync.RWMutex
 	bandRepr map[bandKey]string // guarded by reprMu
+
+	// stmts are the MedicalServer's statements, prepared once by New
+	// (medserver.go) and shared by every request.
+	stmts serverStmts
 }
 
 // New builds, loads, and wires up a complete system: schema, atlas,
@@ -290,6 +294,10 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	if err := s.registerSpatialUDFs(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.prepareStatements(); err != nil {
 		s.Close()
 		return nil, err
 	}

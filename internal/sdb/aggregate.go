@@ -162,8 +162,8 @@ func (a *aggState) value() Value {
 
 // group accumulates one GROUP BY bucket.
 type group struct {
-	frames []frame     // snapshot of the first row's bindings
-	aggs   []*aggState // parallel to the query's aggregate call list
+	rows [][]Value   // copy of the first input tuple's rows
+	aggs []*aggState // parallel to the query's aggregate call list
 }
 
 // groupKey builds a canonical key from the group-by values.
@@ -175,37 +175,4 @@ func groupKey(vals []Value) string {
 		sb.WriteByte(0)
 	}
 	return sb.String()
-}
-
-// evalWithAggregates evaluates x in env, substituting computed values
-// for the identified aggregate calls (matched by pointer).
-func (e *env) evalWithAggregates(x Expr, calls []*FuncCall, values []Value) (Value, error) {
-	if fc, ok := x.(*FuncCall); ok {
-		for i, c := range calls {
-			if fc == c {
-				return values[i], nil
-			}
-		}
-	}
-	switch n := x.(type) {
-	case *BinaryExpr:
-		// Rebuild with substituted children by evaluating recursively.
-		l, err := e.evalWithAggregates(n.Left, calls, values)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := e.evalWithAggregates(n.Right, calls, values)
-		if err != nil {
-			return Value{}, err
-		}
-		return e.evalBinary(&BinaryExpr{Op: n.Op, Left: &Literal{Val: l}, Right: &Literal{Val: r}})
-	case *UnaryExpr:
-		v, err := e.evalWithAggregates(n.X, calls, values)
-		if err != nil {
-			return Value{}, err
-		}
-		return e.eval(&UnaryExpr{Op: n.Op, X: &Literal{Val: v}})
-	default:
-		return e.eval(x)
-	}
 }

@@ -85,6 +85,11 @@ type Literal struct {
 type ColumnRef struct {
 	Qualifier string // alias or table name; "" if unqualified
 	Name      string
+
+	// Bound when the statement is compiled: the tuple slot (join
+	// position) of the row the column lives in and its index in that
+	// row. Evaluation reads rows[slot][col] and never sees the names.
+	slot, col int
 }
 
 // BinaryExpr is a binary operation. Op is one of
@@ -105,6 +110,13 @@ type UnaryExpr struct {
 type FuncCall struct {
 	Name string
 	Args []Expr
+
+	// Bound when the statement is compiled: udf is the registered
+	// function (nil when none has this name — the call then fails when,
+	// and only when, it is evaluated); agg is one plus the call's
+	// position in the plan's aggregate list, zero for an ordinary call.
+	udf *UDF
+	agg int
 }
 
 // StarExpr is the "*" inside COUNT(*).

@@ -44,12 +44,18 @@ type DB struct {
 
 	noPushdown bool // zero value = predicate pushdown enabled
 
+	// gen is the catalog generation: it advances whenever something a
+	// compiled plan depends on changes — a table appears, a UDF is
+	// (re)registered, pushdown is toggled — and a prepared statement
+	// whose plan carries an older generation re-plans before it runs.
+	gen atomic.Uint64
+
 	// tracer, when non-nil, gives each SELECT a span tree: parse, plan,
 	// and execute phases, with one span per physical operator carrying
-	// its runtime counters. metrics, when non-nil, aggregates query
-	// counts and per-operator row histograms.
-	tracer  *obs.Tracer
-	metrics *obs.Registry
+	// its runtime counters. m holds the metrics instruments, resolved
+	// once by SetMetrics; they are nil (no-ops) without a registry.
+	tracer *obs.Tracer
+	m      dbMetrics
 
 	// probeFast counts REGION accesses a UDF answered on the compressed
 	// representation (no run-list materialization). UDF bodies report
@@ -57,6 +63,14 @@ type DB struct {
 	// evaluation the same way they delta LFM page reads, so EXPLAIN
 	// ANALYZE shows per-operator probe counts.
 	probeFast atomic.Int64
+}
+
+// dbMetrics are the registry instruments the query path updates: query
+// and UDF call counts and the per-operator row histogram.
+type dbMetrics struct {
+	queries, queryErrors    *obs.Counter
+	udfCalls, udfProbeCalls *obs.Counter
+	opRows                  *obs.Histogram
 }
 
 // NoteProbeFastPath records one compressed-representation fast-path
@@ -81,7 +95,10 @@ func (db *DB) LFM() *lfm.Manager { return db.lfm }
 // SELECTs join in FROM order with nested loops and evaluate the whole
 // WHERE clause on top — the naive plan, kept for benchmarking the
 // optimizer against itself. Not safe to call concurrently with queries.
-func (db *DB) SetPushdown(on bool) { db.noPushdown = !on }
+func (db *DB) SetPushdown(on bool) {
+	db.noPushdown = !on
+	db.gen.Add(1)
+}
 
 // PushdownEnabled reports whether predicate pushdown is active.
 func (db *DB) PushdownEnabled() bool { return !db.noPushdown }
@@ -92,9 +109,18 @@ func (db *DB) PushdownEnabled() bool { return !db.noPushdown }
 // query's spans are private to its Rows).
 func (db *DB) SetTracer(t *obs.Tracer) { db.tracer = t }
 
-// SetMetrics installs (or with nil, removes) the metrics registry.
+// SetMetrics installs (or with nil, removes) the metrics registry,
+// looking its instruments up once so the query path never does.
 // Same concurrency contract as SetTracer.
-func (db *DB) SetMetrics(r *obs.Registry) { db.metrics = r }
+func (db *DB) SetMetrics(r *obs.Registry) {
+	db.m = dbMetrics{
+		queries:       r.Counter("sdb_queries_total"),
+		queryErrors:   r.Counter("sdb_query_errors_total"),
+		udfCalls:      r.Counter("sdb_udf_calls_total"),
+		udfProbeCalls: r.Counter("sdb_udf_probe_calls_total"),
+		opRows:        r.Histogram("sdb_operator_rows", obs.RowBuckets),
+	}
+}
 
 // Table looks up a table by name (case-insensitive).
 func (db *DB) Table(name string) (*Table, error) {
@@ -132,6 +158,7 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 		t.colIndex[lc] = i
 	}
 	db.tables[key] = t
+	db.gen.Add(1)
 	return t, nil
 }
 
@@ -165,6 +192,7 @@ func (db *DB) RegisterUDF(u *UDF) error {
 		return fmt.Errorf("sdb: UDF needs a name and a function")
 	}
 	db.udfs[strings.ToLower(u.Name)] = u
+	db.gen.Add(1)
 	return nil
 }
 
@@ -187,7 +215,8 @@ type UDF struct {
 	Fn        func(db *DB, args []Value) (Value, error)
 }
 
-// lookupUDF finds a registered function by name.
+// lookupUDF finds a registered function by name. Plans call it when
+// they bind; execution uses the bound pointer.
 func (db *DB) lookupUDF(name string) (*UDF, bool) {
 	u, ok := db.udfs[strings.ToLower(name)]
 	return u, ok

@@ -1,61 +1,22 @@
 package sdb
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// frame binds one FROM-clause table alias to a current row during
-// evaluation.
-type frame struct {
-	alias string
-	table *Table
-	row   []Value
-}
-
-// env is the evaluation environment: the bound frames, in join order,
-// plus the statement's bind-parameter values and an optional operator
-// stats sink that UDF invocations are charged to.
+// env is the evaluation context of one operator (or one DML
+// statement): the tuple under evaluation, the statement's bind values,
+// and the operator stats UDF invocations are charged to (nil outside
+// the executor). Column references and function calls were bound when
+// the statement was compiled, so evaluation touches no names.
 type env struct {
 	db     *DB
-	frames []frame
 	params []Value
 	st     *opStats
+
+	rows    [][]Value // the current tuple: one row per slot, in join order
+	aggVals []Value   // its computed aggregates; nil before aggregation
 }
 
-// lookupColumn resolves a (possibly qualified) column reference against
-// the bound frames.
-func (e *env) lookupColumn(ref *ColumnRef) (Value, error) {
-	if ref.Qualifier != "" {
-		for _, f := range e.frames {
-			if strings.EqualFold(f.alias, ref.Qualifier) {
-				idx := f.table.ColumnIndex(ref.Name)
-				if idx < 0 {
-					return Value{}, fmt.Errorf("sdb: table %q has no column %q", f.alias, ref.Name)
-				}
-				return f.row[idx], nil
-			}
-		}
-		return Value{}, fmt.Errorf("sdb: unknown table alias %q", ref.Qualifier)
-	}
-	found := -1
-	var val Value
-	for _, f := range e.frames {
-		if idx := f.table.ColumnIndex(ref.Name); idx >= 0 {
-			if found >= 0 {
-				return Value{}, fmt.Errorf("sdb: ambiguous column %q", ref.Name)
-			}
-			found = 0
-			val = f.row[idx]
-		}
-	}
-	if found < 0 {
-		return Value{}, fmt.Errorf("sdb: unknown column %q", ref.Name)
-	}
-	return val, nil
-}
-
-// eval evaluates an expression in the environment.
+// eval evaluates a bound expression against the current tuple.
 func (e *env) eval(x Expr) (Value, error) {
 	switch n := x.(type) {
 	case *Literal:
@@ -66,7 +27,12 @@ func (e *env) eval(x Expr) (Value, error) {
 		}
 		return e.params[n.Idx], nil
 	case *ColumnRef:
-		return e.lookupColumn(n)
+		// Only the lone output row of a grand aggregate over zero input
+		// rows has unfilled slots.
+		if n.slot >= len(e.rows) || e.rows[n.slot] == nil {
+			return Value{}, fmt.Errorf("sdb: unknown table alias %q", n.Qualifier)
+		}
+		return e.rows[n.slot][n.col], nil
 	case *UnaryExpr:
 		v, err := e.eval(n.X)
 		if err != nil {
@@ -93,8 +59,13 @@ func (e *env) eval(x Expr) (Value, error) {
 	case *BinaryExpr:
 		return e.evalBinary(n)
 	case *FuncCall:
-		u, ok := e.db.lookupUDF(n.Name)
-		if !ok {
+		// Above the aggregate operator an accumulated call reads its
+		// computed value; built-in aggregates shadow same-named UDFs.
+		if n.agg > 0 && e.aggVals != nil {
+			return e.aggVals[n.agg-1], nil
+		}
+		u := n.udf
+		if u == nil {
 			return Value{}, fmt.Errorf("sdb: unknown function %q", n.Name)
 		}
 		if len(n.Args) < u.MinArgs || (u.MaxArgs >= 0 && len(n.Args) > u.MaxArgs) {
@@ -111,11 +82,9 @@ func (e *env) eval(x Expr) (Value, error) {
 		if e.st != nil {
 			e.st.udfCalls++
 		}
-		if e.db.metrics != nil {
-			e.db.metrics.Counter("sdb_udf_calls_total").Inc()
-			if u.ProbeOnly {
-				e.db.metrics.Counter("sdb_udf_probe_calls_total").Inc()
-			}
+		e.db.m.udfCalls.Inc()
+		if u.ProbeOnly {
+			e.db.m.udfProbeCalls.Inc()
 		}
 		out, err := u.Fn(e.db, args)
 		if err != nil {
@@ -243,11 +212,4 @@ func arith(op string, l, r Value) (Value, error) {
 		return Value{}, fmt.Errorf("sdb: %% requires integers")
 	}
 	return Value{}, fmt.Errorf("sdb: unknown arithmetic operator %q", op)
-}
-
-// constEval evaluates an expression with no table context (for INSERT
-// values), with bind parameters available.
-func constEval(db *DB, x Expr, params []Value) (Value, error) {
-	e := &env{db: db, params: params}
-	return e.eval(x)
 }

@@ -15,8 +15,9 @@ type Result struct {
 	Affected int
 }
 
-// Exec parses and executes one SQL statement. Optional args supply
-// values for "?" bind placeholders, in order.
+// Exec parses and executes one SQL statement: Prepare and a single
+// run, without keeping the statement. Optional args supply values for
+// "?" bind placeholders, in order.
 func (db *DB) Exec(sql string, args ...Value) (*Result, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -34,12 +35,27 @@ func (db *DB) MustExec(sql string, args ...Value) *Result {
 	return res
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement. Planning binds the statement's
+// AST in place, so one AST must not be executed from two goroutines at
+// once; share a *Stmt instead.
 func (db *DB) ExecStmt(stmt Statement, args ...Value) (*Result, error) {
-	if want := countPlaceholders(stmt); want != len(args) {
-		return nil, fmt.Errorf("sdb: statement has %d bind parameter(s), got %d argument(s)", want, len(args))
+	if sel, ok := stmt.(*SelectStmt); ok {
+		return materialize(db.QueryStmt(sel, args...))
 	}
-	switch s := stmt.(type) {
+	c, err := db.compile(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return c.exec(db, args)
+}
+
+// exec runs a compiled statement other than a bare SELECT (which runs
+// through query) once to completion.
+func (c *compiled) exec(db *DB, args []Value) (*Result, error) {
+	if err := c.checkArgs(args); err != nil {
+		return nil, err
+	}
+	switch s := c.stmt.(type) {
 	case *CreateTableStmt:
 		if _, err := db.CreateTable(s.Name, s.Columns); err != nil {
 			return nil, err
@@ -47,20 +63,14 @@ func (db *DB) ExecStmt(stmt Statement, args ...Value) (*Result, error) {
 		return &Result{}, nil
 	case *InsertStmt:
 		return db.execInsert(s, args)
-	case *SelectStmt:
-		return db.execSelect(s, args)
 	case *DeleteStmt:
 		return db.execDelete(s, args)
 	case *UpdateStmt:
 		return db.execUpdate(s, args)
 	case *ExplainStmt:
-		sel, ok := s.Stmt.(*SelectStmt)
-		if !ok {
-			return nil, fmt.Errorf("sdb: EXPLAIN supports only SELECT")
-		}
-		return db.explainSelect(sel, args, s.Analyze)
+		return c.explain(db, args, s.Analyze)
 	default:
-		return nil, fmt.Errorf("sdb: unsupported statement %T", stmt)
+		return nil, fmt.Errorf("sdb: unsupported statement %T", c.stmt)
 	}
 }
 
@@ -78,7 +88,7 @@ type Rows struct {
 
 	// Tracing state: stmt is the statement span (ended at Close, after
 	// the operator tree is emitted under exec); db carries the metrics
-	// registry. All nil/no-op when untraced.
+	// instruments. The spans are nil/no-op when untraced.
 	db   *DB
 	stmt *obs.Span
 	exec *obs.Span
@@ -144,20 +154,25 @@ func (r *Rows) finishObs() {
 		}
 		r.stmt.End()
 	}
-	if r.db != nil && r.db.metrics != nil {
-		r.db.metrics.Counter("sdb_queries_total").Inc()
-		if r.err != nil {
-			r.db.metrics.Counter("sdb_query_errors_total").Inc()
-		}
-		h := r.db.metrics.Histogram("sdb_operator_rows", obs.RowBuckets)
-		var walk func(op operator)
-		walk = func(op operator) {
-			h.Observe(float64(op.stats().rowsOut))
-			for _, k := range op.kids() {
-				walk(k)
-			}
-		}
-		walk(r.root)
+	m := &r.db.m
+	m.queries.Inc()
+	if r.err != nil {
+		m.queryErrors.Inc()
+	}
+	if m.opRows != nil {
+		observeOpRows(m.opRows, r.root)
+	}
+}
+
+// observeOpRows records every operator's output row count.
+func observeOpRows(h *obs.Histogram, op operator) {
+	h.Observe(float64(op.stats().rowsOut))
+	left, right := op.kids()
+	if left != nil {
+		observeOpRows(h, left)
+	}
+	if right != nil {
+		observeOpRows(h, right)
 	}
 }
 
@@ -175,8 +190,12 @@ func emitOpSpans(parent *obs.Span, op operator) {
 	sp.SetInt("udfCalls", st.udfCalls)
 	sp.SetInt("lfmPages", st.lfmPages)
 	sp.SetInt("probeFast", st.probeFast)
-	for _, k := range op.kids() {
-		emitOpSpans(sp, k)
+	left, right := op.kids()
+	if left != nil {
+		emitOpSpans(sp, left)
+	}
+	if right != nil {
+		emitOpSpans(sp, right)
 	}
 	sp.End()
 }
@@ -195,38 +214,49 @@ func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 // "sql.execute" phases; at Close the executed operator tree is emitted
 // under the execute span with per-operator counters. A nil parent on
 // an untraced DB makes every span a no-op — this is the Query path.
+//
+// It is Prepare plus one Stmt.Query with the statement thrown away: a
+// caller that repeats a statement should keep the Stmt.
 func (db *DB) QuerySpan(parent *obs.Span, sql string, args ...Value) (*Rows, error) {
 	sp := db.stmtSpan(parent)
 	ps := sp.Child("sql.parse")
 	stmt, err := Parse(sql)
 	ps.End()
 	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-		return nil, err
+		return failQuery(sp, err)
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		sp.End()
-		return nil, fmt.Errorf("sdb: Query supports only SELECT, got %T", stmt)
-	}
-	rows, err := db.queryStmtSpan(sp, sel, args)
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-	}
-	return rows, err
+	return db.queryParsed(sp, stmt, args)
 }
 
-// QueryStmt is Query for an already parsed SELECT.
+// QueryStmt is Query for an already parsed SELECT. Like ExecStmt it
+// binds the AST in place.
 func (db *DB) QueryStmt(s *SelectStmt, args ...Value) (*Rows, error) {
-	sp := db.stmtSpan(nil)
-	rows, err := db.queryStmtSpan(sp, s, args)
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
+	return db.queryParsed(db.stmtSpan(nil), s, args)
+}
+
+// queryParsed compiles stmt and starts its one execution under the
+// statement span sp.
+func (db *DB) queryParsed(sp *obs.Span, stmt Statement, args []Value) (*Rows, error) {
+	pl := sp.Child("sql.plan")
+	c, err := db.compile(stmt)
+	var rows *Rows
+	if err == nil {
+		rows, err = c.query(db, sp, args)
 	}
-	return rows, err
+	pl.End()
+	if err != nil {
+		return failQuery(sp, err)
+	}
+	rows.exec = sp.Child("sql.execute")
+	return rows, nil
+}
+
+// failQuery closes the statement span of a query that never produced a
+// Rows.
+func failQuery(sp *obs.Span, err error) (*Rows, error) {
+	sp.SetStr("error", err.Error())
+	sp.End()
+	return nil, err
 }
 
 // stmtSpan starts the statement span: under parent when given,
@@ -238,30 +268,22 @@ func (db *DB) stmtSpan(parent *obs.Span) *obs.Span {
 	return db.tracer.Start("sql.query")
 }
 
-func (db *DB) queryStmtSpan(sp *obs.Span, s *SelectStmt, args []Value) (*Rows, error) {
-	if want := countPlaceholders(s); want != len(args) {
-		return nil, fmt.Errorf("sdb: statement has %d bind parameter(s), got %d argument(s)", want, len(args))
+// query instantiates the compiled SELECT for one execution under the
+// statement span sp (nil = untraced). The caller opens the execute span.
+func (c *compiled) query(db *DB, sp *obs.Span, args []Value) (*Rows, error) {
+	if _, ok := c.stmt.(*SelectStmt); !ok {
+		return nil, fmt.Errorf("sdb: Query supports only SELECT, got %T", c.stmt)
 	}
-	pl := sp.Child("sql.plan")
-	plan, err := db.planSelect(s)
-	if err != nil {
-		pl.End()
+	if err := c.checkArgs(args); err != nil {
 		return nil, err
 	}
-	root, err := db.buildPipeline(plan, args)
-	pl.End()
-	if err != nil {
-		return nil, err
-	}
-	rows := &Rows{cols: plan.columns, root: root, db: db, stmt: sp}
-	rows.exec = sp.Child("sql.execute")
-	return rows, nil
+	root := c.sel.instantiate(db, args, sp != nil)
+	return &Rows{cols: c.sel.columns, root: root, db: db, stmt: sp}, nil
 }
 
-// execSelect runs a SELECT to completion through the iterator pipeline
-// and materializes a Result (the non-streaming entry point).
-func (db *DB) execSelect(s *SelectStmt, args []Value) (*Result, error) {
-	rows, err := db.QueryStmt(s, args...)
+// materialize drains a started query into a Result (the non-streaming
+// entry points).
+func materialize(rows *Rows, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -297,6 +319,9 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 			positions = append(positions, idx)
 		}
 	}
+	// INSERT values see no row: only literals, bind parameters and
+	// function calls evaluate.
+	e := env{db: db, params: params}
 	n := 0
 	for _, rowExprs := range s.Rows {
 		if len(rowExprs) != len(positions) {
@@ -307,7 +332,10 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 			row[i] = Null()
 		}
 		for i, x := range rowExprs {
-			v, err := constEval(db, x, params)
+			if err := db.bindRowExpr(x, nil); err != nil {
+				return nil, err
+			}
+			v, err := e.eval(x)
 			if err != nil {
 				return nil, err
 			}
@@ -321,25 +349,38 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
+// whereMatches evaluates a DML WHERE clause (nil = every row) against
+// the row e currently holds.
+func whereMatches(e *env, where Expr) (bool, error) {
+	if where == nil {
+		return true, nil
+	}
+	v, err := e.eval(where)
+	if err != nil {
+		return false, err
+	}
+	if v.T != TBool {
+		return false, fmt.Errorf("sdb: WHERE clause is %s, not BOOL", v.T)
+	}
+	return v.B, nil
+}
+
 func (db *DB) execDelete(s *DeleteStmt, params []Value) (*Result, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
+	if err := db.bindRowExpr(s.Where, t); err != nil {
+		return nil, err
+	}
+	e := env{db: db, params: params, rows: make([][]Value, 1)}
 	kept := t.Rows[:0]
 	deleted := 0
 	for _, row := range t.Rows {
-		match := true
-		if s.Where != nil {
-			e := &env{db: db, frames: []frame{{alias: t.Name, table: t, row: row}}, params: params}
-			v, err := e.eval(s.Where)
-			if err != nil {
-				return nil, err
-			}
-			if v.T != TBool {
-				return nil, fmt.Errorf("sdb: WHERE clause is %s, not BOOL", v.T)
-			}
-			match = v.B
+		e.rows[0] = row
+		match, err := whereMatches(&e, s.Where)
+		if err != nil {
+			return nil, err
 		}
 		if match {
 			deleted++
@@ -356,20 +397,24 @@ func (db *DB) execUpdate(s *UpdateStmt, params []Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := db.bindRowExpr(s.Where, t); err != nil {
+		return nil, err
+	}
+	for _, asg := range s.Set {
+		if err := db.bindRowExpr(asg.Expr, t); err != nil {
+			return nil, err
+		}
+	}
+	e := env{db: db, params: params, rows: make([][]Value, 1)}
 	updated := 0
 	for ri, row := range t.Rows {
-		e := &env{db: db, frames: []frame{{alias: t.Name, table: t, row: row}}, params: params}
-		if s.Where != nil {
-			v, err := e.eval(s.Where)
-			if err != nil {
-				return nil, err
-			}
-			if v.T != TBool {
-				return nil, fmt.Errorf("sdb: WHERE clause is %s, not BOOL", v.T)
-			}
-			if !v.B {
-				continue
-			}
+		e.rows[0] = row
+		match, err := whereMatches(&e, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
+			continue
 		}
 		newRow := make([]Value, len(row))
 		copy(newRow, row)

@@ -22,16 +22,11 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmt() {}
 
-// explainSelect renders the operator tree of a SELECT.
-func (db *DB) explainSelect(s *SelectStmt, params []Value, analyze bool) (*Result, error) {
-	plan, err := db.planSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	root, err := db.buildPipeline(plan, params)
-	if err != nil {
-		return nil, err
-	}
+// explain renders the operator tree of the compiled SELECT, executing
+// it first (with per-operator page and probe sampling on) when analyze
+// is set.
+func (c *compiled) explain(db *DB, params []Value, analyze bool) (*Result, error) {
+	root := c.sel.instantiate(db, params, analyze)
 	if analyze {
 		if err := root.open(); err != nil {
 			return nil, err
@@ -58,8 +53,12 @@ func (db *DB) explainSelect(s *SelectStmt, params []Value, analyze bool) (*Resul
 				st.rowsIn, st.rowsOut, st.udfCalls, st.lfmPages, st.probeFast)
 		}
 		res.Rows = append(res.Rows, []Value{Str(line)})
-		for _, k := range op.kids() {
-			walk(k, depth+1)
+		left, right := op.kids()
+		if left != nil {
+			walk(left, depth+1)
+		}
+		if right != nil {
+			walk(right, depth+1)
 		}
 	}
 	walk(root, 0)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,8 +170,8 @@ func fuzzEquivDB() *DB {
 // fuzzQuery is one generated SELECT plus the comparison modes it is
 // eligible for.
 type fuzzQuery struct {
-	sql          string
-	multisetOnly bool // star over multiple tables etc: skip pushdown-off order compare
+	sql           string
+	multisetOnly  bool // star over multiple tables etc: skip pushdown-off order compare
 	offComparable bool
 }
 
@@ -550,4 +552,153 @@ func TestPlannerEquivalenceFuzz(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// intLiteral matches the integer literals of a generated query. The
+// generator's identifiers never end in a bare number (s2 has no word
+// boundary before its digit) and its strings hold no digits.
+var intLiteral = regexp.MustCompile(`\b\d+\b`)
+
+// parameterize turns a generated query's integer literals into "?"
+// placeholders and returns their values as the base bind vector. LIMIT
+// and OFFSET counts are syntax, not expressions, and stay literal.
+func parameterize(sql string) (string, []Value) {
+	var binds []Value
+	var sb strings.Builder
+	last := 0
+	for _, loc := range intLiteral.FindAllStringIndex(sql, -1) {
+		head := strings.TrimRight(sql[:loc[0]], " ")
+		if strings.HasSuffix(head, "limit") || strings.HasSuffix(head, "offset") {
+			continue
+		}
+		n, _ := strconv.ParseInt(sql[loc[0]:loc[1]], 10, 64)
+		binds = append(binds, Int(n))
+		sb.WriteString(sql[last:loc[0]])
+		sb.WriteByte('?')
+		last = loc[1]
+	}
+	sb.WriteString(sql[last:])
+	return sb.String(), binds
+}
+
+// fuzzOutcome is what one (query, bind vector) pair must produce.
+type fuzzOutcome struct {
+	cols []string
+	rows [][]Value
+	err  bool
+}
+
+func drain(rows *Rows, err error) fuzzOutcome {
+	if err != nil {
+		return fuzzOutcome{err: true}
+	}
+	defer rows.Close()
+	out := fuzzOutcome{cols: rows.Columns()}
+	for rows.Next() {
+		out.rows = append(out.rows, append([]Value(nil), rows.Row()...))
+	}
+	out.err = rows.Err() != nil
+	return out
+}
+
+func (o fuzzOutcome) equal(p fuzzOutcome) bool {
+	if o.err || p.err {
+		return o.err == p.err
+	}
+	return reflect.DeepEqual(o.cols, p.cols) && rowsEqual(o.rows, p.rows)
+}
+
+// TestPreparedEquivalenceFuzz is the prepared-vs-one-shot differential:
+// each of the 400 generated SELECTs, its integer literals turned into
+// bind parameters, is prepared once and then executed with three
+// different bind vectors by each of four goroutines sharing the one
+// *Stmt. Every execution must match both the legacy materializing
+// oracle and the one-shot DB.Query on the same text and binds — same
+// columns, same rows, same order, same error-or-not. Under -race this
+// is the proof that a compiled plan is read-only.
+func TestPreparedEquivalenceFuzz(t *testing.T) {
+	db := fuzzEquivDB()
+	const (
+		numQueries = 400
+		numVectors = 3
+		workers    = 4
+	)
+	rng := rand.New(rand.NewSource(1993))
+	type prepared struct {
+		sql   string
+		stmt  *Stmt
+		binds [numVectors][]Value
+		want  [numVectors]fuzzOutcome
+	}
+	cases := make([]prepared, numQueries)
+	for i := range cases {
+		c := &cases[i]
+		var base []Value
+		c.sql, base = parameterize(genEquivQuery(rng).sql)
+		for v := range c.binds {
+			// Vector 0 is the generated query itself; the others shift
+			// every literal, so filters select different rows.
+			c.binds[v] = make([]Value, len(base))
+			for j, b := range base {
+				c.binds[v][j] = Int(b.I + int64(v*(j+1)))
+			}
+		}
+		stmt, err := db.Prepare(c.sql)
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", c.sql, err)
+		}
+		c.stmt = stmt
+		for v, binds := range c.binds {
+			ast, err := Parse(c.sql)
+			if err != nil {
+				t.Fatalf("parameterized query does not parse: %q: %v", c.sql, err)
+			}
+			oracle := fuzzOutcome{err: true}
+			if res, err := oracleExecSelect(db, ast.(*SelectStmt), binds); err == nil {
+				oracle = fuzzOutcome{cols: res.Columns, rows: res.Rows}
+			}
+			c.want[v] = drain(db.Query(c.sql, binds...))
+			if !c.want[v].equal(oracle) {
+				t.Errorf("one-shot diverged from the oracle for %q %v:\noracle:   %q\none-shot: %q",
+					c.sql, binds, rowsKey(oracle.rows), rowsKey(c.want[v].rows))
+			}
+		}
+	}
+
+	var executed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts elsewhere, so at any moment the four are
+			// inside different statements — and now and then the same one.
+			for n := 0; n < numQueries; n++ {
+				c := &cases[(n+w*numQueries/workers)%numQueries]
+				for v := 0; v < numVectors; v++ {
+					v := (v + w) % numVectors
+					got := drain(c.stmt.Query(nil, c.binds[v]...))
+					if !got.equal(c.want[v]) {
+						t.Errorf("prepared execution diverged for %q %v:\nwant: %q\ngot:  %q",
+							c.sql, c.binds[v], rowsKey(c.want[v].rows), rowsKey(got.rows))
+					}
+					if !got.err {
+						executed.Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	bound := 0
+	for i := range cases {
+		if len(cases[i].binds[0]) > 0 {
+			bound++
+		}
+	}
+	t.Logf("%d of %d statements carry bind parameters; %d of %d prepared executions returned rows without error",
+		bound, numQueries, executed.Load(), numQueries*numVectors*workers)
+	if bound < numQueries/2 || executed.Load() < numQueries*workers {
+		t.Fatal("the differential is close to vacuous")
+	}
 }

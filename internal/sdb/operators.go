@@ -2,18 +2,18 @@ package sdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// The physical executor: Volcano-style iterators. Each plan node
-// compiles to an operator with open/next/close; rows flow upward one
-// at a time, so nothing above the operator that needs materialization
-// (aggregate, sort) builds a full intermediate result. Every operator
-// carries its own counters — rows in/out, UDF calls, and LFM pages
-// read while evaluating its expressions — which EXPLAIN ANALYZE
-// reports per node.
+// The physical executor: Volcano-style iterators. A compiled plan is
+// instantiated into one operator per plan node for each execution; rows
+// flow upward one at a time, so nothing above the operator that needs
+// materialization (aggregate, sort) builds a full intermediate result.
+// Every operator carries its own counters — rows in/out, UDF calls, and
+// (when the execution is sampled) LFM pages read while evaluating its
+// expressions — which EXPLAIN ANALYZE reports per node.
 
 // opStats are the per-operator runtime counters.
 type opStats struct {
@@ -24,78 +24,70 @@ type opStats struct {
 	probeFast int64 // compressed-representation fast-path answers
 }
 
-// tuple is the unit of data flow: the bound frames in join order, the
-// computed aggregate values after aggregation, and the projected
+// tuple is the unit of data flow: one row reference per FROM entry,
+// indexed by join position (the slot column references were bound to),
+// the computed aggregate values after aggregation, and the projected
 // output row once the root has run.
+//
+// rows is the producing operator's own buffer, overwritten in place: a
+// tuple is valid until that operator's next call to next. Operators
+// that keep tuples across calls — hash build, the nested loop's right
+// side, aggregate, sort — copy what they keep.
 type tuple struct {
-	frames  []frame
+	rows    [][]Value
 	aggVals []Value // parallel to the plan's aggCalls; nil before aggregation
 	out     []Value // set by the projection root
 }
 
-// operator is a Volcano iterator.
+// operator is a Volcano iterator. kids returns its inputs (left, right),
+// nil where it has none.
 type operator interface {
 	open() error
 	next() (tuple, bool, error)
 	close()
 	describe() string
-	kids() []operator
+	kids() (operator, operator)
 	stats() *opStats
 }
 
 // opBase carries the pieces every operator shares and charges
 // expression evaluation to the operator's counters.
 type opBase struct {
-	db     *DB
-	params []Value
-	st     opStats
-	ev     *env
+	st opStats
+	ev env
+	// sample turns on lfmPages/probeFast attribution: deltas of the
+	// shared LFM and probe counters around every expression. Only a
+	// traced statement and EXPLAIN ANALYZE read those counters, so only
+	// they pay for the LFM mutex.
+	sample bool
 }
 
 func (b *opBase) stats() *opStats { return &b.st }
 
-func (b *opBase) envFor(frames []frame) *env {
-	if b.ev == nil {
-		b.ev = &env{db: b.db, params: b.params, st: &b.st}
-	}
-	b.ev.frames = frames
-	return b.ev
+// bind points the operator's evaluation context at this execution.
+func (b *opBase) bind(x *execution) {
+	b.ev = env{db: x.db, params: x.params, st: &b.st}
+	b.sample = x.sample
 }
 
-// evalIn evaluates x against the tuple's frames, attributing UDF calls
-// and LFM page reads to this operator.
+// evalIn evaluates x against the tuple, attributing UDF calls (and,
+// when sampled, LFM page reads and probe fast paths) to this operator.
 func (b *opBase) evalIn(t tuple, x Expr) (Value, error) {
-	e := b.envFor(t.frames)
+	b.ev.rows, b.ev.aggVals = t.rows, t.aggVals
+	if !b.sample {
+		return b.ev.eval(x)
+	}
+	db := b.ev.db
 	var before uint64
-	if b.db.lfm != nil {
-		before = b.db.lfm.Stats().PageReads
+	if db.lfm != nil {
+		before = db.lfm.Stats().PageReads
 	}
-	probeBefore := b.db.probeFast.Load()
-	v, err := e.eval(x)
-	if b.db.lfm != nil {
-		b.st.lfmPages += int64(b.db.lfm.Stats().PageReads - before)
+	probeBefore := db.probeFast.Load()
+	v, err := b.ev.eval(x)
+	if db.lfm != nil {
+		b.st.lfmPages += int64(db.lfm.Stats().PageReads - before)
 	}
-	b.st.probeFast += b.db.probeFast.Load() - probeBefore
-	return v, err
-}
-
-// evalAgg is evalIn for post-aggregation tuples: identified aggregate
-// calls are substituted with the tuple's computed values.
-func (b *opBase) evalAgg(t tuple, x Expr, calls []*FuncCall) (Value, error) {
-	if t.aggVals == nil {
-		return b.evalIn(t, x)
-	}
-	e := b.envFor(t.frames)
-	var before uint64
-	if b.db.lfm != nil {
-		before = b.db.lfm.Stats().PageReads
-	}
-	probeBefore := b.db.probeFast.Load()
-	v, err := e.evalWithAggregates(x, calls, t.aggVals)
-	if b.db.lfm != nil {
-		b.st.lfmPages += int64(b.db.lfm.Stats().PageReads - before)
-	}
-	b.st.probeFast += b.db.probeFast.Load() - probeBefore
+	b.st.probeFast += db.probeFast.Load() - probeBefore
 	return v, err
 }
 
@@ -114,8 +106,10 @@ func (b *opBase) evalPred(t tuple, x Expr) (bool, error) {
 // scanOp reads one table's rows in storage order.
 type scanOp struct {
 	opBase
-	src source
-	i   int
+	src  source
+	slot int
+	buf  [][]Value // output tuple: only buf[slot] is ever set
+	i    int
 }
 
 func (o *scanOp) open() error {
@@ -127,10 +121,10 @@ func (o *scanOp) next() (tuple, bool, error) {
 	if o.i >= len(o.src.table.Rows) {
 		return tuple{}, false, nil
 	}
-	row := o.src.table.Rows[o.i]
+	o.buf[o.slot] = o.src.table.Rows[o.i]
 	o.i++
 	o.st.rowsOut++
-	return tuple{frames: []frame{{alias: o.src.alias, table: o.src.table, row: row}}}, true, nil
+	return tuple{rows: o.buf}, true, nil
 }
 
 func (o *scanOp) close() {}
@@ -143,7 +137,7 @@ func (o *scanOp) describe() string {
 	return fmt.Sprintf("%s (%d rows)", s, len(o.src.table.Rows))
 }
 
-func (o *scanOp) kids() []operator { return nil }
+func (o *scanOp) kids() (operator, operator) { return nil, nil }
 
 // filterOp passes rows satisfying all its predicates, in order.
 type filterOp struct {
@@ -194,33 +188,36 @@ func (o *filterOp) describe() string {
 	return s
 }
 
-func (o *filterOp) kids() []operator { return []operator{o.child} }
-
-// hashEntry is one build-side row with its precomputed key values,
-// kept for the exact Equal re-check on probe (the canonical string key
-// can collide without the values being SQL-equal).
-type hashEntry struct {
-	t    tuple
-	keys []Value
-}
+func (o *filterOp) kids() (operator, operator) { return o.child, nil }
 
 // hashJoinOp joins on equality keys: it lazily builds a hash table
 // over the right input, then streams the left input and probes. Rows
 // come out in left-major, right-scan-order — the same order the
 // nested loop would produce.
+//
+// The right input is always one FROM entry (a scan, maybe filtered), so
+// the build side keeps just that entry's row per input tuple, plus its
+// key values for the exact Equal re-check on probe: the 64-bit hash only
+// picks the bucket. The table is chained hashing laid out in flat
+// slices — entries in arrival order, a power-of-two array of bucket
+// heads, one next-link per entry — so a build allocates a handful of
+// slices, never per row.
 type hashJoinOp struct {
 	opBase
 	left, right operator
 	leftKeys    []Expr
 	rightKeys   []Expr
+	slot        int // the right input's tuple slot
 
-	built      bool
-	table      map[string][]hashEntry
-	cur        tuple
-	curOK      bool
-	curKeyVals []Value
-	bucket     []hashEntry
-	bi         int
+	built bool
+	rows  [][]Value // build-side rows, one per entry
+	keys  []Value   // their key values, len(rightKeys) per entry
+	heads []int32   // first entry of bucket hash&(len(heads)-1); -1 = empty
+	chain []int32   // next entry in the same bucket, in arrival order; -1 ends
+
+	buf   [][]Value // output tuple: the current left rows, then the match
+	probe []Value   // the current left row's key values
+	cur   int32     // next entry to try for the current left row; -1 = pull a new one
 }
 
 func (o *hashJoinOp) open() error {
@@ -230,72 +227,98 @@ func (o *hashJoinOp) open() error {
 	if err := o.right.open(); err != nil {
 		return err
 	}
-	o.built, o.table = false, nil
-	o.curOK, o.bucket, o.bi = false, nil, 0
+	o.built, o.rows, o.keys = false, o.rows[:0], o.keys[:0]
+	o.cur = -1
 	return nil
+}
+
+// evalKeys appends t's values for the key expressions to dst. ok is
+// false when a key is NULL: NULL never equals anything, so the row
+// cannot match, and dst comes back unextended.
+func (o *hashJoinOp) evalKeys(t tuple, keys []Expr, dst []Value) (out []Value, ok bool, err error) {
+	base := len(dst)
+	for _, kx := range keys {
+		v, err := o.evalIn(t, kx)
+		if err != nil {
+			return dst[:base], false, err
+		}
+		if v.IsNull() {
+			return dst[:base], false, nil
+		}
+		dst = append(dst, v)
+	}
+	return dst, true, nil
 }
 
 // build drains the right input into the hash table. Deferred until the
 // first left row arrives so an empty left side never evaluates right
 // key expressions — matching the nested-loop evaluation order.
 func (o *hashJoinOp) build() error {
-	o.table = make(map[string][]hashEntry)
+	// An unfiltered right side yields exactly its table's rows: make
+	// room for them once instead of growing into it.
+	if sc, ok := o.right.(*scanOp); ok && o.rows == nil {
+		n := len(sc.src.table.Rows)
+		o.rows, o.keys = make([][]Value, 0, n), make([]Value, 0, n*len(o.rightKeys))
+	}
 	for {
 		t, ok, err := o.right.next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			o.built = true
-			return nil
+			break
 		}
 		o.st.rowsIn++
-		keys := make([]Value, len(o.rightKeys))
-		null := false
-		for i, kx := range o.rightKeys {
-			v, err := o.evalIn(t, kx)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				null = true // NULL never equals anything; unreachable row
-				break
-			}
-			keys[i] = v
+		var keyed bool
+		if o.keys, keyed, err = o.evalKeys(t, o.rightKeys, o.keys); err != nil {
+			return err
 		}
-		if null {
-			continue
+		if keyed {
+			o.rows = append(o.rows, t.rows[o.slot])
 		}
-		hk := hashKey(keys)
-		o.table[hk] = append(o.table[hk], hashEntry{t: t, keys: keys})
 	}
+	// At most half full. Linking the entries last to first leaves each
+	// chain in arrival order.
+	n, size := len(o.rows), 1
+	for size < 2*n {
+		size <<= 1
+	}
+	links := make([]int32, size+n)
+	o.heads, o.chain = links[:size], links[size:]
+	for b := range o.heads {
+		o.heads[b] = -1
+	}
+	nk := len(o.rightKeys)
+	for i := n - 1; i >= 0; i-- {
+		b := hashValues(o.keys[i*nk:(i+1)*nk]) & uint64(size-1)
+		o.chain[i] = o.heads[b]
+		o.heads[b] = int32(i)
+	}
+	o.built = true
+	return nil
 }
 
 func (o *hashJoinOp) next() (tuple, bool, error) {
+	nk := len(o.leftKeys)
 	for {
-		if o.curOK {
-			for o.bi < len(o.bucket) {
-				ent := o.bucket[o.bi]
-				o.bi++
-				// Re-check with SQL equality: the string key is only a
-				// bucketing heuristic.
-				match := true
-				for i, lv := range o.curKeyVals {
-					if !lv.Equal(ent.keys[i]) {
-						match = false
-						break
-					}
+		for o.cur >= 0 {
+			i := int(o.cur)
+			o.cur = o.chain[i]
+			// Re-check with SQL equality: the hash is only a bucketing
+			// heuristic, and distinct hashes share a bucket too.
+			match := true
+			for k, lv := range o.probe {
+				if !lv.Equal(o.keys[i*nk+k]) {
+					match = false
+					break
 				}
-				if !match {
-					continue
-				}
-				frames := make([]frame, 0, len(o.cur.frames)+len(ent.t.frames))
-				frames = append(frames, o.cur.frames...)
-				frames = append(frames, ent.t.frames...)
-				o.st.rowsOut++
-				return tuple{frames: frames}, true, nil
 			}
-			o.curOK = false
+			if !match {
+				continue
+			}
+			o.buf[o.slot] = o.rows[i]
+			o.st.rowsOut++
+			return tuple{rows: o.buf}, true, nil
 		}
 		t, ok, err := o.left.next()
 		if err != nil || !ok {
@@ -307,33 +330,22 @@ func (o *hashJoinOp) next() (tuple, bool, error) {
 				return tuple{}, false, err
 			}
 		}
-		keys := make([]Value, len(o.leftKeys))
-		null := false
-		for i, kx := range o.leftKeys {
-			v, err := o.evalIn(t, kx)
-			if err != nil {
-				return tuple{}, false, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			keys[i] = v
+		var keyed bool
+		if o.probe, keyed, err = o.evalKeys(t, o.leftKeys, o.probe[:0]); err != nil {
+			return tuple{}, false, err
 		}
-		if null {
+		if !keyed {
 			continue
 		}
-		o.cur, o.curOK = t, true
-		o.curKeyVals = keys
-		o.bucket = o.table[hashKey(keys)]
-		o.bi = 0
+		copy(o.buf[:o.slot], t.rows)
+		o.cur = o.heads[hashValues(o.probe)&uint64(len(o.heads)-1)]
 	}
 }
 
 func (o *hashJoinOp) close() {
 	o.left.close()
 	o.right.close()
-	o.table = nil
+	o.rows, o.keys, o.heads, o.chain = nil, nil, nil, nil
 }
 
 func (o *hashJoinOp) describe() string {
@@ -344,41 +356,61 @@ func (o *hashJoinOp) describe() string {
 	return "hash join on " + strings.Join(parts, ", ")
 }
 
-func (o *hashJoinOp) kids() []operator { return []operator{o.left, o.right} }
+func (o *hashJoinOp) kids() (operator, operator) { return o.left, o.right }
 
-// hashKey canonicalizes key values into a bucket string consistent
-// with Value.Equal: ints and floats that compare equal share a key.
-// Fields are length-prefixed so adjacent keys cannot bleed together.
-func hashKey(vals []Value) string {
-	var sb strings.Builder
+// hashValues hashes join-key values into a bucket id consistent with
+// Value.Equal: ints and floats that compare equal hash alike (both go
+// through float64, as Equal does, with -0 folded onto +0), and every
+// other type hashes its payload under a per-type tag. FNV-1a, so the
+// bucket of a key is the same in every process.
+func hashValues(vals []Value) uint64 {
+	h := uint64(fnvOffset)
 	for _, v := range vals {
-		var tag byte
-		var s string
 		switch v.T {
-		case TInt:
-			tag, s = 'n', strconv.FormatFloat(float64(v.I), 'g', -1, 64)
-		case TFloat:
-			tag, s = 'n', strconv.FormatFloat(v.F, 'g', -1, 64)
+		case TInt, TFloat:
+			f, _ := v.numeric()
+			if f == 0 {
+				f = 0
+			}
+			h = fnvWord(h, 'n', math.Float64bits(f))
 		case TString:
-			tag, s = 's', v.S
-		case TBool:
-			tag, s = 'b', "f"
-			if v.B {
-				s = "t"
+			h = (h ^ 's') * fnvPrime
+			for i := 0; i < len(v.S); i++ {
+				h = (h ^ uint64(v.S[i])) * fnvPrime
 			}
 		case TBytes:
-			tag, s = 'y', string(v.Y)
+			h = (h ^ 'y') * fnvPrime
+			for _, c := range v.Y {
+				h = (h ^ uint64(c)) * fnvPrime
+			}
+		case TBool:
+			var w uint64
+			if v.B {
+				w = 1
+			}
+			h = fnvWord(h, 'b', w)
 		case TLong:
-			tag, s = 'l', strconv.FormatUint(uint64(v.L), 10)
+			h = fnvWord(h, 'l', uint64(v.L))
 		default:
-			tag, s = '?', v.String()
+			h = fnvWord(h, '?', uint64(v.T))
 		}
-		sb.WriteByte(tag)
-		sb.WriteString(strconv.Itoa(len(s)))
-		sb.WriteByte(':')
-		sb.WriteString(s)
 	}
-	return sb.String()
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord folds a type tag and a 64-bit payload into h.
+func fnvWord(h uint64, tag byte, w uint64) uint64 {
+	h = (h ^ uint64(tag)) * fnvPrime
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * fnvPrime
+		w >>= 8
+	}
+	return h
 }
 
 // nlJoinOp is the nested-loop fallback for joins with no usable
@@ -387,10 +419,11 @@ func hashKey(vals []Value) string {
 type nlJoinOp struct {
 	opBase
 	left, right operator
+	slot        int // the right input's tuple slot
 
-	rightRows   []tuple
+	rightRows   [][]Value // the right input's rows, one per tuple
 	rightLoaded bool
-	cur         tuple
+	buf         [][]Value // output tuple: the current left rows, then a right row
 	curOK       bool
 	ri          int
 }
@@ -418,20 +451,17 @@ func (o *nlJoinOp) loadRight() error {
 			return nil
 		}
 		o.st.rowsIn++
-		o.rightRows = append(o.rightRows, t)
+		o.rightRows = append(o.rightRows, t.rows[o.slot])
 	}
 }
 
 func (o *nlJoinOp) next() (tuple, bool, error) {
 	for {
 		if o.curOK && o.ri < len(o.rightRows) {
-			rt := o.rightRows[o.ri]
+			o.buf[o.slot] = o.rightRows[o.ri]
 			o.ri++
-			frames := make([]frame, 0, len(o.cur.frames)+len(rt.frames))
-			frames = append(frames, o.cur.frames...)
-			frames = append(frames, rt.frames...)
 			o.st.rowsOut++
-			return tuple{frames: frames}, true, nil
+			return tuple{rows: o.buf}, true, nil
 		}
 		o.curOK = false
 		t, ok, err := o.left.next()
@@ -444,7 +474,8 @@ func (o *nlJoinOp) next() (tuple, bool, error) {
 				return tuple{}, false, err
 			}
 		}
-		o.cur, o.curOK, o.ri = t, true, 0
+		copy(o.buf[:o.slot], t.rows)
+		o.curOK, o.ri = true, 0
 	}
 }
 
@@ -456,7 +487,7 @@ func (o *nlJoinOp) close() {
 
 func (o *nlJoinOp) describe() string { return "nested loop join" }
 
-func (o *nlJoinOp) kids() []operator { return []operator{o.left, o.right} }
+func (o *nlJoinOp) kids() (operator, operator) { return o.left, o.right }
 
 // aggOp groups its input and folds the plan's aggregate calls, exactly
 // reproducing the permissive GROUP BY semantics of the old executor:
@@ -501,7 +532,7 @@ func (o *aggOp) drain() error {
 		key := groupKey(keyVals)
 		grp, ok2 := groups[key]
 		if !ok2 {
-			grp = &group{frames: append([]frame(nil), t.frames...)}
+			grp = &group{rows: append([][]Value(nil), t.rows...)}
 			for _, c := range o.aggCalls {
 				grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
 			}
@@ -539,7 +570,7 @@ func (o *aggOp) drain() error {
 		for i, a := range grp.aggs {
 			aggVals[i] = a.value()
 		}
-		o.results = append(o.results, tuple{frames: grp.frames, aggVals: aggVals})
+		o.results = append(o.results, tuple{rows: grp.rows, aggVals: aggVals})
 	}
 	return nil
 }
@@ -586,15 +617,14 @@ func (o *aggOp) describe() string {
 	return s
 }
 
-func (o *aggOp) kids() []operator { return []operator{o.child} }
+func (o *aggOp) kids() (operator, operator) { return o.child, nil }
 
 // sortOp materializes its input and emits it stably sorted by the
 // ORDER BY keys (NULLs first, as elsewhere in the engine).
 type sortOp struct {
 	opBase
-	child    operator
-	items    []OrderItem
-	aggCalls []*FuncCall
+	child operator
+	items []OrderItem
 
 	done bool
 	rows []tuple
@@ -619,12 +649,13 @@ func (o *sortOp) drain() error {
 		o.st.rowsIn++
 		ks := make([]Value, len(o.items))
 		for i, oi := range o.items {
-			v, err := o.evalAgg(t, oi.Expr, o.aggCalls)
+			v, err := o.evalIn(t, oi.Expr)
 			if err != nil {
 				return err
 			}
 			ks[i] = v
 		}
+		t.rows = append([][]Value(nil), t.rows...)
 		o.rows = append(o.rows, t)
 		keys = append(keys, ks)
 	}
@@ -673,7 +704,7 @@ func (o *sortOp) describe() string {
 	return "sort " + strings.Join(parts, ", ")
 }
 
-func (o *sortOp) kids() []operator { return []operator{o.child} }
+func (o *sortOp) kids() (operator, operator) { return o.child, nil }
 
 // sortPermutation returns the stable ordering of row indices by their
 // precomputed ORDER BY keys. NULLs sort first; unorderable key pairs
@@ -770,7 +801,7 @@ func (o *limitOp) describe() string {
 	return strings.Join(parts, " ")
 }
 
-func (o *limitOp) kids() []operator { return []operator{o.child} }
+func (o *limitOp) kids() (operator, operator) { return o.child, nil }
 
 // projectOp is the pipeline root: it evaluates the select list into
 // the output row. Because it sits above sort and limit, expensive
@@ -778,10 +809,9 @@ func (o *limitOp) kids() []operator { return []operator{o.child} }
 // that survive every filter and the limit.
 type projectOp struct {
 	opBase
-	child    operator
-	items    []SelectItem
-	aggCalls []*FuncCall
-	columns  []string
+	child   operator
+	items   []SelectItem
+	columns []string
 }
 
 func (o *projectOp) open() error { return o.child.open() }
@@ -795,12 +825,12 @@ func (o *projectOp) next() (tuple, bool, error) {
 	out := make([]Value, 0, len(o.columns))
 	for _, item := range o.items {
 		if item.Star {
-			for _, f := range t.frames {
-				out = append(out, f.row...)
+			for _, row := range t.rows {
+				out = append(out, row...)
 			}
 			continue
 		}
-		v, err := o.evalAgg(t, item.Expr, o.aggCalls)
+		v, err := o.evalIn(t, item.Expr)
 		if err != nil {
 			return tuple{}, false, err
 		}
@@ -829,69 +859,85 @@ func (o *projectOp) describe() string {
 	return "project [" + strings.Join(parts, ", ") + "]"
 }
 
-func (o *projectOp) kids() []operator { return []operator{o.child} }
+func (o *projectOp) kids() (operator, operator) { return o.child, nil }
 
-// buildPipeline compiles a logical plan into its operator tree.
-func (db *DB) buildPipeline(plan *selectPlan, params []Value) (*projectOp, error) {
-	var build func(n planNode) operator
-	build = func(n planNode) operator {
-		switch pn := n.(type) {
-		case *scanNode:
-			return &scanOp{opBase: opBase{db: db, params: params}, src: pn.src}
-		case *filterNode:
-			return &filterOp{
-				opBase: opBase{db: db, params: params},
-				child:  build(pn.child),
-				preds:  pn.preds,
-				pushed: pn.pushed,
+// execution is one run of a compiled plan: what its operators bind to,
+// and the backing store their tuple buffers are cut from.
+type execution struct {
+	db     *DB
+	params []Value
+	sample bool
+
+	width int       // tuple width: the plan's FROM entries
+	bufs  [][]Value // one width-sized buffer per scan and join, unclaimed ones last
+}
+
+// tupleBuf claims the next tuple buffer.
+func (x *execution) tupleBuf() [][]Value {
+	buf := x.bufs[:x.width:x.width]
+	x.bufs = x.bufs[x.width:]
+	return buf
+}
+
+// build instantiates the operator for one node of the scan/filter/join
+// tree.
+func (x *execution) build(n planNode) operator {
+	switch pn := n.(type) {
+	case *scanNode:
+		op := &scanOp{src: pn.src, slot: pn.slot, buf: x.tupleBuf()}
+		op.bind(x)
+		return op
+	case *filterNode:
+		op := &filterOp{child: x.build(pn.child), preds: pn.preds, pushed: pn.pushed}
+		op.bind(x)
+		return op
+	case *joinNode:
+		left, right := x.build(pn.left), x.build(pn.right)
+		if len(pn.leftKeys) > 0 {
+			op := &hashJoinOp{
+				left:      left,
+				right:     right,
+				leftKeys:  pn.leftKeys,
+				rightKeys: pn.rightKeys,
+				slot:      pn.slot,
+				buf:       x.tupleBuf(),
 			}
-		case *joinNode:
-			left, right := build(pn.left), build(pn.right)
-			if len(pn.leftKeys) > 0 {
-				return &hashJoinOp{
-					opBase:    opBase{db: db, params: params},
-					left:      left,
-					right:     right,
-					leftKeys:  pn.leftKeys,
-					rightKeys: pn.rightKeys,
-				}
-			}
-			return &nlJoinOp{opBase: opBase{db: db, params: params}, left: left, right: right}
-		default:
-			panic(fmt.Sprintf("sdb: unknown plan node %T", n))
+			op.bind(x)
+			return op
 		}
+		op := &nlJoinOp{left: left, right: right, slot: pn.slot, buf: x.tupleBuf()}
+		op.bind(x)
+		return op
+	default:
+		panic(fmt.Sprintf("sdb: unknown plan node %T", n))
 	}
-	root := build(plan.tree)
-	s := plan.stmt
-	if plan.aggregated {
-		root = &aggOp{
-			opBase:   opBase{db: db, params: params},
-			child:    root,
-			groupBy:  s.GroupBy,
-			aggCalls: plan.aggCalls,
-		}
+}
+
+// instantiate builds the operator tree for one execution of the plan.
+// The plan itself is shared and read-only; everything mutable — cursors,
+// counters, tuple buffers, hash tables — lives in the operators.
+func (p *selectPlan) instantiate(db *DB, params []Value, sample bool) *projectOp {
+	// n scans and n-1 joins each own a tuple buffer.
+	n := len(p.ordered)
+	x := execution{db: db, params: params, sample: sample, width: n, bufs: make([][]Value, n*(2*n-1))}
+	root := x.build(p.tree)
+	s := p.stmt
+	if p.aggregated {
+		op := &aggOp{child: root, groupBy: s.GroupBy, aggCalls: p.aggCalls}
+		op.bind(&x)
+		root = op
 	}
 	if len(s.OrderBy) > 0 {
-		root = &sortOp{
-			opBase:   opBase{db: db, params: params},
-			child:    root,
-			items:    s.OrderBy,
-			aggCalls: plan.aggCalls,
-		}
+		op := &sortOp{child: root, items: s.OrderBy}
+		op.bind(&x)
+		root = op
 	}
 	if s.Limit >= 0 || s.Offset > 0 {
-		root = &limitOp{
-			opBase: opBase{db: db, params: params},
-			child:  root,
-			limit:  s.Limit,
-			offset: s.Offset,
-		}
+		op := &limitOp{child: root, limit: s.Limit, offset: s.Offset}
+		op.bind(&x)
+		root = op
 	}
-	return &projectOp{
-		opBase:   opBase{db: db, params: params},
-		child:    root,
-		items:    s.Exprs,
-		aggCalls: plan.aggCalls,
-		columns:  plan.columns,
-	}, nil
+	proj := &projectOp{child: root, items: s.Exprs, columns: p.columns}
+	proj.bind(&x)
+	return proj
 }

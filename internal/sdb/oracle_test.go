@@ -12,6 +12,233 @@ import (
 	"strings"
 )
 
+// oracleFrame binds one FROM-clause table alias to a current row during
+// evaluation.
+type oracleFrame struct {
+	alias string
+	table *Table
+	row   []Value
+}
+
+// oracleEnv is the legacy evaluation environment: the bound frames, in join order,
+// plus the statement's bind-parameter values. Columns resolve by name
+// against the frames on every evaluation and functions by registry
+// lookup on every call — the per-row work the live executor binds away
+// at compile time (the live copy's metrics and operator-stats charging
+// are dropped here; nothing else differs from the pre-PR-13 eval.go).
+type oracleEnv struct {
+	db     *DB
+	frames []oracleFrame
+	params []Value
+}
+
+// lookupColumn resolves a (possibly qualified) column reference against
+// the bound frames.
+func (e *oracleEnv) lookupColumn(ref *ColumnRef) (Value, error) {
+	if ref.Qualifier != "" {
+		for _, f := range e.frames {
+			if strings.EqualFold(f.alias, ref.Qualifier) {
+				idx := f.table.ColumnIndex(ref.Name)
+				if idx < 0 {
+					return Value{}, fmt.Errorf("sdb: table %q has no column %q", f.alias, ref.Name)
+				}
+				return f.row[idx], nil
+			}
+		}
+		return Value{}, fmt.Errorf("sdb: unknown table alias %q", ref.Qualifier)
+	}
+	found := -1
+	var val Value
+	for _, f := range e.frames {
+		if idx := f.table.ColumnIndex(ref.Name); idx >= 0 {
+			if found >= 0 {
+				return Value{}, fmt.Errorf("sdb: ambiguous column %q", ref.Name)
+			}
+			found = 0
+			val = f.row[idx]
+		}
+	}
+	if found < 0 {
+		return Value{}, fmt.Errorf("sdb: unknown column %q", ref.Name)
+	}
+	return val, nil
+}
+
+// eval evaluates an expression in the environment.
+func (e *oracleEnv) eval(x Expr) (Value, error) {
+	switch n := x.(type) {
+	case *Literal:
+		return n.Val, nil
+	case *Placeholder:
+		if n.Idx < 0 || n.Idx >= len(e.params) {
+			return Value{}, fmt.Errorf("sdb: no value bound for parameter %d", n.Idx+1)
+		}
+		return e.params[n.Idx], nil
+	case *ColumnRef:
+		return e.lookupColumn(n)
+	case *UnaryExpr:
+		v, err := e.eval(n.X)
+		if err != nil {
+			return Value{}, err
+		}
+		switch n.Op {
+		case "NOT":
+			if v.T != TBool {
+				return Value{}, fmt.Errorf("sdb: NOT applied to %s", v.T)
+			}
+			return Bool(!v.B), nil
+		case "-":
+			switch v.T {
+			case TInt:
+				return Int(-v.I), nil
+			case TFloat:
+				return Float(-v.F), nil
+			default:
+				return Value{}, fmt.Errorf("sdb: unary minus applied to %s", v.T)
+			}
+		default:
+			return Value{}, fmt.Errorf("sdb: unknown unary operator %q", n.Op)
+		}
+	case *BinaryExpr:
+		return e.evalBinary(n)
+	case *FuncCall:
+		u, ok := e.db.lookupUDF(n.Name)
+		if !ok {
+			return Value{}, fmt.Errorf("sdb: unknown function %q", n.Name)
+		}
+		if len(n.Args) < u.MinArgs || (u.MaxArgs >= 0 && len(n.Args) > u.MaxArgs) {
+			return Value{}, fmt.Errorf("sdb: function %q called with %d args", u.Name, len(n.Args))
+		}
+		args := make([]Value, len(n.Args))
+		for i, a := range n.Args {
+			v, err := e.eval(a)
+			if err != nil {
+				return Value{}, err
+			}
+			args[i] = v
+		}
+		out, err := u.Fn(e.db, args)
+		if err != nil {
+			return Value{}, fmt.Errorf("sdb: function %q: %w", u.Name, err)
+		}
+		return out, nil
+	default:
+		return Value{}, fmt.Errorf("sdb: cannot evaluate %T", x)
+	}
+}
+
+func (e *oracleEnv) evalBinary(n *BinaryExpr) (Value, error) {
+	// AND short-circuits so predicate chains stay cheap.
+	if n.Op == "AND" || n.Op == "OR" {
+		l, err := e.eval(n.Left)
+		if err != nil {
+			return Value{}, err
+		}
+		if l.T != TBool {
+			return Value{}, fmt.Errorf("sdb: %s operand is %s, not BOOL", n.Op, l.T)
+		}
+		if n.Op == "AND" && !l.B {
+			return Bool(false), nil
+		}
+		if n.Op == "OR" && l.B {
+			return Bool(true), nil
+		}
+		r, err := e.eval(n.Right)
+		if err != nil {
+			return Value{}, err
+		}
+		if r.T != TBool {
+			return Value{}, fmt.Errorf("sdb: %s operand is %s, not BOOL", n.Op, r.T)
+		}
+		return r, nil
+	}
+
+	l, err := e.eval(n.Left)
+	if err != nil {
+		return Value{}, err
+	}
+	r, err := e.eval(n.Right)
+	if err != nil {
+		return Value{}, err
+	}
+	switch n.Op {
+	case "=":
+		return Bool(l.Equal(r)), nil
+	case "<>":
+		if l.IsNull() || r.IsNull() {
+			return Bool(false), nil
+		}
+		return Bool(!l.Equal(r)), nil
+	case "<":
+		less, err := l.Less(r)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(less), nil
+	case ">":
+		less, err := r.Less(l)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(less), nil
+	case "<=":
+		more, err := r.Less(l)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(!more), nil
+	case ">=":
+		less, err := l.Less(r)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(!less), nil
+	case "+", "-", "*", "/", "%":
+		return arith(n.Op, l, r)
+	default:
+		return Value{}, fmt.Errorf("sdb: unknown operator %q", n.Op)
+	}
+}
+
+// evalWithAggregates evaluates x in env, substituting computed values
+// for the identified aggregate calls (matched by pointer).
+func (e *oracleEnv) evalWithAggregates(x Expr, calls []*FuncCall, values []Value) (Value, error) {
+	if fc, ok := x.(*FuncCall); ok {
+		for i, c := range calls {
+			if fc == c {
+				return values[i], nil
+			}
+		}
+	}
+	switch n := x.(type) {
+	case *BinaryExpr:
+		// Rebuild with substituted children by evaluating recursively.
+		l, err := e.evalWithAggregates(n.Left, calls, values)
+		if err != nil {
+			return Value{}, err
+		}
+		r, err := e.evalWithAggregates(n.Right, calls, values)
+		if err != nil {
+			return Value{}, err
+		}
+		return e.evalBinary(&BinaryExpr{Op: n.Op, Left: &Literal{Val: l}, Right: &Literal{Val: r}})
+	case *UnaryExpr:
+		v, err := e.evalWithAggregates(n.X, calls, values)
+		if err != nil {
+			return Value{}, err
+		}
+		return e.eval(&UnaryExpr{Op: n.Op, X: &Literal{Val: v}})
+	default:
+		return e.eval(x)
+	}
+}
+
+// oracleGroup accumulates one GROUP BY bucket.
+type oracleGroup struct {
+	frames []oracleFrame // snapshot of the first row's bindings
+	aggs   []*aggState   // parallel to the query's aggregate call list
+}
+
 // oraclePlan mirrors the old selectPlan shape.
 type oraclePlan struct {
 	ordered    []source
@@ -168,10 +395,10 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 	columns := plan.columns
 
 	res := &Result{Columns: columns}
-	e := &env{db: db, frames: make([]frame, 0, len(ordered)), params: params}
+	e := &oracleEnv{db: db, frames: make([]oracleFrame, 0, len(ordered)), params: params}
 	var sortKeys [][]Value
 
-	groups := make(map[string]*group)
+	groups := make(map[string]*oracleGroup)
 	var groupOrder []string
 
 	onRow := func() error {
@@ -187,7 +414,7 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 			key := groupKey(keyVals)
 			grp, ok := groups[key]
 			if !ok {
-				grp = &group{frames: append([]frame(nil), e.frames...)}
+				grp = &oracleGroup{frames: append([]oracleFrame(nil), e.frames...)}
 				for _, c := range aggCalls {
 					grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
 				}
@@ -247,7 +474,7 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 		}
 		src := ordered[level]
 		for _, row := range src.table.Rows {
-			e.frames = append(e.frames, frame{alias: src.alias, table: src.table, row: row})
+			e.frames = append(e.frames, oracleFrame{alias: src.alias, table: src.table, row: row})
 			ok := true
 			for _, pred := range levelConj[level] {
 				v, err := e.eval(pred)
@@ -280,7 +507,7 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 
 	if aggregated {
 		if len(groupOrder) == 0 && len(s.GroupBy) == 0 {
-			grp := &group{}
+			grp := &oracleGroup{}
 			for _, c := range aggCalls {
 				grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
 			}
@@ -289,7 +516,7 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 		}
 		for _, key := range groupOrder {
 			grp := groups[key]
-			genv := &env{db: db, frames: grp.frames, params: params}
+			genv := &oracleEnv{db: db, frames: grp.frames, params: params}
 			aggVals := make([]Value, len(aggCalls))
 			for i, a := range grp.aggs {
 				aggVals[i] = a.value()

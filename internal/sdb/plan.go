@@ -18,9 +18,10 @@ import (
 // planNode is one node of the scan/filter/join tree.
 type planNode interface{ plan() }
 
-// scanNode reads every row of one bound FROM entry.
+// scanNode reads every row of one bound FROM entry into its tuple slot.
 type scanNode struct {
-	src source
+	src  source
+	slot int
 }
 
 // filterNode drops rows failing its predicates, evaluated in order.
@@ -37,6 +38,7 @@ type filterNode struct {
 // join on them; otherwise it falls back to a nested loop.
 type joinNode struct {
 	left, right planNode
+	slot        int    // the right table's tuple slot; the left subtree fills the slots below it
 	leftKeys    []Expr // evaluated against the left subtree's aliases
 	rightKeys   []Expr // evaluated against the right table, parallel to leftKeys
 }
@@ -46,10 +48,12 @@ func (*filterNode) plan() {}
 func (*joinNode) plan()   {}
 
 // selectPlan is the compiled form of a SELECT: the operator tree plus
-// everything the physical layers above it need.
+// everything the physical layers above it need. Once planSelect returns
+// it — and the statement's AST, whose column references and calls it
+// bound — is read-only, so any number of executions may share it.
 type selectPlan struct {
 	stmt       *SelectStmt
-	ordered    []source // join order; Star expansion follows this
+	ordered    []source // join order = tuple slot order; Star expansion follows this
 	tree       planNode
 	aggCalls   []*FuncCall
 	aggregated bool
@@ -167,8 +171,8 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		// naive strategy the planner benchmark compares against.
 		plan.ordered = append(plan.ordered, sources...)
 		var node planNode = &scanNode{src: plan.ordered[0]}
-		for _, src := range plan.ordered[1:] {
-			node = &joinNode{left: node, right: &scanNode{src: src}}
+		for i, src := range plan.ordered[1:] {
+			node = &joinNode{left: node, right: &scanNode{src: src, slot: i + 1}, slot: i + 1}
 		}
 		if len(conjuncts) > 0 {
 			preds := make([]Expr, len(conjuncts))
@@ -200,7 +204,62 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 			}
 		}
 	}
+
+	// Bind every expression to the tuple layout the join order fixed.
+	for _, item := range s.Exprs {
+		if !item.Star {
+			db.bindExpr(item.Expr, plan.ordered, aggCalls)
+		}
+	}
+	db.bindExpr(s.Where, plan.ordered, aggCalls)
+	for _, g := range s.GroupBy {
+		db.bindExpr(g, plan.ordered, aggCalls)
+	}
+	for _, oi := range s.OrderBy {
+		db.bindExpr(oi.Expr, plan.ordered, aggCalls)
+	}
 	return plan, nil
+}
+
+// bindExpr binds x, whose column references resolveColumns has already
+// qualified and validated, for evaluation against tuples laid out as
+// ordered (slot i holds ordered[i]'s row): every ColumnRef gets its
+// (slot, column) pair, every FuncCall its registered UDF and, if it is
+// one of the plan's accumulated aggregate calls, its position among them.
+func (db *DB) bindExpr(x Expr, ordered []source, aggCalls []*FuncCall) {
+	walkExpr(x, func(e Expr) {
+		switch n := e.(type) {
+		case *ColumnRef:
+			for slot, src := range ordered {
+				if strings.EqualFold(src.alias, n.Qualifier) {
+					n.slot, n.col = slot, src.table.ColumnIndex(n.Name)
+					return
+				}
+			}
+		case *FuncCall:
+			n.udf, _ = db.lookupUDF(n.Name)
+			n.agg = 0
+			for i, c := range aggCalls {
+				if c == n {
+					n.agg = i + 1
+				}
+			}
+		}
+	})
+}
+
+// bindRowExpr resolves and binds a DML expression that sees one row of
+// t at a time (in slot 0), or no row at all when t is nil.
+func (db *DB) bindRowExpr(x Expr, t *Table) error {
+	var sources []source
+	if t != nil {
+		sources = []source{{alias: t.Name, table: t}}
+	}
+	if err := resolveColumns(x, sources2map(sources)); err != nil {
+		return err
+	}
+	db.bindExpr(x, sources, nil)
+	return nil
 }
 
 // buildTree assembles the left-deep scan/filter/join tree for the given
@@ -252,11 +311,11 @@ func (db *DB) buildTree(ordered []source, conjuncts []conjunct) planNode {
 			}
 			residual = append(residual, c)
 		}
-		var right planNode = &scanNode{src: ordered[li]}
+		var right planNode = &scanNode{src: ordered[li], slot: li}
 		if len(inner) > 0 {
 			right = &filterNode{child: right, preds: db.orderPreds(inner), pushed: true}
 		}
-		node = &joinNode{left: node, right: right, leftKeys: leftKeys, rightKeys: rightKeys}
+		node = &joinNode{left: node, right: right, slot: li, leftKeys: leftKeys, rightKeys: rightKeys}
 		if len(residual) > 0 {
 			node = &filterNode{
 				child:  node,

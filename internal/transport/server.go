@@ -109,18 +109,23 @@ type Server struct {
 type serverConn struct {
 	c net.Conn
 
-	mu     sync.Mutex
-	busy   bool // guarded by mu; a request is being served
-	closed bool // guarded by mu
+	mu         sync.Mutex
+	busy       bool // guarded by mu; a request is being served
+	closeAfter bool // guarded by mu; Drain found it busy: close once the call is answered
+	closed     bool // guarded by mu
 }
 
-// closeIdle closes the connection unless a call is inflight; inflight
-// connections are closed by their own serve loop once the response is
-// written (it checks the server's draining flag).
+// closeIdle closes the connection unless a call is inflight; an
+// inflight connection is marked instead, and its own serve loop closes
+// it once the response is written. Exactly one of the two closes it:
+// the mark and the loop's busy→idle transition are both under sc.mu.
 func (sc *serverConn) closeIdle() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sc.busy && !sc.closed {
+	switch {
+	case sc.busy:
+		sc.closeAfter = true
+	case !sc.closed:
 		sc.closed = true
 		sc.c.Close()
 	}
@@ -247,16 +252,18 @@ func (s *Server) serveConn(sc *serverConn) {
 
 		s.serveOne(sc.c, client, string(method), request)
 
+		// Only a connection Drain itself found busy closes here. The
+		// server-wide flag is deliberately not consulted: a request
+		// already on its way down a still-open connection is answered
+		// by the check above (ErrDraining), never reset by this one
+		// closing the socket under it.
 		sc.mu.Lock()
 		sc.busy = false
-		s.mu.Lock()
-		draining = s.draining
-		s.mu.Unlock()
-		if draining || sc.closed {
-			sc.mu.Unlock()
+		done := sc.closeAfter || sc.closed
+		sc.mu.Unlock()
+		if done {
 			return
 		}
-		sc.mu.Unlock()
 	}
 }
 
