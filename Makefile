@@ -122,10 +122,12 @@ loadtest-smoke:
 # path regressions in CI without the full run's cost — one
 # BenchmarkLoad iteration (64^3 corpus, ns/op and allocs/op) for the
 # write path: a re-serialized load or a regressed kernel shows here
-# without the 12 s repo benchmark — and BenchmarkServeRPCSmall for the
-# server side of one small request (its allocs/op is the number
-# TestServeRPCAllocBudget puts a ceiling on).
+# without the 12 s repo benchmark — and BenchmarkServeRPCSmall and
+# BenchmarkServeRPCBulk for the server side of one small request and of
+# one full-study reply through a thrashing page cache (allocs/op and
+# B/op are what TestServeRPCAllocBudget and TestBulkReplyAllocBudget put
+# ceilings on).
 bench-smoke:
 	$(GO) run ./cmd/perfbench -smoke -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_bench_smoke.json
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench '^BenchmarkServeRPCSmall$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism

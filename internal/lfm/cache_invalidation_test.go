@@ -15,6 +15,15 @@ import (
 // whose fill failed — device fault or checksum mismatch — is never
 // inserted into the cache. Run under `go test -race`.
 
+// forCacheSizes runs a racing-readers test twice: with a cache that holds
+// the whole working set, and with one well under it, where every read
+// recycles frames under the other readers.
+func forCacheSizes(t *testing.T, test func(t *testing.T, cachePages int)) {
+	for _, cachePages := range []int{8, 3} {
+		t.Run(fmt.Sprintf("cachePages=%d", cachePages), func(t *testing.T) { test(t, cachePages) })
+	}
+}
+
 func cachedManager(t *testing.T, cachePages int, checksums bool) *Manager {
 	t.Helper()
 	m, err := New(1<<20, 4096)
@@ -106,8 +115,10 @@ func TestChecksumFailNeverCached(t *testing.T) {
 // manager's lock, so every read must observe one pattern in full —
 // never a torn mix, never a stale cached page of the old pattern
 // alongside a fresh page of the new.
-func TestOverwriteRacingReaders(t *testing.T) {
-	m := cachedManager(t, 8, true)
+func TestOverwriteRacingReaders(t *testing.T) { forCacheSizes(t, testOverwriteRacingReaders) }
+
+func testOverwriteRacingReaders(t *testing.T, cachePages int) {
+	m := cachedManager(t, cachePages, true)
 	const size = 4 * 4096
 	a, b := pattern(size, 0x11), pattern(size, 0xEE)
 	h, err := m.Allocate(a)
@@ -164,8 +175,10 @@ func TestOverwriteRacingReaders(t *testing.T) {
 // a freed handle must get ErrUnknownHandle (never another field's
 // bytes), and fresh fields must never see stale cache entries even
 // though they reuse device space — handles are never recycled.
-func TestFreeRacingReaders(t *testing.T) {
-	m := cachedManager(t, 8, false)
+func TestFreeRacingReaders(t *testing.T) { forCacheSizes(t, testFreeRacingReaders) }
+
+func testFreeRacingReaders(t *testing.T, cachePages int) {
+	m := cachedManager(t, cachePages, false)
 	const size = 2 * 4096
 	var mu sync.Mutex
 	live := make(map[Handle][]byte)
@@ -251,9 +264,11 @@ func TestFreeRacingReaders(t *testing.T) {
 // readers run. Every read returns either the true bytes (read won the
 // race, or rot not yet injected on its pages) or ErrChecksum — never
 // silently wrong data served from a stale cache entry.
-func TestCorruptRacingReaders(t *testing.T) {
-	m := cachedManager(t, 8, true)
-	const size = 2 * 4096
+func TestCorruptRacingReaders(t *testing.T) { forCacheSizes(t, testCorruptRacingReaders) }
+
+func testCorruptRacingReaders(t *testing.T, cachePages int) {
+	m := cachedManager(t, cachePages, true)
+	const size = 4 * 4096
 	data := pattern(size, 0x77)
 	h, err := m.Allocate(data)
 	if err != nil {

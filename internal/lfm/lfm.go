@@ -608,10 +608,11 @@ func (m *Manager) Read(h Handle) ([]byte, error) {
 	if !ok {
 		return nil, ErrUnknownHandle
 	}
-	before := m.stats
-	out, err := m.readRange(h, f, 0, f.size)
-	m.traceOp("read", h, before, err)
-	return out, err
+	out := make([]byte, f.size)
+	if err := m.readTraced(h, f, 0, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ReadAt returns n bytes starting at logical offset off within the field
@@ -621,17 +622,51 @@ func (m *Manager) Read(h Handle) ([]byte, error) {
 func (m *Manager) ReadAt(h Handle, off, n uint64) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	f, err := m.fieldRange(h, off, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	if err := m.readTraced(h, f, off, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadAtInto is ReadAt into the caller's buffer: it fills dst with the
+// len(dst) bytes at logical offset off, under the same lock, fault
+// draws, checksum verification and accounting, and allocates nothing on
+// the way. When it fails, dst holds unspecified bytes.
+func (m *Manager) ReadAtInto(h Handle, off uint64, dst []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, err := m.fieldRange(h, off, uint64(len(dst)))
+	if err != nil {
+		return err
+	}
+	return m.readTraced(h, f, off, dst)
+}
+
+// fieldRange looks a field up and checks that [off, off+n) lies inside
+// it. Callers must hold m.mu.
+func (m *Manager) fieldRange(h Handle, off, n uint64) (field, error) {
 	f, ok := m.fields[h]
 	if !ok {
-		return nil, ErrUnknownHandle
+		return field{}, ErrUnknownHandle
 	}
-	if off+n > f.size {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
+	if off > f.size || n > f.size-off {
+		return field{}, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
 	}
+	return f, nil
+}
+
+// readTraced is readRange recorded as one read operation against the
+// attached span. Callers must hold m.mu.
+func (m *Manager) readTraced(h Handle, f field, off uint64, dst []byte) error {
 	before := m.stats
-	out, err := m.readRange(h, f, off, n)
+	err := m.readRange(h, f, off, dst)
 	m.traceOp("read", h, before, err)
-	return out, err
+	return err
 }
 
 // bitFlip records one injected single-bit corruption: logical page j of
@@ -642,15 +677,16 @@ type bitFlip struct {
 	mask byte
 }
 
-// readRange reads [off, off+n) of a field, dispatching to the cached or
-// verified paths as configured. Callers must hold m.mu.
-func (m *Manager) readRange(h Handle, f field, off, n uint64) ([]byte, error) {
+// readRange fills dst with [off, off+len(dst)) of a field, dispatching
+// to the cached or verified paths as configured. Callers must hold m.mu.
+func (m *Manager) readRange(h Handle, f field, off uint64, dst []byte) error {
+	n := uint64(len(dst))
 	if n == 0 {
 		m.stats.Reads++
-		return []byte{}, nil
+		return nil
 	}
 	if m.cache != nil {
-		return m.readCached(h, f, off, n)
+		return m.readCached(h, f, off, dst)
 	}
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
 
@@ -663,7 +699,7 @@ func (m *Manager) readRange(h Handle, f field, off, n uint64) ([]byte, error) {
 			switch m.faults.ReadFault() {
 			case faultsim.ReadErr:
 				m.stats.FaultsInjected++
-				return nil, fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
+				return fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
 			case faultsim.PageCorrupt:
 				m.stats.FaultsInjected++
 				flips = append(flips, bitFlip{
@@ -676,41 +712,48 @@ func (m *Manager) readRange(h Handle, f field, off, n uint64) ([]byte, error) {
 	}
 
 	if m.verify {
-		return m.readVerified(h, f, off, n, j0, j1, flips)
+		return m.readVerified(h, f, off, dst, j0, j1, flips)
 	}
 
-	out := make([]byte, n)
-	if err := m.devRead(f.off+off, out); err != nil {
-		return nil, err
+	if err := m.devRead(f.off+off, dst); err != nil {
+		return err
 	}
 	for _, fl := range flips {
 		// Apply the flip where the corrupted page position overlaps the
 		// requested range.
 		abs := fl.page*m.pageSize + uint64(fl.pos)
 		if abs >= off && abs < off+n {
-			out[abs-off] ^= fl.mask
+			dst[abs-off] ^= fl.mask
 		}
 	}
 	m.stats.Reads++
 	m.stats.BytesRead += n
 	m.stats.PageReads += m.pagesSpanned(f.off+off, n)
-	return out, nil
+	return nil
 }
 
 // readVerified transfers the full pages the range touches, applies any
 // injected in-transfer corruption, verifies each page against the
-// field's checksum table, and slices out the requested range. It counts
-// the same page I/O the unverified path would — verification inspects
-// only pages the read already paid for. Callers must hold m.mu.
-func (m *Manager) readVerified(h Handle, f field, off, n, j0, j1 uint64, flips []bitFlip) ([]byte, error) {
+// field's checksum table, and leaves the requested range in dst. A
+// request for whole pages — every VOLUME extraction and every whole-field
+// read — is transferred into dst and verified there; only a request that
+// starts or ends inside a page goes through a buffer of its own. It
+// counts the same page I/O the unverified path would — verification
+// inspects only pages the read already paid for. Callers must hold m.mu.
+func (m *Manager) readVerified(h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []bitFlip) error {
+	n := uint64(len(dst))
 	base := j0 * m.pageSize
 	end := (j1 + 1) * m.pageSize
 	if end > f.size {
 		end = f.size
 	}
-	buf := make([]byte, end-base)
+	wholePages := base == off && end == off+n
+	buf := dst
+	if !wholePages {
+		buf = make([]byte, end-base)
+	}
 	if err := m.devRead(f.off+base, buf); err != nil {
-		return nil, err
+		return err
 	}
 	for _, fl := range flips {
 		pos := fl.page*m.pageSize + uint64(fl.pos) - base
@@ -729,28 +772,31 @@ func (m *Manager) readVerified(h Handle, f field, off, n, j0, j1 uint64, flips [
 			m.stats.ChecksumFailures++
 			m.stats.Reads++
 			m.stats.PageReads += m.pagesSpanned(f.off+off, n)
-			return nil, fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
 		}
 	}
-	out := make([]byte, n)
-	copy(out, buf[off-base:])
+	if !wholePages {
+		copy(dst, buf[off-base:])
+	}
 	m.stats.Reads++
 	m.stats.BytesRead += n
 	m.stats.PageReads += m.pagesSpanned(f.off+off, n)
-	return out, nil
+	return nil
 }
 
 // readCached serves a read page by page through the CLOCK cache. Hits
 // copy straight out of the cache with no device traffic, no fault
 // decision (nothing crossed the bus), and no checksum work (the page
 // was verified when it was filled). Misses transfer the whole page from
-// the device, draw one fault decision, verify against the field's
-// checksum table when checksums are on, and insert the page. PageReads
+// the device into the cache's spare frame, draw one fault decision,
+// verify against the field's checksum table when checksums are on, and
+// only then insert the page — a fill that fails leaves the cache, and
+// the page it would have evicted, exactly as they were. PageReads
 // therefore counts device transfers only — exactly what the paper's I/O
 // column would be with a buffer pool in front of the LFM. Callers must
 // hold m.mu.
-func (m *Manager) readCached(h Handle, f field, off, n uint64) ([]byte, error) {
-	out := make([]byte, n)
+func (m *Manager) readCached(h Handle, f field, off uint64, dst []byte) error {
+	n := uint64(len(dst))
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
 	sums := m.sums[h]
 	for j := j0; j <= j1; j++ {
@@ -763,20 +809,20 @@ func (m *Manager) readCached(h Handle, f field, off, n uint64) ([]byte, error) {
 		page := m.cache.get(key)
 		if page == nil {
 			m.stats.CacheMisses++
-			var flip *bitFlip
+			var flip bitFlip // mask 0: no corruption drawn
 			switch m.faults.ReadFault() {
 			case faultsim.ReadErr:
 				m.stats.FaultsInjected++
-				return nil, fmt.Errorf("lfm: page %d: %w", (f.off+pageLo)/m.pageSize, ErrReadFault)
+				return fmt.Errorf("lfm: page %d: %w", (f.off+pageLo)/m.pageSize, ErrReadFault)
 			case faultsim.PageCorrupt:
 				m.stats.FaultsInjected++
-				flip = &bitFlip{page: j, pos: m.faults.Intn(int(m.pageSize)), mask: 1 << m.faults.Intn(8)}
+				flip = bitFlip{page: j, pos: m.faults.Intn(int(m.pageSize)), mask: 1 << m.faults.Intn(8)}
 			}
-			page = make([]byte, pageHi-pageLo)
+			page = m.cache.spareFrame(m.pageSize)[:pageHi-pageLo]
 			if err := m.devRead(f.off+pageLo, page); err != nil {
-				return nil, err
+				return err
 			}
-			if flip != nil && uint64(flip.pos) < uint64(len(page)) {
+			if flip.mask != 0 && flip.pos < len(page) {
 				page[flip.pos] ^= flip.mask
 			}
 			m.stats.PageReads++
@@ -784,7 +830,7 @@ func (m *Manager) readCached(h Handle, f field, off, n uint64) ([]byte, error) {
 				if int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
 					m.stats.ChecksumFailures++
 					m.stats.Reads++
-					return nil, fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+					return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
 				}
 			}
 			if m.cache.put(key, page) {
@@ -802,11 +848,11 @@ func (m *Manager) readCached(h Handle, f field, off, n uint64) ([]byte, error) {
 		if off+n < hi {
 			hi = off + n
 		}
-		copy(out[lo-off:hi-off], page[lo-pageLo:hi-pageLo])
+		copy(dst[lo-off:hi-off], page[lo-pageLo:hi-pageLo])
 	}
 	m.stats.Reads++
 	m.stats.BytesRead += n
-	return out, nil
+	return nil
 }
 
 // pagesSpanned counts the device pages the byte range [off, off+n) touches.

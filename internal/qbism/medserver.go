@@ -516,7 +516,6 @@ func (s *System) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 	}
 	volHandle := row[0].L
 
-	var d *volume.DataRegion
 	if spec.Structure != "" {
 		srow, sn, err := querySingle(sp, s.stmts.bandStructure,
 			sdb.Str(spec.Atlas), sdb.Str(spec.Structure))
@@ -539,29 +538,36 @@ func (s *System) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 		}
-		if d, err = sd.Filter(uint8(spec.BandLo), uint8(spec.BandHi)); err != nil {
-			return nil, "", err
-		}
-	} else {
-		volBytes, err := s.LFM.Read(volHandle)
-		if err != nil {
-			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
-		}
-		vol, err := volume.New(s.Curve, volBytes)
+		d, err := sd.Filter(uint8(spec.BandLo), uint8(spec.BandHi))
 		if err != nil {
 			return nil, "", err
 		}
-		r, err := vol.Band(uint8(spec.BandLo), uint8(spec.BandHi))
+		blob, err := MarshalDataRegion(d, s.Cfg.Method)
 		if err != nil {
 			return nil, "", err
 		}
-		if d, err = volume.Extract(vol, r); err != nil {
-			return nil, "", err
-		}
+		return blob, warning, nil
 	}
-	blob, err := MarshalDataRegion(d, s.Cfg.Method)
+	volBytes, err := s.LFM.Read(volHandle)
+	if err != nil {
+		return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
+	}
+	vol, err := volume.New(s.Curve, volBytes)
 	if err != nil {
 		return nil, "", err
+	}
+	r, err := vol.Band(uint8(spec.BandLo), uint8(spec.BandHi))
+	if err != nil {
+		return nil, "", err
+	}
+	// The VOLUME is in memory already: its band's voxels go from there
+	// into the blob, run by run.
+	blob, values, err := newDataRegionBlob(r, s.Cfg.Method)
+	if err != nil {
+		return nil, "", err
+	}
+	for _, run := range r.Runs() {
+		values = values[copy(values, volBytes[run.Lo:run.Hi+1]):]
 	}
 	return blob, warning, nil
 }

@@ -2,10 +2,14 @@ package qbism
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"qbism/internal/lfm"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
+	"qbism/internal/sdb"
+	"qbism/internal/sfc"
 )
 
 // The run-pruned read path (gap-coalesced extraction, the LFM page
@@ -220,4 +224,150 @@ func TestPruningBeatsFullVolume(t *testing.T) {
 			str.Meta.LFMPages, full.Meta.LFMPages)
 	}
 	t.Logf("pages: full=%d box16=%d putamen=%d", full.Meta.LFMPages, small.Meta.LFMPages, str.Meta.LFMPages)
+}
+
+// referenceExtractStored is the extraction as it was assembled before
+// the server read straight into the reply blob: plan the page ranges,
+// fetch each with its own ReadAt, append the run values from the fetched
+// buffers. ExtractStoredOpts must keep returning its bytes for its I/O.
+func referenceExtractStored(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts) ([]byte, error) {
+	size, err := m.Size(h)
+	if err != nil {
+		return nil, err
+	}
+	runs := r.Runs()
+	pageSize := m.PageSize()
+	type prange struct{ first, last uint64 }
+	var ranges []prange
+	for _, run := range runs {
+		first, last := run.Lo/pageSize, run.Hi/pageSize
+		if n := len(ranges); n > 0 && first <= ranges[n-1].last+1+opts.GapPages {
+			if last > ranges[n-1].last {
+				ranges[n-1].last = last
+			}
+			continue
+		}
+		ranges = append(ranges, prange{first, last})
+	}
+	buffers := make([][]byte, len(ranges))
+	offsets := make([]uint64, len(ranges))
+	for i, pr := range ranges {
+		off := pr.first * pageSize
+		n := (pr.last - pr.first + 1) * pageSize
+		if off+n > size {
+			n = size - off
+		}
+		if buffers[i], err = m.ReadAt(h, off, n); err != nil {
+			return nil, err
+		}
+		offsets[i] = off
+	}
+	values := make([]byte, 0, r.NumVoxels())
+	ri := 0
+	for _, run := range runs {
+		for run.Lo/pageSize > ranges[ri].last {
+			ri++
+		}
+		values = append(values, buffers[ri][run.Lo-offsets[ri]:run.Hi-offsets[ri]+1]...)
+	}
+	return values, nil
+}
+
+// TestExtractStoredEqualsReference: over every stored structure and
+// band, boxes, scattered runs, the empty and the full region, at the
+// seed plan's gap and at the cost model's, ExtractStoredOpts returns the
+// reference assembly's values for exactly its LFM traffic, and the
+// server's one-step blob is MarshalDataRegion of that result.
+func TestExtractStoredEqualsReference(t *testing.T) {
+	sys, err := New(Config{Bits: 5, NumPET: 1, NumMRI: 1, Seed: 11, SmallStudies: true, Checksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	study := sys.Studies[0].StudyID
+	res, err := sys.DB.Exec("select wv.data from warpedVolume wv where wv.studyId = ?", sdb.Int(int64(study)))
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("volume lookup: %v", err)
+	}
+	h := res.Rows[0][0].L
+
+	regions := []*region.Region{region.Empty(sys.Curve), region.Full(sys.Curve)}
+	for _, st := range sys.Atlas.Structures {
+		regions = append(regions, st.Region)
+	}
+	for _, b := range sys.BandRegions[study] {
+		regions = append(regions, b.Region)
+	}
+	rng := rand.New(rand.NewSource(16))
+	side := uint32(1) << sys.Cfg.Bits
+	for i := 0; i < 20; i++ {
+		lo := sfc.Pt(rng.Uint32()%side, rng.Uint32()%side, rng.Uint32()%side)
+		hi := sfc.Pt(lo.X+rng.Uint32()%(side-lo.X), lo.Y+rng.Uint32()%(side-lo.Y), lo.Z+rng.Uint32()%(side-lo.Z))
+		box, err := region.FromBox(sys.Curve, region.Box{Min: lo, Max: hi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, box)
+		// Scattered runs: some one voxel long, some ending exactly on a
+		// page boundary, some covering whole pages.
+		var runs []region.Run
+		for id := uint64(rng.Intn(5000)); id < sys.Curve.Length(); id += uint64(1 + rng.Intn(9000)) {
+			run := region.Run{Lo: id, Hi: min(id+uint64(rng.Intn(6000)), sys.Curve.Length()-1)}
+			switch rng.Intn(4) {
+			case 0:
+				run.Hi = run.Lo
+			case 1:
+				run.Lo = run.Lo / 4096 * 4096
+				run.Hi = min(run.Hi/4096*4096+4095, sys.Curve.Length()-1)
+			}
+			runs = append(runs, run)
+			id = run.Hi + 1
+		}
+		scattered, err := region.FromRuns(sys.Curve, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, scattered)
+	}
+
+	for _, cachePages := range []int{0, 3} {
+		sys.LFM.EnableCache(cachePages)
+		for _, gap := range []uint64{0, sys.Model.CoalesceGapPages()} {
+			opts := ExtractOpts{GapPages: gap}
+			for i, r := range regions {
+				// Both sides start from an empty cache, so their hit/miss
+				// split is comparable.
+				sys.LFM.EnableCache(cachePages)
+				s0 := sys.LFM.Stats()
+				want, err := referenceExtractStored(sys.LFM, h, r, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.LFM.EnableCache(cachePages)
+				s1 := sys.LFM.Stats()
+				got, err := ExtractStoredOpts(sys.LFM, h, r, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2 := sys.LFM.Stats()
+				if !bytes.Equal(got.Values, want) {
+					t.Fatalf("cache %d gap %d region %d (%d runs): values differ from the reference assembly", cachePages, gap, i, r.NumRuns())
+				}
+				if ref, now := s1.Sub(s0), s2.Sub(s1); ref != now {
+					t.Fatalf("cache %d gap %d region %d: LFM traffic differs:\nreference %+v\nnow       %+v", cachePages, gap, i, ref, now)
+				}
+				wantBlob, err := MarshalDataRegion(got, sys.Cfg.Method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := extractStoredBlob(sys.LFM, h, r, opts, sys.Cfg.Method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(blob, wantBlob) {
+					t.Fatalf("cache %d gap %d region %d: one-step blob differs from MarshalDataRegion(ExtractStoredOpts)", cachePages, gap, i)
+				}
+			}
+		}
+	}
 }

@@ -24,19 +24,31 @@ const dataRegionTag = 0xD7
 // MarshalDataRegion serializes a DataRegion: the REGION (self-describing
 // rencode encoding) followed by the intensity values in curve order.
 func MarshalDataRegion(d *volume.DataRegion, method rencode.Method) ([]byte, error) {
-	enc, err := rencode.Encode(method, d.Region)
+	blob, values, err := newDataRegionBlob(d.Region, method)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(d.Values)) != d.Region.NumVoxels() {
-		return nil, fmt.Errorf("qbism: %d values for %d voxels", len(d.Values), d.Region.NumVoxels())
+	if len(d.Values) != len(values) {
+		return nil, fmt.Errorf("qbism: %d values for %d voxels", len(d.Values), len(values))
 	}
-	out := make([]byte, 1+4+len(enc)+len(d.Values))
-	out[0] = dataRegionTag
-	binary.BigEndian.PutUint32(out[1:], uint32(len(enc)))
-	copy(out[5:], enc)
-	copy(out[5+len(enc):], d.Values)
-	return out, nil
+	copy(values, d.Values)
+	return blob, nil
+}
+
+// newDataRegionBlob encodes r and allocates the DATA_REGION blob that
+// carries it, once and at its final size. It returns the blob and its
+// value section — r.NumVoxels() bytes, in curve order, for the caller to
+// fill.
+func newDataRegionBlob(r *region.Region, method rencode.Method) (blob, values []byte, err error) {
+	enc, err := rencode.Encode(method, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	blob = make([]byte, 1+4+uint64(len(enc))+r.NumVoxels())
+	blob[0] = dataRegionTag
+	binary.BigEndian.PutUint32(blob[1:], uint32(len(enc)))
+	copy(blob[5:], enc)
+	return blob, blob[5+len(enc):], nil
 }
 
 // UnmarshalDataRegion reverses MarshalDataRegion.
@@ -115,64 +127,74 @@ type ExtractOpts struct {
 // size of device reads change (coalescing only ever widens a fetched
 // range, and runs are always assembled from the range that covers them).
 func ExtractStoredOpts(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts) (*volume.DataRegion, error) {
-	size, err := m.Size(h)
+	var values []byte
+	if r.NumRuns() > 0 {
+		values = make([]byte, r.NumVoxels())
+	}
+	if err := extractInto(m, h, r, opts, values); err != nil {
+		return nil, err
+	}
+	return &volume.DataRegion{Region: r, Values: values}, nil
+}
+
+// extractStoredBlob is ExtractStoredOpts and MarshalDataRegion in one
+// step, which is how the server answers: the voxels go from the LFM's
+// pages into the DATA_REGION blob's value section and are not copied
+// again.
+func extractStoredBlob(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
+	blob, values, err := newDataRegionBlob(r, method)
 	if err != nil {
 		return nil, err
 	}
+	if err := extractInto(m, h, r, opts, values); err != nil {
+		return nil, err
+	}
+	return blob, nil
+}
+
+// extractInto fills values, r.NumVoxels() bytes, with the voxels of r
+// read from the stored VOLUME h. The runs of r are mapped to page-aligned
+// ranges, merging through gaps of up to opts.GapPages pages (one wide
+// transfer beats an extra seek), and every range is one LFM read of
+// whole pages, clamped to the field size. A range that one run covers
+// exactly is read straight into values; any other goes through one
+// buffer, reused from range to range, that its runs are copied out of.
+func extractInto(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte) error {
+	size, err := m.Size(h)
+	if err != nil {
+		return err
+	}
 	if size != r.Curve().Length() {
-		return nil, fmt.Errorf("qbism: volume field has %d bytes, curve expects %d", size, r.Curve().Length())
+		return fmt.Errorf("qbism: volume field has %d bytes, curve expects %d", size, r.Curve().Length())
 	}
 	runs := r.Runs()
-	if len(runs) == 0 {
-		return &volume.DataRegion{Region: r, Values: nil}, nil
-	}
 	pageSize := m.PageSize()
-
-	// Merge runs into page-aligned ranges, reading through gaps of up to
-	// GapPages pages (one wide transfer beats an extra seek).
-	type prange struct{ first, last uint64 } // page numbers, inclusive
-	var ranges []prange
-	for _, run := range runs {
-		first, last := run.Lo/pageSize, run.Hi/pageSize
-		if n := len(ranges); n > 0 && first <= ranges[n-1].last+1+opts.GapPages {
-			if last > ranges[n-1].last {
-				ranges[n-1].last = last
+	var buf []byte
+	for i := 0; i < len(runs); {
+		first, last := runs[i].Lo/pageSize, runs[i].Hi/pageSize // page numbers, inclusive
+		j := i + 1
+		for ; j < len(runs) && runs[j].Lo/pageSize <= last+1+opts.GapPages; j++ {
+			last = max(last, runs[j].Hi/pageSize)
+		}
+		off := first * pageSize
+		n := min((last-first+1)*pageSize, size-off)
+		if j == i+1 && runs[i].Lo == off && runs[i].Hi-off+1 == n {
+			if err := m.ReadAtInto(h, off, values[:n]); err != nil {
+				return err
 			}
-			continue
+			values = values[n:]
+		} else {
+			if uint64(cap(buf)) < n {
+				buf = make([]byte, n)
+			}
+			if err := m.ReadAtInto(h, off, buf[:n]); err != nil {
+				return err
+			}
+			for _, run := range runs[i:j] {
+				values = values[copy(values, buf[run.Lo-off:run.Hi-off+1]):]
+			}
 		}
-		ranges = append(ranges, prange{first, last})
+		i = j
 	}
-
-	// Fetch each merged range (whole pages, clamped to the field size).
-	buffers := make([][]byte, len(ranges))
-	offsets := make([]uint64, len(ranges))
-	for i, pr := range ranges {
-		off := pr.first * pageSize
-		n := (pr.last-pr.first+1)*pageSize - 0
-		if off+n > size {
-			n = size - off
-		}
-		buf, err := m.ReadAt(h, off, n)
-		if err != nil {
-			return nil, err
-		}
-		buffers[i] = buf
-		offsets[i] = off
-	}
-
-	// Assemble run values from the fetched buffers.
-	values := make([]byte, 0, r.NumVoxels())
-	ri := 0
-	for _, run := range runs {
-		for ri < len(ranges) && run.Lo/pageSize > ranges[ri].last {
-			ri++
-		}
-		if ri >= len(ranges) {
-			return nil, fmt.Errorf("qbism: internal error: run %v past fetched ranges", run)
-		}
-		buf := buffers[ri]
-		off := offsets[ri]
-		values = append(values, buf[run.Lo-off:run.Hi-off+1]...)
-	}
-	return &volume.DataRegion{Region: r, Values: values}, nil
+	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
-	"qbism/internal/volume"
 )
 
 // registerSpatialUDFs installs the spatial operators of Section 3.2 (and
@@ -124,11 +123,7 @@ func (s *System) registerSpatialUDFs() error {
 						return sdb.Value{}, err
 					}
 				}
-				d, err := ExtractStoredOpts(db.LFM(), args[0].L, r, s.extractOpts())
-				if err != nil {
-					return sdb.Value{}, err
-				}
-				blob, err := MarshalDataRegion(d, s.Cfg.Method)
+				blob, err := extractStoredBlob(db.LFM(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -143,15 +138,10 @@ func (s *System) registerSpatialUDFs() error {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("fullVolume: argument must be a VOLUME long field, got %s", args[0].T)
 				}
-				data, err := db.LFM().Read(args[0].L)
-				if err != nil {
-					return sdb.Value{}, err
-				}
-				if uint64(len(data)) != s.Curve.Length() {
-					return sdb.Value{}, fmt.Errorf("fullVolume: field has %d bytes, grid needs %d", len(data), s.Curve.Length())
-				}
-				d := &volume.DataRegion{Region: region.Full(s.Curve), Values: data}
-				blob, err := MarshalDataRegion(d, s.Cfg.Method)
+				// The whole grid is one run, so this is extractVoxels' read
+				// plan with a single range: one read of the whole field,
+				// straight into the blob.
+				blob, err := extractStoredBlob(db.LFM(), args[0].L, region.Full(s.Curve), s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 )
 
 // Every payload crossing the seam travels in a length+checksum frame so
@@ -57,19 +58,35 @@ var (
 // section would have encoded a silently truncated length and produced
 // a frame that decodes to different bytes than were passed in.
 func EncodeFrame(header, body []byte) ([]byte, error) {
-	const maxSection = 1<<32 - 1
-	if uint64(len(header)) > maxSection || uint64(len(body)) > maxSection {
-		return nil, fmt.Errorf("%w: header %d / body %d bytes exceed the uint32 length fields",
-			ErrFrameOversize, len(header), len(body))
+	if err := checkSections(header, body); err != nil {
+		return nil, err
 	}
 	out := make([]byte, FrameOverhead+len(header)+len(body))
-	binary.BigEndian.PutUint16(out, FrameMagic)
-	binary.BigEndian.PutUint32(out[2:], uint32(len(header)))
-	binary.BigEndian.PutUint32(out[6:], uint32(len(body)))
 	copy(out[FrameOverhead:], header)
 	copy(out[FrameOverhead+len(header):], body)
-	binary.BigEndian.PutUint32(out[10:], crc32.ChecksumIEEE(out[FrameOverhead:]))
+	putPrefix(out, header, body)
 	return out, nil
+}
+
+// checkSections rejects sections the frame's length fields cannot declare.
+func checkSections(header, body []byte) error {
+	const maxSection = 1<<32 - 1
+	if uint64(len(header)) > maxSection || uint64(len(body)) > maxSection {
+		return fmt.Errorf("%w: header %d / body %d bytes exceed the uint32 length fields",
+			ErrFrameOversize, len(header), len(body))
+	}
+	return nil
+}
+
+// putPrefix writes the fixed prefix of the frame carrying header and
+// body into dst[:FrameOverhead]. The checksum runs over header, then
+// body, so the sections need not sit in one buffer.
+func putPrefix(dst, header, body []byte) {
+	binary.BigEndian.PutUint16(dst, FrameMagic)
+	binary.BigEndian.PutUint32(dst[2:], uint32(len(header)))
+	binary.BigEndian.PutUint32(dst[6:], uint32(len(body)))
+	sum := crc32.Update(crc32.Update(0, crc32.IEEETable, header), crc32.IEEETable, body)
+	binary.BigEndian.PutUint32(dst[10:], sum)
 }
 
 // DecodeFrame validates and unwraps a complete frame held in memory.
@@ -137,16 +154,34 @@ func ReadFrame(r io.Reader, maxBytes int64) (header, body []byte, err error) {
 	return DecodeFrame(buf)
 }
 
-// WriteFrame encodes header and body and writes the frame to w in one
-// Write call, so a concurrent-writer bug shows up as interleaved
-// frames (CRC failures) rather than silent data mixing.
+// WriteFrame writes the frame EncodeFrame would build — the same bytes —
+// without building it: prefix and header go out from one small buffer
+// and body from the caller's slice, as one vectored write. On a
+// *net.TCPConn that is a single writev under the connection's write
+// lock, so a concurrent-writer bug still shows up as whole interleaved
+// frames, and a response body is never copied on its way to the socket;
+// any other writer sees at most two Write calls. A failed or short write
+// leaves part of a frame on the stream: the caller must drop the
+// connection.
 func WriteFrame(w io.Writer, header, body []byte) error {
-	buf, err := EncodeFrame(header, body)
-	if err != nil {
+	if err := checkSections(header, body); err != nil {
 		return err
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("%w: writing %d-byte frame: %w", ErrConn, len(buf), err)
+	head := make([]byte, FrameOverhead+len(header))
+	copy(head[FrameOverhead:], header)
+	putPrefix(head, header, body)
+	bufs := make(net.Buffers, 1, 2)
+	bufs[0] = head
+	if len(body) > 0 {
+		bufs = append(bufs, body)
+	}
+	total := len(head) + len(body)
+	n, err := bufs.WriteTo(w)
+	if err == nil && n != int64(total) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return fmt.Errorf("%w: writing %d-byte frame: %w", ErrConn, total, err)
 	}
 	return nil
 }

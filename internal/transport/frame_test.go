@@ -146,17 +146,46 @@ func TestReadFrameBadMagic(t *testing.T) {
 	}
 }
 
-func TestWriteFrameSingleWrite(t *testing.T) {
+// TestWriteFrameVectored: the frame goes out as prefix+header, then the
+// caller's body slice itself — never a copy of it — and the bytes are
+// EncodeFrame's. An empty body is one write.
+func TestWriteFrameVectored(t *testing.T) {
+	header, body := []byte("hdr"), []byte("body")
 	var w countingWriter
-	if err := WriteFrame(&w, []byte("hdr"), []byte("body")); err != nil {
+	if err := WriteFrame(&w, header, body); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	if w.writes != 1 {
-		t.Errorf("WriteFrame issued %d writes, want 1 (atomicity against interleaving)", w.writes)
+	if len(w.chunks) != 2 {
+		t.Fatalf("WriteFrame issued %d writes, want 2 (prefix+header, body)", len(w.chunks))
 	}
-	h, b, err := DecodeFrame(w.buf.Bytes())
-	if err != nil || string(h) != "hdr" || string(b) != "body" {
-		t.Errorf("written frame decodes to %q/%q, %v", h, b, err)
+	if &w.chunks[1][0] != &body[0] || len(w.chunks[1]) != len(body) {
+		t.Error("the body reached the writer as a copy, not as the caller's slice")
+	}
+	if want := mustFrame(t, header, body); !bytes.Equal(w.buf.Bytes(), want) {
+		t.Errorf("written frame differs from EncodeFrame's:\n got %x\nwant %x", w.buf.Bytes(), want)
+	}
+
+	w = countingWriter{}
+	if err := WriteFrame(&w, header, nil); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	if len(w.chunks) != 1 {
+		t.Errorf("empty body: %d writes, want 1", len(w.chunks))
+	}
+	if want := mustFrame(t, header, nil); !bytes.Equal(w.buf.Bytes(), want) {
+		t.Errorf("empty-body frame differs from EncodeFrame's")
+	}
+}
+
+// TestWriteFrameShortWrite: a writer that takes fewer bytes than it was
+// given — with or without saying so — fails the frame with ErrConn.
+func TestWriteFrameShortWrite(t *testing.T) {
+	for _, honest := range []bool{true, false} {
+		w := &shortWriter{limit: FrameOverhead + 5, honest: honest}
+		err := WriteFrame(w, []byte("hdr"), []byte("a body that will not fit"))
+		if !errors.Is(err, ErrConn) || !errors.Is(err, io.ErrShortWrite) {
+			t.Errorf("honest=%v: got %v, want ErrConn wrapping io.ErrShortWrite", honest, err)
+		}
 	}
 }
 
@@ -170,14 +199,35 @@ func TestWriteFrameWrappedWriteError(t *testing.T) {
 	}
 }
 
+// countingWriter records every Write it receives: the slice as passed
+// (to tell a reference from a copy) and the concatenated bytes.
 type countingWriter struct {
 	buf    bytes.Buffer
-	writes int
+	chunks [][]byte
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
+	w.chunks = append(w.chunks, p)
 	return w.buf.Write(p)
+}
+
+// shortWriter accepts limit bytes in all, keeping them, and then stops
+// taking any. An honest one reports io.ErrShortWrite as io.Writer
+// requires; the other returns the short count alone.
+type shortWriter struct {
+	limit  int
+	honest bool
+	taken  bytes.Buffer
+}
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.limit)
+	w.limit -= n
+	w.taken.Write(p[:n])
+	if n < len(p) && w.honest {
+		return n, io.ErrShortWrite
+	}
+	return n, nil
 }
 
 type failWriter struct{}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -20,6 +21,10 @@ import (
 //     exactly one frame, ReadFrame and DecodeFrame return the same
 //     sections; DecodeFrame's trailing-bytes rejections are exactly
 //     the inputs where ReadFrame stops early with bytes left over.
+//  5. The wire does not depend on how a frame is produced: WriteFrame
+//     of the decoded sections puts EncodeFrame's bytes on the stream,
+//     and cut short anywhere it reports ErrConn with a prefix of those
+//     bytes written and nothing else.
 func FuzzFrame(f *testing.F) {
 	seed := func(header, body []byte) []byte {
 		buf, err := EncodeFrame(header, body)
@@ -36,6 +41,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{0x51, 0x4D})                   // magic only
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))       // bad magic, huge lengths
 	f.Add(append(seed([]byte("h"), nil), 0xAA)) // trailing byte
+	// A bulk reply: a status header over a 3 MB body. (The empty-body
+	// status reply is testdata/fuzz/FuzzFrame/40a2244017b47002.)
+	f.Add(seed([]byte(`{"ok":true}`), bytes.Repeat([]byte("voxel"), 3<<20/5)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		header, body, err := DecodeFrame(data)
@@ -50,6 +58,21 @@ func FuzzFrame(f *testing.F) {
 			}
 			if !bytes.Equal(re, data) {
 				t.Fatalf("accepted frame is not canonical: decode→encode changed bytes")
+			}
+			var whole countingWriter
+			if werr := WriteFrame(&whole, header, body); werr != nil {
+				t.Fatalf("WriteFrame of accepted frame: %v", werr)
+			}
+			if !bytes.Equal(whole.buf.Bytes(), re) {
+				t.Fatalf("WriteFrame and EncodeFrame disagree on the wire bytes")
+			}
+			// Cut the stream at a point the frame's own checksum picks.
+			cut := &shortWriter{limit: int(binary.BigEndian.Uint32(re[10:]) % uint32(len(re))), honest: true}
+			if werr := WriteFrame(cut, header, body); !errors.Is(werr, ErrConn) {
+				t.Fatalf("WriteFrame cut short: got %v, want ErrConn", werr)
+			}
+			if !bytes.HasPrefix(re, cut.taken.Bytes()) {
+				t.Fatalf("WriteFrame cut short left bytes that are not a prefix of the frame")
 			}
 		}
 

@@ -84,6 +84,9 @@ type ServerStats struct {
 	AdmissionRejected uint64
 	DrainRejected     uint64
 	FrameErrors       uint64
+	// WriteErrors counts responses that could not be written in full;
+	// each one drops its connection, whose stream ends mid-frame.
+	WriteErrors uint64
 }
 
 // Server listens for framed RPCs and dispatches them to a Handler.
@@ -204,7 +207,8 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn runs one connection's request loop until the peer hangs
-// up, the stream desynchronizes, or the server drains.
+// up, the stream desynchronizes, a response fails to go out whole, or
+// the server drains.
 func (s *Server) serveConn(sc *serverConn) {
 	defer func() {
 		sc.forceClose()
@@ -224,8 +228,9 @@ func (s *Server) serveConn(sc *serverConn) {
 				s.metric("transport_server_frame_errors_total")
 				// Tell the peer what happened if the stream can still
 				// carry a reply, then drop the connection — after a
-				// frame error the stream is unsynchronized.
-				s.writeStatus(sc.c, wireStatus{OK: false, Err: err.Error(), Kind: classifyKind(err)}, nil)
+				// frame error the stream is unsynchronized, so whether the
+				// reply got through changes nothing here.
+				_ = s.writeStatus(sc.c, wireStatus{OK: false, Err: err.Error(), Kind: classifyKind(err)}, nil)
 			}
 			return
 		}
@@ -244,22 +249,25 @@ func (s *Server) serveConn(sc *serverConn) {
 			sc.mu.Unlock()
 			s.count(func(st *ServerStats) { st.DrainRejected++ })
 			s.metric("transport_server_drain_rejected_total")
-			s.writeStatus(sc.c, wireStatus{OK: false, Err: "server draining", Kind: kindDraining}, nil)
+			// The connection closes after a draining reply, delivered or not.
+			_ = s.writeStatus(sc.c, wireStatus{OK: false, Err: "server draining", Kind: kindDraining}, nil)
 			return
 		}
 		sc.busy = true
 		sc.mu.Unlock()
 
-		s.serveOne(sc.c, client, string(method), request)
+		werr := s.serveOne(sc.c, client, string(method), request)
 
-		// Only a connection Drain itself found busy closes here. The
-		// server-wide flag is deliberately not consulted: a request
-		// already on its way down a still-open connection is answered
-		// by the check above (ErrDraining), never reset by this one
-		// closing the socket under it.
+		// A response that did not go out whole leaves half a frame on
+		// the stream: the connection is dropped, never read from again.
+		// Otherwise only a connection Drain itself found busy closes
+		// here. The server-wide flag is deliberately not consulted: a
+		// request already on its way down a still-open connection is
+		// answered by the check above (ErrDraining), never reset by this
+		// one closing the socket under it.
 		sc.mu.Lock()
 		sc.busy = false
-		done := sc.closeAfter || sc.closed
+		done := werr != nil || sc.closeAfter || sc.closed
 		sc.mu.Unlock()
 		if done {
 			return
@@ -267,13 +275,14 @@ func (s *Server) serveConn(sc *serverConn) {
 	}
 }
 
-// serveOne admits, dispatches, and answers a single request.
-func (s *Server) serveOne(conn net.Conn, client, method string, request []byte) {
+// serveOne admits, dispatches, and answers a single request. The error
+// it returns is the response write's: the request was handled, but the
+// connection can carry no further exchange.
+func (s *Server) serveOne(conn net.Conn, client, method string, request []byte) error {
 	if !s.admit.Allow(client) {
 		s.count(func(st *ServerStats) { st.AdmissionRejected++ })
 		s.metric("transport_admission_rejected_total")
-		s.writeStatus(conn, wireStatus{OK: false, Err: fmt.Sprintf("client %s over rate", client), Kind: kindAdmission}, nil)
-		return
+		return s.writeStatus(conn, wireStatus{OK: false, Err: fmt.Sprintf("client %s over rate", client), Kind: kindAdmission}, nil)
 	}
 	sp := s.cfg.Tracer.Start("rpc." + method)
 	sp.SetStr("client", client)
@@ -290,23 +299,28 @@ func (s *Server) serveOne(conn net.Conn, client, method string, request []byte) 
 		s.metric("transport_server_errors_total")
 		sp.SetStr("error", err.Error())
 		sp.End()
-		s.writeStatus(conn, wireStatus{OK: false, Err: err.Error(), Kind: classifyKind(err)}, nil)
-		return
+		return s.writeStatus(conn, wireStatus{OK: false, Err: err.Error(), Kind: classifyKind(err)}, nil)
 	}
 	sp.SetInt("bytes", int64(len(resp)))
 	sp.End()
-	s.writeStatus(conn, wireStatus{OK: true}, resp)
+	return s.writeStatus(conn, wireStatus{OK: true}, resp)
 }
 
-// writeStatus sends one response frame; write failures are ignored —
-// the peer is gone and the connection loop will notice on its next
-// read.
-func (s *Server) writeStatus(conn net.Conn, st wireStatus, body []byte) {
+// writeStatus sends one response frame, body by reference (WriteFrame
+// does not copy it). A failure is counted and returned: the stream may
+// hold part of a frame, so the caller must not serve another request on
+// this connection.
+func (s *Server) writeStatus(conn net.Conn, st wireStatus, body []byte) error {
 	header, err := json.Marshal(st)
 	if err != nil {
-		return
+		return fmt.Errorf("transport: encoding response status: %w", err)
 	}
-	_ = WriteFrame(conn, header, body)
+	if err := WriteFrame(conn, header, body); err != nil {
+		s.count(func(st *ServerStats) { st.WriteErrors++ })
+		s.metric("transport_server_write_errors_total")
+		return err
+	}
+	return nil
 }
 
 // classifyKind maps a server-side error onto the wire status kind the
