@@ -79,6 +79,15 @@ type RankIndex struct {
 // NewRankIndex builds a directory over the first nbits bits of buf.
 // nbits is clamped to [0, len(buf)*8].
 func NewRankIndex(buf []byte, nbits int) *RankIndex {
+	x, _ := MakeRankIndex(buf, nbits, nil)
+	return &x
+}
+
+// MakeRankIndex is NewRankIndex by value, with the directory taken
+// from the front of dir when it fits; the rest of dir is returned, so a
+// caller indexing many bitmaps can carve every directory out of one
+// slice.
+func MakeRankIndex(buf []byte, nbits int, dir []uint32) (RankIndex, []uint32) {
 	if nbits < 0 {
 		nbits = 0
 	}
@@ -86,7 +95,12 @@ func NewRankIndex(buf []byte, nbits int) *RankIndex {
 		nbits = max
 	}
 	nSuper := (nbits + rankSuperBits - 1) / rankSuperBits
-	x := &RankIndex{buf: buf, nbits: nbits, super: make([]uint32, nSuper+1)}
+	x := RankIndex{buf: buf, nbits: nbits}
+	if len(dir) > nSuper {
+		x.super, dir = dir[:nSuper+1:nSuper+1], dir[nSuper+1:]
+	} else {
+		x.super = make([]uint32, nSuper+1)
+	}
 	run := 0
 	for i := 0; i < nSuper; i++ {
 		x.super[i] = uint32(run)
@@ -99,7 +113,7 @@ func NewRankIndex(buf []byte, nbits int) *RankIndex {
 	}
 	x.super[nSuper] = uint32(run)
 	x.ones = run
-	return x
+	return x, dir
 }
 
 // rank1Range counts 1 bits in bit positions [lo, hi) of buf; lo is

@@ -113,13 +113,18 @@ func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	} else {
 		root = s.Tracer.Start("query")
 	}
-	root.SetStr("spec", spec.Label())
+	if root != nil {
+		root.SetStr("spec", spec.Label())
+	}
 
+	// The marshaled spec is the request body and, as a string, the key
+	// QuerySpec.Key returns: the retry jitter and the DX cache use it.
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		root.End()
 		return nil, err
 	}
+	key := string(specJSON)
 	request := encodeFrame(specJSON, nil)
 
 	// The exchange rides the transport seam: CallRetry carries the
@@ -131,7 +136,7 @@ func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	var meta *QueryMeta
 	var blob []byte
 	net0 := s.Transport.Stats()
-	_, retry, err := transport.CallRetry(s.Transport, root, medicalQueryMethod, request, s.Retry, spec.Key(),
+	_, retry, err := transport.CallRetry(s.Transport, root, medicalQueryMethod, request, s.Retry, key,
 		func(resp []byte) error {
 			m, b, verr := splitResponse(resp)
 			if verr != nil {
@@ -145,14 +150,15 @@ func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	}
 	netDelta := s.Transport.Stats().Sub(net0)
 
-	return s.fe().finish(root, spec, meta, blob, retry, netDelta.Messages, netDelta.Latency, totalStart)
+	return s.fe().finish(root, spec, key, meta, blob, retry, netDelta.Messages, netDelta.Latency, totalStart)
 }
 
 // finish performs the client-side DX stages — import, render, cache —
 // prices the work with the cost model, and feeds the observability
-// sinks. netMessages/netSim describe the network exchange however it
+// sinks. key is spec.Key(), which the caller already has as its request
+// body. netMessages/netSim describe the network exchange however it
 // was carried (single link or cluster read).
-func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob []byte, retry RetryStats, netMessages uint64, netSim time.Duration, totalStart time.Time) (*QueryResult, error) {
+func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, key string, meta *QueryMeta, blob []byte, retry RetryStats, netMessages uint64, netSim time.Duration, totalStart time.Time) (*QueryResult, error) {
 	importStart := time.Now()
 	importSp := root.Child("dx.import")
 	data, err := UnmarshalDataRegion(blob)
@@ -177,7 +183,7 @@ func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob 
 		return nil, fe.fail(root, retry, err)
 	}
 	renderDur := time.Since(renderStart)
-	fe.cache.Put(spec.Key(), field)
+	fe.cache.Put(key, field)
 
 	t := QueryTiming{
 		Label:          spec.Label(),
@@ -206,7 +212,7 @@ func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob 
 		root.SetStr("degraded", meta.Warning)
 	}
 	root.End()
-	fe.observe(spec, t, retry, root)
+	fe.observe(t, retry, root)
 
 	return &QueryResult{
 		Spec: spec, Meta: *meta, Data: data, Field: field, Image: img, Timing: t, Retry: retry,
@@ -230,7 +236,7 @@ func (fe frontEnd) fail(root *obs.Span, retry RetryStats, err error) error {
 // observe feeds the metrics registry and, when the query's measured
 // latency reaches the slow-log threshold, captures the full span tree
 // plus the executed plan into the slow-query ring.
-func (fe frontEnd) observe(spec QuerySpec, t QueryTiming, retry RetryStats, root *obs.Span) {
+func (fe frontEnd) observe(t QueryTiming, retry RetryStats, root *obs.Span) {
 	fe.metrics.Counter("qbism_queries_total").Inc()
 	fe.metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
 	fe.metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).
@@ -239,7 +245,7 @@ func (fe frontEnd) observe(spec QuerySpec, t QueryTiming, retry RetryStats, root
 		Observe(float64(t.LFMPages))
 	if fe.slowLog != nil && root != nil && t.TotalMeasured >= fe.slowThresh {
 		fe.slowLog.Add(obs.SlowEntry{
-			Label:   spec.Label(),
+			Label:   t.Label,
 			Total:   t.TotalMeasured,
 			Tree:    root.RenderString(),
 			Explain: explainFromSpan(root),

@@ -43,10 +43,10 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		spec    QuerySpec
-		ceiling float64 // ≈ 1.25 × measured (91 and 101 at PR 13)
+		ceiling float64 // ≈ 1.25 × measured (65 and 80; 91 and 101 before PR 17's one-pass decode)
 	}{
-		{"small-structure", small, 114},
-		{"structure-and-band", mixed, 126},
+		{"small-structure", small, 81},
+		{"structure-and-band", mixed, 100},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -124,21 +124,22 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Ceilings at ≈ 1.25 × measured (47, 91, 96 allocations; 2.09,
-		// 4.06, 7.02 × the reply; PR 13 was at 112, 162, 128 and 4.09,
-		// 6.20, 11.85): allocations per ServeRPC, and bytes allocated per
+		// Ceilings at ≈ 1.25 × measured (45, 60, 67 allocations; 2.09,
+		// 3.57, 5.32 × the reply; PR 16 was at 47, 91, 96 and 2.09, 4.06,
+		// 7.02, PR 13 at 112, 162, 128 and 4.09, 6.20, 11.85):
+		// allocations per ServeRPC, and bytes allocated per
 		// ServeRPC as a multiple of the reply's size. The full study is
 		// the blob and the application frame and nothing else to speak of
 		// (ceiling 2.3, not 2.6: a third payload-sized buffer must trip
 		// it). A band whose voxels lie on every page reads the VOLUME
-		// through the range buffer and decodes a run list longer than its
-		// voxels; the hemisphere is a 28 KB reply under the same fixed
-		// costs.
+		// through the range buffer and decodes — once, into one list — a
+		// run list longer than its voxels; the hemisphere is a 28 KB reply
+		// under the same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
-		{"full-study", full, 59, 2.3},
-		{"whole-band", band, 114, 5.1},
-		{"hemisphere", hemisphere, 120, 8.8},
+		{"full-study", full, 56, 2.3},
+		{"whole-band", band, 75, 4.5},
+		{"hemisphere", hemisphere, 84, 6.7},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

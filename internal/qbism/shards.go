@@ -333,7 +333,9 @@ func (cs *ClusterSystem) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryR
 	} else {
 		root = cs.Tracer.Start("query")
 	}
-	root.SetStr("spec", spec.Label())
+	if root != nil {
+		root.SetStr("spec", spec.Label())
+	}
 
 	key, ok := cs.routes[spec.StudyID]
 	if !ok {
@@ -362,7 +364,7 @@ func (cs *ClusterSystem) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryR
 	// One successful exchange = 2 messages; the read's simulated
 	// latency already prices the winning call's network model time,
 	// injected latency, and call quantum.
-	res, err := cs.fe().finish(root, spec, meta, blob, retry, 2, info.LatencySim, totalStart)
+	res, err := cs.fe().finish(root, spec, string(specJSON), meta, blob, retry, 2, info.LatencySim, totalStart)
 	if res != nil {
 		shardInfo := info
 		res.Shard = &shardInfo

@@ -167,7 +167,7 @@ func extractInto(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpt
 	if size != r.Curve().Length() {
 		return fmt.Errorf("qbism: volume field has %d bytes, curve expects %d", size, r.Curve().Length())
 	}
-	runs := r.Runs()
+	runs := r.RunsView()
 	pageSize := m.PageSize()
 	var buf []byte
 	for i := 0; i < len(runs); {

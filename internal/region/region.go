@@ -63,8 +63,9 @@ func (r *Region) Runs() []Run {
 	return out
 }
 
-// runsView returns the internal run slice; callers must not mutate it.
-func (r *Region) runsView() []Run { return r.runs }
+// RunsView returns the run list itself, for callers that only iterate;
+// they must not modify it. Runs is the copy a caller may keep or change.
+func (r *Region) RunsView() []Run { return r.runs }
 
 // ContainsID reports whether curve position id is in the region, by
 // binary search over the runs.
@@ -167,21 +168,37 @@ func Full(c sfc.Curve) *Region {
 
 // FromRuns builds a region from an arbitrary run list, normalizing it:
 // runs are sorted, merged when overlapping or adjacent, and validated
-// against the curve length.
+// against the curve length. The input slice is not modified.
 func FromRuns(c sfc.Curve, runs []Run) (*Region, error) {
-	rs := make([]Run, 0, len(runs))
-	for _, run := range runs {
+	return FromOwnedRuns(c, slices.Clone(runs))
+}
+
+// FromOwnedRuns is FromRuns for callers that hand over ownership of
+// runs — a decoder with the list it just built: the slice becomes the
+// region's run list. One pass validates every run and tests whether the
+// list is already normalized (strictly increasing, no two runs
+// overlapping or adjacent); only a list that is not gets sorted and
+// merged, in place.
+func FromOwnedRuns(c sfc.Curve, runs []Run) (*Region, error) {
+	n := c.Length()
+	normalized := true
+	for i, run := range runs {
 		if run.Lo > run.Hi {
 			return nil, fmt.Errorf("region: invalid run %v (lo > hi)", run)
 		}
-		if run.Hi >= c.Length() {
-			return nil, fmt.Errorf("region: run %v exceeds curve length %d", run, c.Length())
+		if run.Hi >= n {
+			return nil, fmt.Errorf("region: run %v exceeds curve length %d", run, n)
 		}
-		rs = append(rs, run)
+		// Hi+1 cannot overflow: Hi < curve length <= 1<<63.
+		if i > 0 && run.Lo <= runs[i-1].Hi+1 {
+			normalized = false
+		}
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
-	rs = mergeSorted(rs)
-	return &Region{curve: c, runs: rs}, nil
+	if !normalized {
+		sort.Slice(runs, func(i, j int) bool { return runs[i].Lo < runs[j].Lo })
+		runs = mergeSorted(runs)
+	}
+	return &Region{curve: c, runs: runs}, nil
 }
 
 // mergeSorted merges overlapping or adjacent runs of a sorted slice in

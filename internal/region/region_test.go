@@ -1,7 +1,10 @@
 package region
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -339,5 +342,118 @@ func TestDeltas(t *testing.T) {
 	}
 	if d := Empty(h2).Deltas(); len(d) != 0 {
 		t.Errorf("deltas of empty = %v", d)
+	}
+}
+
+// oracleFromRuns is FromRuns as it stood before the adopting
+// constructor: copy, validate, always sort, merge. FromRuns and
+// FromOwnedRuns must return the same region or the same error.
+func oracleFromRuns(c sfc.Curve, runs []Run) (*Region, error) {
+	rs := make([]Run, 0, len(runs))
+	for _, run := range runs {
+		if run.Lo > run.Hi {
+			return nil, fmt.Errorf("region: invalid run %v (lo > hi)", run)
+		}
+		if run.Hi >= c.Length() {
+			return nil, fmt.Errorf("region: run %v exceeds curve length %d", run, c.Length())
+		}
+		rs = append(rs, run)
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	return &Region{curve: c, runs: mergeSorted(rs)}, nil
+}
+
+// TestFromRunsMatchesOracle: run lists that are normalized, unsorted,
+// overlapping, adjacent, duplicated, inverted or out of range give the
+// region or the error they always gave — through FromRuns, which must
+// leave its input alone, and through FromOwnedRuns, which may not.
+func TestFromRunsMatchesOracle(t *testing.T) {
+	n := h3.Length()
+	cases := map[string][]Run{
+		"nil":                nil,
+		"empty":              {},
+		"one":                {{7, 9}},
+		"normalized":         {{0, 3}, {5, 5}, {7, 20}, {n - 1, n - 1}},
+		"unsorted":           {{30, 31}, {5, 12}, {20, 22}},
+		"overlapping":        {{5, 12}, {10, 20}, {30, 31}},
+		"nested":             {{5, 40}, {10, 20}, {50, 51}},
+		"adjacent":           {{5, 9}, {10, 20}, {21, 21}},
+		"duplicate":          {{5, 9}, {5, 9}},
+		"equal lo":           {{5, 9}, {5, 30}, {5, 6}},
+		"inverted":           {{3, 4}, {9, 8}},
+		"inverted first":     {{9, 8}, {0, n}},
+		"out of range":       {{3, 4}, {n - 1, n}},
+		"far out of range":   {{1 << 63, 1<<64 - 1}},
+		"unsorted then bad":  {{30, 31}, {5, 12}, {6, 2}},
+		"whole curve pieces": {{n / 2, n - 1}, {0, n/2 - 1}},
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 400; i++ {
+		runs := make([]Run, rng.Intn(12))
+		for j := range runs {
+			lo := rng.Uint64() % (n + 2)
+			runs[j] = Run{lo, lo + rng.Uint64()%9 - uint64(rng.Intn(9)/8)}
+		}
+		if rng.Intn(3) == 0 { // a sorted list, sometimes with touching runs
+			sort.Slice(runs, func(a, b int) bool { return runs[a].Lo < runs[b].Lo })
+		}
+		cases[fmt.Sprintf("random %d", i)] = runs
+	}
+	for name, runs := range cases {
+		want, wantErr := oracleFromRuns(h3, runs)
+		input := slices.Clone(runs)
+		for ctor, build := range map[string]func() (*Region, error){
+			"FromRuns": func() (*Region, error) { return FromRuns(h3, input) },
+			"FromOwnedRuns": func() (*Region, error) {
+				return FromOwnedRuns(h3, slices.Clone(runs))
+			},
+		} {
+			got, err := build()
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Errorf("%s %s: err %v, oracle %v", ctor, name, err, wantErr)
+			case err != nil:
+				if err.Error() != wantErr.Error() {
+					t.Errorf("%s %s: err %q, oracle %q", ctor, name, err, wantErr)
+				}
+			case !got.Equal(want):
+				t.Errorf("%s %s: runs %v, oracle %v", ctor, name, got.Runs(), want.Runs())
+			}
+		}
+		if !slices.Equal(input, runs) {
+			t.Errorf("FromRuns %s: input modified: %v, was %v", name, input, runs)
+		}
+	}
+}
+
+// TestRunListOwnership: FromRuns does not keep the caller's slice,
+// FromOwnedRuns does keep a normalized one, and neither Runs nor a
+// change to its result can reach the region's own list.
+func TestRunListOwnership(t *testing.T) {
+	in := []Run{{2, 4}, {8, 9}}
+	copied, err := FromRuns(h3, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in[0] = Run{0, 0}
+	if got := copied.Runs(); got[0] != (Run{2, 4}) {
+		t.Errorf("FromRuns aliases its input: %v", got)
+	}
+
+	owned := []Run{{2, 4}, {8, 9}}
+	adopted, err := FromOwnedRuns(h3, owned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view := adopted.RunsView(); &view[0] != &owned[0] {
+		t.Error("FromOwnedRuns copied a normalized list")
+	}
+	mine := adopted.Runs()
+	mine[0] = Run{100, 200}
+	if got := adopted.RunsView(); got[0] != (Run{2, 4}) || adopted.NumVoxels() != 5 {
+		t.Errorf("a change to Runs() reached the region: %v", got)
+	}
+	if again := adopted.Runs(); &again[0] == &mine[0] || again[0] != (Run{2, 4}) {
+		t.Errorf("Runs() handed out shared storage: %v", again)
 	}
 }

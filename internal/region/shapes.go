@@ -24,7 +24,7 @@ func FromOctantList(c sfc.Curve, octs []Octant) (*Region, error) {
 		}
 		runs = append(runs, o.Run())
 	}
-	return FromRuns(c, runs)
+	return FromOwnedRuns(c, runs)
 }
 
 // Box is an axis-aligned rectangular solid given by inclusive corners.

@@ -16,10 +16,13 @@
 //
 // Level ℓ holds degree·(number of mixed slots at level ℓ-1) slots, in
 // BFS order; the children of the j-th slot whose M bit is set start at
-// slot degree·rank₁(M_ℓ, j) of level ℓ+1. The decoder rebuilds a
+// slot degree·rank₁(M_ℓ, j) of level ℓ+1. ParseK3 rebuilds a
 // bitio.RankIndex per M bitmap at parse time — the directories are
 // probe-side state, never stored, which keeps the encoded size
-// competitive with the delta codecs.
+// competitive with the delta codecs. Decode builds none: a depth-first
+// walk of the whole tree meets each level's groups in the order the
+// level stores them, so a per-level cursor stands in for rank₁ (see
+// Region).
 //
 // The encoding is canonical and the parser enforces it: a full or
 // empty subtree must collapse into its parent (no all-full or
@@ -33,6 +36,7 @@ package rencode
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"qbism/internal/bitio"
 	"qbism/internal/region"
@@ -69,7 +73,7 @@ func encodeK3(r *region.Region) []byte {
 	c := r.Curve()
 	dim, nbits := c.Dim(), c.Bits()
 	degree := 1 << uint(dim)
-	runs := r.Runs()
+	runs := r.RunsView()
 	switch {
 	case len(runs) == 0:
 		return []byte{k3Empty}
@@ -120,7 +124,7 @@ func k3PayloadSize(r *region.Region) int {
 	c := r.Curve()
 	dim, nbits := c.Dim(), c.Bits()
 	degree := 1 << uint(dim)
-	runs := r.Runs()
+	runs := r.RunsView()
 	switch {
 	case len(runs) == 0, len(runs) == 1 && runs[0].Lo == 0 && runs[0].Hi == c.Length()-1:
 		return 1
@@ -152,12 +156,13 @@ func k3PayloadSize(r *region.Region) int {
 }
 
 // k3Level is one decoded tree level: n child slots, the full and mixed
-// bitmaps (m nil at the leaf level), and the rank directory over m.
+// bitmaps (m nil at the leaf level), and the rank directory over m —
+// built by ParseK3 for the pruned probes, left zero by Decode.
 type k3Level struct {
 	n     int
 	f     []byte
 	m     []byte
-	mrank *bitio.RankIndex
+	mrank bitio.RankIndex
 }
 
 // K3Probe is a validated, queryable view over a K3Tree encoding. All
@@ -191,13 +196,15 @@ func ParseK3(data []byte) (*K3Probe, error) {
 		return nil, fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
 	}
 	count := binary.BigEndian.Uint64(data[4:12])
-	return parseK3Body(curve, count, data[headerLen:])
+	return parseK3Body(curve, count, data[headerLen:], true)
 }
 
 // parseK3Body parses and fully validates the payload: level sizes,
 // zero padding, F∩M disjointness, canonical child groups, no trailing
-// bytes, and the header count against the F-bitmap voxel total.
-func parseK3Body(curve sfc.Curve, count uint64, body []byte) (*K3Probe, error) {
+// bytes, and the header count against the F-bitmap voxel total. With
+// rank set it also builds the per-level rank directories the pruned
+// probes descend by, all carved from one slice.
+func parseK3Body(curve sfc.Curve, count uint64, body []byte, rank bool) (*K3Probe, error) {
 	p := &K3Probe{
 		curve:  curve,
 		dim:    curve.Dim(),
@@ -230,6 +237,14 @@ func parseK3Body(curve sfc.Curve, count uint64, body []byte) (*K3Probe, error) {
 	default:
 		return nil, fmt.Errorf("%w: bad k3 root color %d", ErrCorrupt, p.root)
 	}
+	p.levels = make([]k3Level, 0, p.bits)
+	var dir []uint32
+	if rank {
+		// A level with nb bytes of M holds at most 8·nb slots, so its
+		// directory takes at most nb/64+2 entries; the M bitmaps are at
+		// most half the body.
+		dir = make([]uint32, len(rest)/128+2*p.bits)
+	}
 	prevGray := 1
 	var voxels uint64
 	for lvl := 1; lvl <= p.bits && prevGray > 0; lvl++ {
@@ -257,11 +272,14 @@ func parseK3Body(curve sfc.Curve, count uint64, body []byte) (*K3Probe, error) {
 		if err := k3CheckGroups(&lv, p.degree, leaf, lvl); err != nil {
 			return nil, err
 		}
-		if !leaf {
-			lv.mrank = bitio.NewRankIndex(lv.m, n)
-			prevGray = lv.mrank.Ones()
-		} else {
+		switch {
+		case leaf:
 			prevGray = 0
+		case rank:
+			lv.mrank, dir = bitio.MakeRankIndex(lv.m, n, dir)
+			prevGray = lv.mrank.Ones()
+		default:
+			prevGray = bitio.Rank1(lv.m, n)
 		}
 		voxels += uint64(bitio.Rank1(lv.f, n)) << uint(p.dim*(p.bits-lvl))
 		p.levels = append(p.levels, lv)
@@ -315,6 +333,38 @@ func k3CheckGroups(lv *k3Level, degree int, leaf bool, lvl int) error {
 		}
 	}
 	return nil
+}
+
+// k3Streaks counts the streaks of consecutive full siblings in a
+// level's F bitmap — set bits whose predecessor within the same child
+// group is clear — eight bytes at a time. Siblings are consecutive in
+// id space, so a streak decodes to at most one run.
+func k3Streaks(f []byte, degree int) int {
+	inGroup := uint64(0x7f7f7f7f7f7f7f7f) // bits that have a predecessor in their group
+	if degree == 4 {
+		inGroup = 0x7777777777777777
+	}
+	n := 0
+	for ; len(f) >= 8; f = f[8:] {
+		w := binary.BigEndian.Uint64(f)
+		n += bits.OnesCount64(w &^ (w >> 1 & inGroup))
+	}
+	for _, b := range f {
+		n += bits.OnesCount8(b &^ (b >> 1 & byte(inGroup)))
+	}
+	return n
+}
+
+// k3Group returns child group g of a level bitmap, first child in the
+// top bit: the whole byte g on 3D curves (degree 8), and on 2D curves
+// (degree 4, two groups per byte, high nibble first) nibble g moved to
+// the high half with the low half zero — so one group-at-a-time loop
+// serves both shapes.
+func k3Group(buf []byte, degree, g int) byte {
+	if degree == 8 {
+		return buf[g]
+	}
+	return buf[g>>1] << uint(4*(g&1)) & 0xf0
 }
 
 // k3Bit reads bit j of an MSB-first bitmap.
@@ -518,8 +568,38 @@ func (it *k3Intersector) rec(lvl, groupBase int, base uint64) {
 	}
 }
 
+// k3MaxLevels bounds the tree depth: sfc.New admits dim·bits <= 63
+// with dim >= 2.
+const k3MaxLevels = 31
+
+// k3Frame is one child group on Region's walk: its full and mixed bits
+// still to visit (next child in the top bit) and the curve position at
+// which that next child starts.
+type k3Frame struct {
+	f, m byte
+	at   uint64
+}
+
+// k3Emit appends the run [lo, hi] to a list built in increasing id
+// order, extending the last run instead when the two touch.
+func k3Emit(runs []region.Run, lo, hi uint64) []region.Run {
+	if n := len(runs); n > 0 && runs[n-1].Hi+1 == lo {
+		runs[n-1].Hi = hi
+		return runs
+	}
+	return append(runs, region.Run{Lo: lo, Hi: hi})
+}
+
 // Region materializes the run-list region — the same result Decode
-// produces.
+// produces — in one depth-first sweep. The levels store their groups
+// in breadth-first order, and a depth-first walk of the whole tree
+// reaches the groups of any one level in that same order (both are id
+// order), so the group under a mixed child is simply the next unread
+// group one level down: a cursor per level, no rank₁. Each group is
+// taken whole — one byte of F and one of M — and its full children
+// leave as streaks found with leading-zero and leading-one counts; a
+// group of the last level, which has no M, is emitted where it is met
+// rather than pushed.
 func (p *K3Probe) Region() (*region.Region, error) {
 	switch p.root {
 	case k3Empty:
@@ -527,28 +607,58 @@ func (p *K3Probe) Region() (*region.Region, error) {
 	case k3Full:
 		return region.Full(p.curve), nil
 	}
-	var runs []region.Run
-	emit := func(lo, hi uint64) {
-		if n := len(runs); n > 0 && runs[n-1].Hi+1 == lo {
-			runs[n-1].Hi = hi
-			return
-		}
-		runs = append(runs, region.Run{Lo: lo, Hi: hi})
+	// Every run starts a streak of full siblings, so the streaks bound
+	// the list; only streaks that touch across groups merge below.
+	maxRuns := 0
+	for i := range p.levels {
+		maxRuns += k3Streaks(p.levels[i].f, p.degree)
 	}
-	var rec func(lvl, groupBase int, base uint64)
-	rec = func(lvl, groupBase int, base uint64) {
-		lv := &p.levels[lvl-1]
-		span := uint64(1) << uint(p.dim*(p.bits-lvl))
-		for c := 0; c < p.degree; c++ {
-			j := groupBase + c
-			cb := base + uint64(c)*span
-			if k3Bit(lv.f, j) {
-				emit(cb, cb+span-1)
-			} else if lv.m != nil && k3Bit(lv.m, j) {
-				rec(lvl+1, p.degree*lv.mrank.Rank1(j), cb)
+	runs := make([]region.Run, 0, maxRuns)
+	var (
+		next  [k3MaxLevels]int // next[l]: the first unread group of level l+1
+		stack [k3MaxLevels]k3Frame
+	)
+	// The group in hand belongs to level lvl. The walk starts above the
+	// tree, on a one-child group whose only member is the gray root.
+	lvl, fr := 0, k3Frame{m: 0x80}
+	for {
+		live := fr.f | fr.m
+		if live == 0 {
+			if lvl == 0 {
+				break
 			}
+			lvl--
+			fr = stack[lvl]
+			continue
 		}
+		shift := uint(p.dim * (p.bits - lvl)) // a child spans 1<<shift positions
+		skip := uint(bits.LeadingZeros8(live))
+		fr.f, fr.m, fr.at = fr.f<<skip, fr.m<<skip, fr.at+uint64(skip)<<shift
+		lo := fr.at
+		if fr.f&0x80 != 0 {
+			full := uint(bits.LeadingZeros8(^fr.f))
+			fr.f, fr.m, fr.at = fr.f<<full, fr.m<<full, lo+uint64(full)<<shift
+			runs = k3Emit(runs, lo, fr.at-1)
+			continue
+		}
+		// A mixed child: its group is the next unread one a level down.
+		fr.f, fr.m, fr.at = fr.f<<1, fr.m<<1, lo+1<<shift
+		lv := &p.levels[lvl]
+		g := next[lvl]
+		next[lvl]++
+		if lv.m == nil { // the last level: its children are single voxels
+			for fb, at := k3Group(lv.f, p.degree, g), lo; fb != 0; {
+				skip := bits.LeadingZeros8(fb)
+				full := bits.LeadingZeros8(^(fb << uint(skip)))
+				at += uint64(skip)
+				runs = k3Emit(runs, at, at+uint64(full)-1)
+				fb, at = fb<<uint(skip+full), at+uint64(full)
+			}
+			continue
+		}
+		stack[lvl] = fr
+		lvl++
+		fr = k3Frame{f: k3Group(lv.f, p.degree, g), m: k3Group(lv.m, p.degree, g), at: lo}
 	}
-	rec(1, 0, 0)
-	return region.FromRuns(p.curve, runs)
+	return region.FromOwnedRuns(p.curve, runs)
 }

@@ -140,7 +140,7 @@ func Encode(m Method, r *region.Region) ([]byte, error) {
 
 	switch m {
 	case Naive:
-		runs := r.Runs()
+		runs := r.RunsView()
 		count = uint64(len(runs))
 		if c.Dim()*c.Bits() > 32 {
 			return nil, fmt.Errorf("rencode: naive encoding needs ids < 2^32, grid has %d id bits", c.Dim()*c.Bits())
@@ -239,7 +239,7 @@ func Decode(data []byte) (*region.Region, error) {
 			runs[i].Lo = uint64(binary.BigEndian.Uint32(body[8*i:]))
 			runs[i].Hi = uint64(binary.BigEndian.Uint32(body[8*i+4:]))
 		}
-		return region.FromRuns(curve, runs)
+		return region.FromOwnedRuns(curve, runs)
 	case Elias, EliasDelta, Varint:
 		// Every delta costs at least one encoded bit, so a count beyond
 		// the payload's bit length is corrupt. Checking here (not just
@@ -284,7 +284,7 @@ func Decode(data []byte) (*region.Region, error) {
 		}
 		return region.FromOctantList(curve, octs)
 	case K3Tree:
-		p, err := parseK3Body(curve, count, body)
+		p, err := parseK3Body(curve, count, body, false)
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +331,7 @@ func decodeDeltas(curve sfc.Curve, count uint64, read func() (uint64, error)) (*
 		pos += length
 		inside = !inside
 	}
-	return region.FromRuns(curve, runs)
+	return region.FromOwnedRuns(curve, runs)
 }
 
 // EncodedSize returns the size in bytes Encode would produce, without
