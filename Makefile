@@ -126,11 +126,15 @@ loadtest-smoke:
 # BenchmarkServeRPCBulk for the server side of one small request and of
 # one full-study reply through a thrashing page cache (allocs/op and
 # B/op are what TestServeRPCAllocBudget and TestBulkReplyAllocBudget put
-# ceilings on) — and the REGION decode benchmarks on a structure-sized
-# and a band-sized region (what every request pays before it can
-# intersect or extract; TestDecodeAllocBudget pins the allocations).
+# ceilings on) with BenchmarkStmtQuery for the SQL layer's share of it
+# (one execution of a prepared 4-table join on its retained operator
+# tree; TestStmtQueryAllocBudget pins the allocations) — and the REGION
+# decode benchmarks on a structure-sized and a band-sized region (what
+# every request pays before it can intersect or extract;
+# TestDecodeAllocBudget pins the allocations).
 bench-smoke:
 	$(GO) run ./cmd/perfbench -smoke -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_bench_smoke.json
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode

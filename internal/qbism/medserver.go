@@ -392,9 +392,14 @@ func (s *System) prepareStatements() error {
 	return first
 }
 
+// dataBinds has room for the bind values of any data shape (shapeBox
+// takes the most).
+type dataBinds [7]sdb.Value
+
 // dataQuerySQL translates a QuerySpec into the second §3.4 SQL query:
-// which prepared shape to run, plus its bind values.
-func dataQuerySQL(spec QuerySpec) (dataShape, []sdb.Value, error) {
+// which prepared shape to run, plus its bind values, written into the
+// caller's buf so that a request's bind vector can live on its stack.
+func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error) {
 	encoding := spec.Encoding
 	if encoding == "" {
 		encoding = EncHilbertNaive
@@ -402,27 +407,27 @@ func dataQuerySQL(spec QuerySpec) (dataShape, []sdb.Value, error) {
 	study := sdb.Int(int64(spec.StudyID))
 	switch {
 	case spec.FullStudy:
-		return shapeFullStudy, []sdb.Value{study}, nil
+		return shapeFullStudy, append(buf[:0], study), nil
 
 	case spec.Box != nil && !spec.HasBand && spec.Structure == "":
 		b := spec.Box
-		return shapeBox, []sdb.Value{
+		return shapeBox, append(buf[:0],
 			sdb.Int(int64(b[0])), sdb.Int(int64(b[1])), sdb.Int(int64(b[2])),
 			sdb.Int(int64(b[3])), sdb.Int(int64(b[4])), sdb.Int(int64(b[5])),
-			study}, nil
+			study), nil
 
 	case spec.Structure != "" && !spec.HasBand:
-		return shapeStructure, []sdb.Value{study, sdb.Str(spec.Structure)}, nil
+		return shapeStructure, append(buf[:0], study, sdb.Str(spec.Structure)), nil
 
 	case spec.HasBand && spec.Structure == "":
-		return shapeBand, []sdb.Value{
+		return shapeBand, append(buf[:0],
 			study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
-			sdb.Str(encoding)}, nil
+			sdb.Str(encoding)), nil
 
 	case spec.HasBand && spec.Structure != "":
-		return shapeBandStructure, []sdb.Value{
+		return shapeBandStructure, append(buf[:0],
 			study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
-			sdb.Str(encoding), sdb.Str(spec.Structure)}, nil
+			sdb.Str(encoding), sdb.Str(spec.Structure)), nil
 
 	default:
 		return 0, nil, fmt.Errorf("qbism: query spec selects nothing (set FullStudy, Box, Structure, or a band)")
@@ -452,7 +457,8 @@ func (s *System) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warnin
 	if spec.HasBand && spec.Encoding == "" {
 		spec.Encoding = s.bandEncoding(spec.StudyID, spec.BandLo, spec.BandHi)
 	}
-	shape, args, err := dataQuerySQL(spec)
+	var binds dataBinds
+	shape, args, err := dataQuerySQL(spec, &binds)
 	if err != nil {
 		return nil, "", err
 	}

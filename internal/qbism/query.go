@@ -328,7 +328,8 @@ func (s *System) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 		}
 		lines = append(lines, fmt.Sprintf("band repr: %s (%s)", spec.Encoding, src))
 	}
-	shape, args, err := dataQuerySQL(spec)
+	var binds dataBinds
+	shape, args, err := dataQuerySQL(spec, &binds)
 	if err != nil {
 		return nil, err
 	}

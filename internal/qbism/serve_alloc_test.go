@@ -7,12 +7,13 @@ import (
 
 // The per-request allocation budget of the MedicalServer, pinned where
 // `go test ./...` sees it. A request runs two prepared statements
-// through the slot-resolved executor (DESIGN.md §17); what is left is
-// the spec/meta JSON, the frames, the operator tree of each execution
-// and the spatial UDFs' own work. Re-introduce per-call parsing or
-// planning (+500 allocations a request) or a per-row allocation in the
-// executor and these ceilings trip long before the 12 s repo benchmark
-// would run.
+// on operator trees the statements keep between executions (DESIGN.md
+// §17); what is left is the spec/meta JSON, the frames, a Rows and an
+// output row per statement and the spatial UDFs' own work. Re-introduce
+// per-call parsing or planning (+500 allocations a request), a
+// per-execution operator tree or hash table (+40) or a per-row
+// allocation in the executor and these ceilings trip long before the
+// 12 s repo benchmark would run.
 
 // serveAllocSystem is the System the budget is measured on: Bits 5,
 // untraced, page cache on.
@@ -41,12 +42,14 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	sys := serveAllocSystem(t)
 	small, mixed := serveAllocSpecs(sys)
 	for _, tc := range []struct {
-		name    string
-		spec    QuerySpec
-		ceiling float64 // ≈ 1.25 × measured (65 and 80; 91 and 101 before PR 17's one-pass decode)
+		name string
+		spec QuerySpec
+		// ≈ 1.25 × measured (24 and 28; 65 and 80 before PR 18 kept the
+		// operator trees, 91 and 101 before PR 17's one-pass decode).
+		ceiling float64
 	}{
-		{"small-structure", small, 81},
-		{"structure-and-band", mixed, 100},
+		{"small-structure", small, 30},
+		{"structure-and-band", mixed, 35},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -59,7 +62,7 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		})
 		t.Logf("%s: %.0f allocs per ServeRPC", tc.name, got)
 		if got > tc.ceiling {
-			t.Errorf("%s: %.0f allocs per ServeRPC, ceiling %.0f — did per-call parsing or a per-row allocation come back?",
+			t.Errorf("%s: %.0f allocs per ServeRPC, ceiling %.0f — did per-call parsing, a per-execution operator tree or a per-row allocation come back?",
 				tc.name, got, tc.ceiling)
 		}
 	}
@@ -124,9 +127,10 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Ceilings at ≈ 1.25 × measured (45, 60, 67 allocations; 2.09,
-		// 3.57, 5.32 × the reply; PR 16 was at 47, 91, 96 and 2.09, 4.06,
-		// 7.02, PR 13 at 112, 162, 128 and 4.09, 6.20, 11.85):
+		// Ceilings at ≈ 1.25 × measured (18, 23, 26 allocations; 2.07,
+		// 3.54, 5.02 × the reply; PR 17 was at 45, 60, 67 and 2.09, 3.57,
+		// 5.32, PR 16 at 47, 91, 96 and 2.09, 4.06, 7.02, PR 13 at 112,
+		// 162, 128 and 4.09, 6.20, 11.85):
 		// allocations per ServeRPC, and bytes allocated per
 		// ServeRPC as a multiple of the reply's size. The full study is
 		// the blob and the application frame and nothing else to speak of
@@ -137,9 +141,9 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		// under the same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
-		{"full-study", full, 56, 2.3},
-		{"whole-band", band, 75, 4.5},
-		{"hemisphere", hemisphere, 84, 6.7},
+		{"full-study", full, 23, 2.3},
+		{"whole-band", band, 29, 4.5},
+		{"hemisphere", hemisphere, 33, 6.7},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

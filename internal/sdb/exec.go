@@ -79,8 +79,11 @@ func (c *compiled) exec(db *DB, args []Value) (*Result, error) {
 // releases operator state early; it is also called automatically when
 // Next exhausts the input or hits an error.
 type Rows struct {
-	cols   []string
-	root   operator
+	cols []string
+	// plan owns the operator tree x, which is this iterator's from
+	// Stmt.Query until Close hands it back; nil after that.
+	plan   *compiled
+	x      *execution
 	cur    []Value
 	err    error
 	opened bool
@@ -103,14 +106,14 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if !r.opened {
-		if err := r.root.open(); err != nil {
+		if err := r.x.root.open(); err != nil {
 			r.err = err
 			r.Close()
 			return false
 		}
 		r.opened = true
 	}
-	t, ok, err := r.root.next()
+	t, ok, err := r.x.root.next()
 	if err != nil {
 		r.err = err
 		r.Close()
@@ -130,12 +133,14 @@ func (r *Rows) Row() []Value { return r.cur }
 // Err returns the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the iterator.
+// Close releases the iterator. Rows already read stay valid.
 func (r *Rows) Close() error {
 	if !r.closed {
 		r.closed = true
-		r.root.close()
+		r.x.root.close()
 		r.finishObs()
+		r.plan.release(r.x)
+		r.x = nil
 	}
 	return nil
 }
@@ -147,7 +152,7 @@ func (r *Rows) Close() error {
 // counts feed the sdb_operator_rows histogram.
 func (r *Rows) finishObs() {
 	if r.stmt != nil {
-		emitOpSpans(r.exec, r.root)
+		emitOpSpans(r.exec, r.x.root)
 		r.exec.End()
 		if r.err != nil {
 			r.stmt.SetStr("error", r.err.Error())
@@ -160,20 +165,13 @@ func (r *Rows) finishObs() {
 		m.queryErrors.Inc()
 	}
 	if m.opRows != nil {
-		observeOpRows(m.opRows, r.root)
+		observeOpRows(m.opRows, r.x.root)
 	}
 }
 
 // observeOpRows records every operator's output row count.
-func observeOpRows(h *obs.Histogram, op operator) {
-	h.Observe(float64(op.stats().rowsOut))
-	left, right := op.kids()
-	if left != nil {
-		observeOpRows(h, left)
-	}
-	if right != nil {
-		observeOpRows(h, right)
-	}
+func observeOpRows(h *obs.Histogram, root operator) {
+	eachOp(root, func(op operator) { h.Observe(float64(op.stats().rowsOut)) })
 }
 
 // emitOpSpans mirrors the operator tree as child spans of parent, one
@@ -268,8 +266,9 @@ func (db *DB) stmtSpan(parent *obs.Span) *obs.Span {
 	return db.tracer.Start("sql.query")
 }
 
-// query instantiates the compiled SELECT for one execution under the
-// statement span sp (nil = untraced). The caller opens the execute span.
+// query binds an operator tree of the compiled SELECT to one execution
+// under the statement span sp (nil = untraced). The caller opens the
+// execute span.
 func (c *compiled) query(db *DB, sp *obs.Span, args []Value) (*Rows, error) {
 	if _, ok := c.stmt.(*SelectStmt); !ok {
 		return nil, fmt.Errorf("sdb: Query supports only SELECT, got %T", c.stmt)
@@ -277,8 +276,7 @@ func (c *compiled) query(db *DB, sp *obs.Span, args []Value) (*Rows, error) {
 	if err := c.checkArgs(args); err != nil {
 		return nil, err
 	}
-	root := c.sel.instantiate(db, args, sp != nil)
-	return &Rows{cols: c.sel.columns, root: root, db: db, stmt: sp}, nil
+	return &Rows{cols: c.sel.columns, plan: c, x: c.take(db, args, sp != nil), db: db, stmt: sp}, nil
 }
 
 // materialize drains a started query into a Result (the non-streaming

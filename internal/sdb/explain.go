@@ -26,22 +26,18 @@ func (*ExplainStmt) stmt() {}
 // it first (with per-operator page and probe sampling on) when analyze
 // is set.
 func (c *compiled) explain(db *DB, params []Value, analyze bool) (*Result, error) {
-	root := c.sel.instantiate(db, params, analyze)
+	x := c.take(db, params, analyze)
+	defer c.release(x)
+	root := x.root
 	if analyze {
-		if err := root.open(); err != nil {
-			return nil, err
-		}
-		for {
-			_, ok, err := root.next()
-			if err != nil {
-				root.close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		err := root.open()
+		for more := err == nil; more; {
+			_, more, err = root.next()
 		}
 		root.close()
+		if err != nil {
+			return nil, err
+		}
 	}
 	res := &Result{Columns: []string{"plan"}}
 	var walk func(op operator, depth int)

@@ -665,6 +665,37 @@ func TestPreparedEquivalenceFuzz(t *testing.T) {
 		}
 	}
 
+	// A serial pass first, where reuse is certain: the first vector builds
+	// the statement's operator tree, the others run on that same tree —
+	// whatever the statement is made of.
+	var reusedAgg, reusedSort, reusedLimit int
+	for i := range cases {
+		c := &cases[i]
+		for v, binds := range c.binds {
+			if got := drain(c.stmt.Query(nil, binds...)); !got.equal(c.want[v]) {
+				t.Errorf("serial prepared execution %d diverged for %q %v:\nwant: %q\ngot:  %q",
+					v, c.sql, binds, rowsKey(c.want[v].rows), rowsKey(got.rows))
+			}
+			if n := len(idleTrees(c.stmt)); n != 1 {
+				t.Fatalf("%d idle trees after serial execution %d of %q, want 1", n, v, c.sql)
+			}
+		}
+		plan := c.stmt.plan.Load().sel
+		if plan.aggregated {
+			reusedAgg++
+		}
+		if len(plan.stmt.OrderBy) > 0 {
+			reusedSort++
+		}
+		if plan.stmt.Limit >= 0 || plan.stmt.Offset > 0 {
+			reusedLimit++
+		}
+	}
+	t.Logf("statements re-executed on a retained tree: %d aggregated, %d sorted, %d limited", reusedAgg, reusedSort, reusedLimit)
+	if reusedAgg == 0 || reusedSort == 0 || reusedLimit == 0 {
+		t.Fatal("reuse of aggregate, sort or limit operators is not exercised")
+	}
+
 	var executed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -694,6 +725,12 @@ func TestPreparedEquivalenceFuzz(t *testing.T) {
 	for i := range cases {
 		if len(cases[i].binds[0]) > 0 {
 			bound++
+		}
+	}
+	for i := range cases {
+		// 12 concurrent executions each, on at most one tree per worker.
+		if n := len(idleTrees(cases[i].stmt)); n < 1 || n > workers {
+			t.Errorf("%d idle trees for %q after the concurrent pass, want 1..%d", n, cases[i].sql, workers)
 		}
 	}
 	t.Logf("%d of %d statements carry bind parameters; %d of %d prepared executions returned rows without error",

@@ -8,9 +8,10 @@ import (
 )
 
 // The physical executor: Volcano-style iterators. A compiled plan is
-// instantiated into one operator per plan node for each execution; rows
-// flow upward one at a time, so nothing above the operator that needs
-// materialization (aggregate, sort) builds a full intermediate result.
+// instantiated into one operator per plan node, and the tree then runs
+// one execution after another (see execution); rows flow upward one at
+// a time, so nothing above the operator that needs materialization
+// (aggregate, sort) builds a full intermediate result.
 // Every operator carries its own counters — rows in/out, UDF calls, and
 // (when the execution is sampled) LFM pages read while evaluating its
 // expressions — which EXPLAIN ANALYZE reports per node.
@@ -48,6 +49,7 @@ type operator interface {
 	describe() string
 	kids() (operator, operator)
 	stats() *opStats
+	reset()
 }
 
 // opBase carries the pieces every operator shares and charges
@@ -55,26 +57,30 @@ type operator interface {
 type opBase struct {
 	st opStats
 	ev env
-	// sample turns on lfmPages/probeFast attribution: deltas of the
-	// shared LFM and probe counters around every expression. Only a
-	// traced statement and EXPLAIN ANALYZE read those counters, so only
-	// they pay for the LFM mutex.
-	sample bool
+	x  *execution
 }
 
 func (b *opBase) stats() *opStats { return &b.st }
 
-// bind points the operator's evaluation context at this execution.
+// bind points the operator's evaluation context at the execution it
+// was built for, once: a later run refills x.params in place.
 func (b *opBase) bind(x *execution) {
 	b.ev = env{db: x.db, params: x.params, st: &b.st}
-	b.sample = x.sample
+	b.x = x
+}
+
+// reset drops what the finished run left in the base: its counters and
+// the last tuple evaluated.
+func (b *opBase) reset() {
+	b.st = opStats{}
+	b.ev.rows, b.ev.aggVals = nil, nil
 }
 
 // evalIn evaluates x against the tuple, attributing UDF calls (and,
 // when sampled, LFM page reads and probe fast paths) to this operator.
 func (b *opBase) evalIn(t tuple, x Expr) (Value, error) {
 	b.ev.rows, b.ev.aggVals = t.rows, t.aggVals
-	if !b.sample {
+	if !b.x.sample {
 		return b.ev.eval(x)
 	}
 	db := b.ev.db
@@ -201,7 +207,10 @@ func (o *filterOp) kids() (operator, operator) { return o.child, nil }
 // picks the bucket. The table is chained hashing laid out in flat
 // slices — entries in arrival order, a power-of-two array of bucket
 // heads, one next-link per entry — so a build allocates a handful of
-// slices, never per row.
+// slices, never per row, and a tree that has run before allocates none:
+// close keeps their capacity. Only capacity: the table is rebuilt on
+// every execution, because the build side's filter reads the bind
+// vector and its table may have changed in between.
 type hashJoinOp struct {
 	opBase
 	left, right operator
@@ -212,6 +221,7 @@ type hashJoinOp struct {
 	built bool
 	rows  [][]Value // build-side rows, one per entry
 	keys  []Value   // their key values, len(rightKeys) per entry
+	links []int32   // backing of heads and chain
 	heads []int32   // first entry of bucket hash&(len(heads)-1); -1 = empty
 	chain []int32   // next entry in the same bucket, in arrival order; -1 ends
 
@@ -256,7 +266,7 @@ func (o *hashJoinOp) evalKeys(t tuple, keys []Expr, dst []Value) (out []Value, o
 func (o *hashJoinOp) build() error {
 	// An unfiltered right side yields exactly its table's rows: make
 	// room for them once instead of growing into it.
-	if sc, ok := o.right.(*scanOp); ok && o.rows == nil {
+	if sc, ok := o.right.(*scanOp); ok && cap(o.rows) < len(sc.src.table.Rows) {
 		n := len(sc.src.table.Rows)
 		o.rows, o.keys = make([][]Value, 0, n), make([]Value, 0, n*len(o.rightKeys))
 	}
@@ -283,8 +293,10 @@ func (o *hashJoinOp) build() error {
 	for size < 2*n {
 		size <<= 1
 	}
-	links := make([]int32, size+n)
-	o.heads, o.chain = links[:size], links[size:]
+	if cap(o.links) < size+n {
+		o.links = make([]int32, size+n)
+	}
+	o.heads, o.chain = o.links[:size], o.links[size:size+n]
 	for b := range o.heads {
 		o.heads[b] = -1
 	}
@@ -345,7 +357,15 @@ func (o *hashJoinOp) next() (tuple, bool, error) {
 func (o *hashJoinOp) close() {
 	o.left.close()
 	o.right.close()
-	o.rows, o.keys, o.heads, o.chain = nil, nil, nil, nil
+	o.rows, o.keys, o.probe = emptied(o.rows), emptied(o.keys), emptied(o.probe)
+}
+
+// emptied returns s with every element it has room for zeroed and its
+// length 0: what an operator keeps of a slice between executions is
+// the capacity, never the rows, keys or blobs it pointed at.
+func emptied[E any](s []E) []E {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 func (o *hashJoinOp) describe() string {
@@ -435,7 +455,7 @@ func (o *nlJoinOp) open() error {
 	if err := o.right.open(); err != nil {
 		return err
 	}
-	o.rightRows, o.rightLoaded = nil, false
+	o.rightRows, o.rightLoaded = o.rightRows[:0], false
 	o.curOK, o.ri = false, 0
 	return nil
 }
@@ -482,7 +502,7 @@ func (o *nlJoinOp) next() (tuple, bool, error) {
 func (o *nlJoinOp) close() {
 	o.left.close()
 	o.right.close()
-	o.rightRows = nil
+	o.rightRows = emptied(o.rightRows)
 }
 
 func (o *nlJoinOp) describe() string { return "nested loop join" }
@@ -505,7 +525,7 @@ type aggOp struct {
 }
 
 func (o *aggOp) open() error {
-	o.done, o.results, o.i = false, nil, 0
+	o.done, o.results, o.i = false, o.results[:0], 0
 	return o.child.open()
 }
 
@@ -593,7 +613,7 @@ func (o *aggOp) next() (tuple, bool, error) {
 
 func (o *aggOp) close() {
 	o.child.close()
-	o.results = nil
+	o.results = emptied(o.results)
 }
 
 func (o *aggOp) describe() string {
@@ -632,7 +652,7 @@ type sortOp struct {
 }
 
 func (o *sortOp) open() error {
-	o.done, o.rows, o.i = false, nil, 0
+	o.done, o.rows, o.i = false, o.rows[:0], 0
 	return o.child.open()
 }
 
@@ -689,7 +709,7 @@ func (o *sortOp) next() (tuple, bool, error) {
 
 func (o *sortOp) close() {
 	o.child.close()
-	o.rows = nil
+	o.rows = emptied(o.rows)
 }
 
 func (o *sortOp) describe() string {
@@ -861,22 +881,54 @@ func (o *projectOp) describe() string {
 
 func (o *projectOp) kids() (operator, operator) { return o.child, nil }
 
-// execution is one run of a compiled plan: what its operators bind to,
-// and the backing store their tuple buffers are cut from.
+// execution is one instantiated operator tree of a compiled plan and
+// what its operators share: the bind buffer, the sampling flag and the
+// backing store their tuple buffers are cut from. It runs one query at
+// a time; between runs the compiled statement keeps it idle (see
+// compiled.take), with the capacity its operators grew and none of the
+// contents.
 type execution struct {
 	db     *DB
-	params []Value
+	root   *projectOp
+	params []Value // this run's bind values, copied in: the caller's slice is never kept
+	// sample turns on lfmPages/probeFast attribution: deltas of the
+	// shared LFM and probe counters around every expression. Only a
+	// traced statement and EXPLAIN ANALYZE read those counters, so only
+	// they pay for the LFM mutex.
 	sample bool
 
-	width int       // tuple width: the plan's FROM entries
-	bufs  [][]Value // one width-sized buffer per scan and join, unclaimed ones last
+	width   int       // tuple width: the plan's FROM entries
+	bufs    [][]Value // one width-sized buffer per scan and join, back to back
+	claimed int       // bufs[:claimed] has been handed out by tupleBuf
 }
 
 // tupleBuf claims the next tuple buffer.
 func (x *execution) tupleBuf() [][]Value {
-	buf := x.bufs[:x.width:x.width]
-	x.bufs = x.bufs[x.width:]
+	end := x.claimed + x.width
+	buf := x.bufs[x.claimed:end:end]
+	x.claimed = end
 	return buf
+}
+
+// clear drops what the finished run left outside the operators' own
+// state, which close has emptied already: an idle execution holds no
+// table row, no bound string and no BYTES blob.
+func (x *execution) clear() {
+	clear(x.params)
+	clear(x.bufs)
+	eachOp(x.root, operator.reset)
+}
+
+// eachOp calls f on op and every operator below it, parents first.
+func eachOp(op operator, f func(operator)) {
+	f(op)
+	left, right := op.kids()
+	if left != nil {
+		eachOp(left, f)
+	}
+	if right != nil {
+		eachOp(right, f)
+	}
 }
 
 // build instantiates the operator for one node of the scan/filter/join
@@ -913,31 +965,32 @@ func (x *execution) build(n planNode) operator {
 	}
 }
 
-// instantiate builds the operator tree for one execution of the plan.
-// The plan itself is shared and read-only; everything mutable — cursors,
-// counters, tuple buffers, hash tables — lives in the operators.
-func (p *selectPlan) instantiate(db *DB, params []Value, sample bool) *projectOp {
+// instantiate builds an operator tree for the plan, with room for
+// nparams bind values. The plan itself is shared and read-only;
+// everything mutable — cursors, counters, tuple buffers, hash tables —
+// lives in the operators.
+func (p *selectPlan) instantiate(db *DB, nparams int) *execution {
 	// n scans and n-1 joins each own a tuple buffer.
 	n := len(p.ordered)
-	x := execution{db: db, params: params, sample: sample, width: n, bufs: make([][]Value, n*(2*n-1))}
+	x := &execution{db: db, params: make([]Value, nparams), width: n, bufs: make([][]Value, n*(2*n-1))}
 	root := x.build(p.tree)
 	s := p.stmt
 	if p.aggregated {
 		op := &aggOp{child: root, groupBy: s.GroupBy, aggCalls: p.aggCalls}
-		op.bind(&x)
+		op.bind(x)
 		root = op
 	}
 	if len(s.OrderBy) > 0 {
 		op := &sortOp{child: root, items: s.OrderBy}
-		op.bind(&x)
+		op.bind(x)
 		root = op
 	}
 	if s.Limit >= 0 || s.Offset > 0 {
 		op := &limitOp{child: root, limit: s.Limit, offset: s.Offset}
-		op.bind(&x)
+		op.bind(x)
 		root = op
 	}
-	proj := &projectOp{child: root, items: s.Exprs, columns: p.columns}
-	proj.bind(&x)
-	return proj
+	x.root = &projectOp{child: root, items: s.Exprs, columns: p.columns}
+	x.root.bind(x)
+	return x
 }

@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"qbism/internal/obs"
@@ -11,11 +12,12 @@ import (
 // every request; Prepare does the per-text work — lex, parse, column
 // resolution, conjunct split, join order, plan tree, binding of every
 // column reference to its tuple slot and every call to its UDF — once,
-// and each execution only instantiates operators over the shared plan.
+// and an execution re-binds an operator tree an earlier one built.
 
 // compiled is a statement ready to run against the catalog as it stood
-// at generation gen. It is immutable once built, AST included, so
-// concurrent executions share it freely.
+// at generation gen. The plan is immutable once built, AST included, so
+// concurrent executions share it freely; each runs on an operator tree
+// of its own.
 type compiled struct {
 	gen     uint64
 	stmt    Statement
@@ -24,6 +26,44 @@ type compiled struct {
 	// is nil for DDL and DML, which bind their expressions as they run:
 	// they mutate tables, so they were never safe to run concurrently.
 	sel *selectPlan
+
+	// mu is a leaf lock: held only to push or pop idle, never across
+	// instantiate, an operator call or a UDF.
+	mu sync.Mutex
+	// idle are the operator trees no execution is running, at most as
+	// many as have ever run at once. They belong to this plan: a
+	// re-plan starts an empty list and these go with the old compiled.
+	// Deliberately not a sync.Pool, which the collector empties: what
+	// an execution allocates must not depend on GC timing.
+	idle []*execution // guarded by mu
+}
+
+// take returns an operator tree nobody else is running, bound to args:
+// an idle one if there is one, otherwise a new one.
+func (c *compiled) take(db *DB, args []Value, sample bool) *execution {
+	var x *execution
+	c.mu.Lock()
+	if n := len(c.idle) - 1; n >= 0 {
+		x = c.idle[n]
+		c.idle[n] = nil // a Rows never closed must not keep its tree reachable from here
+		c.idle = c.idle[:n]
+	}
+	c.mu.Unlock()
+	if x == nil {
+		x = c.sel.instantiate(db, c.nparams)
+	}
+	copy(x.params, args)
+	x.sample = sample
+	return x
+}
+
+// release makes x, whose operators are closed (or were never opened),
+// available to the next execution.
+func (c *compiled) release(x *execution) {
+	x.clear()
+	c.mu.Lock()
+	c.idle = append(c.idle, x)
+	c.mu.Unlock()
 }
 
 // compile validates and plans a parsed statement, binding its AST in
@@ -61,7 +101,8 @@ func (c *compiled) checkArgs(args []Value) error {
 // A Stmt never goes stale: CreateTable, RegisterUDF and SetPushdown
 // advance the catalog generation, and the first execution after one
 // re-plans the statement from its text and swaps the new plan in.
-// Executions already running finish on the plan they started with.
+// Executions already running finish on the plan they started with, and
+// their operator trees are dropped with it.
 type Stmt struct {
 	db   *DB
 	sql  string
@@ -108,8 +149,9 @@ func (s *Stmt) current() (*compiled, error) {
 // its "?" placeholders, traced under parent exactly as QuerySpan traces
 // (nil parent on an untraced DB = no spans). The "sql.parse" phase of a
 // prepared execution covers fetching the compiled plan — a pointer load
-// unless the catalog moved — and "sql.plan" instantiating its
-// operators.
+// unless the catalog moved — and "sql.plan" taking (or, with none idle,
+// building) an operator tree and binding args to it. args is copied,
+// not kept.
 func (s *Stmt) Query(parent *obs.Span, args ...Value) (*Rows, error) {
 	sp := s.db.stmtSpan(parent)
 	ps := sp.Child("sql.parse")

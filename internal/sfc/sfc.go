@@ -73,7 +73,8 @@ func (p Point) String() string { return fmt.Sprintf("(%d,%d,%d)", p.X, p.Y, p.Z)
 
 // New returns a curve of the given kind over a dim-dimensional grid with
 // bits bits per coordinate. dim must be 2 or 3 and dim*bits must not
-// exceed 63 so ids fit in uint64 with room for arithmetic.
+// exceed 63 so ids fit in uint64 with room for arithmetic. It does not
+// allocate: every admissible curve is boxed once, in curves.
 func New(kind Kind, dim, bits int) (Curve, error) {
 	if dim != 2 && dim != 3 {
 		return nil, fmt.Errorf("sfc: unsupported dimension %d (want 2 or 3)", dim)
@@ -81,17 +82,25 @@ func New(kind Kind, dim, bits int) (Curve, error) {
 	if bits < 1 || dim*bits > 63 {
 		return nil, fmt.Errorf("sfc: invalid bits %d for dim %d", bits, dim)
 	}
-	switch kind {
-	case Hilbert:
-		return hilbertCurve{dim: dim, bits: bits}, nil
-	case ZOrder:
-		return zCurve{dim: dim, bits: bits}, nil
-	case Scanline:
-		return scanCurve{dim: dim, bits: bits}, nil
-	default:
+	if kind < Hilbert || kind > Scanline {
 		return nil, fmt.Errorf("sfc: unknown curve kind %d", int(kind))
 	}
+	return curves[kind][dim-2][bits], nil
 }
+
+// curves holds every curve New admits, indexed [kind][dim-2][bits].
+// Decoders call New once per stored REGION they open; converting a
+// curve struct to a Curve there would allocate each time.
+var curves = func() (t [Scanline + 1][2][32]Curve) {
+	for dim := 2; dim <= 3; dim++ {
+		for bits := 1; dim*bits <= 63; bits++ {
+			t[Hilbert][dim-2][bits] = hilbertCurve{dim: dim, bits: bits}
+			t[ZOrder][dim-2][bits] = zCurve{dim: dim, bits: bits}
+			t[Scanline][dim-2][bits] = scanCurve{dim: dim, bits: bits}
+		}
+	}
+	return t
+}()
 
 // MustNew is New but panics on error; for use with constant arguments.
 func MustNew(kind Kind, dim, bits int) Curve {

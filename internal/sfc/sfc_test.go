@@ -32,6 +32,35 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewAllocFree: decoders call New once per stored REGION, so it must
+// hand out an already boxed curve — for every admissible (kind, dim,
+// bits), the one that reports exactly those, comparable with ==.
+func TestNewAllocFree(t *testing.T) {
+	for _, kind := range allKinds() {
+		for dim := 2; dim <= 3; dim++ {
+			for bits := 1; dim*bits <= 63; bits++ {
+				c, err := New(kind, dim, bits)
+				if err != nil {
+					t.Fatalf("New(%v,%d,%d): %v", kind, dim, bits, err)
+				}
+				if c.Kind() != kind || c.Dim() != dim || c.Bits() != bits {
+					t.Errorf("New(%v,%d,%d) returned a %v curve of dim %d, bits %d", kind, dim, bits, c.Kind(), c.Dim(), c.Bits())
+				}
+				if again, _ := New(kind, dim, bits); again != c {
+					t.Errorf("New(%v,%d,%d) twice: curves differ under ==", kind, dim, bits)
+				}
+			}
+		}
+	}
+	var c Curve // outlives the closure, so the call is not optimized away
+	for _, kind := range allKinds() {
+		if n := testing.AllocsPerRun(100, func() { c, _ = New(kind, 3, 7) }); n != 0 {
+			t.Errorf("New(%v,3,7) allocates %.0f time(s) per call, want 0", kind, n)
+		}
+	}
+	_ = c
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
