@@ -146,7 +146,7 @@ func main() {
 		if *sql != "" || *repl {
 			fail("-shards applies to query specs; the SQL modes run unsharded")
 		}
-		runClusterQuery(cfg, *shards, *replicas, *deadNode, *slowNode, *metrics, *out, buildSpec())
+		runClusterQuery(cfg, *shards, *replicas, *deadNode, *slowNode, *slowlog, *metrics, *out, buildSpec())
 		return
 	}
 
@@ -217,10 +217,22 @@ func main() {
 		}
 		fail("query: %v", err)
 	}
+	report(sys.Client, sys, res, *slowlog, *metrics, *out)
+}
+
+// report prints a completed query — the same lines in the same order
+// whichever deployment answered: both expose the same DX Client. sys is
+// the single node whose link carried the query (nil for a cluster,
+// which reports its serving node instead).
+func report(c *qbism.Client, sys *qbism.System, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
 	qbism.WriteTable3(os.Stdout, []qbism.QueryTiming{res.Timing})
 	st := res.Data.Stats()
 	fmt.Printf("\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
 		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
+	if info := res.Shard; info != nil {
+		fmt.Printf("cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
+			info.Shard, info.Node, info.Attempts, info.Failovers, info.Hedged, info.HedgeWon, info.LatencySim)
+	}
 	if res.Retry.Retries > 0 {
 		fmt.Printf("resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
 			res.Retry.Attempts, res.Retry.Retries, res.Retry.BackoffSim, res.Retry.LastError)
@@ -228,19 +240,21 @@ func main() {
 	if res.Meta.Degraded {
 		fmt.Printf("WARNING: degraded answer — %s\n", res.Meta.Warning)
 	}
-	if ls := sys.Link.Stats(); ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers+ls.Latencies > 0 {
-		fmt.Printf("link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
-			ls.Drops, ls.Timeouts, ls.Corruptions, ls.Tampers, ls.Latencies)
+	if sys != nil {
+		if ls := sys.Link.Stats(); ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers+ls.Latencies > 0 {
+			fmt.Printf("link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
+				ls.Drops, ls.Timeouts, ls.Corruptions, ls.Tampers, ls.Latencies)
+		}
 	}
 
-	if *trace || *slowlog > 0 {
+	if res.Trace != nil {
 		fmt.Println("\ntrace:")
 		fmt.Print(res.Trace.RenderString())
 	}
-	if *slowlog > 0 {
-		entries := sys.SlowLog.Entries()
+	if c.SlowLog != nil {
+		entries := c.SlowLog.Entries()
 		fmt.Printf("\nslow-query log (threshold %v): %d of %d captured\n",
-			*slowlog, len(entries), sys.SlowLog.Total())
+			slowlog, len(entries), c.SlowLog.Total())
 		for _, e := range entries {
 			fmt.Printf("-- %s (%v)\n", e.Label, e.Total)
 			for _, line := range e.Explain {
@@ -248,21 +262,25 @@ func main() {
 			}
 		}
 	}
-	if *metrics {
-		fmt.Println("\nmetrics:")
-		sys.Metrics.WriteProm(os.Stdout)
+	if metrics {
+		if sys == nil {
+			fmt.Println("\ncluster metrics:")
+		} else {
+			fmt.Println("\nmetrics:")
+		}
+		c.Metrics.WriteProm(os.Stdout)
 	}
 
-	if *out != "" {
-		f, err := os.Create(*out)
+	if out != "" {
+		f, err := os.Create(out)
 		if err != nil {
-			fail("create %s: %v", *out, err)
+			fail("create %s: %v", out, err)
 		}
 		defer f.Close()
 		if err := res.Image.WritePGM(f); err != nil {
-			fail("write %s: %v", *out, err)
+			fail("write %s: %v", out, err)
 		}
-		fmt.Printf("wrote %dx%d MIP projection to %s\n", res.Image.W, res.Image.H, *out)
+		fmt.Printf("wrote %dx%d MIP projection to %s\n", res.Image.W, res.Image.H, out)
 	}
 }
 
@@ -290,7 +308,7 @@ func parseNodeRef(flagName, v string) (shard, replica int, ok bool) {
 // optionally degrading one node first, and reports how the read was
 // served: which node answered, and any failovers, retries, or hedges it
 // took to keep the answer byte-identical.
-func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode string, metrics bool, out string, spec qbism.QuerySpec) {
+func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode string, slowlog time.Duration, metrics bool, out string, spec qbism.QuerySpec) {
 	deadSh, deadR, haveDead := parseNodeRef("-deadnode", deadNode)
 	slowSh, slowR, haveSlow := parseNodeRef("-slownode", slowNode)
 	if replicas == 0 {
@@ -340,36 +358,7 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode 
 		}
 		fail("query: %v", err)
 	}
-	qbism.WriteTable3(os.Stdout, []qbism.QueryTiming{res.Timing})
-	st := res.Data.Stats()
-	fmt.Printf("\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
-		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
-	if info := res.Shard; info != nil {
-		fmt.Printf("cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
-			info.Shard, info.Node, info.Attempts, info.Failovers, info.Hedged, info.HedgeWon, info.LatencySim)
-	}
-	if res.Retry.Retries > 0 {
-		fmt.Printf("resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
-			res.Retry.Attempts, res.Retry.Retries, res.Retry.BackoffSim, res.Retry.LastError)
-	}
-	if res.Meta.Degraded {
-		fmt.Printf("WARNING: degraded answer — %s\n", res.Meta.Warning)
-	}
-	if metrics {
-		fmt.Println("\ncluster metrics:")
-		cs.Metrics.WriteProm(os.Stdout)
-	}
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fail("create %s: %v", out, err)
-		}
-		defer f.Close()
-		if err := res.Image.WritePGM(f); err != nil {
-			fail("write %s: %v", out, err)
-		}
-		fmt.Printf("wrote %dx%d MIP projection to %s\n", res.Image.W, res.Image.H, out)
-	}
+	report(cs.Client, nil, res, slowlog, metrics, out)
 }
 
 func fail(format string, args ...interface{}) {

@@ -6,11 +6,11 @@ import (
 )
 
 // CloserAnalyzer is the resource half of the interprocedural suite:
-// every acquired Close-able resource — a Transport from a Dial or a
-// Config.Dial hook, sdb Rows from DB.Query, a net.Listener or net.Conn
-// from Listen/Accept, an LFM file device, a built System or Daemon —
-// must be provably released on all paths of the acquiring function, or
-// provably hand ownership to something that releases it.
+// every acquired Close-able resource — a Transport from a Dial, sdb
+// Rows from DB.Query, a net.Listener or net.Conn from Listen/Accept, an
+// LFM file device, a built System or Daemon — must be provably released
+// on all paths of the acquiring function, or provably hand ownership to
+// something that releases it.
 //
 // Ownership transfers (and the check goes quiet) when the value is
 // returned, captured by a closure, copied to another variable, passed

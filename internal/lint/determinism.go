@@ -21,8 +21,8 @@ import (
 // encoded sizes). Any of these calls silently breaks replay or
 // canonical form. Introduced as a convention in PR 1/2; extended to the
 // codecs with the k³-tree work in PR 7, and to the transport seam in
-// PR 8 — whose local and sim flavors must replay like the link they
-// wrap, with the tcp flavor's real-socket clock reads funneled through
+// PR 8 — whose sim flavor must replay like the link it wraps, with the
+// tcp flavor's real-socket clock reads funneled through
 // two explicitly //lint:ignore'd helpers (transport/clock.go).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",

@@ -1,0 +1,171 @@
+package qbism
+
+import (
+	"reflect"
+	"testing"
+
+	"qbism/internal/region"
+	"qbism/internal/sfc"
+)
+
+// The DX client is one piece of code under both deployments; these
+// tests hold it to that.
+
+// TestClusterOfOneMatchesSystem: a one-shard, no-replica cluster is the
+// single node — same bytes, same image, same message count, same
+// counters — and gains RunQueryCached by embedding the same Client.
+func TestClusterOfOneMatchesSystem(t *testing.T) {
+	cfg := Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 11, SmallStudies: true}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	cs, err := NewClusterSystem(ClusterConfig{Shards: 1, Replicas: -1, Base: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+
+	// serial: the queries ran one at a time, so the per-query counters —
+	// deltas of shared meters — are exact and must agree too. Under the
+	// pool they interleave (see QueryMeta) and only the answer is compared.
+	same := func(label string, a, b *QueryResult, serial bool) {
+		t.Helper()
+		am, bm := a.Meta, b.Meta
+		am.DBCPUNanos, bm.DBCPUNanos = 0, 0
+		if !serial {
+			am.LFMPages, am.LFMReads, bm.LFMPages, bm.LFMReads = 0, 0, 0, 0
+		}
+		if !reflect.DeepEqual(a.Data, b.Data) || !reflect.DeepEqual(a.Image, b.Image) || !reflect.DeepEqual(am, bm) {
+			t.Errorf("%s: cluster-of-one answer differs from the single node's", label)
+		}
+		if serial && a.Timing.NetMessages != b.Timing.NetMessages {
+			t.Errorf("%s: NetMessages %d on the node, %d through the cluster", label, a.Timing.NetMessages, b.Timing.NetMessages)
+		}
+		if want := (RetryStats{Attempts: 1}); a.Retry != want || b.Retry != want {
+			t.Errorf("%s: retry history %+v / %+v, want one clean attempt on both", label, a.Retry, b.Retry)
+		}
+	}
+	specs := sys.Table3Queries()
+	for _, spec := range specs {
+		a, err := sys.RunQuery(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cs.RunQuery(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(spec.Label(), a, b, true)
+		if b.Shard == nil || b.Shard.Node != "s0p" {
+			t.Errorf("%s: Shard = %+v, want the read served by s0p", spec.Label(), b.Shard)
+		}
+	}
+
+	as := sys.RunQueries(specs, 2)
+	bs, partial := cs.RunQueries(specs, 2)
+	if partial != nil {
+		t.Fatalf("healthy cluster reported a partial batch: %v", partial)
+	}
+	for i := range specs {
+		if as[i].Err != nil || bs[i].Err != nil {
+			t.Fatalf("batch item %d: %v / %v", i, as[i].Err, bs[i].Err)
+		}
+		same("batch "+specs[i].Label(), as[i].Res, bs[i].Res, false)
+	}
+	total := func(c *Client) int64 { return c.Metrics.Counter("qbism_queries_total").Value() }
+	if got, want := total(cs.Client), total(sys.Client); got != want || want != int64(2*len(specs)) {
+		t.Errorf("qbism_queries_total: %d through the cluster, %d on the node, want %d", got, want, 2*len(specs))
+	}
+
+	spec := specs[2]
+	fresh, err := cs.RunQuery(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, hit, err := cs.RunQueryCached(spec)
+	if err != nil || !hit {
+		t.Fatalf("RunQueryCached after RunQuery: hit=%v err=%v", hit, err)
+	}
+	if cached.Field != fresh.Field {
+		t.Error("cache hit returned a different Field than the query that filled it")
+	}
+}
+
+// TestActivityIndexDeterministic: the index is a function of the loaded
+// corpus — entry ids, hit order and search work replay exactly.
+func TestActivityIndexDeterministic(t *testing.T) {
+	s, err := New(Config{Bits: 5, NumPET: 4, NumMRI: 2, Seed: 5, SmallStudies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	side := uint32(s.Side())
+	whole := region.Box{Min: sfc.Pt(0, 0, 0), Max: sfc.Pt(side-1, side-1, side-1)}
+	first, err := s.BuildActivityIndex(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHits, wantStats := first.StudiesNear(whole)
+	if len(wantHits) == 0 {
+		t.Fatal("nothing indexed")
+	}
+	for i := 0; i < 20; i++ {
+		idx, err := s.BuildActivityIndex(96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(idx.entries, first.entries) {
+			t.Fatalf("rebuild %d assigned different entry ids", i)
+		}
+		hits, st := idx.StudiesNear(whole)
+		if !reflect.DeepEqual(hits, wantHits) || st != wantStats {
+			t.Fatalf("rebuild %d: StudiesNear order or SearchStats differ from the first build", i)
+		}
+	}
+}
+
+// TestRunQueryAllocBudget pins the client half beside the server
+// ceilings of serve_alloc_test.go: a whole RunQuery through the sim
+// transport, and a four-spec batch on two workers. A seam that starts
+// boxing its result, or a pool that allocates per item, trips here
+// before it reaches the repo benchmark's allocs_per_query.
+func TestRunQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, a few objects more or less per query from run to run")
+	}
+	sys := serveAllocSystem(t)
+	small, mixed := serveAllocSpecs(sys)
+	for _, tc := range []struct {
+		name string
+		spec QuerySpec
+		// ≈ 1.1 × measured (51 and 57, of which ServeRPC is 24 and 28).
+		ceiling float64
+	}{
+		{"small-structure", small, 56},
+		{"structure-and-band", mixed, 63},
+	} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := sys.RunQuery(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per RunQuery", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs per RunQuery, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+	batch := []QuerySpec{small, mixed, small, mixed}
+	got := testing.AllocsPerRun(20, func() {
+		for _, item := range sys.RunQueries(batch, 2) {
+			if item.Err != nil {
+				t.Fatal(item.Err)
+			}
+		}
+	})
+	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
+	if got > 232 { // 222 measured: four queries, the items, the pool
+		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 232 — does the pool allocate per item?", got)
+	}
+}

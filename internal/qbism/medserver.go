@@ -140,18 +140,17 @@ func DecodeQueryResponse(resp []byte) (*QueryMeta, []byte, error) {
 
 // registerMedicalServer installs the MedicalServer RPC handler on the
 // simulated link. The same handler body backs ServeRPC, so the daemon
-// and the local transport dispatch into identical server code.
+// and the simulated link dispatch into identical server code.
 func (s *System) registerMedicalServer() {
 	s.Link.RegisterSpan(medicalQueryMethod, s.handleMedicalQuery)
 }
 
 // ServeRPC is the System's transport.Handler: it dispatches a framed
 // RPC by method name. This is the server side of the transport seam —
-// qbismd serves it over TCP, transport.Local dispatches into it
-// directly, and the simulated link registers the same handler body.
-// Unknown methods fail with transport.ErrUnknownMethod (typed,
-// terminal), so a version-skewed client gets a classifiable refusal
-// instead of a hang.
+// qbismd serves it over TCP, and the simulated link registers the same
+// handler body. Unknown methods fail with transport.ErrUnknownMethod
+// (typed, terminal), so a version-skewed client gets a classifiable
+// refusal instead of a hang.
 func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	switch method {
 	case medicalQueryMethod:

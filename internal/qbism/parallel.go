@@ -41,8 +41,8 @@ type BatchItem struct {
 // serially on the calling goroutine. Individual query failures (after
 // RunQuery's own retries) land in their item's Err; the batch always
 // completes.
-func (s *System) RunQueries(specs []QuerySpec, workers int) []BatchItem {
-	items, _ := s.RunQueriesTraced(specs, workers)
+func (c *Client) RunQueries(specs []QuerySpec, workers int) []BatchItem {
+	items, _ := c.RunQueriesTraced(specs, workers)
 	return items
 }
 
@@ -51,26 +51,45 @@ func (s *System) RunQueries(specs []QuerySpec, workers int) []BatchItem {
 // workload renders as a single forest. The span is nil when tracing is
 // off. Spans are internally locked, so concurrent workers appending
 // children under the shared root are race-clean.
-func (s *System) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
+func (c *Client) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
+	items, batch := c.runBatch(specs, workers)
+	batch.End()
+	return items, batch
+}
+
+// runBatch is the one batch loop. It leaves the batch span open so the
+// cluster can annotate it with what the batch lost; the caller ends it.
+func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
 	if workers <= 0 {
-		workers = s.Cfg.Workers
+		workers = c.workers
 	}
-	batch := s.Tracer.Start("batch")
+	batch := c.Tracer.Start("batch")
 	batch.SetInt("queries", int64(len(specs)))
 	batch.SetInt("workers", int64(workers))
-	defer batch.End()
 	out := make([]BatchItem, len(specs))
 	for i, spec := range specs {
 		out[i].Spec = spec
 	}
-	if workers <= 1 || len(specs) <= 1 {
-		for i, spec := range specs {
-			out[i].Res, out[i].Err = s.runQuerySpan(batch, spec)
-		}
-		return out, batch
+	forEachIndex(len(specs), workers, func(i int) {
+		out[i].Res, out[i].Err = c.runQuerySpan(batch, out[i].Spec)
+	})
+	return out, batch
+}
+
+// forEachIndex calls fn(0) … fn(n-1) over a pool of at most workers
+// goroutines and returns when every call has; with a pool of one (or
+// fewer than two items) fn runs in order on the calling goroutine.
+// Callers write results by index, so output order never depends on
+// which worker ran what.
+func forEachIndex(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
-	if workers > len(specs) {
-		workers = len(specs)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -79,16 +98,15 @@ func (s *System) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, 
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				out[i].Res, out[i].Err = s.runQuerySpan(batch, out[i].Spec)
+				fn(i)
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	return out, batch
 }
 
 // BatchSim prices a completed batch with the cost model's simulated
@@ -140,36 +158,11 @@ func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 	if workers <= 0 {
 		workers = s.Cfg.Workers
 	}
-	if workers > len(studies) {
-		workers = len(studies)
-	}
 	regions := make([]*region.Region, len(studies))
 	errs := make([]error, len(studies))
-	fetch := func(i int) {
+	forEachIndex(len(studies), workers, func(i int) {
 		regions[i], errs[i] = s.fetchBandRegion(studies[i], bandLo, bandHi, encoding)
-	}
-	if workers <= 1 {
-		for i := range studies {
-			fetch(i)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					fetch(i)
-				}
-			}()
-		}
-		for i := range studies {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("qbism: study %d band [%d,%d] %s: %w",

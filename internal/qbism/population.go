@@ -9,6 +9,7 @@ package qbism
 
 import (
 	"fmt"
+	"sort"
 
 	"qbism/internal/feature"
 	"qbism/internal/mining"
@@ -37,13 +38,30 @@ type ActivityEntry struct {
 // BuildActivityIndex indexes the bounding boxes of all band REGIONs
 // with intensity lower bound >= minIntensity across every study.
 func (s *System) BuildActivityIndex(minIntensity uint8) (*ActivityIndex, error) {
+	return buildActivityIndex([]*System{s}, minIntensity)
+}
+
+// buildActivityIndex merges the nodes' band REGIONs (each node holds
+// its own part of the corpus) into one R-tree. Studies are visited in
+// ascending ID order, so entry ids and the tree's shape — and with them
+// StudiesNear's order and SearchStats — replay from the seed.
+func buildActivityIndex(nodes []*System, minIntensity uint8) (*ActivityIndex, error) {
 	idx := &ActivityIndex{
 		tree:    spindex.New(),
 		entries: make(map[int64]ActivityEntry),
 	}
+	var ids []int
+	bands := make(map[int][]volume.BandSpec)
+	for _, n := range nodes {
+		for studyID, b := range n.BandRegions {
+			ids = append(ids, studyID)
+			bands[studyID] = b
+		}
+	}
+	sort.Ints(ids)
 	next := int64(1)
-	for studyID, bands := range s.BandRegions {
-		for _, b := range bands {
+	for _, studyID := range ids {
+		for _, b := range bands[studyID] {
 			if b.Lo < minIntensity || b.Region.Empty() {
 				continue
 			}

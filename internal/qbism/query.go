@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qbism/internal/cluster"
-	"qbism/internal/costmodel"
 	"qbism/internal/dx"
 	"qbism/internal/obs"
 	"qbism/internal/transport"
@@ -60,197 +59,28 @@ type QueryResult struct {
 	Trace *obs.Span
 }
 
-// frontEnd is the client-side half of a query — the DX cache, the cost
-// model pricing the work, and the observability sinks. Both the
-// single-node System and the sharded ClusterSystem finish queries
-// through the same frontEnd, so timing, metrics, and slow-log behavior
-// are identical regardless of how the response was fetched.
-type frontEnd struct {
-	cache      *dx.Cache
-	model      costmodel.Model
-	metrics    *obs.Registry
-	slowLog    *obs.SlowLog
-	slowThresh time.Duration
-}
-
-// fe returns the System's frontEnd view.
-func (s *System) fe() frontEnd {
-	return frontEnd{
-		cache:      s.Cache,
-		model:      s.Model,
-		metrics:    s.Metrics,
-		slowLog:    s.SlowLog,
-		slowThresh: s.Cfg.SlowLogThreshold,
-	}
-}
-
-// RunQuery executes a query end to end under the paper's measurement
-// protocol: the DX cache is flushed first, then the spec crosses the
-// network to the MedicalServer, SQL runs in the database, the result
-// crosses back, DX imports it and renders an image. Every component's
-// work is counted and timed.
-//
-// The network exchange is resilient: both directions are CRC-framed so
-// corruption and truncation surface as typed errors, and transient
-// failures (drops, timeouts, corrupt frames, device read faults) are
-// retried per s.Retry with capped exponential backoff and deterministic
-// jitter. Backoff is simulated time — no real sleeping — accounted in
-// Timing.RetrySim.
-func (s *System) RunQuery(spec QuerySpec) (*QueryResult, error) {
-	return s.runQuerySpan(nil, spec)
-}
-
-// runQuerySpan is RunQuery with an optional parent span (the batch
-// root, for RunQueries). With tracing enabled it produces the query's
-// span tree, feeds the metrics registry, and captures slow queries.
-func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
-	s.Cache.Flush() // §6.1: "we flushed the DX cache before each run"
-	totalStart := time.Now()
-
-	var root *obs.Span
-	if parent != nil {
-		root = parent.Child("query")
-	} else {
-		root = s.Tracer.Start("query")
-	}
-	if root != nil {
-		root.SetStr("spec", spec.Label())
-	}
-
-	// The marshaled spec is the request body and, as a string, the key
-	// QuerySpec.Key returns: the retry jitter and the DX cache use it.
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		root.End()
-		return nil, err
-	}
-	key := string(specJSON)
-	request := encodeFrame(specJSON, nil)
-
-	// The exchange rides the transport seam: CallRetry carries the
-	// capped-exponential, deterministically jittered schedule whatever
-	// flavor s.Transport is — the default simulated link, or a TCP
-	// connection to a live daemon. Response validation runs inside the
-	// loop, so a reply corrupted past the link layer's own checks is
-	// retried exactly like a failed call.
-	var meta *QueryMeta
-	var blob []byte
-	net0 := s.Transport.Stats()
-	_, retry, err := transport.CallRetry(s.Transport, root, medicalQueryMethod, request, s.Retry, key,
-		func(resp []byte) error {
-			m, b, verr := splitResponse(resp)
-			if verr != nil {
-				return verr
-			}
-			meta, blob = m, b
-			return nil
+// fetch is the single node's side of the client seam: one logical RPC
+// over s.Transport with s.Retry's capped-exponential, deterministically
+// jittered schedule, whatever flavor the transport is (both are read
+// per call, so a caller may repoint a loaded System). Response
+// validation runs inside the loop, so a reply corrupted past the link
+// layer's own checks is retried exactly like a failed call.
+func (s *System) fetch(root *obs.Span, _ QuerySpec, key string, request []byte) (fetched, error) {
+	var f fetched
+	tr := s.Transport
+	net0 := tr.Stats()
+	_, retry, err := transport.CallRetry(tr, root, medicalQueryMethod, request, s.Retry, key,
+		func(resp []byte) (verr error) {
+			f.meta, f.blob, verr = splitResponse(resp)
+			return verr
 		})
+	f.retry = retry
 	if err != nil {
-		return nil, s.fe().fail(root, retry, fmt.Errorf("qbism: query failed after %d attempt(s): %w", retry.Attempts, err))
+		return f, fmt.Errorf("qbism: query failed after %d attempt(s): %w", retry.Attempts, err)
 	}
-	netDelta := s.Transport.Stats().Sub(net0)
-
-	return s.fe().finish(root, spec, key, meta, blob, retry, netDelta.Messages, netDelta.Latency, totalStart)
-}
-
-// finish performs the client-side DX stages — import, render, cache —
-// prices the work with the cost model, and feeds the observability
-// sinks. key is spec.Key(), which the caller already has as its request
-// body. netMessages/netSim describe the network exchange however it
-// was carried (single link or cluster read).
-func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, key string, meta *QueryMeta, blob []byte, retry RetryStats, netMessages uint64, netSim time.Duration, totalStart time.Time) (*QueryResult, error) {
-	importStart := time.Now()
-	importSp := root.Child("dx.import")
-	data, err := UnmarshalDataRegion(blob)
-	if err != nil {
-		importSp.End()
-		return nil, fe.fail(root, retry, err)
-	}
-	field, importStats, err := dx.ImportVolume(data)
-	importSp.SetInt("voxels", int64(importStats.Voxels))
-	importSp.SetInt("runs", int64(importStats.Runs))
-	importSp.End()
-	if err != nil {
-		return nil, fe.fail(root, retry, err)
-	}
-	importDur := time.Since(importStart)
-
-	renderStart := time.Now()
-	renderSp := root.Child("dx.render")
-	img, err := field.Render(dx.RenderOpts{Axis: 2, Mode: dx.MIP})
-	renderSp.End()
-	if err != nil {
-		return nil, fe.fail(root, retry, err)
-	}
-	renderDur := time.Since(renderStart)
-	fe.cache.Put(key, field)
-
-	t := QueryTiming{
-		Label:          spec.Label(),
-		HRuns:          data.Region.NumRuns(),
-		Voxels:         data.Region.NumVoxels(),
-		LFMPages:       meta.LFMPages,
-		DBMeasured:     time.Duration(meta.DBCPUNanos),
-		DBSimReal:      fe.model.StarburstTime(time.Duration(meta.DBCPUNanos), meta.LFMPages),
-		NetMessages:    netMessages,
-		NetSim:         netSim,
-		ImportMeasured: importDur,
-		ImportSim:      fe.model.ImportTime(importStats.Voxels, importStats.Runs),
-		RenderMeasured: renderDur,
-		RenderSim:      fe.model.RenderTime(importStats.Voxels),
-		RetrySim:       retry.BackoffSim,
-		OtherSim:       fe.model.OtherTime,
-	}
-	t.TotalSim = t.DBSimReal + t.NetSim + t.ImportSim + t.RenderSim + t.RetrySim + t.OtherSim
-	t.TotalMeasured = time.Since(totalStart)
-
-	root.SetInt("attempts", int64(retry.Attempts))
-	root.SetInt("retries", int64(retry.Retries))
-	root.SetInt("lfm.pages", int64(meta.LFMPages))
-	root.SetInt("voxels", int64(t.Voxels))
-	if meta.Degraded {
-		root.SetStr("degraded", meta.Warning)
-	}
-	root.End()
-	fe.observe(t, retry, root)
-
-	return &QueryResult{
-		Spec: spec, Meta: *meta, Data: data, Field: field, Image: img, Timing: t, Retry: retry,
-		Trace: root,
-	}, nil
-}
-
-// fail finishes a query's observability on the error path: the root
-// span is annotated and ended, and the error counters bump.
-func (fe frontEnd) fail(root *obs.Span, retry RetryStats, err error) error {
-	root.SetStr("error", err.Error())
-	root.SetInt("attempts", int64(retry.Attempts))
-	root.SetInt("retries", int64(retry.Retries))
-	root.End()
-	fe.metrics.Counter("qbism_queries_total").Inc()
-	fe.metrics.Counter("qbism_query_errors_total").Inc()
-	fe.metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
-	return err
-}
-
-// observe feeds the metrics registry and, when the query's measured
-// latency reaches the slow-log threshold, captures the full span tree
-// plus the executed plan into the slow-query ring.
-func (fe frontEnd) observe(t QueryTiming, retry RetryStats, root *obs.Span) {
-	fe.metrics.Counter("qbism_queries_total").Inc()
-	fe.metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
-	fe.metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).
-		Observe(t.TotalMeasured.Seconds())
-	fe.metrics.Histogram("qbism_query_lfm_pages", obs.PageBuckets).
-		Observe(float64(t.LFMPages))
-	if fe.slowLog != nil && root != nil && t.TotalMeasured >= fe.slowThresh {
-		fe.slowLog.Add(obs.SlowEntry{
-			Label:   t.Label,
-			Total:   t.TotalMeasured,
-			Tree:    root.RenderString(),
-			Explain: explainFromSpan(root),
-		})
-	}
+	net := tr.Stats().Sub(net0)
+	f.messages, f.latency = net.Messages, net.Latency
+	return f, nil
 }
 
 // explainFromSpan reconstructs the EXPLAIN ANALYZE view from a query's
@@ -281,32 +111,6 @@ func explainFromSpan(root *obs.Span) []string {
 		}
 	})
 	return out
-}
-
-// RunQueryCached serves the query from the DX cache when possible (the
-// interactive path: "the user can quickly review and manipulate the
-// results of several recently issued queries without necessitating a
-// database reaccess"). On a miss it falls through to RunQuery.
-func (s *System) RunQueryCached(spec QuerySpec) (*QueryResult, bool, error) {
-	if field, ok := s.Cache.Get(spec.Key()); ok {
-		img, err := field.Render(dx.RenderOpts{Axis: 2, Mode: dx.MIP})
-		if err != nil {
-			return nil, false, err
-		}
-		return &QueryResult{
-			Spec:  spec,
-			Data:  field.Data,
-			Field: field,
-			Image: img,
-			Timing: QueryTiming{
-				Label:  spec.Label() + " (cached)",
-				HRuns:  field.Data.Region.NumRuns(),
-				Voxels: field.Data.Region.NumVoxels(),
-			},
-		}, true, nil
-	}
-	res, err := s.RunQuery(spec)
-	return res, false, err
 }
 
 // ExplainSpec renders the physical operator tree for the SQL the

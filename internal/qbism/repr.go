@@ -133,12 +133,10 @@ func (s *System) AdaptBandRepr() (int, error) {
 		return 0, nil
 	}
 	frac := costmodel.DefaultReprPolicy().ProbeCutoff
-	if s.Metrics != nil {
-		probes := s.Metrics.Counter(metricRegionProbes).Value()
-		decodes := s.Metrics.Counter(metricRegionDecodes).Value()
-		if total := probes + decodes; total > 0 {
-			frac = float64(probes) / float64(total)
-		}
+	probes := s.Metrics.Counter(metricRegionProbes).Value()
+	decodes := s.Metrics.Counter(metricRegionDecodes).Value()
+	if total := probes + decodes; total > 0 {
+		frac = float64(probes) / float64(total)
 	}
 	// Studies iterate in sorted order so the changed count and the
 	// map-write order are reproducible run to run.

@@ -3,10 +3,11 @@ package qbism
 // Sharded execution: the study corpus partitioned across K shards,
 // each a (primary, replica...) set of full QBISM nodes — its own LFM
 // device, database, and netsim link — behind the cluster package's
-// Node seam. The front end (DX cache, cost model, observability) is
-// shared with the single-node System via frontEnd, so a query finishes
-// identically whether it was fetched over one link or scatter-gathered
-// across a degraded cluster.
+// Node seam. The DX half of a query is the same Client the single-node
+// System embeds, so a query runs, batches and finishes identically
+// whether it was fetched over one link or scatter-gathered across a
+// degraded cluster; this file adds only routing, the node adapter, and
+// the partial-result accounting.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -16,20 +17,15 @@ package qbism
 // exact equality against an unsharded control system.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"qbism/internal/cluster"
-	"qbism/internal/costmodel"
-	"qbism/internal/dx"
 	"qbism/internal/faultsim"
 	"qbism/internal/obs"
 	"qbism/internal/region"
-	"qbism/internal/spindex"
 	"qbism/internal/synth"
 	"qbism/internal/transport"
 )
@@ -50,13 +46,6 @@ type ClusterConfig struct {
 	// given node (replica 0 is the primary); nil return values mean no
 	// injection on that node. Overrides Base.LinkFaults/DeviceFaults.
 	NodeFaults func(shard, replica int) (link, device *faultsim.Policy)
-	// NodeDial, when non-nil, builds the cluster's transport to the
-	// given node (the node's fully built System is passed in). Nil
-	// means each node is reached through its own default transport —
-	// the simulated link, exactly the pre-seam wiring. A custom dial
-	// lets a cluster front real daemons without the routing, breaker,
-	// or hedging layers changing.
-	NodeDial func(shard, replica int, sys *System) (transport.Transport, error)
 	// Breaker configures each node's circuit breaker (zero disables).
 	Breaker cluster.BreakerConfig
 	// Retry governs cross-node failover retries: MaxAttempts bounds the
@@ -92,6 +81,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 // System — RunQuery, RunQueries, ConsistentBandRegion — with routing,
 // failover, and partial-result semantics layered in.
 type ClusterSystem struct {
+	*Client // the DX half, the same one a System embeds
+
 	Cfg     ClusterConfig
 	Cluster *cluster.Cluster
 	// Nodes holds the per-shard node systems: Nodes[shard][0] is the
@@ -101,12 +92,6 @@ type ClusterSystem struct {
 	// Studies is the global corpus view (every study, regardless of
 	// shard), in load order.
 	Studies []StudyInfo
-
-	Model   costmodel.Model
-	Cache   *dx.Cache
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
-	SlowLog *obs.SlowLog
 
 	routes map[int]cluster.Key // studyID -> routing key
 	// tnodes flattens every transportNode handed to the cluster, so
@@ -186,30 +171,14 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 				return nil, fmt.Errorf("qbism: cluster node s%dr%d: %w", sh, r, err)
 			}
 			cs.addNode(sh, sys)
-			tr := sys.Transport
-			if cfg.NodeDial != nil {
-				if tr, err = cfg.NodeDial(sh, r, sys); err != nil {
-					cs.Close()
-					return nil, fmt.Errorf("qbism: dialing node s%dr%d: %w", sh, r, err)
-				}
-			}
-			tn := &transportNode{name: nodeName(sh, r), t: tr}
+			tn := &transportNode{name: nodeName(sh, r), t: sys.Transport}
 			cs.tnodes = append(cs.tnodes, tn)
 			nodes = append(nodes, tn)
 		}
 		shardNodes = append(shardNodes, nodes)
 	}
 
-	cs.Metrics = obs.NewRegistry()
-	cs.Model = costmodel.Default1993()
-	cs.Cache = dx.NewCache(8)
-	if base.Trace {
-		cs.Tracer = obs.NewTracer()
-		if base.SlowLogThreshold > 0 {
-			cs.SlowLog = obs.NewSlowLog(base.SlowLogCapacity)
-		}
-	}
-
+	cs.Client = newClient(base, cfg.Workers, cs)
 	cl, err := cluster.New(cluster.Config{
 		Breaker:     cfg.Breaker,
 		MaxAttempts: pol.MaxAttempts,
@@ -259,17 +228,6 @@ func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
 	return cs.Cluster.Partitioner().Shard(key), true
 }
 
-// fe returns the cluster's shared front end.
-func (cs *ClusterSystem) fe() frontEnd {
-	return frontEnd{
-		cache:      cs.Cache,
-		model:      cs.Model,
-		metrics:    cs.Metrics,
-		slowLog:    cs.SlowLog,
-		slowThresh: cs.Cfg.Base.SlowLogThreshold,
-	}
-}
-
 // transportNode adapts one node's Transport to the cluster.Node seam:
 // the cluster no longer knows whether a node is a simulated link or a
 // live daemon — it consumes the seam's Stats.Latency deltas either
@@ -315,61 +273,32 @@ func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([
 	return resp, lat, nil
 }
 
-// RunQuery executes one query end to end through the cluster: route by
-// (patient, study) key, read with failover/hedging, then finish through
-// the shared front end. The result's Shard field reports how the read
-// was served.
-func (cs *ClusterSystem) RunQuery(spec QuerySpec) (*QueryResult, error) {
-	return cs.runQuerySpan(nil, spec)
-}
-
-func (cs *ClusterSystem) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
-	cs.Cache.Flush() // same measurement protocol as System.RunQuery
-	totalStart := time.Now()
-
-	var root *obs.Span
-	if parent != nil {
-		root = parent.Child("query")
-	} else {
-		root = cs.Tracer.Start("query")
-	}
-	if root != nil {
-		root.SetStr("spec", spec.Label())
-	}
-
+// fetch is the cluster's side of the client seam: route by (patient,
+// study) key, then read with failover and hedging. The winning node has
+// already validated the frame (transportNode.Call).
+func (cs *ClusterSystem) fetch(root *obs.Span, spec QuerySpec, _ string, request []byte) (fetched, error) {
 	key, ok := cs.routes[spec.StudyID]
 	if !ok {
 		// Unroutable: terminal, not a shard health problem.
-		return nil, cs.fe().fail(root, RetryStats{Attempts: 1},
-			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID))
+		return fetched{retry: RetryStats{Attempts: 1}},
+			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID)
 	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, cs.fe().fail(root, RetryStats{}, err)
-	}
-	request := encodeFrame(specJSON, nil)
-
 	resp, info, err := cs.Cluster.Read(root, key, medicalQueryMethod, request)
-	retry := RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}
+	f := fetched{retry: RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}}
 	if err != nil {
-		retry.LastError = err.Error()
-		return nil, cs.fe().fail(root, retry, fmt.Errorf("qbism: query failed: %w", err))
+		f.retry.LastError = err.Error()
+		return f, fmt.Errorf("qbism: query failed: %w", err)
 	}
-	meta, blob, err := splitResponse(resp)
-	if err != nil {
-		// Unreachable in practice: the winning node already validated
-		// the frame. Kept for defense in depth.
-		return nil, cs.fe().fail(root, retry, err)
+	if f.meta, f.blob, err = splitResponse(resp); err != nil {
+		return f, err
 	}
-	// One successful exchange = 2 messages; the read's simulated
-	// latency already prices the winning call's network model time,
-	// injected latency, and call quantum.
-	res, err := cs.fe().finish(root, spec, string(specJSON), meta, blob, retry, 2, info.LatencySim, totalStart)
-	if res != nil {
-		shardInfo := info
-		res.Shard = &shardInfo
-	}
-	return res, err
+	// The winning exchange's messages, metered as its link metered them;
+	// the read's simulated latency already prices that call's network
+	// model time, injected latency, and call quantum.
+	f.messages = cs.Model.Messages(uint64(len(request))) + cs.Model.Messages(uint64(len(resp)))
+	f.latency = info.LatencySim
+	f.shard = &info
+	return f, nil
 }
 
 // RunQueries scatter-gathers the specs across the cluster over a
@@ -388,47 +317,8 @@ func (cs *ClusterSystem) RunQueries(specs []QuerySpec, workers int) ([]BatchItem
 // RunQueriesTraced is RunQueries plus the batch's root span (nil when
 // tracing is off).
 func (cs *ClusterSystem) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
-	if workers <= 0 {
-		workers = cs.Cfg.Workers
-	}
-	batch := cs.Tracer.Start("batch")
-	batch.SetInt("queries", int64(len(specs)))
-	batch.SetInt("workers", int64(workers))
+	out, batch := cs.runBatch(specs, workers)
 	defer batch.End()
-
-	out := make([]BatchItem, len(specs))
-	for i, spec := range specs {
-		out[i].Spec = spec
-	}
-	run := func(i int) {
-		out[i].Res, out[i].Err = cs.runQuerySpan(batch, out[i].Spec)
-	}
-	if workers <= 1 || len(specs) <= 1 {
-		for i := range specs {
-			run(i)
-		}
-	} else {
-		if workers > len(specs) {
-			workers = len(specs)
-		}
-		work := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					run(i)
-				}
-			}()
-		}
-		for i := range specs {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-
 	partial := cs.buildPartial(out)
 	if partial != nil {
 		cs.Metrics.Counter("cluster_partial_total").Inc()
@@ -496,49 +386,11 @@ func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int,
 }
 
 // BuildActivityIndex builds the population activity index across every
-// shard's primary, merging the per-node band REGIONs (each node holds
-// only its shard of the corpus) into one R-tree. Studies are visited
-// in ascending ID order so R-tree construction is deterministic.
+// shard's primary (each node holds only its shard of the corpus).
 func (cs *ClusterSystem) BuildActivityIndex(minIntensity uint8) (*ActivityIndex, error) {
-	idx := &ActivityIndex{
-		tree:    spindex.New(),
-		entries: make(map[int64]ActivityEntry),
+	primaries := make([]*System, len(cs.Nodes))
+	for sh, nodes := range cs.Nodes {
+		primaries[sh] = nodes[0]
 	}
-	next := int64(1)
-	var ids []int
-	byStudy := make(map[int]*System)
-	for _, nodes := range cs.Nodes {
-		primary := nodes[0]
-		for studyID := range primary.BandRegions {
-			ids = append(ids, studyID)
-			byStudy[studyID] = primary
-		}
-	}
-	sort.Ints(ids)
-	for _, studyID := range ids {
-		for _, b := range byStudy[studyID].BandRegions[studyID] {
-			if b.Lo < minIntensity || b.Region.Empty() {
-				continue
-			}
-			min, max, ok := b.Region.Bounds()
-			if !ok {
-				continue
-			}
-			id := next
-			next++
-			idx.entries[id] = ActivityEntry{
-				StudyID: studyID, BandLo: b.Lo, BandHi: b.Hi, Voxels: b.Region.NumVoxels(),
-			}
-			if err := idx.tree.Insert(spindex.Entry{
-				ID: id,
-				Box: spindex.Box3{
-					MinX: min.X, MinY: min.Y, MinZ: min.Z,
-					MaxX: max.X, MaxY: max.Y, MaxZ: max.Z,
-				},
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return idx, nil
+	return buildActivityIndex(primaries, minIntensity)
 }

@@ -7,11 +7,9 @@ import (
 
 	"qbism/internal/atlas"
 	"qbism/internal/costmodel"
-	"qbism/internal/dx"
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
 	"qbism/internal/netsim"
-	"qbism/internal/obs"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
@@ -97,13 +95,6 @@ type Config struct {
 	// The zero value means a single attempt; DefaultRetryPolicy() is a
 	// sensible production setting.
 	Retry RetryPolicy
-	// Dial builds the System's client transport once loading finishes
-	// (the system passed in is fully built). Nil means the default: the
-	// simulated link behind the seam (transport.NewSim), which is the
-	// pre-seam behavior exactly. The loopback equivalence suite dials a
-	// TCP transport here instead, pointing the system's own query path
-	// at a daemon serving the same system.
-	Dial func(*System) (transport.Transport, error)
 
 	// CachePages, when positive, enables a CLOCK page cache of that many
 	// 4 KB pages in front of the LFM device. Zero keeps the paper's
@@ -179,22 +170,25 @@ type StudyInfo struct {
 	Modality  synth.Modality
 }
 
-// System is a fully loaded QBISM instance.
+// System is a fully loaded QBISM instance: a MedicalServer plus the DX
+// client that queries it.
 type System struct {
+	// Client is the DX half: RunQuery, RunQueries, Model, Cache, Tracer,
+	// Metrics, SlowLog. It is attached once the load finishes.
+	*Client
+
 	Cfg    Config
 	Curve  sfc.Curve // Hilbert storage order
 	ZCurve sfc.Curve // Z order, for encoding comparisons
 	LFM    *lfm.Manager
 	DB     *sdb.DB
 	Link   *netsim.Link
-	Model  costmodel.Model
 	Atlas  *atlas.Atlas
-	Cache  *dx.Cache
 
 	// Retry is the client-side retry policy for RunQuery (from Config).
 	Retry RetryPolicy
-	// Transport carries the DX↔MedicalServer exchanges (from
-	// Config.Dial; default: the simulated Link behind the seam). The
+	// Transport carries the DX↔MedicalServer exchanges: the simulated
+	// Link behind the seam, unless a caller assigns a dialed one. The
 	// query path prices network time from deltas of its Stats.
 	Transport transport.Transport
 	// LinkFaults/DeviceFaults are the active fault injectors (nil when
@@ -203,14 +197,6 @@ type System struct {
 	LinkFaults   *faultsim.Injector
 	DeviceFaults *faultsim.Injector
 
-	// Tracer is the query tracer (nil unless Cfg.Trace). Metrics is the
-	// process-wide registry — always present, so counters like
-	// qbism_degraded_total accumulate whether or not tracing is on.
-	// SlowLog is the slow-query ring (nil unless tracing with a
-	// positive SlowLogThreshold).
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
-	SlowLog *obs.SlowLog
 	// traceMu serializes traced MedicalServer handlers so the LFM's
 	// per-handle span attribution is exact (the LFM has one attachment
 	// point; see lfm.Manager.SetSpan).
@@ -278,8 +264,6 @@ func New(cfg Config) (*System, error) {
 		Retry:       cfg.Retry,
 		DB:          sdb.NewDB(mgr),
 		Link:        netsim.NewLink(costmodel.Default1993()),
-		Model:       costmodel.Default1993(),
-		Cache:       dx.NewCache(8),
 		AtlasID:     1,
 		BandRegions: make(map[int][]volume.BandSpec),
 		bandRepr:    make(map[bandKey]string),
@@ -307,14 +291,10 @@ func New(cfg Config) (*System, error) {
 	s.Link.ResetStats()
 	// Observability attaches only now, for the same reason: metrics and
 	// spans describe query traffic, not the load pipeline.
-	s.Metrics = obs.NewRegistry()
+	s.Client = newClient(cfg, cfg.Workers, s)
 	s.DB.SetMetrics(s.Metrics)
 	if cfg.Trace {
-		s.Tracer = obs.NewTracer()
 		s.DB.SetTracer(s.Tracer)
-		if cfg.SlowLogThreshold > 0 {
-			s.SlowLog = obs.NewSlowLog(cfg.SlowLogCapacity)
-		}
 	}
 	// Fault injection starts only now: loading runs on perfect hardware
 	// (the paper's load pipeline is out of scope for the fault model),
@@ -331,19 +311,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.CachePages > 0 {
 		s.LFM.EnableCache(cfg.CachePages)
 	}
-	// The client transport dials last, against the fully built system:
-	// the default sim flavor wraps the link (and so sees the faults
-	// installed above), while a custom Dial may point at a live daemon.
-	if cfg.Dial != nil {
-		tr, err := cfg.Dial(s)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("qbism: dialing transport: %w", err)
-		}
-		s.Transport = tr
-	} else {
-		s.Transport = transport.NewSim(s.Link, s.Model)
-	}
+	// The client transport wraps the link last, so it sees the faults
+	// installed above.
+	s.Transport = transport.NewSim(s.Link, s.Model)
 	return s, nil
 }
 

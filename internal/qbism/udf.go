@@ -362,13 +362,9 @@ func (s *System) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, 
 // (the per-operator probe counter EXPLAIN ANALYZE shows).
 func (s *System) noteRegionProbe(db *sdb.DB) {
 	db.NoteProbeFastPath()
-	if s.Metrics != nil {
-		s.Metrics.Counter(metricRegionProbes).Inc()
-	}
+	s.Metrics.Counter(metricRegionProbes).Inc()
 }
 
 func (s *System) noteRegionDecode() {
-	if s.Metrics != nil {
-		s.Metrics.Counter(metricRegionDecodes).Inc()
-	}
+	s.Metrics.Counter(metricRegionDecodes).Inc()
 }

@@ -457,6 +457,6 @@ func isClosedConn(err error) bool {
 
 // wallAfterCh is the drain deadline timer.
 func wallAfterCh(d time.Duration) <-chan time.Time {
-	//lint:ignore determinism the drain deadline bounds real inflight sockets; the sim/local flavors never call this
+	//lint:ignore determinism the drain deadline bounds real inflight sockets; the sim flavor never calls this
 	return time.After(d)
 }

@@ -1,16 +1,12 @@
 // Package transport is the single seam between the DX client side and
 // the MedicalServer: everything that carries a framed RPC — the
-// in-process dispatch used by tests, the simulated link the chaos
-// suites replay deterministically, and real TCP sockets — implements
-// the same small interface, so retry, backoff, and failover logic is
-// written once and applies identically to a simulated remote and a
-// live daemon.
+// simulated link the chaos suites replay deterministically, and real
+// TCP sockets — implements the same small interface, so retry, backoff,
+// and failover logic is written once and applies identically to a
+// simulated remote and a live daemon.
 //
-// The three flavors:
+// The two flavors:
 //
-//   - Local: direct handler dispatch, no network model. The degenerate
-//     case for tests and the server side of loopback equivalence
-//     checks.
 //   - Sim: the netsim.Link + faultsim stack behind the seam. Traffic is
 //     metered and priced with the 1993 cost model and faults replay
 //     byte-for-byte from a seed — exactly the pre-seam behavior, so the
@@ -74,7 +70,7 @@ type Stats struct {
 	Errors uint64
 	// Messages counts cost-model messages for the traffic carried
 	// (request + response). The sim flavor takes these from the
-	// underlying link's meter; local and tcp count one per direction.
+	// underlying link's meter; tcp counts one per direction.
 	Messages uint64
 	// BytesOut and BytesIn count request and response payload bytes.
 	BytesOut uint64
@@ -83,7 +79,7 @@ type Stats struct {
 	Retries uint64
 	// Latency is the cumulative simulated latency of carried calls:
 	// network-model time plus injected latency for the sim flavor,
-	// zero for local, measured wall time for tcp. Per-call deltas of
+	// measured wall time for tcp. Per-call deltas of
 	// this field are what the cluster's EWMA and hedging consume.
 	Latency time.Duration
 }

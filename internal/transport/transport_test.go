@@ -16,48 +16,6 @@ func echoHandler(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	return append([]byte(method+":"), request...), nil
 }
 
-func TestLocalRoundTrip(t *testing.T) {
-	l := NewLocal(echoHandler)
-	resp, err := l.Call(nil, "ping", []byte("abc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ping:abc" {
-		t.Fatalf("got %q", resp)
-	}
-	st := l.Stats()
-	if st.Calls != 1 || st.Messages != 2 || st.BytesOut != 3 || st.BytesIn != uint64(len(resp)) {
-		t.Errorf("stats %+v", st)
-	}
-	if st.Latency != 0 {
-		t.Errorf("local dispatch carries latency %v, want 0", st.Latency)
-	}
-}
-
-func TestLocalClosedFences(t *testing.T) {
-	l := NewLocal(echoHandler)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := l.Call(nil, "ping", nil)
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("call after close: %v", err)
-	}
-}
-
-func TestLocalHandlerErrorCounted(t *testing.T) {
-	boom := errors.New("boom")
-	l := NewLocal(func(sp *obs.Span, method string, request []byte) ([]byte, error) {
-		return nil, boom
-	})
-	if _, err := l.Call(nil, "x", nil); !errors.Is(err, boom) {
-		t.Fatalf("got %v", err)
-	}
-	if st := l.Stats(); st.Errors != 1 {
-		t.Errorf("errors %d, want 1", st.Errors)
-	}
-}
-
 func newSimPair(t *testing.T) (*Sim, costmodel.Model) {
 	t.Helper()
 	model := costmodel.Default1993()
@@ -132,13 +90,18 @@ func TestSimClosedFences(t *testing.T) {
 	}
 }
 
-// flaky fails its first n calls with err, then succeeds.
+// flaky fails its first n calls with err, then succeeds; it meters
+// only the retries CallRetry reports.
 type flaky struct {
-	Local
 	failures int
 	err      error
 	calls    int
+	retries  uint64
 }
+
+func (f *flaky) NoteRetry()   { f.retries++ }
+func (f *flaky) Stats() Stats { return Stats{Retries: f.retries} }
+func (f *flaky) Close() error { return nil }
 
 func (f *flaky) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
 	f.calls++

@@ -17,10 +17,11 @@
 //   - Affine warping and landmark registration (patient → atlas space).
 //   - The assembled system: a mini extensible DBMS with long fields and
 //     user-defined SQL functions, a buddy-allocating Long Field Manager
-//     with 4 KB-page I/O accounting, the MedicalServer, a Data Explorer
-//     stand-in (import, render, cache), a simulated RPC link with a
-//     1993-calibrated cost model, a procedural Talairach-like atlas, and
-//     synthetic PET/MRI study generation.
+//     with 4 KB-page I/O accounting, the MedicalServer, the DX Client
+//     that queries it (a Data Explorer stand-in: import, render, cache —
+//     the same client in a single node and a sharded cluster), a
+//     simulated RPC link with a 1993-calibrated cost model, a procedural
+//     Talairach-like atlas, and synthetic PET/MRI study generation.
 //   - Experiment drivers regenerating every table and figure of the
 //     paper's evaluation (run ratios, EQ 1, Figure 4, Tables 3 and 4).
 //
@@ -227,6 +228,10 @@ var (
 type (
 	// System is a fully loaded QBISM instance.
 	System = core.System
+	// Client is the DX half of a query (RunQuery, RunQueries, the DX
+	// cache, cost model and observability sinks); System and
+	// ClusterSystem both embed one.
+	Client = core.Client
 	// Config parameterizes NewSystem.
 	Config = core.Config
 	// QuerySpec is a high-level query (what the DX entry fields collect).
@@ -287,10 +292,10 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) { return core.N
 // inspecting shard placement without loading any data).
 func NewClusterPartitioner(shards int) ClusterPartitioner { return cluster.NewPartitioner(shards) }
 
-// The transport seam: one interface over in-process dispatch, the
-// simulated link, and real TCP to a qbismd daemon. Config.Dial /
-// ClusterConfig.NodeDial choose the flavor per system or per node;
-// nil keeps the simulated link.
+// The transport seam: one interface over the simulated link and real
+// TCP to a qbismd daemon. A System is built on the simulated link; a
+// program talking to a live daemon dials it with DialTCP and drives it
+// with EncodeQueryRequest/DecodeQueryResponse.
 type (
 	// Transport carries framed RPCs to a MedicalServer.
 	Transport = transport.Transport
