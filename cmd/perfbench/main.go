@@ -169,8 +169,6 @@ type queryableReport struct {
 	K3IntersectNsOp     int64   `json:"k3_intersect_ns_op"`
 	IntersectSpeedup    float64 `json:"intersect_speedup"`
 	DifferentialOK      bool    `json:"auto_vs_runs_identical"`
-	BandsK3             int     `json:"bands_defaulting_k3"`
-	BandsRuns           int     `json:"bands_defaulting_runs"`
 }
 
 func main() {
@@ -242,11 +240,11 @@ func main() {
 		rep.Cluster.Shards, rep.Cluster.Replicas, rep.Cluster.Failovers, rep.Cluster.DegradedIdentical,
 		rep.Cluster.LostQueries, rep.Cluster.SurvivorsMatch)
 	q := rep.Queryable
-	fmt.Printf("queryable(%s, %d voxels): k3 %d B vs elias %d B (%.2fx), probe %s vs %s (%.1fx), band∩structure %s vs %s (%.1fx), auto==runs %v, bands k3/runs %d/%d\n",
+	fmt.Printf("queryable(%s, %d voxels): k3 %d B vs elias %d B (%.2fx), probe %s vs %s (%.1fx), band∩structure %s vs %s (%.1fx), auto==runs %v\n",
 		q.Structure, q.Voxels, q.K3Bytes, q.EliasBytes, q.K3OverElias,
 		time.Duration(q.K3ProbeNsOp), time.Duration(q.DecodeProbeNsOp), q.ProbeSpeedup,
 		time.Duration(q.K3IntersectNsOp), time.Duration(q.DecodeIntersectNsOp), q.IntersectSpeedup,
-		q.DifferentialOK, q.BandsK3, q.BandsRuns)
+		q.DifferentialOK)
 	fmt.Printf("wrote %s (schema v%d, %s)\n", *out, env.Schema, prTag)
 }
 
@@ -784,15 +782,6 @@ func measureQueryable(sys *qbism.System, cfg qbism.Config, iters int) queryableR
 	}
 	r.K3IntersectNsOp = time.Since(start).Nanoseconds() / int64(probeIters)
 	r.IntersectSpeedup = ratio(r.DecodeIntersectNsOp, r.K3IntersectNsOp)
-
-	// Representation census over the auto-loaded corpus.
-	for enc, count := range sys.BandReprCounts() {
-		if enc == qbism.BandEncodingK3Tree {
-			r.BandsK3 += count
-		} else {
-			r.BandsRuns += count
-		}
-	}
 
 	// Differential: every query shape must answer byte-identically on
 	// a runs-only twin of the same corpus.

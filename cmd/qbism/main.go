@@ -71,7 +71,7 @@ func main() {
 	gapPages := flag.Uint64("gappages", 0, "coalesce extraction reads across page gaps up to this wide (0 = exact runs)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-study plans (0/1 = serial)")
 	noPushdown := flag.Bool("nopushdown", false, "disable SQL predicate pushdown and hash joins (A/B baseline)")
-	rencodeMode := flag.String("rencode", "auto", "per-REGION representation: auto (planner picks runs vs k3-tree), runs (seed baseline), or a forced encoding name (e.g. k3-tree, elias)")
+	rencodeMode := flag.String("rencode", "auto", "REGION representation: auto (bands stored as runs and k3-tree, band queries read the k3-tree row), runs (seed baseline), or a forced encoding name (e.g. k3-tree, elias)")
 
 	shards := flag.Int("shards", 0, "partition the corpus across this many shards (0 = unsharded single node)")
 	replicas := flag.Int("replicas", 1, "replicas per shard primary (cluster mode)")

@@ -232,7 +232,7 @@ func TestDegradedBandRecompute(t *testing.T) {
 	// one the default encoding resolves to — the planner's pick.
 	res, err := sys.DB.Exec(fmt.Sprintf(
 		"select ib.region from intensityBand ib where ib.studyId = %d and ib.lo = %d and ib.hi = %d and ib.encoding = '%s'",
-		study, b.Lo, b.Hi, sys.bandEncoding(study, int(b.Lo), int(b.Hi))))
+		study, b.Lo, b.Hi, sys.bandEncoding()))
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("band row lookup: %d rows, %v", len(res.Rows), err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"qbism/internal/atlas"
-	"qbism/internal/costmodel"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 	"qbism/internal/synth"
@@ -223,13 +222,11 @@ type preparedStudy struct {
 	bands      []preparedBand
 }
 
-// preparedBand is one intensity band: its REGION, the intensityBand
-// rows to store for it in order, and the encoding label default queries
-// resolve to ("" records none: the h-naive row answers).
+// preparedBand is one intensity band: its REGION and the intensityBand
+// rows to store for it in order.
 type preparedBand struct {
 	spec volume.BandSpec
 	rows []bandRow
-	repr string
 }
 
 // bandRow is one encoded intensityBand row.
@@ -289,24 +286,16 @@ func (s *System) prepareStudy(plan studyPlan) (func() error, error) {
 // prepareBand encodes the rows one band is stored as: always h-naive
 // runs (degradation paths and explicit-encoding queries depend on that
 // row), the Z-run and octant rows under ExtraBandEncodings, then the
-// row the Rencode mode calls for. In auto mode the k³-tree row is
-// stored for every band — row counts stay deterministic; only the
-// resolution varies per REGION.
+// row default band queries read (bandEncoding) when that is another
+// label. A forced method is stored under its own name, so "naive" and
+// "h-naive" rows may then hold identical bytes under different labels.
 func (s *System) prepareBand(b volume.BandSpec) (preparedBand, error) {
 	encodings := []string{EncHilbertNaive}
 	if s.Cfg.ExtraBandEncodings {
 		encodings = append(encodings, EncZNaive, EncOctant)
 	}
-	switch mode := s.Cfg.Rencode; mode {
-	case RencodeRuns:
-	case RencodeAuto:
-		encodings = append(encodings, EncK3Tree)
-	default:
-		// Forced method: the h-naive label is already stored;
-		// re-storing under the method's own name keeps resolution
-		// uniform ("naive" and "h-naive" rows may then hold identical
-		// bytes under different labels).
-		encodings = append(encodings, mode)
+	if enc := s.bandEncoding(); enc != EncHilbertNaive {
+		encodings = append(encodings, enc)
 	}
 	pb := preparedBand{spec: b}
 	for _, enc := range encodings {
@@ -315,18 +304,6 @@ func (s *System) prepareBand(b volume.BandSpec) (preparedBand, error) {
 			return preparedBand{}, err
 		}
 		pb.rows = append(pb.rows, bandRow{enc, data})
-	}
-	switch mode := s.Cfg.Rencode; mode {
-	case RencodeRuns:
-	case RencodeAuto:
-		// No workload has been observed at load time; the policy's
-		// ProbeCutoff doubles as the prior probe fraction (see
-		// costmodel.DefaultReprPolicy). The sizes are those of the two
-		// rows just encoded, first and last.
-		pb.repr = pickBandRepr(len(pb.rows[0].data), len(pb.rows[len(pb.rows)-1].data),
-			costmodel.DefaultReprPolicy().ProbeCutoff)
-	default:
-		pb.repr = mode
 	}
 	return pb, nil
 }
@@ -405,9 +382,6 @@ func (s *System) commitStudy(p *preparedStudy) error {
 			}); err != nil {
 				return err
 			}
-		}
-		if b.repr != "" {
-			s.setBandRepr(studyID, int(b.spec.Lo), int(b.spec.Hi), b.repr)
 		}
 	}
 	s.BandRegions[studyID] = specs

@@ -53,15 +53,11 @@ func storeManifest(t *testing.T, s *System) []string {
 		out = append(out, fmt.Sprintf("field %d: %d bytes, sha256 %x", h, len(data), sha256.Sum256(data)))
 	}
 	out = append(out, fmt.Sprintf("free pages %d of %d", s.LFM.FreePages(), s.LFM.Capacity()/s.LFM.PageSize()))
-	counts := s.BandReprCounts()
-	labels := make([]string, 0, len(counts))
-	for enc := range counts {
-		labels = append(labels, enc)
+	bands := 0
+	for _, specs := range s.BandRegions {
+		bands += len(specs)
 	}
-	sort.Strings(labels)
-	for _, enc := range labels {
-		out = append(out, fmt.Sprintf("repr %s: %d bands", enc, counts[enc]))
-	}
+	out = append(out, fmt.Sprintf("repr %s: %d bands", s.bandEncoding(), bands))
 	for _, st := range s.Studies {
 		out = append(out, fmt.Sprintf("study %+v", st))
 	}

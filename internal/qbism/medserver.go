@@ -34,9 +34,9 @@ type QuerySpec struct {
 	HasBand bool `json:"hasBand,omitempty"`
 	BandLo  int  `json:"bandLo,omitempty"`
 	BandHi  int  `json:"bandHi,omitempty"`
-	// Encoding selects the band REGION encoding. Empty resolves to the
-	// planner's per-band representation pick (see repr.go) —
-	// EncHilbertNaive when no pick was recorded, as in the seed.
+	// Encoding selects the band REGION encoding. Empty reads the row
+	// Config.Rencode makes the default (see repr.go): EncK3Tree in auto
+	// mode, EncHilbertNaive in runs mode, a forced method's own label.
 	Encoding string `json:"encoding,omitempty"`
 }
 
@@ -398,35 +398,39 @@ type dataBinds [7]sdb.Value
 // dataQuerySQL translates a QuerySpec into the second §3.4 SQL query:
 // which prepared shape to run, plus its bind values, written into the
 // caller's buf so that a request's bind vector can live on its stack.
+// A band spec arrives with its Encoding resolved (bandEncoding). The
+// shapes combine a band with a structure and nothing else; any other
+// mix of restrictions is refused rather than answered in part.
 func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error) {
-	encoding := spec.Encoding
-	if encoding == "" {
-		encoding = EncHilbertNaive
-	}
 	study := sdb.Int(int64(spec.StudyID))
+	box, structure, band := spec.Box != nil, spec.Structure != "", spec.HasBand
 	switch {
+	case spec.FullStudy && (box || structure || band), box && (structure || band):
+		return 0, nil, fmt.Errorf("qbism: query spec restrictions conflict (FullStudy=%t Box=%t Structure=%q band=%t): FullStudy and Box each stand alone",
+			spec.FullStudy, box, spec.Structure, band)
+
 	case spec.FullStudy:
 		return shapeFullStudy, append(buf[:0], study), nil
 
-	case spec.Box != nil && !spec.HasBand && spec.Structure == "":
+	case box:
 		b := spec.Box
 		return shapeBox, append(buf[:0],
 			sdb.Int(int64(b[0])), sdb.Int(int64(b[1])), sdb.Int(int64(b[2])),
 			sdb.Int(int64(b[3])), sdb.Int(int64(b[4])), sdb.Int(int64(b[5])),
 			study), nil
 
-	case spec.Structure != "" && !spec.HasBand:
+	case structure && !band:
 		return shapeStructure, append(buf[:0], study, sdb.Str(spec.Structure)), nil
 
-	case spec.HasBand && spec.Structure == "":
+	case band && !structure:
 		return shapeBand, append(buf[:0],
 			study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
-			sdb.Str(encoding)), nil
+			sdb.Str(spec.Encoding)), nil
 
-	case spec.HasBand && spec.Structure != "":
+	case band && structure:
 		return shapeBandStructure, append(buf[:0],
 			study, sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
-			sdb.Str(encoding), sdb.Str(spec.Structure)), nil
+			sdb.Str(spec.Encoding), sdb.Str(spec.Structure)), nil
 
 	default:
 		return 0, nil, fmt.Errorf("qbism: query spec selects nothing (set FullStudy, Box, Structure, or a band)")
@@ -449,12 +453,11 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // mid-drain (rows.Err()), not from Exec — querySingle folds both into
 // its error return, so the fallback conditions are unchanged.
 func (s *System) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warning string, err error) {
-	// An unspecified band encoding resolves to the planner's per-REGION
-	// representation pick before SQL generation, so the generated query
-	// binds a concrete encoding label — the SQL itself stays
-	// representation-agnostic.
+	// An unspecified band encoding resolves to the mode's default row
+	// before SQL generation, so the generated query binds a concrete
+	// encoding label — the SQL itself stays representation-agnostic.
 	if spec.HasBand && spec.Encoding == "" {
-		spec.Encoding = s.bandEncoding(spec.StudyID, spec.BandLo, spec.BandHi)
+		spec.Encoding = s.bandEncoding()
 	}
 	var binds dataBinds
 	shape, args, err := dataQuerySQL(spec, &binds)

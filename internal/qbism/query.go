@@ -120,15 +120,15 @@ func explainFromSpan(root *obs.Span) []string {
 // executes and each line carries its runtime counters (rows in/out,
 // UDF calls, LFM pages charged to that operator's expressions). Band
 // queries are prefixed with a "band repr:" line naming the REGION
-// representation the query resolves to and whether the planner picked
-// it or the spec forced it.
+// representation the query resolves to and whether it is the mode's
+// default or the spec forced it.
 func (s *System) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 	var lines []string
 	if spec.HasBand {
 		src := "forced"
 		if spec.Encoding == "" {
-			spec.Encoding = s.bandEncoding(spec.StudyID, spec.BandLo, spec.BandHi)
-			src = "planner-selected"
+			spec.Encoding = s.bandEncoding()
+			src = "default"
 		}
 		lines = append(lines, fmt.Sprintf("band repr: %s (%s)", spec.Encoding, src))
 	}

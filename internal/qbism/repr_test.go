@@ -3,6 +3,7 @@ package qbism
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"qbism/internal/rencode"
@@ -23,7 +24,7 @@ func reprBaseConfig(rencodeMode string) Config {
 
 // reprQueryShapes returns one spec per §3.4 query shape against the
 // given system, including a default-encoding band query (the one the
-// planner resolves) and an explicitly pinned h-naive one.
+// mode resolves) and an explicitly pinned h-naive one.
 func reprQueryShapes(s *System) []QuerySpec {
 	study := s.Studies[0].StudyID
 	bands := s.BandRegions[study]
@@ -42,7 +43,7 @@ func reprQueryShapes(s *System) []QuerySpec {
 
 // TestReprDifferentialAutoVsRuns is the acceptance differential: every
 // query shape answers byte-identically whether the system stores and
-// resolves planner-selected representations (auto) or reproduces the
+// resolves its default representation (auto) or reproduces the
 // seed's all-runs layout. The representation is invisible in results —
 // only sizes and probe costs may differ.
 func TestReprDifferentialAutoVsRuns(t *testing.T) {
@@ -100,87 +101,110 @@ func TestReprForcedK3Differential(t *testing.T) {
 	}
 }
 
-// TestBandReprPicksRecorded checks the load-time pick bookkeeping: in
-// auto mode every stored band has a recorded resolution matching a
-// fresh run of the pure policy, and the census adds up.
-func TestBandReprPicksRecorded(t *testing.T) {
-	s, err := New(reprBaseConfig(RencodeAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, st := range s.Studies {
-		for _, b := range s.BandRegions[st.StudyID] {
-			total++
-			got := s.bandEncoding(st.StudyID, int(b.Lo), int(b.Hi))
-			// The load picks from the lengths of the rows it encoded;
-			// EncodedSize derives the same two sizes without encoding.
-			sizeRuns, err := rencode.EncodedSize(rencode.Naive, b.Region)
+// TestDefaultBandEncoding: the row a band query with no Encoding reads
+// is the Rencode mode's, for every band. The default query and the same
+// query naming that label are one query — equal REGIONs, equal page
+// counts, neither degraded — and EXPLAIN says which of the two it was.
+func TestDefaultBandEncoding(t *testing.T) {
+	for _, tc := range []struct{ mode, want string }{
+		{RencodeAuto, EncK3Tree},
+		{RencodeRuns, EncHilbertNaive},
+		{"elias", "elias"},
+	} {
+		s, err := New(reprBaseConfig(tc.mode))
+		if err != nil {
+			t.Fatalf("mode %s: %v", tc.mode, err)
+		}
+		if got := s.bandEncoding(); got != tc.want {
+			t.Errorf("mode %s: bandEncoding() = %q, want %q", tc.mode, got, tc.want)
+		}
+		study := s.Studies[0].StudyID
+		bands := s.BandRegions[study]
+		b := bands[len(bands)/2]
+		spec := QuerySpec{StudyID: study, Atlas: "Talairach", HasBand: true,
+			BandLo: int(b.Lo), BandHi: int(b.Hi)}
+		named := spec
+		named.Encoding = tc.want
+
+		def, err := s.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("mode %s default: %v", tc.mode, err)
+		}
+		nam, err := s.RunQuery(named)
+		if err != nil {
+			t.Fatalf("mode %s named: %v", tc.mode, err)
+		}
+		if def.Meta.Degraded || nam.Meta.Degraded {
+			t.Errorf("mode %s: degraded answer (default %q, named %q)",
+				tc.mode, def.Meta.Warning, nam.Meta.Warning)
+		}
+		if !bytes.Equal(marshalResult(t, s, def), marshalResult(t, s, nam)) {
+			t.Errorf("mode %s: default query and Encoding %q return different REGIONs", tc.mode, tc.want)
+		}
+		if def.Meta.LFMPages != nam.Meta.LFMPages {
+			t.Errorf("mode %s: default read %d pages, Encoding %q read %d",
+				tc.mode, def.Meta.LFMPages, tc.want, nam.Meta.LFMPages)
+		}
+
+		for _, e := range []struct {
+			spec QuerySpec
+			src  string
+		}{{spec, "default"}, {named, "forced"}} {
+			lines, err := s.ExplainSpec(e.spec, false)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("mode %s explain: %v", tc.mode, err)
 			}
-			sizeK3, err := rencode.EncodedSize(rencode.K3Tree, b.Region)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := pickBandRepr(sizeRuns, sizeK3, 0.5)
-			if got != want {
-				t.Errorf("study %d band [%d,%d]: recorded %q, policy says %q",
-					st.StudyID, b.Lo, b.Hi, got, want)
+			if want := fmt.Sprintf("band repr: %s (%s)", tc.want, e.src); len(lines) == 0 || lines[0] != want {
+				t.Errorf("mode %s: explain leads with %q, want %q", tc.mode, lines, want)
 			}
 		}
 	}
-	counts := s.BandReprCounts()
-	if n := counts[EncHilbertNaive] + counts[EncK3Tree]; n != total {
-		t.Errorf("census counts %d bands, system stores %d", n, total)
-	}
-	// Unknown bands resolve to the seed default.
-	if enc := s.bandEncoding(999, 0, 1); enc != EncHilbertNaive {
-		t.Errorf("unknown band resolves to %q, want %q", enc, EncHilbertNaive)
-	}
 }
 
-// TestAdaptBandRepr drives the feedback loop: a decode-heavy observed
-// workload pushes picks toward runs, a probe-heavy one pushes them back,
-// and the two adaptations change the same set of bands. Non-auto modes
-// never adapt.
-func TestAdaptBandRepr(t *testing.T) {
-	s, err := New(reprBaseConfig(RencodeAuto))
+// TestConflictingSpecRejected: a spec whose restrictions no data shape
+// combines is refused whole — through the server entry point and
+// through the client, where the refusal is terminal rather than
+// retried — and the supported shapes on the same system still answer.
+func TestConflictingSpecRejected(t *testing.T) {
+	cfg := reprBaseConfig(RencodeAuto)
+	cfg.Retry = DefaultRetryPolicy()
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All-decode workload: bands whose k³-tree is larger than the runs
-	// encoding (but within slack) must flip to h-naive.
-	s.Metrics.Counter(metricRegionDecodes).Add(1000)
-	toRuns, err := s.AdaptBandRepr()
-	if err != nil {
-		t.Fatal(err)
+	study := s.PETStudyIDs()[0]
+	box := &[6]uint32{1, 1, 1, 2, 2, 2}
+	const wantErr = "query spec restrictions conflict"
+	for _, spec := range []QuerySpec{
+		{StudyID: study, Atlas: "Talairach", Structure: "ntal1", Box: box},
+		{StudyID: study, Atlas: "Talairach", HasBand: true, BandLo: 224, BandHi: 255, Box: box},
+		{StudyID: study, Atlas: "Talairach", FullStudy: true, Structure: "ntal1"},
+	} {
+		req, err := EncodeQueryRequest(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ServeRPC(nil, QueryMethod, req); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("%s: ServeRPC error %v, want %q", spec.Label(), err, wantErr)
+		}
+		errs0 := s.Metrics.Counter("qbism_query_errors_total").Value()
+		retries0 := s.Metrics.Counter("qbism_retries_total").Value()
+		_, err = s.RunQuery(spec)
+		if err == nil || !strings.Contains(err.Error(), wantErr) ||
+			!strings.Contains(err.Error(), "failed after 1 attempt(s)") {
+			t.Errorf("%s: RunQuery error %v, want a terminal %q", spec.Label(), err, wantErr)
+		}
+		if got := s.Metrics.Counter("qbism_query_errors_total").Value() - errs0; got != 1 {
+			t.Errorf("%s: qbism_query_errors_total advanced by %d, want 1", spec.Label(), got)
+		}
+		if got := s.Metrics.Counter("qbism_retries_total").Value() - retries0; got != 0 {
+			t.Errorf("%s: qbism_retries_total advanced by %d, want 0", spec.Label(), got)
+		}
 	}
-	// All-probe workload flips exactly those bands back.
-	s.Metrics.Counter(metricRegionProbes).Add(1_000_000)
-	toK3, err := s.AdaptBandRepr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toRuns != toK3 {
-		t.Errorf("decode-heavy adaptation changed %d bands, probe-heavy changed %d back", toRuns, toK3)
-	}
-	// Adaptation is idempotent under an unchanged workload.
-	again, err := s.AdaptBandRepr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != 0 {
-		t.Errorf("repeated adaptation changed %d bands, want 0", again)
-	}
-
-	pinned, err := New(reprBaseConfig(RencodeRuns))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned.Metrics.Counter(metricRegionProbes).Add(1_000_000)
-	if n, err := pinned.AdaptBandRepr(); err != nil || n != 0 {
-		t.Errorf("runs mode adapted %d bands (err %v), want 0", n, err)
+	for i, spec := range s.Table3Queries() {
+		if _, err := s.RunQuery(spec); err != nil {
+			t.Errorf("Q%d (%s): %v", i+1, spec.Label(), err)
+		}
 	}
 }
 
@@ -199,7 +223,7 @@ func TestRencodeValidation(t *testing.T) {
 }
 
 // TestExplainSpecBandRepr pins the EXPLAIN annotation: default band
-// queries lead with the planner's pick, explicit ones with the forced
+// queries lead with the mode's default, explicit ones with the forced
 // label; non-band queries carry no annotation.
 func TestExplainSpecBandRepr(t *testing.T) {
 	s, err := New(reprBaseConfig(RencodeAuto))
@@ -215,9 +239,7 @@ func TestExplainSpecBandRepr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("band repr: %s (planner-selected)",
-		s.bandEncoding(study, int(b.Lo), int(b.Hi)))
-	if len(lines) == 0 || lines[0] != want {
+	if want := "band repr: k3-tree (default)"; len(lines) == 0 || lines[0] != want {
 		t.Errorf("explain leads with %q, want %q", lines[0], want)
 	}
 

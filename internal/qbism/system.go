@@ -45,13 +45,13 @@ type Config struct {
 	// Method is the primary REGION storage encoding (default Naive, as
 	// in the measured experiments; Elias is the paper's space winner).
 	Method rencode.Method
-	// Rencode selects the per-REGION representation strategy. "auto"
-	// (the default) stores each band REGION both as runs and as a
-	// k³-tree and lets costmodel.ReprPolicy pick, per REGION, which one
-	// default queries resolve to; atlas structures store whichever of
-	// Method and the k³-tree encodes smaller. "runs" reproduces the
-	// seed exactly (run-list codecs only, no k³ rows). A rencode method
-	// name (e.g. "k3-tree", "elias") forces that encoding everywhere.
+	// Rencode selects the REGION representation strategy. "auto" (the
+	// default) stores each band REGION both as runs and as a k³-tree,
+	// and band queries that name no encoding read the k³-tree row;
+	// atlas structures store the k³-tree unless it is more than 1.5×
+	// Method's size. "runs" reproduces the seed exactly (run-list
+	// codecs only, no k³ rows). A rencode method name (e.g. "k3-tree",
+	// "elias") forces that encoding everywhere.
 	Rencode string
 	// BandWidth is the intensity band width (default 32 -> 8 bands).
 	BandWidth int
@@ -210,14 +210,6 @@ type System struct {
 	// live in the intensityBand table.
 	BandRegions map[int][]volume.BandSpec
 
-	// bandRepr records, per stored band, the encoding label a band query
-	// with no explicit Encoding resolves to — the planner's per-REGION
-	// representation pick (see repr.go). Written by the load's commits,
-	// one at a time, then read by concurrent query workers and
-	// rewritten by AdaptBandRepr.
-	reprMu   sync.RWMutex
-	bandRepr map[bandKey]string // guarded by reprMu
-
 	// stmts are the MedicalServer's statements, prepared once by New
 	// (medserver.go) and shared by every request.
 	stmts serverStmts
@@ -266,7 +258,6 @@ func New(cfg Config) (*System, error) {
 		Link:        netsim.NewLink(costmodel.Default1993()),
 		AtlasID:     1,
 		BandRegions: make(map[int][]volume.BandSpec),
-		bandRepr:    make(map[bandKey]string),
 	}
 	s.DB.SetPushdown(!cfg.DisablePushdown)
 	if err := s.createSchema(); err != nil {

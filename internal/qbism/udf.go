@@ -306,8 +306,7 @@ func (s *System) curveFor(r *region.Region) sfc.Curve {
 
 // Per-access representation counters: how often a REGION operand was
 // answered on its compressed bytes versus materialized as a run list.
-// Their ratio is the observed probe fraction AdaptBandRepr feeds back
-// into the representation policy.
+// They feed the benchmark's per-layer rows and EXPLAIN ANALYZE.
 const (
 	metricRegionProbes  = "qbism_region_probe_total"
 	metricRegionDecodes = "qbism_region_decode_total"

@@ -208,9 +208,8 @@ type UDF struct {
 	Cost    int
 	// ProbeOnly marks functions that only probe REGION membership or
 	// coverage (CONTAINS-style) and never need a materialized run list.
-	// Calls to them are the demand signal the representation policy
-	// (costmodel.ReprPolicy) weighs toward the queryable k³-tree
-	// encoding; the sdb_udf_probe_calls_total metric counts them.
+	// Calls to them are the demand the queryable k³-tree encoding
+	// serves; the sdb_udf_probe_calls_total metric counts them.
 	ProbeOnly bool
 	Fn        func(db *DB, args []Value) (Value, error)
 }
