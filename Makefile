@@ -1,4 +1,5 @@
-# Pre-merge check: gofmt, vet, build, the repo's own static analysis
+# Pre-merge check: gofmt, vet, build, the wire's import gate, the repo's
+# own static analysis
 # (qbismlint — determinism/spanpair/lockguard/errwrap/opproto plus the
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
 # DESIGN.md §11 and §15), the suppression budget (lint-ignores), the
@@ -27,9 +28,9 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
+.PHONY: check fmt vet build wire-imports lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
 
-check: fmt vet build lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
+check: fmt vet build wire-imports lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
 
 # Formatting gate: any file gofmt would rewrite fails the check (and is
 # named in the output).
@@ -41,6 +42,11 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The wire's headers are fixed binary layouts (DESIGN.md §14): the
+# transport must not grow a document codec again.
+wire-imports:
+	@if $(GO) list -f '{{join .Imports " "}}' ./internal/transport | grep -qw encoding/json; then echo "wire-imports: internal/transport imports encoding/json"; exit 1; fi
 
 # Repo-specific static analysis. Exits non-zero on any unsuppressed
 # diagnostic; suppressions are `//lint:ignore <check> <reason>` lines.
@@ -73,14 +79,18 @@ chaos:
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder, the k³-tree parser (probe
-# answers cross-checked against the materialized run list), and the
-# transport frame codec (both readers, canonical re-encode),
-# $(FUZZTIME) each.
+# answers cross-checked against the materialized run list), the
+# transport frame codec (both readers, canonical re-encode), the spec
+# and meta header decoders (typed refusal or canonical re-encode), and
+# arbitrary request bytes into a loaded System's ServeRPC, $(FUZZTIME)
+# each.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseSQL$$' -fuzz '^FuzzParseSQL$$' -fuzztime=$(FUZZTIME) ./internal/sdb
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzDecodeK3$$' -fuzz '^FuzzDecodeK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzFrame$$' -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run '^FuzzQueryHeader$$' -fuzz '^FuzzQueryHeader$$' -fuzztime=$(FUZZTIME) ./internal/qbism
+	$(GO) test -run '^FuzzServeRPC$$' -fuzz '^FuzzServeRPC$$' -fuzztime=$(FUZZTIME) ./internal/qbism
 
 # Per-package coverage with a hard floor: any listed package under
 # $(COVER_FLOOR)% statement coverage fails the build.
@@ -131,10 +141,13 @@ loadtest-smoke:
 # tree; TestStmtQueryAllocBudget pins the allocations) — and the REGION
 # decode benchmarks on a structure-sized and a band-sized region (what
 # every request pays before it can intersect or extract;
-# TestDecodeAllocBudget pins the allocations).
+# TestDecodeAllocBudget pins the allocations) — and BenchmarkTCPExchange,
+# one echo exchange over loopback at a small and a bulk body (the wire
+# alone; TestTCPExchangeAllocBudget pins its allocations).
 bench-smoke:
 	$(GO) run ./cmd/perfbench -smoke -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_bench_smoke.json
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
+	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport

@@ -34,6 +34,10 @@ var (
 	ErrCorrupt = errors.New("netsim: payload corrupted in flight")
 )
 
+// ErrNoHandler means nothing is registered for the called method. Not a
+// link failure: the call never crossed, and calling again changes nothing.
+var ErrNoHandler = errors.New("netsim: no handler")
+
 // Handler serves one RPC: it receives the request payload and returns
 // the response payload.
 type Handler func(request []byte) ([]byte, error)
@@ -163,7 +167,7 @@ func (l *Link) CallSpan(parent *obs.Span, method string, request []byte) ([]byte
 	h, ok := l.handlers[method]
 	l.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("netsim: no handler for method %q", method)
+		return nil, fmt.Errorf("%w for method %q", ErrNoHandler, method)
 	}
 	rpc := parent.Child("rpc." + method)
 	defer rpc.End()

@@ -1,13 +1,13 @@
 package qbism
 
 import (
-	"encoding/json"
 	"time"
 
 	"qbism/internal/cluster"
 	"qbism/internal/costmodel"
 	"qbism/internal/dx"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
 // Client is the DX half of a query — the paper's front end (§5.2): it
@@ -108,14 +108,15 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 		root.SetStr("spec", spec.Label())
 	}
 
-	// The marshaled spec is the request body and, as a string, the key
-	// QuerySpec.Key returns: the retry jitter and the DX cache use it.
-	specJSON, err := json.Marshal(spec)
+	// The request frame's header — it has no body — is the spec's wire
+	// bytes and, as a string, the key QuerySpec.Key returns: the retry
+	// jitter and the DX cache use it.
+	request, err := EncodeQueryRequest(spec)
 	if err != nil {
 		return nil, c.fail(root, RetryStats{}, err)
 	}
-	key := string(specJSON)
-	f, err := c.server.fetch(root, spec, key, encodeFrame(specJSON, nil))
+	key := string(request[transport.FrameOverhead:])
+	f, err := c.server.fetch(root, spec, key, request)
 	if err != nil {
 		return nil, c.fail(root, f.retry, err)
 	}

@@ -140,11 +140,12 @@ func TestRunQueryAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// ≈ 1.1 × measured (51 and 57, of which ServeRPC is 24 and 28).
+		// ≈ 1.1 × measured (38 and 44, of which ServeRPC is 17 and 21; 51
+		// and 57 with JSON headers, before PR 21).
 		ceiling float64
 	}{
-		{"small-structure", small, 56},
-		{"structure-and-band", mixed, 63},
+		{"small-structure", small, 42},
+		{"structure-and-band", mixed, 48},
 	} {
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := sys.RunQuery(tc.spec); err != nil {
@@ -165,7 +166,7 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
-	if got > 232 { // 222 measured: four queries, the items, the pool
-		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 232 — does the pool allocate per item?", got)
+	if got > 178 { // 170 measured: four queries, the items, the pool
+		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 178 — does the pool allocate per item?", got)
 	}
 }

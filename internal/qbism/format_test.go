@@ -2,11 +2,13 @@ package qbism
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"qbism/internal/sdb"
+	"qbism/internal/transport"
 )
 
 func TestWriteFormatters(t *testing.T) {
@@ -115,8 +117,13 @@ func TestSplitResponseErrors(t *testing.T) {
 	if _, _, err := splitResponse([]byte{0, 0, 0, 99, 1, 2}); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if _, _, err := splitResponse([]byte{0, 0, 0, 2, '{', 'x'}); err == nil {
-		t.Error("bad JSON header accepted")
+	// A whole frame whose header is not a meta header: typed, terminal.
+	f, err := transport.EncodeFrame([]byte("{x"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := splitResponse(f); !errors.Is(err, transport.ErrWireHeader) || RetryableError(err) {
+		t.Errorf("bad meta header: %v, want a terminal transport.ErrWireHeader", err)
 	}
 }
 

@@ -3,35 +3,46 @@ package qbism
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
+
+	"qbism/internal/transport"
 )
 
 // The frame codec itself (round trip, bit-flip and truncation
 // detection, length-bomb rejection, fuzzing) is tested where it lives:
-// internal/transport. This delegation smoke test pins the re-export —
-// qbism's wire bytes and error sentinels are transport's.
+// internal/transport. This smoke test pins that qbism's wire bytes are
+// transport frames and its frame failures transport's sentinels.
 func TestFrameDelegatesToTransport(t *testing.T) {
-	f := encodeFrame([]byte(`{"n":32}`), []byte("voxels"))
-	h, b, err := decodeFrame(f)
+	f, err := transport.EncodeFrame([]byte("meta"), []byte("voxels"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(h, []byte(`{"n":32}`)) || !bytes.Equal(b, []byte("voxels")) {
+	h, b, err := transport.DecodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(h, []byte("meta")) || !bytes.Equal(b, []byte("voxels")) {
 		t.Error("round trip mismatch through the transport codec")
 	}
 	f[len(f)-1] ^= 1
-	if _, _, err := decodeFrame(f); !errors.Is(err, ErrFrameCorrupt) {
-		t.Errorf("corrupt frame: %v, want the re-exported ErrFrameCorrupt", err)
+	if _, _, err := splitResponse(f); !errors.Is(err, transport.ErrFrameCorrupt) {
+		t.Errorf("corrupt frame: %v, want transport.ErrFrameCorrupt", err)
 	}
-	if _, _, err := decodeFrame(f[:3]); !errors.Is(err, ErrFrameTruncated) {
-		t.Errorf("truncated frame: %v, want the re-exported ErrFrameTruncated", err)
+	if _, _, err := splitResponse(f[:3]); !errors.Is(err, transport.ErrFrameTruncated) {
+		t.Errorf("truncated frame: %v, want transport.ErrFrameTruncated", err)
+	}
+	req, err := EncodeQueryRequest(QuerySpec{StudyID: 1, Atlas: "Talairach", FullStudy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, b, err = transport.DecodeFrame(req); err != nil || len(b) != 0 || string(h) != (QuerySpec{StudyID: 1, Atlas: "Talairach", FullStudy: true}).Key() {
+		t.Errorf("request is not a body-less transport frame around the spec's key: %q %q %v", h, b, err)
 	}
 }
 
 func TestQuerySpecKeyDistinct(t *testing.T) {
-	// Distinct specs must never share a cache key (the old Key() ignored
-	// the Marshal error and could return "" for any failing spec).
+	// Distinct specs must never share a cache key, including two that
+	// Label() alone conflates (they differ in Atlas or Encoding).
 	box := [6]uint32{1, 2, 3, 4, 5, 6}
 	specs := []QuerySpec{
 		{StudyID: 1, Atlas: "Talairach", FullStudy: true},
@@ -55,20 +66,5 @@ func TestQuerySpecKeyDistinct(t *testing.T) {
 			t.Errorf("specs %d and %d collide on %q", j, i, k)
 		}
 		seen[k] = i
-	}
-}
-
-func TestQuerySpecKeyFallbackDistinct(t *testing.T) {
-	// The fallback key (used if Marshal ever fails) must also separate
-	// specs that Label() alone would conflate.
-	a := QuerySpec{StudyID: 1, Atlas: "A", FullStudy: true}
-	b := QuerySpec{StudyID: 1, Atlas: "B", FullStudy: true}
-	if a.Label() != b.Label() {
-		t.Fatal("test premise broken: labels differ")
-	}
-	fa := fmt.Sprintf("%s|atlas=%s|enc=%s", a.Label(), a.Atlas, a.Encoding)
-	fb := fmt.Sprintf("%s|atlas=%s|enc=%s", b.Label(), b.Atlas, b.Encoding)
-	if fa == fb {
-		t.Error("fallback keys collide")
 	}
 }

@@ -1,7 +1,6 @@
 package qbism
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -18,38 +17,36 @@ import (
 // fields; the MedicalServer translates it into SQL (Section 5.2's
 // "division of labor").
 type QuerySpec struct {
-	StudyID int    `json:"studyId"`
-	Atlas   string `json:"atlas"` // atlas name, e.g. "Talairach"
+	StudyID int
+	Atlas   string // atlas name, e.g. "Talairach"
 
 	// FullStudy requests the entire VOLUME (query Q1).
-	FullStudy bool `json:"fullStudy,omitempty"`
+	FullStudy bool
 	// Structure restricts spatially to a named anatomical structure
 	// (queries Q3, Q4).
-	Structure string `json:"structure,omitempty"`
+	Structure string
 	// Box restricts spatially to a rectangular solid, inclusive corners
 	// (x0,y0,z0,x1,y1,z1) — query Q2.
-	Box *[6]uint32 `json:"box,omitempty"`
+	Box *[6]uint32
 	// HasBand restricts by intensity to [BandLo, BandHi], which must
 	// match a stored band (queries Q5, Q6).
-	HasBand bool `json:"hasBand,omitempty"`
-	BandLo  int  `json:"bandLo,omitempty"`
-	BandHi  int  `json:"bandHi,omitempty"`
+	HasBand bool
+	BandLo  int
+	BandHi  int
 	// Encoding selects the band REGION encoding. Empty reads the row
 	// Config.Rencode makes the default (see repr.go): EncK3Tree in auto
 	// mode, EncHilbertNaive in runs mode, a forced method's own label.
-	Encoding string `json:"encoding,omitempty"`
+	Encoding string
 }
 
-// Key returns a cache key identifying the query. If the spec cannot be
-// marshaled (it cannot today, but Key must never silently collide) it
-// falls back to the human-readable label extended with the fields the
-// label omits, so distinct specs still get distinct keys.
+// Key returns a cache key identifying the query: the spec's wire bytes
+// (wire.go), the header of the request EncodeQueryRequest builds. Every
+// field is in them, so distinct specs a server would accept never share
+// a key. (A spec with a string too long for the wire has no request;
+// RunQuery refuses it before anything is cached under its key.)
 func (q QuerySpec) Key() string {
-	b, err := json.Marshal(q)
-	if err != nil {
-		return fmt.Sprintf("%s|atlas=%s|enc=%s", q.Label(), q.Atlas, q.Encoding)
-	}
-	return string(b)
+	n, _ := specSize(&q)
+	return string(appendSpec(make([]byte, 0, n), &q))
 }
 
 // Label names the query in reports.
@@ -79,24 +76,24 @@ func (q QuerySpec) Label() string {
 // and patient information from the first SQL query (needed for
 // rendering and annotation), plus server-side measurement counters.
 type QueryMeta struct {
-	N         int     `json:"n"`
-	DX        float64 `json:"dx"`
-	DY        float64 `json:"dy"`
-	DZ        float64 `json:"dz"`
-	AtlasID   int     `json:"atlasId"`
-	Patient   string  `json:"patient"`
-	PatientID int     `json:"patientId"`
-	Date      string  `json:"date"`
+	N         int
+	DX        float64
+	DY        float64
+	DZ        float64
+	AtlasID   int
+	Patient   string
+	PatientID int
+	Date      string
 
-	DBCPUNanos int64  `json:"dbCpuNanos"` // measured handler CPU (wall) time
-	LFMPages   uint64 `json:"lfmPages"`   // 4 KB device pages read during the query
-	LFMReads   uint64 `json:"lfmReads"`   // LFM read operations (seek-count proxy)
+	DBCPUNanos int64  // measured handler CPU (wall) time
+	LFMPages   uint64 // 4 KB device pages read during the query
+	LFMReads   uint64 // LFM read operations (seek-count proxy)
 	// CacheHits/CacheMisses are the LFM page-cache counters for this
 	// query (zero when the cache is disabled). With the cache on,
 	// LFMPages counts only device transfers (misses), so LFMPages +
 	// CacheHits ≈ the unbuffered protocol's page count.
-	CacheHits   uint64 `json:"cacheHits,omitempty"`
-	CacheMisses uint64 `json:"cacheMisses,omitempty"`
+	CacheHits   uint64
+	CacheMisses uint64
 
 	// Concurrency note: these counters are deltas of the shared
 	// lfm.Stats around this query's handler. They are exact when queries
@@ -108,8 +105,8 @@ type QueryMeta struct {
 	// path — e.g. the intensityBand REGION was missing or failed its
 	// checksum, so the band was recomputed from the stored VOLUME. The
 	// result is still exact; Warning says what happened.
-	Degraded bool   `json:"degraded,omitempty"`
-	Warning  string `json:"warning,omitempty"`
+	Degraded bool
+	Warning  string
 }
 
 // medicalQueryMethod is the RPC method name on the link.
@@ -120,15 +117,17 @@ const medicalQueryMethod = "medicalQuery"
 const QueryMethod = medicalQueryMethod
 
 // EncodeQueryRequest builds the wire request body for QueryMethod from
-// a spec: the framed spec JSON, exactly what RunQuery sends. Load
-// generators and external clients use this to drive a daemon through a
-// bare Transport without a System on their side.
+// a spec: the framed binary spec, exactly what RunQuery sends, built in
+// the one buffer it returns. Load generators and external clients use
+// this to drive a daemon through a bare Transport without a System on
+// their side.
 func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
-	specJSON, err := json.Marshal(spec)
+	n, err := specSize(&spec)
 	if err != nil {
 		return nil, err
 	}
-	return encodeFrame(specJSON, nil), nil
+	buf := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n)
+	return transport.SealFrame(appendSpec(buf, &spec), n)
 }
 
 // DecodeQueryResponse splits a QueryMethod response into its meta
@@ -164,14 +163,16 @@ func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 // framed QuerySpec, generates and executes the SQL, and returns the
 // framed response (meta header + DataRegion blob). The frame CRC on
 // the way in means a request corrupted in flight fails with a typed,
-// retryable error instead of executing a different query.
+// retryable error instead of executing a different query. The decoded
+// spec copies its strings, so nothing here outlives the handler holding
+// request (transport.Handler: the buffer is the connection's).
 func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
-	specJSON, _, err := decodeFrame(request)
+	specBytes, _, err := transport.DecodeFrame(request)
 	if err != nil {
 		return nil, fmt.Errorf("qbism: request: %w", err)
 	}
-	var spec QuerySpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
+	spec, err := decodeSpec(specBytes)
+	if err != nil {
 		return nil, fmt.Errorf("qbism: bad query spec: %w", err)
 	}
 	if sp != nil {
@@ -220,11 +221,13 @@ func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	meta.CacheMisses = delta.CacheMisses
 	sp.SetInt("lfm.pages", int64(delta.PageReads))
 	sp.SetInt("lfm.reads", int64(delta.Reads))
-	header, err := json.Marshal(meta)
+	// Meta and blob go straight into the response frame, sized once.
+	n, err := metaSize(&meta)
 	if err != nil {
 		return nil, err
 	}
-	return encodeFrame(header, blob), nil
+	frame := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n+len(blob))
+	return transport.SealFrame(append(appendMeta(frame, &meta), blob...), n)
 }
 
 // querySingle streams a generated SELECT through the iterator API and
@@ -254,16 +257,16 @@ func querySingle(sp *obs.Span, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Val
 // runMetadataQuery executes the paper's first §3.4 query: verify the
 // warped study exists and fetch atlas space and patient information.
 // User-provided strings travel as bind parameters, never spliced text.
-func (s *System) runMetadataQuery(sp *obs.Span, spec QuerySpec) (*QueryMeta, error) {
+func (s *System) runMetadataQuery(sp *obs.Span, spec QuerySpec) (QueryMeta, error) {
 	row, n, err := querySingle(sp, s.stmts.metadata,
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
-		return nil, err
+		return QueryMeta{}, err
 	}
 	if n != 1 {
-		return nil, fmt.Errorf("qbism: no warped study %d in atlas %q", spec.StudyID, spec.Atlas)
+		return QueryMeta{}, fmt.Errorf("qbism: no warped study %d in atlas %q", spec.StudyID, spec.Atlas)
 	}
-	return &QueryMeta{
+	return QueryMeta{
 		N: int(row[0].I), DX: row[4].F, DY: row[5].F, DZ: row[6].F,
 		AtlasID: int(row[7].I), Patient: row[8].S, PatientID: int(row[9].I), Date: row[10].S,
 	}, nil

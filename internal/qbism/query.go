@@ -1,7 +1,6 @@
 package qbism
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -151,18 +150,18 @@ func (s *System) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 	return lines, nil
 }
 
-// splitResponse validates the response frame and separates the JSON
-// meta header from the DataRegion blob. Truncated or corrupted frames
-// fail with ErrFrameTruncated/ErrFrameCorrupt — typed, retryable — so
-// a damaged reply is never mis-parsed as data.
+// splitResponse validates the response frame and separates the meta
+// header from the DataRegion blob. Truncated or corrupted frames fail
+// with transport.ErrFrameTruncated/ErrFrameCorrupt — typed, retryable —
+// so a damaged reply is never mis-parsed as data.
 func splitResponse(resp []byte) (*QueryMeta, []byte, error) {
-	header, blob, err := decodeFrame(resp)
+	header, blob, err := transport.DecodeFrame(resp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("qbism: response: %w", err)
 	}
-	var meta QueryMeta
-	if err := json.Unmarshal(header, &meta); err != nil {
+	meta, err := decodeMeta(header)
+	if err != nil {
 		return nil, nil, fmt.Errorf("qbism: bad response header: %w", err)
 	}
-	return &meta, blob, nil
+	return meta, blob, nil
 }

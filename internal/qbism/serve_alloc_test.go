@@ -8,8 +8,9 @@ import (
 // The per-request allocation budget of the MedicalServer, pinned where
 // `go test ./...` sees it. A request runs two prepared statements
 // on operator trees the statements keep between executions (DESIGN.md
-// §17); what is left is the spec/meta JSON, the frames, a Rows and an
-// output row per statement and the spatial UDFs' own work. Re-introduce
+// §17) and decodes and encodes fixed binary headers (§22); what is left
+// is the spec's strings, the response frame, a Rows and an output row
+// per statement and the spatial UDFs' own work. Re-introduce
 // per-call parsing or planning (+500 allocations a request), a
 // per-execution operator tree or hash table (+40) or a per-row
 // allocation in the executor and these ceilings trip long before the
@@ -44,12 +45,13 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// ≈ 1.25 × measured (24 and 28; 65 and 80 before PR 18 kept the
-		// operator trees, 91 and 101 before PR 17's one-pass decode).
+		// ≈ 1.25 × measured (17 and 21; 24 and 28 before PR 21 took JSON
+		// off the wire, 65 and 80 before PR 18 kept the operator trees, 91
+		// and 101 before PR 17's one-pass decode).
 		ceiling float64
 	}{
-		{"small-structure", small, 30},
-		{"structure-and-band", mixed, 35},
+		{"small-structure", small, 21},
+		{"structure-and-band", mixed, 26},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -127,10 +129,11 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Ceilings at ≈ 1.25 × measured (18, 23, 26 allocations; 2.07,
-		// 3.54, 5.02 × the reply; PR 17 was at 45, 60, 67 and 2.09, 3.57,
-		// 5.32, PR 16 at 47, 91, 96 and 2.09, 4.06, 7.02, PR 13 at 112,
-		// 162, 128 and 4.09, 6.20, 11.85):
+		// Ceilings at ≈ 1.25 × measured (11, 16, 19 allocations; 2.07,
+		// 3.53, 5.01 × the reply; PR 20 was at 18, 23, 26 and 2.07, 3.54,
+		// 5.02, PR 17 at 45, 60, 67 and 2.09, 3.57, 5.32, PR 16 at 47, 91,
+		// 96 and 2.09, 4.06, 7.02, PR 13 at 112, 162, 128 and 4.09, 6.20,
+		// 11.85):
 		// allocations per ServeRPC, and bytes allocated per
 		// ServeRPC as a multiple of the reply's size. The full study is
 		// the blob and the application frame and nothing else to speak of
@@ -141,9 +144,9 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		// under the same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
-		{"full-study", full, 23, 2.3},
-		{"whole-band", band, 29, 4.5},
-		{"hemisphere", hemisphere, 33, 6.7},
+		{"full-study", full, 14, 2.3},
+		{"whole-band", band, 20, 4.5},
+		{"hemisphere", hemisphere, 24, 6.7},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

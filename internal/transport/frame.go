@@ -15,13 +15,14 @@ import (
 //
 //	magic(2) | headerLen(4) | bodyLen(4) | crc32(4) | header | body
 //
-// For a medicalQuery request the header is the QuerySpec JSON and the
-// body is empty; for a response the header is the QueryMeta JSON and
-// the body is the DataRegion blob. On the wire (tcp.go) the same frame
-// carries one extra nesting level: the header names the method (or the
-// response status) and the body is the application frame. The CRC32
-// (IEEE) covers header and body, so any single flipped bit anywhere in
-// the payload is detected.
+// For a medicalQuery request the header is the binary QuerySpec and the
+// body is empty; for a response the header is the binary QueryMeta and
+// the body is the DataRegion blob (internal/qbism/wire.go). On the wire
+// the same frame carries one extra nesting level: the header is the call
+// header naming the method, or the response's status header (tcp.go),
+// and the body is the application frame. The CRC32 (IEEE) covers header
+// and body, so any single flipped bit anywhere in the payload is
+// detected.
 
 // FrameMagic marks a frame ("QM").
 const FrameMagic uint16 = 0x514D
@@ -117,6 +118,113 @@ func DecodeFrame(buf []byte) (header, body []byte, err error) {
 	return buf[FrameOverhead : FrameOverhead+hlen], buf[FrameOverhead+hlen:], nil
 }
 
+// SealFrame completes a frame built in place: buf holds FrameOverhead
+// reserved bytes, then headerLen bytes of header, then the body. It
+// writes the prefix over the reserved bytes and returns buf — the bytes
+// EncodeFrame would have produced, without the sections ever existing
+// apart from the frame.
+func SealFrame(buf []byte, headerLen int) ([]byte, error) {
+	header, body := buf[FrameOverhead:FrameOverhead+headerLen], buf[FrameOverhead+headerLen:]
+	if err := checkSections(header, body); err != nil {
+		return nil, err
+	}
+	putPrefix(buf, header, body)
+	return buf, nil
+}
+
+// frameScratch is what reading and writing frames on one stream needs
+// besides the payloads: the prefix being read, the prefix+header being
+// written and the backing of the vectored write. A connection that
+// carries one message at a time owns one and reuses it for every
+// message, so the plumbing costs nothing per message.
+type frameScratch struct {
+	prefix [FrameOverhead]byte
+	head   []byte // prefix+header write buffer, grow-only
+	vec    [2][]byte
+	bufs   net.Buffers // over vec; a field so that WriteTo's receiver is not a fresh heap object per write
+	kept   []byte      // a reusing reader's frame buffer, grow-only up to maxKeptFrame
+}
+
+// maxKeptFrame is the largest read buffer a scratch keeps for its next
+// read; a larger one is released before that read blocks, so one bulk
+// frame pins nothing while the connection idles.
+const maxKeptFrame = 64 << 10
+
+// begin returns the write buffer with the prefix reserved: append the
+// header to it and hand the result to write.
+func (s *frameScratch) begin() []byte {
+	if s.head == nil {
+		s.head = make([]byte, FrameOverhead, 128)
+	}
+	return s.head[:FrameOverhead]
+}
+
+// write sends the frame whose header was appended to begin()'s buffer.
+// See WriteFrame for the contract.
+func (s *frameScratch) write(w io.Writer, head, body []byte) error {
+	s.head = head
+	header := head[FrameOverhead:]
+	if err := checkSections(header, body); err != nil {
+		return err
+	}
+	putPrefix(head, header, body)
+	s.vec[0], s.vec[1] = head, body
+	s.bufs = s.vec[:1]
+	if len(body) > 0 {
+		s.bufs = s.vec[:2]
+	}
+	total := len(head) + len(body)
+	n, err := s.bufs.WriteTo(w)
+	s.vec[1] = nil // the body is the caller's
+	if err == nil && n != int64(total) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return fmt.Errorf("%w: writing %d-byte frame: %w", ErrConn, total, err)
+	}
+	return nil
+}
+
+// read reads one frame; see ReadFrame for the contract. With reuse the
+// frame lands in the scratch's own buffer and its sections are valid
+// only until the next read; without, in a new buffer the caller keeps.
+func (s *frameScratch) read(r io.Reader, maxBytes int64, reuse bool) (header, body []byte, err error) {
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxFrameBytes
+	}
+	if cap(s.kept) > maxKeptFrame {
+		s.kept = nil
+	}
+	if _, err := io.ReadFull(r, s.prefix[:]); err != nil {
+		if err == io.EOF {
+			return nil, nil, io.EOF
+		}
+		return nil, nil, fmt.Errorf("%w: reading frame prefix: %w", ErrFrameTruncated, err)
+	}
+	if m := binary.BigEndian.Uint16(s.prefix[:]); m != FrameMagic {
+		return nil, nil, fmt.Errorf("%w: bad magic %#04x", ErrFrameCorrupt, m)
+	}
+	hlen := uint64(binary.BigEndian.Uint32(s.prefix[2:]))
+	blen := uint64(binary.BigEndian.Uint32(s.prefix[6:]))
+	total := FrameOverhead + hlen + blen
+	if total > uint64(maxBytes) {
+		return nil, nil, fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrFrameOversize, total, maxBytes)
+	}
+	buf := s.kept
+	if !reuse || uint64(cap(buf)) < total {
+		buf = make([]byte, total)
+		if reuse {
+			s.kept = buf
+		}
+	}
+	buf = buf[:total]
+	copy(buf, s.prefix[:])
+	if _, err := io.ReadFull(r, buf[FrameOverhead:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: reading %d-byte frame: %w", ErrFrameTruncated, total, err)
+	}
+	return DecodeFrame(buf)
+}
+
 // ReadFrame reads exactly one frame from a byte stream: the fixed
 // prefix first, then — after the magic and the declared lengths pass
 // validation against maxBytes — exactly the declared payload. Unlike
@@ -127,31 +235,8 @@ func DecodeFrame(buf []byte) (header, body []byte, err error) {
 // before any byte surfaces as io.EOF so connection loops can
 // distinguish "peer closed" from "peer lied".
 func ReadFrame(r io.Reader, maxBytes int64) (header, body []byte, err error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxFrameBytes
-	}
-	var prefix [FrameOverhead]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil, io.EOF
-		}
-		return nil, nil, fmt.Errorf("%w: reading frame prefix: %w", ErrFrameTruncated, err)
-	}
-	if m := binary.BigEndian.Uint16(prefix[:]); m != FrameMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic %#04x", ErrFrameCorrupt, m)
-	}
-	hlen := uint64(binary.BigEndian.Uint32(prefix[2:]))
-	blen := uint64(binary.BigEndian.Uint32(prefix[6:]))
-	total := FrameOverhead + hlen + blen
-	if total > uint64(maxBytes) {
-		return nil, nil, fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrFrameOversize, total, maxBytes)
-	}
-	buf := make([]byte, total)
-	copy(buf, prefix[:])
-	if _, err := io.ReadFull(r, buf[FrameOverhead:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: reading %d-byte frame: %w", ErrFrameTruncated, total, err)
-	}
-	return DecodeFrame(buf)
+	var s frameScratch
+	return s.read(r, maxBytes, false)
 }
 
 // WriteFrame writes the frame EncodeFrame would build — the same bytes —
@@ -164,24 +249,6 @@ func ReadFrame(r io.Reader, maxBytes int64) (header, body []byte, err error) {
 // leaves part of a frame on the stream: the caller must drop the
 // connection.
 func WriteFrame(w io.Writer, header, body []byte) error {
-	if err := checkSections(header, body); err != nil {
-		return err
-	}
-	head := make([]byte, FrameOverhead+len(header))
-	copy(head[FrameOverhead:], header)
-	putPrefix(head, header, body)
-	bufs := make(net.Buffers, 1, 2)
-	bufs[0] = head
-	if len(body) > 0 {
-		bufs = append(bufs, body)
-	}
-	total := len(head) + len(body)
-	n, err := bufs.WriteTo(w)
-	if err == nil && n != int64(total) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		return fmt.Errorf("%w: writing %d-byte frame: %w", ErrConn, total, err)
-	}
-	return nil
+	var s frameScratch
+	return s.write(w, append(s.begin(), header...), body)
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -112,6 +111,12 @@ type Server struct {
 type serverConn struct {
 	c net.Conn
 
+	// Owned by the connection's one serve goroutine: the frame scratch,
+	// which also holds the request it last read, and the last method name
+	// seen, so that a repeated method costs no conversion.
+	fs     frameScratch
+	method string
+
 	mu         sync.Mutex
 	busy       bool // guarded by mu; a request is being served
 	closeAfter bool // guarded by mu; Drain found it busy: close once the call is answered
@@ -221,7 +226,10 @@ func (s *Server) serveConn(sc *serverConn) {
 	}()
 	client := clientKey(sc.c.RemoteAddr())
 	for {
-		method, request, err := ReadFrame(sc.c, s.cfg.MaxFrameBytes)
+		method, request, err := sc.fs.read(sc.c, s.cfg.MaxFrameBytes, true)
+		if err == nil {
+			method, err = parseCallHeader(method)
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
 				s.count(func(st *ServerStats) { st.FrameErrors++ })
@@ -229,8 +237,10 @@ func (s *Server) serveConn(sc *serverConn) {
 				// Tell the peer what happened if the stream can still
 				// carry a reply, then drop the connection — after a
 				// frame error the stream is unsynchronized, so whether the
-				// reply got through changes nothing here.
-				_ = s.writeStatus(sc.c, wireStatus{OK: false, Err: err.Error(), Kind: classifyKind(err)}, nil)
+				// reply got through changes nothing here. (A call header
+				// this server does not speak leaves the stream intact, but
+				// a peer that sent one will send the next.)
+				_ = s.writeStatus(sc, classifyKind(err), err.Error(), nil)
 			}
 			return
 		}
@@ -250,13 +260,16 @@ func (s *Server) serveConn(sc *serverConn) {
 			s.count(func(st *ServerStats) { st.DrainRejected++ })
 			s.metric("transport_server_drain_rejected_total")
 			// The connection closes after a draining reply, delivered or not.
-			_ = s.writeStatus(sc.c, wireStatus{OK: false, Err: "server draining", Kind: kindDraining}, nil)
+			_ = s.writeStatus(sc, kindDraining, "server draining", nil)
 			return
 		}
 		sc.busy = true
 		sc.mu.Unlock()
 
-		werr := s.serveOne(sc.c, client, string(method), request)
+		if string(method) != sc.method { // the comparison does not allocate
+			sc.method = string(method)
+		}
+		werr := s.serveOne(sc, client, sc.method, request)
 
 		// A response that did not go out whole leaves half a frame on
 		// the stream: the connection is dropped, never read from again.
@@ -278,14 +291,17 @@ func (s *Server) serveConn(sc *serverConn) {
 // serveOne admits, dispatches, and answers a single request. The error
 // it returns is the response write's: the request was handled, but the
 // connection can carry no further exchange.
-func (s *Server) serveOne(conn net.Conn, client, method string, request []byte) error {
+func (s *Server) serveOne(sc *serverConn, client, method string, request []byte) error {
 	if !s.admit.Allow(client) {
 		s.count(func(st *ServerStats) { st.AdmissionRejected++ })
 		s.metric("transport_admission_rejected_total")
-		return s.writeStatus(conn, wireStatus{OK: false, Err: fmt.Sprintf("client %s over rate", client), Kind: kindAdmission}, nil)
+		return s.writeStatus(sc, kindAdmission, fmt.Sprintf("client %s over rate", client), nil)
 	}
-	sp := s.cfg.Tracer.Start("rpc." + method)
-	sp.SetStr("client", client)
+	var sp *obs.Span
+	if s.cfg.Tracer != nil {
+		sp = s.cfg.Tracer.Start("rpc." + method)
+		sp.SetStr("client", client)
+	}
 	start := s.cfg.now()
 	resp, err := s.handler(sp, method, request)
 	elapsed := s.cfg.now().Sub(start)
@@ -299,23 +315,20 @@ func (s *Server) serveOne(conn net.Conn, client, method string, request []byte) 
 		s.metric("transport_server_errors_total")
 		sp.SetStr("error", err.Error())
 		sp.End()
-		return s.writeStatus(conn, wireStatus{OK: false, Err: err.Error(), Kind: classifyKind(err)}, nil)
+		return s.writeStatus(sc, classifyKind(err), err.Error(), nil)
 	}
 	sp.SetInt("bytes", int64(len(resp)))
 	sp.End()
-	return s.writeStatus(conn, wireStatus{OK: true}, resp)
+	return s.writeStatus(sc, kindOK, "", resp)
 }
 
-// writeStatus sends one response frame, body by reference (WriteFrame
-// does not copy it). A failure is counted and returned: the stream may
-// hold part of a frame, so the caller must not serve another request on
-// this connection.
-func (s *Server) writeStatus(conn net.Conn, st wireStatus, body []byte) error {
-	header, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("transport: encoding response status: %w", err)
-	}
-	if err := WriteFrame(conn, header, body); err != nil {
+// writeStatus sends one response frame: the status header from the
+// connection's scratch, the body by reference in the same vectored
+// write. A failure is counted and returned: the stream may hold part of
+// a frame, so the caller must not serve another request on this
+// connection.
+func (s *Server) writeStatus(sc *serverConn, kind statusKind, text string, body []byte) error {
+	if err := sc.fs.write(sc.c, appendStatus(sc.fs.begin(), kind, text), body); err != nil {
 		s.count(func(st *ServerStats) { st.WriteErrors++ })
 		s.metric("transport_server_write_errors_total")
 		return err
@@ -325,19 +338,16 @@ func (s *Server) writeStatus(conn net.Conn, st wireStatus, body []byte) error {
 
 // classifyKind maps a server-side error onto the wire status kind the
 // client reconstructs a typed error from.
-func classifyKind(err error) string {
-	switch {
-	case errors.Is(err, ErrAdmissionRejected):
-		return kindAdmission
-	case errors.Is(err, ErrDraining):
-		return kindDraining
-	case errors.Is(err, ErrUnknownMethod):
-		return kindUnknownMethod
-	case RetryableError(err):
-		return kindRetryable
-	default:
-		return kindTerminal
+func classifyKind(err error) statusKind {
+	for kind, sentinel := range kindSentinel {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return statusKind(kind)
+		}
 	}
+	if RetryableError(err) {
+		return kindRetryable
+	}
+	return kindTerminal
 }
 
 // Drain shuts the server down gracefully: the listener closes (new

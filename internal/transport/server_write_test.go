@@ -19,7 +19,7 @@ import (
 // twoRequests is two request frames back to back, as one write.
 func twoRequests(t *testing.T) []byte {
 	t.Helper()
-	return append(mustFrame(t, []byte("first"), nil), mustFrame(t, []byte("second"), nil)...)
+	return append(mustFrame(t, appendCallHeader(nil, "first"), nil), mustFrame(t, appendCallHeader(nil, "second"), nil)...)
 }
 
 // waitConnDropped waits until the server has no live connection, then

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -39,7 +40,12 @@ func (s *Sim) Call(parent *obs.Span, method string, request []byte) ([]byte, err
 	if s.closed.Load() {
 		return nil, fmt.Errorf("transport: sim %q: %w", method, ErrClosed)
 	}
-	return s.link.CallSpan(parent, method, request)
+	resp, err := s.link.CallSpan(parent, method, request)
+	if errors.Is(err, netsim.ErrNoHandler) {
+		// The same typed, terminal refusal a daemon gives over tcp.
+		return nil, fmt.Errorf("transport: sim: %w: %q", ErrUnknownMethod, method)
+	}
+	return resp, err
 }
 
 // NoteRetry forwards client retries to the link's meter, so the chaos

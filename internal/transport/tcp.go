@@ -1,59 +1,117 @@
 package transport
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"qbism/internal/obs"
 )
 
 // The wire protocol: each call is one frame exchange on a TCP stream.
-// The request frame's header is the method name and its body the
-// application payload (itself a CRC frame — the protocol nests, so
-// both the wire hop and the application payload are independently
-// integrity-checked). The response frame's header is a small status
-// JSON and its body the application response:
+// The request frame's header is the call header and its body the
+// application payload (itself a CRC frame — the protocol nests, so both
+// the wire hop and the application payload are independently
+// integrity-checked). The response frame's header is the status header
+// and its body the application response, empty unless the kind is ok.
+// Both headers are fixed binary layouts, big-endian (DESIGN.md §14):
 //
-//	{"ok":true}                          → body is the response payload
-//	{"ok":false,"err":"...","kind":"…"}  → body empty, kind classifies
+//	call:   version(1)=1 | flags(1) | traceID(16) | parentSpan(8) | deadline(8) | method
+//	status: version(1)=1 | kind(1) | error text, at most maxStatusText bytes
 //
-// Kinds map server-side failures onto the client's typed errors so
-// errors.Is classification crosses the process boundary: "admission" →
-// ErrAdmissionRejected, "draining" → ErrDraining, "retryable" →
-// ErrRemote, "unknown-method" → ErrUnknownMethod, anything else is
-// terminal.
+// The call header's flags, trace id, parent span id and deadline (unix
+// nanoseconds) are reserved for ROADMAP items 1a and 2a: written as
+// zero and ignored on receipt, so switching them on is not a second
+// wire revision. A header of another version is refused with
+// ErrWireHeader — terminal, because the retry would say the same.
 const (
-	kindAdmission     = "admission"
-	kindDraining      = "draining"
-	kindRetryable     = "retryable"
-	kindTerminal      = "terminal"
-	kindUnknownMethod = "unknown-method"
+	wireVersion    = 1
+	callHeaderSize = 1 + 1 + 16 + 8 + 8 // the method name follows
+	statusSize     = 1 + 1              // the error text follows
+	// maxStatusText bounds the error text a status header carries: the
+	// server truncates to it, the client refuses more before converting.
+	maxStatusText = 4 << 10
+	truncatedTail = "…(truncated)"
 )
 
-// wireStatus is the response frame's header.
-type wireStatus struct {
-	OK   bool   `json:"ok"`
-	Err  string `json:"err,omitempty"`
-	Kind string `json:"kind,omitempty"`
+// statusKind classifies a response. Kinds map server-side failures onto
+// the client's typed errors so errors.Is classification crosses the
+// process boundary; a kind with no sentinel — kindTerminal and any code
+// a newer server might send — is a terminal remote error.
+type statusKind byte
+
+const (
+	kindOK statusKind = iota
+	kindAdmission
+	kindDraining
+	kindRetryable
+	kindTerminal
+	kindUnknownMethod
+)
+
+// kindSentinel is the one table both directions read: classifyKind
+// picks the first kind whose sentinel the server's error matches,
+// remoteErr wraps that sentinel on the client.
+var kindSentinel = [...]error{
+	kindAdmission:     ErrAdmissionRejected,
+	kindDraining:      ErrDraining,
+	kindRetryable:     ErrRemote,
+	kindUnknownMethod: ErrUnknownMethod,
 }
 
-// remoteErr reconstructs a typed client-side error from a wire status.
-func remoteErr(method string, st wireStatus) error {
-	switch st.Kind {
-	case kindAdmission:
-		return fmt.Errorf("transport: %s: %w: %s", method, ErrAdmissionRejected, st.Err)
-	case kindDraining:
-		return fmt.Errorf("transport: %s: %w: %s", method, ErrDraining, st.Err)
-	case kindRetryable:
-		return fmt.Errorf("transport: %s: %w: %s", method, ErrRemote, st.Err)
-	case kindUnknownMethod:
-		return fmt.Errorf("transport: %s: %w: %s", method, ErrUnknownMethod, st.Err)
-	default:
-		return fmt.Errorf("transport: %s: remote: %s", method, st.Err)
+// appendCallHeader appends the call header for method to dst.
+func appendCallHeader(dst []byte, method string) []byte {
+	var fixed [callHeaderSize]byte
+	fixed[0] = wireVersion
+	return append(append(dst, fixed[:]...), method...)
+}
+
+// parseCallHeader returns the method bytes of a call header.
+func parseCallHeader(h []byte) ([]byte, error) {
+	switch {
+	case len(h) >= 1 && h[0] != wireVersion:
+		return nil, fmt.Errorf("%w: call header version %d, want %d", ErrWireHeader, h[0], wireVersion)
+	case len(h) < callHeaderSize:
+		return nil, fmt.Errorf("%w: %d-byte call header, want at least %d", ErrWireHeader, len(h), callHeaderSize)
 	}
+	return h[callHeaderSize:], nil
+}
+
+// appendStatus appends a status header to dst, cutting text on a rune
+// boundary so that it and truncatedTail fit in maxStatusText.
+func appendStatus(dst []byte, kind statusKind, text string) []byte {
+	dst = append(dst, wireVersion, byte(kind))
+	if len(text) <= maxStatusText {
+		return append(dst, text...)
+	}
+	cut := maxStatusText - len(truncatedTail)
+	for cut > 0 && !utf8.RuneStart(text[cut]) {
+		cut--
+	}
+	return append(append(dst, text[:cut]...), truncatedTail...)
+}
+
+// parseStatus splits a status header. The text stays bytes: only a
+// failed call turns it into a string.
+func parseStatus(h []byte) (statusKind, []byte, error) {
+	switch {
+	case len(h) >= 1 && h[0] != wireVersion:
+		return 0, nil, fmt.Errorf("%w: status header version %d, want %d", ErrWireHeader, h[0], wireVersion)
+	case len(h) < statusSize, len(h) > statusSize+maxStatusText, statusKind(h[1]) == kindOK && len(h) > statusSize:
+		return 0, nil, fmt.Errorf("%w: %d-byte status header", ErrFrameCorrupt, len(h))
+	}
+	return statusKind(h[1]), h[statusSize:], nil
+}
+
+// remoteErr reconstructs a typed client-side error from a failed status.
+func remoteErr(method string, kind statusKind, text []byte) error {
+	if int(kind) < len(kindSentinel) && kindSentinel[kind] != nil {
+		return fmt.Errorf("transport: %s: %w: %s", method, kindSentinel[kind], text)
+	}
+	return fmt.Errorf("transport: %s: remote: %s", method, text)
 }
 
 // TCPOptions tunes a TCP client transport.
@@ -94,9 +152,10 @@ type TCP struct {
 	opts TCPOptions
 
 	mu     sync.Mutex
-	conn   net.Conn // guarded by mu; nil when not connected
-	closed bool     // guarded by mu
-	stats  Stats    // guarded by mu
+	conn   net.Conn     // guarded by mu; nil when not connected
+	closed bool         // guarded by mu
+	stats  Stats        // guarded by mu
+	fs     frameScratch // guarded by mu; one exchange at a time, so one scratch
 }
 
 // DialTCP creates a TCP transport for the daemon at addr. The
@@ -155,11 +214,12 @@ func (t *TCP) callLocked(method string, request []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %s: setting deadline: %w", ErrConn, t.addr, err)
 		}
 	}
-	if err := WriteFrame(t.conn, []byte(method), request); err != nil {
+	if err := t.fs.write(t.conn, appendCallHeader(t.fs.begin(), method), request); err != nil {
 		t.teardownLocked()
 		return nil, err
 	}
-	header, body, err := ReadFrame(t.conn, t.opts.MaxFrameBytes)
+	// The response buffer is allocated per call: the caller keeps it.
+	header, body, err := t.fs.read(t.conn, t.opts.MaxFrameBytes, false)
 	if err != nil {
 		// The stream is unsynchronized after any read failure (io.EOF
 		// here means the server hung up mid-exchange); drop the
@@ -167,21 +227,23 @@ func (t *TCP) callLocked(method string, request []byte) ([]byte, error) {
 		t.teardownLocked()
 		return nil, fmt.Errorf("%w: %s: %w", ErrConn, t.addr, err)
 	}
-	var st wireStatus
-	if err := json.Unmarshal(header, &st); err != nil {
+	kind, text, err := parseStatus(header)
+	switch {
+	case errors.Is(err, ErrWireHeader):
+		t.teardownLocked()
+		return nil, fmt.Errorf("transport: tcp %s: %w", t.addr, err)
+	case err != nil:
 		t.teardownLocked()
 		return nil, fmt.Errorf("%w: %s: bad response status: %w", ErrConn, t.addr, err)
+	case kind == kindOK:
+		return body, nil
+	case kind == kindDraining:
+		// The server closes the connection after a draining reply;
+		// match it so the next attempt redials rather than reading
+		// from a half-closed stream.
+		t.teardownLocked()
 	}
-	if !st.OK {
-		if st.Kind == kindDraining {
-			// The server closes the connection after a draining reply;
-			// match it so the next attempt redials rather than reading
-			// from a half-closed stream.
-			t.teardownLocked()
-		}
-		return nil, remoteErr(method, st)
-	}
-	return body, nil
+	return nil, remoteErr(method, kind, text)
 }
 
 // teardownLocked drops the connection. Callers must hold t.mu.

@@ -53,11 +53,18 @@ var (
 	ErrRemote = errors.New("transport: retryable remote failure")
 	// ErrUnknownMethod means the server has no handler for the method.
 	ErrUnknownMethod = errors.New("transport: unknown method")
+	// ErrWireHeader means a header inside a valid frame — call, status,
+	// or the application's spec and meta — has a version, a flag or a
+	// shape this end does not speak. Terminal: the frame's CRC passed, so
+	// the bytes are what the peer meant and a retry would repeat them.
+	ErrWireHeader = errors.New("transport: unsupported wire header")
 )
 
 // Handler is the server side of the seam: it answers one framed RPC.
 // The span is the server-side trace span for the call (nil when the
-// call is untraced).
+// call is untraced). request is valid only until the handler returns —
+// a Server reads the connection's next request into the same buffer —
+// so a handler copies what it keeps.
 type Handler func(sp *obs.Span, method string, request []byte) ([]byte, error)
 
 // Stats is a transport's cumulative traffic accounting. Deltas around

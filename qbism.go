@@ -371,8 +371,8 @@ var (
 	ErrReadFault      = lfm.ErrReadFault
 	ErrWriteFault     = lfm.ErrWriteFault
 	ErrChecksum       = lfm.ErrChecksum
-	ErrFrameTruncated = core.ErrFrameTruncated
-	ErrFrameCorrupt   = core.ErrFrameCorrupt
+	ErrFrameTruncated = transport.ErrFrameTruncated
+	ErrFrameCorrupt   = transport.ErrFrameCorrupt
 )
 
 // Resilience helpers.
