@@ -1,4 +1,5 @@
-# Pre-merge check: gofmt, vet, build, the wire's import gate, the repo's
+# Pre-merge check: gofmt, vet, build, the wire's import gate and the
+# daemon's (qbismd-deps), the repo's
 # own static analysis
 # (qbismlint — determinism/spanpair/lockguard/errwrap/opproto plus the
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
@@ -28,9 +29,9 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
+.PHONY: check fmt vet build wire-imports qbismd-deps lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
 
-check: fmt vet build wire-imports lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
+check: fmt vet build wire-imports qbismd-deps lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
 
 # Formatting gate: any file gofmt would rewrite fails the check (and is
 # named in the output).
@@ -47,6 +48,12 @@ build:
 # transport must not grow a document codec again.
 wire-imports:
 	@if $(GO) list -f '{{join .Imports " "}}' ./internal/transport | grep -qw encoding/json; then echo "wire-imports: internal/transport imports encoding/json"; exit 1; fi
+
+# The daemon links the server half only (DESIGN.md §23): the DX front
+# end, the cluster, the experiment drivers and what only they use must
+# not come back into qbismd's dependency closure.
+qbismd-deps:
+	@bad="$$($(GO) list -deps ./cmd/qbismd | grep -E '^qbism/internal/(qbism|dx|cluster|feature|mining|spindex|stats)$$')"; if [ -n "$$bad" ]; then echo "qbismd-deps: cmd/qbismd links:"; echo "$$bad"; exit 1; fi
 
 # Repo-specific static analysis. Exits non-zero on any unsuppressed
 # diagnostic; suppressions are `//lint:ignore <check> <reason>` lines.
@@ -82,8 +89,9 @@ chaos:
 # answers cross-checked against the materialized run list), the
 # transport frame codec (both readers, canonical re-encode), the spec
 # and meta header decoders (typed refusal or canonical re-encode), and
-# arbitrary request bytes into a loaded System's ServeRPC, $(FUZZTIME)
-# each.
+# arbitrary request bytes into a bare medserver.Server's ServeRPC,
+# $(FUZZTIME) each. The last two drive internal/medserver from
+# internal/qbism, where its client-side tests also live.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseSQL$$' -fuzz '^FuzzParseSQL$$' -fuzztime=$(FUZZTIME) ./internal/sdb
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode

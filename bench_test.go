@@ -190,7 +190,7 @@ func BenchmarkCurveOrdering(b *testing.B) {
 			var pages uint64
 			for n := 0; n < b.N; n++ {
 				before := mgr.Stats().PageReads
-				d, err := core.ExtractStored(mgr, h, reg)
+				d, err := core.ExtractStoredOpts(mgr, h, reg, core.ExtractOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,14 +1,16 @@
-// Command qbismd serves a QBISM system over TCP: the MedicalServer's
-// query handler behind the frame protocol, with a bounded connection
-// pool, per-client token-bucket admission control, graceful drain on
-// SIGTERM/SIGINT, and an admin HTTP endpoint exposing Prometheus
-// metrics and a drain-aware health check.
+// Command qbismd serves a MedicalServer over TCP: its query handler
+// behind the frame protocol, with a bounded connection pool, per-client
+// token-bucket admission control, graceful drain on SIGTERM/SIGINT, and
+// an admin HTTP endpoint exposing Prometheus metrics and a drain-aware
+// health check. It is the server half alone — internal/medserver, with
+// no DX front end, cluster or experiment driver linked in (`make
+// qbismd-deps`).
 //
 // The daemon loads the same synthetic corpus the CLI and the test
 // suites use; any client speaking the frame protocol (qbismload, a
-// System with a TCP Dial, or transport.DialTCP directly) gets answers
-// byte-identical to an in-process run — that equivalence is pinned by
-// internal/daemon's loopback test.
+// qbism.Client over transport.DialTCP, or a bare transport.DialTCP)
+// gets answers byte-identical to an in-process run — that equivalence
+// is pinned by internal/daemon's loopback test.
 //
 // Examples:
 //
@@ -28,7 +30,7 @@ import (
 	"time"
 
 	"qbism/internal/daemon"
-	"qbism/internal/qbism"
+	"qbism/internal/medserver"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
 )
@@ -48,7 +50,7 @@ func main() {
 	small := flag.Bool("small", true, "use compact acquisition grids")
 	flag.Parse()
 
-	if err := run(*addr, *admin, *maxConns, *rate, *burst, *drainTimeout, qbism.Config{
+	if err := run(*addr, *admin, *maxConns, *rate, *burst, *drainTimeout, medserver.Config{
 		Bits:         *bits,
 		NumPET:       *pets,
 		NumMRI:       *mris,
@@ -61,19 +63,19 @@ func main() {
 	}
 }
 
-func run(addr, admin string, maxConns int, rate, burst float64, drainTimeout time.Duration, cfg qbism.Config) error {
+func run(addr, admin string, maxConns int, rate, burst float64, drainTimeout time.Duration, cfg medserver.Config) error {
 	fmt.Fprintf(os.Stderr, "qbismd: loading corpus (%d^3 grid, %d PET + %d MRI)...\n",
 		1<<cfg.Bits, cfg.NumPET, cfg.NumMRI)
 	loadStart := time.Now()
-	sys, err := qbism.New(cfg)
+	srv, err := medserver.New(cfg)
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
+	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "qbismd: loaded %d studies in %.2f s on %d procs\n",
-		len(sys.Studies), time.Since(loadStart).Seconds(), runtime.GOMAXPROCS(0))
+		len(srv.Studies), time.Since(loadStart).Seconds(), runtime.GOMAXPROCS(0))
 
-	d := daemon.New(sys, daemon.Config{
+	d := daemon.New(srv, daemon.Config{
 		Addr:      addr,
 		AdminAddr: admin,
 		MaxConns:  maxConns,

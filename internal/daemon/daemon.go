@@ -1,7 +1,7 @@
 // Package daemon assembles a serving qbismd process out of the pieces
-// the rest of the repo provides: a loaded qbism.System as the RPC
+// the rest of the repo provides: a loaded MedicalServer as the RPC
 // handler, a transport.Server carrying the frame protocol over TCP,
-// and an admin HTTP endpoint exposing the system's metrics registry in
+// and an admin HTTP endpoint exposing the server's metrics registry in
 // Prometheus text format plus a drain-aware health check.
 //
 // The package exists so cmd/qbismd stays a thin flag-parsing shell and
@@ -17,9 +17,18 @@ import (
 	"sync"
 	"time"
 
-	"qbism/internal/qbism"
+	"qbism/internal/obs"
 	"qbism/internal/transport"
 )
+
+// Backend is what a Daemon serves and observes: a MedicalServer's RPC
+// handler, and the registry and tracer it reports into. A
+// *medserver.Server is one; so is a *qbism.System, whose client shares
+// its server's.
+type Backend interface {
+	ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error)
+	Observers() (*obs.Registry, *obs.Tracer)
+}
 
 // Config parameterizes a Daemon.
 type Config struct {
@@ -39,34 +48,39 @@ type Config struct {
 	MaxFrameBytes int64
 }
 
-// Daemon is one serving qbism system: RPC server plus admin endpoint.
+// Daemon is one serving MedicalServer: RPC server plus admin endpoint.
 type Daemon struct {
-	sys *qbism.System
-	srv *transport.Server
-	cfg Config
+	metrics *obs.Registry
+	srv     *transport.Server
+	cfg     Config
 
-	adminLn  net.Listener
-	admin    *http.Server
-	adminErr chan error
+	adminLn net.Listener
+	// adminDone carries the admin goroutine's Serve result, sent once.
+	adminDone chan error
 
 	mu       sync.Mutex
-	draining bool
+	draining bool         // guarded by mu
+	admin    *http.Server // guarded by mu; nil when disabled or closed
 }
 
-// New wires a loaded system into a daemon. The transport server
-// observes into the system's own metrics registry and tracer, so
+// New wires a loaded server into a daemon. The transport server
+// observes into the backend's own metrics registry and tracer, so
 // /metrics shows RPC counters next to query counters.
-func New(sys *qbism.System, cfg Config) *Daemon {
-	d := &Daemon{sys: sys, cfg: cfg, adminErr: make(chan error, 1)}
-	d.srv = transport.NewServer(sys.ServeRPC, transport.ServerConfig{
-		Addr:          cfg.Addr,
-		MaxConns:      cfg.MaxConns,
-		Admission:     cfg.Admission,
-		MaxFrameBytes: cfg.MaxFrameBytes,
-		Metrics:       sys.Metrics,
-		Tracer:        sys.Tracer,
-	})
-	return d
+func New(b Backend, cfg Config) *Daemon {
+	metrics, tracer := b.Observers()
+	return &Daemon{
+		metrics:   metrics,
+		cfg:       cfg,
+		adminDone: make(chan error, 1),
+		srv: transport.NewServer(b.ServeRPC, transport.ServerConfig{
+			Addr:          cfg.Addr,
+			MaxConns:      cfg.MaxConns,
+			Admission:     cfg.Admission,
+			MaxFrameBytes: cfg.MaxFrameBytes,
+			Metrics:       metrics,
+			Tracer:        tracer,
+		}),
+	}
 }
 
 // Start binds the RPC listener and, when configured, the admin
@@ -89,14 +103,11 @@ func (d *Daemon) Start() error {
 	mux.HandleFunc("/metrics", d.handleMetrics)
 	mux.HandleFunc("/healthz", d.handleHealthz)
 	srv := &http.Server{Handler: mux}
+	d.mu.Lock()
 	d.admin = srv
-	go func() {
-		err := srv.Serve(ln)
-		if !errors.Is(err, http.ErrServerClosed) {
-			d.adminErr <- err
-		}
-		close(d.adminErr)
-	}()
+	d.mu.Unlock()
+	// The goroutine ends when Serve does; closeAdmin waits for it.
+	go func() { d.adminDone <- srv.Serve(ln) }()
 	return nil
 }
 
@@ -116,7 +127,7 @@ func (d *Daemon) Stats() transport.ServerStats { return d.srv.Stats() }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := d.sys.Metrics.WriteProm(w); err != nil {
+	if err := d.metrics.WriteProm(w); err != nil {
 		// Headers are gone; the truncated body is the best signal left.
 		fmt.Fprintf(w, "\n# error: %v\n", err)
 	}
@@ -139,30 +150,40 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // endpoint closes. The admin endpoint outlives the RPC drain
 // deliberately: operators watch /metrics while the drain runs. Returns
 // transport.ErrDrainTimeout (wrapped) if inflight work outlived the
-// deadline and was force-closed.
+// deadline and was force-closed, joined with the admin endpoint's error
+// if it had stopped serving on its own.
 func (d *Daemon) Drain(timeout time.Duration) error {
 	d.mu.Lock()
 	d.draining = true
 	d.mu.Unlock()
 	err := d.srv.Drain(timeout)
-	d.closeAdmin()
-	return err
+	return errors.Join(err, d.closeAdmin())
 }
 
-// Close tears everything down immediately.
+// Close tears everything down immediately. Like Drain it reports an
+// admin endpoint that had failed underneath the daemon.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
 	d.draining = true
 	d.mu.Unlock()
 	err := d.srv.Close()
-	d.closeAdmin()
-	return err
+	return errors.Join(err, d.closeAdmin())
 }
 
-func (d *Daemon) closeAdmin() {
-	if d.admin == nil {
-		return
-	}
-	d.admin.Close()
+// closeAdmin stops the admin endpoint and waits for its goroutine. The
+// first caller does the work; Serve ending for any reason other than
+// this close is the error it returns.
+func (d *Daemon) closeAdmin() error {
+	d.mu.Lock()
+	admin := d.admin
 	d.admin = nil
+	d.mu.Unlock()
+	if admin == nil {
+		return nil
+	}
+	admin.Close()
+	if err := <-d.adminDone; !errors.Is(err, http.ErrServerClosed) {
+		return fmt.Errorf("daemon: admin endpoint stopped serving: %w", err)
+	}
+	return nil
 }

@@ -113,3 +113,43 @@ func TestDaemonUnknownMethodOverWire(t *testing.T) {
 		t.Error("unknown method must be terminal")
 	}
 }
+
+// TestAdminFailureReported: an admin endpoint that stops serving
+// underneath a running daemon — here its listener is closed out from
+// under it — is not lost: the next Drain or Close returns the error, and
+// the RPC side was still serving until then.
+func TestAdminFailureReported(t *testing.T) {
+	d, _ := startDaemon(t, Config{AdminAddr: "127.0.0.1:0"})
+	if err := d.adminLn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 10 * time.Second})
+	defer c.Close()
+	if _, err := c.Call(nil, "medicalQuery/v99", nil); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Errorf("RPC after the admin listener died: %v, want the server's refusal", err)
+	}
+	err := d.Close()
+	if err == nil || !strings.Contains(err.Error(), "admin endpoint stopped serving") {
+		t.Errorf("Close after the admin listener died: %v, want the admin endpoint's error", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Errorf("second Close: %v, want the failure reported once", err)
+	}
+}
+
+// TestDrainAndCloseConcurrently: a Drain racing a Close (a signal
+// handler and a deferred Close, say) is safe under -race, both return,
+// and a healthy admin endpoint is reported by neither.
+func TestDrainAndCloseConcurrently(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		d, _ := startDaemon(t, Config{AdminAddr: "127.0.0.1:0"})
+		errs := make(chan error, 2)
+		go func() { errs <- d.Drain(5 * time.Second) }()
+		go func() { errs <- d.Close() }()
+		for j := 0; j < 2; j++ {
+			if err := <-errs; err != nil {
+				t.Errorf("round %d: %v", i, err)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qbism/internal/medserver"
 	"qbism/internal/qbism"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
@@ -24,21 +25,21 @@ var (
 	sysErr  error
 )
 
+var testConfig = qbism.Config{
+	Bits:               5,
+	NumPET:             3,
+	NumMRI:             1,
+	Seed:               7,
+	Method:             rencode.Naive,
+	SmallStudies:       true,
+	ExtraBandEncodings: true,
+	StoreRaw:           true,
+	WithMeshes:         true,
+}
+
 func testSystem(t *testing.T) *qbism.System {
 	t.Helper()
-	sysOnce.Do(func() {
-		sysInst, sysErr = qbism.New(qbism.Config{
-			Bits:               5,
-			NumPET:             3,
-			NumMRI:             1,
-			Seed:               7,
-			Method:             rencode.Naive,
-			SmallStudies:       true,
-			ExtraBandEncodings: true,
-			StoreRaw:           true,
-			WithMeshes:         true,
-		})
-	})
+	sysOnce.Do(func() { sysInst, sysErr = qbism.New(testConfig) })
 	if sysErr != nil {
 		t.Fatal(sysErr)
 	}
@@ -60,7 +61,7 @@ func equivalenceSpecs(s *qbism.System) []qbism.QuerySpec {
 	return specs
 }
 
-func runSuite(t *testing.T, s *qbism.System, specs []qbism.QuerySpec) []*qbism.QueryResult {
+func runSuite(t *testing.T, s *qbism.Client, specs []qbism.QuerySpec) []*qbism.QueryResult {
 	t.Helper()
 	results := make([]*qbism.QueryResult, len(specs))
 	for i, spec := range specs {
@@ -80,12 +81,30 @@ func comparableMeta(m qbism.QueryMeta) qbism.QueryMeta {
 	return m
 }
 
+// sameAnswers holds a run of the suite to the baseline: meta, DataRegion
+// and rendered image byte for byte.
+func sameAnswers(t *testing.T, specs []qbism.QuerySpec, baseline, wire []*qbism.QueryResult) {
+	t.Helper()
+	for i := range specs {
+		label := specs[i].Label()
+		if lm, wm := comparableMeta(baseline[i].Meta), comparableMeta(wire[i].Meta); !reflect.DeepEqual(lm, wm) {
+			t.Errorf("%s: meta diverged across the wire:\nlocal: %+v\nwire:  %+v", label, lm, wm)
+		}
+		if !reflect.DeepEqual(baseline[i].Data, wire[i].Data) {
+			t.Errorf("%s: DataRegion diverged across the wire", label)
+		}
+		if !reflect.DeepEqual(baseline[i].Image, wire[i].Image) {
+			t.Errorf("%s: rendered image diverged across the wire", label)
+		}
+	}
+}
+
 func TestLoopbackEquivalence(t *testing.T) {
 	sys := testSystem(t)
 	specs := equivalenceSpecs(sys)
 
 	// Baseline: the default in-process simulated transport.
-	baseline := runSuite(t, sys, specs)
+	baseline := runSuite(t, sys.Client, specs)
 
 	// Stand up a daemon serving this same system's handler, and point
 	// the system's own front end at it over real TCP.
@@ -103,23 +122,32 @@ func TestLoopbackEquivalence(t *testing.T) {
 		tcp.Close()
 	}()
 
-	wire := runSuite(t, sys, specs)
-
-	for i := range specs {
-		label := specs[i].Label()
-		if lm, wm := comparableMeta(baseline[i].Meta), comparableMeta(wire[i].Meta); !reflect.DeepEqual(lm, wm) {
-			t.Errorf("%s: meta diverged across the wire:\nlocal: %+v\nwire:  %+v", label, lm, wm)
-		}
-		if !reflect.DeepEqual(baseline[i].Data, wire[i].Data) {
-			t.Errorf("%s: DataRegion diverged across the wire", label)
-		}
-		if !reflect.DeepEqual(baseline[i].Image, wire[i].Image) {
-			t.Errorf("%s: rendered image diverged across the wire", label)
-		}
-	}
+	sameAnswers(t, specs, baseline, runSuite(t, sys.Client, specs))
 
 	// The wire run really crossed the socket.
 	if got, want := d.Stats().Calls, uint64(len(specs)); got < want {
 		t.Errorf("daemon served %d calls, want >= %d — the wire run did not use TCP", got, want)
+	}
+
+	// The two halves as two processes would hold them: a daemon around a
+	// bare server loaded from the same configuration, and a bare client
+	// over a dialed transport — neither ever part of a System.
+	srv, err := medserver.New(testConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	bare := New(srv, Config{Addr: "127.0.0.1:0"})
+	if err := bare.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	dialed := transport.DialTCP(bare.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	defer dialed.Close()
+	client := qbism.NewClient(dialed, testConfig)
+
+	sameAnswers(t, specs, baseline, runSuite(t, client, specs))
+	if got, want := bare.Stats().Calls, uint64(len(specs)); got != want {
+		t.Errorf("the bare server's daemon served %d calls, want %d", got, want)
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // DeterminismAnalyzer enforces replayability in the simulation
-// packages (faultsim, netsim, the sharded read path in cluster, and the
-// parallel scheduler in package qbism) and byte-stability in the codec
+// packages (faultsim, netsim, the sharded read path in cluster, the
+// batch scheduler in package qbism and the worker pools of par it runs
+// on) and byte-stability in the codec
 // packages (rencode, bitio): no wall-clock reads (time.Now, time.Since,
 // time.After, ...),
 // no process-seeded randomness (top-level math/rand functions or
@@ -29,7 +30,7 @@ var DeterminismAnalyzer = &Analyzer{
 	Doc:  "forbid wall-clock, process randomness, and map-order-dependent output in simulation and codec packages",
 	Match: func(pkg *Package) bool {
 		return pkg.Name == "faultsim" || pkg.Name == "netsim" ||
-			pkg.Name == "cluster" || pkg.Name == "qbism" ||
+			pkg.Name == "cluster" || pkg.Name == "qbism" || pkg.Name == "par" ||
 			pkg.Name == "rencode" || pkg.Name == "bitio" ||
 			pkg.Name == "transport"
 	},
@@ -47,9 +48,9 @@ var wallClockFuncs = map[string]bool{
 func runDeterminism(pass *Pass) {
 	pkg := pass.Pkg
 	for _, f := range pkg.Files {
-		// The scheduler lives in parallel.go inside package qbism; the
-		// rest of that package is allowed to touch the wall clock (e.g.
-		// for user-facing timestamps), so scope by file there.
+		// The batch scheduler lives in parallel.go inside package qbism;
+		// the rest of that package is allowed to touch the wall clock
+		// (e.g. for user-facing timestamps), so scope by file there.
 		if pkg.Name == "qbism" && filepath.Base(pkg.Fset.Position(f.Pos()).Filename) != "parallel.go" {
 			continue
 		}

@@ -9,16 +9,17 @@ import (
 
 // ErrWrapAnalyzer guards the typed-error chains that retry and
 // degradation logic depends on (PR 1): in the fault-plumbing packages
-// (lfm, netsim, faultsim, qbism), a fmt.Errorf that formats an
-// error-typed argument must use %w, not %v/%s — otherwise errors.Is/As
-// stops matching netsim.ErrDropped, lfm.ErrChecksum, etc., and the
-// client silently loses its retry/degrade classification.
+// (lfm, netsim, faultsim, transport, medserver, qbism), a fmt.Errorf
+// that formats an error-typed argument must use %w, not %v/%s —
+// otherwise errors.Is/As stops matching netsim.ErrDropped,
+// lfm.ErrChecksum, etc., and the client silently loses its
+// retry/degrade classification.
 var ErrWrapAnalyzer = &Analyzer{
 	Name: "errwrap",
 	Doc:  "errors crossing lfm/netsim/faultsim boundaries must be wrapped with %w so errors.Is/As keeps matching",
 	Match: func(pkg *Package) bool {
 		switch pkg.Name {
-		case "lfm", "netsim", "faultsim", "qbism", "transport":
+		case "lfm", "netsim", "faultsim", "medserver", "qbism", "transport":
 			return true
 		}
 		return false

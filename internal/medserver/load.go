@@ -1,4 +1,4 @@
-package qbism
+package medserver
 
 import (
 	"encoding/json"
@@ -19,9 +19,9 @@ import (
 // synthesize, fit the landmarks, resample to atlas space, reorder onto
 // the Hilbert curve, band, encode every band row and pick its default
 // representation — and a *commit* that writes it: catalog rows, LFM
-// allocations, and the System's own maps.
+// allocations, and the Server's own maps.
 //
-// Prepares read only the immutable parts of the System (Cfg, Curve,
+// Prepares read only the immutable parts of the Server (Cfg, Curve,
 // ZCurve) and run on worker goroutines; commits run on the goroutine
 // that called New, one at a time, atlas first and then in study order.
 // Every handle number, buddy-allocator offset and row position is
@@ -34,7 +34,7 @@ type loadJob func() (commit func() error, err error)
 
 // load runs the whole pipeline: the atlas, then every study of this
 // node's shard.
-func (s *System) load() error {
+func (s *Server) load() error {
 	jobs := []loadJob{s.prepareAtlas}
 	for _, plan := range s.studyPlans() {
 		jobs = append(jobs, func() (func() error, error) { return s.prepareStudy(plan) })
@@ -92,7 +92,7 @@ func runOrdered(workers int, jobs []loadJob) error {
 }
 
 // prepareAtlas builds the procedural atlas and encodes its structures.
-func (s *System) prepareAtlas() (func() error, error) {
+func (s *Server) prepareAtlas() (func() error, error) {
 	a, err := atlas.Build(s.Curve, s.Cfg.WithMeshes)
 	if err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func (s *System) prepareAtlas() (func() error, error) {
 }
 
 // commitAtlas stores the built atlas relationally.
-func (s *System) commitAtlas(a *atlas.Atlas, regions [][]byte) error {
+func (s *Server) commitAtlas(a *atlas.Atlas, regions [][]byte) error {
 	s.Atlas = a
 	side := 1 << s.Cfg.Bits
 	if _, err := s.DB.Exec(fmt.Sprintf(
@@ -160,10 +160,25 @@ type studyPlan struct {
 	age       int
 }
 
-// studyPlans enumerates the full corpus — IDs, patients and synthesis
-// seeds are assigned exactly as for an unsharded load — and returns the
-// studies this node loads.
-func (s *System) studyPlans() []studyPlan {
+// Corpus enumerates the full corpus cfg describes — study and patient
+// IDs and modalities, PET studies first — whatever cfg.OnlyStudies
+// selects. A cluster routes by it before any node exists.
+func Corpus(cfg Config) []StudyInfo {
+	cfg = cfg.WithDefaults()
+	out := make([]StudyInfo, cfg.NumPET+cfg.NumMRI)
+	for i := range out {
+		out[i] = StudyInfo{StudyID: i + 1, PatientID: i + 1, Modality: synth.PET}
+		if i >= cfg.NumPET {
+			out[i].Modality = synth.MRI
+		}
+	}
+	return out
+}
+
+// studyPlans returns the studies of the corpus this node loads. Synthesis
+// seeds are assigned by position in the full corpus, exactly as for an
+// unsharded load.
+func (s *Server) studyPlans() []studyPlan {
 	side := 1 << s.Cfg.Bits
 	names := []string{"Hughes", "Ramirez", "Okafor", "Lindqvist", "Tanaka", "Moreau", "Petrov", "Osei", "Kim", "Novak"}
 	var only map[int]bool
@@ -174,23 +189,21 @@ func (s *System) studyPlans() []studyPlan {
 		}
 	}
 	var plans []studyPlan
-	for i := 0; i < s.Cfg.NumPET+s.Cfg.NumMRI; i++ {
-		studyID, patientID := i+1, i+1
-		if only != nil && !only[studyID] {
+	for i, info := range Corpus(s.Cfg) {
+		if only != nil && !only[info.StudyID] {
 			// Not this node's shard: the ID/seed slot stays consumed so
 			// loaded studies match an unsharded load byte-for-byte.
 			continue
 		}
-		modality := modalityFor(s.Cfg, i)
 		params := synth.Params{
-			StudyID:   studyID,
-			PatientID: patientID,
-			Modality:  modality,
+			StudyID:   info.StudyID,
+			PatientID: info.PatientID,
+			Modality:  info.Modality,
 			Seed:      s.Cfg.Seed + uint64(i)*7919,
 			AtlasSide: side,
 		}
 		if s.Cfg.SmallStudies {
-			g := synth.DefaultGrid(modality, side)
+			g := synth.DefaultGrid(info.Modality, side)
 			params.Grid = warp.Grid{NX: g.NX / 2, NY: g.NY / 2, NZ: g.NZ}
 			if params.Grid.NZ < 2 {
 				params.Grid.NZ = 2
@@ -201,7 +214,7 @@ func (s *System) studyPlans() []studyPlan {
 			sex = "M"
 		}
 		plans = append(plans, studyPlan{
-			info:   StudyInfo{StudyID: studyID, PatientID: patientID, Modality: modality},
+			info:   info,
 			params: params,
 			name:   names[i%len(names)],
 			sex:    sex,
@@ -237,7 +250,7 @@ type bandRow struct {
 
 // prepareStudy synthesizes, registers, warps, reorders, bands and
 // encodes one study.
-func (s *System) prepareStudy(plan studyPlan) (func() error, error) {
+func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 	side := 1 << s.Cfg.Bits
 	raw, err := synth.Generate(plan.params)
 	if err != nil {
@@ -286,15 +299,15 @@ func (s *System) prepareStudy(plan studyPlan) (func() error, error) {
 // prepareBand encodes the rows one band is stored as: always h-naive
 // runs (degradation paths and explicit-encoding queries depend on that
 // row), the Z-run and octant rows under ExtraBandEncodings, then the
-// row default band queries read (bandEncoding) when that is another
+// row default band queries read (BandEncoding) when that is another
 // label. A forced method is stored under its own name, so "naive" and
 // "h-naive" rows may then hold identical bytes under different labels.
-func (s *System) prepareBand(b volume.BandSpec) (preparedBand, error) {
+func (s *Server) prepareBand(b volume.BandSpec) (preparedBand, error) {
 	encodings := []string{EncHilbertNaive}
 	if s.Cfg.ExtraBandEncodings {
 		encodings = append(encodings, EncZNaive, EncOctant)
 	}
-	if enc := s.bandEncoding(); enc != EncHilbertNaive {
+	if enc := s.BandEncoding(); enc != EncHilbertNaive {
 		encodings = append(encodings, enc)
 	}
 	pb := preparedBand{spec: b}
@@ -312,7 +325,7 @@ func (s *System) prepareBand(b volume.BandSpec) (preparedBand, error) {
 // not in the fixed set resolve through rencode.MethodByName and encode
 // on the storage (Hilbert) curve — this is how the k3-tree rows and
 // forced Rencode methods are stored.
-func (s *System) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) {
+func (s *Server) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) {
 	switch encoding {
 	case EncHilbertNaive:
 		return rencode.Encode(rencode.Naive, b.Region)
@@ -336,7 +349,7 @@ func (s *System) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) 
 
 // commitStudy stores one prepared study: patient, raw and warped
 // volume rows, then every band row in order.
-func (s *System) commitStudy(p *preparedStudy) error {
+func (s *Server) commitStudy(p *preparedStudy) error {
 	studyID, patientID := p.plan.info.StudyID, p.plan.info.PatientID
 	if _, err := s.DB.Exec(fmt.Sprintf(
 		`insert into patient values (%d, '%s', %d, '%s')`, patientID, p.plan.name, p.plan.age, p.plan.sex)); err != nil {

@@ -1,4 +1,4 @@
-package qbism
+package medserver
 
 import (
 	"errors"
@@ -34,8 +34,8 @@ type QuerySpec struct {
 	BandLo  int
 	BandHi  int
 	// Encoding selects the band REGION encoding. Empty reads the row
-	// Config.Rencode makes the default (see repr.go): EncK3Tree in auto
-	// mode, EncHilbertNaive in runs mode, a forced method's own label.
+	// Config.Rencode makes the default (Server.BandEncoding): EncK3Tree in
+	// auto mode, EncHilbertNaive in runs mode, a forced method's own label.
 	Encoding string
 }
 
@@ -109,50 +109,19 @@ type QueryMeta struct {
 	Warning  string
 }
 
-// medicalQueryMethod is the RPC method name on the link.
-const medicalQueryMethod = "medicalQuery"
+// QueryMethod is the wire method name of a medical query: what a Client
+// calls, and what a raw Transport caller uses to reach the server.
+const QueryMethod = "medicalQuery"
 
-// QueryMethod is the wire method name a raw Transport caller uses to
-// reach the MedicalServer — the same name RunQuery dispatches on.
-const QueryMethod = medicalQueryMethod
-
-// EncodeQueryRequest builds the wire request body for QueryMethod from
-// a spec: the framed binary spec, exactly what RunQuery sends, built in
-// the one buffer it returns. Load generators and external clients use
-// this to drive a daemon through a bare Transport without a System on
-// their side.
-func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
-	n, err := specSize(&spec)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n)
-	return transport.SealFrame(appendSpec(buf, &spec), n)
-}
-
-// DecodeQueryResponse splits a QueryMethod response into its meta
-// header and DataRegion blob — the inverse of what the MedicalServer
-// sends, with the same typed frame errors RunQuery's validation sees.
-func DecodeQueryResponse(resp []byte) (*QueryMeta, []byte, error) {
-	return splitResponse(resp)
-}
-
-// registerMedicalServer installs the MedicalServer RPC handler on the
-// simulated link. The same handler body backs ServeRPC, so the daemon
-// and the simulated link dispatch into identical server code.
-func (s *System) registerMedicalServer() {
-	s.Link.RegisterSpan(medicalQueryMethod, s.handleMedicalQuery)
-}
-
-// ServeRPC is the System's transport.Handler: it dispatches a framed
-// RPC by method name. This is the server side of the transport seam —
-// qbismd serves it over TCP, and the simulated link registers the same
-// handler body. Unknown methods fail with transport.ErrUnknownMethod
-// (typed, terminal), so a version-skewed client gets a classifiable
-// refusal instead of a hang.
-func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
+// ServeRPC is the server's transport.Handler: it dispatches a framed RPC
+// by method name. A daemon serves it over TCP and the in-process
+// transport.Sim calls it between two link crossings, so both flavors run
+// identical server code. Unknown methods fail with
+// transport.ErrUnknownMethod (typed, terminal), so a version-skewed
+// client gets a classifiable refusal instead of a hang.
+func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	switch method {
-	case medicalQueryMethod:
+	case QueryMethod:
 		return s.handleMedicalQuery(sp, request)
 	default:
 		return nil, fmt.Errorf("qbism: %w: %q", transport.ErrUnknownMethod, method)
@@ -166,14 +135,10 @@ func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 // retryable error instead of executing a different query. The decoded
 // spec copies its strings, so nothing here outlives the handler holding
 // request (transport.Handler: the buffer is the connection's).
-func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
-	specBytes, _, err := transport.DecodeFrame(request)
+func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
+	spec, err := DecodeQueryRequest(request)
 	if err != nil {
-		return nil, fmt.Errorf("qbism: request: %w", err)
-	}
-	spec, err := decodeSpec(specBytes)
-	if err != nil {
-		return nil, fmt.Errorf("qbism: bad query spec: %w", err)
+		return nil, err
 	}
 	if sp != nil {
 		// Traced handlers run one at a time: the LFM has a single
@@ -209,7 +174,7 @@ func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 		meta.Warning = warning
 		// Degradations must be countable: one counter bump and one
 		// span annotation per degraded answer.
-		s.Metrics.Counter("qbism_degraded_total").Inc()
+		s.metrics.Counter("qbism_degraded_total").Inc()
 		sp.SetStr("degraded", warning)
 	}
 
@@ -221,13 +186,7 @@ func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	meta.CacheMisses = delta.CacheMisses
 	sp.SetInt("lfm.pages", int64(delta.PageReads))
 	sp.SetInt("lfm.reads", int64(delta.Reads))
-	// Meta and blob go straight into the response frame, sized once.
-	n, err := metaSize(&meta)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n+len(blob))
-	return transport.SealFrame(append(appendMeta(frame, &meta), blob...), n)
+	return EncodeQueryResponse(&meta, blob)
 }
 
 // querySingle streams a generated SELECT through the iterator API and
@@ -257,7 +216,7 @@ func querySingle(sp *obs.Span, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Val
 // runMetadataQuery executes the paper's first §3.4 query: verify the
 // warped study exists and fetch atlas space and patient information.
 // User-provided strings travel as bind parameters, never spliced text.
-func (s *System) runMetadataQuery(sp *obs.Span, spec QuerySpec) (QueryMeta, error) {
+func (s *Server) runMetadataQuery(sp *obs.Span, spec QuerySpec) (QueryMeta, error) {
 	row, n, err := querySingle(sp, s.stmts.metadata,
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
@@ -375,7 +334,7 @@ type serverStmts struct {
 // prepareStatements compiles the server's statements against the
 // loaded catalog. It runs after the spatial UDFs are registered, so
 // nothing re-plans unless the catalog changes later.
-func (s *System) prepareStatements() error {
+func (s *Server) prepareStatements() error {
 	var first error
 	prepare := func(sql string) *sdb.Stmt {
 		stmt, err := s.DB.Prepare(sql)
@@ -401,7 +360,7 @@ type dataBinds [7]sdb.Value
 // dataQuerySQL translates a QuerySpec into the second §3.4 SQL query:
 // which prepared shape to run, plus its bind values, written into the
 // caller's buf so that a request's bind vector can live on its stack.
-// A band spec arrives with its Encoding resolved (bandEncoding). The
+// A band spec arrives with its Encoding resolved (BandEncoding). The
 // shapes combine a band with a structure and nothing else; any other
 // mix of restrictions is refused rather than answered in part.
 func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error) {
@@ -455,12 +414,12 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // With streaming, a checksum/read fault surfaces from the row iterator
 // mid-drain (rows.Err()), not from Exec — querySingle folds both into
 // its error return, so the fallback conditions are unchanged.
-func (s *System) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warning string, err error) {
+func (s *Server) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warning string, err error) {
 	// An unspecified band encoding resolves to the mode's default row
 	// before SQL generation, so the generated query binds a concrete
 	// encoding label — the SQL itself stays representation-agnostic.
 	if spec.HasBand && spec.Encoding == "" {
-		spec.Encoding = s.bandEncoding()
+		spec.Encoding = s.BandEncoding()
 	}
 	var binds dataBinds
 	shape, args, err := dataQuerySQL(spec, &binds)
@@ -507,7 +466,7 @@ func (s *System) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warnin
 // REGIONs were built by exactly this scan at load time, and both
 // Filter and intersection() yield the same canonical run list for the
 // same voxel set.
-func (s *System) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) ([]byte, string, error) {
+func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) ([]byte, string, error) {
 	if spec.BandLo < 0 || spec.BandHi > 255 || spec.BandLo > spec.BandHi {
 		return nil, "", fmt.Errorf("qbism: band [%d,%d] outside the 0-255 intensity range", spec.BandLo, spec.BandHi)
 	}
@@ -536,7 +495,7 @@ func (s *System) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 		if sn != 1 {
 			return nil, "", fmt.Errorf("qbism: no structure %q in atlas %q", spec.Structure, spec.Atlas)
 		}
-		sr, err := regionFromValue(s.DB, srow[0])
+		sr, err := RegionFromValue(s.DB, srow[0])
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 		}

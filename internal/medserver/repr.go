@@ -1,4 +1,4 @@
-package qbism
+package medserver
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 // stored as h-naive runs — degradation paths and explicit-encoding
 // queries depend on that row — and, in auto mode, additionally as a
 // k³-tree. Which of the stored rows a band query with no explicit
-// Encoding reads is a function of the mode alone (bandEncoding): in
+// Encoding reads is a function of the mode alone (BandEncoding): in
 // every corpus the repo loads the k³-tree row is the smaller one for
 // every band but the empty and one- or two-run ones, where it is a byte
 // or two larger (DESIGN.md §13), so there is nothing to choose per
@@ -28,7 +28,7 @@ const (
 )
 
 // validateRencode rejects unknown Config.Rencode values early, at
-// System construction, rather than at first band load.
+// Server construction, rather than at first band load.
 func validateRencode(mode string) error {
 	if mode == RencodeAuto || mode == RencodeRuns {
 		return nil
@@ -40,9 +40,9 @@ func validateRencode(mode string) error {
 		mode, RencodeAuto, RencodeRuns)
 }
 
-// bandEncoding is the encoding label a band query with no explicit
+// BandEncoding is the encoding label a band query with no explicit
 // Encoding reads, and the row prepareBand stores beside h-naive.
-func (s *System) bandEncoding() string {
+func (s *Server) BandEncoding() string {
 	switch mode := s.Cfg.Rencode; mode {
 	case RencodeAuto:
 		return EncK3Tree
@@ -65,7 +65,7 @@ const structureK3Slack = 1.5
 // Cfg.Method, a method name forces that method. The stored bytes are
 // self-describing (rencode header), so no catalog column records the
 // choice.
-func (s *System) encodeStructure(r *region.Region) ([]byte, error) {
+func (s *Server) encodeStructure(r *region.Region) ([]byte, error) {
 	switch mode := s.Cfg.Rencode; mode {
 	case RencodeRuns:
 		return rencode.Encode(s.Cfg.Method, r)

@@ -1,0 +1,357 @@
+// Package medserver is the MedicalServer of the paper (§5.2, Figures 7
+// and 8) and the extended DBMS under it: the Figure 1 schema in sdb + lfm,
+// the load pipeline that fills it, the spatial operators registered as
+// user-defined SQL functions, and the RPC handler that turns a QuerySpec
+// into the two §3.4 SQL queries and answers with a framed DATA_REGION.
+// It also owns what a client must share with it to talk to it: QuerySpec,
+// QueryMeta, their wire forms and the DATA_REGION blob.
+//
+// The package knows nothing of who asks: it imports no DX front end, no
+// cluster and no simulated link, and cmd/qbismd links it without them
+// (`make qbismd-deps`). internal/qbism puts a DX Client in front of it.
+package medserver
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"qbism/internal/atlas"
+	"qbism/internal/faultsim"
+	"qbism/internal/lfm"
+	"qbism/internal/obs"
+	"qbism/internal/rencode"
+	"qbism/internal/sdb"
+	"qbism/internal/sfc"
+	"qbism/internal/synth"
+	"qbism/internal/transport"
+	"qbism/internal/volume"
+)
+
+// Band-encoding labels stored in the intensityBand.encoding column.
+const (
+	// EncHilbertNaive is runs in Hilbert order, 8 bytes per run — the
+	// default of the paper's experiments (Section 6.1).
+	EncHilbertNaive = "h-naive"
+	// EncZNaive is runs in Z order, 8 bytes per run.
+	EncZNaive = "z-naive"
+	// EncOctant is regular octants in Z order, 4 bytes per octant.
+	EncOctant = "octant"
+	// EncK3Tree is the queryable k³-tree bitmap encoding in Hilbert
+	// order: probes (CONTAINS, point membership, interval tests) answer
+	// directly on the compressed bytes.
+	EncK3Tree = "k3-tree"
+)
+
+// Config parameterizes a Server and the DX client internal/qbism puts in
+// front of one. It is one flat struct because the repo benchmark builds
+// it as a literal (DESIGN.md §23); LinkFaults, Retry, SlowLogThreshold
+// and SlowLogCapacity are read only by the client side.
+type Config struct {
+	// Bits is the atlas grid resolution: side = 1<<Bits. The paper uses
+	// 7 (128x128x128).
+	Bits int
+	// NumPET and NumMRI are the study counts (paper: 5 and 3).
+	NumPET, NumMRI int
+	// Seed drives all synthetic data deterministically.
+	Seed uint64
+	// Method is the primary REGION storage encoding (default Naive, as
+	// in the measured experiments; Elias is the paper's space winner).
+	Method rencode.Method
+	// Rencode selects the REGION representation strategy. "auto" (the
+	// default) stores each band REGION both as runs and as a k³-tree,
+	// and band queries that name no encoding read the k³-tree row;
+	// atlas structures store the k³-tree unless it is more than 1.5×
+	// Method's size. "runs" reproduces the seed exactly (run-list
+	// codecs only, no k³ rows). A rencode method name (e.g. "k3-tree",
+	// "elias") forces that encoding everywhere.
+	Rencode string
+	// BandWidth is the intensity band width (default 32 -> 8 bands).
+	BandWidth int
+	// WithMeshes builds and stores structure surface meshes.
+	WithMeshes bool
+	// ExtraBandEncodings additionally stores every band REGION in Z-run
+	// and octant encodings, enabling the Table 4 comparison.
+	ExtraBandEncodings bool
+	// SmallStudies shrinks acquisition grids (for tests).
+	SmallStudies bool
+	// OnlyStudies, when non-nil, loads only the listed study IDs. The
+	// full corpus is still *enumerated* — IDs, patients, and synthesis
+	// seeds are assigned exactly as for a full load — so a node holding
+	// a shard of the corpus stores bytes identical to the same studies
+	// in an unsharded system. Non-listed studies are skipped entirely
+	// (no rows, no device space). An empty non-nil slice loads nothing.
+	OnlyStudies []int
+	// StoreRaw keeps the raw patient-space studies in the database, as
+	// the paper's load pipeline does. Off saves device space.
+	StoreRaw bool
+	// DeviceBytes is the LFM device capacity (0 = sized automatically).
+	DeviceBytes uint64
+	// DevicePath, when set, backs the LFM with a real file at this path
+	// instead of simulated memory (the paper's "operating system disk
+	// device"). Page accounting is identical.
+	DevicePath string
+
+	// Checksums enables per-page CRC32 integrity on the LFM device:
+	// written pages are checksummed and reads verify them, so device
+	// corruption surfaces as a typed error instead of silent bad data.
+	Checksums bool
+	// LinkFaults, when non-nil, injects faults on the DX↔MedicalServer
+	// link (drops, timeouts, latency, corruption). Installed after
+	// loading, so only queries see them.
+	LinkFaults *faultsim.Policy
+	// DeviceFaults, when non-nil, injects faults on LFM page I/O (read
+	// errors, in-transfer bit flips, write errors, torn pages).
+	// Installed after loading.
+	DeviceFaults *faultsim.Policy
+	// Retry governs client-side retries of transient query failures.
+	// The zero value means a single attempt;
+	// transport.DefaultRetryPolicy() is a sensible production setting.
+	Retry transport.RetryPolicy
+
+	// CachePages, when positive, enables a CLOCK page cache of that many
+	// 4 KB pages in front of the LFM device. Zero keeps the paper's
+	// unbuffered protocol: every page touch is a device read, so Table
+	// 3/4 counts reproduce exactly.
+	CachePages int
+	// ReadGapPages is the largest page gap between two REGION run ranges
+	// worth reading through in one contiguous device transfer instead of
+	// two seeks (see ExtractOpts.GapPages). Zero reproduces the seed
+	// read plan; Model.CoalesceGapPages() is the device break-even.
+	ReadGapPages uint64
+	// Workers bounds the parallel executor's worker pool for multi-study
+	// batches (RunQueries, Table4Parallel). Zero or one means serial.
+	Workers int
+
+	// Trace enables end-to-end query tracing: every RunQuery produces a
+	// span tree covering the RPC round trips, SQL parse/plan/execute
+	// phases, per-operator counters, per-handle LFM I/O, and the DX
+	// import/render stages (QueryResult.Trace). To keep the LFM span
+	// attribution exact, traced MedicalServer handlers execute serially;
+	// parallel batches still overlap their client-side stages.
+	Trace bool
+	// SlowLogThreshold, when positive (and Trace is set), captures the
+	// full span tree and executed plan of every query whose measured
+	// total latency reaches it into a bounded slow-query log
+	// (Client.SlowLog). Zero disables the log.
+	SlowLogThreshold time.Duration
+	// SlowLogCapacity is the slow-query ring size (default 32).
+	SlowLogCapacity int
+
+	// DisablePushdown turns off the SQL planner's predicate pushdown and
+	// hash joins: every query runs FROM-order nested loops with one
+	// monolithic WHERE filter at the top. Spatial predicates then
+	// evaluate only after all joins, so long-field REGION pages are read
+	// for rows a pushed filter would have discarded first. For A/B
+	// benchmarks (cmd/perfbench) — results are identical, only the
+	// per-row page accounting and CPU change.
+	DisablePushdown bool
+}
+
+// WithDefaults fills zero fields.
+func (c Config) WithDefaults() Config {
+	if c.Bits == 0 {
+		c.Bits = 7
+	}
+	if c.NumPET == 0 && c.NumMRI == 0 {
+		c.NumPET, c.NumMRI = 5, 3
+	}
+	if c.BandWidth == 0 {
+		c.BandWidth = 32
+	}
+	if c.Seed == 0 {
+		c.Seed = 1993
+	}
+	if c.SlowLogCapacity == 0 {
+		c.SlowLogCapacity = 32
+	}
+	if c.Rencode == "" {
+		c.Rencode = RencodeAuto
+	}
+	if c.DeviceBytes == 0 {
+		volBytes := uint64(1) << (3 * c.Bits)
+		perStudy := volBytes * 8 // warped + raw + bands + slack
+		c.DeviceBytes = uint64(c.NumPET+c.NumMRI+2)*perStudy + (64 << 20)
+	}
+	return c
+}
+
+// StudyInfo summarizes one loaded study.
+type StudyInfo struct {
+	StudyID   int
+	PatientID int
+	Modality  synth.Modality
+}
+
+// Server is a loaded MedicalServer: the database, its long-field device
+// and the RPC handler over them. Its methods are safe for concurrent
+// use; its fields are fixed once New returns.
+type Server struct {
+	Cfg    Config
+	Curve  sfc.Curve // Hilbert storage order
+	ZCurve sfc.Curve // Z order, for encoding comparisons
+	LFM    *lfm.Manager
+	DB     *sdb.DB
+	Atlas  *atlas.Atlas
+
+	// DeviceFaults is the active LFM fault injector (nil when
+	// Config.DeviceFaults is unset); its counters feed chaos tests and
+	// the CLI's fault report.
+	DeviceFaults *faultsim.Injector
+
+	// metrics and tracer are the server's observability sinks (Observers):
+	// the registry always, the tracer only under Config.Trace.
+	metrics *obs.Registry
+	tracer  *obs.Tracer
+
+	// traceMu serializes traced handlers so the LFM's per-handle span
+	// attribution is exact (the LFM has one attachment point; see
+	// lfm.Manager.SetSpan).
+	traceMu sync.Mutex
+
+	AtlasID int
+	Studies []StudyInfo
+
+	// BandRegions keeps the per-study Hilbert band REGIONs in memory for
+	// the representation experiments (E1-E3); the authoritative copies
+	// live in the intensityBand table.
+	BandRegions map[int][]volume.BandSpec
+
+	// stmts are the server's statements, prepared once by New
+	// (medserver.go) and shared by every request.
+	stmts serverStmts
+}
+
+// New builds and loads a server: schema, atlas, synthesized studies
+// (generated, registered, warped, banded — the load pipeline of load.go),
+// spatial UDFs and the prepared statements ServeRPC runs.
+func New(cfg Config) (*Server, error) {
+	cfg = cfg.WithDefaults()
+	if err := validateRencode(cfg.Rencode); err != nil {
+		return nil, err
+	}
+	curve, err := sfc.New(sfc.Hilbert, 3, cfg.Bits)
+	if err != nil {
+		return nil, err
+	}
+	zcurve := sfc.MustNew(sfc.ZOrder, 3, cfg.Bits)
+	var mgr *lfm.Manager
+	if cfg.DevicePath != "" {
+		dev, derr := lfm.OpenFileDevice(cfg.DevicePath, cfg.DeviceBytes)
+		if derr != nil {
+			return nil, derr
+		}
+		mgr, err = lfm.NewFileBacked(dev, lfm.DefaultPageSize)
+	} else {
+		mgr, err = lfm.New(cfg.DeviceBytes, lfm.DefaultPageSize)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Checksums {
+		if cerr := mgr.EnableChecksums(); cerr != nil {
+			mgr.Close()
+			return nil, cerr
+		}
+	}
+	s := &Server{
+		Cfg:         cfg,
+		Curve:       curve,
+		ZCurve:      zcurve,
+		LFM:         mgr,
+		DB:          sdb.NewDB(mgr),
+		AtlasID:     1,
+		BandRegions: make(map[int][]volume.BandSpec),
+	}
+	s.DB.SetPushdown(!cfg.DisablePushdown)
+	if err := s.createSchema(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.load(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.registerSpatialUDFs(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.prepareStatements(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	// Loading traffic is not part of any measured query.
+	s.LFM.ResetStats()
+	// Observability attaches only now, for the same reason: metrics and
+	// spans describe query traffic, not the load pipeline.
+	s.metrics = obs.NewRegistry()
+	s.DB.SetMetrics(s.metrics)
+	if cfg.Trace {
+		s.tracer = obs.NewTracer()
+		s.DB.SetTracer(s.tracer)
+	}
+	// Fault injection starts only now: loading runs on perfect hardware
+	// (the paper's load pipeline is out of scope for the fault model),
+	// queries run on the configured one.
+	if cfg.DeviceFaults != nil {
+		s.DeviceFaults = faultsim.New(*cfg.DeviceFaults)
+		s.LFM.SetFaults(s.DeviceFaults)
+	}
+	// The cache likewise covers only query traffic, never the load.
+	if cfg.CachePages > 0 {
+		s.LFM.EnableCache(cfg.CachePages)
+	}
+	return s, nil
+}
+
+// Observers returns the server's metrics registry and its tracer (nil
+// unless Config.Trace) — what a daemon serving it observes into, and what
+// a client in the same process shares so that one registry holds both
+// halves' series.
+func (s *Server) Observers() (*obs.Registry, *obs.Tracer) { return s.metrics, s.tracer }
+
+// Close releases the long-field manager; a file-backed one holds an open
+// device file.
+func (s *Server) Close() error { return s.LFM.Close() }
+
+// extractOpts returns the read-plan options the spatial UDFs use.
+func (s *Server) extractOpts() ExtractOpts {
+	return ExtractOpts{GapPages: s.Cfg.ReadGapPages}
+}
+
+// createSchema issues the DDL for the Figure 1 schema.
+func (s *Server) createSchema() error {
+	ddl := []string{
+		`create table atlas (atlasId int, atlasName string, n int,
+		   x0 float, y0 float, z0 float, dx float, dy float, dz float)`,
+		`create table neuralSystem (systemId int, systemName string)`,
+		`create table neuralStructure (structureId int, structureName string, systemId int)`,
+		`create table atlasStructure (structureId int, atlasId int, region long, surface long)`,
+		`create table patient (patientId int, name string, age int, sex string)`,
+		`create table rawVolume (studyId int, patientId int, date string, modality string,
+		   nx int, ny int, nz int, data long)`,
+		`create table warpedVolume (studyId int, atlasId int, warpParams string, data long)`,
+		`create table intensityBand (studyId int, atlasId int, lo int, hi int,
+		   encoding string, region long)`,
+	}
+	for _, stmt := range ddl {
+		if _, err := s.DB.Exec(stmt); err != nil {
+			return fmt.Errorf("qbism: schema: %w", err)
+		}
+	}
+	return nil
+}
+
+// Side returns the atlas grid side length.
+func (s *Server) Side() int { return 1 << s.Cfg.Bits }
+
+// PETStudyIDs returns the loaded PET study ids in order.
+func (s *Server) PETStudyIDs() []int {
+	var out []int
+	for _, st := range s.Studies {
+		if st.Modality == synth.PET {
+			out = append(out, st.StudyID)
+		}
+	}
+	return out
+}

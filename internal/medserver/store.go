@@ -1,10 +1,4 @@
-// Package qbism assembles the QBISM system of the paper: the extended
-// DBMS (sdb + lfm) holding the Figure 1 schema, the spatial operators
-// registered as user-defined SQL functions, the MedicalServer that
-// translates high-level query specifications into SQL, the DX front end,
-// and the experiment drivers that regenerate every table and figure of
-// the evaluation section.
-package qbism
+package medserver
 
 import (
 	"encoding/binary"
@@ -71,11 +65,12 @@ func UnmarshalDataRegion(data []byte) (*volume.DataRegion, error) {
 	return &volume.DataRegion{Region: r, Values: values}, nil
 }
 
-// regionFromValue materializes a REGION from a SQL value: a LONG handle
+// RegionFromValue materializes a REGION from a SQL value: a LONG handle
 // (stored region, read from the LFM — this is where region I/O is
 // counted) or a BYTES blob (intermediate result of another spatial
-// function in the same query).
-func regionFromValue(db *sdb.DB, v sdb.Value) (*region.Region, error) {
+// function in the same query). Exported for callers running their own
+// SQL against a Server's DB (Table 4).
+func RegionFromValue(db *sdb.DB, v sdb.Value) (*region.Region, error) {
 	switch v.T {
 	case sdb.TLong:
 		data, err := db.LFM().Read(v.L)
@@ -97,19 +92,6 @@ func regionFromValue(db *sdb.DB, v sdb.Value) (*region.Region, error) {
 	}
 }
 
-// ExtractStored performs EXTRACT_DATA against a VOLUME stored in a long
-// field, with page-coalesced I/O: the runs of the region are mapped to
-// 4 KB page ranges, adjacent ranges are merged, and each merged range is
-// fetched with a single LFM read. Because VOLUMEs are stored in Hilbert
-// order, a spatially clustered region touches few distinct pages — this
-// is precisely the mechanism behind the paper's low "LFM Disk I/Os"
-// counts for spatial queries.
-// ExtractStored is exported for the benchmark harness and for callers
-// composing their own storage layers.
-func ExtractStored(m *lfm.Manager, h lfm.Handle, r *region.Region) (*volume.DataRegion, error) {
-	return ExtractStoredOpts(m, h, r, ExtractOpts{})
-}
-
 // ExtractOpts tunes the physical read plan of ExtractStoredOpts.
 type ExtractOpts struct {
 	// GapPages is the largest page gap between two run ranges worth
@@ -122,10 +104,17 @@ type ExtractOpts struct {
 	GapPages uint64
 }
 
-// ExtractStoredOpts is ExtractStored with a tunable read plan. The
-// result is byte-identical for every opts value; only the number and
-// size of device reads change (coalescing only ever widens a fetched
-// range, and runs are always assembled from the range that covers them).
+// ExtractStoredOpts performs EXTRACT_DATA against a VOLUME stored in a
+// long field, with page-coalesced I/O: the runs of the region are mapped
+// to 4 KB page ranges, adjacent ranges are merged, and each merged range
+// is fetched with a single LFM read. Because VOLUMEs are stored in
+// Hilbert order, a spatially clustered region touches few distinct pages
+// — this is precisely the mechanism behind the paper's low "LFM Disk
+// I/Os" counts for spatial queries. The result is byte-identical for
+// every opts value; only the number and size of device reads change
+// (coalescing only ever widens a fetched range, and runs are always
+// assembled from the range that covers them). It is exported for the
+// benchmark harness and for callers composing their own storage layers.
 func ExtractStoredOpts(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts) (*volume.DataRegion, error) {
 	var values []byte
 	if r.NumRuns() > 0 {

@@ -1,4 +1,4 @@
-package qbism
+package medserver
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 // cheapest-first: voxel extraction (a long-field read) is priced far
 // above region algebra, which is priced above pure geometry like
 // boxRegion.
-func (s *System) registerSpatialUDFs() error {
+func (s *Server) registerSpatialUDFs() error {
 	udfs := []*sdb.UDF{
 		{
 			// INTERSECTION(REGION r1, REGION r2) -> REGION. The first
@@ -29,7 +29,7 @@ func (s *System) registerSpatialUDFs() error {
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				b, err := regionFromValue(db, args[1])
+				b, err := RegionFromValue(db, args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -69,7 +69,7 @@ func (s *System) registerSpatialUDFs() error {
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				b, err := regionFromValue(db, args[1])
+				b, err := RegionFromValue(db, args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -112,7 +112,7 @@ func (s *System) registerSpatialUDFs() error {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("extractVoxels: first argument must be a VOLUME long field, got %s", args[0].T)
 				}
-				r, err := regionFromValue(db, args[1])
+				r, err := RegionFromValue(db, args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -230,7 +230,7 @@ func (s *System) registerSpatialUDFs() error {
 		{
 			Name: "numRuns", MinArgs: 1, MaxArgs: 1, Cost: 10,
 			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				r, err := regionFromValue(db, args[0])
+				r, err := RegionFromValue(db, args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -263,13 +263,13 @@ func (s *System) registerSpatialUDFs() error {
 
 // regionBinop evaluates a binary spatial operator, recoding operands
 // onto a shared curve if needed.
-func (s *System) regionBinop(db *sdb.DB, args []sdb.Value,
+func (s *Server) regionBinop(db *sdb.DB, args []sdb.Value,
 	op func(a, b *region.Region) (*region.Region, error)) (sdb.Value, error) {
-	a, err := regionFromValue(db, args[0])
+	a, err := RegionFromValue(db, args[0])
 	if err != nil {
 		return sdb.Value{}, err
 	}
-	b, err := regionFromValue(db, args[1])
+	b, err := RegionFromValue(db, args[1])
 	if err != nil {
 		return sdb.Value{}, err
 	}
@@ -287,7 +287,7 @@ func (s *System) regionBinop(db *sdb.DB, args []sdb.Value,
 
 // encodeRegionValue wraps a region as an intermediate BYTES value using
 // the system's storage encoding.
-func (s *System) encodeRegionValue(r *region.Region) (sdb.Value, error) {
+func (s *Server) encodeRegionValue(r *region.Region) (sdb.Value, error) {
 	enc, err := rencode.Encode(s.Cfg.Method, r)
 	if err != nil {
 		return sdb.Value{}, err
@@ -297,7 +297,7 @@ func (s *System) encodeRegionValue(r *region.Region) (sdb.Value, error) {
 
 // curveFor returns the system curve matching a region's grid (the
 // system's primary Hilbert curve).
-func (s *System) curveFor(r *region.Region) sfc.Curve {
+func (s *Server) curveFor(r *region.Region) sfc.Curve {
 	if r.Curve().Kind() == s.Curve.Kind() {
 		return r.Curve()
 	}
@@ -312,13 +312,13 @@ const (
 	metricRegionDecodes = "qbism_region_decode_total"
 )
 
-// queryableFromValue is regionFromValue's compressed fast path: a
+// queryableFromValue is RegionFromValue's compressed fast path: a
 // k³-tree-encoded value comes back as a *rencode.K3Probe, whose probes
 // answer directly on the encoded bytes — no run list is ever
 // materialized — while every other representation decodes as before
 // (a *region.Region is itself Queryable). Long-field reads are charged
 // identically on both paths; only the decode is skipped.
-func (s *System) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, error) {
+func (s *Server) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, error) {
 	var data []byte
 	switch v.T {
 	case sdb.TLong:
@@ -359,11 +359,11 @@ func (s *System) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, 
 // noteRegionProbe records one compressed fast-path REGION access, both
 // at the qbism level (the policy's demand signal) and at the sdb level
 // (the per-operator probe counter EXPLAIN ANALYZE shows).
-func (s *System) noteRegionProbe(db *sdb.DB) {
+func (s *Server) noteRegionProbe(db *sdb.DB) {
 	db.NoteProbeFastPath()
-	s.Metrics.Counter(metricRegionProbes).Inc()
+	s.metrics.Counter(metricRegionProbes).Inc()
 }
 
-func (s *System) noteRegionDecode() {
-	s.Metrics.Counter(metricRegionDecodes).Inc()
+func (s *Server) noteRegionDecode() {
+	s.metrics.Counter(metricRegionDecodes).Inc()
 }

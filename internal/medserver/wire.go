@@ -1,4 +1,4 @@
-package qbism
+package medserver
 
 import (
 	"encoding/binary"
@@ -49,6 +49,60 @@ func wireSize(fixed int, strs ...string) (int, error) {
 		fixed += 2 + len(s)
 	}
 	return fixed, nil
+}
+
+// EncodeQueryRequest builds the wire request body for QueryMethod from
+// a spec: the framed binary spec, exactly what a Client sends, built in
+// the one buffer it returns. Load generators and external clients use
+// this to drive a daemon through a bare Transport.
+func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
+	n, err := specSize(&spec)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n)
+	return transport.SealFrame(appendSpec(buf, &spec), n)
+}
+
+// DecodeQueryRequest is the server's inverse of EncodeQueryRequest. The
+// spec copies its strings out of request.
+func DecodeQueryRequest(request []byte) (QuerySpec, error) {
+	header, _, err := transport.DecodeFrame(request)
+	if err != nil {
+		return QuerySpec{}, fmt.Errorf("qbism: request: %w", err)
+	}
+	spec, err := decodeSpec(header)
+	if err != nil {
+		return QuerySpec{}, fmt.Errorf("qbism: bad query spec: %w", err)
+	}
+	return spec, nil
+}
+
+// EncodeQueryResponse builds the server's reply: the meta header and the
+// DataRegion blob in one frame, sized once.
+func EncodeQueryResponse(meta *QueryMeta, blob []byte) ([]byte, error) {
+	n, err := metaSize(meta)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n+len(blob))
+	return transport.SealFrame(append(appendMeta(frame, meta), blob...), n)
+}
+
+// DecodeQueryResponse validates a response frame and separates the meta
+// header from the DataRegion blob. Truncated or corrupted frames fail
+// with transport.ErrFrameTruncated/ErrFrameCorrupt — typed, retryable —
+// so a damaged reply is never mis-parsed as data.
+func DecodeQueryResponse(resp []byte) (*QueryMeta, []byte, error) {
+	header, blob, err := transport.DecodeFrame(resp)
+	if err != nil {
+		return nil, nil, fmt.Errorf("qbism: response: %w", err)
+	}
+	meta, err := decodeMeta(header)
+	if err != nil {
+		return nil, nil, fmt.Errorf("qbism: bad response header: %w", err)
+	}
+	return meta, blob, nil
 }
 
 func appendStr(dst []byte, s string) []byte {

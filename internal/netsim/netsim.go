@@ -1,14 +1,15 @@
 // Package netsim simulates the RPC link between the Starburst/
 // MedicalServer process and the DX executive (Figure 7/8 of the paper).
-// Calls are dispatched in-process to registered handlers while the
-// traffic — messages and bytes in both directions — is counted and
-// priced with the cost model, reproducing the paper's "network" column
-// (message count and answer time).
+// It has one job: a payload crosses the link and is counted — messages
+// and bytes — and priced with the cost model, reproducing the paper's
+// "network" column (message count and answer time). Who is called
+// between a request's crossing and its response's is transport.Sim's
+// business.
 //
 // Unlike the paper's testbed, the link does not have to be perfect: an
 // optional faultsim.Injector makes payload crossings drop, time out,
 // gain latency, or get corrupted — detectably (the link-layer checksum
-// catches it, Call fails with ErrCorrupt) or silently (Tamper flips a
+// catches it, Cross fails with ErrCorrupt) or silently (Tamper flips a
 // byte that only an end-to-end integrity check can see).
 package netsim
 
@@ -33,19 +34,6 @@ var (
 	// layer detected it.
 	ErrCorrupt = errors.New("netsim: payload corrupted in flight")
 )
-
-// ErrNoHandler means nothing is registered for the called method. Not a
-// link failure: the call never crossed, and calling again changes nothing.
-var ErrNoHandler = errors.New("netsim: no handler")
-
-// Handler serves one RPC: it receives the request payload and returns
-// the response payload.
-type Handler func(request []byte) ([]byte, error)
-
-// SpanHandler is a Handler that additionally receives the server-side
-// trace span for the call (nil when the call is untraced), so the
-// handler's own work nests under the RPC round-trip span.
-type SpanHandler func(sp *obs.Span, request []byte) ([]byte, error)
 
 // MethodFaults counts injected faults for one RPC method.
 type MethodFaults struct {
@@ -118,29 +106,14 @@ func (s Stats) Sub(o Stats) Stats {
 type Link struct {
 	model costmodel.Model
 
-	mu       sync.Mutex
-	handlers map[string]SpanHandler // guarded by mu
-	stats    Stats                  // guarded by mu
-	faults   *faultsim.Injector     // guarded by mu
+	mu     sync.Mutex
+	stats  Stats              // guarded by mu
+	faults *faultsim.Injector // guarded by mu
 }
 
 // NewLink creates a link priced with the given model.
 func NewLink(model costmodel.Model) *Link {
-	return &Link{model: model, handlers: make(map[string]SpanHandler)}
-}
-
-// Register installs the server-side handler for a method name.
-func (l *Link) Register(method string, h Handler) {
-	l.RegisterSpan(method, func(_ *obs.Span, request []byte) ([]byte, error) {
-		return h(request)
-	})
-}
-
-// RegisterSpan installs a span-aware server-side handler.
-func (l *Link) RegisterSpan(method string, h SpanHandler) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.handlers[method] = h
+	return &Link{model: model}
 }
 
 // SetFaults installs (or, with nil, removes) the link's fault injector.
@@ -151,50 +124,13 @@ func (l *Link) SetFaults(in *faultsim.Injector) {
 	l.faults = in
 }
 
-// Call performs an RPC: the request crosses the link, the handler runs,
-// and the response crosses back. Both directions are metered and both
-// are subject to the fault policy.
-func (l *Link) Call(method string, request []byte) ([]byte, error) {
-	return l.CallSpan(nil, method, request)
-}
-
-// CallSpan is Call traced under parent (nil parent = untraced): the
-// round trip gets an "rpc.<method>" span with one child per payload
-// crossing — annotated with bytes, messages, and any injected fault —
-// and a "server" child span the handler's work nests under.
-func (l *Link) CallSpan(parent *obs.Span, method string, request []byte) ([]byte, error) {
-	l.mu.Lock()
-	h, ok := l.handlers[method]
-	l.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w for method %q", ErrNoHandler, method)
-	}
-	rpc := parent.Child("rpc." + method)
-	defer rpc.End()
-	delivered, err := l.cross(rpc, "request", method, request)
-	if err != nil {
-		rpc.SetStr("error", err.Error())
-		return nil, err
-	}
-	srv := rpc.Child("server")
-	resp, err := h(srv, delivered)
-	srv.End()
-	if err != nil {
-		rpc.SetStr("error", err.Error())
-		return nil, err
-	}
-	out, err := l.cross(rpc, "response", method, resp)
-	if err != nil {
-		rpc.SetStr("error", err.Error())
-	}
-	return out, err
-}
-
-// cross moves one payload over the link: it draws a fault decision,
-// meters the traffic, and either delivers the (possibly tampered)
-// payload or fails with a typed error. The payload is metered even when
-// it is lost — the bytes were sent.
-func (l *Link) cross(parent *obs.Span, dir, method string, payload []byte) ([]byte, error) {
+// Cross moves one payload of a method's call over the link in direction
+// dir ("request" or "response"): it draws a fault decision, meters the
+// traffic, and either delivers the (possibly tampered) payload or fails
+// with a typed error. The payload is metered even when it is lost — the
+// bytes were sent. The crossing is traced as a "net.<dir>" span under
+// parent (nil = untraced) carrying bytes, messages and any injected fault.
+func (l *Link) Cross(parent *obs.Span, dir, method string, payload []byte) ([]byte, error) {
 	sp := parent.Child("net." + dir)
 	defer sp.End()
 	sp.SetInt("bytes", int64(len(payload)))

@@ -1,4 +1,4 @@
-package netsim
+package netsim_test
 
 import (
 	"bytes"
@@ -10,14 +10,29 @@ import (
 
 	"qbism/internal/costmodel"
 	"qbism/internal/faultsim"
+	"qbism/internal/netsim"
+	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
+// A link only carries crossings; a round trip — request crosses, handler
+// runs, response crosses — is what its one consumer, transport.Sim, makes
+// of two of them. These tests drive the link through it (hence the
+// external test package: transport imports netsim).
+
+// serve puts h behind l, whatever the method.
+func serve(l *netsim.Link, h func(req []byte) ([]byte, error)) *transport.Sim {
+	return transport.NewSim(l, costmodel.Default1993(), func(_ *obs.Span, _ string, req []byte) ([]byte, error) {
+		return h(req)
+	})
+}
+
 func TestCallRoundTrip(t *testing.T) {
-	l := NewLink(costmodel.Default1993())
-	l.Register("echo", func(req []byte) ([]byte, error) {
+	l := netsim.NewLink(costmodel.Default1993())
+	sim := serve(l, func(req []byte) ([]byte, error) {
 		return append([]byte("re:"), req...), nil
 	})
-	resp, err := l.Call("echo", []byte("hello"))
+	resp, err := sim.Call(nil, "echo", []byte("hello"))
 	if err != nil || string(resp) != "re:hello" {
 		t.Fatalf("Call = %q, %v", resp, err)
 	}
@@ -27,18 +42,11 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnknownMethod(t *testing.T) {
-	l := NewLink(costmodel.Default1993())
-	if _, err := l.Call("nope", nil); err == nil {
-		t.Error("unknown method accepted")
-	}
-}
-
 func TestHandlerErrorNotMetered(t *testing.T) {
-	l := NewLink(costmodel.Default1993())
+	l := netsim.NewLink(costmodel.Default1993())
 	boom := errors.New("boom")
-	l.Register("fail", func(req []byte) ([]byte, error) { return nil, boom })
-	if _, err := l.Call("fail", []byte("xx")); !errors.Is(err, boom) {
+	sim := serve(l, func(req []byte) ([]byte, error) { return nil, boom })
+	if _, err := sim.Call(nil, "fail", []byte("xx")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	s := l.Stats()
@@ -49,11 +57,11 @@ func TestHandlerErrorNotMetered(t *testing.T) {
 
 func TestMessageAccounting(t *testing.T) {
 	m := costmodel.Default1993()
-	l := NewLink(m)
-	l.Register("blob", func(req []byte) ([]byte, error) {
+	l := netsim.NewLink(m)
+	sim := serve(l, func(req []byte) ([]byte, error) {
 		return make([]byte, 10*1024), nil
 	})
-	l.Call("blob", nil)
+	sim.Call(nil, "blob", nil)
 	s := l.Stats()
 	want := m.Messages(0) + m.Messages(10*1024)
 	if s.Messages != want {
@@ -70,15 +78,15 @@ func TestMessageAccounting(t *testing.T) {
 }
 
 func TestStatsSub(t *testing.T) {
-	a := Stats{Calls: 5, Messages: 10, Bytes: 100, Drops: 4, Timeouts: 3, Corruptions: 2,
+	a := netsim.Stats{Calls: 5, Messages: 10, Bytes: 100, Drops: 4, Timeouts: 3, Corruptions: 2,
 		Tampers: 2, Latencies: 5, LatencySim: 9 * time.Millisecond, Retries: 6,
-		PerMethod: map[string]MethodFaults{
+		PerMethod: map[string]netsim.MethodFaults{
 			"q": {Drops: 4, Timeouts: 3, Corruptions: 2, Tampers: 2},
 			"r": {Drops: 1},
 		}}
-	b := Stats{Calls: 2, Messages: 4, Bytes: 30, Drops: 1, Timeouts: 1, Corruptions: 1,
+	b := netsim.Stats{Calls: 2, Messages: 4, Bytes: 30, Drops: 1, Timeouts: 1, Corruptions: 1,
 		Tampers: 1, Latencies: 2, LatencySim: 4 * time.Millisecond, Retries: 2,
-		PerMethod: map[string]MethodFaults{
+		PerMethod: map[string]netsim.MethodFaults{
 			"q": {Drops: 2, Timeouts: 1},
 			"r": {Drops: 1}, // delta zero: must be omitted
 		}}
@@ -90,21 +98,21 @@ func TestStatsSub(t *testing.T) {
 		d.Latencies != 3 || d.LatencySim != 5*time.Millisecond || d.Retries != 4 {
 		t.Errorf("fault deltas = %+v", d)
 	}
-	wantPer := map[string]MethodFaults{"q": {Drops: 2, Timeouts: 2, Corruptions: 2, Tampers: 2}}
+	wantPer := map[string]netsim.MethodFaults{"q": {Drops: 2, Timeouts: 2, Corruptions: 2, Tampers: 2}}
 	if !reflect.DeepEqual(d.PerMethod, wantPer) {
 		t.Errorf("PerMethod delta = %+v, want %+v", d.PerMethod, wantPer)
 	}
 }
 
 func TestConcurrentCalls(t *testing.T) {
-	l := NewLink(costmodel.Default1993())
-	l.Register("inc", func(req []byte) ([]byte, error) { return req, nil })
+	l := netsim.NewLink(costmodel.Default1993())
+	sim := serve(l, func(req []byte) ([]byte, error) { return req, nil })
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := l.Call("inc", []byte{1}); err != nil {
+			if _, err := sim.Call(nil, "inc", []byte{1}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -118,8 +126,8 @@ func TestConcurrentCalls(t *testing.T) {
 func TestConcurrentCallsUnderFaults(t *testing.T) {
 	// Faulty links must stay race-free and never panic; every call
 	// either succeeds or fails with a typed error.
-	l := NewLink(costmodel.Default1993())
-	l.Register("inc", func(req []byte) ([]byte, error) { return req, nil })
+	l := netsim.NewLink(costmodel.Default1993())
+	sim := serve(l, func(req []byte) ([]byte, error) { return req, nil })
 	l.SetFaults(faultsim.New(faultsim.Policy{
 		Seed: 11, DropProb: 0.1, TimeoutProb: 0.1, CorruptProb: 0.1, TamperProb: 0.1,
 		LatencyProb: 0.1, ExtraLatency: time.Millisecond,
@@ -129,8 +137,8 @@ func TestConcurrentCallsUnderFaults(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := l.Call("inc", []byte{1, 2, 3})
-			if err != nil && !errors.Is(err, ErrDropped) && !errors.Is(err, ErrLinkTimeout) && !errors.Is(err, ErrCorrupt) {
+			_, err := sim.Call(nil, "inc", []byte{1, 2, 3})
+			if err != nil && !errors.Is(err, netsim.ErrDropped) && !errors.Is(err, netsim.ErrLinkTimeout) && !errors.Is(err, netsim.ErrCorrupt) {
 				t.Errorf("untyped error: %v", err)
 			}
 		}()
@@ -141,40 +149,40 @@ func TestConcurrentCallsUnderFaults(t *testing.T) {
 func TestScheduledFaultsTyped(t *testing.T) {
 	// Ops count payload crossings: op 1 = request of call 1, op 2 =
 	// response of call 1 (when the request survived), and so on.
-	l := NewLink(costmodel.Default1993())
-	l.Register("m", func(req []byte) ([]byte, error) { return []byte("ok"), nil })
+	l := netsim.NewLink(costmodel.Default1993())
+	sim := serve(l, func(req []byte) ([]byte, error) { return []byte("ok"), nil })
 	l.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{
 		{Op: 1, Kind: faultsim.Drop},    // call 1: request dropped
 		{Op: 2, Kind: faultsim.Timeout}, // call 2: request times out
 		{Op: 4, Kind: faultsim.Corrupt}, // call 3: response corrupted (op 3 = its request)
 	}}))
-	if _, err := l.Call("m", []byte("a")); !errors.Is(err, ErrDropped) {
+	if _, err := sim.Call(nil, "m", []byte("a")); !errors.Is(err, netsim.ErrDropped) {
 		t.Errorf("call 1: %v", err)
 	}
-	if _, err := l.Call("m", []byte("b")); !errors.Is(err, ErrLinkTimeout) {
+	if _, err := sim.Call(nil, "m", []byte("b")); !errors.Is(err, netsim.ErrLinkTimeout) {
 		t.Errorf("call 2: %v", err)
 	}
-	if _, err := l.Call("m", []byte("c")); !errors.Is(err, ErrCorrupt) {
+	if _, err := sim.Call(nil, "m", []byte("c")); !errors.Is(err, netsim.ErrCorrupt) {
 		t.Errorf("call 3: %v", err)
 	}
 	s := l.Stats()
 	if s.Drops != 1 || s.Timeouts != 1 || s.Corruptions != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	want := MethodFaults{Drops: 1, Timeouts: 1, Corruptions: 1}
+	want := netsim.MethodFaults{Drops: 1, Timeouts: 1, Corruptions: 1}
 	if s.PerMethod["m"] != want {
 		t.Errorf("PerMethod[m] = %+v, want %+v", s.PerMethod["m"], want)
 	}
 }
 
 func TestTamperFlipsExactlyOneByte(t *testing.T) {
-	l := NewLink(costmodel.Default1993())
+	l := netsim.NewLink(costmodel.Default1993())
 	var seen []byte
-	l.Register("m", func(req []byte) ([]byte, error) { seen = append([]byte(nil), req...); return nil, nil })
+	sim := serve(l, func(req []byte) ([]byte, error) { seen = append([]byte(nil), req...); return nil, nil })
 	l.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{{Op: 1, Kind: faultsim.Tamper}}}))
 	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	sent := append([]byte(nil), orig...)
-	if _, err := l.Call("m", sent); err != nil {
+	if _, err := sim.Call(nil, "m", sent); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sent, orig) {
@@ -196,13 +204,13 @@ func TestTamperFlipsExactlyOneByte(t *testing.T) {
 
 func TestInjectedLatencyPriced(t *testing.T) {
 	m := costmodel.Default1993()
-	l := NewLink(m)
-	l.Register("m", func(req []byte) ([]byte, error) { return nil, nil })
+	l := netsim.NewLink(m)
+	sim := serve(l, func(req []byte) ([]byte, error) { return nil, nil })
 	l.SetFaults(faultsim.New(faultsim.Policy{
 		ExtraLatency: 500 * time.Millisecond,
 		Schedule:     []faultsim.Scheduled{{Op: 1, Kind: faultsim.Latency}},
 	}))
-	if _, err := l.Call("m", nil); err != nil {
+	if _, err := sim.Call(nil, "m", nil); err != nil {
 		t.Fatal(err)
 	}
 	s := l.Stats()
@@ -217,7 +225,7 @@ func TestInjectedLatencyPriced(t *testing.T) {
 }
 
 func TestNoteRetry(t *testing.T) {
-	l := NewLink(costmodel.Default1993())
+	l := netsim.NewLink(costmodel.Default1993())
 	l.NoteRetry()
 	l.NoteRetry()
 	if l.Stats().Retries != 2 {
@@ -228,15 +236,15 @@ func TestNoteRetry(t *testing.T) {
 func TestFaultDeterminism(t *testing.T) {
 	// Two links with the same policy seed and the same call sequence
 	// must produce identical stats.
-	run := func() Stats {
-		l := NewLink(costmodel.Default1993())
-		l.Register("m", func(req []byte) ([]byte, error) { return make([]byte, 2048), nil })
+	run := func() netsim.Stats {
+		l := netsim.NewLink(costmodel.Default1993())
+		sim := serve(l, func(req []byte) ([]byte, error) { return make([]byte, 2048), nil })
 		l.SetFaults(faultsim.New(faultsim.Policy{
 			Seed: 42, DropProb: 0.15, TimeoutProb: 0.1, CorruptProb: 0.1, TamperProb: 0.1,
 			LatencyProb: 0.1, ExtraLatency: 3 * time.Millisecond,
 		}))
 		for i := 0; i < 400; i++ {
-			l.Call("m", []byte{byte(i)})
+			sim.Call(nil, "m", []byte{byte(i)})
 		}
 		return l.Stats()
 	}

@@ -1,4 +1,4 @@
-package netsim
+package netsim_test
 
 import (
 	"errors"
@@ -6,29 +6,30 @@ import (
 
 	"qbism/internal/costmodel"
 	"qbism/internal/faultsim"
+	"qbism/internal/netsim"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
-// CallSpan's span model: one rpc.<method> span per round trip, a
-// net.request / server / net.response child per leg, byte and message
+// The span model of a round trip over the link: one rpc.<method> span,
+// a net.request / server / net.response child per leg, byte and message
 // counters on the crossings, and injected faults annotated by name on
 // the leg they hit.
 
-func echoLink() *Link {
-	l := NewLink(costmodel.Default1993())
-	l.RegisterSpan("echo", func(sp *obs.Span, req []byte) ([]byte, error) {
+func echoLink() (*netsim.Link, *transport.Sim) {
+	l := netsim.NewLink(costmodel.Default1993())
+	return l, transport.NewSim(l, costmodel.Default1993(), func(sp *obs.Span, _ string, req []byte) ([]byte, error) {
 		sp.Child("work").End()
 		return req, nil
 	})
-	return l
 }
 
 func TestCallSpanTree(t *testing.T) {
-	l := echoLink()
+	_, sim := echoLink()
 	tr := obs.NewTracer()
 	root := tr.Start("test")
 	payload := []byte("twelve bytes")
-	resp, err := l.CallSpan(root, "echo", payload)
+	resp, err := sim.Call(root, "echo", payload)
 	if err != nil || string(resp) != string(payload) {
 		t.Fatalf("echo failed: %q, %v", resp, err)
 	}
@@ -58,8 +59,8 @@ func TestCallSpanTree(t *testing.T) {
 		t.Error("handler span not nested under server")
 	}
 	// The untraced path still works and allocates nothing.
-	if resp, err := l.CallSpan(nil, "echo", payload); err != nil || string(resp) != string(payload) {
-		t.Fatalf("untraced CallSpan: %q, %v", resp, err)
+	if resp, err := sim.Call(nil, "echo", payload); err != nil || string(resp) != string(payload) {
+		t.Fatalf("untraced Call: %q, %v", resp, err)
 	}
 }
 
@@ -73,21 +74,21 @@ func TestCallSpanFaultAnnotations(t *testing.T) {
 		name    string
 		wantErr error
 	}{
-		{faultsim.Drop, "drop", ErrDropped},
-		{faultsim.Timeout, "timeout", ErrLinkTimeout},
-		{faultsim.Corrupt, "corrupt", ErrCorrupt},
+		{faultsim.Drop, "drop", netsim.ErrDropped},
+		{faultsim.Timeout, "timeout", netsim.ErrLinkTimeout},
+		{faultsim.Corrupt, "corrupt", netsim.ErrCorrupt},
 		{faultsim.Latency, "latency", nil},
 		{faultsim.Tamper, "tamper", nil},
 	}
 	for _, tc := range cases {
-		l := echoLink()
+		l, sim := echoLink()
 		l.SetFaults(faultsim.New(faultsim.Policy{
 			ExtraLatency: 5e6,
 			Schedule:     []faultsim.Scheduled{{Op: 1, Kind: tc.kind}},
 		}))
 		tr := obs.NewTracer()
 		root := tr.Start("test")
-		_, err := l.CallSpan(root, "echo", []byte("payload"))
+		_, err := sim.Call(root, "echo", []byte("payload"))
 		root.End()
 		if tc.wantErr != nil {
 			if !errors.Is(err, tc.wantErr) {

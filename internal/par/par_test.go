@@ -38,3 +38,30 @@ func TestForCoversRangeOnce(t *testing.T) {
 		runtime.GOMAXPROCS(old)
 	}
 }
+
+// TestEachVisitsEveryIndexOnce: every index is visited exactly once
+// whatever the pool size, and a pool of one runs in order on the caller.
+func TestEachVisitsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 100} {
+		for _, workers := range []int{-1, 0, 1, 2, 3, 200} {
+			hits := make([]int32, n)
+			var order []int
+			Each(n, workers, func(i int) {
+				atomic.AddInt32(&hits[i], 1)
+				if workers <= 1 || n < 2 {
+					order = append(order, i) // the caller's goroutine: no race
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, h)
+				}
+			}
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("n=%d workers=%d: serial order %v", n, workers, order)
+				}
+			}
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/netsim"
 	"qbism/internal/rencode"
+	"qbism/internal/transport"
 )
 
 // chaosBaseConfig is a small, fast system for chaos runs. Checksums are
@@ -109,7 +110,7 @@ func TestChaosQueries(t *testing.T) {
 	cfg := chaosBaseConfig()
 	cfg.LinkFaults = chaosLinkPolicy(101)
 	cfg.DeviceFaults = chaosDevicePolicy(202)
-	cfg.Retry = DefaultRetryPolicy()
+	cfg.Retry = transport.DefaultRetryPolicy()
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestChaosQueries(t *testing.T) {
 		spec := pool[pick.Intn(len(pool))]
 		res, err := sys.RunQuery(spec)
 		if err != nil {
-			if !RetryableError(err) {
+			if !transport.RetryableError(err) {
 				t.Fatalf("query %d (%s): fatal-classified error escaped: %v", i, spec.Label(), err)
 			}
 			continue
@@ -172,7 +173,7 @@ func TestChaosDeterminism(t *testing.T) {
 		cfg := chaosBaseConfig()
 		cfg.LinkFaults = chaosLinkPolicy(7)
 		cfg.DeviceFaults = chaosDevicePolicy(8)
-		cfg.Retry = DefaultRetryPolicy()
+		cfg.Retry = transport.DefaultRetryPolicy()
 		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +233,7 @@ func TestDegradedBandRecompute(t *testing.T) {
 	// one the default encoding resolves to — the planner's pick.
 	res, err := sys.DB.Exec(fmt.Sprintf(
 		"select ib.region from intensityBand ib where ib.studyId = %d and ib.lo = %d and ib.hi = %d and ib.encoding = '%s'",
-		study, b.Lo, b.Hi, sys.bandEncoding()))
+		study, b.Lo, b.Hi, sys.BandEncoding()))
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("band row lookup: %d rows, %v", len(res.Rows), err)
 	}
@@ -282,7 +283,7 @@ func TestDegradedBandRecompute(t *testing.T) {
 func TestRetryExhaustionIsTyped(t *testing.T) {
 	cfg := chaosBaseConfig()
 	cfg.LinkFaults = &faultsim.Policy{DropProb: 1.0}
-	cfg.Retry = RetryPolicy{MaxAttempts: 3}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 3}
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +296,7 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 	if !errors.Is(qerr, netsim.ErrDropped) {
 		t.Errorf("not a drop error: %v", qerr)
 	}
-	if !RetryableError(qerr) {
+	if !transport.RetryableError(qerr) {
 		t.Errorf("exhaustion error lost its retryable classification: %v", qerr)
 	}
 	if got := sys.Link.Stats().Retries; got != 2 {
@@ -321,7 +322,7 @@ func clusterChaosConfig() ClusterConfig {
 		Shards:   2,
 		Replicas: 1,
 		Base:     base,
-		Retry:    RetryPolicy{MaxAttempts: 4, Seed: 9},
+		Retry:    transport.RetryPolicy{MaxAttempts: 4, Seed: 9},
 	}
 }
 
@@ -479,7 +480,7 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 func TestClusterDeadShardPartial(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	// Pick the victim from the routing alone (stable across runs).
 	part := cluster.NewPartitioner(cfg.Shards)
 	victim := part.Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
@@ -723,7 +724,7 @@ func TestClusterConsistentBandRegionPartial(t *testing.T) {
 	b := control.BandRegions[studies[0]][0]
 
 	cfg := clusterChaosConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: studies[0], Study: studies[0]})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {
@@ -851,7 +852,7 @@ func TestClusterChaosDeterminism(t *testing.T) {
 func TestClusterScatterGatherRace(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {

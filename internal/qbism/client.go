@@ -1,6 +1,7 @@
 package qbism
 
 import (
+	"fmt"
 	"time"
 
 	"qbism/internal/cluster"
@@ -13,12 +14,21 @@ import (
 // Client is the DX half of a query — the paper's front end (§5.2): it
 // frames the spec, hands it to a MedicalServer, imports and renders the
 // reply, fills the DX cache, prices the work with the cost model and
-// feeds the observability sinks. System and ClusterSystem both embed
-// one, so a query runs, batches, and finishes through the same code
-// however it was carried; all they supply is server.
+// feeds the observability sinks. It needs no server in its process:
+// NewClient over a dialed transport is a complete front end. System and
+// ClusterSystem both embed one, so a query runs, batches, and finishes
+// through the same code however it was carried.
 type Client struct {
 	Model costmodel.Model
 	Cache *dx.Cache
+
+	// Transport carries the exchanges to the MedicalServer, with Retry's
+	// client-side retries of transient failures over it. Both are read
+	// per call, so a caller may repoint a client (a System at a live
+	// daemon, say). A ClusterSystem's client routes instead and leaves
+	// Transport nil.
+	Transport transport.Transport
+	Retry     transport.RetryPolicy
 
 	// Tracer is the query tracer (nil unless Config.Trace). Metrics is
 	// the registry — always present, so counters accumulate whether or
@@ -34,8 +44,8 @@ type Client struct {
 }
 
 // server is how a framed request reaches a MedicalServer: over one
-// transport with client-side retries (System), or routed to a shard and
-// read with failover and hedging (ClusterSystem).
+// transport with client-side retries (the Client itself), or routed to a
+// shard and read with failover and hedging (ClusterSystem).
 type server interface {
 	// fetch carries request and returns the validated reply; the retry
 	// history is set on failure too.
@@ -47,23 +57,27 @@ type server interface {
 type fetched struct {
 	meta     *QueryMeta
 	blob     []byte
-	retry    RetryStats
+	retry    transport.RetryStats
 	messages uint64        // cost-model messages the exchange took
 	latency  time.Duration // its simulated network time
 	shard    *cluster.ReadInfo
 }
 
-// newClient builds the client half for cfg. It is built after the load,
-// so its sinks describe query traffic only.
-func newClient(cfg Config, workers int, srv server) *Client {
+// NewClient builds a DX client that reaches its MedicalServer over t.
+// Of cfg it reads Retry, Workers, Trace and the slow-log fields. Its
+// sinks start empty, so they describe query traffic only.
+func NewClient(t transport.Transport, cfg Config) *Client {
+	cfg = cfg.WithDefaults()
 	c := &Client{
 		Model:      costmodel.Default1993(),
 		Cache:      dx.NewCache(8),
+		Transport:  t,
+		Retry:      cfg.Retry,
 		Metrics:    obs.NewRegistry(),
 		slowThresh: cfg.SlowLogThreshold,
-		workers:    workers,
-		server:     srv,
+		workers:    cfg.Workers,
 	}
+	c.server = c
 	if cfg.Trace {
 		c.Tracer = obs.NewTracer()
 		if cfg.SlowLogThreshold > 0 {
@@ -71,6 +85,29 @@ func newClient(cfg Config, workers int, srv server) *Client {
 		}
 	}
 	return c
+}
+
+// fetch is one logical RPC over c.Transport with c.Retry's
+// capped-exponential, deterministically jittered schedule, whatever
+// flavor the transport is. Response validation runs inside the loop, so
+// a reply corrupted past the link layer's own checks is retried exactly
+// like a failed call.
+func (c *Client) fetch(root *obs.Span, _ QuerySpec, key string, request []byte) (fetched, error) {
+	var f fetched
+	tr := c.Transport
+	net0 := tr.Stats()
+	_, retry, err := transport.CallRetry(tr, root, QueryMethod, request, c.Retry, key,
+		func(resp []byte) (verr error) {
+			f.meta, f.blob, verr = DecodeQueryResponse(resp)
+			return verr
+		})
+	f.retry = retry
+	if err != nil {
+		return f, fmt.Errorf("qbism: query failed after %d attempt(s): %w", retry.Attempts, err)
+	}
+	net := tr.Stats().Sub(net0)
+	f.messages, f.latency = net.Messages, net.Latency
+	return f, nil
 }
 
 // RunQuery executes a query end to end under the paper's measurement
@@ -82,8 +119,8 @@ func newClient(cfg Config, workers int, srv server) *Client {
 // The network exchange is resilient: both directions are CRC-framed so
 // corruption and truncation surface as typed errors, and transient
 // failures (drops, timeouts, corrupt frames, device read faults) are
-// retried — per System.Retry on one link, across a shard's nodes in a
-// cluster — with capped exponential backoff and deterministic jitter.
+// retried — per Client.Retry on one transport, across a shard's nodes in
+// a cluster — with capped exponential backoff and deterministic jitter.
 // Backoff is simulated time — no real sleeping — accounted in
 // Timing.RetrySim. Through a ClusterSystem the result's Shard field
 // reports how the read was served.
@@ -113,7 +150,7 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	// jitter and the DX cache use it.
 	request, err := EncodeQueryRequest(spec)
 	if err != nil {
-		return nil, c.fail(root, RetryStats{}, err)
+		return nil, c.fail(root, transport.RetryStats{}, err)
 	}
 	key := string(request[transport.FrameOverhead:])
 	f, err := c.server.fetch(root, spec, key, request)
@@ -192,7 +229,7 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 
 // fail finishes a query's observability on the error path: the root
 // span is annotated and ended, and the error counters bump.
-func (c *Client) fail(root *obs.Span, retry RetryStats, err error) error {
+func (c *Client) fail(root *obs.Span, retry transport.RetryStats, err error) error {
 	root.SetStr("error", err.Error())
 	root.SetInt("attempts", int64(retry.Attempts))
 	root.SetInt("retries", int64(retry.Retries))
@@ -206,7 +243,7 @@ func (c *Client) fail(root *obs.Span, retry RetryStats, err error) error {
 // observe feeds the metrics registry and, when the query's measured
 // latency reaches the slow-log threshold, captures the full span tree
 // plus the executed plan into the slow-query ring.
-func (c *Client) observe(t QueryTiming, retry RetryStats, root *obs.Span) {
+func (c *Client) observe(t QueryTiming, retry transport.RetryStats, root *obs.Span) {
 	c.Metrics.Counter("qbism_queries_total").Inc()
 	c.Metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
 	c.Metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).

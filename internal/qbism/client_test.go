@@ -6,6 +6,7 @@ import (
 
 	"qbism/internal/region"
 	"qbism/internal/sfc"
+	"qbism/internal/transport"
 )
 
 // The DX client is one piece of code under both deployments; these
@@ -43,7 +44,7 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 		if serial && a.Timing.NetMessages != b.Timing.NetMessages {
 			t.Errorf("%s: NetMessages %d on the node, %d through the cluster", label, a.Timing.NetMessages, b.Timing.NetMessages)
 		}
-		if want := (RetryStats{Attempts: 1}); a.Retry != want || b.Retry != want {
+		if want := (transport.RetryStats{Attempts: 1}); a.Retry != want || b.Retry != want {
 			t.Errorf("%s: retry history %+v / %+v, want one clean attempt on both", label, a.Retry, b.Retry)
 		}
 	}
@@ -136,7 +137,7 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates, a few objects more or less per query from run to run")
 	}
 	sys := serveAllocSystem(t)
-	small, mixed := serveAllocSpecs(sys)
+	small, mixed := serveAllocSpecs(sys.Server)
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec

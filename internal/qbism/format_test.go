@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qbism/internal/medserver"
 	"qbism/internal/sdb"
 	"qbism/internal/transport"
 )
@@ -111,10 +112,10 @@ func TestFmtDur(t *testing.T) {
 }
 
 func TestSplitResponseErrors(t *testing.T) {
-	if _, _, err := splitResponse([]byte{1, 2}); err == nil {
+	if _, _, err := DecodeQueryResponse([]byte{1, 2}); err == nil {
 		t.Error("short response accepted")
 	}
-	if _, _, err := splitResponse([]byte{0, 0, 0, 99, 1, 2}); err == nil {
+	if _, _, err := DecodeQueryResponse([]byte{0, 0, 0, 99, 1, 2}); err == nil {
 		t.Error("truncated header accepted")
 	}
 	// A whole frame whose header is not a meta header: typed, terminal.
@@ -122,20 +123,20 @@ func TestSplitResponseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := splitResponse(f); !errors.Is(err, transport.ErrWireHeader) || RetryableError(err) {
+	if _, _, err := DecodeQueryResponse(f); !errors.Is(err, transport.ErrWireHeader) || transport.RetryableError(err) {
 		t.Errorf("bad meta header: %v, want a terminal transport.ErrWireHeader", err)
 	}
 }
 
 func TestRegionFromValueErrors(t *testing.T) {
 	s := testSystem(t)
-	if _, err := regionFromValue(s.DB, sdb.Int(5)); err == nil {
+	if _, err := medserver.RegionFromValue(s.DB, sdb.Int(5)); err == nil {
 		t.Error("int as region accepted")
 	}
-	if _, err := regionFromValue(s.DB, sdb.Bytes([]byte{0x01, 0x02})); err == nil {
+	if _, err := medserver.RegionFromValue(s.DB, sdb.Bytes([]byte{0x01, 0x02})); err == nil {
 		t.Error("garbage bytes accepted")
 	}
-	if _, err := regionFromValue(s.DB, sdb.Long(999999)); err == nil {
+	if _, err := medserver.RegionFromValue(s.DB, sdb.Long(999999)); err == nil {
 		t.Error("dangling handle accepted")
 	}
 	// A DataRegion blob decodes to its region.
@@ -144,7 +145,7 @@ select extractVoxels(wv.data, as.region)
 from warpedVolume wv, atlasStructure as, neuralStructure ns
 where wv.studyId = 1 and wv.atlasId = as.atlasId
   and as.structureId = ns.structureId and ns.structureName = 'putamen'`)
-	r, err := regionFromValue(s.DB, res.Rows[0][0])
+	r, err := medserver.RegionFromValue(s.DB, res.Rows[0][0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,10 @@ func TestFrameDelegatesToTransport(t *testing.T) {
 		t.Error("round trip mismatch through the transport codec")
 	}
 	f[len(f)-1] ^= 1
-	if _, _, err := splitResponse(f); !errors.Is(err, transport.ErrFrameCorrupt) {
+	if _, _, err := DecodeQueryResponse(f); !errors.Is(err, transport.ErrFrameCorrupt) {
 		t.Errorf("corrupt frame: %v, want transport.ErrFrameCorrupt", err)
 	}
-	if _, _, err := splitResponse(f[:3]); !errors.Is(err, transport.ErrFrameTruncated) {
+	if _, _, err := DecodeQueryResponse(f[:3]); !errors.Is(err, transport.ErrFrameTruncated) {
 		t.Errorf("truncated frame: %v, want transport.ErrFrameTruncated", err)
 	}
 	req, err := EncodeQueryRequest(QuerySpec{StudyID: 1, Atlas: "Talairach", FullStudy: true})

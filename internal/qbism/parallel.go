@@ -2,12 +2,10 @@ package qbism
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"qbism/internal/obs"
-	"qbism/internal/region"
-	"qbism/internal/sdb"
+	"qbism/internal/par"
 )
 
 // The parallel executor: multi-study workloads — Table 4's n-way
@@ -70,43 +68,10 @@ func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Spa
 	for i, spec := range specs {
 		out[i].Spec = spec
 	}
-	forEachIndex(len(specs), workers, func(i int) {
+	par.Each(len(specs), workers, func(i int) {
 		out[i].Res, out[i].Err = c.runQuerySpan(batch, out[i].Spec)
 	})
 	return out, batch
-}
-
-// forEachIndex calls fn(0) … fn(n-1) over a pool of at most workers
-// goroutines and returns when every call has; with a pool of one (or
-// fewer than two items) fn runs in order on the calling goroutine.
-// Callers write results by index, so output order never depends on
-// which worker ran what.
-func forEachIndex(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
 
 // BatchSim prices a completed batch with the cost model's simulated
@@ -143,52 +108,6 @@ func BatchSim(items []BatchItem, workers int) (serial, parallel time.Duration) {
 		}
 	}
 	return serial, parallel
-}
-
-// ConsistentBandRegion computes the Table 4 answer — the REGION where
-// every listed study has intensities in [bandLo, bandHi] under the
-// given encoding — fetching the per-study band REGIONs concurrently
-// over a bounded pool, then intersecting smallest-first. The result is
-// identical to the serial SQL plan's: each fetch is an independent
-// read, and IntersectN is order-independent.
-func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
-	if len(studies) == 0 {
-		return nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
-	}
-	if workers <= 0 {
-		workers = s.Cfg.Workers
-	}
-	regions := make([]*region.Region, len(studies))
-	errs := make([]error, len(studies))
-	forEachIndex(len(studies), workers, func(i int) {
-		regions[i], errs[i] = s.fetchBandRegion(studies[i], bandLo, bandHi, encoding)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("qbism: study %d band [%d,%d] %s: %w",
-				studies[i], bandLo, bandHi, encoding, err)
-		}
-	}
-	return region.IntersectN(regions...)
-}
-
-// fetchBandRegion reads one study's stored band REGION and recodes it
-// onto the system curve (mirroring the nIntersect UDF's normalization).
-func (s *System) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (*region.Region, error) {
-	row, n, err := querySingle(nil, s.stmts.bandRegion,
-		sdb.Int(int64(studyID)), sdb.Int(int64(bandLo)), sdb.Int(int64(bandHi)),
-		sdb.Str(encoding))
-	if err != nil {
-		return nil, err
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("no stored intensityBand row")
-	}
-	r, err := regionFromValue(s.DB, row[0])
-	if err != nil {
-		return nil, err
-	}
-	return r.Recode(s.curveFor(r))
 }
 
 // Table4OneParallel is Table4One with the per-study band fetches fanned

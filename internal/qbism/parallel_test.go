@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qbism/internal/faultsim"
+	"qbism/internal/transport"
 )
 
 // TestRunQueriesMatchesSerial fans the whole chaos spec pool across 4
@@ -95,7 +96,7 @@ func TestRunQueriesUnderFaults(t *testing.T) {
 	cfg.CachePages = 32
 	cfg.ReadGapPages = 4
 	cfg.DeviceFaults = &faultsim.Policy{Seed: 77, ReadErrProb: 0.01, PageCorruptProb: 0.01}
-	cfg.Retry = DefaultRetryPolicy()
+	cfg.Retry = transport.DefaultRetryPolicy()
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestRunQueriesUnderFaults(t *testing.T) {
 	succeeded := 0
 	for _, item := range items {
 		if item.Err != nil {
-			if !RetryableError(item.Err) {
+			if !transport.RetryableError(item.Err) {
 				t.Fatalf("%s: fatal-classified error escaped: %v", item.Spec.Label(), item.Err)
 			}
 			continue

@@ -10,6 +10,7 @@ import (
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
+	"qbism/internal/transport"
 )
 
 // The run-pruned read path (gap-coalesced extraction, the LFM page
@@ -96,7 +97,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 	cfg.CachePages = 32
 	cfg.LinkFaults = chaosLinkPolicy(301)
 	cfg.DeviceFaults = chaosDevicePolicy(302)
-	cfg.Retry = DefaultRetryPolicy()
+	cfg.Retry = transport.DefaultRetryPolicy()
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 			total++
 			res, err := sys.RunQuery(spec)
 			if err != nil {
-				if !RetryableError(err) {
+				if !transport.RetryableError(err) {
 					t.Fatalf("%s: fatal-classified error escaped: %v", spec.Label(), err)
 				}
 				continue
@@ -160,7 +161,7 @@ func TestExtractGapCoalescing(t *testing.T) {
 	}
 
 	sys.LFM.ResetStats()
-	base, err := ExtractStored(sys.LFM, h, r)
+	base, err := ExtractStoredOpts(sys.LFM, h, r, ExtractOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +361,19 @@ func TestExtractStoredEqualsReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				blob, err := extractStoredBlob(sys.LFM, h, r, opts, sys.Cfg.Method)
+				// The server's one step is the extractVoxels UDF, which
+				// reads its gap from the server's configuration.
+				enc, err := rencode.Encode(sys.Cfg.Method, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(blob, wantBlob) {
+				sys.Cfg.ReadGapPages = gap
+				one, err := sys.DB.Exec("select extractVoxels(wv.data, ?) from warpedVolume wv where wv.studyId = ?",
+					sdb.Bytes(enc), sdb.Int(int64(study)))
+				if err != nil || len(one.Rows) != 1 {
+					t.Fatalf("extractVoxels: %d rows, %v", len(one.Rows), err)
+				}
+				if blob := one.Rows[0][0].Y; !bytes.Equal(blob, wantBlob) {
 					t.Fatalf("cache %d gap %d region %d: one-step blob differs from MarshalDataRegion(ExtractStoredOpts)", cachePages, gap, i)
 				}
 			}

@@ -147,7 +147,7 @@ func TestPageCoalescedExtraction(t *testing.T) {
 	res := s.DB.MustExec(`select wv.data from warpedVolume wv where wv.studyId = 1`)
 	h := res.Rows[0][0].L
 	before := s.LFM.Stats()
-	d, err := ExtractStored(s.LFM, h, st.Region)
+	d, err := ExtractStoredOpts(s.LFM, h, st.Region, ExtractOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPageCoalescedExtraction(t *testing.T) {
 func TestEmptyRegionExtraction(t *testing.T) {
 	s := testSystem(t)
 	res := s.DB.MustExec(`select wv.data from warpedVolume wv where wv.studyId = 1`)
-	d, err := ExtractStored(s.LFM, res.Rows[0][0].L, region.Empty(s.Curve))
+	d, err := ExtractStoredOpts(s.LFM, res.Rows[0][0].L, region.Empty(s.Curve), ExtractOpts{})
 	if err != nil || d.NumVoxels() != 0 {
 		t.Errorf("empty extraction: %v, %v", d, err)
 	}

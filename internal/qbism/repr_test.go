@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"qbism/internal/medserver"
 	"qbism/internal/rencode"
 	"qbism/internal/sfc"
+	"qbism/internal/transport"
 )
 
 func reprBaseConfig(rencodeMode string) Config {
@@ -47,11 +49,11 @@ func reprQueryShapes(s *System) []QuerySpec {
 // seed's all-runs layout. The representation is invisible in results —
 // only sizes and probe costs may differ.
 func TestReprDifferentialAutoVsRuns(t *testing.T) {
-	auto, err := New(reprBaseConfig(RencodeAuto))
+	auto, err := New(reprBaseConfig(medserver.RencodeAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := New(reprBaseConfig(RencodeRuns))
+	runs, err := New(reprBaseConfig(medserver.RencodeRuns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +77,11 @@ func TestReprDifferentialAutoVsRuns(t *testing.T) {
 // answer byte-identically to the runs baseline, and the probe counter
 // proves the compressed fast path actually ran.
 func TestReprForcedK3Differential(t *testing.T) {
-	k3, err := New(reprBaseConfig(EncK3Tree))
+	k3, err := New(reprBaseConfig(medserver.EncK3Tree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := New(reprBaseConfig(RencodeRuns))
+	runs, err := New(reprBaseConfig(medserver.RencodeRuns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestReprForcedK3Differential(t *testing.T) {
 			t.Errorf("shape %d (%s): forced-k3 result differs from runs baseline", i, spec.Label())
 		}
 	}
-	if k3.Metrics.Counter(metricRegionProbes).Value() == 0 {
+	if k3.Metrics.Counter("qbism_region_probe_total").Value() == 0 {
 		t.Error("forced-k3 queries never took the compressed probe fast path")
 	}
 }
@@ -107,15 +109,15 @@ func TestReprForcedK3Differential(t *testing.T) {
 // counts, neither degraded — and EXPLAIN says which of the two it was.
 func TestDefaultBandEncoding(t *testing.T) {
 	for _, tc := range []struct{ mode, want string }{
-		{RencodeAuto, EncK3Tree},
-		{RencodeRuns, EncHilbertNaive},
+		{medserver.RencodeAuto, medserver.EncK3Tree},
+		{medserver.RencodeRuns, EncHilbertNaive},
 		{"elias", "elias"},
 	} {
 		s, err := New(reprBaseConfig(tc.mode))
 		if err != nil {
 			t.Fatalf("mode %s: %v", tc.mode, err)
 		}
-		if got := s.bandEncoding(); got != tc.want {
+		if got := s.BandEncoding(); got != tc.want {
 			t.Errorf("mode %s: bandEncoding() = %q, want %q", tc.mode, got, tc.want)
 		}
 		study := s.Studies[0].StudyID
@@ -166,8 +168,8 @@ func TestDefaultBandEncoding(t *testing.T) {
 // through the client, where the refusal is terminal rather than
 // retried — and the supported shapes on the same system still answer.
 func TestConflictingSpecRejected(t *testing.T) {
-	cfg := reprBaseConfig(RencodeAuto)
-	cfg.Retry = DefaultRetryPolicy()
+	cfg := reprBaseConfig(medserver.RencodeAuto)
+	cfg.Retry = transport.DefaultRetryPolicy()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +217,7 @@ func TestRencodeValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted Rencode \"bogus\"")
 	}
-	for _, mode := range []string{RencodeAuto, RencodeRuns, EncK3Tree, "elias"} {
+	for _, mode := range []string{medserver.RencodeAuto, medserver.RencodeRuns, medserver.EncK3Tree, "elias"} {
 		if _, err := New(reprBaseConfig(mode)); err != nil {
 			t.Errorf("New rejected Rencode %q: %v", mode, err)
 		}
@@ -226,7 +228,7 @@ func TestRencodeValidation(t *testing.T) {
 // queries lead with the mode's default, explicit ones with the forced
 // label; non-band queries carry no annotation.
 func TestExplainSpecBandRepr(t *testing.T) {
-	s, err := New(reprBaseConfig(RencodeAuto))
+	s, err := New(reprBaseConfig(medserver.RencodeAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestExplainSpecBandRepr(t *testing.T) {
 // SQL against both a compressed and a materialized structure REGION,
 // cross-checked against the atlas geometry.
 func TestContainsPointUDF(t *testing.T) {
-	for _, mode := range []string{RencodeRuns, EncK3Tree} {
+	for _, mode := range []string{medserver.RencodeRuns, medserver.EncK3Tree} {
 		s, err := New(reprBaseConfig(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +297,7 @@ func TestContainsPointUDF(t *testing.T) {
 		if probes == 0 {
 			t.Fatal("no probes ran")
 		}
-		if mode == EncK3Tree && s.Metrics.Counter(metricRegionProbes).Value() == 0 {
+		if mode == medserver.EncK3Tree && s.Metrics.Counter("qbism_region_probe_total").Value() == 0 {
 			t.Error("forced-k3 containsPoint never took the probe fast path")
 		}
 		// Out-of-range coordinates are a typed error, not a panic.

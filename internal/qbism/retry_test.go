@@ -44,7 +44,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pol := RetryPolicy{MaxAttempts: tc.attempts, BaseBackoff: tc.base, MaxBackoff: tc.max}
+			pol := transport.RetryPolicy{MaxAttempts: tc.attempts, BaseBackoff: tc.base, MaxBackoff: tc.max}
 			rng := faultsim.NewRand(42)
 			for attempt := 1; attempt <= tc.attempts; attempt++ {
 				d := nominalBackoff(tc.base, tc.max, attempt)
@@ -63,7 +63,7 @@ func TestBackoffSchedule(t *testing.T) {
 // TestBackoffJitterSpreads: the jitter must actually spread across the
 // [d/2, d) window, not cluster at an endpoint.
 func TestBackoffJitterSpreads(t *testing.T) {
-	pol := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}
+	pol := transport.RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}
 	rng := faultsim.NewRand(7)
 	lowHalf, highHalf := 0, 0
 	for i := 0; i < 400; i++ {
@@ -84,7 +84,7 @@ func TestBackoffJitterSpreads(t *testing.T) {
 
 // TestBackoffDeterministic: the same seed yields the same schedule.
 func TestBackoffDeterministic(t *testing.T) {
-	pol := RetryPolicy{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}
+	pol := transport.RetryPolicy{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}
 	a, b := faultsim.NewRand(99), faultsim.NewRand(99)
 	for attempt := 1; attempt <= 8; attempt++ {
 		if x, y := pol.Backoff(attempt, a), pol.Backoff(attempt, b); x != y {
@@ -96,14 +96,14 @@ func TestBackoffDeterministic(t *testing.T) {
 // TestRetryPolicyDefaults: zero fields fill in; a zero policy is a
 // single attempt, never zero.
 func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
+	p := transport.RetryPolicy{}.WithDefaults()
 	if p.MaxAttempts != 1 {
 		t.Errorf("zero policy MaxAttempts = %d, want 1", p.MaxAttempts)
 	}
 	if p.BaseBackoff <= 0 || p.MaxBackoff <= 0 {
 		t.Errorf("defaults left non-positive backoff: %+v", p)
 	}
-	p = RetryPolicy{MaxAttempts: -3}.WithDefaults()
+	p = transport.RetryPolicy{MaxAttempts: -3}.WithDefaults()
 	if p.MaxAttempts != 1 {
 		t.Errorf("negative MaxAttempts = %d after defaults, want 1", p.MaxAttempts)
 	}
@@ -127,7 +127,7 @@ func TestQueryJitterSeedMixing(t *testing.T) {
 
 // retryTestSystem builds a small system with an exact link fault
 // schedule and the given retry policy.
-func retryTestSystem(t *testing.T, pol RetryPolicy, schedule []faultsim.Scheduled) *System {
+func retryTestSystem(t *testing.T, pol transport.RetryPolicy, schedule []faultsim.Scheduled) *System {
 	t.Helper()
 	cfg := Config{
 		Bits: 4, NumPET: 1, NumMRI: 0, Seed: 5,
@@ -147,7 +147,7 @@ func retryTestSystem(t *testing.T, pol RetryPolicy, schedule []faultsim.Schedule
 // Retries counts only the failed-then-retried ones, and BackoffSim is
 // the exact jittered schedule replayed from the query's seed.
 func TestRetryStatsAccounting(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 3}
+	pol := transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 3}
 	// One drop decision per request crossing: attempts 1 and 2 die on
 	// the wire, attempt 3's request (op 3) and response (op 4) are clean.
 	s := retryTestSystem(t, pol, []faultsim.Scheduled{
@@ -183,7 +183,7 @@ func TestRetryStatsAccounting(t *testing.T) {
 // carries the stats — MaxAttempts dials, MaxAttempts-1 retries (the
 // last failure is terminal, not retried), and a populated LastError.
 func TestRetryStatsExhaustion(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 3}
+	pol := transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 3}
 	s := retryTestSystem(t, pol, []faultsim.Scheduled{
 		{Op: 1, Kind: faultsim.Drop},
 		{Op: 2, Kind: faultsim.Drop},

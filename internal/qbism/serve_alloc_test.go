@@ -3,6 +3,8 @@ package qbism
 import (
 	"runtime"
 	"testing"
+
+	"qbism/internal/medserver"
 )
 
 // The per-request allocation budget of the MedicalServer, pinned where
@@ -16,11 +18,26 @@ import (
 // allocation in the executor and these ceilings trip long before the
 // 12 s repo benchmark would run.
 
-// serveAllocSystem is the System the budget is measured on: Bits 5,
+// serveAllocConfig is what the budgets are measured on: Bits 5,
 // untraced, page cache on.
+var serveAllocConfig = Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 4096}
+
+// bareServer loads a MedicalServer with nothing in front of it — no
+// client, no link: what qbismd serves.
+func bareServer(tb testing.TB, cfg Config) *medserver.Server {
+	tb.Helper()
+	srv, err := medserver.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// serveAllocSystem is the same server with its client in front.
 func serveAllocSystem(tb testing.TB) *System {
 	tb.Helper()
-	sys, err := New(Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 4096})
+	sys, err := New(serveAllocConfig)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -30,7 +47,7 @@ func serveAllocSystem(tb testing.TB) *System {
 
 // serveAllocSpecs are a small-structure request and a structure ∩ band
 // one, the two shapes with the most joins per voxel returned.
-func serveAllocSpecs(sys *System) (small, mixed QuerySpec) {
+func serveAllocSpecs(sys *medserver.Server) (small, mixed QuerySpec) {
 	study := sys.Studies[0].StudyID
 	b := sys.BandRegions[study][len(sys.BandRegions[study])-1]
 	small = QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen"}
@@ -40,7 +57,7 @@ func serveAllocSpecs(sys *System) (small, mixed QuerySpec) {
 }
 
 func TestServeRPCAllocBudget(t *testing.T) {
-	sys := serveAllocSystem(t)
+	sys := bareServer(t, serveAllocConfig)
 	small, mixed := serveAllocSpecs(sys)
 	for _, tc := range []struct {
 		name string
@@ -74,7 +91,7 @@ func TestServeRPCAllocBudget(t *testing.T) {
 // directly, no transport: ns/op and allocs/op of the server side alone.
 // `make bench-smoke` runs one iteration.
 func BenchmarkServeRPCSmall(b *testing.B) {
-	sys := serveAllocSystem(b)
+	sys := bareServer(b, serveAllocConfig)
 	small, _ := serveAllocSpecs(sys)
 	req, err := EncodeQueryRequest(small)
 	if err != nil {
@@ -94,22 +111,14 @@ func BenchmarkServeRPCSmall(b *testing.B) {
 // application frame around it and little else (DESIGN.md §18), however
 // many pages it is read from.
 
-// bulkAllocSystem is a Bits 6 System (a VOLUME is 64 pages) whose page
-// cache holds a quarter of one VOLUME, so bulk reads thrash it the way
-// the repo benchmark's bulk_open workload does.
-func bulkAllocSystem(tb testing.TB) *System {
-	tb.Helper()
-	sys, err := New(Config{Bits: 6, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 16})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { sys.Close() })
-	return sys
-}
+// bulkAllocConfig is a Bits 6 corpus (a VOLUME is 64 pages) behind a
+// page cache that holds a quarter of one VOLUME, so bulk reads thrash it
+// the way the repo benchmark's bulk_open workload does.
+var bulkAllocConfig = Config{Bits: 6, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 16}
 
 // bulkAllocSpecs are the three bulk shapes: the full study, the band
 // with the most voxels, and the left hemisphere.
-func bulkAllocSpecs(sys *System) (full, band, hemisphere QuerySpec) {
+func bulkAllocSpecs(sys *medserver.Server) (full, band, hemisphere QuerySpec) {
 	study := sys.Studies[0].StudyID
 	widest := sys.BandRegions[study][0]
 	for _, b := range sys.BandRegions[study] {
@@ -124,7 +133,7 @@ func bulkAllocSpecs(sys *System) (full, band, hemisphere QuerySpec) {
 }
 
 func TestBulkReplyAllocBudget(t *testing.T) {
-	sys := bulkAllocSystem(t)
+	sys := bareServer(t, bulkAllocConfig)
 	full, band, hemisphere := bulkAllocSpecs(sys)
 	for _, tc := range []struct {
 		name string
@@ -186,7 +195,7 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 // number of payload-sized buffers a bulk reply costs the server.
 // `make bench-smoke` runs a few iterations.
 func BenchmarkServeRPCBulk(b *testing.B) {
-	sys := bulkAllocSystem(b)
+	sys := bareServer(b, bulkAllocConfig)
 	full, _, _ := bulkAllocSpecs(sys)
 	req, err := EncodeQueryRequest(full)
 	if err != nil {

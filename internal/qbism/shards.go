@@ -24,9 +24,9 @@ import (
 
 	"qbism/internal/cluster"
 	"qbism/internal/faultsim"
+	"qbism/internal/medserver"
 	"qbism/internal/obs"
 	"qbism/internal/region"
-	"qbism/internal/synth"
 	"qbism/internal/transport"
 )
 
@@ -34,8 +34,10 @@ import (
 type ClusterConfig struct {
 	// Shards is the partition count K (default 2).
 	Shards int
-	// Replicas is the number of replicas per shard beyond the primary
-	// (default 1, i.e. each shard is a primary/replica pair).
+	// Replicas is the number of replicas per shard beyond the primary.
+	// Zero means the default of 1 (each shard is a primary/replica
+	// pair); a negative value means no replicas, every shard its primary
+	// alone.
 	Replicas int
 	// Base configures every node: corpus, encoding, checksums, device.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
@@ -50,9 +52,9 @@ type ClusterConfig struct {
 	Breaker cluster.BreakerConfig
 	// Retry governs cross-node failover retries: MaxAttempts bounds the
 	// node calls per read and Backoff/Seed drive the deterministic
-	// jittered waits — the exact schedule PR 1 established for
-	// single-link retries, reused at the cluster seam.
-	Retry RetryPolicy
+	// jittered waits — the schedule single-link retries use, reused at
+	// the cluster seam.
+	Retry transport.RetryPolicy
 	// HedgeAfter enables hedged reads once a node's simulated-latency
 	// EWMA reaches it (zero disables).
 	HedgeAfter time.Duration
@@ -127,23 +129,22 @@ func (cs *ClusterSystem) Close() error {
 // loading only its shard's studies.
 func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 	cfg = cfg.withDefaults()
-	base := cfg.Base.withDefaults()
+	base := cfg.Base
 
-	// Enumerate the global corpus exactly as studyPlans will: the
-	// routing table is derived from IDs alone, before any node exists.
+	// The routing table is derived from the corpus's IDs alone, before
+	// any node exists.
 	part := cluster.NewPartitioner(cfg.Shards)
 	cs := &ClusterSystem{
-		Cfg:    cfg,
-		routes: make(map[int]cluster.Key),
+		Cfg:     cfg,
+		Studies: medserver.Corpus(base),
+		routes:  make(map[int]cluster.Key),
 	}
 	perShard := make([][]int, cfg.Shards)
-	for i := 0; i < base.NumPET+base.NumMRI; i++ {
-		info := StudyInfo{StudyID: i + 1, PatientID: i + 1, Modality: modalityFor(base, i)}
+	for _, info := range cs.Studies {
 		key := cluster.Key{Patient: info.PatientID, Study: info.StudyID}
 		sh := part.Shard(key)
 		cs.routes[info.StudyID] = key
 		perShard[sh] = append(perShard[sh], info.StudyID)
-		cs.Studies = append(cs.Studies, info)
 	}
 
 	pol := cfg.Retry.WithDefaults()
@@ -157,7 +158,7 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 			nodeCfg.OnlyStudies = append([]int{}, perShard[sh]...)
 			// The cluster owns retries and failover; each node link
 			// answers exactly once per dial.
-			nodeCfg.Retry = RetryPolicy{MaxAttempts: 1}
+			nodeCfg.Retry = transport.RetryPolicy{MaxAttempts: 1}
 			// Node-level tracing is off: spans hang off the front end's
 			// tracer through the parent span threaded into each call.
 			nodeCfg.Trace = false
@@ -178,13 +179,14 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 		shardNodes = append(shardNodes, nodes)
 	}
 
-	cs.Client = newClient(base, cfg.Workers, cs)
+	cs.Client = NewClient(nil, base)
+	cs.Client.server, cs.Client.workers = cs, cfg.Workers
 	cl, err := cluster.New(cluster.Config{
 		Breaker:     cfg.Breaker,
 		MaxAttempts: pol.MaxAttempts,
 		Backoff:     pol.Backoff,
 		JitterSeed:  pol.Seed,
-		Retryable:   RetryableError,
+		Retryable:   transport.RetryableError,
 		HedgeAfter:  cfg.HedgeAfter,
 		Metrics:     cs.Metrics,
 	}, shardNodes)
@@ -211,14 +213,6 @@ func nodeName(shard, replica int) string {
 	return fmt.Sprintf("s%dr%d", shard, replica)
 }
 
-// modalityFor is the corpus's modality assignment, shared with studyPlans.
-func modalityFor(cfg Config, i int) synth.Modality {
-	if i >= cfg.NumPET {
-		return synth.MRI
-	}
-	return synth.PET
-}
-
 // Route returns the shard a study's queries are served by.
 func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
 	key, ok := cs.routes[studyID]
@@ -229,12 +223,10 @@ func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
 }
 
 // transportNode adapts one node's Transport to the cluster.Node seam:
-// the cluster no longer knows whether a node is a simulated link or a
+// the cluster does not know whether a node is a simulated link or a
 // live daemon — it consumes the seam's Stats.Latency deltas either
 // way. Each call is serialized per node so the stats delta pricing the
 // call's latency is exact; different nodes still serve concurrently.
-// (For the default sim transport the delta is numerically identical to
-// what the pre-seam linkNode computed by hand from link stats.)
 type transportNode struct {
 	name string
 	t    transport.Transport
@@ -267,7 +259,7 @@ func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([
 	if err != nil {
 		return nil, lat, err
 	}
-	if _, _, err := splitResponse(resp); err != nil {
+	if _, _, err := DecodeQueryResponse(resp); err != nil {
 		return nil, lat, err
 	}
 	return resp, lat, nil
@@ -280,16 +272,16 @@ func (cs *ClusterSystem) fetch(root *obs.Span, spec QuerySpec, _ string, request
 	key, ok := cs.routes[spec.StudyID]
 	if !ok {
 		// Unroutable: terminal, not a shard health problem.
-		return fetched{retry: RetryStats{Attempts: 1}},
+		return fetched{retry: transport.RetryStats{Attempts: 1}},
 			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID)
 	}
-	resp, info, err := cs.Cluster.Read(root, key, medicalQueryMethod, request)
-	f := fetched{retry: RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}}
+	resp, info, err := cs.Cluster.Read(root, key, QueryMethod, request)
+	f := fetched{retry: transport.RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}}
 	if err != nil {
 		f.retry.LastError = err.Error()
 		return f, fmt.Errorf("qbism: query failed: %w", err)
 	}
-	if f.meta, f.blob, err = splitResponse(resp); err != nil {
+	if f.meta, f.blob, err = DecodeQueryResponse(resp); err != nil {
 		return f, err
 	}
 	// The winning exchange's messages, metered as its link metered them;

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"qbism/internal/medserver"
 )
 
 // Table4Row is one row of Table 4: the multi-study n-way intersection
@@ -81,7 +83,7 @@ func (s *System) table4One(studies []int, bandLo, bandHi int, encoding string) (
 	if len(res.Rows) != 1 {
 		return Table4Row{}, fmt.Errorf("expected 1 row, got %d", len(res.Rows))
 	}
-	out, err := regionFromValue(s.DB, res.Rows[0][0])
+	out, err := medserver.RegionFromValue(s.DB, res.Rows[0][0])
 	if err != nil {
 		return Table4Row{}, err
 	}

@@ -147,7 +147,7 @@ func TestDegradedCounterIncrementsOncePerQuery(t *testing.T) {
 	// may be the k³-tree row rather than h-naive).
 	res, err := sys.DB.Exec(fmt.Sprintf(
 		"select ib.region from intensityBand ib where ib.studyId = %d and ib.lo = %d and ib.hi = %d and ib.encoding = '%s'",
-		study, b.Lo, b.Hi, sys.bandEncoding()))
+		study, b.Lo, b.Hi, sys.BandEncoding()))
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("band row lookup: %v", err)
 	}

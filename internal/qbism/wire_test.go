@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"qbism/internal/medserver"
 	"qbism/internal/obs"
 	"qbism/internal/transport"
 )
@@ -33,7 +34,7 @@ func goldenSpecs() []struct {
 		{"box", QuerySpec{StudyID: 2, Atlas: "Talairach", Box: &[6]uint32{2, 3, 4, 11, 12, 13}}},
 		{"structure", QuerySpec{StudyID: 3, Atlas: "Talairach", Structure: "putamen"}},
 		{"band", QuerySpec{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63}},
-		{"band-structure", QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "ntal1", HasBand: true, BandLo: 128, BandHi: 159, Encoding: EncK3Tree}},
+		{"band-structure", QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "ntal1", HasBand: true, BandLo: 128, BandHi: 159, Encoding: medserver.EncK3Tree}},
 	}
 }
 
@@ -51,15 +52,39 @@ func goldenMeta(degraded bool) QueryMeta {
 
 func encodeResponse(t testing.TB, m QueryMeta, blob []byte) []byte {
 	t.Helper()
-	n, err := metaSize(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := transport.SealFrame(append(appendMeta(make([]byte, transport.FrameOverhead), &m), blob...), n)
+	frame, err := medserver.EncodeQueryResponse(&m, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// The spec and meta codecs are the server package's own; from here they
+// are reached through the four functions that frame them. specHeader and
+// metaHeader are the wire bytes of a value — the header of the request
+// and of the response it travels in — and decodeSpecHeader and
+// decodeMetaHeader hand bare header bytes to the decoders the way they
+// receive them, inside a valid frame.
+func specHeader(q QuerySpec) []byte { return []byte(q.Key()) }
+
+func metaHeader(t testing.TB, m QueryMeta) []byte {
+	t.Helper()
+	header, _, err := transport.DecodeFrame(encodeResponse(t, m, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return header
+}
+
+func decodeSpecHeader(t testing.TB, b []byte) (QuerySpec, error) {
+	t.Helper()
+	return medserver.DecodeQueryRequest(encodeFrameT(t, b, nil))
+}
+
+func decodeMetaHeader(t testing.TB, b []byte) (*QueryMeta, error) {
+	t.Helper()
+	m, _, err := DecodeQueryResponse(encodeFrameT(t, b, nil))
+	return m, err
 }
 
 // TestWireGolden pins one request and one response of each data shape,
@@ -124,8 +149,9 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: documented fields end at %d, header is %d bytes", what, off, len(b))
 		}
 	}
+	const specHasBox, specHasBand, metaDegraded = 1 << 1, 1 << 2, 1 << 0 // flag bits, DESIGN.md §14
 	box := goldenSpecs()[1].spec
-	b := appendSpec(nil, &box)
+	b := specHeader(box)
 	check("spec", b, []field{
 		{"version", 0, 1, 1}, {"flags", 1, 1, specHasBox},
 		{"StudyID", 2, 8, 2}, {"BandLo", 10, 8, 0}, {"BandHi", 18, 8, 0},
@@ -133,19 +159,21 @@ func TestWireGolden(t *testing.T) {
 		{"Box[3]", 38, 4, 11}, {"Box[4]", 42, 4, 12}, {"Box[5]", 46, 4, 13},
 	}, "Talairach", "", "")
 	mixed := goldenSpecs()[4].spec
-	check("spec", appendSpec(nil, &mixed), []field{
+	check("spec", specHeader(mixed), []field{
 		{"version", 0, 1, 1}, {"flags", 1, 1, specHasBand},
 		{"StudyID", 2, 8, 1}, {"BandLo", 10, 8, 128}, {"BandHi", 18, 8, 159},
-	}, "Talairach", "ntal1", EncK3Tree)
+	}, "Talairach", "ntal1", medserver.EncK3Tree)
 	m := goldenMeta(true)
-	check("meta", appendMeta(nil, &m), []field{
+	check("meta", metaHeader(t, m), []field{
 		{"version", 0, 1, 1}, {"flags", 1, 1, metaDegraded},
 		{"N", 2, 8, 128}, {"DX", 10, 8, math.Float64bits(1.5)}, {"DY", 18, 8, math.Float64bits(1.25)},
 		{"DZ", 26, 8, math.Float64bits(2)}, {"AtlasID", 34, 8, 1}, {"PatientID", 42, 8, 17},
 		{"DBCPUNanos", 50, 8, 75400}, {"LFMPages", 58, 8, 10}, {"LFMReads", 66, 8, 3},
 		{"CacheHits", 74, 8, 7}, {"CacheMisses", 82, 8, 10},
 	}, "Doe, J.", "1993-08-01", m.Warning)
-	if specFixed != 26 || metaFixed != 90 {
+	// A value with no box and three empty strings is its fixed part and
+	// three zero lengths.
+	if specFixed, metaFixed := len(specHeader(QuerySpec{}))-3*2, len(metaHeader(t, QueryMeta{}))-3*2; specFixed != 26 || metaFixed != 90 {
 		t.Errorf("fixed parts are %d and %d bytes, documented as 26 and 90", specFixed, metaFixed)
 	}
 }
@@ -181,19 +209,22 @@ func TestWireRoundTrip(t *testing.T) {
 			if flags&2 != 0 {
 				q.Box = &[6]uint32{rng.Uint32(), 0, math.MaxUint32, rng.Uint32(), 1, rng.Uint32()}
 			}
-			n, err := specSize(&q)
+			req, err := EncodeQueryRequest(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc := appendSpec(nil, &q)
-			if len(enc) != n {
-				t.Fatalf("specSize %d, encoding is %d bytes", n, len(enc))
+			enc, _, err := transport.DecodeFrame(req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, err := decodeSpec(enc)
+			if len(req) != transport.FrameOverhead+len(enc) {
+				t.Fatalf("request sized for %d bytes, spec encoding is %d bytes", len(req)-transport.FrameOverhead, len(enc))
+			}
+			got, err := decodeSpecHeader(t, enc)
 			if err != nil || !reflect.DeepEqual(got, q) {
 				t.Fatalf("spec round trip: %+v → %+v (%v)", q, got, err)
 			}
-			if re := appendSpec(nil, &got); !bytes.Equal(re, enc) {
+			if re := specHeader(got); !bytes.Equal(re, enc) {
 				t.Fatal("spec re-encoding differs")
 			}
 			if q.Key() != string(enc) {
@@ -211,19 +242,16 @@ func TestWireRoundTrip(t *testing.T) {
 				CacheHits: rng.Uint64(), CacheMisses: uint64(pick(3)),
 				Patient: strs[pick(len(strs))], Date: strs[pick(len(strs))], Warning: strs[pick(len(strs))],
 			}
-			n, err := metaSize(&m)
-			if err != nil {
-				t.Fatal(err)
+			frame := encodeResponse(t, m, nil)
+			enc := metaHeader(t, m)
+			if len(frame) != transport.FrameOverhead+len(enc) {
+				t.Fatalf("response sized for %d bytes, meta encoding is %d bytes", len(frame)-transport.FrameOverhead, len(enc))
 			}
-			enc := appendMeta(nil, &m)
-			if len(enc) != n {
-				t.Fatalf("metaSize %d, encoding is %d bytes", n, len(enc))
-			}
-			got, err := decodeMeta(enc)
+			got, err := decodeMetaHeader(t, enc)
 			if err != nil || !sameMeta(*got, m) {
 				t.Fatalf("meta round trip: %+v → %+v (%v)", m, got, err)
 			}
-			if re := appendMeta(nil, got); !bytes.Equal(re, enc) {
+			if re := metaHeader(t, *got); !bytes.Equal(re, enc) {
 				t.Fatal("meta re-encoding differs")
 			}
 		}
@@ -239,7 +267,7 @@ func TestWireStringBounds(t *testing.T) {
 		"Atlas": {Atlas: long}, "Structure": {Structure: long}, "Encoding": {Encoding: long},
 	} {
 		_, err := EncodeQueryRequest(q)
-		if !errors.Is(err, transport.ErrWireHeader) || RetryableError(err) {
+		if !errors.Is(err, transport.ErrWireHeader) || transport.RetryableError(err) {
 			t.Errorf("spec with an over-long %s: %v, want a terminal ErrWireHeader", name, err)
 		}
 		if err != nil && len(err.Error()) > 256 {
@@ -249,7 +277,7 @@ func TestWireStringBounds(t *testing.T) {
 	for name, m := range map[string]QueryMeta{
 		"Patient": {Patient: long}, "Date": {Date: long}, "Warning": {Warning: long},
 	} {
-		if _, err := metaSize(&m); !errors.Is(err, transport.ErrWireHeader) {
+		if _, err := medserver.EncodeQueryResponse(&m, nil); !errors.Is(err, transport.ErrWireHeader) {
 			t.Errorf("meta with an over-long %s: %v, want ErrWireHeader", name, err)
 		}
 	}
@@ -266,8 +294,8 @@ func TestWireStringBounds(t *testing.T) {
 // ServeRPC, never a mis-parse.
 func TestWireVersionSkew(t *testing.T) {
 	sys := serveAllocSystem(t)
-	small, _ := serveAllocSpecs(sys)
-	good := appendSpec(nil, &small)
+	small, _ := serveAllocSpecs(sys.Server)
+	good := specHeader(small)
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	for name, spec := range map[string][]byte{
 		"version 2":    mutate(func(b []byte) []byte { b[0] = 2; return b }),
@@ -277,22 +305,21 @@ func TestWireVersionSkew(t *testing.T) {
 		"empty":        nil,
 		"json":         []byte(`{"studyId":1,"fullStudy":true}`),
 	} {
-		if _, err := decodeSpec(spec); !errors.Is(err, transport.ErrWireHeader) {
-			t.Errorf("decodeSpec(%s): %v, want ErrWireHeader", name, err)
+		if _, err := decodeSpecHeader(t, spec); !errors.Is(err, transport.ErrWireHeader) {
+			t.Errorf("DecodeQueryRequest(%s spec): %v, want ErrWireHeader", name, err)
 		}
 		req, err := transport.EncodeFrame(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp, err := sys.ServeRPC(nil, QueryMethod, req)
-		if resp != nil || !errors.Is(err, transport.ErrWireHeader) || RetryableError(err) {
+		if resp != nil || !errors.Is(err, transport.ErrWireHeader) || transport.RetryableError(err) {
 			t.Errorf("ServeRPC(%s spec): %v, want a terminal ErrWireHeader", name, err)
 		}
 	}
-	m := goldenMeta(false)
-	meta := appendMeta(nil, &m)
+	meta := metaHeader(t, goldenMeta(false))
 	meta[0] = 2
-	if _, _, err := DecodeQueryResponse(encodeFrameT(t, meta, []byte("blob"))); !errors.Is(err, transport.ErrWireHeader) || RetryableError(err) {
+	if _, _, err := DecodeQueryResponse(encodeFrameT(t, meta, []byte("blob"))); !errors.Is(err, transport.ErrWireHeader) || transport.RetryableError(err) {
 		t.Errorf("version-2 meta: %v, want a terminal ErrWireHeader", err)
 	}
 }
@@ -313,7 +340,7 @@ func encodeFrameT(t testing.TB, header, body []byte) []byte {
 // same request are all unharmed.
 func TestHandlerRetainsNothingOfTheRequest(t *testing.T) {
 	sys := serveAllocSystem(t)
-	_, mixed := serveAllocSpecs(sys)
+	_, mixed := serveAllocSpecs(sys.Server)
 	clean, err := EncodeQueryRequest(mixed)
 	if err != nil {
 		t.Fatal(err)
@@ -362,55 +389,50 @@ func TestHandlerRetainsNothingOfTheRequest(t *testing.T) {
 // what decodes re-encodes to the same bytes.
 func FuzzQueryHeader(f *testing.F) {
 	for _, tc := range goldenSpecs() {
-		f.Add(appendSpec(nil, &tc.spec))
+		f.Add(specHeader(tc.spec))
 	}
 	for _, degraded := range []bool{false, true} {
-		m := goldenMeta(degraded)
-		f.Add(appendMeta(nil, &m))
+		f.Add(metaHeader(f, goldenMeta(degraded)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0})
 	f.Add([]byte(`{"studyId":1,"fullStudy":true}`))
-	f.Add(append(appendSpec(nil, &goldenSpecs()[2].spec), 0xAA))
+	f.Add(append(specHeader(goldenSpecs()[2].spec), 0xAA))
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if q, err := decodeSpec(data); err != nil {
+		if q, err := decodeSpecHeader(t, data); err != nil {
 			if !errors.Is(err, transport.ErrWireHeader) {
-				t.Fatalf("decodeSpec: untyped error %v", err)
+				t.Fatalf("spec decoder: untyped error %v", err)
 			}
 		} else {
 			if len(q.Atlas)+len(q.Structure)+len(q.Encoding) > len(data) {
-				t.Fatal("decodeSpec produced more string bytes than its input")
+				t.Fatal("spec decoder produced more string bytes than its input")
 			}
-			if n, err := specSize(&q); err != nil || n != len(data) || !bytes.Equal(appendSpec(nil, &q), data) {
+			if _, err := EncodeQueryRequest(q); err != nil || !bytes.Equal(specHeader(q), data) {
 				t.Fatalf("accepted spec is not canonical: %x", data)
 			}
 		}
-		if m, err := decodeMeta(data); err != nil {
+		if m, err := decodeMetaHeader(t, data); err != nil {
 			if !errors.Is(err, transport.ErrWireHeader) {
-				t.Fatalf("decodeMeta: untyped error %v", err)
+				t.Fatalf("meta decoder: untyped error %v", err)
 			}
 		} else {
 			if len(m.Patient)+len(m.Date)+len(m.Warning) > len(data) {
-				t.Fatal("decodeMeta produced more string bytes than its input")
+				t.Fatal("meta decoder produced more string bytes than its input")
 			}
-			if n, err := metaSize(m); err != nil || n != len(data) || !bytes.Equal(appendMeta(nil, m), data) {
+			if !bytes.Equal(metaHeader(t, *m), data) {
 				t.Fatalf("accepted meta is not canonical: %x", data)
 			}
 		}
 	})
 }
 
-// FuzzServeRPC hands arbitrary bytes to a small loaded System, as the
+// FuzzServeRPC hands arbitrary bytes to a small bare server, as the
 // request itself and — a fuzzer cannot forge a CRC — as the spec header
 // of a well-formed request: the answer is a typed error or a frame
 // DecodeQueryResponse accepts, never a panic (ROADMAP 2e).
 func FuzzServeRPC(f *testing.F) {
-	sys, err := New(Config{Bits: 4, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { sys.Close() })
+	sys := bareServer(f, Config{Bits: 4, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true})
 	study := sys.Studies[0].StudyID
 	for _, tc := range goldenSpecs() {
 		tc.spec.StudyID = study

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -10,42 +9,57 @@ import (
 	"qbism/internal/obs"
 )
 
-// Sim carries calls over a netsim.Link — the simulated-remote flavor.
-// It is a thin veneer: the link keeps metering traffic, injecting
-// seeded faults, and building the same "rpc.<method>" span trees it
-// always did, so every chaos and differential suite that ran against
-// the pre-seam client runs unchanged (same spans, same counters, same
-// fault draws in the same order). What the seam adds is uniform
-// accounting: Stats prices the link's message meter with the cost
-// model, so per-call deltas of Stats.Latency are exactly the
-// simulated latency the cluster's linkNode adapter used to compute by
-// hand.
+// Sim carries calls to an in-process Handler over a netsim.Link — the
+// simulated-remote flavor. The request crosses the link, the handler
+// runs, the response crosses back; the link meters each crossing and
+// injects seeded faults on it, so the chaos and differential suites
+// replay byte for byte (same spans, same counters, same fault draws in
+// the same order). Stats prices the link's message meter with the cost
+// model: a per-call delta of Stats.Latency is that call's simulated
+// network time.
 type Sim struct {
-	link   *netsim.Link
-	model  costmodel.Model
-	closed atomic.Bool
+	link    *netsim.Link
+	model   costmodel.Model
+	handler Handler
+	closed  atomic.Bool
 }
 
-// NewSim wraps a link and the model that prices its traffic.
-func NewSim(link *netsim.Link, model costmodel.Model) *Sim {
-	return &Sim{link: link, model: model}
+// NewSim returns a transport that reaches h across link, with model
+// pricing the link's traffic. The caller keeps its own handle on the
+// link for fault installation and the raw per-method counters.
+func NewSim(link *netsim.Link, model costmodel.Model, h Handler) *Sim {
+	return &Sim{link: link, model: model, handler: h}
 }
 
-// Call implements Transport by delegating to the link's traced call
-// path. No extra span is introduced: the link's own "rpc.<method>"
-// span is the per-call transport span, and keeping the tree identical
-// to the pre-seam shape is what lets the trace-accounting tests assert
-// exact page sums across the refactor.
+// Call implements Transport. The round trip is one "rpc.<method>" span
+// under parent with a child per leg — "net.request", "server" (the
+// handler's work nests under it), "net.response" — and nothing above
+// it: the trace-accounting tests assert exact page sums over this tree.
+// A handler error is returned as the handler gave it, so an unknown
+// method is the same typed refusal it is over tcp.
 func (s *Sim) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("transport: sim %q: %w", method, ErrClosed)
 	}
-	resp, err := s.link.CallSpan(parent, method, request)
-	if errors.Is(err, netsim.ErrNoHandler) {
-		// The same typed, terminal refusal a daemon gives over tcp.
-		return nil, fmt.Errorf("transport: sim: %w: %q", ErrUnknownMethod, method)
+	rpc := parent.Child("rpc." + method)
+	defer rpc.End()
+	delivered, err := s.link.Cross(rpc, "request", method, request)
+	if err != nil {
+		rpc.SetStr("error", err.Error())
+		return nil, err
 	}
-	return resp, err
+	srv := rpc.Child("server")
+	resp, err := s.handler(srv, method, delivered)
+	srv.End()
+	if err != nil {
+		rpc.SetStr("error", err.Error())
+		return nil, err
+	}
+	out, err := s.link.Cross(rpc, "response", method, resp)
+	if err != nil {
+		rpc.SetStr("error", err.Error())
+	}
+	return out, err
 }
 
 // NoteRetry forwards client retries to the link's meter, so the chaos
@@ -68,10 +82,6 @@ func (s *Sim) Stats() Stats {
 		Latency:  s.model.NetworkTime(ls.Messages) + ls.LatencySim,
 	}
 }
-
-// Link exposes the underlying link for fault installation and the
-// raw per-method counters chaos reports read.
-func (s *Sim) Link() *netsim.Link { return s.link }
 
 // Close implements Transport. The link itself has no resources to
 // release; closing only fences further calls.

@@ -7,10 +7,10 @@
 //
 // The two flavors:
 //
-//   - Sim: the netsim.Link + faultsim stack behind the seam. Traffic is
+//   - Sim: an in-process Handler reached across a netsim.Link. Traffic is
 //     metered and priced with the 1993 cost model and faults replay
-//     byte-for-byte from a seed — exactly the pre-seam behavior, so the
-//     chaos and differential suites run unchanged.
+//     byte-for-byte from a seed, which is what the chaos and differential
+//     suites run on.
 //   - TCP: real sockets speaking the CRC frame protocol (frame.go) to a
 //     qbismd daemon. The only flavor allowed to read the wall clock.
 //
@@ -68,8 +68,7 @@ var (
 type Handler func(sp *obs.Span, method string, request []byte) ([]byte, error)
 
 // Stats is a transport's cumulative traffic accounting. Deltas around
-// a call price that call, the way netsim link-stats deltas did before
-// the seam existed.
+// a call price that call.
 type Stats struct {
 	// Calls counts payload crossings initiated (one per Call).
 	Calls uint64

@@ -16,18 +16,15 @@ func echoHandler(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	return append([]byte(method+":"), request...), nil
 }
 
-func newSimPair(t *testing.T) (*Sim, costmodel.Model) {
+func newSimPair(t *testing.T) (*Sim, *netsim.Link, costmodel.Model) {
 	t.Helper()
 	model := costmodel.Default1993()
 	link := netsim.NewLink(model)
-	link.RegisterSpan("echo", func(sp *obs.Span, request []byte) ([]byte, error) {
-		return append([]byte("echo:"), request...), nil
-	})
-	return NewSim(link, model), model
+	return NewSim(link, model, echoHandler), link, model
 }
 
 func TestSimDelegatesToLink(t *testing.T) {
-	s, model := newSimPair(t)
+	s, link, model := newSimPair(t)
 	resp, err := s.Call(nil, "echo", []byte("xyz"))
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +32,8 @@ func TestSimDelegatesToLink(t *testing.T) {
 	if string(resp) != "echo:xyz" {
 		t.Fatalf("got %q", resp)
 	}
-	// The seam's Stats must price the link's meter with the model:
-	// deltas of Stats.Latency are what replaced the hand-computed
-	// NetworkTime(messages) + LatencySim at every former call site.
-	ls := s.Link().Stats()
+	// The seam's Stats must price the link's meter with the model.
+	ls := link.Stats()
 	want := model.NetworkTime(ls.Messages) + ls.LatencySim
 	if got := s.Stats().Latency; got != want {
 		t.Errorf("Stats.Latency = %v, want %v", got, want)
@@ -48,10 +43,10 @@ func TestSimDelegatesToLink(t *testing.T) {
 	}
 }
 
-// TestSimAddsNoSpan: the sim flavor must not wrap the link's span tree
-// — trace-shape tests across the repo assert the exact pre-seam tree.
+// TestSimAddsNoSpan: the sim flavor puts nothing above its rpc.<method>
+// span — trace-shape tests across the repo assert that exact tree.
 func TestSimAddsNoSpan(t *testing.T) {
-	s, _ := newSimPair(t)
+	s, _, _ := newSimPair(t)
 	tracer := obs.NewTracer()
 	root := tracer.Start("root")
 	if _, err := s.Call(root, "echo", nil); err != nil {
@@ -69,10 +64,10 @@ func TestSimAddsNoSpan(t *testing.T) {
 }
 
 func TestSimNoteRetryForwardsToLink(t *testing.T) {
-	s, _ := newSimPair(t)
+	s, link, _ := newSimPair(t)
 	NoteRetry(s)
 	NoteRetry(s)
-	if got := s.Link().Stats().Retries; got != 2 {
+	if got := link.Stats().Retries; got != 2 {
 		t.Errorf("link retries %d, want 2 (chaos reconciliation depends on this)", got)
 	}
 	if got := s.Stats().Retries; got != 2 {
@@ -81,7 +76,7 @@ func TestSimNoteRetryForwardsToLink(t *testing.T) {
 }
 
 func TestSimClosedFences(t *testing.T) {
-	s, _ := newSimPair(t)
+	s, _, _ := newSimPair(t)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -100,20 +100,24 @@ func TestCallHeaderReservedFieldsIgnored(t *testing.T) {
 
 // TestUnknownMethodTypedOnBothFlavors: a method nobody serves is the
 // same typed, terminal, never-retried refusal over the simulated link
-// and over a socket.
+// and over a socket, in the server's own words: on both flavors the call
+// reaches the handler, which is who refuses it. The sim flavor therefore
+// meters the request's crossing and nothing else.
 func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 	model := costmodel.Default1993()
-	srv := startServer(t, func(sp *obs.Span, method string, request []byte) ([]byte, error) {
+	refuse := func(sp *obs.Span, method string, request []byte) ([]byte, error) {
 		return nil, fmt.Errorf("server: %w: %q", ErrUnknownMethod, method)
-	}, ServerConfig{})
+	}
+	link := netsim.NewLink(model)
+	request := []byte("seven b")
 	for _, tc := range []struct {
 		flavor string
 		tr     Transport
 	}{
-		{"sim", NewSim(netsim.NewLink(model), model)},
-		{"tcp", dialServer(t, srv)},
+		{"sim", NewSim(link, model, refuse)},
+		{"tcp", dialServer(t, startServer(t, refuse, ServerConfig{}))},
 	} {
-		_, st, err := CallRetry(tc.tr, nil, "nosuch", nil, DefaultRetryPolicy(), "k", nil)
+		_, st, err := CallRetry(tc.tr, nil, "nosuch", request, DefaultRetryPolicy(), "k", nil)
 		if !errors.Is(err, ErrUnknownMethod) {
 			t.Errorf("%s: %v, want ErrUnknownMethod", tc.flavor, err)
 		}
@@ -123,9 +127,12 @@ func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 		if st.Attempts != 1 {
 			t.Errorf("%s: %d attempts, want 1", tc.flavor, st.Attempts)
 		}
-		if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
-			t.Errorf("%s: error does not name the method: %v", tc.flavor, err)
+		if err == nil || !strings.Contains(err.Error(), `server: transport: unknown method: "nosuch"`) {
+			t.Errorf("%s: error is not the server's own text: %v", tc.flavor, err)
 		}
+	}
+	if ls := link.Stats(); ls.Calls != 1 || ls.Bytes != uint64(len(request)) || ls.Messages != model.Messages(uint64(len(request))) {
+		t.Errorf("sim link metered %+v, want exactly the request's crossing", ls)
 	}
 }
 
