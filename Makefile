@@ -7,18 +7,18 @@
 # full test suite under the race detector (the
 # chaos, netsim, and planner-equivalence concurrency tests are required
 # to be race-clean), the degraded-shard chaos suite (make chaos),
-# per-package coverage floors, a fuzz smoke pass, a closed-loop load
-# test against an in-process qbismd (loadtest-smoke), and a
-# one-iteration perfbench smoke run. Run `make check` before merging;
-# `make bench` regenerates BENCH_PR7.json and BENCH_PR8.json through
-# the versioned envelope in internal/bench.
+# per-package coverage floors, a fuzz smoke pass, and a few iterations
+# of the read-, write- and wire-path Go benchmarks (bench-smoke). Run
+# `make check` before merging. Performance evidence is the repo
+# benchmark (BENCHMARK.json, benchmark/) and named Go tests and
+# benchmarks — there is no other series.
 
 GO ?= go
 
 # Packages with an enforced coverage floor, and the floor itself. These
 # are the layers the observability work leans on hardest; keep them
 # honest.
-COVER_PKGS ?= ./internal/obs ./internal/lfm ./internal/sdb ./internal/lint ./internal/cluster ./internal/bench ./internal/rencode ./internal/transport
+COVER_PKGS ?= ./internal/obs ./internal/lfm ./internal/sdb ./internal/lint ./internal/cluster ./internal/rencode ./internal/transport
 COVER_FLOOR ?= 70.0
 
 # Per-target budget for the fuzz smoke pass.
@@ -29,9 +29,9 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports qbismd-deps lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
+.PHONY: check fmt vet build wire-imports qbismd-deps lint lint-ignores test race cover chaos fuzz-smoke bench-smoke
 
-check: fmt vet build wire-imports qbismd-deps lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
+check: fmt vet build wire-imports qbismd-deps lint lint-ignores race chaos cover fuzz-smoke bench-smoke
 
 # Formatting gate: any file gofmt would rewrite fails the check (and is
 # named in the output).
@@ -117,29 +117,8 @@ cover:
 	done; \
 	exit $$fail
 
-# Full performance sweep: the Go micro-benchmarks, then the end-to-end
-# perfbench run that writes BENCH_PR7.json (pages read, cache hit rate,
-# ns/op, serial-vs-parallel speedup on both clocks, the planner's
-# pushdown-on/off page A/B, the tracing overhead A/B, the cluster's
-# failover/partial-result behavior under dead nodes, and the queryable
-# k³-tree vs decode-then-probe size/latency table).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem .  ./internal/sfc
-	$(GO) run ./cmd/perfbench -out BENCH_PR7.json
-	$(GO) run ./cmd/qbismload -selfhost -levels 2,4,8,16 -duration 2s -rate 800 -burst 200 -out BENCH_PR8.json
-
-# A short closed-loop load test: qbismload stands up an in-process
-# qbismd on an ephemeral loopback port and drives the Table 3 suite
-# through a 3-level concurrency ramp over real TCP. Catches wire-path
-# and daemon regressions (frame protocol, pooling, drain plumbing)
-# without needing a deployed server.
-loadtest-smoke:
-	$(GO) run ./cmd/qbismload -selfhost -levels 1,2,4 -duration 300ms -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_loadtest_smoke.json
-
-# One tiny iteration through every perfbench measurement — catches read
-# path regressions in CI without the full run's cost — one
-# BenchmarkLoad iteration (64^3 corpus, ns/op and allocs/op) for the
-# write path: a re-serialized load or a regressed kernel shows here
+# One BenchmarkLoad iteration (64^3 corpus, ns/op and allocs/op) for
+# the write path: a re-serialized load or a regressed kernel shows here
 # without the 12 s repo benchmark — and BenchmarkServeRPCSmall and
 # BenchmarkServeRPCBulk for the server side of one small request and of
 # one full-study reply through a thrashing page cache (allocs/op and
@@ -153,7 +132,6 @@ loadtest-smoke:
 # one echo exchange over loopback at a small and a bulk body (the wire
 # alone; TestTCPExchangeAllocBudget pins its allocations).
 bench-smoke:
-	$(GO) run ./cmd/perfbench -smoke -out $(if $(TMPDIR),$(TMPDIR),/tmp)/qbism_bench_smoke.json
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery$$' -benchtime 100x -benchmem ./internal/sdb

@@ -23,6 +23,12 @@
 //
 //	qbism -study 1 -full -shards 2 -replicas 1 -deadnode 0:0
 //	qbism -study 1 -full -shards 2 -slownode 1:0 -metrics
+//
+// With -addr the MedicalServer is a running qbismd and this process is
+// only its DX client: nothing is loaded here, and the corpus, storage
+// and fault flags (the daemon's own) are not read:
+//
+//	qbism -addr db3:7414 -study 1 -structure ntal1 -out result.pgm
 package main
 
 import (
@@ -30,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -73,6 +80,7 @@ func main() {
 	noPushdown := flag.Bool("nopushdown", false, "disable SQL predicate pushdown and hash joins (A/B baseline)")
 	rencodeMode := flag.String("rencode", "auto", "REGION representation: auto (bands stored as runs and k3-tree, band queries read the k3-tree row), runs (seed baseline), or a forced encoding name (e.g. k3-tree, elias)")
 
+	addr := flag.String("addr", "", "query the running qbismd at this host:port instead of loading a corpus in-process")
 	shards := flag.Int("shards", 0, "partition the corpus across this many shards (0 = unsharded single node)")
 	replicas := flag.Int("replicas", 1, "replicas per shard primary (cluster mode)")
 	deadNode := flag.String("deadnode", "", "cluster: kill this node's link before querying, as shard:replica (0:0 = shard 0 primary)")
@@ -142,6 +150,18 @@ func main() {
 		return spec
 	}
 
+	if *addr != "" {
+		if *sql != "" || *repl || *shards > 0 {
+			fail("-addr sends a query spec to a running qbismd; it conflicts with -sql, -repl and -shards, which need the store in this process")
+		}
+		tcp := qbism.DialTCP(*addr)
+		defer tcp.Close()
+		c := qbism.NewClient(tcp, cfg)
+		res := runSpec(c, buildSpec())
+		fmt.Printf("connected to %s\n", *addr)
+		report(os.Stdout, c, nil, res, *slowlog, *metrics, *out)
+		return
+	}
 	if *shards > 0 {
 		if *sql != "" || *repl {
 			fail("-shards applies to query specs; the SQL modes run unsharded")
@@ -208,67 +228,71 @@ func main() {
 		}
 	}
 
-	spec := buildSpec()
+	report(os.Stdout, sys.Client, sys, runSpec(sys.Client, buildSpec()), *slowlog, *metrics, *out)
+}
 
-	res, err := sys.RunQuery(spec)
+// runSpec runs one query on a single server's client, exiting on failure.
+func runSpec(c *qbism.Client, spec qbism.QuerySpec) *qbism.QueryResult {
+	res, err := c.RunQuery(spec)
 	if err != nil {
 		if qbism.RetryableError(err) {
 			fail("query: %v (transient — retries exhausted)", err)
 		}
 		fail("query: %v", err)
 	}
-	report(sys.Client, sys, res, *slowlog, *metrics, *out)
+	return res
 }
 
 // report prints a completed query — the same lines in the same order
-// whichever deployment answered: both expose the same DX Client. sys is
-// the single node whose link carried the query (nil for a cluster,
-// which reports its serving node instead).
-func report(c *qbism.Client, sys *qbism.System, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
-	qbism.WriteTable3(os.Stdout, []qbism.QueryTiming{res.Timing})
+// whichever deployment answered: all expose the same DX Client. sys is
+// the embedded node whose simulated link carried the query (nil for a
+// cluster, which reports its serving node instead, and for a dialed
+// qbismd, whose link is a real one).
+func report(w io.Writer, c *qbism.Client, sys *qbism.System, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
+	qbism.WriteTable3(w, []qbism.QueryTiming{res.Timing})
 	st := res.Data.Stats()
-	fmt.Printf("\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
+	fmt.Fprintf(w, "\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
 		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
 	if info := res.Shard; info != nil {
-		fmt.Printf("cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
+		fmt.Fprintf(w, "cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
 			info.Shard, info.Node, info.Attempts, info.Failovers, info.Hedged, info.HedgeWon, info.LatencySim)
 	}
 	if res.Retry.Retries > 0 {
-		fmt.Printf("resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
+		fmt.Fprintf(w, "resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
 			res.Retry.Attempts, res.Retry.Retries, res.Retry.BackoffSim, res.Retry.LastError)
 	}
 	if res.Meta.Degraded {
-		fmt.Printf("WARNING: degraded answer — %s\n", res.Meta.Warning)
+		fmt.Fprintf(w, "WARNING: degraded answer — %s\n", res.Meta.Warning)
 	}
 	if sys != nil {
 		if ls := sys.Link.Stats(); ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers+ls.Latencies > 0 {
-			fmt.Printf("link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
+			fmt.Fprintf(w, "link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
 				ls.Drops, ls.Timeouts, ls.Corruptions, ls.Tampers, ls.Latencies)
 		}
 	}
 
 	if res.Trace != nil {
-		fmt.Println("\ntrace:")
-		fmt.Print(res.Trace.RenderString())
+		fmt.Fprintln(w, "\ntrace:")
+		fmt.Fprint(w, res.Trace.RenderString())
 	}
 	if c.SlowLog != nil {
 		entries := c.SlowLog.Entries()
-		fmt.Printf("\nslow-query log (threshold %v): %d of %d captured\n",
+		fmt.Fprintf(w, "\nslow-query log (threshold %v): %d of %d captured\n",
 			slowlog, len(entries), c.SlowLog.Total())
 		for _, e := range entries {
-			fmt.Printf("-- %s (%v)\n", e.Label, e.Total)
+			fmt.Fprintf(w, "-- %s (%v)\n", e.Label, e.Total)
 			for _, line := range e.Explain {
-				fmt.Println("   " + line)
+				fmt.Fprintln(w, "   "+line)
 			}
 		}
 	}
 	if metrics {
-		if sys == nil {
-			fmt.Println("\ncluster metrics:")
+		if res.Shard != nil {
+			fmt.Fprintln(w, "\ncluster metrics:")
 		} else {
-			fmt.Println("\nmetrics:")
+			fmt.Fprintln(w, "\nmetrics:")
 		}
-		c.Metrics.WriteProm(os.Stdout)
+		c.Metrics.WriteProm(w)
 	}
 
 	if out != "" {
@@ -280,7 +304,7 @@ func report(c *qbism.Client, sys *qbism.System, res *qbism.QueryResult, slowlog 
 		if err := res.Image.WritePGM(f); err != nil {
 			fail("write %s: %v", out, err)
 		}
-		fmt.Printf("wrote %dx%d MIP projection to %s\n", res.Image.W, res.Image.H, out)
+		fmt.Fprintf(w, "wrote %dx%d MIP projection to %s\n", res.Image.W, res.Image.H, out)
 	}
 }
 
@@ -358,7 +382,7 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode 
 		}
 		fail("query: %v", err)
 	}
-	report(cs.Client, nil, res, slowlog, metrics, out)
+	report(os.Stdout, cs.Client, nil, res, slowlog, metrics, out)
 }
 
 func fail(format string, args ...interface{}) {

@@ -7,10 +7,10 @@
 // qbismd-deps`).
 //
 // The daemon loads the same synthetic corpus the CLI and the test
-// suites use; any client speaking the frame protocol (qbismload, a
-// qbism.Client over transport.DialTCP, or a bare transport.DialTCP)
-// gets answers byte-identical to an in-process run — that equivalence
-// is pinned by internal/daemon's loopback test.
+// suites use; any client speaking the frame protocol (`qbism -addr`,
+// which is a qbism.Client over transport.DialTCP, or a bare
+// transport.DialTCP) gets answers byte-identical to an in-process run —
+// that equivalence is pinned by internal/daemon's loopback test.
 //
 // Examples:
 //

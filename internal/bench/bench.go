@@ -1,25 +1,8 @@
-// Package bench defines the versioned envelope every BENCH_*.json
-// artifact is written through. Earlier PRs wrote bare ad-hoc JSON
-// objects; once several BENCH_PR*.json files coexist in the repo,
-// downstream tooling (plots, regression diffs) needs to know which
-// fields to expect without sniffing. The envelope adds a schema
-// version, the PR tag the artifact belongs to, the tool that produced
-// it, and the host fingerprint that makes wall-clock numbers
-// interpretable — and keeps the measurement payload itself opaque, so
-// each PR's tool can evolve its own result shape freely.
+// Package bench holds the host fingerprint the repo benchmark
+// (benchmark/) stamps on every run it records.
 package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-)
-
-// SchemaVersion is the current envelope schema. Bump it only when the
-// envelope fields themselves change meaning; payload evolution does not
-// require a bump.
-const SchemaVersion = 1
+import "runtime"
 
 // Host fingerprints the machine a benchmark ran on. Simulated-clock
 // numbers are host-independent; wall-clock numbers are only meaningful
@@ -38,87 +21,4 @@ func CurrentHost() Host {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 	}
-}
-
-// Envelope is the versioned wrapper around one benchmark artifact.
-type Envelope struct {
-	// Schema is the envelope schema version (SchemaVersion at write
-	// time). Readers must reject versions they do not understand.
-	Schema int `json:"schema_version"`
-	// PR tags which stacked PR the artifact belongs to, e.g. "PR6".
-	PR string `json:"pr"`
-	// Tool names the command that produced the artifact.
-	Tool string `json:"tool"`
-	// Host is the machine fingerprint for the wall-clock numbers.
-	Host Host `json:"host"`
-	// Results is the tool-specific measurement payload.
-	Results json.RawMessage `json:"results"`
-}
-
-// New wraps a measurement payload in the current envelope. The payload
-// is marshaled immediately so an unencodable payload fails here, at the
-// producer, rather than at write time.
-func New(pr, tool string, results interface{}) (Envelope, error) {
-	blob, err := json.Marshal(results)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("bench: marshal %s results: %w", tool, err)
-	}
-	return Envelope{
-		Schema:  SchemaVersion,
-		PR:      pr,
-		Tool:    tool,
-		Host:    CurrentHost(),
-		Results: blob,
-	}, nil
-}
-
-// Encode renders the envelope as indented JSON with a trailing newline
-// — the exact bytes WriteFile persists.
-func (e Envelope) Encode() ([]byte, error) {
-	blob, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: marshal envelope: %w", err)
-	}
-	return append(blob, '\n'), nil
-}
-
-// WriteFile persists the envelope to path.
-func (e Envelope) WriteFile(path string) error {
-	blob, err := e.Encode()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadFile loads and validates an envelope. It rejects artifacts with a
-// schema version newer than this reader understands and artifacts from
-// before the envelope existed (no schema_version field).
-func ReadFile(path string) (Envelope, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("bench: read %s: %w", path, err)
-	}
-	var e Envelope
-	if err := json.Unmarshal(blob, &e); err != nil {
-		return Envelope{}, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	if e.Schema == 0 {
-		return Envelope{}, fmt.Errorf("bench: %s has no schema_version (pre-envelope artifact)", path)
-	}
-	if e.Schema > SchemaVersion {
-		return Envelope{}, fmt.Errorf("bench: %s is schema v%d; this reader understands up to v%d", path, e.Schema, SchemaVersion)
-	}
-	return e, nil
-}
-
-// DecodeResults unmarshals the payload into the tool's result type.
-func (e Envelope) DecodeResults(into interface{}) error {
-	if err := json.Unmarshal(e.Results, into); err != nil {
-		return fmt.Errorf("bench: decode %s results: %w", e.Tool, err)
-	}
-	return nil
 }

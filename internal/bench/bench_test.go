@@ -1,87 +1,13 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"runtime"
 	"testing"
 )
 
-type payload struct {
-	Pages uint64  `json:"pages"`
-	Rate  float64 `json:"rate"`
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	env, err := New("PR6", "perfbench", payload{Pages: 42, Rate: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Schema != SchemaVersion {
-		t.Errorf("Schema = %d, want %d", env.Schema, SchemaVersion)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_TEST.json")
-	if err := env.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PR != "PR6" || got.Tool != "perfbench" {
-		t.Errorf("round-trip lost tags: %+v", got)
-	}
-	var p payload
-	if err := got.DecodeResults(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Pages != 42 || p.Rate != 0.5 {
-		t.Errorf("payload round-trip = %+v", p)
-	}
-}
-
-func TestEnvelopeEncodeShape(t *testing.T) {
-	env, err := New("PR6", "perfbench", payload{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(blob)
-	if !strings.HasSuffix(s, "\n") {
-		t.Error("encoded artifact lacks a trailing newline")
-	}
-	for _, want := range []string{`"schema_version": 1`, `"pr": "PR6"`, `"tool": "perfbench"`, `"results"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("encoded artifact missing %s:\n%s", want, s)
-		}
-	}
-}
-
-func TestReadFileRejectsNewerSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.json")
-	if err := os.WriteFile(path, []byte(`{"schema_version": 99, "results": {}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "schema v99") {
-		t.Errorf("future schema not rejected: %v", err)
-	}
-}
-
-func TestReadFileRejectsPreEnvelope(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bare.json")
-	if err := os.WriteFile(path, []byte(`{"pruning": {"full_volume_pages": 9}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "no schema_version") {
-		t.Errorf("pre-envelope artifact not rejected: %v", err)
-	}
-}
-
-func TestNewRejectsUnencodablePayload(t *testing.T) {
-	if _, err := New("PR6", "perfbench", func() {}); err == nil {
-		t.Error("function payload did not fail at New")
+func TestCurrentHost(t *testing.T) {
+	want := Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if got := CurrentHost(); got != want {
+		t.Errorf("CurrentHost() = %+v, want %+v", got, want)
 	}
 }

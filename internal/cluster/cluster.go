@@ -34,23 +34,6 @@ type Node interface {
 	Call(parent *obs.Span, method string, request []byte) (resp []byte, simLatency time.Duration, err error)
 }
 
-// Local adapts a plain handler function into a Node — the "local"
-// flavor of the node seam, for in-process shards and tests.
-type Local struct {
-	// NodeName is the node's identity in metrics and errors.
-	NodeName string
-	// Handler answers the request.
-	Handler func(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error)
-}
-
-// Name implements Node.
-func (l *Local) Name() string { return l.NodeName }
-
-// Call implements Node.
-func (l *Local) Call(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error) {
-	return l.Handler(parent, method, request)
-}
-
 // Key routes a query: every (patient, study) pair maps to exactly one
 // shard, so a study's rows are always served by the same node set.
 type Key struct {
@@ -348,7 +331,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		resp, lat, err := c.callNode(span, st, node, method, request)
 		info.Attempts++
 		if err == nil {
-			winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, resp, lat)
+			winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, lat)
 			if hedged {
 				info.Attempts++
 				info.Hedged = true
@@ -358,7 +341,8 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			info.LatencySim = winLat
 			span.SetStr("node", info.Node)
 			span.SetStr("sim_latency", winLat.String())
-			return c.winnerResp(resp, hedgeWon), info, nil
+			// Replicas are byte-identical: a hedge wins on latency only.
+			return resp, info, nil
 		}
 		lastErr = fmt.Errorf("node %s: %w", st.nodes[node].Name(), err)
 		prevNode = node
@@ -378,14 +362,6 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 	span.SetInt("unavailable", 1)
 	err := fmt.Errorf("%w: shard %d after %d attempt(s): %w", ErrShardUnavailable, shard, info.Attempts, lastErr)
 	return nil, info, err
-}
-
-// winnerResp is a readability helper: the hedge path already returned
-// the winning payload via maybeHedge's contract that both responses are
-// byte-identical, so the primary response is always safe to return.
-func (c *Cluster) winnerResp(resp []byte, hedgeWon bool) []byte {
-	_ = hedgeWon // responses are byte-identical replicas; latency picked the winner
-	return resp
 }
 
 // pickNode returns the index of the first breaker-admitted node,
@@ -434,7 +410,7 @@ func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method stri
 // HedgeAfter and another healthy node exists; it returns the winning
 // node index and latency. Replicas are byte-identical, so "winning" is
 // purely a latency race — the primary payload is always returnable.
-func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, resp []byte, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
+func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
 	winner, winLat = served, lat
 	if c.cfg.HedgeAfter <= 0 || len(st.nodes) < 2 {
 		return
@@ -448,13 +424,12 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 	}
 	hspan := span.Child("cluster.hedge")
 	hspan.SetStr("node", st.nodes[alt].Name())
-	altResp, altLat, err := c.callNode(hspan, st, alt, method, request)
+	_, altLat, err := c.callNode(hspan, st, alt, method, request)
 	hspan.End()
 	hedged = true
 	c.count("cluster_hedged_total", 1)
 	if err == nil && altLat < winLat {
 		winner, winLat, hedgeWon = alt, altLat, true
-		_ = altResp // byte-identical to resp; keep the already-returned payload
 	}
 	return
 }

@@ -142,9 +142,9 @@ type Config struct {
 	// hash joins: every query runs FROM-order nested loops with one
 	// monolithic WHERE filter at the top. Spatial predicates then
 	// evaluate only after all joins, so long-field REGION pages are read
-	// for rows a pushed filter would have discarded first. For A/B
-	// benchmarks (cmd/perfbench) — results are identical, only the
-	// per-row page accounting and CPU change.
+	// for rows a pushed filter would have discarded first. For A/B runs
+	// (`qbism -nopushdown`, TestPushdownSavesPages) — results are
+	// identical, only the per-row page accounting and CPU change.
 	DisablePushdown bool
 }
 

@@ -74,42 +74,6 @@ func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Spa
 	return out, batch
 }
 
-// BatchSim prices a completed batch with the cost model's simulated
-// clock: serial is the sum of every successful item's simulated total
-// (one query after another, the paper's protocol), parallel is the
-// makespan of list-scheduling the same durations over the given worker
-// count in input order — the simulated wall clock of the executor. On
-// hardware with fewer cores than workers the measured wall clock is
-// capped by the machine; the simulated ratio prices what the overlap
-// buys on the modeled 1993 testbed, deterministically.
-func BatchSim(items []BatchItem, workers int) (serial, parallel time.Duration) {
-	if workers < 1 {
-		workers = 1
-	}
-	busy := make([]time.Duration, workers)
-	for _, item := range items {
-		if item.Res == nil {
-			continue
-		}
-		d := item.Res.Timing.TotalSim
-		serial += d
-		// Next item goes to the earliest-free worker.
-		min := 0
-		for w := 1; w < workers; w++ {
-			if busy[w] < busy[min] {
-				min = w
-			}
-		}
-		busy[min] += d
-	}
-	for _, b := range busy {
-		if b > parallel {
-			parallel = b
-		}
-	}
-	return serial, parallel
-}
-
 // Table4OneParallel is Table4One with the per-study band fetches fanned
 // out across the worker pool. The row's result columns (runs, voxels)
 // and total page count match the serial plan; only wall-clock CPU
@@ -120,7 +84,7 @@ func (s *System) Table4OneParallel(bandLo, bandHi int, encoding string, workers 
 		return Table4Row{}, fmt.Errorf("qbism: need at least 2 PET studies, have %d", len(pets))
 	}
 	pages0 := s.LFM.Stats().PageReads
-	//lint:ignore determinism CPUMeasured is deliberately real wall time (Table 4's measured-CPU column); the replayable clock lives in RealSim/BatchSim
+	//lint:ignore determinism CPUMeasured is deliberately real wall time (Table 4's measured-CPU column); the replayable clock lives in RealSim
 	start := time.Now()
 	out, err := s.ConsistentBandRegion(pets, bandLo, bandHi, encoding, workers)
 	if err != nil {

@@ -1,9 +1,12 @@
 package qbism
 
 import (
+	"bytes"
 	"regexp"
 	"strings"
 	"testing"
+
+	"qbism/internal/sdb"
 )
 
 // Golden tests for the physical plans behind the paper's measured
@@ -227,5 +230,56 @@ func TestExplainSpecPushdownDisabled(t *testing.T) {
 	// The de-optimized plan still answers correctly.
 	if _, err := s.RunQuery(spec); err != nil {
 		t.Errorf("pushdown-off query failed: %v", err)
+	}
+}
+
+// TestPushdownSavesPages is the planner's A/B as an exact counter:
+// Table 3's Q6 with a REGION-reading guard written as the first
+// conjunct. Pushed down, the guard runs once per atlasStructure row;
+// with pushdown off the whole WHERE clause runs in text order over the
+// FROM-order cross product, so the guard reads a REGION for every
+// study x band x structure x name combination. Same prepared
+// statement, same binds, same bytes back — only the pages differ. The
+// corpus loads with the planner off, so SetPushdown(true) has to be
+// what turns it on.
+func TestPushdownSavesPages(t *testing.T) {
+	s, err := New(Config{Bits: 4, NumPET: 1, Seed: 7, SmallStudies: true, DisablePushdown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := s.DB.Prepare(`
+select extractVoxels(wv.data, intersection(ib.region, as.region))
+from   warpedVolume wv, intensityBand ib, atlasStructure as, neuralStructure ns
+where  numVoxels(as.region) > 0 and
+       wv.studyId = ? and
+       ib.studyId = wv.studyId and ib.atlasId = wv.atlasId and
+       ib.lo = ? and ib.hi = ? and ib.encoding = ? and
+       as.atlasId = wv.atlasId and
+       as.structureId = ns.structureId and
+       ns.structureName = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []sdb.Value{sdb.Int(1), sdb.Int(224), sdb.Int(255), sdb.Str(EncHilbertNaive), sdb.Str("putamen")}
+	run := func(pushdown bool) (blob []byte, pages uint64) {
+		s.DB.SetPushdown(pushdown)
+		before := s.LFM.Stats().PageReads
+		res, err := stmt.Exec(args...)
+		if err != nil {
+			t.Fatalf("pushdown=%v: %v", pushdown, err)
+		}
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
+			t.Fatalf("pushdown=%v: %d rows, want one blob", pushdown, len(res.Rows))
+		}
+		return res.Rows[0][0].Y, s.LFM.Stats().PageReads - before
+	}
+	onBlob, on := run(true)
+	offBlob, off := run(false)
+	if len(onBlob) == 0 || !bytes.Equal(onBlob, offBlob) {
+		t.Errorf("answers differ: %d bytes with pushdown, %d without", len(onBlob), len(offBlob))
+	}
+	t.Logf("pages: %d pushed down, %d naive", on, off)
+	if on == 0 || off < 10*on {
+		t.Errorf("pushdown read %d pages, the naive plan %d: want at least 10x fewer", on, off)
 	}
 }

@@ -2,8 +2,8 @@ package qbism
 
 import "testing"
 
-// Traced vs untraced suite benchmarks at perfbench scale; run in one
-// process so the comparison shares host conditions:
+// Traced vs untraced suite benchmarks on a 64^3, six-study corpus; run
+// in one process so the comparison shares host conditions:
 //
 //	go test ./internal/qbism -bench BenchmarkSuite -run xxx
 

@@ -60,10 +60,10 @@ func readDelta(r *bitio.Reader) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := int(l - 1)
-	if n > 63 {
-		return 0, fmt.Errorf("delta length %d out of range", n)
+	if l-1 > 63 { // compared unsigned: a length past 2^63 must not wrap negative
+		return 0, fmt.Errorf("delta length %d out of range", l-1)
 	}
+	n := int(l - 1)
 	low, err := r.ReadBits(n)
 	if err != nil {
 		return 0, err

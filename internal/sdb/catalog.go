@@ -100,9 +100,6 @@ func (db *DB) SetPushdown(on bool) {
 	db.gen.Add(1)
 }
 
-// PushdownEnabled reports whether predicate pushdown is active.
-func (db *DB) PushdownEnabled() bool { return !db.noPushdown }
-
 // SetTracer installs (or with nil, removes) the tracer SELECTs are
 // traced with. Like SetPushdown, not safe to call concurrently with
 // queries; once installed, tracing itself is concurrency-safe (each

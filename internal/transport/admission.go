@@ -41,6 +41,7 @@ type admitter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket // guarded by mu
+	swept   time.Time               // guarded by mu; when Allow last dropped the refilled buckets
 }
 
 type tokenBucket struct {
@@ -61,23 +62,50 @@ func (a *admitter) Allow(client string) bool {
 	now := a.now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.sweepLocked(now)
 	b, ok := a.buckets[client]
 	if !ok {
 		b = &tokenBucket{tokens: a.cfg.Burst, last: now}
 		a.buckets[client] = b
 	} else {
-		elapsed := now.Sub(b.last).Seconds()
-		if elapsed > 0 {
-			b.tokens += elapsed * a.cfg.Rate
-			if b.tokens > a.cfg.Burst {
-				b.tokens = a.cfg.Burst
-			}
-			b.last = now
-		}
+		a.refillLocked(b, now)
 	}
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
+}
+
+// sweepLocked drops every bucket that has refilled to Burst — it admits
+// exactly what an absent one would — once per Burst/Rate, the time an
+// empty bucket takes to refill. A bucket that survives was spent from
+// since the sweep before, so the map holds at most the clients of two
+// such intervals and each walk is paid for by the calls in between.
+// Callers must hold a.mu.
+func (a *admitter) sweepLocked(now time.Time) {
+	refill := time.Duration(a.cfg.Burst / a.cfg.Rate * float64(time.Second))
+	if now.Sub(a.swept) < refill {
+		return
+	}
+	a.swept = now
+	for client, b := range a.buckets {
+		if a.refillLocked(b, now); b.tokens >= a.cfg.Burst {
+			delete(a.buckets, client)
+		}
+	}
+}
+
+// refillLocked credits b the tokens earned since it was last touched,
+// up to Burst. Callers must hold a.mu.
+func (a *admitter) refillLocked(b *tokenBucket, now time.Time) {
+	elapsed := now.Sub(b.last).Seconds()
+	if elapsed <= 0 {
+		return
+	}
+	b.tokens += elapsed * a.cfg.Rate
+	if b.tokens > a.cfg.Burst {
+		b.tokens = a.cfg.Burst
+	}
+	b.last = now
 }

@@ -143,7 +143,7 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // TCP is the real-socket flavor of the seam: one connection, one
 // outstanding call at a time (calls serialize on an internal mutex —
 // for concurrent load, dial one TCP transport per worker, which is
-// what qbismload does). The connection is established lazily on the
+// what the repo benchmark does). The connection is established lazily on the
 // first call and re-established after any stream failure, so a client
 // rides through a server restart: the failed call surfaces as a typed
 // retryable error and the retry dials fresh.

@@ -258,6 +258,45 @@ func TestAdmitterTokenBucket(t *testing.T) {
 	}
 }
 
+// A daemon meets an unbounded number of client hosts over its life; the
+// admitter may remember only the ones still owing tokens.
+func TestAdmitterDropsRefilledBuckets(t *testing.T) {
+	now := time.Unix(1000, 0)
+	a := newAdmitter(AdmissionConfig{Rate: 10, Burst: 3}, func() time.Time { return now })
+	for i := 0; i < 10000; i++ {
+		if !a.Allow(fmt.Sprintf("host-%d", i)) {
+			t.Fatalf("first call of client %d rejected", i)
+		}
+	}
+	// One client spends its whole burst just before everyone else has
+	// refilled (Burst/Rate = 300ms).
+	now = now.Add(290 * time.Millisecond)
+	for a.Allow("busy") {
+	}
+	now = now.Add(20 * time.Millisecond)
+	if !a.Allow("late") {
+		t.Fatal("new client rejected")
+	}
+	a.mu.Lock()
+	n := len(a.buckets)
+	a.mu.Unlock()
+	if n != 2 {
+		t.Errorf("%d buckets kept after every idle client refilled, want 2 (busy, late)", n)
+	}
+	// 20ms at 10/s is a fifth of a token: the sweep did not forgive it.
+	if a.Allow("busy") {
+		t.Error("a client mid-burst lost its debt to the sweep")
+	}
+	// A dropped client comes back to a full bucket, as if it had stayed.
+	admitted := 0
+	for a.Allow("host-0") {
+		admitted++
+	}
+	if admitted != 3 {
+		t.Errorf("returning client admitted %d calls, want Burst=3", admitted)
+	}
+}
+
 func TestAdmitterDisabled(t *testing.T) {
 	a := newAdmitter(AdmissionConfig{}, func() time.Time { return time.Unix(0, 0) })
 	for i := 0; i < 1000; i++ {

@@ -13,18 +13,18 @@
 //     a curve — with its geometric constructors and the paper's spatial
 //     operators (INTERSECTION, CONTAINS, UNION, DIFFERENCE).
 //   - REGION storage encodings (naive runs, Elias γ/δ, Golomb, varint,
-//     oblong octants, octants, the queryable k³-tree) and the entropy
-//     lower bound.
+//     oblong octants, octants) and the entropy lower bound.
 //   - The VOLUME data type — a complete scalar field stored in curve
 //     order — with EXTRACT_DATA.
 //   - Affine warping and landmark registration (patient → atlas space).
 //   - The assembled system: NewSystem (a MedicalServer and the DX Client
 //     that queries it — a Data Explorer stand-in: import, render, cache —
 //     joined by a simulated RPC link with a 1993-calibrated cost model),
-//     NewClusterSystem (the same client over a sharded deployment), the
-//     wire request a bare transport carries, fault policies and retries,
-//     the SQL substrate, a procedural Talairach-like atlas, and synthetic
-//     PET/MRI study generation.
+//     NewClusterSystem (the same client over a sharded deployment),
+//     NewClient over DialTCP (the same client, its server a running
+//     qbismd), fault policies and retries, the SQL substrate, a
+//     procedural Talairach-like atlas, and synthetic PET/MRI study
+//     generation.
 //   - The formatters of the experiment drivers regenerating every table
 //     and figure of the paper's evaluation (run ratios, EQ 1, Figure 4,
 //     Tables 3 and 4), and the fitting functions under them.
@@ -48,7 +48,6 @@ import (
 	"qbism/internal/dx"
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
-	"qbism/internal/medserver"
 	core "qbism/internal/qbism"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
@@ -113,17 +112,7 @@ const (
 	EncodingVarint       = rencode.Varint
 	EncodingOblongOctant = rencode.OblongOctant
 	EncodingOctant       = rencode.Octant
-	EncodingK3Tree       = rencode.K3Tree
 )
-
-// ParseK3Tree opens a k³-tree REGION for queries on its encoded bytes:
-// point probes, interval tests, and run-list intersection (see
-// DESIGN.md §13).
-var ParseK3Tree = rencode.ParseK3
-
-// RencodeRuns is the Config.Rencode mode that reproduces the seed:
-// run-list codecs only, no k³-tree rows.
-const RencodeRuns = medserver.RencodeRuns
 
 // Encoding functions.
 var (
@@ -195,17 +184,18 @@ func NewClusterSystem(cfg ClusterConfig) (*core.ClusterSystem, error) {
 	return core.NewClusterSystem(cfg)
 }
 
+// NewClient builds a DX client that reaches its MedicalServer over t
+// and loads nothing itself: of cfg it reads Retry, Workers, Trace and
+// the slow-log fields.
+func NewClient(t transport.Transport, cfg Config) *Client { return core.NewClient(t, cfg) }
+
+// DialTCP is the transport to the qbismd listening at addr. The
+// connection is made by the first call.
+func DialTCP(addr string) *transport.TCP { return transport.DialTCP(addr, transport.TCPOptions{}) }
+
 // ErrShardUnavailable marks a read that exhausted every node and
 // attempt on its shard (match with errors.Is).
 var ErrShardUnavailable = cluster.ErrShardUnavailable
-
-// QueryMethod is the wire method name for medical queries;
-// EncodeQueryRequest builds its payload for clients driving a daemon
-// through a bare transport.
-const QueryMethod = core.QueryMethod
-
-// EncodeQueryRequest builds the wire request body for QueryMethod.
-func EncodeQueryRequest(spec QuerySpec) ([]byte, error) { return core.EncodeQueryRequest(spec) }
 
 // FaultPolicy is a deterministic, seeded fault schedule (chaos testing
 // the simulated deployment: Config.LinkFaults, Config.DeviceFaults,
@@ -233,24 +223,6 @@ var (
 	WriteDeltaLaw  = core.WriteDeltaLaw
 	WriteSizes     = core.WriteSizes
 	WriteMingap    = core.WriteMingap
-)
-
-// Read-path tuning and the parallel executor (Config.CachePages,
-// Config.ReadGapPages, Config.Workers).
-type (
-	// ExtractOpts tunes run-pruned extraction's physical read plan.
-	ExtractOpts = core.ExtractOpts
-	// BatchItem is one completed entry of a System.RunQueries batch.
-	BatchItem = core.BatchItem
-)
-
-// Run-pruned extraction against a stored VOLUME long field, the
-// DATA_REGION blob it is shipped as (the paper's footnote 6), and batch
-// pricing under the simulated clock.
-var (
-	ExtractStoredOpts = core.ExtractStoredOpts
-	MarshalDataRegion = core.MarshalDataRegion
-	BatchSim          = core.BatchSim
 )
 
 // Visualization (Data Explorer stand-in).
@@ -290,18 +262,8 @@ type (
 	DB = sdb.DB
 	// SQLValue is a dynamically typed SQL value.
 	SQLValue = sdb.Value
-	// SQLResult is a materialized statement result.
-	SQLResult = sdb.Result
 	// UDF is a user-defined SQL function.
 	UDF = sdb.UDF
-)
-
-// SQL value constructors, for bind parameters (DB.Exec / DB.Query take
-// trailing SQLValue arguments matching `?` placeholders) and ad-hoc
-// row construction.
-var (
-	SQLInt = sdb.Int
-	SQLStr = sdb.Str
 )
 
 // NewDB creates an empty database over a long field manager.
