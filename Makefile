@@ -123,7 +123,9 @@ cover:
 # BenchmarkServeRPCBulk for the server side of one small request and of
 # one full-study reply through a thrashing page cache (allocs/op and
 # B/op are what TestServeRPCAllocBudget and TestBulkReplyAllocBudget put
-# ceilings on) with BenchmarkStmtQuery for the SQL layer's share of it
+# ceilings on), BenchmarkServeRPCTraced for the small request with a
+# tracer attached (what trace-on costs, beside the line it is measured
+# against) with BenchmarkStmtQuery for the SQL layer's share of it
 # (one execution of a prepared 4-table join on its retained operator
 # tree; TestStmtQueryAllocBudget pins the allocations) — and the REGION
 # decode benchmarks on a structure-sized and a band-sized region (what
@@ -133,7 +135,7 @@ cover:
 # alone; TestTCPExchangeAllocBudget pins its allocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Traced|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport

@@ -264,8 +264,8 @@ func TestPublicDBAndLFM(t *testing.T) {
 	}
 	if err := db.RegisterUDF(&qbism.UDF{
 		Name: "fieldLen", MinArgs: 1, MaxArgs: 1,
-		Fn: func(db *qbism.DB, args []qbism.SQLValue) (qbism.SQLValue, error) {
-			n, err := db.LFM().Size(args[0].L)
+		Fn: func(call *qbism.UDFCall, args []qbism.SQLValue) (qbism.SQLValue, error) {
+			n, err := call.IO().M.Size(args[0].L)
 			if err != nil {
 				return qbism.SQLValue{}, err
 			}

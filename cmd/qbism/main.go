@@ -95,7 +95,6 @@ func main() {
 		Bits: *bits, NumPET: *pets, NumMRI: *mris, Seed: *seed, SmallStudies: *small,
 		Checksums:  *checksums,
 		CachePages: *cachePages, ReadGapPages: *gapPages, Workers: *workers,
-		DisablePushdown:  *noPushdown,
 		Rencode:          *rencodeMode,
 		Trace:            *trace || *slowlog > 0,
 		SlowLogThreshold: *slowlog,
@@ -166,7 +165,7 @@ func main() {
 		if *sql != "" || *repl {
 			fail("-shards applies to query specs; the SQL modes run unsharded")
 		}
-		runClusterQuery(cfg, *shards, *replicas, *deadNode, *slowNode, *slowlog, *metrics, *out, buildSpec())
+		runClusterQuery(cfg, *shards, *replicas, *noPushdown, *deadNode, *slowNode, *slowlog, *metrics, *out, buildSpec())
 		return
 	}
 
@@ -174,6 +173,9 @@ func main() {
 	sys, err := qbism.NewSystem(cfg)
 	if err != nil {
 		fail("load: %v", err)
+	}
+	if *noPushdown {
+		sys.DB.SetPushdown(false)
 	}
 	// Timing goes to stderr: stdout stays identical run to run.
 	fmt.Fprintf(os.Stderr, "loaded %d studies in %.2f s on %d procs\n",
@@ -332,7 +334,7 @@ func parseNodeRef(flagName, v string) (shard, replica int, ok bool) {
 // optionally degrading one node first, and reports how the read was
 // served: which node answered, and any failovers, retries, or hedges it
 // took to keep the answer byte-identical.
-func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode string, slowlog time.Duration, metrics bool, out string, spec qbism.QuerySpec) {
+func runClusterQuery(cfg qbism.Config, shards, replicas int, noPushdown bool, deadNode, slowNode string, slowlog time.Duration, metrics bool, out string, spec qbism.QuerySpec) {
 	deadSh, deadR, haveDead := parseNodeRef("-deadnode", deadNode)
 	slowSh, slowR, haveSlow := parseNodeRef("-slownode", slowNode)
 	if replicas == 0 {
@@ -362,6 +364,11 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode 
 	perShard := make([]int, shards)
 	for sh, nodes := range cs.Nodes {
 		perShard[sh] = len(nodes[0].Studies)
+		if noPushdown {
+			for _, node := range nodes {
+				node.DB.SetPushdown(false)
+			}
+		}
 	}
 	if replicas < 0 {
 		replicas = 0

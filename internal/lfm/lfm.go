@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"qbism/internal/faultsim"
-	"qbism/internal/obs"
 )
 
 // DefaultPageSize is the paper's 4 KB I/O unit.
@@ -91,6 +90,21 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
+// Add adds o to s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.PageReads += o.PageReads
+	s.PageWrites += o.PageWrites
+	s.BytesRead += o.BytesRead
+	s.BytesWritten += o.BytesWritten
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.FaultsInjected += o.FaultsInjected
+	s.ChecksumFailures += o.ChecksumFailures
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheEvictions += o.CacheEvictions
+}
+
 type field struct {
 	off   uint64 // device offset
 	size  uint64 // logical length
@@ -129,32 +143,6 @@ type Manager struct {
 	// cache, when non-nil, is the CLOCK page cache; reads consult it
 	// page by page and only misses touch the device. guarded by mu
 	cache *pageCache
-
-	// traceSpan, when non-nil, receives per-handle I/O spans: each
-	// (handle, operation) pair gets one aggregate child span whose
-	// counters accumulate across operations (see SetSpan).
-	// guarded by mu
-	traceSpan *obs.Span
-	traceOps  map[traceKey]*opAgg // guarded by mu
-}
-
-// traceKey identifies one aggregate trace span: per handle, per
-// operation kind.
-type traceKey struct {
-	h  Handle
-	op string
-}
-
-// opAgg accumulates one (handle, operation) pair's I/O counters between
-// span attach and detach. The span itself is only touched twice — Child
-// at the first op, attribute flush + End at detach — so the per-op cost
-// under tracing stays at a map lookup and a few integer adds.
-type opAgg struct {
-	sp        *obs.Span
-	d         Stats
-	ops       int64
-	errors    int64
-	lastError string
 }
 
 // New creates a manager over a simulated device of the given capacity in
@@ -398,118 +386,11 @@ func (m *Manager) freeBlock(off uint64, order int) {
 	m.freeLists[order] = append(m.freeLists[order], off)
 }
 
-// SetSpan attaches (or with nil, detaches) the span LFM I/O is traced
-// under. While attached, every read and write contributes to an
-// aggregate child span per (handle, operation) — "per-handle read/
-// write spans" — carrying the operation count, pages transferred,
-// bytes, cache hit/miss split, injected faults, and checksum failures
-// as integer attributes. Aggregation keeps tracing overhead to a map
-// lookup and a few attribute bumps per I/O instead of a span
-// allocation per read.
-//
-// The manager serializes I/O under its mutex, so attribution is exact
-// while one query runs at a time (the measured protocol). Concurrent
-// queries sharing one span interleave their I/O into the same
-// aggregates; callers that need exact per-query trees must serialize
-// traced execution (qbism.System does).
-func (m *Manager) SetSpan(sp *obs.Span) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sp == m.traceSpan {
-		return
-	}
-	m.flushTraceLocked()
-	m.traceSpan = sp
-	if sp != nil {
-		m.traceOps = make(map[traceKey]*opAgg)
-	}
-}
-
-// flushTraceLocked materializes the per-(handle, op) aggregates into
-// their spans and ends them. Callers must hold m.mu.
-func (m *Manager) flushTraceLocked() {
-	for _, a := range m.traceOps {
-		sp := a.sp
-		sp.SetInt("ops", a.ops)
-		sp.SetInt("pages", int64(a.d.PageReads))
-		if a.d.PageWrites > 0 {
-			sp.SetInt("pageWrites", int64(a.d.PageWrites))
-		}
-		if a.d.BytesRead > 0 {
-			sp.SetInt("bytes", int64(a.d.BytesRead))
-		}
-		if a.d.BytesWritten > 0 {
-			sp.SetInt("bytesWritten", int64(a.d.BytesWritten))
-		}
-		if a.d.CacheHits > 0 {
-			sp.SetInt("cacheHits", int64(a.d.CacheHits))
-		}
-		if a.d.CacheMisses > 0 {
-			sp.SetInt("cacheMisses", int64(a.d.CacheMisses))
-		}
-		if a.d.FaultsInjected > 0 {
-			sp.SetInt("faults", int64(a.d.FaultsInjected))
-		}
-		if a.d.ChecksumFailures > 0 {
-			sp.SetInt("checksumFailures", int64(a.d.ChecksumFailures))
-		}
-		if a.errors > 0 {
-			sp.SetInt("errors", a.errors)
-			sp.SetStr("lastError", a.lastError)
-		}
-		sp.End()
-	}
-	m.traceOps = nil
-}
-
-// traceOp records one completed I/O operation against the attached
-// span as the stats delta it produced. Callers must hold m.mu and
-// snapshot m.stats before the operation.
-func (m *Manager) traceOp(op string, h Handle, before Stats, err error) {
-	if m.traceSpan == nil {
-		return
-	}
-	key := traceKey{h: h, op: op}
-	a := m.traceOps[key]
-	if a == nil {
-		sp := m.traceSpan.Child("lfm." + op)
-		sp.SetInt("handle", int64(h))
-		a = &opAgg{sp: sp}
-		m.traceOps[key] = a
-	}
-	// Accumulate locally — plain field adds, no span locking — and
-	// materialize once at detach (flushTraceLocked). Run-pruned
-	// extraction issues thousands of ReadAt ops per query; per-op span
-	// updates are what would blow the <5% tracing budget.
-	d := m.stats.Sub(before)
-	a.ops++
-	a.d.PageReads += d.PageReads
-	a.d.PageWrites += d.PageWrites
-	a.d.BytesRead += d.BytesRead
-	a.d.BytesWritten += d.BytesWritten
-	a.d.CacheHits += d.CacheHits
-	a.d.CacheMisses += d.CacheMisses
-	a.d.FaultsInjected += d.FaultsInjected
-	a.d.ChecksumFailures += d.ChecksumFailures
-	if err != nil {
-		a.errors++
-		a.lastError = err.Error()
-	}
-}
-
 // Allocate stores data as a new long field and returns its handle.
 // The write is counted page-granularly.
 func (m *Manager) Allocate(data []byte) (Handle, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	before := m.stats
-	h, err := m.allocate(data)
-	m.traceOp("write", h, before, err)
-	return h, err
-}
-
-// allocate stores a new long field. Callers must hold m.mu.
-func (m *Manager) allocate(data []byte) (Handle, error) {
 	order := m.orderFor(uint64(len(data)))
 	if order > m.maxOrder {
 		return 0, ErrNoSpace
@@ -540,15 +421,6 @@ func (m *Manager) allocate(data []byte) (Handle, error) {
 func (m *Manager) Overwrite(h Handle, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	before := m.stats
-	err := m.overwrite(h, data)
-	m.traceOp("write", h, before, err)
-	return err
-}
-
-// overwrite replaces a field's contents in place. Callers must hold
-// m.mu.
-func (m *Manager) overwrite(h Handle, data []byte) error {
 	f, ok := m.fields[h]
 	if !ok {
 		return ErrUnknownHandle
@@ -601,7 +473,10 @@ func (m *Manager) Size(h Handle) (uint64, error) {
 }
 
 // Read returns the whole field.
-func (m *Manager) Read(h Handle) ([]byte, error) {
+func (m *Manager) Read(h Handle) ([]byte, error) { return m.read(nil, h) }
+
+// read is Read on behalf of io (nil: of no call).
+func (m *Manager) read(io *IO, h Handle) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.fields[h]
@@ -609,7 +484,7 @@ func (m *Manager) Read(h Handle) ([]byte, error) {
 		return nil, ErrUnknownHandle
 	}
 	out := make([]byte, f.size)
-	if err := m.readTraced(h, f, 0, out); err != nil {
+	if err := m.readBilled(io, h, f, 0, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -627,7 +502,7 @@ func (m *Manager) ReadAt(h Handle, off, n uint64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	if err := m.readTraced(h, f, off, out); err != nil {
+	if err := m.readBilled(nil, h, f, off, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -638,13 +513,18 @@ func (m *Manager) ReadAt(h Handle, off, n uint64) ([]byte, error) {
 // draws, checksum verification and accounting, and allocates nothing on
 // the way. When it fails, dst holds unspecified bytes.
 func (m *Manager) ReadAtInto(h Handle, off uint64, dst []byte) error {
+	return m.readAtInto(nil, h, off, dst)
+}
+
+// readAtInto is ReadAtInto on behalf of io (nil: of no call).
+func (m *Manager) readAtInto(io *IO, h Handle, off uint64, dst []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, err := m.fieldRange(h, off, uint64(len(dst)))
 	if err != nil {
 		return err
 	}
-	return m.readTraced(h, f, off, dst)
+	return m.readBilled(io, h, f, off, dst)
 }
 
 // fieldRange looks a field up and checks that [off, off+n) lies inside
@@ -660,12 +540,17 @@ func (m *Manager) fieldRange(h Handle, off, n uint64) (field, error) {
 	return f, nil
 }
 
-// readTraced is readRange recorded as one read operation against the
-// attached span. Callers must hold m.mu.
-func (m *Manager) readTraced(h Handle, f field, off uint64, dst []byte) error {
-	before := m.stats
-	err := m.readRange(h, f, off, dst)
-	m.traceOp("read", h, before, err)
+// readBilled is readRange with what it cost — counted by the read
+// itself, whether or not it succeeded — added to the device meter and,
+// when the read is on behalf of a call, to that call's bill. Callers
+// must hold m.mu.
+func (m *Manager) readBilled(io *IO, h Handle, f field, off uint64, dst []byte) error {
+	var cost Stats
+	err := m.readRange(&cost, h, f, off, dst)
+	m.stats.Add(cost)
+	if io != nil {
+		io.charge(h, cost, err)
+	}
 	return err
 }
 
@@ -678,15 +563,16 @@ type bitFlip struct {
 }
 
 // readRange fills dst with [off, off+len(dst)) of a field, dispatching
-// to the cached or verified paths as configured. Callers must hold m.mu.
-func (m *Manager) readRange(h Handle, f field, off uint64, dst []byte) error {
+// to the cached or verified paths as configured, and counts in cost what
+// the read did. Callers must hold m.mu.
+func (m *Manager) readRange(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	if n == 0 {
-		m.stats.Reads++
+		cost.Reads++
 		return nil
 	}
 	if m.cache != nil {
-		return m.readCached(h, f, off, dst)
+		return m.readCached(cost, h, f, off, dst)
 	}
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
 
@@ -698,10 +584,10 @@ func (m *Manager) readRange(h Handle, f field, off uint64, dst []byte) error {
 		for j := j0; j <= j1; j++ {
 			switch m.faults.ReadFault() {
 			case faultsim.ReadErr:
-				m.stats.FaultsInjected++
+				cost.FaultsInjected++
 				return fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
 			case faultsim.PageCorrupt:
-				m.stats.FaultsInjected++
+				cost.FaultsInjected++
 				flips = append(flips, bitFlip{
 					page: j,
 					pos:  m.faults.Intn(int(m.pageSize)),
@@ -712,7 +598,7 @@ func (m *Manager) readRange(h Handle, f field, off uint64, dst []byte) error {
 	}
 
 	if m.verify {
-		return m.readVerified(h, f, off, dst, j0, j1, flips)
+		return m.readVerified(cost, h, f, off, dst, j0, j1, flips)
 	}
 
 	if err := m.devRead(f.off+off, dst); err != nil {
@@ -726,9 +612,9 @@ func (m *Manager) readRange(h Handle, f field, off uint64, dst []byte) error {
 			dst[abs-off] ^= fl.mask
 		}
 	}
-	m.stats.Reads++
-	m.stats.BytesRead += n
-	m.stats.PageReads += m.pagesSpanned(f.off+off, n)
+	cost.Reads++
+	cost.BytesRead += n
+	cost.PageReads += m.pagesSpanned(f.off+off, n)
 	return nil
 }
 
@@ -740,7 +626,7 @@ func (m *Manager) readRange(h Handle, f field, off uint64, dst []byte) error {
 // starts or ends inside a page goes through a buffer of its own. It
 // counts the same page I/O the unverified path would — verification
 // inspects only pages the read already paid for. Callers must hold m.mu.
-func (m *Manager) readVerified(h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []bitFlip) error {
+func (m *Manager) readVerified(cost *Stats, h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []bitFlip) error {
 	n := uint64(len(dst))
 	base := j0 * m.pageSize
 	end := (j1 + 1) * m.pageSize
@@ -769,18 +655,18 @@ func (m *Manager) readVerified(h Handle, f field, off uint64, dst []byte, j0, j1
 			hi = uint64(len(buf))
 		}
 		if int(j) >= len(sums) || crc32.ChecksumIEEE(buf[lo:hi]) != sums[j] {
-			m.stats.ChecksumFailures++
-			m.stats.Reads++
-			m.stats.PageReads += m.pagesSpanned(f.off+off, n)
+			cost.ChecksumFailures++
+			cost.Reads++
+			cost.PageReads += m.pagesSpanned(f.off+off, n)
 			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
 		}
 	}
 	if !wholePages {
 		copy(dst, buf[off-base:])
 	}
-	m.stats.Reads++
-	m.stats.BytesRead += n
-	m.stats.PageReads += m.pagesSpanned(f.off+off, n)
+	cost.Reads++
+	cost.BytesRead += n
+	cost.PageReads += m.pagesSpanned(f.off+off, n)
 	return nil
 }
 
@@ -795,7 +681,7 @@ func (m *Manager) readVerified(h Handle, f field, off uint64, dst []byte, j0, j1
 // therefore counts device transfers only — exactly what the paper's I/O
 // column would be with a buffer pool in front of the LFM. Callers must
 // hold m.mu.
-func (m *Manager) readCached(h Handle, f field, off uint64, dst []byte) error {
+func (m *Manager) readCached(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
 	sums := m.sums[h]
@@ -808,14 +694,14 @@ func (m *Manager) readCached(h Handle, f field, off uint64, dst []byte) error {
 		key := pageKey{h: h, page: j}
 		page := m.cache.get(key)
 		if page == nil {
-			m.stats.CacheMisses++
+			cost.CacheMisses++
 			var flip bitFlip // mask 0: no corruption drawn
 			switch m.faults.ReadFault() {
 			case faultsim.ReadErr:
-				m.stats.FaultsInjected++
+				cost.FaultsInjected++
 				return fmt.Errorf("lfm: page %d: %w", (f.off+pageLo)/m.pageSize, ErrReadFault)
 			case faultsim.PageCorrupt:
-				m.stats.FaultsInjected++
+				cost.FaultsInjected++
 				flip = bitFlip{page: j, pos: m.faults.Intn(int(m.pageSize)), mask: 1 << m.faults.Intn(8)}
 			}
 			page = m.cache.spareFrame(m.pageSize)[:pageHi-pageLo]
@@ -825,19 +711,19 @@ func (m *Manager) readCached(h Handle, f field, off uint64, dst []byte) error {
 			if flip.mask != 0 && flip.pos < len(page) {
 				page[flip.pos] ^= flip.mask
 			}
-			m.stats.PageReads++
+			cost.PageReads++
 			if m.verify {
 				if int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
-					m.stats.ChecksumFailures++
-					m.stats.Reads++
+					cost.ChecksumFailures++
+					cost.Reads++
 					return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
 				}
 			}
 			if m.cache.put(key, page) {
-				m.stats.CacheEvictions++
+				cost.CacheEvictions++
 			}
 		} else {
-			m.stats.CacheHits++
+			cost.CacheHits++
 		}
 		// Copy the requested slice of this page into the output.
 		lo := pageLo
@@ -850,8 +736,8 @@ func (m *Manager) readCached(h Handle, f field, off uint64, dst []byte) error {
 		}
 		copy(dst[lo-off:hi-off], page[lo-pageLo:hi-pageLo])
 	}
-	m.stats.Reads++
-	m.stats.BytesRead += n
+	cost.Reads++
+	cost.BytesRead += n
 	return nil
 }
 

@@ -3,6 +3,7 @@ package medserver
 import (
 	"fmt"
 
+	"qbism/internal/lfm"
 	"qbism/internal/par"
 	"qbism/internal/region"
 	"qbism/internal/sdb"
@@ -81,7 +82,7 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 // fetchBandRegion reads one study's stored band REGION and recodes it
 // onto the system curve (mirroring the nIntersect UDF's normalization).
 func (s *Server) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (*region.Region, error) {
-	row, n, err := querySingle(nil, s.stmts.bandRegion,
+	row, n, err := querySingle(nil, nil, s.stmts.bandRegion,
 		sdb.Int(int64(studyID)), sdb.Int(int64(bandLo)), sdb.Int(int64(bandHi)),
 		sdb.Str(encoding))
 	if err != nil {
@@ -90,7 +91,7 @@ func (s *Server) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (
 	if n != 1 {
 		return nil, fmt.Errorf("no stored intensityBand row")
 	}
-	r, err := RegionFromValue(s.DB, row[0])
+	r, err := RegionFromValue(&lfm.IO{M: s.LFM}, row[0])
 	if err != nil {
 		return nil, err
 	}

@@ -85,21 +85,18 @@ type QueryMeta struct {
 	PatientID int
 	Date      string
 
-	DBCPUNanos int64  // measured handler CPU (wall) time
-	LFMPages   uint64 // 4 KB device pages read during the query
-	LFMReads   uint64 // LFM read operations (seek-count proxy)
+	DBCPUNanos int64 // measured handler CPU (wall) time
+	// The I/O counters are this query's own bill — the sum of what its
+	// statements and the band fallback read, counted read by read
+	// (lfm.IO) — so they are exact however many queries run at once.
+	LFMPages uint64 // 4 KB device pages read for the query
+	LFMReads uint64 // LFM read operations (seek-count proxy)
 	// CacheHits/CacheMisses are the LFM page-cache counters for this
 	// query (zero when the cache is disabled). With the cache on,
 	// LFMPages counts only device transfers (misses), so LFMPages +
 	// CacheHits ≈ the unbuffered protocol's page count.
 	CacheHits   uint64
 	CacheMisses uint64
-
-	// Concurrency note: these counters are deltas of the shared
-	// lfm.Stats around this query's handler. They are exact when queries
-	// run serially (every measured experiment does); under the parallel
-	// executor concurrent queries' I/O interleaves into each other's
-	// deltas, so per-query counters become indicative, not exact.
 
 	// Degraded is set when the server answered through a slow fallback
 	// path — e.g. the intensityBand REGION was missing or failed its
@@ -141,30 +138,20 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 		return nil, err
 	}
 	if sp != nil {
-		// Traced handlers run one at a time: the LFM has a single
-		// span attachment point, and serializing here is what makes
-		// the span tree's page accounting reconcile exactly with the
-		// lfm.Stats deltas below (the paper's measured protocol is
-		// serial anyway).
-		s.traceMu.Lock()
-		s.LFM.SetSpan(sp)
-		defer func() {
-			s.LFM.SetSpan(nil)
-			s.traceMu.Unlock()
-		}()
 		sp.SetStr("query", spec.Label())
 	}
 	start := time.Now()
-	stats0 := s.LFM.Stats()
+	// What this call read: its statements and the band fallback add theirs.
+	var bill lfm.Stats
 
 	msp := sp.Child("sql.metadata")
-	meta, err := s.runMetadataQuery(msp, spec)
+	meta, err := s.runMetadataQuery(msp, &bill, spec)
 	msp.End()
 	if err != nil {
 		return nil, err
 	}
 	dsp := sp.Child("sql.data")
-	blob, warning, err := s.runDataQuery(dsp, spec)
+	blob, warning, err := s.runDataQuery(dsp, &bill, spec)
 	dsp.End()
 	if err != nil {
 		return nil, err
@@ -179,13 +166,12 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	}
 
 	meta.DBCPUNanos = time.Since(start).Nanoseconds()
-	delta := s.LFM.Stats().Sub(stats0)
-	meta.LFMPages = delta.PageReads
-	meta.LFMReads = delta.Reads
-	meta.CacheHits = delta.CacheHits
-	meta.CacheMisses = delta.CacheMisses
-	sp.SetInt("lfm.pages", int64(delta.PageReads))
-	sp.SetInt("lfm.reads", int64(delta.Reads))
+	meta.LFMPages = bill.PageReads
+	meta.LFMReads = bill.Reads
+	meta.CacheHits = bill.CacheHits
+	meta.CacheMisses = bill.CacheMisses
+	sp.SetInt("lfm.pages", int64(bill.PageReads))
+	sp.SetInt("lfm.reads", int64(bill.Reads))
 	return EncodeQueryResponse(&meta, blob)
 }
 
@@ -194,13 +180,13 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 // two — one row too many is as wrong as a thousand, and stopping early
 // keeps the executor from materializing a mistaken cross product).
 // The returned row remains valid after the iterator is closed. The
-// statement is traced under sp (nil = untraced).
-func querySingle(sp *obs.Span, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Value, n int, err error) {
+// statement is traced under sp (nil = untraced), and what it read is
+// added to bill (nil = nobody is counting).
+func querySingle(sp *obs.Span, bill *lfm.Stats, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Value, n int, err error) {
 	rows, err := stmt.Query(sp, args...)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer rows.Close()
 	for rows.Next() {
 		if n == 0 {
 			row = rows.Row()
@@ -210,14 +196,18 @@ func querySingle(sp *obs.Span, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Val
 			break
 		}
 	}
+	rows.Close()
+	if bill != nil {
+		bill.Add(rows.IO())
+	}
 	return row, n, rows.Err()
 }
 
 // runMetadataQuery executes the paper's first §3.4 query: verify the
 // warped study exists and fetch atlas space and patient information.
 // User-provided strings travel as bind parameters, never spliced text.
-func (s *Server) runMetadataQuery(sp *obs.Span, spec QuerySpec) (QueryMeta, error) {
-	row, n, err := querySingle(sp, s.stmts.metadata,
+func (s *Server) runMetadataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (QueryMeta, error) {
+	row, n, err := querySingle(sp, bill, s.stmts.metadata,
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
 		return QueryMeta{}, err
@@ -414,7 +404,7 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // With streaming, a checksum/read fault surfaces from the row iterator
 // mid-drain (rows.Err()), not from Exec — querySingle folds both into
 // its error return, so the fallback conditions are unchanged.
-func (s *Server) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warning string, err error) {
+func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (blob []byte, warning string, err error) {
 	// An unspecified band encoding resolves to the mode's default row
 	// before SQL generation, so the generated query binds a concrete
 	// encoding label — the SQL itself stays representation-agnostic.
@@ -426,17 +416,17 @@ func (s *Server) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warnin
 	if err != nil {
 		return nil, "", err
 	}
-	row, n, err := querySingle(sp, s.stmts.data[shape], args...)
+	row, n, err := querySingle(sp, bill, s.stmts.data[shape], args...)
 	if spec.HasBand {
 		switch {
 		case err != nil && (errors.Is(err, lfm.ErrChecksum) || errors.Is(err, lfm.ErrReadFault)):
 			// The stored band REGION (or a joined region) is unreadable.
-			return s.bandSlowPath(sp, spec, fmt.Sprintf(
+			return s.bandSlowPath(sp, bill, spec, fmt.Sprintf(
 				"stored intensityBand [%d,%d] unreadable (%v); recomputed from VOLUME", spec.BandLo, spec.BandHi, err))
 		case err == nil && n == 0:
 			// No matching intensityBand row — the band "index" is missing
 			// for this [lo,hi]; recompute rather than fail.
-			return s.bandSlowPath(sp, spec, fmt.Sprintf(
+			return s.bandSlowPath(sp, bill, spec, fmt.Sprintf(
 				"no stored intensityBand [%d,%d]; recomputed from VOLUME", spec.BandLo, spec.BandHi))
 		}
 	}
@@ -466,7 +456,7 @@ func (s *Server) runDataQuery(sp *obs.Span, spec QuerySpec) (blob []byte, warnin
 // REGIONs were built by exactly this scan at load time, and both
 // Filter and intersection() yield the same canonical run list for the
 // same voxel set.
-func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) ([]byte, string, error) {
+func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec, warning string) ([]byte, string, error) {
 	if spec.BandLo < 0 || spec.BandHi > 255 || spec.BandLo > spec.BandHi {
 		return nil, "", fmt.Errorf("qbism: band [%d,%d] outside the 0-255 intensity range", spec.BandLo, spec.BandHi)
 	}
@@ -474,9 +464,16 @@ func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 	// fallback does nests under a "band.fallback" span carrying the
 	// reason, so a trace shows *why* a band query cost Q1-like I/O.
 	sp := parent.Child("band.fallback")
-	defer sp.End()
 	sp.SetStr("reason", warning)
-	row, n, err := querySingle(sp, s.stmts.bandVolume,
+	// What the fallback reads outside SQL goes through io, and from
+	// there onto the call's bill and the span.
+	io := lfm.IO{M: s.LFM, PerHandle: sp != nil}
+	defer func() {
+		io.Spans(sp)
+		sp.End()
+		bill.Add(io.Stats)
+	}()
+	row, n, err := querySingle(sp, bill, s.stmts.bandVolume,
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
 		return nil, "", err
@@ -487,7 +484,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 	volHandle := row[0].L
 
 	if spec.Structure != "" {
-		srow, sn, err := querySingle(sp, s.stmts.bandStructure,
+		srow, sn, err := querySingle(sp, bill, s.stmts.bandStructure,
 			sdb.Str(spec.Atlas), sdb.Str(spec.Structure))
 		if err != nil {
 			return nil, "", err
@@ -495,7 +492,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 		if sn != 1 {
 			return nil, "", fmt.Errorf("qbism: no structure %q in atlas %q", spec.Structure, spec.Atlas)
 		}
-		sr, err := RegionFromValue(s.DB, srow[0])
+		sr, err := RegionFromValue(&io, srow[0])
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 		}
@@ -504,7 +501,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 				return nil, "", err
 			}
 		}
-		sd, err := ExtractStoredOpts(s.LFM, volHandle, sr, s.extractOpts())
+		sd, err := extractStored(&io, volHandle, sr, s.extractOpts())
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 		}
@@ -518,7 +515,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, spec QuerySpec, warning string) 
 		}
 		return blob, warning, nil
 	}
-	volBytes, err := s.LFM.Read(volHandle)
+	volBytes, err := io.Read(volHandle)
 	if err != nil {
 		return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 	}

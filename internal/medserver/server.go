@@ -13,7 +13,6 @@ package medserver
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"qbism/internal/atlas"
@@ -44,9 +43,11 @@ const (
 )
 
 // Config parameterizes a Server and the DX client internal/qbism puts in
-// front of one. It is one flat struct because the repo benchmark builds
-// it as a literal (DESIGN.md §23); LinkFaults, Retry, SlowLogThreshold
-// and SlowLogCapacity are read only by the client side.
+// front of one; LinkFaults, Retry, SlowLogThreshold and SlowLogCapacity
+// are read only by the client side. The repo benchmark sets six fields
+// by name (Bits, NumPET, NumMRI, BandWidth, SmallStudies, CachePages)
+// and reads three (ReadGapPages, Method, CachePages): it pins those
+// names, not the struct's shape (ROADMAP item 3).
 type Config struct {
 	// Bits is the atlas grid resolution: side = 1<<Bits. The paper uses
 	// 7 (128x128x128).
@@ -126,9 +127,9 @@ type Config struct {
 	// Trace enables end-to-end query tracing: every RunQuery produces a
 	// span tree covering the RPC round trips, SQL parse/plan/execute
 	// phases, per-operator counters, per-handle LFM I/O, and the DX
-	// import/render stages (QueryResult.Trace). To keep the LFM span
-	// attribution exact, traced MedicalServer handlers execute serially;
-	// parallel batches still overlap their client-side stages.
+	// import/render stages (QueryResult.Trace). A traced handler runs the
+	// path an untraced one runs, as concurrently: each call bills its own
+	// I/O (lfm.IO), so the tree's page counts are exact either way.
 	Trace bool
 	// SlowLogThreshold, when positive (and Trace is set), captures the
 	// full span tree and executed plan of every query whose measured
@@ -137,15 +138,6 @@ type Config struct {
 	SlowLogThreshold time.Duration
 	// SlowLogCapacity is the slow-query ring size (default 32).
 	SlowLogCapacity int
-
-	// DisablePushdown turns off the SQL planner's predicate pushdown and
-	// hash joins: every query runs FROM-order nested loops with one
-	// monolithic WHERE filter at the top. Spatial predicates then
-	// evaluate only after all joins, so long-field REGION pages are read
-	// for rows a pushed filter would have discarded first. For A/B runs
-	// (`qbism -nopushdown`, TestPushdownSavesPages) — results are
-	// identical, only the per-row page accounting and CPU change.
-	DisablePushdown bool
 }
 
 // WithDefaults fills zero fields.
@@ -204,11 +196,6 @@ type Server struct {
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 
-	// traceMu serializes traced handlers so the LFM's per-handle span
-	// attribution is exact (the LFM has one attachment point; see
-	// lfm.Manager.SetSpan).
-	traceMu sync.Mutex
-
 	AtlasID int
 	Studies []StudyInfo
 
@@ -263,7 +250,6 @@ func New(cfg Config) (*Server, error) {
 		AtlasID:     1,
 		BandRegions: make(map[int][]volume.BandSpec),
 	}
-	s.DB.SetPushdown(!cfg.DisablePushdown)
 	if err := s.createSchema(); err != nil {
 		s.Close()
 		return nil, err

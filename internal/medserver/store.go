@@ -66,14 +66,14 @@ func UnmarshalDataRegion(data []byte) (*volume.DataRegion, error) {
 }
 
 // RegionFromValue materializes a REGION from a SQL value: a LONG handle
-// (stored region, read from the LFM — this is where region I/O is
-// counted) or a BYTES blob (intermediate result of another spatial
-// function in the same query). Exported for callers running their own
-// SQL against a Server's DB (Table 4).
-func RegionFromValue(db *sdb.DB, v sdb.Value) (*region.Region, error) {
+// (stored region, read from the LFM on io's bill — this is where region
+// I/O is counted) or a BYTES blob (intermediate result of another
+// spatial function in the same query). Exported for callers running
+// their own SQL against a Server's DB (Table 4).
+func RegionFromValue(io *lfm.IO, v sdb.Value) (*region.Region, error) {
 	switch v.T {
 	case sdb.TLong:
-		data, err := db.LFM().Read(v.L)
+		data, err := io.Read(v.L)
 		if err != nil {
 			return nil, err
 		}
@@ -116,40 +116,45 @@ type ExtractOpts struct {
 // assembled from the range that covers them). It is exported for the
 // benchmark harness and for callers composing their own storage layers.
 func ExtractStoredOpts(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts) (*volume.DataRegion, error) {
+	return extractStored(&lfm.IO{M: m}, h, r, opts)
+}
+
+// extractStored is ExtractStoredOpts with its reads on io's bill.
+func extractStored(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts) (*volume.DataRegion, error) {
 	var values []byte
 	if r.NumRuns() > 0 {
 		values = make([]byte, r.NumVoxels())
 	}
-	if err := extractInto(m, h, r, opts, values); err != nil {
+	if err := extractInto(io, h, r, opts, values); err != nil {
 		return nil, err
 	}
 	return &volume.DataRegion{Region: r, Values: values}, nil
 }
 
-// extractStoredBlob is ExtractStoredOpts and MarshalDataRegion in one
+// extractStoredBlob is extractStored and MarshalDataRegion in one
 // step, which is how the server answers: the voxels go from the LFM's
 // pages into the DATA_REGION blob's value section and are not copied
 // again.
-func extractStoredBlob(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
+func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
 	blob, values, err := newDataRegionBlob(r, method)
 	if err != nil {
 		return nil, err
 	}
-	if err := extractInto(m, h, r, opts, values); err != nil {
+	if err := extractInto(io, h, r, opts, values); err != nil {
 		return nil, err
 	}
 	return blob, nil
 }
 
 // extractInto fills values, r.NumVoxels() bytes, with the voxels of r
-// read from the stored VOLUME h. The runs of r are mapped to page-aligned
-// ranges, merging through gaps of up to opts.GapPages pages (one wide
-// transfer beats an extra seek), and every range is one LFM read of
-// whole pages, clamped to the field size. A range that one run covers
-// exactly is read straight into values; any other goes through one
-// buffer, reused from range to range, that its runs are copied out of.
-func extractInto(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte) error {
-	size, err := m.Size(h)
+// read from the stored VOLUME h on io's bill. The runs of r are mapped to
+// page-aligned ranges, merging through gaps of up to opts.GapPages pages
+// (one wide transfer beats an extra seek), and every range is one LFM
+// read of whole pages, clamped to the field size. A range that one run
+// covers exactly is read straight into values; any other goes through
+// one buffer, reused from range to range, that its runs are copied out of.
+func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte) error {
+	size, err := io.M.Size(h)
 	if err != nil {
 		return err
 	}
@@ -157,7 +162,7 @@ func extractInto(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpt
 		return fmt.Errorf("qbism: volume field has %d bytes, curve expects %d", size, r.Curve().Length())
 	}
 	runs := r.RunsView()
-	pageSize := m.PageSize()
+	pageSize := io.M.PageSize()
 	var buf []byte
 	for i := 0; i < len(runs); {
 		first, last := runs[i].Lo/pageSize, runs[i].Hi/pageSize // page numbers, inclusive
@@ -168,7 +173,7 @@ func extractInto(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpt
 		off := first * pageSize
 		n := min((last-first+1)*pageSize, size-off)
 		if j == i+1 && runs[i].Lo == off && runs[i].Hi-off+1 == n {
-			if err := m.ReadAtInto(h, off, values[:n]); err != nil {
+			if err := io.ReadAtInto(h, off, values[:n]); err != nil {
 				return err
 			}
 			values = values[n:]
@@ -176,7 +181,7 @@ func extractInto(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpt
 			if uint64(cap(buf)) < n {
 				buf = make([]byte, n)
 			}
-			if err := m.ReadAtInto(h, off, buf[:n]); err != nil {
+			if err := io.ReadAtInto(h, off, buf[:n]); err != nil {
 				return err
 			}
 			for _, run := range runs[i:j] {

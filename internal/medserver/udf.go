@@ -24,12 +24,12 @@ func (s *Server) registerSpatialUDFs() error {
 			// structure's run list by pruned tree descent on the encoded
 			// bytes, never materializing its own runs.
 			Name: "intersection", MinArgs: 2, MaxArgs: 2, Cost: 20,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				a, err := s.queryableFromValue(db, args[0])
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				a, err := s.queryableFromValue(call, args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				b, err := RegionFromValue(db, args[1])
+				b, err := RegionFromValue(call.IO(), args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -48,15 +48,15 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// UNION(r1, r2), mentioned as a straightforward extension.
 			Name: "unionRegion", MinArgs: 2, MaxArgs: 2, Cost: 20,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				return s.regionBinop(db, args, region.Union)
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				return s.regionBinop(call, args, region.Union)
 			},
 		},
 		{
 			// DIFFERENCE(r1, r2), likewise.
 			Name: "differenceRegion", MinArgs: 2, MaxArgs: 2, Cost: 20,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				return s.regionBinop(db, args, region.Difference)
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				return s.regionBinop(call, args, region.Difference)
 			},
 		},
 		{
@@ -64,12 +64,12 @@ func (s *Server) registerSpatialUDFs() error {
 			// stays queryable: each run of r2 is one coverage probe
 			// against r1's stored representation.
 			Name: "contains", MinArgs: 2, MaxArgs: 2, Cost: 20, ProbeOnly: true,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				a, err := s.queryableFromValue(db, args[0])
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				a, err := s.queryableFromValue(call, args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				b, err := RegionFromValue(db, args[1])
+				b, err := RegionFromValue(call.IO(), args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -86,8 +86,8 @@ func (s *Server) registerSpatialUDFs() error {
 			// over the encoded bitmaps — no decode, no run list — which
 			// is why its Cost sits just above boxRegion's.
 			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, Cost: 2, ProbeOnly: true,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				q, err := s.queryableFromValue(db, args[0])
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				q, err := s.queryableFromValue(call, args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -108,11 +108,11 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// EXTRACT_DATA(VOLUME v, REGION r) -> DATA_REGION
 			Name: "extractVoxels", MinArgs: 2, MaxArgs: 2, Cost: 100,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("extractVoxels: first argument must be a VOLUME long field, got %s", args[0].T)
 				}
-				r, err := RegionFromValue(db, args[1])
+				r, err := RegionFromValue(call.IO(), args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -123,7 +123,7 @@ func (s *Server) registerSpatialUDFs() error {
 						return sdb.Value{}, err
 					}
 				}
-				blob, err := extractStoredBlob(db.LFM(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
+				blob, err := extractStoredBlob(call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -134,14 +134,14 @@ func (s *Server) registerSpatialUDFs() error {
 			// fullVolume(VOLUME v) -> DATA_REGION over the whole grid
 			// (the "flat file" access path of query Q1).
 			Name: "fullVolume", MinArgs: 1, MaxArgs: 1, Cost: 100,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("fullVolume: argument must be a VOLUME long field, got %s", args[0].T)
 				}
 				// The whole grid is one run, so this is extractVoxels' read
 				// plan with a single range: one read of the whole field,
 				// straight into the blob.
-				blob, err := extractStoredBlob(db.LFM(), args[0].L, region.Full(s.Curve), s.extractOpts(), s.Cfg.Method)
+				blob, err := extractStoredBlob(call.IO(), args[0].L, region.Full(s.Curve), s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -152,7 +152,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// boxRegion(x0,y0,z0,x1,y1,z1) -> REGION for geometric probes
 			// such as Q2's rectangular solid.
 			Name: "boxRegion", MinArgs: 6, MaxArgs: 6, Cost: 1,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				var c [6]uint32
 				for i, a := range args {
 					if a.T != sdb.TInt || a.I < 0 {
@@ -174,14 +174,14 @@ func (s *Server) registerSpatialUDFs() error {
 			// nIntersect(r1, ..., rn) -> REGION: the n-way spatial
 			// intersection of the multi-study queries (Table 4).
 			Name: "nIntersect", MinArgs: 1, MaxArgs: -1, Cost: 20,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				// Compressed probes stay encoded; everything else
 				// materializes and, when stored in another order (z,
 				// octant), normalizes onto the system curve.
 				var probes []region.Queryable
 				var regions []*region.Region
 				for _, a := range args {
-					q, err := s.queryableFromValue(db, a)
+					q, err := s.queryableFromValue(call, a)
 					if err != nil {
 						return sdb.Value{}, err
 					}
@@ -219,8 +219,8 @@ func (s *Server) registerSpatialUDFs() error {
 			// numVoxels never needs a run list: the k³-tree header carries
 			// the count, so a compressed REGION answers from 12 bytes.
 			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, Cost: 10, ProbeOnly: true,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				q, err := s.queryableFromValue(db, args[0])
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				q, err := s.queryableFromValue(call, args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -229,8 +229,8 @@ func (s *Server) registerSpatialUDFs() error {
 		},
 		{
 			Name: "numRuns", MinArgs: 1, MaxArgs: 1, Cost: 10,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
-				r, err := RegionFromValue(db, args[0])
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
+				r, err := RegionFromValue(call.IO(), args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -241,7 +241,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// avgIntensity(DATA_REGION) -> FLOAT, a statistical response
 			// over an extraction.
 			Name: "avgIntensity", MinArgs: 1, MaxArgs: 1, Cost: 10,
-			Fn: func(db *sdb.DB, args []sdb.Value) (sdb.Value, error) {
+			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TBytes {
 					return sdb.Value{}, fmt.Errorf("avgIntensity: argument must be a DATA_REGION")
 				}
@@ -263,13 +263,13 @@ func (s *Server) registerSpatialUDFs() error {
 
 // regionBinop evaluates a binary spatial operator, recoding operands
 // onto a shared curve if needed.
-func (s *Server) regionBinop(db *sdb.DB, args []sdb.Value,
+func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 	op func(a, b *region.Region) (*region.Region, error)) (sdb.Value, error) {
-	a, err := RegionFromValue(db, args[0])
+	a, err := RegionFromValue(call.IO(), args[0])
 	if err != nil {
 		return sdb.Value{}, err
 	}
-	b, err := RegionFromValue(db, args[1])
+	b, err := RegionFromValue(call.IO(), args[1])
 	if err != nil {
 		return sdb.Value{}, err
 	}
@@ -318,11 +318,11 @@ const (
 // materialized — while every other representation decodes as before
 // (a *region.Region is itself Queryable). Long-field reads are charged
 // identically on both paths; only the decode is skipped.
-func (s *Server) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, error) {
+func (s *Server) queryableFromValue(call *sdb.Call, v sdb.Value) (region.Queryable, error) {
 	var data []byte
 	switch v.T {
 	case sdb.TLong:
-		d, err := db.LFM().Read(v.L)
+		d, err := call.IO().Read(v.L)
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +345,7 @@ func (s *Server) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, 
 		if err != nil {
 			return nil, err
 		}
-		s.noteRegionProbe(db)
+		s.noteRegionProbe(call)
 		return p, nil
 	}
 	r, err := rencode.Decode(data)
@@ -359,8 +359,8 @@ func (s *Server) queryableFromValue(db *sdb.DB, v sdb.Value) (region.Queryable, 
 // noteRegionProbe records one compressed fast-path REGION access, both
 // at the qbism level (the policy's demand signal) and at the sdb level
 // (the per-operator probe counter EXPLAIN ANALYZE shows).
-func (s *Server) noteRegionProbe(db *sdb.DB) {
-	db.NoteProbeFastPath()
+func (s *Server) noteRegionProbe(call *sdb.Call) {
+	call.NoteProbe()
 	s.metrics.Counter(metricRegionProbes).Inc()
 }
 

@@ -254,8 +254,7 @@ func (s *Span) walk(fn func(sp *Span, depth int), depth int) {
 
 // SumInt folds an integer attribute over the whole tree — e.g.
 // SumInt("pages") totals the LFM page reads recorded anywhere under
-// this span, which must reconcile exactly with lfm.Stats deltas when
-// queries run serially.
+// this span, which must equal the pages the spanned calls were billed.
 func (s *Span) SumInt(key string) int64 {
 	var total int64
 	s.Walk(func(sp *Span, _ int) {

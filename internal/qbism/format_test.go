@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qbism/internal/lfm"
 	"qbism/internal/medserver"
 	"qbism/internal/sdb"
 	"qbism/internal/transport"
@@ -130,13 +131,14 @@ func TestSplitResponseErrors(t *testing.T) {
 
 func TestRegionFromValueErrors(t *testing.T) {
 	s := testSystem(t)
-	if _, err := medserver.RegionFromValue(s.DB, sdb.Int(5)); err == nil {
+	io := &lfm.IO{M: s.LFM}
+	if _, err := medserver.RegionFromValue(io, sdb.Int(5)); err == nil {
 		t.Error("int as region accepted")
 	}
-	if _, err := medserver.RegionFromValue(s.DB, sdb.Bytes([]byte{0x01, 0x02})); err == nil {
+	if _, err := medserver.RegionFromValue(io, sdb.Bytes([]byte{0x01, 0x02})); err == nil {
 		t.Error("garbage bytes accepted")
 	}
-	if _, err := medserver.RegionFromValue(s.DB, sdb.Long(999999)); err == nil {
+	if _, err := medserver.RegionFromValue(io, sdb.Long(999999)); err == nil {
 		t.Error("dangling handle accepted")
 	}
 	// A DataRegion blob decodes to its region.
@@ -145,7 +147,7 @@ select extractVoxels(wv.data, as.region)
 from warpedVolume wv, atlasStructure as, neuralStructure ns
 where wv.studyId = 1 and wv.atlasId = as.atlasId
   and as.structureId = ns.structureId and ns.structureName = 'putamen'`)
-	r, err := medserver.RegionFromValue(s.DB, res.Rows[0][0])
+	r, err := medserver.RegionFromValue(io, res.Rows[0][0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,11 @@ import (
 // interleaving; each worker runs the same retrying RunQuery path, so
 // PR 1's fault-resilience guarantees carry over unchanged.
 //
-// What is NOT deterministic under concurrency: per-query I/O counters
-// (QueryMeta deltas interleave — see the note on QueryMeta) and the
+// Per-query I/O counters are exact under concurrency too: each call
+// bills its own reads (QueryMeta). What is NOT deterministic is the
 // assignment of fault-injector draws to queries (the injector stream is
-// consumed in arrival order at the device). Measured experiments that
-// need exact per-query counters or a reproducible fault schedule run
-// serially, as the paper's did.
+// consumed in arrival order at the device), so an experiment that needs
+// a reproducible fault schedule runs serially.
 
 // BatchItem is one completed entry of a RunQueries batch: the spec, and
 // either its result or its error.

@@ -203,10 +203,11 @@ func TestExplainSpecAnalyzeCounters(t *testing.T) {
 }
 
 func TestExplainSpecPushdownDisabled(t *testing.T) {
-	s, err := New(Config{Bits: 4, NumPET: 1, Seed: 7, SmallStudies: true, DisablePushdown: true})
+	s, err := New(Config{Bits: 4, NumPET: 1, Seed: 7, SmallStudies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.DB.SetPushdown(false)
 	spec := QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "putamen",
 		HasBand: true, BandLo: 224, BandHi: 255}
 	plan, lines := planFor(t, s, spec)
@@ -240,13 +241,14 @@ func TestExplainSpecPushdownDisabled(t *testing.T) {
 // FROM-order cross product, so the guard reads a REGION for every
 // study x band x structure x name combination. Same prepared
 // statement, same binds, same bytes back — only the pages differ. The
-// corpus loads with the planner off, so SetPushdown(true) has to be
-// what turns it on.
+// statement is prepared with the planner off, so SetPushdown(true) has
+// to be what turns it on.
 func TestPushdownSavesPages(t *testing.T) {
-	s, err := New(Config{Bits: 4, NumPET: 1, Seed: 7, SmallStudies: true, DisablePushdown: true})
+	s, err := New(Config{Bits: 4, NumPET: 1, Seed: 7, SmallStudies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.DB.SetPushdown(false)
 	stmt, err := s.DB.Prepare(`
 select extractVoxels(wv.data, intersection(ib.region, as.region))
 from   warpedVolume wv, intensityBand ib, atlasStructure as, neuralStructure ns

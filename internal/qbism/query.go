@@ -70,7 +70,7 @@ func explainFromSpan(root *obs.Span) []string {
 		outRows, _ := sp.Int("rowsOut")
 		udf, _ := sp.Int("udfCalls")
 		pages, _ := sp.Int("lfmPages")
-		probe, _ := sp.Int("probeFast")
+		probe, _ := sp.Int("probes")
 		out = append(out, fmt.Sprintf("%s%s [in=%d out=%d udf=%d pages=%d probe=%d]",
 			strings.Repeat("  ", depth), sp.Name(), in, outRows, udf, pages, probe))
 		for _, c := range sp.Children() {

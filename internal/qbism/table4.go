@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"qbism/internal/lfm"
 	"qbism/internal/medserver"
 )
 
@@ -83,7 +84,7 @@ func (s *System) table4One(studies []int, bandLo, bandHi int, encoding string) (
 	if len(res.Rows) != 1 {
 		return Table4Row{}, fmt.Errorf("expected 1 row, got %d", len(res.Rows))
 	}
-	out, err := medserver.RegionFromValue(s.DB, res.Rows[0][0])
+	out, err := medserver.RegionFromValue(&lfm.IO{M: s.LFM}, res.Rows[0][0])
 	if err != nil {
 		return Table4Row{}, err
 	}

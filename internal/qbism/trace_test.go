@@ -355,3 +355,80 @@ func TestTracedResultsIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestPerCallIOExactUnderConcurrency holds the per-query bill to the
+// serial one while eight workers share the server: Table 3's six specs
+// over every study, several times over, on an unbuffered corpus (every
+// page touch a device read, so a spec's cost is a constant). Each item's
+// Meta.LFMPages and LFMReads must equal the same spec run alone, and the
+// items must sum to what the device meter counted for the batch — no
+// page is billed twice or to nobody. With tracing on, each tree's
+// "pages" must also sum to its own Meta.LFMPages, and the operator
+// counters reconstructed from its spans must be the serial tree's.
+func TestPerCallIOExactUnderConcurrency(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		name := "untraced"
+		if trace {
+			name = "traced"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys, err := New(Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 11, SmallStudies: true, Checksums: true, Trace: trace})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			var specs []QuerySpec
+			for _, st := range sys.Studies {
+				for _, spec := range sys.Table3Queries() {
+					spec.StudyID = st.StudyID
+					specs = append(specs, spec)
+				}
+			}
+			serial := make([]*QueryResult, len(specs))
+			for i, spec := range specs {
+				if serial[i], err = sys.RunQuery(spec); err != nil {
+					t.Fatalf("%s alone: %v", spec.Label(), err)
+				}
+			}
+
+			const repeats = 4
+			var batch []QuerySpec
+			for r := 0; r < repeats; r++ {
+				batch = append(batch, specs...)
+			}
+			before := sys.LFM.Stats()
+			items := sys.RunQueries(batch, 8)
+			device := sys.LFM.Stats().Sub(before)
+
+			var pages, reads uint64
+			for i, item := range items {
+				if item.Err != nil {
+					t.Fatalf("%s: %v", item.Spec.Label(), item.Err)
+				}
+				got, want := item.Res, serial[i%len(specs)]
+				pages += got.Meta.LFMPages
+				reads += got.Meta.LFMReads
+				if got.Meta.LFMPages != want.Meta.LFMPages || got.Meta.LFMReads != want.Meta.LFMReads {
+					t.Errorf("%s: billed %d pages in %d reads under 8 workers, %d in %d alone",
+						item.Spec.Label(), got.Meta.LFMPages, got.Meta.LFMReads, want.Meta.LFMPages, want.Meta.LFMReads)
+				}
+				if !trace {
+					continue
+				}
+				if sum := uint64(got.Trace.SumInt("pages")); sum != got.Meta.LFMPages {
+					t.Errorf("%s: span tree accounts %d pages, its QueryMeta %d", item.Spec.Label(), sum, got.Meta.LFMPages)
+				}
+				if g, w := explainFromSpan(got.Trace), explainFromSpan(want.Trace); len(g) == 0 || strings.Join(g, "\n") != strings.Join(w, "\n") {
+					t.Errorf("%s: operator counters under 8 workers differ from the serial tree's:\n%s\n-- alone:\n%s",
+						item.Spec.Label(), strings.Join(g, "\n"), strings.Join(w, "\n"))
+				}
+			}
+			if pages != device.PageReads || reads != device.Reads {
+				t.Errorf("items bill %d pages in %d reads, the device counted %d in %d", pages, reads, device.PageReads, device.Reads)
+			}
+			if pages == 0 {
+				t.Fatal("batch read zero pages — the check is vacuous")
+			}
+		})
+	}
+}

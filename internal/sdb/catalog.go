@@ -56,13 +56,6 @@ type DB struct {
 	// once by SetMetrics; they are nil (no-ops) without a registry.
 	tracer *obs.Tracer
 	m      dbMetrics
-
-	// probeFast counts REGION accesses a UDF answered on the compressed
-	// representation (no run-list materialization). UDF bodies report
-	// through NoteProbeFastPath; operators delta it around expression
-	// evaluation the same way they delta LFM page reads, so EXPLAIN
-	// ANALYZE shows per-operator probe counts.
-	probeFast atomic.Int64
 }
 
 // dbMetrics are the registry instruments the query path updates: query
@@ -73,11 +66,6 @@ type dbMetrics struct {
 	opRows                  *obs.Histogram
 }
 
-// NoteProbeFastPath records one compressed-representation fast-path
-// answer. Called by UDF implementations (qbism's spatial operators)
-// when a probe avoided materializing a run list.
-func (db *DB) NoteProbeFastPath() { db.probeFast.Add(1) }
-
 // NewDB creates an empty database backed by the given long field
 // manager (which may be nil if no LONG columns or spatial UDFs are used).
 func NewDB(m *lfm.Manager) *DB {
@@ -87,9 +75,6 @@ func NewDB(m *lfm.Manager) *DB {
 		lfm:    m,
 	}
 }
-
-// LFM returns the long field manager, or nil.
-func (db *DB) LFM() *lfm.Manager { return db.lfm }
 
 // SetPushdown toggles predicate pushdown in the planner. With it off,
 // SELECTs join in FROM order with nested loops and evaluate the whole
@@ -193,8 +178,9 @@ func (db *DB) RegisterUDF(u *UDF) error {
 	return nil
 }
 
-// UDF is a user-defined SQL function. Fn receives the database (for
-// long-field access) and the evaluated arguments. Cost is an optional
+// UDF is a user-defined SQL function. Fn receives its Call (for
+// long-field access billed to the statement running it) and the
+// evaluated arguments. Cost is an optional
 // planner hint: same-node filter predicates run cheapest-first, so an
 // expensive extraction function should carry a high Cost and a fast
 // region test a low one. Zero is fine for trivial functions.
@@ -208,7 +194,7 @@ type UDF struct {
 	// Calls to them are the demand the queryable k³-tree encoding
 	// serves; the sdb_udf_probe_calls_total metric counts them.
 	ProbeOnly bool
-	Fn        func(db *DB, args []Value) (Value, error)
+	Fn        func(c *Call, args []Value) (Value, error)
 }
 
 // lookupUDF finds a registered function by name. Plans call it when

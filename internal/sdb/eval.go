@@ -1,16 +1,43 @@
 package sdb
 
-import "fmt"
+import (
+	"fmt"
+
+	"qbism/internal/lfm"
+)
+
+// Call is what a user-defined function sees of the statement evaluating
+// it: the long-field account its reads are billed to, and the operator
+// its work is charged to. It is part of the operator that makes the
+// call, valid for that call only.
+type Call struct {
+	io *lfm.IO
+	st *opStats // nil outside the executor
+}
+
+// IO returns the running statement's long-field account. What a
+// function reads through it is on that statement's bill (Rows.IO) and
+// on the pages of the operator whose expression called it.
+func (c *Call) IO() *lfm.IO { return c.io }
+
+// NoteProbe records that the function answered a REGION access on the
+// compressed representation, with no run list materialized. EXPLAIN
+// ANALYZE shows the count per operator.
+func (c *Call) NoteProbe() {
+	if c.st != nil {
+		c.st.probes++
+	}
+}
 
 // env is the evaluation context of one operator (or one DML
 // statement): the tuple under evaluation, the statement's bind values,
-// and the operator stats UDF invocations are charged to (nil outside
-// the executor). Column references and function calls were bound when
-// the statement was compiled, so evaluation touches no names.
+// and what its UDF invocations see and are charged to. Column
+// references and function calls were bound when the statement was
+// compiled, so evaluation touches no names.
 type env struct {
 	db     *DB
 	params []Value
-	st     *opStats
+	call   Call
 
 	rows    [][]Value // the current tuple: one row per slot, in join order
 	aggVals []Value   // its computed aggregates; nil before aggregation
@@ -79,14 +106,14 @@ func (e *env) eval(x Expr) (Value, error) {
 			}
 			args[i] = v
 		}
-		if e.st != nil {
-			e.st.udfCalls++
+		if e.call.st != nil {
+			e.call.st.udfCalls++
 		}
 		e.db.m.udfCalls.Inc()
 		if u.ProbeOnly {
 			e.db.m.udfProbeCalls.Inc()
 		}
-		out, err := u.Fn(e.db, args)
+		out, err := u.Fn(&e.call, args)
 		if err != nil {
 			return Value{}, fmt.Errorf("sdb: function %q: %w", u.Name, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qbism/internal/lfm"
 	"qbism/internal/obs"
 )
 
@@ -23,7 +24,14 @@ func (db *DB) Exec(sql string, args ...Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(stmt, args...)
+	if _, ok := stmt.(*SelectStmt); ok {
+		return materialize(db.queryParsed(db.stmtSpan(nil), stmt, args))
+	}
+	c, err := db.compile(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return c.exec(db, args)
 }
 
 // MustExec is Exec but panics on error; for loaders and tests.
@@ -33,20 +41,6 @@ func (db *DB) MustExec(sql string, args ...Value) *Result {
 		panic(err)
 	}
 	return res
-}
-
-// ExecStmt executes a parsed statement. Planning binds the statement's
-// AST in place, so one AST must not be executed from two goroutines at
-// once; share a *Stmt instead.
-func (db *DB) ExecStmt(stmt Statement, args ...Value) (*Result, error) {
-	if sel, ok := stmt.(*SelectStmt); ok {
-		return materialize(db.QueryStmt(sel, args...))
-	}
-	c, err := db.compile(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return c.exec(db, args)
 }
 
 // exec runs a compiled statement other than a bare SELECT (which runs
@@ -88,6 +82,7 @@ type Rows struct {
 	err    error
 	opened bool
 	closed bool
+	io     lfm.Stats // x's bill, kept when Close hands x back
 
 	// Tracing state: stmt is the statement span (ended at Close, after
 	// the operator tree is emitted under exec); db carries the metrics
@@ -139,21 +134,29 @@ func (r *Rows) Close() error {
 		r.closed = true
 		r.x.root.close()
 		r.finishObs()
+		r.io = r.x.io.Stats
 		r.plan.release(r.x)
 		r.x = nil
 	}
 	return nil
 }
 
+// IO returns what the query's long-field reads cost: the reads its UDFs
+// made through Call.IO, counted as they happened and belonging to this
+// execution alone. The bill is settled at Close; before it, IO is zero.
+func (r *Rows) IO() lfm.Stats { return r.io }
+
 // finishObs completes the query's trace and metrics at Close: the
 // operator tree is emitted as spans under the execute span — each
 // operator's rowsIn/rowsOut/udfCalls/lfmPages counters become span
-// attributes, mirroring EXPLAIN ANALYZE — and the per-operator row
-// counts feed the sdb_operator_rows histogram.
+// attributes, mirroring EXPLAIN ANALYZE — the execution's per-field
+// long-field bill follows as "lfm.read" spans under the statement, and
+// the per-operator row counts feed the sdb_operator_rows histogram.
 func (r *Rows) finishObs() {
 	if r.stmt != nil {
 		emitOpSpans(r.exec, r.x.root)
 		r.exec.End()
+		r.x.io.Spans(r.stmt)
 		if r.err != nil {
 			r.stmt.SetStr("error", r.err.Error())
 		}
@@ -187,7 +190,7 @@ func emitOpSpans(parent *obs.Span, op operator) {
 	sp.SetInt("rowsOut", st.rowsOut)
 	sp.SetInt("udfCalls", st.udfCalls)
 	sp.SetInt("lfmPages", st.lfmPages)
-	sp.SetInt("probeFast", st.probeFast)
+	sp.SetInt("probes", st.probes)
 	left, right := op.kids()
 	if left != nil {
 		emitOpSpans(sp, left)
@@ -224,12 +227,6 @@ func (db *DB) QuerySpan(parent *obs.Span, sql string, args ...Value) (*Rows, err
 		return failQuery(sp, err)
 	}
 	return db.queryParsed(sp, stmt, args)
-}
-
-// QueryStmt is Query for an already parsed SELECT. Like ExecStmt it
-// binds the AST in place.
-func (db *DB) QueryStmt(s *SelectStmt, args ...Value) (*Rows, error) {
-	return db.queryParsed(db.stmtSpan(nil), s, args)
 }
 
 // queryParsed compiles stmt and starts its one execution under the
@@ -319,7 +316,7 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 	}
 	// INSERT values see no row: only literals, bind parameters and
 	// function calls evaluate.
-	e := env{db: db, params: params}
+	e := db.dmlEnv(params, 0)
 	n := 0
 	for _, rowExprs := range s.Rows {
 		if len(rowExprs) != len(positions) {
@@ -347,6 +344,13 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
+// dmlEnv is the evaluation context of a DML statement over nrows-row
+// tuples. No execution runs it, so what its UDFs read is billed to an
+// account nobody collects.
+func (db *DB) dmlEnv(params []Value, nrows int) *env {
+	return &env{db: db, params: params, call: Call{io: &lfm.IO{M: db.lfm}}, rows: make([][]Value, nrows)}
+}
+
 // whereMatches evaluates a DML WHERE clause (nil = every row) against
 // the row e currently holds.
 func whereMatches(e *env, where Expr) (bool, error) {
@@ -371,12 +375,12 @@ func (db *DB) execDelete(s *DeleteStmt, params []Value) (*Result, error) {
 	if err := db.bindRowExpr(s.Where, t); err != nil {
 		return nil, err
 	}
-	e := env{db: db, params: params, rows: make([][]Value, 1)}
+	e := db.dmlEnv(params, 1)
 	kept := t.Rows[:0]
 	deleted := 0
 	for _, row := range t.Rows {
 		e.rows[0] = row
-		match, err := whereMatches(&e, s.Where)
+		match, err := whereMatches(e, s.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -403,11 +407,11 @@ func (db *DB) execUpdate(s *UpdateStmt, params []Value) (*Result, error) {
 			return nil, err
 		}
 	}
-	e := env{db: db, params: params, rows: make([][]Value, 1)}
+	e := db.dmlEnv(params, 1)
 	updated := 0
 	for ri, row := range t.Rows {
 		e.rows[0] = row
-		match, err := whereMatches(&e, s.Where)
+		match, err := whereMatches(e, s.Where)
 		if err != nil {
 			return nil, err
 		}

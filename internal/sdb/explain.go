@@ -23,10 +23,9 @@ type ExplainStmt struct {
 func (*ExplainStmt) stmt() {}
 
 // explain renders the operator tree of the compiled SELECT, executing
-// it first (with per-operator page and probe sampling on) when analyze
-// is set.
+// it first when analyze is set.
 func (c *compiled) explain(db *DB, params []Value, analyze bool) (*Result, error) {
-	x := c.take(db, params, analyze)
+	x := c.take(db, params, false)
 	defer c.release(x)
 	root := x.root
 	if analyze {
@@ -46,7 +45,7 @@ func (c *compiled) explain(db *DB, params []Value, analyze bool) (*Result, error
 		if analyze {
 			st := op.stats()
 			line += fmt.Sprintf(" [in=%d out=%d udf=%d pages=%d probe=%d]",
-				st.rowsIn, st.rowsOut, st.udfCalls, st.lfmPages, st.probeFast)
+				st.rowsIn, st.rowsOut, st.udfCalls, st.lfmPages, st.probes)
 		}
 		res.Rows = append(res.Rows, []Value{Str(line)})
 		left, right := op.kids()

@@ -146,7 +146,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	db := explainDB(t)
 	calls := 0
 	db.RegisterUDF(&UDF{Name: "traced", MinArgs: 1, MaxArgs: 1,
-		Fn: func(_ *DB, args []Value) (Value, error) { calls++; return args[0], nil }})
+		Fn: func(_ *Call, args []Value) (Value, error) { calls++; return args[0], nil }})
 	before := len(db.MustExec(`select * from a`).Rows)
 	db.MustExec(`explain select v from a where traced(v) > 0`)
 	after := len(db.MustExec(`select * from a`).Rows)

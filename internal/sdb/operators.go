@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"qbism/internal/lfm"
 )
 
 // The physical executor: Volcano-style iterators. A compiled plan is
@@ -13,16 +15,16 @@ import (
 // a time, so nothing above the operator that needs materialization
 // (aggregate, sort) builds a full intermediate result.
 // Every operator carries its own counters — rows in/out, UDF calls, and
-// (when the execution is sampled) LFM pages read while evaluating its
-// expressions — which EXPLAIN ANALYZE reports per node.
+// the LFM pages read while evaluating its expressions — which EXPLAIN
+// ANALYZE reports per node.
 
 // opStats are the per-operator runtime counters.
 type opStats struct {
-	rowsIn    int64
-	rowsOut   int64
-	udfCalls  int64
-	lfmPages  int64
-	probeFast int64 // compressed-representation fast-path answers
+	rowsIn   int64
+	rowsOut  int64
+	udfCalls int64
+	lfmPages int64
+	probes   int64 // compressed-representation fast-path answers
 }
 
 // tuple is the unit of data flow: one row reference per FROM entry,
@@ -65,7 +67,7 @@ func (b *opBase) stats() *opStats { return &b.st }
 // bind points the operator's evaluation context at the execution it
 // was built for, once: a later run refills x.params in place.
 func (b *opBase) bind(x *execution) {
-	b.ev = env{db: x.db, params: x.params, st: &b.st}
+	b.ev = env{db: x.db, params: x.params, call: Call{io: &x.io, st: &b.st}}
 	b.x = x
 }
 
@@ -76,24 +78,15 @@ func (b *opBase) reset() {
 	b.ev.rows, b.ev.aggVals = nil, nil
 }
 
-// evalIn evaluates x against the tuple, attributing UDF calls (and,
-// when sampled, LFM page reads and probe fast paths) to this operator.
+// evalIn evaluates x against the tuple on this operator's account: its
+// UDFs charge their calls and probes to it as they happen, and the pages
+// the execution's bill grows by meanwhile are its pages — exactly, since
+// only this goroutine adds to that bill.
 func (b *opBase) evalIn(t tuple, x Expr) (Value, error) {
 	b.ev.rows, b.ev.aggVals = t.rows, t.aggVals
-	if !b.x.sample {
-		return b.ev.eval(x)
-	}
-	db := b.ev.db
-	var before uint64
-	if db.lfm != nil {
-		before = db.lfm.Stats().PageReads
-	}
-	probeBefore := db.probeFast.Load()
+	pages := b.x.io.PageReads
 	v, err := b.ev.eval(x)
-	if db.lfm != nil {
-		b.st.lfmPages += int64(db.lfm.Stats().PageReads - before)
-	}
-	b.st.probeFast += db.probeFast.Load() - probeBefore
+	b.st.lfmPages += int64(b.x.io.PageReads - pages)
 	return v, err
 }
 
@@ -882,8 +875,8 @@ func (o *projectOp) describe() string {
 func (o *projectOp) kids() (operator, operator) { return o.child, nil }
 
 // execution is one instantiated operator tree of a compiled plan and
-// what its operators share: the bind buffer, the sampling flag and the
-// backing store their tuple buffers are cut from. It runs one query at
+// what its operators share: the bind buffer, the long-field account and
+// the backing store their tuple buffers are cut from. It runs one query at
 // a time; between runs the compiled statement keeps it idle (see
 // compiled.take), with the capacity its operators grew and none of the
 // contents.
@@ -891,11 +884,9 @@ type execution struct {
 	db     *DB
 	root   *projectOp
 	params []Value // this run's bind values, copied in: the caller's slice is never kept
-	// sample turns on lfmPages/probeFast attribution: deltas of the
-	// shared LFM and probe counters around every expression. Only a
-	// traced statement and EXPLAIN ANALYZE read those counters, so only
-	// they pay for the LFM mutex.
-	sample bool
+	// io is this run's bill: every long field a UDF reads, it reads
+	// through here (Call.IO). A traced run also keeps it per field.
+	io lfm.IO
 
 	width   int       // tuple width: the plan's FROM entries
 	bufs    [][]Value // one width-sized buffer per scan and join, back to back
@@ -916,6 +907,7 @@ func (x *execution) tupleBuf() [][]Value {
 func (x *execution) clear() {
 	clear(x.params)
 	clear(x.bufs)
+	x.io.Reset()
 	eachOp(x.root, operator.reset)
 }
 
@@ -972,7 +964,7 @@ func (x *execution) build(n planNode) operator {
 func (p *selectPlan) instantiate(db *DB, nparams int) *execution {
 	// n scans and n-1 joins each own a tuple buffer.
 	n := len(p.ordered)
-	x := &execution{db: db, params: make([]Value, nparams), width: n, bufs: make([][]Value, n*(2*n-1))}
+	x := &execution{db: db, params: make([]Value, nparams), io: lfm.IO{M: db.lfm}, width: n, bufs: make([][]Value, n*(2*n-1))}
 	root := x.build(p.tree)
 	s := p.stmt
 	if p.aggregated {

@@ -10,6 +10,8 @@ package sdb
 import (
 	"fmt"
 	"strings"
+
+	"qbism/internal/lfm"
 )
 
 // oracleFrame binds one FROM-clause table alias to a current row during
@@ -117,7 +119,7 @@ func (e *oracleEnv) eval(x Expr) (Value, error) {
 			}
 			args[i] = v
 		}
-		out, err := u.Fn(e.db, args)
+		out, err := u.Fn(&Call{io: &lfm.IO{M: e.db.lfm}}, args)
 		if err != nil {
 			return Value{}, fmt.Errorf("sdb: function %q: %w", u.Name, err)
 		}

@@ -66,7 +66,7 @@ func TestQueryIsLazy(t *testing.T) {
 	db := queryDB(t)
 	calls := 0
 	db.RegisterUDF(&UDF{Name: "traced", MinArgs: 1, MaxArgs: 1,
-		Fn: func(_ *DB, args []Value) (Value, error) { calls++; return args[0], nil }})
+		Fn: func(_ *Call, args []Value) (Value, error) { calls++; return args[0], nil }})
 	rows, err := db.Query(`select traced(v) from t`)
 	if err != nil {
 		t.Fatal(err)

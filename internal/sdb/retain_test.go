@@ -39,7 +39,7 @@ func retainDB(t *testing.T) *DB {
 	db.MustExec(`insert into b values (1, 10), (2, 20), (3, 30)`)
 	db.MustExec(`insert into c values (10, 'ten'), (20, 'twenty'), (30, 'thirty')`)
 	db.RegisterUDF(&UDF{Name: "failif", MinArgs: 2, MaxArgs: 2, Cost: 1,
-		Fn: func(_ *DB, args []Value) (Value, error) {
+		Fn: func(_ *Call, args []Value) (Value, error) {
 			if args[0].Equal(args[1]) {
 				return Value{}, errors.New("asked to fail")
 			}
@@ -330,7 +330,7 @@ func TestRetainedTreesDieWithTheirPlan(t *testing.T) {
 		{"CreateTable", func(db *DB) { db.MustExec(`create table extra (a int)`) }},
 		{"RegisterUDF", func(db *DB) {
 			db.RegisterUDF(&UDF{Name: "failif", MinArgs: 2, MaxArgs: 2, Cost: 1,
-				Fn: func(_ *DB, args []Value) (Value, error) { return Int(args[0].I + 5), nil }})
+				Fn: func(_ *Call, args []Value) (Value, error) { return Int(args[0].I + 5), nil }})
 		}},
 		{"SetPushdown", func(db *DB) { db.SetPushdown(false) }},
 	} {
@@ -523,8 +523,8 @@ func TestStmtQueryAllocBudget(t *testing.T) {
 		runJoinChain(t, stmt, id, name) // builds the tree and grows its tables
 		got := testing.AllocsPerRun(50, func() { runJoinChain(t, stmt, id, name) })
 		t.Logf("%d-row build sides: %.0f allocs per Query+drain+Close", n, got)
-		if got > 3 {
-			t.Errorf("%d-row build sides: %.0f allocs per execution, ceiling 3 — is the tree, a tuple buffer or a hash table built per call again?", n, got)
+		if got > 2 {
+			t.Errorf("%d-row build sides: %.0f allocs per execution, ceiling 2 — is the tree, a tuple buffer or a hash table built per call again?", n, got)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestUDFInQuery(t *testing.T) {
 	db.MustExec(`insert into t values (2), (5), (9)`)
 	err := db.RegisterUDF(&UDF{
 		Name: "double", MinArgs: 1, MaxArgs: 1,
-		Fn: func(db *DB, args []Value) (Value, error) {
+		Fn: func(_ *Call, args []Value) (Value, error) {
 			return Int(args[0].I * 2), nil
 		},
 	})
@@ -135,7 +135,7 @@ func TestUDFArgCountAndErrors(t *testing.T) {
 	db.MustExec(`create table t (a int)`)
 	db.MustExec(`insert into t values (1)`)
 	db.RegisterUDF(&UDF{Name: "f", MinArgs: 2, MaxArgs: 3,
-		Fn: func(db *DB, args []Value) (Value, error) { return Int(0), nil }})
+		Fn: func(_ *Call, args []Value) (Value, error) { return Int(0), nil }})
 	if _, err := db.Exec(`select f(a) from t`); err == nil {
 		t.Error("too few args accepted")
 	}
@@ -376,7 +376,7 @@ func intToStr(i int) string {
 
 func TestLongColumnRoundTrip(t *testing.T) {
 	db := newTestDB(t)
-	h, err := db.LFM().Allocate([]byte("blob"))
+	h, err := db.lfm.Allocate([]byte("blob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestLongColumnRoundTrip(t *testing.T) {
 	if res.Rows[0][0].T != TLong || res.Rows[0][0].L != h {
 		t.Errorf("long value = %v", res.Rows[0][0])
 	}
-	got, err := db.LFM().Read(res.Rows[0][0].L)
+	got, err := db.lfm.Read(res.Rows[0][0].L)
 	if err != nil || string(got) != "blob" {
 		t.Errorf("read = %q, %v", got, err)
 	}

@@ -39,8 +39,9 @@ type compiled struct {
 }
 
 // take returns an operator tree nobody else is running, bound to args:
-// an idle one if there is one, otherwise a new one.
-func (c *compiled) take(db *DB, args []Value, sample bool) *execution {
+// an idle one if there is one, otherwise a new one. A traced run bills
+// its long-field reads per field as well.
+func (c *compiled) take(db *DB, args []Value, traced bool) *execution {
 	var x *execution
 	c.mu.Lock()
 	if n := len(c.idle) - 1; n >= 0 {
@@ -53,7 +54,7 @@ func (c *compiled) take(db *DB, args []Value, sample bool) *execution {
 		x = c.sel.instantiate(db, c.nparams)
 	}
 	copy(x.params, args)
-	x.sample = sample
+	x.io.PerHandle = traced
 	return x
 }
 

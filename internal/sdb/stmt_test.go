@@ -40,7 +40,7 @@ func TestPreparedInvalidation(t *testing.T) {
 			// dbl was the cheap predicate and ran first; now it is the
 			// expensive one and must run after heavy.
 			db.RegisterUDF(&UDF{Name: "dbl", MinArgs: 1, MaxArgs: 1, Cost: 500,
-				Fn: func(_ *DB, args []Value) (Value, error) { return Int(args[0].I * 2), nil }})
+				Fn: func(_ *Call, args []Value) (Value, error) { return Int(args[0].I * 2), nil }})
 		}, true},
 		{"SetPushdown(false)", func(db *DB) { db.SetPushdown(false) }, true},
 	}

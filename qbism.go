@@ -264,6 +264,9 @@ type (
 	SQLValue = sdb.Value
 	// UDF is a user-defined SQL function.
 	UDF = sdb.UDF
+	// UDFCall is what a UDF sees of the statement evaluating it: the
+	// long-field account (IO) its reads are billed to.
+	UDFCall = sdb.Call
 )
 
 // NewDB creates an empty database over a long field manager.
