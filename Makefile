@@ -1,5 +1,5 @@
-# Pre-merge check: gofmt, vet, build, the wire's import gate and the
-# daemon's (qbismd-deps), the repo's
+# Pre-merge check: gofmt, vet, build, the wire's import gate, the
+# daemon's (qbismd-deps) and the client's (client-deps), the repo's
 # own static analysis
 # (qbismlint — determinism/spanpair/lockguard/errwrap/opproto plus the
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
@@ -29,9 +29,9 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports qbismd-deps lint lint-ignores test race cover chaos fuzz-smoke bench-smoke
+.PHONY: check fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores test race cover chaos fuzz-smoke bench-smoke
 
-check: fmt vet build wire-imports qbismd-deps lint lint-ignores race chaos cover fuzz-smoke bench-smoke
+check: fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores race chaos cover fuzz-smoke bench-smoke
 
 # Formatting gate: any file gofmt would rewrite fails the check (and is
 # named in the output).
@@ -54,6 +54,15 @@ wire-imports:
 # not come back into qbismd's dependency closure.
 qbismd-deps:
 	@bad="$$($(GO) list -deps ./cmd/qbismd | grep -E '^qbism/internal/(qbism|dx|cluster|feature|mining|spindex|stats)$$')"; if [ -n "$$bad" ]; then echo "qbismd-deps: cmd/qbismd links:"; echo "$$bad"; exit 1; fi
+
+# The DX client links no paper analysis (DESIGN.md §25): the experiment
+# drivers live in internal/experiments, and neither they nor what only
+# they use may come back into internal/qbism or the CLI. stats is allowed
+# in cmd/qbism because the root facade re-exports the fitting functions
+# for cmd/regionstat.
+client-deps:
+	@bad="$$($(GO) list -deps ./internal/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex|stats)$$')"; if [ -n "$$bad" ]; then echo "client-deps: internal/qbism links:"; echo "$$bad"; exit 1; fi
+	@bad="$$($(GO) list -deps ./cmd/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex)$$')"; if [ -n "$$bad" ]; then echo "client-deps: cmd/qbism links:"; echo "$$bad"; exit 1; fi
 
 # Repo-specific static analysis. Exits non-zero on any unsuppressed
 # diagnostic; suppressions are `//lint:ignore <check> <reason>` lines.

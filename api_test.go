@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"qbism"
+	"qbism/internal/experiments"
 )
 
 var (
@@ -162,11 +163,11 @@ func TestPublicExperiments(t *testing.T) {
 	s := apiSystem(t)
 	var buf bytes.Buffer
 
-	rep, err := s.RunRatios()
+	rep, err := experiments.RunRatios(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qbism.WriteRunRatios(&buf, rep)
+	experiments.WriteRunRatios(&buf, rep)
 
 	rows3, err := s.Table3()
 	if err != nil {
@@ -174,29 +175,29 @@ func TestPublicExperiments(t *testing.T) {
 	}
 	qbism.WriteTable3(&buf, rows3)
 
-	rows4, err := s.Table4(128, 159)
+	rows4, err := experiments.Table4(s.Server, 128, 159)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qbism.WriteTable4(&buf, rows4, 128, 159)
+	experiments.WriteTable4(&buf, rows4, 128, 159)
 
-	sizes, err := s.Sizes()
+	sizes, err := experiments.Sizes(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qbism.WriteSizes(&buf, sizes)
+	experiments.WriteSizes(&buf, sizes)
 
-	deltas, err := s.DeltaLaw()
+	deltas, err := experiments.DeltaLaw(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qbism.WriteDeltaLaw(&buf, deltas)
+	experiments.WriteDeltaLaw(&buf, deltas)
 
-	mg, err := s.MingapSweep([]uint64{1, 8})
+	mg, err := experiments.MingapSweep(s.Server, []uint64{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qbism.WriteMingap(&buf, mg)
+	experiments.WriteMingap(&buf, mg)
 
 	for _, want := range []string{"TABLE 3", "TABLE 4", "E1:", "E2:", "E3", "Mingap"} {
 		if !strings.Contains(buf.String(), want) {

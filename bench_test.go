@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"qbism/internal/experiments"
 	"qbism/internal/lfm"
 	core "qbism/internal/qbism"
 	"qbism/internal/rencode"
@@ -87,12 +88,12 @@ func BenchmarkT4MultiStudy(b *testing.B) {
 			var pages uint64
 			var simSec float64
 			for n := 0; n < b.N; n++ {
-				row, err := s.Table4One(128, 159, enc)
+				rows, err := experiments.Table4(s.Server, 128, 159, enc)
 				if err != nil {
 					b.Fatal(err)
 				}
-				pages += row.LFMPages
-				simSec += row.RealSim.Seconds()
+				pages += rows[0].LFMPages
+				simSec += rows[0].RealSim.Seconds()
 			}
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 			b.ReportMetric(simSec/float64(b.N), "sim-s/op")
@@ -105,7 +106,7 @@ func BenchmarkT4MultiStudy(b *testing.B) {
 func BenchmarkE1RunRatios(b *testing.B) {
 	s := benchSystem(b)
 	for n := 0; n < b.N; n++ {
-		rep, err := s.RunRatios()
+		rep, err := experiments.RunRatios(s.Server)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func BenchmarkE1RunRatios(b *testing.B) {
 func BenchmarkE2DeltaLaw(b *testing.B) {
 	s := benchSystem(b)
 	for n := 0; n < b.N; n++ {
-		rows, err := s.DeltaLaw()
+		rows, err := experiments.DeltaLaw(s.Server)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func BenchmarkE2DeltaLaw(b *testing.B) {
 func BenchmarkE3EncodingSizes(b *testing.B) {
 	s := benchSystem(b)
 	for n := 0; n < b.N; n++ {
-		rep, err := s.Sizes()
+		rep, err := experiments.Sizes(s.Server)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,21 +313,21 @@ func BenchmarkRunPrunedExtraction(b *testing.B) {
 }
 
 // BenchmarkParallelMultiStudy measures the Table 4 consistent-band
-// intersection serial versus fanned across 4 workers; same result and
-// total I/O, lower wall clock.
+// intersection (ConsistentBandRegion) serial versus fanned across 4
+// workers; same result and total I/O, lower wall clock.
 func BenchmarkParallelMultiStudy(b *testing.B) {
 	s := benchSystem(b)
+	pets := s.PETStudyIDs()
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			var pages uint64
+			pages0 := s.LFM.Stats().PageReads
 			for n := 0; n < b.N; n++ {
-				row, err := s.Table4OneParallel(128, 159, core.EncHilbertNaive, workers)
-				if err != nil {
+				if _, err := s.ConsistentBandRegion(pets, 128, 159, core.EncHilbertNaive, workers); err != nil {
 					b.Fatal(err)
 				}
-				pages += row.LFMPages
 			}
+			pages := s.LFM.Stats().PageReads - pages0
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 		})
 	}
@@ -362,7 +363,7 @@ func BenchmarkParallelQueryBatch(b *testing.B) {
 func BenchmarkMingapApproximation(b *testing.B) {
 	s := benchSystem(b)
 	for n := 0; n < b.N; n++ {
-		if _, err := s.MingapSweep([]uint64{4, 16, 64}); err != nil {
+		if _, err := experiments.MingapSweep(s.Server, []uint64{4, 16, 64}); err != nil {
 			b.Fatal(err)
 		}
 	}

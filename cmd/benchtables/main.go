@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"qbism"
+	"qbism/internal/experiments"
 )
 
 func main() {
@@ -60,27 +61,27 @@ func main() {
 	}
 
 	run("ratios", func() error {
-		rep, err := sys.RunRatios()
+		rep, err := experiments.RunRatios(sys.Server)
 		if err != nil {
 			return err
 		}
-		qbism.WriteRunRatios(os.Stdout, rep)
+		experiments.WriteRunRatios(os.Stdout, rep)
 		return nil
 	})
 	run("deltas", func() error {
-		rows, err := sys.DeltaLaw()
+		rows, err := experiments.DeltaLaw(sys.Server)
 		if err != nil {
 			return err
 		}
-		qbism.WriteDeltaLaw(os.Stdout, rows)
+		experiments.WriteDeltaLaw(os.Stdout, rows)
 		return nil
 	})
 	run("sizes", func() error {
-		rep, err := sys.Sizes()
+		rep, err := experiments.Sizes(sys.Server)
 		if err != nil {
 			return err
 		}
-		qbism.WriteSizes(os.Stdout, rep)
+		experiments.WriteSizes(os.Stdout, rep)
 		return nil
 	})
 	run("table3", func() error {
@@ -94,19 +95,19 @@ func main() {
 	run("table4", func() error {
 		lo := 256 - sys.Cfg.BandWidth*4 // the paper's 128-159 band at width 32
 		hi := lo + sys.Cfg.BandWidth - 1
-		rows, err := sys.Table4(lo, hi)
+		rows, err := experiments.Table4(sys.Server, lo, hi)
 		if err != nil {
 			return err
 		}
-		qbism.WriteTable4(os.Stdout, rows, lo, hi)
+		experiments.WriteTable4(os.Stdout, rows, lo, hi)
 		return nil
 	})
 	run("mingap", func() error {
-		rows, err := sys.MingapSweep([]uint64{1, 2, 4, 8, 16, 32, 64})
+		rows, err := experiments.MingapSweep(sys.Server, []uint64{1, 2, 4, 8, 16, 32, 64})
 		if err != nil {
 			return err
 		}
-		qbism.WriteMingap(os.Stdout, rows)
+		experiments.WriteMingap(os.Stdout, rows)
 		return nil
 	})
 }

@@ -344,7 +344,6 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, noPushdown bool, de
 	}
 	ccfg := qbism.ClusterConfig{
 		Shards: shards, Replicas: replicas, Base: cfg,
-		Retry:      cfg.Retry,
 		HedgeAfter: 25 * time.Millisecond,
 		NodeFaults: func(sh, r int) (link, device *qbism.FaultPolicy) {
 			switch {

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"qbism"
+	"qbism/internal/experiments"
 )
 
 func main() {
@@ -32,11 +33,11 @@ func main() {
 	// studies, once per encoding method. Hilbert runs should read the
 	// fewest pages.
 	lo, hi := 128, 159
-	rows, err := sys.Table4(lo, hi)
+	rows, err := experiments.Table4(sys.Server, lo, hi)
 	if err != nil {
 		log.Fatal(err)
 	}
-	qbism.WriteTable4(os.Stdout, rows, lo, hi)
+	experiments.WriteTable4(os.Stdout, rows, lo, hi)
 
 	// §6.4's envisioned aggregate: "display the voxel-wise average
 	// intensity inside ntal for these PET studies" — the database reads
@@ -68,10 +69,15 @@ func main() {
 		len(vols), ms.N, ms.Mean)
 
 	// The same consistency question through the CONTAINS operator: does
-	// the consistent region stay inside the brain?
-	consistent, err := qbism.DecodeRegion(mustEncode(sys, rows))
+	// the consistent region stay inside the brain? The region itself comes
+	// from the parallel band intersection (Table 4 reports only counts).
+	consistent, err := sys.ConsistentBandRegion(sys.PETStudyIDs(), lo, hi, qbism.BandEncodingHilbertNaive, 0)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if consistent.NumVoxels() != rows[0].ResultVox {
+		log.Fatalf("direct intersection (%d voxels) disagrees with Table 4 (%d)",
+			consistent.NumVoxels(), rows[0].ResultVox)
 	}
 	brain := sys.Atlas.Brain().Region
 	inside, err := qbism.Contains(brain, consistent)
@@ -79,38 +85,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("consistent region inside the brain: %v (%d voxels)\n", inside, consistent.NumVoxels())
-}
-
-// mustEncode re-runs the h-naive intersection to obtain the result
-// region bytes (Table4 reports only counts).
-func mustEncode(sys *qbism.System, rows []qbism.Table4Row) []byte {
-	var regions []*qbism.Region
-	for _, id := range sys.PETStudyIDs() {
-		res := sys.DB.MustExec(fmt.Sprintf(
-			`select ib.region from intensityBand ib
-			 where ib.studyId = %d and ib.lo = 128 and ib.hi = 159 and ib.encoding = '%s'`,
-			id, qbism.BandEncodingHilbertNaive))
-		data, err := sys.LFM.Read(res.Rows[0][0].L)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := qbism.DecodeRegion(data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		regions = append(regions, r)
-	}
-	out, err := qbism.IntersectN(regions...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if uint64(rows[0].ResultVox) != out.NumVoxels() {
-		log.Fatalf("direct intersection (%d voxels) disagrees with Table 4 (%d)",
-			out.NumVoxels(), rows[0].ResultVox)
-	}
-	enc, err := qbism.EncodeRegion(qbism.EncodingNaive, out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return enc
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"qbism"
+	"qbism/internal/experiments"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 	// 1. Spatial indexing: "which studies show medium-or-higher activity
 	// near this location?" answered through an R-tree over the band
 	// REGIONs' bounding boxes instead of opening every region.
-	idx, err := sys.BuildActivityIndex(128)
+	idx, err := experiments.BuildActivityIndex(sys.Server, 128)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 
 	// 2. Similarity search: "find the studies most similar to study 1
 	// inside the cerebellum" (the paper's Ms. Smith query).
-	matches, err := sys.SimilarStudies(1, "cerebellum", 3)
+	matches, err := experiments.SimilarStudies(sys.Server, 1, "cerebellum", 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 
 	// 3. Association mining: which intensity patterns co-occur with
 	// which demographics across the population?
-	rules, err := sys.MineAssociations(128, 0.005, 3, 0.8)
+	rules, err := experiments.MineAssociations(sys.Server, 128, 0.005, 3, 0.8)
 	if err != nil {
 		log.Fatal(err)
 	}

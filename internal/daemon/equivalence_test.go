@@ -33,7 +33,6 @@ var testConfig = qbism.Config{
 	Method:             rencode.Naive,
 	SmallStudies:       true,
 	ExtraBandEncodings: true,
-	StoreRaw:           true,
 	WithMeshes:         true,
 }
 

@@ -229,7 +229,6 @@ type preparedStudy struct {
 	plan       studyPlan
 	date       string
 	grid       warp.Grid
-	raw        []byte // patient-space samples; nil unless Cfg.StoreRaw
 	warpParams string
 	volume     []byte // atlas-space samples in Hilbert order
 	bands      []preparedBand
@@ -284,9 +283,6 @@ func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 		warpParams: string(wp),
 		volume:     vol.Bytes(),
 		bands:      make([]preparedBand, len(specs)),
-	}
-	if s.Cfg.StoreRaw {
-		p.raw = raw.Data
 	}
 	for i, b := range specs {
 		if p.bands[i], err = s.prepareBand(b); err != nil {
@@ -348,26 +344,20 @@ func (s *Server) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) 
 }
 
 // commitStudy stores one prepared study: patient, raw and warped
-// volume rows, then every band row in order.
+// volume rows, then every band row in order. The rawVolume row keeps the
+// acquisition's date, modality and grid; its data column is NULL, since
+// no statement reads patient-space samples.
 func (s *Server) commitStudy(p *preparedStudy) error {
 	studyID, patientID := p.plan.info.StudyID, p.plan.info.PatientID
 	if _, err := s.DB.Exec(fmt.Sprintf(
 		`insert into patient values (%d, '%s', %d, '%s')`, patientID, p.plan.name, p.plan.age, p.plan.sex)); err != nil {
 		return err
 	}
-	rawHandle := sdb.Null()
-	if p.raw != nil {
-		h, err := s.LFM.Allocate(p.raw)
-		if err != nil {
-			return err
-		}
-		rawHandle = sdb.Long(h)
-	}
 	if err := s.DB.InsertRow("rawVolume", []sdb.Value{
 		sdb.Int(int64(studyID)), sdb.Int(int64(patientID)), sdb.Str(p.date),
 		sdb.Str(p.plan.info.Modality.String()),
 		sdb.Int(int64(p.grid.NX)), sdb.Int(int64(p.grid.NY)), sdb.Int(int64(p.grid.NZ)),
-		rawHandle,
+		sdb.Null(),
 	}); err != nil {
 		return err
 	}

@@ -46,8 +46,9 @@ const (
 // front of one; LinkFaults, Retry, SlowLogThreshold and SlowLogCapacity
 // are read only by the client side. The repo benchmark sets six fields
 // by name (Bits, NumPET, NumMRI, BandWidth, SmallStudies, CachePages)
-// and reads three (ReadGapPages, Method, CachePages): it pins those
-// names, not the struct's shape (ROADMAP item 3).
+// and reads sys.Cfg whole (benchmark/layers.go, gen.go), so it pins ten
+// names — those six and Method, ReadGapPages, WithMeshes and Seed — but
+// not the struct's shape (ROADMAP item 3).
 type Config struct {
 	// Bits is the atlas grid resolution: side = 1<<Bits. The paper uses
 	// 7 (128x128x128).
@@ -83,9 +84,6 @@ type Config struct {
 	// in an unsharded system. Non-listed studies are skipped entirely
 	// (no rows, no device space). An empty non-nil slice loads nothing.
 	OnlyStudies []int
-	// StoreRaw keeps the raw patient-space studies in the database, as
-	// the paper's load pipeline does. Off saves device space.
-	StoreRaw bool
 	// DeviceBytes is the LFM device capacity (0 = sized automatically).
 	DeviceBytes uint64
 	// DevicePath, when set, backs the LFM with a real file at this path
@@ -120,8 +118,8 @@ type Config struct {
 	// two seeks (see ExtractOpts.GapPages). Zero reproduces the seed
 	// read plan; Model.CoalesceGapPages() is the device break-even.
 	ReadGapPages uint64
-	// Workers bounds the parallel executor's worker pool for multi-study
-	// batches (RunQueries, Table4Parallel). Zero or one means serial.
+	// Workers bounds the worker pool of multi-study batches (RunQueries,
+	// ConsistentBandRegion). Zero or one means serial.
 	Workers int
 
 	// Trace enables end-to-end query tracing: every RunQuery produces a
@@ -162,7 +160,7 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.DeviceBytes == 0 {
 		volBytes := uint64(1) << (3 * c.Bits)
-		perStudy := volBytes * 8 // warped + raw + bands + slack
+		perStudy := volBytes * 8 // warped + bands + slack
 		c.DeviceBytes = uint64(c.NumPET+c.NumMRI+2)*perStudy + (64 << 20)
 	}
 	return c

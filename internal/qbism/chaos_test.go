@@ -26,7 +26,6 @@ func chaosBaseConfig() Config {
 		Seed:         11,
 		Method:       rencode.Naive,
 		SmallStudies: true,
-		StoreRaw:     true,
 		Checksums:    true,
 	}
 }
@@ -318,11 +317,11 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 func clusterChaosConfig() ClusterConfig {
 	base := chaosBaseConfig()
 	base.DeviceBytes = 8 << 20
+	base.Retry = transport.RetryPolicy{MaxAttempts: 4, Seed: 9}
 	return ClusterConfig{
 		Shards:   2,
 		Replicas: 1,
 		Base:     base,
-		Retry:    transport.RetryPolicy{MaxAttempts: 4, Seed: 9},
 	}
 }
 
@@ -480,7 +479,7 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 func TestClusterDeadShardPartial(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Base.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	// Pick the victim from the routing alone (stable across runs).
 	part := cluster.NewPartitioner(cfg.Shards)
 	victim := part.Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
@@ -724,7 +723,7 @@ func TestClusterConsistentBandRegionPartial(t *testing.T) {
 	b := control.BandRegions[studies[0]][0]
 
 	cfg := clusterChaosConfig()
-	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Base.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: studies[0], Study: studies[0]})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {
@@ -852,7 +851,7 @@ func TestClusterChaosDeterminism(t *testing.T) {
 func TestClusterScatterGatherRace(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Base.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {

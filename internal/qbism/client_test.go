@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"qbism/internal/region"
-	"qbism/internal/sfc"
 	"qbism/internal/transport"
 )
 
@@ -89,39 +87,6 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 	}
 	if cached.Field != fresh.Field {
 		t.Error("cache hit returned a different Field than the query that filled it")
-	}
-}
-
-// TestActivityIndexDeterministic: the index is a function of the loaded
-// corpus — entry ids, hit order and search work replay exactly.
-func TestActivityIndexDeterministic(t *testing.T) {
-	s, err := New(Config{Bits: 5, NumPET: 4, NumMRI: 2, Seed: 5, SmallStudies: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	side := uint32(s.Side())
-	whole := region.Box{Min: sfc.Pt(0, 0, 0), Max: sfc.Pt(side-1, side-1, side-1)}
-	first, err := s.BuildActivityIndex(96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHits, wantStats := first.StudiesNear(whole)
-	if len(wantHits) == 0 {
-		t.Fatal("nothing indexed")
-	}
-	for i := 0; i < 20; i++ {
-		idx, err := s.BuildActivityIndex(96)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(idx.entries, first.entries) {
-			t.Fatalf("rebuild %d assigned different entry ids", i)
-		}
-		hits, st := idx.StudiesNear(whole)
-		if !reflect.DeepEqual(hits, wantHits) || st != wantStats {
-			t.Fatalf("rebuild %d: StudiesNear order or SearchStats differ from the first build", i)
-		}
 	}
 }
 

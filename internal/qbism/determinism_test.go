@@ -2,7 +2,26 @@ package qbism
 
 import (
 	"testing"
+
+	"qbism/internal/sdb"
 )
+
+// warpedVolume reads a study's stored atlas-space VOLUME back.
+func warpedVolume(t *testing.T, s *System, studyID int) []byte {
+	t.Helper()
+	res, err := s.DB.Exec(`select wv.data from warpedVolume wv where wv.studyId = ?`, sdb.Int(int64(studyID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("study %d has %d warped volumes", studyID, len(res.Rows))
+	}
+	data, err := s.LFM.Read(res.Rows[0][0].L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 // TestSystemDeterminism: two systems built from the same seed must be
 // bit-identical in every respect an experiment can observe — the whole
@@ -31,15 +50,7 @@ func TestSystemDeterminism(t *testing.T) {
 	}
 	// Warped volumes identical.
 	for _, st := range a.Studies {
-		va, err := a.readStudyVolume(st.StudyID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb, err := b.readStudyVolume(st.StudyID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ba, bb := va.Bytes(), vb.Bytes()
+		ba, bb := warpedVolume(t, a, st.StudyID), warpedVolume(t, b, st.StudyID)
 		for i := range ba {
 			if ba[i] != bb[i] {
 				t.Fatalf("study %d differs at voxel %d", st.StudyID, i)
@@ -65,15 +76,14 @@ func TestSystemDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, _ := a.readStudyVolume(1)
-	vc, _ := c.readStudyVolume(1)
+	va, vc := warpedVolume(t, a, 1), warpedVolume(t, c, 1)
 	same := 0
-	for i := range va.Bytes() {
-		if va.Bytes()[i] == vc.Bytes()[i] {
+	for i := range va {
+		if va[i] == vc[i] {
 			same++
 		}
 	}
-	if same == len(va.Bytes()) {
+	if same == len(va) {
 		t.Error("different seeds produced identical volumes")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qbism/internal/experiments"
 	"qbism/internal/lfm"
 	"qbism/internal/medserver"
 	"qbism/internal/sdb"
@@ -26,54 +27,54 @@ func TestWriteFormatters(t *testing.T) {
 		t.Error("Table 3 output incomplete")
 	}
 
-	t4, err := s.Table4(128, 159)
+	t4, err := experiments.Table4(s.Server, 128, 159)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	WriteTable4(&buf, t4, 128, 159)
+	experiments.WriteTable4(&buf, t4, 128, 159)
 	for _, want := range []string{EncHilbertNaive, EncZNaive, EncOctant} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("Table 4 output missing %s", want)
 		}
 	}
 
-	rep, err := s.RunRatios()
+	rep, err := experiments.RunRatios(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	WriteRunRatios(&buf, rep)
+	experiments.WriteRunRatios(&buf, rep)
 	if !strings.Contains(buf.String(), "1.27") { // the paper reference line
 		t.Error("run-ratio output missing paper reference")
 	}
 
-	dl, err := s.DeltaLaw()
+	dl, err := experiments.DeltaLaw(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	WriteDeltaLaw(&buf, dl)
+	experiments.WriteDeltaLaw(&buf, dl)
 	if !strings.Contains(buf.String(), "mean alpha") {
 		t.Error("delta-law output incomplete")
 	}
 
-	sz, err := s.Sizes()
+	sz, err := experiments.Sizes(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	WriteSizes(&buf, sz)
+	experiments.WriteSizes(&buf, sz)
 	if !strings.Contains(buf.String(), "entropy") {
 		t.Error("sizes output incomplete")
 	}
 
-	mg, err := s.MingapSweep([]uint64{2, 8})
+	mg, err := experiments.MingapSweep(s.Server, []uint64{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	WriteMingap(&buf, mg)
+	experiments.WriteMingap(&buf, mg)
 	if !strings.Contains(buf.String(), "mingap") {
 		t.Error("mingap output incomplete")
 	}
@@ -81,18 +82,24 @@ func TestWriteFormatters(t *testing.T) {
 
 func TestTable4One(t *testing.T) {
 	s := testSystem(t)
-	row, err := s.Table4One(128, 159, EncHilbertNaive)
+	rows, err := experiments.Table4(s.Server, 128, 159, EncHilbertNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Encoding != EncHilbertNaive || row.NumStudies != 3 || row.LFMPages == 0 {
-		t.Errorf("row = %+v", row)
+	if row := rows[0]; len(rows) != 1 || row.Encoding != EncHilbertNaive || row.NumStudies != 3 || row.LFMPages == 0 {
+		t.Errorf("rows = %+v", rows)
 	}
-	if _, err := s.Table4One(128, 159, "bogus-encoding"); err == nil {
+	if _, err := experiments.Table4(s.Server, 128, 159, "bogus-encoding"); err == nil {
 		t.Error("unknown encoding accepted")
 	}
-	if _, err := s.Table4One(7, 9, EncHilbertNaive); err == nil {
+	if _, err := experiments.Table4(s.Server, 7, 9, EncHilbertNaive); err == nil {
 		t.Error("unknown band accepted")
+	}
+	// The encoding label is a bind value, not SQL text: a quote in it is
+	// data, matches no stored row, and the row count says so.
+	_, err = experiments.Table4(s.Server, 128, 159, "h-naive' or 'x' = 'x")
+	if err == nil || !strings.Contains(err.Error(), "expected 1 row, got 0") {
+		t.Errorf("quoted encoding label: %v, want the row-count error", err)
 	}
 }
 

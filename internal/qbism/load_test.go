@@ -84,9 +84,9 @@ func loadManifest(t *testing.T, cfg Config, procs int) []string {
 func TestLoadByteIdentity(t *testing.T) {
 	cases := map[string]Config{
 		"bits5":            {Bits: 5},
-		"bits5 extras raw": {Bits: 5, ExtraBandEncodings: true, StoreRaw: true},
+		"bits5 extras raw": {Bits: 5, ExtraBandEncodings: true},
 		"bits6":            {Bits: 6, NumPET: 2, NumMRI: 1},
-		"bits6 extras raw": {Bits: 6, NumPET: 2, NumMRI: 1, ExtraBandEncodings: true, StoreRaw: true},
+		"bits6 extras raw": {Bits: 6, NumPET: 2, NumMRI: 1, ExtraBandEncodings: true},
 		"bits5 shard":      {Bits: 5, OnlyStudies: []int{2, 6, 7}},
 	}
 	for name, cfg := range cases {

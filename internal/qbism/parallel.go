@@ -1,16 +1,12 @@
 package qbism
 
 import (
-	"fmt"
-	"time"
-
 	"qbism/internal/obs"
 	"qbism/internal/par"
 )
 
-// The parallel executor: multi-study workloads — Table 4's n-way
-// intersection and batches of independent query specs — fan out per
-// study over a bounded worker pool. The whole query stack below here is
+// The parallel executor: batches of independent query specs fan out
+// over a bounded worker pool. The whole query stack below here is
 // safe for concurrent readers: the LFM serializes I/O (and its fault
 // injector) under its mutex, netsim.Link and dx.Cache carry their own
 // locks, and the SQL SELECT path is read-only. Results are collected by
@@ -71,34 +67,4 @@ func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Spa
 		out[i].Res, out[i].Err = c.runQuerySpan(batch, out[i].Spec)
 	})
 	return out, batch
-}
-
-// Table4OneParallel is Table4One with the per-study band fetches fanned
-// out across the worker pool. The row's result columns (runs, voxels)
-// and total page count match the serial plan; only wall-clock CPU
-// changes.
-func (s *System) Table4OneParallel(bandLo, bandHi int, encoding string, workers int) (Table4Row, error) {
-	pets := s.PETStudyIDs()
-	if len(pets) < 2 {
-		return Table4Row{}, fmt.Errorf("qbism: need at least 2 PET studies, have %d", len(pets))
-	}
-	pages0 := s.LFM.Stats().PageReads
-	//lint:ignore determinism CPUMeasured is deliberately real wall time (Table 4's measured-CPU column); the replayable clock lives in RealSim
-	start := time.Now()
-	out, err := s.ConsistentBandRegion(pets, bandLo, bandHi, encoding, workers)
-	if err != nil {
-		return Table4Row{}, err
-	}
-	//lint:ignore determinism pairs with the wall-clock start above; simulated time is reported separately in RealSim
-	cpu := time.Since(start)
-	pages := s.LFM.Stats().PageReads - pages0
-	return Table4Row{
-		Encoding:    encoding,
-		NumStudies:  len(pets),
-		LFMPages:    pages,
-		CPUMeasured: cpu,
-		RealSim:     s.Model.StarburstTime(cpu, pages),
-		ResultRuns:  out.NumRuns(),
-		ResultVox:   out.NumVoxels(),
-	}, nil
 }

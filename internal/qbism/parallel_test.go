@@ -2,8 +2,10 @@ package qbism
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
+	"qbism/internal/experiments"
 	"qbism/internal/faultsim"
 	"qbism/internal/transport"
 )
@@ -126,8 +128,8 @@ func TestRunQueriesUnderFaults(t *testing.T) {
 }
 
 // TestTable4ParallelMatchesSerial checks the parallel multi-study plan
-// returns exactly the serial SQL plan's row: same result region, same
-// total page count.
+// (ConsistentBandRegion) returns exactly the serial SQL plan's row (the
+// n-join of Table 4): same result region, same total page count.
 func TestTable4ParallelMatchesSerial(t *testing.T) {
 	cfg := chaosBaseConfig()
 	cfg.ExtraBandEncodings = true
@@ -135,26 +137,89 @@ func TestTable4ParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bands := sys.BandRegions[sys.PETStudyIDs()[0]]
+	pets := sys.PETStudyIDs()
+	bands := sys.BandRegions[pets[0]]
 	b := bands[len(bands)/2]
 	for _, enc := range []string{EncHilbertNaive, EncZNaive, EncOctant} {
-		serial, err := sys.Table4One(int(b.Lo), int(b.Hi), enc)
+		rows, err := experiments.Table4(sys.Server, int(b.Lo), int(b.Hi), enc)
 		if err != nil {
 			t.Fatalf("%s serial: %v", enc, err)
 		}
-		par, err := sys.Table4OneParallel(int(b.Lo), int(b.Hi), enc, 4)
+		serial := rows[0]
+		// The parallel fetches bill no call, so the device meter prices
+		// them; nothing else runs on this system.
+		pages0 := sys.LFM.Stats().PageReads
+		par, err := sys.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, 4)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", enc, err)
 		}
-		if par.ResultRuns != serial.ResultRuns || par.ResultVox != serial.ResultVox {
+		pages := sys.LFM.Stats().PageReads - pages0
+		if par.NumRuns() != serial.ResultRuns || par.NumVoxels() != serial.ResultVox {
 			t.Errorf("%s: parallel result %d runs/%d vox != serial %d/%d",
-				enc, par.ResultRuns, par.ResultVox, serial.ResultRuns, serial.ResultVox)
+				enc, par.NumRuns(), par.NumVoxels(), serial.ResultRuns, serial.ResultVox)
 		}
-		if par.LFMPages != serial.LFMPages {
-			t.Errorf("%s: parallel pages %d != serial %d", enc, par.LFMPages, serial.LFMPages)
+		if pages != serial.LFMPages {
+			t.Errorf("%s: parallel pages %d != serial %d", enc, pages, serial.LFMPages)
 		}
-		if par.NumStudies != serial.NumStudies {
-			t.Errorf("%s: study counts differ", enc)
+	}
+}
+
+// TestTable4PagesExactUnderConcurrency: Table 4's LFM-IO is its
+// statement's own bill, so a query batch running on the same unbuffered
+// system at the same time adds nothing to it — every row matches a
+// quiet run's.
+func TestTable4PagesExactUnderConcurrency(t *testing.T) {
+	cfg := chaosBaseConfig()
+	cfg.ExtraBandEncodings = true
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	bands := sys.BandRegions[sys.PETStudyIDs()[0]]
+	b := bands[len(bands)/2]
+	quiet, err := experiments.Table4(sys.Server, int(b.Lo), int(b.Hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pool := chaosSpecPool(sys)
+	var batches atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, item := range sys.RunQueries(pool, 4) {
+				if item.Err != nil {
+					t.Errorf("batch %s: %v", item.Spec.Label(), item.Err)
+					return
+				}
+			}
+			batches.Add(1)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	// Keep Table 4 running until whole batches have gone by beside it.
+	for run := 0; run < 5 || batches.Load() < 2; run++ {
+		rows, err := experiments.Table4(sys.Server, int(b.Lo), int(b.Hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range rows {
+			if row.LFMPages != quiet[i].LFMPages || row.ResultRuns != quiet[i].ResultRuns || row.ResultVox != quiet[i].ResultVox {
+				t.Fatalf("run %d %s: %d pages, %d runs, %d voxels beside a batch; quiet run %d, %d, %d",
+					run, row.Encoding, row.LFMPages, row.ResultRuns, row.ResultVox,
+					quiet[i].LFMPages, quiet[i].ResultRuns, quiet[i].ResultVox)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package qbism
 import (
 	"testing"
 
+	"qbism/internal/experiments"
 	"qbism/internal/feature"
 	"qbism/internal/region"
 	"qbism/internal/sfc"
@@ -32,7 +33,7 @@ func TestFileBackedSystem(t *testing.T) {
 
 func TestBuildActivityIndex(t *testing.T) {
 	s := testSystem(t)
-	idx, err := s.BuildActivityIndex(96)
+	idx, err := experiments.BuildActivityIndex(s.Server, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestBuildActivityIndex(t *testing.T) {
 
 func TestStudyFeatureAndSimilarity(t *testing.T) {
 	s := testSystem(t)
-	vec, err := s.StudyFeature(1, "ntal")
+	vec, err := experiments.StudyFeature(s.Server, 1, "ntal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +91,14 @@ func TestStudyFeatureAndSimilarity(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("histogram sums to %v", sum)
 	}
-	if _, err := s.StudyFeature(1, "no-such"); err == nil {
+	if _, err := experiments.StudyFeature(s.Server, 1, "no-such"); err == nil {
 		t.Error("unknown structure accepted")
 	}
-	if _, err := s.StudyFeature(99, "ntal"); err == nil {
+	if _, err := experiments.StudyFeature(s.Server, 99, "ntal"); err == nil {
 		t.Error("unknown study accepted")
 	}
 
-	matches, err := s.SimilarStudies(1, "ntal", 2)
+	matches, err := experiments.SimilarStudies(s.Server, 1, "ntal", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,14 @@ func TestStudyFeatureAndSimilarity(t *testing.T) {
 	if matches[0].ID == 4 {
 		t.Errorf("nearest neighbour of a PET study is the MRI: %v", matches)
 	}
-	if _, err := s.SimilarStudies(99, "ntal", 1); err == nil {
+	if _, err := experiments.SimilarStudies(s.Server, 99, "ntal", 1); err == nil {
 		t.Error("unknown probe study accepted")
 	}
 }
 
 func TestStudyTransactionsAndMining(t *testing.T) {
 	s := testSystem(t)
-	txns, err := s.StudyTransactions(128, 0.01)
+	txns, err := experiments.StudyTransactions(s.Server, 128, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestStudyTransactionsAndMining(t *testing.T) {
 	}
 	// Mining runs end to end; with 4 studies and minSupport 2 there are
 	// frequent sets (at least the modality item for the 3 PETs).
-	rules, err := s.MineAssociations(128, 0.01, 2, 0.6)
+	rules, err := experiments.MineAssociations(s.Server, 128, 0.01, 2, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestStudyTransactionsAndMining(t *testing.T) {
 			t.Errorf("rule below confidence threshold: %v", r)
 		}
 	}
-	if _, err := s.MineAssociations(128, 0.01, 0, 0.5); err == nil {
+	if _, err := experiments.MineAssociations(s.Server, 128, 0.01, 0, 0.5); err == nil {
 		t.Error("bad minSupport accepted")
 	}
 }

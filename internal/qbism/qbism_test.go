@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"qbism/internal/experiments"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
@@ -30,7 +31,6 @@ func testSystem(t *testing.T) *System {
 			Method:             rencode.Naive,
 			SmallStudies:       true,
 			ExtraBandEncodings: true,
-			StoreRaw:           true,
 			WithMeshes:         true,
 		})
 	})
@@ -294,7 +294,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 
 func TestTable4Ordering(t *testing.T) {
 	s := testSystem(t)
-	rows, err := s.Table4(128, 159)
+	rows, err := experiments.Table4(s.Server, 128, 159)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestTable4Ordering(t *testing.T) {
 
 func TestRunRatiosShape(t *testing.T) {
 	s := testSystem(t)
-	rep, err := s.RunRatios()
+	rep, err := experiments.RunRatios(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestRunRatiosShape(t *testing.T) {
 
 func TestDeltaLawShape(t *testing.T) {
 	s := testSystem(t)
-	rows, err := s.DeltaLaw()
+	rows, err := experiments.DeltaLaw(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestDeltaLawShape(t *testing.T) {
 
 func TestSizesShape(t *testing.T) {
 	s := testSystem(t)
-	rep, err := s.Sizes()
+	rep, err := experiments.Sizes(s.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestSizesShape(t *testing.T) {
 
 func TestMingapSweep(t *testing.T) {
 	s := testSystem(t)
-	rows, err := s.MingapSweep([]uint64{1, 4, 16, 64})
+	rows, err := experiments.MingapSweep(s.Server, []uint64{1, 4, 16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

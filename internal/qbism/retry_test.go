@@ -131,7 +131,7 @@ func retryTestSystem(t *testing.T, pol transport.RetryPolicy, schedule []faultsi
 	t.Helper()
 	cfg := Config{
 		Bits: 4, NumPET: 1, NumMRI: 0, Seed: 5,
-		Method: rencode.Naive, SmallStudies: true, StoreRaw: true,
+		Method: rencode.Naive, SmallStudies: true,
 		Retry:      pol,
 		LinkFaults: &faultsim.Policy{Schedule: schedule},
 	}

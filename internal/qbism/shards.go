@@ -42,7 +42,11 @@ type ClusterConfig struct {
 	// Base configures every node: corpus, encoding, checksums, device.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
 	// Base.LinkFaults/DeviceFaults apply to every node unless NodeFaults
-	// overrides them.
+	// overrides them. Base.Retry governs cross-node failover instead of
+	// each node's link: MaxAttempts bounds the node calls per read and
+	// Backoff/Seed drive the deterministic jittered waits — the schedule
+	// single-link retries use, reused at the cluster seam. Base.Workers
+	// bounds the scatter-gather worker pool.
 	Base Config
 	// NodeFaults, when non-nil, returns the fault policies for the
 	// given node (replica 0 is the primary); nil return values mean no
@@ -50,17 +54,9 @@ type ClusterConfig struct {
 	NodeFaults func(shard, replica int) (link, device *faultsim.Policy)
 	// Breaker configures each node's circuit breaker (zero disables).
 	Breaker cluster.BreakerConfig
-	// Retry governs cross-node failover retries: MaxAttempts bounds the
-	// node calls per read and Backoff/Seed drive the deterministic
-	// jittered waits — the schedule single-link retries use, reused at
-	// the cluster seam.
-	Retry transport.RetryPolicy
 	// HedgeAfter enables hedged reads once a node's simulated-latency
 	// EWMA reaches it (zero disables).
 	HedgeAfter time.Duration
-	// Workers bounds the scatter-gather worker pool (default
-	// Base.Workers).
-	Workers int
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -71,9 +67,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 		c.Replicas = 0
 	} else if c.Replicas == 0 {
 		c.Replicas = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = c.Base.Workers
 	}
 	return c
 }
@@ -147,7 +140,7 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 		perShard[sh] = append(perShard[sh], info.StudyID)
 	}
 
-	pol := cfg.Retry.WithDefaults()
+	pol := base.Retry.WithDefaults()
 	var shardNodes [][]cluster.Node
 	for sh := 0; sh < cfg.Shards; sh++ {
 		var nodes []cluster.Node
@@ -180,7 +173,7 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 	}
 
 	cs.Client = NewClient(nil, base)
-	cs.Client.server, cs.Client.workers = cs, cfg.Workers
+	cs.Client.server = cs
 	cl, err := cluster.New(cluster.Config{
 		Breaker:     cfg.Breaker,
 		MaxAttempts: pol.MaxAttempts,
@@ -375,14 +368,4 @@ func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int,
 	}
 	out, err := region.IntersectN(regions...)
 	return out, partial, err
-}
-
-// BuildActivityIndex builds the population activity index across every
-// shard's primary (each node holds only its shard of the corpus).
-func (cs *ClusterSystem) BuildActivityIndex(minIntensity uint8) (*ActivityIndex, error) {
-	primaries := make([]*System, len(cs.Nodes))
-	for sh, nodes := range cs.Nodes {
-		primaries[sh] = nodes[0]
-	}
-	return buildActivityIndex(primaries, minIntensity)
 }

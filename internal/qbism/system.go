@@ -2,8 +2,10 @@
 // MedicalServer (internal/medserver): the Client that frames a query
 // spec, carries it over a transport, imports and renders the reply; the
 // System that holds both halves in one process, joined by a simulated
-// link; the sharded ClusterSystem; and the experiment drivers that
-// regenerate every table and figure of the evaluation section.
+// link; the sharded ClusterSystem; and Table 3, the client's own
+// per-query bill. The rest of the evaluation — Table 4, E1–E3, mingap
+// and the Section 7 tools — reads the server alone and lives in
+// internal/experiments, which nothing here imports.
 package qbism
 
 import (

@@ -25,9 +25,12 @@
 //     qbismd), fault policies and retries, the SQL substrate, a
 //     procedural Talairach-like atlas, and synthetic PET/MRI study
 //     generation.
-//   - The formatters of the experiment drivers regenerating every table
-//     and figure of the paper's evaluation (run ratios, EQ 1, Figure 4,
-//     Tables 3 and 4), and the fitting functions under them.
+//   - Table 3's formatter, and the fitting functions under the paper's
+//     analyses. The analyses themselves — Table 4, the run ratios, EQ 1,
+//     Figure 4, mingap and the Section 7 population tools — read a loaded
+//     server and live in internal/experiments (cmd/benchtables and the
+//     examples import it); a program that only wants a Client links
+//     none of them.
 //
 // Quick start:
 //
@@ -92,7 +95,6 @@ var (
 	FromSphere    = region.FromSphere
 	FromEllipsoid = region.FromEllipsoid
 	Intersect     = region.Intersect
-	IntersectN    = region.IntersectN
 	Union         = region.Union
 	Difference    = region.Difference
 	Complement    = region.Complement
@@ -167,8 +169,6 @@ type (
 	QueryResult = core.QueryResult
 	// QueryTiming is one Table 3 row.
 	QueryTiming = core.QueryTiming
-	// Table4Row is one Table 4 row.
-	Table4Row = core.Table4Row
 	// ClusterConfig parameterizes NewClusterSystem.
 	ClusterConfig = core.ClusterConfig
 )
@@ -215,15 +215,8 @@ var (
 // stores (Config.ExtraBandEncodings adds Table 4's others).
 const BandEncodingHilbertNaive = core.EncHilbertNaive
 
-// Report formatters.
-var (
-	WriteTable3    = core.WriteTable3
-	WriteTable4    = core.WriteTable4
-	WriteRunRatios = core.WriteRunRatios
-	WriteDeltaLaw  = core.WriteDeltaLaw
-	WriteSizes     = core.WriteSizes
-	WriteMingap    = core.WriteMingap
-)
+// WriteTable3 formats Table 3 rows.
+var WriteTable3 = core.WriteTable3
 
 // Visualization (Data Explorer stand-in).
 type (
