@@ -95,7 +95,8 @@ chaos:
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder, the k³-tree parser (probe
-# answers cross-checked against the materialized run list), the
+# answers cross-checked against the materialized run list), the k³ × k³
+# intersection (against the run lists' intersection), the
 # transport frame codec (both readers, canonical re-encode), the spec
 # and meta header decoders (typed refusal or canonical re-encode), and
 # arbitrary request bytes into a bare medserver.Server's ServeRPC,
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzParseSQL$$' -fuzz '^FuzzParseSQL$$' -fuzztime=$(FUZZTIME) ./internal/sdb
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzDecodeK3$$' -fuzz '^FuzzDecodeK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
+	$(GO) test -run '^FuzzK3IntersectK3$$' -fuzz '^FuzzK3IntersectK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzFrame$$' -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^FuzzQueryHeader$$' -fuzz '^FuzzQueryHeader$$' -fuzztime=$(FUZZTIME) ./internal/qbism
 	$(GO) test -run '^FuzzServeRPC$$' -fuzz '^FuzzServeRPC$$' -fuzztime=$(FUZZTIME) ./internal/qbism
@@ -128,8 +130,10 @@ cover:
 
 # One BenchmarkLoad iteration (64^3 corpus, ns/op and allocs/op) for
 # the write path: a re-serialized load or a regressed kernel shows here
-# without the 12 s repo benchmark — and BenchmarkServeRPCSmall and
-# BenchmarkServeRPCBulk for the server side of one small request and of
+# without the 12 s repo benchmark — and BenchmarkServeRPCSmall,
+# BenchmarkServeRPCMixed and BenchmarkServeRPCBulk for the server side
+# of one small request, of one structure ∩ band request (intersection()
+# inside extractVoxels(), the REGION passed parsed between them) and of
 # one full-study reply through a thrashing page cache (allocs/op and
 # B/op are what TestServeRPCAllocBudget and TestBulkReplyAllocBudget put
 # ceilings on), BenchmarkServeRPCTraced for the small request with a
@@ -144,7 +148,7 @@ cover:
 # alone; TestTCPExchangeAllocBudget pins its allocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Traced|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Mixed|Traced|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport

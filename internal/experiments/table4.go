@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"qbism/internal/costmodel"
-	"qbism/internal/lfm"
 	"qbism/internal/medserver"
+	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 )
 
@@ -92,7 +92,10 @@ func table4One(srv *medserver.Server, studies []int, bandLo, bandHi int, encodin
 	if n != 1 {
 		return Table4Row{}, fmt.Errorf("expected 1 row, got %d", n)
 	}
-	out, err := medserver.RegionFromValue(&lfm.IO{M: srv.LFM}, result)
+	if result.T != sdb.TBytes {
+		return Table4Row{}, fmt.Errorf("nIntersect returned %s, want an encoded REGION", result.T)
+	}
+	out, err := rencode.Decode(result.Y)
 	if err != nil {
 		return Table4Row{}, err
 	}

@@ -91,9 +91,9 @@ func (s *Server) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (
 	if n != 1 {
 		return nil, fmt.Errorf("no stored intensityBand row")
 	}
-	r, err := RegionFromValue(&lfm.IO{M: s.LFM}, row[0])
+	r, err := s.regionRuns(&lfm.IO{M: s.LFM}, nil, row[0])
 	if err != nil {
 		return nil, err
 	}
-	return r.Recode(s.curveFor(r))
+	return r.Recode(s.Curve)
 }

@@ -492,7 +492,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 		if sn != 1 {
 			return nil, "", fmt.Errorf("qbism: no structure %q in atlas %q", spec.Structure, spec.Atlas)
 		}
-		sr, err := RegionFromValue(&io, srow[0])
+		sr, err := s.regionRuns(&io, nil, srow[0])
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 		}

@@ -7,7 +7,6 @@ import (
 	"qbism/internal/lfm"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
-	"qbism/internal/sdb"
 	"qbism/internal/volume"
 )
 
@@ -63,33 +62,6 @@ func UnmarshalDataRegion(data []byte) (*volume.DataRegion, error) {
 		return nil, fmt.Errorf("qbism: DataRegion has %d values for %d voxels", len(values), r.NumVoxels())
 	}
 	return &volume.DataRegion{Region: r, Values: values}, nil
-}
-
-// RegionFromValue materializes a REGION from a SQL value: a LONG handle
-// (stored region, read from the LFM on io's bill — this is where region
-// I/O is counted) or a BYTES blob (intermediate result of another
-// spatial function in the same query). Exported for callers running
-// their own SQL against a Server's DB (Table 4).
-func RegionFromValue(io *lfm.IO, v sdb.Value) (*region.Region, error) {
-	switch v.T {
-	case sdb.TLong:
-		data, err := io.Read(v.L)
-		if err != nil {
-			return nil, err
-		}
-		return rencode.Decode(data)
-	case sdb.TBytes:
-		if len(v.Y) > 0 && v.Y[0] == dataRegionTag {
-			d, err := UnmarshalDataRegion(v.Y)
-			if err != nil {
-				return nil, err
-			}
-			return d.Region, nil
-		}
-		return rencode.Decode(v.Y)
-	default:
-		return nil, fmt.Errorf("qbism: expected a REGION (LONG or BYTES), got %s", v.T)
-	}
 }
 
 // ExtractOpts tunes the physical read plan of ExtractStoredOpts.

@@ -3,6 +3,7 @@ package medserver
 import (
 	"fmt"
 
+	"qbism/internal/lfm"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
@@ -16,33 +17,33 @@ import (
 // cheapest-first: voxel extraction (a long-field read) is priced far
 // above region algebra, which is priced above pure geometry like
 // boxRegion.
+//
+// A REGION-valued function returns its result parsed (parsedRegion),
+// and a REGION argument is taken in whatever form it arrives
+// (regionOf), so intersection() nested in extractVoxels() hands over a
+// run list with no encoding in between.
 func (s *Server) registerSpatialUDFs() error {
 	udfs := []*sdb.UDF{
 		{
-			// INTERSECTION(REGION r1, REGION r2) -> REGION. The first
-			// operand stays queryable: a k³-tree band intersects the
-			// structure's run list by pruned tree descent on the encoded
-			// bytes, never materializing its own runs.
+			// INTERSECTION(REGION r1, REGION r2) -> REGION. Both operands
+			// stay in their stored form where it is queryable: two
+			// k³-trees meet by synchronized descent, and a k³-tree prunes
+			// the other's run list — neither is expanded to runs.
 			Name: "intersection", MinArgs: 2, MaxArgs: 2, Cost: 20,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				a, err := s.queryableFromValue(call, args[0])
+				a, err := s.regionOf(call.IO(), call, args[0], false)
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				b, err := RegionFromValue(call.IO(), args[1])
+				b, err := s.regionOf(call.IO(), call, args[1], false)
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				if a.Curve().Kind() != b.Curve().Kind() {
-					if b, err = b.Recode(a.Curve()); err != nil {
-						return sdb.Value{}, err
-					}
-				}
-				out, err := region.IntersectQ(a, b)
+				out, err := intersect(a, b)
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				return s.encodeRegionValue(out)
+				return s.parsed(out), nil
 			},
 		},
 		{
@@ -65,11 +66,11 @@ func (s *Server) registerSpatialUDFs() error {
 			// against r1's stored representation.
 			Name: "contains", MinArgs: 2, MaxArgs: 2, Cost: 20, ProbeOnly: true,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				a, err := s.queryableFromValue(call, args[0])
+				a, err := s.regionOf(call.IO(), call, args[0], false)
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				b, err := RegionFromValue(call.IO(), args[1])
+				b, err := s.regionRuns(call.IO(), call, args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -87,7 +88,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// is why its Cost sits just above boxRegion's.
 			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, Cost: 2, ProbeOnly: true,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				q, err := s.queryableFromValue(call, args[0])
+				q, err := s.regionOf(call.IO(), call, args[0], false)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -112,7 +113,7 @@ func (s *Server) registerSpatialUDFs() error {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("extractVoxels: first argument must be a VOLUME long field, got %s", args[0].T)
 				}
-				r, err := RegionFromValue(call.IO(), args[1])
+				r, err := s.regionRuns(call.IO(), call, args[1])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -167,7 +168,7 @@ func (s *Server) registerSpatialUDFs() error {
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				return s.encodeRegionValue(r)
+				return s.parsed(r), nil
 			},
 		},
 		{
@@ -175,44 +176,29 @@ func (s *Server) registerSpatialUDFs() error {
 			// intersection of the multi-study queries (Table 4).
 			Name: "nIntersect", MinArgs: 1, MaxArgs: -1, Cost: 20,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				// Compressed probes stay encoded; everything else
-				// materializes and, when stored in another order (z,
-				// octant), normalizes onto the system curve.
-				var probes []region.Queryable
-				var regions []*region.Region
+				// The operands meet one at a time, each on the compact form
+				// it has (intersect). The first, when stored in another
+				// order (z, octant), is normalized onto the system curve,
+				// and every later one onto the first; argument order keeps
+				// results reproducible.
+				var acc region.Queryable
 				for _, a := range args {
-					q, err := s.queryableFromValue(call, a)
+					q, err := s.regionOf(call.IO(), call, a, false)
 					if err != nil {
 						return sdb.Value{}, err
 					}
-					if r, ok := q.(*region.Region); ok {
-						rc, err := r.Recode(s.curveFor(r))
-						if err != nil {
-							return sdb.Value{}, err
-						}
-						regions = append(regions, rc)
-						continue
+					switch {
+					case acc != nil:
+						q, err = intersect(acc, q)
+					case q.Curve().Kind() != s.Curve.Kind():
+						q, err = recode(q, s.Curve)
 					}
-					probes = append(probes, q)
-				}
-				var out *region.Region
-				var err error
-				if len(regions) > 0 {
-					if out, err = region.IntersectN(regions...); err != nil {
+					if err != nil {
 						return sdb.Value{}, err
 					}
-				} else {
-					out = region.Full(probes[0].Curve())
+					acc = q
 				}
-				// Each probe then prunes the accumulated run list on its
-				// encoded bytes — the narrowest operand first would prune
-				// hardest, but argument order keeps results reproducible.
-				for _, p := range probes {
-					if out, err = region.IntersectQ(p, out); err != nil {
-						return sdb.Value{}, err
-					}
-				}
-				return s.encodeRegionValue(out)
+				return s.parsed(acc), nil
 			},
 		},
 		{
@@ -220,7 +206,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// the count, so a compressed REGION answers from 12 bytes.
 			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, Cost: 10, ProbeOnly: true,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				q, err := s.queryableFromValue(call, args[0])
+				q, err := s.regionOf(call.IO(), call, args[0], false)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -230,7 +216,7 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			Name: "numRuns", MinArgs: 1, MaxArgs: 1, Cost: 10,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				r, err := RegionFromValue(call.IO(), args[0])
+				r, err := s.regionRuns(call.IO(), call, args[0])
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -261,15 +247,15 @@ func (s *Server) registerSpatialUDFs() error {
 	return nil
 }
 
-// regionBinop evaluates a binary spatial operator, recoding operands
-// onto a shared curve if needed.
+// regionBinop evaluates a binary spatial operator on run lists,
+// recoding the second operand onto the first's curve if needed.
 func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 	op func(a, b *region.Region) (*region.Region, error)) (sdb.Value, error) {
-	a, err := RegionFromValue(call.IO(), args[0])
+	a, err := s.regionRuns(call.IO(), call, args[0])
 	if err != nil {
 		return sdb.Value{}, err
 	}
-	b, err := RegionFromValue(call.IO(), args[1])
+	b, err := s.regionRuns(call.IO(), call, args[1])
 	if err != nil {
 		return sdb.Value{}, err
 	}
@@ -282,47 +268,114 @@ func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 	if err != nil {
 		return sdb.Value{}, err
 	}
-	return s.encodeRegionValue(out)
+	return s.parsed(out), nil
 }
 
-// encodeRegionValue wraps a region as an intermediate BYTES value using
-// the system's storage encoding.
-func (s *Server) encodeRegionValue(r *region.Region) (sdb.Value, error) {
-	enc, err := rencode.Encode(s.Cfg.Method, r)
+// intersect returns a ∩ b on a's curve, computed on the compact form
+// wherever an operand has one: two k³-trees meet by synchronized
+// descent, a k³-tree prunes the other's run list, and two run lists
+// merge. The canonical run list is the same whichever way it is
+// computed. An operand on another curve is recoded onto a's first.
+func intersect(a, b region.Queryable) (*region.Region, error) {
+	if !region.SameCurve(a.Curve(), b.Curve()) {
+		r, err := recode(b, a.Curve())
+		if err != nil {
+			return nil, err
+		}
+		b = r
+	}
+	pa, aK3 := a.(*rencode.K3Probe)
+	pb, bK3 := b.(*rencode.K3Probe)
+	switch {
+	case aK3 && bK3:
+		return region.FromOwnedRuns(a.Curve(), pa.IntersectK3(pb))
+	case bK3:
+		return region.IntersectQ(pb, a.(*region.Region))
+	default:
+		return region.IntersectQ(a, b.(*region.Region))
+	}
+}
+
+// runsOf returns a REGION as a run list, materializing a k³-tree probe.
+func runsOf(q region.Queryable) (*region.Region, error) {
+	if p, ok := q.(*rencode.K3Probe); ok {
+		return p.Region()
+	}
+	return q.(*region.Region), nil
+}
+
+// recode returns q's voxel set on curve c.
+func recode(q region.Queryable, c sfc.Curve) (*region.Region, error) {
+	r, err := runsOf(q)
 	if err != nil {
-		return sdb.Value{}, err
+		return nil, err
 	}
-	return sdb.Bytes(enc), nil
+	return r.Recode(c)
 }
 
-// curveFor returns the system curve matching a region's grid (the
-// system's primary Hilbert curve).
-func (s *Server) curveFor(r *region.Region) sfc.Curve {
-	if r.Curve().Kind() == s.Curve.Kind() {
-		return r.Curve()
-	}
-	return s.Curve
+// parsedRegion is a REGION one spatial function returns to the function
+// around it, still parsed: a run list, or a k³-tree probe over the
+// stored bytes. sdb carries it as an Object, so it is encoded — in the
+// system's storage encoding — only where it leaves that call chain, as
+// in Table 4's select nIntersect(...). Nothing holds it past the
+// statement: sdb keeps no Object in a row, and drops its argument
+// vectors after each call.
+type parsedRegion struct {
+	q      region.Queryable
+	method rencode.Method
 }
 
-// Per-access representation counters: how often a REGION operand was
-// answered on its compressed bytes versus materialized as a run list.
-// They feed the benchmark's per-layer rows and EXPLAIN ANALYZE.
+// parsed wraps a REGION result for the calls around it.
+func (s *Server) parsed(q region.Queryable) sdb.Value {
+	return sdb.Obj(&parsedRegion{q: q, method: s.Cfg.Method})
+}
+
+// Encode is the REGION's BYTES form.
+func (p *parsedRegion) Encode() ([]byte, error) {
+	r, err := runsOf(p.q)
+	if err != nil {
+		return nil, err
+	}
+	return rencode.Encode(p.method, r)
+}
+
+// Per-access representation counters: how often a stored or encoded
+// REGION was answered on its compressed bytes versus materialized as a
+// run list. They feed the benchmark's per-layer rows and EXPLAIN
+// ANALYZE.
 const (
 	metricRegionProbes  = "qbism_region_probe_total"
 	metricRegionDecodes = "qbism_region_decode_total"
 )
 
-// queryableFromValue is RegionFromValue's compressed fast path: a
-// k³-tree-encoded value comes back as a *rencode.K3Probe, whose probes
-// answer directly on the encoded bytes — no run list is ever
-// materialized — while every other representation decodes as before
-// (a *region.Region is itself Queryable). Long-field reads are charged
-// identically on both paths; only the decode is skipped.
-func (s *Server) queryableFromValue(call *sdb.Call, v sdb.Value) (region.Queryable, error) {
+// regionOf is the server's one accessor for a REGION-valued SQL value:
+//   - LONG, a stored REGION, read on io's bill;
+//   - BYTES, an encoded REGION, or the DATA_REGION blob whose region it
+//     is;
+//   - OBJECT, the parsed REGION another function of the same statement
+//     returned (parsedRegion), taken as it is.
+//
+// An encoded k³-tree comes back as a *rencode.K3Probe, whose probes and
+// intersections answer on the encoded bytes, unless runs is set; every
+// other encoding, and a k³-tree when the caller needs the run list,
+// comes back a *region.Region. Each stored or encoded REGION read counts
+// once, as a probe when it stays encoded and as a decode when it
+// becomes runs; a parsed one is not counted again. call — nil outside
+// a statement — has the probe noted on its operator as well.
+func (s *Server) regionOf(io *lfm.IO, call *sdb.Call, v sdb.Value, runs bool) (region.Queryable, error) {
 	var data []byte
 	switch v.T {
+	case sdb.TObject:
+		p, ok := v.O.(*parsedRegion)
+		if !ok {
+			return nil, fmt.Errorf("qbism: expected a REGION, got a %T", v.O)
+		}
+		if runs {
+			return runsOf(p.q)
+		}
+		return p.q, nil
 	case sdb.TLong:
-		d, err := call.IO().Read(v.L)
+		d, err := io.Read(v.L)
 		if err != nil {
 			return nil, err
 		}
@@ -333,37 +386,37 @@ func (s *Server) queryableFromValue(call *sdb.Call, v sdb.Value) (region.Queryab
 			if err != nil {
 				return nil, err
 			}
-			s.noteRegionDecode()
+			s.metrics.Counter(metricRegionDecodes).Inc()
 			return d.Region, nil
 		}
 		data = v.Y
 	default:
 		return nil, fmt.Errorf("qbism: expected a REGION (LONG or BYTES), got %s", v.T)
 	}
-	if m, ok := rencode.MethodOf(data); ok && m == rencode.K3Tree {
+	if m, ok := rencode.MethodOf(data); ok && m == rencode.K3Tree && !runs {
 		p, err := rencode.ParseK3(data)
 		if err != nil {
 			return nil, err
 		}
-		s.noteRegionProbe(call)
+		s.metrics.Counter(metricRegionProbes).Inc()
+		if call != nil {
+			call.NoteProbe()
+		}
 		return p, nil
 	}
 	r, err := rencode.Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	s.noteRegionDecode()
+	s.metrics.Counter(metricRegionDecodes).Inc()
 	return r, nil
 }
 
-// noteRegionProbe records one compressed fast-path REGION access, both
-// at the qbism level (the policy's demand signal) and at the sdb level
-// (the per-operator probe counter EXPLAIN ANALYZE shows).
-func (s *Server) noteRegionProbe(call *sdb.Call) {
-	call.NoteProbe()
-	s.metrics.Counter(metricRegionProbes).Inc()
-}
-
-func (s *Server) noteRegionDecode() {
-	s.metrics.Counter(metricRegionDecodes).Inc()
+// regionRuns is regionOf for a caller that needs the run list.
+func (s *Server) regionRuns(io *lfm.IO, call *sdb.Call, v sdb.Value) (*region.Region, error) {
+	q, err := s.regionOf(io, call, v, true)
+	if err != nil {
+		return nil, err
+	}
+	return q.(*region.Region), nil
 }

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"qbism/internal/experiments"
-	"qbism/internal/lfm"
-	"qbism/internal/medserver"
 	"qbism/internal/sdb"
 	"qbism/internal/transport"
 )
@@ -136,31 +134,40 @@ func TestSplitResponseErrors(t *testing.T) {
 	}
 }
 
-func TestRegionFromValueErrors(t *testing.T) {
+// TestRegionOfErrors: every spatial function reads a REGION argument
+// through the server's one accessor, which refuses what is not a REGION
+// — an INT, garbage bytes, a dangling handle — and takes a DATA_REGION
+// blob as its region.
+func TestRegionOfErrors(t *testing.T) {
 	s := testSystem(t)
-	io := &lfm.IO{M: s.LFM}
-	if _, err := medserver.RegionFromValue(io, sdb.Int(5)); err == nil {
-		t.Error("int as region accepted")
+	numVoxels := func(v sdb.Value) (int64, error) {
+		res, err := s.DB.Exec(`select numVoxels(?) from atlas a limit 1`, v)
+		if err != nil {
+			return 0, err
+		}
+		return res.Rows[0][0].I, nil
 	}
-	if _, err := medserver.RegionFromValue(io, sdb.Bytes([]byte{0x01, 0x02})); err == nil {
-		t.Error("garbage bytes accepted")
+	for name, v := range map[string]sdb.Value{
+		"int":             sdb.Int(5),
+		"garbage bytes":   sdb.Bytes([]byte{0x01, 0x02}),
+		"dangling handle": sdb.Long(999999),
+	} {
+		if _, err := numVoxels(v); err == nil {
+			t.Errorf("%s accepted as a REGION", name)
+		}
 	}
-	if _, err := medserver.RegionFromValue(io, sdb.Long(999999)); err == nil {
-		t.Error("dangling handle accepted")
-	}
-	// A DataRegion blob decodes to its region.
 	res := s.DB.MustExec(`
 select extractVoxels(wv.data, as.region)
 from warpedVolume wv, atlasStructure as, neuralStructure ns
 where wv.studyId = 1 and wv.atlasId = as.atlasId
   and as.structureId = ns.structureId and ns.structureName = 'putamen'`)
-	r, err := medserver.RegionFromValue(io, res.Rows[0][0])
+	got, err := numVoxels(res.Rows[0][0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	putamen, _ := s.Atlas.ByName("putamen")
-	if r.NumVoxels() != putamen.Region.NumVoxels() {
-		t.Error("DataRegion blob region mismatched")
+	if uint64(got) != putamen.Region.NumVoxels() {
+		t.Errorf("DataRegion blob holds %d voxels, putamen %d", got, putamen.Region.NumVoxels())
 	}
 }
 

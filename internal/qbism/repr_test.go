@@ -8,6 +8,7 @@ import (
 
 	"qbism/internal/medserver"
 	"qbism/internal/rencode"
+	"qbism/internal/sdb"
 	"qbism/internal/sfc"
 	"qbism/internal/transport"
 )
@@ -305,6 +306,56 @@ func TestContainsPointUDF(t *testing.T) {
 			"select containsPoint(as.region, 99, 0, 0) from atlasStructure as where as.structureId = %d",
 			st.ID)); err == nil {
 			t.Errorf("mode %s: out-of-range coordinate accepted", mode)
+		}
+	}
+}
+
+// TestRegionAccessCounts: every stored REGION a request reads counts
+// once, in qbism_region_probe_total when it stays a k³-tree and in
+// qbism_region_decode_total when it becomes runs, whichever function
+// reads it. The REGION intersection() hands to extractVoxels() is
+// neither: it is passed parsed, never encoded and read again. In auto
+// mode the mixed query therefore probes its two k³-trees and decodes
+// nothing.
+func TestRegionAccessCounts(t *testing.T) {
+	srv := bareServer(t, serveAllocConfig)
+	small, mixed := serveAllocSpecs(srv)
+	res, err := srv.DB.Exec(`
+		select as.region from atlasStructure as, neuralStructure ns
+		where as.structureId = ns.structureId and ns.structureName = ?`, sdb.Str(small.Structure))
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("%s's REGION: %d rows, %v", small.Structure, len(res.Rows), err)
+	}
+	stored, err := srv.LFM.Read(res.Rows[0][0].L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := rencode.MethodOf(stored); m != rencode.K3Tree {
+		t.Fatalf("%s is stored as %v; the mixed case needs a k³-tree structure", small.Structure, m)
+	}
+	band := mixed
+	band.Structure = ""
+	metrics, _ := srv.Observers()
+	probes, decodes := metrics.Counter("qbism_region_probe_total"), metrics.Counter("qbism_region_decode_total")
+	for _, tc := range []struct {
+		name            string
+		spec            QuerySpec
+		probes, decodes int64
+	}{
+		{"structure", small, 0, 1},
+		{"band", band, 0, 1},
+		{"structure ∩ band", mixed, 2, 0},
+	} {
+		req, err := EncodeQueryRequest(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0, d0 := probes.Value(), decodes.Value()
+		if _, err := srv.ServeRPC(nil, QueryMethod, req); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if p, d := probes.Value()-p0, decodes.Value()-d0; p != tc.probes || d != tc.decodes {
+			t.Errorf("%s: %d probes and %d decodes, want %d and %d", tc.name, p, d, tc.probes, tc.decodes)
 		}
 	}
 }

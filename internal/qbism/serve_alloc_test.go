@@ -65,13 +65,16 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// As measured (24 and 28 before PR 21 took JSON off the wire, 65
-		// and 80 before PR 18 kept the operator trees, 91 and 101 before
-		// PR 17's one-pass decode).
+		// As measured. Before, they were 17 and 21 while intersection()
+		// expanded a k³ structure to runs, encoded its result for
+		// extractVoxels() to decode and every UDF call allocated its
+		// argument vector; 24 and 28 with JSON on the wire, 65 and 80
+		// with an operator tree per execution, 91 and 101 before the
+		// one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", small, 17},
-		{"structure-and-band", mixed, 21},
+		{"small-structure", small, 16},
+		{"structure-and-band", mixed, 17},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -94,6 +97,25 @@ func TestServeRPCAllocBudget(t *testing.T) {
 // directly, no transport: ns/op and allocs/op of the server side alone.
 // `make bench-smoke` runs one iteration.
 func BenchmarkServeRPCSmall(b *testing.B) { benchServeSmall(b, false) }
+
+// BenchmarkServeRPCMixed is the structure ∩ band request served the
+// same way: intersection() nested in extractVoxels(), the shape whose
+// REGIONs stay parsed from one call to the next.
+func BenchmarkServeRPCMixed(b *testing.B) {
+	sys := bareServer(b, serveAllocConfig)
+	_, mixed := serveAllocSpecs(sys)
+	req, err := EncodeQueryRequest(mixed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.ServeRPC(nil, QueryMethod, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkServeRPCTraced is the same request under a span, as a daemon
 // with Config.Trace serves it: the two benchmarks' difference is what
@@ -170,9 +192,11 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		// under the same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
-		{"full-study", full, 11, 2.3},
-		{"whole-band", band, 16, 4.5},
-		{"hemisphere", hemisphere, 19, 6.7},
+		// (Allocations were 11, 16 and 19 while every UDF call allocated
+		// its argument vector.)
+		{"full-study", full, 10, 2.3},
+		{"whole-band", band, 15, 4.5},
+		{"hemisphere", hemisphere, 18, 6.7},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

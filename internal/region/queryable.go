@@ -93,7 +93,7 @@ func errCurveMismatchQ(op string, a Queryable, b *Region) error {
 // materialized — each run of b is one coverage test against the
 // encoded bytes.
 func ContainsQ(a Queryable, b *Region) (bool, error) {
-	if !sameCurve(a.Curve(), b.curve) {
+	if !SameCurve(a.Curve(), b.curve) {
 		return false, errCurveMismatchQ("containsQ", a, b)
 	}
 	for _, run := range b.runs {
@@ -106,7 +106,7 @@ func ContainsQ(a Queryable, b *Region) (bool, error) {
 
 // IntersectQ returns a ∩ b with a kept in its stored representation.
 func IntersectQ(a Queryable, b *Region) (*Region, error) {
-	if !sameCurve(a.Curve(), b.curve) {
+	if !SameCurve(a.Curve(), b.curve) {
 		return nil, errCurveMismatchQ("intersectQ", a, b)
 	}
 	return &Region{curve: b.curve, runs: a.IntersectRuns(b.runs)}, nil
@@ -115,7 +115,7 @@ func IntersectQ(a Queryable, b *Region) (*Region, error) {
 // OverlapsQ reports whether a and b share any voxel, short-circuiting
 // on the first run of b that is nonempty in a.
 func OverlapsQ(a Queryable, b *Region) (bool, error) {
-	if !sameCurve(a.Curve(), b.curve) {
+	if !SameCurve(a.Curve(), b.curve) {
 		return false, errCurveMismatchQ("overlapsQ", a, b)
 	}
 	for _, run := range b.runs {

@@ -103,7 +103,7 @@ func (r *Region) ForEachPoint(f func(p sfc.Point) bool) {
 // Equal reports whether the two regions are the same voxel set on the
 // same curve.
 func (r *Region) Equal(o *Region) bool {
-	if !sameCurve(r.curve, o.curve) || len(r.runs) != len(o.runs) {
+	if !SameCurve(r.curve, o.curve) || len(r.runs) != len(o.runs) {
 		return false
 	}
 	for i := range r.runs {
@@ -301,7 +301,7 @@ func (r *Region) Recode(to sfc.Curve) (*Region, error) {
 		return nil, fmt.Errorf("region: cannot recode between grids %dD/%db and %dD/%db",
 			r.curve.Dim(), r.curve.Bits(), to.Dim(), to.Bits())
 	}
-	if sameCurve(r.curve, to) {
+	if SameCurve(r.curve, to) {
 		return r, nil
 	}
 	ids := make([]uint64, 0, r.NumVoxels())
@@ -312,6 +312,9 @@ func (r *Region) Recode(to sfc.Curve) (*Region, error) {
 	return fromOwnedIDs(to, ids)
 }
 
-func sameCurve(a, b sfc.Curve) bool {
+// SameCurve reports whether two curves are one ordering of one grid:
+// the same kind, dimension and bits. Run lists on such curves combine
+// directly; any others must be recoded first.
+func SameCurve(a, b sfc.Curve) bool {
 	return a.Kind() == b.Kind() && a.Dim() == b.Dim() && a.Bits() == b.Bits()
 }

@@ -19,7 +19,7 @@ func errCurveMismatch(op string, a, b *Region) error {
 // Intersect returns the spatial intersection of a and b — the paper's
 // INTERSECTION(r1, r2) operator.
 func Intersect(a, b *Region) (*Region, error) {
-	if !sameCurve(a.curve, b.curve) {
+	if !SameCurve(a.curve, b.curve) {
 		return nil, errCurveMismatch("intersect", a, b)
 	}
 	var out []Run
@@ -56,7 +56,7 @@ func IntersectN(regions ...*Region) (*Region, error) {
 	// Validate every curve upfront, so reordering can't hide a mismatch
 	// behind an early empty accumulator.
 	for _, r := range regions[1:] {
-		if !sameCurve(r.curve, regions[0].curve) {
+		if !SameCurve(r.curve, regions[0].curve) {
 			return nil, errCurveMismatch("intersectN", regions[0], r)
 		}
 	}
@@ -81,7 +81,7 @@ func IntersectN(regions ...*Region) (*Region, error) {
 
 // Union returns the spatial union of a and b.
 func Union(a, b *Region) (*Region, error) {
-	if !sameCurve(a.curve, b.curve) {
+	if !SameCurve(a.curve, b.curve) {
 		return nil, errCurveMismatch("union", a, b)
 	}
 	out := make([]Run, 0, len(a.runs)+len(b.runs))
@@ -103,7 +103,7 @@ func Union(a, b *Region) (*Region, error) {
 
 // Difference returns the voxels of a that are not in b.
 func Difference(a, b *Region) (*Region, error) {
-	if !sameCurve(a.curve, b.curve) {
+	if !SameCurve(a.curve, b.curve) {
 		return nil, errCurveMismatch("difference", a, b)
 	}
 	var out []Run
@@ -140,7 +140,7 @@ func Complement(r *Region) (*Region, error) {
 // Contains reports whether a is a spatial superset of b — the paper's
 // CONTAINS(r1, r2) operator.
 func Contains(a, b *Region) (bool, error) {
-	if !sameCurve(a.curve, b.curve) {
+	if !SameCurve(a.curve, b.curve) {
 		return false, errCurveMismatch("contains", a, b)
 	}
 	i := 0
@@ -158,7 +158,7 @@ func Contains(a, b *Region) (bool, error) {
 // Overlaps reports whether a and b share at least one voxel, without
 // materializing the intersection.
 func Overlaps(a, b *Region) (bool, error) {
-	if !sameCurve(a.curve, b.curve) {
+	if !SameCurve(a.curve, b.curve) {
 		return false, errCurveMismatch("overlaps", a, b)
 	}
 	i, j := 0, 0

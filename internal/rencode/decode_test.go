@@ -167,7 +167,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 
 // fuzzCorpus reads every checked-in input of one fuzz target (the
 // "go test fuzz v1" files hold one []byte literal).
-func fuzzCorpus(t *testing.T, target string) map[string][]byte {
+func fuzzCorpus(t testing.TB, target string) map[string][]byte {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
 	if err != nil || len(files) == 0 {

@@ -2,6 +2,8 @@ package rencode
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"qbism/internal/region"
@@ -164,4 +166,57 @@ func regionsEqual(a, b *region.Region) bool {
 		}
 	}
 	return true
+}
+
+// FuzzK3IntersectK3 drives the synchronized descent with one arbitrary
+// k³-tree — seeded from FuzzDecodeK3's checked-in corpus — against a
+// second one the seed generates on the same curve. Whatever the parser
+// accepts, IntersectK3 must agree both ways round with the run-list
+// intersection of the two decoded operands.
+func FuzzK3IntersectK3(f *testing.F) {
+	for _, data := range fuzzCorpus(f, "FuzzDecodeK3") {
+		for seed := int64(0); seed < 3; seed++ {
+			f.Add(data, seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		p, err := ParseK3(data)
+		if err != nil {
+			return
+		}
+		c := p.Curve()
+		var b *region.Region
+		switch rng := rand.New(rand.NewSource(seed)); seed % 4 {
+		case 0:
+			b = region.Full(c)
+		case 1:
+			if b, err = p.Region(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			b = genOnCurve(rng, c)
+		}
+		blob, err := Encode(K3Tree, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParseK3(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.Region()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := region.Intersect(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.IntersectK3(q); !slices.Equal(got, want.RunsView()) {
+			t.Fatalf("p∩q = %v, run lists give %v", got, want.RunsView())
+		}
+		if got := q.IntersectK3(p); !slices.Equal(got, want.RunsView()) {
+			t.Fatalf("q∩p = %v, run lists give %v", got, want.RunsView())
+		}
+	})
 }

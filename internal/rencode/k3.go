@@ -22,7 +22,7 @@
 // competitive with the delta codecs. Decode builds none: a depth-first
 // walk of the whole tree meets each level's groups in the order the
 // level stores them, so a per-level cursor stands in for rank₁ (see
-// Region).
+// runs).
 //
 // The encoding is canonical and the parser enforces it: a full or
 // empty subtree must collapse into its parent (no all-full or
@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"qbism/internal/bitio"
 	"qbism/internal/region"
@@ -166,9 +167,9 @@ type k3Level struct {
 }
 
 // K3Probe is a validated, queryable view over a K3Tree encoding. All
-// probe methods operate on the encoded bitmaps — no run list is ever
-// materialized unless Region is called. A probe is immutable and safe
-// for concurrent use.
+// probe methods, IntersectK3 included, operate on the encoded bitmaps —
+// no run list is ever materialized unless Region is called. A probe is
+// immutable and safe for concurrent use.
 type K3Probe struct {
 	curve  sfc.Curve
 	dim    int
@@ -499,6 +500,43 @@ func (p *K3Probe) allRec(lvl, groupBase int, base, lo, hi uint64) bool {
 	return true
 }
 
+// k3Out collects a descent's result runs, met in increasing id order,
+// extending the last run instead when the next one touches it. A
+// descent runs twice (k3Collect): the first pass only counts, the
+// second fills a list allocated at that count.
+type k3Out struct {
+	runs   []region.Run // nil on the counting pass
+	n      int          // runs emitted so far
+	lastHi uint64       // Hi of the last run; meaningful when n > 0
+}
+
+func (o *k3Out) emit(lo, hi uint64) {
+	if o.n > 0 && o.lastHi+1 == lo {
+		if o.runs != nil {
+			o.runs[o.n-1].Hi = hi
+		}
+	} else {
+		if o.runs != nil {
+			o.runs[o.n] = region.Run{Lo: lo, Hi: hi}
+		}
+		o.n++
+	}
+	o.lastHi = hi
+}
+
+// k3Collect runs descend once to count the result runs and once more
+// into a list of exactly that length: one allocation, never a regrowth.
+func k3Collect(descend func(o *k3Out)) []region.Run {
+	var o k3Out
+	descend(&o)
+	if o.n == 0 {
+		return nil
+	}
+	o.runs, o.n = make([]region.Run, o.n), 0
+	descend(&o)
+	return o.runs
+}
+
 // IntersectRuns intersects the region with a sorted, normalized run
 // list (as Region.Runs returns), pruning whole subtrees the runs never
 // touch. The result is normalized and in increasing order.
@@ -507,30 +545,21 @@ func (p *K3Probe) IntersectRuns(runs []region.Run) []region.Run {
 		return nil
 	}
 	if p.root == k3Full {
-		out := make([]region.Run, len(runs))
-		copy(out, runs)
-		return out
+		return slices.Clone(runs)
 	}
-	it := &k3Intersector{p: p, runs: runs}
-	it.rec(1, 0, 0)
-	return it.out
+	return k3Collect(func(o *k3Out) {
+		it := k3Intersector{p: p, runs: runs, out: o}
+		it.rec(1, 0, 0)
+	})
 }
 
 // k3Intersector carries the DFS state of IntersectRuns: a single run
-// pointer advanced in id order, and the normalized output accumulator.
+// pointer advanced in id order, and where the result runs go.
 type k3Intersector struct {
 	p    *K3Probe
 	runs []region.Run
 	ri   int
-	out  []region.Run
-}
-
-func (it *k3Intersector) emit(lo, hi uint64) {
-	if n := len(it.out); n > 0 && it.out[n-1].Hi+1 == lo {
-		it.out[n-1].Hi = hi
-		return
-	}
-	it.out = append(it.out, region.Run{Lo: lo, Hi: hi})
+	out  *k3Out
 }
 
 func (it *k3Intersector) rec(lvl, groupBase int, base uint64) {
@@ -560,10 +589,87 @@ func (it *k3Intersector) rec(lvl, groupBase int, base uint64) {
 				if hi > ch {
 					hi = ch
 				}
-				it.emit(lo, hi)
+				it.out.emit(lo, hi)
 			}
 		case lv.m != nil && k3Bit(lv.m, j):
 			it.rec(lvl+1, p.degree*lv.mrank.Rank1(j), cb)
+		}
+	}
+}
+
+// IntersectK3 intersects two k³-trees on the same curve without
+// expanding either to runs: it descends both in step, one child group
+// of each at a time. A child empty in either tree is pruned, full in
+// both is emitted whole, full in one emits the other's subtree below
+// it, and mixed in both is descended into. The result runs go straight
+// into one list of exactly their number (k3Collect). q must be on p's
+// curve — same kind, dimension and bits — or the result is meaningless.
+func (p *K3Probe) IntersectK3(q *K3Probe) []region.Run {
+	switch {
+	case p.root == k3Empty || q.root == k3Empty:
+		return nil
+	case p.root == k3Full:
+		return q.runs()
+	case q.root == k3Full:
+		return p.runs()
+	}
+	return k3Collect(func(o *k3Out) { k3Meet(o, p, q, 1, 0, 0, 0) })
+}
+
+// groups returns the full and mixed bits of the child group starting
+// at slot gs of level lvl, first child in the top bit (k3Group); the
+// last level has no mixed bitmap.
+func (p *K3Probe) groups(lvl, gs int) (f, m byte) {
+	lv := &p.levels[lvl-1]
+	g := gs / p.degree
+	f = k3Group(lv.f, p.degree, g)
+	if lv.m != nil {
+		m = k3Group(lv.m, p.degree, g)
+	}
+	return f, m
+}
+
+// k3Meet is IntersectK3's descent through the child groups starting at
+// slot gp of p's and slot gq of q's level lvl, which both cover the ids
+// from base on.
+func k3Meet(o *k3Out, p, q *K3Probe, lvl, gp, gq int, base uint64) {
+	pf, pm := p.groups(lvl, gp)
+	qf, qm := q.groups(lvl, gq)
+	shift := uint(p.dim * (p.bits - lvl)) // a child spans 1<<shift ids
+	for live := (pf | pm) & (qf | qm); live != 0; {
+		c := bits.LeadingZeros8(live)
+		bit := byte(0x80) >> uint(c)
+		live &^= bit
+		lo := base + uint64(c)<<shift
+		switch {
+		case pf&qf&bit != 0:
+			o.emit(lo, lo+1<<shift-1)
+		case pf&bit != 0:
+			q.emitSubtree(o, lvl+1, q.degree*q.levels[lvl-1].mrank.Rank1(gq+c), lo)
+		case qf&bit != 0:
+			p.emitSubtree(o, lvl+1, p.degree*p.levels[lvl-1].mrank.Rank1(gp+c), lo)
+		default:
+			k3Meet(o, p, q, lvl+1,
+				p.degree*p.levels[lvl-1].mrank.Rank1(gp+c),
+				q.degree*q.levels[lvl-1].mrank.Rank1(gq+c), lo)
+		}
+	}
+}
+
+// emitSubtree emits every run below a mixed node: the child group
+// starting at slot gs of level lvl, covering the ids from base on.
+func (p *K3Probe) emitSubtree(o *k3Out, lvl, gs int, base uint64) {
+	f, m := p.groups(lvl, gs)
+	shift := uint(p.dim * (p.bits - lvl))
+	for live := f | m; live != 0; {
+		c := bits.LeadingZeros8(live)
+		bit := byte(0x80) >> uint(c)
+		live &^= bit
+		lo := base + uint64(c)<<shift
+		if f&bit != 0 {
+			o.emit(lo, lo+1<<shift-1)
+		} else {
+			p.emitSubtree(o, lvl+1, p.degree*p.levels[lvl-1].mrank.Rank1(gs+c), lo)
 		}
 	}
 }
@@ -591,21 +697,26 @@ func k3Emit(runs []region.Run, lo, hi uint64) []region.Run {
 }
 
 // Region materializes the run-list region — the same result Decode
-// produces — in one depth-first sweep. The levels store their groups
-// in breadth-first order, and a depth-first walk of the whole tree
-// reaches the groups of any one level in that same order (both are id
-// order), so the group under a mixed child is simply the next unread
-// group one level down: a cursor per level, no rank₁. Each group is
-// taken whole — one byte of F and one of M — and its full children
-// leave as streaks found with leading-zero and leading-one counts; a
-// group of the last level, which has no M, is emitted where it is met
-// rather than pushed.
+// produces — from runs.
 func (p *K3Probe) Region() (*region.Region, error) {
+	return region.FromOwnedRuns(p.curve, p.runs())
+}
+
+// runs returns the region's run list, in a slice of its own, in one
+// depth-first sweep. The levels store their groups in breadth-first
+// order, and a depth-first walk of the whole tree reaches the groups of
+// any one level in that same order (both are id order), so the group
+// under a mixed child is simply the next unread group one level down: a
+// cursor per level, no rank₁. Each group is taken whole — one byte of F
+// and one of M — and its full children leave as streaks found with
+// leading-zero and leading-one counts; a group of the last level, which
+// has no M, is emitted where it is met rather than pushed.
+func (p *K3Probe) runs() []region.Run {
 	switch p.root {
 	case k3Empty:
-		return region.Empty(p.curve), nil
+		return nil
 	case k3Full:
-		return region.Full(p.curve), nil
+		return []region.Run{{Lo: 0, Hi: p.curve.Length() - 1}}
 	}
 	// Every run starts a streak of full siblings, so the streaks bound
 	// the list; only streaks that touch across groups merge below.
@@ -660,5 +771,5 @@ func (p *K3Probe) Region() (*region.Region, error) {
 		lvl++
 		fr = k3Frame{f: k3Group(lv.f, p.degree, g), m: k3Group(lv.m, p.degree, g), at: lo}
 	}
-	return region.FromOwnedRuns(p.curve, runs)
+	return runs
 }

@@ -2,7 +2,9 @@ package rencode
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -375,4 +377,106 @@ func BenchmarkDecodeThenProbe(b *testing.B) {
 		v = dec.ContainsID(uint64(i*2654435761) % n)
 	}
 	sinkBool = v
+}
+
+// k3Pair encodes and parses two regions as k³-trees.
+func k3Pair(t testing.TB, a, b *region.Region) (*K3Probe, *K3Probe) {
+	t.Helper()
+	var ps [2]*K3Probe
+	for i, r := range []*region.Region{a, b} {
+		blob, err := Encode(K3Tree, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps[i], err = ParseK3(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ps[0], ps[1]
+}
+
+// checkIntersectK3 asserts that p.IntersectK3(q), both ways round, is
+// region.Intersect of the two decoded operands and the oracle's walk of
+// the intersection's own k³-tree, run for run — and that it allocates
+// the result list once and nothing else.
+func checkIntersectK3(t *testing.T, ctx string, p, q *K3Probe) {
+	t.Helper()
+	pr, err := p.Region()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := q.Region()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := region.Intersect(pr, qr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := Encode(K3Tree, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ParseK3(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := oracleRuns(w)
+	for name, got := range map[string][]region.Run{"p∩q": p.IntersectK3(q), "q∩p": q.IntersectK3(p)} {
+		if !slices.Equal(got, want.RunsView()) || !slices.Equal(got, oracle) {
+			t.Fatalf("%s: %s = %v, region.Intersect %v, oracle %v", ctx, name, got, want.RunsView(), oracle)
+		}
+	}
+	if n := testing.AllocsPerRun(3, func() { p.IntersectK3(q) }); n > 1 {
+		t.Fatalf("%s: IntersectK3 made %.0f allocations, want at most the result list", ctx, n)
+	}
+}
+
+// TestK3IntersectK3MatchesOracle is the differential for the
+// synchronized descent: on 2D and 3D curves of every kind and several
+// depths, random pairs and the pairs that stress its cases — an empty
+// or full root on either side, disjoint, nested and identical operands
+// — intersect to exactly what the run lists do.
+func TestK3IntersectK3MatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.ZOrder, sfc.Scanline} {
+		for dim := 2; dim <= 3; dim++ {
+			for nbits := 1; nbits <= 5; nbits++ {
+				c := sfc.MustNew(kind, dim, nbits)
+				ctx := fmt.Sprintf("%v %dD bits %d", kind, dim, nbits)
+				for i := 0; i < 8; i++ {
+					a, b := genOnCurve(rng, c), genOnCurve(rng, c)
+					outside, err := region.Complement(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inside, err := region.Intersect(a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, pair := range map[string][2]*region.Region{
+						"random":    {a, b},
+						"empty":     {region.Empty(c), a},
+						"full":      {region.Full(c), a},
+						"full-full": {region.Full(c), region.Full(c)},
+						"disjoint":  {a, outside},
+						"nested":    {a, inside},
+						"identical": {a, a},
+					} {
+						p, q := k3Pair(t, pair[0], pair[1])
+						checkIntersectK3(t, ctx+" "+name, p, q)
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		a := genRegion(rng)
+		b, err := genRegion(rng).Recode(a.Curve())
+		if err != nil {
+			continue // another grid
+		}
+		p, q := k3Pair(t, a, b)
+		checkIntersectK3(t, "genRegion", p, q)
+	}
 }

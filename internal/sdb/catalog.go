@@ -180,7 +180,11 @@ func (db *DB) RegisterUDF(u *UDF) error {
 
 // UDF is a user-defined SQL function. Fn receives its Call (for
 // long-field access billed to the statement running it) and the
-// evaluated arguments. Cost is an optional
+// evaluated arguments, which are valid for the call only: the vector is
+// the execution's, reused by the next call, so Fn copies out any value
+// it keeps. An argument that is itself a call arrives as that call
+// returned it, an Object included; Fn may return an Object for the
+// calls around it to take the same way. Cost is an optional
 // planner hint: same-node filter predicates run cheapest-first, so an
 // expensive extraction function should carry a high Cost and a fast
 // region test a low one. Zero is fine for trivial functions.

@@ -38,12 +38,41 @@ type env struct {
 	db     *DB
 	params []Value
 	call   Call
+	stack  *argStack // shared by every operator of the execution
 
 	rows    [][]Value // the current tuple: one row per slot, in join order
 	aggVals []Value   // its computed aggregates; nil before aggregation
 }
 
-// eval evaluates a bound expression against the current tuple.
+// argStack holds the argument vectors of the calls under evaluation,
+// one frame above another: a call's arguments are evaluated into its
+// frame, and a call among them pushes its own frame on top. An
+// execution owns one and keeps its capacity from run to run, so a call
+// allocates no argument vector.
+type argStack struct{ v []Value }
+
+// push returns a frame of n values on top of the stack.
+func (s *argStack) push(n int) []Value {
+	top := len(s.v)
+	if cap(s.v)-top < n {
+		// The frames below stay in the array they were cut from; only
+		// this frame and those above it live in the larger one.
+		s.v = make([]Value, top, 2*cap(s.v)+n)
+	}
+	s.v = s.v[:top+n]
+	return s.v[top : top+n : top+n]
+}
+
+// pop drops the frames from top up, zeroed: no row, blob or Object
+// outlives the call it was an argument of.
+func (s *argStack) pop(top int) {
+	clear(s.v[top:])
+	s.v = s.v[:top]
+}
+
+// eval evaluates a bound expression against the current tuple. An
+// Object a call returns goes no further than here: its value is the
+// BYTES it encodes to.
 func (e *env) eval(x Expr) (Value, error) {
 	switch n := x.(type) {
 	case *Literal:
@@ -86,41 +115,64 @@ func (e *env) eval(x Expr) (Value, error) {
 	case *BinaryExpr:
 		return e.evalBinary(n)
 	case *FuncCall:
-		// Above the aggregate operator an accumulated call reads its
-		// computed value; built-in aggregates shadow same-named UDFs.
-		if n.agg > 0 && e.aggVals != nil {
-			return e.aggVals[n.agg-1], nil
+		v, err := e.apply(n)
+		if err != nil || v.T != TObject {
+			return v, err
 		}
-		u := n.udf
-		if u == nil {
-			return Value{}, fmt.Errorf("sdb: unknown function %q", n.Name)
-		}
-		if len(n.Args) < u.MinArgs || (u.MaxArgs >= 0 && len(n.Args) > u.MaxArgs) {
-			return Value{}, fmt.Errorf("sdb: function %q called with %d args", u.Name, len(n.Args))
-		}
-		args := make([]Value, len(n.Args))
-		for i, a := range n.Args {
-			v, err := e.eval(a)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
-		}
-		if e.call.st != nil {
-			e.call.st.udfCalls++
-		}
-		e.db.m.udfCalls.Inc()
-		if u.ProbeOnly {
-			e.db.m.udfProbeCalls.Inc()
-		}
-		out, err := u.Fn(&e.call, args)
+		enc, err := v.O.Encode()
 		if err != nil {
-			return Value{}, fmt.Errorf("sdb: function %q: %w", u.Name, err)
+			return Value{}, fmt.Errorf("sdb: function %q: %w", n.Name, err)
 		}
-		return out, nil
+		return Bytes(enc), nil
 	default:
 		return Value{}, fmt.Errorf("sdb: cannot evaluate %T", x)
 	}
+}
+
+// apply evaluates a function call, whose value may be an Object: eval
+// encodes it, and a call that is the argument of another hands it over
+// as it is.
+func (e *env) apply(n *FuncCall) (Value, error) {
+	// Above the aggregate operator an accumulated call reads its
+	// computed value; built-in aggregates shadow same-named UDFs.
+	if n.agg > 0 && e.aggVals != nil {
+		return e.aggVals[n.agg-1], nil
+	}
+	u := n.udf
+	if u == nil {
+		return Value{}, fmt.Errorf("sdb: unknown function %q", n.Name)
+	}
+	if len(n.Args) < u.MinArgs || (u.MaxArgs >= 0 && len(n.Args) > u.MaxArgs) {
+		return Value{}, fmt.Errorf("sdb: function %q called with %d args", u.Name, len(n.Args))
+	}
+	top := len(e.stack.v)
+	args := e.stack.push(len(n.Args))
+	defer e.stack.pop(top)
+	for i, a := range n.Args {
+		var v Value
+		var err error
+		if f, ok := a.(*FuncCall); ok {
+			v, err = e.apply(f)
+		} else {
+			v, err = e.eval(a)
+		}
+		if err != nil {
+			return Value{}, err
+		}
+		args[i] = v
+	}
+	if e.call.st != nil {
+		e.call.st.udfCalls++
+	}
+	e.db.m.udfCalls.Inc()
+	if u.ProbeOnly {
+		e.db.m.udfProbeCalls.Inc()
+	}
+	out, err := u.Fn(&e.call, args)
+	if err != nil {
+		return Value{}, fmt.Errorf("sdb: function %q: %w", u.Name, err)
+	}
+	return out, nil
 }
 
 func (e *env) evalBinary(n *BinaryExpr) (Value, error) {

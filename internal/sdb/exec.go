@@ -348,7 +348,7 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 // tuples. No execution runs it, so what its UDFs read is billed to an
 // account nobody collects.
 func (db *DB) dmlEnv(params []Value, nrows int) *env {
-	return &env{db: db, params: params, call: Call{io: &lfm.IO{M: db.lfm}}, rows: make([][]Value, nrows)}
+	return &env{db: db, params: params, call: Call{io: &lfm.IO{M: db.lfm}}, stack: &argStack{}, rows: make([][]Value, nrows)}
 }
 
 // whereMatches evaluates a DML WHERE clause (nil = every row) against

@@ -67,7 +67,7 @@ func (b *opBase) stats() *opStats { return &b.st }
 // bind points the operator's evaluation context at the execution it
 // was built for, once: a later run refills x.params in place.
 func (b *opBase) bind(x *execution) {
-	b.ev = env{db: x.db, params: x.params, call: Call{io: &x.io, st: &b.st}}
+	b.ev = env{db: x.db, params: x.params, call: Call{io: &x.io, st: &b.st}, stack: &x.args}
 	b.x = x
 }
 
@@ -887,6 +887,9 @@ type execution struct {
 	// io is this run's bill: every long field a UDF reads, it reads
 	// through here (Call.IO). A traced run also keeps it per field.
 	io lfm.IO
+	// args are the argument vectors of every UDF call its operators
+	// make, and empty between calls.
+	args argStack
 
 	width   int       // tuple width: the plan's FROM entries
 	bufs    [][]Value // one width-sized buffer per scan and join, back to back

@@ -541,3 +541,105 @@ func BenchmarkStmtQuery(b *testing.B) {
 		runJoinChain(b, stmt, id, name)
 	}
 }
+
+// TestStmtQueryUDFAllocBudget: UDF calls, nested ones included, take
+// their argument vectors from the execution's stack, so a statement
+// whose functions allocate nothing costs what TestStmtQueryAllocBudget's
+// join does — the Rows and the output row.
+func TestStmtQueryUDFAllocBudget(t *testing.T) {
+	db, _ := joinChainDB(t, 8)
+	for _, u := range []*UDF{
+		{Name: "g", MinArgs: 1, MaxArgs: 1, Fn: func(_ *Call, args []Value) (Value, error) { return Int(args[0].I + 1), nil }},
+		{Name: "f", MinArgs: 2, MaxArgs: 2, Fn: func(_ *Call, args []Value) (Value, error) { return Int(args[0].I * args[1].I), nil }},
+	} {
+		if err := db.RegisterUDF(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt := mustPrepare(t, db, `
+		select f(g(t1.id), g(g(t2.nxt))) from t1, t2
+		where t1.nxt = t2.id and f(g(t2.id), 1) = ?`)
+	run := func() {
+		rows, err := stmt.Query(nil, Int(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			if got := rows.Row()[0]; got.T != TInt || got.I != 6*7 {
+				t.Fatalf("row %v, want 42", rows.Row())
+			}
+			n++
+		}
+		if err := rows.Close(); err != nil || rows.Err() != nil || n != 1 {
+			t.Fatalf("%d rows, err %v / %v", n, rows.Err(), err)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(50, run)
+	t.Logf("%.0f allocs per Query+drain+Close", got)
+	if got > 2 {
+		t.Errorf("%.0f allocs per execution, ceiling 2 — is an argument vector allocated per call again?", got)
+	}
+}
+
+// opaque is an Object test UDFs pass between each other.
+type opaque struct{ n int64 }
+
+func (o *opaque) Encode() ([]byte, error) { return []byte(fmt.Sprintf("opaque %d", o.n)), nil }
+
+// TestObjectStaysInItsCallChain: an Object a UDF returns reaches a UDF
+// that takes it as an argument as it is, and stands as its encoding
+// everywhere else — the output row, a comparison — so no Object leaves
+// the statement, and an idle tree's argument stack holds none.
+func TestObjectStaysInItsCallChain(t *testing.T) {
+	db := retainDB(t)
+	for _, u := range []*UDF{
+		{Name: "wrap", MinArgs: 1, MaxArgs: 1, Fn: func(_ *Call, args []Value) (Value, error) {
+			return Obj(&opaque{args[0].I}), nil
+		}},
+		{Name: "unwrap", MinArgs: 1, MaxArgs: 1, Fn: func(_ *Call, args []Value) (Value, error) {
+			o, ok := args[0].O.(*opaque)
+			if args[0].T != TObject || !ok {
+				return Value{}, fmt.Errorf("unwrap got a %s", args[0].T)
+			}
+			return Int(o.n), nil
+		}},
+	} {
+		if err := db.RegisterUDF(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt := mustPrepare(t, db, `
+		select unwrap(wrap(l.id)), wrap(l.id) from l
+		where wrap(l.id) <> ? and unwrap(wrap(l.id)) < 4 order by l.id`)
+	got := drain(stmt.Query(nil, Bytes([]byte("opaque 2"))))
+	if got.err {
+		t.Fatal("execution failed")
+	}
+	if len(got.rows) != 2 {
+		t.Fatalf("%d rows, want ids 1 and 3", len(got.rows))
+	}
+	for i, id := range []int64{1, 3} {
+		n, o := got.rows[i][0], got.rows[i][1]
+		if n.T != TInt || n.I != id || o.T != TBytes || string(o.Y) != fmt.Sprintf("opaque %d", id) {
+			t.Errorf("row %d is %v %v (%q), want %d and the Object's encoding", i, n, o, o.Y, id)
+		}
+	}
+	if _, err := db.Exec(`select unwrap(l.id) from l`); err == nil {
+		t.Error("unwrap of a plain INT accepted")
+	}
+	trees := idleTrees(stmt)
+	if len(trees) != 1 {
+		t.Fatalf("%d idle trees", len(trees))
+	}
+	stack := trees[0].args.v
+	if len(stack) != 0 || cap(stack) == 0 {
+		t.Errorf("idle argument stack has length %d, capacity %d; want 0 and some", len(stack), cap(stack))
+	}
+	for i, v := range stack[:cap(stack)] {
+		if !reflect.DeepEqual(v, Value{}) {
+			t.Errorf("idle argument stack slot %d still holds %v", i, v)
+		}
+	}
+}

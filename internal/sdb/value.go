@@ -38,10 +38,17 @@ const (
 	TBool
 	// TLong is a handle to a long field stored in the LFM.
 	TLong
-	// TBytes is an in-memory byte string, used for intermediate results
-	// of user-defined functions (e.g. an encoded REGION produced by
-	// intersection() mid-query).
+	// TBytes is an in-memory byte string: what a user-defined function
+	// returns for the caller to keep (a DATA_REGION from extractVoxels(),
+	// say), or an Object where it leaves its call chain.
 	TBytes
+	// TObject is an Object one user-defined function returns for
+	// another to take as it is: a REGION kept parsed between
+	// intersection() and extractVoxels(), with no encoding in between.
+	// Only a call's argument ever sees one. Anywhere else — an output
+	// row, a predicate, a key — it stands as the BYTES its Encode
+	// returns.
+	TObject
 )
 
 // String returns the SQL-ish name of the type.
@@ -61,6 +68,8 @@ func (t Type) String() string {
 		return "LONG"
 	case TBytes:
 		return "BYTES"
+	case TObject:
+		return "OBJECT"
 	default:
 		return fmt.Sprintf("Type(%d)", int(t))
 	}
@@ -75,6 +84,15 @@ type Value struct {
 	B bool
 	L lfm.Handle
 	Y []byte
+	O Object
+}
+
+// Object is the in-memory form a TObject value carries. sdb never
+// looks inside one; it only asks it for its encoding.
+type Object interface {
+	// Encode returns the BYTES the value stands as outside the call
+	// chain that made it.
+	Encode() ([]byte, error)
 }
 
 // Constructors.
@@ -100,6 +118,9 @@ func Long(h lfm.Handle) Value { return Value{T: TLong, L: h} }
 // Bytes returns an in-memory blob value.
 func Bytes(b []byte) Value { return Value{T: TBytes, Y: b} }
 
+// Obj returns a value carrying o for the next call to take as it is.
+func Obj(o Object) Value { return Value{T: TObject, O: o} }
+
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.T == TNull }
 
@@ -123,6 +144,8 @@ func (v Value) String() string {
 		return fmt.Sprintf("long:%d", uint64(v.L))
 	case TBytes:
 		return fmt.Sprintf("bytes[%d]", len(v.Y))
+	case TObject:
+		return "object"
 	default:
 		return "?"
 	}
