@@ -138,9 +138,14 @@ cover:
 # B/op are what TestServeRPCAllocBudget and TestBulkReplyAllocBudget put
 # ceilings on), BenchmarkServeRPCTraced for the small request with a
 # tracer attached (what trace-on costs, beside the line it is measured
-# against) with BenchmarkStmtQuery for the SQL layer's share of it
-# (one execution of a prepared 4-table join on its retained operator
-# tree; TestStmtQueryAllocBudget pins the allocations) — and the REGION
+# against), BenchmarkRunQueryMixed for the structure ∩ band query end to
+# end in one process (DX client, simulated link and server;
+# TestRunQueryAllocBudget pins the allocations), and BenchmarkStmtQuery
+# and BenchmarkStmtQueryRow for the SQL layer's share of a request (one
+# execution of a prepared 4-table join on its retained operator tree,
+# streamed through a Rows and read into the caller's row as the server
+# reads it; TestStmtQueryAllocBudget and TestStmtQueryRowAllocBudget pin
+# the allocations, 2 and 0) — and the REGION
 # decode benchmarks on a structure-sized and a band-sized region (what
 # every request pays before it can intersect or extract;
 # TestDecodeAllocBudget pins the allocations) — and BenchmarkTCPExchange,
@@ -148,7 +153,7 @@ cover:
 # alone; TestTCPExchangeAllocBudget pins its allocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench '^BenchmarkServeRPC(Small|Mixed|Traced|Bulk)$$' -benchtime 100x -benchmem ./internal/qbism
-	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery$$' -benchtime 100x -benchmem ./internal/sdb
+	$(GO) test -run '^$$' -bench '^Benchmark(ServeRPC(Small|Mixed|Traced|Bulk)|RunQueryMixed)$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport

@@ -49,8 +49,12 @@ func (c *Cache) Put(key string, f *Field) {
 		return
 	}
 	if len(c.entries) >= c.max {
+		// Shift rather than reslice, so the list keeps the front of its
+		// array and Flush reaches every key it ever held.
 		oldest := c.order[0]
-		c.order = c.order[1:]
+		n := copy(c.order, c.order[1:])
+		c.order[n] = ""
+		c.order = c.order[:n]
 		delete(c.entries, oldest)
 	}
 	c.entries[key] = f
@@ -68,11 +72,14 @@ func (c *Cache) touch(key string) {
 }
 
 // Flush empties the cache (done before each measured run in Section 6.1).
+// It clears the map and the LRU list in place: the next Put reuses
+// their memory, and neither keeps a Field or a key reachable.
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*Field)
-	c.order = nil
+	clear(c.entries)
+	clear(c.order[:cap(c.order)])
+	c.order = c.order[:0]
 }
 
 // Len returns the number of cached fields.

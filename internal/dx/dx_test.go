@@ -217,6 +217,36 @@ func TestCacheBasics(t *testing.T) {
 	}
 }
 
+// TestCacheFlushReusesMemory: RunQuery flushes before every run and
+// Puts after it, so the pair must reuse the cache's memory — and a
+// flushed cache, evictions and all, keeps no key or Field reachable.
+func TestCacheFlushReusesMemory(t *testing.T) {
+	c := NewCache(2)
+	f := &Field{Side: 1}
+	for _, k := range []string{"a", "b", "c"} { // "c" evicts "a"
+		c.Put(k, f)
+	}
+	c.Flush()
+	for i, k := range c.order[:cap(c.order)] {
+		if k != "" {
+			t.Errorf("flushed LRU list slot %d still holds key %q", i, k)
+		}
+	}
+	if len(c.entries) != 0 {
+		t.Errorf("flushed map holds %d entries", len(c.entries))
+	}
+	got := testing.AllocsPerRun(100, func() {
+		c.Flush()
+		c.Put("query", f)
+	})
+	if got != 0 {
+		t.Errorf("%.1f allocs per Flush+Put, want 0 — does Flush drop the map or the list?", got)
+	}
+	if fl, ok := c.Get("query"); !ok || fl != f || c.Len() != 1 {
+		t.Error("Put after Flush did not store the field")
+	}
+}
+
 func TestRenderMeshSphere(t *testing.T) {
 	r, err := region.FromSphere(h3, 8, 8, 8, 5)
 	if err != nil {

@@ -37,7 +37,14 @@ type handleIO struct {
 }
 
 // Read is Manager.Read billed to io.
-func (io *IO) Read(h Handle) ([]byte, error) { return io.M.read(io, h) }
+func (io *IO) Read(h Handle) ([]byte, error) { return io.M.readInto(io, h, nil) }
+
+// ReadInto is Read into the caller's buffer: the whole field, read under
+// one lock and billed exactly as Read bills it, lands in buf's backing
+// array when it has room (the result is buf resliced to the field's
+// size) and in a new slice otherwise. When it fails, buf holds
+// unspecified bytes.
+func (io *IO) ReadInto(h Handle, buf []byte) ([]byte, error) { return io.M.readInto(io, h, buf) }
 
 // ReadAtInto is Manager.ReadAtInto billed to io.
 func (io *IO) ReadAtInto(h Handle, off uint64, dst []byte) error {

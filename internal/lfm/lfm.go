@@ -473,17 +473,22 @@ func (m *Manager) Size(h Handle) (uint64, error) {
 }
 
 // Read returns the whole field.
-func (m *Manager) Read(h Handle) ([]byte, error) { return m.read(nil, h) }
+func (m *Manager) Read(h Handle) ([]byte, error) { return m.readInto(nil, h, nil) }
 
-// read is Read on behalf of io (nil: of no call).
-func (m *Manager) read(io *IO, h Handle) ([]byte, error) {
+// readInto reads the whole field on behalf of io (nil: of no call) into
+// buf's backing array when it has room for it, and into a new slice of
+// the field's size otherwise. A nil buf is Read.
+func (m *Manager) readInto(io *IO, h Handle, buf []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.fields[h]
 	if !ok {
 		return nil, ErrUnknownHandle
 	}
-	out := make([]byte, f.size)
+	if buf == nil || uint64(cap(buf)) < f.size {
+		buf = make([]byte, f.size)
+	}
+	out := buf[:f.size]
 	if err := m.readBilled(io, h, f, 0, out); err != nil {
 		return nil, err
 	}

@@ -82,7 +82,8 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 // fetchBandRegion reads one study's stored band REGION and recodes it
 // onto the system curve (mirroring the nIntersect UDF's normalization).
 func (s *Server) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (*region.Region, error) {
-	row, n, err := querySingle(nil, nil, s.stmts.bandRegion,
+	var row [1]sdb.Value
+	n, err := querySingle(nil, nil, s.stmts.bandRegion, row[:],
 		sdb.Int(int64(studyID)), sdb.Int(int64(bandLo)), sdb.Int(int64(bandHi)),
 		sdb.Str(encoding))
 	if err != nil {
@@ -91,7 +92,7 @@ func (s *Server) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (
 	if n != 1 {
 		return nil, fmt.Errorf("no stored intensityBand row")
 	}
-	r, err := s.regionRuns(&lfm.IO{M: s.LFM}, nil, row[0])
+	r, err := s.regionRuns(&lfm.IO{M: s.LFM}, nil, nil, row[0])
 	if err != nil {
 		return nil, err
 	}

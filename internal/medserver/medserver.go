@@ -3,7 +3,7 @@ package medserver
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"qbism/internal/lfm"
@@ -49,27 +49,49 @@ func (q QuerySpec) Key() string {
 	return string(appendSpec(make([]byte, 0, n), &q))
 }
 
-// Label names the query in reports.
+// Label names the query in reports: "study 3: putamen in band 32-63".
+// It is built in a stack buffer, so the string is its one allocation
+// (unless a long structure name outgrows the buffer).
 func (q QuerySpec) Label() string {
-	var parts []string
-	switch {
-	case q.FullStudy:
-		parts = append(parts, "entire study")
+	var buf [192]byte
+	b := strconv.AppendInt(append(buf[:0], "study "...), int64(q.StudyID), 10)
+	b = append(b, ':', ' ')
+	start := len(b)
+	part := func() {
+		if len(b) > start {
+			b = append(b, " in "...)
+		}
+	}
+	if q.FullStudy {
+		b = append(b, "entire study"...)
 	}
 	if q.Box != nil {
-		parts = append(parts, fmt.Sprintf("box (%d,%d,%d)-(%d,%d,%d)",
-			q.Box[0], q.Box[1], q.Box[2], q.Box[3], q.Box[4], q.Box[5]))
+		part()
+		b = append(b, "box ("...)
+		for i, c := range q.Box {
+			switch i {
+			case 1, 2, 4, 5:
+				b = append(b, ',')
+			case 3:
+				b = append(b, ")-("...)
+			}
+			b = strconv.AppendUint(b, uint64(c), 10)
+		}
+		b = append(b, ')')
 	}
 	if q.Structure != "" {
-		parts = append(parts, q.Structure)
+		part()
+		b = append(b, q.Structure...)
 	}
 	if q.HasBand {
-		parts = append(parts, fmt.Sprintf("band %d-%d", q.BandLo, q.BandHi))
+		part()
+		b = strconv.AppendInt(append(b, "band "...), int64(q.BandLo), 10)
+		b = strconv.AppendInt(append(b, '-'), int64(q.BandHi), 10)
 	}
-	if len(parts) == 0 {
-		parts = append(parts, "empty spec")
+	if len(b) == start {
+		b = append(b, "empty spec"...)
 	}
-	return fmt.Sprintf("study %d: %s", q.StudyID, strings.Join(parts, " in "))
+	return string(b)
 }
 
 // QueryMeta is the server-side response header: atlas coordinate-space
@@ -175,39 +197,25 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	return EncodeQueryResponse(&meta, blob)
 }
 
-// querySingle streams a generated SELECT through the iterator API and
-// returns its first row plus the number of rows seen (counting stops at
-// two — one row too many is as wrong as a thousand, and stopping early
-// keeps the executor from materializing a mistaken cross product).
-// The returned row remains valid after the iterator is closed. The
+// querySingle runs a generated SELECT that should yield one row
+// (sdb.Stmt.QueryRow): its first row goes into row, which holds one
+// value per column, and n counts the rows seen, stopping at two. The
 // statement is traced under sp (nil = untraced), and what it read is
 // added to bill (nil = nobody is counting).
-func querySingle(sp *obs.Span, bill *lfm.Stats, stmt *sdb.Stmt, args ...sdb.Value) (row []sdb.Value, n int, err error) {
-	rows, err := stmt.Query(sp, args...)
-	if err != nil {
-		return nil, 0, err
-	}
-	for rows.Next() {
-		if n == 0 {
-			row = rows.Row()
-		}
-		n++
-		if n > 1 {
-			break
-		}
-	}
-	rows.Close()
+func querySingle(sp *obs.Span, bill *lfm.Stats, stmt *sdb.Stmt, row []sdb.Value, args ...sdb.Value) (n int, err error) {
+	n, io, err := stmt.QueryRow(sp, row, args...)
 	if bill != nil {
-		bill.Add(rows.IO())
+		bill.Add(io)
 	}
-	return row, n, rows.Err()
+	return n, err
 }
 
 // runMetadataQuery executes the paper's first §3.4 query: verify the
 // warped study exists and fetch atlas space and patient information.
 // User-provided strings travel as bind parameters, never spliced text.
 func (s *Server) runMetadataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (QueryMeta, error) {
-	row, n, err := querySingle(sp, bill, s.stmts.metadata,
+	var row [11]sdb.Value
+	n, err := querySingle(sp, bill, s.stmts.metadata, row[:],
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
 		return QueryMeta{}, err
@@ -389,11 +397,11 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 	}
 }
 
-// runDataQuery executes the second §3.4 query through the streaming
-// iterator, returning the marshaled DataRegion. Because the planner
+// runDataQuery executes the second §3.4 query as a single-row read
+// (querySingle), returning the marshaled DataRegion. Because the planner
 // places extractVoxels() in the projection above every pushed filter
 // and join, the expensive long-field read only happens for rows that
-// survived the WHERE clause — and the iterator evaluates it lazily,
+// survived the WHERE clause — and the executor evaluates it lazily,
 // one row at a time, rather than materializing a result set first.
 //
 // Band queries degrade gracefully: when the stored intensityBand REGION
@@ -401,9 +409,9 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // from the stored VOLUME (the slow path — a full-volume scan, roughly
 // Q1's I/O cost) and the returned warning marks the answer Degraded.
 // The voxel bytes are identical to what the fast path would return.
-// With streaming, a checksum/read fault surfaces from the row iterator
-// mid-drain (rows.Err()), not from Exec — querySingle folds both into
-// its error return, so the fallback conditions are unchanged.
+// A checksum/read fault surfaces mid-execution, from the row that read
+// the field; querySingle returns it like any other failure, so the
+// fallback conditions are unchanged.
 func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (blob []byte, warning string, err error) {
 	// An unspecified band encoding resolves to the mode's default row
 	// before SQL generation, so the generated query binds a concrete
@@ -416,7 +424,8 @@ func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (bl
 	if err != nil {
 		return nil, "", err
 	}
-	row, n, err := querySingle(sp, bill, s.stmts.data[shape], args...)
+	var row [1]sdb.Value
+	n, err := querySingle(sp, bill, s.stmts.data[shape], row[:], args...)
 	if spec.HasBand {
 		switch {
 		case err != nil && (errors.Is(err, lfm.ErrChecksum) || errors.Is(err, lfm.ErrReadFault)):
@@ -433,7 +442,7 @@ func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (bl
 	if err != nil {
 		return nil, "", err
 	}
-	if n != 1 || len(row) != 1 {
+	if n != 1 {
 		return nil, "", fmt.Errorf("qbism: data query returned %d rows (spec %s)", n, spec.Label())
 	}
 	v := row[0]
@@ -473,7 +482,8 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 		sp.End()
 		bill.Add(io.Stats)
 	}()
-	row, n, err := querySingle(sp, bill, s.stmts.bandVolume,
+	var row [1]sdb.Value
+	n, err := querySingle(sp, bill, s.stmts.bandVolume, row[:],
 		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
 	if err != nil {
 		return nil, "", err
@@ -484,7 +494,8 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 	volHandle := row[0].L
 
 	if spec.Structure != "" {
-		srow, sn, err := querySingle(sp, bill, s.stmts.bandStructure,
+		var srow [1]sdb.Value
+		sn, err := querySingle(sp, bill, s.stmts.bandStructure, srow[:],
 			sdb.Str(spec.Atlas), sdb.Str(spec.Structure))
 		if err != nil {
 			return nil, "", err
@@ -492,7 +503,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 		if sn != 1 {
 			return nil, "", fmt.Errorf("qbism: no structure %q in atlas %q", spec.Structure, spec.Atlas)
 		}
-		sr, err := s.regionRuns(&io, nil, srow[0])
+		sr, err := s.regionRuns(&io, nil, nil, srow[0])
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
 		}

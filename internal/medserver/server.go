@@ -19,6 +19,7 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
 	"qbism/internal/obs"
+	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
@@ -205,6 +206,8 @@ type Server struct {
 	// stmts are the server's statements, prepared once by New
 	// (medserver.go) and shared by every request.
 	stmts serverStmts
+	// full is the whole grid on Curve, fullVolume's REGION.
+	full *region.Region
 }
 
 // New builds and loads a server: schema, atlas, synthesized studies
@@ -247,6 +250,7 @@ func New(cfg Config) (*Server, error) {
 		DB:          sdb.NewDB(mgr),
 		AtlasID:     1,
 		BandRegions: make(map[int][]volume.BandSpec),
+		full:        region.Full(curve),
 	}
 	if err := s.createSchema(); err != nil {
 		s.Close()

@@ -28,20 +28,25 @@ func MarshalDataRegion(d *volume.DataRegion, method rencode.Method) ([]byte, err
 	return blob, nil
 }
 
-// newDataRegionBlob encodes r and allocates the DATA_REGION blob that
-// carries it, once and at its final size. It returns the blob and its
-// value section — r.NumVoxels() bytes, in curve order, for the caller to
-// fill.
+// newDataRegionBlob allocates the DATA_REGION blob that carries r, once
+// and at its final size, and encodes r straight into it. It returns the
+// blob and its value section — r.NumVoxels() bytes, in curve order, for
+// the caller to fill.
 func newDataRegionBlob(r *region.Region, method rencode.Method) (blob, values []byte, err error) {
-	enc, err := rencode.Encode(method, r)
+	n, err := rencode.EncodedSize(method, r)
 	if err != nil {
 		return nil, nil, err
 	}
-	blob = make([]byte, 1+4+uint64(len(enc))+r.NumVoxels())
+	blob = make([]byte, 5, 5+uint64(n)+r.NumVoxels())
 	blob[0] = dataRegionTag
-	binary.BigEndian.PutUint32(blob[1:], uint32(len(enc)))
-	copy(blob[5:], enc)
-	return blob, blob[5+len(enc):], nil
+	binary.BigEndian.PutUint32(blob[1:], uint32(n))
+	if blob, err = rencode.AppendEncode(blob, method, r); err != nil {
+		return nil, nil, err
+	}
+	if len(blob) != 5+n {
+		return nil, nil, fmt.Errorf("qbism: REGION encoded to %d bytes, sized at %d", len(blob)-5, n)
+	}
+	return blob[:cap(blob)], blob[5+n : cap(blob)], nil
 }
 
 // UnmarshalDataRegion reverses MarshalDataRegion.
@@ -97,7 +102,7 @@ func extractStored(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts)
 	if r.NumRuns() > 0 {
 		values = make([]byte, r.NumVoxels())
 	}
-	if err := extractInto(io, h, r, opts, values); err != nil {
+	if err := extractInto(io, h, r, opts, values, nil); err != nil {
 		return nil, err
 	}
 	return &volume.DataRegion{Region: r, Values: values}, nil
@@ -106,13 +111,13 @@ func extractStored(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts)
 // extractStoredBlob is extractStored and MarshalDataRegion in one
 // step, which is how the server answers: the voxels go from the LFM's
 // pages into the DATA_REGION blob's value section and are not copied
-// again.
-func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
+// again. rng is extractInto's range buffer.
+func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method, rng *[]byte) ([]byte, error) {
 	blob, values, err := newDataRegionBlob(r, method)
 	if err != nil {
 		return nil, err
 	}
-	if err := extractInto(io, h, r, opts, values); err != nil {
+	if err := extractInto(io, h, r, opts, values, rng); err != nil {
 		return nil, err
 	}
 	return blob, nil
@@ -124,8 +129,10 @@ func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractO
 // (one wide transfer beats an extra seek), and every range is one LFM
 // read of whole pages, clamped to the field size. A range that one run
 // covers exactly is read straight into values; any other goes through
-// one buffer, reused from range to range, that its runs are copied out of.
-func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte) error {
+// one buffer, reused from range to range, that its runs are copied out
+// of: *rng, grown in place, when the caller keeps one between calls, a
+// buffer of this call's otherwise (rng nil).
+func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte, rng *[]byte) error {
 	size, err := io.M.Size(h)
 	if err != nil {
 		return err
@@ -135,7 +142,10 @@ func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, v
 	}
 	runs := r.RunsView()
 	pageSize := io.M.PageSize()
-	var buf []byte
+	var own []byte
+	if rng == nil {
+		rng = &own
+	}
 	for i := 0; i < len(runs); {
 		first, last := runs[i].Lo/pageSize, runs[i].Hi/pageSize // page numbers, inclusive
 		j := i + 1
@@ -150,10 +160,11 @@ func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, v
 			}
 			values = values[n:]
 		} else {
-			if uint64(cap(buf)) < n {
-				buf = make([]byte, n)
+			if uint64(cap(*rng)) < n {
+				*rng = make([]byte, n)
 			}
-			if err := io.ReadAtInto(h, off, buf[:n]); err != nil {
+			buf := (*rng)[:n]
+			if err := io.ReadAtInto(h, off, buf); err != nil {
 				return err
 			}
 			for _, run := range runs[i:j] {

@@ -131,7 +131,10 @@ func (l *Link) SetFaults(in *faultsim.Injector) {
 // bytes were sent. The crossing is traced as a "net.<dir>" span under
 // parent (nil = untraced) carrying bytes, messages and any injected fault.
 func (l *Link) Cross(parent *obs.Span, dir, method string, payload []byte) ([]byte, error) {
-	sp := parent.Child("net." + dir)
+	var sp *obs.Span // named only under a live span, so an untraced crossing allocates nothing
+	if parent != nil {
+		sp = parent.Child("net." + dir)
+	}
 	defer sp.End()
 	sp.SetInt("bytes", int64(len(payload)))
 	l.mu.Lock()

@@ -104,12 +104,14 @@ func TestRunQueryAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// ≈ 1.1 × measured (38 and 44, of which ServeRPC is 17 and 21; 51
+		// ≈ 1.1 × measured (17 and 16, of which ServeRPC is 4 and 4;
+		// 37 and 40 while the server allocated per UDF call and per
+		// statement and the sim link named spans with tracing off; 51
 		// and 57 with JSON headers, before PR 21).
 		ceiling float64
 	}{
-		{"small-structure", small, 42},
-		{"structure-and-band", mixed, 48},
+		{"small-structure", small, 19},
+		{"structure-and-band", mixed, 18},
 	} {
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := sys.RunQuery(tc.spec); err != nil {
@@ -130,7 +132,24 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
-	if got > 178 { // 170 measured: four queries, the items, the pool
-		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 178 — does the pool allocate per item?", got)
+	if got > 80 { // 72 measured: four queries, the items, the pool
+		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 80 — does the pool allocate per item?", got)
+	}
+}
+
+// BenchmarkRunQueryMixed is the structure ∩ band query end to end in
+// one process — DX client, simulated link, server — as dx_interactive
+// runs it: allocs/op is the whole chain's per-query bill, of which
+// BenchmarkServeRPCMixed is the server's share. `make bench-smoke` runs
+// it.
+func BenchmarkRunQueryMixed(b *testing.B) {
+	sys := serveAllocSystem(b)
+	_, mixed := serveAllocSpecs(sys.Server)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.RunQuery(mixed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -10,9 +10,11 @@ import (
 // The per-request allocation budget of the MedicalServer, pinned where
 // `go test ./...` sees it. A request runs two prepared statements
 // on operator trees the statements keep between executions (DESIGN.md
-// §17) and decodes and encodes fixed binary headers (§22); what is left
-// is the spec's strings, the response frame, a Rows and an output row
-// per statement and the spatial UDFs' own work. Re-introduce
+// §17), reads each into its own row with no Rows (§27), decodes and
+// encodes fixed binary headers (§22), and its spatial UDFs read, parse
+// and build into their call sites' state (§27); what is left is the
+// spec's strings, the response frame and the DATA_REGION blob — the
+// reply. Re-introduce
 // per-call parsing or planning (+500 allocations a request), a
 // per-execution operator tree or hash table (+40) or a per-row
 // allocation in the executor and these ceilings trip long before the
@@ -65,16 +67,19 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// As measured. Before, they were 17 and 21 while intersection()
-		// expanded a k³ structure to runs, encoded its result for
-		// extractVoxels() to decode and every UDF call allocated its
-		// argument vector; 24 and 28 with JSON on the wire, 65 and 80
-		// with an operator tree per execution, 91 and 101 before the
-		// one-pass decode.
+		// As measured: two spec strings, the response frame, the blob.
+		// Before, they were 16 and 17 while a UDF call allocated its
+		// field buffer, probe, run list and Region, each statement its
+		// Rows and output row, and the blob's REGION its own encoding;
+		// 17 and 21 while intersection() expanded a k³ structure to
+		// runs, encoded its result for extractVoxels() to decode and
+		// every UDF call allocated its argument vector; 24 and 28 with
+		// JSON on the wire, 65 and 80 with an operator tree per
+		// execution, 91 and 101 before the one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", small, 16},
-		{"structure-and-band", mixed, 17},
+		{"small-structure", small, 4},
+		{"structure-and-band", mixed, 4},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -177,8 +182,9 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Allocations as measured, bytes at ≈ 1.25 × measured (2.07,
-		// 3.54, 5.01 × the reply; PR 20 was at 18, 23, 26 and 2.07, 3.54,
+		// Allocations as measured, bytes at ≈ 1.25 × measured (2.06,
+		// 3.18, 2.07 × the reply; 10, 15, 18 and 2.07, 3.54, 5.02 before
+		// the call sites kept their buffers; PR 20 was at 18, 23, 26 and 2.07, 3.54,
 		// 5.02, PR 17 at 45, 60, 67 and 2.09, 3.57, 5.32, PR 16 at 47, 91,
 		// 96 and 2.09, 4.06, 7.02, PR 13 at 112, 162, 128 and 4.09, 6.20,
 		// 11.85):
@@ -187,16 +193,16 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		// the blob and the application frame and nothing else to speak of
 		// (ceiling 2.3, not 2.6: a third payload-sized buffer must trip
 		// it). A band whose voxels lie on every page reads the VOLUME
-		// through the range buffer and decodes — once, into one list — a
-		// run list longer than its voxels; the hemisphere is a 28 KB reply
-		// under the same fixed costs.
+		// through a range buffer too large for its call site to keep
+		// (sdb.MaxIdleBytes); the hemisphere is a 28 KB reply under the
+		// same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
 		// (Allocations were 11, 16 and 19 while every UDF call allocated
 		// its argument vector.)
-		{"full-study", full, 10, 2.3},
-		{"whole-band", band, 15, 4.5},
-		{"hemisphere", hemisphere, 18, 6.7},
+		{"full-study", full, 3, 2.3},
+		{"whole-band", band, 4, 4.0},
+		{"hemisphere", hemisphere, 4, 2.6},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

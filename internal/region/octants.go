@@ -29,7 +29,17 @@ func (o Octant) Run() Run { return Run{Lo: o.ID, Hi: o.ID + o.Len() - 1} }
 // in increasing curve order. Every run splits into one or more oblong
 // octants, so len(result) >= NumRuns.
 func (r *Region) OblongOctants() []Octant {
-	return r.decompose(1)
+	var out []Octant
+	r.decompose(1, func(o Octant) { out = append(out, o) })
+	return out
+}
+
+// NumOblongOctants is len(r.OblongOctants()), counted without building
+// the list.
+func (r *Region) NumOblongOctants() int {
+	n := 0
+	r.decompose(1, func(Octant) { n++ })
+	return n
 }
 
 // Octants decomposes the region into regular octants: aligned blocks
@@ -37,15 +47,24 @@ func (r *Region) OblongOctants() []Octant {
 // 2^(rank/dim). This is the classic linear octree encoding the paper
 // compares against.
 func (r *Region) Octants() []Octant {
-	return r.decompose(r.curve.Dim())
+	var out []Octant
+	r.decompose(r.curve.Dim(), func(o Octant) { out = append(out, o) })
+	return out
+}
+
+// NumOctants is len(r.Octants()), counted without building the list.
+func (r *Region) NumOctants() int {
+	n := 0
+	r.decompose(r.curve.Dim(), func(Octant) { n++ })
+	return n
 }
 
 // decompose greedily splits each run into maximal aligned blocks whose
-// rank is a multiple of rankStep. Greedy left-to-right is optimal for
-// interval-to-aligned-block decomposition.
-func (r *Region) decompose(rankStep int) []Octant {
+// rank is a multiple of rankStep, passing each to emit in increasing
+// curve order. Greedy left-to-right is optimal for interval-to-aligned-
+// block decomposition.
+func (r *Region) decompose(rankStep int, emit func(Octant)) {
 	maxRank := r.curve.Dim() * r.curve.Bits()
-	var out []Octant
 	for _, run := range r.runs {
 		lo := run.Lo
 		for {
@@ -62,14 +81,13 @@ func (r *Region) decompose(rankStep int) []Octant {
 				rank = fit
 			}
 			rank -= rank % rankStep
-			out = append(out, Octant{ID: lo, Rank: uint8(rank)})
+			emit(Octant{ID: lo, Rank: uint8(rank)})
 			lo += uint64(1) << rank
 			if lo > run.Hi {
 				break
 			}
 		}
 	}
-	return out
 }
 
 // PackOctant packs an octant into the 4-byte <z-id, rank> form the paper
@@ -105,13 +123,19 @@ type Delta struct {
 // omitted, matching how the codecs store regions.
 func (r *Region) Deltas() []Delta {
 	var out []Delta
+	r.EachDelta(func(d Delta) { out = append(out, d) })
+	return out
+}
+
+// EachDelta passes the elements of Deltas to f in order, without
+// building the list.
+func (r *Region) EachDelta(f func(Delta)) {
 	pos := uint64(0)
 	for _, run := range r.runs {
 		if run.Lo > pos {
-			out = append(out, Delta{Length: run.Lo - pos, Inside: false})
+			f(Delta{Length: run.Lo - pos, Inside: false})
 		}
-		out = append(out, Delta{Length: run.Len(), Inside: true})
+		f(Delta{Length: run.Len(), Inside: true})
 		pos = run.Hi + 1
 	}
-	return out
 }

@@ -29,9 +29,11 @@ type Queryable interface {
 	// AllInRange reports whether every position in [lo, hi] is present
 	// — the interval coverage test. Vacuously true when lo > hi.
 	AllInRange(lo, hi uint64) bool
-	// IntersectRuns intersects the region with a sorted, normalized run
-	// list and returns the normalized result in increasing order.
-	IntersectRuns(runs []Run) []Run
+	// IntersectRunsInto intersects the region with a sorted, normalized
+	// run list and returns the normalized result in increasing order, in
+	// buf's backing array when it has room and in a new slice otherwise.
+	// buf must not share memory with runs or the region.
+	IntersectRunsInto(runs, buf []Run) []Run
 }
 
 var _ Queryable = (*Region)(nil)
@@ -61,8 +63,11 @@ func (r *Region) AllInRange(lo, hi uint64) bool {
 // IntersectRuns intersects the region with a sorted, normalized run
 // list — the run-list half of Intersect without constructing the other
 // Region.
-func (r *Region) IntersectRuns(runs []Run) []Run {
-	var out []Run
+func (r *Region) IntersectRuns(runs []Run) []Run { return r.IntersectRunsInto(runs, nil) }
+
+// IntersectRunsInto is IntersectRuns into buf (Queryable).
+func (r *Region) IntersectRunsInto(runs, buf []Run) []Run {
+	out := buf[:0]
 	i, j := 0, 0
 	ra := r.runs
 	for i < len(ra) && j < len(runs) {
@@ -109,7 +114,7 @@ func IntersectQ(a Queryable, b *Region) (*Region, error) {
 	if !SameCurve(a.Curve(), b.curve) {
 		return nil, errCurveMismatchQ("intersectQ", a, b)
 	}
-	return &Region{curve: b.curve, runs: a.IntersectRuns(b.runs)}, nil
+	return &Region{curve: b.curve, runs: a.IntersectRunsInto(b.runs, nil)}, nil
 }
 
 // OverlapsQ reports whether a and b share any voxel, short-circuiting

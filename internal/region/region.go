@@ -3,8 +3,9 @@
 // sorted list of runs of consecutive positions along a space-filling
 // curve (Section 4.2 of the paper).
 //
-// A Region is immutable after construction; all operations return new
-// Regions. Runs are maximal: normalized regions never contain adjacent
+// A Region is immutable after construction, except that whoever alone
+// holds one may Refill it; all operations return new Regions. Runs are
+// maximal: normalized regions never contain adjacent
 // or overlapping runs, so NumRuns is exactly the paper's "#runs" metric
 // (h-runs on a Hilbert curve, z-runs on a Z curve).
 package region
@@ -180,14 +181,27 @@ func FromRuns(c sfc.Curve, runs []Run) (*Region, error) {
 // overlapping or adjacent); only a list that is not gets sorted and
 // merged, in place.
 func FromOwnedRuns(c sfc.Curve, runs []Run) (*Region, error) {
+	r := new(Region)
+	if err := r.Refill(c, runs); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Refill makes r, in place, the region FromOwnedRuns(c, runs) returns,
+// taking ownership of runs the same way. It is for the owner of a Region
+// nobody else holds, which reuses it for one result after another —
+// every other Region stays as it was built. On an error r is left
+// unchanged.
+func (r *Region) Refill(c sfc.Curve, runs []Run) error {
 	n := c.Length()
 	normalized := true
 	for i, run := range runs {
 		if run.Lo > run.Hi {
-			return nil, fmt.Errorf("region: invalid run %v (lo > hi)", run)
+			return fmt.Errorf("region: invalid run %v (lo > hi)", run)
 		}
 		if run.Hi >= n {
-			return nil, fmt.Errorf("region: run %v exceeds curve length %d", run, n)
+			return fmt.Errorf("region: run %v exceeds curve length %d", run, n)
 		}
 		// Hi+1 cannot overflow: Hi < curve length <= 1<<63.
 		if i > 0 && run.Lo <= runs[i-1].Hi+1 {
@@ -198,7 +212,8 @@ func FromOwnedRuns(c sfc.Curve, runs []Run) (*Region, error) {
 		sort.Slice(runs, func(i, j int) bool { return runs[i].Lo < runs[j].Lo })
 		runs = mergeSorted(runs)
 	}
-	return &Region{curve: c, runs: runs}, nil
+	r.curve, r.runs = c, runs
+	return nil
 }
 
 // mergeSorted merges overlapping or adjacent runs of a sorted slice in

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"qbism/internal/region"
@@ -118,8 +119,20 @@ func FuzzDecodeK3(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reuse leg: parsed into a probe a larger, deeper tree left
+		// its levels and rank directories in, the input gets the fresh
+		// parse's verdict and, when accepted, the fresh probe.
+		var reused K3Probe
+		if err := reused.Parse(reuseSeed()); err != nil {
+			t.Fatal(err)
+		}
+		rerr := reused.Parse(data)
 		p, err := ParseK3(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("ParseK3 error %v, Parse into a used probe %v", err, rerr)
+		}
 		if err != nil {
+			checkRejectedProbe(t, "fuzz k3", &reused)
 			// Rejected input must also be rejected by the generic
 			// decoder when it names this method.
 			if len(data) > 0 && data[0] == byte(K3Tree) {
@@ -129,6 +142,7 @@ func FuzzDecodeK3(f *testing.F) {
 			}
 			return
 		}
+		sameProbe(t, "fuzz k3", &reused, p)
 		dec, err := p.Region()
 		if err != nil {
 			t.Fatalf("accepted probe failed to materialize: %v", err)
@@ -154,6 +168,18 @@ func FuzzDecodeK3(f *testing.F) {
 		}
 	})
 }
+
+// reuseSeed is the tree FuzzDecodeK3's reuse leg parses first: a
+// random region on a 7-bit 3D curve, deeper and larger than the
+// corpus's trees.
+var reuseSeed = sync.OnceValue(func() []byte {
+	r := genOnCurve(rand.New(rand.NewSource(7)), sfc.MustNew(sfc.Hilbert, 3, 7))
+	blob, err := Encode(K3Tree, r)
+	if err != nil {
+		panic(err)
+	}
+	return blob
+})
 
 func regionsEqual(a, b *region.Region) bool {
 	ra, rb := a.Runs(), b.Runs()

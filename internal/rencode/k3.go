@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"qbism/internal/bitio"
 	"qbism/internal/region"
@@ -120,7 +119,8 @@ func encodeK3(r *region.Region) []byte {
 }
 
 // k3PayloadSize returns len(encodeK3(r)) without materializing the
-// bitmaps: it repeats the classification sweep counting slots only.
+// bitmaps, or anything else: a depth-first classification sweep counts
+// the gray nodes of each level, which size the level below.
 func k3PayloadSize(r *region.Region) int {
 	c := r.Curve()
 	dim, nbits := c.Dim(), c.Bits()
@@ -130,30 +130,35 @@ func k3PayloadSize(r *region.Region) int {
 	case len(runs) == 0, len(runs) == 1 && runs[0].Lo == 0 && runs[0].Hi == c.Length()-1:
 		return 1
 	}
+	var grays [k3MaxLevels + 1]int // grays[l]: the gray nodes of level l, the root's being 0
+	grays[0] = 1
+	ri := 0
+	k3CountGrays(runs, &ri, &grays, dim, nbits, 1, 0)
 	size := 1
-	grays := []uint64{0}
-	for lvl := 1; lvl <= nbits && len(grays) > 0; lvl++ {
-		span := uint64(1) << uint(dim*(nbits-lvl))
-		leaf := lvl == nbits
-		var next []uint64
-		ri := 0
-		for _, g := range grays {
-			for child := 0; child < degree; child++ {
-				lo := g + uint64(child)*span
-				if k3Classify(runs, &ri, lo, lo+span-1) == k3Gray {
-					next = append(next, lo)
-				}
-			}
-		}
-		nb := (degree*len(grays) + 7) / 8
-		if leaf {
+	for lvl := 1; lvl <= nbits && grays[lvl-1] > 0; lvl++ {
+		nb := (degree*grays[lvl-1] + 7) / 8
+		if lvl == nbits {
 			size += nb
 		} else {
 			size += 2 * nb
 		}
-		grays = next
 	}
 	return size
+}
+
+// k3CountGrays counts into grays the gray nodes below the gray node of
+// level lvl-1 covering the ids from base on. Depth-first order meets
+// the nodes in increasing id order, as encodeK3's level sweeps do, so
+// one run pointer serves the whole walk.
+func k3CountGrays(runs []region.Run, ri *int, grays *[k3MaxLevels + 1]int, dim, nbits, lvl int, base uint64) {
+	span := uint64(1) << uint(dim*(nbits-lvl))
+	for child := uint64(0); child < 1<<uint(dim); child++ {
+		lo := base + child*span
+		if k3Classify(runs, ri, lo, lo+span-1) == k3Gray {
+			grays[lvl]++
+			k3CountGrays(runs, ri, grays, dim, nbits, lvl+1, lo)
+		}
+	}
 }
 
 // k3Level is one decoded tree level: n child slots, the full and mixed
@@ -168,8 +173,9 @@ type k3Level struct {
 
 // K3Probe is a validated, queryable view over a K3Tree encoding. All
 // probe methods, IntersectK3 included, operate on the encoded bitmaps —
-// no run list is ever materialized unless Region is called. A probe is
-// immutable and safe for concurrent use.
+// no run list is ever materialized unless Region or RunsInto is called.
+// A parsed probe is read-only, and safe for concurrent use, until its
+// owner Parses another tree into it.
 type K3Probe struct {
 	curve  sfc.Curve
 	dim    int
@@ -178,6 +184,9 @@ type K3Probe struct {
 	root   byte
 	levels []k3Level
 	voxels uint64
+	// dirs backs the levels' rank directories; a later Parse into the
+	// same probe reuses it, as it reuses the levels' table.
+	dirs []uint32
 }
 
 var _ region.Queryable = (*K3Probe)(nil)
@@ -186,38 +195,68 @@ var _ region.Queryable = (*K3Probe)(nil)
 // builds the per-level rank directories. The probe aliases data; the
 // caller must not mutate it afterwards.
 func ParseK3(data []byte) (*K3Probe, error) {
+	p := new(K3Probe)
+	if err := p.Parse(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Parse is ParseK3 into p, which keeps the capacity of its level table
+// and rank directories from one Parse to the next: a probe its owner
+// parses tree after tree into allocates only when a tree is deeper or
+// larger than every one before. Whatever p held before is gone, and p
+// aliases data as ParseK3's probe does. When data is rejected, p holds
+// no tree — it is Empty, with no curve and no levels — and must not be
+// probed until a Parse succeeds.
+func (p *K3Probe) Parse(data []byte) error {
 	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
+		p.Reset()
+		return fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
 	}
 	if m := Method(data[0]); m != K3Tree {
-		return nil, fmt.Errorf("rencode: ParseK3 on a %v encoding", m)
+		p.Reset()
+		return fmt.Errorf("rencode: ParseK3 on a %v encoding", m)
 	}
 	curve, err := sfc.New(sfc.Kind(data[1]), int(data[2]), int(data[3]))
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
+		p.Reset()
+		return fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
 	}
 	count := binary.BigEndian.Uint64(data[4:12])
-	return parseK3Body(curve, count, data[headerLen:], true)
+	return p.parseBody(curve, count, data[headerLen:], true)
 }
 
-// parseK3Body parses and fully validates the payload: level sizes,
+// Reset empties p the way a rejected Parse leaves it, dropping every
+// reference into the bytes it was parsed from but keeping the capacity
+// the next Parse reuses.
+func (p *K3Probe) Reset() {
+	clear(p.levels[:cap(p.levels)])
+	*p = K3Probe{levels: p.levels[:0], dirs: p.dirs}
+}
+
+// parseBody parses and fully validates the payload into p: level sizes,
 // zero padding, F∩M disjointness, canonical child groups, no trailing
 // bytes, and the header count against the F-bitmap voxel total. With
 // rank set it also builds the per-level rank directories the pruned
-// probes descend by, all carved from one slice.
-func parseK3Body(curve sfc.Curve, count uint64, body []byte, rank bool) (*K3Probe, error) {
-	p := &K3Probe{
-		curve:  curve,
-		dim:    curve.Dim(),
-		bits:   curve.Bits(),
-		degree: 1 << uint(curve.Dim()),
-		voxels: count,
+// probes descend by, all carved from one slice. On an error p is Reset.
+func (p *K3Probe) parseBody(curve sfc.Curve, count uint64, body []byte, rank bool) error {
+	p.Reset()
+	if err := p.fill(curve, count, body, rank); err != nil {
+		p.Reset()
+		return err
 	}
+	return nil
+}
+
+// fill is parseBody on a Reset probe.
+func (p *K3Probe) fill(curve sfc.Curve, count uint64, body []byte, rank bool) error {
+	p.curve, p.dim, p.bits, p.degree, p.voxels = curve, curve.Dim(), curve.Bits(), 1<<uint(curve.Dim()), count
 	if count > curve.Length() {
-		return nil, fmt.Errorf("%w: %d voxels on a %d-position curve", ErrCorrupt, count, curve.Length())
+		return fmt.Errorf("%w: %d voxels on a %d-position curve", ErrCorrupt, count, curve.Length())
 	}
 	if len(body) < 1 {
-		return nil, fmt.Errorf("%w: missing k3 root byte", ErrCorrupt)
+		return fmt.Errorf("%w: missing k3 root byte", ErrCorrupt)
 	}
 	p.root = body[0]
 	rest := body[1:]
@@ -228,23 +267,29 @@ func parseK3Body(curve sfc.Curve, count uint64, body []byte, rank bool) (*K3Prob
 			want = curve.Length()
 		}
 		if count != want {
-			return nil, fmt.Errorf("%w: k3 root color %d with count %d", ErrCorrupt, p.root, count)
+			return fmt.Errorf("%w: k3 root color %d with count %d", ErrCorrupt, p.root, count)
 		}
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after k3 root", ErrCorrupt, len(rest))
+			return fmt.Errorf("%w: %d trailing bytes after k3 root", ErrCorrupt, len(rest))
 		}
-		return p, nil
+		return nil
 	case k3Gray:
 	default:
-		return nil, fmt.Errorf("%w: bad k3 root color %d", ErrCorrupt, p.root)
+		return fmt.Errorf("%w: bad k3 root color %d", ErrCorrupt, p.root)
 	}
-	p.levels = make([]k3Level, 0, p.bits)
+	if cap(p.levels) < p.bits {
+		p.levels = make([]k3Level, 0, p.bits)
+	}
 	var dir []uint32
 	if rank {
 		// A level with nb bytes of M holds at most 8·nb slots, so its
 		// directory takes at most nb/64+2 entries; the M bitmaps are at
 		// most half the body.
-		dir = make([]uint32, len(rest)/128+2*p.bits)
+		n := len(rest)/128 + 2*p.bits
+		if cap(p.dirs) < n {
+			p.dirs = make([]uint32, n)
+		}
+		dir = p.dirs[:n]
 	}
 	prevGray := 1
 	var voxels uint64
@@ -257,7 +302,7 @@ func parseK3Body(curve sfc.Curve, count uint64, body []byte, rank bool) (*K3Prob
 			need = 2 * nb
 		}
 		if len(rest) < need {
-			return nil, fmt.Errorf("%w: k3 level %d truncated (%d of %d bytes)", ErrCorrupt, lvl, len(rest), need)
+			return fmt.Errorf("%w: k3 level %d truncated (%d of %d bytes)", ErrCorrupt, lvl, len(rest), need)
 		}
 		lv := k3Level{n: n, f: rest[:nb]}
 		if !leaf {
@@ -267,11 +312,11 @@ func parseK3Body(curve sfc.Curve, count uint64, body []byte, rank bool) (*K3Prob
 		if pad := uint(nb*8 - n); pad > 0 {
 			mask := byte(1)<<pad - 1
 			if lv.f[nb-1]&mask != 0 || (!leaf && lv.m[nb-1]&mask != 0) {
-				return nil, fmt.Errorf("%w: nonzero padding bits at k3 level %d", ErrCorrupt, lvl)
+				return fmt.Errorf("%w: nonzero padding bits at k3 level %d", ErrCorrupt, lvl)
 			}
 		}
 		if err := k3CheckGroups(&lv, p.degree, leaf, lvl); err != nil {
-			return nil, err
+			return err
 		}
 		switch {
 		case leaf:
@@ -286,12 +331,12 @@ func parseK3Body(curve sfc.Curve, count uint64, body []byte, rank bool) (*K3Prob
 		p.levels = append(p.levels, lv)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after k3 levels", ErrCorrupt, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes after k3 levels", ErrCorrupt, len(rest))
 	}
 	if voxels != count {
-		return nil, fmt.Errorf("%w: k3 header count %d, bitmaps hold %d voxels", ErrCorrupt, count, voxels)
+		return fmt.Errorf("%w: k3 header count %d, bitmaps hold %d voxels", ErrCorrupt, count, voxels)
 	}
-	return p, nil
+	return nil
 }
 
 // k3CheckGroups enforces per-group canonical form at one level: F and
@@ -525,14 +570,18 @@ func (o *k3Out) emit(lo, hi uint64) {
 }
 
 // k3Collect runs descend once to count the result runs and once more
-// into a list of exactly that length: one allocation, never a regrowth.
-func k3Collect(descend func(o *k3Out)) []region.Run {
+// into a list of exactly that length, in buf's backing array when it
+// has room: at most one allocation, never a regrowth.
+func k3Collect(buf []region.Run, descend func(o *k3Out)) []region.Run {
 	var o k3Out
 	descend(&o)
 	if o.n == 0 {
-		return nil
+		return buf[:0]
 	}
-	o.runs, o.n = make([]region.Run, o.n), 0
+	if cap(buf) < o.n {
+		buf = make([]region.Run, o.n)
+	}
+	o.runs, o.n = buf[:o.n], 0
 	descend(&o)
 	return o.runs
 }
@@ -541,13 +590,18 @@ func k3Collect(descend func(o *k3Out)) []region.Run {
 // list (as Region.Runs returns), pruning whole subtrees the runs never
 // touch. The result is normalized and in increasing order.
 func (p *K3Probe) IntersectRuns(runs []region.Run) []region.Run {
+	return p.IntersectRunsInto(runs, nil)
+}
+
+// IntersectRunsInto is IntersectRuns into buf (region.Queryable).
+func (p *K3Probe) IntersectRunsInto(runs, buf []region.Run) []region.Run {
 	if p.root == k3Empty || len(runs) == 0 {
-		return nil
+		return buf[:0]
 	}
 	if p.root == k3Full {
-		return slices.Clone(runs)
+		return append(buf[:0], runs...)
 	}
-	return k3Collect(func(o *k3Out) {
+	return k3Collect(buf, func(o *k3Out) {
 		it := k3Intersector{p: p, runs: runs, out: o}
 		it.rec(1, 0, 0)
 	})
@@ -604,16 +658,20 @@ func (it *k3Intersector) rec(lvl, groupBase int, base uint64) {
 // it, and mixed in both is descended into. The result runs go straight
 // into one list of exactly their number (k3Collect). q must be on p's
 // curve — same kind, dimension and bits — or the result is meaningless.
-func (p *K3Probe) IntersectK3(q *K3Probe) []region.Run {
+func (p *K3Probe) IntersectK3(q *K3Probe) []region.Run { return p.IntersectK3Into(q, nil) }
+
+// IntersectK3Into is IntersectK3 into buf: the result is in buf's
+// backing array when it has room, in a new slice otherwise.
+func (p *K3Probe) IntersectK3Into(q *K3Probe, buf []region.Run) []region.Run {
 	switch {
 	case p.root == k3Empty || q.root == k3Empty:
-		return nil
+		return buf[:0]
 	case p.root == k3Full:
-		return q.runs()
+		return q.RunsInto(buf)
 	case q.root == k3Full:
-		return p.runs()
+		return p.RunsInto(buf)
 	}
-	return k3Collect(func(o *k3Out) { k3Meet(o, p, q, 1, 0, 0, 0) })
+	return k3Collect(buf, func(o *k3Out) { k3Meet(o, p, q, 1, 0, 0, 0) })
 }
 
 // groups returns the full and mixed bits of the child group starting
@@ -699,10 +757,11 @@ func k3Emit(runs []region.Run, lo, hi uint64) []region.Run {
 // Region materializes the run-list region — the same result Decode
 // produces — from runs.
 func (p *K3Probe) Region() (*region.Region, error) {
-	return region.FromOwnedRuns(p.curve, p.runs())
+	return region.FromOwnedRuns(p.curve, p.RunsInto(nil))
 }
 
-// runs returns the region's run list, in a slice of its own, in one
+// RunsInto returns the region's run list, in buf's backing array when
+// it has room for the list's bound and in a new slice otherwise, in one
 // depth-first sweep. The levels store their groups in breadth-first
 // order, and a depth-first walk of the whole tree reaches the groups of
 // any one level in that same order (both are id order), so the group
@@ -711,12 +770,13 @@ func (p *K3Probe) Region() (*region.Region, error) {
 // and one of M — and its full children leave as streaks found with
 // leading-zero and leading-one counts; a group of the last level, which
 // has no M, is emitted where it is met rather than pushed.
-func (p *K3Probe) runs() []region.Run {
+func (p *K3Probe) RunsInto(buf []region.Run) []region.Run {
+	runs := buf[:0]
 	switch p.root {
 	case k3Empty:
-		return nil
+		return runs
 	case k3Full:
-		return []region.Run{{Lo: 0, Hi: p.curve.Length() - 1}}
+		return append(runs, region.Run{Lo: 0, Hi: p.curve.Length() - 1})
 	}
 	// Every run starts a streak of full siblings, so the streaks bound
 	// the list; only streaks that touch across groups merge below.
@@ -724,7 +784,9 @@ func (p *K3Probe) runs() []region.Run {
 	for i := range p.levels {
 		maxRuns += k3Streaks(p.levels[i].f, p.degree)
 	}
-	runs := make([]region.Run, 0, maxRuns)
+	if cap(runs) < maxRuns {
+		runs = make([]region.Run, 0, maxRuns)
+	}
 	var (
 		next  [k3MaxLevels]int // next[l]: the first unread group of level l+1
 		stack [k3MaxLevels]k3Frame

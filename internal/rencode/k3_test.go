@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -478,5 +479,87 @@ func TestK3IntersectK3MatchesOracle(t *testing.T) {
 		}
 		p, q := k3Pair(t, a, b)
 		checkIntersectK3(t, "genRegion", p, q)
+	}
+}
+
+// sameProbe fails unless got, a probe parsed into memory an earlier
+// tree left behind, is the probe a fresh ParseK3 built: the same header
+// fields, levels and rank directories, and the same run list.
+func sameProbe(t *testing.T, ctx string, got, want *K3Probe) {
+	t.Helper()
+	if got.curve != want.curve || got.dim != want.dim || got.bits != want.bits || got.degree != want.degree ||
+		got.root != want.root || got.voxels != want.voxels {
+		t.Fatalf("%s: reused probe header %v/%d/%d/%d root %d, %d voxels; fresh %v/%d/%d/%d root %d, %d voxels", ctx,
+			got.curve, got.dim, got.bits, got.degree, got.root, got.voxels,
+			want.curve, want.dim, want.bits, want.degree, want.root, want.voxels)
+	}
+	if !slices.EqualFunc(got.levels, want.levels, func(a, b k3Level) bool { return reflect.DeepEqual(a, b) }) {
+		t.Fatalf("%s: reused probe's levels differ from a fresh parse's", ctx)
+	}
+	if g, w := got.RunsInto(nil), want.RunsInto(nil); !slices.Equal(g, w) {
+		t.Fatalf("%s: reused probe materializes %d runs, fresh %d", ctx, len(g), len(w))
+	}
+}
+
+// checkRejectedProbe fails unless p is what a rejected Parse leaves: no
+// tree, nothing reachable of the input or of an earlier tree.
+func checkRejectedProbe(t *testing.T, ctx string, p *K3Probe) {
+	t.Helper()
+	if !p.Empty() || p.NumVoxels() != 0 || p.Curve() != nil || len(p.levels) != 0 {
+		t.Fatalf("%s: rejected parse left a usable-looking probe (%d voxels, %d levels)", ctx, p.NumVoxels(), len(p.levels))
+	}
+	for i, lv := range p.levels[:cap(p.levels)] {
+		if lv.f != nil || lv.m != nil {
+			t.Fatalf("%s: rejected parse left level %d's bitmaps reachable", ctx, i)
+		}
+	}
+}
+
+// TestK3ParseReuseMatchesFresh parses one tree after another into a
+// single probe — deeper and shallower, larger and smaller, 3D and 2D,
+// empty and full roots, with rejected inputs between them — and holds
+// every accepted one to a fresh ParseK3 of the same bytes. The levels
+// and rank directories an earlier tree grew are reused, never read.
+func TestK3ParseReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var blobs [][]byte
+	add := func(r *region.Region) {
+		blob, err := Encode(K3Tree, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	for _, nbits := range []int{1, 3, 5, 7, 6, 4, 2, 7, 1} {
+		c := sfc.MustNew(sfc.Hilbert, 3, nbits)
+		add(genOnCurve(rng, c))
+		add(region.Empty(c))
+		add(genOnCurve(rng, c))
+		add(region.Full(c))
+	}
+	for i := 0; i < 40; i++ {
+		add(genRegion(rng))
+		add(genRegion2D(rng))
+	}
+	var p K3Probe
+	for i, blob := range blobs {
+		ctx := fmt.Sprintf("tree %d", i)
+		if err := p.Parse(blob); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		fresh, err := ParseK3(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameProbe(t, ctx, &p, fresh)
+		// A corrupt copy of the next tree, then the tree itself: the
+		// rejection must not disturb the parse that follows it.
+		next := blobs[(i+1)%len(blobs)]
+		for _, bad := range [][]byte{next[:len(next)-1], append(slices.Clone(next), 0), next[:headerLen-1]} {
+			if err := p.Parse(bad); err == nil {
+				t.Fatalf("%s: corrupt input accepted", ctx)
+			}
+			checkRejectedProbe(t, ctx, &p)
+		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"qbism/internal/bitio"
 	"qbism/internal/region"
@@ -132,29 +133,39 @@ var ErrCorrupt = errors.New("rencode: corrupt encoding")
 const headerLen = 12
 
 // Encode serializes r with the given method.
-func Encode(m Method, r *region.Region) ([]byte, error) {
-	c := r.Curve()
-	var payload []byte
-	var count uint64
-	var riceK uint8
+func Encode(m Method, r *region.Region) ([]byte, error) { return AppendEncode(nil, m, r) }
 
+// AppendEncode appends Encode(m, r) to dst and returns the extended
+// slice. It grows dst at most once, so a dst with room for
+// EncodedSize(m, r) more bytes takes the encoding in place. Naive and
+// the octant methods write their payload straight into it; the bit
+// codecs and the k³-tree build theirs aside first, as Encode always
+// did. On an error dst is
+// returned as it was given, and what lies past its length is
+// unspecified.
+func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
+	c := r.Curve()
+	runs := r.RunsView()
+	var (
+		size    int    // payload bytes written into dst directly (Naive, octants)
+		payload []byte // payload built aside (the bit codecs, K3Tree)
+		octs    []region.Octant
+		count   uint64
+		riceK   uint8
+	)
 	switch m {
 	case Naive:
-		runs := r.RunsView()
-		count = uint64(len(runs))
 		if c.Dim()*c.Bits() > 32 {
-			return nil, fmt.Errorf("rencode: naive encoding needs ids < 2^32, grid has %d id bits", c.Dim()*c.Bits())
+			return dst, fmt.Errorf("rencode: naive encoding needs ids < 2^32, grid has %d id bits", c.Dim()*c.Bits())
 		}
-		payload = make([]byte, 8*len(runs))
-		for i, run := range runs {
-			binary.BigEndian.PutUint32(payload[8*i:], uint32(run.Lo))
-			binary.BigEndian.PutUint32(payload[8*i+4:], uint32(run.Hi))
+		count, size = uint64(len(runs)), 8*len(runs)
+	case Elias, EliasDelta, Varint, Golomb:
+		if m == Golomb {
+			riceK = riceParam(r)
 		}
-	case Elias, EliasDelta, Varint:
-		deltas := r.Deltas()
-		count = uint64(len(deltas))
 		var w bitio.Writer
-		for _, d := range deltas {
+		r.EachDelta(func(d region.Delta) {
+			count++
 			switch m {
 			case Elias:
 				writeGamma(&w, d.Length)
@@ -162,55 +173,53 @@ func Encode(m Method, r *region.Region) ([]byte, error) {
 				writeDelta(&w, d.Length)
 			case Varint:
 				writeVarint(&w, d.Length)
+			case Golomb:
+				writeRice(&w, d.Length, riceK)
 			}
-		}
-		payload = w.Bytes()
-	case Golomb:
-		deltas := r.Deltas()
-		count = uint64(len(deltas))
-		riceK = riceParam(deltas)
-		var w bitio.Writer
-		for _, d := range deltas {
-			writeRice(&w, d.Length, riceK)
-		}
+		})
 		payload = w.Bytes()
 	case OblongOctant, Octant:
-		var octs []region.Octant
 		if m == OblongOctant {
 			octs = r.OblongOctants()
 		} else {
 			octs = r.Octants()
 		}
-		count = uint64(len(octs))
-		payload = make([]byte, 4*len(octs))
-		for i, o := range octs {
-			v, err := region.PackOctant(o)
-			if err != nil {
-				return nil, fmt.Errorf("rencode: %v", err)
-			}
-			binary.BigEndian.PutUint32(payload[4*i:], v)
-		}
+		count, size = uint64(len(octs)), 4*len(octs)
 	case K3Tree:
 		count = r.NumVoxels()
 		payload = encodeK3(r)
 	default:
-		return nil, fmt.Errorf("rencode: unknown method %d", int(m))
+		return dst, fmt.Errorf("rencode: unknown method %d", int(m))
 	}
 
 	hlen := headerLen
 	if m == Golomb {
 		hlen++
 	}
-	out := make([]byte, hlen, hlen+len(payload))
-	out[0] = byte(m)
-	out[1] = byte(c.Kind())
-	out[2] = byte(c.Dim())
-	out[3] = byte(c.Bits())
-	binary.BigEndian.PutUint64(out[4:], count)
+	out := slices.Grow(dst, hlen+size+len(payload))
+	out = append(out, byte(m), byte(c.Kind()), byte(c.Dim()), byte(c.Bits()))
+	out = binary.BigEndian.AppendUint64(out, count)
 	if m == Golomb {
-		out[12] = riceK
+		out = append(out, riceK)
 	}
-	return append(out, payload...), nil
+	switch m {
+	case Naive:
+		for _, run := range runs {
+			out = binary.BigEndian.AppendUint32(out, uint32(run.Lo))
+			out = binary.BigEndian.AppendUint32(out, uint32(run.Hi))
+		}
+	case OblongOctant, Octant:
+		for _, o := range octs {
+			v, err := region.PackOctant(o)
+			if err != nil {
+				return dst, fmt.Errorf("rencode: %v", err)
+			}
+			out = binary.BigEndian.AppendUint32(out, v)
+		}
+	default:
+		out = append(out, payload...)
+	}
+	return out, nil
 }
 
 // Decode reconstructs a region from an Encode result. The curve is
@@ -284,8 +293,8 @@ func Decode(data []byte) (*region.Region, error) {
 		}
 		return region.FromOctantList(curve, octs)
 	case K3Tree:
-		p, err := parseK3Body(curve, count, body, false)
-		if err != nil {
+		var p K3Probe
+		if err := p.parseBody(curve, count, body, false); err != nil {
 			return nil, err
 		}
 		return p.Region()
@@ -335,23 +344,23 @@ func decodeDeltas(curve sfc.Curve, count uint64, read func() (uint64, error)) (*
 }
 
 // EncodedSize returns the size in bytes Encode would produce, without
-// materializing the buffer (header included).
+// materializing the buffer (header included) or anything else: it
+// allocates nothing.
 func EncodedSize(m Method, r *region.Region) (int, error) {
 	switch m {
 	case Naive:
 		return headerLen + 8*r.NumRuns(), nil
 	case OblongOctant:
-		return headerLen + 4*len(r.OblongOctants()), nil
+		return headerLen + 4*r.NumOblongOctants(), nil
 	case Octant:
-		return headerLen + 4*len(r.Octants()), nil
+		return headerLen + 4*r.NumOctants(), nil
 	case Elias, EliasDelta, Varint, Golomb:
-		deltas := r.Deltas()
 		bitsTotal := 0
 		var k uint8
 		if m == Golomb {
-			k = riceParam(deltas)
+			k = riceParam(r)
 		}
-		for _, d := range deltas {
+		r.EachDelta(func(d region.Delta) {
 			switch m {
 			case Elias:
 				bitsTotal += gammaBits(d.Length)
@@ -362,7 +371,7 @@ func EncodedSize(m Method, r *region.Region) (int, error) {
 			case Golomb:
 				bitsTotal += riceBits(d.Length, k)
 			}
-		}
+		})
 		n := headerLen + (bitsTotal+7)/8
 		if m == Golomb {
 			n++
@@ -375,16 +384,15 @@ func EncodedSize(m Method, r *region.Region) (int, error) {
 	}
 }
 
-// riceParam picks the Rice parameter k ≈ log2(mean delta length).
-func riceParam(deltas []region.Delta) uint8 {
-	if len(deltas) == 0 {
+// riceParam picks the Rice parameter k ≈ log2(mean delta length) for
+// r's deltas.
+func riceParam(r *region.Region) uint8 {
+	var total, n uint64
+	r.EachDelta(func(d region.Delta) { total, n = total+d.Length, n+1 })
+	if n == 0 {
 		return 0
 	}
-	var total uint64
-	for _, d := range deltas {
-		total += d.Length
-	}
-	mean := total / uint64(len(deltas))
+	mean := total / n
 	if mean < 1 {
 		mean = 1
 	}

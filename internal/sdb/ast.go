@@ -114,9 +114,12 @@ type FuncCall struct {
 	// Bound when the statement is compiled: udf is the registered
 	// function (nil when none has this name — the call then fails when,
 	// and only when, it is evaluated); agg is one plus the call's
-	// position in the plan's aggregate list, zero for an ordinary call.
-	udf *UDF
-	agg int
+	// position in the plan's aggregate list, zero for an ordinary call;
+	// site is the call's index among the plan's call sites, the slot of
+	// an execution's SiteStates that is its own.
+	udf  *UDF
+	agg  int
+	site int
 }
 
 // StarExpr is the "*" inside COUNT(*).

@@ -179,15 +179,23 @@ func (db *DB) RegisterUDF(u *UDF) error {
 }
 
 // UDF is a user-defined SQL function. Fn receives its Call (for
-// long-field access billed to the statement running it) and the
-// evaluated arguments, which are valid for the call only: the vector is
-// the execution's, reused by the next call, so Fn copies out any value
-// it keeps. An argument that is itself a call arrives as that call
-// returned it, an Object included; Fn may return an Object for the
-// calls around it to take the same way. Cost is an optional
-// planner hint: same-node filter predicates run cheapest-first, so an
-// expensive extraction function should carry a high Cost and a fast
-// region test a low one. Zero is fine for trivial functions.
+// long-field access billed to the statement running it, and the call
+// site's working memory) and the evaluated arguments, which are valid
+// for the call only: the vector is the execution's, reused by the next
+// call, so Fn copies out any value it keeps. An argument that is itself
+// a call arrives as that call returned it, an Object included; Fn may
+// return an Object for the calls around it to take the same way.
+//
+// What Fn returns may point into its call site's state (Call.State)
+// only if it is an Object, and then it is valid until that site runs
+// again — which is after the call around it has returned, since every
+// call site appears once in its statement. Any other value Fn returns,
+// BYTES included, is the caller's to keep.
+//
+// Cost is an optional planner hint: same-node filter predicates run
+// cheapest-first, so an expensive extraction function should carry a
+// high Cost and a fast region test a low one. Zero is fine for trivial
+// functions.
 type UDF struct {
 	Name    string
 	MinArgs int
@@ -199,7 +207,30 @@ type UDF struct {
 	// serves; the sdb_udf_probe_calls_total metric counts them.
 	ProbeOnly bool
 	Fn        func(c *Call, args []Value) (Value, error)
+	// State, when set, makes a call site's working memory: an execution
+	// calls it on the site's first call and hands the result to every
+	// later call of that site through Call.State (nil without it).
+	State func() SiteState
 }
+
+// SiteState is the working memory of one call site of a statement —
+// buffers its function reads, parses and builds results into instead of
+// allocating them per call. An execution owns one per call site whose
+// function has a State hook, and it lives as long as the execution's
+// operator tree: from one execution to the next, like the tree's hash
+// tables.
+type SiteState interface {
+	// Reset runs when the tree goes idle. It drops every reference the
+	// state holds — field bytes, parsed forms, results — and keeps the
+	// capacity of its buffers, except that a buffer larger than
+	// MaxIdleBytes is released, so that one large call pins nothing
+	// while the statement idles.
+	Reset()
+}
+
+// MaxIdleBytes is the largest buffer a SiteState keeps across Reset:
+// the transport's rule for a connection's frame scratch.
+const MaxIdleBytes = 64 << 10
 
 // lookupUDF finds a registered function by name. Plans call it when
 // they bind; execution uses the bound pointer.

@@ -7,18 +7,39 @@ import (
 )
 
 // Call is what a user-defined function sees of the statement evaluating
-// it: the long-field account its reads are billed to, and the operator
-// its work is charged to. It is part of the operator that makes the
-// call, valid for that call only.
+// it: the long-field account its reads are billed to, the operator its
+// work is charged to and the call site's working memory. It is part of
+// the operator that makes the call, valid for that call only.
 type Call struct {
-	io *lfm.IO
-	st *opStats // nil outside the executor
+	io    *lfm.IO
+	st    *opStats    // nil outside the executor
+	sites []SiteState // the execution's, by FuncCall.site; nil outside the executor
+	site  int         // the call being made: its site and function
+	udf   *UDF
 }
 
 // IO returns the running statement's long-field account. What a
 // function reads through it is on that statement's bill (Rows.IO) and
 // on the pages of the operator whose expression called it.
 func (c *Call) IO() *lfm.IO { return c.io }
+
+// State returns the working memory of the call site being evaluated:
+// made by the function's UDF.State hook on the site's first call in
+// this execution's operator tree, and the same value at every later
+// call of the site, in this execution and the next ones on the tree. It
+// is nil for a function without the hook and outside an execution —
+// a DML statement — where a function allocates what it needs per call.
+func (c *Call) State() SiteState {
+	if c.sites == nil || c.udf.State == nil {
+		return nil
+	}
+	s := c.sites[c.site]
+	if s == nil {
+		s = c.udf.State()
+		c.sites[c.site] = s
+	}
+	return s
+}
 
 // NoteProbe records that the function answered a REGION access on the
 // compressed representation, with no run list materialized. EXPLAIN
@@ -168,6 +189,7 @@ func (e *env) apply(n *FuncCall) (Value, error) {
 	if u.ProbeOnly {
 		e.db.m.udfProbeCalls.Inc()
 	}
+	e.call.site, e.call.udf = n.site, u
 	out, err := u.Fn(&e.call, args)
 	if err != nil {
 		return Value{}, fmt.Errorf("sdb: function %q: %w", u.Name, err)

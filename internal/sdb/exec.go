@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"qbism/internal/lfm"
@@ -97,14 +98,25 @@ func (r *Rows) Columns() []string { return r.cols }
 
 // Next advances to the next row, reporting whether one is available.
 func (r *Rows) Next() bool {
+	row, ok := r.advance()
+	if ok {
+		r.cur = slices.Clone(row)
+	}
+	return ok
+}
+
+// advance is Next without the copy: the row it returns is the
+// projection's output buffer, overwritten by the next advance and
+// cleared when the tree goes idle.
+func (r *Rows) advance() ([]Value, bool) {
 	if r.closed || r.err != nil {
-		return false
+		return nil, false
 	}
 	if !r.opened {
 		if err := r.x.root.open(); err != nil {
 			r.err = err
 			r.Close()
-			return false
+			return nil, false
 		}
 		r.opened = true
 	}
@@ -112,17 +124,17 @@ func (r *Rows) Next() bool {
 	if err != nil {
 		r.err = err
 		r.Close()
-		return false
+		return nil, false
 	}
 	if !ok {
 		r.Close()
-		return false
+		return nil, false
 	}
-	r.cur = t.out
-	return true
+	return t.out, true
 }
 
-// Row returns the current row; valid until the next call to Next.
+// Row returns the current row: a copy the caller may keep, past Close
+// and past later executions of the statement.
 func (r *Rows) Row() []Value { return r.cur }
 
 // Err returns the error that terminated iteration, if any.
@@ -224,7 +236,7 @@ func (db *DB) QuerySpan(parent *obs.Span, sql string, args ...Value) (*Rows, err
 	stmt, err := Parse(sql)
 	ps.End()
 	if err != nil {
-		return failQuery(sp, err)
+		return nil, failQuery(sp, err)
 	}
 	return db.queryParsed(sp, stmt, args)
 }
@@ -234,24 +246,24 @@ func (db *DB) QuerySpan(parent *obs.Span, sql string, args ...Value) (*Rows, err
 func (db *DB) queryParsed(sp *obs.Span, stmt Statement, args []Value) (*Rows, error) {
 	pl := sp.Child("sql.plan")
 	c, err := db.compile(stmt)
-	var rows *Rows
+	rows := new(Rows)
 	if err == nil {
-		rows, err = c.query(db, sp, args)
+		err = c.query(rows, db, sp, args)
 	}
 	pl.End()
 	if err != nil {
-		return failQuery(sp, err)
+		return nil, failQuery(sp, err)
 	}
 	rows.exec = sp.Child("sql.execute")
 	return rows, nil
 }
 
-// failQuery closes the statement span of a query that never produced a
-// Rows.
-func failQuery(sp *obs.Span, err error) (*Rows, error) {
+// failQuery closes the statement span of a query that never started,
+// and returns err.
+func failQuery(sp *obs.Span, err error) error {
 	sp.SetStr("error", err.Error())
 	sp.End()
-	return nil, err
+	return err
 }
 
 // stmtSpan starts the statement span: under parent when given,
@@ -263,17 +275,18 @@ func (db *DB) stmtSpan(parent *obs.Span) *obs.Span {
 	return db.tracer.Start("sql.query")
 }
 
-// query binds an operator tree of the compiled SELECT to one execution
-// under the statement span sp (nil = untraced). The caller opens the
-// execute span.
-func (c *compiled) query(db *DB, sp *obs.Span, args []Value) (*Rows, error) {
+// query binds an operator tree of the compiled SELECT to one execution,
+// which rows iterates, under the statement span sp (nil = untraced).
+// The caller opens the execute span.
+func (c *compiled) query(rows *Rows, db *DB, sp *obs.Span, args []Value) error {
 	if _, ok := c.stmt.(*SelectStmt); !ok {
-		return nil, fmt.Errorf("sdb: Query supports only SELECT, got %T", c.stmt)
+		return fmt.Errorf("sdb: Query supports only SELECT, got %T", c.stmt)
 	}
 	if err := c.checkArgs(args); err != nil {
-		return nil, err
+		return err
 	}
-	return &Rows{cols: c.sel.columns, plan: c, x: c.take(db, args, sp != nil), db: db, stmt: sp}, nil
+	*rows = Rows{cols: c.sel.columns, plan: c, x: c.take(db, args, sp != nil), db: db, stmt: sp}
+	return nil
 }
 
 // materialize drains a started query into a Result (the non-streaming

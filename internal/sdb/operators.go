@@ -67,7 +67,7 @@ func (b *opBase) stats() *opStats { return &b.st }
 // bind points the operator's evaluation context at the execution it
 // was built for, once: a later run refills x.params in place.
 func (b *opBase) bind(x *execution) {
-	b.ev = env{db: x.db, params: x.params, call: Call{io: &x.io, st: &b.st}, stack: &x.args}
+	b.ev = env{db: x.db, params: x.params, call: Call{io: &x.io, st: &b.st, sites: x.sites}, stack: &x.args}
 	b.x = x
 }
 
@@ -825,6 +825,10 @@ type projectOp struct {
 	child   operator
 	items   []SelectItem
 	columns []string
+	// out is the output row, one Value per column, overwritten by every
+	// next: Rows.Next hands out a copy, Stmt.QueryRow copies it into its
+	// caller's row.
+	out []Value
 }
 
 func (o *projectOp) open() error { return o.child.open() }
@@ -835,7 +839,7 @@ func (o *projectOp) next() (tuple, bool, error) {
 		return tuple{}, false, err
 	}
 	o.st.rowsIn++
-	out := make([]Value, 0, len(o.columns))
+	out := o.out[:0]
 	for _, item := range o.items {
 		if item.Star {
 			for _, row := range t.rows {
@@ -855,6 +859,12 @@ func (o *projectOp) next() (tuple, bool, error) {
 }
 
 func (o *projectOp) close() { o.child.close() }
+
+// reset also drops the last output row.
+func (o *projectOp) reset() {
+	o.opBase.reset()
+	clear(o.out[:cap(o.out)])
+}
 
 func (o *projectOp) describe() string {
 	// Render the full select-list expressions, not the column labels: a
@@ -890,6 +900,9 @@ type execution struct {
 	// args are the argument vectors of every UDF call its operators
 	// make, and empty between calls.
 	args argStack
+	// sites are the working memory of its call sites (Call.State), one
+	// per FuncCall.site, each made on its site's first call.
+	sites []SiteState
 
 	width   int       // tuple width: the plan's FROM entries
 	bufs    [][]Value // one width-sized buffer per scan and join, back to back
@@ -906,11 +919,17 @@ func (x *execution) tupleBuf() [][]Value {
 
 // clear drops what the finished run left outside the operators' own
 // state, which close has emptied already: an idle execution holds no
-// table row, no bound string and no BYTES blob.
+// table row, no bound string, no BYTES blob and nothing its call sites
+// read or built.
 func (x *execution) clear() {
 	clear(x.params)
 	clear(x.bufs)
 	x.io.Reset()
+	for _, s := range x.sites {
+		if s != nil {
+			s.Reset()
+		}
+	}
 	eachOp(x.root, operator.reset)
 }
 
@@ -967,7 +986,8 @@ func (x *execution) build(n planNode) operator {
 func (p *selectPlan) instantiate(db *DB, nparams int) *execution {
 	// n scans and n-1 joins each own a tuple buffer.
 	n := len(p.ordered)
-	x := &execution{db: db, params: make([]Value, nparams), io: lfm.IO{M: db.lfm}, width: n, bufs: make([][]Value, n*(2*n-1))}
+	x := &execution{db: db, params: make([]Value, nparams), io: lfm.IO{M: db.lfm}, sites: make([]SiteState, p.sites),
+		width: n, bufs: make([][]Value, n*(2*n-1))}
 	root := x.build(p.tree)
 	s := p.stmt
 	if p.aggregated {
@@ -985,7 +1005,7 @@ func (p *selectPlan) instantiate(db *DB, nparams int) *execution {
 		op.bind(x)
 		root = op
 	}
-	x.root = &projectOp{child: root, items: s.Exprs, columns: p.columns}
+	x.root = &projectOp{child: root, items: s.Exprs, columns: p.columns, out: make([]Value, 0, len(p.columns))}
 	x.root.bind(x)
 	return x
 }

@@ -59,6 +59,7 @@ type selectPlan struct {
 	aggregated bool
 	columns    []string
 	pushdown   bool
+	sites      int // FuncCall.site runs from 0 to sites-1
 }
 
 // planSelect resolves, validates, and plans a SELECT statement.
@@ -208,15 +209,15 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	// Bind every expression to the tuple layout the join order fixed.
 	for _, item := range s.Exprs {
 		if !item.Star {
-			db.bindExpr(item.Expr, plan.ordered, aggCalls)
+			db.bindExpr(item.Expr, plan.ordered, aggCalls, &plan.sites)
 		}
 	}
-	db.bindExpr(s.Where, plan.ordered, aggCalls)
+	db.bindExpr(s.Where, plan.ordered, aggCalls, &plan.sites)
 	for _, g := range s.GroupBy {
-		db.bindExpr(g, plan.ordered, aggCalls)
+		db.bindExpr(g, plan.ordered, aggCalls, &plan.sites)
 	}
 	for _, oi := range s.OrderBy {
-		db.bindExpr(oi.Expr, plan.ordered, aggCalls)
+		db.bindExpr(oi.Expr, plan.ordered, aggCalls, &plan.sites)
 	}
 	return plan, nil
 }
@@ -224,9 +225,10 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 // bindExpr binds x, whose column references resolveColumns has already
 // qualified and validated, for evaluation against tuples laid out as
 // ordered (slot i holds ordered[i]'s row): every ColumnRef gets its
-// (slot, column) pair, every FuncCall its registered UDF and, if it is
-// one of the plan's accumulated aggregate calls, its position among them.
-func (db *DB) bindExpr(x Expr, ordered []source, aggCalls []*FuncCall) {
+// (slot, column) pair, every FuncCall its registered UDF, the next of
+// the *sites call sites numbered so far and, if it is one of the plan's
+// accumulated aggregate calls, its position among them.
+func (db *DB) bindExpr(x Expr, ordered []source, aggCalls []*FuncCall, sites *int) {
 	walkExpr(x, func(e Expr) {
 		switch n := e.(type) {
 		case *ColumnRef:
@@ -238,6 +240,8 @@ func (db *DB) bindExpr(x Expr, ordered []source, aggCalls []*FuncCall) {
 			}
 		case *FuncCall:
 			n.udf, _ = db.lookupUDF(n.Name)
+			n.site = *sites
+			*sites++
 			n.agg = 0
 			for i, c := range aggCalls {
 				if c == n {
@@ -258,7 +262,8 @@ func (db *DB) bindRowExpr(x Expr, t *Table) error {
 	if err := resolveColumns(x, sources2map(sources)); err != nil {
 		return err
 	}
-	db.bindExpr(x, sources, nil)
+	var sites int // no execution runs DML, so no SiteState is kept for them
+	db.bindExpr(x, sources, nil, &sites)
 	return nil
 }
 

@@ -238,11 +238,13 @@ func TestRowsOutliveTheirExecution(t *testing.T) {
 }
 
 // TestIdleTreePinsNothing: an idle tree keeps capacity only. Walk
-// everything it can reach: no bind value, no table row, no join key.
+// everything it can reach: no bind value, no table row, no join key, no
+// output row and nothing a call site's state held.
 func TestIdleTreePinsNothing(t *testing.T) {
 	db := retainDB(t)
+	registerKeep(t, db)
 	stmt := mustPrepare(t, db, `
-		select l.tag, count(*) from l, b, c
+		select keep(l.tag), count(*) from l, b, c
 		where l.id = b.id and b.w <= c.w and c.w <= b.w and l.tag <> ?
 		group by l.tag order by l.tag`)
 	if got := runKey(t, stmt, Str("a bound string")); got != "one,1 three,1 two,1" {
@@ -253,6 +255,7 @@ func TestIdleTreePinsNothing(t *testing.T) {
 		t.Fatalf("%d idle trees", len(trees))
 	}
 	x := trees[0]
+	idleSitesPinNothing(t, x)
 	for i, v := range x.params {
 		if !reflect.DeepEqual(v, Value{}) {
 			t.Errorf("bind %d still holds %v", i, v)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qbism/internal/lfm"
 	"qbism/internal/obs"
 )
 
@@ -154,6 +155,46 @@ func (s *Stmt) current() (*compiled, error) {
 // building) an operator tree and binding args to it. args is copied,
 // not kept.
 func (s *Stmt) Query(parent *obs.Span, args ...Value) (*Rows, error) {
+	rows := new(Rows)
+	if err := s.start(rows, parent, args); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// QueryRow runs a prepared SELECT that should yield one row. The first
+// row is copied into dst, which must hold one value per column, and n
+// counts the rows found, stopping at two: one row too many is as wrong
+// as a thousand, and stopping keeps the executor from finishing a
+// mistaken cross product. bill is what the execution read (Rows.IO of
+// the same run) and err what Rows.Err would report; the run is traced
+// under parent as Query traces it. Its Rows lives on this call's stack
+// and the row goes straight from the projection into dst, so a run on a
+// retained operator tree allocates nothing here.
+func (s *Stmt) QueryRow(parent *obs.Span, dst []Value, args ...Value) (n int, bill lfm.Stats, err error) {
+	var rows Rows
+	if err := s.start(&rows, parent, args); err != nil {
+		return 0, lfm.Stats{}, err
+	}
+	if len(dst) != len(rows.cols) {
+		rows.err = fmt.Errorf("sdb: QueryRow into %d values, statement has %d columns", len(dst), len(rows.cols))
+	}
+	for n < 2 {
+		row, ok := rows.advance()
+		if !ok {
+			break
+		}
+		if n == 0 {
+			copy(dst, row)
+		}
+		n++
+	}
+	rows.Close()
+	return n, rows.io, rows.err
+}
+
+// start is Query into rows.
+func (s *Stmt) start(rows *Rows, parent *obs.Span, args []Value) error {
 	sp := s.db.stmtSpan(parent)
 	ps := sp.Child("sql.parse")
 	c, err := s.current()
@@ -162,13 +203,13 @@ func (s *Stmt) Query(parent *obs.Span, args ...Value) (*Rows, error) {
 		return failQuery(sp, err)
 	}
 	pl := sp.Child("sql.plan")
-	rows, err := c.query(s.db, sp, args)
+	err = c.query(rows, s.db, sp, args)
 	pl.End()
 	if err != nil {
 		return failQuery(sp, err)
 	}
 	rows.exec = sp.Child("sql.execute")
-	return rows, nil
+	return nil
 }
 
 // Exec runs the prepared statement once to completion; a SELECT is

@@ -41,7 +41,12 @@ func (s *Sim) Call(parent *obs.Span, method string, request []byte) ([]byte, err
 	if s.closed.Load() {
 		return nil, fmt.Errorf("transport: sim %q: %w", method, ErrClosed)
 	}
-	rpc := parent.Child("rpc." + method)
+	// The span names are built only under a live span: untraced, a call
+	// allocates nothing of its own.
+	var rpc *obs.Span
+	if parent != nil {
+		rpc = parent.Child("rpc." + method)
+	}
 	defer rpc.End()
 	delivered, err := s.link.Cross(rpc, "request", method, request)
 	if err != nil {

@@ -43,6 +43,28 @@ func TestSimDelegatesToLink(t *testing.T) {
 	}
 }
 
+// TestSimCallUntracedAllocatesNothing: with no span to hang them on, a
+// round trip over the simulated link names no span — observation off
+// costs nothing — so around a handler that allocates nothing a call
+// allocates nothing.
+func TestSimCallUntracedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	model := costmodel.Default1993()
+	resp := []byte("pong")
+	s := NewSim(netsim.NewLink(model), model, func(*obs.Span, string, []byte) ([]byte, error) { return resp, nil })
+	req := []byte("ping")
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := s.Call(nil, "echo", req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("%.1f allocs per untraced Sim.Call, want 0 — are span names built with tracing off?", got)
+	}
+}
+
 // TestSimAddsNoSpan: the sim flavor puts nothing above its rpc.<method>
 // span — trace-shape tests across the repo assert that exact tree.
 func TestSimAddsNoSpan(t *testing.T) {
