@@ -86,12 +86,15 @@ race:
 	$(GO) test -race ./...
 
 # The fault-injection suites under the race detector: the single-node
-# chaos tests and the degraded-shard cluster suite (dead, slow,
-# corrupt, and flapping nodes; every query byte-identical or a typed
-# partial). All seeds are fixed in the tests themselves, so this run is
+# chaos tests, the degraded-shard cluster suite (dead, slow, corrupt,
+# and flapping nodes; every query byte-identical or a typed partial),
+# the link's fault tests, and the per-call bill tests (every exchange
+# and every cluster read bills what it put on a link, failed attempts
+# and hedges included, and the bills sum to the meters under eight
+# workers). All seeds are fixed in the tests themselves, so this run is
 # deterministic — a failure always replays.
 chaos:
-	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition' ./internal/qbism ./internal/cluster
+	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/netsim
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder, the k³-tree parser (probe

@@ -17,21 +17,24 @@ import (
 
 	"qbism/internal/faultsim"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
 // Node is one storage node: something that can answer a framed request.
-// Implementations report the *simulated* latency of the call (network
-// model time plus injected latency), which drives the cluster's clock,
-// EWMA tracking, and hedging decisions. Call must be safe for
-// concurrent use.
+// Each call returns its own bill — the transport.Stats of that one
+// exchange, failed ones included — whose Latency (for a simulated node,
+// network-model time plus injected latency) drives the cluster's clock,
+// EWMA tracking, and hedging decisions, and which a read sums into
+// ReadInfo.Net. Call must be safe for concurrent use; nothing in the
+// cluster serializes calls to one node.
 type Node interface {
 	// Name identifies the node in metrics and errors (e.g. "s0p",
 	// "s1r1").
 	Name() string
 	// Call answers one request, returning the response payload and the
-	// call's simulated latency. Errors should wrap typed causes with %w
-	// so errors.Is classification survives the cluster's own wrapping.
-	Call(parent *obs.Span, method string, request []byte) (resp []byte, simLatency time.Duration, err error)
+	// call's bill. Errors should wrap typed causes with %w so errors.Is
+	// classification survives the cluster's own wrapping.
+	Call(parent *obs.Span, method string, request []byte) (resp []byte, bill transport.Stats, err error)
 }
 
 // Key routes a query: every (patient, study) pair maps to exactly one
@@ -250,9 +253,9 @@ func (c *Cluster) nodeEWMA(st *shardState, node int) time.Duration {
 }
 
 // ReadInfo describes how one read was served — which shard and node,
-// how hard the cluster had to work, and how much simulated time it
-// cost. It rides alongside the response the way RetryStats rides
-// alongside QueryMeta.
+// how hard the cluster had to work, what it put on the network, and how
+// much simulated time it cost. It rides alongside the response the way
+// RetryStats rides alongside QueryMeta.
 type ReadInfo struct {
 	// Shard is the shard index that served (or failed) the read.
 	Shard int
@@ -271,13 +274,17 @@ type ReadInfo struct {
 	HedgeWon bool
 	// BackoffSim is the total simulated backoff wait.
 	BackoffSim time.Duration
-	// LatencySim is the simulated latency of the winning call.
+	// LatencySim is the simulated latency of the winning call, call
+	// quantum included.
 	LatencySim time.Duration
+	// Net is the sum of the bills of every node call the read made:
+	// failed attempts, failovers and hedges as well as the winner.
+	Net transport.Stats
 }
 
 // Read routes the key to its shard and reads from it.
-func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte) ([]byte, ReadInfo, error) {
-	return c.ReadShard(parent, c.part.Shard(key), key, method, request)
+func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
+	return c.ReadShard(parent, c.part.Shard(key), key, method, request, validate)
 }
 
 // ReadShard executes one read against a specific shard: it dials the
@@ -286,8 +293,11 @@ func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte)
 // whose latency EWMA exceeds HedgeAfter, and returns a typed
 // ErrShardUnavailable once attempts are exhausted. Terminal (semantic)
 // errors return immediately without failover — another replica would
-// give the same answer.
-func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string, request []byte) ([]byte, ReadInfo, error) {
+// give the same answer. validate, when non-nil, runs once on every reply
+// a node returns, the hedge's included: a reply it refuses is that
+// node's failure — it trips the node's breaker and is classified and
+// failed over like a call error.
+func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, ReadInfo{Shard: shard}, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.shards))
 	}
@@ -328,10 +338,10 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		// already known slow gets a racing replica call; the first slow
 		// response merely seeds the average.
 		priorEWMA := c.nodeEWMA(st, node)
-		resp, lat, err := c.callNode(span, st, node, method, request)
+		resp, lat, err := c.callNode(span, st, node, method, request, validate, &info.Net)
 		info.Attempts++
 		if err == nil {
-			winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, lat)
+			winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, validate, &info.Net, lat)
 			if hedged {
 				info.Attempts++
 				info.Hedged = true
@@ -388,18 +398,23 @@ func (c *Cluster) pickNode(st *shardState, avoid int) int {
 	return -1
 }
 
-// callNode issues one node call, advancing the simulated clock and
-// updating breaker + EWMA + per-node metrics.
-func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method string, request []byte) ([]byte, time.Duration, error) {
+// callNode issues one node call and validates its reply, adding the
+// call's bill to net, advancing the simulated clock and updating
+// breaker + EWMA + per-node metrics.
+func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method string, request []byte, validate func([]byte) error, net *transport.Stats) ([]byte, time.Duration, error) {
 	n := st.nodes[node]
-	resp, lat, err := n.Call(span, method, request)
-	effective := lat + c.cfg.CallQuantum
+	resp, bill, err := n.Call(span, method, request)
+	*net = net.Add(bill)
+	if err == nil && validate != nil {
+		err = validate(resp)
+	}
+	effective := bill.Latency + c.cfg.CallQuantum
 	now := c.advance(effective)
 	c.observe("cluster_node_latency_seconds_"+n.Name(), effective)
 	if err != nil {
 		st.breakers[node].OnFailure(now)
 		c.count("cluster_node_errors_total_"+n.Name(), 1)
-		return nil, lat, err
+		return nil, bill.Latency, err
 	}
 	st.breakers[node].OnSuccess()
 	c.observeNode(st, node, effective)
@@ -410,7 +425,7 @@ func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method stri
 // HedgeAfter and another healthy node exists; it returns the winning
 // node index and latency. Replicas are byte-identical, so "winning" is
 // purely a latency race — the primary payload is always returnable.
-func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
+func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, validate func([]byte) error, net *transport.Stats, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
 	winner, winLat = served, lat
 	if c.cfg.HedgeAfter <= 0 || len(st.nodes) < 2 {
 		return
@@ -424,7 +439,7 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 	}
 	hspan := span.Child("cluster.hedge")
 	hspan.SetStr("node", st.nodes[alt].Name())
-	_, altLat, err := c.callNode(hspan, st, alt, method, request)
+	_, altLat, err := c.callNode(hspan, st, alt, method, request, validate, net)
 	hspan.End()
 	hedged = true
 	c.count("cluster_hedged_total", 1)

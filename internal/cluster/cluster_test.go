@@ -8,6 +8,7 @@ import (
 
 	"qbism/internal/faultsim"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
 var errFlaky = errors.New("flaky node")
@@ -24,13 +25,16 @@ type fakeNode struct {
 
 func (f *fakeNode) Name() string { return f.name }
 
-func (f *fakeNode) Call(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error) {
+// Call bills two messages and the node's latency per call, failed or not.
+func (f *fakeNode) Call(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
 	i := f.calls
 	f.calls++
+	bill := transport.Stats{Calls: 1, Messages: 2, Latency: f.lat}
 	if i < len(f.failSeq) && f.failSeq[i] != nil {
-		return nil, f.lat, fmt.Errorf("call %d: %w", i+1, f.failSeq[i])
+		bill.Errors = 1
+		return nil, bill, fmt.Errorf("call %d: %w", i+1, f.failSeq[i])
 	}
-	return f.resp, f.lat, nil
+	return f.resp, bill, nil
 }
 
 func alwaysFail(err error) []error {
@@ -58,7 +62,7 @@ func TestReadPrimaryHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", []byte("req"))
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", []byte("req"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil)
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 2, Study: 2}, "q", nil)
+	_, info, err := c.Read(nil, Key{Patient: 2, Study: 2}, "q", nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -136,7 +140,7 @@ func TestReadTerminalErrorNoFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 3, Study: 3}, "q", nil)
+	_, info, err := c.Read(nil, Key{Patient: 3, Study: 3}, "q", nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -162,7 +166,7 @@ func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	}
 	// Two reads trip the primary's breaker (one failure each).
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.Read(nil, Key{Patient: 1, Study: i}, "q", nil); err != nil {
+		if _, _, err := c.Read(nil, Key{Patient: 1, Study: i}, "q", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +176,7 @@ func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	dialed := p.calls
 	// Subsequent reads go straight to the replica without dialing the
 	// dead primary.
-	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 9}, "q", nil); err != nil {
+	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 9}, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	} else if info.Node != "s0r1" || info.Attempts != 1 {
 		t.Fatalf("info = %+v", info)
@@ -192,7 +196,7 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil); err != nil {
+	if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.NodeState(0, 0); got != BreakerOpen {
@@ -203,7 +207,7 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	// its failSeq is exhausted, closing the breaker.
 	var served string
 	for i := 0; i < 30 && served != "s0p"; i++ {
-		_, info, err := c.Read(nil, Key{Patient: 1, Study: 100 + i}, "q", nil)
+		_, info, err := c.Read(nil, Key{Patient: 1, Study: 100 + i}, "q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,12 +234,12 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 	}
 	// First read seeds the slow node's EWMA above the hedge threshold;
 	// the second read hedges and the replica wins the latency race.
-	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil); err != nil {
+	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	} else if info.Hedged {
 		t.Fatalf("hedged before EWMA had data: %+v", info)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 1, Study: 2}, "q", nil)
+	_, info, err := c.Read(nil, Key{Patient: 1, Study: 2}, "q", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +257,95 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 	}
 }
 
+// TestReadBillsEveryCall: ReadInfo.Net is the sum of every node call's
+// bill — the failed attempt before a failover, and the hedge beside the
+// call it raced — not only the winner's.
+func TestReadBillsEveryCall(t *testing.T) {
+	p := &fakeNode{name: "s0p", resp: []byte("rows"), lat: 50 * time.Millisecond, failSeq: []error{errFlaky}}
+	r := &fakeNode{name: "s0r1", resp: []byte("rows")}
+	cfg := testConfig()
+	cfg.HedgeAfter = 10 * time.Millisecond
+	c, err := New(cfg, [][]Node{{p, r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read 1: the primary fails, the replica answers.
+	_, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (transport.Stats{Calls: 2, Errors: 1, Messages: 4, Latency: 50 * time.Millisecond}); info.Net != want {
+		t.Errorf("failover read billed %+v, want %+v", info.Net, want)
+	}
+	// Read 2 seeds the primary's EWMA (it now answers); read 3 hedges.
+	if _, info, err = c.Read(nil, Key{Patient: 1, Study: 2}, "q", nil, nil); err != nil || info.Hedged {
+		t.Fatalf("read 2: %+v, %v", info, err)
+	}
+	if _, info, err = c.Read(nil, Key{Patient: 1, Study: 3}, "q", nil, nil); err != nil || !info.Hedged {
+		t.Fatalf("read 3: %+v, %v; want a hedge", info, err)
+	}
+	if want := (transport.Stats{Calls: 2, Messages: 4, Latency: 50 * time.Millisecond}); info.Net != want {
+		t.Errorf("hedged read billed %+v, want both calls' %+v", info.Net, want)
+	}
+}
+
+// TestReadValidateRefusalFailsOver: a reply validate refuses is its
+// node's failure — counted against the node, its breaker charged, the
+// read failed over — and a refused hedge never wins.
+func TestReadValidateRefusalFailsOver(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig()
+	cfg.Metrics = reg
+	cfg.Breaker = BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}
+	p := &fakeNode{name: "s0p", resp: []byte("garbage")}
+	r := &fakeNode{name: "s0r1", resp: []byte("rows")}
+	c, err := New(cfg, [][]Node{{p, r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked []string
+	validate := func(resp []byte) error {
+		checked = append(checked, string(resp))
+		if string(resp) != "rows" {
+			return fmt.Errorf("reply damaged: %w", errFlaky)
+		}
+		return nil
+	}
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, validate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "rows" || info.Node != "s0r1" || info.Failovers != 1 {
+		t.Fatalf("resp %q, info %+v; want the replica's rows after one failover", resp, info)
+	}
+	if len(checked) != 2 {
+		t.Errorf("validate saw %q, want each reply once", checked)
+	}
+	if got := reg.Counter("cluster_node_errors_total_s0p").Value(); got != 1 {
+		t.Errorf("cluster_node_errors_total_s0p = %d, want 1", got)
+	}
+	if got := c.NodeState(0, 0); got != BreakerOpen {
+		t.Errorf("primary breaker %v after a refused reply, want open", got)
+	}
+
+	// A fast replica whose replies are refused loses every hedge.
+	slow := &fakeNode{name: "s0p", resp: []byte("rows"), lat: 50 * time.Millisecond}
+	bad := &fakeNode{name: "s0r1", resp: []byte("garbage")}
+	cfg.HedgeAfter = 10 * time.Millisecond
+	cfg.Breaker = BreakerConfig{}
+	if c, err = New(cfg, [][]Node{{slow, bad}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, info, err = c.Read(nil, Key{Patient: 1, Study: i}, "q", nil, validate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !info.Hedged || info.HedgeWon || info.Node != "s0p" {
+		t.Errorf("info %+v, want a hedge that lost to the valid reply", info)
+	}
+}
+
 func TestReadBackoffDeterministic(t *testing.T) {
 	run := func() (ReadInfo, time.Duration) {
 		cfg := testConfig()
@@ -267,7 +360,7 @@ func TestReadBackoffDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, info, err := c.Read(nil, Key{Patient: 5, Study: 5}, "q", nil)
+		_, info, err := c.Read(nil, Key{Patient: 5, Study: 5}, "q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +393,7 @@ func TestReadShardOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadShard(nil, 7, Key{}, "q", nil); err == nil {
+	if _, _, err := c.ReadShard(nil, 7, Key{}, "q", nil, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }

@@ -1,10 +1,11 @@
 // Package netsim simulates the RPC link between the Starburst/
 // MedicalServer process and the DX executive (Figure 7/8 of the paper).
 // It has one job: a payload crosses the link and is counted — messages
-// and bytes — and priced with the cost model, reproducing the paper's
-// "network" column (message count and answer time). Who is called
-// between a request's crossing and its response's is transport.Sim's
-// business.
+// and bytes, by the cost model's message size — and each crossing
+// reports that cost to its caller. Who is called between a request's
+// crossing and its response's, and pricing the round trip into the
+// paper's "network" column (message count and answer time), is
+// transport.Sim's business.
 //
 // Unlike the paper's testbed, the link does not have to be perfect: an
 // optional faultsim.Injector makes payload crossings drop, time out,
@@ -35,27 +36,11 @@ var (
 	ErrCorrupt = errors.New("netsim: payload corrupted in flight")
 )
 
-// MethodFaults counts injected faults for one RPC method.
-type MethodFaults struct {
-	Drops       uint64
-	Timeouts    uint64
-	Corruptions uint64
-	Tampers     uint64
-}
-
-func (f MethodFaults) sub(o MethodFaults) MethodFaults {
-	return MethodFaults{
-		Drops:       f.Drops - o.Drops,
-		Timeouts:    f.Timeouts - o.Timeouts,
-		Corruptions: f.Corruptions - o.Corruptions,
-		Tampers:     f.Tampers - o.Tampers,
-	}
-}
-
-func (f MethodFaults) zero() bool { return f == MethodFaults{} }
-
-// Stats is cumulative link traffic and fault accounting.
+// Stats is link traffic and fault accounting: a crossing's cost as Cross
+// returns it, or the link's cumulative meter — the sum of every
+// crossing's cost plus the retries clients reported.
 type Stats struct {
+	// Calls counts payload crossings; Messages and Bytes their traffic.
 	Calls    uint64
 	Messages uint64
 	Bytes    uint64
@@ -70,35 +55,19 @@ type Stats struct {
 	LatencySim time.Duration
 	// Retries counts retried calls as reported by clients via NoteRetry.
 	Retries uint64
-
-	// PerMethod breaks the fault counters down by RPC method.
-	PerMethod map[string]MethodFaults
 }
 
-// Sub returns s - o for per-query deltas. The per-method map subtracts
-// entry-wise; methods whose delta is zero are omitted.
-func (s Stats) Sub(o Stats) Stats {
-	d := Stats{
-		Calls:       s.Calls - o.Calls,
-		Messages:    s.Messages - o.Messages,
-		Bytes:       s.Bytes - o.Bytes,
-		Drops:       s.Drops - o.Drops,
-		Timeouts:    s.Timeouts - o.Timeouts,
-		Corruptions: s.Corruptions - o.Corruptions,
-		Tampers:     s.Tampers - o.Tampers,
-		Latencies:   s.Latencies - o.Latencies,
-		LatencySim:  s.LatencySim - o.LatencySim,
-		Retries:     s.Retries - o.Retries,
-	}
-	for method, f := range s.PerMethod {
-		if df := f.sub(o.PerMethod[method]); !df.zero() {
-			if d.PerMethod == nil {
-				d.PerMethod = make(map[string]MethodFaults)
-			}
-			d.PerMethod[method] = df
-		}
-	}
-	return d
+// add folds a crossing's cost into s.
+func (s *Stats) add(o Stats) {
+	s.Calls += o.Calls
+	s.Messages += o.Messages
+	s.Bytes += o.Bytes
+	s.Drops += o.Drops
+	s.Timeouts += o.Timeouts
+	s.Corruptions += o.Corruptions
+	s.Tampers += o.Tampers
+	s.Latencies += o.Latencies
+	s.LatencySim += o.LatencySim
 }
 
 // Link is a simulated bidirectional RPC channel. It is safe for
@@ -111,7 +80,7 @@ type Link struct {
 	faults *faultsim.Injector // guarded by mu
 }
 
-// NewLink creates a link priced with the given model.
+// NewLink creates a link that counts messages by the given model.
 func NewLink(model costmodel.Model) *Link {
 	return &Link{model: model}
 }
@@ -127,38 +96,39 @@ func (l *Link) SetFaults(in *faultsim.Injector) {
 // Cross moves one payload of a method's call over the link in direction
 // dir ("request" or "response"): it draws a fault decision, meters the
 // traffic, and either delivers the (possibly tampered) payload or fails
-// with a typed error. The payload is metered even when it is lost — the
-// bytes were sent. The crossing is traced as a "net.<dir>" span under
-// parent (nil = untraced) carrying bytes, messages and any injected fault.
-func (l *Link) Cross(parent *obs.Span, dir, method string, payload []byte) ([]byte, error) {
+// with a typed error. It returns what the crossing cost — one call, its
+// messages and bytes, the fault it drew and any injected latency — which
+// it has also added to the link's meter. The payload is billed even when
+// it is lost: the bytes were sent. The crossing is traced as a
+// "net.<dir>" span under parent (nil = untraced) carrying bytes, messages
+// and any injected fault.
+func (l *Link) Cross(parent *obs.Span, dir, method string, payload []byte) ([]byte, Stats, error) {
 	var sp *obs.Span // named only under a live span, so an untraced crossing allocates nothing
 	if parent != nil {
 		sp = parent.Child("net." + dir)
 	}
 	defer sp.End()
-	sp.SetInt("bytes", int64(len(payload)))
+	n := uint64(len(payload))
+	cost := Stats{Calls: 1, Messages: l.model.Messages(n), Bytes: n}
+	sp.SetInt("bytes", int64(n))
+	sp.SetInt("messages", int64(cost.Messages))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	sp.SetInt("messages", int64(l.model.Messages(uint64(len(payload)))))
-	l.meter(uint64(len(payload)))
+	var err error
 	if fault := l.faults.LinkFault(); fault != faultsim.None {
 		sp.SetStr("fault", fault.String())
 		switch fault {
 		case faultsim.Drop:
-			l.stats.Drops++
-			l.bumpMethodFault(method, faultsim.Drop)
-			return nil, fmt.Errorf("netsim: %s: %w", method, ErrDropped)
+			cost.Drops = 1
+			err = fmt.Errorf("netsim: %s: %w", method, ErrDropped)
 		case faultsim.Timeout:
-			l.stats.Timeouts++
-			l.bumpMethodFault(method, faultsim.Timeout)
-			return nil, fmt.Errorf("netsim: %s: %w", method, ErrLinkTimeout)
+			cost.Timeouts = 1
+			err = fmt.Errorf("netsim: %s: %w", method, ErrLinkTimeout)
 		case faultsim.Corrupt:
-			l.stats.Corruptions++
-			l.bumpMethodFault(method, faultsim.Corrupt)
-			return nil, fmt.Errorf("netsim: %s: %w", method, ErrCorrupt)
+			cost.Corruptions = 1
+			err = fmt.Errorf("netsim: %s: %w", method, ErrCorrupt)
 		case faultsim.Tamper:
-			l.stats.Tampers++
-			l.bumpMethodFault(method, faultsim.Tamper)
+			cost.Tampers = 1
 			if len(payload) > 0 {
 				tampered := make([]byte, len(payload))
 				copy(tampered, payload)
@@ -166,73 +136,29 @@ func (l *Link) Cross(parent *obs.Span, dir, method string, payload []byte) ([]by
 				payload = tampered
 			}
 		case faultsim.Latency:
-			l.stats.Latencies++
-			l.stats.LatencySim += l.faults.Policy().ExtraLatency
-			sp.SetInt("latencySimNs", int64(l.faults.Policy().ExtraLatency))
+			cost.Latencies = 1
+			cost.LatencySim = l.faults.Policy().ExtraLatency
+			sp.SetInt("latencySimNs", int64(cost.LatencySim))
 		}
 	}
-	return payload, nil
-}
-
-// bumpMethodFault increments one per-method fault counter. Callers must
-// hold l.mu.
-func (l *Link) bumpMethodFault(method string, k faultsim.Kind) {
-	if l.stats.PerMethod == nil {
-		l.stats.PerMethod = make(map[string]MethodFaults)
+	l.stats.add(cost)
+	if err != nil {
+		return nil, cost, err
 	}
-	f := l.stats.PerMethod[method]
-	switch k {
-	case faultsim.Drop:
-		f.Drops++
-	case faultsim.Timeout:
-		f.Timeouts++
-	case faultsim.Corrupt:
-		f.Corruptions++
-	case faultsim.Tamper:
-		f.Tampers++
-	}
-	l.stats.PerMethod[method] = f
+	return payload, cost, nil
 }
 
 // NoteRetry records that a client retried a failed call; the link keeps
-// the counter so per-query deltas line up with the traffic counters.
+// the counter beside the traffic it cost.
 func (l *Link) NoteRetry() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats.Retries++
 }
 
-// meter counts one payload crossing. Callers must hold l.mu.
-func (l *Link) meter(payload uint64) {
-	l.stats.Calls++
-	l.stats.Messages += l.model.Messages(payload)
-	l.stats.Bytes += payload
-}
-
-// Stats returns the cumulative counters. The per-method map is copied.
+// Stats returns the cumulative counters.
 func (l *Link) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.stats
-	if l.stats.PerMethod != nil {
-		s.PerMethod = make(map[string]MethodFaults, len(l.stats.PerMethod))
-		for m, f := range l.stats.PerMethod {
-			s.PerMethod[m] = f
-		}
-	}
-	return s
-}
-
-// ResetStats zeroes the counters.
-func (l *Link) ResetStats() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stats = Stats{}
-}
-
-// SimTime prices the current counters with the link's model, including
-// injected latency.
-func (l *Link) SimTime() (messages uint64, seconds float64) {
-	s := l.Stats()
-	return s.Messages, (l.model.NetworkTime(s.Messages) + s.LatencySim).Seconds()
+	return l.stats
 }

@@ -67,40 +67,46 @@ func TestMessageAccounting(t *testing.T) {
 	if s.Messages != want {
 		t.Errorf("messages = %d, want %d", s.Messages, want)
 	}
-	msgs, secs := l.SimTime()
-	if msgs != want || secs <= 0 {
-		t.Errorf("SimTime = %d, %v", msgs, secs)
-	}
-	l.ResetStats()
-	if s := l.Stats(); s.Calls != 0 || s.Messages != 0 || s.Bytes != 0 || len(s.PerMethod) != 0 {
-		t.Errorf("ResetStats did not clear: %+v", s)
-	}
 }
 
-func TestStatsSub(t *testing.T) {
-	a := netsim.Stats{Calls: 5, Messages: 10, Bytes: 100, Drops: 4, Timeouts: 3, Corruptions: 2,
-		Tampers: 2, Latencies: 5, LatencySim: 9 * time.Millisecond, Retries: 6,
-		PerMethod: map[string]netsim.MethodFaults{
-			"q": {Drops: 4, Timeouts: 3, Corruptions: 2, Tampers: 2},
-			"r": {Drops: 1},
-		}}
-	b := netsim.Stats{Calls: 2, Messages: 4, Bytes: 30, Drops: 1, Timeouts: 1, Corruptions: 1,
-		Tampers: 1, Latencies: 2, LatencySim: 4 * time.Millisecond, Retries: 2,
-		PerMethod: map[string]netsim.MethodFaults{
-			"q": {Drops: 2, Timeouts: 1},
-			"r": {Drops: 1}, // delta zero: must be omitted
-		}}
-	d := a.Sub(b)
-	if d.Calls != 3 || d.Messages != 6 || d.Bytes != 70 {
-		t.Errorf("Sub = %+v", d)
+// TestCrossBillsSumToStats: each crossing returns its own cost — one
+// call, its messages and bytes, the fault it drew, its injected latency
+// — and the link's meter is the sum of those costs plus the reported
+// retries, whatever faults fired.
+func TestCrossBillsSumToStats(t *testing.T) {
+	m := costmodel.Default1993()
+	l := netsim.NewLink(m)
+	l.SetFaults(faultsim.New(faultsim.Policy{
+		Seed: 3, DropProb: 0.1, TimeoutProb: 0.1, CorruptProb: 0.1, TamperProb: 0.1,
+		LatencyProb: 0.1, ExtraLatency: 2 * time.Millisecond,
+	}))
+	var sum netsim.Stats
+	for i := 0; i < 200; i++ {
+		payload := make([]byte, 100*i)
+		_, c, err := l.Cross(nil, "request", "m", payload)
+		if c.Calls != 1 || c.Bytes != uint64(len(payload)) || c.Messages != m.Messages(uint64(len(payload))) {
+			t.Fatalf("crossing %d cost %+v", i, c)
+		}
+		if faults := c.Drops + c.Timeouts + c.Corruptions; (err != nil) != (faults == 1) {
+			t.Fatalf("crossing %d: cost %+v with error %v", i, c, err)
+		}
+		sum.Calls += c.Calls
+		sum.Messages += c.Messages
+		sum.Bytes += c.Bytes
+		sum.Drops += c.Drops
+		sum.Timeouts += c.Timeouts
+		sum.Corruptions += c.Corruptions
+		sum.Tampers += c.Tampers
+		sum.Latencies += c.Latencies
+		sum.LatencySim += c.LatencySim
 	}
-	if d.Drops != 3 || d.Timeouts != 2 || d.Corruptions != 1 || d.Tampers != 1 ||
-		d.Latencies != 3 || d.LatencySim != 5*time.Millisecond || d.Retries != 4 {
-		t.Errorf("fault deltas = %+v", d)
+	l.NoteRetry()
+	sum.Retries = 1
+	if got := l.Stats(); got != sum {
+		t.Errorf("link meter %+v, Σ crossing costs %+v", got, sum)
 	}
-	wantPer := map[string]netsim.MethodFaults{"q": {Drops: 2, Timeouts: 2, Corruptions: 2, Tampers: 2}}
-	if !reflect.DeepEqual(d.PerMethod, wantPer) {
-		t.Errorf("PerMethod delta = %+v, want %+v", d.PerMethod, wantPer)
+	if sum.Drops == 0 || sum.Tampers == 0 || sum.Latencies == 0 {
+		t.Errorf("expected every fault kind to fire across 200 crossings: %+v", sum)
 	}
 }
 
@@ -169,10 +175,6 @@ func TestScheduledFaultsTyped(t *testing.T) {
 	if s.Drops != 1 || s.Timeouts != 1 || s.Corruptions != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	want := netsim.MethodFaults{Drops: 1, Timeouts: 1, Corruptions: 1}
-	if s.PerMethod["m"] != want {
-		t.Errorf("PerMethod[m] = %+v, want %+v", s.PerMethod["m"], want)
-	}
 }
 
 func TestTamperFlipsExactlyOneByte(t *testing.T) {
@@ -197,7 +199,7 @@ func TestTamperFlipsExactlyOneByte(t *testing.T) {
 	if diff != 1 {
 		t.Errorf("%d bytes differ, want exactly 1 (delivered %v)", diff, seen)
 	}
-	if l.Stats().Tampers != 1 || l.Stats().PerMethod["m"].Tampers != 1 {
+	if l.Stats().Tampers != 1 {
 		t.Errorf("tamper counters = %+v", l.Stats())
 	}
 }
@@ -210,17 +212,16 @@ func TestInjectedLatencyPriced(t *testing.T) {
 		ExtraLatency: 500 * time.Millisecond,
 		Schedule:     []faultsim.Scheduled{{Op: 1, Kind: faultsim.Latency}},
 	}))
-	if _, err := sim.Call(nil, "m", nil); err != nil {
+	_, bill, err := sim.Exchange(nil, "m", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s := l.Stats()
 	if s.Latencies != 1 || s.LatencySim != 500*time.Millisecond {
 		t.Errorf("latency stats = %+v", s)
 	}
-	_, secs := l.SimTime()
-	base := m.NetworkTime(s.Messages).Seconds()
-	if secs < base+0.5 {
-		t.Errorf("SimTime %.3fs does not include the injected 0.5s (base %.3fs)", secs, base)
+	if want := m.NetworkTime(s.Messages) + 500*time.Millisecond; bill.Latency != want {
+		t.Errorf("bill latency %v, want the messages' %v plus the injected 0.5s", bill.Latency, m.NetworkTime(s.Messages))
 	}
 }
 

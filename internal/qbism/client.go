@@ -91,12 +91,11 @@ func NewClient(t transport.Transport, cfg Config) *Client {
 // capped-exponential, deterministically jittered schedule, whatever
 // flavor the transport is. Response validation runs inside the loop, so
 // a reply corrupted past the link layer's own checks is retried exactly
-// like a failed call.
+// like a failed call. The exchange's network cost is the sum of its
+// attempts' bills, exact however many queries share the transport.
 func (c *Client) fetch(root *obs.Span, _ QuerySpec, key string, request []byte) (fetched, error) {
 	var f fetched
-	tr := c.Transport
-	net0 := tr.Stats()
-	_, retry, err := transport.CallRetry(tr, root, QueryMethod, request, c.Retry, key,
+	_, retry, net, err := transport.CallRetry(c.Transport, root, QueryMethod, request, c.Retry, key,
 		func(resp []byte) (verr error) {
 			f.meta, f.blob, verr = DecodeQueryResponse(resp)
 			return verr
@@ -105,7 +104,6 @@ func (c *Client) fetch(root *obs.Span, _ QuerySpec, key string, request []byte) 
 	if err != nil {
 		return f, fmt.Errorf("qbism: query failed after %d attempt(s): %w", retry.Attempts, err)
 	}
-	net := tr.Stats().Sub(net0)
 	f.messages, f.latency = net.Messages, net.Latency
 	return f, nil
 }

@@ -26,8 +26,8 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 	}
 	defer cs.Close()
 
-	// The per-query I/O counters are each call's own bill, so they must
-	// agree under the pool as they do one query at a time.
+	// The per-query I/O and network counters are each call's own bill,
+	// so they must agree under the pool as they do one query at a time.
 	same := func(label string, a, b *QueryResult) {
 		t.Helper()
 		am, bm := a.Meta, b.Meta
@@ -37,6 +37,9 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 		}
 		if want := (transport.RetryStats{Attempts: 1}); a.Retry != want || b.Retry != want {
 			t.Errorf("%s: retry history %+v / %+v, want one clean attempt on both", label, a.Retry, b.Retry)
+		}
+		if a.Timing.NetMessages != b.Timing.NetMessages {
+			t.Errorf("%s: NetMessages %d on the node, %d through the cluster", label, a.Timing.NetMessages, b.Timing.NetMessages)
 		}
 	}
 	specs := sys.Table3Queries()
@@ -50,11 +53,6 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(spec.Label(), a, b)
-		// The message count is still a delta of the link's meter
-		// (Transport.Stats), exact only one query at a time.
-		if a.Timing.NetMessages != b.Timing.NetMessages {
-			t.Errorf("%s: NetMessages %d on the node, %d through the cluster", spec.Label(), a.Timing.NetMessages, b.Timing.NetMessages)
-		}
 		if b.Shard == nil || b.Shard.Node != "s0p" {
 			t.Errorf("%s: Shard = %+v, want the read served by s0p", spec.Label(), b.Shard)
 		}

@@ -14,11 +14,12 @@ import (
 // interleaving; each worker runs the same retrying RunQuery path, so
 // PR 1's fault-resilience guarantees carry over unchanged.
 //
-// Per-query I/O counters are exact under concurrency too: each call
-// bills its own reads (QueryMeta). What is NOT deterministic is the
-// assignment of fault-injector draws to queries (the injector stream is
-// consumed in arrival order at the device), so an experiment that needs
-// a reproducible fault schedule runs serially.
+// Per-query counters are exact under concurrency too: each server call
+// bills its own reads (QueryMeta), each exchange its own messages and
+// network time (Timing.NetMessages, NetSim). What is NOT deterministic
+// is the assignment of fault-injector draws to queries (the injector
+// stream is consumed in arrival order at the device and the link), so
+// an experiment that needs a reproducible fault schedule runs serially.
 
 // BatchItem is one completed entry of a RunQueries batch: the spec, and
 // either its result or its error.

@@ -19,7 +19,6 @@ package qbism
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"qbism/internal/cluster"
@@ -89,24 +88,14 @@ type ClusterSystem struct {
 	Studies []StudyInfo
 
 	routes map[int]cluster.Key // studyID -> routing key
-	// tnodes flattens every transportNode handed to the cluster, so
-	// Close can release dialed transports the cluster layer holds.
-	tnodes []*transportNode
 }
 
-// Close releases every node the cluster built: each replica's dialed
-// transport and each node System (its own transport and long-field
-// manager). All underlying closes are idempotent, so the overlap
-// between a node's transport and its System is harmless. Close also
-// works on a partially constructed cluster, which is how
+// Close releases every node System the cluster built — its transport,
+// the one the cluster calls it through, and its long-field manager. It
+// also works on a partially constructed cluster, which is how
 // NewClusterSystem unwinds its error paths.
 func (cs *ClusterSystem) Close() error {
 	var first error
-	for _, n := range cs.tnodes {
-		if err := n.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, replicas := range cs.Nodes {
 		for _, sys := range replicas {
 			if err := sys.Close(); err != nil && first == nil {
@@ -165,9 +154,7 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 				return nil, fmt.Errorf("qbism: cluster node s%dr%d: %w", sh, r, err)
 			}
 			cs.addNode(sh, sys)
-			tn := &transportNode{name: nodeName(sh, r), t: sys.Transport}
-			cs.tnodes = append(cs.tnodes, tn)
-			nodes = append(nodes, tn)
+			nodes = append(nodes, &transportNode{name: nodeName(sh, r), t: sys.Transport})
 		}
 		shardNodes = append(shardNodes, nodes)
 	}
@@ -217,50 +204,27 @@ func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
 
 // transportNode adapts one node's Transport to the cluster.Node seam:
 // the cluster does not know whether a node is a simulated link or a
-// live daemon — it consumes the seam's Stats.Latency deltas either
-// way. Each call is serialized per node so the stats delta pricing the
-// call's latency is exact; different nodes still serve concurrently.
+// live daemon — it consumes each exchange's own bill either way, so
+// calls to one node run as concurrently as its transport allows.
 type transportNode struct {
 	name string
 	t    transport.Transport
-	mu   sync.Mutex
 }
 
 func (n *transportNode) Name() string { return n.name }
 
-// Close releases the node's transport. The sim flavors make this a
-// no-op; a dialed TCP transport drops its socket.
-func (n *transportNode) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.t == nil {
-		return nil
-	}
-	return n.t.Close()
-}
-
-// Call dials the node's transport once and validates the response
-// frame, so a reply corrupted in flight surfaces here as a typed
-// retryable error — failover fodder — rather than downstream in the
-// DX import.
-func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	net0 := n.t.Stats()
-	resp, err := n.t.Call(parent, method, request)
-	lat := n.t.Stats().Sub(net0).Latency
-	if err != nil {
-		return nil, lat, err
-	}
-	if _, _, err := DecodeQueryResponse(resp); err != nil {
-		return nil, lat, err
-	}
-	return resp, lat, nil
+// Call is one exchange with the node; the cluster validates the reply.
+func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
+	return n.t.Exchange(parent, method, request)
 }
 
 // fetch is the cluster's side of the client seam: route by (patient,
-// study) key, then read with failover and hedging. The winning node has
-// already validated the frame (transportNode.Call).
+// study) key, then read with failover and hedging. Each node reply is
+// checked and decoded once, inside the read: a corrupt one is that
+// node's failure, failover fodder, rather than a fault downstream in the
+// DX import. The first valid reply is the one the read returns; a
+// hedge's is checked and dropped. The messages are every node call's,
+// as their links metered them.
 func (cs *ClusterSystem) fetch(root *obs.Span, spec QuerySpec, _ string, request []byte) (fetched, error) {
 	key, ok := cs.routes[spec.StudyID]
 	if !ok {
@@ -268,20 +232,22 @@ func (cs *ClusterSystem) fetch(root *obs.Span, spec QuerySpec, _ string, request
 		return fetched{retry: transport.RetryStats{Attempts: 1}},
 			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID)
 	}
-	resp, info, err := cs.Cluster.Read(root, key, QueryMethod, request)
-	f := fetched{retry: transport.RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}}
+	var f fetched
+	_, info, err := cs.Cluster.Read(root, key, QueryMethod, request, func(resp []byte) error {
+		meta, blob, err := DecodeQueryResponse(resp)
+		if err == nil && f.meta == nil {
+			f.meta, f.blob = meta, blob
+		}
+		return err
+	})
+	f.retry = transport.RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}
 	if err != nil {
 		f.retry.LastError = err.Error()
 		return f, fmt.Errorf("qbism: query failed: %w", err)
 	}
-	if f.meta, f.blob, err = DecodeQueryResponse(resp); err != nil {
-		return f, err
-	}
-	// The winning exchange's messages, metered as its link metered them;
-	// the read's simulated latency already prices that call's network
-	// model time, injected latency, and call quantum.
-	f.messages = cs.Model.Messages(uint64(len(request))) + cs.Model.Messages(uint64(len(resp)))
-	f.latency = info.LatencySim
+	// The read's simulated latency already prices the winning call's
+	// network model time, injected latency, and call quantum.
+	f.messages, f.latency = info.Net.Messages, info.LatencySim
 	f.shard = &info
 	return f, nil
 }

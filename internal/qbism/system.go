@@ -85,7 +85,7 @@ type System struct {
 	*Client
 
 	// Link is the simulated link the client's own Transport crosses to
-	// reach the server: its meter, its per-method fault counters, and
+	// reach the server: its crossing and fault counters, and
 	// where LinkFaults — the active injector, nil unless
 	// Config.LinkFaults — is installed.
 	Link       *netsim.Link

@@ -132,23 +132,27 @@ func JitterSeed(seed uint64, key string) uint64 {
 // own checks) is classified and retried exactly like a call failure.
 // key seeds the jitter stream so two identical runs back off
 // identically; retries are reported to the transport via NoteRetry so
-// link-level meters reconcile with the returned RetryStats.
-func CallRetry(t Transport, parent *obs.Span, method string, request []byte, pol RetryPolicy, key string, validate func([]byte) error) ([]byte, RetryStats, error) {
+// link-level meters reconcile with the returned RetryStats. The
+// returned Stats is the sum of every attempt's bill, failed ones
+// included, on success and failure alike.
+func CallRetry(t Transport, parent *obs.Span, method string, request []byte, pol RetryPolicy, key string, validate func([]byte) error) ([]byte, RetryStats, Stats, error) {
 	pol = pol.WithDefaults()
 	jitter := faultsim.NewRand(JitterSeed(pol.Seed, key))
 	var retry RetryStats
+	var net Stats
 	for attempt := 1; ; attempt++ {
 		retry.Attempts = attempt
-		resp, err := t.Call(parent, method, request)
+		resp, bill, err := t.Exchange(parent, method, request)
+		net = net.Add(bill)
 		if err == nil && validate != nil {
 			err = validate(resp)
 		}
 		if err == nil {
-			return resp, retry, nil
+			return resp, retry, net, nil
 		}
 		retry.LastError = err.Error()
 		if attempt >= pol.MaxAttempts || !RetryableError(err) {
-			return nil, retry, err
+			return nil, retry, net, err
 		}
 		retry.Retries++
 		retry.BackoffSim += pol.Backoff(attempt, jitter)

@@ -165,11 +165,12 @@ func DialTCP(addr string, opts TCPOptions) *TCP {
 	return &TCP{addr: addr, opts: opts.withDefaults()}
 }
 
-// Call implements Transport: one framed exchange on the connection,
+// Exchange implements Transport: one framed exchange on the connection,
 // measured with the wall clock (this is the one flavor where latency
 // is real). Any stream-level failure tears the connection down so the
-// next call redials.
-func (t *TCP) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
+// next call redials. A call that put nothing on the wire — closed, or
+// the dial failed — bills only Calls and Errors.
+func (t *TCP) Exchange(parent *obs.Span, method string, request []byte) ([]byte, Stats, error) {
 	sp := parent.Child("transport.call")
 	defer sp.End()
 	sp.SetStr("method", method)
@@ -178,26 +179,32 @@ func (t *TCP) Call(parent *obs.Span, method string, request []byte) ([]byte, err
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	bill := Stats{Calls: 1}
 	start := wallNow()
-	resp, err := t.callLocked(method, request)
-	elapsed := wallSince(start)
-
-	t.stats.Calls++
-	t.stats.Messages += 2
-	t.stats.BytesOut += uint64(len(request))
-	t.stats.Latency += elapsed
-	if err != nil {
-		t.stats.Errors++
-		sp.SetStr("error", err.Error())
-		return nil, err
+	resp, err := t.callLocked(method, request, &bill)
+	if bill.Messages > 0 {
+		bill.Latency = wallSince(start)
 	}
-	t.stats.BytesIn += uint64(len(resp))
-	sp.SetInt("bytes", int64(len(resp)))
-	return resp, nil
+	if err != nil {
+		bill.Errors = 1
+		sp.SetStr("error", err.Error())
+	} else {
+		bill.BytesIn = uint64(len(resp))
+		sp.SetInt("bytes", int64(len(resp)))
+	}
+	t.stats = t.stats.Add(bill)
+	return resp, bill, err
 }
 
-// callLocked performs the exchange. Callers must hold t.mu.
-func (t *TCP) callLocked(method string, request []byte) ([]byte, error) {
+// Call implements Transport: Exchange without the bill.
+func (t *TCP) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
+	resp, _, err := t.Exchange(parent, method, request)
+	return resp, err
+}
+
+// callLocked performs the exchange, billing the request's two messages
+// and bytes out once it goes on the wire. Callers must hold t.mu.
+func (t *TCP) callLocked(method string, request []byte, bill *Stats) ([]byte, error) {
 	if t.closed {
 		return nil, fmt.Errorf("transport: tcp %s: %w", t.addr, ErrClosed)
 	}
@@ -214,6 +221,7 @@ func (t *TCP) callLocked(method string, request []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %s: setting deadline: %w", ErrConn, t.addr, err)
 		}
 	}
+	bill.Messages, bill.BytesOut = 2, uint64(len(request))
 	if err := t.fs.write(t.conn, appendCallHeader(t.fs.begin(), method), request); err != nil {
 		t.teardownLocked()
 		return nil, err

@@ -171,6 +171,23 @@ func TestTCPReconnectsAfterServerRestart(t *testing.T) {
 	}
 }
 
+// assertNothingOnWire checks a failed call's bill and the meter's
+// movement: a call that wrote nothing bills only Calls and Errors.
+func assertNothingOnWire(t *testing.T, c *TCP, call func() (Stats, error), wantErr error) {
+	t.Helper()
+	before := c.Stats()
+	bill, err := call()
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("got %v, want %v", err, wantErr)
+	}
+	if want := (Stats{Calls: 1, Errors: 1}); bill != want {
+		t.Errorf("bill %+v, want %+v", bill, want)
+	}
+	if d := c.Stats().Sub(before); d != bill {
+		t.Errorf("Stats moved by %+v, the bill is %+v", d, bill)
+	}
+}
+
 func TestTCPDialFailureTyped(t *testing.T) {
 	// A listener that never accepts vs. a closed port: use a closed
 	// port — dial fails fast with a typed error.
@@ -182,13 +199,13 @@ func TestTCPDialFailureTyped(t *testing.T) {
 	ln.Close()
 	c := DialTCP(addr, TCPOptions{DialTimeout: time.Second})
 	defer c.Close()
-	_, err = c.Call(nil, "ping", nil)
-	if !errors.Is(err, ErrDial) {
-		t.Fatalf("got %v, want ErrDial", err)
-	}
-	if !RetryableError(err) {
-		t.Error("dial failure must be retryable")
-	}
+	assertNothingOnWire(t, c, func() (Stats, error) {
+		_, bill, err := c.Exchange(nil, "ping", []byte("never sent"))
+		if !RetryableError(err) {
+			t.Error("dial failure must be retryable")
+		}
+		return bill, err
+	}, ErrDial)
 }
 
 func TestTCPClosedFences(t *testing.T) {
@@ -198,8 +215,38 @@ func TestTCPClosedFences(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.Call(nil, "ping", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("call after close: %v", err)
+	assertNothingOnWire(t, c, func() (Stats, error) {
+		_, bill, err := c.Exchange(nil, "ping", []byte("never sent"))
+		return bill, err
+	}, ErrClosed)
+}
+
+// TestTCPBillsSumToStats: each exchange's bill is what it put on the
+// wire — two messages, its request's bytes out and, on success, its
+// response's bytes in — and the bills sum to the cumulative meter.
+func TestTCPBillsSumToStats(t *testing.T) {
+	srv := startServer(t, func(sp *obs.Span, method string, request []byte) ([]byte, error) {
+		if method == "fail" {
+			return nil, errors.New("no such study")
+		}
+		return echoHandler(sp, method, request)
+	}, ServerConfig{})
+	c := dialServer(t, srv)
+	var sum Stats
+	for i, method := range []string{"ping", "fail", "ping"} {
+		request := bytes.Repeat([]byte("r"), 100*i)
+		resp, bill, err := c.Exchange(nil, method, request)
+		want := Stats{Calls: 1, Messages: 2, BytesOut: uint64(len(request)), BytesIn: uint64(len(resp)), Latency: bill.Latency}
+		if err != nil {
+			want.Errors = 1
+		}
+		if bill != want || bill.Latency <= 0 {
+			t.Errorf("%s: bill %+v, want %+v with a measured latency", method, bill, want)
+		}
+		sum = sum.Add(bill)
+	}
+	if got := c.Stats(); got != sum {
+		t.Errorf("Stats %+v, Σ bills %+v", got, sum)
 	}
 }
 
@@ -240,7 +287,7 @@ func TestTCPCallRetryEndToEnd(t *testing.T) {
 	srv := startServer(t, echoHandler, ServerConfig{})
 	c := dialServer(t, srv)
 	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5}
-	resp, st, err := CallRetry(c, nil, "ping", []byte("x"), pol, "q", nil)
+	resp, st, _, err := CallRetry(c, nil, "ping", []byte("x"), pol, "q", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,16 @@
 //
 // The two flavors:
 //
-//   - Sim: an in-process Handler reached across a netsim.Link. Traffic is
-//     metered and priced with the 1993 cost model and faults replay
-//     byte-for-byte from a seed, which is what the chaos and differential
-//     suites run on.
+//   - Sim: an in-process Handler reached across a netsim.Link. An
+//     exchange is priced with the 1993 cost model from the crossings it
+//     made, and faults replay byte-for-byte from a seed, which is what
+//     the chaos and differential suites run on.
 //   - TCP: real sockets speaking the CRC frame protocol (frame.go) to a
 //     qbismd daemon. The only flavor allowed to read the wall clock.
+//
+// The transport that carries a call is the only place that prices it:
+// Exchange returns the call's own bill (Stats), exact however many calls
+// overlap, and Stats() is the cumulative meter, for metrics.
 //
 // Client-side resilience lives here too (retry.go): CallRetry wraps any
 // Transport with the capped-exponential, deterministically jittered
@@ -67,30 +71,50 @@ var (
 // so a handler copies what it keeps.
 type Handler func(sp *obs.Span, method string, request []byte) ([]byte, error)
 
-// Stats is a transport's cumulative traffic accounting. Deltas around
-// a call price that call.
+// Stats is traffic accounting in one of two roles. Exchange returns one
+// call's bill: Calls 1, Errors 0 or 1, and the messages, bytes and
+// latency that call put on its link. Stats() is a transport's cumulative
+// meter, the sum of every bill it issued plus the retries reported to
+// it, for metrics. A call is priced by its own bill, never by a
+// difference of the cumulative meter, which other calls move too.
 type Stats struct {
-	// Calls counts payload crossings initiated (one per Call).
+	// Calls counts exchanges initiated.
 	Calls uint64
-	// Errors counts calls that returned an error.
+	// Errors counts exchanges that returned an error.
 	Errors uint64
-	// Messages counts cost-model messages for the traffic carried
-	// (request + response). The sim flavor takes these from the
-	// underlying link's meter; tcp counts one per direction.
+	// Messages counts cost-model messages put on the link (request +
+	// response, failed attempts included). The sim flavor takes these
+	// from the link's crossings; tcp counts one per direction once the
+	// request is on the wire.
 	Messages uint64
 	// BytesOut and BytesIn count request and response payload bytes.
 	BytesOut uint64
 	BytesIn  uint64
-	// Retries counts client retries reported via NoteRetry.
+	// Retries counts client retries reported via NoteRetry (cumulative
+	// meter only).
 	Retries uint64
-	// Latency is the cumulative simulated latency of carried calls:
-	// network-model time plus injected latency for the sim flavor,
-	// measured wall time for tcp. Per-call deltas of
-	// this field are what the cluster's EWMA and hedging consume.
+	// Latency is the network time of carried calls: network-model time
+	// plus injected latency for the sim flavor, measured wall time for
+	// tcp. A bill's Latency is what the cluster's clock, EWMA and hedging
+	// consume.
 	Latency time.Duration
 }
 
-// Sub returns s - o, for per-call deltas.
+// Add returns s + o, for summing bills.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Calls:    s.Calls + o.Calls,
+		Errors:   s.Errors + o.Errors,
+		Messages: s.Messages + o.Messages,
+		BytesOut: s.BytesOut + o.BytesOut,
+		BytesIn:  s.BytesIn + o.BytesIn,
+		Retries:  s.Retries + o.Retries,
+		Latency:  s.Latency + o.Latency,
+	}
+}
+
+// Sub returns s - o: the traffic between two readings of a cumulative
+// meter, for metrics over a window.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Calls:    s.Calls - o.Calls,
@@ -105,13 +129,16 @@ func (s Stats) Sub(o Stats) Stats {
 
 // Transport carries framed RPCs from a client to a MedicalServer,
 // wherever it lives. Implementations must be safe for concurrent use;
-// Call must wrap typed causes with %w so errors.Is classification
+// Exchange must wrap typed causes with %w so errors.Is classification
 // (RetryableError) survives.
 type Transport interface {
-	// Call performs one RPC under the given parent span (nil =
-	// untraced) and returns the raw response payload.
+	// Exchange performs one RPC under the given parent span (nil =
+	// untraced) and returns the raw response payload and the call's
+	// bill, which the transport has also added to its cumulative meter.
+	Exchange(parent *obs.Span, method string, request []byte) ([]byte, Stats, error)
+	// Call is Exchange without the bill.
 	Call(parent *obs.Span, method string, request []byte) ([]byte, error)
-	// Stats returns cumulative traffic counters.
+	// Stats returns the cumulative meter.
 	Stats() Stats
 	// Close releases the transport's resources; subsequent calls fail
 	// with ErrClosed.
@@ -119,8 +146,8 @@ type Transport interface {
 }
 
 // retryNoter is the optional interface a transport implements to have
-// client retries folded into its own accounting (the sim flavor
-// forwards to the link's meter so chaos tests reconcile retries
+// client retries folded into its cumulative meter (the sim flavor also
+// forwards them to the link's, so chaos tests reconcile retries
 // exactly).
 type retryNoter interface{ NoteRetry() }
 

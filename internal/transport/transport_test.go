@@ -25,21 +25,79 @@ func newSimPair(t *testing.T) (*Sim, *netsim.Link, costmodel.Model) {
 
 func TestSimDelegatesToLink(t *testing.T) {
 	s, link, model := newSimPair(t)
-	resp, err := s.Call(nil, "echo", []byte("xyz"))
+	request := []byte("xyz")
+	resp, bill, err := s.Exchange(nil, "echo", request)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(resp) != "echo:xyz" {
 		t.Fatalf("got %q", resp)
 	}
-	// The seam's Stats must price the link's meter with the model.
+	// The bill splits the link's crossings by direction and prices their
+	// messages with the model.
 	ls := link.Stats()
-	want := model.NetworkTime(ls.Messages) + ls.LatencySim
-	if got := s.Stats().Latency; got != want {
-		t.Errorf("Stats.Latency = %v, want %v", got, want)
+	want := Stats{
+		Calls:    1,
+		Messages: ls.Messages,
+		BytesOut: uint64(len(request)),
+		BytesIn:  uint64(len(resp)),
+		Latency:  model.NetworkTime(ls.Messages) + ls.LatencySim,
 	}
-	if s.Stats().Messages != ls.Messages {
-		t.Errorf("messages %d, want link's %d", s.Stats().Messages, ls.Messages)
+	if bill != want {
+		t.Errorf("bill %+v, want %+v", bill, want)
+	}
+	if got := s.Stats(); got != bill {
+		t.Errorf("Stats %+v after one call, want its bill %+v", got, bill)
+	}
+}
+
+// TestSimBillsSumToStats: across successes, a handler error, faulted
+// crossings and a closed transport, the bills add up to the cumulative
+// meter field by field, and their messages and bytes to the link's.
+func TestSimBillsSumToStats(t *testing.T) {
+	model := costmodel.Default1993()
+	link := netsim.NewLink(model)
+	boom := errors.New("boom")
+	s := NewSim(link, model, func(_ *obs.Span, method string, req []byte) ([]byte, error) {
+		if method == "fail" {
+			return nil, boom
+		}
+		return make([]byte, 3000), nil
+	})
+	link.SetFaults(faultsim.New(faultsim.Policy{
+		ExtraLatency: 7 * time.Millisecond,
+		Schedule: []faultsim.Scheduled{
+			{Op: 1, Kind: faultsim.Drop},    // call 1: request dropped
+			{Op: 3, Kind: faultsim.Latency}, // call 2: response delayed
+			{Op: 8, Kind: faultsim.Corrupt}, // call 5: response corrupted (op 4 is call 3's only crossing)
+		},
+	}))
+	var sum Stats
+	for i, method := range []string{"ok", "ok", "fail", "ok", "ok"} {
+		_, bill, err := s.Exchange(nil, method, make([]byte, 10*i))
+		if (err != nil) != (bill.Errors == 1) || bill.Calls != 1 {
+			t.Errorf("call %d: bill %+v with error %v", i+1, bill, err)
+		}
+		sum = sum.Add(bill)
+	}
+	s.Close()
+	_, bill, err := s.Exchange(nil, "ok", []byte("late"))
+	if !errors.Is(err, ErrClosed) || bill != (Stats{Calls: 1, Errors: 1}) {
+		t.Errorf("closed: bill %+v, err %v; want Calls and Errors only", bill, err)
+	}
+	sum = sum.Add(bill)
+	if got := s.Stats(); got != sum {
+		t.Errorf("Stats %+v, Σ bills %+v", got, sum)
+	}
+	ls := link.Stats()
+	if sum.Messages != ls.Messages || sum.BytesOut+sum.BytesIn != ls.Bytes {
+		t.Errorf("Σ bills %d messages / %d bytes, link %d / %d", sum.Messages, sum.BytesOut+sum.BytesIn, ls.Messages, ls.Bytes)
+	}
+	if want := model.NetworkTime(ls.Messages) + 7*time.Millisecond; sum.Latency != want {
+		t.Errorf("Σ latency %v, want %v", sum.Latency, want)
+	}
+	if sum.Errors != 4 || sum.Calls != 6 {
+		t.Errorf("Σ bills %d calls / %d errors, want 6 / 4", sum.Calls, sum.Errors)
 	}
 }
 
@@ -120,18 +178,25 @@ func (f *flaky) NoteRetry()   { f.retries++ }
 func (f *flaky) Stats() Stats { return Stats{Retries: f.retries} }
 func (f *flaky) Close() error { return nil }
 
-func (f *flaky) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
+func (f *flaky) Exchange(parent *obs.Span, method string, request []byte) ([]byte, Stats, error) {
 	f.calls++
+	bill := Stats{Calls: 1, Messages: 2}
 	if f.calls <= f.failures {
-		return nil, f.err
+		bill.Errors = 1
+		return nil, bill, f.err
 	}
-	return []byte("ok"), nil
+	return []byte("ok"), bill, nil
+}
+
+func (f *flaky) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
+	resp, _, err := f.Exchange(parent, method, request)
+	return resp, err
 }
 
 func TestCallRetryCuresTransientFailures(t *testing.T) {
 	tr := &flaky{failures: 2, err: fmt.Errorf("wrapped: %w", ErrConn)}
 	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Seed: 7}
-	resp, st, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
+	resp, st, bill, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +205,9 @@ func TestCallRetryCuresTransientFailures(t *testing.T) {
 	}
 	if st.Attempts != 3 || st.Retries != 2 {
 		t.Errorf("stats %+v, want 3 attempts / 2 retries", st)
+	}
+	if want := (Stats{Calls: 3, Errors: 2, Messages: 6}); bill != want {
+		t.Errorf("bill %+v, want every attempt's: %+v", bill, want)
 	}
 	if st.BackoffSim <= 0 {
 		t.Error("no simulated backoff accumulated")
@@ -156,7 +224,7 @@ func TestCallRetryTerminalFailsFast(t *testing.T) {
 	terminal := errors.New("semantic failure")
 	tr := &flaky{failures: 99, err: terminal}
 	pol := RetryPolicy{MaxAttempts: 5, Seed: 1}
-	_, st, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
+	_, st, _, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
 	if !errors.Is(err, terminal) {
 		t.Fatalf("got %v", err)
 	}
@@ -168,12 +236,15 @@ func TestCallRetryTerminalFailsFast(t *testing.T) {
 func TestCallRetryExhaustion(t *testing.T) {
 	tr := &flaky{failures: 99, err: fmt.Errorf("down: %w", ErrDial)}
 	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1}
-	_, st, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
+	_, st, bill, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
 	if !errors.Is(err, ErrDial) {
 		t.Fatalf("got %v", err)
 	}
 	if st.Attempts != 3 || st.Retries != 2 {
 		t.Errorf("stats %+v, want 3 attempts / 2 retries", st)
+	}
+	if want := (Stats{Calls: 3, Errors: 3, Messages: 6}); bill != want {
+		t.Errorf("bill %+v on exhaustion, want every attempt's: %+v", bill, want)
 	}
 }
 
@@ -184,7 +255,7 @@ func TestCallRetryValidateFailureRetried(t *testing.T) {
 	tr := &flaky{failures: 0, err: nil}
 	calls := 0
 	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1}
-	resp, st, err := CallRetry(tr, nil, "m", nil, pol, "key", func(b []byte) error {
+	resp, st, bill, err := CallRetry(tr, nil, "m", nil, pol, "key", func(b []byte) error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("reply damaged: %w", ErrFrameCorrupt)
@@ -197,6 +268,10 @@ func TestCallRetryValidateFailureRetried(t *testing.T) {
 	if string(resp) != "ok" || st.Attempts != 3 {
 		t.Fatalf("resp %q, stats %+v", resp, st)
 	}
+	// A reply that failed validation still crossed the link.
+	if want := (Stats{Calls: 3, Messages: 6}); bill != want {
+		t.Errorf("bill %+v, want every attempt's: %+v", bill, want)
+	}
 }
 
 // TestCallRetryDeterministicBackoff: identical (policy, key) pairs
@@ -205,7 +280,7 @@ func TestCallRetryDeterministicBackoff(t *testing.T) {
 	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 9}
 	run := func(key string) time.Duration {
 		tr := &flaky{failures: 99, err: fmt.Errorf("x: %w", ErrConn)}
-		_, st, _ := CallRetry(tr, nil, "m", nil, pol, key, nil)
+		_, st, _, _ := CallRetry(tr, nil, "m", nil, pol, key, nil)
 		return st.BackoffSim
 	}
 	if a, b := run("k1"), run("k1"); a != b {

@@ -117,7 +117,7 @@ func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 		{"sim", NewSim(link, model, refuse)},
 		{"tcp", dialServer(t, startServer(t, refuse, ServerConfig{}))},
 	} {
-		_, st, err := CallRetry(tc.tr, nil, "nosuch", request, DefaultRetryPolicy(), "k", nil)
+		_, st, _, err := CallRetry(tc.tr, nil, "nosuch", request, DefaultRetryPolicy(), "k", nil)
 		if !errors.Is(err, ErrUnknownMethod) {
 			t.Errorf("%s: %v, want ErrUnknownMethod", tc.flavor, err)
 		}
