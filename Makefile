@@ -97,10 +97,12 @@ chaos:
 	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/netsim
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
-# parser, the rencode REGION decoder, the k³-tree parser (probe
-# answers cross-checked against the materialized run list), the k³ × k³
-# intersection (against the run lists' intersection), the
-# transport frame codec (both readers, canonical re-encode), the spec
+# parser, the rencode REGION decoder (DecodeInto held to Decode's
+# verdict), the k³-tree parser (probe answers cross-checked against the
+# materialized run list), the k³ × k³ intersection (against the run
+# lists' intersection), the n-way fold IntersectN (against a pairwise
+# left fold of Intersect, in two operand orders), the transport frame
+# codec (both readers, canonical re-encode), the spec
 # and meta header decoders (typed refusal or canonical re-encode), and
 # arbitrary request bytes into a bare medserver.Server's ServeRPC,
 # $(FUZZTIME) each. The last two drive internal/medserver from
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzDecodeK3$$' -fuzz '^FuzzDecodeK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzK3IntersectK3$$' -fuzz '^FuzzK3IntersectK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
+	$(GO) test -run '^FuzzIntersectN$$' -fuzz '^FuzzIntersectN$$' -fuzztime=$(FUZZTIME) ./internal/region
 	$(GO) test -run '^FuzzFrame$$' -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^FuzzQueryHeader$$' -fuzz '^FuzzQueryHeader$$' -fuzztime=$(FUZZTIME) ./internal/qbism
 	$(GO) test -run '^FuzzServeRPC$$' -fuzz '^FuzzServeRPC$$' -fuzztime=$(FUZZTIME) ./internal/qbism
@@ -153,10 +156,16 @@ cover:
 # every request pays before it can intersect or extract;
 # TestDecodeAllocBudget pins the allocations) — and BenchmarkTCPExchange,
 # one echo exchange over loopback at a small and a bulk body (the wire
-# alone; TestTCPExchangeAllocBudget pins its allocations).
+# alone; TestTCPExchangeAllocBudget pins its allocations) — and the
+# population query: BenchmarkIntersectN, the five-operand fold alone
+# (TestIntersectNAllocBudget pins it at three allocations), and
+# BenchmarkParallelMultiStudy, ConsistentBandRegion's reads, decode and
+# fold at one and four workers (TestConsistentBandRegionAllocBudget
+# pins those).
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^Benchmark(ServeRPC(Small|Mixed|Traced|Bulk)|RunQueryMixed)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
+	$(GO) test -run '^$$' -bench '^BenchmarkIntersectN$$' -benchtime 100x -benchmem ./internal/region

@@ -151,6 +151,9 @@ type shardState struct {
 	nodes    []Node
 	breakers []*Breaker
 	ewma     []float64 // guarded by Cluster.mu; simulated ns per call
+	// latencySeries and errorSeries name each node's latency histogram
+	// and error counter, built once so a call concatenates nothing.
+	latencySeries, errorSeries []string
 }
 
 // Cluster executes reads against sharded, replicated nodes.
@@ -188,8 +191,10 @@ func New(cfg Config, shards [][]Node) (*Cluster, error) {
 			nodes: nodes,
 			ewma:  make([]float64, len(nodes)),
 		}
-		for range nodes {
+		for _, n := range nodes {
 			st.breakers = append(st.breakers, NewBreaker(cfg.Breaker))
+			st.latencySeries = append(st.latencySeries, "cluster_node_latency_seconds_"+n.Name())
+			st.errorSeries = append(st.errorSeries, "cluster_node_errors_total_"+n.Name())
 		}
 		c.shards = append(c.shards, st)
 	}
@@ -304,11 +309,15 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 	st := c.shards[shard]
 	span := parent.Child("cluster.read")
 	defer span.End()
-	span.SetInt("shard", int64(shard))
-	span.SetStr("key", key.String())
+	if span != nil {
+		span.SetInt("shard", int64(shard))
+		span.SetStr("key", key.String())
+	}
 
 	info := ReadInfo{Shard: shard}
-	rng := faultsim.NewRand(c.cfg.JitterSeed ^ key.Hash())
+	// The backoff jitter stream, made at the first retry: a read that
+	// needs none allocates nothing for it.
+	var rng *faultsim.Rand
 	var lastErr error
 	prevNode := -1
 
@@ -325,7 +334,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			lastErr = fmt.Errorf("cluster: shard %d: all %d node(s) circuit-open", shard, len(st.nodes))
 			if attempt < c.cfg.MaxAttempts {
 				info.Retries++
-				info.BackoffSim += c.backoffWait(attempt, rng)
+				info.BackoffSim += c.backoffWait(attempt, &rng, key)
 			}
 			continue
 		}
@@ -349,8 +358,10 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			}
 			info.Node = st.nodes[winner].Name()
 			info.LatencySim = winLat
-			span.SetStr("node", info.Node)
-			span.SetStr("sim_latency", winLat.String())
+			if span != nil {
+				span.SetStr("node", info.Node)
+				span.SetStr("sim_latency", winLat.String())
+			}
 			// Replicas are byte-identical: a hedge wins on latency only.
 			return resp, info, nil
 		}
@@ -365,7 +376,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		}
 		if attempt < c.cfg.MaxAttempts {
 			info.Retries++
-			info.BackoffSim += c.backoffWait(attempt, rng)
+			info.BackoffSim += c.backoffWait(attempt, &rng, key)
 		}
 	}
 	c.count("cluster_shard_unavailable_total", 1)
@@ -410,10 +421,10 @@ func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method stri
 	}
 	effective := bill.Latency + c.cfg.CallQuantum
 	now := c.advance(effective)
-	c.observe("cluster_node_latency_seconds_"+n.Name(), effective)
+	c.observe(st.latencySeries[node], effective)
 	if err != nil {
 		st.breakers[node].OnFailure(now)
-		c.count("cluster_node_errors_total_"+n.Name(), 1)
+		c.count(st.errorSeries[node], 1)
 		return nil, bill.Latency, err
 	}
 	st.breakers[node].OnSuccess()
@@ -450,12 +461,16 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 }
 
 // backoffWait computes, charges to the clock, and returns one retry's
-// simulated backoff.
-func (c *Cluster) backoffWait(attempt int, rng *faultsim.Rand) time.Duration {
+// simulated backoff, drawing its jitter from *rng, which the first draw
+// seeds from the configured seed and the key.
+func (c *Cluster) backoffWait(attempt int, rng **faultsim.Rand, key Key) time.Duration {
 	if c.cfg.Backoff == nil {
 		return 0
 	}
-	d := c.cfg.Backoff(attempt, rng)
+	if *rng == nil {
+		*rng = faultsim.NewRand(c.cfg.JitterSeed ^ key.Hash())
+	}
+	d := c.cfg.Backoff(attempt, *rng)
 	if d > 0 {
 		c.advance(d)
 	}

@@ -448,3 +448,27 @@ func TestBuildPartialSortsShards(t *testing.T) {
 		t.Fatalf("LostShards = %v, want ascending", got)
 	}
 }
+
+// TestReadAllocatesNothing: a fault-free Read through a node that
+// allocates nothing allocates nothing itself, metrics on or off — each
+// node's series are named when the cluster is built, the jitter stream
+// is made only for a retry, and span attributes only for a live span.
+func TestReadAllocatesNothing(t *testing.T) {
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		cfg := testConfig()
+		cfg.Metrics = reg
+		c, err := New(cfg, [][]Node{{&fakeNode{name: "s0p", resp: []byte("rows")}, &fakeNode{name: "s0r1", resp: []byte("rows")}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := func([]byte) error { return nil }
+		got := testing.AllocsPerRun(100, func() {
+			if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, valid); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("metrics %v: %.0f allocations per fault-free Read, want 0", reg != nil, got)
+		}
+	}
+}

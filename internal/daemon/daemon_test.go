@@ -123,6 +123,11 @@ func TestAdminFailureReported(t *testing.T) {
 	if err := d.adminLn.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Let the admin goroutine see its listener die before Close shuts the
+	// server down: a Serve that first notices at Close reports a clean stop.
+	for deadline := time.Now().Add(10 * time.Second); len(d.adminDone) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 10 * time.Second})
 	defer c.Close()
 	if _, err := c.Call(nil, "medicalQuery/v99", nil); !errors.Is(err, transport.ErrUnknownMethod) {

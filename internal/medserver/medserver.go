@@ -152,10 +152,11 @@ func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 // framed response (meta header + DataRegion blob). The frame CRC on
 // the way in means a request corrupted in flight fails with a typed,
 // retryable error instead of executing a different query. The decoded
-// spec copies its strings, so nothing here outlives the handler holding
-// request (transport.Handler: the buffer is the connection's).
+// spec's strings are the catalog's own when it holds them and copies
+// otherwise, so nothing here outlives the handler holding request
+// (transport.Handler: the buffer is the connection's).
 func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
-	spec, err := DecodeQueryRequest(request)
+	spec, err := decodeQueryRequest(request, s.names)
 	if err != nil {
 		return nil, err
 	}

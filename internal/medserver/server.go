@@ -208,6 +208,11 @@ type Server struct {
 	stmts serverStmts
 	// full is the whole grid on Curve, fullVolume's REGION.
 	full *region.Region
+	// names maps each name the catalog holds — atlas and structure names,
+	// band encoding labels — to itself, so a request's spec strings come
+	// from here instead of being copied (decodeQueryRequest). Read-only
+	// once New returns.
+	names map[string]string
 }
 
 // New builds and loads a server: schema, atlas, synthesized studies
@@ -265,6 +270,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if err := s.prepareStatements(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if s.names, err = s.catalogNames(); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -328,6 +337,27 @@ func (s *Server) createSchema() error {
 		}
 	}
 	return nil
+}
+
+// catalogNames collects the strings a request names that the catalog
+// holds: atlas names, structure names and the encoding labels of the
+// stored bands.
+func (s *Server) catalogNames() (map[string]string, error) {
+	names := make(map[string]string)
+	for _, q := range []string{
+		`select atlasName from atlas`,
+		`select structureName from neuralStructure`,
+		`select encoding from intensityBand`,
+	} {
+		res, err := s.DB.Exec(q)
+		if err != nil {
+			return nil, fmt.Errorf("qbism: catalog names: %w", err)
+		}
+		for _, row := range res.Rows {
+			names[row[0].S] = row[0].S
+		}
+	}
+	return names, nil
 }
 
 // Side returns the atlas grid side length.

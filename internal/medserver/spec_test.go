@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // labelFormula is how Label was first written — a parts list, two
@@ -52,5 +53,49 @@ func TestLabelMatchesFormula(t *testing.T) {
 	q := QuerySpec{StudyID: 5, Structure: "ntal1", HasBand: true, BandLo: 128, BandHi: 159}
 	if n := testing.AllocsPerRun(100, func() { _ = q.Label() }); n != 1 {
 		t.Errorf("Label: %.0f allocations, want 1", n)
+	}
+}
+
+// TestDecodeRequestInternsNames: the server's request decode takes a
+// spec string the name set holds from the set and copies any other out
+// of the request, so the decoded spec keeps nothing of the request
+// buffer either way; with only known strings it allocates nothing.
+// DecodeQueryRequest, with no set, still copies every string.
+func TestDecodeRequestInternsNames(t *testing.T) {
+	names := map[string]string{"Talairach": "Talairach", "putamen": "putamen", EncK3Tree: EncK3Tree}
+	known := QuerySpec{StudyID: 3, Atlas: "Talairach", Structure: "putamen", HasBand: true, BandLo: 32, BandHi: 63, Encoding: EncK3Tree}
+	request, err := EncodeQueryRequest(known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeQueryRequest(request, names)
+	if err != nil || got.Key() != known.Key() {
+		t.Fatalf("decodeQueryRequest = %+v, %v; want %+v", got, err, known)
+	}
+	for _, s := range []string{got.Atlas, got.Structure, got.Encoding} {
+		if unsafe.StringData(s) != unsafe.StringData(names[s]) {
+			t.Errorf("%q was copied, not taken from the name set", s)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = decodeQueryRequest(request, names) }); n != 0 {
+		t.Errorf("decoding a request of known names: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeQueryRequest(request) }); n != 3 {
+		t.Errorf("DecodeQueryRequest: %.0f allocations, want 3 (a copy per string)", n)
+	}
+
+	unknown := known
+	unknown.Structure = "caudate"
+	request, err = EncodeQueryRequest(unknown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = decodeQueryRequest(request, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(request)
+	if got.Key() != unknown.Key() {
+		t.Errorf("after the request buffer was cleared the spec reads %+v, want %+v", got, unknown)
 	}
 }

@@ -67,11 +67,19 @@ func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
 // DecodeQueryRequest is the server's inverse of EncodeQueryRequest. The
 // spec copies its strings out of request.
 func DecodeQueryRequest(request []byte) (QuerySpec, error) {
+	return decodeQueryRequest(request, nil)
+}
+
+// decodeQueryRequest is DecodeQueryRequest with a set of known strings,
+// each mapped to itself: a spec string in names is names' copy, so only
+// one the set lacks is copied out of request. A nil set copies every
+// string.
+func decodeQueryRequest(request []byte, names map[string]string) (QuerySpec, error) {
 	header, _, err := transport.DecodeFrame(request)
 	if err != nil {
 		return QuerySpec{}, fmt.Errorf("qbism: request: %w", err)
 	}
-	spec, err := decodeSpec(header)
+	spec, err := decodeSpec(header, names)
 	if err != nil {
 		return QuerySpec{}, fmt.Errorf("qbism: bad query spec: %w", err)
 	}
@@ -144,8 +152,8 @@ func appendSpec(dst []byte, q *QuerySpec) []byte {
 	return appendStr(appendStr(appendStr(dst, q.Atlas), q.Structure), q.Encoding)
 }
 
-func decodeSpec(b []byte) (QuerySpec, error) {
-	r := wireReader{b: b}
+func decodeSpec(b []byte, names map[string]string) (QuerySpec, error) {
+	r := wireReader{b: b, names: names}
 	version, flags := r.u8(), r.u8()
 	q := QuerySpec{
 		FullStudy: flags&specFullStudy != 0, HasBand: flags&specHasBand != 0,
@@ -206,10 +214,12 @@ func decodeMeta(b []byte) (*QueryMeta, error) {
 }
 
 // wireReader walks a header front to back. Running short is sticky and
-// reads as zeros from then on, so a decoder checks once, in done.
+// reads as zeros from then on, so a decoder checks once, in done. A
+// string found in names is read as names' copy of it.
 type wireReader struct {
 	b     []byte
 	short bool
+	names map[string]string
 }
 
 func (r *wireReader) take(n int) []byte {
@@ -239,11 +249,16 @@ func (r *wireReader) u64() uint64 {
 func (r *wireReader) i64() int     { return int(int64(r.u64())) }
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// str copies a string out of the header, so the decoded value keeps
-// nothing of the buffer it came from.
+// str reads a string out of the header — names' copy when it has one
+// (the lookup allocates nothing), a new copy otherwise — so the decoded
+// value keeps nothing of the buffer it came from.
 func (r *wireReader) str() string {
 	if n := r.take(2); n != nil {
-		return string(r.take(int(binary.BigEndian.Uint16(n))))
+		b := r.take(int(binary.BigEndian.Uint16(n)))
+		if s, ok := r.names[string(b)]; ok {
+			return s
+		}
+		return string(b)
 	}
 	return ""
 }

@@ -8,6 +8,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // For calls fn over contiguous pieces [lo, hi) that together cover
@@ -39,9 +40,11 @@ func For(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Each calls fn(0) … fn(n-1) over a pool of at most workers goroutines
-// and returns when every call has; with a pool of one (or fewer than two
-// items) fn runs in order on the calling goroutine.
+// Each calls fn(0) … fn(n-1) over a pool of at most workers goroutines,
+// the caller's one of them, and returns when every call has; with a pool
+// of one (or fewer than two items) fn runs in order on the calling
+// goroutine. Each member takes the next index off a shared counter, so a
+// pool costs its state and one closure per goroutine it starts.
 func Each(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -52,20 +55,29 @@ func Each(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	p := &pool{n: n, fn: fn}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
+			defer p.wg.Done()
+			p.run()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
+	p.run()
+	p.wg.Wait()
+}
+
+// pool is one Each call's shared state.
+type pool struct {
+	next atomic.Int64 // the next index to hand out
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+}
+
+// run calls fn on indices off the counter until they run out.
+func (p *pool) run() {
+	for i := int(p.next.Add(1)) - 1; i < p.n; i = int(p.next.Add(1)) - 1 {
+		p.fn(i)
 	}
-	close(work)
-	wg.Wait()
 }

@@ -7,6 +7,8 @@ import (
 
 	"qbism/internal/experiments"
 	"qbism/internal/faultsim"
+	"qbism/internal/medserver"
+	"qbism/internal/region"
 	"qbism/internal/transport"
 )
 
@@ -236,5 +238,57 @@ func TestConsistentBandRegionErrors(t *testing.T) {
 	// A band that was never stored must fail, not silently intersect.
 	if _, err := sys.ConsistentBandRegion(sys.PETStudyIDs(), 1, 2, EncHilbertNaive, 2); err == nil {
 		t.Error("missing stored band accepted")
+	}
+}
+
+// TestConsistentBandRegionAllocBudget pins what the population query
+// allocates, and checks its answer the way the repo benchmark's verify
+// pass does: for every band, equal to IntersectN of the band REGIONs the
+// loader kept in memory. The ceilings are the measured counts, the most
+// any band takes: the field list, the pool's two closures, the read
+// buffer, the run arena, the operand list and IntersectN's three (one
+// for an empty answer); a pool of two adds its state and the closure of
+// the goroutine it starts, twice; a k³-tree row adds its probe's level
+// table, parsed once to size the arena and once to decode. Before, one
+// call took 16–93, growing with the answer: a buffer, a run list and a
+// Region per study, and every step of the fold's list grown run by run.
+func TestConsistentBandRegionAllocBudget(t *testing.T) {
+	ceiling := map[string][3]float64{ // by encoding, then workers
+		EncHilbertNaive:     {1: 9, 2: 13},
+		medserver.EncK3Tree: {1: 19, 2: 23},
+	}
+	for _, bits := range []int{5, 6} {
+		srv := bareServer(t, Config{Bits: bits, NumPET: 5, NumMRI: 1, Seed: 7, SmallStudies: true})
+		pets := srv.PETStudyIDs()
+		for bi, b := range srv.BandRegions[pets[0]] {
+			var regions []*region.Region
+			for _, id := range pets {
+				regions = append(regions, srv.BandRegions[id][bi].Region)
+			}
+			want, err := region.IntersectN(regions...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, enc := range []string{EncHilbertNaive, medserver.EncK3Tree} {
+				for _, workers := range []int{1, 2} {
+					got, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("Bits %d band %d-%d %s: %v, in-memory intersection %v", bits, b.Lo, b.Hi, enc, got, want)
+					}
+					allocs := testing.AllocsPerRun(10, func() {
+						if _, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, workers); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if limit := ceiling[enc][workers]; allocs > limit {
+						t.Errorf("Bits %d band %d-%d %s, %d workers: %.0f allocations, ceiling %.0f — is a study's field, run list or Region allocated on its own again?",
+							bits, b.Lo, b.Hi, enc, workers, allocs, limit)
+					}
+				}
+			}
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // on operator trees the statements keep between executions (DESIGN.md
 // §17), reads each into its own row with no Rows (§27), decodes and
 // encodes fixed binary headers (§22), and its spatial UDFs read, parse
-// and build into their call sites' state (§27); what is left is the
-// spec's strings, the response frame and the DATA_REGION blob — the
-// reply. Re-introduce
+// and build into their call sites' state (§27), and the spec's strings
+// are the catalog's own (§29); what is left is the response frame and
+// the DATA_REGION blob — the reply. Re-introduce
 // per-call parsing or planning (+500 allocations a request), a
 // per-execution operator tree or hash table (+40) or a per-row
 // allocation in the executor and these ceilings trip long before the
@@ -67,8 +67,9 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// As measured: two spec strings, the response frame, the blob.
-		// Before, they were 16 and 17 while a UDF call allocated its
+		// As measured: the response frame and the blob. Before, they were
+		// 4 and 4 while the spec's two strings were copied out of every
+		// request, 16 and 17 while a UDF call allocated its
 		// field buffer, probe, run list and Region, each statement its
 		// Rows and output row, and the blob's REGION its own encoding;
 		// 17 and 21 while intersection() expanded a k³ structure to
@@ -78,8 +79,8 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		// execution, 91 and 101 before the one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", small, 4},
-		{"structure-and-band", mixed, 4},
+		{"small-structure", small, 2},
+		{"structure-and-band", mixed, 2},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -183,7 +184,8 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		name string
 		spec QuerySpec
 		// Allocations as measured, bytes at ≈ 1.25 × measured (2.06,
-		// 3.18, 2.07 × the reply; 10, 15, 18 and 2.07, 3.54, 5.02 before
+		// 3.18, 2.07 × the reply; 3, 4, 4 allocations while the spec's
+		// strings were copied; 10, 15, 18 and 2.07, 3.54, 5.02 before
 		// the call sites kept their buffers; PR 20 was at 18, 23, 26 and 2.07, 3.54,
 		// 5.02, PR 17 at 45, 60, 67 and 2.09, 3.57, 5.32, PR 16 at 47, 91,
 		// 96 and 2.09, 4.06, 7.02, PR 13 at 112, 162, 128 and 4.09, 6.20,
@@ -200,9 +202,9 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	}{
 		// (Allocations were 11, 16 and 19 while every UDF call allocated
 		// its argument vector.)
-		{"full-study", full, 3, 2.3},
-		{"whole-band", band, 4, 4.0},
-		{"hemisphere", hemisphere, 4, 2.6},
+		{"full-study", full, 2, 2.3},
+		{"whole-band", band, 3, 4.0},
+		{"hemisphere", hemisphere, 2, 2.6},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

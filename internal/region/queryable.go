@@ -67,22 +67,7 @@ func (r *Region) IntersectRuns(runs []Run) []Run { return r.IntersectRunsInto(ru
 
 // IntersectRunsInto is IntersectRuns into buf (Queryable).
 func (r *Region) IntersectRunsInto(runs, buf []Run) []Run {
-	out := buf[:0]
-	i, j := 0, 0
-	ra := r.runs
-	for i < len(ra) && j < len(runs) {
-		lo := max64(ra[i].Lo, runs[j].Lo)
-		hi := min64(ra[i].Hi, runs[j].Hi)
-		if lo <= hi {
-			out = appendRun(out, Run{lo, hi})
-		}
-		if ra[i].Hi < runs[j].Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
+	return intersectRunsInto(buf[:0], r.runs, runs)
 }
 
 // errCurveMismatchQ is errCurveMismatch for a Queryable operand.

@@ -1,9 +1,6 @@
 package region
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The spatial operators of Section 3.2. All of them run by linearly
 // scanning the run lists of their operands in parallel, the run analog of
@@ -22,61 +19,135 @@ func Intersect(a, b *Region) (*Region, error) {
 	if !SameCurve(a.curve, b.curve) {
 		return nil, errCurveMismatch("intersect", a, b)
 	}
-	var out []Run
+	return &Region{curve: a.curve, runs: intersectRunsInto(nil, a.runs, b.runs)}, nil
+}
+
+// intersectRunsInto appends the intersection of the sorted, normalized
+// run lists a and b to out: the one merge loop behind Intersect,
+// IntersectN and Region.IntersectRunsInto.
+//
+// The loop writes its k-th run only after it has read past k runs of a
+// and b together, so out may share a's memory as long as a starts at
+// least len(b) runs past out's length: IntersectN's fold relies on that.
+func intersectRunsInto(out, a, b []Run) []Run {
 	i, j := 0, 0
-	ra, rb := a.runs, b.runs
-	for i < len(ra) && j < len(rb) {
-		lo := max64(ra[i].Lo, rb[j].Lo)
-		hi := min64(ra[i].Hi, rb[j].Hi)
+	for i < len(a) && j < len(b) {
+		lo := max64(a[i].Lo, b[j].Lo)
+		hi := min64(a[i].Hi, b[j].Hi)
 		if lo <= hi {
 			out = appendRun(out, Run{lo, hi})
 		}
-		if ra[i].Hi < rb[j].Hi {
+		if a[i].Hi < b[j].Hi {
 			i++
 		} else {
 			j++
 		}
 	}
-	return &Region{curve: a.curve, runs: out}, nil
+	return out
 }
+
+// foldStackRuns is the largest first step IntersectN merges in a buffer
+// on its stack: 32 KiB, room for the three paper-scale bands whose
+// answer is empty.
+const foldStackRuns = 2048
 
 // IntersectN intersects all the given regions — the n-way spatial
 // intersection of the multi-study queries (Table 4). It requires at
-// least one region; all must share a curve.
+// least one region; all must share a curve. The answer is always a new
+// Region, one operand or many: nothing its caller does to it reaches an
+// operand.
 //
-// Operands are intersected smallest-first (by run count): intersection
-// is commutative and associative and run lists are canonical, so the
-// result is identical in any order, but folding from the sparsest
-// region shrinks the accumulator early and each pairwise pass is
+// Operands are folded in smallest-first (by run count, ties in argument
+// order): intersection is commutative and associative and run lists are
+// canonical, so the result is identical in any order, but folding from
+// the sparsest region shrinks the accumulator early, and each step is
 // O(runs(acc)+runs(next)).
+//
+// The steps share one scratch buffer. Each moves the accumulator up past
+// room for the next operand's runs and merges the two into the buffer's
+// front (intersectRunsInto says why that is safe), so a step needs
+// runs(acc)+runs(next) of it. The first step picks the buffer: none when
+// its operands do not overlap, since the answer is then empty; one on
+// the stack when it needs at most foldStackRuns; otherwise a heap buffer
+// with a quarter more room for the accumulator and room for the largest
+// operand. Every later step fits that unless its accumulator has grown by
+// more than the quarter; the first that does not takes one last buffer,
+// sized for the rest of the fold at its worst. The answer is one
+// exactly-sized copy. So a call allocates the answer's Region, its run
+// list and the scratch buffer — three allocations, whatever the number
+// of operands, four when an accumulator outgrows its quarter — and an
+// empty answer or a small fold one or two.
 func IntersectN(regions ...*Region) (*Region, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("region: IntersectN needs at least one region")
 	}
-	// Validate every curve upfront, so reordering can't hide a mismatch
-	// behind an early empty accumulator.
-	for _, r := range regions[1:] {
-		if !SameCurve(r.curve, regions[0].curve) {
+	// Validate every curve upfront, so an early empty accumulator can't
+	// hide a mismatch further on.
+	c, largest, rest := regions[0].curve, 0, 0
+	for _, r := range regions {
+		if !SameCurve(r.curve, c) {
 			return nil, errCurveMismatch("intersectN", regions[0], r)
 		}
+		largest, rest = max(largest, len(r.runs)), rest+len(r.runs)
 	}
-	ordered := make([]*Region, len(regions))
-	copy(ordered, regions)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].NumRuns() < ordered[j].NumRuns()
-	})
-	acc := ordered[0]
-	for _, r := range ordered[1:] {
-		if acc.Empty() {
-			break
-		}
-		var err error
-		acc, err = Intersect(acc, r)
-		if err != nil {
-			return nil, err
+	i := foldNext(regions, -1)
+	acc := regions[i].runs
+	rest -= len(acc) // the runs of the operands still to fold in
+	var buf []Run
+	if j := foldNext(regions, i); j >= 0 && len(acc) > 0 {
+		switch next := regions[j].runs; {
+		case !overlapRuns(acc, next):
+			acc = nil
+		case len(acc)+len(next) <= foldStackRuns:
+			var stack [foldStackRuns]Run
+			buf = stack[:]
 		}
 	}
-	return acc, nil
+	owned, onHeap := false, false // acc is in buf; buf came from make
+	for i = foldNext(regions, i); i >= 0 && len(acc) > 0; i = foldNext(regions, i) {
+		next := regions[i].runs
+		if need := len(acc) + len(next); need > len(buf) {
+			size := max(need, len(acc)+len(acc)/4+largest)
+			if onHeap {
+				// Room for the rest of the fold at its worst: a step adds
+				// fewer runs to the accumulator than its operand has.
+				size = len(acc) + rest
+			}
+			buf, onHeap = make([]Run, size), true
+		}
+		rest -= len(next)
+		src := acc
+		if owned {
+			src = buf[len(next) : len(next)+len(acc)]
+			copy(src, acc)
+		}
+		acc, owned = intersectRunsInto(buf[:0], src, next), true
+	}
+	out := &Region{curve: c}
+	if len(acc) > 0 {
+		out.runs = make([]Run, len(acc))
+		copy(out.runs, acc)
+	}
+	return out, nil
+}
+
+// foldNext returns the operand IntersectN folds in after operand prev
+// (-1: the first one), or -1 after the last.
+func foldNext(regions []*Region, prev int) int {
+	next := -1
+	for i := range regions {
+		if (prev < 0 || foldsAfter(regions, i, prev)) && (next < 0 || foldsAfter(regions, next, i)) {
+			next = i
+		}
+	}
+	return next
+}
+
+// foldsAfter reports whether IntersectN folds operand i in after operand
+// j: it has more runs, or as many and comes later.
+func foldsAfter(regions []*Region, i, j int) bool {
+	ni, nj := len(regions[i].runs), len(regions[j].runs)
+	return ni > nj || ni == nj && i > j
 }
 
 // Union returns the spatial union of a and b.
@@ -161,17 +232,22 @@ func Overlaps(a, b *Region) (bool, error) {
 	if !SameCurve(a.curve, b.curve) {
 		return false, errCurveMismatch("overlaps", a, b)
 	}
+	return overlapRuns(a.runs, b.runs), nil
+}
+
+// overlapRuns reports whether two sorted run lists share a position.
+func overlapRuns(a, b []Run) bool {
 	i, j := 0, 0
-	for i < len(a.runs) && j < len(b.runs) {
-		if a.runs[i].Hi < b.runs[j].Lo {
+	for i < len(a) && j < len(b) {
+		if a[i].Hi < b[j].Lo {
 			i++
-		} else if b.runs[j].Hi < a.runs[i].Lo {
+		} else if b[j].Hi < a[i].Lo {
 			j++
 		} else {
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // appendRun appends run to out, merging with the previous run when they

@@ -2,6 +2,7 @@ package region
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,237 @@ func TestIntersectNOrderIndependent(t *testing.T) {
 	}
 	if !got.Empty() {
 		t.Error("IntersectN with empty operand not empty")
+	}
+}
+
+// TestIntersectNAnswerIsNew refills IntersectN's answer in place —
+// building the new list in the answer's own run-list backing, as a
+// server slot reuses a Region — and checks that no operand changed: one
+// operand, an empty smallest operand, and a general fold.
+func TestIntersectNAnswerIsNew(t *testing.T) {
+	a, _ := FromRuns(h3, []Run{{0, 100}, {200, 300}})
+	b, _ := FromRuns(h3, []Run{{50, 250}})
+	c, _ := FromRuns(h3, []Run{{60, 70}, {90, 220}, {280, 290}})
+	for _, tc := range []struct {
+		name string
+		ops  []*Region
+	}{
+		{"one operand", []*Region{c}},
+		{"empty smallest", []*Region{a, Empty(h3), c}},
+		{"general", []*Region{a, b, c}},
+	} {
+		saved := make([][]Run, len(tc.ops))
+		for i, r := range tc.ops {
+			saved[i] = r.Runs()
+		}
+		got, err := IntersectN(tc.ops...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		junk := append(got.RunsView()[:0], Run{1, 1}, Run{3, 3}, Run{5, 5}, Run{7, 7})
+		if err := got.Refill(h3, junk); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range tc.ops {
+			if !SameCurve(r.Curve(), h3) || !slices.Equal(r.RunsView(), saved[i]) {
+				t.Errorf("%s: refilling the answer changed operand %d to %v, was %v", tc.name, i, r.RunsView(), saved[i])
+			}
+		}
+	}
+}
+
+// noisyBall is a fragmented blob, like one study's intensity band: the
+// voxels within radius of center that a hash of (voxel, seed) keeps with
+// probability keep/16.
+func noisyBall(c sfc.Curve, center sfc.Point, radius, seed, keep uint32) *Region {
+	return FromPredicate(c, func(p sfc.Point) bool {
+		dx, dy, dz := int(p.X)-int(center.X), int(p.Y)-int(center.Y), int(p.Z)-int(center.Z)
+		if dx*dx+dy*dy+dz*dz > int(radius*radius) {
+			return false
+		}
+		h := (p.X*73856093 ^ p.Y*19349663 ^ p.Z*83492791 ^ seed*2654435761) * 2246822519
+		return h>>28 < keep
+	})
+}
+
+// populationOperands are n overlapping noisy balls on c, one per study.
+func populationOperands(c sfc.Curve, n int, keep uint32) []*Region {
+	side := uint32(1) << uint(c.Bits())
+	ops := make([]*Region, n)
+	for i := range ops {
+		d := uint32(i % 3)
+		ops[i] = noisyBall(c, sfc.Pt(side/2+d, side/2-d, side/2), side*3/8, uint32(i+1), keep)
+	}
+	return ops
+}
+
+// TestIntersectNAllocBudget: a fold allocates its answer's Region, its
+// run list and one scratch buffer, whatever the number of operands (it
+// allocated a Region per step and grew every step's list run by run
+// before). An accumulator that keeps growing — every operand is the grid
+// less scattered holes, so each step adds its holes — takes one more
+// buffer, once.
+func TestIntersectNAllocBudget(t *testing.T) {
+	c := sfc.MustNew(sfc.Hilbert, 3, 5)
+	ops := populationOperands(c, 8, 11)
+	rng := rand.New(rand.NewSource(5))
+	holes := make([]*Region, 8)
+	for i := range holes {
+		h, _ := Difference(Full(c), randRegion(rng, c, 3000))
+		holes[i] = h
+	}
+	for n := 2; n <= 8; n++ {
+		for _, tc := range []struct {
+			name    string
+			ops     []*Region
+			ceiling float64
+		}{
+			{"population", ops[:n], 3},
+			{"growing", holes[:n], 4},
+		} {
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := IntersectN(tc.ops...); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s, %d operands: %.0f allocations", tc.name, n, got)
+			if got > tc.ceiling {
+				t.Errorf("%s, %d operands: %.0f allocations, ceiling %.0f", tc.name, n, got, tc.ceiling)
+			}
+		}
+	}
+}
+
+// FuzzIntersectN holds IntersectN to a pairwise left fold of Intersect,
+// the oracle, over 1–8 operands decoded from the input (fuzzOperands), in
+// argument order and reversed. An operand on another curve must be an
+// error in either order, and the answer must never share memory with an
+// operand.
+func FuzzIntersectN(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, mismatch := fuzzOperands(data)
+		reversed := slices.Clone(ops)
+		slices.Reverse(reversed)
+		if mismatch {
+			for _, o := range [][]*Region{ops, reversed} {
+				if _, err := IntersectN(o...); err == nil {
+					t.Fatal("IntersectN accepted operands on different curves")
+				}
+			}
+			return
+		}
+		want := ops[0]
+		for _, r := range ops[1:] {
+			var err error
+			if want, err = Intersect(want, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		saved := make([][]Run, len(ops))
+		for i, r := range ops {
+			saved[i] = r.Runs()
+		}
+		for _, o := range [][]*Region{ops, reversed} {
+			got, err := IntersectN(o...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("IntersectN = %v, left fold of Intersect = %v", got.RunsView(), want.RunsView())
+			}
+			if err := got.Refill(got.Curve(), append(got.RunsView()[:0], Run{0, 0}, Run{2, 2})); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range ops {
+				if !slices.Equal(r.RunsView(), saved[i]) {
+					t.Fatalf("refilling the answer changed operand %d", i)
+				}
+			}
+		}
+	})
+}
+
+// fuzzOperands decodes 1–8 operands on a 32 768-position Hilbert curve.
+// Byte 0 holds the count (low three bits) and, when its top bit is set
+// and there are two or more, which operand moves to the Z curve instead.
+// Each operand starts with a kind byte: empty, the full grid, one run
+// from the next three bytes, up to 31 runs from (gap, length) byte
+// pairs, a few thousand runs drawn from a seed byte — large enough for
+// the fold to leave its stack buffer — or the grid less such a list,
+// whose holes make the accumulator grow from step to step. Running out
+// of input leaves the rest empty.
+func fuzzOperands(data []byte) (ops []*Region, mismatch bool) {
+	h, z := sfc.MustNew(sfc.Hilbert, 3, 5), sfc.MustNew(sfc.ZOrder, 3, 5)
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	head := next()
+	n := head&7 + 1
+	odd := -1
+	if head&0x80 != 0 && n > 1 {
+		odd, mismatch = head>>3&15%n, true
+	}
+	last := int(h.Length()) - 1
+	for i := 0; i < n; i++ {
+		c := h
+		if i == odd {
+			c = z
+		}
+		var runs []Run
+		switch kind := next() % 6; kind {
+		case 1:
+			runs = []Run{{0, uint64(last)}}
+		case 2:
+			lo := (next()<<8 | next()) % (last + 1)
+			runs = []Run{{uint64(lo), uint64(min(lo+next()*64, last))}}
+		case 3:
+			pos := 0
+			for k := next() % 32; k > 0 && pos <= last; k-- {
+				pos += next() * 16
+				hi := min(pos+next(), last)
+				if pos <= hi {
+					runs = append(runs, Run{uint64(pos), uint64(hi)})
+				}
+				pos = hi + 2
+			}
+		case 4, 5:
+			rng := rand.New(rand.NewSource(int64(next())))
+			for pos := rng.Intn(16); pos <= last; pos += 2 + rng.Intn(16) {
+				hi := min(pos+rng.Intn(8), last)
+				runs = append(runs, Run{uint64(pos), uint64(hi)})
+				pos = hi
+			}
+			if kind == 5 { // the grid less those runs: folding these grows the accumulator
+				r, _ := FromRuns(c, runs)
+				r, _ = Complement(r)
+				runs = r.Runs()
+			}
+		}
+		r, err := FromRuns(c, runs)
+		if err != nil {
+			panic(err)
+		}
+		ops = append(ops, r)
+	}
+	return ops, mismatch
+}
+
+// BenchmarkIntersectN is the population fold: five overlapping,
+// fragmented blobs at Bits 6 (a few thousand runs each), intersected
+// smallest-first. `make bench-smoke` runs it.
+func BenchmarkIntersectN(b *testing.B) {
+	ops := populationOperands(sfc.MustNew(sfc.Hilbert, 3, 6), 5, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := IntersectN(ops...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

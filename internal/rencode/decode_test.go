@@ -337,10 +337,80 @@ func scatter(t testing.TB, n int) *region.Region {
 	return r
 }
 
+// checkDecodeInto holds DecodeInto to Decode's verdict dec, err on data:
+// decoded into a Region that held another REGION, with a buffer of
+// MaxRuns(data) room, it must fail where Decode fails and leave the
+// Region as it was, and otherwise yield Decode's region with its run list
+// in the buffer (the octant methods build their own).
+func checkDecodeInto(t *testing.T, data []byte, dec *region.Region, err error) {
+	t.Helper()
+	held, herr := region.FromRuns(sfc.MustNew(sfc.ZOrder, 2, 2), []region.Run{{Lo: 1, Hi: 2}})
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	before := held.String()
+	room, rerr := MaxRuns(data)
+	if err == nil && rerr != nil {
+		t.Fatalf("Decode accepted what MaxRuns refused: %v", rerr)
+	}
+	buf := make([]region.Run, max(room, 0))
+	ierr := DecodeInto(held, data, buf)
+	switch {
+	case (err == nil) != (ierr == nil):
+		t.Fatalf("Decode error %v, DecodeInto error %v", err, ierr)
+	case err != nil:
+		if held.String() != before || held.RunsView()[0] != (region.Run{Lo: 1, Hi: 2}) {
+			t.Fatalf("a failed DecodeInto changed its Region to %v", held)
+		}
+	case !regionsEqual(held, dec):
+		t.Fatalf("DecodeInto = %v, Decode = %v", held.RunsView(), dec.RunsView())
+	case held.NumRuns() > 0 && room > 0 && &held.RunsView()[0] != &buf[0]:
+		t.Fatalf("%v DecodeInto built its %d runs outside a buffer with room for %d", Method(data[0]), held.NumRuns(), room)
+	}
+}
+
+// TestDecodeIntoMatchesDecode: for every method, on generated regions of
+// several curve shapes, DecodeInto with MaxRuns of room, with one run
+// less and with none equals Decode, and on the encoding cut short it
+// reaches Decode's verdict.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	curves := []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 4), sfc.MustNew(sfc.ZOrder, 3, 3), sfc.MustNew(sfc.Hilbert, 2, 5)}
+	for _, m := range Methods {
+		for _, c := range curves {
+			for i := 0; i < 10; i++ {
+				r := genOnCurve(rng, c)
+				data, err := Encode(m, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkDecodeInto(t, data, dec, nil)
+				room, err := MaxRuns(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, buf := range [][]region.Run{make([]region.Run, max(room-1, 0)), nil} {
+					var into region.Region
+					if err := DecodeInto(&into, data, buf); err != nil || !regionsEqual(&into, dec) {
+						t.Fatalf("%v, %d-run buffer: DecodeInto = %v, %v; Decode = %v", m, len(buf), into.RunsView(), err, dec.RunsView())
+					}
+				}
+				tdec, terr := Decode(data[:len(data)-1])
+				checkDecodeInto(t, data[:len(data)-1], tdec, terr)
+			}
+		}
+	}
+}
+
 // TestDecodeAllocBudget pins what a decode may allocate — the curve,
 // the probe, its level table, the run list and the Region, and for
 // ParseK3 the one slice of rank directories — and that none of it
-// grows with the run count.
+// grows with the run count. DecodeInto a buffer with room allocates
+// only a k³-tree's level table.
 func TestDecodeAllocBudget(t *testing.T) {
 	for _, n := range []int{200, 20000} {
 		r := scatter(t, n)
@@ -352,6 +422,8 @@ func TestDecodeAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var into region.Region
+		buf := make([]region.Run, n)
 		for _, tc := range []struct {
 			name   string
 			budget float64
@@ -360,6 +432,9 @@ func TestDecodeAllocBudget(t *testing.T) {
 			{"k3 Decode", 6, func() error { _, err := Decode(k3); return err }},
 			{"ParseK3", 6, func() error { _, err := ParseK3(k3); return err }},
 			{"naive Decode", 4, func() error { _, err := Decode(naive); return err }},
+			// Into a buffer with room: the k³ level table only.
+			{"k3 DecodeInto", 1, func() error { return DecodeInto(&into, k3, buf) }},
+			{"naive DecodeInto", 0, func() error { return DecodeInto(&into, naive, buf) }},
 		} {
 			var failed error
 			got := testing.AllocsPerRun(20, func() {

@@ -46,6 +46,7 @@ func FuzzDecodeRegion(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)
+		checkDecodeInto(t, data, dec, err)
 		if err != nil {
 			return
 		}

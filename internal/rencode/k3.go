@@ -760,6 +760,23 @@ func (p *K3Probe) Region() (*region.Region, error) {
 	return region.FromOwnedRuns(p.curve, p.RunsInto(nil))
 }
 
+// maxRuns bounds the region's run count for RunsInto: every run starts a
+// streak of full siblings, so the streaks bound the list (only streaks
+// that touch across groups merge into one run).
+func (p *K3Probe) maxRuns() int {
+	switch p.root {
+	case k3Empty:
+		return 0
+	case k3Full:
+		return 1
+	}
+	n := 0
+	for i := range p.levels {
+		n += k3Streaks(p.levels[i].f, p.degree)
+	}
+	return n
+}
+
 // RunsInto returns the region's run list, in buf's backing array when
 // it has room for the list's bound and in a new slice otherwise, in one
 // depth-first sweep. The levels store their groups in breadth-first
@@ -778,13 +795,7 @@ func (p *K3Probe) RunsInto(buf []region.Run) []region.Run {
 	case k3Full:
 		return append(runs, region.Run{Lo: 0, Hi: p.curve.Length() - 1})
 	}
-	// Every run starts a streak of full siblings, so the streaks bound
-	// the list; only streaks that touch across groups merge below.
-	maxRuns := 0
-	for i := range p.levels {
-		maxRuns += k3Streaks(p.levels[i].f, p.degree)
-	}
-	if cap(runs) < maxRuns {
+	if maxRuns := p.maxRuns(); cap(runs) < maxRuns {
 		runs = make([]region.Run, 0, maxRuns)
 	}
 	var (

@@ -225,30 +225,43 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 // Decode reconstructs a region from an Encode result. The curve is
 // rebuilt from the header.
 func Decode(data []byte) (*region.Region, error) {
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
+	r := new(region.Region)
+	if err := DecodeInto(r, data, nil); err != nil {
+		return nil, err
 	}
-	m := Method(data[0])
-	curve, err := sfc.New(sfc.Kind(data[1]), int(data[2]), int(data[3]))
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
-	}
-	count := binary.BigEndian.Uint64(data[4:12])
-	body := data[headerLen:]
+	return r, nil
+}
 
-	switch m {
+// DecodeInto is Decode into r, which it refills in place
+// (region.Region.Refill) with a run list built in buf's backing array
+// when buf has room for MaxRuns(data) runs and in a new slice otherwise —
+// what K3Probe.RunsInto and AppendEncode are to their operations. The
+// octant methods still build a new list, and a k³-tree still allocates
+// its probe's level table. Decode is DecodeInto into a new Region with no
+// buffer. On an error r is left as it was, and what buf holds is
+// unspecified.
+func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
+	curve, count, body, err := header(data)
+	if err != nil {
+		return err
+	}
+	switch m := Method(data[0]); m {
 	case Naive:
 		// Divide rather than multiply: 8*count overflows for a corrupt
 		// count and would wave a giant allocation through the check.
 		if count > uint64(len(body))/8 {
-			return nil, fmt.Errorf("%w: naive body truncated", ErrCorrupt)
+			return fmt.Errorf("%w: naive body truncated", ErrCorrupt)
 		}
-		runs := make([]region.Run, count)
+		runs := buf[:0]
+		if uint64(cap(runs)) < count {
+			runs = make([]region.Run, 0, count)
+		}
+		runs = runs[:count]
 		for i := range runs {
 			runs[i].Lo = uint64(binary.BigEndian.Uint32(body[8*i:]))
 			runs[i].Hi = uint64(binary.BigEndian.Uint32(body[8*i+4:]))
 		}
-		return region.FromOwnedRuns(curve, runs)
+		return r.Refill(curve, runs)
 	case Elias, EliasDelta, Varint:
 		// Every delta costs at least one encoded bit, so a count beyond
 		// the payload's bit length is corrupt. Checking here (not just
@@ -256,83 +269,133 @@ func Decode(data []byte) (*region.Region, error) {
 		// curves, where a forged 60-bit count would pass the positions
 		// bound and drive the run preallocation out of range.
 		if count > uint64(len(body))*8 {
-			return nil, fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
+			return fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
 		}
-		r := bitio.NewReader(body, -1)
+		br := bitio.NewReader(body, -1)
 		read := func() (uint64, error) {
 			switch m {
 			case Elias:
-				return readGamma(r)
+				return readGamma(br)
 			case EliasDelta:
-				return readDelta(r)
+				return readDelta(br)
 			default:
-				return readVarint(r)
+				return readVarint(br)
 			}
 		}
-		return decodeDeltas(curve, count, read)
+		return decodeDeltas(r, curve, count, read, buf)
 	case Golomb:
 		if len(body) < 1 {
-			return nil, fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
+			return fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
 		}
 		k := body[0]
 		if k > 63 {
-			return nil, fmt.Errorf("%w: rice parameter %d", ErrCorrupt, k)
+			return fmt.Errorf("%w: rice parameter %d", ErrCorrupt, k)
 		}
 		if count > uint64(len(body)-1)*8 {
-			return nil, fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body)-1)
+			return fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body)-1)
 		}
-		r := bitio.NewReader(body[1:], -1)
-		return decodeDeltas(curve, count, func() (uint64, error) { return readRice(r, k) })
+		br := bitio.NewReader(body[1:], -1)
+		return decodeDeltas(r, curve, count, func() (uint64, error) { return readRice(br, k) }, buf)
 	case OblongOctant, Octant:
 		if count > uint64(len(body))/4 {
-			return nil, fmt.Errorf("%w: octant body truncated", ErrCorrupt)
+			return fmt.Errorf("%w: octant body truncated", ErrCorrupt)
 		}
 		octs := make([]region.Octant, count)
 		for i := range octs {
 			octs[i] = region.UnpackOctant(binary.BigEndian.Uint32(body[4*i:]))
 		}
-		return region.FromOctantList(curve, octs)
+		o, err := region.FromOctantList(curve, octs)
+		if err != nil {
+			return err
+		}
+		return r.Refill(curve, o.RunsView())
 	case K3Tree:
 		var p K3Probe
 		if err := p.parseBody(curve, count, body, false); err != nil {
-			return nil, err
+			return err
 		}
-		return p.Region()
+		return r.Refill(curve, p.RunsInto(buf))
 	default:
-		return nil, fmt.Errorf("%w: unknown method %d", ErrCorrupt, int(m))
+		return fmt.Errorf("%w: unknown method %d", ErrCorrupt, int(m))
 	}
 }
 
-// decodeDeltas rebuilds runs from an alternating gap/run delta stream.
+// MaxRuns returns the room DecodeInto needs in its buffer to decode data
+// there: the run count for Naive; one more than half the delta count for
+// the delta codecs; K3Probe.RunsInto's bound for a k³-tree, which takes
+// a parse; and none for the octant methods, which always build a new
+// list. A caller decoding several REGIONs into one arena sizes it with
+// this.
+func MaxRuns(data []byte) (int, error) {
+	curve, count, body, err := header(data)
+	if err != nil {
+		return 0, err
+	}
+	switch Method(data[0]) {
+	case Naive:
+		if count > uint64(len(body))/8 {
+			return 0, fmt.Errorf("%w: naive body truncated", ErrCorrupt)
+		}
+		return int(count), nil
+	case Elias, EliasDelta, Varint, Golomb:
+		if count > uint64(len(body))*8 {
+			return 0, fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
+		}
+		return int(count/2 + 1), nil
+	case K3Tree:
+		var p K3Probe
+		if err := p.parseBody(curve, count, body, false); err != nil {
+			return 0, err
+		}
+		return p.maxRuns(), nil
+	}
+	return 0, nil
+}
+
+// header splits an encoded REGION into its curve, element count and
+// method-specific body.
+func header(data []byte) (sfc.Curve, uint64, []byte, error) {
+	if len(data) < headerLen {
+		return nil, 0, nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
+	}
+	curve, err := sfc.New(sfc.Kind(data[1]), int(data[2]), int(data[3]))
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
+	}
+	return curve, binary.BigEndian.Uint64(data[4:12]), data[headerLen:], nil
+}
+
+// decodeDeltas rebuilds runs from an alternating gap/run delta stream
+// and refills r with them, building the list in buf when it has room.
 // The first delta is a gap unless the region starts at position 0 — the
 // encoder writes the leading gap only when nonzero, so the decoder must
 // know which comes first. We disambiguate by storing the deltas exactly
 // as region.Deltas() returns them and tracking parity from the count of
 // elements: Deltas() ends with a run, so with count elements the first
 // is a gap iff count is even.
-func decodeDeltas(curve sfc.Curve, count uint64, read func() (uint64, error)) (*region.Region, error) {
-	if count == 0 {
-		return region.Empty(curve), nil
-	}
+func decodeDeltas(r *region.Region, curve sfc.Curve, count uint64, read func() (uint64, error), buf []region.Run) error {
 	// Every delta covers at least one position, so more deltas than the
 	// curve has positions is corrupt — and bounding count here keeps a
 	// corrupt header from driving the preallocation below.
 	if count > curve.Length() {
-		return nil, fmt.Errorf("%w: %d deltas on a %d-position curve", ErrCorrupt, count, curve.Length())
+		return fmt.Errorf("%w: %d deltas on a %d-position curve", ErrCorrupt, count, curve.Length())
 	}
-	runs := make([]region.Run, 0, count/2+1)
+	runs := buf[:0]
+	if count > 0 && uint64(cap(runs)) < count/2+1 {
+		runs = make([]region.Run, 0, count/2+1)
+	}
 	pos := uint64(0)
 	inside := count%2 == 1 // first delta is a run iff odd total (ends with run)
 	for i := uint64(0); i < count; i++ {
 		length, err := read()
 		if err != nil {
-			return nil, fmt.Errorf("%w: delta %d: %v", ErrCorrupt, i, err)
+			return fmt.Errorf("%w: delta %d: %v", ErrCorrupt, i, err)
 		}
 		if length == 0 {
-			return nil, fmt.Errorf("%w: zero-length delta", ErrCorrupt)
+			return fmt.Errorf("%w: zero-length delta", ErrCorrupt)
 		}
 		if length > curve.Length()-pos {
-			return nil, fmt.Errorf("%w: deltas overflow curve", ErrCorrupt)
+			return fmt.Errorf("%w: deltas overflow curve", ErrCorrupt)
 		}
 		if inside {
 			runs = append(runs, region.Run{Lo: pos, Hi: pos + length - 1})
@@ -340,7 +403,7 @@ func decodeDeltas(curve sfc.Curve, count uint64, read func() (uint64, error)) (*
 		pos += length
 		inside = !inside
 	}
-	return region.FromOwnedRuns(curve, runs)
+	return r.Refill(curve, runs)
 }
 
 // EncodedSize returns the size in bytes Encode would produce, without
