@@ -88,13 +88,15 @@ race:
 # The fault-injection suites under the race detector: the single-node
 # chaos tests, the degraded-shard cluster suite (dead, slow, corrupt,
 # and flapping nodes; every query byte-identical or a typed partial),
-# the link's fault tests, and the per-call bill tests (every exchange
-# and every cluster read bills what it put on a link, failed attempts
-# and hedges included, and the bills sum to the meters under eight
-# workers). All seeds are fixed in the tests themselves, so this run is
-# deterministic — a failure always replays.
+# the one retry loop both topologies read through (the cluster's, on one
+# node and on a shard, and a client retrying over a real socket to a
+# daemon), the link's fault tests, and the per-call bill tests (every
+# exchange and every cluster read bills what it put on a link, failed
+# attempts and hedges included, and the bills sum to the meters under
+# eight workers). All seeds are fixed in the tests themselves, so this
+# run is deterministic — a failure always replays.
 chaos:
-	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/netsim
+	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/netsim ./internal/daemon
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder (DecodeInto held to Decode's

@@ -158,7 +158,7 @@ func main() {
 		c := qbism.NewClient(tcp, cfg)
 		res := runSpec(c, buildSpec())
 		fmt.Printf("connected to %s\n", *addr)
-		report(os.Stdout, c, nil, res, *slowlog, *metrics, *out)
+		report(os.Stdout, c, nil, false, res, *slowlog, *metrics, *out)
 		return
 	}
 	if *shards > 0 {
@@ -230,7 +230,7 @@ func main() {
 		}
 	}
 
-	report(os.Stdout, sys.Client, sys, runSpec(sys.Client, buildSpec()), *slowlog, *metrics, *out)
+	report(os.Stdout, sys.Client, sys, false, runSpec(sys.Client, buildSpec()), *slowlog, *metrics, *out)
 }
 
 // runSpec runs one query on a single server's client, exiting on failure.
@@ -248,20 +248,21 @@ func runSpec(c *qbism.Client, spec qbism.QuerySpec) *qbism.QueryResult {
 // report prints a completed query — the same lines in the same order
 // whichever deployment answered: all expose the same DX Client. sys is
 // the embedded node whose simulated link carried the query (nil for a
-// cluster, which reports its serving node instead, and for a dialed
-// qbismd, whose link is a real one).
-func report(w io.Writer, c *qbism.Client, sys *qbism.System, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
+// cluster and for a dialed qbismd, whose link is a real one); sharded
+// adds the line naming the shard and node that served the read.
+func report(w io.Writer, c *qbism.Client, sys *qbism.System, sharded bool, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
 	qbism.WriteTable3(w, []qbism.QueryTiming{res.Timing})
 	st := res.Data.Stats()
 	fmt.Fprintf(w, "\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
 		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
-	if info := res.Shard; info != nil {
+	read := res.Read
+	if sharded {
 		fmt.Fprintf(w, "cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
-			info.Shard, info.Node, info.Attempts, info.Failovers, info.Hedged, info.HedgeWon, info.LatencySim)
+			read.Shard, read.Node, read.Attempts, read.Failovers, read.Hedged, read.HedgeWon, read.LatencySim)
 	}
-	if res.Retry.Retries > 0 {
+	if read.Retries > 0 {
 		fmt.Fprintf(w, "resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
-			res.Retry.Attempts, res.Retry.Retries, res.Retry.BackoffSim, res.Retry.LastError)
+			read.Attempts, read.Retries, read.BackoffSim, read.LastError)
 	}
 	if res.Meta.Degraded {
 		fmt.Fprintf(w, "WARNING: degraded answer — %s\n", res.Meta.Warning)
@@ -289,7 +290,7 @@ func report(w io.Writer, c *qbism.Client, sys *qbism.System, res *qbism.QueryRes
 		}
 	}
 	if metrics {
-		if res.Shard != nil {
+		if sharded {
 			fmt.Fprintln(w, "\ncluster metrics:")
 		} else {
 			fmt.Fprintln(w, "\nmetrics:")
@@ -388,7 +389,7 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, noPushdown bool, de
 		}
 		fail("query: %v", err)
 	}
-	report(os.Stdout, cs.Client, nil, res, slowlog, metrics, out)
+	report(os.Stdout, cs.Client, nil, true, res, slowlog, metrics, out)
 }
 
 func fail(format string, args ...interface{}) {

@@ -44,7 +44,7 @@ func TestAddrMatchesEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var embeddedOut bytes.Buffer
-	report(&embeddedOut, sys.Client, sys, embedded, 0, true, filepath.Join(dir, "embedded.pgm"))
+	report(&embeddedOut, sys.Client, sys, false, embedded, 0, true, filepath.Join(dir, "embedded.pgm"))
 
 	srv, err := medserver.New(cfg)
 	if err != nil {
@@ -64,7 +64,7 @@ func TestAddrMatchesEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dialedOut bytes.Buffer
-	report(&dialedOut, client, nil, dialed, 0, true, filepath.Join(dir, "dialed.pgm"))
+	report(&dialedOut, client, nil, false, dialed, 0, true, filepath.Join(dir, "dialed.pgm"))
 
 	a, err := os.ReadFile(filepath.Join(dir, "embedded.pgm"))
 	if err != nil {

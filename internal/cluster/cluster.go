@@ -47,9 +47,8 @@ type Key struct {
 // Hash is a stable FNV-1a over the key's 16-byte little-endian
 // encoding, finished with a splitmix64-style avalanche so the low bits
 // (which `% K` consumes) are well mixed even for small sequential IDs.
-// Stability matters: the hash feeds both routing and the per-key
-// jitter stream, and must not drift across Go versions the way map
-// iteration or maphash would.
+// Stability matters: the hash is the routing, and must not drift across
+// Go versions the way map iteration or maphash would.
 func (k Key) Hash() uint64 {
 	var buf [16]byte
 	p, s := uint64(k.Patient), uint64(k.Study)
@@ -120,10 +119,6 @@ type Config struct {
 	// next healthy node and takes the faster answer. Zero disables
 	// hedging.
 	HedgeAfter time.Duration
-	// CallQuantum is the simulated-time cost charged per call on top of
-	// reported latency, so the clock advances even when node latency
-	// rounds to zero. Defaults to 1ms.
-	CallQuantum time.Duration
 	// Metrics receives cluster counters and per-node latency
 	// histograms; nil disables.
 	Metrics *obs.Registry
@@ -136,11 +131,14 @@ func (c Config) withDefaults(widest int) Config {
 			c.MaxAttempts = 2
 		}
 	}
-	if c.CallQuantum <= 0 {
-		c.CallQuantum = time.Millisecond
-	}
 	return c
 }
+
+// callQuantum is the simulated time charged per call on top of its
+// bill's latency, so the clock advances even when node latency rounds to
+// zero. It drives breakers, the EWMA and hedging, and is in a read's
+// LatencySim; it is not network time, so no bill carries it.
+const callQuantum = time.Millisecond
 
 // ewmaAlpha weights the simulated-latency moving average; 0.3 tracks a
 // node turning slow within a few calls without flapping on one outlier.
@@ -259,8 +257,8 @@ func (c *Cluster) nodeEWMA(st *shardState, node int) time.Duration {
 
 // ReadInfo describes how one read was served — which shard and node,
 // how hard the cluster had to work, what it put on the network, and how
-// much simulated time it cost. It rides alongside the response the way
-// RetryStats rides alongside QueryMeta.
+// much simulated time it cost. It is a value: a read returns it, and the
+// caller keeps it or drops it.
 type ReadInfo struct {
 	// Shard is the shard index that served (or failed) the read.
 	Shard int
@@ -279,6 +277,10 @@ type ReadInfo struct {
 	HedgeWon bool
 	// BackoffSim is the total simulated backoff wait.
 	BackoffSim time.Duration
+	// LastError describes the most recent failed attempt, if any. It
+	// survives an eventual success, so a post-mortem sees what the retries
+	// were curing; a read that never fails formats nothing.
+	LastError string
 	// LatencySim is the simulated latency of the winning call, call
 	// quantum included.
 	LatencySim time.Duration
@@ -329,12 +331,13 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		if node < 0 {
 			// Every breaker is open and refusing probes: charge the
 			// quantum so cooldowns eventually elapse, then retry.
-			c.advance(c.cfg.CallQuantum)
+			c.advance(callQuantum)
 			info.Attempts++
 			lastErr = fmt.Errorf("cluster: shard %d: all %d node(s) circuit-open", shard, len(st.nodes))
+			info.LastError = lastErr.Error()
 			if attempt < c.cfg.MaxAttempts {
 				info.Retries++
-				info.BackoffSim += c.backoffWait(attempt, &rng, key)
+				info.BackoffSim += c.backoffWait(attempt, &rng, request)
 			}
 			continue
 		}
@@ -366,6 +369,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			return resp, info, nil
 		}
 		lastErr = fmt.Errorf("node %s: %w", st.nodes[node].Name(), err)
+		info.LastError = err.Error()
 		prevNode = node
 		if c.cfg.Retryable != nil && !c.cfg.Retryable(err) {
 			// Terminal: every replica holds identical bytes, so a
@@ -376,7 +380,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		}
 		if attempt < c.cfg.MaxAttempts {
 			info.Retries++
-			info.BackoffSim += c.backoffWait(attempt, &rng, key)
+			info.BackoffSim += c.backoffWait(attempt, &rng, request)
 		}
 	}
 	c.count("cluster_shard_unavailable_total", 1)
@@ -419,7 +423,7 @@ func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method stri
 	if err == nil && validate != nil {
 		err = validate(resp)
 	}
-	effective := bill.Latency + c.cfg.CallQuantum
+	effective := bill.Latency + callQuantum
 	now := c.advance(effective)
 	c.observe(st.latencySeries[node], effective)
 	if err != nil {
@@ -462,13 +466,13 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 
 // backoffWait computes, charges to the clock, and returns one retry's
 // simulated backoff, drawing its jitter from *rng, which the first draw
-// seeds from the configured seed and the key.
-func (c *Cluster) backoffWait(attempt int, rng **faultsim.Rand, key Key) time.Duration {
+// seeds from the configured seed and the request.
+func (c *Cluster) backoffWait(attempt int, rng **faultsim.Rand, request []byte) time.Duration {
 	if c.cfg.Backoff == nil {
 		return 0
 	}
 	if *rng == nil {
-		*rng = faultsim.NewRand(c.cfg.JitterSeed ^ key.Hash())
+		*rng = faultsim.NewRand(transport.JitterSeed(c.cfg.JitterSeed, string(request)))
 	}
 	d := c.cfg.Backoff(attempt, *rng)
 	if d > 0 {

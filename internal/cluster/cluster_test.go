@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +52,6 @@ func testConfig() Config {
 	return Config{
 		MaxAttempts: 4,
 		Retryable:   retryFlaky,
-		CallQuantum: time.Millisecond,
 	}
 }
 
@@ -376,6 +376,126 @@ func TestReadBackoffDeterministic(t *testing.T) {
 	}
 	if a.BackoffSim <= 0 {
 		t.Fatalf("no backoff charged: %+v", a)
+	}
+}
+
+// The single node is a cluster of one: a shard of one node, its reads
+// retried on that node under a transport.RetryPolicy — the shape every
+// DX client's fetch has when it talks to one MedicalServer.
+
+// oneNode is a one-shard, one-node cluster retrying per pol.
+func oneNode(t *testing.T, n Node, pol transport.RetryPolicy) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		MaxAttempts: pol.MaxAttempts,
+		Backoff:     pol.Backoff,
+		JitterSeed:  pol.Seed,
+		Retryable:   retryFlaky,
+	}, [][]Node{{n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestReadRetryCuresTransientFailures(t *testing.T) {
+	n := &fakeNode{name: "s0p", resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
+	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 5, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Seed: 7})
+	resp, info, err := c.Read(nil, Key{Study: 1}, "q", []byte("req"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "ok" || info.Node != "s0p" {
+		t.Fatalf("resp %q from %q", resp, info.Node)
+	}
+	if info.Attempts != 3 || info.Retries != 2 || info.Failovers != 0 {
+		t.Errorf("info %+v, want 3 attempts / 2 retries / no failover", info)
+	}
+	if want := (transport.Stats{Calls: 3, Errors: 2, Messages: 6}); info.Net != want {
+		t.Errorf("bill %+v, want every attempt's: %+v", info.Net, want)
+	}
+	if info.BackoffSim <= 0 {
+		t.Error("no simulated backoff accumulated")
+	}
+	if !strings.Contains(info.LastError, errFlaky.Error()) {
+		t.Errorf("LastError = %q, want the failed attempt's error to survive the success", info.LastError)
+	}
+}
+
+func TestReadRetryTerminalFailsFast(t *testing.T) {
+	n := &fakeNode{name: "s0p", failSeq: alwaysFail(errSemantic)}
+	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 5, Seed: 1})
+	_, info, err := c.Read(nil, Key{Study: 1}, "q", nil, nil)
+	if !errors.Is(err, errSemantic) || errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("got %v, want the terminal cause, not unavailability", err)
+	}
+	if info.Attempts != 1 || info.Retries != 0 || n.calls != 1 {
+		t.Errorf("terminal error retried: %+v, %d calls", info, n.calls)
+	}
+}
+
+func TestReadRetryExhaustion(t *testing.T) {
+	n := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
+	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1})
+	_, info, err := c.Read(nil, Key{Study: 1}, "q", nil, nil)
+	if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, errFlaky) {
+		t.Fatalf("got %v, want typed unavailability wrapping the cause", err)
+	}
+	if info.Attempts != 3 || info.Retries != 2 {
+		t.Errorf("info %+v, want 3 attempts / 2 retries", info)
+	}
+	if want := (transport.Stats{Calls: 3, Errors: 3, Messages: 6}); info.Net != want {
+		t.Errorf("bill %+v on exhaustion, want every attempt's: %+v", info.Net, want)
+	}
+}
+
+// TestReadRetryValidateFailureRetried: on one node, a reply validate
+// refuses is retried exactly like a call failure — the loop the query
+// path relies on for replies corrupted past the link's own checks.
+func TestReadRetryValidateFailureRetried(t *testing.T) {
+	n := &fakeNode{name: "s0p", resp: []byte("ok")}
+	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1})
+	checked := 0
+	resp, info, err := c.Read(nil, Key{Study: 1}, "q", nil, func([]byte) error {
+		checked++
+		if checked < 3 {
+			return fmt.Errorf("reply damaged: %w", errFlaky)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "ok" || info.Attempts != 3 {
+		t.Fatalf("resp %q, info %+v", resp, info)
+	}
+	// A reply that failed validation still crossed the link.
+	if want := (transport.Stats{Calls: 3, Messages: 6}); info.Net != want {
+		t.Errorf("bill %+v, want every attempt's: %+v", info.Net, want)
+	}
+}
+
+// TestReadRetryDeterministicBackoff: the jitter stream is seeded from
+// the policy seed and the request, so the same request backs off
+// identically, a different request draws different jitter, and the
+// waits are the policy's own schedule.
+func TestReadRetryDeterministicBackoff(t *testing.T) {
+	pol := transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 9}
+	run := func(request string) time.Duration {
+		c := oneNode(t, &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}, pol)
+		_, info, _ := c.Read(nil, Key{Study: 1}, "q", []byte(request), nil)
+		return info.BackoffSim
+	}
+	if a, b := run("r1"), run("r1"); a != b {
+		t.Errorf("same request backed off differently: %v vs %v", a, b)
+	}
+	if a, b := run("r1"), run("r2"); a == b {
+		t.Errorf("different requests drew identical jitter: %v", a)
+	}
+	rng := faultsim.NewRand(transport.JitterSeed(pol.Seed, "r1"))
+	want := pol.Backoff(1, rng) + pol.Backoff(2, rng) + pol.Backoff(3, rng)
+	if got := run("r1"); got != want {
+		t.Errorf("backoff %v, want the policy schedule %v", got, want)
 	}
 }
 

@@ -2,12 +2,16 @@ package daemon
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"qbism/internal/lfm"
+	"qbism/internal/obs"
 	"qbism/internal/qbism"
 	"qbism/internal/transport"
 )
@@ -111,6 +115,61 @@ func TestDaemonUnknownMethodOverWire(t *testing.T) {
 	}
 	if transport.RetryableError(err) {
 		t.Error("unknown method must be terminal")
+	}
+}
+
+// flakyBackend fails its first calls with a device read fault, which the
+// server reports over the wire as retryable, then serves Backend.
+type flakyBackend struct {
+	Backend
+	failures atomic.Int32
+}
+
+func (f *flakyBackend) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
+	if f.failures.Add(-1) >= 0 {
+		return nil, fmt.Errorf("daemon test: %w", lfm.ErrReadFault)
+	}
+	return f.Backend.ServeRPC(sp, method, request)
+}
+
+// TestClientRetryOverTCP: a Client over a real socket rides out
+// server-side transient failures with the same read loop it runs over
+// the simulated link — the answer is the in-process one, and the read
+// records every attempt, the failure it cured, its backoff and its bill.
+func TestClientRetryOverTCP(t *testing.T) {
+	sys := testSystem(t)
+	spec := sys.Table3Queries()[0]
+	want, err := sys.RunQuery(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &flakyBackend{Backend: sys}
+	backend.failures.Store(2)
+	d := New(backend, Config{Addr: "127.0.0.1:0"})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	defer tcp.Close()
+	cfg := testConfig
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5}
+
+	got, err := qbism.NewClient(tcp, cfg).RunQuery(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, []qbism.QuerySpec{spec}, []*qbism.QueryResult{want}, []*qbism.QueryResult{got})
+	read := got.Read
+	if read.Node != "s0p" || read.Attempts != 3 || read.Retries != 2 || read.BackoffSim <= 0 {
+		t.Errorf("read %+v, want three attempts on s0p, two retried with backoff", read)
+	}
+	if !strings.Contains(read.LastError, lfm.ErrReadFault.Error()) {
+		t.Errorf("LastError = %q, want the server's read fault", read.LastError)
+	}
+	// Every attempt put its request and a reply on the wire.
+	if calls := d.Stats().Calls; calls != 3 || got.Timing.NetMessages != 6 {
+		t.Errorf("daemon served %d calls, query billed %d messages; want 3 and 6", calls, got.Timing.NetMessages)
 	}
 }
 

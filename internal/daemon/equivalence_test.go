@@ -105,23 +105,17 @@ func TestLoopbackEquivalence(t *testing.T) {
 	// Baseline: the default in-process simulated transport.
 	baseline := runSuite(t, sys.Client, specs)
 
-	// Stand up a daemon serving this same system's handler, and point
-	// the system's own front end at it over real TCP.
+	// Stand up a daemon serving this same system's handler, and put a
+	// client in front of it over real TCP.
 	d := New(sys, Config{Addr: "127.0.0.1:0"})
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	orig := sys.Transport
 	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
-	sys.Transport = tcp
-	defer func() {
-		sys.Transport = orig
-		tcp.Close()
-	}()
+	defer tcp.Close()
 
-	sameAnswers(t, specs, baseline, runSuite(t, sys.Client, specs))
+	sameAnswers(t, specs, baseline, runSuite(t, qbism.NewClient(tcp, testConfig), specs))
 
 	// The wire run really crossed the socket.
 	if got, want := d.Stats().Calls, uint64(len(specs)); got < want {

@@ -38,7 +38,7 @@ var (
 
 // Stats is link traffic and fault accounting: a crossing's cost as Cross
 // returns it, or the link's cumulative meter — the sum of every
-// crossing's cost plus the retries clients reported.
+// crossing's cost.
 type Stats struct {
 	// Calls counts payload crossings; Messages and Bytes their traffic.
 	Calls    uint64
@@ -53,8 +53,6 @@ type Stats struct {
 	Latencies   uint64
 	// LatencySim is the total injected simulated delay.
 	LatencySim time.Duration
-	// Retries counts retried calls as reported by clients via NoteRetry.
-	Retries uint64
 }
 
 // add folds a crossing's cost into s.
@@ -146,14 +144,6 @@ func (l *Link) Cross(parent *obs.Span, dir, method string, payload []byte) ([]by
 		return nil, cost, err
 	}
 	return payload, cost, nil
-}
-
-// NoteRetry records that a client retried a failed call; the link keeps
-// the counter beside the traffic it cost.
-func (l *Link) NoteRetry() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stats.Retries++
 }
 
 // Stats returns the cumulative counters.

@@ -71,8 +71,8 @@ func TestMessageAccounting(t *testing.T) {
 
 // TestCrossBillsSumToStats: each crossing returns its own cost — one
 // call, its messages and bytes, the fault it drew, its injected latency
-// — and the link's meter is the sum of those costs plus the reported
-// retries, whatever faults fired.
+// — and the link's meter is the sum of those costs, whatever faults
+// fired.
 func TestCrossBillsSumToStats(t *testing.T) {
 	m := costmodel.Default1993()
 	l := netsim.NewLink(m)
@@ -100,8 +100,6 @@ func TestCrossBillsSumToStats(t *testing.T) {
 		sum.Latencies += c.Latencies
 		sum.LatencySim += c.LatencySim
 	}
-	l.NoteRetry()
-	sum.Retries = 1
 	if got := l.Stats(); got != sum {
 		t.Errorf("link meter %+v, Σ crossing costs %+v", got, sum)
 	}
@@ -222,15 +220,6 @@ func TestInjectedLatencyPriced(t *testing.T) {
 	}
 	if want := m.NetworkTime(s.Messages) + 500*time.Millisecond; bill.Latency != want {
 		t.Errorf("bill latency %v, want the messages' %v plus the injected 0.5s", bill.Latency, m.NetworkTime(s.Messages))
-	}
-}
-
-func TestNoteRetry(t *testing.T) {
-	l := netsim.NewLink(costmodel.Default1993())
-	l.NoteRetry()
-	l.NoteRetry()
-	if l.Stats().Retries != 2 {
-		t.Errorf("retries = %d", l.Stats().Retries)
 	}
 }
 

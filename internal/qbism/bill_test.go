@@ -163,11 +163,11 @@ func TestClusterNetBillReconcilesUnderFaults(t *testing.T) {
 			t.Fatalf("%s: %v", item.Spec.Label(), item.Err)
 		}
 		billed += item.Res.Timing.NetMessages
-		if item.Res.Timing.NetMessages != item.Res.Shard.Net.Messages {
-			t.Errorf("%s: NetMessages %d, the read's bill %d", item.Spec.Label(), item.Res.Timing.NetMessages, item.Res.Shard.Net.Messages)
+		if item.Res.Timing.NetMessages != item.Res.Read.Net.Messages {
+			t.Errorf("%s: NetMessages %d, the read's bill %d", item.Spec.Label(), item.Res.Timing.NetMessages, item.Res.Read.Net.Messages)
 		}
-		failovers += item.Res.Shard.Failovers
-		if item.Res.Shard.Hedged {
+		failovers += item.Res.Read.Failovers
+		if item.Res.Read.Hedged {
 			hedges++
 		}
 	}

@@ -128,13 +128,13 @@ func TestChaosQueries(t *testing.T) {
 			continue
 		}
 		succeeded++
-		retried += res.Retry.Retries
+		retried += res.Read.Retries
 		if got := marshalResult(t, sys, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %d (%s): silent corruption — result differs from fault-free run (degraded=%v)",
 				i, spec.Label(), res.Meta.Degraded)
 		}
-		if res.Retry.Retries > 0 && res.Timing.RetrySim == 0 {
-			t.Errorf("query %d: %d retries but no simulated backoff", i, res.Retry.Retries)
+		if res.Read.Retries > 0 && res.Timing.RetrySim == 0 {
+			t.Errorf("query %d: %d retries but no simulated backoff", i, res.Read.Retries)
 		}
 	}
 	if rate := float64(succeeded) / queries; rate < 0.95 {
@@ -148,8 +148,8 @@ func TestChaosQueries(t *testing.T) {
 	if ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers == 0 {
 		t.Errorf("no link faults fired: %+v", ls)
 	}
-	if int(ls.Retries) != retried {
-		t.Errorf("link retries %d != summed query retries %d", ls.Retries, retried)
+	if got := sys.Metrics.Counter("qbism_retries_total").Value(); got != int64(retried) {
+		t.Errorf("qbism_retries_total %d != summed query retries %d", got, retried)
 	}
 	if sys.DeviceFaults.Count(faultsim.ReadErr)+sys.DeviceFaults.Count(faultsim.PageCorrupt) == 0 {
 		t.Error("no device faults fired")
@@ -185,7 +185,7 @@ func TestChaosDeterminism(t *testing.T) {
 			res, err := sys.RunQuery(spec)
 			o := outcome{OK: err == nil}
 			if err == nil {
-				o.Retries = res.Retry.Retries
+				o.Retries = res.Read.Retries
 				o.Blob = string(marshalResult(t, sys, res))
 			}
 			outs = append(outs, o)
@@ -298,8 +298,8 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 	if !transport.RetryableError(qerr) {
 		t.Errorf("exhaustion error lost its retryable classification: %v", qerr)
 	}
-	if got := sys.Link.Stats().Retries; got != 2 {
-		t.Errorf("retries = %d, want 2 (3 attempts)", got)
+	if got := sys.Metrics.Counter("qbism_retries_total").Value(); got != 2 {
+		t.Errorf("qbism_retries_total = %d, want 2 (3 attempts)", got)
 	}
 }
 
@@ -385,14 +385,11 @@ func TestClusterBaselineByteIdentical(t *testing.T) {
 		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("cluster result differs from control for %s", spec.Label())
 		}
-		if res.Shard == nil {
-			t.Fatalf("no shard info on %s", spec.Label())
+		if res.Read.Failovers != 0 || res.Read.Attempts != 1 {
+			t.Errorf("fault-free read did extra work: %+v", res.Read)
 		}
-		if res.Shard.Failovers != 0 || res.Shard.Attempts != 1 {
-			t.Errorf("fault-free read did extra work: %+v", res.Shard)
-		}
-		if sh, ok := cs.Route(spec.StudyID); !ok || sh != res.Shard.Shard {
-			t.Errorf("route says shard %d (ok=%v), served by %d", sh, ok, res.Shard.Shard)
+		if sh, ok := cs.Route(spec.StudyID); !ok || sh != res.Read.Shard {
+			t.Errorf("route says shard %d (ok=%v), served by %d", sh, ok, res.Read.Shard)
 		}
 	}
 	if got := cs.Metrics.Counter("cluster_failover_total").Value(); got != 0 {
@@ -445,17 +442,17 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 		}
 		onVictim++
 		if i < kill {
-			if res.Shard.Node != fmt.Sprintf("s%dp", victim) {
-				t.Errorf("query %d before kill served by %s, want primary", i, res.Shard.Node)
+			if res.Read.Node != fmt.Sprintf("s%dp", victim) {
+				t.Errorf("query %d before kill served by %s, want primary", i, res.Read.Node)
 			}
 		} else {
-			if res.Shard.Node != fmt.Sprintf("s%dr1", victim) {
-				t.Errorf("query %d after kill served by %s, want replica", i, res.Shard.Node)
+			if res.Read.Node != fmt.Sprintf("s%dr1", victim) {
+				t.Errorf("query %d after kill served by %s, want replica", i, res.Read.Node)
 			}
-			if res.Shard.Failovers != 1 {
-				t.Errorf("query %d after kill: failovers = %d, want 1", i, res.Shard.Failovers)
+			if res.Read.Failovers != 1 {
+				t.Errorf("query %d after kill: failovers = %d, want 1", i, res.Read.Failovers)
 			}
-			failovers += res.Shard.Failovers
+			failovers += res.Read.Failovers
 		}
 	}
 	if onVictim < 4 {
@@ -574,7 +571,7 @@ func TestClusterCorruptNodeFailover(t *testing.T) {
 		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %s: result differs from control", spec.Label())
 		}
-		failovers += res.Shard.Failovers
+		failovers += res.Read.Failovers
 	}
 	if failovers == 0 {
 		t.Fatal("no failovers despite fully corrupt primaries")
@@ -619,12 +616,12 @@ func TestClusterSlowNodeHedged(t *testing.T) {
 		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %s: hedged result differs from control", spec.Label())
 		}
-		if res.Shard.Hedged {
+		if res.Read.Hedged {
 			hedged++
-			if res.Shard.HedgeWon {
+			if res.Read.HedgeWon {
 				won++
-				if res.Shard.Node[2] != 'r' {
-					t.Errorf("query %s: hedge won but served by %s, want the replica", spec.Label(), res.Shard.Node)
+				if res.Read.Node[2] != 'r' {
+					t.Errorf("query %s: hedge won but served by %s, want the replica", spec.Label(), res.Read.Node)
 				}
 			}
 		}
@@ -681,11 +678,11 @@ func TestClusterFlappingNodeBreaker(t *testing.T) {
 		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %d: result differs from control", i)
 		}
-		servedBy = append(servedBy, res.Shard.Node)
+		servedBy = append(servedBy, res.Read.Node)
 		if cs.Cluster.NodeState(victim, 0) == cluster.BreakerOpen {
 			sawOpen = true
 		}
-		if sawOpen && res.Shard.Node == primary {
+		if sawOpen && res.Read.Node == primary {
 			break // recovered through the half-open probe
 		}
 	}
@@ -816,9 +813,9 @@ func TestClusterChaosDeterminism(t *testing.T) {
 			res, err := cs.RunQuery(spec)
 			o := outcome{OK: err == nil}
 			if err == nil {
-				o.Node = res.Shard.Node
+				o.Node = res.Read.Node
 				o.Blob = string(marshalResult(t, cs.Nodes[0][0], res))
-				o.Extra = res.Shard.Failovers + res.Shard.Retries
+				o.Extra = res.Read.Failovers + res.Read.Retries
 			} else {
 				o.Err = err.Error()
 			}

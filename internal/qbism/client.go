@@ -22,89 +22,125 @@ type Client struct {
 	Model costmodel.Model
 	Cache *dx.Cache
 
-	// Transport carries the exchanges to the MedicalServer, with Retry's
-	// client-side retries of transient failures over it. Both are read
-	// per call, so a caller may repoint a client (a System at a live
-	// daemon, say). A ClusterSystem's client routes instead and leaves
-	// Transport nil.
-	Transport transport.Transport
-	Retry     transport.RetryPolicy
+	// Cluster carries every fetch, with its retries, failover and
+	// hedging: a ClusterSystem's shards, or one shard of one node ("s0p")
+	// in front of a single server — the same read loop either way.
+	Cluster *cluster.Cluster
 
 	// Tracer is the query tracer (nil unless Config.Trace). Metrics is
 	// the registry — always present, so counters accumulate whether or
-	// not tracing is on. SlowLog is the slow-query ring (nil unless
-	// tracing with a positive SlowLogThreshold).
+	// not tracing is on; the cluster's series are in it too. SlowLog is
+	// the slow-query ring (nil unless tracing with a positive
+	// SlowLogThreshold).
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 	SlowLog *obs.SlowLog
 
 	slowThresh time.Duration
 	workers    int // RunQueries' pool size when the caller passes none
-	server     server
-}
-
-// server is how a framed request reaches a MedicalServer: over one
-// transport with client-side retries (the Client itself), or routed to a
-// shard and read with failover and hedging (ClusterSystem).
-type server interface {
-	// fetch carries request and returns the validated reply; the retry
-	// history is set on failure too.
-	fetch(root *obs.Span, spec QuerySpec, key string, request []byte) (fetched, error)
+	// routes maps a study to its routing key; nil for a single server,
+	// whose one shard serves every study.
+	routes map[int]cluster.Key
 }
 
 // fetched is one answered exchange. It is returned by value: a query
 // makes one, reads it once, and nothing keeps it.
 type fetched struct {
-	meta     *QueryMeta
-	blob     []byte
-	retry    transport.RetryStats
-	messages uint64        // cost-model messages the exchange took
-	latency  time.Duration // its simulated network time
-	shard    *cluster.ReadInfo
+	meta *QueryMeta
+	blob []byte
+	read cluster.ReadInfo
 }
 
-// NewClient builds a DX client that reaches its MedicalServer over t.
-// Of cfg it reads Retry, Workers, Trace and the slow-log fields. Its
-// sinks start empty, so they describe query traffic only.
+// NewClient builds a DX client that reaches its MedicalServer over t: a
+// cluster of one shard of one node, with cfg.Retry's attempts and
+// backoff and no breaker or hedging. Of cfg it reads Retry, Workers,
+// Trace and the slow-log fields. Its sinks start empty, so they describe
+// query traffic only.
 func NewClient(t transport.Transport, cfg Config) *Client {
+	return newNodeClient(t, cfg, obs.NewRegistry())
+}
+
+// newNodeClient is NewClient with the registry the client and its
+// cluster report into. cluster.New fails only on a shard without nodes,
+// so the one-node build cannot.
+func newNodeClient(t transport.Transport, cfg Config, metrics *obs.Registry) *Client {
+	c, _ := newClient(cfg, metrics, cluster.Config{}, [][]cluster.Node{{&transportNode{name: nodeName(0, 0), t: t}}})
+	return c
+}
+
+// newClient builds the client of either topology: its reads go through
+// one cluster over shards, configured by cc plus cfg.Retry's attempts,
+// backoff and jitter seed, and report into metrics.
+func newClient(cfg Config, metrics *obs.Registry, cc cluster.Config, shards [][]cluster.Node) (*Client, error) {
 	cfg = cfg.WithDefaults()
+	pol := cfg.Retry.WithDefaults()
+	cc.MaxAttempts, cc.Backoff, cc.JitterSeed = pol.MaxAttempts, pol.Backoff, pol.Seed
+	cc.Retryable, cc.Metrics = transport.RetryableError, metrics
+	cl, err := cluster.New(cc, shards)
+	if err != nil {
+		return nil, err
+	}
 	c := &Client{
 		Model:      costmodel.Default1993(),
 		Cache:      dx.NewCache(8),
-		Transport:  t,
-		Retry:      cfg.Retry,
-		Metrics:    obs.NewRegistry(),
+		Cluster:    cl,
+		Metrics:    metrics,
 		slowThresh: cfg.SlowLogThreshold,
 		workers:    cfg.Workers,
 	}
-	c.server = c
 	if cfg.Trace {
 		c.Tracer = obs.NewTracer()
 		if cfg.SlowLogThreshold > 0 {
 			c.SlowLog = obs.NewSlowLog(cfg.SlowLogCapacity)
 		}
 	}
-	return c
+	return c, nil
 }
 
-// fetch is one logical RPC over c.Transport with c.Retry's
-// capped-exponential, deterministically jittered schedule, whatever
-// flavor the transport is. Response validation runs inside the loop, so
-// a reply corrupted past the link layer's own checks is retried exactly
-// like a failed call. The exchange's network cost is the sum of its
-// attempts' bills, exact however many queries share the transport.
-func (c *Client) fetch(root *obs.Span, _ QuerySpec, key string, request []byte) (fetched, error) {
+// transportNode adapts one node's Transport to the cluster.Node seam:
+// the cluster does not know whether a node is a simulated link or a
+// live daemon — it consumes each exchange's own bill either way, so
+// calls to one node run as concurrently as its transport allows.
+type transportNode struct {
+	name string
+	t    transport.Transport
+}
+
+func (n *transportNode) Name() string { return n.name }
+
+// Call is one exchange with the node; the cluster validates the reply.
+func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
+	return n.t.Exchange(parent, method, request)
+}
+
+// fetch is the one fetch, whatever the topology: route the study to its
+// key, then read it from the cluster with failover, retries and hedging.
+// Each node reply is checked and decoded once, inside the read: a reply
+// corrupted past the link layer's own checks is that attempt's failure,
+// retried or failed over like a failed call, rather than a fault
+// downstream in the DX import. The first valid reply is the one the read
+// returns; a hedge's is checked and dropped.
+func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched, error) {
 	var f fetched
-	_, retry, net, err := transport.CallRetry(c.Transport, root, QueryMethod, request, c.Retry, key,
-		func(resp []byte) (verr error) {
-			f.meta, f.blob, verr = DecodeQueryResponse(resp)
-			return verr
-		})
-	f.retry = retry
-	if err != nil {
-		return f, fmt.Errorf("qbism: query failed after %d attempt(s): %w", retry.Attempts, err)
+	key := cluster.Key{Study: spec.StudyID}
+	if c.routes != nil {
+		var ok bool
+		if key, ok = c.routes[spec.StudyID]; !ok {
+			// Unroutable: terminal, not a shard health problem.
+			return f, fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID)
+		}
 	}
-	f.messages, f.latency = net.Messages, net.Latency
+	var err error
+	_, f.read, err = c.Cluster.Read(root, key, QueryMethod, request, func(resp []byte) error {
+		meta, blob, err := DecodeQueryResponse(resp)
+		if err == nil && f.meta == nil {
+			f.meta, f.blob = meta, blob
+		}
+		return err
+	})
+	if err != nil {
+		return f, fmt.Errorf("qbism: query failed after %d attempt(s): %w", f.read.Attempts, err)
+	}
 	return f, nil
 }
 
@@ -117,11 +153,11 @@ func (c *Client) fetch(root *obs.Span, _ QuerySpec, key string, request []byte) 
 // The network exchange is resilient: both directions are CRC-framed so
 // corruption and truncation surface as typed errors, and transient
 // failures (drops, timeouts, corrupt frames, device read faults) are
-// retried — per Client.Retry on one transport, across a shard's nodes in
-// a cluster — with capped exponential backoff and deterministic jitter.
-// Backoff is simulated time — no real sleeping — accounted in
-// Timing.RetrySim. Through a ClusterSystem the result's Shard field
-// reports how the read was served.
+// retried — on the one node of a single server, across a shard's nodes
+// in a cluster — with capped exponential backoff and deterministic
+// jitter. Backoff is simulated time — no real sleeping — accounted in
+// Timing.RetrySim. The result's Read field reports how the read was
+// served.
 func (c *Client) RunQuery(spec QuerySpec) (*QueryResult, error) {
 	return c.runQuerySpan(nil, spec)
 }
@@ -143,19 +179,18 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 		root.SetStr("spec", spec.Label())
 	}
 
-	// The request frame's header — it has no body — is the spec's wire
-	// bytes and, as a string, the key QuerySpec.Key returns: the retry
-	// jitter and the DX cache use it.
+	// The request frame seeds the retry jitter; its header — it has no
+	// body — is the spec's wire bytes and, as a string, the key
+	// QuerySpec.Key returns, which the DX cache uses.
 	request, err := EncodeQueryRequest(spec)
 	if err != nil {
-		return nil, c.fail(root, transport.RetryStats{}, err)
+		return nil, c.fail(root, cluster.ReadInfo{}, err)
 	}
-	key := string(request[transport.FrameOverhead:])
-	f, err := c.server.fetch(root, spec, key, request)
+	f, err := c.fetch(root, spec, request)
 	if err != nil {
-		return nil, c.fail(root, f.retry, err)
+		return nil, c.fail(root, f.read, err)
 	}
-	return c.finish(root, spec, key, f, totalStart)
+	return c.finish(root, spec, string(request[transport.FrameOverhead:]), f, totalStart)
 }
 
 // finish performs the client-side DX stages — import, render, cache —
@@ -163,20 +198,20 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 // sinks. key is spec.Key(), which the caller already has as its request
 // body.
 func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, totalStart time.Time) (*QueryResult, error) {
-	meta, retry := f.meta, f.retry
+	meta, read := f.meta, f.read
 	importStart := time.Now()
 	importSp := root.Child("dx.import")
 	data, err := UnmarshalDataRegion(f.blob)
 	if err != nil {
 		importSp.End()
-		return nil, c.fail(root, retry, err)
+		return nil, c.fail(root, read, err)
 	}
 	field, importStats, err := dx.ImportVolume(data)
 	importSp.SetInt("voxels", int64(importStats.Voxels))
 	importSp.SetInt("runs", int64(importStats.Runs))
 	importSp.End()
 	if err != nil {
-		return nil, c.fail(root, retry, err)
+		return nil, c.fail(root, read, err)
 	}
 	importDur := time.Since(importStart)
 
@@ -185,7 +220,7 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 	img, err := field.Render(dx.RenderOpts{Axis: 2, Mode: dx.MIP})
 	renderSp.End()
 	if err != nil {
-		return nil, c.fail(root, retry, err)
+		return nil, c.fail(root, read, err)
 	}
 	renderDur := time.Since(renderStart)
 	c.Cache.Put(key, field)
@@ -197,53 +232,52 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 		LFMPages:       meta.LFMPages,
 		DBMeasured:     time.Duration(meta.DBCPUNanos),
 		DBSimReal:      c.Model.StarburstTime(time.Duration(meta.DBCPUNanos), meta.LFMPages),
-		NetMessages:    f.messages,
-		NetSim:         f.latency,
+		NetMessages:    read.Net.Messages,
+		NetSim:         read.Net.Latency,
 		ImportMeasured: importDur,
 		ImportSim:      c.Model.ImportTime(importStats.Voxels, importStats.Runs),
 		RenderMeasured: renderDur,
 		RenderSim:      c.Model.RenderTime(importStats.Voxels),
-		RetrySim:       retry.BackoffSim,
+		RetrySim:       read.BackoffSim,
 		OtherSim:       c.Model.OtherTime,
 	}
 	t.TotalSim = t.DBSimReal + t.NetSim + t.ImportSim + t.RenderSim + t.RetrySim + t.OtherSim
 	t.TotalMeasured = time.Since(totalStart)
 
-	root.SetInt("attempts", int64(retry.Attempts))
-	root.SetInt("retries", int64(retry.Retries))
+	root.SetInt("attempts", int64(read.Attempts))
+	root.SetInt("retries", int64(read.Retries))
 	root.SetInt("lfm.pages", int64(meta.LFMPages))
 	root.SetInt("voxels", int64(t.Voxels))
 	if meta.Degraded {
 		root.SetStr("degraded", meta.Warning)
 	}
 	root.End()
-	c.observe(t, retry, root)
+	c.observe(t, read.Retries, root)
 
 	return &QueryResult{
-		Spec: spec, Meta: *meta, Data: data, Field: field, Image: img, Timing: t, Retry: retry,
-		Shard: f.shard, Trace: root,
+		Spec: spec, Meta: *meta, Data: data, Field: field, Image: img, Timing: t, Read: read, Trace: root,
 	}, nil
 }
 
 // fail finishes a query's observability on the error path: the root
 // span is annotated and ended, and the error counters bump.
-func (c *Client) fail(root *obs.Span, retry transport.RetryStats, err error) error {
+func (c *Client) fail(root *obs.Span, read cluster.ReadInfo, err error) error {
 	root.SetStr("error", err.Error())
-	root.SetInt("attempts", int64(retry.Attempts))
-	root.SetInt("retries", int64(retry.Retries))
+	root.SetInt("attempts", int64(read.Attempts))
+	root.SetInt("retries", int64(read.Retries))
 	root.End()
 	c.Metrics.Counter("qbism_queries_total").Inc()
 	c.Metrics.Counter("qbism_query_errors_total").Inc()
-	c.Metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
+	c.Metrics.Counter("qbism_retries_total").Add(int64(read.Retries))
 	return err
 }
 
 // observe feeds the metrics registry and, when the query's measured
 // latency reaches the slow-log threshold, captures the full span tree
 // plus the executed plan into the slow-query ring.
-func (c *Client) observe(t QueryTiming, retry transport.RetryStats, root *obs.Span) {
+func (c *Client) observe(t QueryTiming, retries int, root *obs.Span) {
 	c.Metrics.Counter("qbism_queries_total").Inc()
-	c.Metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
+	c.Metrics.Counter("qbism_retries_total").Add(int64(retries))
 	c.Metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).
 		Observe(t.TotalMeasured.Seconds())
 	c.Metrics.Histogram("qbism_query_lfm_pages", obs.PageBuckets).

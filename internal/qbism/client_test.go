@@ -3,16 +3,15 @@ package qbism
 import (
 	"reflect"
 	"testing"
-
-	"qbism/internal/transport"
 )
 
 // The DX client is one piece of code under both deployments; these
 // tests hold it to that.
 
 // TestClusterOfOneMatchesSystem: a one-shard, no-replica cluster is the
-// single node — same bytes, same image, same message count, same
-// counters — and gains RunQueryCached by embedding the same Client.
+// single node — same bytes, same image, same network bill, the same read
+// record, same counters — and gains RunQueryCached by embedding the same
+// Client.
 func TestClusterOfOneMatchesSystem(t *testing.T) {
 	cfg := Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 11, SmallStudies: true}
 	sys, err := New(cfg)
@@ -35,11 +34,12 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 		if !reflect.DeepEqual(a.Data, b.Data) || !reflect.DeepEqual(a.Image, b.Image) || !reflect.DeepEqual(am, bm) {
 			t.Errorf("%s: cluster-of-one answer differs from the single node's", label)
 		}
-		if want := (transport.RetryStats{Attempts: 1}); a.Retry != want || b.Retry != want {
-			t.Errorf("%s: retry history %+v / %+v, want one clean attempt on both", label, a.Retry, b.Retry)
+		if a.Read != b.Read || a.Read.Node != "s0p" || a.Read.Attempts != 1 || a.Read.Retries != 0 {
+			t.Errorf("%s: read %+v on the node, %+v through the cluster; want one clean attempt served by s0p on both", label, a.Read, b.Read)
 		}
-		if a.Timing.NetMessages != b.Timing.NetMessages {
-			t.Errorf("%s: NetMessages %d on the node, %d through the cluster", label, a.Timing.NetMessages, b.Timing.NetMessages)
+		if a.Timing.NetMessages != b.Timing.NetMessages || a.Timing.NetSim != b.Timing.NetSim {
+			t.Errorf("%s: network %d messages / %v on the node, %d / %v through the cluster", label,
+				a.Timing.NetMessages, a.Timing.NetSim, b.Timing.NetMessages, b.Timing.NetSim)
 		}
 	}
 	specs := sys.Table3Queries()
@@ -53,9 +53,6 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(spec.Label(), a, b)
-		if b.Shard == nil || b.Shard.Node != "s0p" {
-			t.Errorf("%s: Shard = %+v, want the read served by s0p", spec.Label(), b.Shard)
-		}
 	}
 
 	as := sys.RunQueries(specs, 2)

@@ -2,6 +2,7 @@ package qbism
 
 import (
 	"bytes"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -278,11 +279,22 @@ func TestConsistentBandRegionAllocBudget(t *testing.T) {
 					if !got.Equal(want) {
 						t.Fatalf("Bits %d band %d-%d %s: %v, in-memory intersection %v", bits, b.Lo, b.Hi, enc, got, want)
 					}
-					allocs := testing.AllocsPerRun(10, func() {
-						if _, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, workers); err != nil {
-							t.Fatal(err)
-						}
-					})
+					// The pool's goroutine and its WaitGroup wait allocate
+					// or not by when the GC runs, so a pooled row keeps
+					// the least of three measurements; a real regression
+					// shows on every one.
+					runs := 1
+					if workers > 1 {
+						runs = 3
+					}
+					allocs := math.Inf(1)
+					for range runs {
+						allocs = min(allocs, testing.AllocsPerRun(10, func() {
+							if _, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, workers); err != nil {
+								t.Fatal(err)
+							}
+						}))
+					}
 					if limit := ceiling[enc][workers]; allocs > limit {
 						t.Errorf("Bits %d band %d-%d %s, %d workers: %.0f allocations, ceiling %.0f — is a study's field, run list or Region allocated on its own again?",
 							bits, b.Lo, b.Hi, enc, workers, allocs, limit)

@@ -8,7 +8,6 @@ import (
 	"qbism/internal/cluster"
 	"qbism/internal/dx"
 	"qbism/internal/obs"
-	"qbism/internal/transport"
 	"qbism/internal/volume"
 )
 
@@ -45,13 +44,11 @@ type QueryResult struct {
 	Field  *dx.Field
 	Image  *dx.Image
 	Timing QueryTiming
-	// Retry reports the query's resilience history: attempts, retries,
-	// and total simulated backoff.
-	Retry transport.RetryStats
-	// Shard, set only for queries served through a ClusterSystem,
-	// reports which shard and node answered and what failover work the
-	// cluster did on the way.
-	Shard *cluster.ReadInfo
+	// Read reports how the query was served, on either topology: the
+	// shard and node that answered, its attempts, retries, failovers and
+	// hedges, the simulated backoff, the last failed attempt's error, and
+	// the bill of every call it made.
+	Read cluster.ReadInfo
 	// Trace is the query's span tree (nil unless Config.Trace): the RPC
 	// round trips, server-side SQL phases and operators, per-handle LFM
 	// I/O, and the DX import/render stages.

@@ -159,20 +159,24 @@ func TestRetryStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retry.Attempts != 3 || res.Retry.Retries != 2 {
-		t.Errorf("Attempts/Retries = %d/%d, want 3/2", res.Retry.Attempts, res.Retry.Retries)
+	if res.Read.Attempts != 3 || res.Read.Retries != 2 {
+		t.Errorf("Attempts/Retries = %d/%d, want 3/2", res.Read.Attempts, res.Read.Retries)
 	}
 	// Replay the jitter stream: the loop draws one backoff after each
-	// failed attempt, from a stream seeded by (policy seed, query key).
-	rng := faultsim.NewRand(transport.JitterSeed(pol.Seed, spec.Key()))
+	// failed attempt, from a stream seeded by (policy seed, request).
+	request, err := EncodeQueryRequest(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := faultsim.NewRand(transport.JitterSeed(pol.Seed, string(request)))
 	want := pol.Backoff(1, rng) + pol.Backoff(2, rng)
-	if res.Retry.BackoffSim != want {
-		t.Errorf("BackoffSim = %v, want exactly %v", res.Retry.BackoffSim, want)
+	if res.Read.BackoffSim != want {
+		t.Errorf("BackoffSim = %v, want exactly %v", res.Read.BackoffSim, want)
 	}
 	// LastError keeps the most recent *failed* attempt even when a later
 	// attempt succeeds — that is its documented contract.
-	if !strings.Contains(res.Retry.LastError, "drop") {
-		t.Errorf("LastError = %q, want the dropped attempt's error", res.Retry.LastError)
+	if !strings.Contains(res.Read.LastError, "drop") {
+		t.Errorf("LastError = %q, want the dropped attempt's error", res.Read.LastError)
 	}
 	if got := s.Metrics.Counter("qbism_retries_total").Value(); got != 2 {
 		t.Errorf("qbism_retries_total = %d, want 2", got)

@@ -4,10 +4,11 @@ package qbism
 // each a (primary, replica...) set of full QBISM nodes — its own LFM
 // device, database, and netsim link — behind the cluster package's
 // Node seam. The DX half of a query is the same Client the single-node
-// System embeds, so a query runs, batches and finishes identically
-// whether it was fetched over one link or scatter-gathered across a
-// degraded cluster; this file adds only routing, the node adapter, and
-// the partial-result accounting.
+// System embeds, fetching through the same cluster read — there a
+// cluster of one node — so a query runs, batches and finishes
+// identically whether it was fetched over one link or scatter-gathered
+// across a degraded cluster; this file adds only the routing table, the
+// node adapter, and the partial-result accounting.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -26,7 +27,6 @@ import (
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
 	"qbism/internal/region"
-	"qbism/internal/transport"
 )
 
 // ClusterConfig parameterizes a ClusterSystem.
@@ -41,11 +41,10 @@ type ClusterConfig struct {
 	// Base configures every node: corpus, encoding, checksums, device.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
 	// Base.LinkFaults/DeviceFaults apply to every node unless NodeFaults
-	// overrides them. Base.Retry governs cross-node failover instead of
-	// each node's link: MaxAttempts bounds the node calls per read and
-	// Backoff/Seed drive the deterministic jittered waits — the schedule
-	// single-link retries use, reused at the cluster seam. Base.Workers
-	// bounds the scatter-gather worker pool.
+	// overrides them. Base.Retry governs the front end's reads as it does
+	// a single server's: MaxAttempts bounds the node calls per read across
+	// the shard's nodes and Backoff/Seed drive the deterministic jittered
+	// waits. Base.Workers bounds the scatter-gather worker pool.
 	Base Config
 	// NodeFaults, when non-nil, returns the fault policies for the
 	// given node (replica 0 is the primary); nil return values mean no
@@ -75,10 +74,11 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 // System — RunQuery, RunQueries, ConsistentBandRegion — with routing,
 // failover, and partial-result semantics layered in.
 type ClusterSystem struct {
-	*Client // the DX half, the same one a System embeds
+	// Client is the DX half, the same one a System embeds; its Cluster
+	// holds the shards and its routing table the studies' keys.
+	*Client
 
-	Cfg     ClusterConfig
-	Cluster *cluster.Cluster
+	Cfg ClusterConfig
 	// Nodes holds the per-shard node systems: Nodes[shard][0] is the
 	// primary, the rest replicas.
 	Nodes [][]*System
@@ -86,8 +86,6 @@ type ClusterSystem struct {
 	// Studies is the global corpus view (every study, regardless of
 	// shard), in load order.
 	Studies []StudyInfo
-
-	routes map[int]cluster.Key // studyID -> routing key
 }
 
 // Close releases every node System the cluster built — its transport,
@@ -116,20 +114,16 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 	// The routing table is derived from the corpus's IDs alone, before
 	// any node exists.
 	part := cluster.NewPartitioner(cfg.Shards)
-	cs := &ClusterSystem{
-		Cfg:     cfg,
-		Studies: medserver.Corpus(base),
-		routes:  make(map[int]cluster.Key),
-	}
+	cs := &ClusterSystem{Cfg: cfg, Studies: medserver.Corpus(base)}
+	routes := make(map[int]cluster.Key)
 	perShard := make([][]int, cfg.Shards)
 	for _, info := range cs.Studies {
 		key := cluster.Key{Patient: info.PatientID, Study: info.StudyID}
 		sh := part.Shard(key)
-		cs.routes[info.StudyID] = key
+		routes[info.StudyID] = key
 		perShard[sh] = append(perShard[sh], info.StudyID)
 	}
 
-	pol := base.Retry.WithDefaults()
 	var shardNodes [][]cluster.Node
 	for sh := 0; sh < cfg.Shards; sh++ {
 		var nodes []cluster.Node
@@ -138,9 +132,6 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 			// The shard's subset — always non-nil, so an empty shard
 			// loads nothing rather than everything.
 			nodeCfg.OnlyStudies = append([]int{}, perShard[sh]...)
-			// The cluster owns retries and failover; each node link
-			// answers exactly once per dial.
-			nodeCfg.Retry = transport.RetryPolicy{MaxAttempts: 1}
 			// Node-level tracing is off: spans hang off the front end's
 			// tracer through the parent span threaded into each call.
 			nodeCfg.Trace = false
@@ -159,22 +150,13 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 		shardNodes = append(shardNodes, nodes)
 	}
 
-	cs.Client = NewClient(nil, base)
-	cs.Client.server = cs
-	cl, err := cluster.New(cluster.Config{
-		Breaker:     cfg.Breaker,
-		MaxAttempts: pol.MaxAttempts,
-		Backoff:     pol.Backoff,
-		JitterSeed:  pol.Seed,
-		Retryable:   transport.RetryableError,
-		HedgeAfter:  cfg.HedgeAfter,
-		Metrics:     cs.Metrics,
-	}, shardNodes)
+	client, err := newClient(base, obs.NewRegistry(), cluster.Config{Breaker: cfg.Breaker, HedgeAfter: cfg.HedgeAfter}, shardNodes)
 	if err != nil {
 		cs.Close()
 		return nil, err
 	}
-	cs.Cluster = cl
+	client.routes = routes
+	cs.Client = client
 	return cs, nil
 }
 
@@ -200,56 +182,6 @@ func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
 		return 0, false
 	}
 	return cs.Cluster.Partitioner().Shard(key), true
-}
-
-// transportNode adapts one node's Transport to the cluster.Node seam:
-// the cluster does not know whether a node is a simulated link or a
-// live daemon — it consumes each exchange's own bill either way, so
-// calls to one node run as concurrently as its transport allows.
-type transportNode struct {
-	name string
-	t    transport.Transport
-}
-
-func (n *transportNode) Name() string { return n.name }
-
-// Call is one exchange with the node; the cluster validates the reply.
-func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
-	return n.t.Exchange(parent, method, request)
-}
-
-// fetch is the cluster's side of the client seam: route by (patient,
-// study) key, then read with failover and hedging. Each node reply is
-// checked and decoded once, inside the read: a corrupt one is that
-// node's failure, failover fodder, rather than a fault downstream in the
-// DX import. The first valid reply is the one the read returns; a
-// hedge's is checked and dropped. The messages are every node call's,
-// as their links metered them.
-func (cs *ClusterSystem) fetch(root *obs.Span, spec QuerySpec, _ string, request []byte) (fetched, error) {
-	key, ok := cs.routes[spec.StudyID]
-	if !ok {
-		// Unroutable: terminal, not a shard health problem.
-		return fetched{retry: transport.RetryStats{Attempts: 1}},
-			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID)
-	}
-	var f fetched
-	_, info, err := cs.Cluster.Read(root, key, QueryMethod, request, func(resp []byte) error {
-		meta, blob, err := DecodeQueryResponse(resp)
-		if err == nil && f.meta == nil {
-			f.meta, f.blob = meta, blob
-		}
-		return err
-	})
-	f.retry = transport.RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}
-	if err != nil {
-		f.retry.LastError = err.Error()
-		return f, fmt.Errorf("qbism: query failed: %w", err)
-	}
-	// The read's simulated latency already prices the winning call's
-	// network model time, injected latency, and call quantum.
-	f.messages, f.latency = info.Net.Messages, info.LatencySim
-	f.shard = &info
-	return f, nil
 }
 
 // RunQueries scatter-gathers the specs across the cluster over a

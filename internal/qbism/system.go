@@ -79,15 +79,18 @@ type System struct {
 	// Server is the MedicalServer half: Cfg, Curve, LFM, DB, Atlas,
 	// Studies, BandRegions, ServeRPC, ExplainSpec, ConsistentBandRegion.
 	*medserver.Server
-	// Client is the DX half: RunQuery, RunQueries, Transport, Retry,
+	// Client is the DX half: RunQuery, RunQueries, its cluster of one,
 	// Model, Cache, SlowLog, and the Metrics registry and Tracer it
 	// shares with the server.
 	*Client
 
-	// Link is the simulated link the client's own Transport crosses to
-	// reach the server: its crossing and fault counters, and
-	// where LinkFaults — the active injector, nil unless
-	// Config.LinkFaults — is installed.
+	// Transport is the simulated transport the client's one node is
+	// reached over, crossing Link to Server: the cumulative meter of its
+	// bills (Stats), and a raw Call that bypasses the client.
+	Transport *transport.Sim
+	// Link is the simulated link Transport crosses: its crossing and
+	// fault counters, and where LinkFaults — the active injector, nil
+	// unless Config.LinkFaults — is installed.
 	Link       *netsim.Link
 	LinkFaults *faultsim.Injector
 }
@@ -105,17 +108,18 @@ func New(cfg Config) (*System, error) {
 		s.LinkFaults = faultsim.New(*cfg.LinkFaults)
 		s.Link.SetFaults(s.LinkFaults)
 	}
-	s.Client = NewClient(transport.NewSim(s.Link, model, srv.ServeRPC), srv.Cfg)
-	// One process, one registry and one tracer: the server's and the
-	// client's series sit side by side.
-	s.Metrics, s.Tracer = srv.Observers()
+	s.Transport = transport.NewSim(s.Link, model, srv.ServeRPC)
+	// One process, one registry and one tracer: the server's, the
+	// client's and its node's series sit side by side.
+	metrics, tracer := srv.Observers()
+	s.Client = newNodeClient(s.Transport, srv.Cfg, metrics)
+	s.Tracer = tracer
 	return s, nil
 }
 
-// Close releases the client's transport and the server's long-field
-// manager. The simulated flavors hold no external resources, but a TCP
-// transport holds a live socket and a file-backed LFM holds an open
-// device file — callers should Close when done.
+// Close releases the transport and the server's long-field manager. A
+// file-backed LFM holds an open device file — callers should Close when
+// done.
 func (s *System) Close() error {
 	first := s.Transport.Close()
 	if err := s.Server.Close(); err != nil && first == nil {

@@ -7,20 +7,20 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
 	"qbism/internal/netsim"
-	"qbism/internal/obs"
 )
 
 // RetryPolicy governs how a client retries transient call failures.
 // Backoff is capped exponential with deterministic jitter: attempt k
 // waits in [base·2^(k-1)/2, base·2^(k-1)), capped at MaxBackoff, with
-// the jitter drawn from a stream seeded by Seed and the call key — so
+// the jitter drawn from a stream seeded by Seed and the request — so
 // two identical runs back off identically. The waits are simulated
 // time (priced into the query's timing like the cost model's network
 // time), never real sleeps, so benchmarks stay fast and reproducible.
 //
-// The policy lives at the transport seam: the same schedule drives
-// single-link retries, cluster failover waits, and (through a tcp
-// transport) retries against a live daemon.
+// The policy lives at the transport seam, where both flavors can reach
+// it; the one loop that applies it is the cluster's read
+// (cluster.ReadShard), which serves a single server as a cluster of one
+// node, over the simulated link or a socket alike.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (1 = no retries).
 	MaxAttempts int
@@ -54,8 +54,7 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 
 // Backoff returns the simulated wait before retrying after the given
 // 1-based failed attempt: capped exponential with jitter in [d/2, d).
-// Exported so the cluster layer reuses the exact same schedule for
-// cross-node failover retries.
+// It is the cluster's Backoff (cluster.Config).
 func (p RetryPolicy) Backoff(attempt int, rng *faultsim.Rand) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
@@ -66,20 +65,6 @@ func (p RetryPolicy) Backoff(attempt int, rng *faultsim.Rand) time.Duration {
 	}
 	half := d / 2
 	return half + time.Duration(rng.Float64()*float64(half))
-}
-
-// RetryStats reports one call's resilience history.
-type RetryStats struct {
-	// Attempts is the number of calls issued (>= 1).
-	Attempts int
-	// Retries is the number of failed attempts that were retried.
-	Retries int
-	// BackoffSim is the total simulated backoff wait.
-	BackoffSim time.Duration
-	// LastError describes the most recent failed attempt, if any; it
-	// survives an eventual success so post-mortems see what the retries
-	// were curing.
-	LastError string
 }
 
 // RetryableError reports whether err is a transient failure a retry
@@ -112,8 +97,9 @@ func RetryableError(err error) bool {
 	return false
 }
 
-// JitterSeed mixes a policy seed with a call key (FNV-1a) so
-// concurrent calls jitter differently but deterministically.
+// JitterSeed mixes a policy seed with an FNV-1a hash of a call key (the
+// cluster passes the request bytes), so concurrent calls jitter
+// differently but deterministically.
 func JitterSeed(seed uint64, key string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -121,41 +107,4 @@ func JitterSeed(seed uint64, key string) uint64 {
 		h *= 1099511628211
 	}
 	return seed ^ h
-}
-
-// CallRetry performs one logical RPC over t with the policy's retry
-// schedule: transient failures (per RetryableError) are retried up to
-// MaxAttempts with capped, deterministically jittered simulated
-// backoff; terminal failures and exhausted attempts return the last
-// error. validate, when non-nil, runs on each successful response —
-// a validation failure (e.g. a frame corrupted past the link layer's
-// own checks) is classified and retried exactly like a call failure.
-// key seeds the jitter stream so two identical runs back off
-// identically; retries are reported to the transport via NoteRetry so
-// link-level meters reconcile with the returned RetryStats. The
-// returned Stats is the sum of every attempt's bill, failed ones
-// included, on success and failure alike.
-func CallRetry(t Transport, parent *obs.Span, method string, request []byte, pol RetryPolicy, key string, validate func([]byte) error) ([]byte, RetryStats, Stats, error) {
-	pol = pol.WithDefaults()
-	jitter := faultsim.NewRand(JitterSeed(pol.Seed, key))
-	var retry RetryStats
-	var net Stats
-	for attempt := 1; ; attempt++ {
-		retry.Attempts = attempt
-		resp, bill, err := t.Exchange(parent, method, request)
-		net = net.Add(bill)
-		if err == nil && validate != nil {
-			err = validate(resp)
-		}
-		if err == nil {
-			return resp, retry, net, nil
-		}
-		retry.LastError = err.Error()
-		if attempt >= pol.MaxAttempts || !RetryableError(err) {
-			return nil, retry, net, err
-		}
-		retry.Retries++
-		retry.BackoffSim += pol.Backoff(attempt, jitter)
-		NoteRetry(t)
-	}
 }

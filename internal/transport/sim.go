@@ -95,19 +95,9 @@ func (s *Sim) Call(parent *obs.Span, method string, request []byte) ([]byte, err
 	return resp, err
 }
 
-// NoteRetry counts a client retry on the seam's meter and forwards it to
-// the link's, so the chaos suites' "link retries == summed query
-// retries" reconciliation holds with the retry loop living at the seam.
-func (s *Sim) NoteRetry() {
-	s.link.NoteRetry()
-	s.mu.Lock()
-	s.stats.Retries++
-	s.mu.Unlock()
-}
-
-// Stats implements Transport: the sum of every bill issued, plus the
-// retries reported. NetworkTime is linear in messages, so its Latency is
-// also the model's price of all the messages plus all injected latency.
+// Stats implements Transport: the sum of every bill issued. NetworkTime
+// is linear in messages, so its Latency is also the model's price of all
+// the messages plus all injected latency.
 func (s *Sim) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -262,13 +262,6 @@ func (t *TCP) teardownLocked() {
 	}
 }
 
-// NoteRetry implements the optional retry accounting hook.
-func (t *TCP) NoteRetry() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stats.Retries++
-}
-
 // Stats implements Transport.
 func (t *TCP) Stats() Stats {
 	t.mu.Lock()

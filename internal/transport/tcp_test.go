@@ -280,18 +280,3 @@ func TestTCPGarbageRequestDropsConnection(t *testing.T) {
 		t.Errorf("frame errors %d, want 1", got)
 	}
 }
-
-// TestTCPCallRetryEndToEnd: the seam's retry loop rides a real socket
-// — admission rejections back off and eventually succeed.
-func TestTCPCallRetryEndToEnd(t *testing.T) {
-	srv := startServer(t, echoHandler, ServerConfig{})
-	c := dialServer(t, srv)
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5}
-	resp, st, _, err := CallRetry(c, nil, "ping", []byte("x"), pol, "q", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ping:x" || st.Attempts != 1 {
-		t.Fatalf("resp %q stats %+v", resp, st)
-	}
-}

@@ -18,11 +18,10 @@
 // Exchange returns the call's own bill (Stats), exact however many calls
 // overlap, and Stats() is the cumulative meter, for metrics.
 //
-// Client-side resilience lives here too (retry.go): CallRetry wraps any
-// Transport with the capped-exponential, deterministically jittered
-// retry schedule PR 1 established, and RetryableError is the one
-// classification of transient-vs-terminal both the single-link client
-// and the cluster failover path consult.
+// The client's resilience policy lives here too (retry.go): RetryPolicy is
+// the capped-exponential, deterministically jittered retry schedule, and
+// RetryableError the one classification of transient-vs-terminal. The
+// cluster's read loop applies both, to one server and to a shard alike.
 package transport
 
 import (
@@ -74,9 +73,9 @@ type Handler func(sp *obs.Span, method string, request []byte) ([]byte, error)
 // Stats is traffic accounting in one of two roles. Exchange returns one
 // call's bill: Calls 1, Errors 0 or 1, and the messages, bytes and
 // latency that call put on its link. Stats() is a transport's cumulative
-// meter, the sum of every bill it issued plus the retries reported to
-// it, for metrics. A call is priced by its own bill, never by a
-// difference of the cumulative meter, which other calls move too.
+// meter, the sum of every bill it issued, for metrics. A call is priced
+// by its own bill, never by a difference of the cumulative meter, which
+// other calls move too.
 type Stats struct {
 	// Calls counts exchanges initiated.
 	Calls uint64
@@ -90,8 +89,10 @@ type Stats struct {
 	// BytesOut and BytesIn count request and response payload bytes.
 	BytesOut uint64
 	BytesIn  uint64
-	// Retries counts client retries reported via NoteRetry (cumulative
-	// meter only).
+	// Retries is always 0: a transport carries single exchanges and never
+	// learns which of them were retries — ReadInfo.Retries and the
+	// qbism_retries_total counter hold those. The field stays until the
+	// repo benchmark stops reading it.
 	Retries uint64
 	// Latency is the network time of carried calls: network-model time
 	// plus injected latency for the sim flavor, measured wall time for
@@ -143,17 +144,4 @@ type Transport interface {
 	// Close releases the transport's resources; subsequent calls fail
 	// with ErrClosed.
 	Close() error
-}
-
-// retryNoter is the optional interface a transport implements to have
-// client retries folded into its cumulative meter (the sim flavor also
-// forwards them to the link's, so chaos tests reconcile retries
-// exactly).
-type retryNoter interface{ NoteRetry() }
-
-// NoteRetry records a client retry on the transport's counters.
-func NoteRetry(t Transport) {
-	if n, ok := t.(retryNoter); ok {
-		n.NoteRetry()
-	}
 }

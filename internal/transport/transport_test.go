@@ -143,18 +143,6 @@ func TestSimAddsNoSpan(t *testing.T) {
 	}
 }
 
-func TestSimNoteRetryForwardsToLink(t *testing.T) {
-	s, link, _ := newSimPair(t)
-	NoteRetry(s)
-	NoteRetry(s)
-	if got := link.Stats().Retries; got != 2 {
-		t.Errorf("link retries %d, want 2 (chaos reconciliation depends on this)", got)
-	}
-	if got := s.Stats().Retries; got != 2 {
-		t.Errorf("seam retries %d, want 2", got)
-	}
-}
-
 func TestSimClosedFences(t *testing.T) {
 	s, _, _ := newSimPair(t)
 	if err := s.Close(); err != nil {
@@ -162,138 +150,6 @@ func TestSimClosedFences(t *testing.T) {
 	}
 	if _, err := s.Call(nil, "echo", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close: %v", err)
-	}
-}
-
-// flaky fails its first n calls with err, then succeeds; it meters
-// only the retries CallRetry reports.
-type flaky struct {
-	failures int
-	err      error
-	calls    int
-	retries  uint64
-}
-
-func (f *flaky) NoteRetry()   { f.retries++ }
-func (f *flaky) Stats() Stats { return Stats{Retries: f.retries} }
-func (f *flaky) Close() error { return nil }
-
-func (f *flaky) Exchange(parent *obs.Span, method string, request []byte) ([]byte, Stats, error) {
-	f.calls++
-	bill := Stats{Calls: 1, Messages: 2}
-	if f.calls <= f.failures {
-		bill.Errors = 1
-		return nil, bill, f.err
-	}
-	return []byte("ok"), bill, nil
-}
-
-func (f *flaky) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
-	resp, _, err := f.Exchange(parent, method, request)
-	return resp, err
-}
-
-func TestCallRetryCuresTransientFailures(t *testing.T) {
-	tr := &flaky{failures: 2, err: fmt.Errorf("wrapped: %w", ErrConn)}
-	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Seed: 7}
-	resp, st, bill, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ok" {
-		t.Fatalf("got %q", resp)
-	}
-	if st.Attempts != 3 || st.Retries != 2 {
-		t.Errorf("stats %+v, want 3 attempts / 2 retries", st)
-	}
-	if want := (Stats{Calls: 3, Errors: 2, Messages: 6}); bill != want {
-		t.Errorf("bill %+v, want every attempt's: %+v", bill, want)
-	}
-	if st.BackoffSim <= 0 {
-		t.Error("no simulated backoff accumulated")
-	}
-	if st.LastError == "" {
-		t.Error("LastError must survive an eventual success")
-	}
-	if tr.Stats().Retries != 2 {
-		t.Errorf("transport retry meter %d, want 2", tr.Stats().Retries)
-	}
-}
-
-func TestCallRetryTerminalFailsFast(t *testing.T) {
-	terminal := errors.New("semantic failure")
-	tr := &flaky{failures: 99, err: terminal}
-	pol := RetryPolicy{MaxAttempts: 5, Seed: 1}
-	_, st, _, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
-	if !errors.Is(err, terminal) {
-		t.Fatalf("got %v", err)
-	}
-	if st.Attempts != 1 || st.Retries != 0 {
-		t.Errorf("terminal error retried: %+v", st)
-	}
-}
-
-func TestCallRetryExhaustion(t *testing.T) {
-	tr := &flaky{failures: 99, err: fmt.Errorf("down: %w", ErrDial)}
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1}
-	_, st, bill, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
-	if !errors.Is(err, ErrDial) {
-		t.Fatalf("got %v", err)
-	}
-	if st.Attempts != 3 || st.Retries != 2 {
-		t.Errorf("stats %+v, want 3 attempts / 2 retries", st)
-	}
-	if want := (Stats{Calls: 3, Errors: 3, Messages: 6}); bill != want {
-		t.Errorf("bill %+v on exhaustion, want every attempt's: %+v", bill, want)
-	}
-}
-
-// TestCallRetryValidateFailureRetried: a response that fails the
-// caller's validation is classified and retried exactly like a call
-// failure — the loop the query path relies on for corrupt replies.
-func TestCallRetryValidateFailureRetried(t *testing.T) {
-	tr := &flaky{failures: 0, err: nil}
-	calls := 0
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1}
-	resp, st, bill, err := CallRetry(tr, nil, "m", nil, pol, "key", func(b []byte) error {
-		calls++
-		if calls < 3 {
-			return fmt.Errorf("reply damaged: %w", ErrFrameCorrupt)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ok" || st.Attempts != 3 {
-		t.Fatalf("resp %q, stats %+v", resp, st)
-	}
-	// A reply that failed validation still crossed the link.
-	if want := (Stats{Calls: 3, Messages: 6}); bill != want {
-		t.Errorf("bill %+v, want every attempt's: %+v", bill, want)
-	}
-}
-
-// TestCallRetryDeterministicBackoff: identical (policy, key) pairs
-// back off identically; different keys draw different jitter.
-func TestCallRetryDeterministicBackoff(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 9}
-	run := func(key string) time.Duration {
-		tr := &flaky{failures: 99, err: fmt.Errorf("x: %w", ErrConn)}
-		_, st, _, _ := CallRetry(tr, nil, "m", nil, pol, key, nil)
-		return st.BackoffSim
-	}
-	if a, b := run("k1"), run("k1"); a != b {
-		t.Errorf("same key backed off differently: %v vs %v", a, b)
-	}
-	if a, b := run("k1"), run("k2"); a == b {
-		t.Errorf("different keys drew identical jitter: %v", a)
-	}
-	// And the schedule matches the policy's own Backoff stream.
-	rng := faultsim.NewRand(JitterSeed(pol.Seed, "k1"))
-	want := pol.Backoff(1, rng) + pol.Backoff(2, rng) + pol.Backoff(3, rng)
-	if got := run("k1"); got != want {
-		t.Errorf("backoff %v, want the policy schedule %v", got, want)
 	}
 }
 
