@@ -163,9 +163,11 @@ cover:
 # (TestIntersectNAllocBudget pins it at three allocations), and
 # BenchmarkParallelMultiStudy, ConsistentBandRegion's reads, decode and
 # fold at one and four workers (TestConsistentBandRegionAllocBudget
-# pins those).
+# pins those) — and BenchmarkNewClusterSystem, one 2×2 cluster built and
+# closed at Bits 5 (what its four nodes and one client cost).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^Benchmark(ServeRPC(Small|Mixed|Traced|Bulk)|RunQueryMixed)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode

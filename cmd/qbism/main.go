@@ -95,16 +95,8 @@ func main() {
 		Bits: *bits, NumPET: *pets, NumMRI: *mris, Seed: *seed, SmallStudies: *small,
 		Checksums:  *checksums,
 		CachePages: *cachePages, ReadGapPages: *gapPages, Workers: *workers,
-		Rencode:          *rencodeMode,
-		Trace:            *trace || *slowlog > 0,
-		SlowLogThreshold: *slowlog,
-	}
-	if *drop+*timeout+*corrupt+*tamper+*latency > 0 {
-		cfg.LinkFaults = &qbism.FaultPolicy{
-			Seed: *faultSeed, DropProb: *drop, TimeoutProb: *timeout,
-			CorruptProb: *corrupt, TamperProb: *tamper,
-			LatencyProb: *latency, ExtraLatency: 50 * time.Millisecond,
-		}
+		Rencode: *rencodeMode,
+		Trace:   *trace,
 	}
 	if *readErr+*pageCorrupt > 0 {
 		cfg.DeviceFaults = &qbism.FaultPolicy{
@@ -112,9 +104,8 @@ func main() {
 		}
 	}
 	pol := qbism.DefaultRetryPolicy()
-	pol.MaxAttempts = *retries
-	pol.Seed = *faultSeed
-	cfg.Retry = pol
+	pol.MaxAttempts, pol.Seed = *retries, *faultSeed
+	opts := []qbism.Option{qbism.WithRetry(pol), qbism.WithSlowLog(*slowlog)}
 
 	buildSpec := func() qbism.QuerySpec {
 		spec := qbism.QuerySpec{
@@ -155,7 +146,7 @@ func main() {
 		}
 		tcp := qbism.DialTCP(*addr)
 		defer tcp.Close()
-		c := qbism.NewClient(tcp, cfg)
+		c := qbism.NewClient(tcp, cfg, opts...)
 		res := runSpec(c, buildSpec())
 		fmt.Printf("connected to %s\n", *addr)
 		report(os.Stdout, c, nil, false, res, *slowlog, *metrics, *out)
@@ -165,14 +156,21 @@ func main() {
 		if *sql != "" || *repl {
 			fail("-shards applies to query specs; the SQL modes run unsharded")
 		}
-		runClusterQuery(cfg, *shards, *replicas, *noPushdown, *deadNode, *slowNode, *slowlog, *metrics, *out, buildSpec())
+		runClusterQuery(cfg, opts, *shards, *replicas, *noPushdown, *deadNode, *slowNode, *slowlog, *metrics, *out, buildSpec())
 		return
 	}
 
 	loadStart := time.Now()
-	sys, err := qbism.NewSystem(cfg)
+	sys, err := qbism.NewSystem(cfg, opts...)
 	if err != nil {
 		fail("load: %v", err)
+	}
+	if *drop+*timeout+*corrupt+*tamper+*latency > 0 {
+		sys.Link.SetFaults(qbism.NewFaultInjector(qbism.FaultPolicy{
+			Seed: *faultSeed, DropProb: *drop, TimeoutProb: *timeout,
+			CorruptProb: *corrupt, TamperProb: *tamper,
+			LatencyProb: *latency, ExtraLatency: 50 * time.Millisecond,
+		}))
 	}
 	if *noPushdown {
 		sys.DB.SetPushdown(false)
@@ -335,7 +333,7 @@ func parseNodeRef(flagName, v string) (shard, replica int, ok bool) {
 // optionally degrading one node first, and reports how the read was
 // served: which node answered, and any failovers, retries, or hedges it
 // took to keep the answer byte-identical.
-func runClusterQuery(cfg qbism.Config, shards, replicas int, noPushdown bool, deadNode, slowNode string, slowlog time.Duration, metrics bool, out string, spec qbism.QuerySpec) {
+func runClusterQuery(cfg qbism.Config, opts []qbism.Option, shards, replicas int, noPushdown bool, deadNode, slowNode string, slowlog time.Duration, metrics bool, out string, spec qbism.QuerySpec) {
 	deadSh, deadR, haveDead := parseNodeRef("-deadnode", deadNode)
 	slowSh, slowR, haveSlow := parseNodeRef("-slownode", slowNode)
 	if replicas == 0 {
@@ -356,7 +354,7 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, noPushdown bool, de
 			return nil, nil
 		},
 	}
-	cs, err := qbism.NewClusterSystem(ccfg)
+	cs, err := qbism.NewClusterSystem(ccfg, opts...)
 	if err != nil {
 		fail("load cluster: %v", err)
 	}

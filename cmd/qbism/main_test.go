@@ -29,12 +29,13 @@ func exactRow(t qbism.QueryTiming) qbism.QueryTiming {
 func TestAddrMatchesEmbedded(t *testing.T) {
 	cfg := qbism.Config{
 		Bits: 4, NumPET: 2, NumMRI: 1, Seed: 1993, SmallStudies: true,
-		Checksums: true, Rencode: "auto", Retry: qbism.DefaultRetryPolicy(),
+		Checksums: true, Rencode: "auto",
 	}
+	retry := qbism.WithRetry(qbism.DefaultRetryPolicy())
 	spec := qbism.QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "ntal1"}
 	dir := t.TempDir()
 
-	sys, err := qbism.NewSystem(cfg)
+	sys, err := qbism.NewSystem(cfg, retry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestAddrMatchesEmbedded(t *testing.T) {
 	defer d.Close()
 	tcp := qbism.DialTCP(d.Addr().String())
 	defer tcp.Close()
-	client := qbism.NewClient(tcp, cfg)
+	client := qbism.NewClient(tcp, cfg, retry)
 	dialed, err := client.RunQuery(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -152,10 +152,9 @@ func TestClientRetryOverTCP(t *testing.T) {
 	defer d.Close()
 	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
 	defer tcp.Close()
-	cfg := testConfig
-	cfg.Retry = transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5}
+	retry := qbism.WithRetry(transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5})
 
-	got, err := qbism.NewClient(tcp, cfg).RunQuery(spec)
+	got, err := qbism.NewClient(tcp, testConfig, retry).RunQuery(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,9 +137,9 @@ func (p *Program) Methods(named *types.Named) []*FuncInfo {
 // some method of the type.
 
 // ReleasedFields returns the set of field names of named that some
-// declared method of named calls Close on — directly (recv.f.Close()),
-// through a local alias, or element-wise through range loops over the
-// field (covering slices and nested slices of resources).
+// method of named calls Close on — directly (recv.f.Close()), through a
+// local alias, element-wise through range loops over the field (slices
+// and nested slices of resources), or as the promoted Close itself.
 func (p *Program) ReleasedFields(named *types.Named) map[string]bool {
 	if named == nil {
 		return nil
@@ -152,6 +152,10 @@ func (p *Program) ReleasedFields(named *types.Named) map[string]bool {
 	p.releasedMemo[tn] = out // set early: cycles terminate
 	for _, m := range p.methods[tn] {
 		p.releasedFieldsIn(m, out)
+	}
+	obj, index, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, tn.Pkg(), "Close")
+	if _, ok := obj.(*types.Func); ok && len(index) > 1 { // promoted from an embedded field
+		out[named.Underlying().(*types.Struct).Field(index[0]).Name()] = true
 	}
 	return out
 }

@@ -82,6 +82,12 @@ func NewHolder() (*Holder, error) {
 	return &Holder{r: r}, nil
 }
 
+// Ownership transfer: stored into the field whose Close is promoted.
+func NewEmbedder() *Embedder {
+	r := OpenRaw()
+	return &Embedder{Res: r}
+}
+
 // Ownership transfer: captured by a closure.
 func ClosureCapture() {
 	r, err := Open()

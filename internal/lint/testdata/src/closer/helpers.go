@@ -33,3 +33,6 @@ func (h *Holder) Close() error { return h.r.Close() }
 type Sink struct{ r *Res }
 
 func (s *Sink) Get() *Res { return s.r }
+
+// Embedder's Close is its embedded Res's, promoted.
+type Embedder struct{ *Res }

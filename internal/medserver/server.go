@@ -13,7 +13,6 @@ package medserver
 
 import (
 	"fmt"
-	"time"
 
 	"qbism/internal/atlas"
 	"qbism/internal/faultsim"
@@ -24,7 +23,6 @@ import (
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
 	"qbism/internal/synth"
-	"qbism/internal/transport"
 	"qbism/internal/volume"
 )
 
@@ -43,13 +41,13 @@ const (
 	EncK3Tree = "k3-tree"
 )
 
-// Config parameterizes a Server and the DX client internal/qbism puts in
-// front of one; LinkFaults, Retry, SlowLogThreshold and SlowLogCapacity
-// are read only by the client side. The repo benchmark sets six fields
-// by name (Bits, NumPET, NumMRI, BandWidth, SmallStudies, CachePages)
-// and reads sys.Cfg whole (benchmark/layers.go, gen.go), so it pins ten
-// names — those six and Method, ReadGapPages, WithMeshes and Seed — but
-// not the struct's shape (ROADMAP item 3).
+// Config parameterizes a Server, and every field has a reader here
+// (config_test.go). A DX client in its process also reads Workers and
+// Trace; what only a client reads is internal/qbism's Options. The repo
+// benchmark sets six fields by name (Bits, NumPET, NumMRI, BandWidth,
+// SmallStudies, CachePages) and reads sys.Cfg whole (benchmark/layers.go,
+// gen.go), so it pins ten names — those six and Method, ReadGapPages,
+// WithMeshes and Seed — but not the struct's shape.
 type Config struct {
 	// Bits is the atlas grid resolution: side = 1<<Bits. The paper uses
 	// 7 (128x128x128).
@@ -96,18 +94,10 @@ type Config struct {
 	// written pages are checksummed and reads verify them, so device
 	// corruption surfaces as a typed error instead of silent bad data.
 	Checksums bool
-	// LinkFaults, when non-nil, injects faults on the DX↔MedicalServer
-	// link (drops, timeouts, latency, corruption). Installed after
-	// loading, so only queries see them.
-	LinkFaults *faultsim.Policy
 	// DeviceFaults, when non-nil, injects faults on LFM page I/O (read
 	// errors, in-transfer bit flips, write errors, torn pages).
 	// Installed after loading.
 	DeviceFaults *faultsim.Policy
-	// Retry governs client-side retries of transient query failures.
-	// The zero value means a single attempt;
-	// transport.DefaultRetryPolicy() is a sensible production setting.
-	Retry transport.RetryPolicy
 
 	// CachePages, when positive, enables a CLOCK page cache of that many
 	// 4 KB pages in front of the LFM device. Zero keeps the paper's
@@ -123,20 +113,11 @@ type Config struct {
 	// ConsistentBandRegion). Zero or one means serial.
 	Workers int
 
-	// Trace enables end-to-end query tracing: every RunQuery produces a
-	// span tree covering the RPC round trips, SQL parse/plan/execute
-	// phases, per-operator counters, per-handle LFM I/O, and the DX
-	// import/render stages (QueryResult.Trace). A traced handler runs the
-	// path an untraced one runs, as concurrently: each call bills its own
-	// I/O (lfm.IO), so the tree's page counts are exact either way.
+	// Trace gives the server a tracer (Observers), which a client in its
+	// process shares to trace every query end to end. A traced handler runs
+	// as concurrently as an untraced one: each call bills its own I/O
+	// (lfm.IO), so a span tree's page counts are exact either way.
 	Trace bool
-	// SlowLogThreshold, when positive (and Trace is set), captures the
-	// full span tree and executed plan of every query whose measured
-	// total latency reaches it into a bounded slow-query log
-	// (Client.SlowLog). Zero disables the log.
-	SlowLogThreshold time.Duration
-	// SlowLogCapacity is the slow-query ring size (default 32).
-	SlowLogCapacity int
 }
 
 // WithDefaults fills zero fields.
@@ -152,9 +133,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1993
-	}
-	if c.SlowLogCapacity == 0 {
-		c.SlowLogCapacity = 32
 	}
 	if c.Rencode == "" {
 		c.Rencode = RencodeAuto

@@ -134,7 +134,7 @@ func TestClusterNetBillReconcilesUnderFaults(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,23 @@ func chaosSpecPool(s *System) []QuerySpec {
 	return pool
 }
 
-// marshalResult canonicalizes a query result for byte comparison.
-func marshalResult(t *testing.T, s *System, res *QueryResult) []byte {
+// newFaulty builds a System and installs link's faults on its link,
+// returning the injector so a test can count what it fired.
+func newFaulty(t *testing.T, cfg Config, link *faultsim.Policy, opts ...Option) (*System, *faultsim.Injector) {
 	t.Helper()
-	blob, err := MarshalDataRegion(res.Data, s.Cfg.Method)
+	sys, err := New(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultsim.New(*link)
+	sys.Link.SetFaults(inj)
+	return sys, inj
+}
+
+// marshalResult canonicalizes a query result for byte comparison.
+func marshalResult(t *testing.T, method rencode.Method, res *QueryResult) []byte {
+	t.Helper()
+	blob, err := MarshalDataRegion(res.Data, method)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,20 +113,15 @@ func TestChaosQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fault-free baseline failed for %s: %v", spec.Label(), err)
 		}
-		want[spec.Key()] = marshalResult(t, clean, res)
+		want[spec.Key()] = marshalResult(t, clean.Cfg.Method, res)
 	}
 	if len(pool) < 12 {
 		t.Fatalf("spec pool too small: %d", len(pool))
 	}
 
 	cfg := chaosBaseConfig()
-	cfg.LinkFaults = chaosLinkPolicy(101)
 	cfg.DeviceFaults = chaosDevicePolicy(202)
-	cfg.Retry = transport.DefaultRetryPolicy()
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := newFaulty(t, cfg, chaosLinkPolicy(101), WithRetry(transport.DefaultRetryPolicy()))
 
 	const queries = 300
 	pick := faultsim.NewRand(999)
@@ -129,7 +137,7 @@ func TestChaosQueries(t *testing.T) {
 		}
 		succeeded++
 		retried += res.Read.Retries
-		if got := marshalResult(t, sys, res); !bytes.Equal(got, want[spec.Key()]) {
+		if got := marshalResult(t, sys.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %d (%s): silent corruption — result differs from fault-free run (degraded=%v)",
 				i, spec.Label(), res.Meta.Degraded)
 		}
@@ -170,13 +178,8 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	run := func() ([]outcome, map[faultsim.Kind]uint64, map[faultsim.Kind]uint64) {
 		cfg := chaosBaseConfig()
-		cfg.LinkFaults = chaosLinkPolicy(7)
 		cfg.DeviceFaults = chaosDevicePolicy(8)
-		cfg.Retry = transport.DefaultRetryPolicy()
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, link := newFaulty(t, cfg, chaosLinkPolicy(7), WithRetry(transport.DefaultRetryPolicy()))
 		pool := chaosSpecPool(sys)
 		pick := faultsim.NewRand(55)
 		var outs []outcome
@@ -186,11 +189,11 @@ func TestChaosDeterminism(t *testing.T) {
 			o := outcome{OK: err == nil}
 			if err == nil {
 				o.Retries = res.Read.Retries
-				o.Blob = string(marshalResult(t, sys, res))
+				o.Blob = string(marshalResult(t, sys.Cfg.Method, res))
 			}
 			outs = append(outs, o)
 		}
-		return outs, sys.LinkFaults.Counts(), sys.DeviceFaults.Counts()
+		return outs, link.Counts(), sys.DeviceFaults.Counts()
 	}
 	o1, l1, d1 := run()
 	o2, l2, d2 := run()
@@ -249,8 +252,8 @@ func TestDegradedBandRecompute(t *testing.T) {
 		t.Errorf("not marked degraded: %+v", degraded.Meta)
 	}
 	t.Log(degraded.Meta.Warning)
-	hb := marshalResult(t, sys, healthy)
-	db := marshalResult(t, sys, degraded)
+	hb := marshalResult(t, sys.Cfg.Method, healthy)
+	db := marshalResult(t, sys.Cfg.Method, degraded)
 	if !bytes.Equal(hb, db) {
 		t.Error("degraded result differs from fast path")
 	}
@@ -280,13 +283,7 @@ func TestDegradedBandRecompute(t *testing.T) {
 // retryable error — proof the client never spins forever and never
 // converts exhaustion into an untyped failure.
 func TestRetryExhaustionIsTyped(t *testing.T) {
-	cfg := chaosBaseConfig()
-	cfg.LinkFaults = &faultsim.Policy{DropProb: 1.0}
-	cfg.Retry = transport.RetryPolicy{MaxAttempts: 3}
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := newFaulty(t, chaosBaseConfig(), &faultsim.Policy{DropProb: 1.0}, WithRetry(transport.RetryPolicy{MaxAttempts: 3}))
 	spec := QuerySpec{StudyID: sys.Studies[0].StudyID, Atlas: "Talairach", FullStudy: true}
 	_, qerr := sys.RunQuery(spec)
 	if qerr == nil {
@@ -314,15 +311,21 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 // clusterChaosConfig is a small 2-shard, primary+replica cluster over
 // the chaos corpus. DeviceBytes is explicit: lfm.New allocates the full
 // device upfront, and the per-node default includes production slack.
+// Its front end reads with clusterRetry(4) unless a test says otherwise.
 func clusterChaosConfig() ClusterConfig {
 	base := chaosBaseConfig()
 	base.DeviceBytes = 8 << 20
-	base.Retry = transport.RetryPolicy{MaxAttempts: 4, Seed: 9}
 	return ClusterConfig{
 		Shards:   2,
 		Replicas: 1,
 		Base:     base,
 	}
+}
+
+// clusterRetry is the degraded-shard suite's retry policy: attempts node
+// calls per read, with a fixed jitter seed.
+func clusterRetry(attempts int) Option {
+	return WithRetry(transport.RetryPolicy{MaxAttempts: attempts, Seed: 9})
 }
 
 // clusterControl builds the unsharded control system over the same
@@ -340,7 +343,7 @@ func clusterControl(t *testing.T) (*System, map[string][]byte) {
 		if err != nil {
 			t.Fatalf("control failed for %s: %v", spec.Label(), err)
 		}
-		want[spec.Key()] = marshalResult(t, control, res)
+		want[spec.Key()] = marshalResult(t, control.Cfg.Method, res)
 	}
 	return control, want
 }
@@ -354,7 +357,7 @@ func deadLink() *faultsim.Policy { return &faultsim.Policy{DropProb: 1.0} }
 // the corpus is actually partitioned (no node holds everything).
 func TestClusterBaselineByteIdentical(t *testing.T) {
 	control, want := clusterControl(t)
-	cs, err := NewClusterSystem(clusterChaosConfig())
+	cs, err := NewClusterSystem(clusterChaosConfig(), clusterRetry(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +385,7 @@ func TestClusterBaselineByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster query %s: %v", spec.Label(), err)
 		}
-		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("cluster result differs from control for %s", spec.Label())
 		}
 		if res.Read.Failovers != 0 || res.Read.Attempts != 1 {
@@ -404,7 +407,7 @@ func TestClusterBaselineByteIdentical(t *testing.T) {
 // counter matches the injected drop count exactly.
 func TestClusterNodeKilledMidRun(t *testing.T) {
 	control, want := clusterControl(t)
-	cs, err := NewClusterSystem(clusterChaosConfig())
+	cs, err := NewClusterSystem(clusterChaosConfig(), clusterRetry(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +436,7 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d (%s) failed despite a live replica: %v", i, spec.Label(), err)
 		}
-		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %d (%s): result differs from control", i, spec.Label())
 		}
 		sh, _ := cs.Route(spec.StudyID)
@@ -476,7 +479,6 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 func TestClusterDeadShardPartial(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Base.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	// Pick the victim from the routing alone (stable across runs).
 	part := cluster.NewPartitioner(cfg.Shards)
 	victim := part.Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
@@ -486,7 +488,7 @@ func TestClusterDeadShardPartial(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +514,7 @@ func TestClusterDeadShardPartial(t *testing.T) {
 		if item.Err != nil {
 			t.Fatalf("item %d on healthy shard failed: %v", i, item.Err)
 		}
-		if got := marshalResult(t, control, item.Res); !bytes.Equal(got, want[item.Spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, item.Res); !bytes.Equal(got, want[item.Spec.Key()]) {
 			t.Fatalf("item %d: surviving result differs from control", i)
 		}
 	}
@@ -558,7 +560,7 @@ func TestClusterCorruptNodeFailover(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +570,7 @@ func TestClusterCorruptNodeFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %s failed despite clean replicas: %v", spec.Label(), err)
 		}
-		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %s: result differs from control", spec.Label())
 		}
 		failovers += res.Read.Failovers
@@ -603,7 +605,7 @@ func TestClusterSlowNodeHedged(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +615,7 @@ func TestClusterSlowNodeHedged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %s: %v", spec.Label(), err)
 		}
-		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %s: hedged result differs from control", spec.Label())
 		}
 		if res.Read.Hedged {
@@ -661,7 +663,7 @@ func TestClusterFlappingNodeBreaker(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +677,7 @@ func TestClusterFlappingNodeBreaker(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if got := marshalResult(t, control, res); !bytes.Equal(got, want[spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 			t.Fatalf("query %d: result differs from control", i)
 		}
 		servedBy = append(servedBy, res.Read.Node)
@@ -720,7 +722,6 @@ func TestClusterConsistentBandRegionPartial(t *testing.T) {
 	b := control.BandRegions[studies[0]][0]
 
 	cfg := clusterChaosConfig()
-	cfg.Base.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: studies[0], Study: studies[0]})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {
@@ -728,7 +729,7 @@ func TestClusterConsistentBandRegionPartial(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -793,7 +794,7 @@ func TestClusterChaosDeterminism(t *testing.T) {
 			}
 			return &faultsim.Policy{Seed: uint64(2000 + shard), DropProb: 0.05}, nil
 		}
-		cs, err := NewClusterSystem(cfg)
+		cs, err := NewClusterSystem(cfg, clusterRetry(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -814,7 +815,7 @@ func TestClusterChaosDeterminism(t *testing.T) {
 			o := outcome{OK: err == nil}
 			if err == nil {
 				o.Node = res.Read.Node
-				o.Blob = string(marshalResult(t, cs.Nodes[0][0], res))
+				o.Blob = string(marshalResult(t, cs.Nodes[0][0].Cfg.Method, res))
 				o.Extra = res.Read.Failovers + res.Read.Retries
 			} else {
 				o.Err = err.Error()
@@ -848,7 +849,6 @@ func TestClusterChaosDeterminism(t *testing.T) {
 func TestClusterScatterGatherRace(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Base.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {
@@ -856,7 +856,7 @@ func TestClusterScatterGatherRace(t *testing.T) {
 		}
 		return nil, nil
 	}
-	cs, err := NewClusterSystem(cfg)
+	cs, err := NewClusterSystem(cfg, clusterRetry(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -872,7 +872,7 @@ func TestClusterScatterGatherRace(t *testing.T) {
 		if item.Err != nil {
 			t.Fatalf("item %d on healthy shard: %v", i, item.Err)
 		}
-		if got := marshalResult(t, control, item.Res); !bytes.Equal(got, want[item.Spec.Key()]) {
+		if got := marshalResult(t, control.Cfg.Method, item.Res); !bytes.Equal(got, want[item.Spec.Key()]) {
 			t.Fatalf("item %d: result differs from control", i)
 		}
 	}

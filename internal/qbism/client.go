@@ -27,11 +27,10 @@ type Client struct {
 	// in front of a single server — the same read loop either way.
 	Cluster *cluster.Cluster
 
-	// Tracer is the query tracer (nil unless Config.Trace). Metrics is
-	// the registry — always present, so counters accumulate whether or
-	// not tracing is on; the cluster's series are in it too. SlowLog is
-	// the slow-query ring (nil unless tracing with a positive
-	// SlowLogThreshold).
+	// Tracer is the query tracer (nil unless Config.Trace or WithSlowLog).
+	// Metrics is the registry — always present, so counters accumulate
+	// whether or not tracing is on; the cluster's series are in it too.
+	// SlowLog is the slow-query ring (nil unless WithSlowLog).
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 	SlowLog *obs.SlowLog
@@ -51,50 +50,71 @@ type fetched struct {
 	read cluster.ReadInfo
 }
 
+// slowLogCapacity is the slow-query ring size.
+const slowLogCapacity = 32
+
+// Option sets what only the DX client reads. New, NewClient and
+// NewClusterSystem take the same ones, and none is invalid on any.
+type Option func(*clientOptions)
+
+type clientOptions struct {
+	retry   transport.RetryPolicy
+	slowLog time.Duration
+}
+
+// WithRetry governs retries of transient failures: MaxAttempts bounds
+// the node calls per read (across a shard's nodes in a cluster), Backoff
+// and Seed drive the jittered waits. Without it a read tries once.
+func WithRetry(p transport.RetryPolicy) Option { return func(o *clientOptions) { o.retry = p } }
+
+// WithSlowLog keeps the span tree and plan of every query at least d
+// slow in Client.SlowLog, and so turns tracing on. A d of zero or less
+// leaves the log off.
+func WithSlowLog(d time.Duration) Option { return func(o *clientOptions) { o.slowLog = d } }
+
+func collectOptions(opts []Option) (o clientOptions) {
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // NewClient builds a DX client that reaches its MedicalServer over t: a
-// cluster of one shard of one node, with cfg.Retry's attempts and
-// backoff and no breaker or hedging. Of cfg it reads Retry, Workers,
-// Trace and the slow-log fields. Its sinks start empty, so they describe
-// query traffic only.
-func NewClient(t transport.Transport, cfg Config) *Client {
-	return newNodeClient(t, cfg, obs.NewRegistry())
+// cluster of one shard of one node, no breaker or hedging. Of cfg it
+// reads Workers and Trace. Its sinks start empty: query traffic only.
+func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
+	return newNodeClient(t, cfg, collectOptions(opts), obs.NewRegistry())
 }
 
 // newNodeClient is NewClient with the registry the client and its
-// cluster report into. cluster.New fails only on a shard without nodes,
-// so the one-node build cannot.
-func newNodeClient(t transport.Transport, cfg Config, metrics *obs.Registry) *Client {
-	c, _ := newClient(cfg, metrics, cluster.Config{}, [][]cluster.Node{{&transportNode{name: nodeName(0, 0), t: t}}})
-	return c
+// cluster report into.
+func newNodeClient(t transport.Transport, cfg Config, o clientOptions, metrics *obs.Registry) *Client {
+	return newClient(cfg, o, metrics, cluster.Config{}, [][]cluster.Node{{&transportNode{name: nodeName(0, 0), t: t}}})
 }
 
-// newClient builds the client of either topology: its reads go through
-// one cluster over shards, configured by cc plus cfg.Retry's attempts,
-// backoff and jitter seed, and report into metrics.
-func newClient(cfg Config, metrics *obs.Registry, cc cluster.Config, shards [][]cluster.Node) (*Client, error) {
-	cfg = cfg.WithDefaults()
-	pol := cfg.Retry.WithDefaults()
+// newClient builds the client of either topology: one cluster over
+// shards, configured by cc and WithRetry, reporting into metrics.
+// cluster.New fails only on a shard without nodes, which no caller has.
+func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Config, shards [][]cluster.Node) *Client {
+	pol := o.retry.WithDefaults()
 	cc.MaxAttempts, cc.Backoff, cc.JitterSeed = pol.MaxAttempts, pol.Backoff, pol.Seed
 	cc.Retryable, cc.Metrics = transport.RetryableError, metrics
-	cl, err := cluster.New(cc, shards)
-	if err != nil {
-		return nil, err
-	}
+	cl, _ := cluster.New(cc, shards)
 	c := &Client{
 		Model:      costmodel.Default1993(),
 		Cache:      dx.NewCache(8),
 		Cluster:    cl,
 		Metrics:    metrics,
-		slowThresh: cfg.SlowLogThreshold,
+		slowThresh: o.slowLog,
 		workers:    cfg.Workers,
 	}
-	if cfg.Trace {
+	if cfg.Trace || o.slowLog > 0 {
 		c.Tracer = obs.NewTracer()
-		if cfg.SlowLogThreshold > 0 {
-			c.SlowLog = obs.NewSlowLog(cfg.SlowLogCapacity)
-		}
 	}
-	return c, nil
+	if o.slowLog > 0 {
+		c.SlowLog = obs.NewSlowLog(slowLogCapacity)
+	}
+	return c
 }
 
 // transportNode adapts one node's Transport to the cluster.Node seam:

@@ -29,7 +29,7 @@ func TestRunQueriesMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial %s: %v", spec.Label(), err)
 		}
-		want[i] = marshalResult(t, sys, res)
+		want[i] = marshalResult(t, sys.Cfg.Method, res)
 	}
 
 	items := sys.RunQueries(pool, 4)
@@ -43,7 +43,7 @@ func TestRunQueriesMatchesSerial(t *testing.T) {
 		if item.Err != nil {
 			t.Fatalf("item %d (%s): %v", i, item.Spec.Label(), item.Err)
 		}
-		if got := marshalResult(t, sys, item.Res); !bytes.Equal(got, want[i]) {
+		if got := marshalResult(t, sys.Cfg.Method, item.Res); !bytes.Equal(got, want[i]) {
 			t.Fatalf("item %d (%s): parallel result differs from serial", i, item.Spec.Label())
 		}
 	}
@@ -94,15 +94,14 @@ func TestRunQueriesUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[spec.Key()] = marshalResult(t, clean, res)
+		want[spec.Key()] = marshalResult(t, clean.Cfg.Method, res)
 	}
 
 	cfg := chaosBaseConfig()
 	cfg.CachePages = 32
 	cfg.ReadGapPages = 4
 	cfg.DeviceFaults = &faultsim.Policy{Seed: 77, ReadErrProb: 0.01, PageCorruptProb: 0.01}
-	cfg.Retry = transport.DefaultRetryPolicy()
-	sys, err := New(cfg)
+	sys, err := New(cfg, WithRetry(transport.DefaultRetryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestRunQueriesUnderFaults(t *testing.T) {
 			continue
 		}
 		succeeded++
-		if got := marshalResult(t, sys, item.Res); !bytes.Equal(got, want[item.Spec.Key()]) {
+		if got := marshalResult(t, sys.Cfg.Method, item.Res); !bytes.Equal(got, want[item.Spec.Key()]) {
 			t.Fatalf("%s: parallel result under faults differs from baseline", item.Spec.Label())
 		}
 	}

@@ -29,7 +29,7 @@ func runCorpus(t *testing.T, sys *System, pool []QuerySpec) map[string][]byte {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Label(), err)
 		}
-		out[spec.Key()] = marshalResult(t, sys, res)
+		out[spec.Key()] = marshalResult(t, sys.Cfg.Method, res)
 	}
 	return out
 }
@@ -95,13 +95,8 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 	cfg := chaosBaseConfig()
 	cfg.ReadGapPages = 4
 	cfg.CachePages = 32
-	cfg.LinkFaults = chaosLinkPolicy(301)
 	cfg.DeviceFaults = chaosDevicePolicy(302)
-	cfg.Retry = transport.DefaultRetryPolicy()
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := newFaulty(t, cfg, chaosLinkPolicy(301), WithRetry(transport.DefaultRetryPolicy()))
 
 	succeeded := 0
 	total := 0
@@ -116,7 +111,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 				continue
 			}
 			succeeded++
-			if got := marshalResult(t, sys, res); !bytes.Equal(got, want[spec.Key()]) {
+			if got := marshalResult(t, sys.Cfg.Method, res); !bytes.Equal(got, want[spec.Key()]) {
 				t.Fatalf("%s: silent corruption through cache+gap path (degraded=%v)",
 					spec.Label(), res.Meta.Degraded)
 			}

@@ -49,7 +49,7 @@ type QueryResult struct {
 	// hedges, the simulated backoff, the last failed attempt's error, and
 	// the bill of every call it made.
 	Read cluster.ReadInfo
-	// Trace is the query's span tree (nil unless Config.Trace): the RPC
+	// Trace is the query's span tree (nil untraced, see Client.Tracer): the RPC
 	// round trips, server-side SQL phases and operators, per-handle LFM
 	// I/O, and the DX import/render stages.
 	Trace *obs.Span

@@ -67,7 +67,7 @@ func TestReprDifferentialAutoVsRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %d (%s) on runs: %v", i, spec.Label(), err)
 		}
-		if !bytes.Equal(marshalResult(t, auto, ra), marshalResult(t, runs, rr)) {
+		if !bytes.Equal(marshalResult(t, auto.Cfg.Method, ra), marshalResult(t, runs.Cfg.Method, rr)) {
 			t.Errorf("shape %d (%s): auto result differs from runs baseline", i, spec.Label())
 		}
 	}
@@ -95,7 +95,7 @@ func TestReprForcedK3Differential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %d (%s) on runs: %v", i, spec.Label(), err)
 		}
-		if !bytes.Equal(marshalResult(t, k3, rk), marshalResult(t, runs, rr)) {
+		if !bytes.Equal(marshalResult(t, k3.Cfg.Method, rk), marshalResult(t, runs.Cfg.Method, rr)) {
 			t.Errorf("shape %d (%s): forced-k3 result differs from runs baseline", i, spec.Label())
 		}
 	}
@@ -141,7 +141,7 @@ func TestDefaultBandEncoding(t *testing.T) {
 			t.Errorf("mode %s: degraded answer (default %q, named %q)",
 				tc.mode, def.Meta.Warning, nam.Meta.Warning)
 		}
-		if !bytes.Equal(marshalResult(t, s, def), marshalResult(t, s, nam)) {
+		if !bytes.Equal(marshalResult(t, s.Cfg.Method, def), marshalResult(t, s.Cfg.Method, nam)) {
 			t.Errorf("mode %s: default query and Encoding %q return different REGIONs", tc.mode, tc.want)
 		}
 		if def.Meta.LFMPages != nam.Meta.LFMPages {
@@ -169,9 +169,7 @@ func TestDefaultBandEncoding(t *testing.T) {
 // through the client, where the refusal is terminal rather than
 // retried — and the supported shapes on the same system still answer.
 func TestConflictingSpecRejected(t *testing.T) {
-	cfg := reprBaseConfig(medserver.RencodeAuto)
-	cfg.Retry = transport.DefaultRetryPolicy()
-	s, err := New(cfg)
+	s, err := New(reprBaseConfig(medserver.RencodeAuto), WithRetry(transport.DefaultRetryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,19 +127,13 @@ func TestQueryJitterSeedMixing(t *testing.T) {
 
 // retryTestSystem builds a small system with an exact link fault
 // schedule and the given retry policy.
-func retryTestSystem(t *testing.T, pol transport.RetryPolicy, schedule []faultsim.Scheduled) *System {
+func retryTestSystem(t *testing.T, pol transport.RetryPolicy, schedule []faultsim.Scheduled) (*System, *faultsim.Injector) {
 	t.Helper()
 	cfg := Config{
 		Bits: 4, NumPET: 1, NumMRI: 0, Seed: 5,
 		Method: rencode.Naive, SmallStudies: true,
-		Retry:      pol,
-		LinkFaults: &faultsim.Policy{Schedule: schedule},
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newFaulty(t, cfg, &faultsim.Policy{Schedule: schedule}, WithRetry(pol))
 }
 
 // TestRetryStatsAccounting drops exactly the first two attempts and
@@ -150,7 +144,7 @@ func TestRetryStatsAccounting(t *testing.T) {
 	pol := transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 3}
 	// One drop decision per request crossing: attempts 1 and 2 die on
 	// the wire, attempt 3's request (op 3) and response (op 4) are clean.
-	s := retryTestSystem(t, pol, []faultsim.Scheduled{
+	s, _ := retryTestSystem(t, pol, []faultsim.Scheduled{
 		{Op: 1, Kind: faultsim.Drop},
 		{Op: 2, Kind: faultsim.Drop},
 	})
@@ -188,7 +182,7 @@ func TestRetryStatsAccounting(t *testing.T) {
 // last failure is terminal, not retried), and a populated LastError.
 func TestRetryStatsExhaustion(t *testing.T) {
 	pol := transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 3}
-	s := retryTestSystem(t, pol, []faultsim.Scheduled{
+	s, link := retryTestSystem(t, pol, []faultsim.Scheduled{
 		{Op: 1, Kind: faultsim.Drop},
 		{Op: 2, Kind: faultsim.Drop},
 		{Op: 3, Kind: faultsim.Drop},
@@ -205,7 +199,7 @@ func TestRetryStatsExhaustion(t *testing.T) {
 	if got := s.Metrics.Counter("qbism_retries_total").Value(); got != 2 {
 		t.Errorf("qbism_retries_total = %d, want 2 (third failure is terminal)", got)
 	}
-	if got := s.LinkFaults.Count(faultsim.Drop); got != 3 {
+	if got := link.Count(faultsim.Drop); got != 3 {
 		t.Errorf("injector dropped %d requests, want 3 (one per attempt)", got)
 	}
 }

@@ -1,14 +1,14 @@
 package qbism
 
 // Sharded execution: the study corpus partitioned across K shards,
-// each a (primary, replica...) set of full QBISM nodes — its own LFM
-// device, database, and netsim link — behind the cluster package's
-// Node seam. The DX half of a query is the same Client the single-node
-// System embeds, fetching through the same cluster read — there a
-// cluster of one node — so a query runs, batches and finishes
-// identically whether it was fetched over one link or scatter-gathered
-// across a degraded cluster; this file adds only the routing table, the
-// node adapter, and the partial-result accounting.
+// each a (primary, replica...) set of Nodes — bare MedicalServers, each
+// behind its own netsim link — behind the cluster package's Node seam.
+// One Client, the kind the single-node System embeds, fronts them all
+// through the same cluster read — there a cluster of one node — so a
+// query runs, batches and finishes identically whether it was fetched
+// over one link or scatter-gathered across a degraded cluster; this file
+// adds only the routing table, the node adapter, and the partial-result
+// accounting.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -40,15 +40,13 @@ type ClusterConfig struct {
 	Replicas int
 	// Base configures every node: corpus, encoding, checksums, device.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
-	// Base.LinkFaults/DeviceFaults apply to every node unless NodeFaults
-	// overrides them. Base.Retry governs the front end's reads as it does
-	// a single server's: MaxAttempts bounds the node calls per read across
-	// the shard's nodes and Backoff/Seed drive the deterministic jittered
-	// waits. Base.Workers bounds the scatter-gather worker pool.
+	// Base.DeviceFaults applies to every node unless NodeFaults overrides
+	// it. Base.Workers bounds the scatter-gather pool; Base.Trace traces
+	// the front end. Its retries are the WithRetry option.
 	Base Config
-	// NodeFaults, when non-nil, returns the fault policies for the
-	// given node (replica 0 is the primary); nil return values mean no
-	// injection on that node. Overrides Base.LinkFaults/DeviceFaults.
+	// NodeFaults, when non-nil, returns the given node's link and device
+	// fault policies (replica 0 is the primary); nil means no injection.
+	// The device's overrides Base.DeviceFaults.
 	NodeFaults func(shard, replica int) (link, device *faultsim.Policy)
 	// Breaker configures each node's circuit breaker (zero disables).
 	Breaker cluster.BreakerConfig
@@ -78,43 +76,37 @@ type ClusterSystem struct {
 	// holds the shards and its routing table the studies' keys.
 	*Client
 
-	Cfg ClusterConfig
-	// Nodes holds the per-shard node systems: Nodes[shard][0] is the
-	// primary, the rest replicas.
-	Nodes [][]*System
+	// Nodes holds the per-shard nodes: Nodes[shard][0] is the primary,
+	// the rest replicas.
+	Nodes [][]*Node
 
 	// Studies is the global corpus view (every study, regardless of
 	// shard), in load order.
 	Studies []StudyInfo
 }
 
-// Close releases every node System the cluster built — its transport,
-// the one the cluster calls it through, and its long-field manager. It
-// also works on a partially constructed cluster, which is how
-// NewClusterSystem unwinds its error paths.
+// Close releases every node the cluster built (Node.Close). It also works
+// on a partially built cluster, which is how NewClusterSystem unwinds.
 func (cs *ClusterSystem) Close() error {
-	var first error
+	var errs []error
 	for _, replicas := range cs.Nodes {
-		for _, sys := range replicas {
-			if err := sys.Close(); err != nil && first == nil {
-				first = err
-			}
+		for _, n := range replicas {
+			errs = append(errs, n.Close())
 		}
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // NewClusterSystem enumerates the corpus, partitions it by
-// (patient, study) key, and builds one full System per node, each
-// loading only its shard's studies.
-func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
+// (patient, study) key, and builds one Node per (shard, replica), each
+// loading only its shard's studies, and one Client in front of them.
+func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*ClusterSystem, error) {
 	cfg = cfg.withDefaults()
-	base := cfg.Base
 
 	// The routing table is derived from the corpus's IDs alone, before
 	// any node exists.
 	part := cluster.NewPartitioner(cfg.Shards)
-	cs := &ClusterSystem{Cfg: cfg, Studies: medserver.Corpus(base)}
+	cs := &ClusterSystem{Studies: medserver.Corpus(cfg.Base), Nodes: make([][]*Node, cfg.Shards)}
 	routes := make(map[int]cluster.Key)
 	perShard := make([][]int, cfg.Shards)
 	for _, info := range cs.Studies {
@@ -124,47 +116,33 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 		perShard[sh] = append(perShard[sh], info.StudyID)
 	}
 
-	var shardNodes [][]cluster.Node
-	for sh := 0; sh < cfg.Shards; sh++ {
-		var nodes []cluster.Node
+	shardNodes := make([][]cluster.Node, cfg.Shards)
+	for sh := range cs.Nodes {
 		for r := 0; r <= cfg.Replicas; r++ {
-			nodeCfg := base
+			nodeCfg := cfg.Base
 			// The shard's subset — always non-nil, so an empty shard
 			// loads nothing rather than everything.
 			nodeCfg.OnlyStudies = append([]int{}, perShard[sh]...)
-			// Node-level tracing is off: spans hang off the front end's
-			// tracer through the parent span threaded into each call.
-			nodeCfg.Trace = false
-			nodeCfg.SlowLogThreshold = 0
+			var link *faultsim.Policy
 			if cfg.NodeFaults != nil {
-				nodeCfg.LinkFaults, nodeCfg.DeviceFaults = cfg.NodeFaults(sh, r)
+				link, nodeCfg.DeviceFaults = cfg.NodeFaults(sh, r)
 			}
-			sys, err := New(nodeCfg)
+			n, err := newNode(nodeCfg)
 			if err != nil {
 				cs.Close()
 				return nil, fmt.Errorf("qbism: cluster node s%dr%d: %w", sh, r, err)
 			}
-			cs.addNode(sh, sys)
-			nodes = append(nodes, &transportNode{name: nodeName(sh, r), t: sys.Transport})
+			if link != nil {
+				n.Link.SetFaults(faultsim.New(*link))
+			}
+			cs.Nodes[sh] = append(cs.Nodes[sh], n)
+			shardNodes[sh] = append(shardNodes[sh], &transportNode{name: nodeName(sh, r), t: n.Transport})
 		}
-		shardNodes = append(shardNodes, nodes)
 	}
 
-	client, err := newClient(base, obs.NewRegistry(), cluster.Config{Breaker: cfg.Breaker, HedgeAfter: cfg.HedgeAfter}, shardNodes)
-	if err != nil {
-		cs.Close()
-		return nil, err
-	}
-	client.routes = routes
-	cs.Client = client
+	cs.Client = newClient(cfg.Base, collectOptions(opts), obs.NewRegistry(), cluster.Config{Breaker: cfg.Breaker, HedgeAfter: cfg.HedgeAfter}, shardNodes)
+	cs.routes = routes
 	return cs, nil
-}
-
-func (cs *ClusterSystem) addNode(shard int, sys *System) {
-	for len(cs.Nodes) <= shard {
-		cs.Nodes = append(cs.Nodes, nil)
-	}
-	cs.Nodes[shard] = append(cs.Nodes[shard], sys)
 }
 
 // nodeName follows the s<shard>p / s<shard>r<i> convention.

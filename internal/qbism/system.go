@@ -9,8 +9,9 @@
 package qbism
 
 import (
+	"errors"
+
 	"qbism/internal/costmodel"
-	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
 	"qbism/internal/medserver"
 	"qbism/internal/netsim"
@@ -24,8 +25,8 @@ import (
 // server (internal/medserver); these are the names this package's own
 // code and the repo benchmark use for it.
 type (
-	// Config parameterizes a System: the server's corpus and storage, the
-	// link's faults, the client's retries, workers and tracing.
+	// Config parameterizes the server; a client in its process shares
+	// Workers and Trace, and takes its own settings as Options.
 	Config = medserver.Config
 	// QuerySpec is the high-level query a user composes in the DX entry
 	// fields.
@@ -73,57 +74,59 @@ func ExtractStoredOpts(m *lfm.Manager, h lfm.Handle, r *region.Region, opts Extr
 	return medserver.ExtractStoredOpts(m, h, r, opts)
 }
 
-// System is a MedicalServer and the DX client that queries it in one
-// process, joined by a simulated link.
-type System struct {
-	// Server is the MedicalServer half: Cfg, Curve, LFM, DB, Atlas,
-	// Studies, BandRegions, ServeRPC, ExplainSpec, ConsistentBandRegion.
+// Node is one MedicalServer behind its simulated link and no client: a
+// System's server half, and each replica of a ClusterSystem's shards.
+type Node struct {
+	// Server is the MedicalServer: Cfg, Curve, LFM, DB, Atlas, Studies,
+	// BandRegions, ServeRPC, ExplainSpec, ConsistentBandRegion.
 	*medserver.Server
-	// Client is the DX half: RunQuery, RunQueries, its cluster of one,
-	// Model, Cache, SlowLog, and the Metrics registry and Tracer it
-	// shares with the server.
-	*Client
-
-	// Transport is the simulated transport the client's one node is
-	// reached over, crossing Link to Server: the cumulative meter of its
-	// bills (Stats), and a raw Call that bypasses the client.
+	// Link counts crossings and faults; Link.SetFaults installs faults.
+	Link *netsim.Link
+	// Transport crosses Link to Server: the meter of its bills (Stats),
+	// and a raw Call that bypasses any client.
 	Transport *transport.Sim
-	// Link is the simulated link Transport crosses: its crossing and
-	// fault counters, and where LinkFaults — the active injector, nil
-	// unless Config.LinkFaults — is installed.
-	Link       *netsim.Link
-	LinkFaults *faultsim.Injector
 }
 
-// New loads a server (medserver.New) and puts a client in front of it
-// over a simulated link carrying the configured faults.
-func New(cfg Config) (*System, error) {
+// newNode loads a server and puts a simulated link in front of it.
+func newNode(cfg Config) (*Node, error) {
 	srv, err := medserver.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	model := costmodel.Default1993()
-	s := &System{Server: srv, Link: netsim.NewLink(model)}
-	if cfg.LinkFaults != nil {
-		s.LinkFaults = faultsim.New(*cfg.LinkFaults)
-		s.Link.SetFaults(s.LinkFaults)
-	}
-	s.Transport = transport.NewSim(s.Link, model, srv.ServeRPC)
-	// One process, one registry and one tracer: the server's, the
-	// client's and its node's series sit side by side.
-	metrics, tracer := srv.Observers()
-	s.Client = newNodeClient(s.Transport, srv.Cfg, metrics)
-	s.Tracer = tracer
-	return s, nil
+	link := netsim.NewLink(model)
+	return &Node{Server: srv, Link: link, Transport: transport.NewSim(link, model, srv.ServeRPC)}, nil
 }
 
-// Close releases the transport and the server's long-field manager. A
-// file-backed LFM holds an open device file — callers should Close when
-// done.
-func (s *System) Close() error {
-	first := s.Transport.Close()
-	if err := s.Server.Close(); err != nil && first == nil {
-		first = err
+// Close releases the transport and the server's long-field manager, which
+// holds an open device file when file-backed.
+func (n *Node) Close() error { return errors.Join(n.Transport.Close(), n.Server.Close()) }
+
+// System is a MedicalServer and the DX client that queries it in one
+// process, joined by a simulated link.
+type System struct {
+	// Node is the MedicalServer half, its link and Close.
+	*Node
+	// Client is the DX half: RunQuery, RunQueries, its cluster of one,
+	// Model, Cache, SlowLog, and the server's Metrics and Tracer.
+	*Client
+}
+
+// New loads a server and puts a client in front of it over a simulated
+// link; faults go on sys.Link once it returns.
+func New(cfg Config, opts ...Option) (*System, error) {
+	o := collectOptions(opts)
+	if o.slowLog > 0 {
+		cfg.Trace = true // the client shares the server's tracer
 	}
-	return first
+	n, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// One process, one registry and one tracer: the server's, the
+	// client's and its node's series sit side by side.
+	metrics, tracer := n.Observers()
+	c := newNodeClient(n.Transport, n.Cfg, o, metrics)
+	c.Tracer = tracer
+	return &System{Node: n, Client: c}, nil
 }

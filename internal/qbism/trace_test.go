@@ -177,13 +177,11 @@ func TestDegradedCounterIncrementsOncePerQuery(t *testing.T) {
 
 // TestSlowLogCapturesForensics drives queries over a 1ns threshold so
 // every query is "slow", and checks the ring captures label, latency,
-// the rendered span tree, and the reconstructed EXPLAIN ANALYZE plan —
-// while respecting its capacity bound.
+// the rendered span tree, and the reconstructed EXPLAIN ANALYZE plan.
+// The ring's eviction at its bound is obs.TestSlowLogRing's.
 func TestSlowLogCapturesForensics(t *testing.T) {
 	cfg := tracedConfig()
-	cfg.SlowLogThreshold = time.Nanosecond
-	cfg.SlowLogCapacity = 3
-	sys, err := New(cfg)
+	sys, err := New(cfg, WithSlowLog(time.Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +195,12 @@ func TestSlowLogCapturesForensics(t *testing.T) {
 		t.Errorf("slow log saw %d queries, want %d", sys.SlowLog.Total(), len(specs))
 	}
 	entries := sys.SlowLog.Entries()
-	if len(entries) != 3 {
-		t.Fatalf("ring holds %d entries, want capacity 3", len(entries))
+	if want := min(len(specs), slowLogCapacity); len(entries) != want {
+		t.Fatalf("ring holds %d entries, want %d", len(entries), want)
 	}
 	// Oldest-first, and the newest retained entry is the last query.
-	if want := specs[len(specs)-1].Label(); entries[2].Label != want {
-		t.Errorf("newest entry is %q, want %q", entries[2].Label, want)
+	if want := specs[len(specs)-1].Label(); entries[len(entries)-1].Label != want {
+		t.Errorf("newest entry is %q, want %q", entries[len(entries)-1].Label, want)
 	}
 	for _, e := range entries {
 		if e.Total <= 0 {
@@ -226,8 +224,7 @@ func TestSlowLogCapturesForensics(t *testing.T) {
 	}
 
 	// A generous threshold captures nothing.
-	cfg.SlowLogThreshold = time.Hour
-	quiet, err := New(cfg)
+	quiet, err := New(cfg, WithSlowLog(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +233,37 @@ func TestSlowLogCapturesForensics(t *testing.T) {
 	}
 	if quiet.SlowLog.Len() != 0 {
 		t.Errorf("1h threshold captured %d entries", quiet.SlowLog.Len())
+	}
+}
+
+// TestSlowLogImpliesTracing: WithSlowLog alone, with Config.Trace off,
+// traces the client's queries, so the ring's entries carry span trees —
+// on a System, and on a NewClient over the simulated transport.
+func TestSlowLogImpliesTracing(t *testing.T) {
+	cfg := chaosBaseConfig()
+	sys, err := New(cfg, WithSlowLog(time.Nanosecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := QuerySpec{StudyID: sys.Studies[0].StudyID, Atlas: "Talairach", Structure: "ntal"}
+	for name, c := range map[string]*Client{
+		"System":    sys.Client,
+		"NewClient": NewClient(plain.Transport, cfg, WithSlowLog(time.Nanosecond)),
+	} {
+		if _, err := c.RunQuery(spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.SlowLog == nil {
+			t.Fatalf("%s: WithSlowLog without Config.Trace left no slow log", name)
+		}
+		entries := c.SlowLog.Entries()
+		if len(entries) != 1 || !strings.Contains(entries[0].Tree, "rpc.medicalQuery") || len(entries[0].Explain) == 0 {
+			t.Errorf("%s: want one entry with its span tree and plan, got %+v", name, entries)
+		}
 	}
 }
 
@@ -345,7 +373,7 @@ func TestTracedResultsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s traced: %v", spec.Label(), err)
 		}
-		ab, bb := marshalResult(t, plain, a), marshalResult(t, traced, b)
+		ab, bb := marshalResult(t, plain.Cfg.Method, a), marshalResult(t, traced.Cfg.Method, b)
 		if string(ab) != string(bb) {
 			t.Errorf("%s: traced result diverged", spec.Label())
 		}

@@ -430,7 +430,7 @@ func FuzzQueryHeader(f *testing.F) {
 // FuzzServeRPC hands arbitrary bytes to a small bare server, as the
 // request itself and — a fuzzer cannot forge a CRC — as the spec header
 // of a well-formed request: the answer is a typed error or a frame
-// DecodeQueryResponse accepts, never a panic (ROADMAP 2e).
+// DecodeQueryResponse accepts, never a panic.
 func FuzzServeRPC(f *testing.F) {
 	sys := bareServer(f, Config{Bits: 4, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true})
 	study := sys.Studies[0].StudyID

@@ -23,9 +23,9 @@ import (
 //	status: version(1)=1 | kind(1) | error text, at most maxStatusText bytes
 //
 // The call header's flags, trace id, parent span id and deadline (unix
-// nanoseconds) are reserved for ROADMAP items 1a and 2a: written as
-// zero and ignored on receipt, so switching them on is not a second
-// wire revision. A header of another version is refused with
+// nanoseconds) are reserved for the stitched trace and for deadlines and
+// cancel: written as zero and ignored on receipt, so switching them on is
+// not a second wire revision. A header of another version is refused with
 // ErrWireHeader — terminal, because the retry would say the same.
 const (
 	wireVersion    = 1

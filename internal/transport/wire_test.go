@@ -62,10 +62,10 @@ func TestWireGolden(t *testing.T) {
 		want       []byte
 	}{
 		{"version", 0, 1, []byte{1}},
-		{"flags (reserved, item 1a/2a)", 1, 1, make([]byte, 1)},
-		{"trace id (reserved, item 1a)", 2, 16, make([]byte, 16)},
-		{"parent span id (reserved, item 1a)", 18, 8, make([]byte, 8)},
-		{"deadline (reserved, item 2a)", 26, 8, make([]byte, 8)},
+		{"flags (reserved: trace, deadline)", 1, 1, make([]byte, 1)},
+		{"trace id (reserved: stitched trace)", 2, 16, make([]byte, 16)},
+		{"parent span id (reserved: stitched trace)", 18, 8, make([]byte, 8)},
+		{"deadline (reserved: deadlines and cancel)", 26, 8, make([]byte, 8)},
 		{"method", callHeaderSize, len("medicalQuery"), []byte("medicalQuery")},
 	} {
 		if got := call[f.off : f.off+f.width]; !bytes.Equal(got, f.want) {
@@ -86,8 +86,9 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
-// TestCallHeaderReservedFieldsIgnored: what items 1a and 2a will write
-// into the reserved fields, this revision already reads past.
+// TestCallHeaderReservedFieldsIgnored: what the stitched trace and
+// deadlines will write into the reserved fields, this revision already
+// reads past.
 func TestCallHeaderReservedFieldsIgnored(t *testing.T) {
 	h := appendCallHeader(nil, "m")
 	for i := 1; i < callHeaderSize; i++ {

@@ -161,8 +161,10 @@ type (
 	// cache, cost model and observability sinks); System and
 	// ClusterSystem both embed one.
 	Client = core.Client
-	// Config parameterizes NewSystem.
+	// Config parameterizes the MedicalServer of NewSystem and each node's.
 	Config = core.Config
+	// Option sets what only the DX client reads: WithRetry, WithSlowLog.
+	Option = core.Option
 	// QuerySpec is a high-level query (what the DX entry fields collect).
 	QuerySpec = core.QuerySpec
 	// QueryResult is a completed end-to-end query.
@@ -173,21 +175,25 @@ type (
 	ClusterConfig = core.ClusterConfig
 )
 
-// NewSystem builds and loads a complete system.
-func NewSystem(cfg Config) (*System, error) { return core.New(cfg) }
+// NewSystem builds and loads a complete system; faults go on sys.Link.
+func NewSystem(cfg Config, opts ...Option) (*System, error) { return core.New(cfg, opts...) }
 
 // NewClusterSystem builds a sharded deployment — the corpus partitioned
 // across K shards of replicated nodes with circuit breaking, read
-// failover, hedged reads, and graceful partial results: one full node
-// system per (shard, replica), each loading only its shard of the corpus.
-func NewClusterSystem(cfg ClusterConfig) (*core.ClusterSystem, error) {
-	return core.NewClusterSystem(cfg)
+// failover, hedged reads, and graceful partial results: one bare node
+// per (shard, replica), each loading only its shard of the corpus.
+func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*core.ClusterSystem, error) {
+	return core.NewClusterSystem(cfg, opts...)
 }
 
 // NewClient builds a DX client that reaches its MedicalServer over t
-// and loads nothing itself: of cfg it reads Retry, Workers, Trace and
-// the slow-log fields.
-func NewClient(t transport.Transport, cfg Config) *Client { return core.NewClient(t, cfg) }
+// and loads nothing itself: of cfg it reads Workers and Trace.
+func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
+	return core.NewClient(t, cfg, opts...)
+}
+
+// WithRetry and WithSlowLog are the client's Options.
+var WithRetry, WithSlowLog = core.WithRetry, core.WithSlowLog
 
 // DialTCP is the transport to the qbismd listening at addr. The
 // connection is made by the first call.
@@ -197,13 +203,14 @@ func DialTCP(addr string) *transport.TCP { return transport.DialTCP(addr, transp
 // attempt on its shard (match with errors.Is).
 var ErrShardUnavailable = cluster.ErrShardUnavailable
 
-// FaultPolicy is a deterministic, seeded fault schedule (chaos testing
-// the simulated deployment: Config.LinkFaults, Config.DeviceFaults,
-// Config.Checksums, Config.Retry).
+// FaultPolicy is a deterministic, seeded fault schedule: a device's
+// (Config.DeviceFaults) or a link's (NewFaultInjector, NodeFaults).
 type FaultPolicy = faultsim.Policy
 
 // Resilience helpers.
 var (
+	// NewFaultInjector drives a FaultPolicy, for sys.Link.SetFaults.
+	NewFaultInjector = faultsim.New
 	// DefaultRetryPolicy is a sane client retry configuration.
 	DefaultRetryPolicy = transport.DefaultRetryPolicy
 	// RetryableError classifies an error as transient (retryable) or
