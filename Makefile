@@ -164,7 +164,10 @@ cover:
 # BenchmarkParallelMultiStudy, ConsistentBandRegion's reads, decode and
 # fold at one and four workers (TestConsistentBandRegionAllocBudget
 # pins those) — and BenchmarkNewClusterSystem, one 2×2 cluster built and
-# closed at Bits 5 (what its four nodes and one client cost).
+# closed at Bits 5 (what its four nodes and one client cost) — and
+# BenchmarkDataRegionCodec, the REGION half of a DATA_REGION encoded by
+# the server and decoded by the client, naive runs against the wire's
+# Elias γ, in ns per run and allocs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
@@ -173,3 +176,4 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
 	$(GO) test -run '^$$' -bench '^BenchmarkIntersectN$$' -benchtime 100x -benchmem ./internal/region
+	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver

@@ -31,7 +31,6 @@ import (
 
 	"qbism/internal/daemon"
 	"qbism/internal/medserver"
-	"qbism/internal/rencode"
 	"qbism/internal/transport"
 )
 
@@ -55,7 +54,6 @@ func main() {
 		NumPET:       *pets,
 		NumMRI:       *mris,
 		Seed:         *seed,
-		Method:       rencode.Naive,
 		SmallStudies: *small,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "qbismd:", err)

@@ -30,7 +30,6 @@ var testConfig = qbism.Config{
 	NumPET:             3,
 	NumMRI:             1,
 	Seed:               7,
-	Method:             rencode.Naive,
 	SmallStudies:       true,
 	ExtraBandEncodings: true,
 	WithMeshes:         true,
@@ -124,8 +123,12 @@ func TestLoopbackEquivalence(t *testing.T) {
 
 	// The two halves as two processes would hold them: a daemon around a
 	// bare server loaded from the same configuration, and a bare client
-	// over a dialed transport — neither ever part of a System.
-	srv, err := medserver.New(testConfig)
+	// over a dialed transport — neither ever part of a System. This server
+	// sends its REGIONs as naive runs rather than the default Elias γ, so
+	// both wire codecs cross a real socket and decode to the same answers.
+	naive := testConfig
+	naive.Method = rencode.Naive
+	srv, err := medserver.New(naive)
 	if err != nil {
 		t.Fatal(err)
 	}

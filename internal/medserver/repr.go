@@ -53,24 +53,25 @@ func (s *Server) BandEncoding() string {
 	}
 }
 
-// structureK3Slack is how many times Cfg.Method's size a structure's
-// k³-tree may be and still be the stored form in auto mode — the
-// acceptance bound the BENCH tables track.
+// structureK3Slack is how many times the naive run list's size a
+// structure's k³-tree may be and still be the stored form in auto mode —
+// the acceptance bound the BENCH tables track.
 const structureK3Slack = 1.5
 
 // encodeStructure encodes an atlas structure REGION per the Rencode
 // mode: auto keeps the k³-tree unless it is more than structureK3Slack
-// times Cfg.Method's size (structure probes — CONTAINS, point
-// membership — then run on the compressed bytes), runs keeps
-// Cfg.Method, a method name forces that method. The stored bytes are
+// times the naive run list's size (structure probes — CONTAINS, point
+// membership — then run on the compressed bytes), runs keeps the naive
+// run list, a method name forces that method. Storage names its own
+// codecs: Config.Method is the wire's. The stored bytes are
 // self-describing (rencode header), so no catalog column records the
 // choice.
 func (s *Server) encodeStructure(r *region.Region) ([]byte, error) {
 	switch mode := s.Cfg.Rencode; mode {
 	case RencodeRuns:
-		return rencode.Encode(s.Cfg.Method, r)
+		return rencode.Encode(rencode.Naive, r)
 	case RencodeAuto:
-		base, err := rencode.Encode(s.Cfg.Method, r)
+		base, err := rencode.Encode(rencode.Naive, r)
 		if err != nil {
 			return nil, err
 		}

@@ -56,16 +56,18 @@ type Config struct {
 	NumPET, NumMRI int
 	// Seed drives all synthetic data deterministically.
 	Seed uint64
-	// Method is the primary REGION storage encoding (default Naive, as
-	// in the measured experiments; Elias is the paper's space winner).
+	// Method is the wire codec: the encoding of every REGION that leaves
+	// the server, in a DATA_REGION reply or as a REGION-valued SQL
+	// result. Its zero value is Elias γ, the paper's method (§4.2).
+	// What is stored is Rencode's choice, not Method's.
 	Method rencode.Method
 	// Rencode selects the REGION representation strategy. "auto" (the
-	// default) stores each band REGION both as runs and as a k³-tree,
-	// and band queries that name no encoding read the k³-tree row;
-	// atlas structures store the k³-tree unless it is more than 1.5×
-	// Method's size. "runs" reproduces the seed exactly (run-list
-	// codecs only, no k³ rows). A rencode method name (e.g. "k3-tree",
-	// "elias") forces that encoding everywhere.
+	// default) stores each band REGION both as naive runs and as a
+	// k³-tree, and band queries that name no encoding read the k³-tree
+	// row; atlas structures store the k³-tree unless it is more than
+	// 1.5× the naive runs' size. "runs" reproduces the seed exactly
+	// (naive run lists only, no k³ rows). A rencode method name (e.g.
+	// "k3-tree", "elias") forces that encoding everywhere.
 	Rencode string
 	// BandWidth is the intensity band width (default 32 -> 8 bands).
 	BandWidth int

@@ -385,8 +385,8 @@ const (
 //
 // A stored field is read into slot, a k³-tree parsed into it and run
 // lists built in it, so what comes back is slot's until its next use;
-// with a nil slot everything is new. A DATA_REGION and any encoding
-// but the k³-tree decode to a new Region either way.
+// with a nil slot everything is new. A DATA_REGION decodes to a new
+// Region either way.
 func (s *Server) regionOf(io *lfm.IO, call *sdb.Call, slot *regionSlot, v sdb.Value, runs bool) (region.Queryable, error) {
 	var data []byte
 	switch v.T {
@@ -559,18 +559,25 @@ func (s *regionSlot) parse(data []byte) (*rencode.K3Probe, error) {
 	return &s.probe, nil
 }
 
-// decode decodes an encoded REGION to its run list: a k³-tree through
-// the slot's probe into the slot's run list, anything else (or without
-// a slot) to a new Region.
+// decode decodes an encoded REGION to its run list, the slot's: a
+// k³-tree through the slot's probe, any other codec straight into the
+// run list's backing (rencode.DecodeInto). Without a slot the Region is
+// new.
 func (s *regionSlot) decode(data []byte) (*region.Region, error) {
-	if m, _ := rencode.MethodOf(data); s == nil || m != rencode.K3Tree {
+	if s == nil {
 		return rencode.Decode(data)
 	}
-	p, err := s.parse(data)
-	if err != nil {
+	if m, _ := rencode.MethodOf(data); m == rencode.K3Tree {
+		p, err := s.parse(data)
+		if err != nil {
+			return nil, err
+		}
+		return runsOf(s, p)
+	}
+	if err := rencode.DecodeInto(&s.reg, data, s.runsBuf()); err != nil {
 		return nil, err
 	}
-	return runsOf(s, p)
+	return &s.reg, nil
 }
 
 // runsBuf is the backing the slot's next run list is built in.

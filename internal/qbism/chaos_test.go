@@ -24,7 +24,6 @@ func chaosBaseConfig() Config {
 		NumPET:       2,
 		NumMRI:       1,
 		Seed:         11,
-		Method:       rencode.Naive,
 		SmallStudies: true,
 		Checksums:    true,
 	}

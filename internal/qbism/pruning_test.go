@@ -187,7 +187,7 @@ func TestExtractGapCoalescing(t *testing.T) {
 func TestPruningBeatsFullVolume(t *testing.T) {
 	cfg := Config{
 		Bits: 6, NumPET: 1, NumMRI: 0, Seed: 11,
-		Method: rencode.Naive, SmallStudies: true, Checksums: true,
+		SmallStudies: true, Checksums: true,
 	}
 	sys, err := New(cfg)
 	if err != nil {

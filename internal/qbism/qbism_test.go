@@ -28,7 +28,6 @@ func testSystem(t *testing.T) *System {
 			NumPET:             3,
 			NumMRI:             1,
 			Seed:               7,
-			Method:             rencode.Naive,
 			SmallStudies:       true,
 			ExtraBandEncodings: true,
 			WithMeshes:         true,

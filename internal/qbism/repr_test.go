@@ -19,7 +19,6 @@ func reprBaseConfig(rencodeMode string) Config {
 		NumPET:       2,
 		NumMRI:       1,
 		Seed:         11,
-		Method:       rencode.Naive,
 		SmallStudies: true,
 		Rencode:      rencodeMode,
 	}

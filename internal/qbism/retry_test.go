@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qbism/internal/faultsim"
-	"qbism/internal/rencode"
 	"qbism/internal/transport"
 )
 
@@ -131,7 +130,7 @@ func retryTestSystem(t *testing.T, pol transport.RetryPolicy, schedule []faultsi
 	t.Helper()
 	cfg := Config{
 		Bits: 4, NumPET: 1, NumMRI: 0, Seed: 5,
-		Method: rencode.Naive, SmallStudies: true,
+		SmallStudies: true,
 	}
 	return newFaulty(t, cfg, &faultsim.Policy{Schedule: schedule}, WithRetry(pol))
 }

@@ -12,30 +12,19 @@ import (
 
 // writeGamma writes x with the Elias γ-code: ⌊log x⌋ zero bits, a one
 // bit, then the ⌊log x⌋ low-order bits of x (Section 4.2 of the paper,
-// after Elias [8]).
+// after Elias [8]). bitio.Reader.ReadGamma reads it back.
 func writeGamma(w *bitio.Writer, x uint64) {
 	if x == 0 {
 		panic("rencode: gamma code undefined for 0")
 	}
 	n := bits.Len64(x) - 1 // ⌊log2 x⌋
+	if n < 32 {
+		// The zeros are x's own leading zeros in a 2n+1-bit field.
+		w.WriteBits(x, 2*n+1)
+		return
+	}
 	w.WriteUnary(n)
 	w.WriteBits(x&(1<<n-1), n)
-}
-
-// readGamma reads an Elias γ-coded integer.
-func readGamma(r *bitio.Reader) (uint64, error) {
-	n, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	if n > 63 {
-		return 0, fmt.Errorf("gamma length %d out of range", n)
-	}
-	low, err := r.ReadBits(n)
-	if err != nil {
-		return 0, err
-	}
-	return 1<<n | low, nil
 }
 
 // gammaBits returns the γ-code length of x in bits: 2⌊log x⌋ + 1.
@@ -56,7 +45,7 @@ func writeDelta(w *bitio.Writer, x uint64) {
 
 // readDelta reads an Elias δ-coded integer.
 func readDelta(r *bitio.Reader) (uint64, error) {
-	l, err := readGamma(r)
+	l, err := r.ReadGamma()
 	if err != nil {
 		return 0, err
 	}

@@ -250,7 +250,7 @@ func TestFuzzCorpusVerdictsUnchanged(t *testing.T) {
 func TestDecodeNormalizesHandWrittenRuns(t *testing.T) {
 	c := sfc.MustNew(sfc.Hilbert, 3, 3)
 	naive := func(runs ...region.Run) []byte {
-		blob := []byte{byte(Naive), byte(c.Kind()), 3, 3, 0, 0, 0, 0, 0, 0, 0, byte(len(runs))}
+		blob := []byte{Naive.code(), byte(c.Kind()), 3, 3, 0, 0, 0, 0, 0, 0, 0, byte(len(runs))}
 		for _, r := range runs {
 			blob = append(blob, 0, 0, byte(r.Lo>>8), byte(r.Lo), 0, 0, byte(r.Hi>>8), byte(r.Hi))
 		}
@@ -365,7 +365,7 @@ func checkDecodeInto(t *testing.T, data []byte, dec *region.Region, err error) {
 	case !regionsEqual(held, dec):
 		t.Fatalf("DecodeInto = %v, Decode = %v", held.RunsView(), dec.RunsView())
 	case held.NumRuns() > 0 && room > 0 && &held.RunsView()[0] != &buf[0]:
-		t.Fatalf("%v DecodeInto built its %d runs outside a buffer with room for %d", Method(data[0]), held.NumRuns(), room)
+		t.Fatalf("%v DecodeInto built its %d runs outside a buffer with room for %d", methodOfCode(data[0]), held.NumRuns(), room)
 	}
 }
 
@@ -410,7 +410,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // the probe, its level table, the run list and the Region, and for
 // ParseK3 the one slice of rank directories — and that none of it
 // grows with the run count. DecodeInto a buffer with room allocates
-// only a k³-tree's level table.
+// only a k³-tree's level table; the wire's γ-code allocates nothing.
 func TestDecodeAllocBudget(t *testing.T) {
 	for _, n := range []int{200, 20000} {
 		r := scatter(t, n)
@@ -419,6 +419,10 @@ func TestDecodeAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		naive, err := Encode(Naive, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elias, err := Encode(Elias, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,9 +436,12 @@ func TestDecodeAllocBudget(t *testing.T) {
 			{"k3 Decode", 6, func() error { _, err := Decode(k3); return err }},
 			{"ParseK3", 6, func() error { _, err := ParseK3(k3); return err }},
 			{"naive Decode", 4, func() error { _, err := Decode(naive); return err }},
+			{"elias Decode", 4, func() error { _, err := Decode(elias); return err }},
 			// Into a buffer with room: the k³ level table only.
 			{"k3 DecodeInto", 1, func() error { return DecodeInto(&into, k3, buf) }},
 			{"naive DecodeInto", 0, func() error { return DecodeInto(&into, naive, buf) }},
+			// The bit reader stays on the stack.
+			{"elias DecodeInto", 0, func() error { return DecodeInto(&into, elias, buf) }},
 		} {
 			var failed error
 			got := testing.AllocsPerRun(20, func() {

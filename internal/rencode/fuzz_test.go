@@ -2,6 +2,7 @@ package rencode
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -43,6 +44,9 @@ func FuzzDecodeRegion(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	for _, seed := range gammaWindowSeeds(f) {
+		f.Add(seed.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)
@@ -51,7 +55,7 @@ func FuzzDecodeRegion(f *testing.F) {
 			return
 		}
 		checkRunInvariants(t, dec, "fuzz decode")
-		m := Method(data[0])
+		m, _ := MethodOf(data)
 		enc, err := Encode(m, dec)
 		if err != nil {
 			// Encode can legitimately reject what Decode accepted only
@@ -66,6 +70,69 @@ func FuzzDecodeRegion(f *testing.F) {
 			t.Fatalf("decode(encode(decode(x))) != decode(x) for method %v", m)
 		}
 	})
+}
+
+// gammaSeed is an Elias γ encoding and the region it decodes to (nil
+// when it must be refused).
+type gammaSeed struct {
+	data []byte
+	want *region.Region
+}
+
+// gammaWindowSeeds are Elias γ encodings whose codes straddle the
+// bitio.Reader's window: payloads of 7, 8 and 9 bytes, one code crossing
+// bit 57 (the least a fill promises) and one crossing bit 64 (the first
+// refill), plus the 9-byte one cut at the 8-byte word boundary, in the
+// middle of its last code. Each lists a region's deltas, a run first.
+func gammaWindowSeeds(tb testing.TB) []gammaSeed {
+	c := sfc.MustNew(sfc.Hilbert, 3, 7)
+	var out []gammaSeed
+	for _, deltas := range [][]uint64{
+		{1 << 12, 1 << 10, 7},  // 25 + 21 + 5 bits: 7 bytes
+		{1 << 18, 1 << 10, 3},  // 37 + 21 + 3: 8 bytes, the second code across bit 57
+		{1 << 20, 1 << 9, 5},   // 41 + 19 + 5: 9 bytes, the third across bit 64
+		{1, 1, 1 << 19, 2, 11}, // 1 + 1 + 39 + 3 + 7: 7 bytes
+	} {
+		var runs []region.Run
+		pos := uint64(0)
+		for i, d := range deltas {
+			if i%2 == 0 {
+				runs = append(runs, region.Run{Lo: pos, Hi: pos + d - 1})
+			}
+			pos += d
+		}
+		r, err := region.FromRuns(c, runs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		enc, err := Encode(Elias, r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, gammaSeed{enc, r})
+		if len(enc) == headerLen+9 {
+			out = append(out, gammaSeed{enc[:headerLen+8], nil})
+		}
+	}
+	return out
+}
+
+// TestGammaWindowSeeds: the seeds decode to their regions, and the one
+// cut at the word boundary is refused as corrupt.
+func TestGammaWindowSeeds(t *testing.T) {
+	for i, seed := range gammaWindowSeeds(t) {
+		got, err := Decode(seed.data)
+		switch {
+		case seed.want == nil:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("seed %d: truncated code decoded (%v)", i, err)
+			}
+		case err != nil:
+			t.Errorf("seed %d: %v", i, err)
+		case !got.Equal(seed.want):
+			t.Errorf("seed %d: decoded %v, want %v", i, got.RunsView(), seed.want.RunsView())
+		}
+	}
 }
 
 // FuzzDecodeK3 drives the k³-tree parser specifically: ParseK3 must
@@ -136,7 +203,7 @@ func FuzzDecodeK3(f *testing.F) {
 			checkRejectedProbe(t, "fuzz k3", &reused)
 			// Rejected input must also be rejected by the generic
 			// decoder when it names this method.
-			if len(data) > 0 && data[0] == byte(K3Tree) {
+			if len(data) > 0 && data[0] == K3Tree.code() {
 				if _, derr := Decode(data); derr == nil {
 					t.Fatal("ParseK3 rejected what Decode accepted")
 				}

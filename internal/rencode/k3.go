@@ -214,7 +214,7 @@ func (p *K3Probe) Parse(data []byte) error {
 		p.Reset()
 		return fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
 	}
-	if m := Method(data[0]); m != K3Tree {
+	if m := methodOfCode(data[0]); m != K3Tree {
 		p.Reset()
 		return fmt.Errorf("rencode: ParseK3 on a %v encoding", m)
 	}

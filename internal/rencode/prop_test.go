@@ -140,7 +140,7 @@ func TestGammaCodeRoundTripProperty(t *testing.T) {
 	}
 	r := bitio.NewReader(blob, total)
 	for i, v := range vals {
-		got, err := readGamma(r)
+		got, err := r.ReadGamma()
 		if err != nil {
 			t.Fatalf("value %d: %v", i, err)
 		}

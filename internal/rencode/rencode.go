@@ -6,7 +6,7 @@
 //
 //   - naive:        8 bytes per run (<start, end> as two uint32s)
 //   - elias:        Elias γ-coded delta (run/gap length) stream — the
-//     paper's chosen method
+//     paper's chosen method, and the zero Method
 //   - eliasdelta:   Elias δ-coded delta stream (extension; better for
 //     heavy-tailed lengths)
 //   - golomb:       Golomb/Rice-coded delta stream (the geometric-
@@ -36,12 +36,13 @@ import (
 type Method int
 
 const (
+	// Elias stores the delta stream with the Elias γ-code (the paper's
+	// "elias" method). It is the zero Method: the codec of a REGION the
+	// server sends.
+	Elias Method = iota
 	// Naive stores each run as two 4-byte integers (the paper's
 	// "h-run-naive" at 8 bytes per run).
-	Naive Method = iota
-	// Elias stores the delta stream with the Elias γ-code (the paper's
-	// "elias" method).
-	Elias
+	Naive
 	// EliasDelta stores the delta stream with the Elias δ-code.
 	EliasDelta
 	// Golomb stores the delta stream with a Rice code (parameter chosen
@@ -110,11 +111,36 @@ func MethodOf(data []byte) (Method, bool) {
 	if len(data) == 0 {
 		return 0, false
 	}
-	m := Method(data[0])
+	m := methodOfCode(data[0])
 	if m < 0 || m >= methodCount {
 		return 0, false
 	}
 	return m, true
+}
+
+// code is m's method byte, the first byte of every encoding. The bytes
+// predate Elias being the zero Method — Naive is 0 and Elias 1 on every
+// stored field and on the wire — so code and methodOfCode swap those
+// two and keep the rest.
+func (m Method) code() byte {
+	switch m {
+	case Naive:
+		return 0
+	case Elias:
+		return 1
+	}
+	return byte(m)
+}
+
+// methodOfCode inverts Method.code.
+func methodOfCode(b byte) Method {
+	switch b {
+	case 0:
+		return Naive
+	case 1:
+		return Elias
+	}
+	return Method(b)
 }
 
 // ErrCorrupt is wrapped by decode errors caused by malformed input.
@@ -137,18 +163,16 @@ func Encode(m Method, r *region.Region) ([]byte, error) { return AppendEncode(ni
 
 // AppendEncode appends Encode(m, r) to dst and returns the extended
 // slice. It grows dst at most once, so a dst with room for
-// EncodedSize(m, r) more bytes takes the encoding in place. Naive and
-// the octant methods write their payload straight into it; the bit
-// codecs and the k³-tree build theirs aside first, as Encode always
-// did. On an error dst is
-// returned as it was given, and what lies past its length is
-// unspecified.
+// EncodedSize(m, r) more bytes takes the encoding in place. Every method
+// but the k³-tree writes its payload straight into it; the k³-tree
+// builds its bitmaps aside first. On an error dst is returned as it was
+// given, and what lies past its length is unspecified.
 func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 	c := r.Curve()
 	runs := r.RunsView()
 	var (
-		size    int    // payload bytes written into dst directly (Naive, octants)
-		payload []byte // payload built aside (the bit codecs, K3Tree)
+		size    int    // payload bytes
+		payload []byte // the k³-tree's, built aside
 		octs    []region.Octant
 		count   uint64
 		riceK   uint8
@@ -160,24 +184,9 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 		}
 		count, size = uint64(len(runs)), 8*len(runs)
 	case Elias, EliasDelta, Varint, Golomb:
-		if m == Golomb {
-			riceK = riceParam(r)
-		}
-		var w bitio.Writer
-		r.EachDelta(func(d region.Delta) {
-			count++
-			switch m {
-			case Elias:
-				writeGamma(&w, d.Length)
-			case EliasDelta:
-				writeDelta(&w, d.Length)
-			case Varint:
-				writeVarint(&w, d.Length)
-			case Golomb:
-				writeRice(&w, d.Length, riceK)
-			}
-		})
-		payload = w.Bytes()
+		var nbits int
+		riceK, count, nbits = deltaStream(m, r)
+		size = (nbits + 7) / 8
 	case OblongOctant, Octant:
 		if m == OblongOctant {
 			octs = r.OblongOctants()
@@ -188,6 +197,7 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 	case K3Tree:
 		count = r.NumVoxels()
 		payload = encodeK3(r)
+		size = len(payload)
 	default:
 		return dst, fmt.Errorf("rencode: unknown method %d", int(m))
 	}
@@ -196,18 +206,32 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 	if m == Golomb {
 		hlen++
 	}
-	out := slices.Grow(dst, hlen+size+len(payload))
-	out = append(out, byte(m), byte(c.Kind()), byte(c.Dim()), byte(c.Bits()))
+	out := slices.Grow(dst, hlen+size)
+	out = append(out, m.code(), byte(c.Kind()), byte(c.Dim()), byte(c.Bits()))
 	out = binary.BigEndian.AppendUint64(out, count)
-	if m == Golomb {
-		out = append(out, riceK)
-	}
 	switch m {
 	case Naive:
 		for _, run := range runs {
 			out = binary.BigEndian.AppendUint32(out, uint32(run.Lo))
 			out = binary.BigEndian.AppendUint32(out, uint32(run.Hi))
 		}
+	case Elias, EliasDelta, Varint, Golomb:
+		if m == Golomb {
+			out = append(out, riceK)
+		}
+		// One loop per code, so that each delta is one direct call.
+		w := bitio.NewWriter(out)
+		switch m {
+		case Elias:
+			r.EachDelta(func(d region.Delta) { writeGamma(w, d.Length) })
+		case EliasDelta:
+			r.EachDelta(func(d region.Delta) { writeDelta(w, d.Length) })
+		case Varint:
+			r.EachDelta(func(d region.Delta) { writeVarint(w, d.Length) })
+		case Golomb:
+			r.EachDelta(func(d region.Delta) { writeRice(w, d.Length, riceK) })
+		}
+		out = w.Bytes()
 	case OblongOctant, Octant:
 		for _, o := range octs {
 			v, err := region.PackOctant(o)
@@ -216,10 +240,28 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 			}
 			out = binary.BigEndian.AppendUint32(out, v)
 		}
-	default:
+	case K3Tree:
 		out = append(out, payload...)
 	}
 	return out, nil
+}
+
+// deltaStream sizes r's delta stream under the delta-stream method m:
+// the Rice parameter chosen for Golomb, how many deltas the stream holds
+// and their total length in bits.
+func deltaStream(m Method, r *region.Region) (riceK uint8, count uint64, nbits int) {
+	switch m {
+	case Elias:
+		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+gammaBits(d.Length) })
+	case EliasDelta:
+		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+deltaBits(d.Length) })
+	case Varint:
+		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+varintBits(d.Length) })
+	case Golomb:
+		riceK = riceParam(r)
+		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+riceBits(d.Length, riceK) })
+	}
+	return riceK, count, nbits
 }
 
 // Decode reconstructs a region from an Encode result. The curve is
@@ -245,7 +287,7 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 	if err != nil {
 		return err
 	}
-	switch m := Method(data[0]); m {
+	switch m := methodOfCode(data[0]); m {
 	case Naive:
 		// Divide rather than multiply: 8*count overflows for a corrupt
 		// count and would wave a giant allocation through the check.
@@ -262,7 +304,16 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 			runs[i].Hi = uint64(binary.BigEndian.Uint32(body[8*i+4:]))
 		}
 		return r.Refill(curve, runs)
-	case Elias, EliasDelta, Varint:
+	case Elias, EliasDelta, Varint, Golomb:
+		var riceK uint8
+		if m == Golomb {
+			if len(body) < 1 {
+				return fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
+			}
+			if riceK, body = body[0], body[1:]; riceK > 63 {
+				return fmt.Errorf("%w: rice parameter %d", ErrCorrupt, riceK)
+			}
+		}
 		// Every delta costs at least one encoded bit, so a count beyond
 		// the payload's bit length is corrupt. Checking here (not just
 		// against curve.Length() in decodeDeltas) matters on huge
@@ -271,31 +322,7 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 		if count > uint64(len(body))*8 {
 			return fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
 		}
-		br := bitio.NewReader(body, -1)
-		read := func() (uint64, error) {
-			switch m {
-			case Elias:
-				return readGamma(br)
-			case EliasDelta:
-				return readDelta(br)
-			default:
-				return readVarint(br)
-			}
-		}
-		return decodeDeltas(r, curve, count, read, buf)
-	case Golomb:
-		if len(body) < 1 {
-			return fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
-		}
-		k := body[0]
-		if k > 63 {
-			return fmt.Errorf("%w: rice parameter %d", ErrCorrupt, k)
-		}
-		if count > uint64(len(body)-1)*8 {
-			return fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body)-1)
-		}
-		br := bitio.NewReader(body[1:], -1)
-		return decodeDeltas(r, curve, count, func() (uint64, error) { return readRice(br, k) }, buf)
+		return decodeDeltas(r, curve, count, bitio.NewReader(body, -1), m, riceK, buf)
 	case OblongOctant, Octant:
 		if count > uint64(len(body))/4 {
 			return fmt.Errorf("%w: octant body truncated", ErrCorrupt)
@@ -331,7 +358,7 @@ func MaxRuns(data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch Method(data[0]) {
+	switch methodOfCode(data[0]) {
 	case Naive:
 		if count > uint64(len(body))/8 {
 			return 0, fmt.Errorf("%w: naive body truncated", ErrCorrupt)
@@ -373,12 +400,13 @@ func header(data []byte) (sfc.Curve, uint64, []byte, error) {
 // as region.Deltas() returns them and tracking parity from the count of
 // elements: Deltas() ends with a run, so with count elements the first
 // is a gap iff count is even.
-func decodeDeltas(r *region.Region, curve sfc.Curve, count uint64, read func() (uint64, error), buf []region.Run) error {
+func decodeDeltas(r *region.Region, curve sfc.Curve, count uint64, br *bitio.Reader, m Method, riceK uint8, buf []region.Run) error {
 	// Every delta covers at least one position, so more deltas than the
 	// curve has positions is corrupt — and bounding count here keeps a
 	// corrupt header from driving the preallocation below.
-	if count > curve.Length() {
-		return fmt.Errorf("%w: %d deltas on a %d-position curve", ErrCorrupt, count, curve.Length())
+	n := curve.Length()
+	if count > n {
+		return fmt.Errorf("%w: %d deltas on a %d-position curve", ErrCorrupt, count, n)
 	}
 	runs := buf[:0]
 	if count > 0 && uint64(cap(runs)) < count/2+1 {
@@ -387,14 +415,28 @@ func decodeDeltas(r *region.Region, curve sfc.Curve, count uint64, read func() (
 	pos := uint64(0)
 	inside := count%2 == 1 // first delta is a run iff odd total (ends with run)
 	for i := uint64(0); i < count; i++ {
-		length, err := read()
+		// The code is picked per delta here rather than behind a call or
+		// a closure: the branch always goes the same way, and each delta
+		// is one direct call.
+		var length uint64
+		var err error
+		switch m {
+		case Elias:
+			length, err = br.ReadGamma()
+		case EliasDelta:
+			length, err = readDelta(br)
+		case Varint:
+			length, err = readVarint(br)
+		default:
+			length, err = readRice(br, riceK)
+		}
 		if err != nil {
 			return fmt.Errorf("%w: delta %d: %v", ErrCorrupt, i, err)
 		}
 		if length == 0 {
 			return fmt.Errorf("%w: zero-length delta", ErrCorrupt)
 		}
-		if length > curve.Length()-pos {
+		if length > n-pos {
 			return fmt.Errorf("%w: deltas overflow curve", ErrCorrupt)
 		}
 		if inside {
@@ -418,24 +460,8 @@ func EncodedSize(m Method, r *region.Region) (int, error) {
 	case Octant:
 		return headerLen + 4*r.NumOctants(), nil
 	case Elias, EliasDelta, Varint, Golomb:
-		bitsTotal := 0
-		var k uint8
-		if m == Golomb {
-			k = riceParam(r)
-		}
-		r.EachDelta(func(d region.Delta) {
-			switch m {
-			case Elias:
-				bitsTotal += gammaBits(d.Length)
-			case EliasDelta:
-				bitsTotal += deltaBits(d.Length)
-			case Varint:
-				bitsTotal += varintBits(d.Length)
-			case Golomb:
-				bitsTotal += riceBits(d.Length, k)
-			}
-		})
-		n := headerLen + (bitsTotal+7)/8
+		_, _, nbits := deltaStream(m, r)
+		n := headerLen + (nbits+7)/8
 		if m == Golomb {
 			n++
 		}

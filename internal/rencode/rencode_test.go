@@ -1,8 +1,12 @@
 package rencode
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +119,78 @@ func TestEncodedSizeMatches(t *testing.T) {
 	}
 }
 
+// asideEncode is how the bit codecs were encoded before AppendEncode
+// wrote their payload in place: the delta stream into a Writer of its
+// own, then copied after the header. It stays as the oracle.
+func asideEncode(m Method, r *region.Region) []byte {
+	c := r.Curve()
+	var riceK uint8
+	if m == Golomb {
+		riceK = riceParam(r)
+	}
+	var w bitio.Writer
+	var count uint64
+	r.EachDelta(func(d region.Delta) {
+		count++
+		switch m {
+		case Elias:
+			writeGamma(&w, d.Length)
+		case EliasDelta:
+			writeDelta(&w, d.Length)
+		case Varint:
+			writeVarint(&w, d.Length)
+		case Golomb:
+			writeRice(&w, d.Length, riceK)
+		}
+	})
+	out := []byte{m.code(), byte(c.Kind()), byte(c.Dim()), byte(c.Bits())}
+	out = binary.BigEndian.AppendUint64(out, count)
+	if m == Golomb {
+		out = append(out, riceK)
+	}
+	return append(out, w.Bytes()...)
+}
+
+// TestAppendEncodeInPlace: for the bit codecs, AppendEncode after a
+// prefix gives the prefix and the aside encoder's bytes, and into a dst
+// with EncodedSize room it writes there and allocates nothing.
+func TestAppendEncodeInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var regions []*region.Region
+	for _, c := range []sfc.Curve{h3, z3, h2, sfc.MustNew(sfc.Hilbert, 3, 7)} {
+		regions = append(regions, region.Empty(c), region.Full(c), genOnCurve(rng, c), genOnCurve(rng, c), randRegion(rng, c, 400))
+	}
+	prefix := []byte{0xD7, 1, 2}
+	for _, m := range []Method{Elias, EliasDelta, Golomb, Varint} {
+		for i, r := range regions {
+			want := append(bytes.Clone(prefix), asideEncode(m, r)...)
+			size, err := EncodedSize(m, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dst := range [][]byte{bytes.Clone(prefix), append(make([]byte, 0, len(prefix)+size), prefix...)} {
+				got, err := AppendEncode(dst, m, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%v region %d: AppendEncode = %x, aside encoder %x", m, i, got, want)
+				}
+			}
+			dst := make([]byte, len(prefix), len(prefix)+size)
+			allocs := testing.AllocsPerRun(10, func() {
+				out, err := AppendEncode(dst, m, r)
+				if err != nil || &out[0] != &dst[0] {
+					t.Fatalf("%v region %d: AppendEncode left dst (%v)", m, i, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v region %d: %.0f allocs into a dst with room", m, i, allocs)
+			}
+		}
+	}
+}
+
 func TestNaivePaperSize(t *testing.T) {
 	// The paper's example: the Figure 3 region has one h-run and the
 	// naive method stores it in 8 bytes (+ our 12-byte header).
@@ -189,6 +265,12 @@ func TestNaiveRejectsHugeGrids(t *testing.T) {
 func TestGammaCode(t *testing.T) {
 	// Paper's worked examples: 1 -> "1", 2 -> "010", 3 -> "011", 4 -> "00100".
 	cases := map[uint64]string{1: "1", 2: "010", 3: "011", 4: "00100"}
+	// And the definition, ⌊log x⌋ zeros then x in binary, on both sides
+	// of the one-field write (⌊log x⌋ < 32) and at the top of the range.
+	for _, x := range []uint64{5, 1<<16 - 1, 1 << 16, 1<<31 + 7, 1<<32 - 1, 1 << 32, 1<<40 + 12345, 1 << 63, 1<<64 - 1} {
+		bin := strconv.FormatUint(x, 2)
+		cases[x] = strings.Repeat("0", len(bin)-1) + bin
+	}
 	for x, want := range cases {
 		var w bitio.Writer
 		writeGamma(&w, x)
@@ -224,7 +306,7 @@ func TestIntegerCodesRoundTrip(t *testing.T) {
 		bits   func(uint64) int
 		values []uint64
 	}{
-		{"gamma", writeGamma, readGamma, gammaBits, values},
+		{"gamma", writeGamma, (*bitio.Reader).ReadGamma, gammaBits, values},
 		{"delta", writeDelta, readDelta, deltaBits, values},
 		{"varint", writeVarint, readVarint, varintBits, values},
 		{"rice4", func(w *bitio.Writer, x uint64) { writeRice(w, x, 4) },
