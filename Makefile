@@ -29,7 +29,7 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores test race cover chaos fuzz-smoke bench-smoke
+.PHONY: check fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc
 
 check: fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores race chaos cover fuzz-smoke bench-smoke
 
@@ -177,3 +177,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
 	$(GO) test -run '^$$' -bench '^BenchmarkIntersectN$$' -benchtime 100x -benchmem ./internal/region
 	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver
+
+# The non-test Go line count outside benchmark/ (tracked files, lint
+# fixtures included): the number DESIGN.md sections and ROADMAP.md quote
+# for a change's before and after. Informational; not part of check.
+loc:
+	@git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l

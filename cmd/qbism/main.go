@@ -78,7 +78,6 @@ func main() {
 	gapPages := flag.Uint64("gappages", 0, "coalesce extraction reads across page gaps up to this wide (0 = exact runs)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-study plans (0/1 = serial)")
 	noPushdown := flag.Bool("nopushdown", false, "disable SQL predicate pushdown and hash joins (A/B baseline)")
-	rencodeMode := flag.String("rencode", "auto", "REGION representation: auto (bands stored as runs and k3-tree, band queries read the k3-tree row), runs (seed baseline), or a forced encoding name (e.g. k3-tree, elias)")
 
 	addr := flag.String("addr", "", "query the running qbismd at this host:port instead of loading a corpus in-process")
 	shards := flag.Int("shards", 0, "partition the corpus across this many shards (0 = unsharded single node)")
@@ -95,8 +94,7 @@ func main() {
 		Bits: *bits, NumPET: *pets, NumMRI: *mris, Seed: *seed, SmallStudies: *small,
 		Checksums:  *checksums,
 		CachePages: *cachePages, ReadGapPages: *gapPages, Workers: *workers,
-		Rencode: *rencodeMode,
-		Trace:   *trace,
+		Trace: *trace,
 	}
 	if *readErr+*pageCorrupt > 0 {
 		cfg.DeviceFaults = &qbism.FaultPolicy{

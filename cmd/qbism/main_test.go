@@ -29,7 +29,7 @@ func exactRow(t qbism.QueryTiming) qbism.QueryTiming {
 func TestAddrMatchesEmbedded(t *testing.T) {
 	cfg := qbism.Config{
 		Bits: 4, NumPET: 2, NumMRI: 1, Seed: 1993, SmallStudies: true,
-		Checksums: true, Rencode: "auto",
+		Checksums: true,
 	}
 	retry := qbism.WithRetry(qbism.DefaultRetryPolicy())
 	spec := qbism.QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "ntal1"}

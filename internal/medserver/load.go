@@ -17,9 +17,9 @@ import (
 // The load pipeline. Loading the atlas and each study is split in two:
 // a *prepare* that computes everything to be stored — for a study:
 // synthesize, fit the landmarks, resample to atlas space, reorder onto
-// the Hilbert curve, band, encode every band row and pick its default
-// representation — and a *commit* that writes it: catalog rows, LFM
-// allocations, and the Server's own maps.
+// the Hilbert curve, band, and encode every band row — and a *commit*
+// that writes it: catalog rows, LFM allocations, and the Server's own
+// maps.
 //
 // Prepares read only the immutable parts of the Server (Cfg, Curve,
 // ZCurve) and run on worker goroutines; commits run on the goroutine
@@ -99,7 +99,7 @@ func (s *Server) prepareAtlas() (func() error, error) {
 	}
 	regions := make([][]byte, len(a.Structures))
 	for i, st := range a.Structures {
-		if regions[i], err = s.encodeStructure(st.Region); err != nil {
+		if regions[i], err = encodeStructure(st.Region); err != nil {
 			return nil, err
 		}
 	}
@@ -292,22 +292,11 @@ func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 	return func() error { return s.commitStudy(p) }, nil
 }
 
-// prepareBand encodes the rows one band is stored as: always h-naive
-// runs (degradation paths and explicit-encoding queries depend on that
-// row), the Z-run and octant rows under ExtraBandEncodings, then the
-// row default band queries read (BandEncoding) when that is another
-// label. A forced method is stored under its own name, so "naive" and
-// "h-naive" rows may then hold identical bytes under different labels.
+// prepareBand encodes the rows one band is stored as, one per label of
+// bandEncodings (repr.go has why each is kept).
 func (s *Server) prepareBand(b volume.BandSpec) (preparedBand, error) {
-	encodings := []string{EncHilbertNaive}
-	if s.Cfg.ExtraBandEncodings {
-		encodings = append(encodings, EncZNaive, EncOctant)
-	}
-	if enc := s.BandEncoding(); enc != EncHilbertNaive {
-		encodings = append(encodings, enc)
-	}
 	pb := preparedBand{spec: b}
-	for _, enc := range encodings {
+	for _, enc := range s.bandEncodings() {
 		data, err := s.encodeBand(b, enc)
 		if err != nil {
 			return preparedBand{}, err
@@ -317,14 +306,15 @@ func (s *Server) prepareBand(b volume.BandSpec) (preparedBand, error) {
 	return pb, nil
 }
 
-// encodeBand encodes one band REGION under the named encoding. Labels
-// not in the fixed set resolve through rencode.MethodByName and encode
-// on the storage (Hilbert) curve — this is how the k3-tree rows and
-// forced Rencode methods are stored.
+// encodeBand encodes one band REGION under the named encoding: h-naive
+// and k3-tree on the storage (Hilbert) curve, z-naive and octant on the
+// Z curve.
 func (s *Server) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) {
 	switch encoding {
 	case EncHilbertNaive:
 		return rencode.Encode(rencode.Naive, b.Region)
+	case EncK3Tree:
+		return rencode.Encode(rencode.K3Tree, b.Region)
 	case EncZNaive, EncOctant:
 		rz, err := b.Region.Recode(s.ZCurve)
 		if err != nil {
@@ -335,11 +325,7 @@ func (s *Server) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) 
 		}
 		return rencode.Encode(rencode.Naive, rz)
 	default:
-		m, ok := rencode.MethodByName(encoding)
-		if !ok {
-			return nil, fmt.Errorf("qbism: unknown band encoding %q", encoding)
-		}
-		return rencode.Encode(m, b.Region)
+		return nil, fmt.Errorf("qbism: unknown band encoding %q", encoding)
 	}
 }
 

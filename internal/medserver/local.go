@@ -21,14 +21,17 @@ import (
 // executes and each line carries its runtime counters (rows in/out,
 // UDF calls, LFM pages charged to that operator's expressions). Band
 // queries are prefixed with a "band repr:" line naming the REGION
-// representation the query resolves to and whether it is the mode's
-// default or the spec forced it.
+// representation the query resolves to and whether it is the default or
+// the spec forced it.
 func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 	var lines []string
 	if spec.HasBand {
+		defaulted, err := s.resolveBandEncoding(&spec)
+		if err != nil {
+			return nil, err
+		}
 		src := "forced"
-		if spec.Encoding == "" {
-			spec.Encoding = s.BandEncoding()
+		if defaulted {
 			src = "default"
 		}
 		lines = append(lines, fmt.Sprintf("band repr: %s (%s)", spec.Encoding, src))

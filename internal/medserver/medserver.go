@@ -33,9 +33,10 @@ type QuerySpec struct {
 	HasBand bool
 	BandLo  int
 	BandHi  int
-	// Encoding selects the band REGION encoding. Empty reads the row
-	// Config.Rencode makes the default (Server.BandEncoding): EncK3Tree in
-	// auto mode, EncHilbertNaive in runs mode, a forced method's own label.
+	// Encoding selects the stored band row a band query reads: EncK3Tree
+	// or EncHilbertNaive, and EncZNaive or EncOctant on a server with
+	// Config.ExtraBandEncodings. Empty reads EncK3Tree; any other label
+	// is refused.
 	Encoding string
 }
 
@@ -359,7 +360,7 @@ type dataBinds [7]sdb.Value
 // dataQuerySQL translates a QuerySpec into the second §3.4 SQL query:
 // which prepared shape to run, plus its bind values, written into the
 // caller's buf so that a request's bind vector can live on its stack.
-// A band spec arrives with its Encoding resolved (BandEncoding). The
+// A band spec arrives with its Encoding resolved (resolveBandEncoding). The
 // shapes combine a band with a structure and nothing else; any other
 // mix of restrictions is refused rather than answered in part.
 func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error) {
@@ -414,11 +415,14 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // the field; querySingle returns it like any other failure, so the
 // fallback conditions are unchanged.
 func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (blob []byte, warning string, err error) {
-	// An unspecified band encoding resolves to the mode's default row
-	// before SQL generation, so the generated query binds a concrete
-	// encoding label — the SQL itself stays representation-agnostic.
-	if spec.HasBand && spec.Encoding == "" {
-		spec.Encoding = s.BandEncoding()
+	// A band spec's encoding resolves before SQL generation, so the
+	// generated query binds a label the store holds — the SQL itself
+	// stays representation-agnostic, and a label no row could match fails
+	// here rather than degrading to a VOLUME scan below.
+	if spec.HasBand {
+		if _, err := s.resolveBandEncoding(&spec); err != nil {
+			return nil, "", err
+		}
 	}
 	var binds dataBinds
 	shape, args, err := dataQuerySQL(spec, &binds)

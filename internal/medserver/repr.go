@@ -2,89 +2,77 @@ package medserver
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"qbism/internal/region"
 	"qbism/internal/rencode"
 )
 
-// Default representation (Config.Rencode). Every band is always
-// stored as h-naive runs — degradation paths and explicit-encoding
-// queries depend on that row — and, in auto mode, additionally as a
-// k³-tree. Which of the stored rows a band query with no explicit
-// Encoding reads is a function of the mode alone (BandEncoding): in
-// every corpus the repo loads the k³-tree row is the smaller one for
-// every band but the empty and one- or two-run ones, where it is a byte
-// or two larger (DESIGN.md §13), so there is nothing to choose per
-// band. Replica nodes and the unsharded control share a mode, so they
-// resolve identically.
+// The stored layout. Every band is stored as an h-naive row and a
+// k³-tree row, plus z-naive and octant rows under ExtraBandEncodings; a
+// band spec that names no Encoding reads the k³-tree row. In every
+// corpus the repo loads the k³-tree row is the smaller one for every
+// band but the empty and one- or two-run ones, where it is a byte or two
+// larger (DESIGN.md §13), so there is nothing to choose per band. The
+// h-naive row is kept because Table 4 and the repo benchmark's
+// population sweep ask for it by name; no degraded path reads it
+// (bandSlowPath reads the VOLUME and the structure).
 
-// Rencode modes beyond a forced rencode method name.
-const (
-	// RencodeAuto stores runs and k³-tree rows per band; band queries
-	// default to the k³-tree row.
-	RencodeAuto = "auto"
-	// RencodeRuns reproduces the seed: run-list codecs only.
-	RencodeRuns = "runs"
+// bandLabels and extraBandLabels are the rows a store holds per band, in
+// the order prepareBand stores them.
+var (
+	bandLabels      = []string{EncHilbertNaive, EncK3Tree}
+	extraBandLabels = []string{EncHilbertNaive, EncZNaive, EncOctant, EncK3Tree}
 )
 
-// validateRencode rejects unknown Config.Rencode values early, at
-// Server construction, rather than at first band load.
-func validateRencode(mode string) error {
-	if mode == RencodeAuto || mode == RencodeRuns {
-		return nil
+// bandEncodings lists the encoding labels this store holds a row of for
+// every band: what the loader stores and what a band spec may name.
+func (s *Server) bandEncodings() []string {
+	if s.Cfg.ExtraBandEncodings {
+		return extraBandLabels
 	}
-	if _, ok := rencode.MethodByName(mode); ok {
-		return nil
-	}
-	return fmt.Errorf("qbism: unknown Rencode mode %q (want %q, %q, or a rencode method name)",
-		mode, RencodeAuto, RencodeRuns)
+	return bandLabels
 }
 
-// BandEncoding is the encoding label a band query with no explicit
-// Encoding reads, and the row prepareBand stores beside h-naive.
-func (s *Server) BandEncoding() string {
-	switch mode := s.Cfg.Rencode; mode {
-	case RencodeAuto:
-		return EncK3Tree
-	case RencodeRuns:
-		return EncHilbertNaive
-	default:
-		return mode // a forced method's rows carry its own name
+// resolveBandEncoding fills a band spec's empty Encoding with the
+// default label, EncK3Tree, and reports whether it did. A label the
+// store holds no rows of — a typo, or octant without
+// ExtraBandEncodings — is refused: no stored row could ever answer it.
+func (s *Server) resolveBandEncoding(spec *QuerySpec) (defaulted bool, err error) {
+	if spec.Encoding == "" {
+		spec.Encoding = EncK3Tree
+		return true, nil
 	}
+	if labels := s.bandEncodings(); !slices.Contains(labels, spec.Encoding) {
+		return false, fmt.Errorf("qbism: band encoding %q is not stored (have %s)",
+			spec.Encoding, strings.Join(labels, ", "))
+	}
+	return false, nil
 }
 
 // structureK3Slack is how many times the naive run list's size a
-// structure's k³-tree may be and still be the stored form in auto mode —
-// the acceptance bound the BENCH tables track.
+// structure's k³-tree may be and still be the stored form.
 const structureK3Slack = 1.5
 
-// encodeStructure encodes an atlas structure REGION per the Rencode
-// mode: auto keeps the k³-tree unless it is more than structureK3Slack
-// times the naive run list's size (structure probes — CONTAINS, point
-// membership — then run on the compressed bytes), runs keeps the naive
-// run list, a method name forces that method. Storage names its own
+// encodeStructure encodes an atlas structure REGION as a k³-tree unless
+// that is more than structureK3Slack times the naive run list's size, in
+// which case it keeps the run list. Structure probes — CONTAINS, point
+// membership — then run on the compressed bytes. Storage names its own
 // codecs: Config.Method is the wire's. The stored bytes are
 // self-describing (rencode header), so no catalog column records the
 // choice.
-func (s *Server) encodeStructure(r *region.Region) ([]byte, error) {
-	switch mode := s.Cfg.Rencode; mode {
-	case RencodeRuns:
-		return rencode.Encode(rencode.Naive, r)
-	case RencodeAuto:
-		base, err := rencode.Encode(rencode.Naive, r)
-		if err != nil {
-			return nil, err
-		}
-		sizeK3, err := rencode.EncodedSize(rencode.K3Tree, r)
-		if err != nil {
-			return nil, err
-		}
-		if float64(sizeK3) <= structureK3Slack*float64(len(base)) {
-			return rencode.Encode(rencode.K3Tree, r)
-		}
-		return base, nil
-	default:
-		m, _ := rencode.MethodByName(mode) // validated in New
-		return rencode.Encode(m, r)
+func encodeStructure(r *region.Region) ([]byte, error) {
+	base, err := rencode.Encode(rencode.Naive, r)
+	if err != nil {
+		return nil, err
 	}
+	sizeK3, err := rencode.EncodedSize(rencode.K3Tree, r)
+	if err != nil {
+		return nil, err
+	}
+	if float64(sizeK3) <= structureK3Slack*float64(len(base)) {
+		return rencode.Encode(rencode.K3Tree, r)
+	}
+	return base, nil
 }

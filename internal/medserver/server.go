@@ -59,16 +59,8 @@ type Config struct {
 	// Method is the wire codec: the encoding of every REGION that leaves
 	// the server, in a DATA_REGION reply or as a REGION-valued SQL
 	// result. Its zero value is Elias γ, the paper's method (§4.2).
-	// What is stored is Rencode's choice, not Method's.
+	// Storage never reads it: the stored layout is fixed (repr.go).
 	Method rencode.Method
-	// Rencode selects the REGION representation strategy. "auto" (the
-	// default) stores each band REGION both as naive runs and as a
-	// k³-tree, and band queries that name no encoding read the k³-tree
-	// row; atlas structures store the k³-tree unless it is more than
-	// 1.5× the naive runs' size. "runs" reproduces the seed exactly
-	// (naive run lists only, no k³ rows). A rencode method name (e.g.
-	// "k3-tree", "elias") forces that encoding everywhere.
-	Rencode string
 	// BandWidth is the intensity band width (default 32 -> 8 bands).
 	BandWidth int
 	// WithMeshes builds and stores structure surface meshes.
@@ -136,9 +128,6 @@ func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1993
 	}
-	if c.Rencode == "" {
-		c.Rencode = RencodeAuto
-	}
 	if c.DeviceBytes == 0 {
 		volBytes := uint64(1) << (3 * c.Bits)
 		perStudy := volBytes * 8 // warped + bands + slack
@@ -200,9 +189,6 @@ type Server struct {
 // spatial UDFs and the prepared statements ServeRPC runs.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.WithDefaults()
-	if err := validateRencode(cfg.Rencode); err != nil {
-		return nil, err
-	}
 	curve, err := sfc.New(sfc.Hilbert, 3, cfg.Bits)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 
 	"qbism/internal/cluster"
 	"qbism/internal/faultsim"
+	"qbism/internal/medserver"
 	"qbism/internal/netsim"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
@@ -231,10 +232,10 @@ func TestDegradedBandRecompute(t *testing.T) {
 
 	// Flip one stored bit of the band's REGION long field, behind the
 	// checksum table (simulated bit rot). The corrupted row must be the
-	// one the default encoding resolves to — the planner's pick.
+	// one the default encoding resolves to, the k³-tree row.
 	res, err := sys.DB.Exec(fmt.Sprintf(
 		"select ib.region from intensityBand ib where ib.studyId = %d and ib.lo = %d and ib.hi = %d and ib.encoding = '%s'",
-		study, b.Lo, b.Hi, sys.BandEncoding()))
+		study, b.Lo, b.Hi, medserver.EncK3Tree))
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("band row lookup: %d rows, %v", len(res.Rows), err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qbism/internal/lfm"
+	"qbism/internal/medserver"
 )
 
 // storeManifest lists everything a load leaves behind, one line per
@@ -55,7 +56,7 @@ func storeManifest(t *testing.T, s *System) []string {
 	for _, specs := range s.BandRegions {
 		bands += len(specs)
 	}
-	out = append(out, fmt.Sprintf("repr %s: %d bands", s.BandEncoding(), bands))
+	out = append(out, fmt.Sprintf("repr %s: %d bands", medserver.EncK3Tree, bands))
 	for _, st := range s.Studies {
 		out = append(out, fmt.Sprintf("study %+v", st))
 	}

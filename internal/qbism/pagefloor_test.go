@@ -69,7 +69,7 @@ func longField(t *testing.T, srv *medserver.Server, query string, args ...sdb.Va
 }
 
 // pagesAtFieldFloor serves every daemon_small shape of srv's corpus —
-// each small structure, alone and ∩ each band in the mode's default
+// each small structure, alone and ∩ each band in the default (k³)
 // encoding — and checks each bill against the oracle, then does the
 // same for population_batch's ConsistentBandRegion over the PET
 // studies, on the h-naive rows it reads and on the k³-tree rows. It
@@ -133,7 +133,7 @@ func pagesAtFieldFloor(t *testing.T, srv *medserver.Server) string {
 				spec := spec
 				spec.HasBand, spec.BandLo, spec.BandHi = true, int(b.Lo), int(b.Hi)
 				fb := pageFloor{volume: volumePages(want, ps), structure: f.structure,
-					band: bandField(st.StudyID, b.Lo, b.Hi, srv.BandEncoding())}
+					band: bandField(st.StudyID, b.Lo, b.Hi, medserver.EncK3Tree)}
 				serve(spec, want, fb)
 				smallBand.volume += fb.volume
 				smallBand.structure += fb.structure
@@ -163,10 +163,10 @@ func pagesAtFieldFloor(t *testing.T, srv *medserver.Server) string {
 		}
 		return float64(pages) / float64(len(bands))
 	}
-	return fmt.Sprintf("small: %.3f VOLUME + %.3f field pages; small ∩ band: %.3f + %.3f + %.3f (the %s band field); "+
+	return fmt.Sprintf("small: %.3f VOLUME + %.3f field pages; small ∩ band: %.3f + %.3f + %.3f (the k3-tree band field); "+
 		"ConsistentBandRegion: %.3f pages per band on h-naive rows, %.3f on k³",
 		float64(small.volume)/nSmall, float64(small.structure)/nSmall,
-		float64(smallBand.volume)/nBand, float64(smallBand.structure)/nBand, float64(smallBand.band)/nBand, srv.BandEncoding(),
+		float64(smallBand.volume)/nBand, float64(smallBand.structure)/nBand, float64(smallBand.band)/nBand,
 		sweep(EncHilbertNaive), sweep(medserver.EncK3Tree))
 }
 

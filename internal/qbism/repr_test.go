@@ -7,26 +7,26 @@ import (
 	"testing"
 
 	"qbism/internal/medserver"
+	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
 	"qbism/internal/transport"
 )
 
-func reprBaseConfig(rencodeMode string) Config {
+func reprBaseConfig() Config {
 	return Config{
 		Bits:         4,
 		NumPET:       2,
 		NumMRI:       1,
 		Seed:         11,
 		SmallStudies: true,
-		Rencode:      rencodeMode,
 	}
 }
 
 // reprQueryShapes returns one spec per §3.4 query shape against the
-// given system, including a default-encoding band query (the one the
-// mode resolves) and an explicitly pinned h-naive one.
+// given system, the band shapes both on the default (k³-tree) row and
+// pinned to the h-naive row.
 func reprQueryShapes(s *System) []QuerySpec {
 	study := s.Studies[0].StudyID
 	bands := s.BandRegions[study]
@@ -40,112 +40,121 @@ func reprQueryShapes(s *System) []QuerySpec {
 			Encoding: EncHilbertNaive},
 		{StudyID: study, Atlas: "Talairach", Structure: "ntal",
 			HasBand: true, BandLo: int(b.Lo), BandHi: int(b.Hi)},
+		{StudyID: study, Atlas: "Talairach", Structure: "ntal",
+			HasBand: true, BandLo: int(b.Lo), BandHi: int(b.Hi), Encoding: EncHilbertNaive},
 	}
 }
 
-// TestReprDifferentialAutoVsRuns is the acceptance differential: every
-// query shape answers byte-identically whether the system stores and
-// resolves its default representation (auto) or reproduces the
-// seed's all-runs layout. The representation is invisible in results —
-// only sizes and probe costs may differ.
-func TestReprDifferentialAutoVsRuns(t *testing.T) {
-	auto, err := New(reprBaseConfig(medserver.RencodeAuto))
+// oracleRegion builds the REGION a spec selects in memory, from the
+// atlas geometry, the band REGIONs the loader kept and the grid — never
+// from a stored row.
+func oracleRegion(t *testing.T, s *System, spec QuerySpec) *region.Region {
+	t.Helper()
+	r := region.Full(s.Curve)
+	if spec.Box != nil {
+		b := spec.Box
+		box, err := region.FromBox(s.Curve, region.Box{Min: sfc.Pt(b[0], b[1], b[2]), Max: sfc.Pt(b[3], b[4], b[5])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = box
+	}
+	if spec.Structure != "" {
+		st, err := s.Atlas.ByName(spec.Structure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = st.Region
+	}
+	if spec.HasBand {
+		var band *region.Region
+		for _, b := range s.BandRegions[spec.StudyID] {
+			if int(b.Lo) == spec.BandLo && int(b.Hi) == spec.BandHi {
+				band = b.Region
+			}
+		}
+		if band == nil {
+			t.Fatalf("%s: no band [%d,%d] in memory", spec.Label(), spec.BandLo, spec.BandHi)
+		}
+		var err error
+		if r, err = region.Intersect(r, band); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// TestReprMatchesOracle is the representation differential: every query
+// shape, on the k³-tree rows and structures the store holds and on the
+// h-naive band row, answers byte-identically to extracting the
+// in-memory REGION from the stored VOLUME. The representation is
+// invisible in results — only sizes and probe costs may differ.
+func TestReprMatchesOracle(t *testing.T) {
+	s, err := New(reprBaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := New(reprBaseConfig(medserver.RencodeRuns))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, spec := range reprQueryShapes(auto) {
-		ra, err := auto.RunQuery(spec)
+	for i, spec := range reprQueryShapes(s) {
+		res, err := s.RunQuery(spec)
 		if err != nil {
-			t.Fatalf("shape %d (%s) on auto: %v", i, spec.Label(), err)
+			t.Fatalf("shape %d (%s): %v", i, spec.Label(), err)
 		}
-		rr, err := runs.RunQuery(spec)
+		if res.Meta.Degraded {
+			t.Errorf("shape %d (%s): degraded: %s", i, spec.Label(), res.Meta.Warning)
+		}
+		vol, err := s.DB.Exec(`select wv.data from warpedVolume wv where wv.studyId = ?`, sdb.Int(int64(spec.StudyID)))
+		if err != nil || len(vol.Rows) != 1 {
+			t.Fatalf("study %d VOLUME: %d rows, %v", spec.StudyID, len(vol.Rows), err)
+		}
+		d, err := ExtractStoredOpts(s.LFM, vol.Rows[0][0].L, oracleRegion(t, s, spec), ExtractOpts{})
 		if err != nil {
-			t.Fatalf("shape %d (%s) on runs: %v", i, spec.Label(), err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(marshalResult(t, auto.Cfg.Method, ra), marshalResult(t, runs.Cfg.Method, rr)) {
-			t.Errorf("shape %d (%s): auto result differs from runs baseline", i, spec.Label())
+		want, err := MarshalDataRegion(d, s.Cfg.Method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshalResult(t, s.Cfg.Method, res), want) {
+			t.Errorf("shape %d (%s): result differs from the in-memory oracle", i, spec.Label())
 		}
 	}
 }
 
-// TestReprForcedK3Differential pins the forced mode: with every REGION
-// stored as a k³-tree (bands and structures), all query shapes still
-// answer byte-identically to the runs baseline, and the probe counter
-// proves the compressed fast path actually ran.
-func TestReprForcedK3Differential(t *testing.T) {
-	k3, err := New(reprBaseConfig(medserver.EncK3Tree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := New(reprBaseConfig(medserver.RencodeRuns))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, spec := range reprQueryShapes(k3) {
-		rk, err := k3.RunQuery(spec)
-		if err != nil {
-			t.Fatalf("shape %d (%s) on k3: %v", i, spec.Label(), err)
-		}
-		rr, err := runs.RunQuery(spec)
-		if err != nil {
-			t.Fatalf("shape %d (%s) on runs: %v", i, spec.Label(), err)
-		}
-		if !bytes.Equal(marshalResult(t, k3.Cfg.Method, rk), marshalResult(t, runs.Cfg.Method, rr)) {
-			t.Errorf("shape %d (%s): forced-k3 result differs from runs baseline", i, spec.Label())
-		}
-	}
-	if k3.Metrics.Counter("qbism_region_probe_total").Value() == 0 {
-		t.Error("forced-k3 queries never took the compressed probe fast path")
-	}
-}
-
-// TestDefaultBandEncoding: the row a band query with no Encoding reads
-// is the Rencode mode's, for every band. The default query and the same
-// query naming that label are one query — equal REGIONs, equal page
-// counts, neither degraded — and EXPLAIN says which of the two it was.
+// TestDefaultBandEncoding: a band query with no Encoding reads the
+// k³-tree row, for every band. The default query and the same query
+// naming that label are one query — equal REGIONs, equal page counts,
+// neither degraded — and EXPLAIN says which of the two it was.
 func TestDefaultBandEncoding(t *testing.T) {
-	for _, tc := range []struct{ mode, want string }{
-		{medserver.RencodeAuto, medserver.EncK3Tree},
-		{medserver.RencodeRuns, EncHilbertNaive},
-		{"elias", "elias"},
-	} {
-		s, err := New(reprBaseConfig(tc.mode))
-		if err != nil {
-			t.Fatalf("mode %s: %v", tc.mode, err)
-		}
-		if got := s.BandEncoding(); got != tc.want {
-			t.Errorf("mode %s: bandEncoding() = %q, want %q", tc.mode, got, tc.want)
-		}
-		study := s.Studies[0].StudyID
-		bands := s.BandRegions[study]
-		b := bands[len(bands)/2]
+	s, err := New(reprBaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := medserver.EncK3Tree
+	study := s.Studies[0].StudyID
+	for _, b := range s.BandRegions[study] {
 		spec := QuerySpec{StudyID: study, Atlas: "Talairach", HasBand: true,
 			BandLo: int(b.Lo), BandHi: int(b.Hi)}
 		named := spec
-		named.Encoding = tc.want
+		named.Encoding = want
 
 		def, err := s.RunQuery(spec)
 		if err != nil {
-			t.Fatalf("mode %s default: %v", tc.mode, err)
+			t.Fatalf("%s default: %v", spec.Label(), err)
 		}
 		nam, err := s.RunQuery(named)
 		if err != nil {
-			t.Fatalf("mode %s named: %v", tc.mode, err)
+			t.Fatalf("%s named: %v", spec.Label(), err)
 		}
 		if def.Meta.Degraded || nam.Meta.Degraded {
-			t.Errorf("mode %s: degraded answer (default %q, named %q)",
-				tc.mode, def.Meta.Warning, nam.Meta.Warning)
+			t.Errorf("%s: degraded answer (default %q, named %q)",
+				spec.Label(), def.Meta.Warning, nam.Meta.Warning)
 		}
 		if !bytes.Equal(marshalResult(t, s.Cfg.Method, def), marshalResult(t, s.Cfg.Method, nam)) {
-			t.Errorf("mode %s: default query and Encoding %q return different REGIONs", tc.mode, tc.want)
+			t.Errorf("%s: default query and Encoding %q return different REGIONs", spec.Label(), want)
 		}
 		if def.Meta.LFMPages != nam.Meta.LFMPages {
-			t.Errorf("mode %s: default read %d pages, Encoding %q read %d",
-				tc.mode, def.Meta.LFMPages, tc.want, nam.Meta.LFMPages)
+			t.Errorf("%s: default read %d pages, Encoding %q read %d",
+				spec.Label(), def.Meta.LFMPages, want, nam.Meta.LFMPages)
 		}
 
 		for _, e := range []struct {
@@ -154,11 +163,66 @@ func TestDefaultBandEncoding(t *testing.T) {
 		}{{spec, "default"}, {named, "forced"}} {
 			lines, err := s.ExplainSpec(e.spec, false)
 			if err != nil {
-				t.Fatalf("mode %s explain: %v", tc.mode, err)
+				t.Fatalf("%s explain: %v", spec.Label(), err)
 			}
-			if want := fmt.Sprintf("band repr: %s (%s)", tc.want, e.src); len(lines) == 0 || lines[0] != want {
-				t.Errorf("mode %s: explain leads with %q, want %q", tc.mode, lines, want)
+			if want := fmt.Sprintf("band repr: %s (%s)", want, e.src); len(lines) == 0 || lines[0] != want {
+				t.Errorf("%s: explain leads with %q, want %q", spec.Label(), lines, want)
 			}
+		}
+	}
+}
+
+// TestUnstoredBandEncodingRefused: a band spec naming a label the store
+// holds no rows of — a typo, a codec name that is not a stored row, the
+// Table 4 octant row on a store without ExtraBandEncodings — is a
+// terminal error through ServeRPC and RunQuery: one attempt, no
+// degraded answer and no VOLUME read. A stored label whose row is absent
+// (an unaligned band) still degrades to the VOLUME recompute.
+func TestUnstoredBandEncodingRefused(t *testing.T) {
+	s, err := New(reprBaseConfig(), WithRetry(transport.DefaultRetryPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := s.PETStudyIDs()[0]
+	b := s.BandRegions[study][len(s.BandRegions[study])/2]
+	degraded := s.Metrics.Counter("qbism_degraded_total")
+	const wantErr = "is not stored"
+	for _, enc := range []string{"k3tree", "elias", EncOctant} {
+		for _, structure := range []string{"", "ntal"} {
+			spec := QuerySpec{StudyID: study, Atlas: "Talairach", Structure: structure,
+				HasBand: true, BandLo: int(b.Lo), BandHi: int(b.Hi), Encoding: enc}
+			req, err := EncodeQueryRequest(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deg0, pages0 := degraded.Value(), s.LFM.Stats().PageReads
+			if _, err := s.ServeRPC(nil, QueryMethod, req); err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Errorf("%s %s: ServeRPC error %v, want %q", spec.Label(), enc, err, wantErr)
+			}
+			_, err = s.RunQuery(spec)
+			if err == nil || !strings.Contains(err.Error(), wantErr) ||
+				!strings.Contains(err.Error(), "failed after 1 attempt(s)") {
+				t.Errorf("%s %s: RunQuery error %v, want a terminal %q", spec.Label(), enc, err, wantErr)
+			}
+			if got := degraded.Value() - deg0; got != 0 {
+				t.Errorf("%s %s: qbism_degraded_total moved by %d", spec.Label(), enc, got)
+			}
+			if got := s.LFM.Stats().PageReads - pages0; got != 0 {
+				t.Errorf("%s %s: refused spec read %d pages", spec.Label(), enc, got)
+			}
+			if _, err := s.ExplainSpec(spec, false); err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Errorf("%s %s: ExplainSpec error %v, want %q", spec.Label(), enc, err, wantErr)
+			}
+		}
+	}
+	for _, enc := range []string{"", EncHilbertNaive} {
+		spec := QuerySpec{StudyID: study, Atlas: "Talairach", HasBand: true, BandLo: 3, BandHi: 9, Encoding: enc}
+		res, err := s.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("unaligned band on %q: %v", enc, err)
+		}
+		if !res.Meta.Degraded {
+			t.Errorf("unaligned band on %q not degraded", enc)
 		}
 	}
 }
@@ -168,7 +232,7 @@ func TestDefaultBandEncoding(t *testing.T) {
 // through the client, where the refusal is terminal rather than
 // retried — and the supported shapes on the same system still answer.
 func TestConflictingSpecRejected(t *testing.T) {
-	s, err := New(reprBaseConfig(medserver.RencodeAuto), WithRetry(transport.DefaultRetryPolicy()))
+	s, err := New(reprBaseConfig(), WithRetry(transport.DefaultRetryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,25 +272,11 @@ func TestConflictingSpecRejected(t *testing.T) {
 	}
 }
 
-// TestRencodeValidation: an unknown mode fails at construction, and
-// each valid spelling loads.
-func TestRencodeValidation(t *testing.T) {
-	cfg := reprBaseConfig("bogus")
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted Rencode \"bogus\"")
-	}
-	for _, mode := range []string{medserver.RencodeAuto, medserver.RencodeRuns, medserver.EncK3Tree, "elias"} {
-		if _, err := New(reprBaseConfig(mode)); err != nil {
-			t.Errorf("New rejected Rencode %q: %v", mode, err)
-		}
-	}
-}
-
 // TestExplainSpecBandRepr pins the EXPLAIN annotation: default band
-// queries lead with the mode's default, explicit ones with the forced
-// label; non-band queries carry no annotation.
+// queries lead with the default, explicit ones with the forced label;
+// non-band queries carry no annotation.
 func TestExplainSpecBandRepr(t *testing.T) {
-	s, err := New(reprBaseConfig(medserver.RencodeAuto))
+	s, err := New(reprBaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,47 +312,53 @@ func TestExplainSpecBandRepr(t *testing.T) {
 }
 
 // TestContainsPointUDF exercises the point-membership probe through
-// SQL against both a compressed and a materialized structure REGION,
-// cross-checked against the atlas geometry.
+// SQL against the stored k³-tree structure REGION and against the same
+// structure passed as a naive-encoded BYTES bind, cross-checked against
+// the atlas geometry.
 func TestContainsPointUDF(t *testing.T) {
-	for _, mode := range []string{medserver.RencodeRuns, medserver.EncK3Tree} {
-		s, err := New(reprBaseConfig(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := s.Atlas.Structures[0]
-		probes := 0
+	s, err := New(reprBaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Atlas.Structures[0]
+	naive, err := rencode.Encode(rencode.Naive, st.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := s.Metrics.Counter("qbism_region_probe_total")
+	for _, src := range []struct {
+		name, query string // the query takes x, y, z as text, the REGION's source as its bind
+		bind        sdb.Value
+		probes      bool
+	}{
+		{"stored k³", "select containsPoint(as.region, %d, %d, %d) from atlasStructure as where as.structureId = ?",
+			sdb.Int(int64(st.ID)), true},
+		{"naive bind", "select containsPoint(?, %d, %d, %d) from atlas a", sdb.Bytes(naive), false},
+	} {
+		p0 := probes.Value()
 		for _, pt := range []struct{ x, y, z uint32 }{
 			{0, 0, 0}, {3, 3, 3}, {7, 7, 7}, {8, 8, 8}, {12, 5, 9},
 		} {
-			res, err := s.DB.Exec(fmt.Sprintf(
-				"select containsPoint(as.region, %d, %d, %d) from atlasStructure as where as.structureId = %d",
-				pt.x, pt.y, pt.z, st.ID))
+			res, err := s.DB.Exec(fmt.Sprintf(src.query, pt.x, pt.y, pt.z), src.bind)
 			if err != nil {
-				t.Fatalf("mode %s: %v", mode, err)
+				t.Fatalf("%s: %v", src.name, err)
 			}
 			if len(res.Rows) != 1 {
-				t.Fatalf("mode %s: %d rows", mode, len(res.Rows))
+				t.Fatalf("%s: %d rows", src.name, len(res.Rows))
 			}
 			got := res.Rows[0][0].B
 			want := st.Region.ContainsPoint(sfc.Pt(pt.x, pt.y, pt.z))
 			if got != want {
-				t.Errorf("mode %s: containsPoint(%d,%d,%d) = %v, want %v",
-					mode, pt.x, pt.y, pt.z, got, want)
+				t.Errorf("%s: containsPoint(%d,%d,%d) = %v, want %v",
+					src.name, pt.x, pt.y, pt.z, got, want)
 			}
-			probes++
 		}
-		if probes == 0 {
-			t.Fatal("no probes ran")
-		}
-		if mode == medserver.EncK3Tree && s.Metrics.Counter("qbism_region_probe_total").Value() == 0 {
-			t.Error("forced-k3 containsPoint never took the probe fast path")
+		if took := probes.Value() - p0; src.probes != (took > 0) {
+			t.Errorf("%s: %d probes on the compressed fast path", src.name, took)
 		}
 		// Out-of-range coordinates are a typed error, not a panic.
-		if _, err := s.DB.Exec(fmt.Sprintf(
-			"select containsPoint(as.region, 99, 0, 0) from atlasStructure as where as.structureId = %d",
-			st.ID)); err == nil {
-			t.Errorf("mode %s: out-of-range coordinate accepted", mode)
+		if _, err := s.DB.Exec(fmt.Sprintf(src.query, 99, 0, 0), src.bind); err == nil {
+			t.Errorf("%s: out-of-range coordinate accepted", src.name)
 		}
 	}
 }
@@ -311,9 +367,8 @@ func TestContainsPointUDF(t *testing.T) {
 // once, in qbism_region_probe_total when it stays a k³-tree and in
 // qbism_region_decode_total when it becomes runs, whichever function
 // reads it. The REGION intersection() hands to extractVoxels() is
-// neither: it is passed parsed, never encoded and read again. In auto
-// mode the mixed query therefore probes its two k³-trees and decodes
-// nothing.
+// neither: it is passed parsed, never encoded and read again. The mixed
+// query therefore probes its two k³-trees and decodes nothing.
 func TestRegionAccessCounts(t *testing.T) {
 	srv := bareServer(t, serveAllocConfig)
 	small, mixed := serveAllocSpecs(srv)

@@ -64,15 +64,14 @@ func serveAllocSpecs(sys *medserver.Server) (small, mixed QuerySpec) {
 func TestServeRPCAllocBudget(t *testing.T) {
 	sys := bareServer(t, serveAllocConfig)
 	small, mixed := serveAllocSpecs(sys)
-	// The same requests where every stored REGION is a naive run list:
-	// those decode into their call sites' slots as the k³-trees do.
-	runsCfg := serveAllocConfig
-	runsCfg.Rencode = medserver.RencodeRuns
-	runsSys := bareServer(t, runsCfg)
-	runsSmall, runsMixed := serveAllocSpecs(runsSys)
+	// A band and a structure ∩ band request on the h-naive row: a naive
+	// REGION decodes into its call site's slot as a k³-tree parses into it.
+	naiveMixed := mixed
+	naiveMixed.Encoding = EncHilbertNaive
+	naiveBand := naiveMixed
+	naiveBand.Structure = ""
 	for _, tc := range []struct {
 		name string
-		sys  *medserver.Server
 		spec QuerySpec
 		// As measured: the response frame and the blob. Before, they were
 		// 4 and 4 while the spec's two strings were copied out of every
@@ -86,18 +85,21 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		// execution, 91 and 101 before the one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", sys, small, 2},
-		{"structure-and-band", sys, mixed, 2},
-		// 4 and 5 while a naive REGION was decoded to a new Region.
-		{"small-structure-runs", runsSys, runsSmall, 2},
-		{"structure-and-band-runs", runsSys, runsMixed, 2},
+		{"small-structure", small, 2},
+		{"structure-and-band", mixed, 2},
+		// The band and structure ∩ band on the h-naive row: 2 and 2 as
+		// measured, the naive band decoded into its call site's slot (on an
+		// all-naive store the structure requests were 4 and 5 while a
+		// naive REGION was decoded to a new Region).
+		{"band-h-naive", naiveBand, 2},
+		{"structure-and-band-h-naive", naiveMixed, 2},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			if _, err := tc.sys.ServeRPC(nil, QueryMethod, req); err != nil {
+			if _, err := sys.ServeRPC(nil, QueryMethod, req); err != nil {
 				t.Fatal(err)
 			}
 		})

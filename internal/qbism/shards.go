@@ -38,7 +38,7 @@ type ClusterConfig struct {
 	// pair); a negative value means no replicas, every shard its primary
 	// alone.
 	Replicas int
-	// Base configures every node: corpus, encoding, checksums, device.
+	// Base configures every node: corpus, wire codec, checksums, device.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
 	// Base.DeviceFaults applies to every node unless NodeFaults overrides
 	// it. Base.Workers bounds the scatter-gather pool; Base.Trace traces

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"qbism/internal/medserver"
 )
 
 func tracedConfig() Config {
@@ -143,11 +145,10 @@ func TestDegradedCounterIncrementsOncePerQuery(t *testing.T) {
 	}
 
 	// Bit-rot the stored band REGION behind the checksum table — the
-	// row the default encoding resolves to (the planner's pick, which
-	// may be the k³-tree row rather than h-naive).
+	// row the default encoding resolves to, the k³-tree row.
 	res, err := sys.DB.Exec(fmt.Sprintf(
 		"select ib.region from intensityBand ib where ib.studyId = %d and ib.lo = %d and ib.hi = %d and ib.encoding = '%s'",
-		study, b.Lo, b.Hi, sys.BandEncoding()))
+		study, b.Lo, b.Hi, medserver.EncK3Tree))
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("band row lookup: %v", err)
 	}

@@ -95,16 +95,6 @@ func (m Method) String() string {
 	}
 }
 
-// MethodByName inverts String for declared methods ("elias" → Elias).
-func MethodByName(name string) (Method, bool) {
-	for _, m := range Methods {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
 // MethodOf peeks the method byte of an encoded REGION without decoding
 // it. It reports ok=false on an empty buffer or an undeclared method.
 func MethodOf(data []byte) (Method, bool) {
