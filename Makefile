@@ -167,7 +167,9 @@ cover:
 # closed at Bits 5 (what its four nodes and one client cost) — and
 # BenchmarkDataRegionCodec, the REGION half of a DATA_REGION encoded by
 # the server and decoded by the client, naive runs against the wire's
-# Elias γ, in ns per run and allocs.
+# Elias γ, in ns per run and allocs — and BenchmarkRead, the LFM's one
+# page loop on a 2 MiB field: whole (unbuffered, checksummed, cached),
+# a 16-page range and a 512-byte piece inside a page (DESIGN.md §35).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
@@ -177,6 +179,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
 	$(GO) test -run '^$$' -bench '^BenchmarkIntersectN$$' -benchtime 100x -benchmem ./internal/region
 	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver
+	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 100x -benchmem ./internal/lfm
 
 # The non-test Go line count outside benchmark/ (tracked files, lint
 # fixtures included): the number DESIGN.md sections and ROADMAP.md quote

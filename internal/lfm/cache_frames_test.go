@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"qbism/internal/faultsim"
@@ -14,8 +13,7 @@ import (
 // into the spare frame and the evicted page's frame becomes the next
 // spare. These tests pin what that buys (a full cache serves misses
 // without allocating) and what it must not cost (a failed fill changes
-// nothing, a recycled frame never shows through), and that ReadAtInto is
-// ReadAt in everything but who owns the result.
+// nothing, a recycled frame never shows through).
 
 // TestCacheThrashAllocatesNothing: with the working set far larger than
 // the cache, every page request is a miss and an eviction, and none of
@@ -41,11 +39,12 @@ func TestCacheThrashAllocatesNothing(t *testing.T) {
 			m.EnableCache(cachePages)
 			// One pass in 8-page reads: a cyclic scan through a CLOCK
 			// cache an eighth of its size never hits.
+			io := IO{M: m}
 			dst := make([]byte, 8*4096)
 			scan := func() {
 				for off := 0; off < len(data); off += len(dst) {
 					n := min(len(dst), len(data)-off)
-					if err := m.ReadAtInto(h, uint64(off), dst[:n]); err != nil {
+					if err := io.ReadAtInto(h, uint64(off), dst[:n]); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(dst[:n], data[off:off+n]) {
@@ -121,7 +120,8 @@ func TestFailedFillLeavesVictimIntact(t *testing.T) {
 				t.Fatal(err)
 			}
 			page := make([]byte, 4096)
-			read := func(j int) error { return m.ReadAtInto(h, uint64(j)*4096, page) }
+			io := IO{M: m}
+			read := func(j int) error { return io.ReadAtInto(h, uint64(j)*4096, page) }
 			// Pages 0, 1, then 2: CLOCK evicts page 0, whose frame — still
 			// holding page 0's bytes — becomes the spare. Page 1 is next
 			// in line.
@@ -210,93 +210,5 @@ func TestShortPageFrameReuse(t *testing.T) {
 	check(hs, 4000, 196, short) // straddles into the short page
 	if st := m.Stats(); st.CacheHits != 0 {
 		t.Errorf("%d cache hits in a sequence meant to recycle on every read", st.CacheHits)
-	}
-}
-
-// TestReadAtIntoEqualsReadAt drives two identically built managers with
-// the same seeded sequence of reads — ReadAt on one, ReadAtInto on the
-// other — and requires the same bytes, the same error and the same
-// Stats after every operation, in every read-path configuration.
-func TestReadAtIntoEqualsReadAt(t *testing.T) {
-	faults := faultsim.Policy{Seed: 99, ReadErrProb: 0.03, PageCorruptProb: 0.03}
-	for _, tc := range []struct {
-		name       string
-		checksums  bool
-		cachePages int
-		faults     *faultsim.Policy
-	}{
-		{"plain", false, 0, nil},
-		{"verified", true, 0, nil},
-		{"cached", false, 5, nil},
-		{"cached+verified", true, 5, nil},
-		{"plain+faults", false, 0, &faults},
-		{"verified+faults", true, 0, &faults},
-		{"cached+faults", false, 5, &faults},
-		{"cached+verified+faults", true, 5, &faults},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			datas := [][]byte{pattern(7*4096+123, 0x31), pattern(4096, 0x32), pattern(17, 0x33)}
-			build := func() (*Manager, []Handle) {
-				m, err := New(1<<20, 4096)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var hs []Handle
-				for _, d := range datas {
-					h, err := m.Allocate(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hs = append(hs, h)
-				}
-				if tc.checksums {
-					if err := m.EnableChecksums(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				m.EnableCache(tc.cachePages)
-				if tc.faults != nil {
-					m.SetFaults(faultsim.New(*tc.faults))
-				}
-				m.ResetStats()
-				return m, hs
-			}
-			ma, hs := build()
-			mb, _ := build()
-			rng := rand.New(rand.NewSource(20260929))
-			for i := 0; i < 2000; i++ {
-				fi := rng.Intn(len(datas))
-				size := len(datas[fi])
-				off := rng.Intn(size + 1)
-				n := rng.Intn(size - off + 1)
-				switch rng.Intn(8) {
-				case 0: // whole pages, as extraction reads them
-					off = off / 4096 * 4096
-					n = min((n+4095)/4096*4096, size-off)
-				case 1: // past the end
-					n = size - off + 1 + rng.Intn(3)
-				}
-				want, errA := ma.ReadAt(hs[fi], uint64(off), uint64(n))
-				got := make([]byte, n)
-				errB := mb.ReadAtInto(hs[fi], uint64(off), got)
-				if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
-					t.Fatalf("op %d field %d [%d,+%d): ReadAt error %v, ReadAtInto error %v", i, fi, off, n, errA, errB)
-				}
-				if errA == nil && !bytes.Equal(got, want) {
-					t.Fatalf("op %d field %d [%d,+%d): bytes differ", i, fi, off, n)
-				}
-				// Without faults, or with every page verified, a read
-				// that succeeds returns what was stored.
-				if errA == nil && (tc.faults == nil || tc.checksums) && !bytes.Equal(got, datas[fi][off:off+n]) {
-					t.Fatalf("op %d field %d [%d,+%d): not the stored bytes", i, fi, off, n)
-				}
-				if sa, sb := ma.Stats(), mb.Stats(); sa != sb {
-					t.Fatalf("op %d: stats diverged:\nReadAt     %+v\nReadAtInto %+v", i, sa, sb)
-				}
-			}
-			if st := ma.Stats(); tc.faults != nil && st.FaultsInjected == 0 {
-				t.Error("the faulted configuration injected nothing")
-			}
-		})
 	}
 }

@@ -7,12 +7,15 @@ import (
 )
 
 // IO is one call's account with a manager. The long-field reads made on
-// the call's behalf go through it (Read, ReadAtInto), and each adds what
-// it cost — pages, operations, bytes, cache hits and misses, injected
-// faults, checksum failures — to the embedded Stats as it happens, under
-// the manager lock the read holds anyway. Nothing is inferred from the
-// device-wide meter (Manager.Stats), so the bill is exact however many
-// calls share the manager.
+// the call's behalf go through it (Read, ReadInto, ReadAtInto), and each
+// adds what it cost — pages, operations, bytes, cache hits and misses,
+// injected faults, checksum failures — to the embedded Stats as it
+// happens, under the manager lock the read holds anyway. A read that
+// fails is billed too, for the pages it transferred: those before a
+// page whose read fault stopped it, or those through a page that failed
+// its checksum. Nothing is inferred from the device-wide meter
+// (Manager.Stats), so the bill is exact however many calls share the
+// manager.
 //
 // An IO belongs to one goroutine at a time and lives in memory its call
 // has anyway: a prepared statement's retained execution, a handler's
@@ -37,18 +40,25 @@ type handleIO struct {
 }
 
 // Read is Manager.Read billed to io.
-func (io *IO) Read(h Handle) ([]byte, error) { return io.M.readInto(io, h, nil) }
+func (io *IO) Read(h Handle) ([]byte, error) { return io.M.read(io, h, true, 0, 0, nil) }
 
 // ReadInto is Read into the caller's buffer: the whole field, read under
 // one lock and billed exactly as Read bills it, lands in buf's backing
 // array when it has room (the result is buf resliced to the field's
 // size) and in a new slice otherwise. When it fails, buf holds
 // unspecified bytes.
-func (io *IO) ReadInto(h Handle, buf []byte) ([]byte, error) { return io.M.readInto(io, h, buf) }
+func (io *IO) ReadInto(h Handle, buf []byte) ([]byte, error) {
+	return io.M.read(io, h, true, 0, 0, buf)
+}
 
-// ReadAtInto is Manager.ReadAtInto billed to io.
+// ReadAtInto is Manager.ReadAt into the caller's buffer, billed to io:
+// it fills dst with the len(dst) bytes at logical offset off, under the
+// same lock, fault draws, checksum verification and accounting, and
+// allocates nothing on the way. When it fails, dst holds unspecified
+// bytes.
 func (io *IO) ReadAtInto(h Handle, off uint64, dst []byte) error {
-	return io.M.readAtInto(io, h, off, dst)
+	_, err := io.M.read(io, h, false, off, uint64(len(dst)), dst)
+	return err
 }
 
 // charge adds one read of h to the bill; the manager holds its lock.

@@ -102,8 +102,10 @@ func TestIOBillsOnlyItsOwnReads(t *testing.T) {
 	}
 }
 
-// TestIOBillsFailedReads: a read that fails its checksum still cost its
-// pages, and the per-field bill says which field failed and how.
+// TestIOBillsFailedReads: a read that fails its checksum still cost the
+// pages it transferred — 2 of the field's 3, since the read stops at
+// page 1, the rotten one — and the per-field bill says which field
+// failed and how.
 func TestIOBillsFailedReads(t *testing.T) {
 	m, err := New(1<<20, 4096)
 	if err != nil {
@@ -127,8 +129,8 @@ func TestIOBillsFailedReads(t *testing.T) {
 	if _, err := io.Read(h + 99); !errors.Is(err, ErrUnknownHandle) {
 		t.Fatalf("read of no field: %v", err)
 	}
-	if io.ChecksumFailures != 1 || io.Reads != 1 || io.PageReads != 3 || io.Stats != m.Stats() {
-		t.Errorf("bill %+v, device %+v: want one failed 3-page read on both", io.Stats, m.Stats())
+	if io.ChecksumFailures != 1 || io.Reads != 1 || io.PageReads != 2 || io.Stats != m.Stats() {
+		t.Errorf("bill %+v, device %+v: want one read failed after 2 pages on both", io.Stats, m.Stats())
 	}
 	root := obs.NewTracer().Start("call")
 	io.Spans(root)

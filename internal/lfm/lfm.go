@@ -8,8 +8,12 @@
 // that have been written occupy any — with page-granular I/O accounting:
 // every read or write touches whole 4 KB pages and increments counters,
 // which is exactly the "LFM Disk I/Os (4KB Pages)" metric of the paper's
-// Tables 3 and 4. By default there is no buffering, so repeated reads of
-// the same page count every time, matching the paper's measurement
+// Tables 3 and 4. A read transfers its pages one at a time, in order,
+// and PageReads counts the transfers it made: all of its pages when it
+// succeeds; when a read fault stops it, the pages before that one; when
+// a checksum mismatch does, the pages through the one that failed. By
+// default there is no buffering, so repeated reads
+// of the same page count every time, matching the paper's measurement
 // protocol. An optional fixed-capacity CLOCK page cache (EnableCache)
 // absorbs repeated reads of hot pages; with it on, PageReads counts only
 // device transfers (misses) and the hit/miss split is reported in Stats.
@@ -73,7 +77,9 @@ func (s Stats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// Sub returns s - o, for measuring a single query's traffic.
+// Sub returns s - o: the traffic between two readings of a cumulative
+// meter (Manager.Stats), for metrics over a window. A call is billed by
+// its IO, never by such a difference, which other calls move too.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		PageReads:        s.PageReads - o.PageReads,
@@ -143,6 +149,9 @@ type Manager struct {
 	// cache, when non-nil, is the CLOCK page cache; reads consult it
 	// page by page and only misses touch the device. guarded by mu
 	cache *pageCache
+	// scratch is the page an uncached read transfers into when dst takes
+	// only part of it; nil until such a read. guarded by mu
+	scratch []byte
 }
 
 // New creates a manager over a simulated device of the given capacity in
@@ -230,10 +239,10 @@ func (m *Manager) SetFaults(in *faultsim.Injector) {
 // EnableCache installs a CLOCK page cache holding at most pages pages
 // (pages <= 0 removes the cache and returns the manager to the paper's
 // unbuffered measurement protocol). With the cache on, reads consult it
-// page by page: hits cost no device I/O, misses transfer one page,
-// verify its checksum (when checksums are enabled — verification runs
-// only on miss, since cached pages were verified on fill), and insert
-// it. Overwrite, Free, and Corrupt invalidate the field's cached pages.
+// page by page: hits cost no device I/O, misses are the pages a read
+// transfers, verified as every transferred page is, and then inserted
+// (cached pages were verified on fill, so a hit is not checked again).
+// Overwrite, Free, and Corrupt invalidate the field's cached pages.
 func (m *Manager) EnableCache(pages int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -258,8 +267,8 @@ func (m *Manager) CachedPages() int {
 // records a checksum per 4 KB page of the field, and every read
 // verifies the pages it touches, failing with ErrChecksum on mismatch.
 // Fields already on the device are checksummed from their current
-// contents. Verification does not change the page accounting — the
-// pages checked are exactly the pages the read already touched.
+// contents. Verification does not change the page accounting — a read
+// checks each page it transfers, whole, as it transfers it.
 func (m *Manager) EnableChecksums() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -399,25 +408,20 @@ func (m *Manager) Allocate(data []byte) (Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := m.devWrite(off, data); err != nil {
+	h := m.nextID
+	if err := m.store(h, field{off: off, size: uint64(len(data)), order: order}, data); err != nil {
 		m.freeBlock(off, order)
 		return 0, err
 	}
-	h := m.nextID
 	m.nextID++
-	m.fields[h] = field{off: off, size: uint64(len(data)), order: order}
-	if m.verify {
-		m.sums[h] = pageChecksums(data, m.pageSize)
-	}
-	m.stats.Writes++
-	m.stats.BytesWritten += uint64(len(data))
-	m.stats.PageWrites += m.pagesSpanned(off, uint64(len(data)))
 	return h, nil
 }
 
 // Overwrite replaces the contents of an existing field. If the new data
 // fits the field's current buddy block the field is updated in place;
-// otherwise it is reallocated.
+// otherwise it is written to a new block, and the old block is freed
+// only once that write has succeeded — a failed write leaves the field
+// where it was.
 func (m *Manager) Overwrite(h Handle, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -429,35 +433,36 @@ func (m *Manager) Overwrite(h Handle, data []byte) error {
 		m.cache.invalidateField(h)
 	}
 	if uint64(len(data)) <= m.pageSize<<f.order {
-		if err := m.devWrite(f.off, data); err != nil {
-			return err
-		}
 		f.size = uint64(len(data))
-		m.fields[h] = f
-		if m.verify {
-			m.sums[h] = pageChecksums(data, m.pageSize)
-		}
-		m.stats.Writes++
-		m.stats.BytesWritten += uint64(len(data))
-		m.stats.PageWrites += m.pagesSpanned(f.off, uint64(len(data)))
-		return nil
+		return m.store(h, f, data)
 	}
 	order := m.orderFor(uint64(len(data)))
 	off, err := m.allocBlock(order)
 	if err != nil {
 		return err
 	}
-	m.freeBlock(f.off, f.order)
-	if err := m.devWrite(off, data); err != nil {
+	if err := m.store(h, field{off: off, size: uint64(len(data)), order: order}, data); err != nil {
+		m.freeBlock(off, order)
 		return err
 	}
-	m.fields[h] = field{off: off, size: uint64(len(data)), order: order}
+	m.freeBlock(f.off, f.order)
+	return nil
+}
+
+// store writes data into f's block and, once the write has succeeded,
+// records f as field h with its checksums and counts the write; a
+// failed write records nothing. Callers must hold m.mu.
+func (m *Manager) store(h Handle, f field, data []byte) error {
+	if err := m.devWrite(f.off, data); err != nil {
+		return err
+	}
+	m.fields[h] = f
 	if m.verify {
 		m.sums[h] = pageChecksums(data, m.pageSize)
 	}
 	m.stats.Writes++
-	m.stats.BytesWritten += uint64(len(data))
-	m.stats.PageWrites += m.pagesSpanned(off, uint64(len(data)))
+	m.stats.BytesWritten += f.size
+	m.stats.PageWrites += m.pagesSpanned(f.off, f.size)
 	return nil
 }
 
@@ -473,273 +478,127 @@ func (m *Manager) Size(h Handle) (uint64, error) {
 }
 
 // Read returns the whole field.
-func (m *Manager) Read(h Handle) ([]byte, error) { return m.readInto(nil, h, nil) }
-
-// readInto reads the whole field on behalf of io (nil: of no call) into
-// buf's backing array when it has room for it, and into a new slice of
-// the field's size otherwise. A nil buf is Read.
-func (m *Manager) readInto(io *IO, h Handle, buf []byte) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
-		return nil, ErrUnknownHandle
-	}
-	if buf == nil || uint64(cap(buf)) < f.size {
-		buf = make([]byte, f.size)
-	}
-	out := buf[:f.size]
-	if err := m.readBilled(io, h, f, 0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (m *Manager) Read(h Handle) ([]byte, error) { return m.read(nil, h, true, 0, 0, nil) }
 
 // ReadAt returns n bytes starting at logical offset off within the field
 // — the LFM's "fast random I/O to arbitrary pieces of long fields". Each
 // call is a separate I/O operation: reading k disjoint pieces costs the
 // pages each piece spans, which is how run-clustered layouts save I/O.
 func (m *Manager) ReadAt(h Handle, off, n uint64) ([]byte, error) {
+	return m.read(nil, h, false, off, n, nil)
+}
+
+// read is every read's one entry: it reads the whole field, or n bytes
+// at logical offset off of it, on behalf of io (nil: of no call), into
+// buf's backing array when it has room for them and into a new slice
+// otherwise, and returns them. What the read
+// cost — counted by readRange whether or not the read succeeded — goes
+// to the device meter and, under the same lock, to io's bill.
+func (m *Manager) read(io *IO, h Handle, whole bool, off, n uint64, buf []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, err := m.fieldRange(h, off, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	if err := m.readBilled(nil, h, f, off, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadAtInto is ReadAt into the caller's buffer: it fills dst with the
-// len(dst) bytes at logical offset off, under the same lock, fault
-// draws, checksum verification and accounting, and allocates nothing on
-// the way. When it fails, dst holds unspecified bytes.
-func (m *Manager) ReadAtInto(h Handle, off uint64, dst []byte) error {
-	return m.readAtInto(nil, h, off, dst)
-}
-
-// readAtInto is ReadAtInto on behalf of io (nil: of no call).
-func (m *Manager) readAtInto(io *IO, h Handle, off uint64, dst []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, err := m.fieldRange(h, off, uint64(len(dst)))
-	if err != nil {
-		return err
-	}
-	return m.readBilled(io, h, f, off, dst)
-}
-
-// fieldRange looks a field up and checks that [off, off+n) lies inside
-// it. Callers must hold m.mu.
-func (m *Manager) fieldRange(h Handle, off, n uint64) (field, error) {
 	f, ok := m.fields[h]
 	if !ok {
-		return field{}, ErrUnknownHandle
+		return nil, ErrUnknownHandle
+	}
+	if whole {
+		n = f.size
 	}
 	if off > f.size || n > f.size-off {
-		return field{}, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
+		return nil, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
 	}
-	return f, nil
-}
-
-// readBilled is readRange with what it cost — counted by the read
-// itself, whether or not it succeeded — added to the device meter and,
-// when the read is on behalf of a call, to that call's bill. Callers
-// must hold m.mu.
-func (m *Manager) readBilled(io *IO, h Handle, f field, off uint64, dst []byte) error {
+	if buf == nil || uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	dst := buf[:n]
 	var cost Stats
 	err := m.readRange(&cost, h, f, off, dst)
 	m.stats.Add(cost)
 	if io != nil {
 		io.charge(h, cost, err)
 	}
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
-// bitFlip records one injected single-bit corruption: logical page j of
-// the field, byte position within the page, and the bit mask.
-type bitFlip struct {
-	page uint64
-	pos  int
-	mask byte
-}
-
-// readRange fills dst with [off, off+len(dst)) of a field, dispatching
-// to the cached or verified paths as configured, and counts in cost what
-// the read did. Callers must hold m.mu.
+// readRange fills dst with [off, off+len(dst)) of a field, one page at
+// a time, and counts in cost what the read did. A page the cache holds
+// is copied out of it: no device transfer, no fault decision (nothing
+// crossed the bus) and no checksum work (it was verified when it was
+// filled). Any other page takes one fault decision and is then
+// transferred whole — into the cache's spare frame, into dst when dst
+// takes the whole page, or into the manager's scratch page. ReadErr
+// stops the read before the transfer; PageCorrupt flips one bit of the
+// transferred page (the device itself stays intact — a transient
+// bus/DMA error). The page is checked against the field's checksum
+// table when checksums are on, and only then cached, so a page that
+// fails its read or its checksum leaves the cache, and the page it
+// would have evicted, as they were. PageReads counts the transfers the
+// read made, whether or not it then fails. Callers must hold m.mu.
 func (m *Manager) readRange(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	if n == 0 {
 		cost.Reads++
 		return nil
 	}
-	if m.cache != nil {
-		return m.readCached(cost, h, f, off, dst)
-	}
-	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
-
-	// Fault decisions, one per page touched. ReadErr aborts before any
-	// transfer; PageCorrupt flips one bit in the transferred data (the
-	// device itself stays intact — a transient bus/DMA error).
-	var flips []bitFlip
-	if m.faults != nil {
-		for j := j0; j <= j1; j++ {
-			switch m.faults.ReadFault() {
-			case faultsim.ReadErr:
-				cost.FaultsInjected++
-				return fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
-			case faultsim.PageCorrupt:
-				cost.FaultsInjected++
-				flips = append(flips, bitFlip{
-					page: j,
-					pos:  m.faults.Intn(int(m.pageSize)),
-					mask: 1 << m.faults.Intn(8),
-				})
-			}
-		}
-	}
-
-	if m.verify {
-		return m.readVerified(cost, h, f, off, dst, j0, j1, flips)
-	}
-
-	if err := m.devRead(f.off+off, dst); err != nil {
-		return err
-	}
-	for _, fl := range flips {
-		// Apply the flip where the corrupted page position overlaps the
-		// requested range.
-		abs := fl.page*m.pageSize + uint64(fl.pos)
-		if abs >= off && abs < off+n {
-			dst[abs-off] ^= fl.mask
-		}
-	}
-	cost.Reads++
-	cost.BytesRead += n
-	cost.PageReads += m.pagesSpanned(f.off+off, n)
-	return nil
-}
-
-// readVerified transfers the full pages the range touches, applies any
-// injected in-transfer corruption, verifies each page against the
-// field's checksum table, and leaves the requested range in dst. A
-// request for whole pages — every VOLUME extraction and every whole-field
-// read — is transferred into dst and verified there; only a request that
-// starts or ends inside a page goes through a buffer of its own. It
-// counts the same page I/O the unverified path would — verification
-// inspects only pages the read already paid for. Callers must hold m.mu.
-func (m *Manager) readVerified(cost *Stats, h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []bitFlip) error {
-	n := uint64(len(dst))
-	base := j0 * m.pageSize
-	end := (j1 + 1) * m.pageSize
-	if end > f.size {
-		end = f.size
-	}
-	wholePages := base == off && end == off+n
-	buf := dst
-	if !wholePages {
-		buf = make([]byte, end-base)
-	}
-	if err := m.devRead(f.off+base, buf); err != nil {
-		return err
-	}
-	for _, fl := range flips {
-		pos := fl.page*m.pageSize + uint64(fl.pos) - base
-		if pos < uint64(len(buf)) {
-			buf[pos] ^= fl.mask
-		}
-	}
+	end := off + n
 	sums := m.sums[h]
-	for j := j0; j <= j1; j++ {
-		lo := j*m.pageSize - base
-		hi := lo + m.pageSize
-		if hi > uint64(len(buf)) {
-			hi = uint64(len(buf))
-		}
-		if int(j) >= len(sums) || crc32.ChecksumIEEE(buf[lo:hi]) != sums[j] {
-			cost.ChecksumFailures++
-			cost.Reads++
-			cost.PageReads += m.pagesSpanned(f.off+off, n)
-			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
-		}
-	}
-	if !wholePages {
-		copy(dst, buf[off-base:])
-	}
-	cost.Reads++
-	cost.BytesRead += n
-	cost.PageReads += m.pagesSpanned(f.off+off, n)
-	return nil
-}
-
-// readCached serves a read page by page through the CLOCK cache. Hits
-// copy straight out of the cache with no device traffic, no fault
-// decision (nothing crossed the bus), and no checksum work (the page
-// was verified when it was filled). Misses transfer the whole page from
-// the device into the cache's spare frame, draw one fault decision,
-// verify against the field's checksum table when checksums are on, and
-// only then insert the page — a fill that fails leaves the cache, and
-// the page it would have evicted, exactly as they were. PageReads
-// therefore counts device transfers only — exactly what the paper's I/O
-// column would be with a buffer pool in front of the LFM. Callers must
-// hold m.mu.
-func (m *Manager) readCached(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
-	n := uint64(len(dst))
-	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
-	sums := m.sums[h]
-	for j := j0; j <= j1; j++ {
-		pageLo := j * m.pageSize
-		pageHi := pageLo + m.pageSize
-		if pageHi > f.size {
-			pageHi = f.size
-		}
+	for j := off / m.pageSize; j <= (end-1)/m.pageSize; j++ {
+		lo, hi := j*m.pageSize, min((j+1)*m.pageSize, f.size)
 		key := pageKey{h: h, page: j}
-		page := m.cache.get(key)
+		var page []byte
+		if m.cache != nil {
+			if page = m.cache.get(key); page != nil {
+				cost.CacheHits++
+			} else {
+				cost.CacheMisses++
+			}
+		}
+		inDst := false
 		if page == nil {
-			cost.CacheMisses++
-			var flip bitFlip // mask 0: no corruption drawn
+			var pos int
+			var mask byte // 0: no corruption drawn
 			switch m.faults.ReadFault() {
 			case faultsim.ReadErr:
 				cost.FaultsInjected++
-				return fmt.Errorf("lfm: page %d: %w", (f.off+pageLo)/m.pageSize, ErrReadFault)
+				return fmt.Errorf("lfm: page %d: %w", (f.off+lo)/m.pageSize, ErrReadFault)
 			case faultsim.PageCorrupt:
 				cost.FaultsInjected++
-				flip = bitFlip{page: j, pos: m.faults.Intn(int(m.pageSize)), mask: 1 << m.faults.Intn(8)}
+				pos, mask = m.faults.Intn(int(m.pageSize)), 1<<m.faults.Intn(8)
 			}
-			page = m.cache.spareFrame(m.pageSize)[:pageHi-pageLo]
-			if err := m.devRead(f.off+pageLo, page); err != nil {
+			switch {
+			case m.cache != nil:
+				page = m.cache.spareFrame(m.pageSize)[:hi-lo]
+			case off <= lo && hi <= end:
+				page, inDst = dst[lo-off:hi-off], true
+			default:
+				if m.scratch == nil {
+					m.scratch = make([]byte, m.pageSize)
+				}
+				page = m.scratch[:hi-lo]
+			}
+			if err := m.devRead(f.off+lo, page); err != nil {
 				return err
 			}
-			if flip.mask != 0 && flip.pos < len(page) {
-				page[flip.pos] ^= flip.mask
-			}
 			cost.PageReads++
-			if m.verify {
-				if int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
-					cost.ChecksumFailures++
-					cost.Reads++
-					return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
-				}
+			if mask != 0 && pos < len(page) {
+				page[pos] ^= mask
 			}
-			if m.cache.put(key, page) {
+			if m.verify && (int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j]) {
+				cost.ChecksumFailures++
+				cost.Reads++
+				return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+			}
+			if m.cache != nil && m.cache.put(key, page) {
 				cost.CacheEvictions++
 			}
-		} else {
-			cost.CacheHits++
 		}
-		// Copy the requested slice of this page into the output.
-		lo := pageLo
-		if off > lo {
-			lo = off
+		if !inDst {
+			from, to := max(lo, off), min(hi, end)
+			copy(dst[from-off:to-off], page[from-lo:to-lo])
 		}
-		hi := pageHi
-		if off+n < hi {
-			hi = off + n
-		}
-		copy(dst[lo-off:hi-off], page[lo-pageLo:hi-pageLo])
 	}
 	cost.Reads++
 	cost.BytesRead += n

@@ -164,6 +164,53 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
+// TestOverwriteGrowWriteFault: an Overwrite that outgrows its block and
+// meets a write fault leaves the field as it was — its block, its bytes —
+// and frees the block it failed to fill, so a later Allocate cannot land
+// on the field's pages.
+func TestOverwriteGrowWriteFault(t *testing.T) {
+	m, err := New(1<<20, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := pattern(4096, 0x21)
+	h, err := m.Allocate(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := m.FreePages()
+	m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{{Op: 1, Kind: faultsim.WriteErr}}}))
+	if err := m.Overwrite(h, pattern(4*4096, 0x42)); !errors.Is(err, ErrWriteFault) {
+		t.Fatalf("growing overwrite under a write fault: %v, want ErrWriteFault", err)
+	}
+	m.SetFaults(nil)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.FreePages(); got != free {
+		t.Errorf("%d free pages after the failed overwrite, %d before", got, free)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, err := m.Read(h); err != nil || !bytes.Equal(got, old) {
+			t.Errorf("%s: the field does not read back its old bytes (err %v)", when, err)
+		}
+	}
+	check("after the failed overwrite")
+	next := pattern(4096, 0x63)
+	h2, err := m.Allocate(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	check("after the next Allocate")
+	if got, err := m.Read(h2); err != nil || !bytes.Equal(got, next) {
+		t.Errorf("the next field reads wrong bytes (err %v)", err)
+	}
+}
+
 func TestOutOfSpace(t *testing.T) {
 	m, _ := New(4*4096, 4096)
 	if _, err := m.Allocate(make([]byte, 5*4096)); !errors.Is(err, ErrNoSpace) {
@@ -456,14 +503,52 @@ func TestNumFields(t *testing.T) {
 	}
 }
 
-func BenchmarkReadAt(b *testing.B) {
-	m, _ := New(1<<24, 4096)
-	data := make([]byte, 1<<21)
-	h, _ := m.Allocate(data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.ReadAt(h, uint64(i)%(1<<20), 512); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkRead times the LFM's one page loop on a 2 MiB field through
+// IO.ReadAtInto, the read the server makes: the whole field unbuffered,
+// checksummed and from a warm cache, a 16-page range, and a 512-byte
+// piece inside one page.
+func BenchmarkRead(b *testing.B) {
+	const size = 2 << 20
+	for _, bc := range []struct {
+		name       string
+		checksums  bool
+		cachePages int
+		off, n     uint64
+	}{
+		{"whole", false, 0, 0, size},
+		{"whole-verified", true, 0, 0, size},
+		{"whole-cached", false, size / 4096, 0, size},
+		{"range-16-pages", false, 0, 64 * 4096, 16 * 4096},
+		{"sub-page-512B", false, 0, 64*4096 + 1000, 512},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := New(1<<24, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h, err := m.Allocate(pattern(size, 0x07))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bc.checksums {
+				if err := m.EnableChecksums(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.EnableCache(bc.cachePages)
+			io := IO{M: m}
+			dst := make([]byte, bc.n)
+			// One read first fills the cache, as a running server's is.
+			if err := io.ReadAtInto(h, bc.off, dst); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(bc.n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := io.ReadAtInto(h, bc.off, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
