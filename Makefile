@@ -1,6 +1,6 @@
 # Pre-merge check: gofmt, vet, build, the wire's import gate, the
-# daemon's (qbismd-deps) and the client's (client-deps), the repo's
-# own static analysis
+# daemon's (qbismd-deps) and the client's (client-deps), the server's
+# reproduction boundary (repro-boundary), the repo's own static analysis
 # (qbismlint — determinism/spanpair/lockguard/errwrap/opproto plus the
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
 # DESIGN.md §11 and §15), the suppression budget (lint-ignores), the
@@ -29,9 +29,9 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc
+.PHONY: check fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc
 
-check: fmt vet build wire-imports qbismd-deps client-deps lint lint-ignores race chaos cover fuzz-smoke bench-smoke
+check: fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores race chaos cover fuzz-smoke bench-smoke
 
 # Formatting gate: any file gofmt would rewrite fails the check (and is
 # named in the output).
@@ -63,6 +63,14 @@ qbismd-deps:
 client-deps:
 	@bad="$$($(GO) list -deps ./internal/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex|stats)$$')"; if [ -n "$$bad" ]; then echo "client-deps: internal/qbism links:"; echo "$$bad"; exit 1; fi
 	@bad="$$($(GO) list -deps ./cmd/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex)$$')"; if [ -n "$$bad" ]; then echo "client-deps: cmd/qbism links:"; echo "$$bad"; exit 1; fi
+
+# The server stores and serves one Hilbert layout (DESIGN.md §36): Table
+# 4's z-naive and octant rows and the Section 4.2 Z-order comparisons
+# belong to internal/experiments, so no non-test file of
+# internal/medserver may name the Z curve, an octant codec or those
+# rows' labels again.
+repro-boundary:
+	@bad="$$(ls internal/medserver/*.go | grep -v '_test\.go$$' | xargs grep -nE '\<(sfc\.ZOrder|rencode\.(Oblong)?Octant|EncZNaive|EncOctant)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/medserver names:"; echo "$$bad"; exit 1; fi
 
 # Repo-specific static analysis. Exits non-zero on any unsuppressed
 # diagnostic; suppressions are `//lint:ignore <check> <reason>` lines.

@@ -25,8 +25,12 @@ func apiSystem(t *testing.T) *qbism.System {
 	apiOnce.Do(func() {
 		apiSys, apiErr = qbism.NewSystem(qbism.Config{
 			Bits: 5, NumPET: 2, NumMRI: 1, Seed: 11,
-			SmallStudies: true, ExtraBandEncodings: true, WithMeshes: true,
+			SmallStudies: true, WithMeshes: true,
 		})
+		if apiErr == nil {
+			// Table 4 reads its z-naive and octant rows too.
+			apiErr = experiments.StoreTable4Rows(apiSys.Server)
+		}
 	})
 	if apiErr != nil {
 		t.Fatal(apiErr)

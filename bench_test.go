@@ -33,18 +33,20 @@ var (
 )
 
 // benchSystem lazily builds the shared benchmark database: 64^3 atlas,
-// 5 PET + 1 MRI studies, all three band encodings.
+// 5 PET + 1 MRI studies, with Table 4's z-naive and octant rows stored.
 func benchSystem(b *testing.B) *core.System {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchSys, benchErr = core.New(core.Config{
-			Bits:               6,
-			NumPET:             5,
-			NumMRI:             1,
-			Seed:               1993,
-			SmallStudies:       true,
-			ExtraBandEncodings: true,
+			Bits:         6,
+			NumPET:       5,
+			NumMRI:       1,
+			Seed:         1993,
+			SmallStudies: true,
 		})
+		if benchErr == nil {
+			benchErr = experiments.StoreTable4Rows(benchSys.Server)
+		}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -82,7 +84,7 @@ func BenchmarkT3SingleStudy(b *testing.B) {
 // intersection under each REGION encoding.
 func BenchmarkT4MultiStudy(b *testing.B) {
 	s := benchSystem(b)
-	for _, enc := range []string{core.EncHilbertNaive, core.EncZNaive, core.EncOctant} {
+	for _, enc := range []string{core.EncHilbertNaive, experiments.EncZNaive, experiments.EncOctant} {
 		enc := enc
 		b.Run(enc, func(b *testing.B) {
 			var pages uint64

@@ -36,13 +36,15 @@ func main() {
 		1<<*bits, *pets, *mris, *seed)
 	start := time.Now()
 	sys, err := qbism.NewSystem(qbism.Config{
-		Bits:               *bits,
-		NumPET:             *pets,
-		NumMRI:             *mris,
-		Seed:               *seed,
-		SmallStudies:       *small,
-		ExtraBandEncodings: needTable4,
+		Bits:         *bits,
+		NumPET:       *pets,
+		NumMRI:       *mris,
+		Seed:         *seed,
+		SmallStudies: *small,
 	})
+	if err == nil && needTable4 {
+		err = experiments.StoreTable4Rows(sys.Server)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "load failed:", err)
 		os.Exit(1)

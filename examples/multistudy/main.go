@@ -17,17 +17,20 @@ import (
 func main() {
 	fmt.Println("loading synthetic database with 5 PET studies...")
 	sys, err := qbism.NewSystem(qbism.Config{
-		Bits:               6,
-		NumPET:             5,
-		NumMRI:             0,
-		Seed:               7,
-		SmallStudies:       true,
-		ExtraBandEncodings: true, // store z-run and octant band encodings too
+		Bits:         6,
+		NumPET:       5,
+		NumMRI:       0,
+		Seed:         7,
+		SmallStudies: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	// Store the z-run and octant band rows too, before any query runs.
+	if err := experiments.StoreTable4Rows(sys.Server); err != nil {
+		log.Fatal(err)
+	}
 
 	// Table 4's query: the consistent-activity REGION across all 5
 	// studies, once per encoding method. Hilbert runs should read the

@@ -26,13 +26,12 @@ var (
 )
 
 var testConfig = qbism.Config{
-	Bits:               5,
-	NumPET:             3,
-	NumMRI:             1,
-	Seed:               7,
-	SmallStudies:       true,
-	ExtraBandEncodings: true,
-	WithMeshes:         true,
+	Bits:         5,
+	NumPET:       3,
+	NumMRI:       1,
+	Seed:         7,
+	SmallStudies: true,
+	WithMeshes:   true,
 }
 
 func testSystem(t *testing.T) *qbism.System {
@@ -46,14 +45,14 @@ func testSystem(t *testing.T) *qbism.System {
 
 // equivalenceSpecs is the comparison suite: Table 3's six single-study
 // queries plus a Table 4-style top-band sweep across every PET study
-// in two encodings.
+// on both stored band rows: the default k³-tree and the forced h-naive.
 func equivalenceSpecs(s *qbism.System) []qbism.QuerySpec {
 	specs := s.Table3Queries()
 	topLo := 256 - s.Cfg.BandWidth
 	for _, study := range s.PETStudyIDs() {
 		specs = append(specs,
 			qbism.QuerySpec{StudyID: study, Atlas: "Talairach", HasBand: true, BandLo: topLo, BandHi: 255},
-			qbism.QuerySpec{StudyID: study, Atlas: "Talairach", HasBand: true, BandLo: topLo, BandHi: 255, Encoding: qbism.EncOctant},
+			qbism.QuerySpec{StudyID: study, Atlas: "Talairach", HasBand: true, BandLo: topLo, BandHi: 255, Encoding: qbism.EncHilbertNaive},
 		)
 	}
 	return specs

@@ -19,6 +19,7 @@ import (
 	"qbism/internal/medserver"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
+	"qbism/internal/sfc"
 	"qbism/internal/stats"
 )
 
@@ -78,8 +79,9 @@ type RunRatioReport struct {
 func RunRatios(srv *medserver.Server) (*RunRatioReport, error) {
 	rep := &RunRatioReport{}
 	var h, z, ob, oc []float64
+	zc := sfc.MustNew(sfc.ZOrder, 3, srv.Cfg.Bits)
 	for _, nr := range ExperimentRegions(srv) {
-		rz, err := nr.Region.Recode(srv.ZCurve)
+		rz, err := nr.Region.Recode(zc)
 		if err != nil {
 			return nil, err
 		}
@@ -195,8 +197,9 @@ type SizeReport struct {
 func Sizes(srv *medserver.Server) (*SizeReport, error) {
 	rep := &SizeReport{}
 	var ent, el, na, ob, oc []float64
+	zc := sfc.MustNew(sfc.ZOrder, 3, srv.Cfg.Bits)
 	for _, nr := range ExperimentRegions(srv) {
-		rz, err := nr.Region.Recode(srv.ZCurve)
+		rz, err := nr.Region.Recode(zc)
 		if err != nil {
 			return nil, err
 		}

@@ -21,8 +21,8 @@ import (
 // that writes it: catalog rows, LFM allocations, and the Server's own
 // maps.
 //
-// Prepares read only the immutable parts of the Server (Cfg, Curve,
-// ZCurve) and run on worker goroutines; commits run on the goroutine
+// Prepares read only the immutable parts of the Server (Cfg, Curve)
+// and run on worker goroutines; commits run on the goroutine
 // that called New, one at a time, atlas first and then in study order.
 // Every handle number, buddy-allocator offset and row position is
 // decided by the commit sequence alone, so the store holds the same
@@ -234,17 +234,11 @@ type preparedStudy struct {
 	bands      []preparedBand
 }
 
-// preparedBand is one intensity band: its REGION and the intensityBand
-// rows to store for it in order.
+// preparedBand is one intensity band: its REGION and the encoded
+// intensityBand rows to store for it, one per label of bandLabels.
 type preparedBand struct {
 	spec volume.BandSpec
-	rows []bandRow
-}
-
-// bandRow is one encoded intensityBand row.
-type bandRow struct {
-	encoding string
-	data     []byte
+	rows [][]byte
 }
 
 // prepareStudy synthesizes, registers, warps, reorders, bands and
@@ -285,7 +279,7 @@ func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 		bands:      make([]preparedBand, len(specs)),
 	}
 	for i, b := range specs {
-		if p.bands[i], err = s.prepareBand(b); err != nil {
+		if p.bands[i], err = prepareBand(b); err != nil {
 			return nil, err
 		}
 	}
@@ -293,40 +287,17 @@ func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 }
 
 // prepareBand encodes the rows one band is stored as, one per label of
-// bandEncodings (repr.go has why each is kept).
-func (s *Server) prepareBand(b volume.BandSpec) (preparedBand, error) {
+// bandLabels (repr.go has why each is kept).
+func prepareBand(b volume.BandSpec) (preparedBand, error) {
 	pb := preparedBand{spec: b}
-	for _, enc := range s.bandEncodings() {
-		data, err := s.encodeBand(b, enc)
+	for _, m := range bandMethods {
+		data, err := rencode.Encode(m, b.Region)
 		if err != nil {
 			return preparedBand{}, err
 		}
-		pb.rows = append(pb.rows, bandRow{enc, data})
+		pb.rows = append(pb.rows, data)
 	}
 	return pb, nil
-}
-
-// encodeBand encodes one band REGION under the named encoding: h-naive
-// and k3-tree on the storage (Hilbert) curve, z-naive and octant on the
-// Z curve.
-func (s *Server) encodeBand(b volume.BandSpec, encoding string) ([]byte, error) {
-	switch encoding {
-	case EncHilbertNaive:
-		return rencode.Encode(rencode.Naive, b.Region)
-	case EncK3Tree:
-		return rencode.Encode(rencode.K3Tree, b.Region)
-	case EncZNaive, EncOctant:
-		rz, err := b.Region.Recode(s.ZCurve)
-		if err != nil {
-			return nil, err
-		}
-		if encoding == EncOctant {
-			return rencode.Encode(rencode.Octant, rz)
-		}
-		return rencode.Encode(rencode.Naive, rz)
-	default:
-		return nil, fmt.Errorf("qbism: unknown band encoding %q", encoding)
-	}
 }
 
 // commitStudy stores one prepared study: patient, raw and warped
@@ -359,15 +330,15 @@ func (s *Server) commitStudy(p *preparedStudy) error {
 	specs := make([]volume.BandSpec, len(p.bands))
 	for i, b := range p.bands {
 		specs[i] = b.spec
-		for _, row := range b.rows {
-			h, err := s.LFM.Allocate(row.data)
+		for j, data := range b.rows {
+			h, err := s.LFM.Allocate(data)
 			if err != nil {
 				return err
 			}
 			if err := s.DB.InsertRow("intensityBand", []sdb.Value{
 				sdb.Int(int64(studyID)), sdb.Int(int64(s.AtlasID)),
 				sdb.Int(int64(b.spec.Lo)), sdb.Int(int64(b.spec.Hi)),
-				sdb.Str(row.encoding), sdb.Long(h),
+				sdb.Str(bandLabels[j]), sdb.Long(h),
 			}); err != nil {
 				return err
 			}

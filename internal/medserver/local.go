@@ -57,18 +57,17 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 
 // ConsistentBandRegion computes the Table 4 answer — the REGION where
 // every listed study has intensities in [bandLo, bandHi] under the
-// given encoding. It works in memory of its own, one piece per kind,
-// and otherwise allocates only the answer:
+// given encoding, resolved as a band spec's (resolveBandEncoding). It
+// works in memory of its own, one piece per kind, and otherwise
+// allocates only the answer:
 //   - it resolves every study's stored band field first — the prepared
 //     bandRegion statement, then the field's size — over a bounded pool
 //     (workers <= 0 takes Config.Workers);
 //   - one buffer of the fields' total size takes them all, each read
 //     whole into its own slice (lfm.IO.ReadInto) over the same pool;
-//   - rows on the system curve (h-naive, the k³-tree) decode into one
-//     run arena sized by rencode.MaxRuns, refilling Regions kept beside
-//     the fields in place (rencode.DecodeInto); a row on another curve
-//     (z-naive, octant) is then recoded to a new Region, as the
-//     nIntersect UDF normalizes it;
+//   - the rows decode into one run arena sized by rencode.MaxRuns,
+//     refilling Regions kept beside the fields in place
+//     (rencode.DecodeInto);
 //   - region.IntersectN folds them smallest-first into the answer.
 //
 // The result is identical to the serial SQL plan's, and so are the
@@ -77,6 +76,11 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 	if len(studies) == 0 {
 		return nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
 	}
+	spec := QuerySpec{Encoding: encoding}
+	if _, err := s.resolveBandEncoding(&spec); err != nil {
+		return nil, err
+	}
+	encoding = spec.Encoding // the closures below capture this, not spec, which would escape
 	if workers <= 0 {
 		workers = s.Cfg.Workers
 	}
@@ -123,13 +127,6 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 			return nil, fail(i, err)
 		}
 		arena, operands[i] = arena[f.runs:], r
-		if r.Curve().Kind() != s.Curve.Kind() {
-			rec, err := r.Recode(s.Curve)
-			if err != nil {
-				return nil, fail(i, err)
-			}
-			operands[i] = rec
-		}
 	}
 	s.metrics.Counter(metricRegionDecodes).Add(int64(len(studies)))
 	return region.IntersectN(operands...)

@@ -34,9 +34,8 @@ type QuerySpec struct {
 	BandLo  int
 	BandHi  int
 	// Encoding selects the stored band row a band query reads: EncK3Tree
-	// or EncHilbertNaive, and EncZNaive or EncOctant on a server with
-	// Config.ExtraBandEncodings. Empty reads EncK3Tree; any other label
-	// is refused.
+	// or EncHilbertNaive. Empty reads EncK3Tree; any other label is
+	// refused.
 	Encoding string
 }
 
@@ -511,11 +510,6 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 		sr, err := s.regionRuns(&io, nil, nil, srow[0])
 		if err != nil {
 			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
-		}
-		if sr.Curve().Kind() != s.Curve.Kind() {
-			if sr, err = sr.Recode(s.Curve); err != nil {
-				return nil, "", err
-			}
 		}
 		sd, err := extractStored(&io, volHandle, sr, s.extractOpts())
 		if err != nil {

@@ -10,43 +10,34 @@ import (
 )
 
 // The stored layout. Every band is stored as an h-naive row and a
-// k³-tree row, plus z-naive and octant rows under ExtraBandEncodings; a
-// band spec that names no Encoding reads the k³-tree row. In every
-// corpus the repo loads the k³-tree row is the smaller one for every
-// band but the empty and one- or two-run ones, where it is a byte or two
-// larger (DESIGN.md §13), so there is nothing to choose per band. The
-// h-naive row is kept because Table 4 and the repo benchmark's
-// population sweep ask for it by name; no degraded path reads it
-// (bandSlowPath reads the VOLUME and the structure).
+// k³-tree row, whatever the Config; a band spec that names no Encoding
+// reads the k³-tree row. In every corpus the repo loads the k³-tree row
+// is the smaller one for every band but the empty and one- or two-run
+// ones, where it is a byte or two larger (DESIGN.md §13), so there is
+// nothing to choose per band. The h-naive row is kept because Table 4
+// and the repo benchmark's population sweep ask for it by name; no
+// degraded path reads it (bandSlowPath reads the VOLUME and the
+// structure). Table 4's other rows are the experiments' to store.
 
-// bandLabels and extraBandLabels are the rows a store holds per band, in
-// the order prepareBand stores them.
+// bandLabels are the rows the loader stores per band, in order, and the
+// labels a band spec may name; bandMethods are their codecs.
 var (
-	bandLabels      = []string{EncHilbertNaive, EncK3Tree}
-	extraBandLabels = []string{EncHilbertNaive, EncZNaive, EncOctant, EncK3Tree}
+	bandLabels  = []string{EncHilbertNaive, EncK3Tree}
+	bandMethods = []rencode.Method{rencode.Naive, rencode.K3Tree}
 )
 
-// bandEncodings lists the encoding labels this store holds a row of for
-// every band: what the loader stores and what a band spec may name.
-func (s *Server) bandEncodings() []string {
-	if s.Cfg.ExtraBandEncodings {
-		return extraBandLabels
-	}
-	return bandLabels
-}
-
 // resolveBandEncoding fills a band spec's empty Encoding with the
-// default label, EncK3Tree, and reports whether it did. A label the
-// store holds no rows of — a typo, or octant without
-// ExtraBandEncodings — is refused: no stored row could ever answer it.
+// default label, EncK3Tree, and reports whether it did. Any label but
+// bandLabels — a typo, or a row only an experiment stored — is refused:
+// the server answers from no other row.
 func (s *Server) resolveBandEncoding(spec *QuerySpec) (defaulted bool, err error) {
 	if spec.Encoding == "" {
 		spec.Encoding = EncK3Tree
 		return true, nil
 	}
-	if labels := s.bandEncodings(); !slices.Contains(labels, spec.Encoding) {
+	if !slices.Contains(bandLabels, spec.Encoding) {
 		return false, fmt.Errorf("qbism: band encoding %q is not stored (have %s)",
-			spec.Encoding, strings.Join(labels, ", "))
+			spec.Encoding, strings.Join(bandLabels, ", "))
 	}
 	return false, nil
 }

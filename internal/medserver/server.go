@@ -31,10 +31,6 @@ const (
 	// EncHilbertNaive is runs in Hilbert order, 8 bytes per run — the
 	// default of the paper's experiments (Section 6.1).
 	EncHilbertNaive = "h-naive"
-	// EncZNaive is runs in Z order, 8 bytes per run.
-	EncZNaive = "z-naive"
-	// EncOctant is regular octants in Z order, 4 bytes per octant.
-	EncOctant = "octant"
 	// EncK3Tree is the queryable k³-tree bitmap encoding in Hilbert
 	// order: probes (CONTAINS, point membership, interval tests) answer
 	// directly on the compressed bytes.
@@ -65,9 +61,6 @@ type Config struct {
 	BandWidth int
 	// WithMeshes builds and stores structure surface meshes.
 	WithMeshes bool
-	// ExtraBandEncodings additionally stores every band REGION in Z-run
-	// and octant encodings, enabling the Table 4 comparison.
-	ExtraBandEncodings bool
 	// SmallStudies shrinks acquisition grids (for tests).
 	SmallStudies bool
 	// OnlyStudies, when non-nil, loads only the listed study IDs. The
@@ -147,12 +140,11 @@ type StudyInfo struct {
 // and the RPC handler over them. Its methods are safe for concurrent
 // use; its fields are fixed once New returns.
 type Server struct {
-	Cfg    Config
-	Curve  sfc.Curve // Hilbert storage order
-	ZCurve sfc.Curve // Z order, for encoding comparisons
-	LFM    *lfm.Manager
-	DB     *sdb.DB
-	Atlas  *atlas.Atlas
+	Cfg   Config
+	Curve sfc.Curve // Hilbert storage order
+	LFM   *lfm.Manager
+	DB    *sdb.DB
+	Atlas *atlas.Atlas
 
 	// DeviceFaults is the active LFM fault injector (nil when
 	// Config.DeviceFaults is unset); its counters feed chaos tests and
@@ -168,8 +160,8 @@ type Server struct {
 	Studies []StudyInfo
 
 	// BandRegions keeps the per-study Hilbert band REGIONs in memory for
-	// the representation experiments (E1-E3); the authoritative copies
-	// live in the intensityBand table.
+	// the experiments (E1-E3, Table 4's Z-order rows); the authoritative
+	// copies live in the intensityBand table.
 	BandRegions map[int][]volume.BandSpec
 
 	// stmts are the server's statements, prepared once by New
@@ -193,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	zcurve := sfc.MustNew(sfc.ZOrder, 3, cfg.Bits)
 	var mgr *lfm.Manager
 	if cfg.DevicePath != "" {
 		dev, derr := lfm.OpenFileDevice(cfg.DevicePath, cfg.DeviceBytes)
@@ -216,7 +207,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		Cfg:         cfg,
 		Curve:       curve,
-		ZCurve:      zcurve,
 		LFM:         mgr,
 		DB:          sdb.NewDB(mgr),
 		AtlasID:     1,

@@ -184,8 +184,8 @@ func (s *Server) registerSpatialUDFs() error {
 			Name: "nIntersect", MinArgs: 1, MaxArgs: -1, Cost: 20, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				// The operands meet one at a time, each on the compact form
-				// it has (intersect). The first, when stored in another
-				// order (z, octant), is normalized onto the system curve,
+				// it has (intersect). The first, when in another order
+				// (Table 4's Z rows), is normalized onto the system curve,
 				// and every later one onto the first; argument order keeps
 				// results reproducible. The accumulator is an operand of
 				// the next step, so the steps allocate their results.

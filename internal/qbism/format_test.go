@@ -31,7 +31,7 @@ func TestWriteFormatters(t *testing.T) {
 	}
 	buf.Reset()
 	experiments.WriteTable4(&buf, t4, 128, 159)
-	for _, want := range []string{EncHilbertNaive, EncZNaive, EncOctant} {
+	for _, want := range []string{EncHilbertNaive, experiments.EncZNaive, experiments.EncOctant} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("Table 4 output missing %s", want)
 		}

@@ -53,7 +53,7 @@ func TestQuerySpecKeyDistinct(t *testing.T) {
 		{StudyID: 1, Atlas: "Talairach", Box: &box},
 		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 0, BandHi: 31},
 		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63},
-		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63, Encoding: EncOctant},
+		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63, Encoding: EncHilbertNaive},
 		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63, Structure: "ntal"},
 	}
 	seen := make(map[string]int)

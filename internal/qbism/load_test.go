@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"qbism/internal/experiments"
 	"qbism/internal/lfm"
 	"qbism/internal/medserver"
 )
@@ -63,9 +64,10 @@ func storeManifest(t *testing.T, s *System) []string {
 	return out
 }
 
-// loadManifest loads cfg with the given GOMAXPROCS and returns the
+// loadManifest loads cfg with the given GOMAXPROCS, with Table 4's
+// extra rows stored after the load when extras is set, and returns the
 // store's manifest.
-func loadManifest(t *testing.T, cfg Config, procs int) []string {
+func loadManifest(t *testing.T, cfg Config, procs int, extras bool) []string {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	s, err := New(cfg)
@@ -73,6 +75,11 @@ func loadManifest(t *testing.T, cfg Config, procs int) []string {
 		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 	}
 	defer s.Close()
+	if extras {
+		if err := experiments.StoreTable4Rows(s.Server); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+	}
 	return storeManifest(t, s)
 }
 
@@ -81,18 +88,22 @@ func loadManifest(t *testing.T, cfg Config, procs int) []string {
 // scheduled. Each configuration is loaded with one processor — the
 // serial case — and with four, and the two stores must agree on every
 // handle number, every long field's bytes, every catalog row in order,
-// and the representation census.
+// and the representation census. The extras cases also store Table 4's
+// z-naive and octant rows after the load.
 func TestLoadByteIdentity(t *testing.T) {
-	cases := map[string]Config{
-		"bits5":            {Bits: 5},
-		"bits5 extras raw": {Bits: 5, ExtraBandEncodings: true},
-		"bits6":            {Bits: 6, NumPET: 2, NumMRI: 1},
-		"bits6 extras raw": {Bits: 6, NumPET: 2, NumMRI: 1, ExtraBandEncodings: true},
-		"bits5 shard":      {Bits: 5, OnlyStudies: []int{2, 6, 7}},
+	cases := map[string]struct {
+		cfg    Config
+		extras bool
+	}{
+		"bits5":            {Config{Bits: 5}, false},
+		"bits5 extras raw": {Config{Bits: 5}, true},
+		"bits6":            {Config{Bits: 6, NumPET: 2, NumMRI: 1}, false},
+		"bits6 extras raw": {Config{Bits: 6, NumPET: 2, NumMRI: 1}, true},
+		"bits5 shard":      {Config{Bits: 5, OnlyStudies: []int{2, 6, 7}}, false},
 	}
-	for name, cfg := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			serial, parallel := loadManifest(t, cfg, 1), loadManifest(t, cfg, 4)
+			serial, parallel := loadManifest(t, c.cfg, 1, c.extras), loadManifest(t, c.cfg, 4, c.extras)
 			if len(serial) != len(parallel) {
 				t.Errorf("manifests list %d and %d items", len(serial), len(parallel))
 			}
@@ -113,7 +124,7 @@ func TestLoadByteIdentity(t *testing.T) {
 // changes this hash.
 func TestLoadGoldenDigest(t *testing.T) {
 	const want = "0bafa87ada5be8dfffd9171e92e7b8a59b194c4e50c226dd5cfb45afa1ea60f2"
-	sum := sha256.Sum256([]byte(strings.Join(loadManifest(t, Config{Bits: 5}, runtime.GOMAXPROCS(0)), "\n")))
+	sum := sha256.Sum256([]byte(strings.Join(loadManifest(t, Config{Bits: 5}, runtime.GOMAXPROCS(0), false), "\n")))
 	if got := fmt.Sprintf("%x", sum); got != want {
 		t.Errorf("Bits 5 store digest %s, pinned %s", got, want)
 	}

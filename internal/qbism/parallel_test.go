@@ -3,6 +3,7 @@ package qbism
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -131,18 +132,17 @@ func TestRunQueriesUnderFaults(t *testing.T) {
 
 // TestTable4ParallelMatchesSerial checks the parallel multi-study plan
 // (ConsistentBandRegion) returns exactly the serial SQL plan's row (the
-// n-join of Table 4): same result region, same total page count.
+// n-join of Table 4) on both band rows the server stores: same result
+// region, same total page count.
 func TestTable4ParallelMatchesSerial(t *testing.T) {
-	cfg := chaosBaseConfig()
-	cfg.ExtraBandEncodings = true
-	sys, err := New(cfg)
+	sys, err := New(chaosBaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pets := sys.PETStudyIDs()
 	bands := sys.BandRegions[pets[0]]
 	b := bands[len(bands)/2]
-	for _, enc := range []string{EncHilbertNaive, EncZNaive, EncOctant} {
+	for _, enc := range []string{EncHilbertNaive, medserver.EncK3Tree} {
 		rows, err := experiments.Table4(sys.Server, int(b.Lo), int(b.Hi), enc)
 		if err != nil {
 			t.Fatalf("%s serial: %v", enc, err)
@@ -171,13 +171,14 @@ func TestTable4ParallelMatchesSerial(t *testing.T) {
 // system at the same time adds nothing to it — every row matches a
 // quiet run's.
 func TestTable4PagesExactUnderConcurrency(t *testing.T) {
-	cfg := chaosBaseConfig()
-	cfg.ExtraBandEncodings = true
-	sys, err := New(cfg)
+	sys, err := New(chaosBaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	if err := experiments.StoreTable4Rows(sys.Server); err != nil {
+		t.Fatal(err)
+	}
 	bands := sys.BandRegions[sys.PETStudyIDs()[0]]
 	b := bands[len(bands)/2]
 	quiet, err := experiments.Table4(sys.Server, int(b.Lo), int(b.Hi))
@@ -238,6 +239,60 @@ func TestConsistentBandRegionErrors(t *testing.T) {
 	// A band that was never stored must fail, not silently intersect.
 	if _, err := sys.ConsistentBandRegion(sys.PETStudyIDs(), 1, 2, EncHilbertNaive, 2); err == nil {
 		t.Error("missing stored band accepted")
+	}
+}
+
+// TestConsistentBandRegionSameLabelRules: the population query resolves
+// its encoding label as a band spec does, on a single server (which
+// reads the rows directly) and on a cluster (which sends band specs).
+// Empty, h-naive and k3-tree give the in-memory intersection on both,
+// and octant is refused on both — on the single server even after the
+// experiments stored octant rows beside its own.
+func TestConsistentBandRegionSameLabelRules(t *testing.T) {
+	sys, err := New(chaosBaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := experiments.StoreTable4Rows(sys.Server); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewClusterSystem(clusterChaosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	pets := sys.PETStudyIDs()
+	bands := sys.BandRegions[pets[0]]
+	lo, hi := int(bands[len(bands)/2].Lo), int(bands[len(bands)/2].Hi)
+	var operands []*region.Region
+	for _, id := range pets {
+		operands = append(operands, sys.BandRegions[id][len(bands)/2].Region)
+	}
+	want, err := region.IntersectN(operands...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range []string{"", EncHilbertNaive, medserver.EncK3Tree} {
+		single, err := sys.ConsistentBandRegion(pets, lo, hi, enc, 1)
+		if err != nil {
+			t.Fatalf("%q single: %v", enc, err)
+		}
+		clustered, partial, err := cs.ConsistentBandRegion(pets, lo, hi, enc, 1)
+		if err != nil || partial != nil {
+			t.Fatalf("%q cluster: %v (partial %v)", enc, err, partial)
+		}
+		if !single.Equal(want) || !clustered.Equal(want) {
+			t.Errorf("%q: single %d vox, cluster %d vox, in memory %d",
+				enc, single.NumVoxels(), clustered.NumVoxels(), want.NumVoxels())
+		}
+	}
+	const wantErr = "is not stored"
+	if _, err := sys.ConsistentBandRegion(pets, lo, hi, experiments.EncOctant, 1); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("single octant: error %v, want %q", err, wantErr)
+	}
+	if _, _, err := cs.ConsistentBandRegion(pets, lo, hi, experiments.EncOctant, 1); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("cluster octant: error %v, want %q", err, wantErr)
 	}
 }
 

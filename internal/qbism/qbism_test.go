@@ -24,14 +24,17 @@ func testSystem(t *testing.T) *System {
 	t.Helper()
 	sysOnce.Do(func() {
 		sysInst, sysErr = New(Config{
-			Bits:               5,
-			NumPET:             3,
-			NumMRI:             1,
-			Seed:               7,
-			SmallStudies:       true,
-			ExtraBandEncodings: true,
-			WithMeshes:         true,
+			Bits:         5,
+			NumPET:       3,
+			NumMRI:       1,
+			Seed:         7,
+			SmallStudies: true,
+			WithMeshes:   true,
 		})
+		if sysErr == nil {
+			// The Table 4 tests read all three of its rows.
+			sysErr = experiments.StoreTable4Rows(sysInst.Server)
+		}
 	})
 	if sysErr != nil {
 		t.Fatal(sysErr)
@@ -55,7 +58,7 @@ func TestSystemLoads(t *testing.T) {
 		"warpedVolume":    4,
 		"atlasStructure":  11,
 		"neuralStructure": 11,
-		"intensityBand":   4 * 8 * 4, // 8 bands x (3 run encodings + k3-tree) per study
+		"intensityBand":   4 * 8 * 4, // 8 bands x (h-naive + k3-tree + Table 4's z-naive and octant) per study
 	} {
 		res := s.DB.MustExec("select * from " + table)
 		if len(res.Rows) != wantRows {

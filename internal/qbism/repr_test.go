@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"qbism/internal/experiments"
 	"qbism/internal/medserver"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
@@ -88,7 +89,9 @@ func oracleRegion(t *testing.T, s *System, spec QuerySpec) *region.Region {
 // shape, on the k³-tree rows and structures the store holds and on the
 // h-naive band row, answers byte-identically to extracting the
 // in-memory REGION from the stored VOLUME. The representation is
-// invisible in results — only sizes and probe costs may differ.
+// invisible in results — only sizes and probe costs may differ. Table
+// 4's z-naive and octant rows, which the experiments store, are held to
+// the same in-memory band REGIONs: each decodes to its band's voxels.
 func TestReprMatchesOracle(t *testing.T) {
 	s, err := New(reprBaseConfig())
 	if err != nil {
@@ -116,6 +119,42 @@ func TestReprMatchesOracle(t *testing.T) {
 		}
 		if !bytes.Equal(marshalResult(t, s.Cfg.Method, res), want) {
 			t.Errorf("shape %d (%s): result differs from the in-memory oracle", i, spec.Label())
+		}
+	}
+
+	if err := experiments.StoreTable4Rows(s.Server); err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range []string{experiments.EncZNaive, experiments.EncOctant} {
+		rows, err := s.DB.Exec(`select ib.studyId, ib.lo, ib.hi, ib.region from intensityBand ib where ib.encoding = ?`, sdb.Str(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, row := range rows.Rows {
+			spec := QuerySpec{StudyID: int(row[0].I), Atlas: "Talairach", HasBand: true, BandLo: int(row[1].I), BandHi: int(row[2].I)}
+			data, err := s.LFM.Read(row[3].L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := rencode.Decode(data)
+			if err != nil {
+				t.Fatalf("%s %s: %v", spec.Label(), enc, err)
+			}
+			if stored, err = stored.Recode(s.Curve); err != nil {
+				t.Fatal(err)
+			}
+			if !stored.Equal(oracleRegion(t, s, spec)) {
+				t.Errorf("%s: %s row holds %d voxels, not its band's", spec.Label(), enc, stored.NumVoxels())
+			}
+			checked++
+		}
+		bands := 0
+		for _, st := range s.Studies {
+			bands += len(s.BandRegions[st.StudyID])
+		}
+		if checked != bands {
+			t.Errorf("%s: %d rows for %d bands", enc, checked, bands)
 		}
 	}
 }
@@ -172,22 +211,26 @@ func TestDefaultBandEncoding(t *testing.T) {
 	}
 }
 
-// TestUnstoredBandEncodingRefused: a band spec naming a label the store
-// holds no rows of — a typo, a codec name that is not a stored row, the
-// Table 4 octant row on a store without ExtraBandEncodings — is a
-// terminal error through ServeRPC and RunQuery: one attempt, no
-// degraded answer and no VOLUME read. A stored label whose row is absent
-// (an unaligned band) still degrades to the VOLUME recompute.
+// TestUnstoredBandEncodingRefused: a band spec naming a label the
+// server does not store — a typo, a codec name that is not a stored row,
+// the Table 4 octant row, even with the experiments' octant rows stored
+// beside the server's (StoreTable4Rows) — is a terminal error through
+// ServeRPC and RunQuery: one attempt, no degraded answer and no VOLUME
+// read. A stored label whose row is absent (an unaligned band) still
+// degrades to the VOLUME recompute.
 func TestUnstoredBandEncodingRefused(t *testing.T) {
 	s, err := New(reprBaseConfig(), WithRetry(transport.DefaultRetryPolicy()))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.StoreTable4Rows(s.Server); err != nil {
 		t.Fatal(err)
 	}
 	study := s.PETStudyIDs()[0]
 	b := s.BandRegions[study][len(s.BandRegions[study])/2]
 	degraded := s.Metrics.Counter("qbism_degraded_total")
 	const wantErr = "is not stored"
-	for _, enc := range []string{"k3tree", "elias", EncOctant} {
+	for _, enc := range []string{"k3tree", "elias", experiments.EncOctant} {
 		for _, structure := range []string{"", "ntal"} {
 			spec := QuerySpec{StudyID: study, Atlas: "Talairach", Structure: structure,
 				HasBand: true, BandLo: int(b.Lo), BandHi: int(b.Hi), Encoding: enc}

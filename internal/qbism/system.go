@@ -39,13 +39,9 @@ type (
 	ExtractOpts = medserver.ExtractOpts
 )
 
-// Band-encoding labels of Table 4's comparison (the intensityBand
-// encoding column).
-const (
-	EncHilbertNaive = medserver.EncHilbertNaive
-	EncZNaive       = medserver.EncZNaive
-	EncOctant       = medserver.EncOctant
-)
+// EncHilbertNaive labels the h-naive band rows (the intensityBand
+// encoding column), which Table 4 and the population query read.
+const EncHilbertNaive = medserver.EncHilbertNaive
 
 // QueryMethod is the wire method name of a medical query.
 const QueryMethod = medserver.QueryMethod

@@ -219,7 +219,7 @@ var (
 )
 
 // BandEncodingHilbertNaive is the band encoding label every corpus
-// stores (Config.ExtraBandEncodings adds Table 4's others).
+// stores beside the default k³-tree rows.
 const BandEncodingHilbertNaive = core.EncHilbertNaive
 
 // WriteTable3 formats Table 3 rows.
