@@ -177,7 +177,11 @@ cover:
 # the server and decoded by the client, naive runs against the wire's
 # Elias γ, in ns per run and allocs — and BenchmarkRead, the LFM's one
 # page loop on a 2 MiB field: whole (unbuffered, checksummed, cached),
-# a 16-page range and a 512-byte piece inside a page (DESIGN.md §35).
+# a 16-page range and a 512-byte piece inside a page (DESIGN.md §35) —
+# and the load's two per-study kernels at paper scale:
+# BenchmarkFromScanline, one 128^3 volume reordered onto the Hilbert
+# curve by the tree walk, and BenchmarkResample, one PET study warped to
+# the atlas (DESIGN.md §37).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
@@ -188,6 +192,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkIntersectN$$' -benchtime 100x -benchmem ./internal/region
 	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver
 	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 100x -benchmem ./internal/lfm
+	$(GO) test -run '^$$' -bench '^BenchmarkFromScanline$$' -benchtime 10x -benchmem ./internal/volume
+	$(GO) test -run '^$$' -bench '^BenchmarkResample$$' -benchtime 10x -benchmem ./internal/warp
 
 # The non-test Go line count outside benchmark/ (tracked files, lint
 # fixtures included): the number DESIGN.md sections and ROADMAP.md quote

@@ -244,15 +244,7 @@ type preparedBand struct {
 // prepareStudy synthesizes, registers, warps, reorders, bands and
 // encodes one study.
 func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
-	side := 1 << s.Cfg.Bits
-	raw, err := synth.Generate(plan.params)
-	if err != nil {
-		return nil, err
-	}
-	// Warp to atlas space at load time (Section 2.2: "we generate and
-	// store the warped volume here at database load time ... since
-	// the computation is expensive").
-	scan, fitted, err := raw.WarpToAtlas(side)
+	raw, scan, fitted, err := warpStudy(plan.params, 1<<s.Cfg.Bits)
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +276,35 @@ func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 		}
 	}
 	return func() error { return s.commitStudy(p) }, nil
+}
+
+// warpStudy synthesizes one study and warps it to a side^3 atlas-space
+// volume in scanline order — the load-time processing of Section 2.2:
+// "we generate and store the warped volume here at database load time
+// ... since the computation is expensive". Only the samples the warp
+// reads are synthesized: the study's geometry is drawn first, its
+// landmarks fitted, and the phantom sampled on the fitted warp's
+// footprint alone, so the volume is the one a fully sampled study
+// resamples to.
+func warpStudy(params synth.Params, side int) (*synth.RawStudy, []byte, warp.Affine, error) {
+	raw, err := synth.Geometry(params)
+	if err != nil {
+		return nil, nil, warp.Affine{}, err
+	}
+	fitted, err := raw.Register()
+	if err != nil {
+		return nil, nil, warp.Affine{}, err
+	}
+	mask, err := warp.Footprint(raw.Grid, fitted, side)
+	if err != nil {
+		return nil, nil, warp.Affine{}, err
+	}
+	raw.Sample(mask)
+	scan, err := warp.Resample(raw.Grid, raw.Data, fitted, side)
+	if err != nil {
+		return nil, nil, warp.Affine{}, err
+	}
+	return raw, scan, fitted, nil
 }
 
 // prepareBand encodes the rows one band is stored as, one per label of

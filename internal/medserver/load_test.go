@@ -1,10 +1,14 @@
 package medserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"qbism/internal/synth"
+	"qbism/internal/warp"
 )
 
 // TestRunOrdered checks the scheduler itself: commits happen on the
@@ -61,4 +65,97 @@ func TestRunOrdered(t *testing.T) {
 			t.Errorf("workers=%d: got %v, want the first failure in job order (%v)", workers, err, errCommit)
 		}
 	}
+}
+
+// TestWarpStudyEqualsFullSampling holds the load's footprint-only
+// synthesis to the fully sampled study it stands in for: at Bits 6, for
+// a PET, an MRI and a study displaced far enough that the warp's image
+// of the atlas overhangs the grid, warpStudy must produce the bytes and
+// the warp that Generate followed by WarpToAtlas does. It also checks
+// that the load really samples only the footprint — every other voxel
+// is 0 — and that an MRI footprint is under 30 % of its grid, so a
+// return to full sampling fails here and not only in the benchmark.
+func TestWarpStudyEqualsFullSampling(t *testing.T) {
+	const side = 64
+	for _, c := range []struct {
+		name string
+		p    synth.Params
+	}{
+		{"pet", synth.Params{StudyID: 1, PatientID: 1, Modality: synth.PET, Seed: 1993, AtlasSide: side}},
+		{"mri", synth.Params{StudyID: 2, PatientID: 2, Modality: synth.MRI, Seed: 1993 + 7919, AtlasSide: side}},
+		{"mri clipped", synth.Params{StudyID: 3, PatientID: 3, Modality: synth.MRI, Seed: 42, AtlasSide: side, Misalignment: 6}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			full, err := synth.Generate(c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantWarp, err := full.WarpToAtlas(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, got, gotWarp, err := warpStudy(c.p, side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || gotWarp != wantWarp {
+				t.Fatal("footprint-only load differs from the fully sampled study")
+			}
+			if raw.Date != full.Date || raw.Grid != full.Grid || raw.TrueWarp != full.TrueWarp {
+				t.Fatalf("geometry differs: %s %+v %v, fully sampled %s %+v %v",
+					raw.Date, raw.Grid, raw.TrueWarp, full.Date, full.Grid, full.TrueWarp)
+			}
+
+			mask, err := warp.Footprint(raw.Grid, gotWarp, side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := raw.Grid.NumVoxels()
+			marked, unsampled := 0, 0
+			for i := 0; i < n; i++ {
+				switch {
+				case mask.Has(i):
+					marked++
+					if raw.Data[i] != full.Data[i] {
+						t.Fatalf("voxel %d: footprint sample %d, fully sampled %d", i, raw.Data[i], full.Data[i])
+					}
+				case raw.Data[i] != 0:
+					t.Fatalf("voxel %d outside the footprint was sampled (%d)", i, raw.Data[i])
+				case full.Data[i] != 0:
+					unsampled++
+				}
+			}
+			if unsampled == 0 {
+				t.Error("every voxel the full study holds lies in the footprint: the test shows nothing")
+			}
+			frac := float64(marked) / float64(n)
+			if c.p.Modality == synth.MRI && frac > 0.30 {
+				t.Errorf("MRI footprint is %.1f %% of its grid, want at most 30 %%", 100*frac)
+			}
+			if c.p.Misalignment != 0 && !overhangs(raw.Grid, gotWarp, side) {
+				t.Error("the displaced study's warp does not overhang its grid")
+			}
+		})
+	}
+}
+
+// overhangs reports whether some corner of the side^3 atlas maps
+// outside grid g under the inverse of atlasFromPatient.
+func overhangs(g warp.Grid, atlasFromPatient warp.Affine, side int) bool {
+	inv, err := atlasFromPatient.Inverse()
+	if err != nil {
+		return false
+	}
+	far := float64(side - 1)
+	for _, x := range []float64{0, far} {
+		for _, y := range []float64{0, far} {
+			for _, z := range []float64{0, far} {
+				px, py, pz := inv.Apply(x, y, z)
+				if px < 0 || py < 0 || pz < 0 || px > float64(g.NX-1) || py > float64(g.NY-1) || pz > float64(g.NZ-1) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

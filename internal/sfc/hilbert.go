@@ -1,5 +1,7 @@
 package sfc
 
+import "fmt"
+
 // hilbertCurve implements Curve as a table-driven state machine over
 // the curve Skilling's transposition algorithm defines ("Programming
 // the Hilbert curve", AIP Conf. Proc. 707, 2004 — a generalization of
@@ -130,4 +132,77 @@ func newHilbertTable(dim int) *hilbertTable {
 		}
 	}
 	return tab
+}
+
+// HilbertGather reorders a stretch of a row-major grid array — x
+// fastest, then y, then z, the scanline curve's order — into Hilbert
+// order: dst[i] = scan[r] for every i of dst, r being the row-major
+// index of c.Point(lo+i). It panics unless c is a Hilbert curve and the
+// stretch lies on it.
+//
+// Rather than decode every id, it walks the curve's digit tree once,
+// top down: a node's children are its id digits in order, each
+// Gray-coded against its parent's low bit and decoded by the state
+// machine under the orientation the path to the node has set, and each
+// coordinate digit adds its level's row-major offset to the node's.
+func HilbertGather[T any](c Curve, dst, scan []T, lo uint64) {
+	h, ok := c.(hilbertCurve)
+	if !ok {
+		panic(fmt.Sprintf("sfc: HilbertGather on a %v curve", c.Kind()))
+	}
+	hi := lo + uint64(len(dst))
+	if hi > h.Length() || hi < lo {
+		panic(fmt.Sprintf("sfc: ids [%d,%d) out of range for dim=%d bits=%d", lo, hi, h.dim, h.bits))
+	}
+	dim, side := uint(h.dim), 1<<h.bits
+	// offs[k][d] is the row-major offset coordinate digit d contributes
+	// at level k, the most significant level first. A digit holds one
+	// bit per axis, X most significant (as the Z curve interleaves).
+	offs := make([][8]int, h.bits)
+	for k := range offs {
+		for d := 0; d < 1<<dim; d++ {
+			x, y, z := d>>(dim-1)&1, d>>(dim-2)&1, 0
+			if dim == 3 {
+				z = d & 1
+			}
+			offs[k][d] = (x + y*side + z*side*side) << (h.bits - 1 - k)
+		}
+	}
+	w := treeWalk[T]{dec: &hilbertTables[h.dim].dec, dim: dim, offs: offs, dst: dst, scan: scan, lo: lo, hi: hi}
+	w.visit(0, 0, 0, 0, 0)
+}
+
+// treeWalk is one HilbertGather: the curve's decoding table, the
+// per-level offsets, and the id range [lo, hi) that dst holds.
+type treeWalk[T any] struct {
+	dec       *[48][8]uint16
+	dim       uint
+	offs      [][8]int
+	dst, scan []T
+	lo, hi    uint64
+}
+
+// visit walks the children of a node at level k whose first id is id,
+// entered in orientation s at row-major offset base; prev is the node's
+// own id digit, whose low bit enters its children's Gray code.
+func (w *treeWalk[T]) visit(k int, id uint64, s uint16, base int, prev uint64) {
+	n := uint64(1) << w.dim
+	top := (prev & 1) << (w.dim - 1)
+	dec, offs := &w.dec[s], &w.offs[k]
+	if k == len(w.offs)-1 {
+		for d := uint64(0); d < n; d, id = d+1, id+1 {
+			if id >= w.lo && id < w.hi {
+				w.dst[id-w.lo] = w.scan[base+offs[dec[d^d>>1^top]&7]]
+			}
+		}
+		return
+	}
+	span := uint64(1) << (w.dim * uint(len(w.offs)-1-k))
+	for d := uint64(0); d < n; d, id = d+1, id+span {
+		if id+span <= w.lo || id >= w.hi {
+			continue
+		}
+		e := dec[d^d>>1^top]
+		w.visit(k+1, id, e>>3, base+offs[e&7], d)
+	}
 }

@@ -17,7 +17,11 @@ type RawStudy struct {
 	Modality  Modality
 	Date      string
 	Grid      warp.Grid
-	Data      []byte // scanline order, Grid.NumVoxels() bytes
+	// Data holds the samples in scanline order, Grid.NumVoxels() bytes.
+	// The server's load samples only the warp footprint — the voxels
+	// resampling to atlas space reads — and leaves every other voxel 0;
+	// Generate samples them all.
+	Data []byte
 	// Landmarks map patient-space positions to atlas-space positions
 	// (as fractions scaled by atlasSide). Loaders fit the warp from
 	// these, as the paper's semi-automatic registration would.
@@ -26,6 +30,9 @@ type RawStudy struct {
 	// retained for testing registration accuracy. Real data has no such
 	// ground truth.
 	TrueWarp warp.Affine
+
+	seed      uint64 // the phantom's, for Sample
+	atlasSide int
 }
 
 // Params configures study synthesis.
@@ -60,8 +67,19 @@ func DefaultGrid(m Modality, atlasSide int) warp.Grid {
 // goroutine (a few milliseconds of work).
 const sampleGrain = 1 << 15
 
-// Generate synthesizes one raw study.
+// Generate synthesizes one raw study: its geometry, then every sample.
 func Generate(p Params) (*RawStudy, error) {
+	s, err := Geometry(p)
+	if err != nil {
+		return nil, err
+	}
+	s.Sample(nil)
+	return s, nil
+}
+
+// Geometry draws one raw study without sampling it: its grid, generating
+// warp, landmarks and date. Data is all zeros until Sample fills it.
+func Geometry(p Params) (*RawStudy, error) {
 	if p.AtlasSide < 8 {
 		return nil, fmt.Errorf("synth: atlas side %d too small", p.AtlasSide)
 	}
@@ -97,25 +115,6 @@ func Generate(p Params) (*RawStudy, error) {
 		return nil, fmt.Errorf("synth: degenerate warp: %v", err)
 	}
 
-	// Sample the phantom through the warp, slabs of slices at a time.
-	// Intensity is a pure function of position, so the cut is invisible
-	// in the data; each slab gets its own Phantom for the noise caches.
-	data := make([]byte, grid.NumVoxels())
-	slice := grid.NX * grid.NY
-	par.For(grid.NZ, 1+sampleGrain/slice, func(z0, z1 int) {
-		phantom := NewPhantom(p.Modality, p.Seed)
-		i := z0 * slice
-		for z := z0; z < z1; z++ {
-			for y := 0; y < grid.NY; y++ {
-				for x := 0; x < grid.NX; x++ {
-					ax, ay, az := atlasFromPatient.Apply(float64(x), float64(y), float64(z))
-					data[i] = phantom.Intensity(ax/side, ay/side, az/side)
-					i++
-				}
-			}
-		}
-	})
-
 	// Fiducial landmarks: known atlas positions observed in patient
 	// space with sub-voxel jitter (operator marking error).
 	var marks []warp.Landmark
@@ -139,10 +138,40 @@ func Generate(p Params) (*RawStudy, error) {
 		Modality:  p.Modality,
 		Date:      fmt.Sprintf("1993-%02d-%02d", 1+int(p.Seed%12), 1+int(p.Seed%27)),
 		Grid:      grid,
-		Data:      data,
+		Data:      make([]byte, grid.NumVoxels()),
 		Landmarks: marks,
 		TrueWarp:  atlasFromPatient,
+		seed:      p.Seed,
+		atlasSide: p.AtlasSide,
 	}, nil
+}
+
+// Sample synthesizes the study's samples: every voxel of the grid when
+// mask is nil, otherwise only the voxels in it (a warp.Footprint),
+// leaving the others as they are. A sample is a pure
+// function of its position, so a masked voxel holds the same value
+// either way.
+func (s *RawStudy) Sample(mask warp.Mask) {
+	// Sample the phantom through the warp, slabs of slices at a time.
+	// Intensity is a pure function of position, so the cut is invisible
+	// in the data; each slab gets its own Phantom for the noise caches.
+	grid, side := s.Grid, float64(s.atlasSide)
+	slice := grid.NX * grid.NY
+	par.For(grid.NZ, 1+sampleGrain/slice, func(z0, z1 int) {
+		phantom := NewPhantom(s.Modality, s.seed)
+		i := z0 * slice
+		for z := z0; z < z1; z++ {
+			for y := 0; y < grid.NY; y++ {
+				for x := 0; x < grid.NX; x, i = x+1, i+1 {
+					if mask != nil && !mask.Has(i) {
+						continue
+					}
+					ax, ay, az := s.TrueWarp.Apply(float64(x), float64(y), float64(z))
+					s.Data[i] = phantom.Intensity(ax/side, ay/side, az/side)
+				}
+			}
+		}
+	})
 }
 
 // Register fits the atlas-from-patient warp from the study's landmarks.

@@ -44,8 +44,14 @@ func FromScanline(c sfc.Curve, scan []byte) (*Volume, error) {
 		copy(out, scan)
 		return &Volume{curve: c, data: out}, nil
 	}
-	lin := sfc.MustNew(sfc.Scanline, c.Dim(), c.Bits())
 	data := make([]byte, len(scan))
+	if c.Kind() == sfc.Hilbert {
+		par.For(len(data), reorderGrain, func(lo, hi int) {
+			sfc.HilbertGather(c, data[lo:hi], scan, uint64(lo))
+		})
+		return &Volume{curve: c, data: data}, nil
+	}
+	lin := sfc.MustNew(sfc.Scanline, c.Dim(), c.Bits())
 	par.For(len(data), reorderGrain, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
 			data[id] = scan[lin.ID(c.Point(uint64(id)))]

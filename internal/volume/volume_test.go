@@ -57,23 +57,26 @@ func TestFromScanlinePreservesGeometry(t *testing.T) {
 
 // TestFromScanlineSplitEqualsSerial reorders a grid large enough to be
 // cut into id ranges and checks every byte against the one-loop
-// definition, at one processor and at several.
+// definition, at one processor and at several, on every curve: the
+// Hilbert curve's tree walk and the per-id loop the others keep.
 func TestFromScanlineSplitEqualsSerial(t *testing.T) {
-	h, l := sfc.MustNew(sfc.Hilbert, 3, 6), sfc.MustNew(sfc.Scanline, 3, 6)
+	l := sfc.MustNew(sfc.Scanline, 3, 6)
 	scan := randBytes(rand.New(rand.NewSource(7)), l.Length())
-	want := make([]byte, len(scan))
-	for id := range want {
-		want[id] = scan[l.ID(h.Point(uint64(id)))]
-	}
-	for _, procs := range []int{1, 4} {
-		old := runtime.GOMAXPROCS(procs)
-		v, err := FromScanline(h, scan)
-		runtime.GOMAXPROCS(old)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 6), sfc.MustNew(sfc.ZOrder, 3, 6), l} {
+		want := make([]byte, len(scan))
+		for id := range want {
+			want[id] = scan[l.ID(c.Point(uint64(id)))]
 		}
-		if !bytes.Equal(v.Bytes(), want) {
-			t.Fatalf("GOMAXPROCS=%d: reordered volume differs from the serial definition", procs)
+		for _, procs := range []int{1, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			v, err := FromScanline(c, scan)
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v.Bytes(), want) {
+				t.Fatalf("%s, GOMAXPROCS=%d: reordered volume differs from the serial definition", c.Kind(), procs)
+			}
 		}
 	}
 }
@@ -381,6 +384,20 @@ func BenchmarkExtractSphere(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Extract(v, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFromScanline reorders one paper-scale (128^3) warped study
+// onto the Hilbert curve, as every study's load does.
+func BenchmarkFromScanline(b *testing.B) {
+	c := sfc.MustNew(sfc.Hilbert, 3, 7)
+	scan := randBytes(rand.New(rand.NewSource(1)), c.Length())
+	b.SetBytes(int64(len(scan)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromScanline(c, scan); err != nil {
 			b.Fatal(err)
 		}
 	}
