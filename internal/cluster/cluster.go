@@ -4,10 +4,10 @@
 // simulated clock so chaos runs replay byte-for-byte from a seed.
 //
 // The package is deliberately generic: a Node is anything that can
-// answer a framed request (a local qbism System, a simulated-remote
-// link, a test fake). Routing is by (patient, study) key so a study's
-// queries always land on the same shard regardless of which front end
-// issues them.
+// answer a framed request (a transport to a server, over a simulated
+// link or TCP, or a test fake). Routing is by (patient, study) key so
+// a study's queries always land on the same shard regardless of which
+// front end issues them.
 package cluster
 
 import (

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -100,13 +101,7 @@ func BuildPartial(totalShards int, keys []Key, shards []int, errs []error) *Part
 	}
 	// Ascending shard order keeps the report deterministic regardless
 	// of which worker observed each loss first.
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if order[j] < order[i] {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
+	slices.Sort(order)
 	p := &PartialResult{TotalShards: totalShards}
 	for _, sh := range order {
 		p.Failed = append(p.Failed, *byShard[sh])

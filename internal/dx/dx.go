@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 
-	"qbism/internal/region"
 	"qbism/internal/sfc"
 	"qbism/internal/volume"
 )
@@ -134,63 +133,4 @@ func (f *Field) Render(opts RenderOpts) (*Image, error) {
 		}
 	}
 	return img, nil
-}
-
-// Histogram returns the intensity histogram of the field's data — the
-// paper's "intensity range may be histogram segmented" step.
-func (f *Field) Histogram() [256]uint64 {
-	var h [256]uint64
-	for _, v := range f.Data.Values {
-		h[v]++
-	}
-	return h
-}
-
-// CutPlane renders one slice of the field — the "adding a cutting
-// plane" manipulation of a cached DX result. Axis selects the plane
-// normal (0=X, 1=Y, 2=Z) and index the slice position; voxels outside
-// the field's region render black.
-func (f *Field) CutPlane(axis int, index uint32) (*Image, error) {
-	if axis < 0 || axis > 2 {
-		return nil, fmt.Errorf("dx: invalid cut axis %d", axis)
-	}
-	if index >= uint32(f.Side) {
-		return nil, fmt.Errorf("dx: cut index %d beyond side %d", index, f.Side)
-	}
-	img := NewImage(f.Side, f.Side)
-	f.Data.ForEach(func(p sfc.Point, v uint8) bool {
-		var w, u, along uint32
-		switch axis {
-		case 0:
-			along, u, w = p.X, p.Y, p.Z
-		case 1:
-			along, u, w = p.Y, p.X, p.Z
-		default:
-			along, u, w = p.Z, p.X, p.Y
-		}
-		if along == index {
-			img.Set(int(u), f.Side-1-int(w), v)
-		}
-		return true
-	})
-	return img, nil
-}
-
-// Restrict returns a new field limited to the given region (client-side
-// manipulation of a cached result, no database access).
-func (f *Field) Restrict(r *region.Region) (*Field, error) {
-	inter, err := region.Intersect(f.Data.Region, r)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]byte, 0, inter.NumVoxels())
-	inter.ForEachID(func(id uint64) bool {
-		v, ok := f.Data.ValueAtID(id)
-		if !ok {
-			return false
-		}
-		vals = append(vals, v)
-		return true
-	})
-	return &Field{Side: f.Side, Data: &volume.DataRegion{Region: inter, Values: vals}}, nil
 }

@@ -90,73 +90,6 @@ func TestRenderAverage(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	d := sphereData(t, 42)
-	f, _, _ := ImportVolume(d)
-	h := f.Histogram()
-	if h[42] != d.Region.NumVoxels() {
-		t.Errorf("histogram[42] = %d", h[42])
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	d := sphereData(t, 9)
-	f, _, _ := ImportVolume(d)
-	half, err := region.FromBox(h3, region.Box{Min: sfc.Pt(0, 0, 0), Max: sfc.Pt(7, 15, 15)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := f.Restrict(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Data.NumVoxels() == 0 || g.Data.NumVoxels() >= f.Data.NumVoxels() {
-		t.Errorf("restricted voxels = %d of %d", g.Data.NumVoxels(), f.Data.NumVoxels())
-	}
-	for _, v := range g.Data.Values {
-		if v != 9 {
-			t.Fatal("restrict corrupted values")
-		}
-	}
-}
-
-func TestCutPlane(t *testing.T) {
-	d := sphereData(t, 90)
-	f, _, _ := ImportVolume(d)
-	img, err := f.CutPlane(2, 8) // slice through the sphere center
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.At(8, 7) != 90 { // center of the slice is inside
-		t.Errorf("center = %d, want 90", img.At(8, 7))
-	}
-	if img.At(0, 0) != 0 {
-		t.Error("corner lit")
-	}
-	// A slice outside the sphere is black.
-	img2, err := f.CutPlane(2, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, px := range img2.Pix {
-		if px != 0 {
-			t.Fatal("far slice not black")
-		}
-	}
-	if _, err := f.CutPlane(7, 0); err == nil {
-		t.Error("bad axis accepted")
-	}
-	if _, err := f.CutPlane(0, 99); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	// X and Y axes work too.
-	for axis := 0; axis < 2; axis++ {
-		if _, err := f.CutPlane(axis, 8); err != nil {
-			t.Errorf("axis %d: %v", axis, err)
-		}
-	}
-}
-
 func TestWritePGM(t *testing.T) {
 	img := NewImage(4, 2)
 	img.Set(0, 0, 255)

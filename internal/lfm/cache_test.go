@@ -179,9 +179,7 @@ func TestCacheInvalidation(t *testing.T) {
 
 func TestCacheChecksumOnMissOnly(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	if err := m.EnableChecksums(); err != nil {
-		t.Fatal(err)
-	}
+	m.EnableChecksums()
 	m.EnableCache(8)
 	h, err := m.Allocate(pattern(2*4096, 5))
 	if err != nil {
@@ -236,9 +234,7 @@ func TestCacheReadFaultsOnMissOnly(t *testing.T) {
 // detectable by content alone.
 func TestCacheConcurrentStress(t *testing.T) {
 	m, _ := New(1<<22, 4096)
-	if err := m.EnableChecksums(); err != nil {
-		t.Fatal(err)
-	}
+	m.EnableChecksums()
 	m.EnableCache(16)
 
 	const fields = 4

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
-	"os"
 	"sync"
 
 	"qbism/internal/faultsim"
@@ -127,9 +126,7 @@ type Manager struct {
 	mu        sync.Mutex
 	pageSize  uint64
 	capacity  uint64
-	dev       [][]byte    // in-memory device, by extent (unused when file-backed); guarded by mu
-	file      *os.File    // file-backed device (nil when in-memory)
-	fdev      *FileDevice // owner of file, closed by Close; guarded by mu
+	dev       [][]byte // in-memory device, by extent; guarded by mu
 	maxOrder  int
 	freeLists [][]uint64       // freeLists[k] = offsets of free blocks of order k; guarded by mu
 	fields    map[Handle]field // guarded by mu
@@ -206,21 +203,10 @@ func (m *Manager) ResetStats() {
 	m.stats = Stats{}
 }
 
-// Close releases the backing device. In-memory managers hold no
-// external resources, so Close is a no-op for them; a file-backed
-// manager closes the device file it took ownership of in NewFileBacked.
-// The manager must not be used after Close.
-func (m *Manager) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fdev == nil {
-		return nil
-	}
-	dev := m.fdev
-	m.fdev = nil
-	m.file = nil
-	return dev.Close()
-}
+// Close is a no-op: the in-memory device holds no external resources.
+// It lets owners release a manager the way they release their other
+// resources.
+func (m *Manager) Close() error { return nil }
 
 // NumFields returns the number of live long fields.
 func (m *Manager) NumFields() int {
@@ -269,22 +255,19 @@ func (m *Manager) CachedPages() int {
 // Fields already on the device are checksummed from their current
 // contents. Verification does not change the page accounting — a read
 // checks each page it transfers, whole, as it transfers it.
-func (m *Manager) EnableChecksums() error {
+func (m *Manager) EnableChecksums() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.verify {
-		return nil
+		return
 	}
 	m.sums = make(map[Handle][]uint32, len(m.fields))
 	for h, f := range m.fields {
 		data := make([]byte, f.size)
-		if err := m.devRead(f.off, data); err != nil {
-			return err
-		}
+		m.devRead(f.off, data)
 		m.sums[h] = pageChecksums(data, m.pageSize)
 	}
 	m.verify = true
-	return nil
 }
 
 // ChecksumsEnabled reports whether page checksums are active.
@@ -313,11 +296,10 @@ func (m *Manager) Corrupt(h Handle, off uint64, xor byte) error {
 		return fmt.Errorf("%w: corrupt at %d of %d-byte field", ErrOutOfRange, off, f.size)
 	}
 	b := make([]byte, 1)
-	if err := m.devRead(f.off+off, b); err != nil {
-		return err
-	}
+	m.devRead(f.off+off, b)
 	b[0] ^= xor
-	return m.devWriteRaw(f.off+off, b)
+	m.devWriteRaw(f.off+off, b)
+	return nil
 }
 
 // pageChecksums splits data into pageSize chunks (the last may be
@@ -579,9 +561,7 @@ func (m *Manager) readRange(cost *Stats, h Handle, f field, off uint64, dst []by
 				}
 				page = m.scratch[:hi-lo]
 			}
-			if err := m.devRead(f.off+lo, page); err != nil {
-				return err
-			}
+			m.devRead(f.off+lo, page)
 			cost.PageReads++
 			if mask != 0 && pos < len(page) {
 				page[pos] ^= mask
@@ -704,9 +684,7 @@ func (m *Manager) devWrite(off uint64, data []byte) error {
 			m.stats.FaultsInjected++
 			chunk = chunk[:(n+1)/2]
 		}
-		if err := m.devWriteRaw(off, chunk); err != nil {
-			return err
-		}
+		m.devWriteRaw(off, chunk)
 		off += n
 		data = data[n:]
 	}
@@ -723,13 +701,7 @@ const extentSize = 64 << 10
 
 // devWriteRaw stores bytes at the device offset with no fault policy.
 // Callers must hold m.mu.
-func (m *Manager) devWriteRaw(off uint64, data []byte) error {
-	if m.file != nil {
-		if _, err := m.file.WriteAt(data, int64(off)); err != nil {
-			return fmt.Errorf("lfm: device write at %d: %w", off, err)
-		}
-		return nil
-	}
+func (m *Manager) devWriteRaw(off uint64, data []byte) {
 	for len(data) > 0 {
 		e, within := off/extentSize, off%extentSize
 		for uint64(len(m.dev)) <= e {
@@ -742,17 +714,10 @@ func (m *Manager) devWriteRaw(off uint64, data []byte) error {
 		off += uint64(n)
 		data = data[n:]
 	}
-	return nil
 }
 
 // devRead fills out from the device offset. Callers must hold m.mu.
-func (m *Manager) devRead(off uint64, out []byte) error {
-	if m.file != nil {
-		if _, err := m.file.ReadAt(out, int64(off)); err != nil {
-			return fmt.Errorf("lfm: device read at %d: %w", off, err)
-		}
-		return nil
-	}
+func (m *Manager) devRead(off uint64, out []byte) {
 	for len(out) > 0 {
 		e, within := off/extentSize, off%extentSize
 		n := min(uint64(len(out)), extentSize-within)
@@ -764,5 +729,4 @@ func (m *Manager) devRead(off uint64, out []byte) error {
 		off += n
 		out = out[n:]
 	}
-	return nil
 }

@@ -303,9 +303,7 @@ func TestWriteFaultTyped(t *testing.T) {
 // corrupted bytes.
 func TestChecksumCatchesBitFlip(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	if err := m.EnableChecksums(); err != nil {
-		t.Fatal(err)
-	}
+	m.EnableChecksums()
 	if !m.ChecksumsEnabled() {
 		t.Fatal("checksums not enabled")
 	}
@@ -369,12 +367,8 @@ func TestEnableChecksumsCoversExistingFields(t *testing.T) {
 	blob := make([]byte, 2*4096)
 	blob[100] = 42
 	h, _ := m.Allocate(blob)
-	if err := m.EnableChecksums(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.EnableChecksums(); err != nil { // idempotent
-		t.Fatal(err)
-	}
+	m.EnableChecksums()
+	m.EnableChecksums() // idempotent
 	if got, err := m.Read(h); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("read after enable: %v", err)
 	}
@@ -388,9 +382,7 @@ func TestEnableChecksumsCoversExistingFields(t *testing.T) {
 
 func TestTornWriteDetectedByChecksum(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	if err := m.EnableChecksums(); err != nil {
-		t.Fatal(err)
-	}
+	m.EnableChecksums()
 	data := make([]byte, 4096)
 	for i := range data {
 		data[i] = byte(i)
@@ -411,9 +403,7 @@ func TestTornWriteDetectedByChecksum(t *testing.T) {
 
 func TestPageCorruptDetectedByChecksum(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	if err := m.EnableChecksums(); err != nil {
-		t.Fatal(err)
-	}
+	m.EnableChecksums()
 	data := make([]byte, 2*4096)
 	h, _ := m.Allocate(data)
 	// In-transfer corruption on the first page of the next read.
@@ -531,9 +521,7 @@ func BenchmarkRead(b *testing.B) {
 				b.Fatal(err)
 			}
 			if bc.checksums {
-				if err := m.EnableChecksums(); err != nil {
-					b.Fatal(err)
-				}
+				m.EnableChecksums()
 			}
 			m.EnableCache(bc.cachePages)
 			io := IO{M: m}

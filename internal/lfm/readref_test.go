@@ -90,9 +90,7 @@ func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst [
 		return m.refReadVerified(cost, h, f, off, dst, j0, j1, flips)
 	}
 
-	if err := m.devRead(f.off+off, dst); err != nil {
-		return err
-	}
+	m.devRead(f.off+off, dst)
 	for _, fl := range flips {
 		// Apply the flip where the corrupted page position overlaps the
 		// requested range.
@@ -127,9 +125,7 @@ func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, ds
 	if !wholePages {
 		buf = make([]byte, end-base)
 	}
-	if err := m.devRead(f.off+base, buf); err != nil {
-		return err
-	}
+	m.devRead(f.off+base, buf)
 	for _, fl := range flips {
 		pos := fl.page*m.pageSize + uint64(fl.pos) - base
 		if pos < uint64(len(buf)) {
@@ -194,9 +190,7 @@ func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst 
 				flip = refBitFlip{page: j, pos: m.faults.Intn(int(m.pageSize)), mask: 1 << m.faults.Intn(8)}
 			}
 			page = m.cache.spareFrame(m.pageSize)[:pageHi-pageLo]
-			if err := m.devRead(f.off+pageLo, page); err != nil {
-				return err
-			}
+			m.devRead(f.off+pageLo, page)
 			if flip.mask != 0 && flip.pos < len(page) {
 				page[flip.pos] ^= flip.mask
 			}
@@ -281,9 +275,7 @@ func TestReadMatchesReference(t *testing.T) {
 					hs = append(hs, h)
 				}
 				if tc.checksums {
-					if err := m.EnableChecksums(); err != nil {
-						t.Fatal(err)
-					}
+					m.EnableChecksums()
 				}
 				m.EnableCache(tc.cachePages)
 				m.ResetStats()

@@ -72,10 +72,6 @@ type Config struct {
 	OnlyStudies []int
 	// DeviceBytes is the LFM device capacity (0 = sized automatically).
 	DeviceBytes uint64
-	// DevicePath, when set, backs the LFM with a real file at this path
-	// instead of simulated memory (the paper's "operating system disk
-	// device"). Page accounting is identical.
-	DevicePath string
 
 	// Checksums enables per-page CRC32 integrity on the LFM device:
 	// written pages are checksummed and reads verify them, so device
@@ -185,24 +181,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mgr *lfm.Manager
-	if cfg.DevicePath != "" {
-		dev, derr := lfm.OpenFileDevice(cfg.DevicePath, cfg.DeviceBytes)
-		if derr != nil {
-			return nil, derr
-		}
-		mgr, err = lfm.NewFileBacked(dev, lfm.DefaultPageSize)
-	} else {
-		mgr, err = lfm.New(cfg.DeviceBytes, lfm.DefaultPageSize)
-	}
+	mgr, err := lfm.New(cfg.DeviceBytes, lfm.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Checksums {
-		if cerr := mgr.EnableChecksums(); cerr != nil {
-			mgr.Close()
-			return nil, cerr
-		}
+		mgr.EnableChecksums()
 	}
 	s := &Server{
 		Cfg:         cfg,
@@ -263,8 +247,7 @@ func New(cfg Config) (*Server, error) {
 // halves' series.
 func (s *Server) Observers() (*obs.Registry, *obs.Tracer) { return s.metrics, s.tracer }
 
-// Close releases the long-field manager; a file-backed one holds an open
-// device file.
+// Close releases the long-field manager.
 func (s *Server) Close() error { return s.LFM.Close() }
 
 // extractOpts returns the read-plan options the spatial UDFs use.

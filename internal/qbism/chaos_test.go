@@ -309,16 +309,13 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 // never a silent wrong answer.
 
 // clusterChaosConfig is a small 2-shard, primary+replica cluster over
-// the chaos corpus. DeviceBytes is explicit: lfm.New allocates the full
-// device upfront, and the per-node default includes production slack.
-// Its front end reads with clusterRetry(4) unless a test says otherwise.
+// the chaos corpus. Its front end reads with clusterRetry(4) unless a
+// test says otherwise.
 func clusterChaosConfig() ClusterConfig {
-	base := chaosBaseConfig()
-	base.DeviceBytes = 8 << 20
 	return ClusterConfig{
 		Shards:   2,
 		Replicas: 1,
-		Base:     base,
+		Base:     chaosBaseConfig(),
 	}
 }
 

@@ -9,28 +9,6 @@ import (
 	"qbism/internal/sfc"
 )
 
-func TestFileBackedSystem(t *testing.T) {
-	// The whole system runs against a real on-disk device, with the same
-	// query results and page accounting as the in-memory simulation.
-	s, err := New(Config{
-		Bits: 4, NumPET: 1, NumMRI: 0, Seed: 3, SmallStudies: true,
-		DevicePath: t.TempDir() + "/qbism.dev",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunQuery(QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "ntal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timing.LFMPages == 0 || res.Data.NumVoxels() == 0 {
-		t.Errorf("file-backed query: %+v", res.Timing)
-	}
-	if _, err := New(Config{Bits: 4, SmallStudies: true, DevicePath: "/no/such/dir/x.dev"}); err == nil {
-		t.Error("bad device path accepted")
-	}
-}
-
 func TestBuildActivityIndex(t *testing.T) {
 	s := testSystem(t)
 	idx, err := experiments.BuildActivityIndex(s.Server, 96)

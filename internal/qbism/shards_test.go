@@ -8,7 +8,7 @@ import "testing"
 // runs it once.
 func BenchmarkNewClusterSystem(b *testing.B) {
 	cfg := ClusterConfig{Shards: 2, Replicas: 1, Base: Config{
-		Bits: 5, NumPET: 2, NumMRI: 1, SmallStudies: true, DeviceBytes: 8 << 20,
+		Bits: 5, NumPET: 2, NumMRI: 1, SmallStudies: true,
 	}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

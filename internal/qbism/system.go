@@ -94,8 +94,7 @@ func newNode(cfg Config) (*Node, error) {
 	return &Node{Server: srv, Link: link, Transport: transport.NewSim(link, model, srv.ServeRPC)}, nil
 }
 
-// Close releases the transport and the server's long-field manager, which
-// holds an open device file when file-backed.
+// Close releases the transport and the server's long-field manager.
 func (n *Node) Close() error { return errors.Join(n.Transport.Close(), n.Server.Close()) }
 
 // System is a MedicalServer and the DX client that queries it in one
