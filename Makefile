@@ -5,7 +5,7 @@
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
 # DESIGN.md §11 and §15), the suppression budget (lint-ignores), the
 # full test suite under the race detector (the
-# chaos, netsim, and planner-equivalence concurrency tests are required
+# chaos, simulated-link, and planner-equivalence concurrency tests are required
 # to be race-clean), the degraded-shard chaos suite (make chaos),
 # per-package coverage floors, a fuzz smoke pass, and a few iterations
 # of the read-, write- and wire-path Go benchmarks (bench-smoke). Run
@@ -98,13 +98,14 @@ race:
 # and flapping nodes; every query byte-identical or a typed partial),
 # the one retry loop both topologies read through (the cluster's, on one
 # node and on a shard, and a client retrying over a real socket to a
-# daemon), the link's fault tests, and the per-call bill tests (every
+# daemon), the simulated link's fault tests (transport.Sim, each checked
+# against the injector that fired it), and the per-call bill tests (every
 # exchange and every cluster read bills what it put on a link, failed
 # attempts and hedges included, and the bills sum to the meters under
 # eight workers). All seeds are fixed in the tests themselves, so this
 # run is deterministic — a failure always replays.
 chaos:
-	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/netsim ./internal/daemon
+	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/daemon
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder (DecodeInto held to Decode's

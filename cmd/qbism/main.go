@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"qbism"
+	"qbism/internal/faultsim"
 )
 
 func main() {
@@ -163,12 +164,14 @@ func main() {
 	if err != nil {
 		fail("load: %v", err)
 	}
+	var linkFaults *faultsim.Injector
 	if *drop+*timeout+*corrupt+*tamper+*latency > 0 {
-		sys.Link.SetFaults(qbism.NewFaultInjector(qbism.FaultPolicy{
+		linkFaults = qbism.NewFaultInjector(qbism.FaultPolicy{
 			Seed: *faultSeed, DropProb: *drop, TimeoutProb: *timeout,
 			CorruptProb: *corrupt, TamperProb: *tamper,
 			LatencyProb: *latency, ExtraLatency: 50 * time.Millisecond,
-		}))
+		})
+		sys.Transport.SetFaults(linkFaults)
 	}
 	if *noPushdown {
 		sys.DB.SetPushdown(false)
@@ -226,7 +229,7 @@ func main() {
 		}
 	}
 
-	report(os.Stdout, sys.Client, sys, false, runSpec(sys.Client, buildSpec()), *slowlog, *metrics, *out)
+	report(os.Stdout, sys.Client, linkFaults, false, runSpec(sys.Client, buildSpec()), *slowlog, *metrics, *out)
 }
 
 // runSpec runs one query on a single server's client, exiting on failure.
@@ -242,11 +245,12 @@ func runSpec(c *qbism.Client, spec qbism.QuerySpec) *qbism.QueryResult {
 }
 
 // report prints a completed query — the same lines in the same order
-// whichever deployment answered: all expose the same DX Client. sys is
-// the embedded node whose simulated link carried the query (nil for a
-// cluster and for a dialed qbismd, whose link is a real one); sharded
+// whichever deployment answered: all expose the same DX Client.
+// linkFaults is the injector the -drop/-timeout/-corrupt/-tamper/-latency
+// flags put on the embedded node's simulated link (nil when none, for a
+// cluster, and for a dialed qbismd, whose link is a real one); sharded
 // adds the line naming the shard and node that served the read.
-func report(w io.Writer, c *qbism.Client, sys *qbism.System, sharded bool, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
+func report(w io.Writer, c *qbism.Client, linkFaults *faultsim.Injector, sharded bool, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
 	qbism.WriteTable3(w, []qbism.QueryTiming{res.Timing})
 	st := res.Data.Stats()
 	fmt.Fprintf(w, "\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
@@ -263,11 +267,9 @@ func report(w io.Writer, c *qbism.Client, sys *qbism.System, sharded bool, res *
 	if res.Meta.Degraded {
 		fmt.Fprintf(w, "WARNING: degraded answer — %s\n", res.Meta.Warning)
 	}
-	if sys != nil {
-		if ls := sys.Link.Stats(); ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers+ls.Latencies > 0 {
-			fmt.Fprintf(w, "link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
-				ls.Drops, ls.Timeouts, ls.Corruptions, ls.Tampers, ls.Latencies)
-		}
+	if c := linkFaults.Counts(); len(c) > 0 {
+		fmt.Fprintf(w, "link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
+			c[faultsim.Drop], c[faultsim.Timeout], c[faultsim.Corrupt], c[faultsim.Tamper], c[faultsim.Latency])
 	}
 
 	if res.Trace != nil {

@@ -45,7 +45,7 @@ func TestAddrMatchesEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var embeddedOut bytes.Buffer
-	report(&embeddedOut, sys.Client, sys, false, embedded, 0, true, filepath.Join(dir, "embedded.pgm"))
+	report(&embeddedOut, sys.Client, nil, false, embedded, 0, true, filepath.Join(dir, "embedded.pgm"))
 
 	srv, err := medserver.New(cfg)
 	if err != nil {

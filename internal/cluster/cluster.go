@@ -99,21 +99,14 @@ type Config struct {
 	// disables breaking (reads still fail over, they just keep dialing
 	// dead primaries first).
 	Breaker BreakerConfig
-	// MaxAttempts bounds the calls one Read may issue across all of a
-	// shard's nodes (1 = no retries, no failover). Defaults to 1 per
-	// node in the widest shard, minimum 2, when zero.
-	MaxAttempts int
-	// Backoff returns the simulated wait before retrying after the
-	// given 1-based failed attempt. Nil means no backoff (the clock
-	// still advances by per-call quanta).
-	Backoff func(attempt int, rng *faultsim.Rand) time.Duration
-	// JitterSeed seeds the per-key backoff jitter stream; two runs with
-	// the same seed and key sequence back off identically.
-	JitterSeed uint64
-	// Retryable classifies errors: true means another node or attempt
-	// may cure it, false is terminal (semantic failure). Nil treats
-	// every error as retryable.
-	Retryable func(error) bool
+	// Retry is the reads' retry policy, used as given. MaxAttempts
+	// bounds the calls one Read may issue across all of a shard's nodes
+	// (below 1 means 1: no retries, no failover). BaseBackoff,
+	// MaxBackoff and Seed drive the simulated wait before each retry,
+	// jittered per request; a zero BaseBackoff waits none (the clock
+	// still advances by per-call quanta). transport.RetryableError
+	// decides which failures another node or attempt may cure.
+	Retry transport.RetryPolicy
 	// HedgeAfter enables hedged reads: when the serving node's EWMA of
 	// simulated latency reaches this threshold, Read also dials the
 	// next healthy node and takes the faster answer. Zero disables
@@ -122,16 +115,6 @@ type Config struct {
 	// Metrics receives cluster counters and per-node latency
 	// histograms; nil disables.
 	Metrics *obs.Registry
-}
-
-func (c Config) withDefaults(widest int) Config {
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = widest
-		if c.MaxAttempts < 2 {
-			c.MaxAttempts = 2
-		}
-	}
-	return c
 }
 
 // callQuantum is the simulated time charged per call on top of its
@@ -171,19 +154,13 @@ func New(cfg Config, shards [][]Node) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
-	widest := 0
 	for i, nodes := range shards {
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("cluster: shard %d has no nodes", i)
 		}
-		if len(nodes) > widest {
-			widest = len(nodes)
-		}
 	}
-	c := &Cluster{
-		cfg:  cfg.withDefaults(widest),
-		part: NewPartitioner(len(shards)),
-	}
+	cfg.Retry.MaxAttempts = max(cfg.Retry.MaxAttempts, 1)
+	c := &Cluster{cfg: cfg, part: NewPartitioner(len(shards))}
 	for _, nodes := range shards {
 		st := &shardState{
 			nodes: nodes,
@@ -323,7 +300,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 	var lastErr error
 	prevNode := -1
 
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= c.cfg.Retry.MaxAttempts; attempt++ {
 		// Pick the first healthy node, preferring the primary, then
 		// skipping past the node that just failed so consecutive
 		// attempts rotate through the shard.
@@ -335,7 +312,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			info.Attempts++
 			lastErr = fmt.Errorf("cluster: shard %d: all %d node(s) circuit-open", shard, len(st.nodes))
 			info.LastError = lastErr.Error()
-			if attempt < c.cfg.MaxAttempts {
+			if attempt < c.cfg.Retry.MaxAttempts {
 				info.Retries++
 				info.BackoffSim += c.backoffWait(attempt, &rng, request)
 			}
@@ -371,14 +348,14 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		lastErr = fmt.Errorf("node %s: %w", st.nodes[node].Name(), err)
 		info.LastError = err.Error()
 		prevNode = node
-		if c.cfg.Retryable != nil && !c.cfg.Retryable(err) {
+		if !transport.RetryableError(err) {
 			// Terminal: every replica holds identical bytes, so a
 			// semantic failure is the answer, not a health problem.
 			info.Node = st.nodes[node].Name()
 			span.SetStr("terminal", err.Error())
 			return nil, info, fmt.Errorf("cluster: shard %d %s: %w", shard, key, lastErr)
 		}
-		if attempt < c.cfg.MaxAttempts {
+		if attempt < c.cfg.Retry.MaxAttempts {
 			info.Retries++
 			info.BackoffSim += c.backoffWait(attempt, &rng, request)
 		}
@@ -468,13 +445,13 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 // simulated backoff, drawing its jitter from *rng, which the first draw
 // seeds from the configured seed and the request.
 func (c *Cluster) backoffWait(attempt int, rng **faultsim.Rand, request []byte) time.Duration {
-	if c.cfg.Backoff == nil {
+	if c.cfg.Retry.BaseBackoff <= 0 {
 		return 0
 	}
 	if *rng == nil {
-		*rng = faultsim.NewRand(transport.JitterSeed(c.cfg.JitterSeed, string(request)))
+		*rng = faultsim.NewRand(transport.JitterSeed(c.cfg.Retry.Seed, string(request)))
 	}
-	d := c.cfg.Backoff(attempt, *rng)
+	d := c.cfg.Retry.Backoff(attempt, *rng)
 	if d > 0 {
 		c.advance(d)
 	}

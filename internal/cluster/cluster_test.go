@@ -12,7 +12,7 @@ import (
 	"qbism/internal/transport"
 )
 
-var errFlaky = errors.New("flaky node")
+var errFlaky = fmt.Errorf("flaky node: %w", transport.ErrConn)
 var errSemantic = errors.New("unknown study")
 
 // fakeNode answers from a script: each call consumes the next entry.
@@ -46,13 +46,8 @@ func alwaysFail(err error) []error {
 	return seq
 }
 
-func retryFlaky(err error) bool { return errors.Is(err, errFlaky) }
-
 func testConfig() Config {
-	return Config{
-		MaxAttempts: 4,
-		Retryable:   retryFlaky,
-	}
+	return Config{Retry: transport.RetryPolicy{MaxAttempts: 4}}
 }
 
 func TestReadPrimaryHappyPath(t *testing.T) {
@@ -125,8 +120,11 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("underlying cause lost from chain: %v", err)
 	}
-	if info.Attempts != cfg.MaxAttempts {
-		t.Fatalf("attempts = %d, want %d", info.Attempts, cfg.MaxAttempts)
+	if info.Attempts != cfg.Retry.MaxAttempts {
+		t.Fatalf("attempts = %d, want %d", info.Attempts, cfg.Retry.MaxAttempts)
+	}
+	if info.BackoffSim != 0 {
+		t.Fatalf("backoff %v under a zero BaseBackoff, want none", info.BackoffSim)
 	}
 	if got := reg.Counter("cluster_shard_unavailable_total").Value(); got != 1 {
 		t.Fatalf("cluster_shard_unavailable_total = %d, want 1", got)
@@ -349,11 +347,7 @@ func TestReadValidateRefusalFailsOver(t *testing.T) {
 func TestReadBackoffDeterministic(t *testing.T) {
 	run := func() (ReadInfo, time.Duration) {
 		cfg := testConfig()
-		cfg.JitterSeed = 42
-		cfg.Backoff = func(attempt int, rng *faultsim.Rand) time.Duration {
-			base := time.Duration(1<<uint(attempt-1)) * 10 * time.Millisecond
-			return base/2 + time.Duration(rng.Float64()*float64(base/2))
-		}
+		cfg.Retry = transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 42}
 		p := &fakeNode{name: "s0p", failSeq: []error{errFlaky, errFlaky}}
 		r := &fakeNode{name: "s0r1", failSeq: []error{errFlaky}, resp: []byte("ok")}
 		c, err := New(cfg, [][]Node{{p, r}})
@@ -386,12 +380,7 @@ func TestReadBackoffDeterministic(t *testing.T) {
 // oneNode is a one-shard, one-node cluster retrying per pol.
 func oneNode(t *testing.T, n Node, pol transport.RetryPolicy) *Cluster {
 	t.Helper()
-	c, err := New(Config{
-		MaxAttempts: pol.MaxAttempts,
-		Backoff:     pol.Backoff,
-		JitterSeed:  pol.Seed,
-		Retryable:   retryFlaky,
-	}, [][]Node{{n}})
+	c, err := New(Config{Retry: pol}, [][]Node{{n}})
 	if err != nil {
 		t.Fatal(err)
 	}

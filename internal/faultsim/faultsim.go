@@ -1,6 +1,7 @@
 // Package faultsim provides deterministic, seeded fault injection for
 // the simulated QBISM deployment: the RPC link between the DX front end
-// and the MedicalServer (netsim) and the long-field disk device (lfm).
+// and the MedicalServer (transport.Sim) and the long-field disk device
+// (lfm).
 //
 // A Policy describes what can go wrong and how often — per-call and
 // per-page probabilities, or an explicit schedule pinning a fault to the
@@ -109,11 +110,6 @@ type Policy struct {
 	Schedule []Scheduled
 }
 
-// linkTotal returns the summed link probabilities (for rate reporting).
-func (p Policy) linkTotal() float64 {
-	return p.DropProb + p.TimeoutProb + p.LatencyProb + p.CorruptProb + p.TamperProb
-}
-
 // Rand is a splitmix64 stream: tiny, fast, and deterministic across
 // platforms — exactly what reproducible fault schedules and retry
 // jitter need. The zero value is a valid stream with seed 0.
@@ -144,9 +140,10 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Injector draws faults from a Policy. It is not safe for concurrent
-// use; consumers that may be called concurrently (netsim.Link) must
-// serialize access. A nil *Injector is valid and injects nothing.
+// Injector draws faults from a Policy and counts the faults it fires.
+// It is not safe for concurrent use; consumers that may be called
+// concurrently (transport.Sim, lfm.Manager) must serialize access. A nil
+// *Injector is valid and injects nothing.
 type Injector struct {
 	policy Policy
 	rng    Rand

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -13,8 +14,8 @@ func TestNilInjectorSafe(t *testing.T) {
 	if in.Ops() != 0 || in.Count(Drop) != 0 || len(in.Counts()) != 0 {
 		t.Error("nil injector reports activity")
 	}
-	if p := in.Policy(); p.Seed != 0 || p.linkTotal() != 0 || p.Schedule != nil {
-		t.Error("nil injector policy not zero")
+	if p := in.Policy(); !reflect.DeepEqual(p, Policy{}) {
+		t.Errorf("nil injector policy %+v, want the zero policy", p)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // DeterminismAnalyzer enforces replayability in the simulation
-// packages (faultsim, netsim, the sharded read path in cluster, the
-// batch scheduler in package qbism and the worker pools of par it runs
-// on) and byte-stability in the codec
+// packages (faultsim, the simulated link in transport, the sharded read
+// path in cluster, the batch scheduler in package qbism and the worker
+// pools of par it runs on) and byte-stability in the codec
 // packages (rencode, bitio): no wall-clock reads (time.Now, time.Since,
 // time.After, ...),
 // no process-seeded randomness (top-level math/rand functions or
@@ -20,16 +20,14 @@ import (
 // must emit canonical bytes (the cluster digest-compares encoded
 // REGIONs across replicas, and the planner's representation pick hashes
 // encoded sizes). Any of these calls silently breaks replay or
-// canonical form. Introduced as a convention in PR 1/2; extended to the
-// codecs with the k³-tree work in PR 7, and to the transport seam in
-// PR 8 — whose sim flavor must replay like the link it wraps, with the
-// tcp flavor's real-socket clock reads funneled through
-// two explicitly //lint:ignore'd helpers (transport/clock.go).
+// canonical form. In transport, the sim flavor must replay; the tcp
+// flavor's real-socket clock reads are funneled through two explicitly
+// //lint:ignore'd helpers (transport/clock.go).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock, process randomness, and map-order-dependent output in simulation and codec packages",
 	Match: func(pkg *Package) bool {
-		return pkg.Name == "faultsim" || pkg.Name == "netsim" ||
+		return pkg.Name == "faultsim" ||
 			pkg.Name == "cluster" || pkg.Name == "qbism" || pkg.Name == "par" ||
 			pkg.Name == "rencode" || pkg.Name == "bitio" ||
 			pkg.Name == "transport"

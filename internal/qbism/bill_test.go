@@ -9,7 +9,6 @@ import (
 	"qbism/internal/cluster"
 	"qbism/internal/costmodel"
 	"qbism/internal/faultsim"
-	"qbism/internal/netsim"
 	"qbism/internal/obs"
 	"qbism/internal/transport"
 )
@@ -99,8 +98,7 @@ func TestClusterNodeCallsConcurrently(t *testing.T) {
 			return nil, errors.New("the other call never entered the handler")
 		}
 	}
-	model := costmodel.Default1993()
-	n := &transportNode{name: "s0p", t: transport.NewSim(netsim.NewLink(model), model, h)}
+	n := &transportNode{name: "s0p", t: transport.NewSim(costmodel.Default1993(), h)}
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {

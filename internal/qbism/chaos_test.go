@@ -12,7 +12,6 @@ import (
 	"qbism/internal/cluster"
 	"qbism/internal/faultsim"
 	"qbism/internal/medserver"
-	"qbism/internal/netsim"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
 )
@@ -81,7 +80,7 @@ func newFaulty(t *testing.T, cfg Config, link *faultsim.Policy, opts ...Option) 
 		t.Fatal(err)
 	}
 	inj := faultsim.New(*link)
-	sys.Link.SetFaults(inj)
+	sys.Transport.SetFaults(inj)
 	return sys, inj
 }
 
@@ -121,7 +120,7 @@ func TestChaosQueries(t *testing.T) {
 
 	cfg := chaosBaseConfig()
 	cfg.DeviceFaults = chaosDevicePolicy(202)
-	sys, _ := newFaulty(t, cfg, chaosLinkPolicy(101), WithRetry(transport.DefaultRetryPolicy()))
+	sys, linkFaults := newFaulty(t, cfg, chaosLinkPolicy(101), WithRetry(transport.DefaultRetryPolicy()))
 
 	const queries = 300
 	pick := faultsim.NewRand(999)
@@ -152,9 +151,10 @@ func TestChaosQueries(t *testing.T) {
 		t.Error("no retries happened — fault injection appears inert")
 	}
 
-	ls := sys.Link.Stats()
-	if ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers == 0 {
-		t.Errorf("no link faults fired: %+v", ls)
+	drops, timeouts := linkFaults.Count(faultsim.Drop), linkFaults.Count(faultsim.Timeout)
+	corruptions, tampers := linkFaults.Count(faultsim.Corrupt), linkFaults.Count(faultsim.Tamper)
+	if drops+timeouts+corruptions+tampers == 0 {
+		t.Errorf("no link faults fired: %v", linkFaults.Counts())
 	}
 	if got := sys.Metrics.Counter("qbism_retries_total").Value(); got != int64(retried) {
 		t.Errorf("qbism_retries_total %d != summed query retries %d", got, retried)
@@ -163,7 +163,7 @@ func TestChaosQueries(t *testing.T) {
 		t.Error("no device faults fired")
 	}
 	t.Logf("chaos: %d/%d ok, %d retries, link faults %d/%d/%d/%d, device faults %v",
-		succeeded, queries, retried, ls.Drops, ls.Timeouts, ls.Corruptions, ls.Tampers,
+		succeeded, queries, retried, drops, timeouts, corruptions, tampers,
 		sys.DeviceFaults.Counts())
 }
 
@@ -289,7 +289,7 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 	if qerr == nil {
 		t.Fatal("query succeeded across a dead link")
 	}
-	if !errors.Is(qerr, netsim.ErrDropped) {
+	if !errors.Is(qerr, transport.ErrDropped) {
 		t.Errorf("not a drop error: %v", qerr)
 	}
 	if !transport.RetryableError(qerr) {
@@ -427,7 +427,7 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 	onVictim, failovers := 0, 0
 	for i, spec := range pool {
 		if i == kill {
-			cs.Nodes[victim][0].Link.SetFaults(inj)
+			cs.Nodes[victim][0].Transport.SetFaults(inj)
 		}
 		res, err := cs.RunQuery(spec)
 		if err != nil {
@@ -503,7 +503,7 @@ func TestClusterDeadShardPartial(t *testing.T) {
 			if !errors.Is(item.Err, cluster.ErrShardUnavailable) {
 				t.Fatalf("item %d: error not typed ErrShardUnavailable: %v", i, item.Err)
 			}
-			if !errors.Is(item.Err, netsim.ErrDropped) {
+			if !errors.Is(item.Err, transport.ErrDropped) {
 				t.Errorf("item %d: underlying drop lost from chain: %v", i, item.Err)
 			}
 			continue

@@ -96,9 +96,7 @@ func newNodeClient(t transport.Transport, cfg Config, o clientOptions, metrics *
 // shards, configured by cc and WithRetry, reporting into metrics.
 // cluster.New fails only on a shard without nodes, which no caller has.
 func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Config, shards [][]cluster.Node) *Client {
-	pol := o.retry.WithDefaults()
-	cc.MaxAttempts, cc.Backoff, cc.JitterSeed = pol.MaxAttempts, pol.Backoff, pol.Seed
-	cc.Retryable, cc.Metrics = transport.RetryableError, metrics
+	cc.Retry, cc.Metrics = o.retry.WithDefaults(), metrics
 	cl, _ := cluster.New(cc, shards)
 	c := &Client{
 		Model:      costmodel.Default1993(),

@@ -8,7 +8,7 @@ import (
 // The parallel executor: batches of independent query specs fan out
 // over a bounded worker pool. The whole query stack below here is
 // safe for concurrent readers: the LFM serializes I/O (and its fault
-// injector) under its mutex, netsim.Link and dx.Cache carry their own
+// injector) under its mutex, transport.Sim and dx.Cache carry their own
 // locks, and the SQL SELECT path is read-only. Results are collected by
 // input position, so ordering is deterministic regardless of worker
 // interleaving; each worker runs the same retrying RunQuery path, so

@@ -2,7 +2,7 @@ package qbism
 
 // Sharded execution: the study corpus partitioned across K shards,
 // each a (primary, replica...) set of Nodes — bare MedicalServers, each
-// behind its own netsim link — behind the cluster package's Node seam.
+// behind its own simulated link — behind the cluster package's Node seam.
 // One Client, the kind the single-node System embeds, fronts them all
 // through the same cluster read — there a cluster of one node — so a
 // query runs, batches and finishes identically whether it was fetched
@@ -133,7 +133,7 @@ func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*ClusterSystem, error)
 				return nil, fmt.Errorf("qbism: cluster node s%dr%d: %w", sh, r, err)
 			}
 			if link != nil {
-				n.Link.SetFaults(faultsim.New(*link))
+				n.Transport.SetFaults(faultsim.New(*link))
 			}
 			cs.Nodes[sh] = append(cs.Nodes[sh], n)
 			shardNodes[sh] = append(shardNodes[sh], &transportNode{name: nodeName(sh, r), t: n.Transport})

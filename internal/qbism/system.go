@@ -14,7 +14,6 @@ import (
 	"qbism/internal/costmodel"
 	"qbism/internal/lfm"
 	"qbism/internal/medserver"
-	"qbism/internal/netsim"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
@@ -76,10 +75,9 @@ type Node struct {
 	// Server is the MedicalServer: Cfg, Curve, LFM, DB, Atlas, Studies,
 	// BandRegions, ServeRPC, ExplainSpec, ConsistentBandRegion.
 	*medserver.Server
-	// Link counts crossings and faults; Link.SetFaults installs faults.
-	Link *netsim.Link
-	// Transport crosses Link to Server: the meter of its bills (Stats),
-	// and a raw Call that bypasses any client.
+	// Transport is the simulated link to Server: the meter of its bills
+	// (Stats), SetFaults for link faults, and a raw Call that bypasses
+	// any client.
 	Transport *transport.Sim
 }
 
@@ -89,9 +87,7 @@ func newNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := costmodel.Default1993()
-	link := netsim.NewLink(model)
-	return &Node{Server: srv, Link: link, Transport: transport.NewSim(link, model, srv.ServeRPC)}, nil
+	return &Node{Server: srv, Transport: transport.NewSim(costmodel.Default1993(), srv.ServeRPC)}, nil
 }
 
 // Close releases the transport and the server's long-field manager.
@@ -108,7 +104,7 @@ type System struct {
 }
 
 // New loads a server and puts a client in front of it over a simulated
-// link; faults go on sys.Link once it returns.
+// link; faults go on sys.Transport once it returns.
 func New(cfg Config, opts ...Option) (*System, error) {
 	o := collectOptions(opts)
 	if o.slowLog > 0 {

@@ -6,7 +6,6 @@ import (
 
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
-	"qbism/internal/netsim"
 )
 
 // RetryPolicy governs how a client retries transient call failures.
@@ -54,7 +53,7 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 
 // Backoff returns the simulated wait before retrying after the given
 // 1-based failed attempt: capped exponential with jitter in [d/2, d).
-// It is the cluster's Backoff (cluster.Config).
+// The cluster's read applies it (cluster.Config.Retry).
 func (p RetryPolicy) Backoff(attempt int, rng *faultsim.Rand) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
@@ -79,9 +78,9 @@ func (p RetryPolicy) Backoff(attempt int, rng *faultsim.Rand) time.Duration {
 // are terminal.
 func RetryableError(err error) bool {
 	switch {
-	case errors.Is(err, netsim.ErrDropped),
-		errors.Is(err, netsim.ErrLinkTimeout),
-		errors.Is(err, netsim.ErrCorrupt),
+	case errors.Is(err, ErrDropped),
+		errors.Is(err, ErrLinkTimeout),
+		errors.Is(err, ErrCorrupt),
 		errors.Is(err, ErrFrameTruncated),
 		errors.Is(err, ErrFrameCorrupt),
 		errors.Is(err, ErrDial),

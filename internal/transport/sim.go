@@ -1,38 +1,66 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"qbism/internal/costmodel"
-	"qbism/internal/netsim"
+	"qbism/internal/faultsim"
 	"qbism/internal/obs"
 )
 
-// Sim carries calls to an in-process Handler over a netsim.Link — the
-// simulated-remote flavor. The request crosses the link, the handler
-// runs, the response crosses back; the link meters each crossing and
-// injects seeded faults on it, so the chaos and differential suites
-// replay byte for byte (same spans, same counters, same fault draws in
-// the same order). An exchange's bill sums its crossings: their
-// messages, the request's bytes out and the response's bytes in, and a
-// Latency of the messages' network-model time plus any injected latency.
+// Typed link failures of the simulated wire. RetryableError classifies
+// all three as retryable.
+var (
+	// ErrDropped means the message was lost in flight.
+	ErrDropped = errors.New("transport: message dropped")
+	// ErrLinkTimeout means the call exceeded its deadline.
+	ErrLinkTimeout = errors.New("transport: call timed out")
+	// ErrCorrupt means the payload was damaged in flight and the link
+	// layer detected it.
+	ErrCorrupt = errors.New("transport: payload corrupted in flight")
+)
+
+// Sim carries calls to an in-process Handler over a simulated link —
+// the RPC between the MedicalServer and DX of Figures 7–8. The request
+// crosses the link, the handler runs, the response crosses back. Each
+// crossing is counted in messages and bytes by the cost model, and an
+// optional faultsim.Injector makes it drop, time out, gain latency, or
+// get corrupted — detectably (ErrCorrupt) or silently (Tamper flips a
+// byte that only an end-to-end integrity check can see). Fault draws
+// are seeded, so the chaos and differential suites replay byte for byte
+// (same spans, same counters, same draws in the same order); the
+// injector counts the faults it fired.
+//
+// An exchange's bill sums its crossings: their messages, the request's
+// bytes out and the response's bytes in — billed even when lost, since
+// they were sent — and a Latency of the messages' network-model time
+// plus any injected latency.
 type Sim struct {
-	link    *netsim.Link
 	model   costmodel.Model
 	handler Handler
 	closed  atomic.Bool
 
-	mu    sync.Mutex
-	stats Stats // guarded by mu
+	mu     sync.Mutex
+	stats  Stats              // guarded by mu
+	faults *faultsim.Injector // guarded by mu
 }
 
-// NewSim returns a transport that reaches h across link, with model
-// pricing the link's traffic. The caller keeps its own handle on the
-// link for fault installation and the raw crossing counters.
-func NewSim(link *netsim.Link, model costmodel.Model, h Handler) *Sim {
-	return &Sim{link: link, model: model, handler: h}
+// NewSim returns a transport that reaches h over a simulated link
+// whose traffic model prices.
+func NewSim(model costmodel.Model, h Handler) *Sim {
+	return &Sim{model: model, handler: h}
+}
+
+// SetFaults installs (or, with nil, removes) the link's fault injector.
+// The Sim serializes access to it; read its counts once the calls it
+// decided have returned.
+func (s *Sim) SetFaults(in *faultsim.Injector) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.faults = in
 }
 
 // Exchange implements Transport. The round trip is one "rpc.<method>"
@@ -65,9 +93,8 @@ func (s *Sim) exchange(parent *obs.Span, method string, request []byte, bill *St
 		rpc = parent.Child("rpc." + method)
 	}
 	defer rpc.End()
-	delivered, req, err := s.link.Cross(rpc, "request", method, request)
-	bill.Messages, bill.BytesOut = req.Messages, req.Bytes
-	bill.Latency = s.model.NetworkTime(req.Messages) + req.LatencySim
+	delivered, err := s.cross(rpc, "request", method, request, bill)
+	bill.BytesOut = uint64(len(request))
 	if err != nil {
 		rpc.SetStr("error", err.Error())
 		return nil, err
@@ -79,14 +106,59 @@ func (s *Sim) exchange(parent *obs.Span, method string, request []byte, bill *St
 		rpc.SetStr("error", err.Error())
 		return nil, err
 	}
-	out, rsp, err := s.link.Cross(rpc, "response", method, resp)
-	bill.Messages += rsp.Messages
-	bill.BytesIn = rsp.Bytes
-	bill.Latency += s.model.NetworkTime(rsp.Messages) + rsp.LatencySim
+	out, err := s.cross(rpc, "response", method, resp, bill)
+	bill.BytesIn = uint64(len(resp))
 	if err != nil {
 		rpc.SetStr("error", err.Error())
 	}
 	return out, err
+}
+
+// cross moves one payload of a method's call over the link in direction
+// dir ("request" or "response"): it draws one fault decision, adds the
+// crossing's messages and network time (plus any injected latency) to
+// bill, and either delivers the (possibly tampered) payload or fails
+// with a typed error. The crossing is traced as a "net.<dir>" span
+// under parent (nil = untraced) carrying bytes, messages and any
+// injected fault.
+func (s *Sim) cross(parent *obs.Span, dir, method string, payload []byte, bill *Stats) ([]byte, error) {
+	var sp *obs.Span // named only under a live span, so an untraced crossing allocates nothing
+	if parent != nil {
+		sp = parent.Child("net." + dir)
+	}
+	defer sp.End()
+	msgs := s.model.Messages(uint64(len(payload)))
+	bill.Messages += msgs
+	bill.Latency += s.model.NetworkTime(msgs)
+	sp.SetInt("bytes", int64(len(payload)))
+	sp.SetInt("messages", int64(msgs))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fault := s.faults.LinkFault()
+	if fault == faultsim.None {
+		return payload, nil
+	}
+	sp.SetStr("fault", fault.String())
+	switch fault {
+	case faultsim.Drop:
+		return nil, fmt.Errorf("transport: %s: %w", method, ErrDropped)
+	case faultsim.Timeout:
+		return nil, fmt.Errorf("transport: %s: %w", method, ErrLinkTimeout)
+	case faultsim.Corrupt:
+		return nil, fmt.Errorf("transport: %s: %w", method, ErrCorrupt)
+	case faultsim.Tamper:
+		if len(payload) > 0 {
+			tampered := make([]byte, len(payload))
+			copy(tampered, payload)
+			tampered[s.faults.Intn(len(tampered))] ^= 1 << s.faults.Intn(8)
+			payload = tampered
+		}
+	case faultsim.Latency:
+		extra := s.faults.Policy().ExtraLatency
+		bill.Latency += extra
+		sp.SetInt("latencySimNs", int64(extra))
+	}
+	return payload, nil
 }
 
 // Call implements Transport: Exchange without the bill.
@@ -104,8 +176,8 @@ func (s *Sim) Stats() Stats {
 	return s.stats
 }
 
-// Close implements Transport. The link itself has no resources to
-// release; closing only fences further calls.
+// Close implements Transport. The link has no resources to release;
+// closing only fences further calls.
 func (s *Sim) Close() error {
 	s.closed.Store(true)
 	return nil

@@ -7,7 +7,7 @@
 //
 // The two flavors:
 //
-//   - Sim: an in-process Handler reached across a netsim.Link. An
+//   - Sim: an in-process Handler reached across a simulated link. An
 //     exchange is priced with the 1993 cost model from the crossings it
 //     made, and faults replay byte-for-byte from a seed, which is what
 //     the chaos and differential suites run on.

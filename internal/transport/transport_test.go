@@ -8,7 +8,6 @@ import (
 
 	"qbism/internal/costmodel"
 	"qbism/internal/faultsim"
-	"qbism/internal/netsim"
 	"qbism/internal/obs"
 )
 
@@ -16,15 +15,13 @@ func echoHandler(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	return append([]byte(method+":"), request...), nil
 }
 
-func newSimPair(t *testing.T) (*Sim, *netsim.Link, costmodel.Model) {
-	t.Helper()
+func newSim() (*Sim, costmodel.Model) {
 	model := costmodel.Default1993()
-	link := netsim.NewLink(model)
-	return NewSim(link, model, echoHandler), link, model
+	return NewSim(model, echoHandler), model
 }
 
 func TestSimDelegatesToLink(t *testing.T) {
-	s, link, model := newSimPair(t)
+	s, model := newSim()
 	request := []byte("xyz")
 	resp, bill, err := s.Exchange(nil, "echo", request)
 	if err != nil {
@@ -33,15 +30,15 @@ func TestSimDelegatesToLink(t *testing.T) {
 	if string(resp) != "echo:xyz" {
 		t.Fatalf("got %q", resp)
 	}
-	// The bill splits the link's crossings by direction and prices their
-	// messages with the model.
-	ls := link.Stats()
+	// The bill counts each direction's crossing and prices its messages
+	// with the model.
+	msgs := model.Messages(uint64(len(request))) + model.Messages(uint64(len(resp)))
 	want := Stats{
 		Calls:    1,
-		Messages: ls.Messages,
+		Messages: msgs,
 		BytesOut: uint64(len(request)),
 		BytesIn:  uint64(len(resp)),
-		Latency:  model.NetworkTime(ls.Messages) + ls.LatencySim,
+		Latency:  model.NetworkTime(msgs),
 	}
 	if bill != want {
 		t.Errorf("bill %+v, want %+v", bill, want)
@@ -53,18 +50,19 @@ func TestSimDelegatesToLink(t *testing.T) {
 
 // TestSimBillsSumToStats: across successes, a handler error, faulted
 // crossings and a closed transport, the bills add up to the cumulative
-// meter field by field, and their messages and bytes to the link's.
+// meter field by field, and their messages to the model's count of the
+// payloads that crossed.
 func TestSimBillsSumToStats(t *testing.T) {
 	model := costmodel.Default1993()
-	link := netsim.NewLink(model)
 	boom := errors.New("boom")
-	s := NewSim(link, model, func(_ *obs.Span, method string, req []byte) ([]byte, error) {
+	const respSize = 3000
+	s := NewSim(model, func(_ *obs.Span, method string, req []byte) ([]byte, error) {
 		if method == "fail" {
 			return nil, boom
 		}
-		return make([]byte, 3000), nil
+		return make([]byte, respSize), nil
 	})
-	link.SetFaults(faultsim.New(faultsim.Policy{
+	s.SetFaults(faultsim.New(faultsim.Policy{
 		ExtraLatency: 7 * time.Millisecond,
 		Schedule: []faultsim.Scheduled{
 			{Op: 1, Kind: faultsim.Drop},    // call 1: request dropped
@@ -73,10 +71,17 @@ func TestSimBillsSumToStats(t *testing.T) {
 		},
 	}))
 	var sum Stats
+	var crossed, sent uint64 // messages and request bytes of every payload put on the link
 	for i, method := range []string{"ok", "ok", "fail", "ok", "ok"} {
-		_, bill, err := s.Exchange(nil, method, make([]byte, 10*i))
+		req := make([]byte, 10*i)
+		_, bill, err := s.Exchange(nil, method, req)
 		if (err != nil) != (bill.Errors == 1) || bill.Calls != 1 {
 			t.Errorf("call %d: bill %+v with error %v", i+1, bill, err)
+		}
+		crossed += model.Messages(uint64(len(req)))
+		sent += uint64(len(req))
+		if i != 0 && method != "fail" { // call 1's request was dropped, call 3's handler failed
+			crossed += model.Messages(respSize)
 		}
 		sum = sum.Add(bill)
 	}
@@ -89,11 +94,11 @@ func TestSimBillsSumToStats(t *testing.T) {
 	if got := s.Stats(); got != sum {
 		t.Errorf("Stats %+v, Σ bills %+v", got, sum)
 	}
-	ls := link.Stats()
-	if sum.Messages != ls.Messages || sum.BytesOut+sum.BytesIn != ls.Bytes {
-		t.Errorf("Σ bills %d messages / %d bytes, link %d / %d", sum.Messages, sum.BytesOut+sum.BytesIn, ls.Messages, ls.Bytes)
+	if sum.Messages != crossed || sum.BytesOut != sent || sum.BytesIn != 3*respSize {
+		t.Errorf("Σ bills %d messages / %d bytes out / %d in, want %d / %d / %d",
+			sum.Messages, sum.BytesOut, sum.BytesIn, crossed, sent, 3*respSize)
 	}
-	if want := model.NetworkTime(ls.Messages) + 7*time.Millisecond; sum.Latency != want {
+	if want := model.NetworkTime(crossed) + 7*time.Millisecond; sum.Latency != want {
 		t.Errorf("Σ latency %v, want %v", sum.Latency, want)
 	}
 	if sum.Errors != 4 || sum.Calls != 6 {
@@ -111,7 +116,7 @@ func TestSimCallUntracedAllocatesNothing(t *testing.T) {
 	}
 	model := costmodel.Default1993()
 	resp := []byte("pong")
-	s := NewSim(netsim.NewLink(model), model, func(*obs.Span, string, []byte) ([]byte, error) { return resp, nil })
+	s := NewSim(model, func(*obs.Span, string, []byte) ([]byte, error) { return resp, nil })
 	req := []byte("ping")
 	got := testing.AllocsPerRun(100, func() {
 		if _, err := s.Call(nil, "echo", req); err != nil {
@@ -126,7 +131,7 @@ func TestSimCallUntracedAllocatesNothing(t *testing.T) {
 // TestSimAddsNoSpan: the sim flavor puts nothing above its rpc.<method>
 // span — trace-shape tests across the repo assert that exact tree.
 func TestSimAddsNoSpan(t *testing.T) {
-	s, _, _ := newSimPair(t)
+	s, _ := newSim()
 	tracer := obs.NewTracer()
 	root := tracer.Start("root")
 	if _, err := s.Call(root, "echo", nil); err != nil {
@@ -144,7 +149,7 @@ func TestSimAddsNoSpan(t *testing.T) {
 }
 
 func TestSimClosedFences(t *testing.T) {
-	s, _, _ := newSimPair(t)
+	s, _ := newSim()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

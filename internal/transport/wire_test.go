@@ -14,7 +14,6 @@ import (
 	"unicode/utf8"
 
 	"qbism/internal/costmodel"
-	"qbism/internal/netsim"
 	"qbism/internal/obs"
 )
 
@@ -110,13 +109,13 @@ func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 	refuse := func(sp *obs.Span, method string, request []byte) ([]byte, error) {
 		return nil, fmt.Errorf("server: %w: %q", ErrUnknownMethod, method)
 	}
-	link := netsim.NewLink(model)
+	sim := NewSim(model, refuse)
 	request := []byte("seven b")
 	for _, tc := range []struct {
 		flavor string
 		tr     Transport
 	}{
-		{"sim", NewSim(link, model, refuse)},
+		{"sim", sim},
 		{"tcp", dialServer(t, startServer(t, refuse, ServerConfig{}))},
 	} {
 		_, err := tc.tr.Call(nil, "nosuch", request)
@@ -130,8 +129,8 @@ func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 			t.Errorf("%s: error is not the server's own text: %v", tc.flavor, err)
 		}
 	}
-	if ls := link.Stats(); ls.Calls != 1 || ls.Bytes != uint64(len(request)) || ls.Messages != model.Messages(uint64(len(request))) {
-		t.Errorf("sim link metered %+v, want exactly the request's crossing", ls)
+	if got := sim.Stats(); got.BytesOut != uint64(len(request)) || got.BytesIn != 0 || got.Messages != model.Messages(uint64(len(request))) {
+		t.Errorf("sim metered %+v, want exactly the request's crossing", got)
 	}
 }
 

@@ -175,7 +175,7 @@ type (
 	ClusterConfig = core.ClusterConfig
 )
 
-// NewSystem builds and loads a complete system; faults go on sys.Link.
+// NewSystem builds and loads a complete system; faults go on sys.Transport.
 func NewSystem(cfg Config, opts ...Option) (*System, error) { return core.New(cfg, opts...) }
 
 // NewClusterSystem builds a sharded deployment — the corpus partitioned
@@ -209,7 +209,7 @@ type FaultPolicy = faultsim.Policy
 
 // Resilience helpers.
 var (
-	// NewFaultInjector drives a FaultPolicy, for sys.Link.SetFaults.
+	// NewFaultInjector drives a FaultPolicy, for sys.Transport.SetFaults.
 	NewFaultInjector = faultsim.New
 	// DefaultRetryPolicy is a sane client retry configuration.
 	DefaultRetryPolicy = transport.DefaultRetryPolicy
