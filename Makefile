@@ -182,7 +182,10 @@ cover:
 # and the load's two per-study kernels at paper scale:
 # BenchmarkFromScanline, one 128^3 volume reordered onto the Hilbert
 # curve by the tree walk, and BenchmarkResample, one PET study warped to
-# the atlas (DESIGN.md §37).
+# the atlas (DESIGN.md §37) — and the REGION builders the walk serves:
+# BenchmarkFromBox, the paper's Q2 box at 128^3 (TestFromBoxAllocs pins
+# it at two allocations), and BenchmarkBuildAtlas, the paper-scale atlas
+# every load builds first (DESIGN.md §40).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
@@ -190,7 +193,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
-	$(GO) test -run '^$$' -bench '^BenchmarkIntersectN$$' -benchtime 100x -benchmem ./internal/region
+	$(GO) test -run '^$$' -bench '^Benchmark(IntersectN|FromBox)$$' -benchtime 100x -benchmem ./internal/region
+	$(GO) test -run '^$$' -bench '^BenchmarkBuildAtlas$$' -benchtime 10x -benchmem ./internal/atlas
 	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver
 	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 100x -benchmem ./internal/lfm
 	$(GO) test -run '^$$' -bench '^BenchmarkFromScanline$$' -benchtime 10x -benchmem ./internal/volume

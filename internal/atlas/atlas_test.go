@@ -224,3 +224,15 @@ func BenchmarkBuildAtlas32(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildAtlas builds the paper-scale (128^3) atlas without
+// meshes, as every load's first job does.
+func BenchmarkBuildAtlas(b *testing.B) {
+	c := sfc.MustNew(sfc.Hilbert, 3, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(c, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package medserver
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"qbism/internal/lfm"
@@ -163,8 +164,8 @@ func (s *Server) registerSpatialUDFs() error {
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				var c [6]uint32
 				for i, a := range args {
-					if a.T != sdb.TInt || a.I < 0 {
-						return sdb.Value{}, fmt.Errorf("boxRegion: argument %d must be a non-negative integer", i+1)
+					if a.T != sdb.TInt || a.I < 0 || a.I > math.MaxUint32 {
+						return sdb.Value{}, fmt.Errorf("boxRegion: argument %d must be an integer in [0, %d]", i+1, uint32(math.MaxUint32))
 					}
 					c[i] = uint32(a.I)
 				}

@@ -2,6 +2,7 @@ package qbism
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -536,6 +537,26 @@ func TestUDFTypeErrors(t *testing.T) {
 		if _, err := s.DB.Exec(sql); err == nil {
 			t.Errorf("accepted: %s", sql)
 		}
+	}
+}
+
+// TestBoxRegionRejectsWideCoordinates: a coordinate past the uint32
+// range is an error, not a wrapped one — 2^32 used to become 0 and pass
+// as a valid box.
+func TestBoxRegionRejectsWideCoordinates(t *testing.T) {
+	s := testSystem(t)
+	for _, args := range []string{
+		"4294967296, 0, 0, 4294967297, 3, 3",
+		"0, 0, 0, 3, 3, 4294967298",
+		"0, 0, 0, 3, 9223372036854775807, 3",
+	} {
+		_, err := s.DB.Exec(`select boxRegion(` + args + `) from warpedVolume wv where wv.studyId = 1`)
+		if err == nil || !strings.Contains(err.Error(), "boxRegion: argument") {
+			t.Errorf("boxRegion(%s): err = %v, want a boxRegion argument error", args, err)
+		}
+	}
+	if _, err := s.DB.Exec(`select boxRegion(0, 0, 0, 3, 3, 3) from warpedVolume wv where wv.studyId = 1`); err != nil {
+		t.Errorf("boxRegion(0, 0, 0, 3, 3, 3): %v", err)
 	}
 }
 

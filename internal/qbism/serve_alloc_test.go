@@ -1,6 +1,7 @@
 package qbism
 
 import (
+	"cmp"
 	"runtime"
 	"testing"
 
@@ -70,9 +71,12 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	naiveMixed.Encoding = EncHilbertNaive
 	naiveBand := naiveMixed
 	naiveBand.Structure = ""
+	paper := bareServer(t, Config{Bits: 7, NumPET: 1, Seed: 7, SmallStudies: true})
+	q2Box := QuerySpec{StudyID: paper.Studies[0].StudyID, Atlas: "Talairach", Box: &[6]uint32{30, 30, 30, 100, 100, 100}}
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
+		srv  *medserver.Server // nil: the Bits 5 server
 		// As measured: the response frame and the blob. Before, they were
 		// 4 and 4 while the spec's two strings were copied out of every
 		// request, 16 and 17 while a UDF call allocated its
@@ -85,21 +89,29 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		// execution, 91 and 101 before the one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", small, 2},
-		{"structure-and-band", mixed, 2},
+		{"small-structure", small, nil, 2},
+		{"structure-and-band", mixed, nil, 2},
 		// The band and structure ∩ band on the h-naive row: 2 and 2 as
 		// measured, the naive band decoded into its call site's slot (on an
 		// all-naive store the structure requests were 4 and 5 while a
 		// naive REGION was decoded to a new Region).
-		{"band-h-naive", naiveBand, 2},
-		{"structure-and-band-h-naive", naiveMixed, 2},
+		{"band-h-naive", naiveBand, nil, 2},
+		{"structure-and-band-h-naive", naiveMixed, nil, 2},
+		// The paper's Q2 probe, boxRegion(30, 30, 30, 100, 100, 100), on a
+		// paper-scale grid: 10 as measured — the box's Region and its
+		// runs, the spec's box, the range buffer grown five times (a
+		// buffer this size is dropped when the tree goes idle), the
+		// response frame and the blob. It was 30 while FromBox built a
+		// voxel id array by append, sorted a copy and grew the runs.
+		{"q2-box", q2Box, paper, 10},
 	} {
+		srv := cmp.Or(tc.srv, sys)
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			if _, err := sys.ServeRPC(nil, QueryMethod, req); err != nil {
+			if _, err := srv.ServeRPC(nil, QueryMethod, req); err != nil {
 				t.Fatal(err)
 			}
 		})

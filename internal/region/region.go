@@ -237,8 +237,11 @@ func mergeSorted(rs []Run) []Run {
 	return out
 }
 
-// FromIDs builds a region from an unordered set of curve positions.
-// The input slice is not modified.
+// FromIDs builds a region from an unordered set of curve positions by
+// sorting a copy of them. It is the constructor for sets with no shape
+// to walk; FromBox and FromEllipsoid use it only on the scanline curve,
+// whose aligned cubes are not id ranges. The input slice is not
+// modified.
 func FromIDs(c sfc.Curve, ids []uint64) (*Region, error) {
 	sorted := make([]uint64, len(ids))
 	copy(sorted, ids)

@@ -1,7 +1,5 @@
 package sfc
 
-import "fmt"
-
 // hilbertCurve implements Curve as a table-driven state machine over
 // the curve Skilling's transposition algorithm defines ("Programming
 // the Hilbert curve", AIP Conf. Proc. 707, 2004 — a generalization of
@@ -60,16 +58,20 @@ func (h hilbertCurve) Point(id uint64) Point {
 	return zCurve(h).Point(m)
 }
 
-// hilbertTable is the state machine for one dimensionality. A state is
-// an orientation: the signed axis permutation the levels above have
-// applied to everything below them. Entries pack next<<3 | digit.
-type hilbertTable struct {
+// digitTable is the state machine of one curve and dimensionality. A
+// state is an orientation: the signed axis permutation the levels above
+// have applied to everything below them. Entries pack next<<3 | digit.
+type digitTable struct {
 	dec [48][8]uint16 // [state][Gray-code digit] -> coordinate digit
 	enc [48][8]uint16 // [state][coordinate digit] -> Gray-code digit
+	// leaf[state][b] holds the coordinate digits of a node's children
+	// in curve order, one per byte, the node's own id digit having low
+	// bit b: what the tree walk needs of a node just above the voxels.
+	leaf [48][2]uint64
 }
 
 // hilbertTables is indexed by dimension (2 or 3).
-var hilbertTables = [4]*hilbertTable{2: newHilbertTable(2), 3: newHilbertTable(3)}
+var hilbertTables = [4]*digitTable{2: newHilbertTable(2), 3: newHilbertTable(3)}
 
 // digitMap is a function on level digits, tabulated; orientations and
 // Skilling's per-level transforms are both digitMaps, so composing them
@@ -85,7 +87,7 @@ type digitMap [8]uint8
 // axis permutation to level q — the state — and reading from the top
 // the next state is the current one composed with level q's transform.
 // At most 2^dim * dim! = 48 orientations exist.
-func newHilbertTable(dim int) *hilbertTable {
+func newHilbertTable(dim int) *digitTable {
 	n := 1 << dim
 	top := uint8(n >> 1) // axis 0 is the most significant bit of a digit
 	var identity digitMap
@@ -110,7 +112,7 @@ func newHilbertTable(dim int) *hilbertTable {
 		}
 		level[g] = t
 	}
-	tab := new(hilbertTable)
+	tab := new(digitTable)
 	states := []digitMap{identity}
 	for s := 0; s < len(states); s++ {
 		cur := states[s]
@@ -131,78 +133,6 @@ func newHilbertTable(dim int) *hilbertTable {
 			tab.enc[s][c] = uint16(ns)<<3 | uint16(g)
 		}
 	}
+	tab.fillLeaves(dim, len(states))
 	return tab
-}
-
-// HilbertGather reorders a stretch of a row-major grid array — x
-// fastest, then y, then z, the scanline curve's order — into Hilbert
-// order: dst[i] = scan[r] for every i of dst, r being the row-major
-// index of c.Point(lo+i). It panics unless c is a Hilbert curve and the
-// stretch lies on it.
-//
-// Rather than decode every id, it walks the curve's digit tree once,
-// top down: a node's children are its id digits in order, each
-// Gray-coded against its parent's low bit and decoded by the state
-// machine under the orientation the path to the node has set, and each
-// coordinate digit adds its level's row-major offset to the node's.
-func HilbertGather[T any](c Curve, dst, scan []T, lo uint64) {
-	h, ok := c.(hilbertCurve)
-	if !ok {
-		panic(fmt.Sprintf("sfc: HilbertGather on a %v curve", c.Kind()))
-	}
-	hi := lo + uint64(len(dst))
-	if hi > h.Length() || hi < lo {
-		panic(fmt.Sprintf("sfc: ids [%d,%d) out of range for dim=%d bits=%d", lo, hi, h.dim, h.bits))
-	}
-	dim, side := uint(h.dim), 1<<h.bits
-	// offs[k][d] is the row-major offset coordinate digit d contributes
-	// at level k, the most significant level first. A digit holds one
-	// bit per axis, X most significant (as the Z curve interleaves).
-	offs := make([][8]int, h.bits)
-	for k := range offs {
-		for d := 0; d < 1<<dim; d++ {
-			x, y, z := d>>(dim-1)&1, d>>(dim-2)&1, 0
-			if dim == 3 {
-				z = d & 1
-			}
-			offs[k][d] = (x + y*side + z*side*side) << (h.bits - 1 - k)
-		}
-	}
-	w := treeWalk[T]{dec: &hilbertTables[h.dim].dec, dim: dim, offs: offs, dst: dst, scan: scan, lo: lo, hi: hi}
-	w.visit(0, 0, 0, 0, 0)
-}
-
-// treeWalk is one HilbertGather: the curve's decoding table, the
-// per-level offsets, and the id range [lo, hi) that dst holds.
-type treeWalk[T any] struct {
-	dec       *[48][8]uint16
-	dim       uint
-	offs      [][8]int
-	dst, scan []T
-	lo, hi    uint64
-}
-
-// visit walks the children of a node at level k whose first id is id,
-// entered in orientation s at row-major offset base; prev is the node's
-// own id digit, whose low bit enters its children's Gray code.
-func (w *treeWalk[T]) visit(k int, id uint64, s uint16, base int, prev uint64) {
-	n := uint64(1) << w.dim
-	top := (prev & 1) << (w.dim - 1)
-	dec, offs := &w.dec[s], &w.offs[k]
-	if k == len(w.offs)-1 {
-		for d := uint64(0); d < n; d, id = d+1, id+1 {
-			if id >= w.lo && id < w.hi {
-				w.dst[id-w.lo] = w.scan[base+offs[dec[d^d>>1^top]&7]]
-			}
-		}
-		return
-	}
-	span := uint64(1) << (w.dim * uint(len(w.offs)-1-k))
-	for d := uint64(0); d < n; d, id = d+1, id+span {
-		if id+span <= w.lo || id >= w.hi {
-			continue
-		}
-		e := dec[d^d>>1^top]
-		w.visit(k+1, id, e>>3, base+offs[e&7], d)
-	}
 }
