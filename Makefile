@@ -185,7 +185,9 @@ cover:
 # the atlas (DESIGN.md §37) — and the REGION builders the walk serves:
 # BenchmarkFromBox, the paper's Q2 box at 128^3 (TestFromBoxAllocs pins
 # it at two allocations), and BenchmarkBuildAtlas, the paper-scale atlas
-# every load builds first (DESIGN.md §40).
+# every load builds first (DESIGN.md §40) — and BenchmarkRender, DX's MIP
+# along Z at Bits 7 on an atlas structure and on a short-run band REGION,
+# in ns per rendered voxel (DESIGN.md §41).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
@@ -199,6 +201,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 100x -benchmem ./internal/lfm
 	$(GO) test -run '^$$' -bench '^BenchmarkFromScanline$$' -benchtime 10x -benchmem ./internal/volume
 	$(GO) test -run '^$$' -bench '^BenchmarkResample$$' -benchtime 10x -benchmem ./internal/warp
+	$(GO) test -run '^$$' -bench '^BenchmarkRender$$' -benchtime 10x -benchmem ./internal/dx
 
 # The non-test Go line count outside benchmark/ (tracked files, lint
 # fixtures included): the number DESIGN.md sections and ROADMAP.md quote

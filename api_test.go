@@ -335,7 +335,7 @@ func TestPublicAtlasBuild(t *testing.T) {
 	}
 	r := a.Brain().Region
 	mesh := qbism.MeshFromRegion(r)
-	if mesh.NumTriangles() == 0 {
+	if len(mesh.Triangles) == 0 {
 		t.Error("empty mesh")
 	}
 }

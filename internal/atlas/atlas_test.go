@@ -138,16 +138,12 @@ func TestMeshFromRegionCube(t *testing.T) {
 	}
 	m := MeshFromRegion(r)
 	// A 4x4x4 cube has 6 faces x 16 voxel-faces x 2 triangles = 192.
-	if m.NumTriangles() != 192 {
-		t.Errorf("triangles = %d, want 192", m.NumTriangles())
+	if len(m.Triangles) != 192 {
+		t.Errorf("triangles = %d, want 192", len(m.Triangles))
 	}
 	// 5x5 lattice points per face, deduplicated: 6*25 - shared edges/corners = 98.
 	if len(m.Vertices) != 98 {
 		t.Errorf("vertices = %d, want 98", len(m.Vertices))
-	}
-	min, max, ok := m.Bounds()
-	if !ok || min != (Vec3{2, 2, 2}) || max != (Vec3{6, 6, 6}) {
-		t.Errorf("bounds = %v..%v", min, max)
 	}
 }
 
@@ -203,9 +199,6 @@ func TestMeshesBuiltOnDemand(t *testing.T) {
 	}
 	if withoutM.Structures[0].Mesh != nil {
 		t.Error("meshes built when not requested")
-	}
-	if _, _, ok := (&Mesh{}).Bounds(); ok {
-		t.Error("empty mesh reported bounds")
 	}
 }
 

@@ -79,26 +79,6 @@ func MeshFromRegion(r *region.Region) *Mesh {
 	return m
 }
 
-// NumTriangles returns the triangle count.
-func (m *Mesh) NumTriangles() int { return len(m.Triangles) }
-
-// Bounds returns the axis-aligned bounding box of the mesh vertices.
-func (m *Mesh) Bounds() (min, max Vec3, ok bool) {
-	if len(m.Vertices) == 0 {
-		return Vec3{}, Vec3{}, false
-	}
-	min, max = m.Vertices[0], m.Vertices[0]
-	for _, v := range m.Vertices[1:] {
-		min.X = float32(math.Min(float64(min.X), float64(v.X)))
-		min.Y = float32(math.Min(float64(min.Y), float64(v.Y)))
-		min.Z = float32(math.Min(float64(min.Z), float64(v.Z)))
-		max.X = float32(math.Max(float64(max.X), float64(v.X)))
-		max.Y = float32(math.Max(float64(max.Y), float64(v.Y)))
-		max.Z = float32(math.Max(float64(max.Z), float64(v.Z)))
-	}
-	return min, max, true
-}
-
 // Marshal serializes the mesh for long-field storage.
 func (m *Mesh) Marshal() []byte {
 	out := make([]byte, 8, 8+12*len(m.Vertices)+12*len(m.Triangles))

@@ -146,12 +146,6 @@ func (r *Reader) eof() error {
 	return ErrUnexpectedEOF
 }
 
-// ReadBit returns the next bit.
-func (r *Reader) ReadBit() (uint, error) {
-	v, err := r.ReadBits(1)
-	return uint(v), err
-}
-
 // ReadBits returns the next n bits as the low bits of a uint64,
 // most significant first. n must be in [0, 64]. A read past the end
 // leaves the reader at the end.

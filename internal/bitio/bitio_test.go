@@ -26,7 +26,7 @@ func TestWriteReadBits(t *testing.T) {
 	if v, _ := r.ReadBits(5); v != 0 {
 		t.Errorf("third field = %d", v)
 	}
-	if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
+	if _, err := r.ReadBits(1); err != ErrUnexpectedEOF {
 		t.Errorf("read past end: err = %v", err)
 	}
 }
@@ -62,7 +62,7 @@ func TestBitLimit(t *testing.T) {
 	if v, err := r.ReadBits(3); err != nil || v != 0b111 {
 		t.Fatalf("ReadBits = %d,%v", v, err)
 	}
-	if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
+	if _, err := r.ReadBits(1); err != ErrUnexpectedEOF {
 		t.Errorf("limited reader should hit EOF, got %v", err)
 	}
 	// Negative limit means "all bits".
@@ -173,6 +173,10 @@ type refReader struct {
 	buf      []byte
 	pos, end int
 }
+
+// bitLen is the number of bits w holds, counting the bytes of
+// NewWriter's buf: what a Reader over w.Bytes() is given.
+func bitLen(w *Writer) int { return len(w.buf)*8 + int(w.n) }
 
 func newRefReader(buf []byte, nbits int) *refReader {
 	if nbits < 0 || nbits > len(buf)*8 {
@@ -328,10 +332,10 @@ func TestReaderMatchesReference(t *testing.T) {
 				var err, expErr error
 				switch op.kind {
 				case 0:
-					var g, e uint
-					g, err = r.ReadBit()
+					var e uint
+					got, err = r.ReadBits(1)
 					e, expErr = want.ReadBit()
-					got, exp = uint64(g), uint64(e)
+					exp = uint64(e)
 				case 1:
 					got, err = r.ReadBits(op.n)
 					exp, expErr = want.ReadBits(op.n)

@@ -19,19 +19,6 @@ func naiveRank1(buf []byte, i int) int {
 	return n
 }
 
-// naiveSelect1 is the bit-at-a-time oracle for Select1.
-func naiveSelect1(buf []byte, k int) int {
-	for p := 0; p < len(buf)*8; p++ {
-		if buf[p>>3]&(0x80>>uint(p&7)) != 0 {
-			if k == 0 {
-				return p
-			}
-			k--
-		}
-	}
-	return -1
-}
-
 func randBitmap(rng *rand.Rand, nbytes int, density float64) []byte {
 	buf := make([]byte, nbytes)
 	for i := range buf {
@@ -64,51 +51,14 @@ func TestRank1AgainstOracle(t *testing.T) {
 	}
 }
 
-func TestSelect1AgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, nbytes := range []int{0, 1, 8, 65, 200} {
-		for _, density := range []float64{0, 0.1, 0.5, 1} {
-			buf := randBitmap(rng, nbytes, density)
-			ones := naiveRank1(buf, nbytes*8)
-			for _, k := range []int{-1, 0, 1, ones / 2, ones - 1, ones, ones + 5} {
-				got, want := Select1(buf, k), -1
-				if k >= 0 {
-					want = naiveSelect1(buf, k)
-				}
-				if got != want {
-					t.Fatalf("Select1(%d bytes, k=%d) = %d, want %d", nbytes, k, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestRankSelectInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	buf := randBitmap(rng, 300, 0.3)
-	ones := Rank1(buf, len(buf)*8)
-	for k := 0; k < ones; k++ {
-		p := Select1(buf, k)
-		if p < 0 {
-			t.Fatalf("Select1(k=%d) = -1 with %d ones", k, ones)
-		}
-		if got := Rank1(buf, p); got != k {
-			t.Fatalf("Rank1(Select1(%d)=%d) = %d", k, p, got)
-		}
-		if buf[p>>3]&(0x80>>uint(p&7)) == 0 {
-			t.Fatalf("Select1(%d) = %d points at a zero bit", k, p)
-		}
-	}
-}
-
 func TestRankIndexAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, nbits := range []int{0, 1, 8, 511, 512, 513, 1024, 4096 + 37} {
 		nbytes := (nbits + 7) / 8
 		buf := randBitmap(rng, nbytes, 0.4)
-		x := NewRankIndex(buf, nbits)
-		if x.NBits() != nbits {
-			t.Fatalf("NBits = %d, want %d", x.NBits(), nbits)
+		x, _ := MakeRankIndex(buf, nbits, nil)
+		if x.nbits != nbits {
+			t.Fatalf("nbits = %d, want %d", x.nbits, nbits)
 		}
 		if want := naiveRank1(buf, nbits); x.Ones() != want {
 			t.Fatalf("Ones = %d, want %d", x.Ones(), want)
@@ -126,28 +76,19 @@ func TestRankIndexAgainstOracle(t *testing.T) {
 				t.Fatalf("RankIndex(%d bits).Rank1(%d) = %d, want %d", nbits, i, got, want)
 			}
 		}
-		for k := -1; k <= x.Ones()+1; k++ {
-			want := -1
-			if k >= 0 && k < x.Ones() {
-				want = naiveSelect1(buf, k)
-			}
-			if got := x.Select1(k); got != want {
-				t.Fatalf("RankIndex(%d bits).Select1(%d) = %d, want %d", nbits, k, got, want)
-			}
-		}
 	}
 }
 
 func TestRankIndexClampsNBits(t *testing.T) {
 	buf := []byte{0xff, 0xff}
-	if x := NewRankIndex(buf, 100); x.NBits() != 16 || x.Ones() != 16 {
-		t.Fatalf("clamp high: nbits=%d ones=%d", x.NBits(), x.Ones())
+	if x, _ := MakeRankIndex(buf, 100, nil); x.nbits != 16 || x.Ones() != 16 {
+		t.Fatalf("clamp high: nbits=%d ones=%d", x.nbits, x.Ones())
 	}
-	if x := NewRankIndex(buf, -5); x.NBits() != 0 || x.Ones() != 0 || x.Select1(0) != -1 {
+	if x, _ := MakeRankIndex(buf, -5, nil); x.nbits != 0 || x.Ones() != 0 {
 		t.Fatal("clamp low failed")
 	}
 	// nbits below the buffer length must ignore trailing bits.
-	if x := NewRankIndex(buf, 3); x.Ones() != 3 || x.Rank1(16) != 3 {
+	if x, _ := MakeRankIndex(buf, 3, nil); x.Ones() != 3 || x.Rank1(16) != 3 {
 		t.Fatalf("partial index ones=%d", x.Ones())
 	}
 }
@@ -169,26 +110,12 @@ func BenchmarkRank1(b *testing.B) {
 func BenchmarkRankIndexRank1(b *testing.B) {
 	rng := rand.New(rand.NewSource(46))
 	buf := randBitmap(rng, 8192, 0.5)
-	x := NewRankIndex(buf, len(buf)*8)
+	x, _ := MakeRankIndex(buf, len(buf)*8, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
 		n += x.Rank1((i * 977) % (len(buf) * 8))
-	}
-	sinkInt = n
-}
-
-func BenchmarkRankIndexSelect1(b *testing.B) {
-	rng := rand.New(rand.NewSource(47))
-	buf := randBitmap(rng, 8192, 0.5)
-	x := NewRankIndex(buf, len(buf)*8)
-	ones := x.Ones()
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n += x.Select1((i * 613) % ones)
 	}
 	sinkInt = n
 }

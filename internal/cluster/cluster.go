@@ -85,9 +85,6 @@ func NewPartitioner(shards int) Partitioner {
 	return Partitioner{shards: shards}
 }
 
-// Shards returns K.
-func (p Partitioner) Shards() int { return p.shards }
-
 // Shard returns the shard index for a key in [0, K).
 func (p Partitioner) Shard(k Key) int {
 	return int(k.Hash() % uint64(p.shards))

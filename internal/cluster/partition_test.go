@@ -65,8 +65,8 @@ func TestPartitionerTable(t *testing.T) {
 			name:   "clamped to one",
 			shards: 0,
 			check: func(t *testing.T, p Partitioner) {
-				if p.Shards() != 1 {
-					t.Fatalf("Shards() = %d, want 1", p.Shards())
+				if p.shards != 1 {
+					t.Fatalf("shards = %d, want 1", p.shards)
 				}
 				if got := p.Shard(Key{Patient: 9, Study: 9}); got != 0 {
 					t.Fatalf("shard = %d, want 0", got)
@@ -78,8 +78,8 @@ func TestPartitionerTable(t *testing.T) {
 			shards: 4,
 			keys:   nil,
 			check: func(t *testing.T, p Partitioner) {
-				if p.Shards() != 4 {
-					t.Fatalf("Shards() = %d, want 4", p.Shards())
+				if p.shards != 4 {
+					t.Fatalf("shards = %d, want 4", p.shards)
 				}
 			},
 		},

@@ -12,8 +12,6 @@ type Cache struct {
 	max     int
 	entries map[string]*Field // guarded by mu
 	order   []string          // LRU order, least recent first; guarded by mu
-
-	hits, misses uint64 // guarded by mu
 }
 
 // NewCache creates a cache holding at most max fields (max <= 0 means 8,
@@ -32,9 +30,6 @@ func (c *Cache) Get(key string) (*Field, bool) {
 	f, ok := c.entries[key]
 	if ok {
 		c.touch(key)
-		c.hits++
-	} else {
-		c.misses++
 	}
 	return f, ok
 }
@@ -80,18 +75,4 @@ func (c *Cache) Flush() {
 	clear(c.entries)
 	clear(c.order[:cap(c.order)])
 	c.order = c.order[:0]
-}
-
-// Len returns the number of cached fields.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats returns hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

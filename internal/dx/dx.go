@@ -76,12 +76,6 @@ type Image struct {
 // NewImage allocates a black image.
 func NewImage(w, h int) *Image { return &Image{W: w, H: h, Pix: make([]uint8, w*h)} }
 
-// At returns the pixel at (x, y).
-func (img *Image) At(x, y int) uint8 { return img.Pix[y*img.W+x] }
-
-// Set writes the pixel at (x, y).
-func (img *Image) Set(x, y int, v uint8) { img.Pix[y*img.W+x] = v }
-
 // WritePGM writes the image in binary PGM (P5) format.
 func (img *Image) WritePGM(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", img.W, img.H); err != nil {

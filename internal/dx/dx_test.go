@@ -66,10 +66,10 @@ func TestRenderMIP(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Center pixel covered by the sphere must be 200; corner 0.
-		if got := img.At(8, 8); got != 200 {
+		if got := img.Pix[8*img.W+8]; got != 200 {
 			t.Errorf("axis %d center = %d", axis, got)
 		}
-		if got := img.At(0, 0); got != 0 {
+		if got := img.Pix[0]; got != 0 {
 			t.Errorf("axis %d corner = %d", axis, got)
 		}
 	}
@@ -85,14 +85,14 @@ func TestRenderAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := img.At(8, 8); got != 80 {
+	if got := img.Pix[8*img.W+8]; got != 80 {
 		t.Errorf("average of constant field = %d, want 80", got)
 	}
 }
 
 func TestWritePGM(t *testing.T) {
 	img := NewImage(4, 2)
-	img.Set(0, 0, 255)
+	img.Pix[0] = 255
 	var buf bytes.Buffer
 	if err := img.WritePGM(&buf); err != nil {
 		t.Fatal(err)
@@ -127,15 +127,11 @@ func TestCacheBasics(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Error("a wrongly evicted")
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Errorf("stats = %d/%d", hits, misses)
+	if len(c.entries) != 2 {
+		t.Errorf("len = %d", len(c.entries))
 	}
 	c.Flush()
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Error("flush did not empty")
 	}
 	// Re-Put same key updates in place.
@@ -175,7 +171,7 @@ func TestCacheFlushReusesMemory(t *testing.T) {
 	if got != 0 {
 		t.Errorf("%.1f allocs per Flush+Put, want 0 — does Flush drop the map or the list?", got)
 	}
-	if fl, ok := c.Get("query"); !ok || fl != f || c.Len() != 1 {
+	if fl, ok := c.Get("query"); !ok || fl != f || len(c.entries) != 1 {
 		t.Error("Put after Flush did not store the field")
 	}
 }
@@ -192,10 +188,10 @@ func TestRenderMeshSphere(t *testing.T) {
 	}
 	// The projected sphere must light up the image center and leave the
 	// corners black.
-	if img.At(32, 32) == 0 {
+	if img.Pix[32*img.W+32] == 0 {
 		t.Error("center pixel black")
 	}
-	if img.At(0, 0) != 0 || img.At(63, 63) != 0 {
+	if img.Pix[0] != 0 || img.Pix[63*img.W+63] != 0 {
 		t.Error("corner pixels lit")
 	}
 	lit := 0
@@ -283,7 +279,7 @@ func BenchmarkRenderMIP(b *testing.B) {
 
 func ExampleImage_WritePGM() {
 	img := NewImage(2, 1)
-	img.Set(0, 0, 7)
+	img.Pix[0] = 7
 	var buf bytes.Buffer
 	img.WritePGM(&buf)
 	fmt.Println(len(buf.Bytes()))

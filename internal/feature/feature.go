@@ -172,9 +172,6 @@ func buildNode(items []Item) *vpNode {
 	}
 }
 
-// Len returns the number of indexed items.
-func (t *VPTree) Len() int { return t.size }
-
 // Nearest returns the k items closest to q, nearest first.
 func (t *VPTree) Nearest(q Vector, k int) ([]Match, SearchStats) {
 	var st SearchStats

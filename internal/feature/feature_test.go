@@ -110,7 +110,7 @@ func TestVPTreeMatchesLinear(t *testing.T) {
 		items := randomItems(rng, n)
 		ref := append([]Item(nil), items...)
 		tree := Build(items)
-		if tree.Len() != n {
+		if tree.size != n {
 			return false
 		}
 		var q Vector

@@ -110,7 +110,7 @@ func (c *pageCache) put(k pageKey, data []byte) (evicted bool) {
 }
 
 // invalidateField drops every cached page of a field, frame and all (on
-// Overwrite, Free, or Corrupt). Callers must hold the Manager's mu.
+// Corrupt). Callers must hold the Manager's mu.
 func (c *pageCache) invalidateField(h Handle) {
 	for k, i := range c.index {
 		if k.h == h {
@@ -119,7 +119,3 @@ func (c *pageCache) invalidateField(h Handle) {
 		}
 	}
 }
-
-// len returns the number of live cached pages. Callers must hold the
-// Manager's mu.
-func (c *pageCache) len() int { return len(c.index) }

@@ -62,7 +62,7 @@ func TestCacheThrashAllocatesNothing(t *testing.T) {
 				t.Errorf("misses %d evictions %d hits %d, want %d/%d/0: the scan was meant to thrash",
 					d.CacheMisses, d.CacheEvictions, d.CacheHits, want, want)
 			}
-			if got := m.CachedPages(); got != cachePages {
+			if got := cachedPages(m); got != cachePages {
 				t.Errorf("cache holds %d pages, want %d", got, cachePages)
 			}
 		})
@@ -142,9 +142,9 @@ func TestFailedFillLeavesVictimIntact(t *testing.T) {
 				t.Fatalf("fill of page 3: got %v, want %v", err, want)
 			}
 			d := m.Stats().Sub(before)
-			if d.CacheEvictions != 0 || d.CacheMisses != 1 || m.CachedPages() != 2 {
+			if d.CacheEvictions != 0 || d.CacheMisses != 1 || cachedPages(m) != 2 {
 				t.Errorf("failed fill: %d evictions, %d misses, %d pages cached; want 0, 1, 2",
-					d.CacheEvictions, d.CacheMisses, m.CachedPages())
+					d.CacheEvictions, d.CacheMisses, cachedPages(m))
 			}
 			// The would-be victim and its neighbour are still there, whole.
 			for _, j := range []int{1, 2} {

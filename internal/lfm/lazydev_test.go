@@ -64,8 +64,8 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
-// TestLazyDeviceMatchesFlatModel drives random allocate / overwrite /
-// free / read traffic, sized to straddle extent boundaries, against a
+// TestLazyDeviceMatchesFlatModel drives random allocate / free / read
+// traffic, sized to straddle extent boundaries, against a
 // plain map of what each field should hold, with checksums on.
 func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -82,7 +82,7 @@ func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 		return b
 	}
 	for step := 0; step < 600; step++ {
-		switch op := rng.Intn(4); {
+		switch op := rng.Intn(3); {
 		case op == 0 || len(live) == 0:
 			data := payload()
 			h, err := m.Allocate(data)
@@ -94,17 +94,8 @@ func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 			}
 			model[h], live = data, append(live, h)
 		case op == 1:
-			h, data := live[rng.Intn(len(live))], payload()
-			if err := m.Overwrite(h, data); err == nil {
-				model[h] = data
-			} else if !errors.Is(err, ErrNoSpace) {
-				t.Fatal(err)
-			}
-		case op == 2:
 			i := rng.Intn(len(live))
-			if err := m.Free(live[i]); err != nil {
-				t.Fatal(err)
-			}
+			release(m, live[i])
 			delete(model, live[i])
 			live = append(live[:i], live[i+1:]...)
 		default:
@@ -130,8 +121,7 @@ func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 
 // TestCorruptAcrossExtentBoundary rots the last byte of one extent and
 // the first of the next inside a single field: each flip is caught on
-// exactly its own page, Overwrite heals both, and Free returns the
-// block.
+// exactly its own page, and flipping them back heals both.
 func TestCorruptAcrossExtentBoundary(t *testing.T) {
 	m, err := New(4<<20, 0)
 	if err != nil {
@@ -163,17 +153,12 @@ func TestCorruptAcrossExtentBoundary(t *testing.T) {
 	if _, err := m.ReadAt(h, edge-8, 16); !errors.Is(err, ErrChecksum) {
 		t.Errorf("read straddling the rotten boundary: %v", err)
 	}
-	if err := m.Overwrite(h, data); err != nil {
-		t.Fatal(err)
+	for _, off := range []uint64{edge - 1, edge} {
+		if err := m.Corrupt(h, off, 0x40); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got, err := m.ReadAt(h, edge-8, 16); err != nil || !bytes.Equal(got, data[edge-8:edge+8]) {
-		t.Errorf("after overwrite: err %v", err)
-	}
-	free := m.FreePages()
-	if err := m.Free(h); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.FreePages(); got != free+4*pagesPerExtent {
-		t.Errorf("free returned %d pages, want the field's %d-page block", got-free, 4*pagesPerExtent)
+		t.Errorf("after healing: err %v", err)
 	}
 }

@@ -228,7 +228,8 @@ func (m *Manager) SetFaults(in *faultsim.Injector) {
 // page by page: hits cost no device I/O, misses are the pages a read
 // transfers, verified as every transferred page is, and then inserted
 // (cached pages were verified on fill, so a hit is not checked again).
-// Overwrite, Free, and Corrupt invalidate the field's cached pages.
+// A field is written once, by Allocate; Corrupt, the fault hook, is the
+// one change to stored bytes, and it drops the field's cached pages.
 func (m *Manager) EnableCache(pages int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -237,16 +238,6 @@ func (m *Manager) EnableCache(pages int) {
 		return
 	}
 	m.cache = newPageCache(pages)
-}
-
-// CachedPages returns how many pages the cache currently holds.
-func (m *Manager) CachedPages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cache == nil {
-		return 0
-	}
-	return m.cache.len()
 }
 
 // EnableChecksums switches on per-page CRC32 integrity: every write
@@ -268,13 +259,6 @@ func (m *Manager) EnableChecksums() {
 		m.sums[h] = pageChecksums(data, m.pageSize)
 	}
 	m.verify = true
-}
-
-// ChecksumsEnabled reports whether page checksums are active.
-func (m *Manager) ChecksumsEnabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.verify
 }
 
 // Corrupt flips stored bytes of a field on the device without updating
@@ -378,11 +362,13 @@ func (m *Manager) freeBlock(off uint64, order int) {
 }
 
 // Allocate stores data as a new long field and returns its handle.
-// The write is counted page-granularly.
+// The write is counted page-granularly. A field is written once: a
+// failed write returns its block to the free lists and records nothing.
 func (m *Manager) Allocate(data []byte) (Handle, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	order := m.orderFor(uint64(len(data)))
+	size := uint64(len(data))
+	order := m.orderFor(size)
 	if order > m.maxOrder {
 		return 0, ErrNoSpace
 	}
@@ -390,62 +376,20 @@ func (m *Manager) Allocate(data []byte) (Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	h := m.nextID
-	if err := m.store(h, field{off: off, size: uint64(len(data)), order: order}, data); err != nil {
+	if err := m.devWrite(off, data); err != nil {
 		m.freeBlock(off, order)
 		return 0, err
 	}
+	h := m.nextID
 	m.nextID++
-	return h, nil
-}
-
-// Overwrite replaces the contents of an existing field. If the new data
-// fits the field's current buddy block the field is updated in place;
-// otherwise it is written to a new block, and the old block is freed
-// only once that write has succeeded — a failed write leaves the field
-// where it was.
-func (m *Manager) Overwrite(h Handle, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
-		return ErrUnknownHandle
-	}
-	if m.cache != nil {
-		m.cache.invalidateField(h)
-	}
-	if uint64(len(data)) <= m.pageSize<<f.order {
-		f.size = uint64(len(data))
-		return m.store(h, f, data)
-	}
-	order := m.orderFor(uint64(len(data)))
-	off, err := m.allocBlock(order)
-	if err != nil {
-		return err
-	}
-	if err := m.store(h, field{off: off, size: uint64(len(data)), order: order}, data); err != nil {
-		m.freeBlock(off, order)
-		return err
-	}
-	m.freeBlock(f.off, f.order)
-	return nil
-}
-
-// store writes data into f's block and, once the write has succeeded,
-// records f as field h with its checksums and counts the write; a
-// failed write records nothing. Callers must hold m.mu.
-func (m *Manager) store(h Handle, f field, data []byte) error {
-	if err := m.devWrite(f.off, data); err != nil {
-		return err
-	}
-	m.fields[h] = f
+	m.fields[h] = field{off: off, size: size, order: order}
 	if m.verify {
 		m.sums[h] = pageChecksums(data, m.pageSize)
 	}
 	m.stats.Writes++
-	m.stats.BytesWritten += f.size
-	m.stats.PageWrites += m.pagesSpanned(f.off, f.size)
-	return nil
+	m.stats.BytesWritten += size
+	m.stats.PageWrites += m.pagesSpanned(off, size)
+	return h, nil
 }
 
 // Size returns the logical length of a field.
@@ -593,23 +537,6 @@ func (m *Manager) pagesSpanned(off, n uint64) uint64 {
 	first := off / m.pageSize
 	last := (off + n - 1) / m.pageSize
 	return last - first + 1
-}
-
-// Free releases a field's storage.
-func (m *Manager) Free(h Handle) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
-		return ErrUnknownHandle
-	}
-	if m.cache != nil {
-		m.cache.invalidateField(h)
-	}
-	delete(m.fields, h)
-	delete(m.sums, h)
-	m.freeBlock(f.off, f.order)
-	return nil
 }
 
 // FreePages returns the number of free device pages (for invariant checks).

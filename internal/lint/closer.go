@@ -94,7 +94,7 @@ func (p *Program) isAcquisition(pkg *Package, call *ast.CallExpr, pkgs []*Packag
 
 // isResourceType: pointers to named module types (or stdlib *os.File)
 // whose method set has a release verb, and named interface types with
-// Close (net.Conn, net.Listener, transport.Transport, io.Closer).
+// Close (net.Conn, net.Listener, io.Closer).
 func isResourceType(t types.Type, pkgs []*Package) bool {
 	switch tt := t.(type) {
 	case *types.Pointer:
@@ -368,7 +368,7 @@ func bareTypeName(t types.Type) string {
 }
 
 // resourceTypeString renders the acquired type for messages ("*sdb.Rows",
-// "transport.Transport").
+// "*transport.TCP").
 func resourceTypeString(pkg *Package, call *ast.CallExpr) string {
 	tv, ok := pkg.Info.Types[call]
 	if !ok {

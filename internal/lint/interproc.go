@@ -124,14 +124,6 @@ func (p *Program) Callee(pkg *Package, call *ast.CallExpr) *FuncInfo {
 	return p.funcs[fn]
 }
 
-// Methods returns the declared methods of a named type.
-func (p *Program) Methods(named *types.Named) []*FuncInfo {
-	if named == nil {
-		return nil
-	}
-	return p.methods[named.Obj()]
-}
-
 // ---------------------------------------------------------------------
 // releasedFields: which fields of a named struct type are closed by
 // some method of the type.

@@ -31,7 +31,7 @@ func loadFixture(t *testing.T, name string) *Package {
 		t.Fatal(err)
 	}
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := loader.LoadDir(dir, "qbism/lintfixture/"+name)
+	pkg, err := loader.load("qbism/lintfixture/"+name, dir)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}

@@ -71,9 +71,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // LoadAll loads every package under the module root (skipping testdata,
 // hidden directories, and _test.go files) and returns them sorted by
 // import path.
@@ -116,13 +113,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
-}
-
-// LoadDir loads a single directory as a package under the given import
-// path, resolving its module-internal imports against the loader's
-// module root. Used by tests to load fixture packages.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	return l.load(importPath, dir)
 }
 
 // Import implements types.Importer: module-internal paths load from

@@ -49,7 +49,7 @@ func TestCallStateReset(t *testing.T) {
 		t.Errorf("buffers over sdb.MaxIdleBytes kept: field %d, runs %d", cap(big.field), cap(big.reg.RunsView()))
 	}
 	for _, slot := range []*regionSlot{small, big} {
-		if !slot.probe.Empty() || slot.probe.Curve() != nil {
+		if slot.probe.NumVoxels() != 0 || slot.probe.Curve() != nil {
 			t.Error("an idle slot's probe still holds a tree")
 		}
 	}

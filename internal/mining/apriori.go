@@ -47,16 +47,6 @@ func (s ItemSet) key() string {
 	return strings.Join(parts, "\x00")
 }
 
-// contains reports whether s includes item x.
-func (s ItemSet) contains(x Item) bool {
-	for _, it := range s {
-		if it == x {
-			return true
-		}
-	}
-	return false
-}
-
 // subsetOf reports whether every item of s appears in the (sorted)
 // transaction items.
 func (s ItemSet) subsetOf(items []Item) bool {

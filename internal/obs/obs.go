@@ -30,20 +30,11 @@ import (
 // and produces nil spans (tracing disabled).
 type Tracer struct {
 	epoch time.Time
-	clock func() time.Duration // nil = monotonic since epoch
+	clock func() time.Duration // nil = monotonic since epoch; tests set a simulated clock
 }
 
 // NewTracer returns a tracer using the monotonic wall clock.
 func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
-
-// NewTracerClock returns a tracer reading time from clock — typically
-// a simulated clock, so span durations are deterministic.
-func NewTracerClock(clock func() time.Duration) *Tracer {
-	return &Tracer{clock: clock}
-}
-
-// Enabled reports whether the tracer produces spans.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // now returns the tracer's current reading; 0 on a nil tracer.
 func (t *Tracer) now() time.Duration {
@@ -149,22 +140,6 @@ func (s *Span) SetInt(key string, v int64) {
 	for i := range s.attrs {
 		if s.attrs[i].Key == key && !s.attrs[i].IsStr {
 			s.attrs[i].Int = v
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Int: v})
-}
-
-// AddInt accumulates into an integer attribute, creating it at v.
-func (s *Span) AddInt(key string, v int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key && !s.attrs[i].IsStr {
-			s.attrs[i].Int += v
 			return
 		}
 	}
@@ -280,13 +255,6 @@ func (s *Span) Find(name string) *Span {
 		}
 	}
 	return nil
-}
-
-// Count returns the number of spans in the tree.
-func (s *Span) Count() int {
-	n := 0
-	s.Walk(func(*Span, int) { n++ })
-	return n
 }
 
 // Render writes the tree as indented text, one span per line:

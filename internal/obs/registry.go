@@ -149,26 +149,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Quantile estimates the q-th quantile (0 <= q <= 1) from the bucket
 // counts, linearly interpolating within the containing bucket the way
 // Prometheus's histogram_quantile does. Observations in the +Inf

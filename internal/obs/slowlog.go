@@ -66,18 +66,9 @@ func (l *SlowLog) Entries() []SlowEntry {
 	return append(out, l.buf[:l.next]...)
 }
 
-// Len returns the number of retained captures.
-func (l *SlowLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
 // Total returns how many captures were ever added, including evicted
-// ones — the difference from Len says how much history was dropped.
+// ones — the difference from len(Entries()) says how much history was
+// dropped.
 func (l *SlowLog) Total() uint64 {
 	if l == nil {
 		return 0

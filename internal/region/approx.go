@@ -1,14 +1,9 @@
 package region
 
-import (
-	"fmt"
-	"math/bits"
-)
-
 // Approximate representations (Section 4.2, "Approximate representation
-// of REGIONs"): both techniques trade spatial accuracy for fewer pieces
-// by including outside space, so queries over them need post-processing
-// with exact REGIONs.
+// of REGIONs"): gap merging trades spatial accuracy for fewer pieces by
+// including outside space, so queries over it need post-processing with
+// exact REGIONs.
 
 // MergeGaps returns an over-approximation of r in which every gap
 // strictly shorter than mingap voxels has been eliminated by merging the
@@ -29,35 +24,6 @@ func (r *Region) MergeGaps(mingap uint64) *Region {
 		}
 	}
 	return &Region{curve: r.curve, runs: out}
-}
-
-// CoarsenOctants returns an over-approximation of r in which octants
-// have minimum side G (a power of two): any voxel in r causes the whole
-// aligned GxGxG block containing it to be included. On Hilbert and Z
-// curves an aligned block of G^dim consecutive ids is exactly such a
-// cube, so the operation rounds run endpoints outward to multiples of
-// G^dim.
-func (r *Region) CoarsenOctants(g uint32) (*Region, error) {
-	if g == 0 || g&(g-1) != 0 {
-		return nil, fmt.Errorf("region: G must be a power of two, got %d", g)
-	}
-	if int(bits.TrailingZeros32(g)) > r.curve.Bits() {
-		return nil, fmt.Errorf("region: G=%d exceeds grid side %d", g, 1<<r.curve.Bits())
-	}
-	if g == 1 {
-		return r, nil
-	}
-	block := uint64(1)
-	for i := 0; i < r.curve.Dim(); i++ {
-		block *= uint64(g)
-	}
-	out := make([]Run, 0, len(r.runs))
-	for _, run := range r.runs {
-		lo := run.Lo / block * block
-		hi := (run.Hi/block+1)*block - 1
-		out = appendRun(out, Run{lo, hi})
-	}
-	return &Region{curve: r.curve, runs: out}, nil
 }
 
 // ApproxError quantifies an over-approximation: the number of voxels in

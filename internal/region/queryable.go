@@ -11,21 +11,17 @@ import (
 // curve-interval probes, possibly directly on compressed bytes without
 // materializing a run list. *Region implements it over its run list;
 // rencode.K3Probe implements it over k³-tree encoded bytes. The
-// ContainsQ/IntersectQ/OverlapsQ operators below are the compressed
-// fast path of the Section 3.2 spatial operators: one operand stays in
-// its stored representation end to end.
+// ContainsQ/IntersectQ operators below are the compressed fast path of
+// the Section 3.2 spatial operators: one operand stays in its stored
+// representation end to end.
 //
 // The interface lives here rather than in rencode because rencode
 // imports region; both packages implement it.
 type Queryable interface {
 	Curve() sfc.Curve
 	NumVoxels() uint64
-	Empty() bool
 	// ContainsID reports whether curve position id is in the region.
 	ContainsID(id uint64) bool
-	// AnyInRange reports whether any position in [lo, hi] (inclusive)
-	// is present — the interval emptiness test.
-	AnyInRange(lo, hi uint64) bool
 	// AllInRange reports whether every position in [lo, hi] is present
 	// — the interval coverage test. Vacuously true when lo > hi.
 	AllInRange(lo, hi uint64) bool
@@ -38,17 +34,6 @@ type Queryable interface {
 
 var _ Queryable = (*Region)(nil)
 
-// AnyInRange reports whether any position in [lo, hi] is in the
-// region, by binary search: the first run ending at or after lo must
-// start at or before hi.
-func (r *Region) AnyInRange(lo, hi uint64) bool {
-	if lo > hi {
-		return false
-	}
-	i := sort.Search(len(r.runs), func(i int) bool { return r.runs[i].Hi >= lo })
-	return i < len(r.runs) && r.runs[i].Lo <= hi
-}
-
 // AllInRange reports whether every position in [lo, hi] is in the
 // region. Runs are maximal, so a fully covered interval must lie
 // within a single run.
@@ -60,12 +45,9 @@ func (r *Region) AllInRange(lo, hi uint64) bool {
 	return i < len(r.runs) && r.runs[i].Lo <= lo && r.runs[i].Hi >= hi
 }
 
-// IntersectRuns intersects the region with a sorted, normalized run
-// list — the run-list half of Intersect without constructing the other
-// Region.
-func (r *Region) IntersectRuns(runs []Run) []Run { return r.IntersectRunsInto(runs, nil) }
-
-// IntersectRunsInto is IntersectRuns into buf (Queryable).
+// IntersectRunsInto intersects the region with a sorted, normalized run
+// list into buf (Queryable) — the run-list half of Intersect without
+// constructing the other Region.
 func (r *Region) IntersectRunsInto(runs, buf []Run) []Run {
 	return intersectRunsInto(buf[:0], r.runs, runs)
 }
@@ -100,18 +82,4 @@ func IntersectQ(a Queryable, b *Region) (*Region, error) {
 		return nil, errCurveMismatchQ("intersectQ", a, b)
 	}
 	return &Region{curve: b.curve, runs: a.IntersectRunsInto(b.runs, nil)}, nil
-}
-
-// OverlapsQ reports whether a and b share any voxel, short-circuiting
-// on the first run of b that is nonempty in a.
-func OverlapsQ(a Queryable, b *Region) (bool, error) {
-	if !SameCurve(a.Curve(), b.curve) {
-		return false, errCurveMismatchQ("overlapsQ", a, b)
-	}
-	for _, run := range b.runs {
-		if a.AnyInRange(run.Lo, run.Hi) {
-			return true, nil
-		}
-	}
-	return false, nil
 }

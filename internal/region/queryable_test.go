@@ -26,7 +26,7 @@ func genQ(t *testing.T, rng *rand.Rand, c sfc.Curve, nruns int) *Region {
 	return r
 }
 
-// TestRangeProbesAgainstScan checks AnyInRange/AllInRange against the
+// TestRangeProbesAgainstScan checks AllInRange against the
 // per-id scan for random regions and intervals, including the
 // degenerate inverted interval.
 func TestRangeProbesAgainstScan(t *testing.T) {
@@ -41,28 +41,23 @@ func TestRangeProbesAgainstScan(t *testing.T) {
 			if hi >= n {
 				hi = n - 1
 			}
-			any, all := false, true
+			all := true
 			for id := lo; id <= hi; id++ {
-				if r.ContainsID(id) {
-					any = true
-				} else {
+				if !r.ContainsID(id) {
 					all = false
 				}
-			}
-			if got := r.AnyInRange(lo, hi); got != any {
-				t.Fatalf("AnyInRange(%d,%d) = %v, scan %v (runs %v)", lo, hi, got, any, r.Runs())
 			}
 			if got := r.AllInRange(lo, hi); got != all {
 				t.Fatalf("AllInRange(%d,%d) = %v, scan %v (runs %v)", lo, hi, got, all, r.Runs())
 			}
 		}
-		if r.AnyInRange(9, 3) || !r.AllInRange(9, 3) {
+		if !r.AllInRange(9, 3) {
 			t.Fatal("inverted interval answers wrong")
 		}
 	}
 }
 
-// TestQueryableOpsMatchSetOps: ContainsQ/IntersectQ/OverlapsQ with a
+// TestQueryableOpsMatchSetOps: ContainsQ/IntersectQ with a
 // *Region probe must agree exactly with the run-list set operators.
 func TestQueryableOpsMatchSetOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
@@ -95,27 +90,15 @@ func TestQueryableOpsMatchSetOps(t *testing.T) {
 			t.Fatalf("IntersectQ differs from Intersect:\n%v\n%v", gotInt, wantInt)
 		}
 
-		wantOv, err := Overlaps(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOv, err := OverlapsQ(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotOv != wantOv {
-			t.Fatalf("OverlapsQ = %v, Overlaps = %v", gotOv, wantOv)
-		}
-
-		// IntersectRuns against the other region's run list directly.
-		runs := a.IntersectRuns(b.Runs())
+		// IntersectRunsInto against the other region's run list directly.
+		runs := a.IntersectRunsInto(b.Runs(), nil)
 		want := wantInt.Runs()
 		if len(runs) != len(want) {
-			t.Fatalf("IntersectRuns %d runs, Intersect %d", len(runs), len(want))
+			t.Fatalf("IntersectRunsInto %d runs, Intersect %d", len(runs), len(want))
 		}
 		for i := range runs {
 			if runs[i] != want[i] {
-				t.Fatalf("IntersectRuns run %d = %v, want %v", i, runs[i], want[i])
+				t.Fatalf("IntersectRunsInto run %d = %v, want %v", i, runs[i], want[i])
 			}
 		}
 	}
@@ -129,8 +112,5 @@ func TestQueryableOpsCurveMismatch(t *testing.T) {
 	}
 	if _, err := IntersectQ(a, b); err == nil {
 		t.Error("IntersectQ accepted mismatched curves")
-	}
-	if _, err := OverlapsQ(a, b); err == nil {
-		t.Error("OverlapsQ accepted mismatched curves")
 	}
 }

@@ -277,15 +277,6 @@ func fromOwnedIDs(c sfc.Curve, sorted []uint64) (*Region, error) {
 	return &Region{curve: c, runs: runs}, nil
 }
 
-// FromPoints builds a region from an unordered set of grid points.
-func FromPoints(c sfc.Curve, pts []sfc.Point) (*Region, error) {
-	ids := make([]uint64, len(pts))
-	for i, p := range pts {
-		ids[i] = c.ID(p)
-	}
-	return FromIDs(c, ids)
-}
-
 // FromPredicate builds the region of all grid points satisfying pred.
 // It scans the full grid once (O(curve length) decodes).
 func FromPredicate(c sfc.Curve, pred func(p sfc.Point) bool) *Region {

@@ -22,11 +22,11 @@ var (
 // curve. Its z-ids are {1, 4, 5, 6, 7, 12, 13} (Table 1).
 func paperRegion(t *testing.T, c sfc.Curve) *Region {
 	t.Helper()
-	pts := make([]sfc.Point, 0, 7)
+	ids := make([]uint64, 0, 7)
 	for _, zid := range []uint64{1, 4, 5, 6, 7, 12, 13} {
-		pts = append(pts, z2.Point(zid))
+		ids = append(ids, c.ID(z2.Point(zid)))
 	}
-	r, err := FromPoints(c, pts)
+	r, err := FromIDs(c, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

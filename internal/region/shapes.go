@@ -51,11 +51,6 @@ func (b Box) cell(lo, hi sfc.Point) sfc.Cell {
 	return sfc.Partial
 }
 
-// NumVoxels returns the number of grid points in the box.
-func (b Box) NumVoxels() uint64 {
-	return uint64(b.Max.X-b.Min.X+1) * uint64(b.Max.Y-b.Min.Y+1) * uint64(b.Max.Z-b.Min.Z+1)
-}
-
 // FromBox builds the region of all grid points inside the box, e.g. the
 // paper's Q2 "71x71x71 rectangular solid with corners (30,30,30) and
 // (100,100,100)". On a Hilbert or Z curve it walks the curve's octree
@@ -212,20 +207,4 @@ func fromCells(c sfc.Curve, bound Box, classify func(lo, hi sfc.Point) sfc.Cell)
 // FromSphere builds a spherical region of the given center and radius.
 func FromSphere(c sfc.Curve, cx, cy, cz, radius float64) (*Region, error) {
 	return FromEllipsoid(c, Ellipsoid{CX: cx, CY: cy, CZ: cz, RX: radius, RY: radius, RZ: radius})
-}
-
-// FromBoxes unions several boxes into one region.
-func FromBoxes(c sfc.Curve, boxes []Box) (*Region, error) {
-	acc := Empty(c)
-	for _, b := range boxes {
-		r, err := FromBox(c, b)
-		if err != nil {
-			return nil, err
-		}
-		acc, err = Union(acc, r)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
 }

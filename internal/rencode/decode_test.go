@@ -25,8 +25,8 @@ import (
 // input. The allocation budgets and the decode benchmarks live here
 // too.
 
-// oracleRuns materializes a parsed probe's run list the way
-// K3Probe.Region did before the cursor walk: recursive, one k3Bit per
+// oracleRuns materializes a parsed probe's run list the way the probe
+// did before the cursor walk of RunsInto: recursive, one k3Bit per
 // slot, a rank₁ per gray node. It needs a ParseK3 probe (rank
 // directories built).
 func oracleRuns(p *K3Probe) []region.Run {
@@ -62,7 +62,7 @@ func oracleRuns(p *K3Probe) []region.Run {
 	return runs
 }
 
-// checkAgainstOracle asserts Decode and K3Probe.Region both reproduce
+// checkAgainstOracle asserts Decode and K3Probe.RunsInto both reproduce
 // the oracle's run list for one accepted k³ encoding.
 func checkAgainstOracle(t *testing.T, ctx string, blob []byte) {
 	t.Helper()
@@ -71,15 +71,15 @@ func checkAgainstOracle(t *testing.T, ctx string, blob []byte) {
 		t.Fatalf("%s: ParseK3: %v", ctx, err)
 	}
 	want := oracleRuns(p)
-	viaProbe, err := p.Region()
+	viaProbe, err := probeRegion(p)
 	if err != nil {
-		t.Fatalf("%s: Region: %v", ctx, err)
+		t.Fatalf("%s: RunsInto: %v", ctx, err)
 	}
 	viaDecode, err := Decode(blob)
 	if err != nil {
 		t.Fatalf("%s: Decode: %v", ctx, err)
 	}
-	for name, got := range map[string]*region.Region{"K3Probe.Region": viaProbe, "Decode": viaDecode} {
+	for name, got := range map[string]*region.Region{"K3Probe.RunsInto": viaProbe, "Decode": viaDecode} {
 		runs := got.RunsView()
 		if len(runs) != len(want) {
 			t.Fatalf("%s: %s has %d runs, oracle %d", ctx, name, len(runs), len(want))
@@ -481,7 +481,7 @@ func benchDecode(b *testing.B, m Method, parseOnly bool) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					sinkBool = p.Empty()
+					sinkBool = p.root == k3Empty
 					continue
 				}
 				r, err := Decode(blob)

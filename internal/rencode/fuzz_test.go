@@ -211,7 +211,7 @@ func FuzzDecodeK3(f *testing.F) {
 			return
 		}
 		sameProbe(t, "fuzz k3", &reused, p)
-		dec, err := p.Region()
+		dec, err := probeRegion(p)
 		if err != nil {
 			t.Fatalf("accepted probe failed to materialize: %v", err)
 		}
@@ -265,7 +265,7 @@ func regionsEqual(a, b *region.Region) bool {
 // FuzzK3IntersectK3 drives the synchronized descent with one arbitrary
 // k³-tree — seeded from FuzzDecodeK3's checked-in corpus — against a
 // second one the seed generates on the same curve. Whatever the parser
-// accepts, IntersectK3 must agree both ways round with the run-list
+// accepts, IntersectK3Into must agree both ways round with the run-list
 // intersection of the two decoded operands.
 func FuzzK3IntersectK3(f *testing.F) {
 	for _, data := range fuzzCorpus(f, "FuzzDecodeK3") {
@@ -284,7 +284,7 @@ func FuzzK3IntersectK3(f *testing.F) {
 		case 0:
 			b = region.Full(c)
 		case 1:
-			if b, err = p.Region(); err != nil {
+			if b, err = probeRegion(p); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -298,7 +298,7 @@ func FuzzK3IntersectK3(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := p.Region()
+		a, err := probeRegion(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,10 +306,10 @@ func FuzzK3IntersectK3(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.IntersectK3(q); !slices.Equal(got, want.RunsView()) {
+		if got := p.IntersectK3Into(q, nil); !slices.Equal(got, want.RunsView()) {
 			t.Fatalf("p∩q = %v, run lists give %v", got, want.RunsView())
 		}
-		if got := q.IntersectK3(p); !slices.Equal(got, want.RunsView()) {
+		if got := q.IntersectK3Into(p, nil); !slices.Equal(got, want.RunsView()) {
 			t.Fatalf("q∩p = %v, run lists give %v", got, want.RunsView())
 		}
 	})

@@ -172,8 +172,8 @@ type k3Level struct {
 }
 
 // K3Probe is a validated, queryable view over a K3Tree encoding. All
-// probe methods, IntersectK3 included, operate on the encoded bitmaps —
-// no run list is ever materialized unless Region or RunsInto is called.
+// probe methods, IntersectK3Into included, operate on the encoded
+// bitmaps — no run list is ever materialized unless RunsInto is called.
 // A parsed probe is read-only, and safe for concurrent use, until its
 // owner Parses another tree into it.
 type K3Probe struct {
@@ -425,9 +425,6 @@ func (p *K3Probe) Curve() sfc.Curve { return p.curve }
 // parser has verified it against the bitmaps).
 func (p *K3Probe) NumVoxels() uint64 { return p.voxels }
 
-// Empty reports whether the region holds no voxels.
-func (p *K3Probe) Empty() bool { return p.root == k3Empty }
-
 // ContainsID reports whether curve position id is in the region,
 // descending one tree path: O(bits) rank probes, no allocation.
 func (p *K3Probe) ContainsID(id uint64) bool {
@@ -452,54 +449,6 @@ func (p *K3Probe) ContainsID(id uint64) bool {
 		}
 		groupBase = p.degree * lv.mrank.Rank1(j)
 	}
-}
-
-// ContainsPoint reports whether the grid point is in the region.
-func (p *K3Probe) ContainsPoint(pt sfc.Point) bool {
-	return p.ContainsID(p.curve.ID(pt))
-}
-
-// AnyInRange reports whether any position in [lo, hi] is present —
-// the emptiness test for a curve interval (and, via the cube/interval
-// correspondence, for aligned boxes).
-func (p *K3Probe) AnyInRange(lo, hi uint64) bool {
-	if hi >= p.curve.Length() {
-		hi = p.curve.Length() - 1
-	}
-	if lo > hi {
-		return false
-	}
-	switch p.root {
-	case k3Empty:
-		return false
-	case k3Full:
-		return true
-	}
-	return p.anyRec(1, 0, 0, lo, hi)
-}
-
-func (p *K3Probe) anyRec(lvl, groupBase int, base, lo, hi uint64) bool {
-	lv := &p.levels[lvl-1]
-	span := uint64(1) << uint(p.dim*(p.bits-lvl))
-	first, last := 0, p.degree-1
-	if lo > base {
-		first = int((lo - base) / span)
-	}
-	if top := base + span*uint64(p.degree) - 1; top > hi {
-		last = int((hi - base) / span)
-	}
-	for c := first; c <= last; c++ {
-		j := groupBase + c
-		if k3Bit(lv.f, j) {
-			return true
-		}
-		if lv.m != nil && k3Bit(lv.m, j) {
-			if p.anyRec(lvl+1, p.degree*lv.mrank.Rank1(j), base+uint64(c)*span, lo, hi) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // AllInRange reports whether every position in [lo, hi] is present —
@@ -586,14 +535,10 @@ func k3Collect(buf []region.Run, descend func(o *k3Out)) []region.Run {
 	return o.runs
 }
 
-// IntersectRuns intersects the region with a sorted, normalized run
-// list (as Region.Runs returns), pruning whole subtrees the runs never
-// touch. The result is normalized and in increasing order.
-func (p *K3Probe) IntersectRuns(runs []region.Run) []region.Run {
-	return p.IntersectRunsInto(runs, nil)
-}
-
-// IntersectRunsInto is IntersectRuns into buf (region.Queryable).
+// IntersectRunsInto intersects the region with a sorted, normalized run
+// list (as Region.Runs returns) into buf (region.Queryable), pruning
+// whole subtrees the runs never touch. The result is normalized and in
+// increasing order.
 func (p *K3Probe) IntersectRunsInto(runs, buf []region.Run) []region.Run {
 	if p.root == k3Empty || len(runs) == 0 {
 		return buf[:0]
@@ -607,7 +552,7 @@ func (p *K3Probe) IntersectRunsInto(runs, buf []region.Run) []region.Run {
 	})
 }
 
-// k3Intersector carries the DFS state of IntersectRuns: a single run
+// k3Intersector carries the DFS state of IntersectRunsInto: a single run
 // pointer advanced in id order, and where the result runs go.
 type k3Intersector struct {
 	p    *K3Probe
@@ -651,17 +596,14 @@ func (it *k3Intersector) rec(lvl, groupBase int, base uint64) {
 	}
 }
 
-// IntersectK3 intersects two k³-trees on the same curve without
+// IntersectK3Into intersects two k³-trees on the same curve without
 // expanding either to runs: it descends both in step, one child group
 // of each at a time. A child empty in either tree is pruned, full in
 // both is emitted whole, full in one emits the other's subtree below
 // it, and mixed in both is descended into. The result runs go straight
-// into one list of exactly their number (k3Collect). q must be on p's
+// into one list of exactly their number (k3Collect), in buf's backing
+// array when it has room and in a new slice otherwise. q must be on p's
 // curve — same kind, dimension and bits — or the result is meaningless.
-func (p *K3Probe) IntersectK3(q *K3Probe) []region.Run { return p.IntersectK3Into(q, nil) }
-
-// IntersectK3Into is IntersectK3 into buf: the result is in buf's
-// backing array when it has room, in a new slice otherwise.
 func (p *K3Probe) IntersectK3Into(q *K3Probe, buf []region.Run) []region.Run {
 	switch {
 	case p.root == k3Empty || q.root == k3Empty:
@@ -687,7 +629,7 @@ func (p *K3Probe) groups(lvl, gs int) (f, m byte) {
 	return f, m
 }
 
-// k3Meet is IntersectK3's descent through the child groups starting at
+// k3Meet is IntersectK3Into's descent through the child groups starting at
 // slot gp of p's and slot gq of q's level lvl, which both cover the ids
 // from base on.
 func k3Meet(o *k3Out, p, q *K3Probe, lvl, gp, gq int, base uint64) {
@@ -752,12 +694,6 @@ func k3Emit(runs []region.Run, lo, hi uint64) []region.Run {
 		return runs
 	}
 	return append(runs, region.Run{Lo: lo, Hi: hi})
-}
-
-// Region materializes the run-list region — the same result Decode
-// produces — from runs.
-func (p *K3Probe) Region() (*region.Region, error) {
-	return region.FromOwnedRuns(p.curve, p.RunsInto(nil))
 }
 
 // maxRuns bounds the region's run count for RunsInto: every run starts a

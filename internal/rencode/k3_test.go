@@ -108,8 +108,8 @@ func genRegion2D(rng *rand.Rand) *region.Region {
 // TestK3ProbeAgainstOracleProperty is the satellite property test:
 // for seeded random regions (3D and 2D), every probe answer on the
 // encoded bytes must match the decoded-run-list oracle — ContainsID
-// for every position on the curve, AnyInRange/AllInRange on random
-// intervals, and IntersectRuns against region.Intersect.
+// for every position on the curve, AllInRange on random intervals, and
+// IntersectRunsInto against region.Intersect.
 func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8861))
 	for i := 0; i < 120; i++ {
@@ -125,7 +125,7 @@ func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: ParseK3: %v", i, err)
 		}
-		if p.NumVoxels() != r.NumVoxels() || p.Empty() != r.Empty() {
+		if p.NumVoxels() != r.NumVoxels() || (p.root == k3Empty) != r.Empty() {
 			t.Fatalf("iter %d: NumVoxels/Empty mismatch", i)
 		}
 		c := r.Curve()
@@ -147,25 +147,12 @@ func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 			if hi >= n {
 				hi = n - 1
 			}
-			wantAny, wantAll := false, true
+			wantAll := true
 			for id := lo; id <= hi; id++ {
-				in := r.ContainsID(id)
-				wantAny = wantAny || in
-				wantAll = wantAll && in
-			}
-			if got := p.AnyInRange(lo, hi); got != wantAny {
-				t.Fatalf("iter %d: AnyInRange(%d,%d) = %v, oracle %v", i, lo, hi, got, wantAny)
+				wantAll = wantAll && r.ContainsID(id)
 			}
 			if got := p.AllInRange(lo, hi); got != wantAll {
 				t.Fatalf("iter %d: AllInRange(%d,%d) = %v, oracle %v", i, lo, hi, got, wantAll)
-			}
-		}
-		// Point probes: every grid point along a seeded sample.
-		for probe := 0; probe < 20; probe++ {
-			id := rng.Uint64() % n
-			pt := c.Point(id)
-			if got := p.ContainsPoint(pt); got != r.ContainsID(c.ID(pt)) {
-				t.Fatalf("iter %d: ContainsPoint(%v) = %v", i, pt, got)
 			}
 		}
 		// Intersection with a second random region on the same curve,
@@ -175,25 +162,30 @@ func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := p.IntersectRuns(other.Runs())
+		got := p.IntersectRunsInto(other.Runs(), nil)
 		want := oracle.Runs()
 		if len(got) != len(want) {
-			t.Fatalf("iter %d: IntersectRuns %d runs, oracle %d", i, len(got), len(want))
+			t.Fatalf("iter %d: IntersectRunsInto %d runs, oracle %d", i, len(got), len(want))
 		}
 		for k := range got {
 			if got[k] != want[k] {
-				t.Fatalf("iter %d: IntersectRuns run %d = %v, oracle %v", i, k, got[k], want[k])
+				t.Fatalf("iter %d: IntersectRunsInto run %d = %v, oracle %v", i, k, got[k], want[k])
 			}
 		}
 		// Materializing the probe must equal the decode.
-		mat, err := p.Region()
+		mat, err := probeRegion(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !mat.Equal(r) {
-			t.Fatalf("iter %d: Region() differs from the original", i)
+			t.Fatalf("iter %d: RunsInto differs from the original", i)
 		}
 	}
+}
+
+// probeRegion materializes a probe's run list as a Region.
+func probeRegion(p *K3Probe) (*region.Region, error) {
+	return region.FromOwnedRuns(p.Curve(), p.RunsInto(nil))
 }
 
 // genSameCurve builds a random region on an existing curve.
@@ -237,15 +229,15 @@ func TestK3EmptyFullProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.ContainsID(17) != tc.in || p.AnyInRange(0, c.Length()-1) != tc.in || p.AllInRange(3, 9) != tc.in {
+		if p.ContainsID(17) != tc.in || p.AllInRange(3, 9) != tc.in {
 			t.Errorf("%s: probe answers wrong", tc.name)
 		}
-		runs := p.IntersectRuns([]region.Run{{Lo: 5, Hi: 9}})
+		runs := p.IntersectRunsInto([]region.Run{{Lo: 5, Hi: 9}}, nil)
 		if tc.in && (len(runs) != 1 || runs[0] != (region.Run{Lo: 5, Hi: 9})) {
-			t.Errorf("full: IntersectRuns = %v", runs)
+			t.Errorf("full: IntersectRunsInto = %v", runs)
 		}
 		if !tc.in && runs != nil {
-			t.Errorf("empty: IntersectRuns = %v", runs)
+			t.Errorf("empty: IntersectRunsInto = %v", runs)
 		}
 	}
 }
@@ -262,13 +254,10 @@ func TestK3ProbeRangeEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := c.Length()
-	if p.AnyInRange(5, 2) {
-		t.Error("inverted range is nonempty")
-	}
 	if !p.AllInRange(5, 2) {
 		t.Error("inverted range not fully covered (vacuous truth)")
 	}
-	if !p.AnyInRange(20, n+500) || p.AllInRange(99, n+500) {
+	if p.AllInRange(99, n+500) {
 		t.Error("past-the-curve clamping wrong")
 	}
 	if p.AllInRange(10, 21) || !p.AllInRange(10, 20) || !p.AllInRange(100, 100) {
@@ -390,17 +379,17 @@ func k3Pair(t testing.TB, a, b *region.Region) (*K3Probe, *K3Probe) {
 	return ps[0], ps[1]
 }
 
-// checkIntersectK3 asserts that p.IntersectK3(q), both ways round, is
-// region.Intersect of the two decoded operands and the oracle's walk of
-// the intersection's own k³-tree, run for run — and that it allocates
-// the result list once and nothing else.
+// checkIntersectK3 asserts that p.IntersectK3Into(q, nil), both ways
+// round, is region.Intersect of the two decoded operands and the
+// oracle's walk of the intersection's own k³-tree, run for run — and
+// that it allocates the result list once and nothing else.
 func checkIntersectK3(t *testing.T, ctx string, p, q *K3Probe) {
 	t.Helper()
-	pr, err := p.Region()
+	pr, err := probeRegion(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr, err := q.Region()
+	qr, err := probeRegion(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,13 +406,13 @@ func checkIntersectK3(t *testing.T, ctx string, p, q *K3Probe) {
 		t.Fatal(err)
 	}
 	oracle := oracleRuns(w)
-	for name, got := range map[string][]region.Run{"p∩q": p.IntersectK3(q), "q∩p": q.IntersectK3(p)} {
+	for name, got := range map[string][]region.Run{"p∩q": p.IntersectK3Into(q, nil), "q∩p": q.IntersectK3Into(p, nil)} {
 		if !slices.Equal(got, want.RunsView()) || !slices.Equal(got, oracle) {
 			t.Fatalf("%s: %s = %v, region.Intersect %v, oracle %v", ctx, name, got, want.RunsView(), oracle)
 		}
 	}
-	if n := testing.AllocsPerRun(3, func() { p.IntersectK3(q) }); n > 1 {
-		t.Fatalf("%s: IntersectK3 made %.0f allocations, want at most the result list", ctx, n)
+	if n := testing.AllocsPerRun(3, func() { p.IntersectK3Into(q, nil) }); n > 1 {
+		t.Fatalf("%s: IntersectK3Into made %.0f allocations, want at most the result list", ctx, n)
 	}
 }
 
@@ -499,7 +488,7 @@ func sameProbe(t *testing.T, ctx string, got, want *K3Probe) {
 // tree, nothing reachable of the input or of an earlier tree.
 func checkRejectedProbe(t *testing.T, ctx string, p *K3Probe) {
 	t.Helper()
-	if !p.Empty() || p.NumVoxels() != 0 || p.Curve() != nil || len(p.levels) != 0 {
+	if p.root != k3Empty || p.NumVoxels() != 0 || p.Curve() != nil || len(p.levels) != 0 {
 		t.Fatalf("%s: rejected parse left a usable-looking probe (%d voxels, %d levels)", ctx, p.NumVoxels(), len(p.levels))
 	}
 	for i, lv := range p.levels[:cap(p.levels)] {

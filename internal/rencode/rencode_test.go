@@ -194,12 +194,12 @@ func TestAppendEncodeInPlace(t *testing.T) {
 func TestNaivePaperSize(t *testing.T) {
 	// The paper's example: the Figure 3 region has one h-run and the
 	// naive method stores it in 8 bytes (+ our 12-byte header).
-	pts := make([]sfc.Point, 0, 7)
+	ids := make([]uint64, 0, 7)
 	z2 := sfc.MustNew(sfc.ZOrder, 2, 2)
 	for _, zid := range []uint64{1, 4, 5, 6, 7, 12, 13} {
-		pts = append(pts, z2.Point(zid))
+		ids = append(ids, h2.ID(z2.Point(zid)))
 	}
-	r, err := region.FromPoints(h2, pts)
+	r, err := region.FromIDs(h2, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,77 +306,6 @@ func (t *RTree) Search(q Box3) ([]int64, SearchStats) {
 	return out, st
 }
 
-// SearchContained returns the IDs of entries entirely inside q.
-func (t *RTree) SearchContained(q Box3) []int64 {
-	var res []int64
-	var walk func(n *node)
-	walk = func(n *node) {
-		if !n.box.Intersects(q) {
-			return
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if q.ContainsBox(e.Box) {
-					res = append(res, e.ID)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return res
-}
-
-// Nearest returns the k entry IDs whose box centers are closest to the
-// point (x, y, z), by best-first traversal.
-func (t *RTree) Nearest(x, y, z float64, k int) []int64 {
-	if k <= 0 {
-		return nil
-	}
-	type cand struct {
-		dist float64
-		id   int64
-	}
-	var cands []cand
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			for _, e := range n.entries {
-				dx := center(e.Box, 0) - x
-				dy := center(e.Box, 1) - y
-				dz := center(e.Box, 2) - z
-				cands = append(cands, cand{dist: dx*dx + dy*dy + dz*dz, id: e.ID})
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int64, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
-	}
-	return out
-}
-
-// Height returns the tree height (1 for a single leaf).
-func (t *RTree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
 // CheckInvariants validates the structure: every interior box covers its
 // children, every leaf box covers its entries, and fanout bounds hold
 // (root excepted). For tests.

@@ -62,8 +62,8 @@ func TestInsertAndSearchExhaustive(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Height() < 2 {
-		t.Errorf("height = %d, expected splits", tr.Height())
+	if tr.root.leaf {
+		t.Error("root is still a leaf, expected splits")
 	}
 	// Compare search results against brute force for many queries.
 	for q := 0; q < 100; q++ {
@@ -112,34 +112,6 @@ func TestSearchPrunes(t *testing.T) {
 	}
 }
 
-func TestSearchContained(t *testing.T) {
-	tr := New()
-	tr.Insert(Entry{Box: Box3{0, 0, 0, 5, 5, 5}, ID: 1})
-	tr.Insert(Entry{Box: Box3{3, 3, 3, 20, 20, 20}, ID: 2})
-	got := tr.SearchContained(Box3{0, 0, 0, 10, 10, 10})
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("contained = %v, want [1]", got)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	tr := New()
-	for i := uint32(0); i < 20; i++ {
-		b := Box3{MinX: i * 10, MinY: 0, MinZ: 0, MaxX: i*10 + 2, MaxY: 2, MaxZ: 2}
-		tr.Insert(Entry{Box: b, ID: int64(i)})
-	}
-	got := tr.Nearest(51, 1, 1, 3)
-	if len(got) != 3 || got[0] != 5 {
-		t.Errorf("nearest = %v, want leading 5", got)
-	}
-	if tr.Nearest(0, 0, 0, 0) != nil {
-		t.Error("k=0 should return nil")
-	}
-	if n := len(tr.Nearest(0, 0, 0, 100)); n != 20 {
-		t.Errorf("k>size returned %d", n)
-	}
-}
-
 func TestInsertInvalid(t *testing.T) {
 	tr := New()
 	if err := tr.Insert(Entry{Box: Box3{MinX: 5, MaxX: 1, MaxY: 1, MaxZ: 1}}); err == nil {
@@ -150,7 +122,7 @@ func TestInsertInvalid(t *testing.T) {
 func TestEmptyTree(t *testing.T) {
 	tr := New()
 	ids, _ := tr.Search(Box3{MaxX: 10, MaxY: 10, MaxZ: 10})
-	if len(ids) != 0 || tr.Len() != 0 || tr.Height() != 1 {
+	if len(ids) != 0 || tr.Len() != 0 || !tr.root.leaf {
 		t.Error("empty tree misbehaves")
 	}
 	if err := tr.CheckInvariants(); err != nil {

@@ -181,14 +181,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Ratio returns mean(y)/mean(x), the aggregate-ratio estimator the paper
-// uses for its "average REGION size" comparisons. It returns an error if
-// mean(x) is zero.
-func Ratio(x, y []float64) (float64, error) {
-	mx := Mean(x)
-	if mx == 0 {
-		return 0, fmt.Errorf("stats: zero denominator mean")
-	}
-	return Mean(y) / mx, nil
-}

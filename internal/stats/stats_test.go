@@ -160,19 +160,12 @@ func TestFitPowerLawBinnedErrors(t *testing.T) {
 	}
 }
 
-func TestMeanAndRatio(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
 	if Mean([]float64{2, 4}) != 3 {
 		t.Error("Mean broken")
-	}
-	r, err := Ratio([]float64{1, 3}, []float64{2, 6})
-	if err != nil || r != 2 {
-		t.Errorf("Ratio = %v, %v", r, err)
-	}
-	if _, err := Ratio([]float64{0, 0}, []float64{1}); err == nil {
-		t.Error("zero denominator accepted")
 	}
 }
 

@@ -131,17 +131,11 @@ func (s Stats) Sub(o Stats) Stats {
 // Transport carries framed RPCs from a client to a MedicalServer,
 // wherever it lives. Implementations must be safe for concurrent use;
 // Exchange must wrap typed causes with %w so errors.Is classification
-// (RetryableError) survives.
+// (RetryableError) survives. A client only exchanges through it; whoever
+// built the transport closes it.
 type Transport interface {
 	// Exchange performs one RPC under the given parent span (nil =
 	// untraced) and returns the raw response payload and the call's
 	// bill, which the transport has also added to its cumulative meter.
 	Exchange(parent *obs.Span, method string, request []byte) ([]byte, Stats, error)
-	// Call is Exchange without the bill.
-	Call(parent *obs.Span, method string, request []byte) ([]byte, error)
-	// Stats returns the cumulative meter.
-	Stats() Stats
-	// Close releases the transport's resources; subsequent calls fail
-	// with ErrClosed.
-	Close() error
 }

@@ -118,7 +118,7 @@ func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 		{"sim", sim},
 		{"tcp", dialServer(t, startServer(t, refuse, ServerConfig{}))},
 	} {
-		_, err := tc.tr.Call(nil, "nosuch", request)
+		_, _, err := tc.tr.Exchange(nil, "nosuch", request)
 		if !errors.Is(err, ErrUnknownMethod) {
 			t.Errorf("%s: %v, want ErrUnknownMethod", tc.flavor, err)
 		}

@@ -83,35 +83,6 @@ func (v *Volume) Bytes() []byte { return v.data }
 // NumVoxels returns the total voxel count.
 func (v *Volume) NumVoxels() uint64 { return uint64(len(v.data)) }
 
-// ValueAtID returns the intensity at curve position id — the "efficient
-// random access" requirement of Section 4.1.
-func (v *Volume) ValueAtID(id uint64) uint8 { return v.data[id] }
-
-// ValueAt returns the intensity at a grid point.
-func (v *Volume) ValueAt(p sfc.Point) uint8 { return v.data[v.curve.ID(p)] }
-
-// Recode re-linearizes the volume onto another curve over the same grid.
-func (v *Volume) Recode(to sfc.Curve) (*Volume, error) {
-	if to.Dim() != v.curve.Dim() || to.Bits() != v.curve.Bits() {
-		return nil, fmt.Errorf("volume: cannot recode between grids %dD/%db and %dD/%db",
-			v.curve.Dim(), v.curve.Bits(), to.Dim(), to.Bits())
-	}
-	data := make([]byte, len(v.data))
-	for id := uint64(0); id < to.Length(); id++ {
-		data[id] = v.data[v.curve.ID(to.Point(id))]
-	}
-	return &Volume{curve: to, data: data}, nil
-}
-
-// Histogram returns the 256-bin intensity histogram of the volume.
-func (v *Volume) Histogram() [256]uint64 {
-	var h [256]uint64
-	for _, b := range v.data {
-		h[b]++
-	}
-	return h
-}
-
 // Band returns the intensity-band REGION of voxels with intensity in
 // [lo, hi] (Section 3.3's Intensity Band entity).
 func (v *Volume) Band(lo, hi uint8) (*region.Region, error) {

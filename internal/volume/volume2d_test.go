@@ -27,8 +27,8 @@ func TestVolume2DRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []uint32{0, 7, 31} {
-		if got := v.ValueAt(sfc.Pt(x, 5, 0)); got != uint8(x*8) {
-			t.Errorf("ValueAt(%d,5) = %d, want %d", x, got, x*8)
+		if got := valueAt(v, sfc.Pt(x, 5, 0)); got != uint8(x*8) {
+			t.Errorf("value at (%d,5) = %d, want %d", x, got, x*8)
 		}
 	}
 }

@@ -17,6 +17,9 @@ var (
 	l3 = sfc.MustNew(sfc.Scanline, 3, 4)
 )
 
+// valueAt is the intensity at a grid point.
+func valueAt(v *Volume, p sfc.Point) uint8 { return v.data[v.curve.ID(p)] }
+
 func randBytes(rng *rand.Rand, n uint64) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
@@ -45,8 +48,8 @@ func TestFromScanlinePreservesGeometry(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			p := sfc.Pt(rng.Uint32()&15, rng.Uint32()&15, rng.Uint32()&15)
 			want := scan[l3.ID(p)]
-			if got := v.ValueAt(p); got != want {
-				t.Fatalf("%s: ValueAt(%v) = %d, want %d", c.Kind(), p, got, want)
+			if got := valueAt(v, p); got != want {
+				t.Fatalf("%s: value at %v = %d, want %d", c.Kind(), p, got, want)
 			}
 		}
 	}
@@ -88,51 +91,18 @@ func TestFromScanlineCopiesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan[0] = 99
-	if v.ValueAtID(0) == 99 {
+	if v.data[0] == 99 {
 		t.Error("FromScanline aliased the input slice")
 	}
 }
 
 func TestFromFuncAndValueAt(t *testing.T) {
 	v := FromFunc(h3, func(p sfc.Point) uint8 { return uint8(p.X + p.Y + p.Z) })
-	if got := v.ValueAt(sfc.Pt(3, 5, 7)); got != 15 {
-		t.Errorf("ValueAt = %d, want 15", got)
+	if got := valueAt(v, sfc.Pt(3, 5, 7)); got != 15 {
+		t.Errorf("value at (3,5,7) = %d, want 15", got)
 	}
-	if got := v.ValueAtID(h3.ID(sfc.Pt(1, 2, 3))); got != 6 {
-		t.Errorf("ValueAtID = %d, want 6", got)
-	}
-}
-
-func TestRecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	scan := randBytes(rng, l3.Length())
-	vh, _ := FromScanline(h3, scan)
-	vz, err := vh.Recode(z3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		p := sfc.Pt(rng.Uint32()&15, rng.Uint32()&15, rng.Uint32()&15)
-		if vh.ValueAt(p) != vz.ValueAt(p) {
-			t.Fatalf("recode changed value at %v", p)
-		}
-	}
-	big := sfc.MustNew(sfc.Hilbert, 3, 5)
-	if _, err := vh.Recode(big); err == nil {
-		t.Error("recode to different grid accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	v := FromFunc(h3, func(p sfc.Point) uint8 {
-		if p.X == 0 {
-			return 200
-		}
-		return 10
-	})
-	h := v.Histogram()
-	if h[200] != 16*16 || h[10] != h3.Length()-256 {
-		t.Errorf("histogram: h[200]=%d h[10]=%d", h[200], h[10])
+	if got := v.data[h3.ID(sfc.Pt(1, 2, 3))]; got != 6 {
+		t.Errorf("value at id of (1,2,3) = %d, want 6", got)
 	}
 }
 
@@ -144,7 +114,7 @@ func TestBandMatchesPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := region.FromPredicate(h3, func(p sfc.Point) bool {
-		x := v.ValueAt(p)
+		x := valueAt(v, p)
 		return x >= 100 && x <= 149
 	})
 	if !band.Equal(want) {
@@ -252,7 +222,7 @@ func TestDataRegionValueAtID(t *testing.T) {
 	d, _ := Extract(v, r)
 	r.ForEachID(func(id uint64) bool {
 		got, ok := d.ValueAtID(id)
-		if !ok || got != v.ValueAtID(id) {
+		if !ok || got != v.data[id] {
 			t.Fatalf("ValueAtID(%d) = %d,%v", id, got, ok)
 		}
 		return true
