@@ -112,7 +112,9 @@ chaos:
 # verdict), the k³-tree parser (probe answers cross-checked against the
 # materialized run list), the k³ × k³ intersection (against the run
 # lists' intersection), the n-way fold IntersectN (against a pairwise
-# left fold of Intersect, in two operand orders), the transport frame
+# left fold of Intersect, in two operand orders), DX's wire import and
+# render (arbitrary encoded-REGION and value bytes: a typed refusal or
+# the per-voxel oracle's image), the transport frame
 # codec (both readers, canonical re-encode), the spec
 # and meta header decoders (typed refusal or canonical re-encode), and
 # arbitrary request bytes into a bare medserver.Server's ServeRPC,
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzDecodeK3$$' -fuzz '^FuzzDecodeK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzK3IntersectK3$$' -fuzz '^FuzzK3IntersectK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzIntersectN$$' -fuzz '^FuzzIntersectN$$' -fuzztime=$(FUZZTIME) ./internal/region
+	$(GO) test -run '^FuzzRenderEncoded$$' -fuzz '^FuzzRenderEncoded$$' -fuzztime=$(FUZZTIME) ./internal/dx
 	$(GO) test -run '^FuzzFrame$$' -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^FuzzQueryHeader$$' -fuzz '^FuzzQueryHeader$$' -fuzztime=$(FUZZTIME) ./internal/qbism
 	$(GO) test -run '^FuzzServeRPC$$' -fuzz '^FuzzServeRPC$$' -fuzztime=$(FUZZTIME) ./internal/qbism
@@ -186,8 +189,9 @@ cover:
 # BenchmarkFromBox, the paper's Q2 box at 128^3 (TestFromBoxAllocs pins
 # it at two allocations), and BenchmarkBuildAtlas, the paper-scale atlas
 # every load builds first (DESIGN.md §40) — and BenchmarkRender, DX's MIP
-# along Z at Bits 7 on an atlas structure and on a short-run band REGION,
-# in ns per rendered voxel (DESIGN.md §41).
+# along Z at Bits 7 on an atlas structure, the Q2 box, the full grid and
+# a short-run band REGION, each from a decoded Region and from its wire
+# bytes, in ns per rendered voxel (DESIGN.md §41, §42).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism

@@ -153,7 +153,7 @@ func TestPublicSystemQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Data.NumVoxels() == 0 {
+	if res.Field.NumVoxels() == 0 {
 		t.Error("empty result")
 	}
 	var buf bytes.Buffer
@@ -216,7 +216,11 @@ func TestPublicDXPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	field, _, err := qbism.ImportVolume(res.Data)
+	data, err := res.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	field, _, err := qbism.ImportVolume(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +240,7 @@ func TestPublicDXPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	surf, err := qbism.RenderMesh(st.Mesh, 2, 64, 2, res.Data)
+	surf, err := qbism.RenderMesh(st.Mesh, 2, 64, 2, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,11 @@ func BenchmarkBandIndexVsScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := res.Data.Filter(224, 255); err != nil {
+			data, err := res.Data()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := data.Filter(224, 255); err != nil {
 				b.Fatal(err)
 			}
 			pages += res.Timing.LFMPages

@@ -252,9 +252,9 @@ func runSpec(c *qbism.Client, spec qbism.QuerySpec) *qbism.QueryResult {
 // adds the line naming the shard and node that served the read.
 func report(w io.Writer, c *qbism.Client, linkFaults *faultsim.Injector, sharded bool, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
 	qbism.WriteTable3(w, []qbism.QueryTiming{res.Timing})
-	st := res.Data.Stats()
+	st := res.Field.Stats()
 	fmt.Fprintf(w, "\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
-		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
+		st.N, res.Timing.HRuns, st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
 	read := res.Read
 	if sharded {
 		fmt.Fprintf(w, "cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",

@@ -47,9 +47,9 @@ func main() {
 	}
 	fmt.Printf("query: %s\n", spec.Label())
 	fmt.Printf("patient %s, study date %s\n", res.Meta.Patient, res.Meta.Date)
-	st := res.Data.Stats()
+	st := res.Field.Stats()
 	fmt.Printf("result: %d voxels in %d h-runs, intensities %d-%d\n",
-		st.N, res.Data.Region.NumRuns(), st.Min, st.Max)
+		st.N, res.Timing.HRuns, st.Min, st.Max)
 	fmt.Printf("cost: %d LFM page I/Os, %d network messages, %.1fs simulated 1993 total\n\n",
 		res.Timing.LFMPages, res.Timing.NetMessages, res.Timing.TotalSim.Seconds())
 
@@ -67,7 +67,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	surface, err := qbism.RenderMesh(hemi.Mesh, 2, 256, 256/float64(sys.Side()), full.Data)
+	tex, err := full.Data() // the texture is looked up by id: decode the REGION
+	if err != nil {
+		log.Fatal(err)
+	}
+	surface, err := qbism.RenderMesh(hemi.Mesh, 2, 256, 256/float64(sys.Side()), tex)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -87,7 +87,9 @@ func sameAnswers(t *testing.T, specs []qbism.QuerySpec, baseline, wire []*qbism.
 		if lm, wm := comparableMeta(baseline[i].Meta), comparableMeta(wire[i].Meta); !reflect.DeepEqual(lm, wm) {
 			t.Errorf("%s: meta diverged across the wire:\nlocal: %+v\nwire:  %+v", label, lm, wm)
 		}
-		if !reflect.DeepEqual(baseline[i].Data, wire[i].Data) {
+		ld, lerr := baseline[i].Data()
+		wd, werr := wire[i].Data()
+		if lerr != nil || werr != nil || !reflect.DeepEqual(ld, wd) {
 			t.Errorf("%s: DataRegion diverged across the wire", label)
 		}
 		if !reflect.DeepEqual(baseline[i].Image, wire[i].Image) {

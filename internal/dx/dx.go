@@ -7,18 +7,33 @@
 package dx
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
+	"qbism/internal/region"
+	"qbism/internal/rencode"
 	"qbism/internal/sfc"
 	"qbism/internal/volume"
 )
 
+// ErrValueCount is wrapped by the errors of a field whose values do not
+// match its REGION's voxels one for one.
+var ErrValueCount = errors.New("dx: values and voxels differ in number")
+
 // Field is the imported DX object: a (possibly sparse) scalar field over
-// the atlas grid.
+// the atlas grid, a REGION's voxels with their values in curve order.
+// The REGION is a decoded Region (ImportVolume) or the encoded bytes a
+// reply carried (ImportEncoded); Render reads its runs through one
+// cursor either way.
 type Field struct {
-	Side int
-	Data *volume.DataRegion
+	Side   int
+	curve  sfc.Curve
+	data   *volume.DataRegion // the decoded source, or nil
+	enc    []byte             // the encoded source: a delta-coded REGION
+	values []byte
+	runs   int
 }
 
 // ImportStats counts the work ImportVolume performed, which the cost
@@ -40,14 +55,99 @@ func ImportVolume(d *volume.DataRegion) (*Field, ImportStats, error) {
 		return nil, ImportStats{}, fmt.Errorf("dx: need 3D data, got %dD", c.Dim())
 	}
 	if uint64(len(d.Values)) != d.Region.NumVoxels() {
-		return nil, ImportStats{}, fmt.Errorf("dx: %d values for %d voxels", len(d.Values), d.Region.NumVoxels())
+		return nil, ImportStats{}, fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(d.Values), d.Region.NumVoxels())
 	}
-	st := ImportStats{
-		Voxels: d.Region.NumVoxels(),
-		Runs:   uint64(d.Region.NumRuns()),
-		Bytes:  uint64(len(d.Values)),
+	f := &Field{Side: 1 << c.Bits(), curve: c, data: d, values: d.Values, runs: d.Region.NumRuns()}
+	return f, f.importStats(), nil
+}
+
+// ImportEncoded is ImportVolume on a reply as it crossed the wire: the
+// encoded REGION of a DATA_REGION and its values. A delta-coded REGION
+// (rencode.Method.Streams — the wire's Elias γ among them) is kept as it
+// came, and Render walks its runs straight off the bytes; no Region is
+// built. The run count is the header's, and the voxel count is
+// len(values), which each Render's walk checks against the REGION,
+// failing with ErrValueCount on a mismatch. A REGION of any other method
+// is decoded first and imported as ImportVolume takes it.
+func ImportEncoded(enc, values []byte) (*Field, ImportStats, error) {
+	if m, ok := rencode.MethodOf(enc); !ok || !m.Streams() {
+		r, err := rencode.Decode(enc)
+		if err != nil {
+			return nil, ImportStats{}, err
+		}
+		return ImportVolume(&volume.DataRegion{Region: r, Values: values})
 	}
-	return &Field{Side: 1 << c.Bits(), Data: d}, st, nil
+	var rd rencode.RunReader
+	if err := rd.Reset(enc); err != nil {
+		return nil, ImportStats{}, err
+	}
+	c := rd.Curve()
+	if c.Dim() != 3 {
+		return nil, ImportStats{}, fmt.Errorf("dx: need 3D data, got %dD", c.Dim())
+	}
+	f := &Field{Side: 1 << c.Bits(), curve: c, enc: enc, values: values, runs: rd.NumRuns()}
+	return f, f.importStats(), nil
+}
+
+func (f *Field) importStats() ImportStats {
+	return ImportStats{Voxels: f.NumVoxels(), Runs: uint64(f.runs), Bytes: uint64(len(f.values))}
+}
+
+// NumRuns returns the number of runs of the field's REGION.
+func (f *Field) NumRuns() int { return f.runs }
+
+// NumVoxels returns the number of voxels of the field: one per value,
+// which Render holds the REGION to.
+func (f *Field) NumVoxels() uint64 { return uint64(len(f.values)) }
+
+// Stats summarizes the field's values.
+func (f *Field) Stats() volume.Stats { return volume.ValueStats(f.values) }
+
+// Data returns the field as a DataRegion. A field ImportVolume made
+// returns the one it was given; one ImportEncoded kept encoded decodes
+// its REGION on each call, into a new Region.
+func (f *Field) Data() (*volume.DataRegion, error) {
+	if f.data != nil {
+		return f.data, nil
+	}
+	r, err := rencode.Decode(f.enc)
+	if err != nil {
+		return nil, err
+	}
+	if r.NumVoxels() != f.NumVoxels() {
+		return nil, fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(f.values), r.NumVoxels())
+	}
+	return &volume.DataRegion{Region: r, Values: f.values}, nil
+}
+
+// cursor pulls a Field's runs in curve order from whichever source it
+// has: the one seam between the two imports and Render.
+type cursor struct {
+	runs []region.Run
+	rd   rencode.RunReader
+	enc  bool
+}
+
+// start points cur at f's first run.
+func (cur *cursor) start(f *Field) error {
+	if f.data != nil {
+		cur.runs = f.data.Region.RunsView()
+		return nil
+	}
+	cur.enc = true
+	return cur.rd.Reset(f.enc)
+}
+
+func (cur *cursor) next() (first, last uint64, ok bool) {
+	if cur.enc {
+		return cur.rd.Next()
+	}
+	if len(cur.runs) == 0 {
+		return 0, 0, false
+	}
+	r := cur.runs[0]
+	cur.runs = cur.runs[1:]
+	return r.Lo, r.Hi, true
 }
 
 // Mode selects the projection style.
@@ -86,45 +186,137 @@ func (img *Image) WritePGM(w io.Writer) error {
 }
 
 // Render projects the field orthographically along the chosen axis.
+//
+// On a Hilbert or Z curve it walks the curve's digit tree once over the
+// field's runs (sfc.WalkRuns), which hands it the coordinates of a whole
+// leaf cube at a time; a scanline curve decodes each id on its own. It
+// fails with ErrValueCount when the values and the REGION's voxels
+// differ in number, and wraps rencode.ErrCorrupt when an encoded REGION
+// does not decode.
 func (f *Field) Render(opts RenderOpts) (*Image, error) {
 	if opts.Axis < 0 || opts.Axis > 2 {
 		return nil, fmt.Errorf("dx: invalid projection axis %d", opts.Axis)
 	}
-	img := NewImage(f.Side, f.Side)
-	var sum []uint32
-	var cnt []uint32
-	if opts.Mode == Average {
-		sum = make([]uint32, f.Side*f.Side)
-		cnt = make([]uint32, f.Side*f.Side)
+	if opts.Mode != MIP && opts.Mode != Average {
+		return nil, fmt.Errorf("dx: invalid render mode %d", opts.Mode)
 	}
-	f.Data.ForEach(func(p sfc.Point, v uint8) bool {
-		var u, w int
-		switch opts.Axis {
-		case 0:
-			u, w = int(p.Y), int(p.Z)
-		case 1:
-			u, w = int(p.X), int(p.Z)
-		default:
-			u, w = int(p.X), int(p.Y)
-		}
-		idx := (f.Side-1-w)*f.Side + u // image y grows downward
-		switch opts.Mode {
-		case MIP:
-			if v > img.Pix[idx] {
-				img.Pix[idx] = v
+	var cur cursor
+	if err := cur.start(f); err != nil {
+		return nil, err
+	}
+	img := NewImage(f.Side, f.Side)
+	p := newProjector(f.Side, opts.Axis, img.Pix, f.values)
+	draw := p.mip
+	if opts.Mode == Average {
+		p.sum = make([]uint32, f.Side*f.Side)
+		p.cnt = make([]uint32, f.Side*f.Side)
+		draw = p.average
+	}
+	if f.curve.Kind() == sfc.Scanline {
+		for first, last, ok := cur.next(); ok && !p.short; first, last, ok = cur.next() {
+			for id := first; ; id++ {
+				draw(id, f.curve.Point(id), 0, 1) // a cube of one voxel, digit 0
+				if id == last {
+					break
+				}
 			}
-		case Average:
-			sum[idx] += uint32(v)
-			cnt[idx]++
 		}
-		return true
-	})
+	} else {
+		sfc.WalkRuns(f.curve, cur.next, draw)
+	}
+	if err := cur.rd.Err(); err != nil {
+		return nil, err
+	}
+	if p.short {
+		return nil, fmt.Errorf("%w: %d values for a REGION of more voxels", ErrValueCount, len(f.values))
+	}
+	if len(p.vals) > 0 {
+		return nil, fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(f.values), len(f.values)-len(p.vals))
+	}
 	if opts.Mode == Average {
 		for i := range img.Pix {
-			if cnt[i] > 0 {
-				img.Pix[i] = uint8(sum[i] / cnt[i])
+			if p.cnt[i] > 0 {
+				img.Pix[i] = uint8(p.sum[i] / p.cnt[i])
 			}
 		}
 	}
 	return img, nil
+}
+
+// projector is one Render's state: the values still to draw, the
+// image, and Average's sums and counts. The voxel at point q lands on
+// pixel top + q.X*stride[0] + q.Y*stride[1] + q.Z*stride[2] (image y
+// grows downward), and a voxel of coordinate digit d in a leaf cube off
+// its corner's pixel by off[d].
+type projector struct {
+	vals     []byte
+	pix      []uint8
+	sum, cnt []uint32
+	top      int
+	stride   [3]int
+	off      [8]int
+	short    bool // the values ran out before the REGION's voxels
+}
+
+func newProjector(side, axis int, pix, vals []byte) projector {
+	p := projector{vals: vals, pix: pix, top: (side - 1) * side}
+	switch axis {
+	case 0:
+		p.stride = [3]int{0, 1, -side}
+	case 1:
+		p.stride = [3]int{1, 0, -side}
+	default:
+		p.stride = [3]int{1, -side, 0}
+	}
+	for d := range p.off {
+		a := sfc.DigitStep(3, uint64(d))
+		p.off[d] = int(a.X)*p.stride[0] + int(a.Y)*p.stride[1] + int(a.Z)*p.stride[2]
+	}
+	return p
+}
+
+// take hands over the next n values, or none once they have run out.
+func (p *projector) take(n int) []byte {
+	if n > len(p.vals) {
+		p.vals, p.short = nil, true
+		return nil
+	}
+	v := p.vals[:n]
+	p.vals = p.vals[n:]
+	return v
+}
+
+// mip draws the voxels mask picks of the leaf cube at lo, whose
+// coordinate digits cs packs (sfc.WalkRuns), into a maximum-intensity
+// projection. A whole cube, the common case inside long runs, reads the
+// digits in order.
+func (p *projector) mip(_ uint64, lo sfc.Point, cs uint64, mask uint8) {
+	base := p.top + int(lo.X)*p.stride[0] + int(lo.Y)*p.stride[1] + int(lo.Z)*p.stride[2]
+	if mask == 0xFF {
+		for _, v := range p.take(8) {
+			if i := base + p.off[cs&7]; v > p.pix[i] {
+				p.pix[i] = v
+			}
+			cs >>= 8
+		}
+		return
+	}
+	for _, v := range p.take(bits.OnesCount8(mask)) {
+		i := base + p.off[cs>>(8*bits.TrailingZeros8(mask))&7]
+		mask &= mask - 1
+		if v > p.pix[i] {
+			p.pix[i] = v
+		}
+	}
+}
+
+// average is mip for the mean-intensity projection: it sums and counts.
+func (p *projector) average(_ uint64, lo sfc.Point, cs uint64, mask uint8) {
+	base := p.top + int(lo.X)*p.stride[0] + int(lo.Y)*p.stride[1] + int(lo.Z)*p.stride[2]
+	for _, v := range p.take(bits.OnesCount8(mask)) {
+		i := base + p.off[cs>>(8*bits.TrailingZeros8(mask))&7]
+		mask &= mask - 1
+		p.sum[i] += uint32(v)
+		p.cnt[i]++
+	}
 }

@@ -51,22 +51,32 @@ func newDataRegionBlob(r *region.Region, method rencode.Method) (blob, values []
 
 // UnmarshalDataRegion reverses MarshalDataRegion.
 func UnmarshalDataRegion(data []byte) (*volume.DataRegion, error) {
-	if len(data) < 5 || data[0] != dataRegionTag {
-		return nil, fmt.Errorf("qbism: not a DataRegion blob")
-	}
-	encLen := binary.BigEndian.Uint32(data[1:5])
-	if uint64(len(data)) < 5+uint64(encLen) {
-		return nil, fmt.Errorf("qbism: DataRegion region encoding truncated")
-	}
-	r, err := rencode.Decode(data[5 : 5+encLen])
+	enc, values, err := SplitDataRegion(data)
 	if err != nil {
 		return nil, err
 	}
-	values := data[5+encLen:]
+	r, err := rencode.Decode(enc)
+	if err != nil {
+		return nil, err
+	}
 	if uint64(len(values)) != r.NumVoxels() {
 		return nil, fmt.Errorf("qbism: DataRegion has %d values for %d voxels", len(values), r.NumVoxels())
 	}
 	return &volume.DataRegion{Region: r, Values: values}, nil
+}
+
+// SplitDataRegion splits a MarshalDataRegion blob, in place, into its
+// encoded REGION and its values, decoding neither: what a client that
+// renders the REGION straight from its encoding imports.
+func SplitDataRegion(data []byte) (enc, values []byte, err error) {
+	if len(data) < 5 || data[0] != dataRegionTag {
+		return nil, nil, fmt.Errorf("qbism: not a DataRegion blob")
+	}
+	encLen := binary.BigEndian.Uint32(data[1:5])
+	if uint64(len(data)) < 5+uint64(encLen) {
+		return nil, nil, fmt.Errorf("qbism: DataRegion region encoding truncated")
+	}
+	return data[5 : 5+encLen], data[5+encLen:], nil
 }
 
 // ExtractOpts tunes the physical read plan of ExtractStoredOpts.

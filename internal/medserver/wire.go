@@ -102,15 +102,26 @@ func EncodeQueryResponse(meta *QueryMeta, blob []byte) ([]byte, error) {
 // with transport.ErrFrameTruncated/ErrFrameCorrupt — typed, retryable —
 // so a damaged reply is never mis-parsed as data.
 func DecodeQueryResponse(resp []byte) (*QueryMeta, []byte, error) {
-	header, blob, err := transport.DecodeFrame(resp)
+	meta := new(QueryMeta)
+	blob, err := DecodeQueryResponseInto(meta, resp)
 	if err != nil {
-		return nil, nil, fmt.Errorf("qbism: response: %w", err)
-	}
-	meta, err := decodeMeta(header)
-	if err != nil {
-		return nil, nil, fmt.Errorf("qbism: bad response header: %w", err)
+		return nil, nil, err
 	}
 	return meta, blob, nil
+}
+
+// DecodeQueryResponseInto is DecodeQueryResponse into *meta, which it
+// overwrites whole: a caller that keeps the header by value decodes it
+// without an allocation of its own. On an error *meta is unspecified.
+func DecodeQueryResponseInto(meta *QueryMeta, resp []byte) ([]byte, error) {
+	header, blob, err := transport.DecodeFrame(resp)
+	if err != nil {
+		return nil, fmt.Errorf("qbism: response: %w", err)
+	}
+	if err := decodeMeta(meta, header); err != nil {
+		return nil, fmt.Errorf("qbism: bad response header: %w", err)
+	}
+	return blob, nil
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -197,20 +208,17 @@ func appendMeta(dst []byte, m *QueryMeta) []byte {
 	return appendStr(appendStr(appendStr(dst, m.Patient), m.Date), m.Warning)
 }
 
-func decodeMeta(b []byte) (*QueryMeta, error) {
+func decodeMeta(m *QueryMeta, b []byte) error {
 	r := wireReader{b: b}
 	version, flags := r.u8(), r.u8()
-	m := &QueryMeta{
+	*m = QueryMeta{
 		Degraded: flags&metaDegraded != 0,
 		N:        r.i64(), DX: r.f64(), DY: r.f64(), DZ: r.f64(),
 		AtlasID: r.i64(), PatientID: r.i64(), DBCPUNanos: int64(r.u64()),
 		LFMPages: r.u64(), LFMReads: r.u64(), CacheHits: r.u64(), CacheMisses: r.u64(),
 	}
 	m.Patient, m.Date, m.Warning = r.str(), r.str(), r.str()
-	if err := r.done("meta", version, flags&^metaFlags); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.done("meta", version, flags&^metaFlags)
 }
 
 // wireReader walks a header front to back. Running short is sticky and

@@ -14,6 +14,7 @@ import (
 	"qbism/internal/medserver"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
+	"qbism/internal/volume"
 )
 
 // chaosBaseConfig is a small, fast system for chaos runs. Checksums are
@@ -84,10 +85,20 @@ func newFaulty(t *testing.T, cfg Config, link *faultsim.Policy, opts ...Option) 
 	return sys, inj
 }
 
+// resultData decodes a query result's DataRegion (QueryResult.Data).
+func resultData(t testing.TB, res *QueryResult) *volume.DataRegion {
+	t.Helper()
+	d, err := res.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // marshalResult canonicalizes a query result for byte comparison.
 func marshalResult(t *testing.T, method rencode.Method, res *QueryResult) []byte {
 	t.Helper()
-	blob, err := MarshalDataRegion(res.Data, method)
+	blob, err := MarshalDataRegion(resultData(t, res), method)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"qbism/internal/cluster"
 	"qbism/internal/costmodel"
 	"qbism/internal/dx"
+	"qbism/internal/medserver"
 	"qbism/internal/obs"
 	"qbism/internal/transport"
 )
@@ -45,7 +46,7 @@ type Client struct {
 // fetched is one answered exchange. It is returned by value: a query
 // makes one, reads it once, and nothing keeps it.
 type fetched struct {
-	meta *QueryMeta
+	meta QueryMeta
 	blob []byte
 	read cluster.ReadInfo
 }
@@ -149,11 +150,15 @@ func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched,
 		}
 	}
 	var err error
+	var kept bool
 	_, f.read, err = c.Cluster.Read(root, key, QueryMethod, request, func(resp []byte) error {
-		meta, blob, err := DecodeQueryResponse(resp)
-		if err == nil && f.meta == nil {
-			f.meta, f.blob = meta, blob
+		if kept { // a later reply, a hedge's: checked, then dropped
+			var meta QueryMeta
+			_, err := medserver.DecodeQueryResponseInto(&meta, resp)
+			return err
 		}
+		blob, err := medserver.DecodeQueryResponseInto(&f.meta, resp)
+		f.blob, kept = blob, err == nil
 		return err
 	})
 	if err != nil {
@@ -216,15 +221,17 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 // sinks. key is spec.Key(), which the caller already has as its request
 // body.
 func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, totalStart time.Time) (*QueryResult, error) {
-	meta, read := f.meta, f.read
+	meta, read := &f.meta, f.read
 	importStart := time.Now()
 	importSp := root.Child("dx.import")
-	data, err := UnmarshalDataRegion(f.blob)
+	// The reply's REGION stays encoded: the render walks its runs off
+	// the wire bytes, and QueryResult.Data decodes it only if asked.
+	enc, values, err := medserver.SplitDataRegion(f.blob)
 	if err != nil {
 		importSp.End()
 		return nil, c.fail(root, read, err)
 	}
-	field, importStats, err := dx.ImportVolume(data)
+	field, importStats, err := dx.ImportEncoded(enc, values)
 	importSp.SetInt("voxels", int64(importStats.Voxels))
 	importSp.SetInt("runs", int64(importStats.Runs))
 	importSp.End()
@@ -245,8 +252,8 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 
 	t := QueryTiming{
 		Label:          spec.Label(),
-		HRuns:          data.Region.NumRuns(),
-		Voxels:         data.Region.NumVoxels(),
+		HRuns:          field.NumRuns(),
+		Voxels:         field.NumVoxels(),
 		LFMPages:       meta.LFMPages,
 		DBMeasured:     time.Duration(meta.DBCPUNanos),
 		DBSimReal:      c.Model.StarburstTime(time.Duration(meta.DBCPUNanos), meta.LFMPages),
@@ -273,7 +280,7 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 	c.observe(t, read.Retries, root)
 
 	return &QueryResult{
-		Spec: spec, Meta: *meta, Data: data, Field: field, Image: img, Timing: t, Read: read, Trace: root,
+		Spec: spec, Meta: *meta, Field: field, Image: img, Timing: t, Read: read, Trace: root,
 	}, nil
 }
 
@@ -322,13 +329,12 @@ func (c *Client) RunQueryCached(spec QuerySpec) (*QueryResult, bool, error) {
 		}
 		return &QueryResult{
 			Spec:  spec,
-			Data:  field.Data,
 			Field: field,
 			Image: img,
 			Timing: QueryTiming{
 				Label:  spec.Label() + " (cached)",
-				HRuns:  field.Data.Region.NumRuns(),
-				Voxels: field.Data.Region.NumVoxels(),
+				HRuns:  field.NumRuns(),
+				Voxels: field.NumVoxels(),
 			},
 		}, true, nil
 	}

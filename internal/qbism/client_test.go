@@ -31,7 +31,7 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 		t.Helper()
 		am, bm := a.Meta, b.Meta
 		am.DBCPUNanos, bm.DBCPUNanos = 0, 0
-		if !reflect.DeepEqual(a.Data, b.Data) || !reflect.DeepEqual(a.Image, b.Image) || !reflect.DeepEqual(am, bm) {
+		if !reflect.DeepEqual(resultData(t, a), resultData(t, b)) || !reflect.DeepEqual(a.Image, b.Image) || !reflect.DeepEqual(am, bm) {
 			t.Errorf("%s: cluster-of-one answer differs from the single node's", label)
 		}
 		if a.Read != b.Read || a.Read.Node != "s0p" || a.Read.Attempts != 1 || a.Read.Retries != 0 {
@@ -87,8 +87,9 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 
 // TestRunQueryAllocBudget pins the client half beside the server
 // ceilings of serve_alloc_test.go: a whole RunQuery through the sim
-// transport, and a four-spec batch on two workers. A seam that starts
-// boxing its result, or a pool that allocates per item, trips here
+// transport on the shapes a DX session asks for, and a four-spec batch
+// on two workers. A seam that starts boxing its result, a pool that
+// allocates per item, or a reply decoded into a Region again trips here
 // before it reaches the repo benchmark's allocs_per_query.
 func TestRunQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -96,27 +97,42 @@ func TestRunQueryAllocBudget(t *testing.T) {
 	}
 	sys := serveAllocSystem(t)
 	small, mixed := serveAllocSpecs(sys.Server)
+	full := QuerySpec{StudyID: small.StudyID, Atlas: "Talairach", FullStudy: true}
+	paper, err := New(Config{Bits: 7, NumPET: 1, Seed: 7, SmallStudies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { paper.Close() })
+	q2Box := QuerySpec{StudyID: paper.Studies[0].StudyID, Atlas: "Talairach", Box: &[6]uint32{30, 30, 30, 100, 100, 100}}
 	for _, tc := range []struct {
 		name string
+		sys  *System
 		spec QuerySpec
-		// ≈ 1.1 × measured (15 and 14, of which ServeRPC is 2 and 2;
-		// 17 and 16 while the server copied the spec's strings; 37 and
-		// 40 while it allocated per UDF call and per statement and the
-		// sim link named spans with tracing off; 51 and 57 with JSON
-		// headers, before PR 21).
+		// As measured. The client renders the reply's REGION off its
+		// encoded bytes and decodes the reply header into its own
+		// value. While it decoded the REGION into a DataRegion, a
+		// Region and a run list (none for the empty structure ∩ band
+		// answer here) and the header into a new QueryMeta, these were
+		// 15, 14, 23 and 15. ServeRPC is 2, 2, 10 and 2 of them.
+		// Earlier the first two were 17 and 16 while the server copied
+		// the spec's strings; 37 and 40 while it allocated per UDF call
+		// and per statement and the sim link named spans with tracing
+		// off; 51 and 57 with JSON headers.
 		ceiling float64
 	}{
-		{"small-structure", small, 17},
-		{"structure-and-band", mixed, 16},
+		{"small-structure", sys, small, 11},
+		{"structure-and-band", sys, mixed, 11},
+		{"q2-box", paper, q2Box, 19},
+		{"full-study", sys, full, 11},
 	} {
-		got := testing.AllocsPerRun(50, func() {
-			if _, err := sys.RunQuery(tc.spec); err != nil {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := tc.sys.RunQuery(tc.spec); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%s: %.0f allocs per RunQuery", tc.name, got)
 		if got > tc.ceiling {
-			t.Errorf("%s: %.0f allocs per RunQuery, ceiling %.0f", tc.name, got, tc.ceiling)
+			t.Errorf("%s: %.0f allocs per RunQuery, ceiling %.0f — does the client decode the reply into a Region again?", tc.name, got, tc.ceiling)
 		}
 	}
 	batch := []QuerySpec{small, mixed, small, mixed}
@@ -128,8 +144,8 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
-	if got > 68 { // 62 measured (72 while the server copied spec strings and the pool had a channel): four queries, the items, the pool
-		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 68 — does the pool allocate per item?", got)
+	if got > 48 { // as measured: four queries, the items, the pool (62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
+		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 48 — does the pool allocate per item?", got)
 	}
 }
 

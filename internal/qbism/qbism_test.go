@@ -186,8 +186,8 @@ func TestRunQueryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := s.Atlas.ByName("ntal")
-	if res.Data.Region.NumVoxels() != st.Region.NumVoxels() {
-		t.Errorf("voxels = %d, want %d", res.Data.Region.NumVoxels(), st.Region.NumVoxels())
+	if got := resultData(t, res).Region.NumVoxels(); got != st.Region.NumVoxels() {
+		t.Errorf("voxels = %d, want %d", got, st.Region.NumVoxels())
 	}
 	tm := res.Timing
 	if tm.LFMPages == 0 || tm.NetMessages == 0 || tm.TotalSim == 0 {
@@ -225,7 +225,7 @@ func TestRunQueryErrors(t *testing.T) {
 	if !res.Meta.Degraded || res.Meta.Warning == "" {
 		t.Errorf("unaligned band not marked degraded: %+v", res.Meta)
 	}
-	if res.Data == nil || res.Data.Region.Empty() {
+	if resultData(t, res).Region.Empty() {
 		t.Error("degraded band result empty")
 	}
 	// An out-of-range band is still a hard error, not degradable.
@@ -249,7 +249,7 @@ func TestRunQueryCached(t *testing.T) {
 	if s.LFM.Stats().PageReads != pages0 {
 		t.Error("cached query touched the database")
 	}
-	if res2.Data.Region.Empty() {
+	if resultData(t, res2).Region.Empty() {
 		t.Error("cached result empty")
 	}
 }

@@ -36,11 +36,12 @@ type QueryTiming struct {
 	TotalMeasured  time.Duration
 }
 
-// QueryResult is a completed end-to-end query.
+// QueryResult is a completed end-to-end query. Its Field holds the
+// reply as it came off the wire — the encoded REGION and the values —
+// and Data decodes it on demand.
 type QueryResult struct {
 	Spec   QuerySpec
 	Meta   QueryMeta
-	Data   *volume.DataRegion
 	Field  *dx.Field
 	Image  *dx.Image
 	Timing QueryTiming
@@ -54,6 +55,11 @@ type QueryResult struct {
 	// I/O, and the DX import/render stages.
 	Trace *obs.Span
 }
+
+// Data returns the query's answer as a DataRegion, decoding the
+// reply's REGION into a new Region on each call (dx.Field.Data): a query
+// only rendered builds none.
+func (r *QueryResult) Data() (*volume.DataRegion, error) { return r.Field.Data() }
 
 // explainFromSpan reconstructs the EXPLAIN ANALYZE view from a query's
 // span tree: the operator spans under each "sql.execute" phase carry

@@ -231,7 +231,12 @@ func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int,
 		case item.Err == nil:
 			// A band query's DataRegion carries exactly the band REGION
 			// (Extract preserves the query region).
-			regions = append(regions, item.Res.Data.Region)
+			d, err := item.Res.Data()
+			if err != nil {
+				return nil, partial, fmt.Errorf("qbism: study %d band [%d,%d]: %w",
+					item.Spec.StudyID, bandLo, bandHi, err)
+			}
+			regions = append(regions, d.Region)
 		case errors.Is(item.Err, cluster.ErrShardUnavailable):
 			// Accounted in partial; the intersection degrades gracefully.
 		default:

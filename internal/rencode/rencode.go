@@ -295,24 +295,25 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 		}
 		return r.Refill(curve, runs)
 	case Elias, EliasDelta, Varint, Golomb:
-		var riceK uint8
-		if m == Golomb {
-			if len(body) < 1 {
-				return fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
-			}
-			if riceK, body = body[0], body[1:]; riceK > 63 {
-				return fmt.Errorf("%w: rice parameter %d", ErrCorrupt, riceK)
-			}
+		var rd RunReader
+		if err := rd.reset(curve, count, body, m); err != nil {
+			return err
 		}
-		// Every delta costs at least one encoded bit, so a count beyond
-		// the payload's bit length is corrupt. Checking here (not just
-		// against curve.Length() in decodeDeltas) matters on huge
-		// curves, where a forged 60-bit count would pass the positions
-		// bound and drive the run preallocation out of range.
-		if count > uint64(len(body))*8 {
-			return fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
+		runs := buf[:0]
+		if count > 0 && uint64(cap(runs)) < count/2+1 {
+			runs = make([]region.Run, 0, count/2+1)
 		}
-		return decodeDeltas(r, curve, count, bitio.NewReader(body, -1), m, riceK, buf)
+		for {
+			first, last, ok := rd.Next()
+			if !ok {
+				break
+			}
+			runs = append(runs, region.Run{Lo: first, Hi: last})
+		}
+		if rd.err != nil {
+			return rd.err
+		}
+		return r.Refill(curve, runs)
 	case OblongOctant, Octant:
 		if count > uint64(len(body))/4 {
 			return fmt.Errorf("%w: octant body truncated", ErrCorrupt)
@@ -382,61 +383,140 @@ func header(data []byte) (sfc.Curve, uint64, []byte, error) {
 	return curve, binary.BigEndian.Uint64(data[4:12]), data[headerLen:], nil
 }
 
-// decodeDeltas rebuilds runs from an alternating gap/run delta stream
-// and refills r with them, building the list in buf when it has room.
+// RunReader streams the runs of a delta-coded REGION — Elias γ or δ,
+// Golomb or varint, the methods whose Streams is true — in increasing
+// order, one delta at a time, so a reply can be walked straight off the
+// wire with no run list built. Its runs lie on its curve, disjoint and
+// never adjacent (every gap covers a position). DecodeInto reads a
+// delta stream through one, and so makes every check Next makes. The
+// zero RunReader has no runs; Reset points it at an encoding.
+type RunReader struct {
+	curve  sfc.Curve
+	n      uint64 // the curve's length
+	m      Method
+	riceK  uint8
+	br     bitio.Reader
+	count  uint64 // deltas in the stream
+	i      uint64 // deltas read
+	pos    uint64 // where the next delta starts
+	inside bool   // whether the next delta is a run
+	err    error
+}
+
+// Streams reports whether m stores a REGION as a delta stream, which a
+// RunReader reads.
+func (m Method) Streams() bool {
+	switch m {
+	case Elias, EliasDelta, Varint, Golomb:
+		return true
+	}
+	return false
+}
+
+// Reset points rd at the encoded REGION data. It fails, wrapping
+// ErrCorrupt, on a malformed header or an undeclared method, and on a
+// method that is not a delta stream with an error of its own.
+func (rd *RunReader) Reset(data []byte) error {
+	curve, count, body, err := header(data)
+	if err != nil {
+		return err
+	}
+	m, ok := MethodOf(data)
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: unknown method %d", ErrCorrupt, int(methodOfCode(data[0])))
+	case !m.Streams():
+		return fmt.Errorf("rencode: a %v REGION is not a delta stream", m)
+	}
+	return rd.reset(curve, count, body, m)
+}
+
+// reset is Reset past the header: count deltas of method m in body.
+//
 // The first delta is a gap unless the region starts at position 0 — the
 // encoder writes the leading gap only when nonzero, so the decoder must
-// know which comes first. We disambiguate by storing the deltas exactly
-// as region.Deltas() returns them and tracking parity from the count of
-// elements: Deltas() ends with a run, so with count elements the first
-// is a gap iff count is even.
-func decodeDeltas(r *region.Region, curve sfc.Curve, count uint64, br *bitio.Reader, m Method, riceK uint8, buf []region.Run) error {
+// know which comes first. The deltas are stored exactly as
+// region.Deltas() returns them, which ends with a run, so with count
+// elements the first is a gap iff count is even.
+func (rd *RunReader) reset(curve sfc.Curve, count uint64, body []byte, m Method) error {
+	var riceK uint8
+	if m == Golomb {
+		if len(body) < 1 {
+			return fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
+		}
+		if riceK, body = body[0], body[1:]; riceK > 63 {
+			return fmt.Errorf("%w: rice parameter %d", ErrCorrupt, riceK)
+		}
+	}
+	// Every delta costs at least one encoded bit, so a count beyond the
+	// payload's bit length is corrupt. Checking here (not just against
+	// curve.Length() below) matters on huge curves, where a forged
+	// 60-bit count would pass the positions bound and drive a caller's
+	// run preallocation out of range.
+	if count > uint64(len(body))*8 {
+		return fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
+	}
 	// Every delta covers at least one position, so more deltas than the
-	// curve has positions is corrupt — and bounding count here keeps a
-	// corrupt header from driving the preallocation below.
+	// curve has positions is corrupt.
 	n := curve.Length()
 	if count > n {
 		return fmt.Errorf("%w: %d deltas on a %d-position curve", ErrCorrupt, count, n)
 	}
-	runs := buf[:0]
-	if count > 0 && uint64(cap(runs)) < count/2+1 {
-		runs = make([]region.Run, 0, count/2+1)
-	}
-	pos := uint64(0)
-	inside := count%2 == 1 // first delta is a run iff odd total (ends with run)
-	for i := uint64(0); i < count; i++ {
+	*rd = RunReader{curve: curve, n: n, m: m, riceK: riceK, br: *bitio.NewReader(body, -1), count: count, inside: count%2 == 1}
+	return nil
+}
+
+// Curve returns the curve of the REGION rd reads.
+func (rd *RunReader) Curve() sfc.Curve { return rd.curve }
+
+// NumRuns returns the number of runs the header promises: the stream
+// ends with a run, so half its deltas, rounded up.
+func (rd *RunReader) NumRuns() int { return int((rd.count + 1) / 2) }
+
+// Next decodes the next run, [first, last]. ok is false past the last
+// run, and from the first corrupt delta on, which Err then reports.
+func (rd *RunReader) Next() (first, last uint64, ok bool) {
+	for rd.i < rd.count {
 		// The code is picked per delta here rather than behind a call or
 		// a closure: the branch always goes the same way, and each delta
 		// is one direct call.
 		var length uint64
 		var err error
-		switch m {
+		switch rd.m {
 		case Elias:
-			length, err = br.ReadGamma()
+			length, err = rd.br.ReadGamma()
 		case EliasDelta:
-			length, err = readDelta(br)
+			length, err = readDelta(&rd.br)
 		case Varint:
-			length, err = readVarint(br)
+			length, err = readVarint(&rd.br)
 		default:
-			length, err = readRice(br, riceK)
+			length, err = readRice(&rd.br, rd.riceK)
 		}
-		if err != nil {
-			return fmt.Errorf("%w: delta %d: %v", ErrCorrupt, i, err)
+		switch {
+		case err != nil:
+			return rd.fail(fmt.Errorf("%w: delta %d: %v", ErrCorrupt, rd.i, err))
+		case length == 0:
+			return rd.fail(fmt.Errorf("%w: zero-length delta", ErrCorrupt))
+		case length > rd.n-rd.pos:
+			return rd.fail(fmt.Errorf("%w: deltas overflow curve", ErrCorrupt))
 		}
-		if length == 0 {
-			return fmt.Errorf("%w: zero-length delta", ErrCorrupt)
+		rd.i++
+		first, rd.pos = rd.pos, rd.pos+length
+		if rd.inside = !rd.inside; !rd.inside {
+			return first, rd.pos - 1, true
 		}
-		if length > n-pos {
-			return fmt.Errorf("%w: deltas overflow curve", ErrCorrupt)
-		}
-		if inside {
-			runs = append(runs, region.Run{Lo: pos, Hi: pos + length - 1})
-		}
-		pos += length
-		inside = !inside
 	}
-	return r.Refill(curve, runs)
+	return 0, 0, false
 }
+
+// fail stops rd at err.
+func (rd *RunReader) fail(err error) (first, last uint64, ok bool) {
+	rd.err, rd.count = err, rd.i
+	return 0, 0, false
+}
+
+// Err returns the error that stopped rd, if any.
+func (rd *RunReader) Err() error { return rd.err }
 
 // EncodedSize returns the size in bytes Encode would produce, without
 // materializing the buffer (header included) or anything else: it

@@ -139,6 +139,93 @@ func (g *gatherer[T]) leaves(id uint64, lo Point, cs uint64) {
 	}
 }
 
+// WalkRuns walks the digit tree of c, a Hilbert or Z curve, once over a
+// set of ids given as runs, and calls leaf with every leaf cube of the
+// tree that holds ids of the set, in increasing order. It panics on any
+// other curve.
+//
+// next pulls the runs [first, last], increasing and disjoint, and
+// reports ok=false after the last. The walk pulls each run once, when
+// it reaches it, and enters only the nodes that hold ids of a run; ids
+// past the curve's end are never reached. A leaf cube holds the 2^dim
+// ids from id, a multiple of 2^dim, and leaf is handed the ones it
+// shares with the runs as mask: bit i is set when id+i is in the set.
+// lo is the cube's least corner and cs packs its voxels' coordinate
+// digits, one per byte in curve order, so id+i lies at
+// lo + DigitStep(dim, cs>>(8*i)&7).
+//
+// This is Cover with the classifier's answer read off the run list:
+// the "There Goes the Neighborhood" walk, here from ranges of ids to
+// the points inside them.
+func WalkRuns(c Curve, next func() (first, last uint64, ok bool), leaf func(id uint64, lo Point, cs uint64, mask uint8)) {
+	w := runWalker{next: next, leaf: leaf, n: uint64(1) << c.Dim()}
+	w.t = tree{hi: c.Length(), node: w.node, leaves: w.leaves, runs: &w}
+	w.pull()
+	w.t.walk(c)
+}
+
+// DigitStep is the unit step a coordinate digit d of a dim-dimensional
+// curve makes along each axis: one bit per axis, X most significant (Z
+// = 0 on a 2D curve). WalkRuns hands a leaf its voxels' digits.
+func DigitStep(dim int, d uint64) Point { return digitAxes[dim][d&7] }
+
+// runWalker is one WalkRuns: the caller's callbacks, the leaf size n,
+// the run the walk has reached, [first, last], until done, and the
+// tree, whose lower bound is that run's first id.
+type runWalker struct {
+	next        func() (first, last uint64, ok bool)
+	leaf        func(id uint64, lo Point, cs uint64, mask uint8)
+	n           uint64
+	first, last uint64
+	done        bool
+	t           tree
+}
+
+// pull takes the next run. The ids below it hold no more runs, so the
+// tree passes over the nodes there without asking node; past the last
+// run it passes over every node.
+func (w *runWalker) pull() {
+	var ok bool
+	w.first, w.last, ok = w.next()
+	w.done = !ok
+	w.t.lo = w.first
+	if w.done {
+		w.t.lo = w.t.hi
+	}
+}
+
+// node enters the cube of ids [id, id+n) when it holds ids of a run.
+// The runs before it were left behind for good: the walk only goes up
+// the curve.
+func (w *runWalker) node(_ uint, id, n uint64, _ Point) Cell {
+	for !w.done && w.last < id {
+		w.pull()
+	}
+	if w.done || w.first >= id+n {
+		return Out
+	}
+	return Partial
+}
+
+// leaves masks the leaf cube's ids [id, end] the runs hold, pulling the
+// runs that end inside it, and hands the cube on unless none is held.
+func (w *runWalker) leaves(id uint64, lo Point, cs uint64) {
+	end := id + w.n - 1
+	var mask uint
+	for !w.done && w.first <= end {
+		if w.last >= id {
+			mask |= 2<<(min(w.last, end)-id) - 1<<(max(w.first, id)-id)
+		}
+		if w.last > end {
+			break
+		}
+		w.pull()
+	}
+	if mask != 0 {
+		w.leaf(id, lo, cs, uint8(mask))
+	}
+}
+
 // walk descends the digit tree of c, a Hilbert or Z curve, from the
 // root, into the nodes that hold ids of [lo, hi). It calls node, if not
 // nil, with every such node above the voxels — the node's level, its
@@ -154,6 +241,11 @@ func (g *gatherer[T]) leaves(id uint64, lo Point, cs uint64) {
 // code and a table that undoes it.
 func walk(c Curve, lo, hi uint64, node func(level uint, id, n uint64, lo Point) Cell, leaves func(id uint64, lo Point, cs uint64)) {
 	t := tree{lo: lo, hi: hi, node: node, leaves: leaves}
+	t.walk(c)
+}
+
+// walk is the walk of t's range and callbacks over c.
+func (t *tree) walk(c Curve) {
 	switch c := c.(type) {
 	case hilbertCurve:
 		t.tab, t.carry = hilbertTables[c.dim], 1
@@ -164,14 +256,15 @@ func walk(c Curve, lo, hi uint64, node func(level uint, id, n uint64, lo Point) 
 	}
 	t.dim, t.axes = uint(c.Dim()), &digitAxes[c.Dim()]
 	bits := uint(c.Bits())
-	if node == nil || node(bits, 0, c.Length(), Point{}) == Partial {
+	if t.node == nil || t.node(bits, 0, c.Length(), Point{}) == Partial {
 		t.descend(bits, 0, 0, Point{}, 0)
 	}
 }
 
 // tree is one walk: the curve's state machine, how a digit's low bit
 // enters the next level's Gray code (carry), the id range it covers,
-// and the callbacks.
+// and the callbacks. A callback may raise lo as the walk goes: the
+// nodes wholly below it are then passed over without a call.
 type tree struct {
 	tab    *digitTable
 	dim    uint
@@ -179,6 +272,7 @@ type tree struct {
 	axes   *[8]Point
 	lo, hi uint64
 	node   func(level uint, id, n uint64, lo Point) Cell
+	runs   *runWalker // set by WalkRuns, whose leaves it calls directly
 	leaves func(id uint64, lo Point, cs uint64)
 }
 
@@ -201,7 +295,13 @@ func (t *tree) descend(level uint, id uint64, s uint16, lo Point, prev uint64) {
 		e := dec[d^d>>1^top]
 		a := &t.axes[e&7]
 		p := Point{X: lo.X | a.X<<level, Y: lo.Y | a.Y<<level, Z: lo.Z | a.Z<<level}
-		if t.node == nil || t.node(level, id, n, p) == Partial {
+		switch {
+		case level == 1 && t.runs != nil: // a direct call; leaves decides the cube
+			t.runs.leaves(id, p, t.tab.leaf[e>>3][d&t.carry])
+		case t.node != nil && t.node(level, id, n, p) != Partial:
+		case level == 1: // the leaves, without a call that would only pass them on
+			t.leaves(id, p, t.tab.leaf[e>>3][d&t.carry])
+		default:
 			t.descend(level, id, e>>3, p, d)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"qbism/internal/region"
-	"qbism/internal/sfc"
 )
 
 // DataRegion pairs a REGION with the intensity values of its voxels —
@@ -52,17 +51,6 @@ func (d *DataRegion) ValueAtID(id uint64) (uint8, bool) {
 	return 0, false
 }
 
-// ForEach calls f for every (point, value) pair in curve order.
-func (d *DataRegion) ForEach(f func(p sfc.Point, value uint8) bool) {
-	c := d.Region.Curve()
-	i := 0
-	d.Region.ForEachID(func(id uint64) bool {
-		ok := f(c.Point(id), d.Values[i])
-		i++
-		return ok
-	})
-}
-
 // Stats summarizes the values of a data region.
 type Stats struct {
 	N         uint64
@@ -72,14 +60,17 @@ type Stats struct {
 }
 
 // Stats computes summary statistics over the extracted values.
-func (d *DataRegion) Stats() Stats {
-	s := Stats{N: uint64(len(d.Values))}
+func (d *DataRegion) Stats() Stats { return ValueStats(d.Values) }
+
+// ValueStats computes summary statistics over a list of intensities.
+func ValueStats(values []byte) Stats {
+	s := Stats{N: uint64(len(values))}
 	if s.N == 0 {
 		return s
 	}
-	s.Min, s.Max = d.Values[0], d.Values[0]
+	s.Min, s.Max = values[0], values[0]
 	var total uint64
-	for _, v := range d.Values {
+	for _, v := range values {
 		if v < s.Min {
 			s.Min = v
 		}

@@ -60,11 +60,10 @@ func TestVolume2DBandAndExtract(t *testing.T) {
 	if d.NumVoxels() != 5*11 {
 		t.Errorf("extracted %d voxels, want 55", d.NumVoxels())
 	}
-	d.ForEach(func(p sfc.Point, val uint8) bool {
+	eachPoint(d, func(p sfc.Point, val uint8) {
 		if val < 128 {
 			t.Fatalf("voxel %v below band: %d", p, val)
 		}
-		return true
 	})
 }
 

@@ -190,6 +190,16 @@ func TestUniformBandsEqualsBandCalls(t *testing.T) {
 	}
 }
 
+// eachPoint calls f with every (point, value) pair of d in curve order.
+func eachPoint(d *DataRegion, f func(p sfc.Point, val uint8)) {
+	c, i := d.Region.Curve(), 0
+	d.Region.ForEachID(func(id uint64) bool {
+		f(c.Point(id), d.Values[i])
+		i++
+		return true
+	})
+}
+
 func TestExtract(t *testing.T) {
 	v := FromFunc(h3, func(p sfc.Point) uint8 { return uint8(p.X) })
 	r, err := region.FromBox(h3, region.Box{Min: sfc.Pt(2, 2, 2), Max: sfc.Pt(4, 4, 4)})
@@ -203,11 +213,10 @@ func TestExtract(t *testing.T) {
 	if d.NumVoxels() != 27 {
 		t.Fatalf("extracted %d voxels, want 27", d.NumVoxels())
 	}
-	d.ForEach(func(p sfc.Point, val uint8) bool {
+	eachPoint(d, func(p sfc.Point, val uint8) {
 		if val != uint8(p.X) {
 			t.Fatalf("value at %v = %d, want %d", p, val, p.X)
 		}
-		return true
 	})
 	// Mismatched curves are rejected.
 	rz, _ := r.Recode(z3)
@@ -260,11 +269,10 @@ func TestDataRegionFilter(t *testing.T) {
 	if f.NumVoxels() != want {
 		t.Errorf("filtered %d voxels, want %d", f.NumVoxels(), want)
 	}
-	f.ForEach(func(p sfc.Point, val uint8) bool {
+	eachPoint(f, func(p sfc.Point, val uint8) {
 		if p.Z != 2 && p.Z != 3 {
 			t.Fatalf("voxel %v should have been filtered out", p)
 		}
-		return true
 	})
 	if _, err := d.Filter(9, 3); err == nil {
 		t.Error("inverted filter accepted")

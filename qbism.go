@@ -167,7 +167,10 @@ type (
 	Option = core.Option
 	// QuerySpec is a high-level query (what the DX entry fields collect).
 	QuerySpec = core.QuerySpec
-	// QueryResult is a completed end-to-end query.
+	// QueryResult is a completed end-to-end query. Its Field keeps the
+	// reply's REGION encoded, as it crossed the wire, and the render
+	// walks it there; res.Data() decodes a DataRegion on demand, a new
+	// Region each call, so a query that is only rendered builds none.
 	QueryResult = core.QueryResult
 	// QueryTiming is one Table 3 row.
 	QueryTiming = core.QueryTiming
