@@ -68,9 +68,12 @@ client-deps:
 # 4's z-naive and octant rows and the Section 4.2 Z-order comparisons
 # belong to internal/experiments, so no non-test file of
 # internal/medserver may name the Z curve, an octant codec or those
-# rows' labels again.
+# rows' labels again. Pricing a query in 1993 seconds is Table 3's
+# (DESIGN.md §43): no non-test file of internal/qbism but table3.go may
+# name the cost model's pricing terms.
 repro-boundary:
 	@bad="$$(ls internal/medserver/*.go | grep -v '_test\.go$$' | xargs grep -nE '\<(sfc\.ZOrder|rencode\.(Oblong)?Octant|EncZNaive|EncOctant)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/medserver names:"; echo "$$bad"; exit 1; fi
+	@bad="$$(ls internal/qbism/*.go | grep -v '_test\.go$$' | grep -v '/table3\.go$$' | xargs grep -nE '\<(StarburstTime|ImportTime|RenderTime|OtherTime)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/qbism prices outside table3.go:"; echo "$$bad"; exit 1; fi
 
 # Repo-specific static analysis. Exits non-zero on any unsuppressed
 # diagnostic; suppressions are `//lint:ignore <check> <reason>` lines.

@@ -157,7 +157,7 @@ func TestPublicSystemQuery(t *testing.T) {
 		t.Error("empty result")
 	}
 	var buf bytes.Buffer
-	qbism.WriteTable3(&buf, []qbism.QueryTiming{res.Timing})
+	qbism.WriteTable3(&buf, []qbism.Table3Row{{Label: res.Spec.Label(), Result: res}})
 	if !strings.Contains(buf.String(), "cerebellum") {
 		t.Error("Table 3 formatting missing query label")
 	}

@@ -71,7 +71,7 @@ func BenchmarkT3SingleStudy(b *testing.B) {
 				}
 				pages += res.Timing.LFMPages
 				msgs += res.Timing.NetMessages
-				simSec += res.Timing.TotalSim.Seconds()
+				simSec += PriceQuery(res).Total.Seconds()
 			}
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")

@@ -251,7 +251,7 @@ func runSpec(c *qbism.Client, spec qbism.QuerySpec) *qbism.QueryResult {
 // cluster, and for a dialed qbismd, whose link is a real one); sharded
 // adds the line naming the shard and node that served the read.
 func report(w io.Writer, c *qbism.Client, linkFaults *faultsim.Injector, sharded bool, res *qbism.QueryResult, slowlog time.Duration, metrics bool, out string) {
-	qbism.WriteTable3(w, []qbism.QueryTiming{res.Timing})
+	qbism.WriteTable3(w, []qbism.Table3Row{{Label: res.Spec.Label(), Result: res}})
 	st := res.Field.Stats()
 	fmt.Fprintf(w, "\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
 		st.N, res.Timing.HRuns, st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)

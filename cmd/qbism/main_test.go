@@ -12,14 +12,21 @@ import (
 	"qbism/internal/medserver"
 )
 
+// row is a query's Table 3 row: what it measured, and its price.
+type row struct {
+	t qbism.QueryTiming
+	p qbism.SimTime
+}
+
 // exactRow keeps the Table 3 columns that are counted, not timed, and
 // do not depend on which link carried the query.
-func exactRow(t qbism.QueryTiming) qbism.QueryTiming {
-	t.TotalSim -= t.NetSim + t.DBSimReal
-	t.NetMessages, t.NetSim = 0, 0
-	t.DBMeasured, t.DBSimReal = 0, 0
+func exactRow(res *qbism.QueryResult) row {
+	t, p := res.Timing, qbism.PriceQuery(res)
+	p.Total -= p.Net + p.DB
+	t.NetMessages, p.Net = 0, 0
+	t.DBMeasured, p.DB = 0, 0
 	t.ImportMeasured, t.RenderMeasured, t.TotalMeasured = 0, 0, 0
-	return t
+	return row{t, p}
 }
 
 // TestAddrMatchesEmbedded is `qbism -addr` against `qbism`: a Client
@@ -78,7 +85,7 @@ func TestAddrMatchesEmbedded(t *testing.T) {
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Errorf("PGMs differ: %d bytes embedded, %d dialed", len(a), len(b))
 	}
-	if e, w := exactRow(embedded.Timing), exactRow(dialed.Timing); e != w {
+	if e, w := exactRow(embedded), exactRow(dialed); e != w {
 		t.Errorf("Table 3 rows differ beyond the link's columns:\nembedded: %+v\ndialed:   %+v", e, w)
 	}
 	if dialed.Timing.NetMessages != 2 {

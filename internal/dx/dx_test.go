@@ -130,10 +130,6 @@ func TestCacheBasics(t *testing.T) {
 	if len(c.entries) != 2 {
 		t.Errorf("len = %d", len(c.entries))
 	}
-	c.Flush()
-	if len(c.entries) != 0 {
-		t.Error("flush did not empty")
-	}
 	// Re-Put same key updates in place.
 	c.Put("x", f1)
 	c.Put("x", f2)
@@ -146,33 +142,40 @@ func TestCacheBasics(t *testing.T) {
 	}
 }
 
-// TestCacheFlushReusesMemory: RunQuery flushes before every run and
-// Puts after it, so the pair must reuse the cache's memory — and a
-// flushed cache, evictions and all, keeps no key or Field reachable.
-func TestCacheFlushReusesMemory(t *testing.T) {
-	c := NewCache(2)
+// TestCacheReusesMemory: RunQuery Puts after every run and a DX
+// session re-reads its recent queries, so neither a hit nor a Put into a
+// full cache may allocate — and an evicted key leaves no slot of the LRU
+// list holding it.
+func TestCacheReusesMemory(t *testing.T) {
+	c := NewCache(3)
 	f := &Field{Side: 1}
-	for _, k := range []string{"a", "b", "c"} { // "c" evicts "a"
+	keys := []string{"a", "b", "c", "d", "e"}
+	for _, k := range keys[:3] {
 		c.Put(k, f)
 	}
-	c.Flush()
-	for i, k := range c.order[:cap(c.order)] {
-		if k != "" {
-			t.Errorf("flushed LRU list slot %d still holds key %q", i, k)
+	if got := testing.AllocsPerRun(100, func() {
+		for _, k := range keys[:3] {
+			if _, ok := c.Get(k); !ok {
+				t.Fatalf("miss on %q", k)
+			}
 		}
+	}); got != 0 {
+		t.Errorf("%.1f allocs per three hits, want 0 — does touch rebuild the LRU list?", got)
 	}
-	if len(c.entries) != 0 {
-		t.Errorf("flushed map holds %d entries", len(c.entries))
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		c.Put(keys[i%len(keys)], f) // every key is new: each Put evicts
+		i++
+	}); got != 0 {
+		t.Errorf("%.1f allocs per Put into a full cache, want 0", got)
 	}
-	got := testing.AllocsPerRun(100, func() {
-		c.Flush()
-		c.Put("query", f)
-	})
-	if got != 0 {
-		t.Errorf("%.1f allocs per Flush+Put, want 0 — does Flush drop the map or the list?", got)
+	if len(c.entries) != 3 || len(c.order) != 3 {
+		t.Errorf("cache holds %d entries, %d LRU keys; want 3 and 3", len(c.entries), len(c.order))
 	}
-	if fl, ok := c.Get("query"); !ok || fl != f || len(c.entries) != 1 {
-		t.Error("Put after Flush did not store the field")
+	for n, k := range c.order[len(c.order):cap(c.order)] {
+		if k != "" {
+			t.Errorf("LRU list slot %d past the end still holds key %q", len(c.order)+n, k)
+		}
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 
 // TestNetBillExactUnderConcurrency runs Table 3's six specs over every
 // study, four times over, through RunQueries at eight workers: each
-// item's NetMessages and NetSim must equal the same spec run alone, and
+// item's NetMessages and network latency (Read.Net.Latency, Table 3's
+// net column) must equal the same spec run alone, and
 // the items must sum to what the transport's meter counted for the batch.
 func TestNetBillExactUnderConcurrency(t *testing.T) {
 	for _, trace := range []bool{false, true} {
@@ -40,13 +41,13 @@ func TestNetBillExactUnderConcurrency(t *testing.T) {
 					specs = append(specs, spec)
 				}
 			}
-			serial := make([]QueryTiming, len(specs))
+			serial := make([]*QueryResult, len(specs))
 			for i, spec := range specs {
 				res, err := sys.RunQuery(spec)
 				if err != nil {
 					t.Fatalf("%s alone: %v", spec.Label(), err)
 				}
-				serial[i] = res.Timing
+				serial[i] = res
 			}
 
 			const repeats = 4
@@ -63,11 +64,11 @@ func TestNetBillExactUnderConcurrency(t *testing.T) {
 				if item.Err != nil {
 					t.Fatalf("%s: %v", item.Spec.Label(), item.Err)
 				}
-				got, want := item.Res.Timing, serial[i%len(specs)]
-				messages += got.NetMessages
-				if got.NetMessages != want.NetMessages || got.NetSim != want.NetSim {
+				got, want := item.Res, serial[i%len(specs)]
+				messages += got.Timing.NetMessages
+				if got.Timing.NetMessages != want.Timing.NetMessages || got.Read.Net.Latency != want.Read.Net.Latency {
 					t.Errorf("%s: billed %d messages / %v under 8 workers, %d / %v alone",
-						item.Spec.Label(), got.NetMessages, got.NetSim, want.NetMessages, want.NetSim)
+						item.Spec.Label(), got.Timing.NetMessages, got.Read.Net.Latency, want.Timing.NetMessages, want.Read.Net.Latency)
 				}
 			}
 			if messages != meter.Messages {

@@ -151,7 +151,7 @@ func TestChaosQueries(t *testing.T) {
 			t.Fatalf("query %d (%s): silent corruption — result differs from fault-free run (degraded=%v)",
 				i, spec.Label(), res.Meta.Degraded)
 		}
-		if res.Read.Retries > 0 && res.Timing.RetrySim == 0 {
+		if res.Read.Retries > 0 && PriceQuery(res).Retry == 0 {
 			t.Errorf("query %d: %d retries but no simulated backoff", i, res.Read.Retries)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qbism/internal/cluster"
-	"qbism/internal/costmodel"
 	"qbism/internal/dx"
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
@@ -14,13 +13,12 @@ import (
 
 // Client is the DX half of a query — the paper's front end (§5.2): it
 // frames the spec, hands it to a MedicalServer, imports and renders the
-// reply, fills the DX cache, prices the work with the cost model and
-// feeds the observability sinks. It needs no server in its process:
+// reply, fills the DX cache and feeds the observability sinks; Table 3
+// prices its work (PriceQuery). It needs no server in its process:
 // NewClient over a dialed transport is a complete front end. System and
 // ClusterSystem both embed one, so a query runs, batches, and finishes
 // through the same code however it was carried.
 type Client struct {
-	Model costmodel.Model
 	Cache *dx.Cache
 
 	// Cluster carries every fetch, with its retries, failover and
@@ -100,7 +98,6 @@ func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Co
 	cc.Retry, cc.Metrics = o.retry.WithDefaults(), metrics
 	cl, _ := cluster.New(cc, shards)
 	c := &Client{
-		Model:      costmodel.Default1993(),
 		Cache:      dx.NewCache(8),
 		Cluster:    cl,
 		Metrics:    metrics,
@@ -167,19 +164,19 @@ func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched,
 	return f, nil
 }
 
-// RunQuery executes a query end to end under the paper's measurement
-// protocol: the DX cache is flushed first, then the spec crosses the
-// network to the MedicalServer, SQL runs in the database, the result
-// crosses back, DX imports it and renders an image. Every component's
-// work is counted and timed.
+// RunQuery executes a query end to end: the spec crosses the network to
+// the MedicalServer, SQL runs in the database, the result crosses back,
+// DX imports it, renders an image and keeps the field in the DX cache,
+// which only RunQueryCached reads. Every component's work is counted
+// and timed.
 //
 // The network exchange is resilient: both directions are CRC-framed so
 // corruption and truncation surface as typed errors, and transient
 // failures (drops, timeouts, corrupt frames, device read faults) are
 // retried — on the one node of a single server, across a shard's nodes
 // in a cluster — with capped exponential backoff and deterministic
-// jitter. Backoff is simulated time — no real sleeping — accounted in
-// Timing.RetrySim. The result's Read field reports how the read was
+// jitter. Backoff is simulated time — no real sleeping — reported in
+// Read.BackoffSim. The result's Read field reports how the read was
 // served.
 func (c *Client) RunQuery(spec QuerySpec) (*QueryResult, error) {
 	return c.runQuerySpan(nil, spec)
@@ -189,7 +186,6 @@ func (c *Client) RunQuery(spec QuerySpec) (*QueryResult, error) {
 // root, for RunQueries). With tracing enabled it produces the query's
 // span tree, feeds the metrics registry, and captures slow queries.
 func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
-	c.Cache.Flush() // §6.1: "we flushed the DX cache before each run"
 	totalStart := time.Now()
 
 	var root *obs.Span
@@ -217,9 +213,8 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 }
 
 // finish performs the client-side DX stages — import, render, cache —
-// prices the work with the cost model, and feeds the observability
-// sinks. key is spec.Key(), which the caller already has as its request
-// body.
+// and feeds the observability sinks. key is spec.Key(), which the
+// caller already has as its request body.
 func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, totalStart time.Time) (*QueryResult, error) {
 	meta, read := &f.meta, f.read
 	importStart := time.Now()
@@ -251,23 +246,15 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 	c.Cache.Put(key, field)
 
 	t := QueryTiming{
-		Label:          spec.Label(),
 		HRuns:          field.NumRuns(),
 		Voxels:         field.NumVoxels(),
 		LFMPages:       meta.LFMPages,
 		DBMeasured:     time.Duration(meta.DBCPUNanos),
-		DBSimReal:      c.Model.StarburstTime(time.Duration(meta.DBCPUNanos), meta.LFMPages),
 		NetMessages:    read.Net.Messages,
-		NetSim:         read.Net.Latency,
 		ImportMeasured: importDur,
-		ImportSim:      c.Model.ImportTime(importStats.Voxels, importStats.Runs),
 		RenderMeasured: renderDur,
-		RenderSim:      c.Model.RenderTime(importStats.Voxels),
-		RetrySim:       read.BackoffSim,
-		OtherSim:       c.Model.OtherTime,
+		TotalMeasured:  time.Since(totalStart),
 	}
-	t.TotalSim = t.DBSimReal + t.NetSim + t.ImportSim + t.RenderSim + t.RetrySim + t.OtherSim
-	t.TotalMeasured = time.Since(totalStart)
 
 	root.SetInt("attempts", int64(read.Attempts))
 	root.SetInt("retries", int64(read.Retries))
@@ -277,7 +264,7 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 		root.SetStr("degraded", meta.Warning)
 	}
 	root.End()
-	c.observe(t, read.Retries, root)
+	c.observe(spec, t, read.Retries, root)
 
 	return &QueryResult{
 		Spec: spec, Meta: *meta, Field: field, Image: img, Timing: t, Read: read, Trace: root,
@@ -300,7 +287,7 @@ func (c *Client) fail(root *obs.Span, read cluster.ReadInfo, err error) error {
 // observe feeds the metrics registry and, when the query's measured
 // latency reaches the slow-log threshold, captures the full span tree
 // plus the executed plan into the slow-query ring.
-func (c *Client) observe(t QueryTiming, retries int, root *obs.Span) {
+func (c *Client) observe(spec QuerySpec, t QueryTiming, retries int, root *obs.Span) {
 	c.Metrics.Counter("qbism_queries_total").Inc()
 	c.Metrics.Counter("qbism_retries_total").Add(int64(retries))
 	c.Metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).
@@ -309,7 +296,7 @@ func (c *Client) observe(t QueryTiming, retries int, root *obs.Span) {
 		Observe(float64(t.LFMPages))
 	if c.SlowLog != nil && root != nil && t.TotalMeasured >= c.slowThresh {
 		c.SlowLog.Add(obs.SlowEntry{
-			Label:   t.Label,
+			Label:   spec.Label(),
 			Total:   t.TotalMeasured,
 			Tree:    root.RenderString(),
 			Explain: explainFromSpan(root),
@@ -328,14 +315,10 @@ func (c *Client) RunQueryCached(spec QuerySpec) (*QueryResult, bool, error) {
 			return nil, false, err
 		}
 		return &QueryResult{
-			Spec:  spec,
-			Field: field,
-			Image: img,
-			Timing: QueryTiming{
-				Label:  spec.Label() + " (cached)",
-				HRuns:  field.NumRuns(),
-				Voxels: field.NumVoxels(),
-			},
+			Spec:   spec,
+			Field:  field,
+			Image:  img,
+			Timing: QueryTiming{HRuns: field.NumRuns(), Voxels: field.NumVoxels()},
 		}, true, nil
 	}
 	res, err := c.RunQuery(spec)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qbism/internal/costmodel"
 	"qbism/internal/lfm"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
@@ -328,7 +329,7 @@ func TestExtractStoredEqualsReference(t *testing.T) {
 
 	for _, cachePages := range []int{0, 3} {
 		sys.LFM.EnableCache(cachePages)
-		for _, gap := range []uint64{0, sys.Model.CoalesceGapPages()} {
+		for _, gap := range []uint64{0, costmodel.Default1993().CoalesceGapPages()} {
 			opts := ExtractOpts{GapPages: gap}
 			for i, r := range regions {
 				// Both sides start from an empty cache, so their hit/miss

@@ -1,10 +1,12 @@
 package qbism
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"qbism/internal/experiments"
 	"qbism/internal/region"
@@ -190,7 +192,7 @@ func TestRunQueryEndToEnd(t *testing.T) {
 		t.Errorf("voxels = %d, want %d", got, st.Region.NumVoxels())
 	}
 	tm := res.Timing
-	if tm.LFMPages == 0 || tm.NetMessages == 0 || tm.TotalSim == 0 {
+	if tm.LFMPages == 0 || tm.NetMessages == 0 || PriceQuery(res).Total == 0 {
 		t.Errorf("timing incomplete: %+v", tm)
 	}
 	if res.Meta.Patient == "" || res.Meta.N != s.Side() {
@@ -235,7 +237,13 @@ func TestRunQueryErrors(t *testing.T) {
 }
 
 func TestRunQueryCached(t *testing.T) {
-	s := testSystem(t)
+	// A system of its own: the DX cache keeps a shared one's recent
+	// queries, which other tests may have issued.
+	s, err := New(Config{Bits: 4, NumPET: 1, Seed: 7, SmallStudies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	spec := QuerySpec{StudyID: 1, Atlas: "Talairach", Structure: "putamen"}
 	_, cached, err := s.RunQueryCached(spec)
 	if err != nil || cached {
@@ -254,6 +262,76 @@ func TestRunQueryCached(t *testing.T) {
 	}
 }
 
+// TestDXCacheKeepsRecentQueries: the DX cache holds "several recently
+// issued queries" — eight — whichever way they ran. After nine distinct
+// queries, RunQueryCached serves the last eight from the cache, each
+// image byte-identical to its own run's render, and misses the first;
+// after a two-worker batch of the nine, exactly eight hit.
+func TestDXCacheKeepsRecentQueries(t *testing.T) {
+	sys, err := New(Config{Bits: 4, NumPET: 2, Seed: 7, SmallStudies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	var specs []QuerySpec
+	for _, study := range sys.PETStudyIDs() {
+		for _, spec := range sys.Table3Queries() {
+			spec.StudyID = study
+			specs = append(specs, spec)
+		}
+	}
+	specs = specs[:9]
+
+	// servedFromCache checks that RunQueryCached hits on spec and
+	// renders the image its own run rendered.
+	servedFromCache := func(spec QuerySpec, want *QueryResult) {
+		t.Helper()
+		got, hit, err := sys.RunQueryCached(spec)
+		if err != nil || !hit {
+			t.Errorf("%s: RunQueryCached hit=%v err=%v, want a hit", spec.Label(), hit, err)
+			return
+		}
+		if !bytes.Equal(got.Image.Pix, want.Image.Pix) {
+			t.Errorf("%s: cached image differs from its RunQuery render", spec.Label())
+		}
+	}
+
+	results := make([]*QueryResult, len(specs))
+	for i, spec := range specs {
+		if results[i], err = sys.RunQuery(spec); err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+	}
+	for i := 1; i < len(specs); i++ {
+		servedFromCache(specs[i], results[i])
+	}
+	if _, hit, err := sys.RunQueryCached(specs[0]); err != nil || hit {
+		t.Errorf("first of nine: RunQueryCached hit=%v err=%v, want a miss", hit, err)
+	}
+
+	items := sys.RunQueries(specs, 2)
+	var missed []int
+	for i, item := range items {
+		if item.Err != nil {
+			t.Fatalf("%s: %v", item.Spec.Label(), item.Err)
+		}
+		if _, ok := sys.Cache.Get(item.Spec.Key()); !ok {
+			missed = append(missed, i)
+		}
+	}
+	if len(missed) != 1 {
+		t.Fatalf("after a batch of nine, %d specs are not cached, want 1", len(missed))
+	}
+	for i, item := range items {
+		if i != missed[0] {
+			servedFromCache(item.Spec, item.Res)
+		}
+	}
+	if _, hit, err := sys.RunQueryCached(specs[missed[0]]); err != nil || hit {
+		t.Errorf("evicted spec: RunQueryCached hit=%v err=%v, want a miss", hit, err)
+	}
+}
+
 func TestTable3ShapeMatchesPaper(t *testing.T) {
 	s := testSystem(t)
 	rows, err := s.Table3()
@@ -263,7 +341,8 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	q := func(i int) QueryTiming { return rows[i-1] }
+	q := func(i int) QueryTiming { return rows[i-1].Result.Timing }
+	sim := func(i int) time.Duration { return PriceQuery(rows[i-1].Result).Total }
 
 	// Q1 ships the whole volume: most result voxels, most messages,
 	// slowest simulated total. (Page counts only separate on the full
@@ -277,7 +356,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 		if q(i).NetMessages >= q(1).NetMessages {
 			t.Errorf("Q%d messages (%d) >= Q1 messages (%d)", i, q(i).NetMessages, q(1).NetMessages)
 		}
-		if q(i).TotalSim > q(1).TotalSim {
+		if sim(i) > sim(1) {
 			t.Errorf("Q%d sim total > Q1 (early filtering must pay off)", i)
 		}
 	}

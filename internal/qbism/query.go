@@ -11,28 +11,19 @@ import (
 	"qbism/internal/volume"
 )
 
-// QueryTiming is one row of Table 3: result size, I/O, and the
-// per-component time breakdown. Measured* fields are this machine's
-// actual wall times; Sim* fields price the counted work with the
-// calibrated 1993 cost model so rows are comparable with the paper's.
+// QueryTiming is what RunQuery measured and counted for one query:
+// result size, I/O, messages and this machine's wall times. Table 3
+// prices it in 1993 seconds (PriceQuery); the serving path does not.
 type QueryTiming struct {
-	Label  string
 	HRuns  int
 	Voxels uint64
 
 	LFMPages uint64 // LFM disk I/Os (4 KB pages)
 
 	DBMeasured     time.Duration // server-side handler time on this machine
-	DBSimReal      time.Duration // simulated Starburst/MedicalServer real time
 	NetMessages    uint64
-	NetSim         time.Duration
 	ImportMeasured time.Duration
-	ImportSim      time.Duration
 	RenderMeasured time.Duration
-	RenderSim      time.Duration
-	RetrySim       time.Duration // simulated backoff waits across retries
-	OtherSim       time.Duration
-	TotalSim       time.Duration
 	TotalMeasured  time.Duration
 }
 

@@ -99,7 +99,7 @@ type System struct {
 	// Node is the MedicalServer half, its link and Close.
 	*Node
 	// Client is the DX half: RunQuery, RunQueries, its cluster of one,
-	// Model, Cache, SlowLog, and the server's Metrics and Tracer.
+	// Cache, SlowLog, and the server's Metrics and Tracer.
 	*Client
 }
 

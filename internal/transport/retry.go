@@ -13,8 +13,8 @@ import (
 // waits in [base·2^(k-1)/2, base·2^(k-1)), capped at MaxBackoff, with
 // the jitter drawn from a stream seeded by Seed and the request — so
 // two identical runs back off identically. The waits are simulated
-// time (priced into the query's timing like the cost model's network
-// time), never real sleeps, so benchmarks stay fast and reproducible.
+// time (reported in the read's BackoffSim, which Table 3 prices beside
+// the network time), never real sleeps, so benchmarks stay fast and reproducible.
 //
 // The policy lives at the transport seam, where both flavors can reach
 // it; the one loop that applies it is the cluster's read

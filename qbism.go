@@ -158,8 +158,8 @@ type (
 	// System is a MedicalServer and the DX Client that queries it.
 	System = core.System
 	// Client is the DX half of a query (RunQuery, RunQueries, the DX
-	// cache, cost model and observability sinks); System and
-	// ClusterSystem both embed one.
+	// cache and observability sinks); System and ClusterSystem both
+	// embed one.
 	Client = core.Client
 	// Config parameterizes the MedicalServer of NewSystem and each node's.
 	Config = core.Config
@@ -172,8 +172,11 @@ type (
 	// walks it there; res.Data() decodes a DataRegion on demand, a new
 	// Region each call, so a query that is only rendered builds none.
 	QueryResult = core.QueryResult
-	// QueryTiming is one Table 3 row.
+	// QueryTiming is what RunQuery measured and counted for one query.
 	QueryTiming = core.QueryTiming
+	// Table3Row is one row of Table 3; SimTime is its price (PriceQuery).
+	Table3Row = core.Table3Row
+	SimTime   = core.SimTime
 	// ClusterConfig parameterizes NewClusterSystem.
 	ClusterConfig = core.ClusterConfig
 )
@@ -225,8 +228,9 @@ var (
 // stores beside the default k³-tree rows.
 const BandEncodingHilbertNaive = core.EncHilbertNaive
 
-// WriteTable3 formats Table 3 rows.
-var WriteTable3 = core.WriteTable3
+// WriteTable3 prices and formats Table 3 rows; PriceQuery prices one
+// query's result with the calibrated 1993 cost model, as Table 3 does.
+var WriteTable3, PriceQuery = core.WriteTable3, core.PriceQuery
 
 // Visualization (Data Explorer stand-in).
 type (
