@@ -379,17 +379,21 @@ func BenchmarkMingapApproximation(b *testing.B) {
 // warp, reorder, band, encode, store) on the default corpus at half the
 // paper's grid — an eighth of the voxels, well under a second. ns/op moves
 // with every kernel in the pipeline and with how well it fills the
-// processors; allocs/op with what a load leaves for the collector.
-// `make bench-smoke` runs one iteration.
+// processors; allocs/op with what a load leaves for the collector;
+// stored-pages is the device pages the store holds. `make bench-smoke`
+// runs one iteration.
 func BenchmarkLoad(b *testing.B) {
 	b.ReportAllocs()
+	var pages uint64
 	for n := 0; n < b.N; n++ {
 		s, err := core.New(core.Config{Bits: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
+		pages = s.LFM.Capacity()/s.LFM.PageSize() - s.LFM.FreePages()
 		s.Close()
 	}
+	b.ReportMetric(float64(pages), "stored-pages")
 }
 
 // BenchmarkPaperSQL measures the paper's §3.4 two-query sequence

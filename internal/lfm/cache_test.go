@@ -145,6 +145,29 @@ func TestCacheInvalidation(t *testing.T) {
 			t.Error("Corrupt invisible through the cache: bit-rot must be observable")
 		}
 	})
+	// A Corrupt call refused for its offset changes nothing, so it must
+	// not cost the next read its cache hits either.
+	t.Run("refused corrupt", func(t *testing.T) {
+		m, _ := New(1<<20, 4096)
+		m.EnableCache(8)
+		h, err := m.Allocate(pattern(2*4096, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Read(h); err != nil { // warm the cache
+			t.Fatal(err)
+		}
+		if err := m.Corrupt(h, 2*4096, 0xFF); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("out-of-range Corrupt: %v, want ErrOutOfRange", err)
+		}
+		before := m.Stats()
+		if _, err := m.Read(h); err != nil {
+			t.Fatal(err)
+		}
+		if d := m.Stats().Sub(before); d.CacheMisses != 0 || d.CacheHits != 2 {
+			t.Errorf("read after a refused Corrupt: %d hits, %d misses; want 2 and 0", d.CacheHits, d.CacheMisses)
+		}
+	})
 }
 
 func TestCacheChecksumOnMissOnly(t *testing.T) {

@@ -34,7 +34,7 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 	if grew := int64(heapInUse()) - int64(before); grew > 4*extentSize {
 		t.Errorf("one %d-byte field on a %d GiB device holds %d bytes of heap", len(data), m.Capacity()>>30, grew)
 	}
-	if m.Capacity() != 64<<30 || m.FreePages() != (64<<30)/DefaultPageSize-4 {
+	if m.Capacity() != 64<<30 || m.FreePages() != (64<<30)/DefaultPageSize-3 {
 		t.Errorf("capacity %d, %d pages free", m.Capacity(), m.FreePages())
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -43,8 +43,9 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 	if got, err := m.Read(h); err != nil || !bytes.Equal(got, data) {
 		t.Errorf("read back %d bytes, err %v", len(got), err)
 	}
-	// The field's block is four pages; the bytes past the data, and a
-	// whole device's worth of space beyond, were never written.
+	// The field holds three pages, its block's fourth went back to the
+	// free lists; the bytes past the data, and a whole device's worth of
+	// space beyond, were never written.
 	zeros := make([]byte, 3*extentSize)
 	for i := range zeros {
 		zeros[i] = 0xff

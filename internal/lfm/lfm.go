@@ -1,8 +1,8 @@
 // Package lfm implements a stand-in for the Starburst Long Field Manager
 // [18] the paper relies on: long fields stored directly on a disk device
 // (not a file system) using a buddy allocation scheme to promote
-// contiguity, with fast random I/O to arbitrary pieces and no internal
-// buffering.
+// contiguity, each field's last segment trimmed to the pages it holds,
+// with fast random I/O to arbitrary pieces and no internal buffering.
 //
 // The device here is simulated memory — backed lazily, so only ranges
 // that have been written occupy any — with page-granular I/O accounting:
@@ -111,9 +111,8 @@ func (s *Stats) Add(o Stats) {
 }
 
 type field struct {
-	off   uint64 // device offset
-	size  uint64 // logical length
-	order int    // buddy block order (block size = pageSize << order)
+	off  uint64 // device offset, page-aligned
+	size uint64 // logical length
 }
 
 // Manager is the long field manager. It is safe for concurrent use: a
@@ -271,13 +270,13 @@ func (m *Manager) Corrupt(h Handle, off uint64, xor byte) error {
 	if !ok {
 		return ErrUnknownHandle
 	}
+	if off >= f.size {
+		return fmt.Errorf("%w: corrupt at %d of %d-byte field", ErrOutOfRange, off, f.size)
+	}
 	// The corruption must be observable: drop any cached copy of the
 	// field's pages so the next read goes to the (now rotten) device.
 	if m.cache != nil {
 		m.cache.invalidateField(h)
-	}
-	if off >= f.size {
-		return fmt.Errorf("%w: corrupt at %d of %d-byte field", ErrOutOfRange, off, f.size)
 	}
 	b := make([]byte, 1)
 	m.devRead(f.off+off, b)
@@ -301,12 +300,15 @@ func pageChecksums(data []byte, pageSize uint64) []uint32 {
 	return sums
 }
 
+// usedPages returns the pages a field of size bytes holds: the pages
+// its bytes span, and at least one, so every field has its own offset.
+func (m *Manager) usedPages(size uint64) uint64 {
+	return max(1, (size+m.pageSize-1)/m.pageSize)
+}
+
 // orderFor returns the smallest buddy order whose block holds size bytes.
 func (m *Manager) orderFor(size uint64) int {
-	if size == 0 {
-		size = 1
-	}
-	pages := (size + m.pageSize - 1) / m.pageSize
+	pages := m.usedPages(size)
 	if pages&(pages-1) == 0 {
 		return bits.TrailingZeros64(pages)
 	}
@@ -362,8 +364,13 @@ func (m *Manager) freeBlock(off uint64, order int) {
 }
 
 // Allocate stores data as a new long field and returns its handle.
-// The write is counted page-granularly. A field is written once: a
-// failed write returns its block to the free lists and records nothing.
+// The write is counted page-granularly. The field gets the smallest
+// buddy block that holds it, and once written it keeps only the pages it
+// holds: the last segment is trimmed, as Starburst's LFM trims it, by
+// returning the block's unused tail to the free lists as aligned
+// power-of-two blocks, taken greedily from the first unused page. A
+// field is written once, so it never grows into that tail. A failed
+// write returns the whole block to the free lists and records nothing.
 func (m *Manager) Allocate(data []byte) (Handle, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -380,9 +387,16 @@ func (m *Manager) Allocate(data []byte) (Handle, error) {
 		m.freeBlock(off, order)
 		return 0, err
 	}
+	// The block is aligned to its size, so the largest block aligned at
+	// any page p inside it, of p's lowest set bit in pages, ends within it.
+	for p, end := m.usedPages(size), uint64(1)<<order; p < end; {
+		k := bits.TrailingZeros64(p)
+		m.freeBlock(off+p*m.pageSize, k)
+		p += 1 << k
+	}
 	h := m.nextID
 	m.nextID++
-	m.fields[h] = field{off: off, size: size, order: order}
+	m.fields[h] = field{off: off, size: size}
 	if m.verify {
 		m.sums[h] = pageChecksums(data, m.pageSize)
 	}
@@ -550,20 +564,20 @@ func (m *Manager) FreePages() uint64 {
 	return pages
 }
 
-// CheckInvariants validates the allocator state: no overlapping
-// allocations or free blocks, all blocks aligned to their size, and
-// allocated + free pages equal to the device size. Intended for tests.
+// CheckInvariants validates the allocator state: no overlapping fields
+// or free blocks, every field page-aligned, every free block aligned to
+// its size, and the pages fields hold plus the free pages equal to the
+// device size. Intended for tests.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	type span struct{ off, size uint64 }
 	var spans []span
 	for _, f := range m.fields {
-		size := m.pageSize << f.order
-		if f.off%size != 0 {
-			return fmt.Errorf("lfm: field block at %d misaligned for order %d", f.off, f.order)
+		if f.off%m.pageSize != 0 {
+			return fmt.Errorf("lfm: field at %d not page-aligned", f.off)
 		}
-		spans = append(spans, span{f.off, size})
+		spans = append(spans, span{f.off, m.usedPages(f.size) * m.pageSize})
 	}
 	for k, list := range m.freeLists {
 		size := m.pageSize << k

@@ -3,7 +3,10 @@ package lfm
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,16 +33,25 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// release hands field h's block back to the buddy allocator through
-// freeBlock, the path a failed Allocate takes, and forgets the field: the
-// store has no Free, so the allocator tests reach the merge this way.
+// release hands the pages field h holds back to the buddy allocator
+// through freeBlock, the path a failed Allocate and the trim take, and
+// forgets the field: the store has no Free, so the allocator tests
+// reach the merge this way. The field starts on a block aligned to the
+// power of two its pages round up to, so its pages split, highest bit
+// of their count first, into blocks aligned to their own size.
 func release(m *Manager, h Handle) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.fields[h]
 	delete(m.fields, h)
 	delete(m.sums, h)
-	m.freeBlock(f.off, f.order)
+	off := f.off
+	for n := m.usedPages(f.size); n > 0; {
+		k := bits.Len64(n) - 1
+		m.freeBlock(off, k)
+		off += m.pageSize << k
+		n -= 1 << k
+	}
 }
 
 func TestAllocateReadFree(t *testing.T) {
@@ -339,8 +351,94 @@ func TestPageCorruptDetectedByChecksum(t *testing.T) {
 	}
 }
 
+// freeRuns lists the free blocks as "page+pages" strings, lowest first.
+func freeRuns(m *Manager) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var offs []uint64
+	orders := map[uint64]int{}
+	for k, list := range m.freeLists {
+		for _, off := range list {
+			offs = append(offs, off)
+			orders[off] = k
+		}
+	}
+	slices.Sort(offs)
+	var runs []string
+	for _, off := range offs {
+		runs = append(runs, fmt.Sprintf("%d+%d", off/m.pageSize, 1<<orders[off]))
+	}
+	return runs
+}
+
+// TestAllocateTrimsTail: a field keeps only the pages it holds. A
+// 3-page field on a fresh 8-page device takes pages 0-2 of a 4-page
+// block and hands page 3 back at order 0, beside pages 4-7 at order 2;
+// the next 1-page field lands in that freed tail. A failed write frees
+// its whole block, tail included, and a 0-byte field still holds a page.
+func TestAllocateTrimsTail(t *testing.T) {
+	m, err := New(8*4096, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h3, err := m.Allocate(pattern(3*4096-100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := freeRuns(m), []string{"3+1", "4+4"}; !slices.Equal(got, want) {
+		t.Errorf("free blocks after a 3-page field: %v, want %v", got, want)
+	}
+	if w := m.Stats().PageWrites; w != 3 {
+		t.Errorf("3-page field wrote %d pages", w)
+	}
+	h1, err := m.Allocate(pattern(4096, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off := m.fields[h1].off; off != 3*4096 {
+		t.Errorf("1-page field at page %d, want 3 (the freed tail)", off/4096)
+	}
+	if m.FreePages() != 4 {
+		t.Errorf("%d pages free, want 4", m.FreePages())
+	}
+
+	m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{
+		{Op: 1, Kind: faultsim.WriteErr},
+	}}))
+	if _, err := m.Allocate(pattern(3*4096, 5)); !errors.Is(err, ErrWriteFault) {
+		t.Fatalf("write fault not surfaced: %v", err)
+	}
+	m.SetFaults(nil)
+	if m.FreePages() != 4 {
+		t.Errorf("failed write left %d pages free, want 4", m.FreePages())
+	}
+	if got, want := freeRuns(m), []string{"4+4"}; !slices.Equal(got, want) {
+		t.Errorf("free blocks after a failed write: %v, want %v", got, want)
+	}
+
+	h0, err := m.Allocate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.FreePages() != 3 {
+		t.Errorf("0-byte field left %d pages free, want 3", m.FreePages())
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []Handle{h3, h1, h0} {
+		release(m, h)
+	}
+	if got, want := freeRuns(m), []string{"0+8"}; !slices.Equal(got, want) {
+		t.Errorf("free blocks after releasing every field: %v, want %v", got, want)
+	}
+}
+
 // TestAllocatorInvariantsQuick hammers the allocator with random
-// allocate/free sequences and checks invariants and contents.
+// allocate/free sequences, sized up to 12 pages so trimmed tails of
+// orders 0 to 2 occur, and checks invariants and contents. After every
+// step the free pages and the pages each live field holds — those its
+// bytes span, at least one — add up to the device.
 func TestAllocatorInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -352,7 +450,7 @@ func TestAllocatorInvariantsQuick(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(2) {
 			case 0: // allocate
-				n := rng.Intn(5 * 4096)
+				n := rng.Intn(12 * 4096)
 				data := make([]byte, n)
 				rng.Read(data)
 				h, err := m.Allocate(data)
@@ -370,6 +468,14 @@ func TestAllocatorInvariantsQuick(t *testing.T) {
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Log(err)
+				return false
+			}
+			held := uint64(0)
+			for _, data := range live {
+				held += max(1, (uint64(len(data))+4095)/4096)
+			}
+			if m.FreePages()+held != 64 {
+				t.Logf("op %d: %d pages free and %d held by fields, of 64", op, m.FreePages(), held)
 				return false
 			}
 		}

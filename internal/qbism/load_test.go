@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -127,6 +128,65 @@ func TestLoadGoldenDigest(t *testing.T) {
 	sum := sha256.Sum256([]byte(strings.Join(loadManifest(t, Config{Bits: 5}, runtime.GOMAXPROCS(0), false), "\n")))
 	if got := fmt.Sprintf("%x", sum); got != want {
 		t.Errorf("Bits 5 store digest %s, pinned %s", got, want)
+	}
+}
+
+// TestLoadPageCensus pins the device pages a Bits 6 store holds, by
+// the kind of row that owns them. Each long field holds the pages its
+// bytes span, at least one; its buddy block's unused tail went back to
+// the free lists when it was written. TestLoadGoldenDigest cannot see
+// that trim: at Bits 5 every field is a power-of-two page count or under
+// a page. Here some h-naive band rows are not: their whole blocks were
+// 262 pages, and the store's 855.
+func TestLoadPageCensus(t *testing.T) {
+	s, err := New(Config{Bits: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ps := s.LFM.PageSize()
+	held := func(query string) uint64 {
+		t.Helper()
+		rows, err := s.DB.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var pages uint64
+		for rows.Next() {
+			for _, v := range rows.Row() {
+				if v.IsNull() {
+					continue
+				}
+				size, err := s.LFM.Size(v.L)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pages += max(1, (size+ps-1)/ps)
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return pages
+	}
+	got := []uint64{
+		held("select data from warpedVolume") + held("select data from rawVolume"),
+		held("select region from intensityBand where encoding = '" + medserver.EncHilbertNaive + "'"),
+		held("select region from intensityBand where encoding = '" + medserver.EncK3Tree + "'"),
+		held("select region, surface from atlasStructure"),
+	}
+	want := []uint64{512, 212, 70, 11}
+	if !slices.Equal(got, want) {
+		t.Errorf("pages held by VOLUME / h-naive / k3-tree / structure rows: %v, want %v", got, want)
+	}
+	var sum uint64
+	for _, n := range got {
+		sum += n
+	}
+	inUse := s.LFM.Capacity()/ps - s.LFM.FreePages()
+	if sum != inUse || inUse != 805 {
+		t.Errorf("rows hold %d pages, the device has %d in use; want 805 and 805", sum, inUse)
 	}
 }
 
