@@ -105,10 +105,13 @@ race:
 # against the injector that fired it), and the per-call bill tests (every
 # exchange and every cluster read bills what it put on a link, failed
 # attempts and hedges included, and the bills sum to the meters under
-# eight workers). All seeds are fixed in the tests themselves, so this
-# run is deterministic — a failure always replays.
+# eight workers), and the LFM's own fault and bill tests (device read
+# faults, page corruption, and reads — contiguous and gathered — racing
+# over a small page cache, the manager lock held per page transfer).
+# All seeds are fixed in the tests themselves, so this run is
+# deterministic — a failure always replays.
 chaos:
-	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/daemon
+	$(GO) test -race -run 'Chaos|Cluster|Degraded|Retry|Breaker|Partial|Partition|Fault|Bill' ./internal/qbism ./internal/cluster ./internal/transport ./internal/daemon ./internal/lfm
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder (DecodeInto held to Decode's
@@ -184,7 +187,9 @@ cover:
 # the server and decoded by the client, naive runs against the wire's
 # Elias γ, in ns per run and allocs — and BenchmarkRead, the LFM's one
 # page loop on a 2 MiB field: whole (unbuffered, checksummed, cached),
-# a 16-page range and a 512-byte piece inside a page (DESIGN.md §35) —
+# a 16-page range and a 512-byte piece inside a page (DESIGN.md §35),
+# and the gathering reads of the Q2 box's and a short-run band's runs,
+# unbuffered and cached, at 0 allocs/op (DESIGN.md §45) —
 # and the load's two per-study kernels at paper scale:
 # BenchmarkFromScanline, one 128^3 volume reordered onto the Hilbert
 # curve by the tree walk, and BenchmarkResample, one PET study warped to

@@ -9,14 +9,18 @@
 // every read or write touches whole 4 KB pages and increments counters,
 // which is exactly the "LFM Disk I/Os (4KB Pages)" metric of the paper's
 // Tables 3 and 4. A read transfers its pages one at a time, in order,
-// and PageReads counts the transfers it made: all of its pages when it
-// succeeds; when a read fault stops it, the pages before that one; when
-// a checksum mismatch does, the pages through the one that failed. By
-// default there is no buffering, so repeated reads
-// of the same page count every time, matching the paper's measurement
-// protocol. An optional fixed-capacity CLOCK page cache (EnableCache)
-// absorbs repeated reads of hot pages; with it on, PageReads counts only
-// device transfers (misses) and the hit/miss split is reported in Stats.
+// the manager lock held for one page transfer at a time, and PageReads
+// counts the transfers it made: all of its pages when it succeeds; when
+// a read fault stops it, the pages before that one; when a checksum
+// mismatch does, the pages through the one that failed. A read either
+// fills one contiguous piece of a field or gathers the bytes of a sorted
+// run list out of the pages those runs span (IO.ReadRunsInto), in the
+// same page loop: a contiguous piece is one run. By default there is no
+// buffering, so repeated reads of the same page count every time,
+// matching the paper's measurement protocol. An optional fixed-capacity
+// CLOCK page cache (EnableCache) absorbs repeated reads of hot pages;
+// with it on, PageReads counts only device transfers (misses) and the
+// hit/miss split is reported in Stats.
 package lfm
 
 import (
@@ -27,6 +31,7 @@ import (
 	"sync"
 
 	"qbism/internal/faultsim"
+	"qbism/internal/region"
 )
 
 // DefaultPageSize is the paper's 4 KB I/O unit.
@@ -116,11 +121,14 @@ type field struct {
 }
 
 // Manager is the long field manager. It is safe for concurrent use: a
-// mutex serializes every operation, so parallel query workers can read
-// long fields (and draw from the shared fault injector) without races.
-// Starburst's LFM serialized per transaction; ours serializes per I/O
-// operation, which is what a simulated single-spindle device would do
-// anyway.
+// mutex serializes every allocation, every change to the device and
+// every page transfer, so parallel query workers can read long fields
+// (and draw from the shared fault injector) without races. Starburst's
+// LFM serialized per transaction; ours serializes per page transfer —
+// what a simulated single-spindle device does — so a long read holds the
+// lock for one page at a time, and the bytes a read gathers out of a
+// page it does not take whole are copied after the lock is released,
+// from a page buffer its IO owns.
 type Manager struct {
 	mu        sync.Mutex
 	pageSize  uint64
@@ -145,9 +153,6 @@ type Manager struct {
 	// cache, when non-nil, is the CLOCK page cache; reads consult it
 	// page by page and only misses touch the device. guarded by mu
 	cache *pageCache
-	// scratch is the page an uncached read transfers into when dst takes
-	// only part of it; nil until such a read. guarded by mu
-	scratch []byte
 }
 
 // New creates a manager over a simulated device of the given capacity in
@@ -408,138 +413,158 @@ func (m *Manager) Allocate(data []byte) (Handle, error) {
 
 // Size returns the logical length of a field.
 func (m *Manager) Size(h Handle) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
-		return 0, ErrUnknownHandle
-	}
-	return f.size, nil
+	f, err := m.field(h)
+	return f.size, err
 }
 
 // Read returns the whole field.
-func (m *Manager) Read(h Handle) ([]byte, error) { return m.read(nil, h, true, 0, 0, nil) }
+func (m *Manager) Read(h Handle) ([]byte, error) { return (&IO{M: m}).Read(h) }
 
 // ReadAt returns n bytes starting at logical offset off within the field
 // — the LFM's "fast random I/O to arbitrary pieces of long fields". Each
 // call is a separate I/O operation: reading k disjoint pieces costs the
 // pages each piece spans, which is how run-clustered layouts save I/O.
 func (m *Manager) ReadAt(h Handle, off, n uint64) ([]byte, error) {
-	return m.read(nil, h, false, off, n, nil)
+	return (&IO{M: m}).read(h, false, off, n, nil)
 }
 
-// read is every read's one entry: it reads the whole field, or n bytes
-// at logical offset off of it, on behalf of io (nil: of no call), into
-// buf's backing array when it has room for them and into a new slice
-// otherwise, and returns them. What the read
-// cost — counted by readRange whether or not the read succeeded — goes
-// to the device meter and, under the same lock, to io's bill.
-func (m *Manager) read(io *IO, h Handle, whole bool, off, n uint64, buf []byte) ([]byte, error) {
+// field returns h's field. A field, once allocated, never changes, so a
+// read looks it up once and then transfers its pages under the lock one
+// at a time.
+func (m *Manager) field(h Handle) (field, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.fields[h]
 	if !ok {
-		return nil, ErrUnknownHandle
+		return field{}, ErrUnknownHandle
 	}
-	if whole {
-		n = f.size
-	}
-	if off > f.size || n > f.size-off {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
-	}
-	if buf == nil || uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	dst := buf[:n]
-	var cost Stats
-	err := m.readRange(&cost, h, f, off, dst)
-	m.stats.Add(cost)
-	if io != nil {
-		io.charge(h, cost, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return f, nil
 }
 
-// readRange fills dst with [off, off+len(dst)) of a field, one page at
-// a time, and counts in cost what the read did. A page the cache holds
-// is copied out of it: no device transfer, no fault decision (nothing
-// crossed the bus) and no checksum work (it was verified when it was
-// filled). Any other page takes one fault decision and is then
-// transferred whole — into the cache's spare frame, into dst when dst
-// takes the whole page, or into the manager's scratch page. ReadErr
-// stops the read before the transfer; PageCorrupt flips one bit of the
-// transferred page (the device itself stays intact — a transient
-// bus/DMA error). The page is checked against the field's checksum
-// table when checksums are on, and only then cached, so a page that
-// fails its read or its checksum leaves the cache, and the page it
-// would have evicted, as they were. PageReads counts the transfers the
-// read made, whether or not it then fails. Callers must hold m.mu.
-func (m *Manager) readRange(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
-	n := uint64(len(dst))
+// readPages is every read's one page loop. It reads [off, off+n) of
+// field f one page at a time, in order, and gathers into dst the bytes
+// of runs — sorted, disjoint, inside the range — packed in run order; a
+// contiguous read is one run. A page lying inside one run is transferred
+// straight into dst; any other lands in *page, a page buffer the caller
+// owns (made on first need), and the bytes its runs want are copied out
+// of it once the lock is released. Each page is transferred under the
+// lock (readPage) and counted in cost; the read's Reads and BytesRead
+// are counted with its last page, and under that last hold — or that of
+// the page that failed, which stops the read — cost goes to the device
+// meter, so the meter is the sum of the bills of the reads that have
+// ended. PageReads counts the transfers made, whether or not the read
+// then fails.
+func (m *Manager) readPages(cost *Stats, page *[]byte, h Handle, f field, off, n uint64, runs []region.Run, dst []byte) error {
 	if n == 0 {
+		m.mu.Lock()
+		m.stats.Reads++
+		m.mu.Unlock()
 		cost.Reads++
 		return nil
 	}
-	end := off + n
-	sums := m.sums[h]
-	for j := off / m.pageSize; j <= (end-1)/m.pageSize; j++ {
-		lo, hi := j*m.pageSize, min((j+1)*m.pageSize, f.size)
-		key := pageKey{h: h, page: j}
-		var page []byte
-		if m.cache != nil {
-			if page = m.cache.get(key); page != nil {
-				cost.CacheHits++
-			} else {
-				cost.CacheMisses++
+	ps := m.pageSize
+	var at uint64 // where runs[0]'s first byte goes in dst
+	for j, last := off/ps, (off+n-1)/ps; j <= last; j++ {
+		lo, hi := j*ps, min((j+1)*ps, f.size)
+		want := len(runs) > 0 && runs[0].Lo < hi
+		direct := want && runs[0].Lo <= lo && hi-1 <= runs[0].Hi
+		var out []byte
+		if direct {
+			out = dst[at+lo-runs[0].Lo : at+hi-runs[0].Lo]
+		} else {
+			if *page == nil {
+				*page = make([]byte, ps)
 			}
+			out = (*page)[:hi-lo]
 		}
-		inDst := false
-		if page == nil {
-			var pos int
-			var mask byte // 0: no corruption drawn
-			switch m.faults.ReadFault() {
-			case faultsim.ReadErr:
-				cost.FaultsInjected++
-				return fmt.Errorf("lfm: page %d: %w", (f.off+lo)/m.pageSize, ErrReadFault)
-			case faultsim.PageCorrupt:
-				cost.FaultsInjected++
-				pos, mask = m.faults.Intn(int(m.pageSize)), 1<<m.faults.Intn(8)
-			}
-			switch {
-			case m.cache != nil:
-				page = m.cache.spareFrame(m.pageSize)[:hi-lo]
-			case off <= lo && hi <= end:
-				page, inDst = dst[lo-off:hi-off], true
-			default:
-				if m.scratch == nil {
-					m.scratch = make([]byte, m.pageSize)
-				}
-				page = m.scratch[:hi-lo]
-			}
-			m.devRead(f.off+lo, page)
-			cost.PageReads++
-			if mask != 0 && pos < len(page) {
-				page[pos] ^= mask
-			}
-			if m.verify && (int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j]) {
-				cost.ChecksumFailures++
-				cost.Reads++
-				return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
-			}
-			if m.cache != nil && m.cache.put(key, page) {
-				cost.CacheEvictions++
-			}
+		m.mu.Lock()
+		err := m.readPage(cost, h, f, j, out, want)
+		if err == nil && j == last {
+			cost.Reads++
+			cost.BytesRead += n
 		}
-		if !inDst {
-			from, to := max(lo, off), min(hi, end)
-			copy(dst[from-off:to-off], page[from-lo:to-lo])
+		if err != nil || j == last {
+			m.stats.Add(*cost)
+		}
+		m.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		for len(runs) > 0 && runs[0].Lo < hi {
+			r := runs[0]
+			if !direct {
+				a, b := max(r.Lo, lo), min(r.Hi+1, hi)
+				copy(dst[at+a-r.Lo:at+b-r.Lo], out[a-lo:b-lo])
+			}
+			if r.Hi >= hi {
+				break // the run goes on into the next page
+			}
+			at += r.Len()
+			runs = runs[1:]
 		}
 	}
-	cost.Reads++
-	cost.BytesRead += n
+	return nil
+}
+
+// readPage transfers logical page j of field f, whose len(out) bytes it
+// leaves in out when want is set, and counts in cost what it did. A
+// page the cache holds is copied out of it: no device transfer, no fault
+// decision (nothing crossed the bus) and no checksum work (it was
+// verified when it was filled). Any other page takes one fault decision
+// and is then transferred whole — into the cache's spare frame, and
+// copied out of it, or straight into out. ReadErr stops the read before
+// the transfer; PageCorrupt flips one bit of the transferred page (the
+// device itself stays intact — a transient bus/DMA error). The page is
+// checked against the field's checksum table when checksums are on, and
+// only then cached, so a page that fails its read or its checksum leaves
+// the cache, and the page it would have evicted, as they were. Callers
+// must hold m.mu.
+func (m *Manager) readPage(cost *Stats, h Handle, f field, j uint64, out []byte, want bool) error {
+	key := pageKey{h: h, page: j}
+	if m.cache != nil {
+		if page := m.cache.get(key); page != nil {
+			cost.CacheHits++
+			if want {
+				copy(out, page)
+			}
+			return nil
+		}
+		cost.CacheMisses++
+	}
+	var pos int
+	var mask byte // 0: no corruption drawn
+	switch m.faults.ReadFault() {
+	case faultsim.ReadErr:
+		cost.FaultsInjected++
+		return fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
+	case faultsim.PageCorrupt:
+		cost.FaultsInjected++
+		pos, mask = m.faults.Intn(int(m.pageSize)), 1<<m.faults.Intn(8)
+	}
+	page := out
+	if m.cache != nil {
+		page = m.cache.spareFrame(m.pageSize)[:len(out)]
+	}
+	m.devRead(f.off+j*m.pageSize, page)
+	cost.PageReads++
+	if mask != 0 && pos < len(page) {
+		page[pos] ^= mask
+	}
+	if m.verify {
+		if sums := m.sums[h]; int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
+			cost.ChecksumFailures++
+			cost.Reads++
+			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+		}
+	}
+	if m.cache != nil {
+		if m.cache.put(key, page) {
+			cost.CacheEvictions++
+		}
+		if want {
+			copy(out, page)
+		}
+	}
 	return nil
 }
 

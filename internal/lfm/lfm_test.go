@@ -11,6 +11,8 @@ import (
 	"testing/quick"
 
 	"qbism/internal/faultsim"
+	"qbism/internal/region"
+	"qbism/internal/sfc"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -505,30 +507,55 @@ func TestNumFields(t *testing.T) {
 	}
 }
 
-// BenchmarkRead times the LFM's one page loop on a 2 MiB field through
-// IO.ReadAtInto, the read the server makes: the whole field unbuffered,
-// checksummed and from a warm cache, a 16-page range, and a 512-byte
-// piece inside one page.
+// BenchmarkRead times the LFM's one page loop on a 2 MiB field — the
+// VOLUME of a paper-scale study, 128^3 voxels in Hilbert order. Through
+// IO.ReadAtInto: the whole field unbuffered, checksummed and from a warm
+// cache, a 16-page range, and a 512-byte piece inside one page. Through
+// IO.ReadRunsInto, the read EXTRACT_DATA makes: the runs of the paper's
+// Q2 box (30–100 on every axis, long runs) and of an intensity band of
+// the field's bytes (128–159, runs of 32 bytes every 251), unbuffered and
+// from a warm cache, grouped into reads as the server groups them — runs
+// whose pages touch or abut share one read. Every case allocates
+// nothing (0 allocs/op).
 func BenchmarkRead(b *testing.B) {
 	const size = 2 << 20
+	data := pattern(size, 0x07)
+	box, err := region.FromBox(sfc.MustNew(sfc.Hilbert, 3, 7), region.Box{Min: sfc.Pt(30, 30, 30), Max: sfc.Pt(100, 100, 100)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var band []region.Run
+	for i, v := range data {
+		switch in := v >= 128 && v <= 159; {
+		case in && len(band) > 0 && band[len(band)-1].Hi == uint64(i)-1:
+			band[len(band)-1].Hi++
+		case in:
+			band = append(band, region.Run{Lo: uint64(i), Hi: uint64(i)})
+		}
+	}
 	for _, bc := range []struct {
 		name       string
 		checksums  bool
 		cachePages int
 		off, n     uint64
+		runs       []region.Run // nil: ReadAtInto of [off, off+n)
 	}{
-		{"whole", false, 0, 0, size},
-		{"whole-verified", true, 0, 0, size},
-		{"whole-cached", false, size / 4096, 0, size},
-		{"range-16-pages", false, 0, 64 * 4096, 16 * 4096},
-		{"sub-page-512B", false, 0, 64*4096 + 1000, 512},
+		{"whole", false, 0, 0, size, nil},
+		{"whole-verified", true, 0, 0, size, nil},
+		{"whole-cached", false, size / 4096, 0, size, nil},
+		{"range-16-pages", false, 0, 64 * 4096, 16 * 4096, nil},
+		{"sub-page-512B", false, 0, 64*4096 + 1000, 512, nil},
+		{"gather-q2-box", false, 0, 0, 0, box.RunsView()},
+		{"gather-q2-box-cached", false, size / 4096, 0, 0, box.RunsView()},
+		{"gather-band", false, 0, 0, 0, band},
+		{"gather-band-cached", false, size / 4096, 0, 0, band},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m, err := New(1<<24, 4096)
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := m.Allocate(pattern(size, 0x07))
+			h, err := m.Allocate(data)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -537,18 +564,61 @@ func BenchmarkRead(b *testing.B) {
 			}
 			m.EnableCache(bc.cachePages)
 			io := IO{M: m}
+			read := func(dst []byte) error { return io.ReadAtInto(h, bc.off, dst) }
+			if bc.runs != nil {
+				groups := readGroups(bc.runs)
+				bc.n = 0
+				for _, r := range bc.runs {
+					bc.n += r.Len()
+				}
+				read = func(dst []byte) error {
+					for _, g := range groups {
+						if err := io.ReadRunsInto(h, g.runs, dst[:g.n]); err != nil {
+							return err
+						}
+						dst = dst[g.n:]
+					}
+					return nil
+				}
+			}
 			dst := make([]byte, bc.n)
 			// One read first fills the cache, as a running server's is.
-			if err := io.ReadAtInto(h, bc.off, dst); err != nil {
+			if err := read(dst); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(bc.n))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := io.ReadAtInto(h, bc.off, dst); err != nil {
+				if err := read(dst); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// readGroup is one gathering read of a run list: its runs and their
+// length in bytes.
+type readGroup struct {
+	runs []region.Run
+	n    uint64
+}
+
+// readGroups splits runs into the reads extraction makes at the seed
+// plan's gap: a run whose first page is at most one past the last page
+// of the read before it joins that read.
+func readGroups(runs []region.Run) []readGroup {
+	var groups []readGroup
+	for i := 0; i < len(runs); {
+		last, n := runs[i].Hi/4096, runs[i].Len()
+		j := i + 1
+		for ; j < len(runs) && runs[j].Lo/4096 <= last+1; j++ {
+			last = runs[j].Hi / 4096
+			n += runs[j].Len()
+		}
+		groups = append(groups, readGroup{runs[i:j], n})
+		i = j
+	}
+	return groups
 }

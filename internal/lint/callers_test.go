@@ -17,6 +17,7 @@ var keptUncalled = map[string]string{
 	"atlas.UnmarshalMesh":           "oracle: TestMeshMarshalRoundTrip holds the mesh bytes the load stores to it",
 	"feature.NearestLinear":         "oracle: the linear scan the VP-tree tests compare against",
 	"lfm.Manager.CheckInvariants":   "oracle: the buddy allocator's invariants, checked by the lfm tests",
+	"lfm.IO.ReadAtInto":             "oracle: the contiguous read TestReadRunsMatchesReadAt holds the gathering read to",
 	"region.FromPredicate":          "oracle: the full-grid scan region, volume and setops tests compare against",
 	"sdb.sortRows":                  "oracle: the differential oracle executor (oracle_test.go) sorts with it",
 	"spindex.RTree.CheckInvariants": "oracle: the R-tree's structural invariants, checked by its tests",

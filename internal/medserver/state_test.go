@@ -11,8 +11,8 @@ import (
 
 // TestCallStateReset: when its tree goes idle a spatial call site keeps
 // the capacity of the buffers up to sdb.MaxIdleBytes — a field, a run
-// list, the range buffer — and releases larger ones, and it drops every
-// reference: no probe into a field, no parsed result.
+// list — and releases larger ones, and it drops every reference: no
+// probe into a field, no parsed result.
 func TestCallStateReset(t *testing.T) {
 	c := sfc.MustNew(sfc.Hilbert, 3, 4)
 	r, err := region.FromRuns(c, []region.Run{{Lo: 3, Hi: 9}, {Lo: 100, Hi: 300}})
@@ -38,12 +38,11 @@ func TestCallStateReset(t *testing.T) {
 	if _, err := big.refill(c, make([]region.Run, 2, sdb.MaxIdleBytes/16+1)); err != nil {
 		t.Fatal(err)
 	}
-	st.rng = make([]byte, 10, 1<<10)
 	st.obj = parsedRegion{q: &small.reg}
 
 	st.Reset()
-	if cap(small.field) != 1<<10 || cap(small.reg.RunsView()) != 16 || cap(st.rng) != 1<<10 {
-		t.Errorf("small buffers not kept: field %d, runs %d, range %d", cap(small.field), cap(small.reg.RunsView()), cap(st.rng))
+	if cap(small.field) != 1<<10 || cap(small.reg.RunsView()) != 16 {
+		t.Errorf("small buffers not kept: field %d, runs %d", cap(small.field), cap(small.reg.RunsView()))
 	}
 	if big.field != nil || big.reg.RunsView() != nil {
 		t.Errorf("buffers over sdb.MaxIdleBytes kept: field %d, runs %d", cap(big.field), cap(big.reg.RunsView()))

@@ -3,6 +3,8 @@ package medserver
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"qbism/internal/lfm"
 	"qbism/internal/region"
@@ -85,9 +87,10 @@ type ExtractOpts struct {
 	// reading through rather than issuing a separate read: ranges
 	// separated by at most GapPages unneeded pages are coalesced into one
 	// contiguous fetch. Zero reproduces the seed plan (merge only
-	// adjacent/overlapping ranges). The break-even value for a given
-	// device is costmodel.CoalesceGapPages — the mingap analysis of
-	// region/approx.go applied to device seeks instead of run encoding.
+	// adjacent/overlapping ranges), and math.MaxUint64 reads every run in
+	// one fetch. The break-even value for a given device is
+	// costmodel.CoalesceGapPages — the mingap analysis of region/approx.go
+	// applied to device seeks instead of run encoding.
 	GapPages uint64
 }
 
@@ -100,7 +103,7 @@ type ExtractOpts struct {
 // I/Os" counts for spatial queries. The result is byte-identical for
 // every opts value; only the number and size of device reads change
 // (coalescing only ever widens a fetched range, and runs are always
-// assembled from the range that covers them). It is exported for the
+// gathered from the range that covers them). It is exported for the
 // benchmark harness and for callers composing their own storage layers.
 func ExtractStoredOpts(m *lfm.Manager, h lfm.Handle, r *region.Region, opts ExtractOpts) (*volume.DataRegion, error) {
 	return extractStored(&lfm.IO{M: m}, h, r, opts)
@@ -112,37 +115,36 @@ func extractStored(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts)
 	if r.NumRuns() > 0 {
 		values = make([]byte, r.NumVoxels())
 	}
-	if err := extractInto(io, h, r, opts, values, nil); err != nil {
+	if err := extractInto(io, h, r, opts, values); err != nil {
 		return nil, err
 	}
 	return &volume.DataRegion{Region: r, Values: values}, nil
 }
 
 // extractStoredBlob is extractStored and MarshalDataRegion in one
-// step, which is how the server answers: the voxels go from the LFM's
-// pages into the DATA_REGION blob's value section and are not copied
-// again. rng is extractInto's range buffer.
-func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method, rng *[]byte) ([]byte, error) {
+// step, which is how the server answers: the voxels are gathered from
+// the LFM's pages into the DATA_REGION blob's value section and are not
+// copied again.
+func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
 	blob, values, err := newDataRegionBlob(r, method)
 	if err != nil {
 		return nil, err
 	}
-	if err := extractInto(io, h, r, opts, values, rng); err != nil {
+	if err := extractInto(io, h, r, opts, values); err != nil {
 		return nil, err
 	}
 	return blob, nil
 }
 
 // extractInto fills values, r.NumVoxels() bytes, with the voxels of r
-// read from the stored VOLUME h on io's bill. The runs of r are mapped to
-// page-aligned ranges, merging through gaps of up to opts.GapPages pages
-// (one wide transfer beats an extra seek), and every range is one LFM
-// read of whole pages, clamped to the field size. A range that one run
-// covers exactly is read straight into values; any other goes through
-// one buffer, reused from range to range, that its runs are copied out
-// of: *rng, grown in place, when the caller keeps one between calls, a
-// buffer of this call's otherwise (rng nil).
-func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte, rng *[]byte) error {
+// read from the stored VOLUME h on io's bill. The runs of r are grouped
+// into page ranges, a run joining the range before it when it starts at
+// most opts.GapPages unneeded pages past that range's last page (one wide
+// transfer beats an extra seek; the test saturates, so no gap wraps
+// round). Each group is one gathering LFM read (lfm.IO.ReadRunsInto) of
+// the whole pages it spans, clamped to the field size, whose runs land
+// straight in their place in values.
+func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, values []byte) error {
 	size, err := io.M.Size(h)
 	if err != nil {
 		return err
@@ -151,36 +153,29 @@ func extractInto(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, v
 		return fmt.Errorf("qbism: volume field has %d bytes, curve expects %d", size, r.Curve().Length())
 	}
 	runs := r.RunsView()
-	pageSize := io.M.PageSize()
-	var own []byte
-	if rng == nil {
-		rng = &own
+	// A run's page is its offset shifted by the page size's log: pages
+	// are a power of two, and a division per run is a measurable share
+	// of a short-run extraction.
+	shift := bits.TrailingZeros64(io.M.PageSize())
+	// reach is how many pages past a range's last page the next run may
+	// start and still join it.
+	reach := opts.GapPages + 1
+	if reach == 0 {
+		reach = math.MaxUint64
 	}
 	for i := 0; i < len(runs); {
-		first, last := runs[i].Lo/pageSize, runs[i].Hi/pageSize // page numbers, inclusive
+		last := runs[i].Hi >> shift
+		n := runs[i].Len()
 		j := i + 1
-		for ; j < len(runs) && runs[j].Lo/pageSize <= last+1+opts.GapPages; j++ {
-			last = max(last, runs[j].Hi/pageSize)
+		// Runs are sorted and disjoint, so runs[j] starts on or past last.
+		for ; j < len(runs) && runs[j].Lo>>shift-last <= reach; j++ {
+			last = runs[j].Hi >> shift
+			n += runs[j].Len()
 		}
-		off := first * pageSize
-		n := min((last-first+1)*pageSize, size-off)
-		if j == i+1 && runs[i].Lo == off && runs[i].Hi-off+1 == n {
-			if err := io.ReadAtInto(h, off, values[:n]); err != nil {
-				return err
-			}
-			values = values[n:]
-		} else {
-			if uint64(cap(*rng)) < n {
-				*rng = make([]byte, n)
-			}
-			buf := (*rng)[:n]
-			if err := io.ReadAtInto(h, off, buf); err != nil {
-				return err
-			}
-			for _, run := range runs[i:j] {
-				values = values[copy(values, buf[run.Lo-off:run.Hi-off+1]):]
-			}
+		if err := io.ReadRunsInto(h, runs[i:j], values[:n]); err != nil {
+			return err
 		}
+		values = values[n:]
 		i = j
 	}
 	return nil

@@ -132,7 +132,7 @@ func (s *Server) registerSpatialUDFs() error {
 						return sdb.Value{}, err
 					}
 				}
-				blob, err := extractStoredBlob(call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method, st.rangeBuf())
+				blob, err := extractStoredBlob(call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -149,8 +149,8 @@ func (s *Server) registerSpatialUDFs() error {
 				}
 				// The whole grid is one run, so this is extractVoxels' read
 				// plan with a single range: one read of the whole field,
-				// straight into the blob, with no range buffer.
-				blob, err := extractStoredBlob(call.IO(), args[0].L, s.full, s.extractOpts(), s.Cfg.Method, nil)
+				// every page straight into the blob.
+				blob, err := extractStoredBlob(call.IO(), args[0].L, s.full, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -449,17 +449,17 @@ func (s *Server) regionRuns(io *lfm.IO, call *sdb.Call, slot *regionSlot, v sdb.
 
 // callState is a spatial function's working memory at one call site
 // (sdb.UDF.State): the REGIONs of its arguments read, parsed and
-// decoded into slots it keeps, the REGION it returns, and extraction's
-// range buffer. Every call refills what it uses. A call's result points
-// into it only as the parsedRegion Object, as sdb's contract allows;
-// the DATA_REGION blob extractVoxels returns is new, being the reply.
-// Its methods take a nil *callState — no execution, so no state — and
-// then hand out nothing, so that the callee allocates.
+// decoded into slots it keeps, and the REGION it returns. Every call
+// refills what it uses. A call's result points into it only as the
+// parsedRegion Object, as sdb's contract allows; the DATA_REGION blob
+// extractVoxels returns is new, being the reply, and extraction gathers
+// the voxels straight into it. Its methods take a nil *callState — no
+// execution, so no state — and then hand out nothing, so that the
+// callee allocates.
 type callState struct {
 	args [2]regionSlot
 	out  regionSlot // the result's run list; out's field and probe stay unused
 	obj  parsedRegion
-	rng  []byte // extractInto's range buffer
 }
 
 // regionSlot is the memory one REGION is read, parsed and materialized
@@ -496,14 +496,6 @@ func (st *callState) result() *regionSlot {
 	return &st.out
 }
 
-// rangeBuf returns the range buffer extractInto keeps between calls.
-func (st *callState) rangeBuf() *[]byte {
-	if st == nil {
-		return nil
-	}
-	return &st.rng
-}
-
 // Reset implements sdb.SiteState: the tree is going idle.
 func (st *callState) Reset() {
 	for i := range st.args {
@@ -511,9 +503,6 @@ func (st *callState) Reset() {
 	}
 	st.out.reset()
 	st.obj = parsedRegion{}
-	if oversized(st.rng) {
-		st.rng = nil
-	}
 }
 
 func (s *regionSlot) reset() {

@@ -2,6 +2,7 @@ package qbism
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -132,30 +133,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 // (seeks), and at a gap covering the whole field must collapse to a
 // single read.
 func TestExtractGapCoalescing(t *testing.T) {
-	cfg := chaosBaseConfig()
-	cfg.Bits = 5 // 32^3 = 8 pages, so page gaps exist
-	cfg.NumPET, cfg.NumMRI = 1, 0
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.DB.Exec("select wv.data from warpedVolume wv where wv.studyId = 1")
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("volume lookup: %v", err)
-	}
-	h := res.Rows[0][0].L
-
-	// Short runs on pages 0, 2, and 5 of the 8-page field: a 1-page gap
-	// and a 2-page gap between consecutive ranges.
-	var runs []region.Run
-	for _, p := range []uint64{0, 2, 5} {
-		runs = append(runs, region.Run{Lo: p * 4096, Hi: p*4096 + 16})
-	}
-	r, err := region.FromRuns(sys.Curve, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	sys, h, r := scatteredVolumeRegion(t)
 	sys.LFM.ResetStats()
 	base, err := ExtractStoredOpts(sys.LFM, h, r, ExtractOpts{})
 	if err != nil {
@@ -179,6 +157,66 @@ func TestExtractGapCoalescing(t *testing.T) {
 		if d := sys.LFM.Stats().Sub(before); d.Reads != tc.wantReads {
 			t.Errorf("gap %d: reads = %d, want %d", tc.gap, d.Reads, tc.wantReads)
 		}
+	}
+}
+
+// scatteredVolumeRegion loads a Bits 5 system, whose VOLUMEs are 32^3
+// bytes = 8 pages so page gaps exist, and returns it, its one VOLUME and
+// a region of short runs on pages 0, 2 and 5 of it: a 1-page gap and a
+// 2-page gap between consecutive ranges.
+func scatteredVolumeRegion(t *testing.T) (*System, lfm.Handle, *region.Region) {
+	t.Helper()
+	cfg := chaosBaseConfig()
+	cfg.Bits = 5
+	cfg.NumPET, cfg.NumMRI = 1, 0
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	res, err := sys.DB.Exec("select wv.data from warpedVolume wv where wv.studyId = 1")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("volume lookup: %v", err)
+	}
+	var runs []region.Run
+	for _, p := range []uint64{0, 2, 5} {
+		runs = append(runs, region.Run{Lo: p * 4096, Hi: p*4096 + 16})
+	}
+	r, err := region.FromRuns(sys.Curve, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, res.Rows[0][0].L, r
+}
+
+// TestExtractGapSaturates: ExtractOpts.GapPages — Config.ReadGapPages,
+// qbism -gappages — is compared without wrapping, however near 2^64 it
+// is. As the gap grows through the whole uint64 range the reads never
+// increase, math.MaxUint64 reads the three runs in one fetch, and every
+// gap returns the same values.
+func TestExtractGapSaturates(t *testing.T) {
+	sys, h, r := scatteredVolumeRegion(t)
+	var base []byte
+	prev := uint64(math.MaxUint64)
+	for _, gap := range []uint64{0, 1, 2, 3, 1 << 32, math.MaxUint64 / 2, math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64} {
+		before := sys.LFM.Stats()
+		got, err := ExtractStoredOpts(sys.LFM, h, r, ExtractOpts{GapPages: gap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := sys.LFM.Stats().Sub(before).Reads
+		if base == nil {
+			base = got.Values
+		} else if !bytes.Equal(got.Values, base) {
+			t.Errorf("gap %d changed the values", gap)
+		}
+		if reads > prev {
+			t.Errorf("gap %d: %d reads, more than the %d of a smaller gap", gap, reads, prev)
+		}
+		prev = reads
+	}
+	if prev != 1 {
+		t.Errorf("gap math.MaxUint64: %d reads, want 1", prev)
 	}
 }
 

@@ -98,12 +98,15 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		{"band-h-naive", naiveBand, nil, 2},
 		{"structure-and-band-h-naive", naiveMixed, nil, 2},
 		// The paper's Q2 probe, boxRegion(30, 30, 30, 100, 100, 100), on a
-		// paper-scale grid: 10 as measured — the box's Region and its
-		// runs, the spec's box, the range buffer grown five times (a
-		// buffer this size is dropped when the tree goes idle), the
-		// response frame and the blob. It was 30 while FromBox built a
-		// voxel id array by append, sorted a copy and grew the runs.
-		{"q2-box", q2Box, paper, 10},
+		// paper-scale grid: 5 as measured — the box's Region and its
+		// runs, the spec's box, the response frame and the blob, the
+		// voxels gathered from the LFM's pages straight into the blob. It
+		// was 10 while extraction read each page range into a range
+		// buffer, grown five times (a buffer this size is dropped when
+		// the tree goes idle), and copied the runs out of it; 30 while
+		// FromBox built a voxel id array by append, sorted a copy and
+		// grew the runs.
+		{"q2-box", q2Box, paper, 5},
 	} {
 		srv := cmp.Or(tc.srv, sys)
 		req, err := EncodeQueryRequest(tc.spec)
@@ -207,8 +210,10 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Allocations as measured, bytes at ≈ 1.25 × measured (2.06,
-		// 3.18, 2.07 × the reply; 3, 4, 4 allocations while the spec's
+		// Allocations as measured, bytes at ≈ 1.1–1.25 × measured (2.06,
+		// 2.05, 2.17 × the reply; 2, 3, 2 allocations and 2.06, 3.18,
+		// 2.07 × while extraction read the band's page ranges into a
+		// range buffer and copied its runs out; 3, 4, 4 allocations while the spec's
 		// strings were copied; 10, 15, 18 and 2.07, 3.54, 5.02 before
 		// the call sites kept their buffers; PR 20 was at 18, 23, 26 and 2.07, 3.54,
 		// 5.02, PR 17 at 45, 60, 67 and 2.09, 3.57, 5.32, PR 16 at 47, 91,
@@ -218,16 +223,16 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		// ServeRPC as a multiple of the reply's size. The full study is
 		// the blob and the application frame and nothing else to speak of
 		// (ceiling 2.3, not 2.6: a third payload-sized buffer must trip
-		// it). A band whose voxels lie on every page reads the VOLUME
-		// through a range buffer too large for its call site to keep
-		// (sdb.MaxIdleBytes); the hemisphere is a 28 KB reply under the
-		// same fixed costs.
+		// it). A band whose voxels lie on every page is gathered from the
+		// VOLUME's pages straight into the blob, as the full study is, so
+		// it has the same two buffers and the same ceiling; the
+		// hemisphere is a 28 KB reply under the same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
 		// (Allocations were 11, 16 and 19 while every UDF call allocated
 		// its argument vector.)
 		{"full-study", full, 2, 2.3},
-		{"whole-band", band, 3, 4.0},
+		{"whole-band", band, 2, 2.3},
 		{"hemisphere", hemisphere, 2, 2.6},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
