@@ -118,7 +118,9 @@ chaos:
 # verdict), the k³-tree parser (probe answers cross-checked against the
 # materialized run list), the k³ × k³ intersection (against the run
 # lists' intersection), the n-way fold IntersectN (against a pairwise
-# left fold of Intersect, in two operand orders), DX's wire import and
+# left fold of Intersect, in two operand orders), the population query's
+# fold over stored rows (one arbitrary row among generated naive, k³ and
+# other rows: DecodeInto's verdict, then IntersectN's answer), DX's wire import and
 # render (arbitrary encoded-REGION and value bytes: a typed refusal or
 # the per-voxel oracle's image), the transport frame
 # codec (both readers, canonical re-encode), the spec
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzDecodeK3$$' -fuzz '^FuzzDecodeK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzK3IntersectK3$$' -fuzz '^FuzzK3IntersectK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzIntersectN$$' -fuzz '^FuzzIntersectN$$' -fuzztime=$(FUZZTIME) ./internal/region
+	$(GO) test -run '^FuzzIntersectStored$$' -fuzz '^FuzzIntersectStored$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzRenderEncoded$$' -fuzz '^FuzzRenderEncoded$$' -fuzztime=$(FUZZTIME) ./internal/dx
 	$(GO) test -run '^FuzzFrame$$' -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^FuzzQueryHeader$$' -fuzz '^FuzzQueryHeader$$' -fuzztime=$(FUZZTIME) ./internal/qbism
@@ -179,9 +182,9 @@ cover:
 # alone; TestTCPExchangeAllocBudget pins its allocations) — and the
 # population query: BenchmarkIntersectN, the five-operand fold alone
 # (TestIntersectNAllocBudget pins it at three allocations), and
-# BenchmarkParallelMultiStudy, ConsistentBandRegion's reads, decode and
-# fold at one and four workers (TestConsistentBandRegionAllocBudget
-# pins those) — and BenchmarkNewClusterSystem, one 2×2 cluster built and
+# BenchmarkParallelMultiStudy, ConsistentBandRegion's reads and its fold
+# over the stored rows (TestConsistentBandRegionAllocBudget pins its
+# allocations) — and BenchmarkNewClusterSystem, one 2×2 cluster built and
 # closed at Bits 5 (what its four nodes and one client cost) — and
 # BenchmarkDataRegionCodec, the REGION half of a DATA_REGION encoded by
 # the server and decoded by the client, naive runs against the wire's

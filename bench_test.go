@@ -319,24 +319,19 @@ func BenchmarkRunPrunedExtraction(b *testing.B) {
 }
 
 // BenchmarkParallelMultiStudy measures the Table 4 consistent-band
-// intersection (ConsistentBandRegion) serial versus fanned across 4
-// workers; same result and total I/O, lower wall clock.
+// intersection (ConsistentBandRegion): every PET study's h-naive row read
+// whole, one at a time, and folded in its stored form.
 func BenchmarkParallelMultiStudy(b *testing.B) {
 	s := benchSystem(b)
 	pets := s.PETStudyIDs()
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			pages0 := s.LFM.Stats().PageReads
-			for n := 0; n < b.N; n++ {
-				if _, err := s.ConsistentBandRegion(pets, 128, 159, core.EncHilbertNaive, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			pages := s.LFM.Stats().PageReads - pages0
-			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
-		})
+	pages0 := s.LFM.Stats().PageReads
+	for n := 0; n < b.N; n++ {
+		if _, err := s.ConsistentBandRegion(pets, 128, 159, core.EncHilbertNaive, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
+	pages := s.LFM.Stats().PageReads - pages0
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 }
 
 // BenchmarkParallelQueryBatch runs the Table 3 query mix as a batch,

@@ -94,7 +94,7 @@ func main() {
 	cfg := qbism.Config{
 		Bits: *bits, NumPET: *pets, NumMRI: *mris, Seed: *seed, SmallStudies: *small,
 		Checksums:  *checksums,
-		CachePages: *cachePages, ReadGapPages: *gapPages, Workers: *workers,
+		CachePages: *cachePages, ReadGapPages: *gapPages,
 		Trace: *trace,
 	}
 	if *readErr+*pageCorrupt > 0 {
@@ -104,7 +104,7 @@ func main() {
 	}
 	pol := qbism.DefaultRetryPolicy()
 	pol.MaxAttempts, pol.Seed = *retries, *faultSeed
-	opts := []qbism.Option{qbism.WithRetry(pol), qbism.WithSlowLog(*slowlog)}
+	opts := []qbism.Option{qbism.WithRetry(pol), qbism.WithSlowLog(*slowlog), qbism.WithWorkers(*workers)}
 
 	buildSpec := func() qbism.QuerySpec {
 		spec := qbism.QuerySpec{

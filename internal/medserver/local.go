@@ -1,10 +1,11 @@
 package medserver
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"qbism/internal/lfm"
-	"qbism/internal/par"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
@@ -57,21 +58,24 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 
 // ConsistentBandRegion computes the Table 4 answer — the REGION where
 // every listed study has intensities in [bandLo, bandHi] under the
-// given encoding, resolved as a band spec's (resolveBandEncoding). It
-// works in memory of its own, one piece per kind, and otherwise
-// allocates only the answer:
-//   - it resolves every study's stored band field first — the prepared
-//     bandRegion statement, then the field's size — over a bounded pool
-//     (workers <= 0 takes Config.Workers);
-//   - one buffer of the fields' total size takes them all, each read
-//     whole into its own slice (lfm.IO.ReadInto) over the same pool;
-//   - the rows decode into one run arena sized by rencode.MaxRuns,
-//     refilling Regions kept beside the fields in place
-//     (rencode.DecodeInto);
-//   - region.IntersectN folds them smallest-first into the answer.
+// given encoding, resolved as a band spec's (resolveBandEncoding). It is
+// a serial, smallest-first fold over the stored rows:
+//   - it resolves every study's stored band field — the prepared
+//     bandRegion statement, then the field's size — and orders the
+//     fields by size, ties in study order;
+//   - it reads each field whole (lfm.IO.ReadInto), in that order, into
+//     one buffer sized to the largest, and folds it into the answer
+//     (rencode.StoredFold): the first row is decoded, and every later
+//     one intersected straight from its stored bytes.
 //
-// The result is identical to the serial SQL plan's, and so are the
-// pages: every field is read whole, once.
+// Every row is read and checked, even once the answer is empty, so the
+// result is identical to the serial SQL plan's, and so are the pages:
+// every field is read whole, once. The first row that fails to read or
+// decode, in fold order, ends the call with an error naming its study,
+// wrapping the read's or the decoder's. A call allocates the field
+// list, the read buffer, the first row's run list, one slab for the
+// fold's two run lists, and the answer. The server ignores workers; the
+// argument stays for its callers.
 func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
 	if len(studies) == 0 {
 		return nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
@@ -80,68 +84,45 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 	if _, err := s.resolveBandEncoding(&spec); err != nil {
 		return nil, err
 	}
-	encoding = spec.Encoding // the closures below capture this, not spec, which would escape
-	if workers <= 0 {
-		workers = s.Cfg.Workers
+	encoding = spec.Encoding
+	fail := func(study int, err error) error {
+		return fmt.Errorf("qbism: study %d band [%d,%d] %s: %w", study, bandLo, bandHi, encoding, err)
 	}
 	fields := make([]bandField, len(studies))
-	fail := func(i int, err error) error {
-		return fmt.Errorf("qbism: study %d band [%d,%d] %s: %w", studies[i], bandLo, bandHi, encoding, err)
-	}
-	par.Each(len(studies), workers, func(i int) {
-		fields[i].h, fields[i].size, fields[i].err = s.resolveBand(studies[i], bandLo, bandHi, encoding)
-	})
-	total := 0
-	for i := range fields {
-		if err := fields[i].err; err != nil {
-			return nil, fail(i, err)
+	largest := 0
+	for i, study := range studies {
+		h, size, err := s.resolveBand(study, bandLo, bandHi, encoding)
+		if err != nil {
+			return nil, fail(study, err)
 		}
-		total += fields[i].size
+		fields[i] = bandField{study: study, h: h, size: size}
+		largest = max(largest, size)
 	}
-	buf := make([]byte, total)
-	for i := range fields {
-		f := &fields[i]
-		f.data, buf = buf[:f.size:f.size], buf[f.size:]
-	}
-	par.Each(len(studies), workers, func(i int) {
-		f := &fields[i]
-		io := lfm.IO{M: s.LFM}
-		f.data, f.err = io.ReadInto(f.h, f.data)
-	})
-	runs := 0
-	for i := range fields {
-		f := &fields[i]
-		if f.err == nil {
-			f.runs, f.err = rencode.MaxRuns(f.data)
+	slices.SortStableFunc(fields, func(a, b bandField) int { return cmp.Compare(a.size, b.size) })
+	buf := make([]byte, largest)
+	io := lfm.IO{M: s.LFM}
+	var fold rencode.StoredFold
+	for _, f := range fields {
+		data, err := io.ReadInto(f.h, buf)
+		if err == nil {
+			err = fold.Intersect(data)
 		}
-		if f.err != nil {
-			return nil, fail(i, f.err)
+		if err != nil {
+			return nil, fail(f.study, err)
 		}
-		runs += f.runs
 	}
-	arena := make([]region.Run, runs)
-	operands := make([]*region.Region, len(studies))
-	for i := range fields {
-		f, r := &fields[i], &fields[i].region
-		if err := rencode.DecodeInto(r, f.data, arena[:f.runs:f.runs]); err != nil {
-			return nil, fail(i, err)
-		}
-		arena, operands[i] = arena[f.runs:], r
-	}
-	s.metrics.Counter(metricRegionDecodes).Add(int64(len(studies)))
-	return region.IntersectN(operands...)
+	decodes := fold.Decodes()
+	s.metrics.Counter(metricRegionDecodes).Add(int64(decodes))
+	s.metrics.Counter(metricRegionProbes).Add(int64(len(fields) - decodes))
+	return fold.Region(), nil
 }
 
 // bandField is one study's stored band REGION in ConsistentBandRegion:
-// its long field and size, then its bytes, the room its runs take in the
-// arena, and the Region they are decoded into.
+// its long field and the field's size.
 type bandField struct {
-	h      lfm.Handle
-	size   int
-	data   []byte
-	runs   int
-	err    error
-	region region.Region
+	study int
+	h     lfm.Handle
+	size  int
 }
 
 // resolveBand finds one study's stored band REGION: its long field and

@@ -38,8 +38,8 @@ const (
 )
 
 // Config parameterizes a Server, and every field has a reader here
-// (config_test.go). A DX client in its process also reads Workers and
-// Trace; what only a client reads is internal/qbism's Options. The repo
+// (config_test.go). A DX client in its process also reads Trace; what
+// only a client reads is internal/qbism's Options. The repo
 // benchmark sets six fields by name (Bits, NumPET, NumMRI, BandWidth,
 // SmallStudies, CachePages) and reads sys.Cfg whole (benchmark/layers.go,
 // gen.go), so it pins ten names — those six and Method, ReadGapPages,
@@ -92,9 +92,6 @@ type Config struct {
 	// two seeks (see ExtractOpts.GapPages). Zero reproduces the seed
 	// read plan; Model.CoalesceGapPages() is the device break-even.
 	ReadGapPages uint64
-	// Workers bounds the worker pool of multi-study batches (RunQueries,
-	// ConsistentBandRegion). Zero or one means serial.
-	Workers int
 
 	// Trace gives the server a tracer (Observers), which a client in its
 	// process shares to trace every query end to end. A traced handler runs

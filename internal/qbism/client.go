@@ -59,6 +59,7 @@ type Option func(*clientOptions)
 type clientOptions struct {
 	retry   transport.RetryPolicy
 	slowLog time.Duration
+	workers int
 }
 
 // WithRetry governs retries of transient failures: MaxAttempts bounds
@@ -71,6 +72,11 @@ func WithRetry(p transport.RetryPolicy) Option { return func(o *clientOptions) {
 // leaves the log off.
 func WithSlowLog(d time.Duration) Option { return func(o *clientOptions) { o.slowLog = d } }
 
+// WithWorkers bounds the worker pool of a batch (RunQueries) whose
+// caller passes no size, and a ClusterSystem's scatter-gather. Without
+// it, or with n of zero or one, a batch runs serially.
+func WithWorkers(n int) Option { return func(o *clientOptions) { o.workers = n } }
+
 func collectOptions(opts []Option) (o clientOptions) {
 	for _, opt := range opts {
 		opt(&o)
@@ -80,7 +86,7 @@ func collectOptions(opts []Option) (o clientOptions) {
 
 // NewClient builds a DX client that reaches its MedicalServer over t: a
 // cluster of one shard of one node, no breaker or hedging. Of cfg it
-// reads Workers and Trace. Its sinks start empty: query traffic only.
+// reads Trace. Its sinks start empty: query traffic only.
 func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
 	return newNodeClient(t, cfg, collectOptions(opts), obs.NewRegistry())
 }
@@ -102,7 +108,7 @@ func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Co
 		Cluster:    cl,
 		Metrics:    metrics,
 		slowThresh: o.slowLog,
-		workers:    cfg.Workers,
+		workers:    o.workers,
 	}
 	if cfg.Trace || o.slowLog > 0 {
 		c.Tracer = obs.NewTracer()

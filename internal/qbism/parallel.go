@@ -32,7 +32,7 @@ type BatchItem struct {
 
 // RunQueries executes the specs across a bounded worker pool and
 // returns one BatchItem per spec, in input order. workers <= 0 takes
-// the pool size from Config.Workers; a resolved size of 0 or 1 runs
+// the pool size from WithWorkers; a resolved size of 0 or 1 runs
 // serially on the calling goroutine. Individual query failures (after
 // RunQuery's own retries) land in their item's Err; the batch always
 // completes.

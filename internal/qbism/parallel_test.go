@@ -2,15 +2,18 @@ package qbism
 
 import (
 	"bytes"
-	"math"
+	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"qbism/internal/experiments"
 	"qbism/internal/faultsim"
+	"qbism/internal/lfm"
 	"qbism/internal/medserver"
 	"qbism/internal/region"
+	"qbism/internal/sdb"
 	"qbism/internal/transport"
 )
 
@@ -50,17 +53,18 @@ func TestRunQueriesMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunQueriesSerialFallback checks the workers<=1 and Config.Workers
+// TestRunQueriesSerialFallback checks the workers<=1 and WithWorkers
 // plumbing paths.
 func TestRunQueriesSerialFallback(t *testing.T) {
-	cfg := chaosBaseConfig()
-	cfg.Workers = 3
-	sys, err := New(cfg)
+	sys, err := New(chaosBaseConfig(), WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sys.workers != 3 {
+		t.Fatalf("WithWorkers(3) left the client's pool at %d", sys.workers)
+	}
 	pool := chaosSpecPool(sys)[:6]
-	// workers=0 defers to Config.Workers (3); workers=1 forces serial.
+	// workers=0 defers to WithWorkers (3); workers=1 forces serial.
 	for _, w := range []int{0, 1} {
 		items := sys.RunQueries(pool, w)
 		for i, item := range items {
@@ -242,6 +246,42 @@ func TestConsistentBandRegionErrors(t *testing.T) {
 	}
 }
 
+// TestConsistentBandRegionBadRow: with checksums on, a PET study's
+// h-naive band row rotted at rest fails the population query with the
+// typed checksum error, naming that study (the first PET on one band,
+// the last on another), while the same band's k³-tree rows still answer.
+func TestConsistentBandRegionBadRow(t *testing.T) {
+	cfg := chaosBaseConfig()
+	cfg.NumPET = 4
+	srv := bareServer(t, cfg)
+	pets := srv.PETStudyIDs()
+	bands := srv.BandRegions[pets[0]]
+	for i, bad := range []int{pets[0], pets[len(pets)-1]} {
+		b := bands[i]
+		h := longField(t, srv,
+			`select ib.region from intensityBand ib where ib.studyId = ? and ib.lo = ? and ib.hi = ? and ib.encoding = ?`,
+			sdb.Int(int64(bad)), sdb.Int(int64(b.Lo)), sdb.Int(int64(b.Hi)), sdb.Str(EncHilbertNaive)).L
+		if err := srv.LFM.Corrupt(h, 3, 0x40); err != nil {
+			t.Fatal(err)
+		}
+		_, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), EncHilbertNaive, 1)
+		if !errors.Is(err, lfm.ErrChecksum) || !strings.Contains(err.Error(), fmt.Sprintf("study %d band", bad)) {
+			t.Errorf("band %d-%d, study %d's row rotted: %v, want a checksum error naming the study", b.Lo, b.Hi, bad, err)
+		}
+		var regions []*region.Region
+		for _, id := range pets {
+			regions = append(regions, srv.BandRegions[id][i].Region)
+		}
+		want, err := region.IntersectN(regions...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), medserver.EncK3Tree, 1); err != nil || !got.Equal(want) {
+			t.Errorf("band %d-%d on the intact k³ rows: %v, %v; want %v", b.Lo, b.Hi, got, err, want)
+		}
+	}
+}
+
 // TestConsistentBandRegionSameLabelRules: the population query resolves
 // its encoding label as a band spec does, on a single server (which
 // reads the rows directly) and on a cluster (which sends band specs).
@@ -300,18 +340,20 @@ func TestConsistentBandRegionSameLabelRules(t *testing.T) {
 // allocates, and checks its answer the way the repo benchmark's verify
 // pass does: for every band, equal to IntersectN of the band REGIONs the
 // loader kept in memory. The ceilings are the measured counts, the most
-// any band takes: the field list, the pool's two closures, the read
-// buffer, the run arena, the operand list and IntersectN's three (one
-// for an empty answer); a pool of two adds its state and the closure of
-// the goroutine it starts, twice; a k³-tree row adds its probe's level
-// table, parsed once to size the arena and once to decode. Before, one
-// call took 16–93, growing with the answer: a buffer, a run list and a
-// Region per study, and every step of the fold's list grown run by run.
+// any band takes. On h-naive rows that is the field list, the read
+// buffer, the first row's run list, the one slab the fold's two run
+// lists share, and the answer's run list and Region (an empty answer has
+// no run list, and an empty first step needs no slab). On k³-tree rows
+// the first row's decode adds its probe's level table, and the reused
+// probe its level table and rank directories, which regrow as the rows,
+// read smallest first, get larger; a step's run list is built at its
+// exact length when the slab is short. The server runs no pool, so the
+// workers argument changes nothing. Before the fold read rows in their
+// stored form, a call took 9 on h-naive rows and 19 on k³ at one worker,
+// 13 and 23 at two: a buffer of every field, a run arena, an operand
+// list, the pool's closures and goroutines, and a decode per row.
 func TestConsistentBandRegionAllocBudget(t *testing.T) {
-	ceiling := map[string][3]float64{ // by encoding, then workers
-		EncHilbertNaive:     {1: 9, 2: 13},
-		medserver.EncK3Tree: {1: 19, 2: 23},
-	}
+	ceiling := map[string]float64{EncHilbertNaive: 6, medserver.EncK3Tree: 12}
 	for _, bits := range []int{5, 6} {
 		srv := bareServer(t, Config{Bits: bits, NumPET: 5, NumMRI: 1, Seed: 7, SmallStudies: true})
 		pets := srv.PETStudyIDs()
@@ -325,34 +367,21 @@ func TestConsistentBandRegionAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, enc := range []string{EncHilbertNaive, medserver.EncK3Tree} {
-				for _, workers := range []int{1, 2} {
-					got, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, workers)
-					if err != nil {
+				got, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("Bits %d band %d-%d %s: %v, in-memory intersection %v", bits, b.Lo, b.Hi, enc, got, want)
+				}
+				allocs := testing.AllocsPerRun(10, func() {
+					if _, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, 2); err != nil {
 						t.Fatal(err)
 					}
-					if !got.Equal(want) {
-						t.Fatalf("Bits %d band %d-%d %s: %v, in-memory intersection %v", bits, b.Lo, b.Hi, enc, got, want)
-					}
-					// The pool's goroutine and its WaitGroup wait allocate
-					// or not by when the GC runs, so a pooled row keeps
-					// the least of three measurements; a real regression
-					// shows on every one.
-					runs := 1
-					if workers > 1 {
-						runs = 3
-					}
-					allocs := math.Inf(1)
-					for range runs {
-						allocs = min(allocs, testing.AllocsPerRun(10, func() {
-							if _, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, workers); err != nil {
-								t.Fatal(err)
-							}
-						}))
-					}
-					if limit := ceiling[enc][workers]; allocs > limit {
-						t.Errorf("Bits %d band %d-%d %s, %d workers: %.0f allocations, ceiling %.0f — is a study's field, run list or Region allocated on its own again?",
-							bits, b.Lo, b.Hi, enc, workers, allocs, limit)
-					}
+				})
+				if limit := ceiling[enc]; allocs > limit {
+					t.Errorf("Bits %d band %d-%d %s: %.0f allocations, ceiling %.0f — is a row decoded, or a run list regrown, on its own again?",
+						bits, b.Lo, b.Hi, enc, allocs, limit)
 				}
 			}
 		}

@@ -41,8 +41,8 @@ type ClusterConfig struct {
 	// Base configures every node: corpus, wire codec, checksums, device.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
 	// Base.DeviceFaults applies to every node unless NodeFaults overrides
-	// it. Base.Workers bounds the scatter-gather pool; Base.Trace traces
-	// the front end. Its retries are the WithRetry option.
+	// it. Base.Trace traces the front end. Its scatter-gather pool is the
+	// WithWorkers option, its retries the WithRetry option.
 	Base Config
 	// NodeFaults, when non-nil, returns the given node's link and device
 	// fault policies (replica 0 is the primary); nil means no injection.

@@ -25,7 +25,7 @@ import (
 // code and the repo benchmark use for it.
 type (
 	// Config parameterizes the server; a client in its process shares
-	// Workers and Trace, and takes its own settings as Options.
+	// Trace, and takes its own settings as Options.
 	Config = medserver.Config
 	// QuerySpec is the high-level query a user composes in the DX entry
 	// fields.

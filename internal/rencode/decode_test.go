@@ -337,9 +337,39 @@ func scatter(t testing.TB, n int) *region.Region {
 	return r
 }
 
+// decodeRoom returns the room DecodeInto's doc promises to decode data
+// in: the run count for Naive, one more than half the delta count for
+// the delta codecs, K3Probe.RunsInto's bound for a k³-tree, and none for
+// the octant methods, which always build a new list.
+func decodeRoom(data []byte) (int, error) {
+	curve, count, body, err := header(data)
+	if err != nil {
+		return 0, err
+	}
+	switch methodOfCode(data[0]) {
+	case Naive:
+		if count > uint64(len(body))/8 {
+			return 0, fmt.Errorf("%w: naive body truncated", ErrCorrupt)
+		}
+		return int(count), nil
+	case Elias, EliasDelta, Varint, Golomb:
+		if count > uint64(len(body))*8 {
+			return 0, fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
+		}
+		return int(count/2 + 1), nil
+	case K3Tree:
+		var p K3Probe
+		if err := p.parseBody(curve, count, body, false); err != nil {
+			return 0, err
+		}
+		return p.maxRuns(), nil
+	}
+	return 0, nil
+}
+
 // checkDecodeInto holds DecodeInto to Decode's verdict dec, err on data:
 // decoded into a Region that held another REGION, with a buffer of
-// MaxRuns(data) room, it must fail where Decode fails and leave the
+// decodeRoom(data), it must fail where Decode fails and leave the
 // Region as it was, and otherwise yield Decode's region with its run list
 // in the buffer (the octant methods build their own).
 func checkDecodeInto(t *testing.T, data []byte, dec *region.Region, err error) {
@@ -349,9 +379,9 @@ func checkDecodeInto(t *testing.T, data []byte, dec *region.Region, err error) {
 		t.Fatal(herr)
 	}
 	before := held.String()
-	room, rerr := MaxRuns(data)
+	room, rerr := decodeRoom(data)
 	if err == nil && rerr != nil {
-		t.Fatalf("Decode accepted what MaxRuns refused: %v", rerr)
+		t.Fatalf("Decode accepted what decodeRoom refused: %v", rerr)
 	}
 	buf := make([]region.Run, max(room, 0))
 	ierr := DecodeInto(held, data, buf)
@@ -370,7 +400,7 @@ func checkDecodeInto(t *testing.T, data []byte, dec *region.Region, err error) {
 }
 
 // TestDecodeIntoMatchesDecode: for every method, on generated regions of
-// several curve shapes, DecodeInto with MaxRuns of room, with one run
+// several curve shapes, DecodeInto with decodeRoom's room, with one run
 // less and with none equals Decode, and on the encoding cut short it
 // reaches Decode's verdict.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
@@ -389,7 +419,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkDecodeInto(t, data, dec, nil)
-				room, err := MaxRuns(data)
+				room, err := decodeRoom(data)
 				if err != nil {
 					t.Fatal(err)
 				}

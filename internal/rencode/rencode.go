@@ -266,8 +266,10 @@ func Decode(data []byte) (*region.Region, error) {
 
 // DecodeInto is Decode into r, which it refills in place
 // (region.Region.Refill) with a run list built in buf's backing array
-// when buf has room for MaxRuns(data) runs and in a new slice otherwise —
-// what K3Probe.RunsInto and AppendEncode are to their operations. The
+// when buf has room for the runs — the run count for Naive, one more
+// than half the delta count for the delta codecs, K3Probe.RunsInto's
+// bound for a k³-tree — and in a new slice otherwise: what
+// K3Probe.RunsInto and AppendEncode are to their operations. The
 // octant methods still build a new list, and a k³-tree still allocates
 // its probe's level table. Decode is DecodeInto into a new Region with no
 // buffer. On an error r is left as it was, and what buf holds is
@@ -336,38 +338,6 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 	default:
 		return fmt.Errorf("%w: unknown method %d", ErrCorrupt, int(m))
 	}
-}
-
-// MaxRuns returns the room DecodeInto needs in its buffer to decode data
-// there: the run count for Naive; one more than half the delta count for
-// the delta codecs; K3Probe.RunsInto's bound for a k³-tree, which takes
-// a parse; and none for the octant methods, which always build a new
-// list. A caller decoding several REGIONs into one arena sizes it with
-// this.
-func MaxRuns(data []byte) (int, error) {
-	curve, count, body, err := header(data)
-	if err != nil {
-		return 0, err
-	}
-	switch methodOfCode(data[0]) {
-	case Naive:
-		if count > uint64(len(body))/8 {
-			return 0, fmt.Errorf("%w: naive body truncated", ErrCorrupt)
-		}
-		return int(count), nil
-	case Elias, EliasDelta, Varint, Golomb:
-		if count > uint64(len(body))*8 {
-			return 0, fmt.Errorf("%w: %d deltas in a %d-byte body", ErrCorrupt, count, len(body))
-		}
-		return int(count/2 + 1), nil
-	case K3Tree:
-		var p K3Probe
-		if err := p.parseBody(curve, count, body, false); err != nil {
-			return 0, err
-		}
-		return p.maxRuns(), nil
-	}
-	return 0, nil
 }
 
 // header splits an encoded REGION into its curve, element count and

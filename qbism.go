@@ -193,13 +193,13 @@ func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*core.ClusterSystem, e
 }
 
 // NewClient builds a DX client that reaches its MedicalServer over t
-// and loads nothing itself: of cfg it reads Workers and Trace.
+// and loads nothing itself: of cfg it reads Trace.
 func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
 	return core.NewClient(t, cfg, opts...)
 }
 
-// WithRetry and WithSlowLog are the client's Options.
-var WithRetry, WithSlowLog = core.WithRetry, core.WithSlowLog
+// WithRetry, WithSlowLog and WithWorkers are the client's Options.
+var WithRetry, WithSlowLog, WithWorkers = core.WithRetry, core.WithSlowLog, core.WithWorkers
 
 // DialTCP is the transport to the qbismd listening at addr. The
 // connection is made by the first call.
