@@ -124,10 +124,12 @@ chaos:
 # render (arbitrary encoded-REGION and value bytes: a typed refusal or
 # the per-voxel oracle's image), the transport frame
 # codec (both readers, canonical re-encode), the spec
-# and meta header decoders (typed refusal or canonical re-encode), and
-# arbitrary request bytes into a bare medserver.Server's ServeRPC,
-# $(FUZZTIME) each. The last two drive internal/medserver from
-# internal/qbism, where its client-side tests also live.
+# and meta header decoders (typed refusal or canonical re-encode), the
+# reply framed in its blob's spare capacity (EncodeFrame's bytes,
+# whatever the spare), and arbitrary request bytes into a bare
+# medserver.Server's ServeRPC, $(FUZZTIME) each. The last three drive
+# internal/medserver from internal/qbism, where its client-side tests
+# also live.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseSQL$$' -fuzz '^FuzzParseSQL$$' -fuzztime=$(FUZZTIME) ./internal/sdb
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzRenderEncoded$$' -fuzz '^FuzzRenderEncoded$$' -fuzztime=$(FUZZTIME) ./internal/dx
 	$(GO) test -run '^FuzzFrame$$' -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^FuzzQueryHeader$$' -fuzz '^FuzzQueryHeader$$' -fuzztime=$(FUZZTIME) ./internal/qbism
+	$(GO) test -run '^FuzzQueryResponseFrame$$' -fuzz '^FuzzQueryResponseFrame$$' -fuzztime=$(FUZZTIME) ./internal/qbism
 	$(GO) test -run '^FuzzServeRPC$$' -fuzz '^FuzzServeRPC$$' -fuzztime=$(FUZZTIME) ./internal/qbism
 
 # Per-package coverage with a hard floor: any listed package under

@@ -1,0 +1,80 @@
+package daemon
+
+import (
+	"testing"
+	"time"
+
+	"qbism/internal/medserver"
+	"qbism/internal/qbism"
+	"qbism/internal/transport"
+)
+
+// TestDaemonChainAllocBudget pins the allocations per query of the chain
+// the repo benchmark's daemon workloads run, both ends in this process:
+// EncodeQueryRequest, a transport.TCP call to a daemon on 127.0.0.1,
+// DecodeQueryResponse and UnmarshalDataRegion. The server's share is the
+// DATA_REGION blob its reply is framed in; the client's is the request,
+// the response buffer, the reply header and the decoded DataRegion. A
+// frame copied on either side of the socket, or a per-call allocation in
+// the transport, trips here before it reaches allocs_per_query.
+func TestDaemonChainAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, a few objects more or less per query from run to run")
+	}
+	cfg := qbism.Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 4096}
+	srv, err := medserver.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := New(srv, Config{Addr: "127.0.0.1:0"})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	defer conn.Close()
+
+	study := srv.Studies[0].StudyID
+	band := srv.BandRegions[study][len(srv.BandRegions[study])-1]
+	for _, tc := range []struct {
+		name string
+		spec qbism.QuerySpec
+		// As measured: the request, the server's blob, the response
+		// buffer, the reply header and its patient and date strings, the
+		// DataRegion with its Region, and the run list, which an empty
+		// structure ∩ band answer does not have. Each was one more while
+		// the server copied its reply into a frame of its own (DESIGN.md
+		// §47), and one more again while UnmarshalDataRegion allocated
+		// the DataRegion and its Region apart.
+		ceiling float64
+	}{
+		{"small-structure", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen"}, 8},
+		{"structure-and-band", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen",
+			HasBand: true, BandLo: int(band.Lo), BandHi: int(band.Hi)}, 7},
+		{"full-study", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", FullStudy: true}, 8},
+	} {
+		got := testing.AllocsPerRun(50, func() {
+			request, err := qbism.EncodeQueryRequest(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			response, err := conn.Call(nil, qbism.QueryMethod, request)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, blob, err := qbism.DecodeQueryResponse(response)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qbism.UnmarshalDataRegion(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per query", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs per query, ceiling %.0f — is a frame copied, or a per-call buffer allocated, on either side of the socket again?",
+				tc.name, got, tc.ceiling)
+		}
+	}
+}

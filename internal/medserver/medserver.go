@@ -149,12 +149,13 @@ func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 
 // handleMedicalQuery is the MedicalServer RPC handler: it receives a
 // framed QuerySpec, generates and executes the SQL, and returns the
-// framed response (meta header + DataRegion blob). The frame CRC on
-// the way in means a request corrupted in flight fails with a typed,
-// retryable error instead of executing a different query. The decoded
-// spec's strings are the catalog's own when it holds them and copies
-// otherwise, so nothing here outlives the handler holding request
-// (transport.Handler: the buffer is the connection's).
+// framed response (meta header + DataRegion blob), built in the buffer
+// the data query extracted the voxels into (EncodeQueryResponse). The
+// frame CRC on the way in means a request corrupted in flight fails with
+// a typed, retryable error instead of executing a different query. The
+// decoded spec's strings are the catalog's own when it holds them and
+// copies otherwise, so nothing here outlives the handler holding
+// request (transport.Handler: the buffer is the connection's).
 func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
 	spec, err := decodeQueryRequest(request, s.names)
 	if err != nil {

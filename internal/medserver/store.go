@@ -33,13 +33,15 @@ func MarshalDataRegion(d *volume.DataRegion, method rencode.Method) ([]byte, err
 // newDataRegionBlob allocates the DATA_REGION blob that carries r, once
 // and at its final size, and encodes r straight into it. It returns the
 // blob and its value section — r.NumVoxels() bytes, in curve order, for
-// the caller to fill.
+// the caller to fill. The blob has replyHeadroom bytes of spare capacity
+// past its end, where EncodeQueryResponse frames the reply in place.
 func newDataRegionBlob(r *region.Region, method rencode.Method) (blob, values []byte, err error) {
 	n, err := rencode.EncodedSize(method, r)
 	if err != nil {
 		return nil, nil, err
 	}
-	blob = make([]byte, 5, 5+uint64(n)+r.NumVoxels())
+	size := 5 + uint64(n) + r.NumVoxels()
+	blob = make([]byte, 5, size+replyHeadroom)
 	blob[0] = dataRegionTag
 	binary.BigEndian.PutUint32(blob[1:], uint32(n))
 	if blob, err = rencode.AppendEncode(blob, method, r); err != nil {
@@ -48,23 +50,28 @@ func newDataRegionBlob(r *region.Region, method rencode.Method) (blob, values []
 	if len(blob) != 5+n {
 		return nil, nil, fmt.Errorf("qbism: REGION encoded to %d bytes, sized at %d", len(blob)-5, n)
 	}
-	return blob[:cap(blob)], blob[5+n : cap(blob)], nil
+	return blob[:size], blob[5+n : size], nil
 }
 
-// UnmarshalDataRegion reverses MarshalDataRegion.
+// UnmarshalDataRegion reverses MarshalDataRegion. The DataRegion and its
+// Region are one allocation; the run list is the other.
 func UnmarshalDataRegion(data []byte) (*volume.DataRegion, error) {
 	enc, values, err := SplitDataRegion(data)
 	if err != nil {
 		return nil, err
 	}
-	r, err := rencode.Decode(enc)
-	if err != nil {
+	d := new(struct {
+		volume.DataRegion
+		r region.Region
+	})
+	if err := rencode.DecodeInto(&d.r, enc, nil); err != nil {
 		return nil, err
 	}
-	if uint64(len(values)) != r.NumVoxels() {
-		return nil, fmt.Errorf("qbism: DataRegion has %d values for %d voxels", len(values), r.NumVoxels())
+	if uint64(len(values)) != d.r.NumVoxels() {
+		return nil, fmt.Errorf("qbism: DataRegion has %d values for %d voxels", len(values), d.r.NumVoxels())
 	}
-	return &volume.DataRegion{Region: r, Values: values}, nil
+	d.DataRegion = volume.DataRegion{Region: &d.r, Values: values}
+	return &d.DataRegion, nil
 }
 
 // SplitDataRegion splits a MarshalDataRegion blob, in place, into its

@@ -36,6 +36,15 @@ const (
 	metaDegraded = 1 << 0
 	metaFlags    = metaDegraded
 	metaFixed    = 2 + 11*8
+
+	// replyHeadroom is the spare capacity newDataRegionBlob gives every
+	// blob, so that the reply is framed in the blob's own buffer: the
+	// frame prefix, the meta header's fixed part and its three string
+	// length prefixes, and metaStrRoom bytes for the patient name and
+	// the acquisition date. A header longer than that — a degraded
+	// reply's warning — is framed in a new buffer instead.
+	metaStrRoom   = 64
+	replyHeadroom = transport.FrameOverhead + metaFixed + 3*2 + metaStrRoom
 )
 
 // wireSize is the encoded size of a header: its fixed bytes plus its
@@ -87,14 +96,28 @@ func decodeQueryRequest(request []byte, names map[string]string) (QuerySpec, err
 }
 
 // EncodeQueryResponse builds the server's reply: the meta header and the
-// DataRegion blob in one frame, sized once.
+// DataRegion blob in one frame. It takes ownership of blob: when blob's
+// spare capacity holds the frame prefix and the header, the blob's bytes
+// move up in place and the frame is blob's own buffer (newDataRegionBlob
+// allocates every blob with that room); otherwise the frame is one new
+// buffer, sized once, and blob is left as it was.
 func EncodeQueryResponse(meta *QueryMeta, blob []byte) ([]byte, error) {
 	n, err := metaSize(meta)
 	if err != nil {
 		return nil, err
 	}
-	frame := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n+len(blob))
-	return transport.SealFrame(append(appendMeta(frame, meta), blob...), n)
+	head := transport.FrameOverhead + n
+	var frame []byte
+	if cap(blob)-len(blob) >= head {
+		frame = blob[:head+len(blob)]
+	} else {
+		frame = make([]byte, head+len(blob))
+	}
+	// The blob moves first (in place, a memmove), then the header fills
+	// the bytes in front of it: frame has the room, so nothing regrows.
+	copy(frame[head:], blob)
+	appendMeta(frame[:transport.FrameOverhead], meta)
+	return transport.SealFrame(frame, n)
 }
 
 // DecodeQueryResponse validates a response frame and separates the meta

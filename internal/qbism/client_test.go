@@ -111,12 +111,14 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		// As measured. The client renders the reply's REGION off its
 		// encoded bytes and decodes the reply header into its own
 		// value, and a repeated query's Put moves its key in the DX
-		// cache's LRU list in place. While the client built a Table 3
-		// label for every query, these were 11, 11, 19 and 11. While it
+		// cache's LRU list in place. While the server copied its reply
+		// into a frame of its own, these were 10, 10, 13 and 10. While
+		// the client built a Table 3 label for every query, they were
+		// 11, 11, 19 and 11. While it
 		// decoded the REGION into a DataRegion, a Region and a run list
 		// (none for the empty structure ∩ band answer here) and the
 		// header into a new QueryMeta, these were 15, 14, 23 and 15.
-		// ServeRPC is 2, 2, 5 and 2 of them. The Q2 box was 18 while
+		// ServeRPC is 1, 1, 4 and 1 of them. The Q2 box was 18 while
 		// ServeRPC's extraction grew a range buffer five times a query.
 		// Earlier the first two were 17 and 16 while the server copied
 		// the spec's strings; 37 and 40 while it allocated per UDF call
@@ -124,10 +126,10 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		// off; 51 and 57 with JSON headers.
 		ceiling float64
 	}{
-		{"small-structure", sys, small, 10},
-		{"structure-and-band", sys, mixed, 10},
-		{"q2-box", paper, q2Box, 13},
-		{"full-study", sys, full, 10},
+		{"small-structure", sys, small, 9},
+		{"structure-and-band", sys, mixed, 9},
+		{"q2-box", paper, q2Box, 12},
+		{"full-study", sys, full, 9},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := tc.sys.RunQuery(tc.spec); err != nil {
@@ -148,8 +150,8 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
-	if got > 44 { // as measured: four queries, the items, the pool (48 while each query built its label, 62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
-		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 44 — does the pool allocate per item?", got)
+	if got > 40 { // as measured: four queries, the items, the pool (44 while the server copied each reply into a frame, 48 while each query built its label, 62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
+		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 40 — does the pool allocate per item?", got)
 	}
 }
 

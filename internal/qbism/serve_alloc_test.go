@@ -14,8 +14,8 @@ import (
 // §17), reads each into its own row with no Rows (§27), decodes and
 // encodes fixed binary headers (§22), and its spatial UDFs read, parse
 // and build into their call sites' state (§27), and the spec's strings
-// are the catalog's own (§29); what is left is the response frame and
-// the DATA_REGION blob — the reply. Re-introduce
+// are the catalog's own (§29); what is left is the DATA_REGION blob,
+// which the reply is framed in (§47). Re-introduce
 // per-call parsing or planning (+500 allocations a request), a
 // per-execution operator tree or hash table (+40) or a per-row
 // allocation in the executor and these ceilings trip long before the
@@ -77,8 +77,9 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		name string
 		spec QuerySpec
 		srv  *medserver.Server // nil: the Bits 5 server
-		// As measured: the response frame and the blob. Before, they were
-		// 4 and 4 while the spec's two strings were copied out of every
+		// As measured: the blob, the reply framed in it. They were 2
+		// and 2 while the reply was copied into a frame of its own, 4 and
+		// 4 while the spec's two strings were copied out of every
 		// request, 16 and 17 while a UDF call allocated its
 		// field buffer, probe, run list and Region, each statement its
 		// Rows and output row, and the blob's REGION its own encoding;
@@ -89,19 +90,21 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		// execution, 91 and 101 before the one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", small, nil, 2},
-		{"structure-and-band", mixed, nil, 2},
-		// The band and structure ∩ band on the h-naive row: 2 and 2 as
-		// measured, the naive band decoded into its call site's slot (on an
-		// all-naive store the structure requests were 4 and 5 while a
-		// naive REGION was decoded to a new Region).
-		{"band-h-naive", naiveBand, nil, 2},
-		{"structure-and-band-h-naive", naiveMixed, nil, 2},
+		{"small-structure", small, nil, 1},
+		{"structure-and-band", mixed, nil, 1},
+		// The band and structure ∩ band on the h-naive row: 1 and 1 as
+		// measured (2 and 2 with a separate frame), the naive band
+		// decoded into its call site's slot (on an all-naive store the
+		// structure requests were 4 and 5 while a naive REGION was
+		// decoded to a new Region).
+		{"band-h-naive", naiveBand, nil, 1},
+		{"structure-and-band-h-naive", naiveMixed, nil, 1},
 		// The paper's Q2 probe, boxRegion(30, 30, 30, 100, 100, 100), on a
-		// paper-scale grid: 5 as measured — the box's Region and its
-		// runs, the spec's box, the response frame and the blob, the
-		// voxels gathered from the LFM's pages straight into the blob. It
-		// was 10 while extraction read each page range into a range
+		// paper-scale grid: 4 as measured — the box's Region and its
+		// runs, the spec's box and the blob, the voxels gathered from the
+		// LFM's pages straight into the blob and the reply framed in it.
+		// It was 5 while the reply was copied into a frame of its own, 10
+		// while extraction read each page range into a range
 		// buffer, grown five times (a buffer this size is dropped when
 		// the tree goes idle), and copied the runs out of it; 30 while
 		// FromBox built a voxel id array by append, sorted a copy and
@@ -179,9 +182,9 @@ func benchServeSmall(b *testing.B, trace bool) {
 }
 
 // The bulk replies — a whole study, a whole band, a hemisphere — are
-// where the bytes are: the reply should cost the server its blob, the
-// application frame around it and little else (DESIGN.md §18), however
-// many pages it is read from.
+// where the bytes are: the reply should cost the server its blob, which
+// the application frame is built in, and little else (DESIGN.md §18,
+// §47), however many pages it is read from.
 
 // bulkAllocConfig is a Bits 6 corpus (a VOLUME is 64 pages) behind a
 // page cache that holds a quarter of one VOLUME, so bulk reads thrash it
@@ -210,8 +213,10 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Allocations as measured, bytes at ≈ 1.1–1.25 × measured (2.06,
-		// 2.05, 2.17 × the reply; 2, 3, 2 allocations and 2.06, 3.18,
+		// Allocations as measured, bytes at ≈ 1.2–1.25 × measured (1.03,
+		// 1.03, 1.08 × the reply; 2, 2, 2 allocations and 2.06, 2.05,
+		// 2.17 × while the reply was copied into a frame of its own; 2, 3,
+		// 2 allocations and 2.06, 3.18,
 		// 2.07 × while extraction read the band's page ranges into a
 		// range buffer and copied its runs out; 3, 4, 4 allocations while the spec's
 		// strings were copied; 10, 15, 18 and 2.07, 3.54, 5.02 before
@@ -221,19 +226,19 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 		// 11.85):
 		// allocations per ServeRPC, and bytes allocated per
 		// ServeRPC as a multiple of the reply's size. The full study is
-		// the blob and the application frame and nothing else to speak of
-		// (ceiling 2.3, not 2.6: a third payload-sized buffer must trip
-		// it). A band whose voxels lie on every page is gathered from the
+		// the blob, framed in place, and nothing else to speak of
+		// (ceiling 1.3: a second payload-sized buffer must trip it). A
+		// band whose voxels lie on every page is gathered from the
 		// VOLUME's pages straight into the blob, as the full study is, so
-		// it has the same two buffers and the same ceiling; the
-		// hemisphere is a 28 KB reply under the same fixed costs.
+		// it has the same one buffer and the same ceiling; so has the
+		// hemisphere, a 23 KB reply under the same fixed costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
 		// (Allocations were 11, 16 and 19 while every UDF call allocated
 		// its argument vector.)
-		{"full-study", full, 2, 2.3},
-		{"whole-band", band, 2, 2.3},
-		{"hemisphere", hemisphere, 2, 2.6},
+		{"full-study", full, 1, 1.3},
+		{"whole-band", band, 1, 1.3},
+		{"hemisphere", hemisphere, 1, 1.3},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {

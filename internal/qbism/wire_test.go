@@ -16,7 +16,11 @@ import (
 
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
+	"qbism/internal/region"
+	"qbism/internal/rencode"
+	"qbism/internal/sfc"
 	"qbism/internal/transport"
+	"qbism/internal/volume"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_golden.txt from the encoders")
@@ -423,6 +427,75 @@ func FuzzQueryHeader(f *testing.F) {
 			if !bytes.Equal(metaHeader(t, *m), data) {
 				t.Fatalf("accepted meta is not canonical: %x", data)
 			}
+		}
+	})
+}
+
+// FuzzQueryResponseFrame holds EncodeQueryResponse, which frames a reply
+// inside its blob's spare capacity when the header fits there and in a
+// new buffer when it does not, to the frame the two sections make apart:
+// for any meta strings, blob bytes and spare capacity the reply is
+// transport.EncodeFrame(meta header, blob) byte for byte, built in the
+// blob's own buffer exactly when the prefix and the header fit its
+// spare, and DecodeQueryResponse gives back the meta and the blob.
+func FuzzQueryResponseFrame(f *testing.F) {
+	curve, err := sfc.New(sfc.Hilbert, 3, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	marshal := func(r *region.Region) []byte {
+		values := make([]byte, r.NumVoxels())
+		for i := range values {
+			values[i] = byte(i * 7)
+		}
+		blob, err := MarshalDataRegion(&volume.DataRegion{Region: r, Values: values}, rencode.Elias)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	q2, err := region.FromBox(curve, region.Box{Min: sfc.Pt(30, 30, 30), Max: sfc.Pt(100, 100, 100)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, paper := marshal(region.Empty(curve)), marshal(q2)
+	healthy, degraded := goldenMeta(false), goldenMeta(true)
+	// The spares: none, the headroom a server's blob has, and one short.
+	headroom := uint16(cap(empty) - len(empty))
+	for _, spare := range []uint16{0, headroom, headroom - 1} {
+		f.Add(healthy.Patient, healthy.Date, "", empty, spare)
+		f.Add(healthy.Patient, healthy.Date, "", paper, spare)
+		f.Add(degraded.Patient, degraded.Date, degraded.Warning, []byte{0xDD}, spare)
+		f.Add(strings.Repeat("P", 1<<10), healthy.Date, "", empty, spare)
+	}
+	f.Fuzz(func(t *testing.T, patient, date, warning string, blob []byte, spare uint16) {
+		m := goldenMeta(false)
+		m.Patient, m.Date, m.Warning, m.Degraded = patient, date, warning, warning != ""
+		owned := make([]byte, len(blob), len(blob)+int(spare))
+		copy(owned, blob)
+		frame, err := medserver.EncodeQueryResponse(&m, owned)
+		if len(patient) > math.MaxUint16 || len(date) > math.MaxUint16 || len(warning) > math.MaxUint16 {
+			if !errors.Is(err, transport.ErrWireHeader) {
+				t.Fatalf("over-long meta string: %v, want ErrWireHeader", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		header := metaHeader(t, m)
+		want := encodeFrameT(t, header, blob)
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("reply framed with %d spare bytes differs from EncodeFrame(meta, blob)", spare)
+		}
+		fits := int(spare) >= transport.FrameOverhead+len(header)
+		if inPlace := cap(owned) > 0 && &frame[0] == &owned[:1][0]; inPlace != fits {
+			t.Fatalf("framed in the blob's buffer: %t, with %d spare bytes for a %d-byte prefix and header",
+				inPlace, spare, transport.FrameOverhead+len(header))
+		}
+		got, gotBlob, err := DecodeQueryResponse(frame)
+		if err != nil || !sameMeta(*got, m) || !bytes.Equal(gotBlob, blob) {
+			t.Fatalf("reply does not decode to its meta and blob: %v", err)
 		}
 	})
 }
