@@ -18,7 +18,7 @@ GO ?= go
 # Packages with an enforced coverage floor, and the floor itself. These
 # are the layers the observability work leans on hardest; keep them
 # honest.
-COVER_PKGS ?= ./internal/obs ./internal/lfm ./internal/sdb ./internal/lint ./internal/cluster ./internal/rencode ./internal/transport
+COVER_PKGS ?= ./internal/obs ./internal/lfm ./internal/sdb ./internal/lint ./internal/cluster ./internal/rencode ./internal/rencode/zoo ./internal/transport
 COVER_FLOOR ?= 70.0
 
 # Per-target budget for the fuzz smoke pass.
@@ -50,29 +50,30 @@ wire-imports:
 	@if $(GO) list -f '{{join .Imports " "}}' ./internal/transport | grep -qw encoding/json; then echo "wire-imports: internal/transport imports encoding/json"; exit 1; fi
 
 # The daemon links the server half only (DESIGN.md §23): the DX front
-# end, the cluster, the experiment drivers and what only they use must
-# not come back into qbismd's dependency closure.
+# end, the cluster, the experiment drivers and what only they use — the
+# codec zoo among them (DESIGN.md §48) — must not come back into
+# qbismd's dependency closure.
 qbismd-deps:
-	@bad="$$($(GO) list -deps ./cmd/qbismd | grep -E '^qbism/internal/(qbism|dx|cluster|feature|mining|spindex|stats)$$')"; if [ -n "$$bad" ]; then echo "qbismd-deps: cmd/qbismd links:"; echo "$$bad"; exit 1; fi
+	@bad="$$($(GO) list -deps ./cmd/qbismd | grep -E '^qbism/internal/(qbism|dx|cluster|feature|mining|spindex|stats|rencode/zoo)$$')"; if [ -n "$$bad" ]; then echo "qbismd-deps: cmd/qbismd links:"; echo "$$bad"; exit 1; fi
 
 # The DX client links no paper analysis (DESIGN.md §25): the experiment
 # drivers live in internal/experiments, and neither they nor what only
-# they use may come back into internal/qbism or the CLI. stats is allowed
-# in cmd/qbism because the root facade re-exports the fitting functions
-# for cmd/regionstat.
+# they use may come back into internal/qbism or the CLI. stats and the
+# codec zoo are allowed in cmd/qbism because the root facade re-exports
+# the fitting functions and the codecs for cmd/regionstat.
 client-deps:
-	@bad="$$($(GO) list -deps ./internal/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex|stats)$$')"; if [ -n "$$bad" ]; then echo "client-deps: internal/qbism links:"; echo "$$bad"; exit 1; fi
+	@bad="$$($(GO) list -deps ./internal/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex|stats|rencode/zoo)$$')"; if [ -n "$$bad" ]; then echo "client-deps: internal/qbism links:"; echo "$$bad"; exit 1; fi
 	@bad="$$($(GO) list -deps ./cmd/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex)$$')"; if [ -n "$$bad" ]; then echo "client-deps: cmd/qbism links:"; echo "$$bad"; exit 1; fi
 
 # The server stores and serves one Hilbert layout (DESIGN.md §36): Table
 # 4's z-naive and octant rows and the Section 4.2 Z-order comparisons
 # belong to internal/experiments, so no non-test file of
-# internal/medserver may name the Z curve, an octant codec or those
-# rows' labels again. Pricing a query in 1993 seconds is Table 3's
+# internal/medserver may name the Z curve or those rows' labels again.
+# The octant codecs are the codec zoo's, which qbismd-deps keeps out. Pricing a query in 1993 seconds is Table 3's
 # (DESIGN.md §43): no non-test file of internal/qbism but table3.go may
 # name the cost model's pricing terms.
 repro-boundary:
-	@bad="$$(ls internal/medserver/*.go | grep -v '_test\.go$$' | xargs grep -nE '\<(sfc\.ZOrder|rencode\.(Oblong)?Octant|EncZNaive|EncOctant)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/medserver names:"; echo "$$bad"; exit 1; fi
+	@bad="$$(ls internal/medserver/*.go | grep -v '_test\.go$$' | xargs grep -nE '\<(sfc\.ZOrder|EncZNaive|EncOctant)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/medserver names:"; echo "$$bad"; exit 1; fi
 	@bad="$$(ls internal/qbism/*.go | grep -v '_test\.go$$' | grep -v '/table3\.go$$' | xargs grep -nE '\<(StarburstTime|ImportTime|RenderTime|OtherTime)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/qbism prices outside table3.go:"; echo "$$bad"; exit 1; fi
 
 # Repo-specific static analysis. Exits non-zero on any unsuppressed
@@ -115,7 +116,8 @@ chaos:
 
 # Short native-fuzz runs over the checked-in seed corpora: the sdb SQL
 # parser, the rencode REGION decoder (DecodeInto held to Decode's
-# verdict), the k³-tree parser (probe answers cross-checked against the
+# verdict), the codec zoo's decoder over all eight methods (anything it
+# accepts re-encodes to itself), the k³-tree parser (probe answers cross-checked against the
 # materialized run list), the k³ × k³ intersection (against the run
 # lists' intersection), the n-way fold IntersectN (against a pairwise
 # left fold of Intersect, in two operand orders), the population query's
@@ -133,6 +135,7 @@ chaos:
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseSQL$$' -fuzz '^FuzzParseSQL$$' -fuzztime=$(FUZZTIME) ./internal/sdb
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode
+	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz '^FuzzDecodeRegion$$' -fuzztime=$(FUZZTIME) ./internal/rencode/zoo
 	$(GO) test -run '^FuzzDecodeK3$$' -fuzz '^FuzzDecodeK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzK3IntersectK3$$' -fuzz '^FuzzK3IntersectK3$$' -fuzztime=$(FUZZTIME) ./internal/rencode
 	$(GO) test -run '^FuzzIntersectN$$' -fuzz '^FuzzIntersectN$$' -fuzztime=$(FUZZTIME) ./internal/region

@@ -21,7 +21,7 @@ import (
 	"qbism/internal/experiments"
 	"qbism/internal/lfm"
 	core "qbism/internal/qbism"
-	"qbism/internal/rencode"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sfc"
 	"qbism/internal/volume"
 )
@@ -216,21 +216,21 @@ func BenchmarkCodecs(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := st.Region
-	for _, m := range rencode.Methods {
+	for _, m := range zoo.Methods {
 		m := m
 		b.Run(m.String(), func(b *testing.B) {
-			data, err := rencode.Encode(m, reg)
+			data, err := zoo.Encode(m, reg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(len(data)), "bytes")
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				enc, err := rencode.Encode(m, reg)
+				enc, err := zoo.Encode(m, reg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := rencode.Decode(enc); err != nil {
+				if _, err := zoo.Decode(enc); err != nil {
 					b.Fatal(err)
 				}
 			}

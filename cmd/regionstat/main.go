@@ -72,12 +72,12 @@ func main() {
 	fmt.Printf("voxels          %d\n", reg.NumVoxels())
 	fmt.Printf("h-runs          %d\n", reg.NumRuns())
 	fmt.Printf("z-runs          %d\n", zreg.NumRuns())
-	fmt.Printf("oblong octants  %d (z order)\n", len(zreg.OblongOctants()))
-	fmt.Printf("octants         %d (z order)\n", len(zreg.Octants()))
+	fmt.Printf("oblong octants  %d (z order)\n", len(qbism.OblongOctants(zreg)))
+	fmt.Printf("octants         %d (z order)\n", len(qbism.Octants(zreg)))
 	fmt.Printf("ratios          1 : %.2f : %.2f : %.2f   (paper: 1 : 1.27 : 1.61 : 2.42)\n",
 		ratio(zreg.NumRuns(), reg.NumRuns()),
-		ratio(len(zreg.OblongOctants()), reg.NumRuns()),
-		ratio(len(zreg.Octants()), reg.NumRuns()))
+		ratio(len(qbism.OblongOctants(zreg)), reg.NumRuns()),
+		ratio(len(qbism.Octants(zreg)), reg.NumRuns()))
 	fmt.Println()
 
 	entropy := qbism.EntropyBound(reg)

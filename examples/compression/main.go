@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"qbism"
+	"qbism/internal/experiments"
 )
 
 func main() {
@@ -74,7 +75,7 @@ func main() {
 		}
 		fmt.Printf("== %s: %d voxels ==\n", sh.name, reg.NumVoxels())
 		fmt.Printf("pieces: h-runs %d | z-runs %d | oblong %d | octants %d\n",
-			reg.NumRuns(), zreg.NumRuns(), len(zreg.OblongOctants()), len(zreg.Octants()))
+			reg.NumRuns(), zreg.NumRuns(), len(qbism.OblongOctants(zreg)), len(qbism.Octants(zreg)))
 
 		entropy := qbism.EntropyBound(reg)
 		fmt.Printf("entropy bound %.0f B\n", entropy)
@@ -90,7 +91,10 @@ func main() {
 		}
 
 		// Approximate representation: what does dropping small gaps buy?
-		approx := reg.MergeGaps(8)
+		approx, err := experiments.MergeGaps(reg, 8)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("mingap=8: runs %d -> %d, voxels %d -> %d\n\n",
 			reg.NumRuns(), approx.NumRuns(), reg.NumVoxels(), approx.NumVoxels())
 	}

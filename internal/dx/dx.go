@@ -62,15 +62,15 @@ func ImportVolume(d *volume.DataRegion) (*Field, ImportStats, error) {
 }
 
 // ImportEncoded is ImportVolume on a reply as it crossed the wire: the
-// encoded REGION of a DATA_REGION and its values. A delta-coded REGION
-// (rencode.Method.Streams — the wire's Elias γ among them) is kept as it
-// came, and Render walks its runs straight off the bytes; no Region is
-// built. The run count is the header's, and the voxel count is
-// len(values), which each Render's walk checks against the REGION,
-// failing with ErrValueCount on a mismatch. A REGION of any other method
-// is decoded first and imported as ImportVolume takes it.
+// encoded REGION of a DATA_REGION and its values. An Elias γ REGION, the
+// wire's, is kept as it came, and Render walks its runs straight off the
+// bytes (rencode.RunReader); no Region is built. The run count is the
+// header's, and the voxel count is len(values), which each Render's walk
+// checks against the REGION, failing with ErrValueCount on a mismatch. A
+// naive or k³ REGION is decoded first and imported as ImportVolume takes
+// it, and any other method fails as rencode.Decode refuses it.
 func ImportEncoded(enc, values []byte) (*Field, ImportStats, error) {
-	if m, ok := rencode.MethodOf(enc); !ok || !m.Streams() {
+	if m, ok := rencode.MethodOf(enc); !ok || m != rencode.Elias {
 		r, err := rencode.Decode(enc)
 		if err != nil {
 			return nil, ImportStats{}, err

@@ -10,6 +10,7 @@ import (
 	"qbism/internal/atlas"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sfc"
 	"qbism/internal/volume"
 )
@@ -152,9 +153,10 @@ func TestRenderMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestImportEncodedEveryMethod: a REGION in any codec imports and
-// renders as its decoded Region does — the delta codecs walked off the
-// bytes, the others decoded first — and Data gives back the DataRegion.
+// TestImportEncodedEveryMethod: a REGION in any codec the server sends
+// imports and renders as its decoded Region does — γ walked off the
+// bytes, naive and the k³-tree decoded first — and Data gives back the
+// DataRegion.
 func TestImportEncodedEveryMethod(t *testing.T) {
 	c := sfc.MustNew(sfc.Hilbert, 3, 4)
 	vol, shapes := renderShapes(t, c)
@@ -182,6 +184,22 @@ func TestImportEncodedEveryMethod(t *testing.T) {
 		got, err := f.Data()
 		if err != nil || !slices.Equal(got.Region.RunsView(), d.Region.RunsView()) || !bytes.Equal(got.Values, d.Values) {
 			t.Errorf("%v: Data() does not give back the DataRegion (err %v)", m, err)
+		}
+	}
+}
+
+// TestImportEncodedRefusesZooMethods: a REGION in any of package zoo's
+// codecs, none of which the server sends, is refused with an error
+// wrapping rencode.ErrCorrupt.
+func TestImportEncodedRefusesZooMethods(t *testing.T) {
+	d := sphereData(t, 9)
+	for _, m := range []zoo.Method{zoo.EliasDelta, zoo.Golomb, zoo.Varint, zoo.OblongOctant, zoo.Octant} {
+		enc, err := zoo.Encode(m, d.Region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, _, err := ImportEncoded(enc, d.Values); !errors.Is(err, rencode.ErrCorrupt) || f != nil {
+			t.Errorf("%v: ImportEncoded = %v, %v; want a refusal wrapping rencode.ErrCorrupt", m, f != nil, err)
 		}
 	}
 }
@@ -275,18 +293,19 @@ func FuzzRenderEncoded(f *testing.F) {
 		f.Add(enc, d.Values[1:])
 	}
 	// A header of method m on c with count elements.
-	header := func(m rencode.Method, count uint64) []byte {
-		enc, err := rencode.Encode(m, region.Empty(c))
+	header := func(m zoo.Method, count uint64) []byte {
+		enc, err := zoo.Encode(m, region.Empty(c))
 		if err != nil {
 			f.Fatal(err)
 		}
 		return binary.BigEndian.AppendUint64(enc[:4], count)
 	}
 	values := []byte{1, 2, 3}
-	// One varint delta of 0, and one γ-coded run of 2^15 + 1 on the
-	// 2^15 positions of the curve: 15 zeros, then 1000000000000001.
-	f.Add(append(header(rencode.Varint, 1), 0), values)
-	f.Add(append(header(rencode.Elias, 1), 0x00, 0x01, 0x00, 0x02), values)
+	// One varint delta of 0, refused since varint is none of the wire's
+	// codecs, and one γ-coded run of 2^15 + 1 on the 2^15 positions of
+	// the curve: 15 zeros, then 1000000000000001.
+	f.Add(append(header(zoo.Varint, 1), 0), values)
+	f.Add(append(header(zoo.Elias, 1), 0x00, 0x01, 0x00, 0x02), values)
 	naive, err := rencode.Encode(rencode.Naive, box)
 	if err != nil {
 		f.Fatal(err)

@@ -18,7 +18,7 @@ import (
 
 	"qbism/internal/medserver"
 	"qbism/internal/region"
-	"qbism/internal/rencode"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sfc"
 	"qbism/internal/stats"
 )
@@ -89,8 +89,8 @@ func RunRatios(srv *medserver.Server) (*RunRatioReport, error) {
 			Name:          nr.Name,
 			HRuns:         nr.Region.NumRuns(),
 			ZRuns:         rz.NumRuns(),
-			OblongOctants: len(rz.OblongOctants()),
-			Octants:       len(rz.Octants()),
+			OblongOctants: len(zoo.OblongOctants(rz)),
+			Octants:       len(zoo.Octants(rz)),
 		}
 		rep.Rows = append(rep.Rows, row)
 		h = append(h, float64(row.HRuns))
@@ -144,7 +144,7 @@ type DeltaLawRow struct {
 func DeltaLaw(srv *medserver.Server) ([]DeltaLawRow, error) {
 	var out []DeltaLawRow
 	for _, nr := range ExperimentRegions(srv) {
-		hist := rencode.DeltaHistogram(nr.Region)
+		hist := zoo.DeltaHistogram(nr.Region)
 		fit, err := stats.FitPowerLawBinned(hist)
 		if err != nil {
 			continue // degenerate region (too few distinct lengths)
@@ -203,20 +203,20 @@ func Sizes(srv *medserver.Server) (*SizeReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := SizeRow{Name: nr.Name, Entropy: rencode.EntropyBound(nr.Region)}
+		row := SizeRow{Name: nr.Name, Entropy: zoo.EntropyBound(nr.Region)}
 		if row.Entropy == 0 {
 			continue
 		}
-		if row.Elias, err = rencode.EncodedSize(rencode.Elias, nr.Region); err != nil {
+		if row.Elias, err = zoo.EncodedSize(zoo.Elias, nr.Region); err != nil {
 			return nil, err
 		}
-		if row.Naive, err = rencode.EncodedSize(rencode.Naive, nr.Region); err != nil {
+		if row.Naive, err = zoo.EncodedSize(zoo.Naive, nr.Region); err != nil {
 			return nil, err
 		}
-		if row.Oblong, err = rencode.EncodedSize(rencode.OblongOctant, rz); err != nil {
+		if row.Oblong, err = zoo.EncodedSize(zoo.OblongOctant, rz); err != nil {
 			return nil, err
 		}
-		if row.Octant, err = rencode.EncodedSize(rencode.Octant, rz); err != nil {
+		if row.Octant, err = zoo.EncodedSize(zoo.Octant, rz); err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, row)
@@ -284,8 +284,11 @@ func MingapSweep(srv *medserver.Server, thresholds []uint64) ([]MingapRow, error
 			if nr.Region.NumRuns() == 0 {
 				continue
 			}
-			approx := nr.Region.MergeGaps(mg)
-			_, inflation, err := region.ApproxError(nr.Region, approx)
+			approx, err := MergeGaps(nr.Region, mg)
+			if err != nil {
+				return nil, err
+			}
+			_, inflation, err := ApproxError(nr.Region, approx)
 			if err != nil {
 				return nil, err
 			}

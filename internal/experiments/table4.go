@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"qbism/internal/costmodel"
+	"qbism/internal/lfm"
 	"qbism/internal/medserver"
-	"qbism/internal/rencode"
+	"qbism/internal/region"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
 )
@@ -39,9 +41,9 @@ func StoreTable4Rows(srv *medserver.Server) error {
 			}
 			for _, row := range []struct {
 				encoding string
-				method   rencode.Method
-			}{{EncZNaive, rencode.Naive}, {EncOctant, rencode.Octant}} {
-				data, err := rencode.Encode(row.method, rz)
+				method   zoo.Method
+			}{{EncZNaive, zoo.Naive}, {EncOctant, zoo.Octant}} {
+				data, err := zoo.Encode(row.method, rz)
 				if err != nil {
 					return err
 				}
@@ -101,22 +103,26 @@ func Table4(srv *medserver.Server, bandLo, bandHi int, encodings ...string) ([]T
 }
 
 // table4One executes the n-way intersection for one encoding. The
-// generated SQL joins intensityBand once per study and calls the
-// variadic nIntersect UDF, as a Starburst query with n joins would;
-// every study id, band bound and encoding label is a bind value. RealSim
-// prices the row with the 1993 model every Client is built with.
+// generated SQL joins intensityBand once per study, as a Starburst query
+// with n joins would, and selects the n stored REGIONs; every study id,
+// band bound and encoding label is a bind value. The REGIONs are read on
+// the statement's bill, so a row's LFM-IO is all its query read, and
+// decoded by whichever codec wrote them (zoo.Decode); those on another
+// curve — Table 4's Z rows — are recoded onto the server's, and
+// region.IntersectN folds them. RealSim prices the row with the 1993
+// model every Client is built with.
 func table4One(srv *medserver.Server, studies []int, bandLo, bandHi int, encoding string) (Table4Row, error) {
-	var selectArgs, froms, wheres []string
+	var selects, froms, wheres []string
 	var args []sdb.Value
 	for i, id := range studies {
 		a := fmt.Sprintf("ib%d", i+1)
-		selectArgs = append(selectArgs, a+".region")
+		selects = append(selects, a+".region")
 		froms = append(froms, "intensityBand "+a)
 		wheres = append(wheres, a+".studyId = ?", a+".lo = ?", a+".hi = ?", a+".encoding = ?")
 		args = append(args, sdb.Int(int64(id)), sdb.Int(int64(bandLo)), sdb.Int(int64(bandHi)), sdb.Str(encoding))
 	}
-	sql := fmt.Sprintf("select nIntersect(%s)\nfrom %s\nwhere %s",
-		strings.Join(selectArgs, ", "),
+	sql := fmt.Sprintf("select %s\nfrom %s\nwhere %s",
+		strings.Join(selects, ", "),
 		strings.Join(froms, ", "),
 		strings.Join(wheres, " and "))
 
@@ -125,36 +131,48 @@ func table4One(srv *medserver.Server, studies []int, bandLo, bandHi int, encodin
 	if err != nil {
 		return Table4Row{}, err
 	}
-	defer rows.Close()
-	var result sdb.Value
+	var handles []sdb.Value
 	n := 0
 	for rows.Next() {
 		if n == 0 {
-			result = rows.Row()[0]
+			handles = rows.Row()
 		}
 		n++
 	}
-	cpu := time.Since(start)
+	rows.Close()
 	if err := rows.Err(); err != nil {
 		return Table4Row{}, err
 	}
-	pages := rows.IO().PageReads
 	if n != 1 {
 		return Table4Row{}, fmt.Errorf("expected 1 row, got %d", n)
 	}
-	if result.T != sdb.TBytes {
-		return Table4Row{}, fmt.Errorf("nIntersect returned %s, want an encoded REGION", result.T)
+	io := lfm.IO{M: srv.LFM, Stats: rows.IO()}
+	operands := make([]*region.Region, len(studies))
+	for i, v := range handles {
+		data, err := io.Read(v.L)
+		if err != nil {
+			return Table4Row{}, err
+		}
+		r, err := zoo.Decode(data)
+		if err == nil && !region.SameCurve(r.Curve(), srv.Curve) {
+			r, err = r.Recode(srv.Curve)
+		}
+		if err != nil {
+			return Table4Row{}, fmt.Errorf("study %d: %w", studies[i], err)
+		}
+		operands[i] = r
 	}
-	out, err := rencode.Decode(result.Y)
+	out, err := region.IntersectN(operands...)
+	cpu := time.Since(start)
 	if err != nil {
 		return Table4Row{}, err
 	}
 	return Table4Row{
 		Encoding:    encoding,
 		NumStudies:  len(studies),
-		LFMPages:    pages,
+		LFMPages:    io.PageReads,
 		CPUMeasured: cpu,
-		RealSim:     costmodel.Default1993().StarburstTime(cpu, pages),
+		RealSim:     costmodel.Default1993().StarburstTime(cpu, io.PageReads),
 		ResultRuns:  out.NumRuns(),
 		ResultVox:   out.NumVoxels(),
 	}, nil

@@ -11,8 +11,8 @@ import (
 // packages (faultsim, the simulated link in transport, the sharded read
 // path in cluster, the batch scheduler in package qbism and the worker
 // pools of par it runs on) and byte-stability in the codec
-// packages (rencode, bitio): no wall-clock reads (time.Now, time.Since,
-// time.After, ...),
+// packages (rencode, its codec zoo, bitio): no wall-clock reads
+// (time.Now, time.Since, time.After, ...),
 // no process-seeded randomness (top-level math/rand functions or
 // rand.New(rand.NewSource(time.Now...))), and no output assembled in
 // map-iteration order. The simulation packages replay chaos runs
@@ -29,7 +29,7 @@ var DeterminismAnalyzer = &Analyzer{
 	Match: func(pkg *Package) bool {
 		return pkg.Name == "faultsim" ||
 			pkg.Name == "cluster" || pkg.Name == "qbism" || pkg.Name == "par" ||
-			pkg.Name == "rencode" || pkg.Name == "bitio" ||
+			pkg.Name == "rencode" || pkg.Name == "zoo" || pkg.Name == "bitio" ||
 			pkg.Name == "transport"
 	},
 	Run: runDeterminism,

@@ -99,7 +99,7 @@ func (s *Server) prepareAtlas() (func() error, error) {
 	}
 	regions := make([][]byte, len(a.Structures))
 	for i, st := range a.Structures {
-		if regions[i], err = encodeStructure(st.Region); err != nil {
+		if regions[i], err = rencode.Encode(rencode.K3Tree, st.Region); err != nil {
 			return nil, err
 		}
 	}

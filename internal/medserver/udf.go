@@ -180,37 +180,6 @@ func (s *Server) registerSpatialUDFs() error {
 			},
 		},
 		{
-			// nIntersect(r1, ..., rn) -> REGION: the n-way spatial
-			// intersection of the multi-study queries (Table 4).
-			Name: "nIntersect", MinArgs: 1, MaxArgs: -1, Cost: 20, State: newCallState,
-			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
-				// The operands meet one at a time, each on the compact form
-				// it has (intersect). The first, when in another order
-				// (Table 4's Z rows), is normalized onto the system curve,
-				// and every later one onto the first; argument order keeps
-				// results reproducible. The accumulator is an operand of
-				// the next step, so the steps allocate their results.
-				var acc region.Queryable
-				for _, a := range args {
-					q, err := s.regionOf(call.IO(), call, nil, a, false)
-					if err != nil {
-						return sdb.Value{}, err
-					}
-					switch {
-					case acc != nil:
-						q, err = intersect(nil, acc, q)
-					case q.Curve().Kind() != s.Curve.Kind():
-						q, err = recode(q, s.Curve)
-					}
-					if err != nil {
-						return sdb.Value{}, err
-					}
-					acc = q
-				}
-				return s.parsed(stateOf(call), acc), nil
-			},
-		},
-		{
 			// numVoxels never needs a run list: the k³-tree header carries
 			// the count, so a compressed REGION answers from 12 bytes.
 			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, Cost: 10, ProbeOnly: true, State: newCallState,
@@ -331,8 +300,8 @@ func recode(q region.Queryable, c sfc.Curve) (*region.Region, error) {
 // parsedRegion is a REGION one spatial function returns to the function
 // around it, still parsed: a run list, or a k³-tree probe over the
 // stored bytes. sdb carries it as an Object, so it is encoded — in the
-// system's storage encoding — only where it leaves that call chain, as
-// in Table 4's select nIntersect(...). Nothing holds it past the
+// wire codec, Config.Method — only where it leaves that call chain, as
+// a REGION-valued SQL result. Nothing holds it past the
 // statement: sdb keeps no Object in a row, and drops its argument
 // vectors after each call. It and what it points to usually live in the
 // returning call site's callState, valid until that site runs again.

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"qbism/internal/experiments"
+	"qbism/internal/rencode"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sdb"
 	"qbism/internal/transport"
 )
@@ -168,6 +170,46 @@ where wv.studyId = 1 and wv.atlasId = as.atlasId
 	putamen, _ := s.Atlas.ByName("putamen")
 	if uint64(got) != putamen.Region.NumVoxels() {
 		t.Errorf("DataRegion blob holds %d voxels, putamen %d", got, putamen.Region.NumVoxels())
+	}
+}
+
+// TestZooRegionsRefused: the server reads no REGION in one of package
+// zoo's codecs. A δ-, Golomb-, varint- or octant-coded BYTES argument to
+// numVoxels or to either side of intersection, and Table 4's stored
+// octant rows, fail with an error wrapping rencode.ErrCorrupt, and
+// nothing panics.
+func TestZooRegionsRefused(t *testing.T) {
+	s := testSystem(t)
+	putamen, err := s.Atlas.ByName("putamen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := rencode.Encode(rencode.Elias, putamen.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []zoo.Method{zoo.EliasDelta, zoo.Golomb, zoo.Varint, zoo.OblongOctant, zoo.Octant} {
+		enc, err := zoo.Encode(m, putamen.Region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []struct {
+			sql  string
+			args []sdb.Value
+		}{
+			{`select numVoxels(?) from atlas a limit 1`, []sdb.Value{sdb.Bytes(enc)}},
+			{`select intersection(?, ?) from atlas a limit 1`, []sdb.Value{sdb.Bytes(enc), sdb.Bytes(served)}},
+			{`select numVoxels(intersection(?, ?)) from atlas a limit 1`, []sdb.Value{sdb.Bytes(served), sdb.Bytes(enc)}},
+		} {
+			if _, err := s.DB.Exec(q.sql, q.args...); !errors.Is(err, rencode.ErrCorrupt) {
+				t.Errorf("%v: %s: err %v, want rencode.ErrCorrupt", m, q.sql, err)
+			}
+		}
+	}
+	_, err = s.DB.Exec(`select numVoxels(ib.region) from intensityBand ib where ib.encoding = ? limit 1`,
+		sdb.Str(experiments.EncOctant))
+	if !errors.Is(err, rencode.ErrCorrupt) {
+		t.Errorf("stored octant row: err %v, want rencode.ErrCorrupt", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"qbism/internal/medserver"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
 	"qbism/internal/transport"
@@ -137,7 +138,7 @@ func TestReprMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored, err := rencode.Decode(data)
+			stored, err := zoo.Decode(data)
 			if err != nil {
 				t.Fatalf("%s %s: %v", spec.Label(), enc, err)
 			}

@@ -33,8 +33,9 @@ func paperRegion(t *testing.T, c sfc.Curve) *Region {
 	return r
 }
 
-// TestPaperTable1 reproduces every row of Table 1 (Z-curve encodings of
-// the Figure 3 REGION).
+// TestPaperTable1 reproduces the z-run row of Table 1 (Z-curve encodings
+// of the Figure 3 REGION); package zoo's TestPaperTablesOctants the
+// octant rows.
 func TestPaperTable1(t *testing.T) {
 	r := paperRegion(t, z2)
 	wantRuns := []Run{{1, 1}, {4, 7}, {12, 13}}
@@ -47,34 +48,14 @@ func TestPaperTable1(t *testing.T) {
 			}
 		}
 	}
-	wantOblong := []Octant{{1, 0}, {4, 2}, {12, 1}}
-	checkOctants(t, "oblong", r.OblongOctants(), wantOblong)
-	wantOct := []Octant{{1, 0}, {4, 2}, {12, 0}, {13, 0}}
-	checkOctants(t, "octants", r.Octants(), wantOct)
 }
 
-// TestPaperTable2 reproduces every row of Table 2 (Hilbert-curve
+// TestPaperTable2 reproduces the h-run row of Table 2 (Hilbert-curve
 // encodings of the same REGION): a single h-run <3,9>.
 func TestPaperTable2(t *testing.T) {
 	r := paperRegion(t, h2)
 	if got := r.Runs(); len(got) != 1 || got[0] != (Run{3, 9}) {
 		t.Fatalf("h-runs = %v, want [<3,9>]", got)
-	}
-	wantOblong := []Octant{{3, 0}, {4, 2}, {8, 1}}
-	checkOctants(t, "oblong", r.OblongOctants(), wantOblong)
-	wantOct := []Octant{{3, 0}, {4, 2}, {8, 0}, {9, 0}}
-	checkOctants(t, "octants", r.Octants(), wantOct)
-}
-
-func checkOctants(t *testing.T, name string, got, want []Octant) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s = %v, want %v", name, got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("%s[%d] = %v, want %v", name, i, got[i], want[i])
-		}
 	}
 }
 
@@ -148,7 +129,7 @@ func TestFullAndEmpty(t *testing.T) {
 	if !e.Empty() || e.NumVoxels() != 0 {
 		t.Errorf("Empty: %v", e)
 	}
-	if f.String() == "" || (Run{1, 2}).String() != "<1,2>" || (Octant{1, 2}).String() != "<1,2>" {
+	if f.String() == "" || (Run{1, 2}).String() != "<1,2>" {
 		t.Error("String methods broken")
 	}
 }
@@ -248,76 +229,6 @@ func TestFromPredicate(t *testing.T) {
 		if !r.ContainsPoint(sfc.Pt(0, y, 0)) {
 			t.Errorf("missing (0,%d)", y)
 		}
-	}
-}
-
-// TestOctantsCoverExactly: property test that both decompositions
-// reconstruct the region exactly and are aligned.
-func TestOctantsCoverExactly(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(100) + 1
-		ids := make([]uint64, n)
-		for i := range ids {
-			ids[i] = rng.Uint64() % h3.Length()
-		}
-		r, _ := FromIDs(h3, ids)
-		for _, octs := range [][]Octant{r.Octants(), r.OblongOctants()} {
-			var total uint64
-			for _, o := range octs {
-				if o.ID%o.Len() != 0 {
-					return false // misaligned
-				}
-				total += o.Len()
-			}
-			if total != r.NumVoxels() {
-				return false
-			}
-			back, err := FromOctantList(h3, octs)
-			if err != nil || !back.Equal(r) {
-				return false
-			}
-		}
-		// Regular octants have rank divisible by dim.
-		for _, o := range r.Octants() {
-			if int(o.Rank)%3 != 0 {
-				return false
-			}
-		}
-		// Piece-count ordering from the paper: #runs <= #oblong <= #octants.
-		if !(r.NumRuns() <= len(r.OblongOctants()) && len(r.OblongOctants()) <= len(r.Octants())) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFromOctantListErrors(t *testing.T) {
-	if _, err := FromOctantList(h2, []Octant{{1, 1}}); err == nil {
-		t.Error("misaligned octant accepted")
-	}
-	if _, err := FromOctantList(h2, []Octant{{0, 5}}); err == nil {
-		t.Error("oversized octant accepted")
-	}
-}
-
-func TestPackOctant(t *testing.T) {
-	o := Octant{ID: (1 << 27) - 8, Rank: 3}
-	v, err := PackOctant(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := UnpackOctant(v); got != o {
-		t.Errorf("round trip = %v, want %v", got, o)
-	}
-	if _, err := PackOctant(Octant{ID: 1 << 27}); err == nil {
-		t.Error("27-bit overflow accepted")
-	}
-	if _, err := PackOctant(Octant{ID: 0, Rank: 28}); err == nil {
-		t.Error("rank overflow accepted")
 	}
 }
 

@@ -11,23 +11,6 @@ import (
 // experiments: rectangular solids (query Q2), and the ellipsoidal blobs
 // the synthetic atlas builds anatomical structures from.
 
-// FromOctantList rebuilds a region from an octant list (the inverse of
-// the Octants/OblongOctants decompositions, modulo normalization).
-func FromOctantList(c sfc.Curve, octs []Octant) (*Region, error) {
-	runs := make([]Run, 0, len(octs))
-	maxRank := uint8(c.Dim() * c.Bits())
-	for _, o := range octs {
-		if o.Rank > maxRank {
-			return nil, fmt.Errorf("region: octant rank %d exceeds grid rank %d", o.Rank, maxRank)
-		}
-		if o.ID%o.Len() != 0 {
-			return nil, fmt.Errorf("region: octant %v is not aligned", o)
-		}
-		runs = append(runs, o.Run())
-	}
-	return FromOwnedRuns(c, runs)
-}
-
 // Box is an axis-aligned rectangular solid given by inclusive corners.
 type Box struct {
 	Min, Max sfc.Point

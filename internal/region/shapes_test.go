@@ -91,45 +91,6 @@ func TestFromEllipsoidClamped(t *testing.T) {
 	}
 }
 
-func TestMergeGaps(t *testing.T) {
-	r, _ := FromRuns(h3, []Run{{0, 4}, {7, 9}, {20, 22}})
-	// Gaps: 2 (ids 5-6) and 10 (ids 10-19).
-	m := r.MergeGaps(3)
-	if runs := m.Runs(); len(runs) != 2 || runs[0] != (Run{0, 9}) {
-		t.Errorf("MergeGaps(3) = %v", runs)
-	}
-	m2 := r.MergeGaps(11)
-	if runs := m2.Runs(); len(runs) != 1 || runs[0] != (Run{0, 22}) {
-		t.Errorf("MergeGaps(11) = %v", runs)
-	}
-	if r.MergeGaps(1) != r || r.MergeGaps(0) != r {
-		t.Error("mingap<=1 should return receiver")
-	}
-	// Result is a superset.
-	if ok, _ := Contains(m, r); !ok {
-		t.Error("merged region does not contain original")
-	}
-}
-
-func TestApproxError(t *testing.T) {
-	r, _ := FromRuns(h3, []Run{{0, 7}})
-	a, _ := FromRuns(h3, []Run{{0, 15}})
-	extra, inflation, err := ApproxError(r, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if extra != 8 || inflation != 2.0 {
-		t.Errorf("ApproxError = %d, %v; want 8, 2.0", extra, inflation)
-	}
-	extra, inflation, err = ApproxError(Empty(h3), a)
-	if err != nil || extra != 16 || inflation != 0 {
-		t.Errorf("empty exact: %d %v %v", extra, inflation, err)
-	}
-	if _, _, err := ApproxError(Full(h3), Full(z3)); err == nil {
-		t.Error("curve mismatch accepted")
-	}
-}
-
 // TestHilbertFewerRunsThanZ reproduces the paper's qualitative claim on
 // a geometric shape: the Hilbert encoding of a sphere needs fewer runs
 // than the Z encoding.

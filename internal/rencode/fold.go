@@ -35,8 +35,8 @@ type StoredFold struct {
 //     as it is read;
 //   - a k³-tree row by IntersectRunsInto on one reused probe, which
 //     prunes the subtrees the runs so far miss;
-//   - a row of any other codec, and a naive row that is not strictly
-//     normalized, by DecodeInto and a merge of its run list.
+//   - a γ row, and a naive row that is not strictly normalized, by
+//     DecodeInto and a merge of its run list.
 //
 // A row's verdict is DecodeInto's: Intersect fails on the rows DecodeInto
 // fails on, with the same error. A valid row on another curve than the
@@ -44,7 +44,7 @@ type StoredFold struct {
 // data only while it runs, so the caller may read the next row into the
 // same memory. After an error the fold must not be used again.
 func (f *StoredFold) Intersect(data []byte) error {
-	curve, count, body, err := header(data)
+	curve, count, body, err := Header(data)
 	if err != nil {
 		return err
 	}

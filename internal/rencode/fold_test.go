@@ -124,7 +124,7 @@ func foldRegions(rng *rand.Rand, c sfc.Curve) []*region.Region {
 }
 
 // foldRows encodes each region as a naive row, a k³-tree row or, now
-// and then, one of the other codecs, dropping what a codec cannot hold.
+// and then, any served codec, dropping what a codec cannot hold.
 func foldRows(rng *rand.Rand, regions []*region.Region) [][]byte {
 	var rows [][]byte
 	for _, r := range regions {
@@ -204,7 +204,7 @@ func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 		"inverted":          {span, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 60, Hi: 50})},
 		"off the curve":     {span, naiveRow(c, 1, region.Run{Lo: 20, Hi: 4096})},
 		"truncated naive":   {naive, naive[:len(naive)-1]},
-		"short header":      {naive, naive[:headerLen-1]},
+		"short header":      {naive, naive[:HeaderLen-1]},
 		"flipped k3":        {naive, flipped},
 		"k3 count":          {k3, wrongCount},
 		"another curve":     {naive, other},
@@ -234,7 +234,7 @@ func FuzzIntersectStored(f *testing.F) {
 	f.Add(naiveRow(c, 1, region.Run{Lo: 2, Hi: 512}), int64(3))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		c := sfc.MustNew(sfc.Hilbert, 3, 3)
-		if curve, _, _, err := header(data); err == nil && curve.Length() <= 1<<24 {
+		if curve, _, _, err := Header(data); err == nil && curve.Length() <= 1<<24 {
 			c = curve
 		}
 		rng := rand.New(rand.NewSource(seed))

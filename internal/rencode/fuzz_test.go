@@ -19,8 +19,11 @@ import (
 // codec's image — the same invariant prop_test checks from the encode
 // side).
 func FuzzDecodeRegion(f *testing.F) {
-	// Seed with one real encoding per method so coverage starts inside
-	// every payload decoder, not just the header checks.
+	// Seed with one real encoding per method byte so coverage starts
+	// inside every payload decoder, not just the header checks: the
+	// method's own where this package has one, and otherwise — the bytes
+	// of package zoo's codecs, which the decoder refuses — the γ payload
+	// under that byte.
 	curve, err := sfc.New(sfc.Hilbert, 3, 3)
 	if err != nil {
 		f.Fatal(err)
@@ -29,10 +32,16 @@ func FuzzDecodeRegion(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, m := range Methods {
-		enc, err := Encode(m, r)
-		if err != nil {
-			f.Fatal(err)
+	gamma, err := Encode(Elias, r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for b := range K3Tree.code() + 1 {
+		enc := append([]byte{b}, gamma[1:]...)
+		if m, ok := MethodOf(enc); ok {
+			if enc, err = Encode(m, r); err != nil {
+				f.Fatal(err)
+			}
 		}
 		f.Add(enc)
 		// A truncated and a bit-flipped variant of each, so the corpus
@@ -110,8 +119,8 @@ func gammaWindowSeeds(tb testing.TB) []gammaSeed {
 			tb.Fatal(err)
 		}
 		out = append(out, gammaSeed{enc, r})
-		if len(enc) == headerLen+9 {
-			out = append(out, gammaSeed{enc[:headerLen+8], nil})
+		if len(enc) == HeaderLen+9 {
+			out = append(out, gammaSeed{enc[:HeaderLen+8], nil})
 		}
 	}
 	return out
@@ -165,10 +174,10 @@ func FuzzDecodeK3(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(enc)
-		if len(enc) > headerLen+1 {
+		if len(enc) > HeaderLen+1 {
 			f.Add(enc[:len(enc)-1])
 			flipped := bytes.Clone(enc)
-			flipped[headerLen+1+(len(flipped)-headerLen-1)/2] ^= 0x10
+			flipped[HeaderLen+1+(len(flipped)-HeaderLen-1)/2] ^= 0x10
 			f.Add(flipped)
 		}
 	}

@@ -210,7 +210,7 @@ func ParseK3(data []byte) (*K3Probe, error) {
 // no tree — it is Empty, with no curve and no levels — and must not be
 // probed until a Parse succeeds.
 func (p *K3Probe) Parse(data []byte) error {
-	if len(data) < headerLen {
+	if len(data) < HeaderLen {
 		p.Reset()
 		return fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
 	}
@@ -224,7 +224,7 @@ func (p *K3Probe) Parse(data []byte) error {
 		return fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
 	}
 	count := binary.BigEndian.Uint64(data[4:12])
-	return p.parseBody(curve, count, data[headerLen:], true)
+	return p.parseBody(curve, count, data[HeaderLen:], true)
 }
 
 // Reset empties p the way a rejected Parse leaves it, dropping every

@@ -14,36 +14,33 @@ import (
 )
 
 // TestMethodsExhaustive pins the Method enum to its supporting tables:
-// every declared method (everything below the methodCount sentinel)
-// must appear in Methods exactly once, must have a real String() name
-// (no Method(%d) fall-through), and must round-trip Encode→Decode
-// byte-identically. Adding a method without extending the tables fails
-// here at the table, not in production at the fall-through.
+// every method in Methods appears once, has a real String() name (no
+// Method(%d) fall-through) and a method byte of its own, MethodOf
+// declares exactly those bytes — package zoo's, and every other, are
+// not this package's — and each method round-trips Encode→Decode
+// byte-identically.
 func TestMethodsExhaustive(t *testing.T) {
-	if len(Methods) != int(methodCount) {
-		t.Fatalf("Methods lists %d methods, %d are declared", len(Methods), int(methodCount))
-	}
-	seen := map[Method]bool{}
 	names := map[string]Method{}
+	codes := map[byte]Method{}
 	for _, m := range Methods {
-		if m < 0 || m >= methodCount {
-			t.Fatalf("Methods lists undeclared method %d", int(m))
-		}
-		if seen[m] {
-			t.Fatalf("Methods lists %v twice", m)
-		}
-		seen[m] = true
 		name := m.String()
 		if strings.HasPrefix(name, "Method(") {
-			t.Errorf("String() does not cover declared method %d", int(m))
+			t.Errorf("String() does not cover method %d", int(m))
 		}
 		if prev, dup := names[name]; dup {
 			t.Errorf("methods %v and %v share the name %q", prev, m, name)
 		}
 		names[name] = m
+		if prev, dup := codes[m.code()]; dup {
+			t.Errorf("methods %v and %v share the method byte %d", prev, m, m.code())
+		}
+		codes[m.code()] = m
 	}
-	if !strings.HasPrefix(Method(methodCount).String(), "Method(") {
-		t.Errorf("sentinel methodCount has a String name: %q", Method(methodCount).String())
+	for b := 0; b < 256; b++ {
+		got, ok := MethodOf([]byte{byte(b)})
+		if want, served := codes[byte(b)]; ok != served || got != want {
+			t.Errorf("MethodOf(byte %d) = %v, %v; want %v, %v", b, got, ok, want, served)
+		}
 	}
 
 	// Byte-identical round trip for every method over a deterministic
@@ -222,7 +219,7 @@ func TestK3EmptyFullProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(blob) != headerLen+1 {
+		if len(blob) != HeaderLen+1 {
 			t.Errorf("%s: %d bytes, want header+1", tc.name, len(blob))
 		}
 		p, err := ParseK3(blob)
@@ -279,7 +276,7 @@ func TestParseK3Rejects(t *testing.T) {
 		t.Error("ParseK3 accepted nil")
 	}
 	blob, _ := Encode(K3Tree, r)
-	for _, cut := range []int{headerLen, headerLen + 1, len(blob) - 1} {
+	for _, cut := range []int{HeaderLen, HeaderLen + 1, len(blob) - 1} {
 		if _, err := ParseK3(blob[:cut]); err == nil {
 			t.Errorf("ParseK3 accepted truncation to %d bytes", cut)
 		}
@@ -288,7 +285,7 @@ func TestParseK3Rejects(t *testing.T) {
 		t.Error("ParseK3 accepted trailing bytes")
 	}
 	bad := append([]byte(nil), blob...)
-	bad[headerLen] = 7 // root color
+	bad[HeaderLen] = 7 // root color
 	if _, err := ParseK3(bad); err == nil {
 		t.Error("ParseK3 accepted a bad root color")
 	}
@@ -538,7 +535,7 @@ func TestK3ParseReuseMatchesFresh(t *testing.T) {
 		// A corrupt copy of the next tree, then the tree itself: the
 		// rejection must not disturb the parse that follows it.
 		next := blobs[(i+1)%len(blobs)]
-		for _, bad := range [][]byte{next[:len(next)-1], append(slices.Clone(next), 0), next[:headerLen-1]} {
+		for _, bad := range [][]byte{next[:len(next)-1], append(slices.Clone(next), 0), next[:HeaderLen-1]} {
 			if err := p.Parse(bad); err == nil {
 				t.Fatalf("%s: corrupt input accepted", ctx)
 			}

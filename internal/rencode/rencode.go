@@ -1,21 +1,16 @@
-// Package rencode implements the on-disk REGION encodings studied in
-// Section 4.2 of the QBISM paper and the entropy lower bound used as
-// their yardstick (EQ 2).
+// Package rencode implements the REGION encodings the server stores and
+// serves, the ones Section 4.2 of the QBISM paper ends up with:
 //
-// Encodings:
-//
-//   - naive:        8 bytes per run (<start, end> as two uint32s)
-//   - elias:        Elias γ-coded delta (run/gap length) stream — the
-//     paper's chosen method, and the zero Method
-//   - eliasdelta:   Elias δ-coded delta stream (extension; better for
-//     heavy-tailed lengths)
-//   - golomb:       Golomb/Rice-coded delta stream (the geometric-
-//     distribution method the paper rules out, kept as a baseline)
-//   - varint:       byte-aligned unsigned LEB128 delta stream
-//   - oblong:       4 bytes per oblong octant (<id, rank> packed)
-//   - octant:       4 bytes per regular octant (<id, rank> packed)
-//   - k3-tree:      octree of full/mixed bitmaps over curve-id space,
+//   - naive:   8 bytes per run (<start, end> as two uint32s), Table 4's
+//     h-naive row
+//   - elias:   Elias γ-coded delta (run/gap length) stream — the
+//     paper's chosen method, the wire's, and the zero Method
+//   - k3-tree: octree of full/mixed bitmaps over curve-id space,
 //     queryable in compressed form via ParseK3 (see k3.go)
+//
+// The rest of the paper's study — Elias δ, Golomb, varint, the octant
+// lists and the entropy bound — is package zoo's, which keeps their
+// method bytes; this package refuses those bytes as corrupt.
 //
 // Every codec round-trips exactly. Sizes are reported in bytes as stored.
 package rencode
@@ -24,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"qbism/internal/bitio"
@@ -43,33 +37,17 @@ const (
 	// Naive stores each run as two 4-byte integers (the paper's
 	// "h-run-naive" at 8 bytes per run).
 	Naive
-	// EliasDelta stores the delta stream with the Elias δ-code.
-	EliasDelta
-	// Golomb stores the delta stream with a Rice code (parameter chosen
-	// per region and stored in the header).
-	Golomb
-	// Varint stores the delta stream as LEB128 varints.
-	Varint
-	// OblongOctant stores 4 bytes per oblong octant.
-	OblongOctant
-	// Octant stores 4 bytes per regular octant.
-	Octant
 	// K3Tree stores the region as an octree of per-level full/mixed
 	// bitmaps over curve-id space (a k³-tree in the sense of Brisaboa
 	// et al.). Unlike every other method it is queryable in place:
 	// ParseK3 returns a probe that answers ContainsID, range emptiness
 	// and coverage, and run intersection directly on the encoded bytes.
-	K3Tree
-
-	// methodCount is a sentinel: it must stay last in this block so the
-	// exhaustiveness test can iterate every declared method. Adding a
-	// method above without extending Methods and String fails
-	// TestMethodsExhaustive.
-	methodCount
+	// Its value is its method byte; 2 through 6 are package zoo's.
+	K3Tree Method = 7
 )
 
 // Methods lists all supported methods in display order.
-var Methods = []Method{Naive, Elias, EliasDelta, Golomb, Varint, OblongOctant, Octant, K3Tree}
+var Methods = []Method{Naive, Elias, K3Tree}
 
 // String returns the method's conventional name.
 func (m Method) String() string {
@@ -78,16 +56,6 @@ func (m Method) String() string {
 		return "naive"
 	case Elias:
 		return "elias"
-	case EliasDelta:
-		return "elias-delta"
-	case Golomb:
-		return "golomb"
-	case Varint:
-		return "varint"
-	case OblongOctant:
-		return "oblong-octant"
-	case Octant:
-		return "octant"
 	case K3Tree:
 		return "k3-tree"
 	default:
@@ -96,16 +64,17 @@ func (m Method) String() string {
 }
 
 // MethodOf peeks the method byte of an encoded REGION without decoding
-// it. It reports ok=false on an empty buffer or an undeclared method.
+// it. It reports ok=false on an empty buffer or a method this package
+// does not read.
 func MethodOf(data []byte) (Method, bool) {
 	if len(data) == 0 {
 		return 0, false
 	}
-	m := methodOfCode(data[0])
-	if m < 0 || m >= methodCount {
-		return 0, false
+	switch m := methodOfCode(data[0]); m {
+	case Elias, Naive, K3Tree:
+		return m, true
 	}
-	return m, true
+	return 0, false
 }
 
 // code is m's method byte, the first byte of every encoding. The bytes
@@ -136,36 +105,34 @@ func methodOfCode(b byte) Method {
 // ErrCorrupt is wrapped by decode errors caused by malformed input.
 var ErrCorrupt = errors.New("rencode: corrupt encoding")
 
-// header layout for all methods:
+// HeaderLen is the length of the header every method starts with:
 //
 //	byte 0:    method
 //	byte 1:    curve kind
 //	byte 2:    dim
 //	byte 3:    bits per coordinate
-//	bytes 4-11: element count (runs, octants, or deltas) big-endian
-//	[golomb only] byte 12: rice parameter k
+//	bytes 4-11: element count (runs, deltas or voxels) big-endian
 //
-// followed by the method-specific payload.
-const headerLen = 12
+// followed by the method-specific payload. Package zoo's methods share
+// it.
+const HeaderLen = 12
 
 // Encode serializes r with the given method.
 func Encode(m Method, r *region.Region) ([]byte, error) { return AppendEncode(nil, m, r) }
 
 // AppendEncode appends Encode(m, r) to dst and returns the extended
 // slice. It grows dst at most once, so a dst with room for
-// EncodedSize(m, r) more bytes takes the encoding in place. Every method
-// but the k³-tree writes its payload straight into it; the k³-tree
-// builds its bitmaps aside first. On an error dst is returned as it was
-// given, and what lies past its length is unspecified.
+// EncodedSize(m, r) more bytes takes the encoding in place. Naive and
+// Elias write their payload straight into it; the k³-tree builds its
+// bitmaps aside first. On an error dst is returned as it was given, and
+// what lies past its length is unspecified.
 func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 	c := r.Curve()
 	runs := r.RunsView()
 	var (
 		size    int    // payload bytes
 		payload []byte // the k³-tree's, built aside
-		octs    []region.Octant
 		count   uint64
-		riceK   uint8
 	)
 	switch m {
 	case Naive:
@@ -173,17 +140,10 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 			return dst, fmt.Errorf("rencode: naive encoding needs ids < 2^32, grid has %d id bits", c.Dim()*c.Bits())
 		}
 		count, size = uint64(len(runs)), 8*len(runs)
-	case Elias, EliasDelta, Varint, Golomb:
+	case Elias:
 		var nbits int
-		riceK, count, nbits = deltaStream(m, r)
+		count, nbits = gammaStream(r)
 		size = (nbits + 7) / 8
-	case OblongOctant, Octant:
-		if m == OblongOctant {
-			octs = r.OblongOctants()
-		} else {
-			octs = r.Octants()
-		}
-		count, size = uint64(len(octs)), 4*len(octs)
 	case K3Tree:
 		count = r.NumVoxels()
 		payload = encodeK3(r)
@@ -192,11 +152,7 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 		return dst, fmt.Errorf("rencode: unknown method %d", int(m))
 	}
 
-	hlen := headerLen
-	if m == Golomb {
-		hlen++
-	}
-	out := slices.Grow(dst, hlen+size)
+	out := slices.Grow(dst, HeaderLen+size)
 	out = append(out, m.code(), byte(c.Kind()), byte(c.Dim()), byte(c.Bits()))
 	out = binary.BigEndian.AppendUint64(out, count)
 	switch m {
@@ -205,53 +161,21 @@ func AppendEncode(dst []byte, m Method, r *region.Region) ([]byte, error) {
 			out = binary.BigEndian.AppendUint32(out, uint32(run.Lo))
 			out = binary.BigEndian.AppendUint32(out, uint32(run.Hi))
 		}
-	case Elias, EliasDelta, Varint, Golomb:
-		if m == Golomb {
-			out = append(out, riceK)
-		}
-		// One loop per code, so that each delta is one direct call.
+	case Elias:
 		w := bitio.NewWriter(out)
-		switch m {
-		case Elias:
-			r.EachDelta(func(d region.Delta) { writeGamma(w, d.Length) })
-		case EliasDelta:
-			r.EachDelta(func(d region.Delta) { writeDelta(w, d.Length) })
-		case Varint:
-			r.EachDelta(func(d region.Delta) { writeVarint(w, d.Length) })
-		case Golomb:
-			r.EachDelta(func(d region.Delta) { writeRice(w, d.Length, riceK) })
-		}
+		r.EachDelta(func(d region.Delta) { writeGamma(w, d.Length) })
 		out = w.Bytes()
-	case OblongOctant, Octant:
-		for _, o := range octs {
-			v, err := region.PackOctant(o)
-			if err != nil {
-				return dst, fmt.Errorf("rencode: %v", err)
-			}
-			out = binary.BigEndian.AppendUint32(out, v)
-		}
 	case K3Tree:
 		out = append(out, payload...)
 	}
 	return out, nil
 }
 
-// deltaStream sizes r's delta stream under the delta-stream method m:
-// the Rice parameter chosen for Golomb, how many deltas the stream holds
+// gammaStream sizes r's γ-coded delta stream: how many deltas it holds
 // and their total length in bits.
-func deltaStream(m Method, r *region.Region) (riceK uint8, count uint64, nbits int) {
-	switch m {
-	case Elias:
-		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+gammaBits(d.Length) })
-	case EliasDelta:
-		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+deltaBits(d.Length) })
-	case Varint:
-		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+varintBits(d.Length) })
-	case Golomb:
-		riceK = riceParam(r)
-		r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+riceBits(d.Length, riceK) })
-	}
-	return riceK, count, nbits
+func gammaStream(r *region.Region) (count uint64, nbits int) {
+	r.EachDelta(func(d region.Delta) { count, nbits = count+1, nbits+gammaBits(d.Length) })
+	return count, nbits
 }
 
 // Decode reconstructs a region from an Encode result. The curve is
@@ -267,15 +191,15 @@ func Decode(data []byte) (*region.Region, error) {
 // DecodeInto is Decode into r, which it refills in place
 // (region.Region.Refill) with a run list built in buf's backing array
 // when buf has room for the runs — the run count for Naive, one more
-// than half the delta count for the delta codecs, K3Probe.RunsInto's
-// bound for a k³-tree — and in a new slice otherwise: what
-// K3Probe.RunsInto and AppendEncode are to their operations. The
-// octant methods still build a new list, and a k³-tree still allocates
-// its probe's level table. Decode is DecodeInto into a new Region with no
-// buffer. On an error r is left as it was, and what buf holds is
+// than half the delta count for Elias, K3Probe.RunsInto's bound for a
+// k³-tree — and in a new slice otherwise: what K3Probe.RunsInto and
+// AppendEncode are to their operations. A k³-tree still allocates its
+// probe's level table. Decode is DecodeInto into a new Region with no
+// buffer. Any other method byte — package zoo's among them — is refused
+// as corrupt. On an error r is left as it was, and what buf holds is
 // unspecified.
 func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
-	curve, count, body, err := header(data)
+	curve, count, body, err := Header(data)
 	if err != nil {
 		return err
 	}
@@ -296,9 +220,9 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 			runs[i].Hi = uint64(binary.BigEndian.Uint32(body[8*i+4:]))
 		}
 		return r.Refill(curve, runs)
-	case Elias, EliasDelta, Varint, Golomb:
+	case Elias:
 		var rd RunReader
-		if err := rd.reset(curve, count, body, m); err != nil {
+		if err := rd.reset(curve, count, body); err != nil {
 			return err
 		}
 		runs := buf[:0]
@@ -316,19 +240,6 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 			return rd.err
 		}
 		return r.Refill(curve, runs)
-	case OblongOctant, Octant:
-		if count > uint64(len(body))/4 {
-			return fmt.Errorf("%w: octant body truncated", ErrCorrupt)
-		}
-		octs := make([]region.Octant, count)
-		for i := range octs {
-			octs[i] = region.UnpackOctant(binary.BigEndian.Uint32(body[4*i:]))
-		}
-		o, err := region.FromOctantList(curve, octs)
-		if err != nil {
-			return err
-		}
-		return r.Refill(curve, o.RunsView())
 	case K3Tree:
 		var p K3Probe
 		if err := p.parseBody(curve, count, body, false); err != nil {
@@ -340,31 +251,28 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 	}
 }
 
-// header splits an encoded REGION into its curve, element count and
+// Header splits an encoded REGION into its curve, element count and
 // method-specific body.
-func header(data []byte) (sfc.Curve, uint64, []byte, error) {
-	if len(data) < headerLen {
+func Header(data []byte) (sfc.Curve, uint64, []byte, error) {
+	if len(data) < HeaderLen {
 		return nil, 0, nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(data))
 	}
 	curve, err := sfc.New(sfc.Kind(data[1]), int(data[2]), int(data[3]))
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
 	}
-	return curve, binary.BigEndian.Uint64(data[4:12]), data[headerLen:], nil
+	return curve, binary.BigEndian.Uint64(data[4:12]), data[HeaderLen:], nil
 }
 
-// RunReader streams the runs of a delta-coded REGION — Elias γ or δ,
-// Golomb or varint, the methods whose Streams is true — in increasing
+// RunReader streams the runs of an Elias γ-coded REGION in increasing
 // order, one delta at a time, so a reply can be walked straight off the
 // wire with no run list built. Its runs lie on its curve, disjoint and
-// never adjacent (every gap covers a position). DecodeInto reads a
-// delta stream through one, and so makes every check Next makes. The
-// zero RunReader has no runs; Reset points it at an encoding.
+// never adjacent (every gap covers a position). DecodeInto reads a γ
+// stream through one, and so makes every check Next makes. The zero
+// RunReader has no runs; Reset points it at an encoding.
 type RunReader struct {
 	curve  sfc.Curve
 	n      uint64 // the curve's length
-	m      Method
-	riceK  uint8
 	br     bitio.Reader
 	count  uint64 // deltas in the stream
 	i      uint64 // deltas read
@@ -373,51 +281,27 @@ type RunReader struct {
 	err    error
 }
 
-// Streams reports whether m stores a REGION as a delta stream, which a
-// RunReader reads.
-func (m Method) Streams() bool {
-	switch m {
-	case Elias, EliasDelta, Varint, Golomb:
-		return true
-	}
-	return false
-}
-
 // Reset points rd at the encoded REGION data. It fails, wrapping
-// ErrCorrupt, on a malformed header or an undeclared method, and on a
-// method that is not a delta stream with an error of its own.
+// ErrCorrupt, on a malformed header or any method but Elias.
 func (rd *RunReader) Reset(data []byte) error {
-	curve, count, body, err := header(data)
+	curve, count, body, err := Header(data)
 	if err != nil {
 		return err
 	}
-	m, ok := MethodOf(data)
-	switch {
-	case !ok:
-		return fmt.Errorf("%w: unknown method %d", ErrCorrupt, int(methodOfCode(data[0])))
-	case !m.Streams():
-		return fmt.Errorf("rencode: a %v REGION is not a delta stream", m)
+	if m, ok := MethodOf(data); !ok || m != Elias {
+		return fmt.Errorf("%w: method byte %d is not a γ stream", ErrCorrupt, data[0])
 	}
-	return rd.reset(curve, count, body, m)
+	return rd.reset(curve, count, body)
 }
 
-// reset is Reset past the header: count deltas of method m in body.
+// reset is Reset past the header: count γ-coded deltas in body.
 //
 // The first delta is a gap unless the region starts at position 0 — the
 // encoder writes the leading gap only when nonzero, so the decoder must
 // know which comes first. The deltas are stored exactly as
 // region.Deltas() returns them, which ends with a run, so with count
 // elements the first is a gap iff count is even.
-func (rd *RunReader) reset(curve sfc.Curve, count uint64, body []byte, m Method) error {
-	var riceK uint8
-	if m == Golomb {
-		if len(body) < 1 {
-			return fmt.Errorf("%w: missing rice parameter", ErrCorrupt)
-		}
-		if riceK, body = body[0], body[1:]; riceK > 63 {
-			return fmt.Errorf("%w: rice parameter %d", ErrCorrupt, riceK)
-		}
-	}
+func (rd *RunReader) reset(curve sfc.Curve, count uint64, body []byte) error {
 	// Every delta costs at least one encoded bit, so a count beyond the
 	// payload's bit length is corrupt. Checking here (not just against
 	// curve.Length() below) matters on huge curves, where a forged
@@ -432,7 +316,7 @@ func (rd *RunReader) reset(curve sfc.Curve, count uint64, body []byte, m Method)
 	if count > n {
 		return fmt.Errorf("%w: %d deltas on a %d-position curve", ErrCorrupt, count, n)
 	}
-	*rd = RunReader{curve: curve, n: n, m: m, riceK: riceK, br: *bitio.NewReader(body, -1), count: count, inside: count%2 == 1}
+	*rd = RunReader{curve: curve, n: n, br: *bitio.NewReader(body, -1), count: count, inside: count%2 == 1}
 	return nil
 }
 
@@ -447,21 +331,7 @@ func (rd *RunReader) NumRuns() int { return int((rd.count + 1) / 2) }
 // run, and from the first corrupt delta on, which Err then reports.
 func (rd *RunReader) Next() (first, last uint64, ok bool) {
 	for rd.i < rd.count {
-		// The code is picked per delta here rather than behind a call or
-		// a closure: the branch always goes the same way, and each delta
-		// is one direct call.
-		var length uint64
-		var err error
-		switch rd.m {
-		case Elias:
-			length, err = rd.br.ReadGamma()
-		case EliasDelta:
-			length, err = readDelta(&rd.br)
-		case Varint:
-			length, err = readVarint(&rd.br)
-		default:
-			length, err = readRice(&rd.br, rd.riceK)
-		}
+		length, err := rd.br.ReadGamma()
 		switch {
 		case err != nil:
 			return rd.fail(fmt.Errorf("%w: delta %d: %v", ErrCorrupt, rd.i, err))
@@ -494,40 +364,13 @@ func (rd *RunReader) Err() error { return rd.err }
 func EncodedSize(m Method, r *region.Region) (int, error) {
 	switch m {
 	case Naive:
-		return headerLen + 8*r.NumRuns(), nil
-	case OblongOctant:
-		return headerLen + 4*r.NumOblongOctants(), nil
-	case Octant:
-		return headerLen + 4*r.NumOctants(), nil
-	case Elias, EliasDelta, Varint, Golomb:
-		_, _, nbits := deltaStream(m, r)
-		n := headerLen + (nbits+7)/8
-		if m == Golomb {
-			n++
-		}
-		return n, nil
+		return HeaderLen + 8*r.NumRuns(), nil
+	case Elias:
+		_, nbits := gammaStream(r)
+		return HeaderLen + (nbits+7)/8, nil
 	case K3Tree:
-		return headerLen + k3PayloadSize(r), nil
+		return HeaderLen + k3PayloadSize(r), nil
 	default:
 		return 0, fmt.Errorf("rencode: unknown method %d", int(m))
 	}
-}
-
-// riceParam picks the Rice parameter k ≈ log2(mean delta length) for
-// r's deltas.
-func riceParam(r *region.Region) uint8 {
-	var total, n uint64
-	r.EachDelta(func(d region.Delta) { total, n = total+d.Length, n+1 })
-	if n == 0 {
-		return 0
-	}
-	mean := total / n
-	if mean < 1 {
-		mean = 1
-	}
-	k := uint8(bits.Len64(mean) - 1)
-	if k > 32 {
-		k = 32
-	}
-	return k
 }

@@ -3,7 +3,6 @@ package rencode
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -119,41 +118,25 @@ func TestEncodedSizeMatches(t *testing.T) {
 	}
 }
 
-// asideEncode is how the bit codecs were encoded before AppendEncode
-// wrote their payload in place: the delta stream into a Writer of its
-// own, then copied after the header. It stays as the oracle.
-func asideEncode(m Method, r *region.Region) []byte {
+// asideEncode is how the γ code was encoded before AppendEncode wrote
+// its payload in place: the delta stream into a Writer of its own, then
+// copied after the header. It stays as the oracle.
+func asideEncode(r *region.Region) []byte {
 	c := r.Curve()
-	var riceK uint8
-	if m == Golomb {
-		riceK = riceParam(r)
-	}
 	var w bitio.Writer
 	var count uint64
 	r.EachDelta(func(d region.Delta) {
 		count++
-		switch m {
-		case Elias:
-			writeGamma(&w, d.Length)
-		case EliasDelta:
-			writeDelta(&w, d.Length)
-		case Varint:
-			writeVarint(&w, d.Length)
-		case Golomb:
-			writeRice(&w, d.Length, riceK)
-		}
+		writeGamma(&w, d.Length)
 	})
-	out := []byte{m.code(), byte(c.Kind()), byte(c.Dim()), byte(c.Bits())}
+	out := []byte{Elias.code(), byte(c.Kind()), byte(c.Dim()), byte(c.Bits())}
 	out = binary.BigEndian.AppendUint64(out, count)
-	if m == Golomb {
-		out = append(out, riceK)
-	}
 	return append(out, w.Bytes()...)
 }
 
-// TestAppendEncodeInPlace: for the bit codecs, AppendEncode after a
-// prefix gives the prefix and the aside encoder's bytes, and into a dst
-// with EncodedSize room it writes there and allocates nothing.
+// TestAppendEncodeInPlace: for the γ code, AppendEncode after a prefix
+// gives the prefix and the aside encoder's bytes, and into a dst with
+// EncodedSize room it writes there and allocates nothing.
 func TestAppendEncodeInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var regions []*region.Region
@@ -161,32 +144,30 @@ func TestAppendEncodeInPlace(t *testing.T) {
 		regions = append(regions, region.Empty(c), region.Full(c), genOnCurve(rng, c), genOnCurve(rng, c), randRegion(rng, c, 400))
 	}
 	prefix := []byte{0xD7, 1, 2}
-	for _, m := range []Method{Elias, EliasDelta, Golomb, Varint} {
-		for i, r := range regions {
-			want := append(bytes.Clone(prefix), asideEncode(m, r)...)
-			size, err := EncodedSize(m, r)
+	for i, r := range regions {
+		want := append(bytes.Clone(prefix), asideEncode(r)...)
+		size, err := EncodedSize(Elias, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dst := range [][]byte{bytes.Clone(prefix), append(make([]byte, 0, len(prefix)+size), prefix...)} {
+			got, err := AppendEncode(dst, Elias, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, dst := range [][]byte{bytes.Clone(prefix), append(make([]byte, 0, len(prefix)+size), prefix...)} {
-				got, err := AppendEncode(dst, m, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%v region %d: AppendEncode = %x, aside encoder %x", m, i, got, want)
-				}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("region %d: AppendEncode = %x, aside encoder %x", i, got, want)
 			}
-			dst := make([]byte, len(prefix), len(prefix)+size)
-			allocs := testing.AllocsPerRun(10, func() {
-				out, err := AppendEncode(dst, m, r)
-				if err != nil || &out[0] != &dst[0] {
-					t.Fatalf("%v region %d: AppendEncode left dst (%v)", m, i, err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%v region %d: %.0f allocs into a dst with room", m, i, allocs)
+		}
+		dst := make([]byte, len(prefix), len(prefix)+size)
+		allocs := testing.AllocsPerRun(10, func() {
+			out, err := AppendEncode(dst, Elias, r)
+			if err != nil || &out[0] != &dst[0] {
+				t.Fatalf("region %d: AppendEncode left dst (%v)", i, err)
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("region %d: %.0f allocs into a dst with room", i, allocs)
 		}
 	}
 }
@@ -204,8 +185,8 @@ func TestNaivePaperSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	size, _ := EncodedSize(Naive, r)
-	if size != headerLen+8 {
-		t.Errorf("naive size = %d, want %d", size, headerLen+8)
+	if size != HeaderLen+8 {
+		t.Errorf("naive size = %d, want %d", size, HeaderLen+8)
 	}
 }
 
@@ -293,61 +274,34 @@ func bitString(buf []byte, n int) string {
 	return string(s)
 }
 
-// TestIntegerCodesRoundTrip exercises each integer code over a wide range.
+// TestIntegerCodesRoundTrip exercises the γ code over a wide range;
+// package zoo's exercises the paper's other integer codes.
 func TestIntegerCodesRoundTrip(t *testing.T) {
 	values := []uint64{1, 2, 3, 4, 5, 7, 8, 100, 127, 128, 1000, 1 << 20, 1<<40 + 12345}
-	// The Rice code's unary quotient makes huge values with small k
-	// impractically long, so test it on a bounded range.
-	riceValues := []uint64{1, 2, 3, 15, 16, 17, 100, 1000, 5000}
-	codes := []struct {
-		name   string
-		write  func(*bitio.Writer, uint64)
-		read   func(*bitio.Reader) (uint64, error)
-		bits   func(uint64) int
-		values []uint64
-	}{
-		{"gamma", writeGamma, (*bitio.Reader).ReadGamma, gammaBits, values},
-		{"delta", writeDelta, readDelta, deltaBits, values},
-		{"varint", writeVarint, readVarint, varintBits, values},
-		{"rice4", func(w *bitio.Writer, x uint64) { writeRice(w, x, 4) },
-			func(r *bitio.Reader) (uint64, error) { return readRice(r, 4) },
-			func(x uint64) int { return riceBits(x, 4) }, riceValues},
-	}
-	for _, code := range codes {
-		var w bitio.Writer
-		for _, v := range code.values {
-			before := w.Len()
-			code.write(&w, v)
-			if got := w.Len() - before; got != code.bits(v) {
-				t.Errorf("%s(%d): wrote %d bits, bits() says %d", code.name, v, got, code.bits(v))
-			}
+	var w bitio.Writer
+	for _, v := range values {
+		before := w.Len()
+		writeGamma(&w, v)
+		if got := w.Len() - before; got != gammaBits(v) {
+			t.Errorf("gamma(%d): wrote %d bits, gammaBits says %d", v, got, gammaBits(v))
 		}
-		r := bitio.NewReader(w.Bytes(), w.Len())
-		for _, v := range code.values {
-			got, err := code.read(r)
-			if err != nil || got != v {
-				t.Errorf("%s: read %d, %v; want %d", code.name, got, err, v)
-			}
+	}
+	r := bitio.NewReader(w.Bytes(), w.Len())
+	for _, v := range values {
+		got, err := r.ReadGamma()
+		if err != nil || got != v {
+			t.Errorf("gamma: read %d, %v; want %d", got, err, v)
 		}
 	}
 }
 
 func TestCodesPanicOnZero(t *testing.T) {
-	var w bitio.Writer
-	for name, f := range map[string]func(){
-		"gamma": func() { writeGamma(&w, 0) },
-		"delta": func() { writeDelta(&w, 0) },
-		"rice":  func() { writeRice(&w, 0, 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s(0) did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("gamma(0) did not panic")
+		}
+	}()
+	writeGamma(new(bitio.Writer), 0)
 }
 
 func TestEliasBeatsNaiveOnClusteredRegions(t *testing.T) {
@@ -364,55 +318,6 @@ func TestEliasBeatsNaiveOnClusteredRegions(t *testing.T) {
 		t.Errorf("elias %dB not ≥3x smaller than naive %dB", elias, naive)
 	}
 	t.Logf("sphere: naive=%dB elias=%dB ratio=%.1f", naive, elias, float64(naive)/float64(elias))
-}
-
-func TestEntropyBound(t *testing.T) {
-	// Region with uniform delta lengths has zero entropy per delta.
-	r := mustRuns(t, h3, []region.Run{rn(1, 1), rn(3, 3), rn(5, 5), rn(7, 7)})
-	// Deltas: gap1 run1 gap1 run1 gap1 run1 gap1 run1 — all length 1.
-	if h := EntropyBitsPerDelta(r); h != 0 {
-		t.Errorf("uniform deltas entropy = %v, want 0", h)
-	}
-	// Two equally likely lengths -> 1 bit per delta.
-	r2 := mustRuns(t, h3, []region.Run{rn(2, 3), rn(6, 7), rn(10, 11)})
-	// Deltas: gap2 run2 gap2 run2 gap2 run2: all length 2 -> entropy 0.
-	if h := EntropyBitsPerDelta(r2); h != 0 {
-		t.Errorf("entropy = %v, want 0", h)
-	}
-	r3 := mustRuns(t, h3, []region.Run{rn(1, 2), rn(4, 4)})
-	// Deltas: gap1 run2 gap1 run1 -> lengths {1:3, 2:1} -> H = 0.811
-	want := -(0.75*math.Log2(0.75) + 0.25*math.Log2(0.25))
-	if h := EntropyBitsPerDelta(r3); math.Abs(h-want) > 1e-12 {
-		t.Errorf("entropy = %v, want %v", h, want)
-	}
-	if EntropyBound(region.Empty(h3)) != 0 || EntropyBitsPerDelta(region.Empty(h3)) != 0 {
-		t.Error("empty region entropy not 0")
-	}
-}
-
-func TestEliasNearEntropyBound(t *testing.T) {
-	// The paper: elias ≈ 1.17x the entropy bound on brain-like regions.
-	// On a smooth blob the ratio should be small (< 3).
-	c := sfc.MustNew(sfc.Hilbert, 3, 6)
-	r, err := region.FromEllipsoid(c, region.Ellipsoid{CX: 30, CY: 32, CZ: 30, RX: 17, RY: 11, RZ: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := EntropyBound(r)
-	elias, _ := EncodedSize(Elias, r)
-	ratio := float64(elias) / bound
-	if ratio > 3 {
-		t.Errorf("elias/entropy = %.2f, want < 3", ratio)
-	}
-	t.Logf("ellipsoid: entropy=%.0fB elias=%dB ratio=%.2f", bound, elias, ratio)
-}
-
-func TestDeltaHistogram(t *testing.T) {
-	r := mustRuns(t, h3, []region.Run{rn(1, 2), rn(4, 4)})
-	h := DeltaHistogram(r)
-	if h[1] != 3 || h[2] != 1 || len(h) != 2 {
-		t.Errorf("histogram = %v", h)
-	}
 }
 
 func TestMethodString(t *testing.T) {

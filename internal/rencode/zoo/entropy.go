@@ -1,4 +1,4 @@
-package rencode
+package zoo
 
 import (
 	"math"

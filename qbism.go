@@ -13,7 +13,8 @@
 //     a curve — with its geometric constructors and the paper's spatial
 //     operators (INTERSECTION, CONTAINS, UNION, DIFFERENCE).
 //   - REGION storage encodings (naive runs, Elias γ/δ, Golomb, varint,
-//     oblong octants, octants) and the entropy lower bound.
+//     oblong octants, octants, the k³-tree), octant decompositions and
+//     the entropy lower bound, from the codec zoo.
 //   - The VOLUME data type — a complete scalar field stored in curve
 //     order — with EXTRACT_DATA.
 //   - Affine warping and landmark registration (patient → atlas space).
@@ -53,7 +54,7 @@ import (
 	"qbism/internal/lfm"
 	core "qbism/internal/qbism"
 	"qbism/internal/region"
-	"qbism/internal/rencode"
+	"qbism/internal/rencode/zoo"
 	"qbism/internal/sdb"
 	"qbism/internal/sfc"
 	"qbism/internal/stats"
@@ -102,28 +103,30 @@ var (
 	Overlaps      = region.Overlaps
 )
 
-// EncodingMethod selects an on-disk REGION encoding.
-type EncodingMethod = rencode.Method
+// EncodingMethod selects a REGION encoding.
+type EncodingMethod = zoo.Method
 
 // Encoding methods (Section 4.2).
 const (
-	EncodingNaive        = rencode.Naive
-	EncodingElias        = rencode.Elias
-	EncodingEliasDelta   = rencode.EliasDelta
-	EncodingGolomb       = rencode.Golomb
-	EncodingVarint       = rencode.Varint
-	EncodingOblongOctant = rencode.OblongOctant
-	EncodingOctant       = rencode.Octant
+	EncodingNaive        = zoo.Naive
+	EncodingElias        = zoo.Elias
+	EncodingEliasDelta   = zoo.EliasDelta
+	EncodingGolomb       = zoo.Golomb
+	EncodingVarint       = zoo.Varint
+	EncodingOblongOctant = zoo.OblongOctant
+	EncodingOctant       = zoo.Octant
 )
 
 // Encoding functions.
 var (
-	EncodeRegion        = rencode.Encode
-	DecodeRegion        = rencode.Decode
-	EncodedRegionSize   = rencode.EncodedSize
-	EntropyBound        = rencode.EntropyBound
-	EntropyBitsPerDelta = rencode.EntropyBitsPerDelta
-	DeltaHistogram      = rencode.DeltaHistogram
+	EncodeRegion        = zoo.Encode
+	DecodeRegion        = zoo.Decode
+	EncodedRegionSize   = zoo.EncodedSize
+	EntropyBound        = zoo.EntropyBound
+	EntropyBitsPerDelta = zoo.EntropyBitsPerDelta
+	DeltaHistogram      = zoo.DeltaHistogram
+	OblongOctants       = zoo.OblongOctants
+	Octants             = zoo.Octants
 )
 
 // Volume is the paper's VOLUME type: a full scalar field in curve order.
