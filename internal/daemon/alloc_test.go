@@ -41,18 +41,20 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 		name string
 		spec qbism.QuerySpec
 		// As measured: the request, the server's blob, the response
-		// buffer, the reply header and its patient and date strings, the
-		// DataRegion with its Region, and the run list, which an empty
-		// structure ∩ band answer does not have. Each was one more while
-		// the server copied its reply into a frame of its own (DESIGN.md
-		// §47), and one more again while UnmarshalDataRegion allocated
-		// the DataRegion and its Region apart.
+		// buffer, the reply header and the one string its patient and
+		// date share, the DataRegion with its Region, and the run list,
+		// which an empty structure ∩ band answer does not have. Each was
+		// one more while the header copied each string apart (DESIGN.md
+		// §49), one more again while the server copied its reply into a
+		// frame of its own (DESIGN.md §47), and one more again while
+		// UnmarshalDataRegion allocated the DataRegion and its Region
+		// apart.
 		ceiling float64
 	}{
-		{"small-structure", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen"}, 8},
+		{"small-structure", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen"}, 7},
 		{"structure-and-band", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen",
-			HasBand: true, BandLo: int(band.Lo), BandHi: int(band.Hi)}, 7},
-		{"full-study", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", FullStudy: true}, 8},
+			HasBand: true, BandLo: int(band.Lo), BandHi: int(band.Hi)}, 6},
+		{"full-study", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", FullStudy: true}, 7},
 	} {
 		got := testing.AllocsPerRun(50, func() {
 			request, err := qbism.EncodeQueryRequest(tc.spec)
@@ -74,6 +76,60 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocs per query", tc.name, got)
 		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs per query, ceiling %.0f — is a frame copied, or a per-call buffer allocated, on either side of the socket again?",
+				tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// TestDaemonClientAllocBudget pins the allocations per RunQuery of the
+// qbism -addr path: a DX client built by NewClient over a transport.TCP
+// connection to a daemon on 127.0.0.1, both ends in this process. The
+// client's share is its answer object (result, field, image header and
+// request room), the image's pixels, the meta header's one string and
+// the response buffer; the server's is its reply blob. A per-query
+// allocation back in the client, or a frame copied on either side of
+// the socket, trips here.
+func TestDaemonClientAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, a few objects more or less per query from run to run")
+	}
+	cfg := qbism.Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 4096}
+	srv, err := medserver.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := New(srv, Config{Addr: "127.0.0.1:0"})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	defer conn.Close()
+	client := qbism.NewClient(conn, cfg)
+
+	study := srv.Studies[0].StudyID
+	band := srv.BandRegions[study][len(srv.BandRegions[study])-1]
+	for _, tc := range []struct {
+		name string
+		spec qbism.QuerySpec
+		// As measured: the answer, the pixels, the meta string, the
+		// response buffer and the server's blob.
+		ceiling float64
+	}{
+		{"small-structure", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen"}, 5},
+		{"structure-and-band", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", Structure: "putamen",
+			HasBand: true, BandLo: int(band.Lo), BandHi: int(band.Hi)}, 5},
+		{"full-study", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", FullStudy: true}, 5},
+	} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := client.RunQuery(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per RunQuery", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs per RunQuery, ceiling %.0f — does the client allocate its result's parts apart again?",
 				tc.name, got, tc.ceiling)
 		}
 	}

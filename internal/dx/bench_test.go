@@ -88,8 +88,8 @@ func BenchmarkRender(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f, _, err := ImportEncoded(enc, d.Values)
-				if err != nil {
+				var f Field
+				if _, err := ImportEncoded(&f, enc, d.Values); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := f.Render(opts); err != nil {

@@ -5,26 +5,29 @@ import "sync"
 // Cache is the DX result cache: "Because of the caching mechanism built
 // into DX, the user can quickly review and manipulate the results of
 // several recently issued queries without necessitating a database
-// reaccess." It keeps the most recently used fields; a hit, and a Put
-// into a full cache, reuse its memory.
-type Cache struct {
+// reaccess." It keeps the most recently used fields under a comparable
+// key K, held by value, so a lookup builds nothing on the heap; a hit,
+// and a Put into a full cache, reuse its memory. An entry keeps its
+// *Field alive, with the object the Field lies in and the bytes it
+// points into.
+type Cache[K comparable] struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*Field // guarded by mu
-	order   []string          // LRU order, least recent first; guarded by mu
+	entries map[K]*Field // guarded by mu
+	order   []K          // LRU order, least recent first; guarded by mu
 }
 
 // NewCache creates a cache holding at most max fields (max <= 0 means 8,
 // a plausible "several recently issued queries").
-func NewCache(max int) *Cache {
+func NewCache[K comparable](max int) *Cache[K] {
 	if max <= 0 {
 		max = 8
 	}
-	return &Cache{max: max, entries: make(map[string]*Field)}
+	return &Cache[K]{max: max, entries: make(map[K]*Field)}
 }
 
 // Get returns the cached field for a query key.
-func (c *Cache) Get(key string) (*Field, bool) {
+func (c *Cache[K]) Get(key K) (*Field, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f, ok := c.entries[key]
@@ -35,7 +38,7 @@ func (c *Cache) Get(key string) (*Field, bool) {
 }
 
 // Put stores a field, evicting the least recently used entry if full.
-func (c *Cache) Put(key string, f *Field) {
+func (c *Cache[K]) Put(key K, f *Field) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[key]; exists {
@@ -48,7 +51,8 @@ func (c *Cache) Put(key string, f *Field) {
 		// array and the append below reuses it.
 		oldest := c.order[0]
 		n := copy(c.order, c.order[1:])
-		c.order[n] = ""
+		var zero K
+		c.order[n] = zero
 		c.order = c.order[:n]
 		delete(c.entries, oldest)
 	}
@@ -58,7 +62,7 @@ func (c *Cache) Put(key string, f *Field) {
 
 // touch moves key to the most-recent end, shifting the keys after it
 // down in place. Caller holds the lock.
-func (c *Cache) touch(key string) {
+func (c *Cache[K]) touch(key K) {
 	for i, k := range c.order {
 		if k == key {
 			copy(c.order[i:], c.order[i+1:])

@@ -47,46 +47,61 @@ type ImportStats struct {
 // ImportVolume converts a query result into a Field — our equivalent of
 // the custom DX module the paper added to the executive.
 func ImportVolume(d *volume.DataRegion) (*Field, ImportStats, error) {
-	if d == nil || d.Region == nil {
-		return nil, ImportStats{}, fmt.Errorf("dx: nil data region")
+	f := new(Field)
+	if err := importVolume(f, d); err != nil {
+		return nil, ImportStats{}, err
 	}
-	c := d.Region.Curve()
-	if c.Dim() != 3 {
-		return nil, ImportStats{}, fmt.Errorf("dx: need 3D data, got %dD", c.Dim())
-	}
-	if uint64(len(d.Values)) != d.Region.NumVoxels() {
-		return nil, ImportStats{}, fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(d.Values), d.Region.NumVoxels())
-	}
-	f := &Field{Side: 1 << c.Bits(), curve: c, data: d, values: d.Values, runs: d.Region.NumRuns()}
 	return f, f.importStats(), nil
 }
 
-// ImportEncoded is ImportVolume on a reply as it crossed the wire: the
-// encoded REGION of a DATA_REGION and its values. An Elias γ REGION, the
-// wire's, is kept as it came, and Render walks its runs straight off the
-// bytes (rencode.RunReader); no Region is built. The run count is the
-// header's, and the voxel count is len(values), which each Render's walk
-// checks against the REGION, failing with ErrValueCount on a mismatch. A
-// naive or k³ REGION is decoded first and imported as ImportVolume takes
-// it, and any other method fails as rencode.Decode refuses it.
-func ImportEncoded(enc, values []byte) (*Field, ImportStats, error) {
+// importVolume is ImportVolume into *f.
+func importVolume(f *Field, d *volume.DataRegion) error {
+	if d == nil || d.Region == nil {
+		return fmt.Errorf("dx: nil data region")
+	}
+	c := d.Region.Curve()
+	if c.Dim() != 3 {
+		return fmt.Errorf("dx: need 3D data, got %dD", c.Dim())
+	}
+	if uint64(len(d.Values)) != d.Region.NumVoxels() {
+		return fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(d.Values), d.Region.NumVoxels())
+	}
+	*f = Field{Side: 1 << c.Bits(), curve: c, data: d, values: d.Values, runs: d.Region.NumRuns()}
+	return nil
+}
+
+// ImportEncoded is ImportVolume on a reply as it crossed the wire, into
+// the caller's *f, which it overwrites whole: the encoded REGION of a
+// DATA_REGION and its values. An Elias γ REGION, the wire's, is kept as
+// it came, and Render walks its runs straight off the bytes
+// (rencode.RunReader); no Region is built, and the import allocates
+// nothing. The run count is the header's, and the voxel count is
+// len(values), which each Render's walk checks against the REGION,
+// failing with ErrValueCount on a mismatch. A naive or k³ REGION is
+// decoded first and imported as ImportVolume takes it, and any other
+// method fails as rencode.Decode refuses it. On an error *f is
+// unspecified.
+func ImportEncoded(f *Field, enc, values []byte) (ImportStats, error) {
 	if m, ok := rencode.MethodOf(enc); !ok || m != rencode.Elias {
 		r, err := rencode.Decode(enc)
 		if err != nil {
-			return nil, ImportStats{}, err
+			return ImportStats{}, err
 		}
-		return ImportVolume(&volume.DataRegion{Region: r, Values: values})
+		if err := importVolume(f, &volume.DataRegion{Region: r, Values: values}); err != nil {
+			return ImportStats{}, err
+		}
+		return f.importStats(), nil
 	}
 	var rd rencode.RunReader
 	if err := rd.Reset(enc); err != nil {
-		return nil, ImportStats{}, err
+		return ImportStats{}, err
 	}
 	c := rd.Curve()
 	if c.Dim() != 3 {
-		return nil, ImportStats{}, fmt.Errorf("dx: need 3D data, got %dD", c.Dim())
+		return ImportStats{}, fmt.Errorf("dx: need 3D data, got %dD", c.Dim())
 	}
-	f := &Field{Side: 1 << c.Bits(), curve: c, enc: enc, values: values, runs: rd.NumRuns()}
-	return f, f.importStats(), nil
+	*f = Field{Side: 1 << c.Bits(), curve: c, enc: enc, values: values, runs: rd.NumRuns()}
+	return f.importStats(), nil
 }
 
 func (f *Field) importStats() ImportStats {
@@ -173,9 +188,6 @@ type Image struct {
 	Pix  []uint8
 }
 
-// NewImage allocates a black image.
-func NewImage(w, h int) *Image { return &Image{W: w, H: h, Pix: make([]uint8, w*h)} }
-
 // WritePGM writes the image in binary PGM (P5) format.
 func (img *Image) WritePGM(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", img.W, img.H); err != nil {
@@ -185,7 +197,19 @@ func (img *Image) WritePGM(w io.Writer) error {
 	return err
 }
 
-// Render projects the field orthographically along the chosen axis.
+// Render is RenderInto a new Image.
+func (f *Field) Render(opts RenderOpts) (*Image, error) {
+	img := new(Image)
+	if err := f.RenderInto(img, opts); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// RenderInto projects the field orthographically along the chosen axis
+// into the caller's *img, which it overwrites whole: a Side×Side raster
+// whose pixels are its one allocation (Average's sums and counts are
+// two more). On an error *img is unspecified.
 //
 // On a Hilbert or Z curve it walks the curve's digit tree once over the
 // field's runs (sfc.WalkRuns), which hands it the coordinates of a whole
@@ -193,18 +217,18 @@ func (img *Image) WritePGM(w io.Writer) error {
 // fails with ErrValueCount when the values and the REGION's voxels
 // differ in number, and wraps rencode.ErrCorrupt when an encoded REGION
 // does not decode.
-func (f *Field) Render(opts RenderOpts) (*Image, error) {
+func (f *Field) RenderInto(img *Image, opts RenderOpts) error {
 	if opts.Axis < 0 || opts.Axis > 2 {
-		return nil, fmt.Errorf("dx: invalid projection axis %d", opts.Axis)
+		return fmt.Errorf("dx: invalid projection axis %d", opts.Axis)
 	}
 	if opts.Mode != MIP && opts.Mode != Average {
-		return nil, fmt.Errorf("dx: invalid render mode %d", opts.Mode)
+		return fmt.Errorf("dx: invalid render mode %d", opts.Mode)
 	}
 	var cur cursor
 	if err := cur.start(f); err != nil {
-		return nil, err
+		return err
 	}
-	img := NewImage(f.Side, f.Side)
+	*img = Image{W: f.Side, H: f.Side, Pix: make([]uint8, f.Side*f.Side)}
 	p := newProjector(f.Side, opts.Axis, img.Pix, f.values)
 	draw := p.mip
 	if opts.Mode == Average {
@@ -225,13 +249,13 @@ func (f *Field) Render(opts RenderOpts) (*Image, error) {
 		sfc.WalkRuns(f.curve, cur.next, draw)
 	}
 	if err := cur.rd.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if p.short {
-		return nil, fmt.Errorf("%w: %d values for a REGION of more voxels", ErrValueCount, len(f.values))
+		return fmt.Errorf("%w: %d values for a REGION of more voxels", ErrValueCount, len(f.values))
 	}
 	if len(p.vals) > 0 {
-		return nil, fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(f.values), len(f.values)-len(p.vals))
+		return fmt.Errorf("%w: %d values for %d voxels", ErrValueCount, len(f.values), len(f.values)-len(p.vals))
 	}
 	if opts.Mode == Average {
 		for i := range img.Pix {
@@ -240,7 +264,7 @@ func (f *Field) Render(opts RenderOpts) (*Image, error) {
 			}
 		}
 	}
-	return img, nil
+	return nil
 }
 
 // projector is one Render's state: the values still to draw, the

@@ -91,7 +91,7 @@ func TestRenderAverage(t *testing.T) {
 }
 
 func TestWritePGM(t *testing.T) {
-	img := NewImage(4, 2)
+	img := &Image{W: 4, H: 2, Pix: make([]uint8, 8)}
 	img.Pix[0] = 255
 	var buf bytes.Buffer
 	if err := img.WritePGM(&buf); err != nil {
@@ -107,7 +107,7 @@ func TestWritePGM(t *testing.T) {
 }
 
 func TestCacheBasics(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[string](2)
 	f1 := &Field{Side: 1}
 	f2 := &Field{Side: 2}
 	f3 := &Field{Side: 3}
@@ -137,7 +137,7 @@ func TestCacheBasics(t *testing.T) {
 		t.Error("re-put did not replace")
 	}
 	// Default size.
-	if NewCache(0) == nil {
+	if NewCache[string](0) == nil {
 		t.Error("default cache nil")
 	}
 }
@@ -147,7 +147,7 @@ func TestCacheBasics(t *testing.T) {
 // full cache may allocate — and an evicted key leaves no slot of the LRU
 // list holding it.
 func TestCacheReusesMemory(t *testing.T) {
-	c := NewCache(3)
+	c := NewCache[string](3)
 	f := &Field{Side: 1}
 	keys := []string{"a", "b", "c", "d", "e"}
 	for _, k := range keys[:3] {
@@ -281,7 +281,7 @@ func BenchmarkRenderMIP(b *testing.B) {
 }
 
 func ExampleImage_WritePGM() {
-	img := NewImage(2, 1)
+	img := &Image{W: 2, H: 1, Pix: make([]uint8, 2)}
 	img.Pix[0] = 7
 	var buf bytes.Buffer
 	img.WritePGM(&buf)

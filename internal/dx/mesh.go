@@ -25,7 +25,7 @@ func RenderMesh(m *atlas.Mesh, axis, size int, scale float64, tex *volume.DataRe
 	if scale <= 0 {
 		scale = 1
 	}
-	img := NewImage(size, size)
+	img := &Image{W: size, H: size, Pix: make([]uint8, size*size)}
 	zbuf := make([]float32, size*size)
 	for i := range zbuf {
 		zbuf[i] = float32(math.Inf(-1))

@@ -21,7 +21,7 @@ import (
 func oracleRender(d *volume.DataRegion, opts RenderOpts) *Image {
 	c := d.Region.Curve()
 	side := 1 << c.Bits()
-	img := NewImage(side, side)
+	img := &Image{W: side, H: side, Pix: make([]uint8, side*side)}
 	sum := make([]uint32, side*side)
 	cnt := make([]uint32, side*side)
 	i := 0
@@ -118,7 +118,8 @@ func TestRenderMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fromWire, st, err := ImportEncoded(enc, d.Values)
+				fromWire := new(Field)
+				st, err := ImportEncoded(fromWire, enc, d.Values)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,7 +171,8 @@ func TestImportEncodedEveryMethod(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, st, err := ImportEncoded(enc, d.Values)
+		f := new(Field)
+		st, err := ImportEncoded(f, enc, d.Values)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -198,8 +200,8 @@ func TestImportEncodedRefusesZooMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f, _, err := ImportEncoded(enc, d.Values); !errors.Is(err, rencode.ErrCorrupt) || f != nil {
-			t.Errorf("%v: ImportEncoded = %v, %v; want a refusal wrapping rencode.ErrCorrupt", m, f != nil, err)
+		if _, err := ImportEncoded(new(Field), enc, d.Values); !errors.Is(err, rencode.ErrCorrupt) {
+			t.Errorf("%v: ImportEncoded = %v; want a refusal wrapping rencode.ErrCorrupt", m, err)
 		}
 	}
 }
@@ -231,8 +233,10 @@ func TestRenderRejectsBadInput(t *testing.T) {
 		{"no values", enc, nil, ErrValueCount},
 		{"truncated stream", enc[:len(enc)-2], d.Values, rencode.ErrCorrupt},
 	} {
-		f, _, err := ImportEncoded(tc.enc, tc.values)
-		if err == nil {
+		f := new(Field)
+		_, err := ImportEncoded(f, tc.enc, tc.values)
+		imported := err == nil
+		if imported {
 			_, err = f.Render(RenderOpts{Axis: 2, Mode: MIP})
 		}
 		if !errors.Is(err, tc.want) {
@@ -241,7 +245,7 @@ func TestRenderRejectsBadInput(t *testing.T) {
 		if err == nil {
 			continue
 		}
-		if f != nil {
+		if imported {
 			if _, derr := f.Data(); derr == nil {
 				t.Errorf("%s: Data() accepted what Render refused", tc.name)
 			}
@@ -316,10 +320,11 @@ func FuzzRenderEncoded(f *testing.F) {
 		if len(enc) >= 4 && enc[3] > 6 {
 			t.Skip("image larger than 64x64")
 		}
-		field, _, err := ImportEncoded(enc, values)
-		var img *Image
+		var field Field
+		var img Image
+		_, err := ImportEncoded(&field, enc, values)
 		if err == nil {
-			img, err = field.Render(RenderOpts{Axis: 2, Mode: MIP})
+			err = field.RenderInto(&img, RenderOpts{Axis: 2, Mode: MIP})
 		}
 		var want *Image
 		r, werr := rencode.Decode(enc)

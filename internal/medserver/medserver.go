@@ -39,11 +39,12 @@ type QuerySpec struct {
 	Encoding string
 }
 
-// Key returns a cache key identifying the query: the spec's wire bytes
+// Key returns a string identifying the query: the spec's wire bytes
 // (wire.go), the header of the request EncodeQueryRequest builds. Every
 // field is in them, so distinct specs a server would accept never share
-// a key. (A spec with a string too long for the wire has no request;
-// RunQuery refuses it before anything is cached under its key.)
+// a key. A key built from the spec's fields by value, its box included,
+// is equal exactly when Key is; the DX cache keys on such a value, so a
+// lookup copies nothing.
 func (q QuerySpec) Key() string {
 	n, _ := specSize(&q)
 	return string(appendSpec(make([]byte, 0, n), &q))

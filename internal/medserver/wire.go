@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"qbism/internal/transport"
 )
@@ -45,7 +46,17 @@ const (
 	// reply's warning — is framed in a new buffer instead.
 	metaStrRoom   = 64
 	replyHeadroom = transport.FrameOverhead + metaFixed + 3*2 + metaStrRoom
+
+	// specStrRoom is what RequestRoom leaves for a spec's atlas,
+	// structure and encoding names.
+	specStrRoom = 64
 )
+
+// RequestRoom is the size of the request frame of any spec whose atlas,
+// structure and encoding names come to at most 64 bytes, a box or none:
+// a caller that hands EncodeQueryRequestInto this much room frames such
+// a request without an allocation.
+const RequestRoom = transport.FrameOverhead + specFixed + boxSize + 3*2 + specStrRoom
 
 // wireSize is the encoded size of a header: its fixed bytes plus its
 // length-prefixed strings.
@@ -65,12 +76,22 @@ func wireSize(fixed int, strs ...string) (int, error) {
 // the one buffer it returns. Load generators and external clients use
 // this to drive a daemon through a bare Transport.
 func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
+	return EncodeQueryRequestInto(nil, spec)
+}
+
+// EncodeQueryRequestInto is EncodeQueryRequest built in room's storage
+// when the frame fits its capacity (RequestRoom fits the usual spec),
+// and otherwise in one new buffer of the frame's exact size.
+func EncodeQueryRequestInto(room []byte, spec QuerySpec) ([]byte, error) {
 	n, err := specSize(&spec)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, transport.FrameOverhead, transport.FrameOverhead+n)
-	return transport.SealFrame(appendSpec(buf, &spec), n)
+	buf := room[:0]
+	if cap(buf) < transport.FrameOverhead+n {
+		buf = make([]byte, 0, transport.FrameOverhead+n)
+	}
+	return transport.SealFrame(appendSpec(buf[:transport.FrameOverhead], &spec), n)
 }
 
 // DecodeQueryRequest is the server's inverse of EncodeQueryRequest. The
@@ -240,7 +261,17 @@ func decodeMeta(m *QueryMeta, b []byte) error {
 		AtlasID: r.i64(), PatientID: r.i64(), DBCPUNanos: int64(r.u64()),
 		LFMPages: r.u64(), LFMReads: r.u64(), CacheHits: r.u64(), CacheMisses: r.u64(),
 	}
-	m.Patient, m.Date, m.Warning = r.str(), r.str(), r.str()
+	// The three strings are copied into one: one allocation whatever
+	// their number, none when all are empty. A field's string keeps the
+	// others' bytes alive, and nothing of b.
+	patient, date, warning := r.bytes(), r.bytes(), r.bytes()
+	var sb strings.Builder
+	sb.Grow(len(patient) + len(date) + len(warning))
+	sb.Write(patient)
+	sb.Write(date)
+	sb.Write(warning)
+	all, i, j := sb.String(), len(patient), len(patient)+len(date)
+	m.Patient, m.Date, m.Warning = all[:i], all[i:j], all[j:]
 	return r.done("meta", version, flags&^metaFlags)
 }
 
@@ -280,18 +311,23 @@ func (r *wireReader) u64() uint64 {
 func (r *wireReader) i64() int     { return int(int64(r.u64())) }
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// bytes reads a length-prefixed string's bytes, which alias the header.
+func (r *wireReader) bytes() []byte {
+	if n := r.take(2); n != nil {
+		return r.take(int(binary.BigEndian.Uint16(n)))
+	}
+	return nil
+}
+
 // str reads a string out of the header — names' copy when it has one
 // (the lookup allocates nothing), a new copy otherwise — so the decoded
 // value keeps nothing of the buffer it came from.
 func (r *wireReader) str() string {
-	if n := r.take(2); n != nil {
-		b := r.take(int(binary.BigEndian.Uint16(n)))
-		if s, ok := r.names[string(b)]; ok {
-			return s
-		}
-		return string(b)
+	b := r.bytes()
+	if s, ok := r.names[string(b)]; ok {
+		return s
 	}
-	return ""
+	return string(b)
 }
 
 // done is the one check a decoder makes after reading every field.

@@ -19,7 +19,7 @@ import (
 // ClusterSystem both embed one, so a query runs, batches, and finishes
 // through the same code however it was carried.
 type Client struct {
-	Cache *dx.Cache
+	Cache *dx.Cache[cacheKey]
 
 	// Cluster carries every fetch, with its retries, failover and
 	// hedging: a ClusterSystem's shards, or one shard of one node ("s0p")
@@ -47,6 +47,39 @@ type fetched struct {
 	meta QueryMeta
 	blob []byte
 	read cluster.ReadInfo
+}
+
+// answer is an answered query as the client allocates it: one object
+// holding the result, the field DX imported, the header of the image it
+// rendered, and the room its request was framed in. The reply, the
+// image's pixels and the meta header's one string are the query's only
+// other allocations. The DX cache keeps &field, so a cached entry pins
+// its own answer — this object, the reply, the image — and nothing of
+// other queries.
+type answer struct {
+	res   QueryResult
+	field dx.Field
+	img   dx.Image
+	req   [medserver.RequestRoom]byte
+}
+
+// cacheKey is the DX cache's key for a spec: its fields, the box by
+// value, so a lookup builds nothing. Two specs share a key exactly when
+// their wire bytes — QuerySpec.Key — are equal: the wire carries every
+// field, the box's presence as a flag and the band bounds whether or not
+// the band flag is set.
+type cacheKey struct {
+	spec   QuerySpec // its Box nil
+	box    [6]uint32
+	hasBox bool
+}
+
+func cacheKeyOf(spec QuerySpec) cacheKey {
+	k := cacheKey{spec: spec}
+	if spec.Box != nil {
+		k.spec.Box, k.box, k.hasBox = nil, *spec.Box, true
+	}
+	return k
 }
 
 // slowLogCapacity is the slow-query ring size.
@@ -104,7 +137,7 @@ func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Co
 	cc.Retry, cc.Metrics = o.retry.WithDefaults(), metrics
 	cl, _ := cluster.New(cc, shards)
 	c := &Client{
-		Cache:      dx.NewCache(8),
+		Cache:      dx.NewCache[cacheKey](8),
 		Cluster:    cl,
 		Metrics:    metrics,
 		slowThresh: o.slowLog,
@@ -204,10 +237,11 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 		root.SetStr("spec", spec.Label())
 	}
 
-	// The request frame seeds the retry jitter; its header — it has no
-	// body — is the spec's wire bytes and, as a string, the key
-	// QuerySpec.Key returns, which the DX cache uses.
-	request, err := EncodeQueryRequest(spec)
+	// The request frame seeds the retry jitter. It is framed in the
+	// answer's room, as the reply is imported and rendered into the
+	// answer's field and image.
+	a := new(answer)
+	request, err := medserver.EncodeQueryRequestInto(a.req[:], spec)
 	if err != nil {
 		return nil, c.fail(root, cluster.ReadInfo{}, err)
 	}
@@ -215,13 +249,12 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	if err != nil {
 		return nil, c.fail(root, f.read, err)
 	}
-	return c.finish(root, spec, string(request[transport.FrameOverhead:]), f, totalStart)
+	return c.finish(root, a, spec, f, totalStart)
 }
 
 // finish performs the client-side DX stages — import, render, cache —
-// and feeds the observability sinks. key is spec.Key(), which the
-// caller already has as its request body.
-func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, totalStart time.Time) (*QueryResult, error) {
+// into a, and feeds the observability sinks.
+func (c *Client) finish(root *obs.Span, a *answer, spec QuerySpec, f fetched, totalStart time.Time) (*QueryResult, error) {
 	meta, read := &f.meta, f.read
 	importStart := time.Now()
 	importSp := root.Child("dx.import")
@@ -232,7 +265,7 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 		importSp.End()
 		return nil, c.fail(root, read, err)
 	}
-	field, importStats, err := dx.ImportEncoded(enc, values)
+	importStats, err := dx.ImportEncoded(&a.field, enc, values)
 	importSp.SetInt("voxels", int64(importStats.Voxels))
 	importSp.SetInt("runs", int64(importStats.Runs))
 	importSp.End()
@@ -243,17 +276,17 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 
 	renderStart := time.Now()
 	renderSp := root.Child("dx.render")
-	img, err := field.Render(dx.RenderOpts{Axis: 2, Mode: dx.MIP})
+	err = a.field.RenderInto(&a.img, dx.RenderOpts{Axis: 2, Mode: dx.MIP})
 	renderSp.End()
 	if err != nil {
 		return nil, c.fail(root, read, err)
 	}
 	renderDur := time.Since(renderStart)
-	c.Cache.Put(key, field)
+	c.Cache.Put(cacheKeyOf(spec), &a.field)
 
 	t := QueryTiming{
-		HRuns:          field.NumRuns(),
-		Voxels:         field.NumVoxels(),
+		HRuns:          a.field.NumRuns(),
+		Voxels:         a.field.NumVoxels(),
 		LFMPages:       meta.LFMPages,
 		DBMeasured:     time.Duration(meta.DBCPUNanos),
 		NetMessages:    read.Net.Messages,
@@ -272,9 +305,10 @@ func (c *Client) finish(root *obs.Span, spec QuerySpec, key string, f fetched, t
 	root.End()
 	c.observe(spec, t, read.Retries, root)
 
-	return &QueryResult{
-		Spec: spec, Meta: *meta, Field: field, Image: img, Timing: t, Read: read, Trace: root,
-	}, nil
+	a.res = QueryResult{
+		Spec: spec, Meta: *meta, Field: &a.field, Image: &a.img, Timing: t, Read: read, Trace: root,
+	}
+	return &a.res, nil
 }
 
 // fail finishes a query's observability on the error path: the root
@@ -315,17 +349,20 @@ func (c *Client) observe(spec QuerySpec, t QueryTiming, retries int, root *obs.S
 // results of several recently issued queries without necessitating a
 // database reaccess"). On a miss it falls through to RunQuery.
 func (c *Client) RunQueryCached(spec QuerySpec) (*QueryResult, bool, error) {
-	if field, ok := c.Cache.Get(spec.Key()); ok {
-		img, err := field.Render(dx.RenderOpts{Axis: 2, Mode: dx.MIP})
-		if err != nil {
+	if field, ok := c.Cache.Get(cacheKeyOf(spec)); ok {
+		// The same one object as a miss's answer; its Field is the
+		// cached one, so its own field and request room stay unused.
+		a := new(answer)
+		if err := field.RenderInto(&a.img, dx.RenderOpts{Axis: 2, Mode: dx.MIP}); err != nil {
 			return nil, false, err
 		}
-		return &QueryResult{
+		a.res = QueryResult{
 			Spec:   spec,
 			Field:  field,
-			Image:  img,
+			Image:  &a.img,
 			Timing: QueryTiming{HRuns: field.NumRuns(), Voxels: field.NumVoxels()},
-		}, true, nil
+		}
+		return &a.res, true, nil
 	}
 	res, err := c.RunQuery(spec)
 	return res, false, err

@@ -1,8 +1,13 @@
 package qbism
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"qbism/internal/dx"
+	"qbism/internal/medserver"
 )
 
 // The DX client is one piece of code under both deployments; these
@@ -108,10 +113,16 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		name string
 		sys  *System
 		spec QuerySpec
-		// As measured. The client renders the reply's REGION off its
-		// encoded bytes and decodes the reply header into its own
-		// value, and a repeated query's Put moves its key in the DX
-		// cache's LRU list in place. While the server copied its reply
+		// As measured: the client's answer object, the image's pixels
+		// and the meta header's one string, plus ServeRPC's 1, 1, 4 and
+		// 1, the reply among them. The client renders the reply's
+		// REGION off its encoded bytes into the answer, frames the
+		// request in the answer's room, keys the DX cache on the spec's
+		// value, and a repeated query's Put moves its key in the LRU
+		// list in place. While the client allocated the result, the
+		// field, the image header, the request, the cache key string
+		// and each meta string apart, these were 9, 9, 12 and 9. While
+		// the server copied its reply
 		// into a frame of its own, these were 10, 10, 13 and 10. While
 		// the client built a Table 3 label for every query, they were
 		// 11, 11, 19 and 11. While it
@@ -126,10 +137,10 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		// off; 51 and 57 with JSON headers.
 		ceiling float64
 	}{
-		{"small-structure", sys, small, 9},
-		{"structure-and-band", sys, mixed, 9},
-		{"q2-box", paper, q2Box, 12},
-		{"full-study", sys, full, 9},
+		{"small-structure", sys, small, 4},
+		{"structure-and-band", sys, mixed, 4},
+		{"q2-box", paper, q2Box, 7},
+		{"full-study", sys, full, 4},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := tc.sys.RunQuery(tc.spec); err != nil {
@@ -150,8 +161,8 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
-	if got > 40 { // as measured: four queries, the items, the pool (44 while the server copied each reply into a frame, 48 while each query built its label, 62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
-		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 40 — does the pool allocate per item?", got)
+	if got > 20 { // as measured: four queries, the items, the pool (40 while each query allocated its result's parts apart, 44 while the server copied each reply into a frame, 48 while each query built its label, 62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
+		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 20 — does the pool allocate per item?", got)
 	}
 }
 
@@ -169,5 +180,127 @@ func BenchmarkRunQueryMixed(b *testing.B) {
 		if _, err := sys.RunQuery(mixed); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCacheKeyMatchesWireKey: the DX cache's value key and QuerySpec.Key,
+// the spec's wire bytes, agree on which specs are the same query — a
+// merge the wire bytes do not make would be a wrong DX-cache hit, a
+// split a needless miss. Generated specs drawn from small pools, so that
+// many pairs collide on some fields, and the edges where a value key
+// could go wrong: a nil box against an all-zero one, band bounds the
+// band flag leaves off, an empty encoding against the k³-tree's label it
+// resolves to, and strings that trade a byte across a field boundary.
+func TestCacheKeyMatchesWireKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	pick := func(pool ...string) string { return pool[rng.Intn(len(pool))] }
+	specs := []QuerySpec{
+		{StudyID: 1, Atlas: "Talairach", FullStudy: true},
+		{StudyID: 1, Atlas: "Talairach", FullStudy: true, Box: &[6]uint32{}},
+		{StudyID: 1, Atlas: "Talairach", FullStudy: true, BandLo: 32, BandHi: 63},
+		{StudyID: 1, Atlas: "Talairach", FullStudy: true, BandHi: 63},
+		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63},
+		{StudyID: 1, Atlas: "Talairach", HasBand: true, BandLo: 32, BandHi: 63, Encoding: medserver.EncK3Tree},
+		{StudyID: 1, Atlas: "ab", Structure: "c"},
+		{StudyID: 1, Atlas: "a", Structure: "bc"},
+		{StudyID: 1, Atlas: "a", Structure: "b", Encoding: "c"},
+		{StudyID: 1, Atlas: "a", Structure: "", Encoding: "bc"},
+		{StudyID: 1, Atlas: "", Structure: "ab", Encoding: "c"},
+	}
+	for i := 0; i < 400; i++ {
+		q := QuerySpec{
+			StudyID:   rng.Intn(3) - 1,
+			Atlas:     pick("", "Talairach", "a", "ab"),
+			FullStudy: rng.Intn(2) == 0,
+			Structure: pick("", "putamen", "b", "bc", "c"),
+			HasBand:   rng.Intn(2) == 0,
+			BandLo:    []int{0, 32, -1}[rng.Intn(3)],
+			BandHi:    []int{0, 63}[rng.Intn(2)],
+			Encoding:  pick("", medserver.EncK3Tree, medserver.EncHilbertNaive, "c"),
+		}
+		if rng.Intn(2) == 0 {
+			var box [6]uint32
+			box[rng.Intn(6)] = uint32(rng.Intn(2))
+			q.Box = &box // a new pointer each time: equal boxes compare by value
+		}
+		specs = append(specs, q)
+	}
+	merged := 0
+	for i, a := range specs {
+		for _, b := range specs[i:] {
+			wire, value := a.Key() == b.Key(), cacheKeyOf(a) == cacheKeyOf(b)
+			if wire != value {
+				t.Fatalf("%+v and %+v: wire keys equal %t, value keys equal %t", a, b, wire, value)
+			}
+			if value {
+				merged++
+			}
+		}
+	}
+	if merged <= len(specs) {
+		t.Fatalf("only %d equal pairs among %d specs: the pools no longer collide", merged, len(specs))
+	}
+	// The edge cases above are distinct queries on the wire, and so in
+	// the cache.
+	c := dx.NewCache[cacheKey](len(specs))
+	for i, q := range specs[:11] {
+		c.Put(cacheKeyOf(q), &dx.Field{Side: i})
+	}
+	for i, q := range specs[:11] {
+		if f, ok := c.Get(cacheKeyOf(q)); !ok || f.Side != i {
+			t.Errorf("%+v: the cache does not give back its own field", q)
+		}
+	}
+}
+
+// TestCachedFieldPinsOnlyItsAnswer: a DX cache entry keeps its own
+// answer alive — the reply its field points into, the image, the answer
+// object with its request room — and nothing of the queries around it.
+// After 3×8 distinct full-study queries at Bits 6 the heap has grown by
+// at most the eight entries the cache holds, plus slack: a slab shared
+// by several answers, or a field pinning its neighbors' replies, would
+// keep about three times that.
+func TestCachedFieldPinsOnlyItsAnswer(t *testing.T) {
+	sys, err := New(Config{Bits: 6, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// A first query of another shape grows what the server keeps
+	// between requests; it is small, and the full-study queries evict
+	// it from the cache.
+	if _, err := sys.RunQuery(QuerySpec{StudyID: sys.Studies[0].StudyID, Atlas: "Talairach", Structure: "putamen"}); err != nil {
+		t.Fatal(err)
+	}
+	before := heap()
+	var entry uint64 // one cache entry: the reply, the image and the answer
+	for _, st := range sys.Studies {
+		for i := 0; i < 8; i++ {
+			// The band bounds, off without the band flag, make each spec
+			// a distinct query of the same answer.
+			res, err := sys.RunQuery(QuerySpec{StudyID: st.StudyID, Atlas: "Talairach", FullStudy: true, BandLo: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry = max(entry, res.Field.NumVoxels()+uint64(len(res.Image.Pix))+4<<10)
+		}
+	}
+	if len(sys.Studies) != 3 {
+		t.Fatalf("%d studies, want 3", len(sys.Studies))
+	}
+	after := heap()
+	runtime.KeepAlive(sys.Client) // the cache, live through the measurement
+	grown := int64(after) - int64(before)
+	limit := int64(8*entry + 2*entry) // eight entries and two more of slack
+	t.Logf("heap grew %d KiB over 24 queries; an entry is %d KiB, the limit %d KiB", grown>>10, entry>>10, limit>>10)
+	if grown > limit {
+		t.Errorf("heap grew %d KiB over 24 full-study queries, limit %d KiB (8 cached entries of %d KiB, and slack) — does a cached field pin more than its own answer?",
+			grown>>10, limit>>10, entry>>10)
 	}
 }

@@ -315,7 +315,7 @@ func TestDXCacheKeepsRecentQueries(t *testing.T) {
 		if item.Err != nil {
 			t.Fatalf("%s: %v", item.Spec.Label(), item.Err)
 		}
-		if _, ok := sys.Cache.Get(item.Spec.Key()); !ok {
+		if _, ok := sys.Cache.Get(cacheKeyOf(item.Spec)); !ok {
 			missed = append(missed, i)
 		}
 	}

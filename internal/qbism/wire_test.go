@@ -387,10 +387,25 @@ func TestHandlerRetainsNothingOfTheRequest(t *testing.T) {
 	}
 }
 
+// overwriteFrame poisons a decoded frame as a transport reusing its
+// buffer would.
+func overwriteFrame(frame []byte) {
+	for i := range frame {
+		frame[i] = 0xA5
+	}
+}
+
+// metaStrings is a meta's strings, copied.
+func metaStrings(m *QueryMeta) [3]string {
+	return [3]string{strings.Clone(m.Patient), strings.Clone(m.Date), strings.Clone(m.Warning)}
+}
+
 // FuzzQueryHeader feeds arbitrary bytes to the spec and meta decoders:
 // they never panic, fail only with ErrWireHeader, never produce more
 // string bytes than they were given, and accept only canonical input —
-// what decodes re-encodes to the same bytes.
+// what decodes re-encodes to the same bytes. A decoded meta's strings
+// are copies: overwriting the frame it came from leaves them as they
+// were.
 func FuzzQueryHeader(f *testing.F) {
 	for _, tc := range goldenSpecs() {
 		f.Add(specHeader(tc.spec))
@@ -398,6 +413,12 @@ func FuzzQueryHeader(f *testing.F) {
 	for _, degraded := range []bool{false, true} {
 		f.Add(metaHeader(f, goldenMeta(degraded)))
 	}
+	blank := goldenMeta(false)
+	blank.Patient, blank.Date = "", ""
+	f.Add(metaHeader(f, blank))
+	longest := goldenMeta(true)
+	longest.Warning = strings.Repeat("W", math.MaxUint16)
+	f.Add(metaHeader(f, longest))
 	f.Add([]byte{})
 	f.Add([]byte{2, 0})
 	f.Add([]byte(`{"studyId":1,"fullStudy":true}`))
@@ -416,7 +437,8 @@ func FuzzQueryHeader(f *testing.F) {
 				t.Fatalf("accepted spec is not canonical: %x", data)
 			}
 		}
-		if m, err := decodeMetaHeader(t, data); err != nil {
+		frame := encodeFrameT(t, data, nil)
+		if m, _, err := DecodeQueryResponse(frame); err != nil {
 			if !errors.Is(err, transport.ErrWireHeader) {
 				t.Fatalf("meta decoder: untyped error %v", err)
 			}
@@ -426,6 +448,11 @@ func FuzzQueryHeader(f *testing.F) {
 			}
 			if !bytes.Equal(metaHeader(t, *m), data) {
 				t.Fatalf("accepted meta is not canonical: %x", data)
+			}
+			want := metaStrings(m)
+			overwriteFrame(frame)
+			if got := metaStrings(m); got != want {
+				t.Fatalf("meta strings alias the frame: %.32q once it is overwritten, %.32q before", got, want)
 			}
 		}
 	})
@@ -437,7 +464,9 @@ func FuzzQueryHeader(f *testing.F) {
 // for any meta strings, blob bytes and spare capacity the reply is
 // transport.EncodeFrame(meta header, blob) byte for byte, built in the
 // blob's own buffer exactly when the prefix and the header fit its
-// spare, and DecodeQueryResponse gives back the meta and the blob.
+// spare, and DecodeQueryResponse gives back the meta and the blob — its
+// strings copies that overwriting the frame leaves as they were, empty
+// or 65 535 bytes long.
 func FuzzQueryResponseFrame(f *testing.F) {
 	curve, err := sfc.New(sfc.Hilbert, 3, 7)
 	if err != nil {
@@ -467,6 +496,8 @@ func FuzzQueryResponseFrame(f *testing.F) {
 		f.Add(healthy.Patient, healthy.Date, "", paper, spare)
 		f.Add(degraded.Patient, degraded.Date, degraded.Warning, []byte{0xDD}, spare)
 		f.Add(strings.Repeat("P", 1<<10), healthy.Date, "", empty, spare)
+		f.Add("", "", "", paper, spare)
+		f.Add(healthy.Patient, healthy.Date, strings.Repeat("W", math.MaxUint16), paper, spare)
 	}
 	f.Fuzz(func(t *testing.T, patient, date, warning string, blob []byte, spare uint16) {
 		m := goldenMeta(false)
@@ -496,6 +527,10 @@ func FuzzQueryResponseFrame(f *testing.F) {
 		got, gotBlob, err := DecodeQueryResponse(frame)
 		if err != nil || !sameMeta(*got, m) || !bytes.Equal(gotBlob, blob) {
 			t.Fatalf("reply does not decode to its meta and blob: %v", err)
+		}
+		overwriteFrame(frame)
+		if got.Patient != patient || got.Date != date || got.Warning != warning {
+			t.Fatalf("meta strings alias the frame: %.32q, %.32q, %.32q once it is overwritten", got.Patient, got.Date, got.Warning)
 		}
 	})
 }
