@@ -18,9 +18,11 @@
 // schema (one object; diagnostics carry file/line/col/check/message/
 // suppressed/suppress_reason). -ignores instead inventories every
 // //lint:ignore directive in the tree with its reason; with
-// -ignore-budget N the command exits 1 when the directive count
-// exceeds N, which is how `make lint-ignores` keeps suppressions from
-// quietly accumulating.
+// -ignore-budget N the command exits 1 unless the directive count is
+// exactly N. Above N a new suppression needs a reviewed budget raise;
+// below N the freed room must be checked in, so it cannot be spent
+// unreviewed later. This is how `make lint-ignores` ratchets
+// suppressions down.
 package main
 
 import (
@@ -36,7 +38,7 @@ func main() {
 	verbose := flag.Bool("v", false, "also list suppressed diagnostics with their reasons, and per-analyzer timings")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON (stable schema) instead of text")
 	ignores := flag.Bool("ignores", false, "inventory every //lint:ignore directive instead of reporting diagnostics")
-	budget := flag.Int("ignore-budget", -1, "with -ignores: exit 1 if the directive count exceeds this budget")
+	budget := flag.Int("ignore-budget", -1, "with -ignores: exit 1 unless the directive count equals this budget")
 	flag.Parse()
 
 	res, err := lint.CheckModule(*dir)
@@ -54,9 +56,15 @@ func main() {
 			fmt.Printf(" (budget %d)", *budget)
 		}
 		fmt.Println()
-		if *budget >= 0 && len(res.Ignores) > *budget {
+		switch n := len(res.Ignores); {
+		case *budget < 0:
+		case n > *budget:
 			fmt.Fprintf(os.Stderr, "qbismlint: ignore budget exceeded: %d > %d — remove a suppression or raise the checked-in budget with justification\n",
-				len(res.Ignores), *budget)
+				n, *budget)
+			os.Exit(1)
+		case n < *budget:
+			fmt.Fprintf(os.Stderr, "qbismlint: ignore budget %d is above the %d directives in the tree — check in %d as the budget\n",
+				*budget, n, n)
 			os.Exit(1)
 		}
 		return

@@ -5,12 +5,12 @@ import (
 	"go/types"
 )
 
-// CloserAnalyzer is the resource half of the interprocedural suite:
-// every acquired Close-able resource — a Transport from a Dial, sdb
-// Rows from DB.Query, a net.Listener or net.Conn from Listen/Accept, an
-// LFM file device, a built System or Daemon — must be provably released
-// on all paths of the acquiring function, or provably hand ownership to
-// something that releases it.
+// CloserAnalyzer is the suite's interprocedural check: every acquired
+// Close-able resource — a Transport from a Dial, sdb Rows from
+// DB.Query, a net.Listener or net.Conn from Listen/Accept, an os.File,
+// a built System or Daemon — must be provably released on all paths of
+// the acquiring function, or provably hand ownership to something that
+// releases it.
 //
 // Ownership transfers (and the check goes quiet) when the value is
 // returned, captured by a closure, copied to another variable, passed
@@ -25,15 +25,23 @@ import (
 // Release verbs are Close, Drain, and Shutdown — the repo's graceful
 // teardown paths count as releases (a drained Daemon holds nothing).
 var CloserAnalyzer = &Analyzer{
-	Name:      "closer",
-	Doc:       "every acquired Close-able resource is released on all paths or provably changes owner",
-	RunModule: runCloser,
+	Name: "closer",
+	Doc:  "every acquired Close-able resource is released on all paths or provably changes owner",
+	Run:  runCloser,
 }
 
 // releaseVerbs are the method names that release a resource.
 var releaseVerbs = map[string]bool{"Close": true, "Drain": true, "Shutdown": true}
 
-func runCloser(mp *ModulePass) {
+// closerPass is one closer run: the pass and the module index its
+// ownership rules resolve callees in.
+type closerPass struct {
+	*Pass
+	Prog *Program
+}
+
+func runCloser(pass *Pass) {
+	mp := &closerPass{Pass: pass, Prog: BuildProgram(pass.Pkgs)}
 	for _, pkg := range mp.Pkgs {
 		for _, f := range pkg.Files {
 			funcBodies(f, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
@@ -45,7 +53,7 @@ func runCloser(mp *ModulePass) {
 
 // closerScanScope finds resource acquisitions directly in one function
 // scope (nested function literals are their own scopes).
-func closerScanScope(mp *ModulePass, pkg *Package, body *ast.BlockStmt) {
+func closerScanScope(mp *closerPass, pkg *Package, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n != body {
 			if _, ok := n.(*ast.FuncLit); ok {
@@ -172,7 +180,7 @@ func isAccessor(fi *FuncInfo) bool {
 }
 
 // checkAcquisition classifies one resource-producing call.
-func checkAcquisition(mp *ModulePass, pkg *Package, body *ast.BlockStmt, call *ast.CallExpr) {
+func checkAcquisition(mp *closerPass, pkg *Package, body *ast.BlockStmt, call *ast.CallExpr) {
 	parents := nodePath(body, call)
 	if len(parents) == 0 {
 		return
@@ -238,7 +246,7 @@ func acquisitionVars(pkg *Package, as *ast.AssignStmt, call *ast.CallExpr) (obj,
 // checkResourceVar analyzes a resource held in a local variable:
 // classify every use for ownership transfer, then — if the value never
 // escapes — require a release on all paths.
-func checkResourceVar(mp *ModulePass, pkg *Package, body *ast.BlockStmt, acqStmt ast.Stmt, call *ast.CallExpr, obj, errObj types.Object, typeStr string) {
+func checkResourceVar(mp *closerPass, pkg *Package, body *ast.BlockStmt, acqStmt ast.Stmt, call *ast.CallExpr, obj, errObj types.Object, typeStr string) {
 	owned := false
 	deferClosed := false
 	var sunkID *ast.Ident
@@ -420,4 +428,19 @@ func objUsedIn(info *types.Info, n ast.Node, obj types.Object) bool {
 		return !found
 	})
 	return found
+}
+
+// creationName renders the called expression for messages ("net.Listen",
+// "Open").
+func creationName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		if id, ok := fun.X.(*ast.Ident); ok {
+			return id.Name + "." + fun.Sel.Name
+		}
+		return fun.Sel.Name
+	case *ast.Ident:
+		return fun.Name
+	}
+	return "the acquisition"
 }

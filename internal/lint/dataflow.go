@@ -5,20 +5,19 @@ import (
 	"go/types"
 )
 
-// Shared dataflow core for the lifecycle analyzers (spanpair, closer).
-// A lifeFlow is a statement-level abstract interpreter tracking one
-// value's lifecycle through a function body: not yet acquired, live, or
-// released. The walk mirrors Go's control flow conservatively — a loop
-// body may run zero times, a switch without a default may fall through,
-// and a path where the value is live dominates any merge — so "released
-// on all paths" holds whenever the flow ends with the value not live.
+// The dataflow core closer runs on. A lifeFlow is a statement-level
+// abstract interpreter tracking one value's lifecycle through a function
+// body: not yet acquired, live, or released. The walk mirrors Go's
+// control flow conservatively — a loop body may run zero times, a switch
+// without a default may fall through, and a path where the value is live
+// dominates any merge — so "released on all paths" holds whenever the
+// flow ends with the value not live.
 //
-// The engine generalizes what spanpair's PR 4 implementation did for
-// obs spans: the acquisition statement and the release predicate are
-// parameters, and an optional error object enables the standard Go
-// idiom `v, err := acquire(); if err != nil { return }` — on the
-// err != nil branch the value was never acquired, so the early return
-// is not a leak.
+// The acquisition statement and the release predicate are parameters,
+// and an optional error object enables the standard Go idiom
+// `v, err := acquire(); if err != nil { return }` — on the err != nil
+// branch the value was never acquired, so the early return is not a
+// leak.
 
 type lifeState int
 
@@ -53,8 +52,8 @@ type lifeFlow struct {
 	// the acquisition; branches on it refine the state (see above).
 	errObj types.Object
 
-	// isRelease reports whether a call releases obj (sp.End(),
-	// rows.Close(), ...).
+	// isRelease reports whether a call releases obj (rows.Close(),
+	// d.Drain(...), ...).
 	isRelease func(call *ast.CallExpr) bool
 
 	// onLeakReturn is invoked for each return statement reached with

@@ -17,35 +17,56 @@ import (
 var ErrWrapAnalyzer = &Analyzer{
 	Name: "errwrap",
 	Doc:  "errors crossing lfm/transport/faultsim boundaries must be wrapped with %w so errors.Is/As keeps matching",
-	Match: func(pkg *Package) bool {
-		switch pkg.Name {
-		case "lfm", "faultsim", "medserver", "qbism", "transport":
-			return true
-		}
-		return false
-	},
-	Run: runErrWrap,
+	Run:  runErrWrap,
+}
+
+// errWrapScope names the fault-plumbing packages errwrap checks.
+var errWrapScope = map[string]bool{
+	"lfm": true, "faultsim": true, "medserver": true, "qbism": true, "transport": true,
 }
 
 func runErrWrap(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	for _, pkg := range pass.Pkgs {
+		if !errWrapScope[pkg.Name] {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				path, name, ok := pkgFunc(pkg, call)
+				if !ok || path != "fmt" || name != "Errorf" || len(call.Args) < 2 {
+					return true
+				}
+				format, ok := constStringArg(pkg, call.Args[0])
+				if !ok {
+					return true
+				}
+				checkErrorfVerbs(pass, pkg, call, format)
 				return true
-			}
-			path, name, ok := pkgFunc(pass.Pkg, call)
-			if !ok || path != "fmt" || name != "Errorf" || len(call.Args) < 2 {
-				return true
-			}
-			format, ok := constStringArg(pass.Pkg, call.Args[0])
-			if !ok {
-				return true
-			}
-			checkErrorfVerbs(pass, call, format)
-			return true
-		})
+			})
+		}
 	}
+}
+
+// pkgFunc resolves a call target to (package path, function name) when
+// the callee is a package-level function of an imported package.
+func pkgFunc(pkg *Package, call *ast.CallExpr) (string, string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", "", false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", "", false
+	}
+	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", "", false
+	}
+	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
 func constStringArg(pkg *Package, e ast.Expr) (string, bool) {
@@ -58,7 +79,7 @@ func constStringArg(pkg *Package, e ast.Expr) (string, bool) {
 
 // checkErrorfVerbs maps each format verb to its argument positionally
 // and reports error-typed arguments formatted with a non-wrapping verb.
-func checkErrorfVerbs(pass *Pass, call *ast.CallExpr, format string) {
+func checkErrorfVerbs(pass *Pass, pkg *Package, call *ast.CallExpr, format string) {
 	verbs, ok := parseVerbs(format)
 	if !ok {
 		return // explicit argument indexes or malformed: don't guess
@@ -71,7 +92,7 @@ func checkErrorfVerbs(pass *Pass, call *ast.CallExpr, format string) {
 		if v == "w" {
 			continue
 		}
-		tv, ok := pass.Pkg.Info.Types[args[i]]
+		tv, ok := pkg.Info.Types[args[i]]
 		if !ok || tv.Type == nil {
 			continue
 		}

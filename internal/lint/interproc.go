@@ -2,16 +2,15 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// The interprocedural layer: one Program per Check run, built from the
-// loader's go/types info, shared by every module-level analyzer. It
-// indexes all function declarations, resolves static call sites to
-// their declarations, groups methods by receiver type, and computes
-// small per-function summaries on demand (memoized):
+// The interprocedural layer closer stands on: one Program per closer
+// run, built from the loader's go/types info. It indexes all function
+// declarations, resolves static call sites to their declarations,
+// groups methods by receiver type, and computes two per-function
+// summaries on demand (memoized):
 //
 //   - paramFate: what a callee does with a pointer argument — returns,
 //     closes, or stores it (ownership transfer), stores it into a
@@ -20,16 +19,10 @@ import (
 //     of the type calls Close on (directly or through range/locals) —
 //     the "storing into a struct whose own Close releases it is clean"
 //     half of closer's ownership rule.
-//   - inescapableLoop: whether a function body contains a `for` loop
-//     (or bare select) that no path can leave — goexit's leak shape.
-//   - lockAcquires: the transitive set of mutex fields a function may
-//     lock — lockorder's edge and self-deadlock source.
 //
 // Everything is resolved statically: interface method calls and
 // standard-library callees have no declaration in the module and
-// resolve to nil, which every summary treats conservatively (closer
-// assumes unknown callees take ownership; lockorder and goexit assume
-// they acquire nothing and always return).
+// resolve to nil, which closer treats as taking ownership.
 
 // FuncInfo is one declared function or method of the module.
 type FuncInfo struct {
@@ -38,35 +31,24 @@ type FuncInfo struct {
 	Pkg  *Package
 }
 
-// Program is the module-wide index shared by module-level analyzers.
+// Program is the module-wide index closer resolves callees in.
 type Program struct {
-	Pkgs []*Package
-	Fset *token.FileSet
-
 	funcs   map[*types.Func]*FuncInfo
 	methods map[*types.TypeName][]*FuncInfo // named type -> its methods
 
 	fateMemo     map[fateKey]paramFate
 	releasedMemo map[*types.TypeName]map[string]bool
-	loopMemo     map[*types.Func]int8 // 0 unknown, 1 yes, 2 no
-	lockMemo     map[*types.Func]map[*types.Var]bool
 }
 
 // BuildProgram indexes the packages' function declarations.
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
-		Pkgs:         pkgs,
 		funcs:        make(map[*types.Func]*FuncInfo),
 		methods:      make(map[*types.TypeName][]*FuncInfo),
 		fateMemo:     make(map[fateKey]paramFate),
 		releasedMemo: make(map[*types.TypeName]map[string]bool),
-		loopMemo:     make(map[*types.Func]int8),
-		lockMemo:     make(map[*types.Func]map[*types.Var]bool),
 	}
 	for _, pkg := range pkgs {
-		if p.Fset == nil {
-			p.Fset = pkg.Fset
-		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -491,284 +473,6 @@ func (p *Program) funcsOfTypePkg(named *types.Named) int {
 		}
 	}
 	return n
-}
-
-// ---------------------------------------------------------------------
-// inescapableLoop: goexit's summary.
-
-// InescapableLoop returns the position of a loop in fn's body that no
-// path can leave, or token.NoPos. Used transitively: a goroutine whose
-// body just calls such a function leaks the same way.
-func (p *Program) InescapableLoop(fi *FuncInfo) token.Pos {
-	if fi == nil {
-		return token.NoPos
-	}
-	switch p.loopMemo[fi.Fn] {
-	case 2:
-		return token.NoPos
-	}
-	pos := inescapableLoopIn(fi.Decl.Body)
-	if pos != token.NoPos {
-		p.loopMemo[fi.Fn] = 1
-	} else {
-		p.loopMemo[fi.Fn] = 2
-	}
-	return pos
-}
-
-// inescapableLoopIn scans a body for `for { ... }` loops (no condition,
-// not a range) and bare `select {}` statements with no reachable exit:
-// no return, break, goto, panic, or terminal call anywhere inside.
-// Nested function literals are separate goroutine-less scopes and are
-// skipped.
-func inescapableLoopIn(body *ast.BlockStmt) token.Pos {
-	found := token.NoPos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found != token.NoPos {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			if len(n.Body.List) == 0 {
-				found = n.Pos() // select{}: blocks forever
-				return false
-			}
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				return true // bounded loop: the condition is the exit
-			}
-			if !loopHasExit(n.Body) {
-				found = n.Pos()
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// loopHasExit reports whether a loop body contains any statement that
-// can leave the loop (or the goroutine): return, break, goto, panic,
-// os.Exit/log.Fatal/runtime.Goexit. Breaks belonging to nested
-// switch/select statements still indicate the author wrote an exit arm
-// only if a return/goto accompanies them, so plain `break` inside
-// switch/select is NOT counted; `break` directly in the loop (or
-// labeled) is.
-func loopHasExit(body *ast.BlockStmt) bool {
-	return blockHasExit(body.List, true)
-}
-
-func blockHasExit(list []ast.Stmt, breakable bool) bool {
-	for _, s := range list {
-		if stmtHasExit(s, breakable) {
-			return true
-		}
-	}
-	return false
-}
-
-func stmtHasExit(s ast.Stmt, breakable bool) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		switch s.Tok.String() {
-		case "goto":
-			return true
-		case "break":
-			return breakable || s.Label != nil
-		}
-		return false
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			return isPanicOrFatal(call)
-		}
-	case *ast.BlockStmt:
-		return blockHasExit(s.List, breakable)
-	case *ast.IfStmt:
-		if stmtHasExit(s.Body, breakable) {
-			return true
-		}
-		if s.Else != nil {
-			return stmtHasExit(s.Else, breakable)
-		}
-	case *ast.LabeledStmt:
-		return stmtHasExit(s.Stmt, breakable)
-	case *ast.SwitchStmt:
-		return clausesHaveExit(s.Body)
-	case *ast.TypeSwitchStmt:
-		return clausesHaveExit(s.Body)
-	case *ast.SelectStmt:
-		return commsHaveExit(s.Body)
-	case *ast.ForStmt, *ast.RangeStmt:
-		// A nested loop's returns/gotos still exit the outer one; its
-		// plain breaks do not.
-		var inner *ast.BlockStmt
-		if f, ok := s.(*ast.ForStmt); ok {
-			inner = f.Body
-		} else {
-			inner = s.(*ast.RangeStmt).Body
-		}
-		return blockHasExit(inner.List, false)
-	}
-	return false
-}
-
-func clausesHaveExit(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && blockHasExit(cc.Body, false) {
-			return true
-		}
-	}
-	return false
-}
-
-func commsHaveExit(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CommClause); ok && blockHasExit(cc.Body, false) {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
-// lockAcquires: lockorder's transitive summary.
-
-// LockAcquires returns the set of mutex field variables fn may lock,
-// directly or through (statically resolvable) callees.
-func (p *Program) LockAcquires(fi *FuncInfo) map[*types.Var]bool {
-	if fi == nil {
-		return nil
-	}
-	if got, ok := p.lockMemo[fi.Fn]; ok {
-		return got
-	}
-	out := make(map[*types.Var]bool)
-	p.lockMemo[fi.Fn] = out // cycle guard
-	info := fi.Pkg.Info
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		// A function literal is its own goroutine or callback scope;
-		// locks it takes are not taken synchronously by this call, and
-		// counting them manufactures false ordering edges.
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if mv := lockTarget(info, call); mv != nil {
-			out[mv] = true
-			return true
-		}
-		if callee := p.Callee(fi.Pkg, call); callee != nil {
-			for v := range p.LockAcquires(callee) {
-				out[v] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// lockTarget returns the mutex variable locked by call when call is
-// <expr>.<mu>.Lock() or <expr>.<mu>.RLock() on a sync.Mutex/RWMutex
-// field or variable; nil otherwise.
-func lockTarget(info *types.Info, call *ast.CallExpr) *types.Var {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-		return nil
-	}
-	return mutexVar(info, sel.X)
-}
-
-// unlockTarget is the mirror for Unlock/RUnlock.
-func unlockTarget(info *types.Info, call *ast.CallExpr) *types.Var {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock") {
-		return nil
-	}
-	return mutexVar(info, sel.X)
-}
-
-// mutexVar resolves an expression to the sync.Mutex/RWMutex variable it
-// denotes (a struct field or a plain variable).
-func mutexVar(info *types.Info, e ast.Expr) *types.Var {
-	var obj types.Object
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		obj = info.Uses[x.Sel]
-	case *ast.Ident:
-		obj = info.Uses[x]
-	default:
-		return nil
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || !isMutexType(v.Type()) {
-		return nil
-	}
-	return v
-}
-
-func isMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	if named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
-}
-
-// lockLabel renders a mutex variable for messages: "Server.mu" for
-// struct fields, "pkg.mu" for plain variables.
-func lockLabel(v *types.Var) string {
-	if v.IsField() {
-		// The owning struct's name is not on the Var; recover it from
-		// the package scope by scanning named types. Fall back to the
-		// package name.
-		if owner := fieldOwner(v); owner != "" {
-			return owner + "." + v.Name()
-		}
-	}
-	if v.Pkg() != nil {
-		return v.Pkg().Name() + "." + v.Name()
-	}
-	return v.Name()
-}
-
-// fieldOwner finds the named struct type declaring field v.
-func fieldOwner(v *types.Var) string {
-	pkg := v.Pkg()
-	if pkg == nil {
-		return ""
-	}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return tn.Name()
-			}
-		}
-	}
-	return ""
 }
 
 // isModulePath reports whether path belongs to the analyzed module.

@@ -1,10 +1,9 @@
 // Package lint is qbism's repo-aware static-analysis suite: a
-// zero-dependency, vet-style analyzer driver plus the nine analyzers
-// that machine-check the invariants earlier PRs introduced by
-// convention (deterministic simulation, span pairing, mutex guard
-// discipline, error-chain wrapping, operator protocol, and — on the
-// interprocedural core — resource closing, goroutine exits, lock
-// ordering, and atomic/plain access mixing). See DESIGN.md §11 and §15.
+// zero-dependency, vet-style analyzer driver plus the two analyzers
+// that have each caught a real defect in this tree — errwrap (an error
+// formatted with %v where errors.Is needs %w) and closer (a resource not
+// released on every path). DESIGN.md §50 is the census that kept them;
+// §11 and §15 describe them.
 package lint
 
 import (
@@ -16,17 +15,12 @@ import (
 	"time"
 )
 
-// An Analyzer checks one invariant. Match selects the packages it
-// applies to; Run reports diagnostics through the Pass. Analyzers that
-// need the whole module at once (call graphs, cross-package lock
-// ordering) implement RunModule instead: it runs once after the
-// per-package passes, over every loaded package and the shared Program.
+// An Analyzer checks one invariant over every loaded package; Run
+// reports diagnostics through the Pass.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Match     func(pkg *Package) bool
-	Run       func(pass *Pass)
-	RunModule func(pass *ModulePass)
+	Name string
+	Doc  string
+	Run  func(pass *Pass)
 }
 
 // A Diagnostic is one finding at one source position.
@@ -42,11 +36,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// A Pass is one analyzer run over one package.
+// A Pass is one analyzer run over every loaded package.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
+	Pkgs     []*Package
 
+	fset  *token.FileSet
 	diags *[]Diagnostic
 	sup   *suppressions
 }
@@ -55,38 +50,13 @@ type Pass struct {
 // //lint:ignore directive covers it, the diagnostic is kept but marked
 // suppressed.
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
-	report(p.Pkg.Fset, p.diags, p.sup, p.Analyzer.Name, pos, format, args...)
-}
-
-// A ModulePass is one module-level analyzer run over every package.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Pkgs     []*Package
-	Prog     *Program
-
-	fset  *token.FileSet
-	diags *[]Diagnostic
-	sup   *suppressions
-}
-
-// Report records a module-level diagnostic at pos; suppression
-// directives from any package apply (they are matched by file name).
-func (p *ModulePass) Report(pos token.Pos, format string, args ...any) {
-	report(p.fset, p.diags, p.sup, p.Analyzer.Name, pos, format, args...)
-}
-
-func report(fset *token.FileSet, diags *[]Diagnostic, sup *suppressions, check string, pos token.Pos, format string, args ...any) {
-	position := fset.Position(pos)
 	d := Diagnostic{
-		Pos:     position,
-		Check:   check,
+		Pos:     p.fset.Position(pos),
+		Check:   p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
 	}
-	if reason, ok := sup.covers(position, check); ok {
-		d.Suppressed = true
-		d.SuppressReason = reason
-	}
-	*diags = append(*diags, d)
+	d.SuppressReason, d.Suppressed = p.sup.covers(d.Pos, d.Check)
+	*p.diags = append(*p.diags, d)
 }
 
 // AnalyzerTiming is one analyzer's cumulative wall time across the run.
@@ -193,71 +163,40 @@ func (r *Result) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// Analyzers returns the full analyzer suite in run order: the five
-// per-package checks from PR 5, then the four interprocedural checks
-// built on the Program core.
+// Analyzers returns the full analyzer suite in run order. Each one
+// holds, in its testdata fixture, a defect it caught in this tree's
+// history (TestEveryAnalyzerHasReseededDefect).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer,
-		SpanPairAnalyzer,
-		LockGuardAnalyzer,
 		ErrWrapAnalyzer,
-		OpProtoAnalyzer,
 		CloserAnalyzer,
-		GoExitAnalyzer,
-		LockOrderAnalyzer,
-		AtomicMixAnalyzer,
 	}
 }
 
 // Check runs the given analyzers over the packages and returns all
-// diagnostics, sorted by file/line/column. Malformed ignore directives
-// (missing check name or reason) are themselves diagnostics.
-// Per-package analyzers run first, package by package; module-level
-// analyzers (RunModule) then run once over the whole set with the
-// shared interprocedural Program.
+// diagnostics, sorted by file/line/column. //lint:ignore directives are
+// themselves checked: one missing its check name or reason, one naming
+// no analyzer of the suite, and one whose analyzer ran and reported
+// nothing on its lines are each an "ignore" diagnostic.
 func Check(pkgs []*Package, analyzers []*Analyzer) *Result {
 	start := time.Now()
 	res := &Result{}
 	var diags []Diagnostic
-	timings := make(map[string]time.Duration)
-	merged := &suppressions{}
+	sup := &suppressions{}
 	var fset *token.FileSet
 	for _, pkg := range pkgs {
-		if fset == nil {
-			fset = pkg.Fset
-		}
+		fset = pkg.Fset
 		res.Files += len(pkg.Files)
-		sup := collectSuppressions(pkg, &diags)
-		merged.directives = append(merged.directives, sup.directives...)
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			if a.Match != nil && !a.Match(pkg) {
-				continue
-			}
-			t0 := time.Now()
-			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags, sup: sup}
-			a.Run(pass)
-			timings[a.Name] += time.Since(t0)
-		}
+		sup.collect(pkg, &diags)
 	}
-	var prog *Program
+	ran := make(map[string]bool)
 	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if prog == nil {
-			prog = BuildProgram(pkgs)
-		}
 		t0 := time.Now()
-		a.RunModule(&ModulePass{
-			Analyzer: a, Pkgs: pkgs, Prog: prog,
-			fset: fset, diags: &diags, sup: merged,
-		})
-		timings[a.Name] += time.Since(t0)
+		a.Run(&Pass{Analyzer: a, Pkgs: pkgs, fset: fset, diags: &diags, sup: sup})
+		res.Timings = append(res.Timings, AnalyzerTiming{Name: a.Name, Elapsed: time.Since(t0)})
+		ran[a.Name] = true
 	}
+	diags = append(diags, sup.unused(ran)...)
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -269,9 +208,9 @@ func Check(pkgs []*Package, analyzers []*Analyzer) *Result {
 		return a.Column < b.Column
 	})
 	res.Diagnostics = diags
-	for _, d := range merged.directives {
+	for _, d := range sup.directives {
 		res.Ignores = append(res.Ignores, IgnoreEntry{
-			File: d.file, Line: d.line, Check: d.check, Reason: d.reason,
+			File: d.pos.Filename, Line: d.pos.Line, Check: d.check, Reason: d.reason,
 		})
 	}
 	sort.SliceStable(res.Ignores, func(i, j int) bool {
@@ -280,11 +219,6 @@ func Check(pkgs []*Package, analyzers []*Analyzer) *Result {
 		}
 		return res.Ignores[i].Line < res.Ignores[j].Line
 	})
-	for _, a := range analyzers {
-		if dt, ok := timings[a.Name]; ok {
-			res.Timings = append(res.Timings, AnalyzerTiming{Name: a.Name, Elapsed: dt})
-		}
-	}
 	res.Elapsed = time.Since(start)
 	return res
 }
@@ -308,10 +242,10 @@ func CheckModule(moduleRoot string) (*Result, error) {
 // immediately after (so it can sit above the offending statement or at
 // the end of its line).
 type ignoreDirective struct {
-	file   string
-	line   int
+	pos    token.Position
 	check  string
 	reason string
+	used   bool // it covered a diagnostic this run
 }
 
 type suppressions struct {
@@ -320,11 +254,10 @@ type suppressions struct {
 
 const ignorePrefix = "//lint:ignore"
 
-// collectSuppressions scans a package's comments for //lint:ignore
-// directives. Directives missing a check name or a reason are reported
-// as diagnostics (an unreasoned suppression is itself a violation).
-func collectSuppressions(pkg *Package, diags *[]Diagnostic) *suppressions {
-	sup := &suppressions{}
+// collect scans a package's comments for //lint:ignore directives.
+// Directives missing a check name or a reason are reported as
+// diagnostics (an unreasoned suppression is itself a violation).
+func (s *suppressions) collect(pkg *Package, diags *[]Diagnostic) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -336,35 +269,53 @@ func collectSuppressions(pkg *Package, diags *[]Diagnostic) *suppressions {
 				check, reason, _ := strings.Cut(rest, " ")
 				reason = strings.TrimSpace(reason)
 				if check == "" || reason == "" {
-					*diags = append(*diags, Diagnostic{
-						Pos:     pos,
-						Check:   "ignore",
-						Message: "malformed //lint:ignore: want \"//lint:ignore <check> <reason>\"",
-					})
+					*diags = append(*diags, ignoreDiagnostic(pos, "malformed //lint:ignore: want \"//lint:ignore <check> <reason>\""))
 					continue
 				}
-				sup.directives = append(sup.directives, ignoreDirective{
-					file:   pos.Filename,
-					line:   pos.Line,
-					check:  check,
-					reason: reason,
-				})
+				s.directives = append(s.directives, ignoreDirective{pos: pos, check: check, reason: reason})
 			}
 		}
 	}
-	return sup
 }
 
 // covers reports whether an ignore directive applies to a diagnostic of
-// the given check at the given position, and returns its reason.
+// the given check at the given position, and returns its reason. The
+// directive is marked used.
 func (s *suppressions) covers(pos token.Position, check string) (string, bool) {
-	for _, d := range s.directives {
-		if d.file != pos.Filename || d.check != check {
+	for i := range s.directives {
+		d := &s.directives[i]
+		if d.pos.Filename != pos.Filename || d.check != check {
 			continue
 		}
-		if pos.Line == d.line || pos.Line == d.line+1 {
+		if pos.Line == d.pos.Line || pos.Line == d.pos.Line+1 {
+			d.used = true
 			return d.reason, true
 		}
 	}
 	return "", false
+}
+
+// unused reports the directives that suppressed nothing: one naming a
+// check that no analyzer of the suite has (a typo, or a deleted
+// analyzer), and one whose analyzer ran and found nothing on its lines.
+// Either would otherwise sit in the tree, and in the budget, unread.
+func (s *suppressions) unused(ran map[string]bool) []Diagnostic {
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, d := range s.directives {
+		switch {
+		case !known[d.check]:
+			out = append(out, ignoreDiagnostic(d.pos, fmt.Sprintf("//lint:ignore names %q, which is no check of this suite", d.check)))
+		case ran[d.check] && !d.used:
+			out = append(out, ignoreDiagnostic(d.pos, fmt.Sprintf("//lint:ignore %s suppresses nothing; delete it", d.check)))
+		}
+	}
+	return out
+}
+
+func ignoreDiagnostic(pos token.Position, msg string) Diagnostic {
+	return Diagnostic{Pos: pos, Check: "ignore", Message: msg}
 }

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -71,9 +74,6 @@ func collectWants(t *testing.T, pkg *Package) map[wantKey][]string {
 func checkFixture(t *testing.T, fixture string, a *Analyzer) *Result {
 	t.Helper()
 	pkg := loadFixture(t, fixture)
-	if a.Match != nil && !a.Match(pkg) {
-		t.Fatalf("analyzer %s does not match fixture package %s", a.Name, pkg.Name)
-	}
 	res := Check([]*Package{pkg}, []*Analyzer{a})
 	wants := collectWants(t, pkg)
 	matched := make(map[wantKey][]bool)
@@ -111,22 +111,8 @@ func checkFixture(t *testing.T, fixture string, a *Analyzer) *Result {
 	return res
 }
 
-func TestDeterminismFixture(t *testing.T) {
-	res := checkFixture(t, "determinism", DeterminismAnalyzer)
-	if got := res.NumSuppressed(); got != 1 {
-		t.Errorf("suppressed = %d, want 1", got)
-	}
-}
-
-func TestSpanPairFixture(t *testing.T) {
-	res := checkFixture(t, "spanpair", SpanPairAnalyzer)
-	if got := res.NumSuppressed(); got != 1 {
-		t.Errorf("suppressed = %d, want 1", got)
-	}
-}
-
-func TestLockGuardFixture(t *testing.T) {
-	res := checkFixture(t, "lockguard", LockGuardAnalyzer)
+func TestErrWrapFixture(t *testing.T) {
+	res := checkFixture(t, "errwrap", ErrWrapAnalyzer)
 	if got := res.NumSuppressed(); got != 1 {
 		t.Errorf("suppressed = %d, want 1", got)
 	}
@@ -138,17 +124,6 @@ func TestLockGuardFixture(t *testing.T) {
 	}
 }
 
-func TestErrWrapFixture(t *testing.T) {
-	res := checkFixture(t, "errwrap", ErrWrapAnalyzer)
-	if got := res.NumSuppressed(); got != 1 {
-		t.Errorf("suppressed = %d, want 1", got)
-	}
-}
-
-func TestOpProtoFixture(t *testing.T) {
-	checkFixture(t, "opproto", OpProtoAnalyzer)
-}
-
 func TestCloserFixture(t *testing.T) {
 	res := checkFixture(t, "closer", CloserAnalyzer)
 	if got := res.NumSuppressed(); got != 1 {
@@ -156,24 +131,56 @@ func TestCloserFixture(t *testing.T) {
 	}
 }
 
-func TestGoExitFixture(t *testing.T) {
-	res := checkFixture(t, "goexit", GoExitAnalyzer)
-	if got := res.NumSuppressed(); got != 1 {
-		t.Errorf("suppressed = %d, want 1", got)
+// reseededRE is the header line of a fixture file re-seeded from a real
+// defect: it names the commit whose tree held the defect.
+var reseededRE = regexp.MustCompile(`^// Re-seeded from commit [0-9a-f]{7,40}\b`)
+
+// reseededFixture returns the file of fixture directory dir that holds a
+// re-seeded defect: its header names the commit it was taken from, and
+// it declares at least one // want.
+func reseededFixture(dir string) (string, error) {
+	fset := token.NewFileSet()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return "", err
 	}
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return "", err
+		}
+		if f.Doc == nil || !reseededRE.MatchString(f.Doc.List[0].Text) {
+			continue
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if wantRE.MatchString(c.Text) {
+					return name, nil
+				}
+			}
+		}
+		return "", fmt.Errorf("%s names its commit but declares no // want", name)
+	}
+	return "", fmt.Errorf("no file under %s starts \"// Re-seeded from commit <hash>\"", dir)
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	res := checkFixture(t, "lockorder", LockOrderAnalyzer)
-	if got := res.NumSuppressed(); got != 1 {
-		t.Errorf("suppressed = %d, want 1", got)
+// TestEveryAnalyzerHasReseededDefect keeps the census's rule (DESIGN.md
+// §50): an analyzer stays in the suite only while its fixture holds a
+// defect it caught in this tree's history, re-seeded from the commit
+// that held it, with the diagnostic it gives.
+func TestEveryAnalyzerHasReseededDefect(t *testing.T) {
+	for _, a := range Analyzers() {
+		name, err := reseededFixture(filepath.Join("testdata", "src", a.Name))
+		if err != nil {
+			t.Errorf("analyzer %s: %v", a.Name, err)
+			continue
+		}
+		t.Logf("analyzer %s: %s", a.Name, name)
+		checkFixture(t, a.Name, a) // every want, the re-seeded ones too, is a diagnostic
 	}
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	res := checkFixture(t, "atomicmix", AtomicMixAnalyzer)
-	if got := res.NumSuppressed(); got != 1 {
-		t.Errorf("suppressed = %d, want 1", got)
+	// A fixture that is only synthetic fails the rule.
+	if name, err := reseededFixture(filepath.Join("testdata", "src", "badignore")); err == nil {
+		t.Errorf("synthetic fixture %s passed as re-seeded", name)
 	}
 }
 
@@ -186,7 +193,9 @@ func TestMalformedIgnoreDirectives(t *testing.T) {
 			t.Errorf("unexpected check %q: %s", d.Check, d)
 			continue
 		}
-		bad = append(bad, d)
+		if strings.HasPrefix(d.Message, "malformed") {
+			bad = append(bad, d)
+		}
 	}
 	if len(bad) != 2 {
 		t.Fatalf("malformed-ignore diagnostics = %d, want 2: %v", len(bad), bad)
@@ -195,6 +204,73 @@ func TestMalformedIgnoreDirectives(t *testing.T) {
 		if !strings.Contains(d.Message, "//lint:ignore <check> <reason>") {
 			t.Errorf("message %q does not explain the expected syntax", d.Message)
 		}
+	}
+}
+
+// TestUnusedIgnoreDirectives pins the directives that suppress nothing:
+// one naming no check of the suite is reported whatever ran, and one
+// naming an analyzer that ran and found nothing on its lines is stale.
+func TestUnusedIgnoreDirectives(t *testing.T) {
+	pkg := loadFixture(t, "badignore")
+	ignoreMsgs := func(res *Result) map[int]string {
+		out := make(map[int]string)
+		for _, d := range res.Unsuppressed() {
+			if d.Check != "ignore" {
+				t.Errorf("unexpected diagnostic: %s", d)
+			} else if !strings.HasPrefix(d.Message, "malformed") {
+				out[d.Pos.Line] = d.Message
+			}
+		}
+		return out
+	}
+	line := func(fn string) int {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == fn {
+					return pkg.Fset.Position(fd.Pos()).Line - 1
+				}
+			}
+		}
+		t.Fatalf("fixture has no func %s", fn)
+		return 0
+	}
+	unknown := map[int]string{
+		line("unknownCheck"): `"determinism", which is no check of this suite`,
+		line("typo"):         `"closr", which is no check of this suite`,
+	}
+	want := map[int]string{
+		line("stale"):      "//lint:ignore closer suppresses nothing",
+		line("outOfScope"): "//lint:ignore errwrap suppresses nothing",
+	}
+	for l, m := range unknown {
+		want[l] = m
+	}
+	for name, tc := range map[string]struct {
+		analyzers []*Analyzer
+		want      map[int]string
+	}{
+		"no analyzer ran": {nil, unknown},
+		"the full suite":  {Analyzers(), want},
+	} {
+		res := Check([]*Package{pkg}, tc.analyzers)
+		got := ignoreMsgs(res)
+		for l, m := range tc.want {
+			if !strings.Contains(got[l], m) {
+				t.Errorf("%s: line %d: got %q, want it to contain %q", name, l, got[l], m)
+			}
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d unused-directive diagnostics, want %d: %v", name, len(got), len(tc.want), got)
+		}
+	}
+	// The directive that suppressed the discarded file is not reported,
+	// and it and the stale and unknown ones are all inventoried.
+	res := Check([]*Package{pkg}, Analyzers())
+	if res.NumSuppressed() != 1 {
+		t.Errorf("suppressed = %d, want 1", res.NumSuppressed())
+	}
+	if len(res.Ignores) != 5 {
+		t.Errorf("inventoried %d well-formed directives, want 5", len(res.Ignores))
 	}
 }
 
@@ -221,23 +297,33 @@ func TestRepoClean(t *testing.T) {
 	if !strings.Contains(res.Summary(), fmt.Sprintf("%d files", res.Files)) {
 		t.Errorf("summary %q does not include the file count", res.Summary())
 	}
-	// The interprocedural analyzers must actually have run over the
-	// repo: each records a timing entry.
+	// Every analyzer must actually have run over the repo: each records
+	// a timing entry.
 	ran := make(map[string]bool)
 	for _, tm := range res.Timings {
 		ran[tm.Name] = true
 	}
-	for _, name := range []string{"closer", "goexit", "lockorder", "atomicmix"} {
-		if !ran[name] {
-			t.Errorf("analyzer %s recorded no timing — did it run?", name)
+	for _, a := range Analyzers() {
+		if !ran[a.Name] {
+			t.Errorf("analyzer %s recorded no timing — did it run?", a.Name)
 		}
 	}
 	if res.Elapsed <= 0 {
 		t.Error("Elapsed not recorded")
 	}
-	// Every ignore directive in the tree is inventoried with a reason.
-	if len(res.Ignores) == 0 {
-		t.Error("no ignore directives inventoried; the repo has several")
+	// Every ignore directive in the tree is inventoried with a reason,
+	// and the inventory is exactly the checked-in budget (the ratchet
+	// `make lint-ignores` enforces).
+	raw, err := os.ReadFile(filepath.Join(repoRoot(t), "lint_ignore_budget.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("lint_ignore_budget.txt: %v", err)
+	}
+	if len(res.Ignores) != budget {
+		t.Errorf("%d ignore directives in the tree, budget %d: check in the count", len(res.Ignores), budget)
 	}
 	for _, ig := range res.Ignores {
 		if strings.TrimSpace(ig.Reason) == "" || ig.Check == "" {
@@ -317,7 +403,7 @@ func TestJSONSchema(t *testing.T) {
 
 // TestDiagnosticsSorted pins the position ordering of Check output.
 func TestDiagnosticsSorted(t *testing.T) {
-	pkg := loadFixture(t, "determinism")
+	pkg := loadFixture(t, "closer")
 	res := Check([]*Package{pkg}, Analyzers())
 	ds := res.Diagnostics
 	for i := 1; i < len(ds); i++ {
@@ -327,7 +413,7 @@ func TestDiagnosticsSorted(t *testing.T) {
 		}
 	}
 	if len(ds) == 0 {
-		t.Fatal("expected diagnostics from the determinism fixture")
+		t.Fatal("expected diagnostics from the closer fixture")
 	}
 }
 
@@ -370,25 +456,26 @@ func TestLoadAllFindsKnownPackages(t *testing.T) {
 
 // TestIgnoreCoversSameAndNextLine pins the suppression window.
 func TestIgnoreCoversSameAndNextLine(t *testing.T) {
-	pkg := loadFixture(t, "determinism")
-	sup := collectSuppressions(pkg, new([]Diagnostic))
+	pkg := loadFixture(t, "errwrap")
+	sup := &suppressions{}
+	sup.collect(pkg, new([]Diagnostic))
 	if len(sup.directives) == 0 {
 		t.Fatal("no directives collected")
 	}
 	d := sup.directives[0]
 	pos := func(line int) (string, bool) {
-		return sup.covers(token.Position{Filename: d.file, Line: line}, "determinism")
+		return sup.covers(token.Position{Filename: d.pos.Filename, Line: line}, "errwrap")
 	}
-	if _, ok := pos(d.line); !ok {
+	if _, ok := pos(d.pos.Line); !ok {
 		t.Error("directive does not cover its own line")
 	}
-	if _, ok := pos(d.line + 1); !ok {
+	if _, ok := pos(d.pos.Line + 1); !ok {
 		t.Error("directive does not cover the following line")
 	}
-	if _, ok := pos(d.line + 2); ok {
+	if _, ok := pos(d.pos.Line + 2); ok {
 		t.Error("directive must not cover two lines down")
 	}
-	if _, ok := sup.covers(token.Position{Filename: d.file, Line: d.line + 1}, "spanpair"); ok {
+	if _, ok := sup.covers(token.Position{Filename: d.pos.Filename, Line: d.pos.Line + 1}, "closer"); ok {
 		t.Error("directive must not cover other checks")
 	}
 }
@@ -396,7 +483,8 @@ func TestIgnoreCoversSameAndNextLine(t *testing.T) {
 // guard against accidental fixture drift: every fixture package must
 // still parse with comments attached (want comments live there).
 func TestFixturesKeepComments(t *testing.T) {
-	for _, name := range []string{"determinism", "spanpair", "lockguard", "errwrap", "opproto", "closer", "goexit", "lockorder", "atomicmix"} {
+	for _, a := range Analyzers() {
+		name := a.Name
 		pkg := loadFixture(t, name)
 		total := 0
 		for _, f := range pkg.Files {

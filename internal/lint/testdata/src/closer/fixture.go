@@ -47,7 +47,60 @@ func Sunk() *Sink {
 	return s
 }
 
+// Without a default the switch may fall through with the resource live.
+func LeakSwitch(n int) {
+	r := OpenRaw() // want "may reach the end of the function without being closed"
+	switch n {
+	case 0:
+		r.Close()
+	}
+}
+
+// A var-declared acquisition is tracked like an assigned one.
+func LeakVar() {
+	var r = OpenRaw() // want "may reach the end of the function without being closed"
+	use(r)
+}
+
 // --- negatives -------------------------------------------------------
+
+// Every arm of a switch with a default closes.
+func CleanSwitch(n int) {
+	r := OpenRaw()
+	switch n {
+	case 0:
+		r.Close()
+	default:
+		r.Close()
+	}
+}
+
+// Every arm of a select closes.
+func CleanSelect(ch chan int) {
+	r := OpenRaw()
+	select {
+	case <-ch:
+		r.Close()
+	default:
+		r.Close()
+	}
+}
+
+// A deferred closure that closes covers every path.
+func CleanDeferClosure() {
+	r := OpenRaw()
+	defer func() { r.Close() }()
+	use(r)
+}
+
+// A panic ends its path.
+func CleanPanic(ok bool) {
+	r := OpenRaw()
+	if !ok {
+		panic("unreachable")
+	}
+	r.Close()
+}
 
 // Deferred close covers every path.
 func CleanDefer() {

@@ -1,6 +1,6 @@
-// Fixture for the errwrap analyzer; package name faultsim puts it in
-// the analyzer's scope.
-package faultsim
+// Fixture for the errwrap analyzer; package name qbism puts it in the
+// analyzer's scope (reseeded.go holds the defects it caught).
+package qbism
 
 import (
 	"errors"

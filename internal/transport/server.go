@@ -365,7 +365,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 		// The snapshot exists to close every live connection outside
 		// s.mu (closeIdle takes sc.mu, which serveConn holds while
 		// waiting on s.mu); close order is immaterial.
-		//lint:ignore determinism closing a set of live sockets; order does not affect behavior
 		conns = append(conns, sc)
 	}
 	s.mu.Unlock()
@@ -396,7 +395,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 		s.mu.Lock()
 		remaining := make([]*serverConn, 0, len(s.conns))
 		for sc := range s.conns {
-			//lint:ignore determinism closing a set of live sockets; order does not affect behavior
 			remaining = append(remaining, sc)
 		}
 		s.mu.Unlock()
@@ -414,7 +412,6 @@ func (s *Server) Close() error {
 	s.draining = true
 	conns := make([]*serverConn, 0, len(s.conns))
 	for sc := range s.conns {
-		//lint:ignore determinism closing a set of live sockets; order does not affect behavior
 		conns = append(conns, sc)
 	}
 	s.mu.Unlock()
@@ -467,6 +464,5 @@ func isClosedConn(err error) bool {
 
 // wallAfterCh is the drain deadline timer.
 func wallAfterCh(d time.Duration) <-chan time.Time {
-	//lint:ignore determinism the drain deadline bounds real inflight sockets; the sim flavor never calls this
 	return time.After(d)
 }
