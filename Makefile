@@ -30,7 +30,7 @@ FUZZTIME ?= 5s
 # `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc
+.PHONY: check fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc ab ab-smoke
 
 check: fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores race chaos cover fuzz-smoke bench-smoke
 
@@ -224,6 +224,22 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFromScanline$$' -benchtime 10x -benchmem ./internal/volume
 	$(GO) test -run '^$$' -bench '^BenchmarkResample$$' -benchtime 10x -benchmem ./internal/warp
 	$(GO) test -run '^$$' -bench '^BenchmarkRender$$' -benchtime 10x -benchmem ./internal/dx
+
+# The repo benchmark as A/B pairs (scripts/ab.sh): the working tree
+# against AB_BASE, AB_PAIRS alternating pairs per workload, each judged
+# by -compare, into the one file AB_OUT — per-pair values, median
+# ratios, verdicts, revisions and the host. The full run takes about
+# twenty minutes on a two-core box; ab-smoke is one Bits 5 pair, under a
+# minute.
+# Neither is part of check.
+AB_BASE ?= HEAD
+AB_PAIRS ?= 10
+AB_OUT ?= BENCH_ab.json
+ab:
+	bash scripts/ab.sh -n $(AB_PAIRS) -base $(AB_BASE) -o $(AB_OUT)
+
+ab-smoke:
+	bash scripts/ab.sh -smoke -base $(AB_BASE) -o $(AB_OUT)
 
 # The non-test Go line count outside benchmark/ (tracked files, lint
 # fixtures included): the number DESIGN.md sections and ROADMAP.md quote

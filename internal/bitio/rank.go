@@ -91,9 +91,6 @@ func rank1Range(buf []byte, lo, hi int) int {
 	return Rank1(buf[lo>>3:], hi-lo)
 }
 
-// Ones returns the total number of 1 bits covered by the index.
-func (x *RankIndex) Ones() int { return x.ones }
-
 // Rank1 returns the number of 1 bits among the first i bits.
 func (x *RankIndex) Rank1(i int) int {
 	if i <= 0 {

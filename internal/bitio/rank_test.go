@@ -60,8 +60,8 @@ func TestRankIndexAgainstOracle(t *testing.T) {
 		if x.nbits != nbits {
 			t.Fatalf("nbits = %d, want %d", x.nbits, nbits)
 		}
-		if want := naiveRank1(buf, nbits); x.Ones() != want {
-			t.Fatalf("Ones = %d, want %d", x.Ones(), want)
+		if want := naiveRank1(buf, nbits); x.ones != want {
+			t.Fatalf("Ones = %d, want %d", x.ones, want)
 		}
 		for i := -1; i <= nbits+2; i++ {
 			want := 0
@@ -81,15 +81,15 @@ func TestRankIndexAgainstOracle(t *testing.T) {
 
 func TestRankIndexClampsNBits(t *testing.T) {
 	buf := []byte{0xff, 0xff}
-	if x, _ := MakeRankIndex(buf, 100, nil); x.nbits != 16 || x.Ones() != 16 {
-		t.Fatalf("clamp high: nbits=%d ones=%d", x.nbits, x.Ones())
+	if x, _ := MakeRankIndex(buf, 100, nil); x.nbits != 16 || x.ones != 16 {
+		t.Fatalf("clamp high: nbits=%d ones=%d", x.nbits, x.ones)
 	}
-	if x, _ := MakeRankIndex(buf, -5, nil); x.nbits != 0 || x.Ones() != 0 {
+	if x, _ := MakeRankIndex(buf, -5, nil); x.nbits != 0 || x.ones != 0 {
 		t.Fatal("clamp low failed")
 	}
 	// nbits below the buffer length must ignore trailing bits.
-	if x, _ := MakeRankIndex(buf, 3, nil); x.Ones() != 3 || x.Rank1(16) != 3 {
-		t.Fatalf("partial index ones=%d", x.Ones())
+	if x, _ := MakeRankIndex(buf, 3, nil); x.ones != 3 || x.Rank1(16) != 3 {
+		t.Fatalf("partial index ones=%d", x.ones)
 	}
 }
 

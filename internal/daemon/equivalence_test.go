@@ -45,7 +45,8 @@ func testSystem(t *testing.T) *qbism.System {
 
 // equivalenceSpecs is the comparison suite: Table 3's six single-study
 // queries plus a Table 4-style top-band sweep across every PET study
-// on both stored band rows: the default k³-tree and the forced h-naive.
+// under both band labels: the default k³-tree and the forced h-naive,
+// its synonym.
 func equivalenceSpecs(s *qbism.System) []qbism.QuerySpec {
 	specs := s.Table3Queries()
 	topLo := 256 - s.Cfg.BandWidth

@@ -17,7 +17,7 @@ import (
 // The load pipeline. Loading the atlas and each study is split in two:
 // a *prepare* that computes everything to be stored — for a study:
 // synthesize, fit the landmarks, resample to atlas space, reorder onto
-// the Hilbert curve, band, and encode every band row — and a *commit*
+// the Hilbert curve, band, and encode every band — and a *commit*
 // that writes it: catalog rows, LFM allocations, and the Server's own
 // maps.
 //
@@ -234,11 +234,11 @@ type preparedStudy struct {
 	bands      []preparedBand
 }
 
-// preparedBand is one intensity band: its REGION and the encoded
-// intensityBand rows to store for it, one per label of bandLabels.
+// preparedBand is one intensity band: its REGION and the k³-tree its
+// long field stores.
 type preparedBand struct {
 	spec volume.BandSpec
-	rows [][]byte
+	data []byte
 }
 
 // prepareStudy synthesizes, registers, warps, reorders, bands and
@@ -271,9 +271,11 @@ func (s *Server) prepareStudy(plan studyPlan) (func() error, error) {
 		bands:      make([]preparedBand, len(specs)),
 	}
 	for i, b := range specs {
-		if p.bands[i], err = prepareBand(b); err != nil {
+		data, err := rencode.Encode(rencode.K3Tree, b.Region)
+		if err != nil {
 			return nil, err
 		}
+		p.bands[i] = preparedBand{spec: b, data: data}
 	}
 	return func() error { return s.commitStudy(p) }, nil
 }
@@ -307,22 +309,9 @@ func warpStudy(params synth.Params, side int) (*synth.RawStudy, []byte, warp.Aff
 	return raw, scan, fitted, nil
 }
 
-// prepareBand encodes the rows one band is stored as, one per label of
-// bandLabels (repr.go has why each is kept).
-func prepareBand(b volume.BandSpec) (preparedBand, error) {
-	pb := preparedBand{spec: b}
-	for _, m := range bandMethods {
-		data, err := rencode.Encode(m, b.Region)
-		if err != nil {
-			return preparedBand{}, err
-		}
-		pb.rows = append(pb.rows, data)
-	}
-	return pb, nil
-}
-
 // commitStudy stores one prepared study: patient, raw and warped
-// volume rows, then every band row in order. The rawVolume row keeps the
+// volume rows, then every band in order — its one long field, and an
+// intensityBand row over it per label of bandLabels (repr.go). The rawVolume row keeps the
 // acquisition's date, modality and grid; its data column is NULL, since
 // no statement reads patient-space samples.
 func (s *Server) commitStudy(p *preparedStudy) error {
@@ -351,15 +340,15 @@ func (s *Server) commitStudy(p *preparedStudy) error {
 	specs := make([]volume.BandSpec, len(p.bands))
 	for i, b := range p.bands {
 		specs[i] = b.spec
-		for j, data := range b.rows {
-			h, err := s.LFM.Allocate(data)
-			if err != nil {
-				return err
-			}
+		h, err := s.LFM.Allocate(b.data)
+		if err != nil {
+			return err
+		}
+		for _, label := range bandLabels {
 			if err := s.DB.InsertRow("intensityBand", []sdb.Value{
 				sdb.Int(int64(studyID)), sdb.Int(int64(s.AtlasID)),
 				sdb.Int(int64(b.spec.Lo)), sdb.Int(int64(b.spec.Hi)),
-				sdb.Str(bandLabels[j]), sdb.Long(h),
+				sdb.Str(label), sdb.Long(h),
 			}); err != nil {
 				return err
 			}

@@ -65,17 +65,17 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 //     fields by size, ties in study order;
 //   - it reads each field whole (lfm.IO.ReadInto), in that order, into
 //     one buffer sized to the largest, and folds it into the answer
-//     (rencode.StoredFold): the first row is decoded, and every later
-//     one intersected straight from its stored bytes.
+//     (rencode.StoredFold): one walk of each k³-tree's bytes merges it
+//     into the intersection so far.
 //
 // Every row is read and checked, even once the answer is empty, so the
 // result is identical to the serial SQL plan's, and so are the pages:
 // every field is read whole, once. The first row that fails to read or
 // decode, in fold order, ends the call with an error naming its study,
-// wrapping the read's or the decoder's. A call allocates the field
-// list, the read buffer, the first row's run list, one slab for the
-// fold's two run lists, and the answer. The server ignores workers; the
-// argument stays for its callers.
+// wrapping the read's or the decoder's. A call allocates the read
+// buffer, the fold's runs and words (reserve), and the answer; the
+// field list of up to eight studies stays on the stack. The server
+// ignores workers; the argument stays for its callers.
 func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
 	if len(studies) == 0 {
 		return nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
@@ -88,7 +88,12 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 	fail := func(study int, err error) error {
 		return fmt.Errorf("qbism: study %d band [%d,%d] %s: %w", study, bandLo, bandHi, encoding, err)
 	}
-	fields := make([]bandField, len(studies))
+	var few [8]bandField
+	fields := few[:]
+	if len(studies) > len(few) {
+		fields = make([]bandField, len(studies))
+	}
+	fields = fields[:len(studies)]
 	largest := 0
 	for i, study := range studies {
 		h, size, err := s.resolveBand(study, bandLo, bandHi, encoding)

@@ -34,8 +34,8 @@ type QuerySpec struct {
 	BandLo  int
 	BandHi  int
 	// Encoding selects the stored band row a band query reads: EncK3Tree
-	// or EncHilbertNaive. Empty reads EncK3Tree; any other label is
-	// refused.
+	// or its synonym EncHilbertNaive, both over the band's one field.
+	// Empty reads EncK3Tree; any other label is refused.
 	Encoding string
 }
 

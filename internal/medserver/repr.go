@@ -4,31 +4,26 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"qbism/internal/rencode"
 )
 
-// The stored layout. Every atlas structure is stored as a k³-tree, so
-// structure probes — CONTAINS, point membership — run on the compressed
-// bytes. Every band is stored as an h-naive row and a k³-tree row,
-// whatever the Config; a band spec that names no Encoding reads the
-// k³-tree row. In every corpus the repo loads the k³-tree row
-// is the smaller one for every band but the empty and one- or two-run
-// ones, where it is a byte or two larger (DESIGN.md §13), so there is
-// nothing to choose per band. The h-naive row is kept because Table 4
-// and the repo benchmark's population sweep ask for it by name; no
-// degraded path reads it (bandSlowPath reads the VOLUME and the
-// structure). Table 4's other rows are the experiments' to store.
-// Storage names its own codecs: Config.Method is the wire's. The stored
-// bytes are self-describing (rencode header), so no catalog column
-// records them.
+// The stored layout. Every atlas structure and every band is stored
+// once, as a k³-tree, so structure probes — CONTAINS, point membership —
+// run on the compressed bytes, and the population fold walks them
+// (rencode.StoredFold). In every corpus the repo loads the k³-tree is the
+// smaller form for every band but the empty and one- or two-run ones,
+// where it is a byte or two larger (DESIGN.md §13), so there is nothing
+// to choose per band. A band's one long field has one intensityBand row
+// per label of bandLabels, each with its handle: a band spec that names
+// no Encoding reads the k3-tree row, and h-naive is a synonym for it,
+// kept only because the repo benchmark's population sweep asks for that
+// label by name. Table 4's rows — Hilbert and Z naive, octant — are the
+// experiments' to store. Storage names its own codec: Config.Method is
+// the wire's. The stored bytes are self-describing (rencode header), so
+// no catalog column records them.
 
-// bandLabels are the rows the loader stores per band, in order, and the
-// labels a band spec may name; bandMethods are their codecs.
-var (
-	bandLabels  = []string{EncHilbertNaive, EncK3Tree}
-	bandMethods = []rencode.Method{rencode.Naive, rencode.K3Tree}
-)
+// bandLabels are the labels a band spec may name, each one an
+// intensityBand row the loader stores per band over the band's one field.
+var bandLabels = []string{EncHilbertNaive, EncK3Tree}
 
 // resolveBandEncoding fills a band spec's empty Encoding with the
 // default label, EncK3Tree, and reports whether it did. Any label but

@@ -28,8 +28,10 @@ import (
 
 // Band-encoding labels stored in the intensityBand.encoding column.
 const (
-	// EncHilbertNaive is runs in Hilbert order, 8 bytes per run — the
-	// default of the paper's experiments (Section 6.1).
+	// EncHilbertNaive names the paper's default band row (Section 6.1),
+	// runs in Hilbert order at 8 bytes a run. The server stores no such
+	// row: the label is a synonym of EncK3Tree, over the same field,
+	// kept because the repo benchmark names it (repr.go).
 	EncHilbertNaive = "h-naive"
 	// EncK3Tree is the queryable k³-tree bitmap encoding in Hilbert
 	// order: probes (CONTAINS, point membership, interval tests) answer

@@ -122,9 +122,12 @@ func TestLoadByteIdentity(t *testing.T) {
 // per-band scans) produced for it. The loader's kernels promise the
 // same bits, not just the same picture: a noise sum that drifts by one
 // ULP, a curve that disagrees on one id, or a commit out of order
-// changes this hash.
+// changes this hash. The store it pins keeps each band once (DESIGN.md
+// §51): it is the last two-row store's manifest with every h-naive row
+// given its k³-tree twin's handle, the 64 h-naive fields dropped, the
+// rest renumbered in order and their 78 pages free — nothing else moved.
 func TestLoadGoldenDigest(t *testing.T) {
-	const want = "0bafa87ada5be8dfffd9171e92e7b8a59b194c4e50c226dd5cfb45afa1ea60f2"
+	const want = "f5427795bd063fc21e42106c9c3a2960d47cb674aa885e984a135431b6e240d6"
 	sum := sha256.Sum256([]byte(strings.Join(loadManifest(t, Config{Bits: 5}, runtime.GOMAXPROCS(0), false), "\n")))
 	if got := fmt.Sprintf("%x", sum); got != want {
 		t.Errorf("Bits 5 store digest %s, pinned %s", got, want)
@@ -132,12 +135,13 @@ func TestLoadGoldenDigest(t *testing.T) {
 }
 
 // TestLoadPageCensus pins the device pages a Bits 6 store holds, by
-// the kind of row that owns them. Each long field holds the pages its
+// the kind of field that owns them. Each long field holds the pages its
 // bytes span, at least one; its buddy block's unused tail went back to
 // the free lists when it was written. TestLoadGoldenDigest cannot see
 // that trim: at Bits 5 every field is a power-of-two page count or under
-// a page. Here some h-naive band rows are not: their whole blocks were
-// 262 pages, and the store's 855.
+// a page. The band fields are counted once, though two rows, h-naive and
+// k3-tree, point at each; the h-naive fields the store kept until each
+// band was stored once held 212 pages more, 805 in all.
 func TestLoadPageCensus(t *testing.T) {
 	s, err := New(Config{Bits: 6})
 	if err != nil {
@@ -172,21 +176,23 @@ func TestLoadPageCensus(t *testing.T) {
 	}
 	got := []uint64{
 		held("select data from warpedVolume") + held("select data from rawVolume"),
-		held("select region from intensityBand where encoding = '" + medserver.EncHilbertNaive + "'"),
 		held("select region from intensityBand where encoding = '" + medserver.EncK3Tree + "'"),
 		held("select region, surface from atlasStructure"),
 	}
-	want := []uint64{512, 212, 70, 11}
+	want := []uint64{512, 70, 11}
 	if !slices.Equal(got, want) {
-		t.Errorf("pages held by VOLUME / h-naive / k3-tree / structure rows: %v, want %v", got, want)
+		t.Errorf("pages held by VOLUME / band / structure fields: %v, want %v", got, want)
+	}
+	if synonym := held("select region from intensityBand where encoding = '" + medserver.EncHilbertNaive + "'"); synonym != got[1] {
+		t.Errorf("the h-naive rows point at %d pages, the k3-tree rows at %d: not the same fields", synonym, got[1])
 	}
 	var sum uint64
 	for _, n := range got {
 		sum += n
 	}
 	inUse := s.LFM.Capacity()/ps - s.LFM.FreePages()
-	if sum != inUse || inUse != 805 {
-		t.Errorf("rows hold %d pages, the device has %d in use; want 805 and 805", sum, inUse)
+	if sum != inUse || inUse != 593 {
+		t.Errorf("fields hold %d pages, the device has %d in use; want 593 and 593", sum, inUse)
 	}
 }
 

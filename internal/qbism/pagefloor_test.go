@@ -72,8 +72,8 @@ func longField(t *testing.T, srv *medserver.Server, query string, args ...sdb.Va
 // each small structure, alone and ∩ each band in the default (k³)
 // encoding — and checks each bill against the oracle, then does the
 // same for population_batch's ConsistentBandRegion over the PET
-// studies, on the h-naive rows it reads and on the k³-tree rows. It
-// returns the mean split of each.
+// studies, under the h-naive label it names and the k3-tree label, which
+// read the same fields. It returns the mean split of each.
 func pagesAtFieldFloor(t *testing.T, srv *medserver.Server) string {
 	ps := srv.LFM.PageSize()
 	structField := func(name string) uint64 {

@@ -61,7 +61,7 @@ func TestSystemLoads(t *testing.T) {
 		"warpedVolume":    4,
 		"atlasStructure":  11,
 		"neuralStructure": 11,
-		"intensityBand":   4 * 8 * 4, // 8 bands x (h-naive + k3-tree + Table 4's z-naive and octant) per study
+		"intensityBand":   4 * 8 * 5, // 8 bands x (h-naive + k3-tree + Table 4's h-run-naive, z-naive and octant) per study
 	} {
 		res := s.DB.MustExec("select * from " + table)
 		if len(res.Rows) != wantRows {

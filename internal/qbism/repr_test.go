@@ -28,7 +28,7 @@ func reprBaseConfig() Config {
 
 // reprQueryShapes returns one spec per §3.4 query shape against the
 // given system, the band shapes both on the default (k³-tree) row and
-// pinned to the h-naive row.
+// pinned to the h-naive label, its synonym.
 func reprQueryShapes(s *System) []QuerySpec {
 	study := s.Studies[0].StudyID
 	bands := s.BandRegions[study]
@@ -87,12 +87,13 @@ func oracleRegion(t *testing.T, s *System, spec QuerySpec) *region.Region {
 }
 
 // TestReprMatchesOracle is the representation differential: every query
-// shape, on the k³-tree rows and structures the store holds and on the
-// h-naive band row, answers byte-identically to extracting the
+// shape, on the k³-tree rows and structures the store holds, under
+// either band label, answers byte-identically to extracting the
 // in-memory REGION from the stored VOLUME. The representation is
 // invisible in results — only sizes and probe costs may differ. Table
-// 4's z-naive and octant rows, which the experiments store, are held to
-// the same in-memory band REGIONs: each decodes to its band's voxels.
+// 4's h-run-naive, z-naive and octant rows, which the experiments store,
+// are held to the same in-memory band REGIONs: each decodes to its
+// band's voxels.
 func TestReprMatchesOracle(t *testing.T) {
 	s, err := New(reprBaseConfig())
 	if err != nil {
@@ -126,7 +127,7 @@ func TestReprMatchesOracle(t *testing.T) {
 	if err := experiments.StoreTable4Rows(s.Server); err != nil {
 		t.Fatal(err)
 	}
-	for _, enc := range []string{experiments.EncZNaive, experiments.EncOctant} {
+	for _, enc := range []string{experiments.EncHRunNaive, experiments.EncZNaive, experiments.EncOctant} {
 		rows, err := s.DB.Exec(`select ib.studyId, ib.lo, ib.hi, ib.region from intensityBand ib where ib.encoding = ?`, sdb.Str(enc))
 		if err != nil {
 			t.Fatal(err)
@@ -214,11 +215,11 @@ func TestDefaultBandEncoding(t *testing.T) {
 
 // TestUnstoredBandEncodingRefused: a band spec naming a label the
 // server does not store — a typo, a codec name that is not a stored row,
-// the Table 4 octant row, even with the experiments' octant rows stored
-// beside the server's (StoreTable4Rows) — is a terminal error through
-// ServeRPC and RunQuery: one attempt, no degraded answer and no VOLUME
-// read. A stored label whose row is absent (an unaligned band) still
-// degrades to the VOLUME recompute.
+// the Table 4 octant and h-run-naive rows, even with the experiments'
+// rows stored beside the server's (StoreTable4Rows) — is a terminal
+// error through ServeRPC and RunQuery: one attempt, no degraded answer
+// and no VOLUME read. A stored label whose row is absent (an unaligned
+// band) still degrades to the VOLUME recompute.
 func TestUnstoredBandEncodingRefused(t *testing.T) {
 	s, err := New(reprBaseConfig(), WithRetry(transport.DefaultRetryPolicy()))
 	if err != nil {
@@ -231,7 +232,7 @@ func TestUnstoredBandEncodingRefused(t *testing.T) {
 	b := s.BandRegions[study][len(s.BandRegions[study])/2]
 	degraded := s.Metrics.Counter("qbism_degraded_total")
 	const wantErr = "is not stored"
-	for _, enc := range []string{"k3tree", "elias", experiments.EncOctant} {
+	for _, enc := range []string{"k3tree", "elias", experiments.EncOctant, experiments.EncHRunNaive} {
 		for _, structure := range []string{"", "ntal"} {
 			spec := QuerySpec{StudyID: study, Atlas: "Talairach", Structure: structure,
 				HasBand: true, BandLo: int(b.Lo), BandHi: int(b.Hi), Encoding: enc}

@@ -65,8 +65,8 @@ func serveAllocSpecs(sys *medserver.Server) (small, mixed QuerySpec) {
 func TestServeRPCAllocBudget(t *testing.T) {
 	sys := bareServer(t, serveAllocConfig)
 	small, mixed := serveAllocSpecs(sys)
-	// A band and a structure ∩ band request on the h-naive row: a naive
-	// REGION decodes into its call site's slot as a k³-tree parses into it.
+	// A band and a structure ∩ band request under the h-naive label, which
+	// reads the same k³-tree field as the default.
 	naiveMixed := mixed
 	naiveMixed.Encoding = EncHilbertNaive
 	naiveBand := naiveMixed
@@ -92,11 +92,12 @@ func TestServeRPCAllocBudget(t *testing.T) {
 	}{
 		{"small-structure", small, nil, 1},
 		{"structure-and-band", mixed, nil, 1},
-		// The band and structure ∩ band on the h-naive row: 1 and 1 as
-		// measured (2 and 2 with a separate frame), the naive band
-		// decoded into its call site's slot (on an all-naive store the
-		// structure requests were 4 and 5 while a naive REGION was
-		// decoded to a new Region).
+		// The band and structure ∩ band under the h-naive label: 1 and 1
+		// as measured, the k³-tree field's since each band is stored once
+		// (1 and 1 too on the h-naive rows that were stored beside it,
+		// decoded into the call site's slot; 2 and 2 with a separate
+		// frame; on an all-naive store the structure requests were 4 and
+		// 5 while a naive REGION was decoded to a new Region).
 		{"band-h-naive", naiveBand, nil, 1},
 		{"structure-and-band-h-naive", naiveMixed, nil, 1},
 		// The paper's Q2 probe, boxRegion(30, 30, 30, 100, 100, 100), on a

@@ -39,7 +39,7 @@ type (
 )
 
 // EncHilbertNaive labels the h-naive band rows (the intensityBand
-// encoding column), which Table 4 and the population query read.
+// encoding column): a synonym of the k³-tree rows, over the same fields.
 const EncHilbertNaive = medserver.EncHilbertNaive
 
 // QueryMethod is the wire method name of a medical query.

@@ -357,7 +357,7 @@ func decodeRoom(data []byte) (int, error) {
 		return int(count/2 + 1), nil
 	case K3Tree:
 		var p K3Probe
-		if err := p.parseBody(curve, count, body, false); err != nil {
+		if err := p.parseBody(curve, count, body); err != nil {
 			return 0, err
 		}
 		return p.maxRuns(), nil

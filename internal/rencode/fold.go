@@ -1,9 +1,9 @@
 package rencode
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"qbism/internal/region"
 	"qbism/internal/sfc"
@@ -15,28 +15,24 @@ var ErrCurveMismatch = errors.New("rencode: REGIONs on different curves")
 
 // StoredFold intersects encoded REGIONs one row at a time — the n-way
 // intersection of the population query (Table 4), taken over the rows as
-// they are stored. Only the first row is decoded; every later one is
-// intersected with the accumulator straight from its bytes by Intersect,
-// so the caller can read each row into the same buffer. The zero
-// StoredFold has folded no row.
+// they are stored. A k³-tree row, the form the server stores, is never
+// decoded: one walk of its bytes merges it into the intersection so far,
+// which is kept as the walk's block pieces (k3Set with words) until
+// Region makes runs of it. The zero StoredFold has folded no row.
 type StoredFold struct {
-	curve   sfc.Curve    // the first row's; nil before it
-	acc     []region.Run // the intersection of the rows so far
-	spare   []region.Run // where the next step writes its result
+	curve   sfc.Curve // the first row's; nil before it
+	acc     k3Set     // the intersection of the rows so far
+	spare   k3Set     // where the next step writes its result
 	decodes int
-	probe   K3Probe       // a k³-tree row, parsed in place
-	row     region.Region // a row a step decodes
+	levels  [k3MaxLevels]k3Level // a row's level table, with no rank directory
+	row     region.Region        // a row of another codec, decoded
 }
 
-// Intersect folds the REGION encoded in data into the intersection: a
-// first row is decoded (DecodeInto), and any later one is intersected
-// with the runs so far without a run list of its own:
-//   - an h-naive row by one merge over its 8-byte records, each checked
-//     as it is read;
-//   - a k³-tree row by IntersectRunsInto on one reused probe, which
-//     prunes the subtrees the runs so far miss;
-//   - a γ row, and a naive row that is not strictly normalized, by
-//     DecodeInto and a merge of its run list.
+// Intersect folds the REGION encoded in data into the intersection. A
+// k³-tree row is parsed and checked whole (parseBody), then walked once
+// into the intersection so far, a first row into the whole curve. A row
+// of another codec is decoded (DecodeInto) and walked as the k³-tree it
+// encodes to.
 //
 // A row's verdict is DecodeInto's: Intersect fails on the rows DecodeInto
 // fails on, with the same error. A valid row on another curve than the
@@ -48,82 +44,76 @@ func (f *StoredFold) Intersect(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if f.curve == nil {
-		if err := DecodeInto(&f.row, data, nil); err != nil {
-			return err
-		}
-		f.curve, f.acc, f.decodes = curve, f.row.RunsView(), 1
-		return nil
-	}
-	if !region.SameCurve(curve, f.curve) {
+	if f.curve != nil && !region.SameCurve(curve, f.curve) {
 		if err := DecodeInto(&f.row, data, nil); err != nil {
 			return err
 		}
 		return fmt.Errorf("%w: a %s %dD/%db row after %s %dD/%db ones", ErrCurveMismatch,
 			curve.Kind(), curve.Dim(), curve.Bits(), f.curve.Kind(), f.curve.Dim(), f.curve.Bits())
 	}
-	if cap(f.spare) < len(f.acc) {
-		// A step's result seldom outgrows the runs so far by much, so
-		// both lists get a quarter more room than they hold, in one
-		// allocation: the steps after take turns in them.
-		room := len(f.acc) + len(f.acc)/4
-		slab := make([]region.Run, 2*room)
-		f.acc, f.spare = slab[room:room+copy(slab[room:], f.acc)], slab[:0:room]
-	}
-	var out []region.Run
-	if m := methodOfCode(data[0]); m == K3Tree {
-		if err := f.probe.parseBody(curve, count, body, true); err != nil {
+	if methodOfCode(data[0]) != K3Tree {
+		if err := DecodeInto(&f.row, data, nil); err != nil {
 			return err
 		}
-		out = f.probe.IntersectRunsInto(f.acc, f.spare)
-	} else {
-		merged := false
-		if m == Naive {
-			out, merged = mergeNaive(f.spare[:0], f.acc, count, body, curve.Length())
+		f.decodes++
+		if data, err = Encode(K3Tree, &f.row); err != nil {
+			return err
 		}
-		if !merged {
-			if err := DecodeInto(&f.row, data, nil); err != nil {
-				return err
-			}
-			out = f.row.IntersectRunsInto(f.acc, f.spare)
-			f.decodes++
-		}
+		count, body = f.row.NumVoxels(), data[HeaderLen:]
 	}
-	f.acc, f.spare = out, f.acc[:0]
+	p := K3Probe{levels: f.levels[:0]}
+	if err := p.parseBody(curve, count, body); err != nil {
+		return err
+	}
+	acc := f.acc
+	if f.curve == nil {
+		f.curve = curve
+		f.reserve(p.maxPieces())
+		whole, all := [1]region.Run{{Hi: curve.Length() - 1}}, [1]uint64{^uint64(0)}
+		acc = k3Set{runs: whole[:], words: all[:]}
+	} else {
+		f.reserve(len(f.acc.runs))
+	}
+	f.spare.runs, f.spare.words = f.spare.runs[:0], f.spare.words[:0]
+	p.walk(acc, &f.spare)
+	f.acc, f.spare = f.spare, f.acc
 	return nil
 }
 
-// mergeNaive appends the intersection of the sorted, normalized runs acc
-// with the count 8-byte records of a naive body to out. It checks every
-// record — the ones past the last run of acc too — against a curve of n
-// positions, and reports false, with out meaningless, on a body too short
-// for count records or at the first record that is inverted, off the
-// curve, or not strictly after the one before: each of those DecodeInto
-// refuses or normalizes.
-func mergeNaive(out, acc []region.Run, count uint64, body []byte, n uint64) ([]region.Run, bool) {
-	if count > uint64(len(body))/8 {
-		return out, false
+// reserve gives the next step's result room for n pieces. A step's
+// result seldom outgrows the intersection so far by much, so when spare
+// is short, new runs and words with a quarter more room than n for both
+// sets take the intersection so far: the steps after take turns in them.
+func (f *StoredFold) reserve(n int) {
+	if cap(f.spare.runs) >= n && cap(f.spare.words) >= n {
+		return
 	}
-	i, next := 0, uint64(0) // next: the least Lo a record may have, two past the Hi before it
-	for body = body[:8*count]; len(body) >= 8; body = body[8:] {
-		rec := binary.BigEndian.Uint64(body)
-		lo, hi := rec>>32, rec&(1<<32-1)
-		if lo < next || lo > hi || hi >= n {
-			return out, false
-		}
-		next = hi + 2
-		for i < len(acc) && acc[i].Hi < lo {
-			i++
-		}
-		for k := i; k < len(acc) && acc[k].Lo <= hi; k++ {
-			out = append(out, region.Run{Lo: max(lo, acc[k].Lo), Hi: min(hi, acc[k].Hi)})
-		}
+	room := n + n/4
+	runs, words := make([]region.Run, 2*room), make([]uint64, 2*room)
+	f.acc = k3Set{
+		runs:  runs[room : room+copy(runs[room:], f.acc.runs)],
+		words: words[room : room+copy(words[room:], f.acc.words)],
 	}
-	return out, true
+	f.spare = k3Set{runs: runs[:0:room], words: words[:0:room]}
+}
+
+// maxPieces bounds the pieces walk makes of the tree and the whole
+// curve: one per streak of full siblings above the blocks, and one per
+// mixed block — a mixed node of the last level but one, or the root of a
+// tree of at most two levels.
+func (p *K3Probe) maxPieces() int {
+	n := 1
+	for i := range min(p.bits-2, len(p.levels)) {
+		n += k3Streaks(p.levels[i].f, p.degree)
+	}
+	if i := p.bits - 2; i >= 0 && i < len(p.levels) {
+		n += p.levels[i].n / p.degree
+	}
+	return n
 }
 
 // Decodes returns how many of the rows folded so far became a run list:
-// the first, and every later one Intersect had to decode.
+// those not a k³-tree.
 func (f *StoredFold) Decodes() int { return f.decodes }
 
 // Region returns the intersection of the rows folded so far — nil before
@@ -132,10 +122,28 @@ func (f *StoredFold) Region() *region.Region {
 	if f.curve == nil {
 		return nil
 	}
+	// A piece holds a run per set bit with its predecessor clear, less
+	// one where it continues the piece before.
+	n, end := 0, uint64(0) // end: one past the last position counted
+	for i, r := range f.acc.runs {
+		w := f.acc.words[i]
+		if n += bits.OnesCount64(w &^ (w >> 1)); i > 0 && w>>63 != 0 && end == r.Lo {
+			n--
+		}
+		if end = r.Hi + 1; w != ^uint64(0) {
+			end = r.Lo + 64 - uint64(bits.TrailingZeros64(w))
+		}
+	}
 	var runs []region.Run
-	if len(f.acc) > 0 {
-		runs = make([]region.Run, len(f.acc))
-		copy(runs, f.acc)
+	if n > 0 {
+		runs = make([]region.Run, 0, n)
+		for i, r := range f.acc.runs {
+			if w := f.acc.words[i]; w == ^uint64(0) {
+				runs = k3Emit(runs, r.Lo, r.Hi)
+			} else {
+				runs = k3WordRuns(runs, w, r.Lo)
+			}
+		}
 	}
 	// The runs are normalized and on f.curve: the fold's own result.
 	r, _ := region.FromOwnedRuns(f.curve, runs)

@@ -16,7 +16,7 @@ import (
 // fails at, with DecodeInto's very error there (ErrCorrupt or not) or one
 // wrapping ErrCurveMismatch; otherwise its answer must be IntersectN's,
 // in a run list nothing of the fold's shares, with only the rows it
-// could not intersect in their stored form counted as decodes.
+// could not walk in their stored form counted as decodes.
 func checkFold(t *testing.T, rows [][]byte) {
 	t.Helper()
 	if len(rows) == 0 {
@@ -40,7 +40,7 @@ func checkFold(t *testing.T, rows [][]byte) {
 			t.Fatalf("row %d of %d: the fold refused what decodes: %v", i, len(rows), err)
 		case want == nil:
 			decoded = append(decoded, dec)
-			if i == 0 || !storedStep(row, dec) {
+			if !storedStep(row) {
 				decodes++
 			}
 			continue
@@ -68,7 +68,7 @@ func checkFold(t *testing.T, rows [][]byte) {
 	}
 	// The answer is the caller's: no later step may write into it.
 	if runs := got.RunsView(); len(runs) > 0 {
-		for _, buf := range [][]region.Run{f.acc[:cap(f.acc)], f.spare[:cap(f.spare)]} {
+		for _, buf := range [][]region.Run{f.acc.runs[:cap(f.acc.runs)], f.spare.runs[:cap(f.spare.runs)]} {
 			for i := range buf {
 				if &buf[i] == &runs[0] {
 					t.Fatalf("%d rows: the answer's runs are the fold's own", len(rows))
@@ -78,19 +78,9 @@ func checkFold(t *testing.T, rows [][]byte) {
 	}
 }
 
-// storedStep reports whether the fold intersects a valid row, which
-// decodes to dec, in its stored form: a k³-tree, or a naive row whose
-// records are its runs in order, strictly apart.
-func storedStep(row []byte, dec *region.Region) bool {
-	switch methodOfCode(row[0]) {
-	case K3Tree:
-		return true
-	case Naive:
-		enc, err := Encode(Naive, dec)
-		return err == nil && len(row) >= len(enc) && bytes.Equal(row[:len(enc)], enc)
-	}
-	return false
-}
+// storedStep reports whether the fold intersects a valid row in its
+// stored form: a k³-tree.
+func storedStep(row []byte) bool { return methodOfCode(row[0]) == K3Tree }
 
 // foldRegions builds a set of 1–5 operands on c for the differential
 // test and the fuzz target: random, empty, full, a copy of the one
@@ -123,16 +113,17 @@ func foldRegions(rng *rand.Rand, c sfc.Curve) []*region.Region {
 	return out
 }
 
-// foldRows encodes each region as a naive row, a k³-tree row or, now
-// and then, any served codec, dropping what a codec cannot hold.
+// foldRows encodes each region as a k³-tree row, the stored form, or
+// now and then as a γ row or in any served codec, dropping what a codec
+// cannot hold.
 func foldRows(rng *rand.Rand, regions []*region.Region) [][]byte {
 	var rows [][]byte
 	for _, r := range regions {
-		m := Naive
+		m := K3Tree
 		switch rng.Intn(5) {
-		case 0, 1:
-			m = K3Tree
-		case 2:
+		case 0:
+			m = Elias
+		case 1:
 			m = Methods[rng.Intn(len(Methods))]
 		}
 		if row, err := Encode(m, r); err == nil {
@@ -155,16 +146,35 @@ func naiveRow(c sfc.Curve, count uint64, runs ...region.Run) []byte {
 	return row
 }
 
+// encodeRuns encodes the region of runs on c with m.
+func encodeRuns(t testing.TB, m Method, c sfc.Curve, runs ...region.Run) []byte {
+	t.Helper()
+	r, err := region.FromRuns(c, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := Encode(m, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
 // TestIntersectStoredMatchesIntersectN is the fold's differential test:
 // random operand sets of every shape foldRegions makes, on 2D and 3D
-// curves, stored as mixed naive, k³-tree and other rows; then rows the
-// fast paths must hand to DecodeInto or refuse — naive rows out of order,
-// overlapping, adjacent, inverted, off the curve or cut short, corrupt
-// k³-trees, and rows on another curve.
+// curves, stored as k³-tree rows mixed with γ and naive ones; then the
+// rows the walk must skip past, stop in or refuse — runs so far that end
+// inside a mixed subtree, that empty partway through a row, or that miss
+// whole subtrees between their runs; corrupt, truncated and cut k³-tree
+// and γ rows; rows on another curve; and, after k³-tree and γ rows, the
+// naive rows DecodeInto normalizes or refuses: out of order,
+// overlapping, adjacent, inverted or off the curve.
 func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	curves := []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 4), sfc.MustNew(sfc.Hilbert, 2, 5), sfc.MustNew(sfc.ZOrder, 3, 3)}
-	for _, c := range curves {
+	// Trees of one and two levels are one block each.
+	small := []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 1), sfc.MustNew(sfc.Hilbert, 2, 2), sfc.MustNew(sfc.ZOrder, 3, 2)}
+	for _, c := range append(small, curves...) {
 		for range 200 {
 			checkFold(t, foldRows(rng, foldRegions(rng, c)))
 		}
@@ -172,46 +182,53 @@ func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 
 	c := curves[0]
 	r := genOnCurve(rng, c)
-	naive, err := Encode(Naive, r)
-	if err != nil {
-		t.Fatal(err)
+	enc := func(m Method, r *region.Region) []byte {
+		row, err := Encode(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
 	}
-	k3, err := Encode(K3Tree, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Encode(K3Tree, region.Full(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := Encode(Naive, genOnCurve(rng, curves[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive, k3, gamma := enc(Naive, r), enc(K3Tree, r), enc(Elias, r)
+	full, empty, emptyGamma := enc(K3Tree, region.Full(c)), enc(K3Tree, region.Empty(c)), enc(Elias, region.Empty(c))
+	other := enc(K3Tree, genOnCurve(rng, curves[1]))
 	flipped := bytes.Clone(k3)
 	flipped[len(flipped)-1] ^= 0x01
 	wrongCount := bytes.Clone(k3)
 	wrongCount[11] ^= 0x01
-	span := naiveRow(c, 1, region.Run{Lo: 10, Hi: 3000})
+	span := region.Run{Lo: 10, Hi: 3000}
+	spanK3, spanGamma := encodeRuns(t, K3Tree, c, span), encodeRuns(t, Elias, c, span)
+	// On this curve a leaf group holds 8 ids and its parent's 64, so
+	// [0, 37] ends inside both; the scattered runs leave whole subtrees
+	// of every level between them for the walk to skip.
+	insideMixed := encodeRuns(t, K3Tree, c, region.Run{Lo: 0, Hi: 37})
+	scattered := encodeRuns(t, K3Tree, c, region.Run{Lo: 5, Hi: 6}, region.Run{Lo: 700, Hi: 705},
+		region.Run{Lo: 2000, Hi: 2100}, region.Run{Lo: 3583, Hi: 3585}, region.Run{Lo: 4090, Hi: 4095})
 	for name, rows := range map[string][][]byte{
-		"single":            {naive},
-		"full k3 first":     {full, naive, k3},
-		"full k3 later":     {naive, full},
-		"unsorted":          {span, naiveRow(c, 2, region.Run{Lo: 300, Hi: 310}, region.Run{Lo: 20, Hi: 40})},
-		"overlapping":       {span, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 30, Hi: 50})},
-		"adjacent":          {span, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 41, Hi: 50})},
-		"duplicate":         {span, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 20, Hi: 40})},
-		"inverted":          {span, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 60, Hi: 50})},
-		"off the curve":     {span, naiveRow(c, 1, region.Run{Lo: 20, Hi: 4096})},
-		"truncated naive":   {naive, naive[:len(naive)-1]},
-		"short header":      {naive, naive[:HeaderLen-1]},
-		"flipped k3":        {naive, flipped},
-		"k3 count":          {k3, wrongCount},
-		"another curve":     {naive, other},
-		"another, cut":      {naive, other[:len(other)-1]},
-		"past an empty acc": {naiveRow(c, 0), naive[:len(naive)-1]},
-		"empty then unsorted": {naiveRow(c, 0),
-			naiveRow(c, 2, region.Run{Lo: 300, Hi: 310}, region.Run{Lo: 20, Hi: 40})},
+		"single":                          {k3},
+		"full k3 first":                   {full, gamma, k3},
+		"full k3 later":                   {k3, full},
+		"unsorted":                        {spanK3, spanGamma, naiveRow(c, 2, region.Run{Lo: 300, Hi: 310}, region.Run{Lo: 20, Hi: 40})},
+		"overlapping":                     {spanGamma, spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 30, Hi: 50})},
+		"adjacent":                        {spanK3, spanGamma, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 41, Hi: 50})},
+		"duplicate":                       {spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 20, Hi: 40})},
+		"inverted":                        {spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 60, Hi: 50})},
+		"off the curve":                   {spanK3, naiveRow(c, 1, region.Run{Lo: 20, Hi: 4096})},
+		"truncated naive":                 {k3, naive[:len(naive)-1]},
+		"truncated k3":                    {gamma, k3[:len(k3)-1]},
+		"truncated γ":                     {k3, gamma[:len(gamma)-1]},
+		"short header":                    {k3, k3[:HeaderLen-1]},
+		"flipped k3":                      {gamma, flipped},
+		"k3 count":                        {k3, wrongCount},
+		"another curve":                   {k3, other},
+		"another, cut":                    {k3, other[:len(other)-1]},
+		"past an empty acc":               {empty, k3[:len(k3)-1]},
+		"past an empty γ acc":             {emptyGamma, flipped},
+		"empty then unsorted":             {empty, naiveRow(c, 2, region.Run{Lo: 300, Hi: 310}, region.Run{Lo: 20, Hi: 40})},
+		"acc ends inside a mixed subtree": {insideMixed, k3, spanK3},
+		"acc empties mid-row":             {encodeRuns(t, K3Tree, c, region.Run{Lo: 100, Hi: 101}), k3, full, k3, flipped},
+		"skips between scattered runs":    {scattered, k3, spanK3, k3},
+		"scattered, then truncated":       {scattered, spanK3, k3[:len(k3)-2]},
 	} {
 		t.Run(name, func(t *testing.T) { checkFold(t, rows) })
 	}
@@ -221,7 +238,10 @@ func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 // ones on its curve (or a default curve when its header names none),
 // placed and coded by seed: whatever the row, the fold must reach the
 // decoded oracle's verdict and answer (checkFold). The seed corpus starts
-// from FuzzDecodeRegion's and FuzzDecodeK3's checked-in inputs.
+// from FuzzDecodeRegion's and FuzzDecodeK3's checked-in inputs, and adds
+// k³-tree and γ rows of a few runs, the walk's edge cases among them:
+// runs so far that end inside a mixed subtree, and ones that empty
+// partway through a row.
 func FuzzIntersectStored(f *testing.F) {
 	for _, target := range []string{"FuzzDecodeRegion", "FuzzDecodeK3"} {
 		for _, data := range fuzzCorpus(f, target) {
@@ -229,9 +249,11 @@ func FuzzIntersectStored(f *testing.F) {
 		}
 	}
 	c := sfc.MustNew(sfc.Hilbert, 3, 3)
-	f.Add(naiveRow(c, 2, region.Run{Lo: 30, Hi: 31}, region.Run{Lo: 2, Hi: 20}), int64(1))
-	f.Add(naiveRow(c, 2, region.Run{Lo: 2, Hi: 9}, region.Run{Lo: 10, Hi: 20}), int64(2))
-	f.Add(naiveRow(c, 1, region.Run{Lo: 2, Hi: 512}), int64(3))
+	f.Add(encodeRuns(f, K3Tree, c, region.Run{Lo: 2, Hi: 20}, region.Run{Lo: 30, Hi: 31}), int64(1))
+	f.Add(encodeRuns(f, Elias, c, region.Run{Lo: 2, Hi: 20}), int64(2))
+	f.Add(encodeRuns(f, K3Tree, c, region.Run{Lo: 2, Hi: 511}), int64(3))
+	f.Add(encodeRuns(f, K3Tree, c, region.Run{Lo: 0, Hi: 37}), int64(4))
+	f.Add(encodeRuns(f, K3Tree, c, region.Run{Lo: 100, Hi: 101}), int64(5))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		c := sfc.MustNew(sfc.Hilbert, 3, 3)
 		if curve, _, _, err := Header(data); err == nil && curve.Length() <= 1<<24 {

@@ -271,11 +271,11 @@ func regionsEqual(a, b *region.Region) bool {
 	return true
 }
 
-// FuzzK3IntersectK3 drives the synchronized descent with one arbitrary
-// k³-tree — seeded from FuzzDecodeK3's checked-in corpus — against a
-// second one the seed generates on the same curve. Whatever the parser
-// accepts, IntersectK3Into must agree both ways round with the run-list
-// intersection of the two decoded operands.
+// FuzzK3IntersectK3 meets one arbitrary k³-tree — seeded from
+// FuzzDecodeK3's checked-in corpus — with a second one the seed generates
+// on the same curve, as the server meets two (meetK3). Whatever the
+// parser accepts, either one decoded and met by the other's walk must
+// agree with the run-list intersection of the two decoded operands.
 func FuzzK3IntersectK3(f *testing.F) {
 	for _, data := range fuzzCorpus(f, "FuzzDecodeK3") {
 		for seed := int64(0); seed < 3; seed++ {
@@ -315,10 +315,10 @@ func FuzzK3IntersectK3(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.IntersectK3Into(q, nil); !slices.Equal(got, want.RunsView()) {
+		if got := meetK3(p, q, nil, nil); !slices.Equal(got, want.RunsView()) {
 			t.Fatalf("p∩q = %v, run lists give %v", got, want.RunsView())
 		}
-		if got := q.IntersectK3Into(p, nil); !slices.Equal(got, want.RunsView()) {
+		if got := meetK3(q, p, nil, nil); !slices.Equal(got, want.RunsView()) {
 			t.Fatalf("q∩p = %v, run lists give %v", got, want.RunsView())
 		}
 	})

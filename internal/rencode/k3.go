@@ -19,10 +19,10 @@
 // slot degree·rank₁(M_ℓ, j) of level ℓ+1. ParseK3 rebuilds a
 // bitio.RankIndex per M bitmap at parse time — the directories are
 // probe-side state, never stored, which keeps the encoded size
-// competitive with the delta codecs. Decode builds none: a depth-first
-// walk of the whole tree meets each level's groups in the order the
-// level stores them, so a per-level cursor stands in for rank₁ (see
-// runs).
+// competitive with the delta codecs. The walk behind Decode,
+// IntersectRunsInto and the population fold (StoredFold) needs none:
+// depth first, it meets each level's groups in the order the level
+// stores them, so a per-level cursor stands in for rank₁ (see walk).
 //
 // The encoding is canonical and the parser enforces it: a full or
 // empty subtree must collapse into its parent (no all-full or
@@ -163,7 +163,7 @@ func k3CountGrays(runs []region.Run, ri *int, grays *[k3MaxLevels + 1]int, dim, 
 
 // k3Level is one decoded tree level: n child slots, the full and mixed
 // bitmaps (m nil at the leaf level), and the rank directory over m —
-// built by ParseK3 for the pruned probes, left zero by Decode.
+// built by ParseK3 for the point and range probes, left zero by the walk.
 type k3Level struct {
 	n     int
 	f     []byte
@@ -172,8 +172,8 @@ type k3Level struct {
 }
 
 // K3Probe is a validated, queryable view over a K3Tree encoding. All
-// probe methods, IntersectK3Into included, operate on the encoded
-// bitmaps — no run list is ever materialized unless RunsInto is called.
+// probe methods operate on the encoded bitmaps — no run list is ever
+// materialized unless RunsInto is called.
 // A parsed probe is read-only, and safe for concurrent use, until its
 // owner Parses another tree into it.
 type K3Probe struct {
@@ -184,6 +184,7 @@ type K3Probe struct {
 	root   byte
 	levels []k3Level
 	voxels uint64
+	size   int // the payload's bytes
 	// dirs backs the levels' rank directories; a later Parse into the
 	// same probe reuses it, as it reuses the levels' table.
 	dirs []uint32
@@ -224,7 +225,11 @@ func (p *K3Probe) Parse(data []byte) error {
 		return fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
 	}
 	count := binary.BigEndian.Uint64(data[4:12])
-	return p.parseBody(curve, count, data[HeaderLen:], true)
+	if err := p.parseBody(curve, count, data[HeaderLen:]); err != nil {
+		return err
+	}
+	p.index()
+	return nil
 }
 
 // Reset empties p the way a rejected Parse leaves it, dropping every
@@ -232,26 +237,44 @@ func (p *K3Probe) Parse(data []byte) error {
 // the next Parse reuses.
 func (p *K3Probe) Reset() {
 	clear(p.levels[:cap(p.levels)])
-	*p = K3Probe{levels: p.levels[:0], dirs: p.dirs}
+	// Field by field: a probe on its caller's stack stays there.
+	p.curve, p.dim, p.bits, p.degree, p.root, p.voxels, p.size = nil, 0, 0, 0, 0, 0, 0
+	p.levels = p.levels[:0]
 }
 
 // parseBody parses and fully validates the payload into p: level sizes,
 // zero padding, F∩M disjointness, canonical child groups, no trailing
-// bytes, and the header count against the F-bitmap voxel total. With
-// rank set it also builds the per-level rank directories the pruned
-// probes descend by, all carved from one slice. On an error p is Reset.
-func (p *K3Probe) parseBody(curve sfc.Curve, count uint64, body []byte, rank bool) error {
+// bytes, and the header count against the F-bitmap voxel total. It
+// builds no rank directory: the walk needs none. On an error p is Reset.
+func (p *K3Probe) parseBody(curve sfc.Curve, count uint64, body []byte) error {
 	p.Reset()
-	if err := p.fill(curve, count, body, rank); err != nil {
+	if err := p.fill(curve, count, body); err != nil {
 		p.Reset()
 		return err
 	}
 	return nil
 }
 
+// index builds the rank directory over each level's M bitmap that the
+// point and range probes descend by, all carved from p.dirs.
+func (p *K3Probe) index() {
+	n := 0
+	for i := range p.levels {
+		n += len(p.levels[i].m)/64 + 2 // MakeRankIndex's entries, at most
+	}
+	if cap(p.dirs) < n {
+		p.dirs = make([]uint32, n)
+	}
+	dir := p.dirs[:n]
+	for i := range p.levels {
+		lv := &p.levels[i]
+		lv.mrank, dir = bitio.MakeRankIndex(lv.m, lv.n, dir)
+	}
+}
+
 // fill is parseBody on a Reset probe.
-func (p *K3Probe) fill(curve sfc.Curve, count uint64, body []byte, rank bool) error {
-	p.curve, p.dim, p.bits, p.degree, p.voxels = curve, curve.Dim(), curve.Bits(), 1<<uint(curve.Dim()), count
+func (p *K3Probe) fill(curve sfc.Curve, count uint64, body []byte) error {
+	p.curve, p.dim, p.bits, p.degree, p.voxels, p.size = curve, curve.Dim(), curve.Bits(), 1<<uint(curve.Dim()), count, len(body)
 	if count > curve.Length() {
 		return fmt.Errorf("%w: %d voxels on a %d-position curve", ErrCorrupt, count, curve.Length())
 	}
@@ -280,17 +303,6 @@ func (p *K3Probe) fill(curve sfc.Curve, count uint64, body []byte, rank bool) er
 	if cap(p.levels) < p.bits {
 		p.levels = make([]k3Level, 0, p.bits)
 	}
-	var dir []uint32
-	if rank {
-		// A level with nb bytes of M holds at most 8·nb slots, so its
-		// directory takes at most nb/64+2 entries; the M bitmaps are at
-		// most half the body.
-		n := len(rest)/128 + 2*p.bits
-		if cap(p.dirs) < n {
-			p.dirs = make([]uint32, n)
-		}
-		dir = p.dirs[:n]
-	}
 	prevGray := 1
 	var voxels uint64
 	for lvl := 1; lvl <= p.bits && prevGray > 0; lvl++ {
@@ -318,17 +330,12 @@ func (p *K3Probe) fill(curve sfc.Curve, count uint64, body []byte, rank bool) er
 		if err := k3CheckGroups(&lv, p.degree, leaf, lvl); err != nil {
 			return err
 		}
-		switch {
-		case leaf:
-			prevGray = 0
-		case rank:
-			lv.mrank, dir = bitio.MakeRankIndex(lv.m, n, dir)
-			prevGray = lv.mrank.Ones()
-		default:
+		if prevGray = 0; !leaf {
 			prevGray = bitio.Rank1(lv.m, n)
 		}
 		voxels += uint64(bitio.Rank1(lv.f, n)) << uint(p.dim*(p.bits-lvl))
-		p.levels = append(p.levels, lv)
+		p.levels = p.levels[:len(p.levels)+1] // p.bits fit, and lvl <= p.bits
+		p.levels[len(p.levels)-1] = lv
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after k3 levels", ErrCorrupt, len(rest))
@@ -341,40 +348,34 @@ func (p *K3Probe) fill(curve sfc.Curve, count uint64, body []byte, rank bool) er
 
 // k3CheckGroups enforces per-group canonical form at one level: F and
 // M disjoint, and no child group that is entirely full or entirely
-// empty (either must have collapsed into the parent's color).
+// empty (either must have collapsed into the parent's color). On a 3D
+// curve it takes eight groups a word while none breaks a rule; then it
+// goes group by group, to name the first that does.
 func k3CheckGroups(lv *k3Level, degree int, leaf bool, lvl int) error {
-	if degree == 8 {
-		for i := 0; i < len(lv.f); i++ {
-			fb := lv.f[i]
-			var mb byte
-			if !leaf {
-				mb = lv.m[i]
-			}
-			switch {
-			case fb&mb != 0:
-				return fmt.Errorf("%w: k3 level %d slot both full and mixed", ErrCorrupt, lvl)
-			case fb == 0xff:
-				return fmt.Errorf("%w: k3 level %d all-full child group", ErrCorrupt, lvl)
-			case fb|mb == 0:
-				return fmt.Errorf("%w: k3 level %d all-empty child group", ErrCorrupt, lvl)
-			}
-		}
-		return nil
-	}
-	// degree 4 (2D curves): two groups per byte, high nibble first.
-	for g := 0; g < lv.n/4; g++ {
-		shift := uint(4 - 4*(g&1))
-		fb := lv.f[g/2] >> shift & 0xf
-		var mb byte
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	zeroByte := func(v uint64) bool { return (v-ones)&^v&highs != 0 }
+	g := 0
+	for ; degree == 8 && g+8 <= len(lv.f); g += 8 {
+		f, m := binary.BigEndian.Uint64(lv.f[g:]), uint64(0)
 		if !leaf {
-			mb = lv.m[g/2] >> shift & 0xf
+			m = binary.BigEndian.Uint64(lv.m[g:])
+		}
+		if f&m != 0 || zeroByte(^f) || zeroByte(f|m) {
+			break
+		}
+	}
+	full := byte(0xff) << (8 - degree) // all children of a group, as k3Group gives it
+	for ; g < lv.n/degree; g++ {
+		f, m := k3Group(lv.f, degree, g), byte(0)
+		if !leaf {
+			m = k3Group(lv.m, degree, g)
 		}
 		switch {
-		case fb&mb != 0:
+		case f&m != 0:
 			return fmt.Errorf("%w: k3 level %d slot both full and mixed", ErrCorrupt, lvl)
-		case fb == 0xf:
+		case f == full:
 			return fmt.Errorf("%w: k3 level %d all-full child group", ErrCorrupt, lvl)
-		case fb|mb == 0:
+		case f|m == 0:
 			return fmt.Errorf("%w: k3 level %d all-empty child group", ErrCorrupt, lvl)
 		}
 	}
@@ -494,193 +495,17 @@ func (p *K3Probe) allRec(lvl, groupBase int, base, lo, hi uint64) bool {
 	return true
 }
 
-// k3Out collects a descent's result runs, met in increasing id order,
-// extending the last run instead when the next one touches it. A
-// descent runs twice (k3Collect): the first pass only counts, the
-// second fills a list allocated at that count.
-type k3Out struct {
-	runs   []region.Run // nil on the counting pass
-	n      int          // runs emitted so far
-	lastHi uint64       // Hi of the last run; meaningful when n > 0
-}
-
-func (o *k3Out) emit(lo, hi uint64) {
-	if o.n > 0 && o.lastHi+1 == lo {
-		if o.runs != nil {
-			o.runs[o.n-1].Hi = hi
-		}
-	} else {
-		if o.runs != nil {
-			o.runs[o.n] = region.Run{Lo: lo, Hi: hi}
-		}
-		o.n++
-	}
-	o.lastHi = hi
-}
-
-// k3Collect runs descend once to count the result runs and once more
-// into a list of exactly that length, in buf's backing array when it
-// has room: at most one allocation, never a regrowth.
-func k3Collect(buf []region.Run, descend func(o *k3Out)) []region.Run {
-	var o k3Out
-	descend(&o)
-	if o.n == 0 {
-		return buf[:0]
-	}
-	if cap(buf) < o.n {
-		buf = make([]region.Run, o.n)
-	}
-	o.runs, o.n = buf[:o.n], 0
-	descend(&o)
-	return o.runs
-}
-
-// IntersectRunsInto intersects the region with a sorted, normalized run
-// list (as Region.Runs returns) into buf (region.Queryable), pruning
-// whole subtrees the runs never touch. The result is normalized and in
-// increasing order.
-func (p *K3Probe) IntersectRunsInto(runs, buf []region.Run) []region.Run {
-	if p.root == k3Empty || len(runs) == 0 {
-		return buf[:0]
-	}
-	if p.root == k3Full {
-		return append(buf[:0], runs...)
-	}
-	return k3Collect(buf, func(o *k3Out) {
-		it := k3Intersector{p: p, runs: runs, out: o}
-		it.rec(1, 0, 0)
-	})
-}
-
-// k3Intersector carries the DFS state of IntersectRunsInto: a single run
-// pointer advanced in id order, and where the result runs go.
-type k3Intersector struct {
-	p    *K3Probe
-	runs []region.Run
-	ri   int
-	out  *k3Out
-}
-
-func (it *k3Intersector) rec(lvl, groupBase int, base uint64) {
-	p := it.p
-	lv := &p.levels[lvl-1]
-	span := uint64(1) << uint(p.dim*(p.bits-lvl))
-	for c := 0; c < p.degree; c++ {
-		cb := base + uint64(c)*span
-		ch := cb + span - 1
-		for it.ri < len(it.runs) && it.runs[it.ri].Hi < cb {
-			it.ri++
-		}
-		if it.ri >= len(it.runs) {
-			return
-		}
-		if it.runs[it.ri].Lo > ch {
-			continue
-		}
-		j := groupBase + c
-		switch {
-		case k3Bit(lv.f, j):
-			for k := it.ri; k < len(it.runs) && it.runs[k].Lo <= ch; k++ {
-				lo, hi := it.runs[k].Lo, it.runs[k].Hi
-				if lo < cb {
-					lo = cb
-				}
-				if hi > ch {
-					hi = ch
-				}
-				it.out.emit(lo, hi)
-			}
-		case lv.m != nil && k3Bit(lv.m, j):
-			it.rec(lvl+1, p.degree*lv.mrank.Rank1(j), cb)
-		}
-	}
-}
-
-// IntersectK3Into intersects two k³-trees on the same curve without
-// expanding either to runs: it descends both in step, one child group
-// of each at a time. A child empty in either tree is pruned, full in
-// both is emitted whole, full in one emits the other's subtree below
-// it, and mixed in both is descended into. The result runs go straight
-// into one list of exactly their number (k3Collect), in buf's backing
-// array when it has room and in a new slice otherwise. q must be on p's
-// curve — same kind, dimension and bits — or the result is meaningless.
-func (p *K3Probe) IntersectK3Into(q *K3Probe, buf []region.Run) []region.Run {
-	switch {
-	case p.root == k3Empty || q.root == k3Empty:
-		return buf[:0]
-	case p.root == k3Full:
-		return q.RunsInto(buf)
-	case q.root == k3Full:
-		return p.RunsInto(buf)
-	}
-	return k3Collect(buf, func(o *k3Out) { k3Meet(o, p, q, 1, 0, 0, 0) })
-}
-
-// groups returns the full and mixed bits of the child group starting
-// at slot gs of level lvl, first child in the top bit (k3Group); the
-// last level has no mixed bitmap.
-func (p *K3Probe) groups(lvl, gs int) (f, m byte) {
-	lv := &p.levels[lvl-1]
-	g := gs / p.degree
-	f = k3Group(lv.f, p.degree, g)
-	if lv.m != nil {
-		m = k3Group(lv.m, p.degree, g)
-	}
-	return f, m
-}
-
-// k3Meet is IntersectK3Into's descent through the child groups starting at
-// slot gp of p's and slot gq of q's level lvl, which both cover the ids
-// from base on.
-func k3Meet(o *k3Out, p, q *K3Probe, lvl, gp, gq int, base uint64) {
-	pf, pm := p.groups(lvl, gp)
-	qf, qm := q.groups(lvl, gq)
-	shift := uint(p.dim * (p.bits - lvl)) // a child spans 1<<shift ids
-	for live := (pf | pm) & (qf | qm); live != 0; {
-		c := bits.LeadingZeros8(live)
-		bit := byte(0x80) >> uint(c)
-		live &^= bit
-		lo := base + uint64(c)<<shift
-		switch {
-		case pf&qf&bit != 0:
-			o.emit(lo, lo+1<<shift-1)
-		case pf&bit != 0:
-			q.emitSubtree(o, lvl+1, q.degree*q.levels[lvl-1].mrank.Rank1(gq+c), lo)
-		case qf&bit != 0:
-			p.emitSubtree(o, lvl+1, p.degree*p.levels[lvl-1].mrank.Rank1(gp+c), lo)
-		default:
-			k3Meet(o, p, q, lvl+1,
-				p.degree*p.levels[lvl-1].mrank.Rank1(gp+c),
-				q.degree*q.levels[lvl-1].mrank.Rank1(gq+c), lo)
-		}
-	}
-}
-
-// emitSubtree emits every run below a mixed node: the child group
-// starting at slot gs of level lvl, covering the ids from base on.
-func (p *K3Probe) emitSubtree(o *k3Out, lvl, gs int, base uint64) {
-	f, m := p.groups(lvl, gs)
-	shift := uint(p.dim * (p.bits - lvl))
-	for live := f | m; live != 0; {
-		c := bits.LeadingZeros8(live)
-		bit := byte(0x80) >> uint(c)
-		live &^= bit
-		lo := base + uint64(c)<<shift
-		if f&bit != 0 {
-			o.emit(lo, lo+1<<shift-1)
-		} else {
-			p.emitSubtree(o, lvl+1, p.degree*p.levels[lvl-1].mrank.Rank1(gs+c), lo)
-		}
-	}
-}
+// Size returns the length of the encoding's payload, the bytes a walk
+// of the tree reads.
+func (p *K3Probe) Size() int { return p.size }
 
 // k3MaxLevels bounds the tree depth: sfc.New admits dim·bits <= 63
 // with dim >= 2.
 const k3MaxLevels = 31
 
-// k3Frame is one child group on Region's walk: its full and mixed bits
-// still to visit (next child in the top bit) and the curve position at
-// which that next child starts.
+// k3Frame is one child group on a walk of the tree (walk): its full and
+// mixed bits still to visit (next child in the top bit) and the curve
+// position at which that next child starts.
 type k3Frame struct {
 	f, m byte
 	at   uint64
@@ -714,30 +539,65 @@ func (p *K3Probe) maxRuns() int {
 }
 
 // RunsInto returns the region's run list, in buf's backing array when
-// it has room for the list's bound and in a new slice otherwise, in one
-// depth-first sweep. The levels store their groups in breadth-first
-// order, and a depth-first walk of the whole tree reaches the groups of
-// any one level in that same order (both are id order), so the group
-// under a mixed child is simply the next unread group one level down: a
-// cursor per level, no rank₁. Each group is taken whole — one byte of F
-// and one of M — and its full children leave as streaks found with
-// leading-zero and leading-one counts; a group of the last level, which
-// has no M, is emitted where it is met rather than pushed.
+// it has room for the list's bound (maxRuns) and in a new slice
+// otherwise: the region's intersection with the whole curve.
 func (p *K3Probe) RunsInto(buf []region.Run) []region.Run {
-	runs := buf[:0]
-	switch p.root {
-	case k3Empty:
-		return runs
-	case k3Full:
-		return append(runs, region.Run{Lo: 0, Hi: p.curve.Length() - 1})
+	if n := p.maxRuns(); cap(buf) < n {
+		buf = make([]region.Run, 0, n)
 	}
-	if maxRuns := p.maxRuns(); cap(runs) < maxRuns {
-		runs = make([]region.Run, 0, maxRuns)
+	whole := [1]region.Run{{Hi: 1<<uint(p.dim*p.bits) - 1}}
+	return p.IntersectRunsInto(whole[:], buf)
+}
+
+// IntersectRunsInto intersects the region with a sorted, normalized run
+// list (as Region.Runs returns) into buf (region.Queryable), by walk: in
+// buf's backing array, grown by append when the result outgrows it. The
+// result is normalized and in increasing order.
+func (p *K3Probe) IntersectRunsInto(runs, buf []region.Run) []region.Run {
+	out := k3Set{runs: buf[:0]}
+	p.walk(k3Set{runs: runs}, &out)
+	return out.runs
+}
+
+// k3Set is a set of curve positions as sorted, disjoint pieces, the
+// form walk reads and writes. Without words the pieces are normalized
+// runs. With words (StoredFold's form) they are blocks of the curve —
+// what lies below a node of the last level but one, 64 positions on a 3D
+// curve — and each has a word: ^0 for a run of whole blocks, or, for one
+// block, the positions of it that the word holds, the first in the top
+// bit.
+type k3Set struct {
+	runs  []region.Run
+	words []uint64
+}
+
+// walk appends to out the intersection of the region with acc, in one
+// depth-first sweep of the tree; out has words when acc does. A
+// depth-first walk meets the groups of each level in the order the level
+// stores them (both are id order), so the group under a mixed child is
+// the next unread one a level down: a cursor per level stands in for
+// rank₁. Each group is taken whole, a byte of F and one of M. A streak
+// of full children, found by leading-zero and leading-one counts, keeps
+// the pieces of acc it covers, clipped. A mixed child that acc misses is
+// skipped (skipSubtrees); one that is a block becomes a word of voxels
+// (k3Block) that meets acc's pieces over it (meet). The walk ends where
+// acc does.
+func (p *K3Probe) walk(acc k3Set, out *k3Set) {
+	switch {
+	case p.root == k3Empty || len(acc.runs) == 0:
+		return
+	case p.root == k3Full:
+		out.runs = append(out.runs, acc.runs...)
+		if acc.words != nil {
+			out.words = append(out.words, acc.words...)
+		}
+		return
 	}
 	var (
 		next  [k3MaxLevels]int // next[l]: the first unread group of level l+1
 		stack [k3MaxLevels]k3Frame
 	)
+	ai := 0 // acc.runs[ai] is the first piece that may meet the child in hand
 	// The group in hand belongs to level lvl. The walk starts above the
 	// tree, on a one-child group whose only member is the gray root.
 	lvl, fr := 0, k3Frame{m: 0x80}
@@ -745,7 +605,7 @@ func (p *K3Probe) RunsInto(buf []region.Run) []region.Run {
 		live := fr.f | fr.m
 		if live == 0 {
 			if lvl == 0 {
-				break
+				return
 			}
 			lvl--
 			fr = stack[lvl]
@@ -755,30 +615,154 @@ func (p *K3Probe) RunsInto(buf []region.Run) []region.Run {
 		skip := uint(bits.LeadingZeros8(live))
 		fr.f, fr.m, fr.at = fr.f<<skip, fr.m<<skip, fr.at+uint64(skip)<<shift
 		lo := fr.at
+		for acc.runs[ai].Hi < lo {
+			if ai++; ai == len(acc.runs) {
+				return
+			}
+		}
 		if fr.f&0x80 != 0 {
 			full := uint(bits.LeadingZeros8(^fr.f))
 			fr.f, fr.m, fr.at = fr.f<<full, fr.m<<full, lo+uint64(full)<<shift
-			runs = k3Emit(runs, lo, fr.at-1)
+			for i := ai; i < len(acc.runs) && acc.runs[i].Lo < fr.at; i++ {
+				r := region.Run{Lo: max(lo, acc.runs[i].Lo), Hi: min(fr.at-1, acc.runs[i].Hi)}
+				if acc.words == nil {
+					out.runs = k3Emit(out.runs, r.Lo, r.Hi)
+				} else {
+					out.runs, out.words = append(out.runs, r), append(out.words, acc.words[i])
+				}
+			}
 			continue
 		}
 		// A mixed child: its group is the next unread one a level down.
 		fr.f, fr.m, fr.at = fr.f<<1, fr.m<<1, lo+1<<shift
+		if acc.runs[ai].Lo >= fr.at { // acc has nothing below it
+			p.skipSubtrees(&next, lvl)
+			continue
+		}
 		lv := &p.levels[lvl]
 		g := next[lvl]
 		next[lvl]++
-		if lv.m == nil { // the last level: its children are single voxels
-			for fb, at := k3Group(lv.f, p.degree, g), lo; fb != 0; {
-				skip := bits.LeadingZeros8(fb)
-				full := bits.LeadingZeros8(^(fb << uint(skip)))
-				at += uint64(skip)
-				runs = k3Emit(runs, at, at+uint64(full)-1)
-				fb, at = fb<<uint(skip+full), at+uint64(full)
+		f := k3Group(lv.f, p.degree, g)
+		var word uint64
+		switch p.bits - lvl {
+		case 1: // a one-level tree: its root's group is the one block
+			word = uint64(f) << 56
+		case 2: // the group's mixed children are groups of the last level
+			m := k3Group(lv.m, p.degree, g)
+			var leaves []byte
+			if lvl+1 < len(p.levels) {
+				leaves = p.levels[lvl+1].f
 			}
+			word = k3Block(f, m, leaves, p.degree, next[lvl+1])
+			next[lvl+1] += bits.OnesCount8(m)
+		default:
+			stack[lvl] = fr
+			lvl++
+			fr = k3Frame{f: f, m: k3Group(lv.m, p.degree, g), at: lo}
 			continue
 		}
-		stack[lvl] = fr
-		lvl++
-		fr = k3Frame{f: k3Group(lv.f, p.degree, g), m: k3Group(lv.m, p.degree, g), at: lo}
+		out.meet(&acc, ai, word, lo, fr.at-1)
+	}
+}
+
+// skipSubtrees moves the cursors past the subtree of the walk's next
+// mixed child of level lvl, whose group is next[lvl] of p.levels[lvl]:
+// each level below holds one group for every mixed child of the groups
+// a level up, and those groups are consecutive.
+func (p *K3Probe) skipSubtrees(next *[k3MaxLevels]int, lvl int) {
+	for n := 1; n > 0; lvl++ {
+		g := next[lvl]
+		next[lvl] += n
+		if p.levels[lvl].m == nil {
+			return
+		}
+		n = k3GroupOnes(p.levels[lvl].m, p.degree, g, n)
+	}
+}
+
+// k3GroupOnes counts the set bits of the n child groups of a level
+// bitmap from group g on.
+func k3GroupOnes(buf []byte, degree, g, n int) int {
+	if degree == 8 {
+		return bitio.Rank1(buf[g:], 8*n)
+	}
+	off := 4 * (g & 1) // a 2D group is a nibble, high one first
+	return bitio.Rank1(buf[g>>1:], off+4*n) - bits.OnesCount8(buf[g>>1]>>uint(8-off))
+}
+
+// k3Block returns the voxels below a node of the last level but one as a
+// word, the node's first position in the top bit: its child group, full
+// bits f and mixed bits m, and the last level's groups under its mixed
+// children, which start at group g of leaves.
+func k3Block(f, m byte, leaves []byte, degree, g int) uint64 {
+	if degree == 8 {
+		w := k3Spread[f]
+		for _, b := range leaves[g : g+bits.OnesCount8(m)] {
+			c := uint(bits.LeadingZeros8(m))
+			m &^= 0x80 >> c
+			w |= uint64(b) << (56 - 8*c&63)
+		}
+		return w
+	}
+	var w uint64
+	for live := f | m; live != 0; {
+		c := uint(bits.LeadingZeros8(live))
+		bit := byte(0x80) >> c
+		live &^= bit
+		b := byte(0xf0) // a 2D group is a nibble
+		if f&bit == 0 {
+			b = k3Group(leaves, degree, g)
+			g++
+		}
+		w |= uint64(b) << (56 - 4*c&63)
+	}
+	return w
+}
+
+// k3Spread[f] is the word of a 3D group whose full bits are f: byte i
+// from the top all ones where bit i from the top of f is set.
+var k3Spread = func() (t [256]uint64) {
+	for f := range t {
+		for c := range 8 {
+			t[f] |= uint64(f>>(7-c)&1) * 0xff << (56 - 8*c)
+		}
+	}
+	return t
+}()
+
+// meet appends the positions of the block [lo, hi] that word holds —
+// position lo+j in bit j from the top — and acc's pieces from piece i
+// on hold too; piece i ends at lo or after. With words, piece i holds
+// the whole block, and the result is one piece; without, acc's runs over
+// the block make a mask, and the result leaves as runs.
+func (s *k3Set) meet(acc *k3Set, i int, word, lo, hi uint64) {
+	if acc.words != nil {
+		if word &= acc.words[i]; word != 0 {
+			s.runs = append(s.runs, region.Run{Lo: lo, Hi: hi})
+			s.words = append(s.words, word)
+		}
+		return
+	}
+	var mask uint64
+	for _, r := range acc.runs[i:] {
+		if r.Lo > hi {
+			break
+		}
+		a, b := max(r.Lo, lo)-lo, min(r.Hi, hi)-lo
+		mask |= ^uint64(0) >> (a & 63) &^ (^uint64(0) >> b >> 1)
+	}
+	s.runs = k3WordRuns(s.runs, word&mask, lo)
+}
+
+// k3WordRuns appends the runs of the positions word holds — position
+// lo+j in bit j from the top — extending runs' last where they touch.
+func k3WordRuns(runs []region.Run, word, lo uint64) []region.Run {
+	for word != 0 {
+		z := uint64(bits.LeadingZeros64(word))
+		word, lo = word<<z, lo+z
+		o := uint64(bits.LeadingZeros64(^word))
+		runs = k3Emit(runs, lo, lo+o-1)
+		word, lo = word<<o, lo+o
 	}
 	return runs
 }

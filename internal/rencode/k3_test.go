@@ -2,6 +2,7 @@ package rencode
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -296,6 +297,71 @@ func TestParseK3Rejects(t *testing.T) {
 	}
 }
 
+// TestK3CheckGroupsFindsEveryBreach plants each breach of canonical
+// form — a slot both full and mixed, an all-full group, an all-empty
+// group — at every group of a level wide enough for the eight-at-a-time
+// check, on 3D and 2D levels, inner and leaf, and wants the breach named.
+func TestK3CheckGroupsFindsEveryBreach(t *testing.T) {
+	const groups = 22
+	for _, degree := range []int{8, 4} {
+		full := byte(0xff) << (8 - degree)
+		// set writes group g of buf, given as k3Group returns it.
+		set := func(buf []byte, g int, v byte) {
+			if degree == 8 {
+				buf[g] = v
+				return
+			}
+			sh := uint(4 * (g & 1))
+			buf[g>>1] = buf[g>>1]&^(0xf0>>sh) | v>>sh
+		}
+		for _, leaf := range []bool{false, true} {
+			level := func() *k3Level {
+				lv := &k3Level{n: groups * degree, f: make([]byte, groups*degree/8)}
+				if !leaf {
+					lv.m = make([]byte, len(lv.f))
+				}
+				for g := range groups {
+					set(lv.f, g, 0x80)
+					if !leaf {
+						set(lv.m, g, 0x40)
+					}
+				}
+				return lv
+			}
+			if err := k3CheckGroups(level(), degree, leaf, 2); err != nil {
+				t.Fatalf("degree %d leaf %v: a canonical level rejected: %v", degree, leaf, err)
+			}
+			for g := range groups {
+				breaches := map[string]func(lv *k3Level){
+					"all-full": func(lv *k3Level) {
+						set(lv.f, g, full)
+						if !leaf {
+							set(lv.m, g, 0)
+						}
+					},
+					"all-empty": func(lv *k3Level) {
+						set(lv.f, g, 0)
+						if !leaf {
+							set(lv.m, g, 0)
+						}
+					},
+				}
+				if !leaf {
+					breaches["both full and mixed"] = func(lv *k3Level) { set(lv.m, g, 0xc0) }
+				}
+				for want, plant := range breaches {
+					lv := level()
+					plant(lv)
+					err := k3CheckGroups(lv, degree, leaf, 2)
+					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+						t.Errorf("degree %d leaf %v group %d %s: got %v", degree, leaf, g, want, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 var sinkBool bool
 
 // BenchmarkK3PointProbe is the headline number: one ContainsID against
@@ -376,10 +442,12 @@ func k3Pair(t testing.TB, a, b *region.Region) (*K3Probe, *K3Probe) {
 	return ps[0], ps[1]
 }
 
-// checkIntersectK3 asserts that p.IntersectK3Into(q, nil), both ways
-// round, is region.Intersect of the two decoded operands and the
-// oracle's walk of the intersection's own k³-tree, run for run — and
-// that it allocates the result list once and nothing else.
+// checkIntersectK3 asserts that two k³-trees meet as the server meets
+// them (medserver's intersect) — one decoded by RunsInto and met by the
+// other's walk, IntersectRunsInto, either way round — in
+// region.Intersect of the two decoded operands and the oracle's walk of
+// the intersection's own k³-tree, run for run; and that, given buffers
+// with room, a meeting allocates nothing.
 func checkIntersectK3(t *testing.T, ctx string, p, q *K3Probe) {
 	t.Helper()
 	pr, err := probeRegion(p)
@@ -403,18 +471,25 @@ func checkIntersectK3(t *testing.T, ctx string, p, q *K3Probe) {
 		t.Fatal(err)
 	}
 	oracle := oracleRuns(w)
-	for name, got := range map[string][]region.Run{"p∩q": p.IntersectK3Into(q, nil), "q∩p": q.IntersectK3Into(p, nil)} {
+	for name, got := range map[string][]region.Run{"p∩q": meetK3(p, q, nil, nil), "q∩p": meetK3(q, p, nil, nil)} {
 		if !slices.Equal(got, want.RunsView()) || !slices.Equal(got, oracle) {
 			t.Fatalf("%s: %s = %v, region.Intersect %v, oracle %v", ctx, name, got, want.RunsView(), oracle)
 		}
 	}
-	if n := testing.AllocsPerRun(3, func() { p.IntersectK3Into(q, nil) }); n > 1 {
-		t.Fatalf("%s: IntersectK3Into made %.0f allocations, want at most the result list", ctx, n)
+	runs := make([]region.Run, 0, q.maxRuns())
+	buf := make([]region.Run, len(want.RunsView()))
+	if n := testing.AllocsPerRun(3, func() { meetK3(p, q, runs, buf) }); n > 0 {
+		t.Fatalf("%s: the meeting made %.0f allocations into buffers with room, want none", ctx, n)
 	}
 }
 
-// TestK3IntersectK3MatchesOracle is the differential for the
-// synchronized descent: on 2D and 3D curves of every kind and several
+// meetK3 is p ∩ q with q decoded, into runs, and p walked, into buf.
+func meetK3(p, q *K3Probe, runs, buf []region.Run) []region.Run {
+	return p.IntersectRunsInto(q.RunsInto(runs), buf)
+}
+
+// TestK3IntersectK3MatchesOracle is the differential for two k³-trees
+// meeting (checkIntersectK3): on 2D and 3D curves of every kind and several
 // depths, random pairs and the pairs that stress its cases — an empty
 // or full root on either side, disjoint, nested and identical operands
 // — intersect to exactly what the run lists do.

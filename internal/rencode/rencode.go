@@ -242,7 +242,7 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 		return r.Refill(curve, runs)
 	case K3Tree:
 		var p K3Probe
-		if err := p.parseBody(curve, count, body, false); err != nil {
+		if err := p.parseBody(curve, count, body); err != nil {
 			return err
 		}
 		return r.Refill(curve, p.RunsInto(buf))

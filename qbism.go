@@ -228,7 +228,7 @@ var (
 )
 
 // BandEncodingHilbertNaive is the band encoding label every corpus
-// stores beside the default k³-tree rows.
+// stores beside the default k³-tree rows, over the same fields.
 const BandEncodingHilbertNaive = core.EncHilbertNaive
 
 // WriteTable3 prices and formats Table 3 rows; PriceQuery prices one
