@@ -42,6 +42,8 @@ var keptUncalled = map[string]string{
 	"qbism.ClusterSystem.Route":                "observer: the chaos suite finds the shard that serves a study",
 	"sdb.Stmt.Exec":                            "observer: qbism's TestPushdownSavesPages runs a prepared statement to completion",
 	"volume.DataRegion.NumVoxels":              "observer: qbism and root-package tests count extracted voxels",
+	// Test hooks: state a test sets up before it counts.
+	"medserver.Server.ReserveExecutions": "test hook: TestRunQueryAllocBudget builds the operator trees two workers keep before it counts a batch",
 	// The frame codec's stream entry points.
 	"transport.ReadFrame":  "test entry: the frame tests and FuzzFrame drive the stream reader the TCP flavors run",
 	"transport.WriteFrame": "test entry: the frame tests drive the vectored writer the TCP flavors run",

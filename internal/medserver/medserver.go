@@ -354,6 +354,20 @@ func (s *Server) prepareStatements() error {
 	return first
 }
 
+// ReserveExecutions makes n executions of every server statement
+// runnable at once without building an operator tree (sdb.Stmt.Reserve):
+// the state n concurrent requests leave behind once each statement has
+// run n at a time.
+func (s *Server) ReserveExecutions(n int) error {
+	stmts := append([]*sdb.Stmt{s.stmts.metadata, s.stmts.bandVolume, s.stmts.bandStructure, s.stmts.bandRegion}, s.stmts.data[:]...)
+	for _, st := range stmts {
+		if err := st.Reserve(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // dataBinds has room for the bind values of any data shape (shapeBox
 // takes the most).
 type dataBinds [7]sdb.Value

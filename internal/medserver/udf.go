@@ -67,8 +67,9 @@ func (s *Server) registerSpatialUDFs() error {
 		},
 		{
 			// CONTAINS(REGION r1, REGION r2) -> BOOLEAN. The container
-			// stays queryable: each run of r2 is one coverage probe
-			// against r1's stored representation.
+			// stays queryable: r2's runs are one coverage sweep in id
+			// order over r1's stored representation (CoversRuns), which
+			// on a k³-tree counts rank₁ by cursor.
 			Name: "contains", MinArgs: 2, MaxArgs: 2, Cost: 20, ProbeOnly: true, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				st := stateOf(call)
@@ -90,8 +91,9 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// containsPoint(REGION r, x, y, z) -> BOOLEAN: point
 			// membership. On a k³-tree REGION this is an O(depth) descent
-			// over the encoded bitmaps — no decode, no run list — which
-			// is why its Cost sits just above boxRegion's.
+			// over the encoded bitmaps, a one-shot rank₁ a level — no
+			// decode, no run list — which is why its Cost sits just above
+			// boxRegion's.
 			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, Cost: 2, ProbeOnly: true, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				q, err := s.regionOf(call.IO(), call, stateOf(call).arg(0), args[0], false)
@@ -484,11 +486,10 @@ func (st *callState) Reset() {
 
 func (s *regionSlot) reset() {
 	if oversized(s.field) {
-		// The rank directories grow with the field, so they go with it.
-		s.field, s.probe = nil, rencode.K3Probe{}
-	} else {
-		s.probe.Reset()
+		s.field = nil
 	}
+	// The probe's level table holds at most a tree's depth of levels.
+	s.probe.Reset()
 	if oversized(s.reg.RunsView()) {
 		s.reg = region.Region{}
 	}

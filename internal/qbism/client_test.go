@@ -153,6 +153,17 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		}
 	}
 	batch := []QuerySpec{small, mixed, small, mixed}
+	// Two workers can run one statement at once, and sdb builds the
+	// statement's second operator tree the first time they do, then keeps
+	// it. Counting on one processor (testing.AllocsPerRun), the workers
+	// overlap only when the scheduler preempts one mid-query; on a loaded
+	// host that can fall inside the count, and the tree's build showed as
+	// 21 or 22 allocations a batch. Reserve the trees two workers keep:
+	// the count's warm-up run grows the reserved ones, and the ones the
+	// queries above grew wait for the first overlap.
+	if err := sys.Server.ReserveExecutions(2); err != nil {
+		t.Fatal(err)
+	}
 	got := testing.AllocsPerRun(20, func() {
 		for _, item := range sys.RunQueries(batch, 2) {
 			if item.Err != nil {

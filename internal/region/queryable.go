@@ -2,18 +2,17 @@ package region
 
 import (
 	"fmt"
-	"sort"
 
 	"qbism/internal/sfc"
 )
 
-// Queryable is a REGION representation that answers membership and
-// curve-interval probes, possibly directly on compressed bytes without
-// materializing a run list. *Region implements it over its run list;
-// rencode.K3Probe implements it over k³-tree encoded bytes. The
-// ContainsQ/IntersectQ operators below are the compressed fast path of
-// the Section 3.2 spatial operators: one operand stays in its stored
-// representation end to end.
+// Queryable is a REGION representation that answers membership, and
+// coverage and intersection of sorted run lists, possibly directly on
+// compressed bytes without materializing a run list. *Region implements
+// it over its run list; rencode.K3Probe implements it over k³-tree
+// encoded bytes. The ContainsQ/IntersectQ operators below are the
+// compressed fast path of the Section 3.2 spatial operators: one operand
+// stays in its stored representation end to end.
 //
 // The interface lives here rather than in rencode because rencode
 // imports region; both packages implement it.
@@ -22,9 +21,10 @@ type Queryable interface {
 	NumVoxels() uint64
 	// ContainsID reports whether curve position id is in the region.
 	ContainsID(id uint64) bool
-	// AllInRange reports whether every position in [lo, hi] is present
-	// — the interval coverage test. Vacuously true when lo > hi.
-	AllInRange(lo, hi uint64) bool
+	// CoversRuns reports whether every position of runs, a sorted,
+	// normalized run list, is present — the coverage test, in one sweep
+	// in id order. Vacuously true when runs is empty.
+	CoversRuns(runs []Run) bool
 	// IntersectRunsInto intersects the region with a sorted, normalized
 	// run list and returns the normalized result in increasing order, in
 	// buf's backing array when it has room and in a new slice otherwise.
@@ -34,15 +34,21 @@ type Queryable interface {
 
 var _ Queryable = (*Region)(nil)
 
-// AllInRange reports whether every position in [lo, hi] is in the
-// region. Runs are maximal, so a fully covered interval must lie
-// within a single run.
-func (r *Region) AllInRange(lo, hi uint64) bool {
-	if lo > hi {
-		return true
+// CoversRuns reports whether every position of runs, a sorted,
+// normalized run list, is in the region (Queryable). Runs are maximal,
+// so each covered run must lie within a single run of the region; one
+// pointer into the region's runs serves the whole sweep.
+func (r *Region) CoversRuns(runs []Run) bool {
+	i := 0
+	for _, rb := range runs {
+		for i < len(r.runs) && r.runs[i].Hi < rb.Lo {
+			i++
+		}
+		if i >= len(r.runs) || r.runs[i].Lo > rb.Lo || r.runs[i].Hi < rb.Hi {
+			return false
+		}
 	}
-	i := sort.Search(len(r.runs), func(i int) bool { return r.runs[i].Hi >= lo })
-	return i < len(r.runs) && r.runs[i].Lo <= lo && r.runs[i].Hi >= hi
+	return true
 }
 
 // IntersectRunsInto intersects the region with a sorted, normalized run
@@ -62,18 +68,13 @@ func errCurveMismatchQ(op string, a Queryable, b *Region) error {
 
 // ContainsQ reports whether a ⊇ b, probing a through its Queryable
 // interface: when a is a compressed probe its run list is never
-// materialized — each run of b is one coverage test against the
-// encoded bytes.
+// materialized — b's runs are one coverage sweep over the encoded
+// bytes.
 func ContainsQ(a Queryable, b *Region) (bool, error) {
 	if !SameCurve(a.Curve(), b.curve) {
 		return false, errCurveMismatchQ("containsQ", a, b)
 	}
-	for _, run := range b.runs {
-		if !a.AllInRange(run.Lo, run.Hi) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return a.CoversRuns(b.runs), nil
 }
 
 // IntersectQ returns a ∩ b with a kept in its stored representation.

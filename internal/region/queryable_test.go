@@ -26,33 +26,41 @@ func genQ(t *testing.T, rng *rand.Rand, c sfc.Curve, nruns int) *Region {
 	return r
 }
 
-// TestRangeProbesAgainstScan checks AllInRange against the
-// per-id scan for random regions and intervals, including the
-// degenerate inverted interval.
+// TestRangeProbesAgainstScan checks CoversRuns against the per-id scan
+// for random regions on 3D and 2D curves: one interval at a time, random
+// run lists, and pieces of the region's own runs (covered), besides the
+// empty list (vacuously covered).
 func TestRangeProbesAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	c := sfc.MustNew(sfc.Hilbert, 3, 3)
-	n := c.Length()
-	for iter := 0; iter < 50; iter++ {
-		r := genQ(t, rng, c, rng.Intn(10))
-		for probe := 0; probe < 60; probe++ {
-			lo := rng.Uint64() % n
-			hi := lo + rng.Uint64()%40
-			if hi >= n {
-				hi = n - 1
-			}
-			all := true
-			for id := lo; id <= hi; id++ {
-				if !r.ContainsID(id) {
-					all = false
+	for _, c := range []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 3), sfc.MustNew(sfc.ZOrder, 2, 4)} {
+		for iter := 0; iter < 50; iter++ {
+			r := genQ(t, rng, c, rng.Intn(10))
+			check := func(runs []Run) {
+				t.Helper()
+				all := true
+				for _, run := range runs {
+					for id := run.Lo; id <= run.Hi; id++ {
+						all = all && r.ContainsID(id)
+					}
+				}
+				if got := r.CoversRuns(runs); got != all {
+					t.Fatalf("CoversRuns(%v) = %v, scan %v (runs %v)", runs, got, all, r.Runs())
 				}
 			}
-			if got := r.AllInRange(lo, hi); got != all {
-				t.Fatalf("AllInRange(%d,%d) = %v, scan %v (runs %v)", lo, hi, got, all, r.Runs())
+			for probe := 0; probe < 60; probe++ {
+				lo := rng.Uint64() % c.Length()
+				check([]Run{{Lo: lo, Hi: min(lo+rng.Uint64()%40, c.Length()-1)}})
+				check(genQ(t, rng, c, rng.Intn(4)).runs)
 			}
-		}
-		if !r.AllInRange(9, 3) {
-			t.Fatal("inverted interval answers wrong")
+			var pieces []Run
+			for _, run := range r.runs {
+				lo := run.Lo + rng.Uint64()%(run.Hi-run.Lo+1)
+				pieces = append(pieces, Run{Lo: lo, Hi: lo + rng.Uint64()%(run.Hi-lo+1)})
+			}
+			check(pieces)
+			if !r.CoversRuns(nil) {
+				t.Fatal("the empty run list answers wrong")
+			}
 		}
 	}
 }

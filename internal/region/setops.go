@@ -214,16 +214,7 @@ func Contains(a, b *Region) (bool, error) {
 	if !SameCurve(a.curve, b.curve) {
 		return false, errCurveMismatch("contains", a, b)
 	}
-	i := 0
-	for _, rb := range b.runs {
-		for i < len(a.runs) && a.runs[i].Hi < rb.Lo {
-			i++
-		}
-		if i >= len(a.runs) || a.runs[i].Lo > rb.Lo || a.runs[i].Hi < rb.Hi {
-			return false, nil
-		}
-	}
-	return true, nil
+	return a.CoversRuns(b.runs), nil
 }
 
 // Overlaps reports whether a and b share at least one voxel, without

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"qbism/internal/atlas"
+	"qbism/internal/bitio"
 	"qbism/internal/region"
 	"qbism/internal/sfc"
 	"qbism/internal/synth"
@@ -27,8 +28,7 @@ import (
 
 // oracleRuns materializes a parsed probe's run list the way the probe
 // did before the cursor walk of RunsInto: recursive, one k3Bit per
-// slot, a rank₁ per gray node. It needs a ParseK3 probe (rank
-// directories built).
+// slot, a one-shot rank₁ (bitio.Rank1) per gray node.
 func oracleRuns(p *K3Probe) []region.Run {
 	switch p.root {
 	case k3Empty:
@@ -54,7 +54,7 @@ func oracleRuns(p *K3Probe) []region.Run {
 			if k3Bit(lv.f, j) {
 				emit(cb, cb+span-1)
 			} else if lv.m != nil && k3Bit(lv.m, j) {
-				rec(lvl+1, p.degree*lv.mrank.Rank1(j), cb)
+				rec(lvl+1, p.degree*bitio.Rank1(lv.m, j), cb)
 			}
 		}
 	}
@@ -435,10 +435,12 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 }
 
 // TestDecodeAllocBudget pins what a decode may allocate — the curve,
-// the probe, its level table, the run list and the Region, and for
-// ParseK3 the one slice of rank directories — and that none of it
-// grows with the run count. DecodeInto a buffer with room allocates
-// only a k³-tree's level table; the wire's γ-code allocates nothing.
+// the run list and the Region, and for ParseK3 the probe and its level
+// table — and that none of it grows with the run count. DecodeInto a
+// buffer with room allocates nothing, for every method: a k³-tree's
+// level table is on the stack, and the wire's γ-code reader too. A
+// probe parsed again, and its point and coverage probes, allocate
+// nothing either.
 func TestDecodeAllocBudget(t *testing.T) {
 	for _, n := range []int{200, 20000} {
 		r := scatter(t, n)
@@ -456,17 +458,35 @@ func TestDecodeAllocBudget(t *testing.T) {
 		}
 		var into region.Region
 		buf := make([]region.Run, n)
+		var probe K3Probe
+		if err := probe.Parse(k3); err != nil {
+			t.Fatal(err)
+		}
+		runs := r.RunsView()
 		for _, tc := range []struct {
 			name   string
 			budget float64
 			run    func() error
 		}{
-			{"k3 Decode", 6, func() error { _, err := Decode(k3); return err }},
-			{"ParseK3", 6, func() error { _, err := ParseK3(k3); return err }},
+			{"k3 Decode", 4, func() error { _, err := Decode(k3); return err }},
+			{"ParseK3", 2, func() error { _, err := ParseK3(k3); return err }},
+			{"Parse into a used probe", 0, func() error { return probe.Parse(k3) }},
+			{"ContainsID", 0, func() error {
+				if !probe.ContainsID(runs[n/2].Lo) {
+					return errors.New("a member not contained")
+				}
+				return nil
+			}},
+			{"CoversRuns", 0, func() error {
+				if !probe.CoversRuns(runs) {
+					return errors.New("the region does not cover itself")
+				}
+				return nil
+			}},
 			{"naive Decode", 4, func() error { _, err := Decode(naive); return err }},
 			{"elias Decode", 4, func() error { _, err := Decode(elias); return err }},
-			// Into a buffer with room: the k³ level table only.
-			{"k3 DecodeInto", 1, func() error { return DecodeInto(&into, k3, buf) }},
+			// Into a buffer with room; the level table is on the stack.
+			{"k3 DecodeInto", 0, func() error { return DecodeInto(&into, k3, buf) }},
 			{"naive DecodeInto", 0, func() error { return DecodeInto(&into, naive, buf) }},
 			// The bit reader stays on the stack.
 			{"elias DecodeInto", 0, func() error { return DecodeInto(&into, elias, buf) }},
@@ -527,7 +547,7 @@ func benchDecode(b *testing.B, m Method, parseOnly bool) {
 func BenchmarkDecodeK3(b *testing.B) { benchDecode(b, K3Tree, false) }
 
 // BenchmarkParseK3 is what a probe costs before its first question:
-// the validating parse plus the rank directories.
+// the validating parse, which builds the level table and nothing else.
 func BenchmarkParseK3(b *testing.B) { benchDecode(b, K3Tree, true) }
 
 // BenchmarkDecodeNaive is the run-list representation's decode: read

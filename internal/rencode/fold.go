@@ -24,7 +24,7 @@ type StoredFold struct {
 	acc     k3Set     // the intersection of the rows so far
 	spare   k3Set     // where the next step writes its result
 	decodes int
-	levels  [k3MaxLevels]k3Level // a row's level table, with no rank directory
+	levels  [k3MaxLevels]k3Level // a row's level table
 	row     region.Region        // a row of another codec, decoded
 }
 

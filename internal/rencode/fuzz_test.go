@@ -148,8 +148,9 @@ func TestGammaWindowSeeds(t *testing.T) {
 // return a probe or a wrapped error, never panic, and anything it
 // accepts must (a) re-encode byte-identically after materialization —
 // the canonical-form contract — and (b) answer ContainsID identically
-// to the materialized run list, so a forged bitmap can't silently
-// desynchronize the probe from the decode. The checked-in corpus
+// to the materialized run list, and CoversRuns as region.Contains does
+// (checkCoversRuns), so a forged bitmap can't silently desynchronize
+// the probe from the decode. The checked-in corpus
 // includes a hand-forged truncated-bitmap crasher seed
 // (testdata/fuzz/FuzzDecodeK3/truncated_bitmap): a valid header and
 // gray root whose level payload is cut mid-bitmap.
@@ -197,8 +198,8 @@ func FuzzDecodeK3(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The reuse leg: parsed into a probe a larger, deeper tree left
-		// its levels and rank directories in, the input gets the fresh
-		// parse's verdict and, when accepted, the fresh probe.
+		// its level table in, the input gets the fresh parse's verdict
+		// and, when accepted, the fresh probe.
 		var reused K3Probe
 		if err := reused.Parse(reuseSeed()); err != nil {
 			t.Fatal(err)
@@ -243,6 +244,7 @@ func FuzzDecodeK3(f *testing.F) {
 				t.Fatalf("ContainsID(%d) diverges from the run list", id)
 			}
 		}
+		checkCoversRuns(t, "fuzz k3", rand.New(rand.NewSource(int64(len(data)))), p, dec)
 	})
 }
 

@@ -16,13 +16,16 @@
 //
 // Level ℓ holds degree·(number of mixed slots at level ℓ-1) slots, in
 // BFS order; the children of the j-th slot whose M bit is set start at
-// slot degree·rank₁(M_ℓ, j) of level ℓ+1. ParseK3 rebuilds a
-// bitio.RankIndex per M bitmap at parse time — the directories are
-// probe-side state, never stored, which keeps the encoded size
-// competitive with the delta codecs. The walk behind Decode,
-// IntersectRunsInto and the population fold (StoredFold) needs none:
-// depth first, it meets each level's groups in the order the level
-// stores them, so a per-level cursor stands in for rank₁ (see walk).
+// slot degree·rank₁(M_ℓ, j) of level ℓ+1. Nothing but the bitmaps is
+// stored or built: ParseK3 checks them and keeps a table of where each
+// level lies. Every query sweeps the tree in id order, and each level
+// stores its slots in id order too, so a sweep asks each level for slots
+// in increasing order. The walk behind Decode, IntersectRunsInto and the
+// population fold (StoredFold) goes depth first and meets each level's
+// groups in the order the level stores them, so a per-level cursor
+// stands in for rank₁ (see walk). The coverage sweep behind CONTAINS and
+// point membership (CoversRuns) counts rank₁ by cursor, each count only
+// the M bits since the level's last (k3Ranks).
 //
 // The encoding is canonical and the parser enforces it: a full or
 // empty subtree must collapse into its parent (no all-full or
@@ -161,14 +164,12 @@ func k3CountGrays(runs []region.Run, ri *int, grays *[k3MaxLevels + 1]int, dim, 
 	}
 }
 
-// k3Level is one decoded tree level: n child slots, the full and mixed
-// bitmaps (m nil at the leaf level), and the rank directory over m —
-// built by ParseK3 for the point and range probes, left zero by the walk.
+// k3Level is one decoded tree level: n child slots, and the full and
+// mixed bitmaps (m nil at the leaf level).
 type k3Level struct {
-	n     int
-	f     []byte
-	m     []byte
-	mrank bitio.RankIndex
+	n int
+	f []byte
+	m []byte
 }
 
 // K3Probe is a validated, queryable view over a K3Tree encoding. All
@@ -185,16 +186,13 @@ type K3Probe struct {
 	levels []k3Level
 	voxels uint64
 	size   int // the payload's bytes
-	// dirs backs the levels' rank directories; a later Parse into the
-	// same probe reuses it, as it reuses the levels' table.
-	dirs []uint32
 }
 
 var _ region.Queryable = (*K3Probe)(nil)
 
 // ParseK3 validates a K3Tree-encoded REGION (header included) and
-// builds the per-level rank directories. The probe aliases data; the
-// caller must not mutate it afterwards.
+// builds its level table, which says where each level's bitmaps lie.
+// The probe aliases data; the caller must not mutate it afterwards.
 func ParseK3(data []byte) (*K3Probe, error) {
 	p := new(K3Probe)
 	if err := p.Parse(data); err != nil {
@@ -204,12 +202,12 @@ func ParseK3(data []byte) (*K3Probe, error) {
 }
 
 // Parse is ParseK3 into p, which keeps the capacity of its level table
-// and rank directories from one Parse to the next: a probe its owner
-// parses tree after tree into allocates only when a tree is deeper or
-// larger than every one before. Whatever p held before is gone, and p
-// aliases data as ParseK3's probe does. When data is rejected, p holds
-// no tree — it is Empty, with no curve and no levels — and must not be
-// probed until a Parse succeeds.
+// from one Parse to the next: a probe its owner parses tree after tree
+// into allocates only when a tree is deeper than every one before, and
+// the table never holds more than k3MaxLevels levels. Whatever p held
+// before is gone, and p aliases data as ParseK3's probe does. When data
+// is rejected, p holds no tree — it is Empty, with no curve and no
+// levels — and must not be probed until a Parse succeeds.
 func (p *K3Probe) Parse(data []byte) error {
 	if len(data) < HeaderLen {
 		p.Reset()
@@ -225,11 +223,7 @@ func (p *K3Probe) Parse(data []byte) error {
 		return fmt.Errorf("%w: bad curve header: %v", ErrCorrupt, err)
 	}
 	count := binary.BigEndian.Uint64(data[4:12])
-	if err := p.parseBody(curve, count, data[HeaderLen:]); err != nil {
-		return err
-	}
-	p.index()
-	return nil
+	return p.parseBody(curve, count, data[HeaderLen:])
 }
 
 // Reset empties p the way a rejected Parse leaves it, dropping every
@@ -244,8 +238,8 @@ func (p *K3Probe) Reset() {
 
 // parseBody parses and fully validates the payload into p: level sizes,
 // zero padding, F∩M disjointness, canonical child groups, no trailing
-// bytes, and the header count against the F-bitmap voxel total. It
-// builds no rank directory: the walk needs none. On an error p is Reset.
+// bytes, and the header count against the F-bitmap voxel total. On an
+// error p is Reset.
 func (p *K3Probe) parseBody(curve sfc.Curve, count uint64, body []byte) error {
 	p.Reset()
 	if err := p.fill(curve, count, body); err != nil {
@@ -253,23 +247,6 @@ func (p *K3Probe) parseBody(curve sfc.Curve, count uint64, body []byte) error {
 		return err
 	}
 	return nil
-}
-
-// index builds the rank directory over each level's M bitmap that the
-// point and range probes descend by, all carved from p.dirs.
-func (p *K3Probe) index() {
-	n := 0
-	for i := range p.levels {
-		n += len(p.levels[i].m)/64 + 2 // MakeRankIndex's entries, at most
-	}
-	if cap(p.dirs) < n {
-		p.dirs = make([]uint32, n)
-	}
-	dir := p.dirs[:n]
-	for i := range p.levels {
-		lv := &p.levels[i]
-		lv.mrank, dir = bitio.MakeRankIndex(lv.m, lv.n, dir)
-	}
 }
 
 // fill is parseBody on a Reset probe.
@@ -426,59 +403,50 @@ func (p *K3Probe) Curve() sfc.Curve { return p.curve }
 // parser has verified it against the bitmaps).
 func (p *K3Probe) NumVoxels() uint64 { return p.voxels }
 
-// ContainsID reports whether curve position id is in the region,
-// descending one tree path: O(bits) rank probes, no allocation.
+// ContainsID reports whether curve position id is in the region: the
+// coverage sweep (CoversRuns) over the one run [id, id], with no
+// allocation.
 func (p *K3Probe) ContainsID(id uint64) bool {
-	if id >= p.curve.Length() {
+	one := [1]region.Run{{Lo: id, Hi: id}}
+	return p.CoversRuns(one[:])
+}
+
+// CoversRuns reports whether the region holds every position of runs, a
+// sorted, normalized run list (region.Queryable): the coverage test
+// behind CONTAINS with the container still encoded. It descends from the
+// root once per run, into the mixed children the run meets. Runs in
+// increasing order ask each level for slots in increasing order, so the
+// rank₁ that finds a mixed child's group is counted by cursor (k3Ranks).
+func (p *K3Probe) CoversRuns(runs []region.Run) bool {
+	switch {
+	case len(runs) == 0:
+		return true
+	case runs[len(runs)-1].Hi >= p.curve.Length() || p.root == k3Empty:
 		return false
-	}
-	switch p.root {
-	case k3Empty:
-		return false
-	case k3Full:
+	case p.root == k3Full:
 		return true
 	}
-	groupBase := 0
-	for lvl := 1; ; lvl++ {
-		lv := &p.levels[lvl-1]
-		j := groupBase + int(id>>uint(p.dim*(p.bits-lvl)))&(p.degree-1)
-		if k3Bit(lv.f, j) {
-			return true
-		}
-		if lv.m == nil || !k3Bit(lv.m, j) {
+	var ranks k3Ranks
+	for _, r := range runs {
+		if !p.covers(&ranks, 1, 0, 0, r.Lo, r.Hi) {
 			return false
 		}
-		groupBase = p.degree * lv.mrank.Rank1(j)
 	}
+	return true
 }
 
-// AllInRange reports whether every position in [lo, hi] is present —
-// the coverage test behind CONTAINS with the container still encoded.
-func (p *K3Probe) AllInRange(lo, hi uint64) bool {
-	if lo > hi {
-		return true
-	}
-	if hi >= p.curve.Length() {
-		return false
-	}
-	switch p.root {
-	case k3Empty:
-		return false
-	case k3Full:
-		return true
-	}
-	return p.allRec(1, 0, 0, lo, hi)
-}
-
-func (p *K3Probe) allRec(lvl, groupBase int, base, lo, hi uint64) bool {
+// covers reports whether the region holds all of [lo, hi] that lies
+// below the child group at slot groupBase of level lvl, whose first
+// child starts at curve position base.
+func (p *K3Probe) covers(ranks *k3Ranks, lvl, groupBase int, base, lo, hi uint64) bool {
 	lv := &p.levels[lvl-1]
-	span := uint64(1) << uint(p.dim*(p.bits-lvl))
+	shift := uint(p.dim * (p.bits - lvl)) // a child spans 1<<shift positions
 	first, last := 0, p.degree-1
 	if lo > base {
-		first = int((lo - base) / span)
+		first = int((lo - base) >> shift)
 	}
-	if top := base + span*uint64(p.degree) - 1; top > hi {
-		last = int((hi - base) / span)
+	if top := base + uint64(p.degree)<<shift - 1; top > hi {
+		last = int((hi - base) >> shift)
 	}
 	for c := first; c <= last; c++ {
 		j := groupBase + c
@@ -488,11 +456,31 @@ func (p *K3Probe) allRec(lvl, groupBase int, base, lo, hi uint64) bool {
 		if lv.m == nil || !k3Bit(lv.m, j) {
 			return false
 		}
-		if !p.allRec(lvl+1, p.degree*lv.mrank.Rank1(j), base+uint64(c)*span, lo, hi) {
+		g := ranks.rank1(lv.m, lvl-1, j)
+		if !p.covers(ranks, lvl+1, p.degree*g, base+uint64(c)<<shift, lo, hi) {
 			return false
 		}
 	}
 	return true
+}
+
+// k3Ranks is rank₁ by cursor over each level's M bitmap, for a sweep
+// that asks each level for slots in increasing order: per level, the
+// slot last asked for and rank₁ up to it. The zero k3Ranks starts every
+// level at slot 0.
+type k3Ranks struct {
+	slot, ones [k3MaxLevels]int
+}
+
+// rank1 returns rank₁(m, j), m being the M bitmap of level i (from 0)
+// and j no lower than the slot last asked of it, counting only the bits
+// since that slot: from the byte that holds it, less those before it.
+func (r *k3Ranks) rank1(m []byte, i, j int) int {
+	s := r.slot[i]
+	b := m[s>>3:]
+	r.ones[i] += bitio.Rank1(b, j-s&^7) - bitio.Rank1(b, s&7)
+	r.slot[i] = j
+	return r.ones[i]
 }
 
 // Size returns the length of the encoding's payload, the bytes a walk

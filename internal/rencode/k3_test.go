@@ -106,8 +106,9 @@ func genRegion2D(rng *rand.Rand) *region.Region {
 // TestK3ProbeAgainstOracleProperty is the satellite property test:
 // for seeded random regions (3D and 2D), every probe answer on the
 // encoded bytes must match the decoded-run-list oracle — ContainsID
-// for every position on the curve, AllInRange on random intervals, and
-// IntersectRunsInto against region.Intersect.
+// for every position on the curve, CoversRuns on random intervals and
+// run lists (checkCoversRuns), and IntersectRunsInto against
+// region.Intersect.
 func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8861))
 	for i := 0; i < 120; i++ {
@@ -149,10 +150,11 @@ func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 			for id := lo; id <= hi; id++ {
 				wantAll = wantAll && r.ContainsID(id)
 			}
-			if got := p.AllInRange(lo, hi); got != wantAll {
-				t.Fatalf("iter %d: AllInRange(%d,%d) = %v, oracle %v", i, lo, hi, got, wantAll)
+			if got := p.CoversRuns([]region.Run{{Lo: lo, Hi: hi}}); got != wantAll {
+				t.Fatalf("iter %d: CoversRuns([%d,%d]) = %v, oracle %v", i, lo, hi, got, wantAll)
 			}
 		}
+		checkCoversRuns(t, fmt.Sprintf("iter %d", i), rng, p, r)
 		// Intersection with a second random region on the same curve,
 		// against the set-op oracle.
 		other := genSameCurve(rng, c)
@@ -177,6 +179,50 @@ func TestK3ProbeAgainstOracleProperty(t *testing.T) {
 		}
 		if !mat.Equal(r) {
 			t.Fatalf("iter %d: RunsInto differs from the original", i)
+		}
+	}
+}
+
+// checkCoversRuns holds p.CoversRuns to region.Contains of r, the region
+// p encodes, over run lists that stress the sweep: r's own runs, random
+// pieces of them (covered), those pieces with one run grown by a
+// position at either end (covered only where r goes on), and a random
+// list on the curve.
+func checkCoversRuns(t *testing.T, ctx string, rng *rand.Rand, p *K3Probe, r *region.Region) {
+	t.Helper()
+	c := r.Curve()
+	var pieces []region.Run
+	for _, run := range r.RunsView() {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		lo := run.Lo + rng.Uint64()%(run.Hi-run.Lo+1)
+		pieces = append(pieces, region.Run{Lo: lo, Hi: lo + rng.Uint64()%(run.Hi-lo+1)})
+	}
+	lists := [][]region.Run{r.RunsView(), pieces, genSameCurve(rng, c).RunsView()}
+	for k := range pieces {
+		grown := slices.Clone(pieces)
+		if grown[k].Lo > 0 {
+			grown[k].Lo--
+			lists = append(lists, grown)
+		}
+		grown = slices.Clone(pieces)
+		if grown[k].Hi < c.Length()-1 {
+			grown[k].Hi++
+			lists = append(lists, grown)
+		}
+	}
+	for _, runs := range lists {
+		b, err := region.FromRuns(c, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := region.Contains(r, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.CoversRuns(b.RunsView()); got != want {
+			t.Fatalf("%s: CoversRuns(%v) = %v, region.Contains %v", ctx, b.RunsView(), got, want)
 		}
 	}
 }
@@ -227,7 +273,7 @@ func TestK3EmptyFullProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.ContainsID(17) != tc.in || p.AllInRange(3, 9) != tc.in {
+		if p.ContainsID(17) != tc.in || p.CoversRuns([]region.Run{{Lo: 3, Hi: 9}}) != tc.in || !p.CoversRuns(nil) {
 			t.Errorf("%s: probe answers wrong", tc.name)
 		}
 		runs := p.IntersectRunsInto([]region.Run{{Lo: 5, Hi: 9}}, nil)
@@ -252,14 +298,21 @@ func TestK3ProbeRangeEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := c.Length()
-	if !p.AllInRange(5, 2) {
-		t.Error("inverted range not fully covered (vacuous truth)")
+	covers := func(runs ...region.Run) bool { return p.CoversRuns(runs) }
+	if !covers() {
+		t.Error("no runs not covered (vacuous truth)")
 	}
-	if p.AllInRange(99, n+500) {
-		t.Error("past-the-curve clamping wrong")
+	if covers(region.Run{Lo: 99, Hi: n + 500}) || covers(region.Run{Lo: 10, Hi: 20}, region.Run{Lo: n, Hi: n}) {
+		t.Error("a run past the curve covered")
 	}
-	if p.AllInRange(10, 21) || !p.AllInRange(10, 20) || !p.AllInRange(100, 100) {
+	if covers(region.Run{Lo: 10, Hi: 21}) || !covers(region.Run{Lo: 10, Hi: 20}) || !covers(region.Run{Lo: 100, Hi: 100}) {
 		t.Error("coverage at run boundaries wrong")
+	}
+	if !covers(region.Run{Lo: 10, Hi: 20}, region.Run{Lo: 100, Hi: 100}) || !covers(region.Run{Lo: 12, Hi: 12}, region.Run{Lo: 14, Hi: 20}, region.Run{Lo: 100, Hi: 100}) {
+		t.Error("a covered run list not covered")
+	}
+	if covers(region.Run{Lo: 10, Hi: 20}, region.Run{Lo: 99, Hi: 100}) || covers(region.Run{Lo: 9, Hi: 9}, region.Run{Lo: 100, Hi: 100}) {
+		t.Error("a run list with one uncovered position covered")
 	}
 }
 
@@ -539,7 +592,7 @@ func TestK3IntersectK3MatchesOracle(t *testing.T) {
 
 // sameProbe fails unless got, a probe parsed into memory an earlier
 // tree left behind, is the probe a fresh ParseK3 built: the same header
-// fields, levels and rank directories, and the same run list.
+// fields and levels, and the same run list.
 func sameProbe(t *testing.T, ctx string, got, want *K3Probe) {
 	t.Helper()
 	if got.curve != want.curve || got.dim != want.dim || got.bits != want.bits || got.degree != want.degree ||
@@ -573,8 +626,8 @@ func checkRejectedProbe(t *testing.T, ctx string, p *K3Probe) {
 // TestK3ParseReuseMatchesFresh parses one tree after another into a
 // single probe — deeper and shallower, larger and smaller, 3D and 2D,
 // empty and full roots, with rejected inputs between them — and holds
-// every accepted one to a fresh ParseK3 of the same bytes. The levels
-// and rank directories an earlier tree grew are reused, never read.
+// every accepted one to a fresh ParseK3 of the same bytes. The level
+// table an earlier tree grew is reused, never read.
 func TestK3ParseReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var blobs [][]byte

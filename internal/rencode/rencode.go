@@ -40,8 +40,8 @@ const (
 	// K3Tree stores the region as an octree of per-level full/mixed
 	// bitmaps over curve-id space (a k³-tree in the sense of Brisaboa
 	// et al.). Unlike every other method it is queryable in place:
-	// ParseK3 returns a probe that answers ContainsID, range emptiness
-	// and coverage, and run intersection directly on the encoded bytes.
+	// ParseK3 returns a probe that answers ContainsID, coverage of a run
+	// list and run intersection directly on the encoded bytes.
 	// Its value is its method byte; 2 through 6 are package zoo's.
 	K3Tree Method = 7
 )
@@ -193,10 +193,10 @@ func Decode(data []byte) (*region.Region, error) {
 // when buf has room for the runs — the run count for Naive, one more
 // than half the delta count for Elias, K3Probe.RunsInto's bound for a
 // k³-tree — and in a new slice otherwise: what K3Probe.RunsInto and
-// AppendEncode are to their operations. A k³-tree still allocates its
-// probe's level table. Decode is DecodeInto into a new Region with no
-// buffer. Any other method byte — package zoo's among them — is refused
-// as corrupt. On an error r is left as it was, and what buf holds is
+// AppendEncode are to their operations. A k³-tree's level table is on
+// the stack, so into a buffer with room no method allocates. Decode is
+// DecodeInto into a new Region with no buffer. Any other method byte —
+// package zoo's among them — is refused as corrupt. On an error r is left as it was, and what buf holds is
 // unspecified.
 func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 	curve, count, body, err := Header(data)
@@ -241,7 +241,8 @@ func DecodeInto(r *region.Region, data []byte, buf []region.Run) error {
 		}
 		return r.Refill(curve, runs)
 	case K3Tree:
-		var p K3Probe
+		var levels [k3MaxLevels]k3Level
+		p := K3Probe{levels: levels[:0]}
 		if err := p.parseBody(curve, count, body); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -529,6 +530,44 @@ func TestStmtQueryAllocBudget(t *testing.T) {
 		if got > 2 {
 			t.Errorf("%d-row build sides: %.0f allocs per execution, ceiling 2 — is the tree, a tuple buffer or a hash table built per call again?", n, got)
 		}
+	}
+}
+
+// TestStmtReserveCoversFirstOverlap: a statement that has run, reserved
+// for two and run again in a row — which grows the reserved tree, taken
+// first — runs its first two executions at once without building an
+// operator tree or growing a hash table, at what two in a row cost.
+func TestStmtReserveCoversFirstOverlap(t *testing.T) {
+	_, stmt := joinChainDB(t, 2000)
+	id, name := Int(5), Str("t1-5")
+	runJoinChain(t, stmt, id, name)
+	if err := stmt.Reserve(2); err != nil {
+		t.Fatal(err)
+	}
+	inRow := testing.AllocsPerRun(20, func() {
+		runJoinChain(t, stmt, id, name)
+		runJoinChain(t, stmt, id, name)
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var open [2]*Rows
+	for i := range open {
+		rows, err := stmt.Query(nil, id, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open[i] = rows
+	}
+	for _, rows := range open {
+		for rows.Next() {
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; float64(got) > inRow {
+		t.Errorf("the first overlap made %d allocations, two executions in a row %.0f — was a tree built or grown?", got, inRow)
 	}
 }
 

@@ -68,6 +68,30 @@ func (c *compiled) release(x *execution) {
 	c.mu.Unlock()
 }
 
+// Reserve builds operator trees for the statement until n are idle, so
+// that n executions can run at once without building one. Otherwise a
+// tree is built the first time that many run together, and kept: a
+// caller counting what steady-state executions allocate reserves first.
+// The new trees are taken first (take pops the newest), so the next
+// executions grow what they keep while the trees that ran before wait,
+// already grown, for the first overlap. DDL and DML keep no trees;
+// Reserve does nothing for them.
+func (s *Stmt) Reserve(n int) error {
+	c, err := s.current()
+	if err != nil || c.sel == nil {
+		return err
+	}
+	for {
+		c.mu.Lock()
+		short := len(c.idle) < n
+		c.mu.Unlock()
+		if !short {
+			return nil
+		}
+		c.release(c.sel.instantiate(s.db, c.nparams))
+	}
+}
+
 // compile validates and plans a parsed statement, binding its AST in
 // place.
 func (db *DB) compile(stmt Statement) (*compiled, error) {
