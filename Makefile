@@ -122,8 +122,9 @@ chaos:
 # materialized run list), the k³ × k³ intersection (against the run
 # lists' intersection), the n-way fold IntersectN (against a pairwise
 # left fold of Intersect, in two operand orders), the population query's
-# fold over stored rows (one arbitrary row among generated naive, k³ and
-# other rows: DecodeInto's verdict, then IntersectN's answer), DX's wire import and
+# fold over stored k³-trees (one arbitrary row among generated k³, γ and
+# other rows: a refusal of any row but a k³-tree, Decode's verdict on one
+# that is, then IntersectN's answer), DX's wire import and
 # render (arbitrary encoded-REGION and value bytes: a typed refusal or
 # the per-voxel oracle's image), the transport frame
 # codec (both readers, canonical re-encode), the spec

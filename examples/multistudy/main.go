@@ -73,8 +73,9 @@ func main() {
 
 	// The same consistency question through the CONTAINS operator: does
 	// the consistent region stay inside the brain? The region itself comes
-	// from the parallel band intersection (Table 4 reports only counts).
-	consistent, err := sys.ConsistentBandRegion(sys.PETStudyIDs(), lo, hi, qbism.BandEncodingHilbertNaive, 0)
+	// from the population query's fold over the stored band rows, the
+	// default ones (Table 4 reports only counts).
+	consistent, err := sys.ConsistentBandRegion(sys.PETStudyIDs(), lo, hi, "", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

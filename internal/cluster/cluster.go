@@ -176,9 +176,6 @@ func New(cfg Config, shards [][]Node) (*Cluster, error) {
 // Partitioner returns the cluster's routing function.
 func (c *Cluster) Partitioner() Partitioner { return c.part }
 
-// Shards returns K.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
 // NodeState reports the breaker state of one node, for health
 // introspection and tests.
 func (c *Cluster) NodeState(shard, node int) BreakerState {

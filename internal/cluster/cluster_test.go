@@ -507,12 +507,33 @@ func TestReadShardOutOfRange(t *testing.T) {
 	}
 }
 
+// partialCluster is a three-shard cluster for the partial tests, and
+// keys routed to the given shards, in order, no two alike.
+func partialCluster(t *testing.T, reg *obs.Registry, shards ...int) (*Cluster, []Key) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Metrics = reg
+	c, err := New(cfg, [][]Node{{&fakeNode{name: "s0p"}}, {&fakeNode{name: "s1p"}}, {&fakeNode{name: "s2p"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, len(shards))
+	next := 1
+	for i, sh := range shards {
+		for ; c.Partitioner().Shard(Key{next, next}) != sh; next++ {
+		}
+		keys[i] = Key{next, next}
+		next++
+	}
+	return c, keys
+}
+
 func TestBuildPartial(t *testing.T) {
-	keys := []Key{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
-	shards := []int{2, 0, 2, 1}
+	reg := obs.NewRegistry()
+	c, keys := partialCluster(t, reg, 2, 0, 2, 1)
 	unavailable := fmt.Errorf("%w: gone", ErrShardUnavailable)
 	errs := []error{unavailable, nil, unavailable, errSemantic}
-	p := BuildPartial(3, keys, shards, errs)
+	p := c.BuildPartial(nil, len(keys), func(i int) (Key, error) { return keys[i], errs[i] })
 	if p == nil {
 		t.Fatal("nil partial")
 	}
@@ -525,21 +546,29 @@ func TestBuildPartial(t *testing.T) {
 	if p.LostKeys() != 2 {
 		t.Fatalf("LostKeys = %d, want 2", p.LostKeys())
 	}
-	if len(p.Failed[0].Keys) != 2 || p.Failed[0].Keys[0] != (Key{1, 1}) {
+	if len(p.Failed[0].Keys) != 2 || p.Failed[0].Keys[0] != keys[0] {
 		t.Fatalf("Failed[0].Keys = %v", p.Failed[0].Keys)
 	}
 	if s := p.String(); s == "complete" {
 		t.Fatalf("String() = %q", s)
 	}
+	if n, lost := reg.Counter("cluster_partial_total").Value(), reg.Counter("cluster_lost_queries_total").Value(); n != 1 || lost != 2 {
+		t.Fatalf("cluster_partial_total %d, cluster_lost_queries_total %d; want 1 and 2", n, lost)
+	}
 }
 
 func TestBuildPartialNilWhenComplete(t *testing.T) {
-	if p := BuildPartial(2, []Key{{1, 1}}, []int{0}, []error{nil}); p != nil {
+	reg := obs.NewRegistry()
+	c, keys := partialCluster(t, reg, 0)
+	if p := c.BuildPartial(nil, 1, func(int) (Key, error) { return keys[0], nil }); p != nil {
 		t.Fatalf("partial = %v, want nil", p)
 	}
 	// Non-unavailable errors are not the partial's business.
-	if p := BuildPartial(2, []Key{{1, 1}}, []int{0}, []error{errSemantic}); p != nil {
+	if p := c.BuildPartial(nil, 1, func(int) (Key, error) { return keys[0], errSemantic }); p != nil {
 		t.Fatalf("partial = %v, want nil", p)
+	}
+	if n := reg.Counter("cluster_partial_total").Value(); n != 0 {
+		t.Fatalf("cluster_partial_total = %d with nothing lost", n)
 	}
 	var nilP *PartialResult
 	if nilP.String() != "complete" || nilP.LostKeys() != 0 || nilP.LostShards() != nil {
@@ -549,10 +578,12 @@ func TestBuildPartialNilWhenComplete(t *testing.T) {
 
 func TestBuildPartialSortsShards(t *testing.T) {
 	unavailable := fmt.Errorf("%w: gone", ErrShardUnavailable)
-	keys := []Key{{1, 1}, {2, 2}, {3, 3}}
-	shards := []int{2, 0, 1}
-	errs := []error{unavailable, unavailable, unavailable}
-	p := BuildPartial(3, keys, shards, errs)
+	c, keys := partialCluster(t, nil, 2, 0, 1)
+	p := c.BuildPartial(nil, len(keys), func(int) (Key, error) { return Key{}, nil })
+	if p != nil {
+		t.Fatalf("partial = %v with nothing lost", p)
+	}
+	p = c.BuildPartial(nil, len(keys), func(i int) (Key, error) { return keys[i], unavailable })
 	if got := p.LostShards(); got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("LostShards = %v, want ascending", got)
 	}

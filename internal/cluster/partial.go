@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"qbism/internal/obs"
 )
 
 // ErrShardUnavailable marks a read that exhausted every node and
@@ -76,35 +78,39 @@ func (p *PartialResult) String() string {
 	return strings.TrimSuffix(b.String(), ";")
 }
 
-// BuildPartial folds per-key read errors into a PartialResult. Items
-// whose error wraps ErrShardUnavailable are grouped by shard; other
-// errors are ignored (they are the caller's to surface as real
-// failures). Returns nil when nothing was lost.
-func BuildPartial(totalShards int, keys []Key, shards []int, errs []error) *PartialResult {
-	byShard := map[int]*ShardFailure{}
-	var order []int
-	for i, err := range errs {
-		if err == nil || !errors.Is(err, ErrShardUnavailable) {
+// BuildPartial folds a scatter-gather's reads into a PartialResult: read(i)
+// is the i-th read's key and error. Reads whose error wraps
+// ErrShardUnavailable are grouped by their key's shard, each group
+// keeping its first error; other errors are ignored (they are the
+// caller's to surface as real failures). It returns nil when nothing was
+// lost. A partial counts in cluster_partial_total, its keys in
+// cluster_lost_queries_total, and is noted on span.
+func (c *Cluster) BuildPartial(span *obs.Span, n int, read func(i int) (Key, error)) *PartialResult {
+	var p *PartialResult
+	for i := range n {
+		key, err := read(i)
+		if !errors.Is(err, ErrShardUnavailable) {
 			continue
 		}
-		sh := shards[i]
-		f, ok := byShard[sh]
-		if !ok {
-			f = &ShardFailure{Shard: sh, Err: err}
-			byShard[sh] = f
-			order = append(order, sh)
+		if p == nil {
+			p = &PartialResult{TotalShards: len(c.shards)}
 		}
-		f.Keys = append(f.Keys, keys[i])
+		sh := c.part.Shard(key)
+		j := slices.IndexFunc(p.Failed, func(f ShardFailure) bool { return f.Shard == sh })
+		if j < 0 {
+			j = len(p.Failed)
+			p.Failed = append(p.Failed, ShardFailure{Shard: sh, Err: err})
+		}
+		p.Failed[j].Keys = append(p.Failed[j].Keys, key)
 	}
-	if len(order) == 0 {
+	if p == nil {
 		return nil
 	}
 	// Ascending shard order keeps the report deterministic regardless
 	// of which worker observed each loss first.
-	slices.Sort(order)
-	p := &PartialResult{TotalShards: totalShards}
-	for _, sh := range order {
-		p.Failed = append(p.Failed, *byShard[sh])
-	}
+	slices.SortFunc(p.Failed, func(a, b ShardFailure) int { return a.Shard - b.Shard })
+	c.count("cluster_partial_total", 1)
+	c.count("cluster_lost_queries_total", int64(p.LostKeys()))
+	span.SetStr("partial", p.String())
 	return p
 }

@@ -44,6 +44,8 @@ var keptUncalled = map[string]string{
 	"volume.DataRegion.NumVoxels":              "observer: qbism and root-package tests count extracted voxels",
 	// Test hooks: state a test sets up before it counts.
 	"medserver.Server.ReserveExecutions": "test hook: TestRunQueryAllocBudget builds the operator trees two workers keep before it counts a batch",
+	// The cluster's batch surface, beside System's; only tests drive it.
+	"qbism.ClusterSystem.RunQueries": "test entry: the chaos, bill and client suites run degraded batches, with their partial, through RunQueriesTraced",
 	// The frame codec's stream entry points.
 	"transport.ReadFrame":  "test entry: the frame tests and FuzzFrame drive the stream reader the TCP flavors run",
 	"transport.WriteFrame": "test entry: the frame tests drive the vectored writer the TCP flavors run",

@@ -66,15 +66,15 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 //   - it reads each field whole (lfm.IO.ReadInto), in that order, into
 //     one buffer sized to the largest, and folds it into the answer
 //     (rencode.StoredFold): one walk of each k³-tree's bytes merges it
-//     into the intersection so far.
+//     into the intersection so far, and counts as one REGION probe.
 //
 // Every row is read and checked, even once the answer is empty, so the
 // result is identical to the serial SQL plan's, and so are the pages:
 // every field is read whole, once. The first row that fails to read or
-// decode, in fold order, ends the call with an error naming its study,
-// wrapping the read's or the decoder's. A call allocates the read
-// buffer, the fold's runs and words (reserve), and the answer; the
-// field list of up to eight studies stays on the stack. The server
+// parse, or is not a k³-tree, in fold order, ends the call with an error
+// naming its study, wrapping the read's or the fold's. A call allocates
+// the read buffer, the fold's runs and words (reserve), and the answer;
+// the field list of up to eight studies stays on the stack. The server
 // ignores workers; the argument stays for its callers.
 func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
 	if len(studies) == 0 {
@@ -116,9 +116,7 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 			return nil, fail(f.study, err)
 		}
 	}
-	decodes := fold.Decodes()
-	s.metrics.Counter(metricRegionDecodes).Add(int64(decodes))
-	s.metrics.Counter(metricRegionProbes).Add(int64(len(fields) - decodes))
+	s.metrics.Counter(metricRegionProbes).Add(int64(len(fields)))
 	return fold.Region(), nil
 }
 

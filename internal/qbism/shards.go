@@ -7,8 +7,8 @@ package qbism
 // through the same cluster read — there a cluster of one node — so a
 // query runs, batches and finishes identically whether it was fetched
 // over one link or scatter-gathered across a degraded cluster; this file
-// adds only the routing table, the node adapter, and the partial-result
-// accounting.
+// adds only the routing table and the population call, which reads every
+// study's band REGION but runs no DX stage.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -26,7 +26,9 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
+	"qbism/internal/par"
 	"qbism/internal/region"
+	"qbism/internal/rencode"
 )
 
 // ClusterConfig parameterizes a ClusterSystem.
@@ -180,73 +182,77 @@ func (cs *ClusterSystem) RunQueries(specs []QuerySpec, workers int) ([]BatchItem
 func (cs *ClusterSystem) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
 	out, batch := cs.runBatch(specs, workers)
 	defer batch.End()
-	partial := cs.buildPartial(out)
-	if partial != nil {
-		cs.Metrics.Counter("cluster_partial_total").Inc()
-		cs.Metrics.Counter("cluster_lost_queries_total").Add(int64(partial.LostKeys()))
-		batch.SetStr("partial", partial.String())
-	}
+	partial := cs.Cluster.BuildPartial(batch, len(out), func(i int) (cluster.Key, error) {
+		return cs.routes[out[i].Spec.StudyID], out[i].Err
+	})
 	return out, partial, batch
 }
 
-// buildPartial folds a batch's shard-unavailable failures into the
-// typed PartialResult meta.
-func (cs *ClusterSystem) buildPartial(items []BatchItem) *cluster.PartialResult {
-	keys := make([]cluster.Key, len(items))
-	shards := make([]int, len(items))
-	errs := make([]error, len(items))
-	for i, item := range items {
-		errs[i] = item.Err
-		key, ok := cs.routes[item.Spec.StudyID]
-		if !ok {
-			continue // unroutable items are plain errors, not lost shards
-		}
-		keys[i] = key
-		shards[i] = cs.Cluster.Partitioner().Shard(key)
-	}
-	return cluster.BuildPartial(cs.Cluster.Shards(), keys, shards, errs)
-}
-
 // ConsistentBandRegion computes the population answer — the REGION
-// where every listed study has intensities in [bandLo, bandHi] — by
-// scatter-gathering per-study band queries across the cluster. When
-// shards are lost past retries, the intersection covers the surviving
-// studies only and the PartialResult names what is missing; err is
-// non-nil only for terminal failures or when no study survived.
+// where every listed study has intensities in [bandLo, bandHi]. It reads
+// each study's band through the one cluster read (routing, retries,
+// failover, hedging) on the batch pool, decodes each reply's REGION and
+// folds them with region.IntersectN. Like the server's call, it does no
+// DX work: nothing is imported, rendered, cached, slow-logged or counted
+// as a query; a trace is one "population" span over the reads.
+//
+// When shards are lost past retries, the intersection covers the
+// surviving studies only and the PartialResult names what is missing;
+// err is non-nil only for terminal failures (the first in study order)
+// or when no study survived.
 func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, *cluster.PartialResult, error) {
 	if len(studies) == 0 {
 		return nil, nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
 	}
-	specs := make([]QuerySpec, len(studies))
-	for i, id := range studies {
-		specs[i] = QuerySpec{
-			StudyID: id, Atlas: "Talairach",
-			HasBand: true, BandLo: bandLo, BandHi: bandHi, Encoding: encoding,
-		}
+	if workers <= 0 {
+		workers = cs.workers
 	}
-	items, partial := cs.RunQueries(specs, workers)
-	var regions []*region.Region
-	for _, item := range items {
+	root := cs.Tracer.Start("population")
+	defer root.End()
+	regions := make([]*region.Region, len(studies))
+	errs := make([]error, len(studies))
+	par.Each(len(studies), workers, func(i int) {
+		regions[i], errs[i] = cs.bandRegion(root, QuerySpec{
+			StudyID: studies[i], Atlas: "Talairach",
+			HasBand: true, BandLo: bandLo, BandHi: bandHi, Encoding: encoding,
+		})
+	})
+	partial := cs.Cluster.BuildPartial(root, len(studies), func(i int) (cluster.Key, error) {
+		return cs.routes[studies[i]], errs[i]
+	})
+	kept := regions[:0]
+	for i, err := range errs {
 		switch {
-		case item.Err == nil:
-			// A band query's DataRegion carries exactly the band REGION
-			// (Extract preserves the query region).
-			d, err := item.Res.Data()
-			if err != nil {
-				return nil, partial, fmt.Errorf("qbism: study %d band [%d,%d]: %w",
-					item.Spec.StudyID, bandLo, bandHi, err)
-			}
-			regions = append(regions, d.Region)
-		case errors.Is(item.Err, cluster.ErrShardUnavailable):
+		case err == nil:
+			kept = append(kept, regions[i])
+		case errors.Is(err, cluster.ErrShardUnavailable):
 			// Accounted in partial; the intersection degrades gracefully.
 		default:
-			return nil, partial, fmt.Errorf("qbism: study %d band [%d,%d]: %w",
-				item.Spec.StudyID, bandLo, bandHi, item.Err)
+			return nil, partial, fmt.Errorf("qbism: study %d band [%d,%d]: %w", studies[i], bandLo, bandHi, err)
 		}
 	}
-	if len(regions) == 0 {
+	if len(kept) == 0 {
 		return nil, partial, fmt.Errorf("qbism: all %d studies lost: %w", len(studies), cluster.ErrShardUnavailable)
 	}
-	out, err := region.IntersectN(regions...)
+	out, err := region.IntersectN(kept...)
 	return out, partial, err
+}
+
+// bandRegion reads one study's band REGION: the band request through
+// fetch, and its reply's REGION decoded. A band query's DataRegion
+// carries exactly the band REGION (Extract preserves the query region).
+func (cs *ClusterSystem) bandRegion(root *obs.Span, spec QuerySpec) (*region.Region, error) {
+	request, err := EncodeQueryRequest(spec)
+	if err != nil {
+		return nil, err
+	}
+	f, err := cs.fetch(root, spec, request)
+	if err != nil {
+		return nil, err
+	}
+	enc, _, err := medserver.SplitDataRegion(f.blob)
+	if err != nil {
+		return nil, err
+	}
+	return rencode.Decode(enc)
 }

@@ -15,28 +15,28 @@ var ErrCurveMismatch = errors.New("rencode: REGIONs on different curves")
 
 // StoredFold intersects encoded REGIONs one row at a time — the n-way
 // intersection of the population query (Table 4), taken over the rows as
-// they are stored. A k³-tree row, the form the server stores, is never
-// decoded: one walk of its bytes merges it into the intersection so far,
-// which is kept as the walk's block pieces (k3Set with words) until
-// Region makes runs of it. The zero StoredFold has folded no row.
+// the server stores them: k³-trees. A row is never decoded: one walk of
+// its bytes merges it into the intersection so far, which is kept as the
+// walk's block pieces (k3Set with words) until Region makes runs of it.
+// The fold takes no other codec: a γ or naive row would have to become a
+// k³-tree first, which costs more than decoding it and intersecting runs
+// (region.IntersectN), so a caller holding such rows does that instead
+// (DESIGN.md §53). The zero StoredFold has folded no row.
 type StoredFold struct {
-	curve   sfc.Curve // the first row's; nil before it
-	acc     k3Set     // the intersection of the rows so far
-	spare   k3Set     // where the next step writes its result
-	decodes int
-	levels  [k3MaxLevels]k3Level // a row's level table
-	row     region.Region        // a row of another codec, decoded
+	curve  sfc.Curve            // the first row's; nil before it
+	acc    k3Set                // the intersection of the rows so far
+	spare  k3Set                // where the next step writes its result
+	levels [k3MaxLevels]k3Level // a row's level table
 }
 
-// Intersect folds the REGION encoded in data into the intersection. A
-// k³-tree row is parsed and checked whole (parseBody), then walked once
-// into the intersection so far, a first row into the whole curve. A row
-// of another codec is decoded (DecodeInto) and walked as the k³-tree it
-// encodes to.
+// Intersect folds the k³-tree encoded in data into the intersection: the
+// row is parsed and checked whole (parseBody), then walked once into the
+// intersection so far, a first row into the whole curve.
 //
-// A row's verdict is DecodeInto's: Intersect fails on the rows DecodeInto
-// fails on, with the same error. A valid row on another curve than the
-// first fails with an error wrapping ErrCurveMismatch. Intersect reads
+// A row of any other method fails with an error wrapping ErrCorrupt that
+// names the method, and a row that fails the parse with the parser's
+// error, as DecodeInto's. A valid k³-tree on another curve than the first
+// row's fails with an error wrapping ErrCurveMismatch. Intersect reads
 // data only while it runs, so the caller may read the next row into the
 // same memory. After an error the fold must not be used again.
 func (f *StoredFold) Intersect(data []byte) error {
@@ -44,26 +44,16 @@ func (f *StoredFold) Intersect(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if f.curve != nil && !region.SameCurve(curve, f.curve) {
-		if err := DecodeInto(&f.row, data, nil); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: a %s %dD/%db row after %s %dD/%db ones", ErrCurveMismatch,
-			curve.Kind(), curve.Dim(), curve.Bits(), f.curve.Kind(), f.curve.Dim(), f.curve.Bits())
-	}
-	if methodOfCode(data[0]) != K3Tree {
-		if err := DecodeInto(&f.row, data, nil); err != nil {
-			return err
-		}
-		f.decodes++
-		if data, err = Encode(K3Tree, &f.row); err != nil {
-			return err
-		}
-		count, body = f.row.NumVoxels(), data[HeaderLen:]
+	if m := methodOfCode(data[0]); m != K3Tree {
+		return fmt.Errorf("%w: a %s row; the fold takes k³-trees only", ErrCorrupt, m)
 	}
 	p := K3Probe{levels: f.levels[:0]}
 	if err := p.parseBody(curve, count, body); err != nil {
 		return err
+	}
+	if f.curve != nil && !region.SameCurve(curve, f.curve) {
+		return fmt.Errorf("%w: a %s %dD/%db row after %s %dD/%db ones", ErrCurveMismatch,
+			curve.Kind(), curve.Dim(), curve.Bits(), f.curve.Kind(), f.curve.Dim(), f.curve.Bits())
 	}
 	acc := f.acc
 	if f.curve == nil {
@@ -111,10 +101,6 @@ func (p *K3Probe) maxPieces() int {
 	}
 	return n
 }
-
-// Decodes returns how many of the rows folded so far became a run list:
-// those not a k³-tree.
-func (f *StoredFold) Decodes() int { return f.decodes }
 
 // Region returns the intersection of the rows folded so far — nil before
 // the first — as a new Region with an exactly sized run list of its own.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qbism/internal/region"
@@ -11,12 +12,14 @@ import (
 )
 
 // checkFold holds a StoredFold over rows to the decoded oracle: each row
-// decoded in turn, a row on another curve than the first refused, and
-// region.IntersectN of them all. The fold must fail at the row the oracle
-// fails at, with DecodeInto's very error there (ErrCorrupt or not) or one
-// wrapping ErrCurveMismatch; otherwise its answer must be IntersectN's,
-// in a run list nothing of the fold's shares, with only the rows it
-// could not walk in their stored form counted as decodes.
+// decoded in turn, a row of any method but the k³-tree refused, a row on
+// another curve than the first refused, and region.IntersectN of them
+// all. The fold must fail at the row the oracle fails at: on a row with a
+// valid header that is not a k³-tree, with an ErrCorrupt naming its
+// method; on a row Decode refuses, with Decode's very error (ErrCorrupt
+// or not); on another curve, with an ErrCurveMismatch. Otherwise its
+// answer must be IntersectN's, in a run list nothing of the fold's
+// shares.
 func checkFold(t *testing.T, rows [][]byte) {
 	t.Helper()
 	if len(rows) == 0 {
@@ -24,11 +27,13 @@ func checkFold(t *testing.T, rows [][]byte) {
 	}
 	var f StoredFold
 	var decoded []*region.Region
-	decodes := 0
 	for i, row := range rows {
 		dec, derr := Decode(row)
+		_, _, _, herr := Header(row)
 		var want error
 		switch {
+		case herr == nil && methodOfCode(row[0]) != K3Tree:
+			want = errNotK3
 		case derr != nil:
 			want = derr
 		case i > 0 && !region.SameCurve(dec.Curve(), decoded[0].Curve()):
@@ -37,21 +42,22 @@ func checkFold(t *testing.T, rows [][]byte) {
 		err := f.Intersect(row)
 		switch {
 		case want == nil && err != nil:
-			t.Fatalf("row %d of %d: the fold refused what decodes: %v", i, len(rows), err)
+			t.Fatalf("row %d of %d: the fold refused a k³-tree that decodes: %v", i, len(rows), err)
 		case want == nil:
 			decoded = append(decoded, dec)
-			if !storedStep(row) {
-				decodes++
-			}
 			continue
 		case err == nil:
 			t.Fatalf("row %d of %d: the fold accepted what the oracle refuses: %v", i, len(rows), want)
+		case want == errNotK3:
+			if m := methodOfCode(row[0]); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrCurveMismatch) || !strings.Contains(err.Error(), m.String()) {
+				t.Fatalf("row %d, a %s row: %v, want an ErrCorrupt naming the method", i, m, err)
+			}
 		case want == ErrCurveMismatch:
 			if !errors.Is(err, ErrCurveMismatch) || errors.Is(err, ErrCorrupt) {
 				t.Fatalf("row %d on another curve: %v, want an ErrCurveMismatch", i, err)
 			}
 		case err.Error() != want.Error() || errors.Is(err, ErrCorrupt) != errors.Is(want, ErrCorrupt):
-			t.Fatalf("row %d: the fold's error %q, DecodeInto's %q", i, err, want)
+			t.Fatalf("row %d: the fold's error %q, Decode's %q", i, err, want)
 		}
 		return
 	}
@@ -62,9 +68,6 @@ func checkFold(t *testing.T, rows [][]byte) {
 	got := f.Region()
 	if !got.Equal(want) {
 		t.Fatalf("%d rows: the fold gives %v, IntersectN %v", len(rows), got.RunsView(), want.RunsView())
-	}
-	if f.Decodes() != decodes {
-		t.Fatalf("%d rows: %d decodes, want %d", len(rows), f.Decodes(), decodes)
 	}
 	// The answer is the caller's: no later step may write into it.
 	if runs := got.RunsView(); len(runs) > 0 {
@@ -78,9 +81,9 @@ func checkFold(t *testing.T, rows [][]byte) {
 	}
 }
 
-// storedStep reports whether the fold intersects a valid row in its
-// stored form: a k³-tree.
-func storedStep(row []byte) bool { return methodOfCode(row[0]) == K3Tree }
+// errNotK3 marks, in checkFold's oracle, a row the fold must refuse for
+// its method alone.
+var errNotK3 = errors.New("not a k³-tree")
 
 // foldRegions builds a set of 1–5 operands on c for the differential
 // test and the fuzz target: random, empty, full, a copy of the one
@@ -114,8 +117,8 @@ func foldRegions(rng *rand.Rand, c sfc.Curve) []*region.Region {
 }
 
 // foldRows encodes each region as a k³-tree row, the stored form, or
-// now and then as a γ row or in any served codec, dropping what a codec
-// cannot hold.
+// now and then as a γ row or in any served codec — rows the fold must
+// refuse — dropping what a codec cannot hold.
 func foldRows(rng *rand.Rand, regions []*region.Region) [][]byte {
 	var rows [][]byte
 	for _, r := range regions {
@@ -162,26 +165,18 @@ func encodeRuns(t testing.TB, m Method, c sfc.Curve, runs ...region.Run) []byte 
 
 // TestIntersectStoredMatchesIntersectN is the fold's differential test:
 // random operand sets of every shape foldRegions makes, on 2D and 3D
-// curves, stored as k³-tree rows mixed with γ and naive ones; then the
-// rows the walk must skip past, stop in or refuse — runs so far that end
-// inside a mixed subtree, that empty partway through a row, or that miss
-// whole subtrees between their runs; corrupt, truncated and cut k³-tree
-// and γ rows; rows on another curve; and, after k³-tree and γ rows, the
-// naive rows DecodeInto normalizes or refuses: out of order,
-// overlapping, adjacent, inverted or off the curve.
+// curves, stored as k³-tree rows, and the same sets with γ and naive rows
+// mixed in, which the fold must refuse; then the rows the walk must skip
+// past, stop in or refuse — runs so far that end inside a mixed subtree,
+// that empty partway through a row, or that miss whole subtrees between
+// their runs; corrupt, truncated and cut k³-tree rows; rows on another
+// curve; and, after k³-tree rows, γ, naive and other-codec rows, well
+// formed or not, each refused for its method.
 func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	curves := []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 4), sfc.MustNew(sfc.Hilbert, 2, 5), sfc.MustNew(sfc.ZOrder, 3, 3)}
 	// Trees of one and two levels are one block each.
 	small := []sfc.Curve{sfc.MustNew(sfc.Hilbert, 3, 1), sfc.MustNew(sfc.Hilbert, 2, 2), sfc.MustNew(sfc.ZOrder, 3, 2)}
-	for _, c := range append(small, curves...) {
-		for range 200 {
-			checkFold(t, foldRows(rng, foldRegions(rng, c)))
-		}
-	}
-
-	c := curves[0]
-	r := genOnCurve(rng, c)
 	enc := func(m Method, r *region.Region) []byte {
 		row, err := Encode(m, r)
 		if err != nil {
@@ -189,15 +184,32 @@ func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 		}
 		return row
 	}
+	for _, c := range append(small, curves...) {
+		for range 200 {
+			regions := foldRegions(rng, c)
+			checkFold(t, foldRows(rng, regions))
+			rows := make([][]byte, len(regions))
+			for i, r := range regions {
+				rows[i] = enc(K3Tree, r)
+			}
+			checkFold(t, rows)
+		}
+	}
+
+	c := curves[0]
+	r := genOnCurve(rng, c)
 	naive, k3, gamma := enc(Naive, r), enc(K3Tree, r), enc(Elias, r)
 	full, empty, emptyGamma := enc(K3Tree, region.Full(c)), enc(K3Tree, region.Empty(c)), enc(Elias, region.Empty(c))
-	other := enc(K3Tree, genOnCurve(rng, curves[1]))
+	otherRegion := genOnCurve(rng, curves[1])
+	other, otherGamma := enc(K3Tree, otherRegion), enc(Elias, otherRegion)
 	flipped := bytes.Clone(k3)
 	flipped[len(flipped)-1] ^= 0x01
 	wrongCount := bytes.Clone(k3)
 	wrongCount[11] ^= 0x01
+	zoo := bytes.Clone(k3)
+	zoo[0] = 5 // a method byte only the codec zoo reads
 	span := region.Run{Lo: 10, Hi: 3000}
-	spanK3, spanGamma := encodeRuns(t, K3Tree, c, span), encodeRuns(t, Elias, c, span)
+	spanK3 := encodeRuns(t, K3Tree, c, span)
 	// On this curve a leaf group holds 8 ids and its parent's 64, so
 	// [0, 37] ends inside both; the scattered runs leave whole subtrees
 	// of every level between them for the walk to skip.
@@ -206,19 +218,23 @@ func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 		region.Run{Lo: 2000, Hi: 2100}, region.Run{Lo: 3583, Hi: 3585}, region.Run{Lo: 4090, Hi: 4095})
 	for name, rows := range map[string][][]byte{
 		"single":                          {k3},
-		"full k3 first":                   {full, gamma, k3},
+		"full k3 first":                   {full, k3},
 		"full k3 later":                   {k3, full},
-		"unsorted":                        {spanK3, spanGamma, naiveRow(c, 2, region.Run{Lo: 300, Hi: 310}, region.Run{Lo: 20, Hi: 40})},
-		"overlapping":                     {spanGamma, spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 30, Hi: 50})},
-		"adjacent":                        {spanK3, spanGamma, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 41, Hi: 50})},
+		"γ":                               {k3, gamma},
+		"naive":                           {k3, naive},
+		"zoo method":                      {k3, zoo},
+		"γ on another curve":              {k3, otherGamma},
+		"unsorted":                        {spanK3, naiveRow(c, 2, region.Run{Lo: 300, Hi: 310}, region.Run{Lo: 20, Hi: 40})},
+		"overlapping":                     {spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 30, Hi: 50})},
+		"adjacent":                        {spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 41, Hi: 50})},
 		"duplicate":                       {spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 20, Hi: 40})},
 		"inverted":                        {spanK3, naiveRow(c, 2, region.Run{Lo: 20, Hi: 40}, region.Run{Lo: 60, Hi: 50})},
 		"off the curve":                   {spanK3, naiveRow(c, 1, region.Run{Lo: 20, Hi: 4096})},
 		"truncated naive":                 {k3, naive[:len(naive)-1]},
-		"truncated k3":                    {gamma, k3[:len(k3)-1]},
+		"truncated k3":                    {full, k3[:len(k3)-1]},
 		"truncated γ":                     {k3, gamma[:len(gamma)-1]},
 		"short header":                    {k3, k3[:HeaderLen-1]},
-		"flipped k3":                      {gamma, flipped},
+		"flipped k3":                      {spanK3, flipped},
 		"k3 count":                        {k3, wrongCount},
 		"another curve":                   {k3, other},
 		"another, cut":                    {k3, other[:len(other)-1]},
@@ -237,7 +253,8 @@ func TestIntersectStoredMatchesIntersectN(t *testing.T) {
 // FuzzIntersectStored feeds the fold one arbitrary row among generated
 // ones on its curve (or a default curve when its header names none),
 // placed and coded by seed: whatever the row, the fold must reach the
-// decoded oracle's verdict and answer (checkFold). The seed corpus starts
+// oracle's verdict and answer (checkFold) — a refusal at the first row
+// that is not a k³-tree, Decode's verdict on one that is. The seed corpus starts
 // from FuzzDecodeRegion's and FuzzDecodeK3's checked-in inputs, and adds
 // k³-tree and γ rows of a few runs, the walk's edge cases among them:
 // runs so far that end inside a mixed subtree, and ones that empty

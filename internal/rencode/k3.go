@@ -21,11 +21,12 @@
 // level lies. Every query sweeps the tree in id order, and each level
 // stores its slots in id order too, so a sweep asks each level for slots
 // in increasing order. The walk behind Decode, IntersectRunsInto and the
-// population fold (StoredFold) goes depth first and meets each level's
-// groups in the order the level stores them, so a per-level cursor
-// stands in for rank₁ (see walk). The coverage sweep behind CONTAINS and
-// point membership (CoversRuns) counts rank₁ by cursor, each count only
-// the M bits since the level's last (k3Ranks).
+// population fold (StoredFold, which folds k³-trees only) goes depth
+// first and meets each level's groups in the order the level stores
+// them, so a per-level cursor stands in for rank₁ (see walk). The
+// coverage sweep behind CONTAINS and point membership (CoversRuns)
+// counts rank₁ by cursor, each count only the M bits since the level's
+// last (k3Ranks).
 //
 // The encoding is canonical and the parser enforces it: a full or
 // empty subtree must collapse into its parent (no all-full or

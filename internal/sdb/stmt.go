@@ -32,8 +32,12 @@ type compiled struct {
 	// instantiate, an operator call or a UDF.
 	mu sync.Mutex
 	// idle are the operator trees no execution is running, at most as
-	// many as have ever run at once. They belong to this plan: a
-	// re-plan starts an empty list and these go with the old compiled.
+	// many as have ever run at once: bounded, though it never shrinks.
+	// In a daemon transport.ServerConfig.MaxConns (64 by default) caps
+	// that peak, as a connection serves one request at a time and a
+	// request runs its statements one after another. They belong to this
+	// plan: a re-plan starts an empty list and these go with the old
+	// compiled.
 	// Deliberately not a sync.Pool, which the collector empties: what
 	// an execution allocates must not depend on GC timing.
 	idle []*execution // guarded by mu

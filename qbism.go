@@ -227,10 +227,6 @@ var (
 	RetryableError = transport.RetryableError
 )
 
-// BandEncodingHilbertNaive is the band encoding label every corpus
-// stores beside the default k³-tree rows, over the same fields.
-const BandEncodingHilbertNaive = core.EncHilbertNaive
-
 // WriteTable3 prices and formats Table 3 rows; PriceQuery prices one
 // query's result with the calibrated 1993 cost model, as Table 3 does.
 var WriteTable3, PriceQuery = core.WriteTable3, core.PriceQuery
