@@ -210,11 +210,15 @@ cover:
 # every load builds first (DESIGN.md §40) — and BenchmarkRender, DX's MIP
 # along Z at Bits 7 on an atlas structure, the Q2 box, the full grid and
 # a short-run band REGION, each from a decoded Region and from its wire
-# bytes, in ns per rendered voxel (DESIGN.md §41, §42).
+# bytes, in ns per rendered voxel (DESIGN.md §41, §42) — and
+# BenchmarkDegradedBand, a band range no intensityBand row holds (70-90)
+# at paper scale, alone and ∩ ntal1: the query run without its band and
+# filtered by value (DESIGN.md §54).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^Benchmark(ServeRPC(Small|Mixed|Traced|Bulk)|RunQueryMixed)$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^BenchmarkDegradedBand$$' -benchtime 10x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport

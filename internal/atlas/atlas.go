@@ -50,7 +50,7 @@ func (f FracEllipsoid) at(side float64) region.Ellipsoid {
 
 // Contains reports whether the fractional point (x, y, z in [0,1)) is
 // inside the structure — the analytic form used by the study synthesizer.
-func (s StructureSpec) Contains(x, y, z float64) bool {
+func (s *StructureSpec) Contains(x, y, z float64) bool {
 	if s.ClipXBelow >= 0 && x >= s.ClipXBelow {
 		return false
 	}

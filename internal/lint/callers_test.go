@@ -23,6 +23,8 @@ var keptUncalled = map[string]string{
 	"spindex.RTree.CheckInvariants": "oracle: the R-tree's structural invariants, checked by its tests",
 	"synth.RawStudy.WarpToAtlas":    "oracle: the full-sampling warp TestWarpStudyEqualsFullSampling holds the footprint load to",
 	"warp.RMSError":                 "oracle: the fit residual TestFitLandmarksRecoversAffine measures",
+	// Test constructors: fixtures built from voxel id sets.
+	"region.FromIDs": "test constructor: the region, setops, shapes, rencode, zoo and qbism tests build regions from id sets",
 	// The fault hook.
 	"lfm.Manager.Corrupt": "fault hook: at-rest bit rot for the qbism chaos and trace tests",
 	// Cross-package test observers: a test file cannot serve another package.

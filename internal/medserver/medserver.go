@@ -10,7 +10,6 @@ import (
 	"qbism/internal/obs"
 	"qbism/internal/sdb"
 	"qbism/internal/transport"
-	"qbism/internal/volume"
 )
 
 // QuerySpec is the high-level query a user composes in the DX entry
@@ -110,8 +109,8 @@ type QueryMeta struct {
 
 	DBCPUNanos int64 // measured handler CPU (wall) time
 	// The I/O counters are this query's own bill — the sum of what its
-	// statements and the band fallback read, counted read by read
-	// (lfm.IO) — so they are exact however many queries run at once.
+	// statements read (the band fallback's among them), counted read by
+	// read (lfm.IO) — so they are exact however many queries run at once.
 	LFMPages uint64 // 4 KB device pages read for the query
 	LFMReads uint64 // LFM read operations (seek-count proxy)
 	// CacheHits/CacheMisses are the LFM page-cache counters for this
@@ -166,7 +165,7 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 		sp.SetStr("query", spec.Label())
 	}
 	start := time.Now()
-	// What this call read: its statements and the band fallback add theirs.
+	// What this call read: each statement it runs adds its reads.
 	var bill lfm.Stats
 
 	msp := sp.Child("sql.metadata")
@@ -233,9 +232,10 @@ func (s *Server) runMetadataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec)
 }
 
 // The MedicalServer's SQL. Every request runs the metadata statement
-// and one of the five data-query shapes (plus, on the degraded path, the
-// band fallback lookups), so New prepares them all once — see
-// prepareStatements — and a request only binds values.
+// and one of the five data-query shapes (and, on the degraded band path,
+// a second shape: the same query without its band), so New prepares
+// them all once — see prepareStatements — and a request only binds
+// values.
 
 // metadataSQL is the paper's first §3.4 query.
 const metadataSQL = `
@@ -303,33 +303,17 @@ where  wv.studyId = ? and
        ns.structureName = ?`,
 }
 
-// The band fallback's lookups (bandSlowPath) and the stored-band fetch
-// of ConsistentBandRegion.
-const (
-	bandVolumeSQL = `
-select wv.data
-from   warpedVolume wv, atlas a
-where  wv.studyId = ? and wv.atlasId = a.atlasId and a.atlasName = ?`
-
-	bandStructureSQL = `
-select as.region
-from   atlasStructure as, neuralStructure ns, atlas a
-where  a.atlasName = ? and as.atlasId = a.atlasId and
-       as.structureId = ns.structureId and ns.structureName = ?`
-
-	bandRegionSQL = `
+// bandRegionSQL is the stored-band fetch of ConsistentBandRegion.
+const bandRegionSQL = `
 select ib.region
 from   intensityBand ib
 where  ib.studyId = ? and ib.lo = ? and ib.hi = ? and ib.encoding = ?`
-)
 
 // serverStmts are the prepared forms of the statements above.
 type serverStmts struct {
-	metadata      *sdb.Stmt
-	data          [numDataShapes]*sdb.Stmt
-	bandVolume    *sdb.Stmt
-	bandStructure *sdb.Stmt
-	bandRegion    *sdb.Stmt
+	metadata   *sdb.Stmt
+	data       [numDataShapes]*sdb.Stmt
+	bandRegion *sdb.Stmt
 }
 
 // prepareStatements compiles the server's statements against the
@@ -348,8 +332,6 @@ func (s *Server) prepareStatements() error {
 	for shape, sql := range dataShapeSQL {
 		s.stmts.data[shape] = prepare(sql)
 	}
-	s.stmts.bandVolume = prepare(bandVolumeSQL)
-	s.stmts.bandStructure = prepare(bandStructureSQL)
 	s.stmts.bandRegion = prepare(bandRegionSQL)
 	return first
 }
@@ -359,7 +341,7 @@ func (s *Server) prepareStatements() error {
 // the state n concurrent requests leave behind once each statement has
 // run n at a time.
 func (s *Server) ReserveExecutions(n int) error {
-	stmts := append([]*sdb.Stmt{s.stmts.metadata, s.stmts.bandVolume, s.stmts.bandStructure, s.stmts.bandRegion}, s.stmts.data[:]...)
+	stmts := append([]*sdb.Stmt{s.stmts.metadata, s.stmts.bandRegion}, s.stmts.data[:]...)
 	for _, st := range stmts {
 		if err := st.Reserve(n); err != nil {
 			return err
@@ -422,10 +404,11 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // one row at a time, rather than materializing a result set first.
 //
 // Band queries degrade gracefully: when the stored intensityBand REGION
-// is missing, unreadable, or fails its checksum, the band is recomputed
-// from the stored VOLUME (the slow path — a full-volume scan, roughly
-// Q1's I/O cost) and the returned warning marks the answer Degraded.
-// The voxel bytes are identical to what the fast path would return.
+// is missing, unreadable, or fails its checksum, the query runs again
+// without its band and keeps the voxels in the band (bandSlowPath — a
+// full-volume read, Q1's I/O cost, unless a structure narrows it), and
+// the returned warning marks the answer Degraded. The voxel bytes are
+// identical to what the fast path would return.
 // A checksum/read fault surfaces mid-execution, from the row that read
 // the field; querySingle returns it like any other failure, so the
 // fallback conditions are unchanged.
@@ -472,95 +455,56 @@ func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (bl
 	return v.Y, "", nil
 }
 
-// bandSlowPath recomputes a band query from first principles when the
-// stored intensityBand REGION is unavailable. A pure band query must
-// scan every voxel (band membership is a property of the whole VOLUME),
-// so it reads the full field and rebuilds the band REGION. A mixed
-// band+structure query only needs the structure's voxels: it extracts
-// the structure REGION run-pruned (gap-coalesced page I/O, the same
-// plan extractVoxels uses) and filters the extracted values to
-// [BandLo, BandHi] — band ∩ structure exactly, at structure-footprint
-// I/O cost instead of a full-volume read. Both paths produce results
-// byte-identical to the intensityBand fast path: the stored band
-// REGIONs were built by exactly this scan at load time, and both
-// Filter and intersection() yield the same canonical run list for the
-// same voxel set.
+// bandSlowPath answers a band query without its index: it runs the same
+// query with the band removed — the structure's shape, or the full
+// study's when there is no structure — through the prepared data-shape
+// statements, on the call's bill and under a "band.fallback" span, and
+// keeps the voxels whose value lies in [BandLo, BandHi]. A pure band
+// reads the whole VOLUME (band membership is a property of every voxel);
+// a mixed one reads only the structure's voxels, run-pruned as
+// extractVoxels always reads. The answer is byte-identical to the
+// intensityBand fast path: the stored band REGIONs were built by this
+// same filter at load time, and Filter and intersection() yield the
+// same canonical run list for the same voxel set.
 func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec, warning string) ([]byte, string, error) {
 	if spec.BandLo < 0 || spec.BandHi > 255 || spec.BandLo > spec.BandHi {
 		return nil, "", fmt.Errorf("qbism: band [%d,%d] outside the 0-255 intensity range", spec.BandLo, spec.BandHi)
 	}
-	// The degradation is a traceable event of its own: everything the
-	// fallback does nests under a "band.fallback" span carrying the
-	// reason, so a trace shows *why* a band query cost Q1-like I/O.
+	// The degradation is a traceable event of its own: the unbanded
+	// statement nests under a "band.fallback" span carrying the reason,
+	// so a trace shows *why* a band query cost Q1-like I/O.
 	sp := parent.Child("band.fallback")
 	sp.SetStr("reason", warning)
-	// What the fallback reads outside SQL goes through io, and from
-	// there onto the call's bill and the span.
-	io := lfm.IO{M: s.LFM, PerHandle: sp != nil}
-	defer func() {
-		io.Spans(sp)
-		sp.End()
-		bill.Add(io.Stats)
-	}()
+	defer sp.End()
+	lo, hi := uint8(spec.BandLo), uint8(spec.BandHi)
+	spec.HasBand, spec.BandLo, spec.BandHi, spec.Encoding = false, 0, 0, ""
+	spec.FullStudy = spec.Structure == ""
+	var binds dataBinds
+	shape, args, err := dataQuerySQL(spec, &binds)
+	if err != nil {
+		return nil, "", err
+	}
 	var row [1]sdb.Value
-	n, err := querySingle(sp, bill, s.stmts.bandVolume, row[:],
-		sdb.Int(int64(spec.StudyID)), sdb.Str(spec.Atlas))
+	n, err := querySingle(sp, bill, s.stmts.data[shape], row[:], args...)
 	if err != nil {
 		return nil, "", err
 	}
 	if n != 1 {
-		return nil, "", fmt.Errorf("qbism: no warped study %d in atlas %q", spec.StudyID, spec.Atlas)
-	}
-	volHandle := row[0].L
-
-	if spec.Structure != "" {
-		var srow [1]sdb.Value
-		sn, err := querySingle(sp, bill, s.stmts.bandStructure, srow[:],
-			sdb.Str(spec.Atlas), sdb.Str(spec.Structure))
-		if err != nil {
-			return nil, "", err
-		}
-		if sn != 1 {
+		if spec.Structure != "" {
 			return nil, "", fmt.Errorf("qbism: no structure %q in atlas %q", spec.Structure, spec.Atlas)
 		}
-		sr, err := s.regionRuns(&io, nil, nil, srow[0])
-		if err != nil {
-			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
-		}
-		sd, err := extractStored(&io, volHandle, sr, s.extractOpts())
-		if err != nil {
-			return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
-		}
-		d, err := sd.Filter(uint8(spec.BandLo), uint8(spec.BandHi))
-		if err != nil {
-			return nil, "", err
-		}
-		blob, err := MarshalDataRegion(d, s.Cfg.Method)
-		if err != nil {
-			return nil, "", err
-		}
-		return blob, warning, nil
+		return nil, "", fmt.Errorf("qbism: no warped study %d in atlas %q", spec.StudyID, spec.Atlas)
 	}
-	volBytes, err := io.Read(volHandle)
-	if err != nil {
-		return nil, "", fmt.Errorf("qbism: band slow path: %w", err)
-	}
-	vol, err := volume.New(s.Curve, volBytes)
+	d, err := UnmarshalDataRegion(row[0].Y)
 	if err != nil {
 		return nil, "", err
 	}
-	r, err := vol.Band(uint8(spec.BandLo), uint8(spec.BandHi))
-	if err != nil {
+	if d, err = d.Filter(lo, hi); err != nil {
 		return nil, "", err
 	}
-	// The VOLUME is in memory already: its band's voxels go from there
-	// into the blob, run by run.
-	blob, values, err := newDataRegionBlob(r, s.Cfg.Method)
+	blob, err := MarshalDataRegion(d, s.Cfg.Method)
 	if err != nil {
 		return nil, "", err
-	}
-	for _, run := range r.Runs() {
-		values = values[copy(values, volBytes[run.Lo:run.Hi+1]):]
 	}
 	return blob, warning, nil
 }

@@ -16,7 +16,8 @@ import (
 )
 
 // The run-pruned read path (gap-coalesced extraction, the LFM page
-// cache, the pruned band slow path) must be invisible in results: every
+// cache, and so the band fallback, which runs the structure's own
+// extraction) must be invisible in results: every
 // combination of gap threshold and cache size returns bytes identical
 // to the seed plan, across the whole chaos query corpus. Only the I/O
 // counters may change.

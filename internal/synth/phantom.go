@@ -86,8 +86,7 @@ func NewPhantom(modality Modality, seed uint64) *Phantom {
 // Intensity evaluates the phantom at fractional atlas coordinates
 // (each in [0,1)); points outside the head read as faint air noise.
 func (p *Phantom) Intensity(x, y, z float64) uint8 {
-	brain := p.specs[0]
-	if !brain.Contains(x, y, z) {
+	if !p.specs[0].Contains(x, y, z) {
 		// Air: low-level detector noise.
 		return clampU8(6 * p.air.at(x*128, y*128, z*128))
 	}
@@ -139,8 +138,8 @@ var tissueBase = map[string]float64{
 func (p *Phantom) mriIntensity(x, y, z float64) uint8 {
 	// White matter background with structure-dependent contrast.
 	base := 70.0
-	for _, s := range p.specs[3:] { // skip whole brain and hemispheres
-		if s.Contains(x, y, z) {
+	for i := 3; i < len(p.specs); i++ { // skip whole brain and hemispheres
+		if s := &p.specs[i]; s.Contains(x, y, z) {
 			if v, ok := tissueBase[s.Name]; ok {
 				base = v
 			}

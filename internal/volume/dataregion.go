@@ -2,6 +2,7 @@ package volume
 
 import (
 	"fmt"
+	"slices"
 
 	"qbism/internal/region"
 )
@@ -85,27 +86,50 @@ func ValueStats(values []byte) Stats {
 }
 
 // Filter returns the sub-DataRegion of voxels whose value lies in
-// [lo, hi] — the post-extraction half of a mixed query.
+// [lo, hi] — the post-extraction half of a mixed query. Each input run
+// is scanned over its slice of Values, and a stretch of kept voxels
+// becomes one output run: runs come out sorted, and never touch across
+// input runs, which are apart already.
 func (d *DataRegion) Filter(lo, hi uint8) (*DataRegion, error) {
 	if lo > hi {
 		return nil, fmt.Errorf("volume: inverted filter band [%d,%d]", lo, hi)
 	}
-	var ids []uint64
+	w := hi - lo // v is in [lo, hi] when v-lo <= w, in byte arithmetic
+	var runs []region.Run
 	var vals []byte
-	i := 0
-	d.Region.ForEachID(func(id uint64) bool {
-		if v := d.Values[i]; v >= lo && v <= hi {
-			ids = append(ids, id)
-			vals = append(vals, v)
+	values := d.Values
+	for _, run := range d.Region.RunsView() {
+		seg := values[:run.Len()]
+		values = values[len(seg):]
+		for i := 0; i < len(seg); {
+			for i < len(seg) && seg[i]-lo > w {
+				i++
+			}
+			start := i
+			for i < len(seg) && seg[i]-lo <= w {
+				i++
+			}
+			if i > start {
+				runs = appendDoubling(runs, region.Run{Lo: run.Lo + uint64(start), Hi: run.Lo + uint64(i) - 1})
+				vals = appendDoubling(vals, seg[start:i]...)
+			}
 		}
-		i++
-		return true
-	})
-	r, err := region.FromIDs(d.Region.Curve(), ids)
+	}
+	r, err := region.FromOwnedRuns(d.Region.Curve(), runs)
 	if err != nil {
 		return nil, err
 	}
 	return &DataRegion{Region: r, Values: vals}, nil
+}
+
+// appendDoubling is append that at least doubles a full slice: a noisy
+// band has thousands of short runs, and append's gentler growth past 256
+// elements would allocate several times as often and as much.
+func appendDoubling[E any](s []E, es ...E) []E {
+	if cap(s)-len(s) < len(es) {
+		s = slices.Grow(s, max(len(s), len(es), 64))
+	}
+	return append(s, es...)
 }
 
 // VoxelwiseMean computes, over the voxels of r, the per-voxel average

@@ -54,7 +54,7 @@ func RotateZ(theta float64) Affine {
 }
 
 // Apply transforms the point (x, y, z).
-func (a Affine) Apply(x, y, z float64) (float64, float64, float64) {
+func (a *Affine) Apply(x, y, z float64) (float64, float64, float64) {
 	return a.M[0][0]*x + a.M[0][1]*y + a.M[0][2]*z + a.M[0][3],
 		a.M[1][0]*x + a.M[1][1]*y + a.M[1][2]*z + a.M[1][3],
 		a.M[2][0]*x + a.M[2][1]*y + a.M[2][2]*z + a.M[2][3]

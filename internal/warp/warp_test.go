@@ -10,22 +10,24 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestIdentity(t *testing.T) {
-	x, y, z := Identity().Apply(3, 4, 5)
+	id := Identity()
+	x, y, z := id.Apply(3, 4, 5)
 	if x != 3 || y != 4 || z != 5 {
 		t.Errorf("identity moved point: %v %v %v", x, y, z)
 	}
 }
 
 func TestTranslateScaleRotate(t *testing.T) {
-	x, y, z := Translate(1, 2, 3).Apply(0, 0, 0)
+	tr, sc, rot := Translate(1, 2, 3), Scale(2, 3, 4), RotateZ(math.Pi/2)
+	x, y, z := tr.Apply(0, 0, 0)
 	if x != 1 || y != 2 || z != 3 {
 		t.Errorf("translate: %v %v %v", x, y, z)
 	}
-	x, y, z = Scale(2, 3, 4).Apply(1, 1, 1)
+	x, y, z = sc.Apply(1, 1, 1)
 	if x != 2 || y != 3 || z != 4 {
 		t.Errorf("scale: %v %v %v", x, y, z)
 	}
-	x, y, z = RotateZ(math.Pi/2).Apply(1, 0, 0)
+	x, y, z = rot.Apply(1, 0, 0)
 	if !almostEq(x, 0, 1e-12) || !almostEq(y, 1, 1e-12) || z != 0 {
 		t.Errorf("rotate: %v %v %v", x, y, z)
 	}
