@@ -6,9 +6,9 @@ package lfm
 // is strictly opt-in (EnableCache) and all accounting distinguishes
 // device page reads (misses) from cache hits.
 //
-// Keys are (handle, logical page index within the field), not device
-// offsets, so freeing a field and reusing its device blocks for another
-// field can never alias stale cached data: handles are never reused.
+// Keys are (handle, logical page index within the field), the terms a
+// read asks in: a handle names one field for the manager's life, and
+// Corrupt drops a field's cached pages by it.
 //
 // CLOCK is chosen over LRU for the same reason most buffer managers
 // choose it: a hit only sets a reference bit (no list surgery), which

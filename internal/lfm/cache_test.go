@@ -222,7 +222,7 @@ func TestCacheReadFaultsOnMissOnly(t *testing.T) {
 
 // TestCacheConcurrentStress hammers the manager from parallel readers
 // of cached fields while a writer keeps allocating new ones (device
-// writes, extent growth, buddy splits) — run under -race this proves
+// writes, extent growth, field-table growth) — run under -race this proves
 // Manager's locking. Every field holds a uniform byte pattern, so a torn
 // or stale read is detectable by content alone.
 func TestCacheConcurrentStress(t *testing.T) {

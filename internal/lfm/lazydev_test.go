@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"qbism/internal/faultsim"
 )
 
 // heapInUse returns the live heap after a forced collection.
@@ -34,7 +36,7 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 	if grew := int64(heapInUse()) - int64(before); grew > 4*extentSize {
 		t.Errorf("one %d-byte field on a %d GiB device holds %d bytes of heap", len(data), m.Capacity()>>30, grew)
 	}
-	if m.Capacity() != 64<<30 || m.FreePages() != (64<<30)/DefaultPageSize-3 {
+	if m.Capacity() != 64<<30 || m.FreePages() != m.Capacity()/DefaultPageSize-3 {
 		t.Errorf("capacity %d, %d pages free", m.Capacity(), m.FreePages())
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -43,9 +45,9 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 	if got, err := m.Read(h); err != nil || !bytes.Equal(got, data) {
 		t.Errorf("read back %d bytes, err %v", len(got), err)
 	}
-	// The field holds three pages, its block's fourth went back to the
-	// free lists; the bytes past the data, and a whole device's worth of
-	// space beyond, were never written.
+	// The field holds three pages and the rest of the device is free;
+	// the bytes past the data, and a whole device's worth of space
+	// beyond, were never written.
 	zeros := make([]byte, 3*extentSize)
 	for i := range zeros {
 		zeros[i] = 0xff
@@ -65,9 +67,10 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
-// TestLazyDeviceMatchesFlatModel drives random allocate / free / read
-// traffic, sized to straddle extent boundaries, against a
-// plain map of what each field should hold, with checksums on.
+// TestLazyDeviceMatchesFlatModel drives random allocate / failed write /
+// read traffic, sized to straddle extent boundaries, against a plain map
+// of what each field should hold, with checksums on. A failed write
+// leaves its first pages on the device, where the next field goes.
 func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m, err := New(16<<20, 0)
@@ -95,10 +98,16 @@ func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 			}
 			model[h], live = data, append(live, h)
 		case op == 1:
-			i := rng.Intn(len(live))
-			release(m, live[i])
-			delete(model, live[i])
-			live = append(live[:i], live[i+1:]...)
+			data := payload()
+			fail := 1 + rng.Intn((len(data)+DefaultPageSize-1)/DefaultPageSize)
+			m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{
+				{Op: uint64(fail), Kind: faultsim.WriteErr},
+			}}))
+			_, err := m.Allocate(data)
+			m.SetFaults(nil)
+			if !errors.Is(err, ErrWriteFault) && !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("step %d: write failing at page %d: %v", step, fail, err)
+			}
 		default:
 			h := live[rng.Intn(len(live))]
 			want := model[h]

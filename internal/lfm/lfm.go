@@ -1,8 +1,11 @@
 // Package lfm implements a stand-in for the Starburst Long Field Manager
 // [18] the paper relies on: long fields stored directly on a disk device
-// (not a file system) using a buddy allocation scheme to promote
-// contiguity, each field's last segment trimmed to the pages it holds,
-// with fast random I/O to arbitrary pieces and no internal buffering.
+// (not a file system), each in one contiguous extent, with fast random
+// I/O to arbitrary pieces and no internal buffering. Starburst allocates
+// buddy segments so that the space of deleted fields can be used again;
+// this store is written once, at load, and then only read, so each field
+// is laid end to end after the one before it, from a page boundary, and
+// holds the pages its bytes span.
 //
 // The device here is simulated memory — backed lazily, so only ranges
 // that have been written occupy any — with page-granular I/O accounting:
@@ -27,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"sync"
 
 	"qbism/internal/faultsim"
@@ -116,8 +118,9 @@ func (s *Stats) Add(o Stats) {
 }
 
 type field struct {
-	off  uint64 // device offset, page-aligned
-	size uint64 // logical length
+	off  uint64   // device offset, page-aligned
+	size uint64   // logical length
+	sums []uint32 // CRC32 of each page as written
 }
 
 // Manager is the long field manager. It is safe for concurrent use: a
@@ -130,34 +133,33 @@ type field struct {
 // page it does not take whole are copied after the lock is released,
 // from a page buffer its IO owns.
 type Manager struct {
-	mu        sync.Mutex
-	pageSize  uint64
-	capacity  uint64
-	dev       [][]byte // in-memory device, by extent; guarded by mu
-	maxOrder  int
-	freeLists [][]uint64       // freeLists[k] = offsets of free blocks of order k; guarded by mu
-	fields    map[Handle]field // guarded by mu
-	nextID    Handle           // guarded by mu
-	stats     Stats            // guarded by mu
+	mu       sync.Mutex
+	pageSize uint64
+	capacity uint64
+	dev      [][]byte // in-memory device, by extent; guarded by mu
+	// fields[h-1] is field h: handles are dense, in allocation order,
+	// and never reused. guarded by mu
+	fields []field
+	// next is the device offset of the first unallocated page, where
+	// the next field goes. guarded by mu
+	next  uint64
+	stats Stats // guarded by mu
 
 	// faults, when non-nil, injects device failures on page reads and
 	// writes (faultsim.ReadErr/PageCorrupt/WriteErr/TornWrite).
 	// guarded by mu
 	faults *faultsim.Injector
-	// verify enables per-page CRC32 checksums: computed on write,
-	// checked on read. guarded by mu
+	// verify checks every page a read transfers against its field's
+	// CRC32 table. guarded by mu
 	verify bool
-	// sums holds each field's per-page CRC32 table while verify is on.
-	// guarded by mu
-	sums map[Handle][]uint32
 	// cache, when non-nil, is the CLOCK page cache; reads consult it
 	// page by page and only misses touch the device. guarded by mu
 	cache *pageCache
 }
 
 // New creates a manager over a simulated device of the given capacity in
-// bytes. Capacity is rounded up to a power-of-two multiple of pageSize.
-// pageSize <= 0 selects DefaultPageSize.
+// bytes. Capacity is rounded up to whole pages. pageSize <= 0 selects
+// DefaultPageSize.
 func New(capacity uint64, pageSize int) (*Manager, error) {
 	ps := uint64(pageSize)
 	if pageSize <= 0 {
@@ -169,22 +171,7 @@ func New(capacity uint64, pageSize int) (*Manager, error) {
 	if capacity < ps {
 		return nil, fmt.Errorf("lfm: capacity %d smaller than one page", capacity)
 	}
-	pages := (capacity + ps - 1) / ps
-	// Round pages up to a power of two so the whole device is one buddy block.
-	if pages&(pages-1) != 0 {
-		pages = 1 << bits.Len64(pages)
-	}
-	maxOrder := bits.TrailingZeros64(pages)
-	m := &Manager{
-		pageSize:  ps,
-		capacity:  pages * ps,
-		maxOrder:  maxOrder,
-		freeLists: make([][]uint64, maxOrder+1),
-		fields:    make(map[Handle]field),
-		nextID:    1,
-	}
-	m.freeLists[maxOrder] = []uint64{0}
-	return m, nil
+	return &Manager{pageSize: ps, capacity: (capacity + ps - 1) / ps * ps}, nil
 }
 
 // PageSize returns the device page size in bytes.
@@ -212,7 +199,7 @@ func (m *Manager) ResetStats() {
 // resources.
 func (m *Manager) Close() error { return nil }
 
-// NumFields returns the number of live long fields.
+// NumFields returns the number of stored long fields.
 func (m *Manager) NumFields() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -244,24 +231,16 @@ func (m *Manager) EnableCache(pages int) {
 	m.cache = newPageCache(pages)
 }
 
-// EnableChecksums switches on per-page CRC32 integrity: every write
-// records a checksum per 4 KB page of the field, and every read
-// verifies the pages it touches, failing with ErrChecksum on mismatch.
-// Fields already on the device are checksummed from their current
-// contents. Verification does not change the page accounting — a read
-// checks each page it transfers, whole, as it transfers it.
+// EnableChecksums switches on per-page CRC32 verification: every read
+// checks the pages it touches against the table Allocate recorded for
+// the field, from the bytes it was given, and fails with ErrChecksum on
+// a mismatch. Allocate records the table whatever the setting, so fields
+// stored before the call are covered too. Verification does not change
+// the page accounting — a read checks each page it transfers, whole, as
+// it transfers it.
 func (m *Manager) EnableChecksums() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.verify {
-		return
-	}
-	m.sums = make(map[Handle][]uint32, len(m.fields))
-	for h, f := range m.fields {
-		data := make([]byte, f.size)
-		m.devRead(f.off, data)
-		m.sums[h] = pageChecksums(data, m.pageSize)
-	}
 	m.verify = true
 }
 
@@ -269,15 +248,15 @@ func (m *Manager) EnableChecksums() {
 // its checksum table — a chaos hook simulating at-rest media corruption
 // (bit rot). xor is applied to the byte at logical offset off.
 func (m *Manager) Corrupt(h Handle, off uint64, xor byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
-		return ErrUnknownHandle
+	f, err := m.field(h)
+	if err != nil {
+		return err
 	}
 	if off >= f.size {
 		return fmt.Errorf("%w: corrupt at %d of %d-byte field", ErrOutOfRange, off, f.size)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	// The corruption must be observable: drop any cached copy of the
 	// field's pages so the next read goes to the (now rotten) device.
 	if m.cache != nil {
@@ -311,104 +290,31 @@ func (m *Manager) usedPages(size uint64) uint64 {
 	return max(1, (size+m.pageSize-1)/m.pageSize)
 }
 
-// orderFor returns the smallest buddy order whose block holds size bytes.
-func (m *Manager) orderFor(size uint64) int {
-	pages := m.usedPages(size)
-	if pages&(pages-1) == 0 {
-		return bits.TrailingZeros64(pages)
-	}
-	return bits.Len64(pages)
-}
-
-// allocBlock carves a block of the given order out of the free lists.
-// Callers must hold m.mu.
-func (m *Manager) allocBlock(order int) (uint64, error) {
-	k := order
-	for k <= m.maxOrder && len(m.freeLists[k]) == 0 {
-		k++
-	}
-	if k > m.maxOrder {
-		return 0, ErrNoSpace
-	}
-	off := m.freeLists[k][len(m.freeLists[k])-1]
-	m.freeLists[k] = m.freeLists[k][:len(m.freeLists[k])-1]
-	// Split down to the requested order, returning upper halves.
-	for k > order {
-		k--
-		buddy := off + m.pageSize<<k
-		m.freeLists[k] = append(m.freeLists[k], buddy)
-	}
-	return off, nil
-}
-
-// freeBlock returns a block to the free lists, merging buddies.
-// Callers must hold m.mu.
-func (m *Manager) freeBlock(off uint64, order int) {
-	for order < m.maxOrder {
-		size := m.pageSize << order
-		buddy := off ^ size
-		merged := false
-		list := m.freeLists[order]
-		for i, b := range list {
-			if b == buddy {
-				list[i] = list[len(list)-1]
-				m.freeLists[order] = list[:len(list)-1]
-				if buddy < off {
-					off = buddy
-				}
-				order++
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			break
-		}
-	}
-	m.freeLists[order] = append(m.freeLists[order], off)
-}
-
-// Allocate stores data as a new long field and returns its handle.
-// The write is counted page-granularly. The field gets the smallest
-// buddy block that holds it, and once written it keeps only the pages it
-// holds: the last segment is trimmed, as Starburst's LFM trims it, by
-// returning the block's unused tail to the free lists as aligned
-// power-of-two blocks, taken greedily from the first unused page. A
-// field is written once, so it never grows into that tail. A failed
-// write returns the whole block to the free lists and records nothing.
+// Allocate stores data as a new long field at the first unallocated
+// page and returns its handle. The field holds the pages its bytes span,
+// at least one, and the next field starts on the page after them. The
+// write is counted page-granularly, and the field's page checksums are
+// recorded whatever the verification setting. A failed write records
+// nothing: the next field is written over the pages it touched.
 func (m *Manager) Allocate(data []byte) (Handle, error) {
+	size := uint64(len(data))
+	sums := pageChecksums(data, m.pageSize)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	size := uint64(len(data))
-	order := m.orderFor(size)
-	if order > m.maxOrder {
+	off := m.next
+	pages := m.usedPages(size)
+	if pages > (m.capacity-off)/m.pageSize {
 		return 0, ErrNoSpace
 	}
-	off, err := m.allocBlock(order)
-	if err != nil {
-		return 0, err
-	}
 	if err := m.devWrite(off, data); err != nil {
-		m.freeBlock(off, order)
 		return 0, err
 	}
-	// The block is aligned to its size, so the largest block aligned at
-	// any page p inside it, of p's lowest set bit in pages, ends within it.
-	for p, end := m.usedPages(size), uint64(1)<<order; p < end; {
-		k := bits.TrailingZeros64(p)
-		m.freeBlock(off+p*m.pageSize, k)
-		p += 1 << k
-	}
-	h := m.nextID
-	m.nextID++
-	m.fields[h] = field{off: off, size: size}
-	if m.verify {
-		m.sums[h] = pageChecksums(data, m.pageSize)
-	}
+	m.fields = append(m.fields, field{off: off, size: size, sums: sums})
+	m.next += pages * m.pageSize
 	m.stats.Writes++
 	m.stats.BytesWritten += size
 	m.stats.PageWrites += m.pagesSpanned(off, size)
-	return h, nil
+	return Handle(len(m.fields)), nil
 }
 
 // Size returns the logical length of a field.
@@ -434,11 +340,10 @@ func (m *Manager) ReadAt(h Handle, off, n uint64) ([]byte, error) {
 func (m *Manager) field(h Handle) (field, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
+	if h == 0 || h > Handle(len(m.fields)) {
 		return field{}, ErrUnknownHandle
 	}
-	return f, nil
+	return m.fields[h-1], nil
 }
 
 // readPages is every read's one page loop. It reads [off, off+n) of
@@ -551,7 +456,7 @@ func (m *Manager) readPage(cost *Stats, h Handle, f field, j uint64, out []byte,
 		page[pos] ^= mask
 	}
 	if m.verify {
-		if sums := m.sums[h]; int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
+		if int(j) >= len(f.sums) || crc32.ChecksumIEEE(page) != f.sums[j] {
 			cost.ChecksumFailures++
 			cost.Reads++
 			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
@@ -578,53 +483,32 @@ func (m *Manager) pagesSpanned(off, n uint64) uint64 {
 	return last - first + 1
 }
 
-// FreePages returns the number of free device pages (for invariant checks).
+// FreePages returns the number of device pages after the last field.
 func (m *Manager) FreePages() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var pages uint64
-	for k, list := range m.freeLists {
-		pages += uint64(len(list)) << k
-	}
-	return pages
+	return (m.capacity - m.next) / m.pageSize
 }
 
-// CheckInvariants validates the allocator state: no overlapping fields
-// or free blocks, every field page-aligned, every free block aligned to
-// its size, and the pages fields hold plus the free pages equal to the
-// device size. Intended for tests.
+// CheckInvariants validates the layout: the fields lie end to end in
+// handle order from offset 0, each holding the pages its bytes span (at
+// least one) with a checksum per page, up to the first unallocated page,
+// which lies within the device. Intended for tests.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	type span struct{ off, size uint64 }
-	var spans []span
-	for _, f := range m.fields {
-		if f.off%m.pageSize != 0 {
-			return fmt.Errorf("lfm: field at %d not page-aligned", f.off)
+	var off uint64
+	for i, f := range m.fields {
+		if f.off != off {
+			return fmt.Errorf("lfm: field %d at %d, want %d", i+1, f.off, off)
 		}
-		spans = append(spans, span{f.off, m.usedPages(f.size) * m.pageSize})
-	}
-	for k, list := range m.freeLists {
-		size := m.pageSize << k
-		for _, off := range list {
-			if off%size != 0 {
-				return fmt.Errorf("lfm: free block at %d misaligned for order %d", off, k)
-			}
-			spans = append(spans, span{off, size})
+		if uint64(len(f.sums)) != m.pagesSpanned(off, f.size) {
+			return fmt.Errorf("lfm: field %d has %d page checksums for %d bytes", i+1, len(f.sums), f.size)
 		}
+		off += m.usedPages(f.size) * m.pageSize
 	}
-	var total uint64
-	for i, a := range spans {
-		total += a.size
-		for _, b := range spans[i+1:] {
-			if a.off < b.off+b.size && b.off < a.off+a.size {
-				return fmt.Errorf("lfm: blocks [%d,%d) and [%d,%d) overlap",
-					a.off, a.off+a.size, b.off, b.off+b.size)
-			}
-		}
-	}
-	if total != m.capacity {
-		return fmt.Errorf("lfm: accounted %d bytes of %d", total, m.capacity)
+	if off != m.next || m.next > m.capacity {
+		return fmt.Errorf("lfm: fields end at %d, next page at %d, capacity %d", off, m.next, m.capacity)
 	}
 	return nil
 }

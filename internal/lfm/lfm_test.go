@@ -3,10 +3,7 @@ package lfm
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"math/bits"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,37 +19,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(10, 4096); err == nil {
 		t.Error("capacity < page accepted")
 	}
-	m, err := New(10*4096, 0)
+	m, err := New(10*4096+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.PageSize() != DefaultPageSize {
 		t.Errorf("page size = %d", m.PageSize())
 	}
-	// 10 pages rounds up to 16.
-	if m.Capacity() != 16*4096 {
-		t.Errorf("capacity = %d, want %d", m.Capacity(), 16*4096)
-	}
-}
-
-// release hands the pages field h holds back to the buddy allocator
-// through freeBlock, the path a failed Allocate and the trim take, and
-// forgets the field: the store has no Free, so the allocator tests
-// reach the merge this way. The field starts on a block aligned to the
-// power of two its pages round up to, so its pages split, highest bit
-// of their count first, into blocks aligned to their own size.
-func release(m *Manager, h Handle) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.fields[h]
-	delete(m.fields, h)
-	delete(m.sums, h)
-	off := f.off
-	for n := m.usedPages(f.size); n > 0; {
-		k := bits.Len64(n) - 1
-		m.freeBlock(off, k)
-		off += m.pageSize << k
-		n -= 1 << k
+	// A byte past 10 pages rounds up to 11 whole pages, all free.
+	if m.Capacity() != 11*4096 || m.FreePages() != 11 {
+		t.Errorf("capacity = %d, %d pages free; want %d, 11", m.Capacity(), m.FreePages(), 11*4096)
 	}
 }
 
@@ -70,12 +46,13 @@ func TestAllocateReadFree(t *testing.T) {
 	if n, _ := m.Size(h); n != uint64(len(data)) {
 		t.Errorf("Size = %d", n)
 	}
-	release(m, h)
-	if _, err := m.Read(h); !errors.Is(err, ErrUnknownHandle) {
-		t.Errorf("read after free: %v", err)
+	for _, bad := range []Handle{0, h + 1} {
+		if _, err := m.Read(bad); !errors.Is(err, ErrUnknownHandle) {
+			t.Errorf("read of handle %d: %v", bad, err)
+		}
 	}
-	if m.FreePages() != m.Capacity()/4096 {
-		t.Errorf("pages leaked: %d free of %d", m.FreePages(), m.Capacity()/4096)
+	if m.FreePages() != m.Capacity()/4096-1 {
+		t.Errorf("%d pages free of %d after a 1-page field", m.FreePages(), m.Capacity()/4096)
 	}
 }
 
@@ -168,35 +145,8 @@ func TestOutOfSpace(t *testing.T) {
 	if _, err := m.Allocate([]byte{1}); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("alloc on full device: %v", err)
 	}
-	release(m, h1)
-	if _, err := m.Allocate([]byte{1}); err != nil {
-		t.Errorf("alloc after free: %v", err)
-	}
-}
-
-func TestBuddyMerging(t *testing.T) {
-	m, _ := New(8*4096, 4096)
-	var hs []Handle
-	for i := 0; i < 8; i++ {
-		h, err := m.Allocate(make([]byte, 4096))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hs {
-		release(m, h)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// After freeing everything the buddies must have merged back into
-	// one max-order block so a full-device allocation succeeds.
-	if _, err := m.Allocate(make([]byte, 8*4096)); err != nil {
-		t.Errorf("full-device alloc after merge: %v", err)
+	if got, err := m.Read(h1); err != nil || len(got) != 4*4096 {
+		t.Errorf("full-device field read back %d bytes, %v", len(got), err)
 	}
 }
 
@@ -233,7 +183,7 @@ func TestWriteFaultTyped(t *testing.T) {
 	if _, err := m.Allocate(make([]byte, 4096)); !errors.Is(err, ErrWriteFault) {
 		t.Fatalf("write fault not surfaced: %v", err)
 	}
-	// The failed allocation must not leak its block.
+	// The failed allocation leaves the first unallocated page where it was.
 	if m.FreePages() != m.Capacity()/4096 {
 		t.Errorf("failed alloc leaked pages: %d free of %d", m.FreePages(), m.Capacity()/4096)
 	}
@@ -353,94 +303,77 @@ func TestPageCorruptDetectedByChecksum(t *testing.T) {
 	}
 }
 
-// freeRuns lists the free blocks as "page+pages" strings, lowest first.
-func freeRuns(m *Manager) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var offs []uint64
-	orders := map[uint64]int{}
-	for k, list := range m.freeLists {
-		for _, off := range list {
-			offs = append(offs, off)
-			orders[off] = k
-		}
-	}
-	slices.Sort(offs)
-	var runs []string
-	for _, off := range offs {
-		runs = append(runs, fmt.Sprintf("%d+%d", off/m.pageSize, 1<<orders[off]))
-	}
-	return runs
-}
-
-// TestAllocateTrimsTail: a field keeps only the pages it holds. A
-// 3-page field on a fresh 8-page device takes pages 0-2 of a 4-page
-// block and hands page 3 back at order 0, beside pages 4-7 at order 2;
-// the next 1-page field lands in that freed tail. A failed write frees
-// its whole block, tail included, and a 0-byte field still holds a page.
-func TestAllocateTrimsTail(t *testing.T) {
+// TestAllocateLaysFieldsEndToEnd: each field starts on the page after
+// the last page of the one before it. A 3-page field, a 0-byte field and
+// a 1-page field land at pages 0, 3 and 4. A failed write records no
+// handle, and the next field takes its place. ErrNoSpace comes back once
+// a field would run past the device, and leaves the free pages as they
+// were.
+func TestAllocateLaysFieldsEndToEnd(t *testing.T) {
 	m, err := New(8*4096, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := m.Allocate(pattern(3*4096-100, 3))
-	if err != nil {
-		t.Fatal(err)
+	want := map[Handle][]byte{}
+	store := func(data []byte, page uint64) {
+		t.Helper()
+		h, err := m.Allocate(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != Handle(len(want)+1) {
+			t.Errorf("handle %d, want %d", h, len(want)+1)
+		}
+		if f, _ := m.field(h); f.off != page*4096 {
+			t.Errorf("field %d at page %d, want %d", h, f.off/4096, page)
+		}
+		want[h] = data
 	}
-	if got, want := freeRuns(m), []string{"3+1", "4+4"}; !slices.Equal(got, want) {
-		t.Errorf("free blocks after a 3-page field: %v, want %v", got, want)
-	}
-	if w := m.Stats().PageWrites; w != 3 {
-		t.Errorf("3-page field wrote %d pages", w)
-	}
-	h1, err := m.Allocate(pattern(4096, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off := m.fields[h1].off; off != 3*4096 {
-		t.Errorf("1-page field at page %d, want 3 (the freed tail)", off/4096)
-	}
-	if m.FreePages() != 4 {
-		t.Errorf("%d pages free, want 4", m.FreePages())
+	store(pattern(3*4096-100, 3), 0)
+	store(nil, 3)
+	store(pattern(4096, 1), 4)
+	if m.FreePages() != 3 || m.Stats().PageWrites != 4 {
+		t.Errorf("%d pages free, %d written; want 3, 4", m.FreePages(), m.Stats().PageWrites)
 	}
 
+	// The write fails on its second page, after its first reached page 5.
 	m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{
-		{Op: 1, Kind: faultsim.WriteErr},
+		{Op: 2, Kind: faultsim.WriteErr},
 	}}))
-	if _, err := m.Allocate(pattern(3*4096, 5)); !errors.Is(err, ErrWriteFault) {
+	if _, err := m.Allocate(pattern(2*4096, 5)); !errors.Is(err, ErrWriteFault) {
 		t.Fatalf("write fault not surfaced: %v", err)
 	}
 	m.SetFaults(nil)
-	if m.FreePages() != 4 {
-		t.Errorf("failed write left %d pages free, want 4", m.FreePages())
+	if m.NumFields() != 3 || m.FreePages() != 3 {
+		t.Errorf("failed write left %d fields and %d pages free, want 3 and 3", m.NumFields(), m.FreePages())
 	}
-	if got, want := freeRuns(m), []string{"4+4"}; !slices.Equal(got, want) {
-		t.Errorf("free blocks after a failed write: %v, want %v", got, want)
-	}
+	store(pattern(2*4096-1, 7), 5)
 
-	h0, err := m.Allocate(nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.Allocate(pattern(4096+1, 9)); !errors.Is(err, ErrNoSpace) {
+		t.Errorf("2-page field with 1 page free: %v, want ErrNoSpace", err)
 	}
-	if m.FreePages() != 3 {
-		t.Errorf("0-byte field left %d pages free, want 3", m.FreePages())
+	store(pattern(4096, 11), 7)
+	if _, err := m.Allocate(nil); !errors.Is(err, ErrNoSpace) {
+		t.Errorf("0-byte field on a full device: %v, want ErrNoSpace", err)
+	}
+	if m.FreePages() != 0 {
+		t.Errorf("%d pages free on a full device", m.FreePages())
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range []Handle{h3, h1, h0} {
-		release(m, h)
-	}
-	if got, want := freeRuns(m), []string{"0+8"}; !slices.Equal(got, want) {
-		t.Errorf("free blocks after releasing every field: %v, want %v", got, want)
+	for h, data := range want {
+		if got, err := m.Read(h); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("field %d read back: %v", h, err)
+		}
 	}
 }
 
-// TestAllocatorInvariantsQuick hammers the allocator with random
-// allocate/free sequences, sized up to 12 pages so trimmed tails of
-// orders 0 to 2 occur, and checks invariants and contents. After every
-// step the free pages and the pages each live field holds — those its
-// bytes span, at least one — add up to the device.
+// TestAllocatorInvariantsQuick stores random fields, up to 12 pages and
+// down to none, on a 64-page device whose writes fail at random. After
+// every step the layout holds its invariants, the free pages and the
+// pages each stored field holds — those its bytes span, at least one —
+// add up to the device, and every stored field reads back intact.
 func TestAllocatorInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -448,44 +381,38 @@ func TestAllocatorInvariantsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		live := make(map[Handle][]byte)
-		for op := 0; op < 200; op++ {
-			switch rng.Intn(2) {
-			case 0: // allocate
-				n := rng.Intn(12 * 4096)
-				data := make([]byte, n)
-				rng.Read(data)
-				h, err := m.Allocate(data)
-				if err == nil {
-					live[h] = data
-				} else if !errors.Is(err, ErrNoSpace) {
-					return false
-				}
-			case 1: // free
-				for h := range live {
-					release(m, h)
-					delete(live, h)
-					break
-				}
+		m.SetFaults(faultsim.New(faultsim.Policy{Seed: uint64(seed), WriteErrProb: 0.05}))
+		var stored [][]byte // stored[h-1] is field h
+		for op := 0; op < 40; op++ {
+			data := make([]byte, rng.Intn(12*4096))
+			rng.Read(data)
+			h, err := m.Allocate(data)
+			switch {
+			case err == nil && h == Handle(len(stored)+1):
+				stored = append(stored, data)
+			case errors.Is(err, ErrNoSpace), errors.Is(err, ErrWriteFault):
+			default:
+				t.Logf("op %d: handle %d, %v", op, h, err)
+				return false
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Log(err)
 				return false
 			}
 			held := uint64(0)
-			for _, data := range live {
+			for _, data := range stored {
 				held += max(1, (uint64(len(data))+4095)/4096)
 			}
 			if m.FreePages()+held != 64 {
 				t.Logf("op %d: %d pages free and %d held by fields, of 64", op, m.FreePages(), held)
 				return false
 			}
-		}
-		// All live fields must read back intact.
-		for h, want := range live {
-			got, err := m.Read(h)
-			if err != nil || !bytes.Equal(got, want) {
-				return false
+			for i, want := range stored {
+				got, err := m.Read(Handle(i + 1))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Logf("op %d: field %d: %v", op, i+1, err)
+					return false
+				}
 			}
 		}
 		return true
@@ -497,13 +424,16 @@ func TestAllocatorInvariantsQuick(t *testing.T) {
 
 func TestNumFields(t *testing.T) {
 	m, _ := New(1<<18, 4096)
-	h, _ := m.Allocate([]byte{1})
+	m.Allocate([]byte{1})
 	if m.NumFields() != 1 {
 		t.Errorf("NumFields = %d", m.NumFields())
 	}
-	release(m, h)
-	if m.NumFields() != 0 {
-		t.Errorf("NumFields after free = %d", m.NumFields())
+	m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{
+		{Op: 1, Kind: faultsim.WriteErr},
+	}}))
+	m.Allocate([]byte{2})
+	if m.NumFields() != 1 {
+		t.Errorf("NumFields after a failed write = %d", m.NumFields())
 	}
 }
 

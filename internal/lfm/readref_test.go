@@ -21,12 +21,12 @@ import (
 // reference read, and its cost on the device meter. It also returns the
 // cost, as the reference's bill.
 func (m *Manager) refRead(h Handle, whole bool, off, n uint64) ([]byte, Stats, error) {
+	f, err := m.field(h)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, ok := m.fields[h]
-	if !ok {
-		return nil, Stats{}, ErrUnknownHandle
-	}
 	if whole {
 		n = f.size
 	}
@@ -35,7 +35,7 @@ func (m *Manager) refRead(h Handle, whole bool, off, n uint64) ([]byte, Stats, e
 	}
 	out := make([]byte, n)
 	var cost Stats
-	err := m.refReadRange(&cost, h, f, off, out)
+	err = m.refReadRange(&cost, h, f, off, out)
 	m.stats.Add(cost)
 	if err != nil {
 		return nil, cost, err
@@ -132,7 +132,7 @@ func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, ds
 			buf[pos] ^= fl.mask
 		}
 	}
-	sums := m.sums[h]
+	sums := f.sums
 	for j := j0; j <= j1; j++ {
 		lo := j*m.pageSize - base
 		hi := lo + m.pageSize
@@ -169,7 +169,7 @@ func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, ds
 func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
-	sums := m.sums[h]
+	sums := f.sums
 	for j := j0; j <= j1; j++ {
 		pageLo := j * m.pageSize
 		pageHi := pageLo + m.pageSize

@@ -16,7 +16,7 @@ var keptUncalled = map[string]string{
 	// Test oracles: the reference implementations tests compare against.
 	"atlas.UnmarshalMesh":           "oracle: TestMeshMarshalRoundTrip holds the mesh bytes the load stores to it",
 	"feature.NearestLinear":         "oracle: the linear scan the VP-tree tests compare against",
-	"lfm.Manager.CheckInvariants":   "oracle: the buddy allocator's invariants, checked by the lfm tests",
+	"lfm.Manager.CheckInvariants":   "oracle: the end-to-end field layout's invariants, checked by the lfm tests",
 	"lfm.IO.ReadAtInto":             "oracle: the contiguous read TestReadRunsMatchesReadAt holds the gathering read to",
 	"region.FromPredicate":          "oracle: the full-grid scan region, volume and setops tests compare against",
 	"sdb.sortRows":                  "oracle: the differential oracle executor (oracle_test.go) sorts with it",

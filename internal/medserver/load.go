@@ -24,8 +24,8 @@ import (
 // Prepares read only the immutable parts of the Server (Cfg, Curve)
 // and run on worker goroutines; commits run on the goroutine
 // that called New, one at a time, atlas first and then in study order.
-// Every handle number, buddy-allocator offset and row position is
-// decided by the commit sequence alone, so the store holds the same
+// Every handle number, device offset and row position is decided by
+// the commit sequence alone, so the store holds the same
 // bytes at the same places however many workers there are and however
 // they were scheduled.
 

@@ -160,7 +160,7 @@ type Server struct {
 	// Table 4's stored rows); the server never reads it, and the
 	// authoritative copies live in the intensityBand table. After a
 	// paper-scale load (Bits 7) it holds 431 310 runs, 6.58 MiB of the
-	// ≈ 24.8-24.9 MiB HeapInuse, of which the LFM device is 16.88 MiB.
+	// ≈ 24.9 MiB HeapInuse, of which the LFM device is 16.81 MiB.
 	BandRegions map[int][]volume.BandSpec
 
 	// stmts are the server's statements, prepared once by New

@@ -126,8 +126,10 @@ func TestLoadByteIdentity(t *testing.T) {
 // §51): it is the last two-row store's manifest with every h-naive row
 // given its k³-tree twin's handle, the 64 h-naive fields dropped, the
 // rest renumbered in order and their 78 pages free — nothing else moved.
+// The device is its configured size rounded up to whole pages, and its
+// free pages are those past the last field (DESIGN.md §55).
 func TestLoadGoldenDigest(t *testing.T) {
-	const want = "f5427795bd063fc21e42106c9c3a2960d47cb674aa885e984a135431b6e240d6"
+	const want = "a60e25cc5457ba835a3f94d5d32b8f841e8d04e9dab27bf3be9a186622111b23"
 	sum := sha256.Sum256([]byte(strings.Join(loadManifest(t, Config{Bits: 5}, runtime.GOMAXPROCS(0), false), "\n")))
 	if got := fmt.Sprintf("%x", sum); got != want {
 		t.Errorf("Bits 5 store digest %s, pinned %s", got, want)
@@ -136,12 +138,10 @@ func TestLoadGoldenDigest(t *testing.T) {
 
 // TestLoadPageCensus pins the device pages a Bits 6 store holds, by
 // the kind of field that owns them. Each long field holds the pages its
-// bytes span, at least one; its buddy block's unused tail went back to
-// the free lists when it was written. TestLoadGoldenDigest cannot see
-// that trim: at Bits 5 every field is a power-of-two page count or under
-// a page. The band fields are counted once, though two rows, h-naive and
-// k3-tree, point at each; the h-naive fields the store kept until each
-// band was stored once held 212 pages more, 805 in all.
+// bytes span, at least one, and the next field starts on the page after
+// them (DESIGN.md §55). The band fields are counted once, though two
+// rows, h-naive and k3-tree, point at each; the h-naive fields the store
+// kept until each band was stored once held 212 pages more, 805 in all.
 func TestLoadPageCensus(t *testing.T) {
 	s, err := New(Config{Bits: 6})
 	if err != nil {
