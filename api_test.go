@@ -286,9 +286,8 @@ func TestPublicDBAndLFM(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec(`insert into t (a) values (1)`)
 	// Attach the long field (handles coerce from non-negative ints).
-	db.MustExec(fmt.Sprintf(`update t set blob = %d where a = 1`, uint64(h)))
+	db.MustExec(fmt.Sprintf(`insert into t (a, blob) values (1, %d)`, uint64(h)))
 	res := db.MustExec(`select fieldLen(blob) from t where a = 1`)
 	if len(res.Rows) != 1 || res.Rows[0][0].I != int64(len("payload")) {
 		t.Errorf("fieldLen rows = %v", res.Rows)

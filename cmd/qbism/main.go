@@ -62,7 +62,7 @@ func main() {
 	bandHi := flag.Int("bandhi", -1, "intensity band upper bound")
 	out := flag.String("out", "", "write the rendered MIP projection to this PGM file")
 	sql := flag.String("sql", "", "run this SQL statement instead of a query spec")
-	repl := flag.Bool("repl", false, "read SQL statements from stdin (one per line; EXPLAIN supported)")
+	repl := flag.Bool("repl", false, "read SQL statements from stdin, one per line: CREATE TABLE, INSERT, SELECT … FROM … WHERE and EXPLAIN [ANALYZE]")
 
 	drop := flag.Float64("drop", 0, "link: probability a message is dropped")
 	timeout := flag.Float64("timeout", 0, "link: probability a message times out")

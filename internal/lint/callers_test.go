@@ -19,7 +19,6 @@ var keptUncalled = map[string]string{
 	"lfm.Manager.CheckInvariants":   "oracle: the end-to-end field layout's invariants, checked by the lfm tests",
 	"lfm.IO.ReadAtInto":             "oracle: the contiguous read TestReadRunsMatchesReadAt holds the gathering read to",
 	"region.FromPredicate":          "oracle: the full-grid scan region, volume and setops tests compare against",
-	"sdb.sortRows":                  "oracle: the differential oracle executor (oracle_test.go) sorts with it",
 	"spindex.RTree.CheckInvariants": "oracle: the R-tree's structural invariants, checked by its tests",
 	"synth.RawStudy.WarpToAtlas":    "oracle: the full-sampling warp TestWarpStudyEqualsFullSampling holds the footprint load to",
 	"warp.RMSError":                 "oracle: the fit residual TestFitLandmarksRecoversAffine measures",

@@ -143,7 +143,7 @@ func TestSplitResponseErrors(t *testing.T) {
 func TestRegionOfErrors(t *testing.T) {
 	s := testSystem(t)
 	numVoxels := func(v sdb.Value) (int64, error) {
-		res, err := s.DB.Exec(`select numVoxels(?) from atlas a limit 1`, v)
+		res, err := s.DB.Exec(`select numVoxels(?) from atlas a`, v)
 		if err != nil {
 			return 0, err
 		}
@@ -197,16 +197,16 @@ func TestZooRegionsRefused(t *testing.T) {
 			sql  string
 			args []sdb.Value
 		}{
-			{`select numVoxels(?) from atlas a limit 1`, []sdb.Value{sdb.Bytes(enc)}},
-			{`select intersection(?, ?) from atlas a limit 1`, []sdb.Value{sdb.Bytes(enc), sdb.Bytes(served)}},
-			{`select numVoxels(intersection(?, ?)) from atlas a limit 1`, []sdb.Value{sdb.Bytes(served), sdb.Bytes(enc)}},
+			{`select numVoxels(?) from atlas a`, []sdb.Value{sdb.Bytes(enc)}},
+			{`select intersection(?, ?) from atlas a`, []sdb.Value{sdb.Bytes(enc), sdb.Bytes(served)}},
+			{`select numVoxels(intersection(?, ?)) from atlas a`, []sdb.Value{sdb.Bytes(served), sdb.Bytes(enc)}},
 		} {
 			if _, err := s.DB.Exec(q.sql, q.args...); !errors.Is(err, rencode.ErrCorrupt) {
 				t.Errorf("%v: %s: err %v, want rencode.ErrCorrupt", m, q.sql, err)
 			}
 		}
 	}
-	_, err = s.DB.Exec(`select numVoxels(ib.region) from intensityBand ib where ib.encoding = ? limit 1`,
+	_, err = s.DB.Exec(`select numVoxels(ib.region) from intensityBand ib where ib.encoding = ?`,
 		sdb.Str(experiments.EncOctant))
 	if !errors.Is(err, rencode.ErrCorrupt) {
 		t.Errorf("stored octant row: err %v, want rencode.ErrCorrupt", err)

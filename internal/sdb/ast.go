@@ -5,22 +5,11 @@ package sdb
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
-// SelectStmt is SELECT exprs FROM tables [WHERE cond]
-// [GROUP BY exprs] [ORDER BY items] [LIMIT n] [OFFSET m].
+// SelectStmt is SELECT exprs FROM tables [WHERE cond].
 type SelectStmt struct {
-	Exprs   []SelectItem
-	From    []TableRef
-	Where   Expr // nil when absent
-	GroupBy []Expr
-	OrderBy []OrderItem
-	Limit   int // -1 when absent
-	Offset  int // 0 when absent
-}
-
-// OrderItem is one ORDER BY entry.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
+	Exprs []SelectItem
+	From  []TableRef
+	Where Expr // nil when absent
 }
 
 // SelectItem is one select-list entry; Star means "*".
@@ -48,30 +37,9 @@ type CreateTableStmt struct {
 	Columns []Column
 }
 
-// DeleteStmt is DELETE FROM table [WHERE cond].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-// UpdateStmt is UPDATE table SET col = expr, ... [WHERE cond].
-type UpdateStmt struct {
-	Table string
-	Set   []Assignment
-	Where Expr
-}
-
-// Assignment is one SET column = expr clause.
-type Assignment struct {
-	Column string
-	Expr   Expr
-}
-
 func (*SelectStmt) stmt()      {}
 func (*InsertStmt) stmt()      {}
 func (*CreateTableStmt) stmt() {}
-func (*DeleteStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
 
 // Expr is any expression node.
 type Expr interface{ expr() }
@@ -105,25 +73,19 @@ type UnaryExpr struct {
 	X  Expr
 }
 
-// FuncCall invokes a user-defined SQL function or a built-in aggregate
-// (COUNT, SUM, AVG, MIN, MAX).
+// FuncCall invokes a user-defined SQL function.
 type FuncCall struct {
 	Name string
 	Args []Expr
 
 	// Bound when the statement is compiled: udf is the registered
 	// function (nil when none has this name — the call then fails when,
-	// and only when, it is evaluated); agg is one plus the call's
-	// position in the plan's aggregate list, zero for an ordinary call;
-	// site is the call's index among the plan's call sites, the slot of
-	// an execution's SiteStates that is its own.
+	// and only when, it is evaluated); site is the call's index among
+	// the plan's call sites, the slot of an execution's SiteStates that
+	// is its own.
 	udf  *UDF
-	agg  int
 	site int
 }
-
-// StarExpr is the "*" inside COUNT(*).
-type StarExpr struct{}
 
 // Placeholder is a "?" bind parameter. Idx is the zero-based ordinal in
 // parse order; the value is supplied at execution time via the args of
@@ -137,5 +99,4 @@ func (*ColumnRef) expr()   {}
 func (*BinaryExpr) expr()  {}
 func (*UnaryExpr) expr()   {}
 func (*FuncCall) expr()    {}
-func (*StarExpr) expr()    {}
 func (*Placeholder) expr() {}

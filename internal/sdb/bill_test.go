@@ -126,16 +126,17 @@ func TestOperatorsChargedTheirOwnPagesAndProbes(t *testing.T) {
 	}
 }
 
-// TestDMLUDFsReadUnbilled: a UDF under UPDATE has no execution to bill,
-// and reads all the same.
+// TestDMLUDFsReadUnbilled: a UDF in an INSERT's values has no execution
+// to bill, and reads all the same.
 func TestDMLUDFsReadUnbilled(t *testing.T) {
 	db := billDB(t)
-	db.MustExec(`update f set n = fieldLen(data) where id = 2`)
-	res := db.MustExec(`select n from f where id = 2`)
+	h := db.MustExec(`select data from f where id = 2`).Rows[0][0]
+	db.MustExec(`insert into f values (5, ?, fieldLen(?))`, h, h)
+	res := db.MustExec(`select n from f where id = 5`)
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 2*4096 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	if got := db.lfm.Stats().PageReads; got != 2 {
-		t.Errorf("device counted %d pages, want the 2 the UPDATE read", got)
+		t.Errorf("device counted %d pages, want the 2 the INSERT read", got)
 	}
 }

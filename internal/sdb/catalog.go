@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -154,15 +155,24 @@ func (db *DB) InsertRow(tableName string, vals []Value) error {
 	if len(vals) != len(t.Columns) {
 		return fmt.Errorf("sdb: table %q has %d columns, got %d values", t.Name, len(t.Columns), len(vals))
 	}
-	row := make([]Value, len(vals))
-	for i, v := range vals {
+	row := slices.Clone(vals)
+	if err := t.coerce(row); err != nil {
+		return err
+	}
+	t.Rows = append(t.Rows, row)
+	return nil
+}
+
+// coerce type-coerces a row, one value per column, against the schema
+// in place.
+func (t *Table) coerce(row []Value) error {
+	for i, v := range row {
 		cv, err := v.coerceTo(t.Columns[i].Type)
 		if err != nil {
 			return fmt.Errorf("sdb: column %q: %v", t.Columns[i].Name, err)
 		}
 		row[i] = cv
 	}
-	t.Rows = append(t.Rows, row)
 	return nil
 }
 

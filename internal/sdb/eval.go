@@ -28,7 +28,7 @@ func (c *Call) IO() *lfm.IO { return c.io }
 // this execution's operator tree, and the same value at every later
 // call of the site, in this execution and the next ones on the tree. It
 // is nil for a function without the hook and outside an execution —
-// a DML statement — where a function allocates what it needs per call.
+// an INSERT — where a function allocates what it needs per call.
 func (c *Call) State() SiteState {
 	if c.sites == nil || c.udf.State == nil {
 		return nil
@@ -50,8 +50,8 @@ func (c *Call) NoteProbe() {
 	}
 }
 
-// env is the evaluation context of one operator (or one DML
-// statement): the tuple under evaluation, the statement's bind values,
+// env is the evaluation context of one operator (or of an INSERT's
+// values): the tuple under evaluation, the statement's bind values,
 // and what its UDF invocations see and are charged to. Column
 // references and function calls were bound when the statement was
 // compiled, so evaluation touches no names.
@@ -61,8 +61,7 @@ type env struct {
 	call   Call
 	stack  *argStack // shared by every operator of the execution
 
-	rows    [][]Value // the current tuple: one row per slot, in join order
-	aggVals []Value   // its computed aggregates; nil before aggregation
+	rows [][]Value // the current tuple: one row per slot, in join order
 }
 
 // argStack holds the argument vectors of the calls under evaluation,
@@ -104,11 +103,6 @@ func (e *env) eval(x Expr) (Value, error) {
 		}
 		return e.params[n.Idx], nil
 	case *ColumnRef:
-		// Only the lone output row of a grand aggregate over zero input
-		// rows has unfilled slots.
-		if n.slot >= len(e.rows) || e.rows[n.slot] == nil {
-			return Value{}, fmt.Errorf("sdb: unknown table alias %q", n.Qualifier)
-		}
 		return e.rows[n.slot][n.col], nil
 	case *UnaryExpr:
 		v, err := e.eval(n.X)
@@ -154,11 +148,6 @@ func (e *env) eval(x Expr) (Value, error) {
 // encodes it, and a call that is the argument of another hands it over
 // as it is.
 func (e *env) apply(n *FuncCall) (Value, error) {
-	// Above the aggregate operator an accumulated call reads its
-	// computed value; built-in aggregates shadow same-named UDFs.
-	if n.agg > 0 && e.aggVals != nil {
-		return e.aggVals[n.agg-1], nil
-	}
 	u := n.udf
 	if u == nil {
 		return Value{}, fmt.Errorf("sdb: unknown function %q", n.Name)

@@ -10,7 +10,7 @@ import (
 )
 
 // Result is the output of a statement: column labels and rows. For
-// non-SELECT statements Rows is nil and Affected counts changed rows.
+// non-SELECT statements Rows is nil and Affected counts inserted rows.
 type Result struct {
 	Columns  []string
 	Rows     [][]Value
@@ -58,10 +58,6 @@ func (c *compiled) exec(db *DB, args []Value) (*Result, error) {
 		return &Result{}, nil
 	case *InsertStmt:
 		return db.execInsert(s, args)
-	case *DeleteStmt:
-		return db.execDelete(s, args)
-	case *UpdateStmt:
-		return db.execUpdate(s, args)
 	case *ExplainStmt:
 		return c.explain(db, args, s.Analyze)
 	default:
@@ -214,8 +210,7 @@ func emitOpSpans(parent *obs.Span, op operator) {
 }
 
 // Query parses a SELECT and returns a streaming row iterator; rows are
-// produced incrementally as the caller pulls them, with no full
-// materialization below sort/aggregate boundaries. Optional args bind
+// produced incrementally as the caller pulls them. Optional args bind
 // "?" placeholders.
 func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 	return db.QuerySpan(nil, sql, args...)
@@ -307,6 +302,9 @@ func materialize(rows *Rows, err error) (*Result, error) {
 	return res, nil
 }
 
+// execInsert appends the statement's rows to its table, all of them or
+// none: every row is evaluated and coerced before the first is appended,
+// so a value that fails leaves the table as it was.
 func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
@@ -329,9 +327,9 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 	}
 	// INSERT values see no row: only literals, bind parameters and
 	// function calls evaluate.
-	e := db.dmlEnv(params, 0)
-	n := 0
-	for _, rowExprs := range s.Rows {
+	e := db.dmlEnv(params)
+	rows := make([][]Value, len(s.Rows))
+	for ri, rowExprs := range s.Rows {
 		if len(rowExprs) != len(positions) {
 			return nil, fmt.Errorf("sdb: INSERT row has %d values, want %d", len(rowExprs), len(positions))
 		}
@@ -340,7 +338,7 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 			row[i] = Null()
 		}
 		for i, x := range rowExprs {
-			if err := db.bindRowExpr(x, nil); err != nil {
+			if err := db.bindRowExpr(x); err != nil {
 				return nil, err
 			}
 			v, err := e.eval(x)
@@ -349,109 +347,20 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (*Result, error) {
 			}
 			row[positions[i]] = v
 		}
-		if err := db.InsertRow(t.Name, row); err != nil {
+		if err := t.coerce(row); err != nil {
 			return nil, err
 		}
-		n++
+		rows[ri] = row
 	}
-	return &Result{Affected: n}, nil
+	t.Rows = append(t.Rows, rows...)
+	return &Result{Affected: len(rows)}, nil
 }
 
-// dmlEnv is the evaluation context of a DML statement over nrows-row
-// tuples. No execution runs it, so what its UDFs read is billed to an
+// dmlEnv is the evaluation context of an INSERT's values, which see no
+// row. No execution runs it, so what its UDFs read is billed to an
 // account nobody collects.
-func (db *DB) dmlEnv(params []Value, nrows int) *env {
-	return &env{db: db, params: params, call: Call{io: &lfm.IO{M: db.lfm}}, stack: &argStack{}, rows: make([][]Value, nrows)}
-}
-
-// whereMatches evaluates a DML WHERE clause (nil = every row) against
-// the row e currently holds.
-func whereMatches(e *env, where Expr) (bool, error) {
-	if where == nil {
-		return true, nil
-	}
-	v, err := e.eval(where)
-	if err != nil {
-		return false, err
-	}
-	if v.T != TBool {
-		return false, fmt.Errorf("sdb: WHERE clause is %s, not BOOL", v.T)
-	}
-	return v.B, nil
-}
-
-func (db *DB) execDelete(s *DeleteStmt, params []Value) (*Result, error) {
-	t, err := db.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.bindRowExpr(s.Where, t); err != nil {
-		return nil, err
-	}
-	e := db.dmlEnv(params, 1)
-	kept := t.Rows[:0]
-	deleted := 0
-	for _, row := range t.Rows {
-		e.rows[0] = row
-		match, err := whereMatches(e, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		if match {
-			deleted++
-		} else {
-			kept = append(kept, row)
-		}
-	}
-	t.Rows = kept
-	return &Result{Affected: deleted}, nil
-}
-
-func (db *DB) execUpdate(s *UpdateStmt, params []Value) (*Result, error) {
-	t, err := db.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.bindRowExpr(s.Where, t); err != nil {
-		return nil, err
-	}
-	for _, asg := range s.Set {
-		if err := db.bindRowExpr(asg.Expr, t); err != nil {
-			return nil, err
-		}
-	}
-	e := db.dmlEnv(params, 1)
-	updated := 0
-	for ri, row := range t.Rows {
-		e.rows[0] = row
-		match, err := whereMatches(e, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			continue
-		}
-		newRow := make([]Value, len(row))
-		copy(newRow, row)
-		for _, asg := range s.Set {
-			idx := t.ColumnIndex(asg.Column)
-			if idx < 0 {
-				return nil, fmt.Errorf("sdb: table %q has no column %q", t.Name, asg.Column)
-			}
-			v, err := e.eval(asg.Expr)
-			if err != nil {
-				return nil, err
-			}
-			cv, err := v.coerceTo(t.Columns[idx].Type)
-			if err != nil {
-				return nil, err
-			}
-			newRow[idx] = cv
-		}
-		t.Rows[ri] = newRow
-		updated++
-	}
-	return &Result{Affected: updated}, nil
+func (db *DB) dmlEnv(params []Value) *env {
+	return &env{db: db, params: params, call: Call{io: &lfm.IO{M: db.lfm}}, stack: &argStack{}}
 }
 
 // conjunct is one AND-term of the WHERE clause plus the aliases it
@@ -465,24 +374,6 @@ type conjunct struct {
 type source struct {
 	alias string
 	table *Table
-}
-
-// sortRows stably sorts rows by their precomputed ORDER BY keys. NULLs
-// sort first; unorderable key pairs are an error.
-func sortRows(rows [][]Value, keys [][]Value, items []OrderItem) error {
-	idx, err := sortPermutation(keys, items)
-	if err != nil {
-		return err
-	}
-	orig := append([][]Value(nil), rows...)
-	origKeys := append([][]Value(nil), keys...)
-	for i, j := range idx {
-		rows[i] = orig[j]
-		if len(origKeys) > 0 {
-			keys[i] = origKeys[j]
-		}
-	}
-	return nil
 }
 
 func sources2map(sources []source) map[string]*Table {

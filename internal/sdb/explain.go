@@ -89,8 +89,6 @@ func exprString(x Expr) string {
 			args[i] = exprString(a)
 		}
 		return n.Name + "(" + strings.Join(args, ", ") + ")"
-	case *StarExpr:
-		return "*"
 	default:
 		return "?"
 	}

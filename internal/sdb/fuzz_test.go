@@ -1,16 +1,11 @@
 package sdb
 
-import (
-	"strings"
-	"testing"
-	"unicode/utf8"
-)
+import "testing"
 
-// FuzzParseSQL asserts the parser's only contract under arbitrary
-// input: it returns a statement or an error, never panics, and a
-// successful parse renders back to something the parser accepts again
-// (EXPLAIN of a plan must never hit a syntax error on its own output
-// shapes).
+// FuzzParseSQL asserts the parser's contract under arbitrary input: it
+// never panics, and it returns either an error or a non-nil statement.
+// It promises no round trip: exprString, which EXPLAIN renders with,
+// does not escape quotes.
 func FuzzParseSQL(f *testing.F) {
 	seeds := []string{
 		"SELECT 1",
@@ -26,6 +21,8 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT * FROM",
 		"'unterminated",
 		"SELECT \x00 FROM \xff",
+		"UPDATE t SET a = 1 WHERE id = ?",
+		"SELECT f(*, a) FROM t",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -37,11 +34,6 @@ func FuzzParseSQL(f *testing.F) {
 		}
 		if stmt == nil {
 			t.Fatalf("Parse(%q): nil statement with nil error", input)
-		}
-		if !utf8.ValidString(input) || strings.ContainsRune(input, 0) {
-			// Renderers make no promises about inputs the lexer only
-			// accepted by luck; the no-panic guarantee above is enough.
-			return
 		}
 	})
 }

@@ -116,11 +116,11 @@ func TestLexerNeverPanics(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Planner equivalence fuzzing: randomized SELECTs (joins, UDFs, GROUP
-// BY, ORDER BY, LIMIT/OFFSET) run through the legacy materializing
-// oracle and the Volcano pipeline must return identical results — same
-// rows, same order. A pushdown-disabled engine is compared as a
-// multiset (its join order legitimately differs). Queries execute from
+// Planner equivalence fuzzing: randomized SELECTs (joins, UDFs,
+// filters, SELECT *) run through the legacy materializing oracle and
+// the Volcano pipeline must return identical results — same rows, same
+// order. A pushdown-disabled engine is compared as a multiset (its join
+// order legitimately differs). Queries execute from
 // several goroutines so `go test -race` checks the read path is clean.
 
 // fuzzEquivDB builds the shared read-only catalog the fuzzer queries.
@@ -170,9 +170,8 @@ func fuzzEquivDB() *DB {
 // fuzzQuery is one generated SELECT plus the comparison modes it is
 // eligible for.
 type fuzzQuery struct {
-	sql           string
-	multisetOnly  bool // star over multiple tables etc: skip pushdown-off order compare
-	offComparable bool
+	sql          string
+	multisetOnly bool // star over multiple tables: skip the pushdown-off compare
 }
 
 type fuzzTableDef struct {
@@ -267,53 +266,21 @@ func genEquivQuery(rng *rand.Rand) fuzzQuery {
 
 	var sb strings.Builder
 	sb.WriteString("select ")
-	aggregated := rng.Intn(10) < 3
 	multisetOnly := false
-	offComparable := true
-	var groupCols []string
-	if aggregated {
-		offComparable = false // group "first row" depends on join order
-		ngroup := rng.Intn(3)
-		for i := 0; i < ngroup; i++ {
-			groupCols = append(groupCols, intRef())
-		}
+	if ntab > 1 && rng.Intn(8) == 0 {
+		sb.WriteString("*")
+		multisetOnly = true
+	} else {
 		var items []string
 		nitems := 1 + rng.Intn(3)
 		for i := 0; i < nitems; i++ {
-			switch rng.Intn(5) {
-			case 0:
-				items = append(items, "count(*)")
-			case 1:
-				items = append(items, "sum("+intExpr(1)+")")
-			case 2:
-				items = append(items, "min("+intRef()+")")
-			case 3:
-				items = append(items, "avg("+intExpr(0)+")")
-			default:
-				if len(groupCols) > 0 {
-					items = append(items, groupCols[rng.Intn(len(groupCols))])
-				} else {
-					items = append(items, "max("+intRef()+")")
-				}
+			if s, ok := strRef(); ok && rng.Intn(4) == 0 {
+				items = append(items, s)
+			} else {
+				items = append(items, intExpr(1+rng.Intn(2)))
 			}
 		}
 		sb.WriteString(strings.Join(items, ", "))
-	} else {
-		if ntab > 1 && rng.Intn(8) == 0 {
-			sb.WriteString("*")
-			multisetOnly = true
-		} else {
-			var items []string
-			nitems := 1 + rng.Intn(3)
-			for i := 0; i < nitems; i++ {
-				if s, ok := strRef(); ok && rng.Intn(4) == 0 {
-					items = append(items, s)
-				} else {
-					items = append(items, intExpr(1+rng.Intn(2)))
-				}
-			}
-			sb.WriteString(strings.Join(items, ", "))
-		}
 	}
 	sb.WriteString(" from ")
 	froms := make([]string, len(tabs))
@@ -342,43 +309,7 @@ func genEquivQuery(rng *rand.Rand) fuzzQuery {
 		sb.WriteString(" where " + strings.Join(conj, " and "))
 	}
 
-	if len(groupCols) > 0 {
-		sb.WriteString(" group by " + strings.Join(groupCols, ", "))
-	}
-
-	if rng.Intn(2) == 0 {
-		norder := 1 + rng.Intn(2)
-		var items []string
-		for i := 0; i < norder; i++ {
-			var key string
-			if aggregated {
-				key = []string{"count(*)", "sum(" + intRef() + ")", "max(" + intRef() + ")"}[rng.Intn(3)]
-				if len(groupCols) > 0 && rng.Intn(2) == 0 {
-					key = groupCols[rng.Intn(len(groupCols))]
-				}
-			} else if s, ok := strRef(); ok && rng.Intn(4) == 0 {
-				key = s
-			} else {
-				key = intExpr(1)
-			}
-			if rng.Intn(2) == 0 {
-				key += " desc"
-			}
-			items = append(items, key)
-		}
-		sb.WriteString(" order by " + strings.Join(items, ", "))
-	}
-	if rng.Intn(3) == 0 {
-		sb.WriteString(fmt.Sprintf(" limit %d", rng.Intn(10)))
-		offComparable = false
-		if rng.Intn(2) == 0 {
-			sb.WriteString(fmt.Sprintf(" offset %d", rng.Intn(5)))
-		}
-	} else if rng.Intn(6) == 0 {
-		sb.WriteString(fmt.Sprintf(" offset %d", rng.Intn(5)))
-		offComparable = false
-	}
-	return fuzzQuery{sql: sb.String(), multisetOnly: multisetOnly, offComparable: offComparable}
+	return fuzzQuery{sql: sb.String(), multisetOnly: multisetOnly}
 }
 
 // rowsEqual compares two row sets in order, treating nil and empty as
@@ -536,7 +467,7 @@ func TestPlannerEquivalenceFuzz(t *testing.T) {
 				}
 				// Pushdown-off executes a different join order; compare as a
 				// multiset where row identity is order-independent.
-				if fq.offComparable && !fq.multisetOnly {
+				if !fq.multisetOnly {
 					off, errO := dbOff.Exec(fq.sql)
 					if errO != nil {
 						t.Errorf("pushdown-off error for %q: %v", fq.sql, errO)
@@ -559,17 +490,12 @@ func TestPlannerEquivalenceFuzz(t *testing.T) {
 var intLiteral = regexp.MustCompile(`\b\d+\b`)
 
 // parameterize turns a generated query's integer literals into "?"
-// placeholders and returns their values as the base bind vector. LIMIT
-// and OFFSET counts are syntax, not expressions, and stay literal.
+// placeholders and returns their values as the base bind vector.
 func parameterize(sql string) (string, []Value) {
 	var binds []Value
 	var sb strings.Builder
 	last := 0
 	for _, loc := range intLiteral.FindAllStringIndex(sql, -1) {
-		head := strings.TrimRight(sql[:loc[0]], " ")
-		if strings.HasSuffix(head, "limit") || strings.HasSuffix(head, "offset") {
-			continue
-		}
 		n, _ := strconv.ParseInt(sql[loc[0]:loc[1]], 10, 64)
 		binds = append(binds, Int(n))
 		sb.WriteString(sql[last:loc[0]])
@@ -578,6 +504,21 @@ func parameterize(sql string) (string, []Value) {
 	}
 	sb.WriteString(sql[last:])
 	return sb.String(), binds
+}
+
+// joinKinds reports whether a plan tree holds a hash join (a join with
+// keys) and a nested loop (one without): the operators that keep rows
+// between calls, and capacity between executions.
+func joinKinds(n planNode) (hash, loop bool) {
+	switch pn := n.(type) {
+	case *filterNode:
+		return joinKinds(pn.child)
+	case *joinNode:
+		lh, ll := joinKinds(pn.left)
+		rh, rl := joinKinds(pn.right)
+		return lh || rh || len(pn.leftKeys) > 0, ll || rl || len(pn.leftKeys) == 0
+	}
+	return false, false
 }
 
 // fuzzOutcome is what one (query, bind vector) pair must produce.
@@ -667,7 +608,7 @@ func TestPreparedEquivalenceFuzz(t *testing.T) {
 	// A serial pass first, where reuse is certain: the first vector builds
 	// the statement's operator tree, the others run on that same tree —
 	// whatever the statement is made of.
-	var reusedAgg, reusedSort, reusedLimit int
+	var reusedHash, reusedLoop int
 	for i := range cases {
 		c := &cases[i]
 		for v, binds := range c.binds {
@@ -679,20 +620,17 @@ func TestPreparedEquivalenceFuzz(t *testing.T) {
 				t.Fatalf("%d idle trees after serial execution %d of %q, want 1", n, v, c.sql)
 			}
 		}
-		plan := c.stmt.plan.Load().sel
-		if plan.aggregated {
-			reusedAgg++
+		hash, loop := joinKinds(c.stmt.plan.Load().sel.tree)
+		if hash {
+			reusedHash++
 		}
-		if len(plan.stmt.OrderBy) > 0 {
-			reusedSort++
-		}
-		if plan.stmt.Limit >= 0 || plan.stmt.Offset > 0 {
-			reusedLimit++
+		if loop {
+			reusedLoop++
 		}
 	}
-	t.Logf("statements re-executed on a retained tree: %d aggregated, %d sorted, %d limited", reusedAgg, reusedSort, reusedLimit)
-	if reusedAgg == 0 || reusedSort == 0 || reusedLimit == 0 {
-		t.Fatal("reuse of aggregate, sort or limit operators is not exercised")
+	t.Logf("statements re-executed on a retained tree: %d with a hash join, %d with a nested loop", reusedHash, reusedLoop)
+	if reusedHash == 0 || reusedLoop == 0 {
+		t.Fatal("reuse of a hash join's table or a nested loop's right side is not exercised")
 	}
 
 	var executed atomic.Int64

@@ -31,10 +31,11 @@ type token struct {
 var reserved = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
 	"NOT": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"CREATE": true, "TABLE": true, "DELETE": true, "UPDATE": true,
-	"SET": true, "TRUE": true, "FALSE": true, "NULL": true,
-	"GROUP": true, "ORDER": true, "BY": true, "LIMIT": true, "OFFSET": true,
-	"ASC": true, "DESC": true, "EXPLAIN": true, "ANALYZE": true,
+	"CREATE": true, "TABLE": true, "TRUE": true, "FALSE": true, "NULL": true,
+	"EXPLAIN": true, "ANALYZE": true,
+	// Refused with ErrUnsupported, which names them.
+	"DELETE": true, "UPDATE": true, "GROUP": true, "ORDER": true,
+	"LIMIT": true, "OFFSET": true,
 }
 
 // lex tokenizes a SQL string.

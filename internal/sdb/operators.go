@@ -3,7 +3,6 @@ package sdb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"qbism/internal/lfm"
@@ -12,8 +11,8 @@ import (
 // The physical executor: Volcano-style iterators. A compiled plan is
 // instantiated into one operator per plan node, and the tree then runs
 // one execution after another (see execution); rows flow upward one at
-// a time, so nothing above the operator that needs materialization
-// (aggregate, sort) builds a full intermediate result.
+// a time, and only a join keeps rows: its hash table or its nested
+// loop's right side.
 // Every operator carries its own counters — rows in/out, UDF calls, and
 // the LFM pages read while evaluating its expressions — which EXPLAIN
 // ANALYZE reports per node.
@@ -29,17 +28,15 @@ type opStats struct {
 
 // tuple is the unit of data flow: one row reference per FROM entry,
 // indexed by join position (the slot column references were bound to),
-// the computed aggregate values after aggregation, and the projected
-// output row once the root has run.
+// and the projected output row once the root has run.
 //
 // rows is the producing operator's own buffer, overwritten in place: a
-// tuple is valid until that operator's next call to next. Operators
-// that keep tuples across calls — hash build, the nested loop's right
-// side, aggregate, sort — copy what they keep.
+// tuple is valid until that operator's next call to next. The joins,
+// which keep rows across calls — hash build, the nested loop's right
+// side — keep the table rows, not the buffer.
 type tuple struct {
-	rows    [][]Value
-	aggVals []Value // parallel to the plan's aggCalls; nil before aggregation
-	out     []Value // set by the projection root
+	rows [][]Value
+	out  []Value // set by the projection root
 }
 
 // operator is a Volcano iterator. kids returns its inputs (left, right),
@@ -75,7 +72,7 @@ func (b *opBase) bind(x *execution) {
 // the last tuple evaluated.
 func (b *opBase) reset() {
 	b.st = opStats{}
-	b.ev.rows, b.ev.aggVals = nil, nil
+	b.ev.rows = nil
 }
 
 // evalIn evaluates x against the tuple on this operator's account: its
@@ -83,7 +80,7 @@ func (b *opBase) reset() {
 // the execution's bill grows by meanwhile are its pages — exactly, since
 // only this goroutine adds to that bill.
 func (b *opBase) evalIn(t tuple, x Expr) (Value, error) {
-	b.ev.rows, b.ev.aggVals = t.rows, t.aggVals
+	b.ev.rows = t.rows
 	pages := b.x.io.PageReads
 	v, err := b.ev.eval(x)
 	b.st.lfmPages += int64(b.x.io.PageReads - pages)
@@ -502,324 +499,10 @@ func (o *nlJoinOp) describe() string { return "nested loop join" }
 
 func (o *nlJoinOp) kids() (operator, operator) { return o.left, o.right }
 
-// aggOp groups its input and folds the plan's aggregate calls, exactly
-// reproducing the permissive GROUP BY semantics of the old executor:
-// non-aggregated expressions later evaluate against the first row of
-// each group, and a grand aggregate over zero rows still emits one row.
-type aggOp struct {
-	opBase
-	child    operator
-	groupBy  []Expr
-	aggCalls []*FuncCall
-
-	done    bool
-	results []tuple
-	i       int
-}
-
-func (o *aggOp) open() error {
-	o.done, o.results, o.i = false, o.results[:0], 0
-	return o.child.open()
-}
-
-func (o *aggOp) drain() error {
-	groups := make(map[string]*group)
-	var groupOrder []string
-	for {
-		t, ok, err := o.child.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		o.st.rowsIn++
-		keyVals := make([]Value, len(o.groupBy))
-		for i, g := range o.groupBy {
-			v, err := o.evalIn(t, g)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
-		}
-		key := groupKey(keyVals)
-		grp, ok2 := groups[key]
-		if !ok2 {
-			grp = &group{rows: append([][]Value(nil), t.rows...)}
-			for _, c := range o.aggCalls {
-				grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
-			}
-			groups[key] = grp
-			groupOrder = append(groupOrder, key)
-		}
-		for i, c := range o.aggCalls {
-			if _, star := c.Args[0].(*StarExpr); star {
-				if err := grp.aggs[i].update(Value{}, true); err != nil {
-					return err
-				}
-				continue
-			}
-			v, err := o.evalIn(t, c.Args[0])
-			if err != nil {
-				return err
-			}
-			if err := grp.aggs[i].update(v, false); err != nil {
-				return err
-			}
-		}
-	}
-	// A grand aggregate over zero rows still yields one row.
-	if len(groupOrder) == 0 && len(o.groupBy) == 0 {
-		grp := &group{}
-		for _, c := range o.aggCalls {
-			grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
-		}
-		groups[""] = grp
-		groupOrder = append(groupOrder, "")
-	}
-	for _, key := range groupOrder {
-		grp := groups[key]
-		aggVals := make([]Value, len(grp.aggs))
-		for i, a := range grp.aggs {
-			aggVals[i] = a.value()
-		}
-		o.results = append(o.results, tuple{rows: grp.rows, aggVals: aggVals})
-	}
-	return nil
-}
-
-func (o *aggOp) next() (tuple, bool, error) {
-	if !o.done {
-		if err := o.drain(); err != nil {
-			return tuple{}, false, err
-		}
-		o.done = true
-	}
-	if o.i >= len(o.results) {
-		return tuple{}, false, nil
-	}
-	t := o.results[o.i]
-	o.i++
-	o.st.rowsOut++
-	return t, true, nil
-}
-
-func (o *aggOp) close() {
-	o.child.close()
-	o.results = emptied(o.results)
-}
-
-func (o *aggOp) describe() string {
-	calls := make([]string, len(o.aggCalls))
-	for i, c := range o.aggCalls {
-		calls[i] = exprString(c)
-	}
-	var s string
-	if len(o.groupBy) > 0 {
-		keys := make([]string, len(o.groupBy))
-		for i, g := range o.groupBy {
-			keys[i] = exprString(g)
-		}
-		s = "aggregate group by " + strings.Join(keys, ", ")
-	} else {
-		s = "aggregate single group"
-	}
-	if len(calls) > 0 {
-		s += " [" + strings.Join(calls, ", ") + "]"
-	}
-	return s
-}
-
-func (o *aggOp) kids() (operator, operator) { return o.child, nil }
-
-// sortOp materializes its input and emits it stably sorted by the
-// ORDER BY keys (NULLs first, as elsewhere in the engine).
-type sortOp struct {
-	opBase
-	child operator
-	items []OrderItem
-
-	done bool
-	rows []tuple
-	i    int
-}
-
-func (o *sortOp) open() error {
-	o.done, o.rows, o.i = false, o.rows[:0], 0
-	return o.child.open()
-}
-
-func (o *sortOp) drain() error {
-	var keys [][]Value
-	for {
-		t, ok, err := o.child.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		o.st.rowsIn++
-		ks := make([]Value, len(o.items))
-		for i, oi := range o.items {
-			v, err := o.evalIn(t, oi.Expr)
-			if err != nil {
-				return err
-			}
-			ks[i] = v
-		}
-		t.rows = append([][]Value(nil), t.rows...)
-		o.rows = append(o.rows, t)
-		keys = append(keys, ks)
-	}
-	perm, err := sortPermutation(keys, o.items)
-	if err != nil {
-		return err
-	}
-	sorted := make([]tuple, len(o.rows))
-	for i, j := range perm {
-		sorted[i] = o.rows[j]
-	}
-	o.rows = sorted
-	return nil
-}
-
-func (o *sortOp) next() (tuple, bool, error) {
-	if !o.done {
-		if err := o.drain(); err != nil {
-			return tuple{}, false, err
-		}
-		o.done = true
-	}
-	if o.i >= len(o.rows) {
-		return tuple{}, false, nil
-	}
-	t := o.rows[o.i]
-	o.i++
-	o.st.rowsOut++
-	return t, true, nil
-}
-
-func (o *sortOp) close() {
-	o.child.close()
-	o.rows = emptied(o.rows)
-}
-
-func (o *sortOp) describe() string {
-	parts := make([]string, len(o.items))
-	for i, oi := range o.items {
-		dir := "asc"
-		if oi.Desc {
-			dir = "desc"
-		}
-		parts[i] = exprString(oi.Expr) + " " + dir
-	}
-	return "sort " + strings.Join(parts, ", ")
-}
-
-func (o *sortOp) kids() (operator, operator) { return o.child, nil }
-
-// sortPermutation returns the stable ordering of row indices by their
-// precomputed ORDER BY keys. NULLs sort first; unorderable key pairs
-// are an error.
-func sortPermutation(keys [][]Value, items []OrderItem) ([]int, error) {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		if sortErr != nil {
-			return false
-		}
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		for i, oi := range items {
-			va, vb := ka[i], kb[i]
-			if va.IsNull() && vb.IsNull() {
-				continue
-			}
-			if va.IsNull() {
-				return !oi.Desc
-			}
-			if vb.IsNull() {
-				return oi.Desc
-			}
-			if va.Equal(vb) {
-				continue
-			}
-			less, err := va.Less(vb)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if oi.Desc {
-				return !less
-			}
-			return less
-		}
-		return false
-	})
-	if sortErr != nil {
-		return nil, sortErr
-	}
-	return idx, nil
-}
-
-// limitOp skips Offset rows and stops after Limit rows (-1 = no cap),
-// telling upstream operators to stop producing early.
-type limitOp struct {
-	opBase
-	child   operator
-	limit   int
-	offset  int
-	skipped int
-	emitted int
-}
-
-func (o *limitOp) open() error {
-	o.skipped, o.emitted = 0, 0
-	return o.child.open()
-}
-
-func (o *limitOp) next() (tuple, bool, error) {
-	if o.limit >= 0 && o.emitted >= o.limit {
-		return tuple{}, false, nil
-	}
-	for {
-		t, ok, err := o.child.next()
-		if err != nil || !ok {
-			return tuple{}, false, err
-		}
-		o.st.rowsIn++
-		if o.skipped < o.offset {
-			o.skipped++
-			continue
-		}
-		o.emitted++
-		o.st.rowsOut++
-		return t, true, nil
-	}
-}
-
-func (o *limitOp) close() { o.child.close() }
-
-func (o *limitOp) describe() string {
-	var parts []string
-	if o.limit >= 0 {
-		parts = append(parts, fmt.Sprintf("limit %d", o.limit))
-	}
-	if o.offset > 0 {
-		parts = append(parts, fmt.Sprintf("offset %d", o.offset))
-	}
-	return strings.Join(parts, " ")
-}
-
-func (o *limitOp) kids() (operator, operator) { return o.child, nil }
-
 // projectOp is the pipeline root: it evaluates the select list into
-// the output row. Because it sits above sort and limit, expensive
-// projection expressions (EXTRACT_DATA and friends) run only for rows
-// that survive every filter and the limit.
+// the output row. Because it sits above the scan/filter/join tree,
+// expensive projection expressions (EXTRACT_DATA and friends) run only
+// for rows that survive every filter.
 type projectOp struct {
 	opBase
 	child   operator
@@ -988,24 +671,7 @@ func (p *selectPlan) instantiate(db *DB, nparams int) *execution {
 	n := len(p.ordered)
 	x := &execution{db: db, params: make([]Value, nparams), io: lfm.IO{M: db.lfm}, sites: make([]SiteState, p.sites),
 		width: n, bufs: make([][]Value, n*(2*n-1))}
-	root := x.build(p.tree)
-	s := p.stmt
-	if p.aggregated {
-		op := &aggOp{child: root, groupBy: s.GroupBy, aggCalls: p.aggCalls}
-		op.bind(x)
-		root = op
-	}
-	if len(s.OrderBy) > 0 {
-		op := &sortOp{child: root, items: s.OrderBy}
-		op.bind(x)
-		root = op
-	}
-	if s.Limit >= 0 || s.Offset > 0 {
-		op := &limitOp{child: root, limit: s.Limit, offset: s.Offset}
-		op.bind(x)
-		root = op
-	}
-	x.root = &projectOp{child: root, items: s.Exprs, columns: p.columns, out: make([]Value, 0, len(p.columns))}
+	x.root = &projectOp{child: x.build(p.tree), items: p.stmt.Exprs, columns: p.columns, out: make([]Value, 0, len(p.columns))}
 	x.root.bind(x)
 	return x
 }

@@ -202,52 +202,11 @@ func (e *oracleEnv) evalBinary(n *BinaryExpr) (Value, error) {
 	}
 }
 
-// evalWithAggregates evaluates x in env, substituting computed values
-// for the identified aggregate calls (matched by pointer).
-func (e *oracleEnv) evalWithAggregates(x Expr, calls []*FuncCall, values []Value) (Value, error) {
-	if fc, ok := x.(*FuncCall); ok {
-		for i, c := range calls {
-			if fc == c {
-				return values[i], nil
-			}
-		}
-	}
-	switch n := x.(type) {
-	case *BinaryExpr:
-		// Rebuild with substituted children by evaluating recursively.
-		l, err := e.evalWithAggregates(n.Left, calls, values)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := e.evalWithAggregates(n.Right, calls, values)
-		if err != nil {
-			return Value{}, err
-		}
-		return e.evalBinary(&BinaryExpr{Op: n.Op, Left: &Literal{Val: l}, Right: &Literal{Val: r}})
-	case *UnaryExpr:
-		v, err := e.evalWithAggregates(n.X, calls, values)
-		if err != nil {
-			return Value{}, err
-		}
-		return e.eval(&UnaryExpr{Op: n.Op, X: &Literal{Val: v}})
-	default:
-		return e.eval(x)
-	}
-}
-
-// oracleGroup accumulates one GROUP BY bucket.
-type oracleGroup struct {
-	frames []oracleFrame // snapshot of the first row's bindings
-	aggs   []*aggState   // parallel to the query's aggregate call list
-}
-
 // oraclePlan mirrors the old selectPlan shape.
 type oraclePlan struct {
-	ordered    []source
-	levelConj  [][]Expr
-	aggCalls   []*FuncCall
-	aggregated bool
-	columns    []string
+	ordered   []source
+	levelConj [][]Expr
+	columns   []string
 }
 
 func oraclePlanSelect(db *DB, s *SelectStmt) (*oraclePlan, error) {
@@ -289,42 +248,10 @@ func oraclePlanSelect(db *DB, s *SelectStmt) (*oraclePlan, error) {
 		if err := resolve(s.Where); err != nil {
 			return nil, err
 		}
-		var aggCheck []*FuncCall
-		if err := collectAggregates(s.Where, &aggCheck, false); err != nil {
-			return nil, err
-		}
-		if len(aggCheck) > 0 {
-			return nil, fmt.Errorf("sdb: aggregates are not allowed in WHERE")
-		}
 		for _, c := range splitConjuncts(s.Where) {
 			conjuncts = append(conjuncts, conjunct{expr: c, aliases: exprAliases(c)})
 		}
 	}
-	for _, g := range s.GroupBy {
-		if err := resolve(g); err != nil {
-			return nil, err
-		}
-	}
-	for _, oi := range s.OrderBy {
-		if err := resolve(oi.Expr); err != nil {
-			return nil, err
-		}
-	}
-
-	var aggCalls []*FuncCall
-	for _, item := range s.Exprs {
-		if !item.Star {
-			if err := collectAggregates(item.Expr, &aggCalls, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, oi := range s.OrderBy {
-		if err := collectAggregates(oi.Expr, &aggCalls, false); err != nil {
-			return nil, err
-		}
-	}
-	aggregated := len(aggCalls) > 0 || len(s.GroupBy) > 0
 
 	order := planOrder(sources2aliases(sources), conjuncts)
 	ordered := make([]source, 0, len(sources))
@@ -365,26 +292,11 @@ func oraclePlanSelect(db *DB, s *SelectStmt) (*oraclePlan, error) {
 		}
 	}
 
-	if aggregated {
-		for _, item := range s.Exprs {
-			if item.Star {
-				return nil, fmt.Errorf("sdb: SELECT * cannot be combined with aggregates or GROUP BY")
-			}
-		}
-	}
-
-	return &oraclePlan{
-		ordered:    ordered,
-		levelConj:  levelConj,
-		aggCalls:   aggCalls,
-		aggregated: aggregated,
-		columns:    columns,
-	}, nil
+	return &oraclePlan{ordered: ordered, levelConj: levelConj, columns: columns}, nil
 }
 
 // oracleExecSelect is the old all-at-once execSelect, plus bind
-// parameters and OFFSET (applied to the materialized result, which
-// defines the semantics the limit operator must match).
+// parameters.
 func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 	plan, err := oraclePlanSelect(db, s)
 	if err != nil {
@@ -392,54 +304,12 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 	}
 	ordered := plan.ordered
 	levelConj := plan.levelConj
-	aggCalls := plan.aggCalls
-	aggregated := plan.aggregated
 	columns := plan.columns
 
 	res := &Result{Columns: columns}
 	e := &oracleEnv{db: db, frames: make([]oracleFrame, 0, len(ordered)), params: params}
-	var sortKeys [][]Value
-
-	groups := make(map[string]*oracleGroup)
-	var groupOrder []string
 
 	onRow := func() error {
-		if aggregated {
-			keyVals := make([]Value, len(s.GroupBy))
-			for i, g := range s.GroupBy {
-				v, err := e.eval(g)
-				if err != nil {
-					return err
-				}
-				keyVals[i] = v
-			}
-			key := groupKey(keyVals)
-			grp, ok := groups[key]
-			if !ok {
-				grp = &oracleGroup{frames: append([]oracleFrame(nil), e.frames...)}
-				for _, c := range aggCalls {
-					grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
-				}
-				groups[key] = grp
-				groupOrder = append(groupOrder, key)
-			}
-			for i, c := range aggCalls {
-				if _, star := c.Args[0].(*StarExpr); star {
-					if err := grp.aggs[i].update(Value{}, true); err != nil {
-						return err
-					}
-					continue
-				}
-				v, err := e.eval(c.Args[0])
-				if err != nil {
-					return err
-				}
-				if err := grp.aggs[i].update(v, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		out := make([]Value, 0, len(columns))
 		for _, item := range s.Exprs {
 			if item.Star {
@@ -455,17 +325,6 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 			out = append(out, v)
 		}
 		res.Rows = append(res.Rows, out)
-		if len(s.OrderBy) > 0 {
-			keys := make([]Value, len(s.OrderBy))
-			for i, oi := range s.OrderBy {
-				v, err := e.eval(oi.Expr)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
-			}
-			sortKeys = append(sortKeys, keys)
-		}
 		return nil
 	}
 
@@ -507,60 +366,6 @@ func oracleExecSelect(db *DB, s *SelectStmt, params []Value) (*Result, error) {
 		return nil, err
 	}
 
-	if aggregated {
-		if len(groupOrder) == 0 && len(s.GroupBy) == 0 {
-			grp := &oracleGroup{}
-			for _, c := range aggCalls {
-				grp.aggs = append(grp.aggs, newAggState(strings.ToLower(c.Name)))
-			}
-			groups[""] = grp
-			groupOrder = append(groupOrder, "")
-		}
-		for _, key := range groupOrder {
-			grp := groups[key]
-			genv := &oracleEnv{db: db, frames: grp.frames, params: params}
-			aggVals := make([]Value, len(aggCalls))
-			for i, a := range grp.aggs {
-				aggVals[i] = a.value()
-			}
-			out := make([]Value, 0, len(columns))
-			for _, item := range s.Exprs {
-				v, err := genv.evalWithAggregates(item.Expr, aggCalls, aggVals)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, v)
-			}
-			res.Rows = append(res.Rows, out)
-			if len(s.OrderBy) > 0 {
-				keys := make([]Value, len(s.OrderBy))
-				for i, oi := range s.OrderBy {
-					v, err := genv.evalWithAggregates(oi.Expr, aggCalls, aggVals)
-					if err != nil {
-						return nil, err
-					}
-					keys[i] = v
-				}
-				sortKeys = append(sortKeys, keys)
-			}
-		}
-	}
-
-	if len(s.OrderBy) > 0 {
-		if err := sortRows(res.Rows, sortKeys, s.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-	if s.Offset > 0 {
-		if s.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[s.Offset:]
-		}
-	}
-	if s.Limit >= 0 && len(res.Rows) > s.Limit {
-		res.Rows = res.Rows[:s.Limit]
-	}
 	res.Affected = len(res.Rows)
 	return res, nil
 }

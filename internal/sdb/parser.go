@@ -1,6 +1,7 @@
 package sdb
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -85,6 +86,18 @@ func (p *parser) errorf(format string, args ...interface{}) error {
 	return fmt.Errorf("sdb: parse error at offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
 }
 
+// ErrUnsupported is the parse error of SQL that sdb recognizes but does
+// not run: the statements DELETE and UPDATE, the clauses GROUP BY,
+// ORDER BY, LIMIT and OFFSET, and a * as a call argument. The catalog
+// is append-only, and the paper's queries are SELECT … FROM … WHERE
+// with joins and UDFs. The error names what was refused.
+var ErrUnsupported = errors.New("sdb: not supported")
+
+// unsupported refuses what, found at the current token.
+func (p *parser) unsupported(what string) error {
+	return fmt.Errorf("%w: %s (offset %d)", ErrUnsupported, what, p.peek().pos)
+}
+
 func (p *parser) parseStatement() (Statement, error) {
 	switch {
 	case p.accept(tokKeyword, "EXPLAIN"):
@@ -100,10 +113,8 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseInsert()
 	case p.accept(tokKeyword, "CREATE"):
 		return p.parseCreate()
-	case p.accept(tokKeyword, "DELETE"):
-		return p.parseDelete()
-	case p.accept(tokKeyword, "UPDATE"):
-		return p.parseUpdate()
+	case p.at(tokKeyword, "DELETE"), p.at(tokKeyword, "UPDATE"):
+		return nil, p.unsupported(p.peek().text)
 	default:
 		return nil, p.errorf("expected a statement, found %q", p.peek().text)
 	}
@@ -149,64 +160,10 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 		s.Where = e
 	}
-	if p.accept(tokKeyword, "GROUP") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
+	for _, kw := range []string{"GROUP", "ORDER", "LIMIT", "OFFSET"} {
+		if p.at(tokKeyword, kw) {
+			return nil, p.unsupported(kw)
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(tokKeyword, "ORDER") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.accept(tokKeyword, "DESC") {
-				item.Desc = true
-			} else {
-				p.accept(tokKeyword, "ASC")
-			}
-			s.OrderBy = append(s.OrderBy, item)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-	}
-	s.Limit = -1
-	if p.accept(tokKeyword, "LIMIT") {
-		num, err := p.expect(tokNumber, "")
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.Atoi(num.text)
-		if err != nil || n < 0 {
-			return nil, p.errorf("bad LIMIT %q", num.text)
-		}
-		s.Limit = n
-	}
-	if p.accept(tokKeyword, "OFFSET") {
-		num, err := p.expect(tokNumber, "")
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.Atoi(num.text)
-		if err != nil || n < 0 {
-			return nil, p.errorf("bad OFFSET %q", num.text)
-		}
-		s.Offset = n
 	}
 	return s, nil
 }
@@ -317,61 +274,6 @@ func (p *parser) parseCreate() (*CreateTableStmt, error) {
 		return nil, err
 	}
 	return ct, nil
-}
-
-func (p *parser) parseDelete() (*DeleteStmt, error) {
-	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	d := &DeleteStmt{Table: name.text}
-	if p.accept(tokKeyword, "WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		d.Where = e
-	}
-	return d, nil
-}
-
-func (p *parser) parseUpdate() (*UpdateStmt, error) {
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "SET"); err != nil {
-		return nil, err
-	}
-	u := &UpdateStmt{Table: name.text}
-	for {
-		col, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		u.Set = append(u.Set, Assignment{Column: col.text, Expr: e})
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	if p.accept(tokKeyword, "WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		u.Where = e
-	}
-	return u, nil
 }
 
 // Expression grammar (precedence climbing).
@@ -547,17 +449,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		// Function call?
 		if p.accept(tokSymbol, "(") {
 			call := &FuncCall{Name: t.text}
-			// COUNT(*) takes a star argument.
-			if p.at(tokSymbol, "*") {
-				p.next()
-				if _, err := p.expect(tokSymbol, ")"); err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, &StarExpr{})
-				return call, nil
-			}
 			if !p.accept(tokSymbol, ")") {
 				for {
+					if p.at(tokSymbol, "*") {
+						return nil, p.unsupported("* as a call argument")
+					}
 					arg, err := p.parseExpr()
 					if err != nil {
 						return nil, err

@@ -7,8 +7,7 @@ import (
 )
 
 // The logical planner. A SELECT is normalized into a plan tree of
-// scans, filters, and joins; aggregation, sort, limit, and projection
-// ride on top of the tree in that fixed order. The planner splits the
+// scans, filters, and joins, with the projection on top. The planner splits the
 // WHERE clause into AND-conjuncts and pushes each one down to the
 // lowest operator whose table aliases cover it — a cheap spatial
 // predicate (say, CONTAINS over two runlists) filters rows before any
@@ -52,14 +51,12 @@ func (*joinNode) plan()   {}
 // it — and the statement's AST, whose column references and calls it
 // bound — is read-only, so any number of executions may share it.
 type selectPlan struct {
-	stmt       *SelectStmt
-	ordered    []source // join order = tuple slot order; Star expansion follows this
-	tree       planNode
-	aggCalls   []*FuncCall
-	aggregated bool
-	columns    []string
-	pushdown   bool
-	sites      int // FuncCall.site runs from 0 to sites-1
+	stmt     *SelectStmt
+	ordered  []source // join order = tuple slot order; Star expansion follows this
+	tree     planNode
+	columns  []string
+	pushdown bool
+	sites    int // FuncCall.site runs from 0 to sites-1
 }
 
 // planSelect resolves, validates, and plans a SELECT statement.
@@ -105,50 +102,12 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		if err := resolve(s.Where); err != nil {
 			return nil, err
 		}
-		var aggCheck []*FuncCall
-		if err := collectAggregates(s.Where, &aggCheck, false); err != nil {
-			return nil, err
-		}
-		if len(aggCheck) > 0 {
-			return nil, fmt.Errorf("sdb: aggregates are not allowed in WHERE")
-		}
 		for _, c := range splitConjuncts(s.Where) {
 			conjuncts = append(conjuncts, conjunct{expr: c, aliases: exprAliases(c)})
 		}
 	}
-	for _, g := range s.GroupBy {
-		if err := resolve(g); err != nil {
-			return nil, err
-		}
-	}
-	for _, oi := range s.OrderBy {
-		if err := resolve(oi.Expr); err != nil {
-			return nil, err
-		}
-	}
 
-	// Detect aggregation and collect the aggregate calls to accumulate.
-	var aggCalls []*FuncCall
-	for _, item := range s.Exprs {
-		if !item.Star {
-			if err := collectAggregates(item.Expr, &aggCalls, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, oi := range s.OrderBy {
-		if err := collectAggregates(oi.Expr, &aggCalls, false); err != nil {
-			return nil, err
-		}
-	}
-	aggregated := len(aggCalls) > 0 || len(s.GroupBy) > 0
-
-	plan := &selectPlan{
-		stmt:       s,
-		aggCalls:   aggCalls,
-		aggregated: aggregated,
-		pushdown:   !db.noPushdown,
-	}
+	plan := &selectPlan{stmt: s, pushdown: !db.noPushdown}
 
 	if plan.pushdown {
 		// Join order: greedy — start from the FROM order but always
@@ -198,37 +157,22 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		}
 	}
 
-	if aggregated {
-		for _, item := range s.Exprs {
-			if item.Star {
-				return nil, fmt.Errorf("sdb: SELECT * cannot be combined with aggregates or GROUP BY")
-			}
-		}
-	}
-
 	// Bind every expression to the tuple layout the join order fixed.
 	for _, item := range s.Exprs {
 		if !item.Star {
-			db.bindExpr(item.Expr, plan.ordered, aggCalls, &plan.sites)
+			db.bindExpr(item.Expr, plan.ordered, &plan.sites)
 		}
 	}
-	db.bindExpr(s.Where, plan.ordered, aggCalls, &plan.sites)
-	for _, g := range s.GroupBy {
-		db.bindExpr(g, plan.ordered, aggCalls, &plan.sites)
-	}
-	for _, oi := range s.OrderBy {
-		db.bindExpr(oi.Expr, plan.ordered, aggCalls, &plan.sites)
-	}
+	db.bindExpr(s.Where, plan.ordered, &plan.sites)
 	return plan, nil
 }
 
 // bindExpr binds x, whose column references resolveColumns has already
 // qualified and validated, for evaluation against tuples laid out as
 // ordered (slot i holds ordered[i]'s row): every ColumnRef gets its
-// (slot, column) pair, every FuncCall its registered UDF, the next of
-// the *sites call sites numbered so far and, if it is one of the plan's
-// accumulated aggregate calls, its position among them.
-func (db *DB) bindExpr(x Expr, ordered []source, aggCalls []*FuncCall, sites *int) {
+// (slot, column) pair and every FuncCall its registered UDF and the
+// next of the *sites call sites numbered so far.
+func (db *DB) bindExpr(x Expr, ordered []source, sites *int) {
 	walkExpr(x, func(e Expr) {
 		switch n := e.(type) {
 		case *ColumnRef:
@@ -242,28 +186,18 @@ func (db *DB) bindExpr(x Expr, ordered []source, aggCalls []*FuncCall, sites *in
 			n.udf, _ = db.lookupUDF(n.Name)
 			n.site = *sites
 			*sites++
-			n.agg = 0
-			for i, c := range aggCalls {
-				if c == n {
-					n.agg = i + 1
-				}
-			}
 		}
 	})
 }
 
-// bindRowExpr resolves and binds a DML expression that sees one row of
-// t at a time (in slot 0), or no row at all when t is nil.
-func (db *DB) bindRowExpr(x Expr, t *Table) error {
-	var sources []source
-	if t != nil {
-		sources = []source{{alias: t.Name, table: t}}
-	}
-	if err := resolveColumns(x, sources2map(sources)); err != nil {
+// bindRowExpr resolves and binds an INSERT value, which sees no row:
+// a column reference in it is an unknown column.
+func (db *DB) bindRowExpr(x Expr) error {
+	if err := resolveColumns(x, nil); err != nil {
 		return err
 	}
-	var sites int // no execution runs DML, so no SiteState is kept for them
-	db.bindExpr(x, sources, nil, &sites)
+	var sites int // no execution runs INSERT, so no SiteState is kept for it
+	db.bindExpr(x, nil, &sites)
 	return nil
 }
 
@@ -430,25 +364,12 @@ func countPlaceholders(stmt Statement) int {
 			}
 		}
 		note(s.Where)
-		for _, g := range s.GroupBy {
-			note(g)
-		}
-		for _, oi := range s.OrderBy {
-			note(oi.Expr)
-		}
 	case *InsertStmt:
 		for _, row := range s.Rows {
 			for _, x := range row {
 				note(x)
 			}
 		}
-	case *DeleteStmt:
-		note(s.Where)
-	case *UpdateStmt:
-		for _, a := range s.Set {
-			note(a.Expr)
-		}
-		note(s.Where)
 	case *ExplainStmt:
 		return countPlaceholders(s.Stmt)
 	}

@@ -1,6 +1,8 @@
 package sdb
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,26 +152,177 @@ func TestUDFArgCountAndErrors(t *testing.T) {
 	}
 }
 
+// TestDeleteAndUpdate: the catalog is append-only. DELETE and UPDATE
+// are refused by Exec, Prepare and Query alike, and leave the table's
+// rows as they were; INSERT still appends.
 func TestDeleteAndUpdate(t *testing.T) {
 	db := newTestDB(t)
 	db.MustExec(`create table t (a int, b string)`)
 	db.MustExec(`insert into t values (1,'x'),(2,'y'),(3,'z')`)
-	res := db.MustExec(`update t set b = 'Q' where a >= 2`)
-	if res.Affected != 2 {
-		t.Errorf("updated %d", res.Affected)
+	before := db.MustExec(`select * from t`).Rows
+	for _, sql := range []string{`update t set b = 'Q' where a >= 2`, `delete from t where b = 'y'`, `delete from t`} {
+		if _, err := db.Exec(sql); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("Exec(%q): %v, want ErrUnsupported", sql, err)
+		}
+		if _, err := db.Prepare(sql); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("Prepare(%q): %v, want ErrUnsupported", sql, err)
+		}
+		if _, err := db.Query(sql); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("Query(%q): %v, want ErrUnsupported", sql, err)
+		}
 	}
-	res = db.MustExec(`delete from t where b = 'Q'`)
-	if res.Affected != 2 {
-		t.Errorf("deleted %d", res.Affected)
+	if got := db.MustExec(`select * from t`).Rows; !reflect.DeepEqual(got, before) {
+		t.Errorf("rows after refused DML = %v, want %v", got, before)
 	}
-	res = db.MustExec(`select * from t`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
+	if res := db.MustExec(`insert into t values (4, 'w')`); res.Affected != 1 {
+		t.Errorf("inserted %d", res.Affected)
+	}
+	if n := len(db.MustExec(`select * from t`).Rows); n != 4 {
+		t.Errorf("%d rows after INSERT, want 4", n)
+	}
+}
+
+// TestInsertIsAllOrNothing: a multi-row INSERT whose later row fails —
+// a value of the wrong type, a failing function, a short row — appends
+// none of its rows, not the ones before the failure.
+func TestInsertIsAllOrNothing(t *testing.T) {
+	db := newTestDB(t)
+	db.MustExec(`create table t (a int)`)
+	db.MustExec(`insert into t values (7)`)
+	db.RegisterUDF(&UDF{Name: "fail", MinArgs: 0, MaxArgs: 0,
+		Fn: func(*Call, []Value) (Value, error) { return Value{}, errors.New("asked to fail") }})
+	before := db.MustExec(`select a from t`).Rows
+	for _, sql := range []string{
+		`insert into t values (1), ('x')`,
+		`insert into t values (1), (2), (fail())`,
+		`insert into t values (1), (2, 3)`,
+		`insert into t values (1), (nosuch)`,
+		`insert into t values (1), (nosuch(1))`,
+	} {
+		if _, err := db.Exec(sql); err == nil {
+			t.Errorf("accepted %q", sql)
+		}
+		if got := db.MustExec(`select a from t`).Rows; !reflect.DeepEqual(got, before) {
+			t.Fatalf("after %q: rows %v, want %v", sql, got, before)
+		}
+	}
+}
+
+// TestUnsupportedRefused: what sdb recognizes but does not run — DELETE,
+// UPDATE, GROUP BY, ORDER BY, LIMIT, OFFSET, a * as a call argument — is
+// refused with ErrUnsupported, and the error names it, whether the
+// statement is run once or prepared, and under EXPLAIN too.
+func TestUnsupportedRefused(t *testing.T) {
+	db := newTestDB(t)
+	db.MustExec(`create table t (a int)`)
+	db.MustExec(`create table u (a int)`)
+	db.MustExec(`insert into t values (1), (2)`)
+	for _, tc := range []struct{ sql, names string }{
+		{`delete from t`, "DELETE"},
+		{`delete t`, "DELETE"},
+		{`delete from nosuch`, "DELETE"},
+		{`update t set a = 1`, "UPDATE"},
+		{`update t set`, "UPDATE"},
+		{`update t set nosuch = 1`, "UPDATE"},
+		{`select a from t group by a`, "GROUP"},
+		{`select a from t where a > 0 group by a`, "GROUP"},
+		{`select a from t order by a desc`, "ORDER"},
+		{`select t.a from t, u where t.a = u.a order by t.a limit 1`, "ORDER"},
+		{`select a from t limit 1`, "LIMIT"},
+		{`select a from t limit ? offset ?`, "LIMIT"},
+		{`select a from t offset 1`, "OFFSET"},
+		{`select count(*) from t`, "* as a call argument"},
+		{`select a from t where f(a, *) = 1`, "* as a call argument"},
+		{`explain select a from t group by a`, "GROUP"},
+		{`explain analyze select a from t order by a`, "ORDER"},
+		{`explain delete from t`, "DELETE"},
+	} {
+		_, errExec := db.Exec(tc.sql)
+		_, errPrep := db.Prepare(tc.sql)
+		for _, err := range []error{errExec, errPrep} {
+			if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), tc.names) {
+				t.Errorf("%q: err %v, want ErrUnsupported naming %s", tc.sql, err, tc.names)
+			}
+		}
+	}
+	if n := len(db.MustExec(`select a from t`).Rows); n != 2 {
+		t.Errorf("%d rows after the refusals, want 2", n)
+	}
+}
+
+// TestAggregateErrors: sdb has no aggregates. COUNT, SUM, AVG, MIN and
+// MAX are names like any other — unknown unless a UDF is registered
+// under them, and then that UDF — so a call to one fails when it is
+// evaluated, and not before: Prepare accepts it.
+func TestAggregateErrors(t *testing.T) {
+	db := newTestDB(t)
+	db.MustExec(`create table t (a int)`)
+	db.MustExec(`insert into t values (1), (2)`)
+	for _, sql := range []string{
+		`select count(a) from t`,
+		`select sum(a) from t`,
+		`select a from t where avg(a) > 1`,
+		`select min(a) + max(a) from t`,
+	} {
+		if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "unknown function") {
+			t.Errorf("%q: err %v, want an unknown function", sql, err)
+		}
+		if _, err := db.Prepare(sql); err != nil {
+			t.Errorf("Prepare(%q): %v; a call is only checked when it runs", sql, err)
+		}
+	}
+	// A UDF named count is called like any other.
+	db.RegisterUDF(&UDF{Name: "count", MinArgs: 1, MaxArgs: 1,
+		Fn: func(_ *Call, args []Value) (Value, error) { return Int(args[0].I * 10), nil }})
+	res := db.MustExec(`select count(a) from t`)
+	if len(res.Rows) != 2 || res.Rows[0][0].I != 10 || res.Rows[1][0].I != 20 {
+		t.Errorf("count UDF rows = %v", res.Rows)
+	}
+}
+
+// TestAggregateOverEmptyInput: over no row an aggregate name, like any
+// unregistered one, is never evaluated, so the query returns no row and
+// no error — there is no grand aggregate's one row.
+func TestAggregateOverEmptyInput(t *testing.T) {
+	db := newTestDB(t)
+	db.MustExec(`create table t (a int)`)
+	db.MustExec(`create table empty (a int)`)
+	db.MustExec(`insert into t values (1), (2)`)
+	for _, sql := range []string{
+		`select sum(a) from t where a > 5`,
+		`select count(a), max(a) from empty`,
+		`select nosuch(a) from empty`,
+	} {
+		res, err := db.Exec(sql)
+		if err != nil || len(res.Rows) != 0 {
+			t.Errorf("%q: rows %v, err %v; want none and no error", sql, res, err)
+		}
+	}
+}
+
+// TestCountStar: COUNT(*) is refused for its * argument, and so is a *
+// in any argument position of any call, in the select list, WHERE or an
+// INSERT's values; a * that selects every column or multiplies still
+// parses.
+func TestCountStar(t *testing.T) {
+	db := newTestDB(t)
+	db.MustExec(`create table t (a int)`)
+	db.MustExec(`insert into t values (3)`)
+	for _, sql := range []string{
+		`select count(*) from t`,
+		`select count( * ) from empty`,
+		`select f(a, *) from t`,
+		`select f(g(*)) from t`,
+		`select a from t where count(*) > 1`,
+		`insert into t values (count(*))`,
+	} {
+		if _, err := Parse(sql); !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "* as a call argument") {
+			t.Errorf("%q: err %v, want ErrUnsupported for the * argument", sql, err)
+		}
+	}
+	res := db.MustExec(`select *, a * a, (a*2) from t`)
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 3 || res.Rows[0][1].I != 9 || res.Rows[0][2].I != 6 {
 		t.Errorf("rows = %v", res.Rows)
-	}
-	// Unconditional delete.
-	db.MustExec(`delete from t`)
-	if len(db.MustExec(`select * from t`).Rows) != 0 {
-		t.Error("table not emptied")
 	}
 }
 
@@ -268,8 +421,6 @@ func TestParseErrors(t *testing.T) {
 		`select a @ b from t`,
 		`select (a from t`,
 		`select a from t; extra`,
-		`update t set`,
-		`delete t`,
 	}
 	for _, sql := range bad {
 		if _, err := db.Exec(sql); err == nil {
@@ -299,10 +450,8 @@ func TestSemanticErrors(t *testing.T) {
 		`insert into t values (1, 2)`,         // arity
 		`insert into t (nosuch) values (1)`,   // bad column
 		`insert into t values ('not an int')`, // type
-		`update t set nosuch = 1`,
-		`delete from nosuch`,
-		`create table t (a int)`,          // duplicate table
-		`create table v (a int, A float)`, // duplicate column (case-insensitive)
+		`create table t (a int)`,              // duplicate table
+		`create table v (a int, A float)`,     // duplicate column (case-insensitive)
 	}
 	for _, sql := range bad {
 		if _, err := db.Exec(sql); err == nil {

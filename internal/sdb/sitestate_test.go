@@ -81,7 +81,7 @@ func cellDB(t *testing.T) (db *DB, made, dml *int) {
 func TestCallSiteStateLifetime(t *testing.T) {
 	db, made, dml := cellDB(t)
 	const query = `select l.id, f(g(l.id)), f2(g(l.id), g(l.id + 10)) from l
-		where f(g(l.id)) > 10 order by l.id`
+		where f(g(l.id)) > 10`
 	const want = "2,20,2012 3,30,3013 4,40,4014"
 	oneShot := drain(db.Query(query))
 	if oneShot.err || len(oneShot.rows) != 3 {
@@ -159,7 +159,7 @@ func TestStmtQueryRowContract(t *testing.T) {
 		{"short row", `select id, n from f where id = ?`, []Value{Int(1)}, "QueryRow into 1 values, statement has 2 columns", 1},
 		{"failing call", `select fieldLen(n) from f where id >= ?`, []Value{Int(1)}, "unknown", 1},
 		{"bind count", `select id from f where id = ?`, nil, "bind parameter", 0},
-		{"not a SELECT", `delete from f where id = ?`, []Value{Int(9)}, "only SELECT", 0},
+		{"not a SELECT", `insert into f values (?, null, 0)`, []Value{Int(9)}, "only SELECT", 0},
 	} {
 		stmt := mustPrepare(t, db, tc.sql)
 		n, _, err := stmt.QueryRow(nil, dst[:], tc.args...)

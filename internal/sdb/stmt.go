@@ -24,8 +24,9 @@ type compiled struct {
 	stmt    Statement
 	nparams int
 	// sel is the plan of a SELECT or of the SELECT under an EXPLAIN. It
-	// is nil for DDL and DML, which bind their expressions as they run:
-	// they mutate tables, so they were never safe to run concurrently.
+	// is nil for CREATE TABLE and INSERT, which bind their expressions
+	// as they run: they change the catalog, so they were never safe to
+	// run concurrently.
 	sel *selectPlan
 
 	// mu is a leaf lock: held only to push or pop idle, never across
@@ -78,8 +79,8 @@ func (c *compiled) release(x *execution) {
 // caller counting what steady-state executions allocate reserves first.
 // The new trees are taken first (take pops the newest), so the next
 // executions grow what they keep while the trees that ran before wait,
-// already grown, for the first overlap. DDL and DML keep no trees;
-// Reserve does nothing for them.
+// already grown, for the first overlap. CREATE TABLE and INSERT keep
+// no trees; Reserve does nothing for them.
 func (s *Stmt) Reserve(n int) error {
 	c, err := s.current()
 	if err != nil || c.sel == nil {

@@ -2,8 +2,10 @@
 // Starburst engine the QBISM paper builds on [27]. It provides exactly
 // the extension hooks the paper relies on:
 //
-//   - relational tables with a SQL subset (CREATE TABLE, INSERT, SELECT
-//     with multi-table joins, DELETE, UPDATE),
+//   - relational tables with a SQL subset: CREATE TABLE, INSERT and
+//     SELECT … FROM … WHERE with multi-table joins, "?" parameters and
+//     EXPLAIN [ANALYZE]; the catalog is append-only, and what the parser
+//     recognizes but does not run it refuses with ErrUnsupported,
 //   - a LONG column type holding handles into a Long Field Manager
 //     (package lfm), and
 //   - user-defined SQL functions embedded in query evaluation, which is
