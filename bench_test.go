@@ -321,10 +321,16 @@ func BenchmarkRunPrunedExtraction(b *testing.B) {
 
 // BenchmarkParallelMultiStudy measures the population query's
 // consistent-band intersection (ConsistentBandRegion) under the h-naive
-// label the repo benchmark names: every PET study's band field — a
-// k³-tree, as under the k3-tree label, since each band is stored once —
-// read whole, one at a time, and walked once into the fold. allocs/op is
-// the call's, 5 at most (TestConsistentBandRegionAllocBudget).
+// label the repo benchmark names, end to end on a single server: the
+// question crosses the simulated link, the server reads every PET study's
+// band field — a k³-tree, as under the k3-tree label, since each band is
+// stored once — whole, one at a time, walks it once into the fold and
+// sends back only the answer REGION, which the client decodes.
+// allocs/op is the call's: 5 on this band (the client's answer object and
+// run list, the server's read buffer and the fold's two slabs), 4 on an
+// empty one, 6 where the answer's runs outgrow the fold's spare room;
+// TestConsistentBandRegionAllocBudget holds the mean over the eight
+// paper-scale bands to 5.0.
 func BenchmarkParallelMultiStudy(b *testing.B) {
 	b.ReportAllocs()
 	s := benchSystem(b)

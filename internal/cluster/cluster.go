@@ -90,6 +90,9 @@ func (p Partitioner) Shard(k Key) int {
 	return int(k.Hash() % uint64(p.shards))
 }
 
+// Shards returns K.
+func (p Partitioner) Shards() int { return p.shards }
+
 // Config parameterizes a Cluster.
 type Config struct {
 	// Breaker configures each node's circuit breaker. The zero value

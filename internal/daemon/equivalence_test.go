@@ -2,12 +2,15 @@ package daemon
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"qbism/internal/medserver"
 	"qbism/internal/qbism"
+	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
 )
@@ -147,5 +150,85 @@ func TestLoopbackEquivalence(t *testing.T) {
 	sameAnswers(t, specs, baseline, runSuite(t, client, specs))
 	if got, want := bare.Stats().Calls, uint64(len(specs)); got != want {
 		t.Errorf("the bare server's daemon served %d calls, want %d", got, want)
+	}
+}
+
+// transportGoroutines counts the live goroutines running the transport's
+// code or a daemon's.
+func transportGoroutines() int {
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	n := 0
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if strings.Contains(g, "qbism/internal/transport.") || strings.Contains(g, "qbism/internal/daemon.(*Daemon)") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPopulationOverTCP: the population query over real TCP — a
+// NewClient over a dialed transport to a daemon serving the same system
+// on 127.0.0.1 — answers every stored band of the PET studies, under
+// both band labels, with the REGION the system's own client gets over
+// its simulated link, which is the in-memory intersection of the band
+// REGIONs the loader kept; and once the daemon and the connection are
+// closed, no goroutine of the transport or the daemon is left running.
+func TestPopulationOverTCP(t *testing.T) {
+	sys := testSystem(t)
+	before := transportGoroutines()
+	d := New(sys, Config{Addr: "127.0.0.1:0"})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	client := qbism.NewClient(tcp, testConfig)
+
+	pets := sys.PETStudyIDs()
+	for bi, b := range sys.BandRegions[pets[0]] {
+		var operands []*region.Region
+		for _, id := range pets {
+			operands = append(operands, sys.BandRegions[id][bi].Region)
+		}
+		want, err := region.IntersectN(operands...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []string{"", qbism.EncHilbertNaive} {
+			local, err := sys.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, partial, err := client.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), enc, 1)
+			if err != nil || partial != nil {
+				t.Fatalf("band %d-%d %q over TCP: %v (partial %v)", b.Lo, b.Hi, enc, err, partial)
+			}
+			if !local.Equal(want) || !wire.Equal(want) {
+				t.Errorf("band %d-%d %q: %d voxels over the simulated link, %d over TCP, %d in memory",
+					b.Lo, b.Hi, enc, local.NumVoxels(), wire.NumVoxels(), want.NumVoxels())
+			}
+		}
+	}
+	if got, want := d.Stats().Calls, uint64(2*len(sys.BandRegions[pets[0]])); got != want {
+		t.Errorf("the daemon served %d calls, want %d: one per band and label", got, want)
+	}
+
+	if transportGoroutines() <= before {
+		t.Fatal("no transport goroutine while the daemon serves: the scan below would prove nothing")
+	}
+	if err := tcp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for transportGoroutines() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d transport or daemon goroutines outlive the calls, %d before:\n%s",
+				transportGoroutines(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

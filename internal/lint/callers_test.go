@@ -27,22 +27,21 @@ var keptUncalled = map[string]string{
 	// The fault hook.
 	"lfm.Manager.Corrupt": "fault hook: at-rest bit rot for the qbism chaos and trace tests",
 	// Cross-package test observers: a test file cannot serve another package.
-	"bitio.Writer.Len":                         "observer: rencode's TestGammaCode reads each code's exact bit length",
-	"cluster.Cluster.NodeState":                "observer: the qbism chaos suite reads a node's breaker",
-	"cluster.Cluster.SimNow":                   "observer: the qbism chaos suite reads the cluster's simulated clock",
-	"cluster.PartialResult.LostShards":         "observer: the qbism chaos suite checks which shards a partial lost",
-	"costmodel.Model.CoalesceGapPages":         "observer: qbism's pruning test reads the device break-even gap",
-	"faultsim.Injector.Count":                  "observer: the qbism chaos and transport tests read what the injector fired",
-	"faultsim.Injector.Ops":                    "observer: lfm's reference-read test counts fault decisions",
-	"lfm.Manager.NumFields":                    "observer: qbism's load test counts stored long fields",
-	"medserver.DecodeQueryRequest":             "observer: qbism's wire tests decode the requests the client encodes",
-	"obs.Span.Find":                            "observer: qbism, lfm, sdb and transport tests find spans in a trace",
-	"obs.Span.Str":                             "observer: qbism, lfm and transport tests read span string attributes",
-	"obs.Span.SumInt":                          "observer: qbism, lfm and sdb tests sum a counter over a trace",
-	"qbism.ClusterSystem.ConsistentBandRegion": "observer: the chaos suite's degraded population query",
-	"qbism.ClusterSystem.Route":                "observer: the chaos suite finds the shard that serves a study",
-	"sdb.Stmt.Exec":                            "observer: qbism's TestPushdownSavesPages runs a prepared statement to completion",
-	"volume.DataRegion.NumVoxels":              "observer: qbism and root-package tests count extracted voxels",
+	"bitio.Writer.Len":                 "observer: rencode's TestGammaCode reads each code's exact bit length",
+	"cluster.Cluster.NodeState":        "observer: the qbism chaos suite reads a node's breaker",
+	"cluster.Cluster.SimNow":           "observer: the qbism chaos suite reads the cluster's simulated clock",
+	"cluster.PartialResult.LostShards": "observer: the qbism chaos suite checks which shards a partial lost",
+	"costmodel.Model.CoalesceGapPages": "observer: qbism's pruning test reads the device break-even gap",
+	"faultsim.Injector.Count":          "observer: the qbism chaos and transport tests read what the injector fired",
+	"faultsim.Injector.Ops":            "observer: lfm's reference-read test counts fault decisions",
+	"lfm.Manager.NumFields":            "observer: qbism's load test counts stored long fields",
+	"medserver.DecodeQueryRequest":     "observer: qbism's wire tests decode the requests the client encodes",
+	"obs.Span.Find":                    "observer: qbism, lfm, sdb and transport tests find spans in a trace",
+	"obs.Span.Str":                     "observer: qbism, lfm and transport tests read span string attributes",
+	"obs.Span.SumInt":                  "observer: qbism, lfm and sdb tests sum a counter over a trace",
+	"qbism.ClusterSystem.Route":        "observer: the chaos suite finds the shard that serves a study",
+	"sdb.Stmt.Exec":                    "observer: qbism's TestPushdownSavesPages runs a prepared statement to completion",
+	"volume.DataRegion.NumVoxels":      "observer: qbism and root-package tests count extracted voxels",
 	// Test hooks: state a test sets up before it counts.
 	"medserver.Server.ReserveExecutions": "test hook: TestRunQueryAllocBudget builds the operator trees two workers keep before it counts a batch",
 	// The cluster's batch surface, beside System's; only tests drive it.

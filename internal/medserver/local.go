@@ -6,14 +6,15 @@ import (
 	"slices"
 
 	"qbism/internal/lfm"
+	"qbism/internal/obs"
 	"qbism/internal/region"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
+	"qbism/internal/transport"
 )
 
-// Entry points for callers in the server's own process, beside the RPC:
-// the plan of a spec's data query, and the multi-study band intersection
-// read straight from the stored rows.
+// The population query, served by ServeRPC, and an entry point for
+// callers in the server's own process: the plan of a spec's data query.
 
 // ExplainSpec renders the physical operator tree for the SQL the
 // MedicalServer would generate for spec — the visibility hook for
@@ -56,10 +57,26 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 	return lines, nil
 }
 
-// ConsistentBandRegion computes the Table 4 answer — the REGION where
-// every listed study has intensities in [bandLo, bandHi] under the
-// given encoding, resolved as a band spec's (resolveBandEncoding). It is
-// a serial, smallest-first fold over the stored rows:
+// PopulationMethod is the wire method name of the population query.
+const PopulationMethod = "consistentBandRegion"
+
+// PopulationQuery is the population question — where does every listed
+// study have intensities in [BandLo, BandHi]? — as its request carries
+// it. Encoding names the band row as a band spec's does: empty,
+// EncK3Tree or its synonym EncHilbertNaive (resolveBandEncoding).
+type PopulationQuery struct {
+	Studies        []int
+	BandLo, BandHi int
+	Encoding       string
+}
+
+// handlePopulation is the population RPC handler. It decodes the framed
+// PopulationQuery, up to eight studies onto its stack, computes the
+// Table 4 answer — the REGION where every listed study has intensities
+// in the band under the given encoding, resolved as a band spec's — and
+// frames it as the reply: no header, and the answer in the wire codec
+// (Config.Method). The answer is a serial, smallest-first fold over the
+// stored rows:
 //   - it resolves every study's stored band field — the prepared
 //     bandRegion statement, then the field's size — and orders the
 //     fields by size, ties in study order;
@@ -70,23 +87,27 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 //
 // Every row is read and checked, even once the answer is empty, so the
 // result is identical to the serial SQL plan's, and so are the pages:
-// every field is read whole, once. The first row that fails to read or
-// parse, or is not a k³-tree, in fold order, ends the call with an error
-// naming its study, wrapping the read's or the fold's. A call allocates
-// the read buffer, the fold's runs and words (reserve), and the answer;
-// the field list of up to eight studies stays on the stack. The server
-// ignores workers; the argument stays for its callers.
-func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
-	if len(studies) == 0 {
-		return nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
+// every field is read whole, once; no VOLUME page is read. The first row
+// that fails to read or parse, or is not a k³-tree, in fold order, ends
+// the call with an error naming its study, wrapping the read's or the
+// fold's. A call allocates the read buffer and the fold's runs and words
+// (reserve): the answer's runs are built in the fold's spare room when
+// they fit (StoredFold.RegionInto), and the reply is encoded into the
+// read buffer, which grows only when the reply outgrows it. The field
+// list of up to eight studies stays on the stack.
+func (s *Server) handlePopulation(sp *obs.Span, request []byte) ([]byte, error) {
+	var ids [8]int
+	var q PopulationQuery
+	studies, err := decodePopulationRequest(&q, request, s.names, ids[:0])
+	if err != nil {
+		return nil, err
 	}
-	spec := QuerySpec{Encoding: encoding}
+	spec := QuerySpec{Encoding: q.Encoding}
 	if _, err := s.resolveBandEncoding(&spec); err != nil {
 		return nil, err
 	}
-	encoding = spec.Encoding
 	fail := func(study int, err error) error {
-		return fmt.Errorf("qbism: study %d band [%d,%d] %s: %w", study, bandLo, bandHi, encoding, err)
+		return fmt.Errorf("qbism: study %d band [%d,%d] %s: %w", study, q.BandLo, q.BandHi, spec.Encoding, err)
 	}
 	var few [8]bandField
 	fields := few[:]
@@ -94,9 +115,10 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 		fields = make([]bandField, len(studies))
 	}
 	fields = fields[:len(studies)]
-	largest := 0
+	// An empty answer's reply fits the buffer whatever the fields' sizes.
+	largest := transport.FrameOverhead + rencode.HeaderLen
 	for i, study := range studies {
-		h, size, err := s.resolveBand(study, bandLo, bandHi, encoding)
+		h, size, err := s.resolveBand(study, q.BandLo, q.BandHi, spec.Encoding)
 		if err != nil {
 			return nil, fail(study, err)
 		}
@@ -117,11 +139,19 @@ func (s *Server) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 		}
 	}
 	s.metrics.Counter(metricRegionProbes).Add(int64(len(fields)))
-	return fold.Region(), nil
+	sp.SetInt("lfm.pages", int64(io.PageReads))
+	sp.SetInt("lfm.reads", int64(io.Reads))
+	var answer region.Region
+	fold.RegionInto(&answer)
+	reply, err := rencode.AppendEncode(buf[:transport.FrameOverhead], s.Cfg.Method, &answer)
+	if err != nil {
+		return nil, err
+	}
+	return transport.SealFrame(reply, 0)
 }
 
-// bandField is one study's stored band REGION in ConsistentBandRegion:
-// its long field and the field's size.
+// bandField is one study's stored band REGION in handlePopulation: its
+// long field and the field's size.
 type bandField struct {
 	study int
 	h     lfm.Handle

@@ -133,7 +133,8 @@ type QueryMeta struct {
 const QueryMethod = "medicalQuery"
 
 // ServeRPC is the server's transport.Handler: it dispatches a framed RPC
-// by method name. A daemon serves it over TCP and the in-process
+// by method name — a medical query (QueryMethod) or the population query
+// (PopulationMethod). A daemon serves it over TCP and the in-process
 // transport.Sim calls it between two link crossings, so both flavors run
 // identical server code. Unknown methods fail with
 // transport.ErrUnknownMethod (typed, terminal), so a version-skewed
@@ -142,6 +143,8 @@ func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 	switch method {
 	case QueryMethod:
 		return s.handleMedicalQuery(sp, request)
+	case PopulationMethod:
+		return s.handlePopulation(sp, request)
 	default:
 		return nil, fmt.Errorf("qbism: %w: %q", transport.ErrUnknownMethod, method)
 	}
@@ -303,7 +306,7 @@ where  wv.studyId = ? and
        ns.structureName = ?`,
 }
 
-// bandRegionSQL is the stored-band fetch of ConsistentBandRegion.
+// bandRegionSQL is the stored-band fetch of the population query.
 const bandRegionSQL = `
 select ib.region
 from   intensityBand ib

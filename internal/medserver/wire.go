@@ -6,11 +6,14 @@ import (
 	"math"
 	"strings"
 
+	"qbism/internal/region"
+	"qbism/internal/rencode"
 	"qbism/internal/transport"
 )
 
 // The binary forms of QuerySpec and QueryMeta — the headers of the
-// medicalQuery request and response frames. Numbers are big-endian and
+// medicalQuery request and response frames — and of PopulationQuery, the
+// population request's. Numbers are big-endian and
 // fixed-width, strings carry a u16 length; DESIGN.md §14 has the offsets.
 //
 //	spec: version(1)=1 | flags(1) | StudyID i64 | BandLo i64 | BandHi i64 |
@@ -18,12 +21,18 @@ import (
 //	meta: version(1)=1 | flags(1) | N i64 | DX DY DZ f64 | AtlasID i64 |
 //	      PatientID i64 | DBCPUNanos i64 | LFMPages LFMReads CacheHits
 //	      CacheMisses u64 | Patient | Date | Warning
+//	population: version(1)=1 | flags(1)=0 | BandLo i64 | BandHi i64 |
+//	      count u16 ≥ 1 | count × StudyID i64 | Encoding
+//
+// A population request has no body; its reply has no header, and its
+// body is the answer REGION in the server's wire codec (Config.Method).
 //
 // A value has one encoding and the decoders accept nothing else: another
 // version, an unknown flag bit, a short header or trailing bytes fail
 // with transport.ErrWireHeader (terminal), so what a decoder accepts
-// re-encodes to the bytes it was given. A string over 65 535 bytes has
-// no encoding and is refused when sizing, never cut.
+// re-encodes to the bytes it was given. A string over 65 535 bytes, or a
+// list of more studies, has no encoding and is refused when sizing,
+// never cut.
 const (
 	wireVersion = 1
 
@@ -50,6 +59,8 @@ const (
 	// specStrRoom is what RequestRoom leaves for a spec's atlas,
 	// structure and encoding names.
 	specStrRoom = 64
+
+	popFixed = 2 + 2*8 + 2
 )
 
 // RequestRoom is the size of the request frame of any spec whose atlas,
@@ -57,6 +68,10 @@ const (
 // a caller that hands EncodeQueryRequestInto this much room frames such
 // a request without an allocation.
 const RequestRoom = transport.FrameOverhead + specFixed + boxSize + 3*2 + specStrRoom
+
+// PopulationRoom is the size of the request frame of any population
+// query of at most eight studies and a label of at most 64 bytes.
+const PopulationRoom = transport.FrameOverhead + popFixed + 8*8 + 2 + specStrRoom
 
 // wireSize is the encoded size of a header: its fixed bytes plus its
 // length-prefixed strings.
@@ -166,6 +181,82 @@ func DecodeQueryResponseInto(meta *QueryMeta, resp []byte) ([]byte, error) {
 		return nil, fmt.Errorf("qbism: bad response header: %w", err)
 	}
 	return blob, nil
+}
+
+// EncodePopulationRequestInto builds the wire request body for
+// PopulationMethod from q, in room's storage when the frame fits it and
+// otherwise in one new buffer of the frame's exact size.
+func EncodePopulationRequestInto(room []byte, q *PopulationQuery) ([]byte, error) {
+	if len(q.Studies) > math.MaxUint16 {
+		return nil, fmt.Errorf("qbism: %w: %d studies exceed the population header's %d",
+			transport.ErrWireHeader, len(q.Studies), math.MaxUint16)
+	}
+	n, err := wireSize(popFixed+8*len(q.Studies), q.Encoding)
+	if err != nil {
+		return nil, err
+	}
+	buf := room[:0]
+	if cap(buf) < transport.FrameOverhead+n {
+		buf = make([]byte, 0, transport.FrameOverhead+n)
+	}
+	dst := append(buf[:transport.FrameOverhead], wireVersion, 0)
+	dst = appendI64(appendI64(dst, q.BandLo), q.BandHi)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(q.Studies)))
+	for _, id := range q.Studies {
+		dst = appendI64(dst, id)
+	}
+	return transport.SealFrame(appendStr(dst, q.Encoding), n)
+}
+
+// decodePopulationRequest is the server's inverse of
+// EncodePopulationRequestInto: it sets q's band and label (names' copy
+// when the set holds it) and returns the studies appended to studies —
+// apart from q, so that room for them on the caller's stack stays there
+// whatever becomes of the label.
+func decodePopulationRequest(q *PopulationQuery, request []byte, names map[string]string, studies []int) ([]int, error) {
+	header, body, err := transport.DecodeFrame(request)
+	if err != nil {
+		return nil, fmt.Errorf("qbism: request: %w", err)
+	}
+	r := wireReader{b: header, names: names}
+	version, flags := r.u8(), r.u8()
+	q.BandLo, q.BandHi = r.i64(), r.i64()
+	count := 0
+	if c := r.take(2); c != nil {
+		count = int(binary.BigEndian.Uint16(c))
+	}
+	if ids := r.take(8 * count); ids != nil {
+		for i := range count {
+			studies = append(studies, int(int64(binary.BigEndian.Uint64(ids[8*i:]))))
+		}
+	}
+	q.Encoding = r.str()
+	if err = r.done("population", version, flags); err == nil && (count == 0 || len(body) != 0) {
+		err = fmt.Errorf("%w: population request of %d studies and a %d-byte body, want at least one and none",
+			transport.ErrWireHeader, count, len(body))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("qbism: bad population query: %w", err)
+	}
+	return studies, nil
+}
+
+// DecodePopulationReply validates a PopulationMethod reply frame and
+// decodes its answer REGION into r, in a new run list. A damaged frame is
+// ErrFrameTruncated or ErrFrameCorrupt (retryable), a header
+// ErrWireHeader; on an error r is left as it was.
+func DecodePopulationReply(r *region.Region, resp []byte) error {
+	header, body, err := transport.DecodeFrame(resp)
+	if err != nil {
+		return fmt.Errorf("qbism: response: %w", err)
+	}
+	if len(header) != 0 {
+		return fmt.Errorf("qbism: bad population reply: %w: a %d-byte header, want none", transport.ErrWireHeader, len(header))
+	}
+	if err := rencode.DecodeInto(r, body, nil); err != nil {
+		return fmt.Errorf("qbism: bad population reply: %w", err)
+	}
+	return nil
 }
 
 func appendStr(dst []byte, s string) []byte {

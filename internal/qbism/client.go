@@ -1,6 +1,8 @@
 package qbism
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,6 +10,8 @@ import (
 	"qbism/internal/dx"
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
+	"qbism/internal/par"
+	"qbism/internal/region"
 	"qbism/internal/transport"
 )
 
@@ -168,6 +172,21 @@ func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([
 	return n.t.Exchange(parent, method, request)
 }
 
+// route returns a study's routing key: its entry in the routing table,
+// or on a single server, whose one shard serves every study, the study
+// alone. A study the table lacks is unroutable: terminal, not a shard
+// health problem.
+func (c *Client) route(study int) (cluster.Key, error) {
+	if c.routes == nil {
+		return cluster.Key{Study: study}, nil
+	}
+	key, ok := c.routes[study]
+	if !ok {
+		return key, fmt.Errorf("qbism: no study %d in the cluster corpus", study)
+	}
+	return key, nil
+}
+
 // fetch is the one fetch, whatever the topology: route the study to its
 // key, then read it from the cluster with failover, retries and hedging.
 // Each node reply is checked and decoded once, inside the read: a reply
@@ -177,15 +196,10 @@ func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([
 // returns; a hedge's is checked and dropped.
 func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched, error) {
 	var f fetched
-	key := cluster.Key{Study: spec.StudyID}
-	if c.routes != nil {
-		var ok bool
-		if key, ok = c.routes[spec.StudyID]; !ok {
-			// Unroutable: terminal, not a shard health problem.
-			return f, fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID)
-		}
+	key, err := c.route(spec.StudyID)
+	if err != nil {
+		return f, err
 	}
-	var err error
 	var kept bool
 	_, f.read, err = c.Cluster.Read(root, key, QueryMethod, request, func(resp []byte) error {
 		if kept { // a later reply, a hedge's: checked, then dropped
@@ -201,6 +215,118 @@ func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched,
 		return f, fmt.Errorf("qbism: query failed after %d attempt(s): %w", f.read.Attempts, err)
 	}
 	return f, nil
+}
+
+// population is one shard's share of a population call: its studies,
+// its request's room, and its answer or error. A call allocates one per
+// shard, in one slice.
+type population struct {
+	studies []int
+	r       region.Region
+	err     error
+	req     [medserver.PopulationRoom]byte
+}
+
+// ConsistentBandRegion asks where every listed study has intensities in
+// [bandLo, bandHi] under the given band label. Each shard (a single
+// server is shard 0) gets one request naming its studies, through the
+// one cluster read, and replies with the fold of their stored band rows;
+// the client intersects the answers. The shards are read on the batch
+// pool (workers, or WithWorkers when it is zero); a cluster of one calls
+// its shard directly. No DX stage runs and no query is counted; a trace
+// is one "population" span over the reads. A shard lost past retries
+// leaves its studies out, and the PartialResult names it; err is a
+// terminal failure (the first in shard order), or says no shard answered.
+func (c *Client) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, *cluster.PartialResult, error) {
+	if len(studies) == 0 {
+		return nil, nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
+	}
+	for _, id := range studies {
+		if _, err := c.route(id); err != nil {
+			return nil, nil, err
+		}
+	}
+	root := c.Tracer.Start("population")
+	defer root.End()
+	part := c.Cluster.Partitioner()
+	shards := make([]population, part.Shards())
+	if len(shards) == 1 {
+		shards[0].studies = studies
+		c.readPopulation(root, 0, &shards[0], bandLo, bandHi, encoding)
+	} else {
+		// The studies grouped by shard, each shard's in input order.
+		grouped := make([]int, 0, len(studies))
+		for sh := range shards {
+			start := len(grouped)
+			for _, id := range studies {
+				if key, _ := c.route(id); part.Shard(key) == sh {
+					grouped = append(grouped, id)
+				}
+			}
+			shards[sh].studies = grouped[start:]
+		}
+		if workers <= 0 {
+			workers = c.workers
+		}
+		par.Each(len(shards), workers, func(sh int) { c.readPopulation(root, sh, &shards[sh], bandLo, bandHi, encoding) })
+	}
+	var few [8]*region.Region
+	answers := few[:0]
+	var lost, terminal error
+	for i := range shards {
+		switch p := &shards[i]; {
+		case len(p.studies) == 0:
+		case p.err == nil:
+			answers = append(answers, &p.r)
+		case errors.Is(p.err, cluster.ErrShardUnavailable):
+			lost = cmp.Or(lost, p.err)
+		default:
+			terminal = cmp.Or(terminal, p.err)
+		}
+	}
+	var partial *cluster.PartialResult
+	if lost != nil {
+		partial = c.Cluster.BuildPartial(root, len(studies), func(i int) (cluster.Key, error) {
+			key, _ := c.route(studies[i])
+			return key, shards[part.Shard(key)].err
+		})
+	}
+	switch {
+	case terminal != nil:
+		return nil, partial, fmt.Errorf("qbism: population query: %w", terminal)
+	case len(answers) == 0:
+		return nil, partial, fmt.Errorf("qbism: all %d studies lost: %w", len(studies), lost)
+	case len(answers) == 1:
+		return answers[0], partial, nil
+	}
+	answer, err := region.IntersectN(answers...)
+	return answer, partial, err
+}
+
+// readPopulation asks one shard about p's studies, if any: the request
+// framed in p's room, and the first reply that decodes decoded into p's
+// answer; a later one, a hedge's, is checked and dropped.
+func (c *Client) readPopulation(root *obs.Span, shard int, p *population, bandLo, bandHi int, encoding string) {
+	if len(p.studies) == 0 {
+		return
+	}
+	q := medserver.PopulationQuery{Studies: p.studies, BandLo: bandLo, BandHi: bandHi, Encoding: encoding}
+	var request []byte
+	if request, p.err = medserver.EncodePopulationRequestInto(p.req[:], &q); p.err != nil {
+		return
+	}
+	// The key labels the read's span and errors; the shard is given.
+	key, _ := c.route(p.studies[0])
+	kept := false
+	_, _, p.err = c.Cluster.ReadShard(root, shard, key, medserver.PopulationMethod, request, func(resp []byte) error {
+		if kept {
+			var hedge region.Region
+			return medserver.DecodePopulationReply(&hedge, resp)
+		}
+		err := medserver.DecodePopulationReply(&p.r, resp)
+		kept = err == nil
+		return err
+	})
 }
 
 // RunQuery executes a query end to end: the spec crosses the network to

@@ -71,8 +71,8 @@ func longField(t *testing.T, srv *medserver.Server, query string, args ...sdb.Va
 // pagesAtFieldFloor serves every daemon_small shape of srv's corpus —
 // each small structure, alone and ∩ each band in the default (k³)
 // encoding — and checks each bill against the oracle, then does the
-// same for population_batch's ConsistentBandRegion over the PET
-// studies, under the h-naive label it names and the k3-tree label, which
+// same for population_batch's population query over the PET studies,
+// served by ServeRPC, under the h-naive label it names and the k3-tree label, which
 // read the same fields. It returns the mean split of each.
 func pagesAtFieldFloor(t *testing.T, srv *medserver.Server) string {
 	ps := srv.LFM.PageSize()
@@ -153,7 +153,16 @@ func pagesAtFieldFloor(t *testing.T, srv *medserver.Server) string {
 				floor += bandField(study, b.Lo, b.Hi, encoding)
 			}
 			before := srv.LFM.Stats().PageReads
-			if _, err := srv.ConsistentBandRegion(pets, int(b.Lo), int(b.Hi), encoding, 1); err != nil {
+			req, err := medserver.EncodePopulationRequestInto(nil, &medserver.PopulationQuery{
+				Studies: pets, BandLo: int(b.Lo), BandHi: int(b.Hi), Encoding: encoding})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := srv.ServeRPC(nil, medserver.PopulationMethod, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := medserver.DecodePopulationReply(new(region.Region), resp); err != nil {
 				t.Fatal(err)
 			}
 			if got := srv.LFM.Stats().PageReads - before; got != floor {

@@ -6,9 +6,9 @@ package qbism
 // One Client, the kind the single-node System embeds, fronts them all
 // through the same cluster read — there a cluster of one node — so a
 // query runs, batches and finishes identically whether it was fetched
-// over one link or scatter-gathered across a degraded cluster; this file
-// adds only the routing table and the population call, which reads every
-// study's band REGION but runs no DX stage.
+// over one link or scatter-gathered across a degraded cluster, and so
+// does the population call (Client.ConsistentBandRegion); this file adds
+// only the routing table.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -26,9 +26,6 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
-	"qbism/internal/par"
-	"qbism/internal/region"
-	"qbism/internal/rencode"
 )
 
 // ClusterConfig parameterizes a ClusterSystem.
@@ -72,7 +69,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 // ClusterSystem is a sharded QBISM deployment: K shards of replicated
 // nodes behind one front end. It exposes the same query surface as
 // System — RunQuery, RunQueries, ConsistentBandRegion — with routing,
-// failover, and partial-result semantics layered in.
+// failover, and partial-result semantics layered in; its
+// ConsistentBandRegion is the Client's, which returns the partial.
 type ClusterSystem struct {
 	// Client is the DX half, the same one a System embeds; its Cluster
 	// holds the shards and its routing table the studies' keys.
@@ -186,73 +184,4 @@ func (cs *ClusterSystem) RunQueriesTraced(specs []QuerySpec, workers int) ([]Bat
 		return cs.routes[out[i].Spec.StudyID], out[i].Err
 	})
 	return out, partial, batch
-}
-
-// ConsistentBandRegion computes the population answer — the REGION
-// where every listed study has intensities in [bandLo, bandHi]. It reads
-// each study's band through the one cluster read (routing, retries,
-// failover, hedging) on the batch pool, decodes each reply's REGION and
-// folds them with region.IntersectN. Like the server's call, it does no
-// DX work: nothing is imported, rendered, cached, slow-logged or counted
-// as a query; a trace is one "population" span over the reads.
-//
-// When shards are lost past retries, the intersection covers the
-// surviving studies only and the PartialResult names what is missing;
-// err is non-nil only for terminal failures (the first in study order)
-// or when no study survived.
-func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, *cluster.PartialResult, error) {
-	if len(studies) == 0 {
-		return nil, nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
-	}
-	if workers <= 0 {
-		workers = cs.workers
-	}
-	root := cs.Tracer.Start("population")
-	defer root.End()
-	regions := make([]*region.Region, len(studies))
-	errs := make([]error, len(studies))
-	par.Each(len(studies), workers, func(i int) {
-		regions[i], errs[i] = cs.bandRegion(root, QuerySpec{
-			StudyID: studies[i], Atlas: "Talairach",
-			HasBand: true, BandLo: bandLo, BandHi: bandHi, Encoding: encoding,
-		})
-	})
-	partial := cs.Cluster.BuildPartial(root, len(studies), func(i int) (cluster.Key, error) {
-		return cs.routes[studies[i]], errs[i]
-	})
-	kept := regions[:0]
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			kept = append(kept, regions[i])
-		case errors.Is(err, cluster.ErrShardUnavailable):
-			// Accounted in partial; the intersection degrades gracefully.
-		default:
-			return nil, partial, fmt.Errorf("qbism: study %d band [%d,%d]: %w", studies[i], bandLo, bandHi, err)
-		}
-	}
-	if len(kept) == 0 {
-		return nil, partial, fmt.Errorf("qbism: all %d studies lost: %w", len(studies), cluster.ErrShardUnavailable)
-	}
-	out, err := region.IntersectN(kept...)
-	return out, partial, err
-}
-
-// bandRegion reads one study's band REGION: the band request through
-// fetch, and its reply's REGION decoded. A band query's DataRegion
-// carries exactly the band REGION (Extract preserves the query region).
-func (cs *ClusterSystem) bandRegion(root *obs.Span, spec QuerySpec) (*region.Region, error) {
-	request, err := EncodeQueryRequest(spec)
-	if err != nil {
-		return nil, err
-	}
-	f, err := cs.fetch(root, spec, request)
-	if err != nil {
-		return nil, err
-	}
-	enc, _, err := medserver.SplitDataRegion(f.blob)
-	if err != nil {
-		return nil, err
-	}
-	return rencode.Decode(enc)
 }

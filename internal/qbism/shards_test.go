@@ -65,18 +65,23 @@ func populationCluster(t *testing.T, opts ...Option) (*ClusterSystem, []int, []p
 // population call allocates, every band of five PET studies on two
 // shards at one worker, and checks each answer against the in-memory
 // intersection. The ceiling is the measured count, the most any band
-// takes: per study the request, the reply, its meta header's string and
-// the decoded REGION and its run list; then the results, the errors and
-// the pool's closure, and the answer and its run list. The partial
-// accounting allocates nothing when no shard is lost, and an empty band
-// decodes, and folds, into no run list. While the call ran a whole DX
-// query per study — import, render, cache entry, metrics — and then
-// decoded each answer again, the same bands took 41 to 47.
+// takes. The client allocates its shards' shares (studies, request
+// room, answer and error, one slice), the grouped study list and the
+// pool's closure, decodes each shard's answer into a run list (none for
+// an empty band) and intersects the two (region.IntersectN: the answer,
+// its run list and scratch); each shard's server allocates its read
+// buffer and the fold's two slabs, and a run list for its answer when
+// the fold's spare room is too small (band 0-31 and 96-127 here). The
+// partial accounting allocates nothing when no shard is lost. While the
+// client sent a band query per study, had every node extract each band
+// voxel's value and folded the decoded REGIONs again, the same bands
+// took up to 30; while that call ran a whole DX query per study —
+// import, render, cache entry, metrics — 41 to 47.
 func TestClusterConsistentBandRegionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates, a few objects more or less per call from run to run")
 	}
-	const ceiling = 30
+	const ceiling = 15
 	cs, pets, bands := populationCluster(t)
 	for _, b := range bands {
 		got, partial, err := cs.ConsistentBandRegion(pets, b.lo, b.hi, "", 1)
@@ -99,8 +104,8 @@ func TestClusterConsistentBandRegionAllocBudget(t *testing.T) {
 }
 
 // TestClusterConsistentBandRegionDoesNoDXWork: a cluster population call
-// reads each study's band REGION and folds it, as the server's own call
-// does, and nothing more — no band spec lands in the DX cache, no query
+// asks each shard for its studies' answer REGION and intersects the
+// answers, and nothing more — no band spec lands in the DX cache, no query
 // is counted or slow-logged (the threshold here catches every query).
 // A RunQuery of the same spec afterwards shows the checks can fail.
 func TestClusterConsistentBandRegionDoesNoDXWork(t *testing.T) {

@@ -73,7 +73,7 @@ func ExtractStoredOpts(m *lfm.Manager, h lfm.Handle, r *region.Region, opts Extr
 // System's server half, and each replica of a ClusterSystem's shards.
 type Node struct {
 	// Server is the MedicalServer: Cfg, Curve, LFM, DB, Atlas, Studies,
-	// BandRegions, ServeRPC, ExplainSpec, ConsistentBandRegion.
+	// BandRegions, ServeRPC, ExplainSpec.
 	*medserver.Server
 	// Transport is the simulated link to Server: the meter of its bills
 	// (Stats), SetFaults for link faults, and a raw Call that bypasses
@@ -120,4 +120,12 @@ func New(cfg Config, opts ...Option) (*System, error) {
 	c := newNodeClient(n.Transport, n.Cfg, o, metrics)
 	c.Tracer = tracer
 	return &System{Node: n, Client: c}, nil
+}
+
+// ConsistentBandRegion is the Client's population call over the link. A
+// single server's one shard answers or fails the call: there is no
+// partial result.
+func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
+	r, _, err := s.Client.ConsistentBandRegion(studies, bandLo, bandHi, encoding, workers)
+	return r, err
 }

@@ -42,6 +42,9 @@ func goldenSpecs() []struct {
 	}
 }
 
+// goldenPopulation is a population query of three studies.
+var goldenPopulation = medserver.PopulationQuery{Studies: []int{1, 4, 5}, BandLo: 32, BandHi: 63, Encoding: EncHilbertNaive}
+
 // goldenMeta is a reply header with every field distinct.
 func goldenMeta(degraded bool) QueryMeta {
 	m := QueryMeta{
@@ -107,6 +110,11 @@ func TestWireGolden(t *testing.T) {
 		fmt.Fprintf(&out, "response %s: %s\n", tc.name, hex.EncodeToString(encodeResponse(t, goldenMeta(false), blob)))
 	}
 	fmt.Fprintf(&out, "response degraded: %s\n", hex.EncodeToString(encodeResponse(t, goldenMeta(true), []byte{0xDD})))
+	pop, err := medserver.EncodePopulationRequestInto(nil, &goldenPopulation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "request population: %s\n", hex.EncodeToString(pop))
 	const path = "testdata/wire_golden.txt"
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
@@ -133,6 +141,8 @@ func TestWireGolden(t *testing.T) {
 			switch f.width {
 			case 1:
 				got = uint64(b[f.off])
+			case 2:
+				got = uint64(binary.BigEndian.Uint16(b[f.off:]))
 			case 4:
 				got = uint64(binary.BigEndian.Uint32(b[f.off:]))
 			case 8:
@@ -175,10 +185,99 @@ func TestWireGolden(t *testing.T) {
 		{"DBCPUNanos", 50, 8, 75400}, {"LFMPages", 58, 8, 10}, {"LFMReads", 66, 8, 3},
 		{"CacheHits", 74, 8, 7}, {"CacheMisses", 82, 8, 10},
 	}, "Doe, J.", "1993-08-01", m.Warning)
+	check("population", pop[transport.FrameOverhead:], []field{
+		{"version", 0, 1, 1}, {"flags", 1, 1, 0},
+		{"BandLo", 2, 8, 32}, {"BandHi", 10, 8, 63}, {"count", 18, 2, 3},
+		{"StudyID[0]", 20, 8, 1}, {"StudyID[1]", 28, 8, 4}, {"StudyID[2]", 36, 8, 5},
+	}, EncHilbertNaive)
 	// A value with no box and three empty strings is its fixed part and
 	// three zero lengths.
 	if specFixed, metaFixed := len(specHeader(QuerySpec{}))-3*2, len(metaHeader(t, QueryMeta{}))-3*2; specFixed != 26 || metaFixed != 90 {
 		t.Errorf("fixed parts are %d and %d bytes, documented as 26 and 90", specFixed, metaFixed)
+	}
+}
+
+// TestPopulationWire holds the population request to the wire's rules
+// through a bare server's ServeRPC: a header with no study, a count past
+// the ids present, an unknown flag bit, another version, a trailing byte
+// or a body is refused with transport.ErrWireHeader and no reply; a list
+// or a label with no encoding is refused when the request is framed; up
+// to eight studies with a 64-byte label are framed in PopulationRoom
+// without an allocation; and a reply with a header, or cut short, is
+// refused by the client's decoder.
+func TestPopulationWire(t *testing.T) {
+	srv := bareServer(t, Config{Bits: 4, NumPET: 2, NumMRI: 0, Seed: 7, SmallStudies: true})
+	pets := srv.PETStudyIDs()
+	b := srv.BandRegions[pets[0]][0]
+	q := medserver.PopulationQuery{Studies: pets, BandLo: int(b.Lo), BandHi: int(b.Hi)}
+	req, err := medserver.EncodePopulationRequestInto(nil, &q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.ServeRPC(nil, medserver.PopulationMethod, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got region.Region
+	if err := medserver.DecodePopulationReply(&got, resp); err != nil {
+		t.Fatal(err)
+	}
+	want, err := region.Intersect(srv.BandRegions[pets[0]][0].Region, srv.BandRegions[pets[1]][0].Region)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("the population reply decodes to %v, want %v (%v)", &got, want, err)
+	}
+
+	header := req[transport.FrameOverhead:]
+	edit := func(f func(h []byte) []byte) []byte { return f(bytes.Clone(header)) }
+	none, err := medserver.EncodePopulationRequestInto(nil, &medserver.PopulationQuery{BandLo: q.BandLo, BandHi: q.BandHi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, request := range map[string][]byte{
+		"no study":   none,
+		"count past": encodeFrameT(t, edit(func(h []byte) []byte { binary.BigEndian.PutUint16(h[18:], 3); return h }), nil),
+		"flag bit":   encodeFrameT(t, edit(func(h []byte) []byte { h[1] = 0x01; return h }), nil),
+		"version 2":  encodeFrameT(t, edit(func(h []byte) []byte { h[0] = 2; return h }), nil),
+		"trailing":   encodeFrameT(t, edit(func(h []byte) []byte { return append(h, 0) }), nil),
+		"a body":     encodeFrameT(t, header, []byte{1}),
+	} {
+		resp, err := srv.ServeRPC(nil, medserver.PopulationMethod, request)
+		if resp != nil || !errors.Is(err, transport.ErrWireHeader) {
+			t.Errorf("%s: %d-byte reply, %v; want ErrWireHeader and no reply", name, len(resp), err)
+		}
+	}
+
+	for name, bad := range map[string]medserver.PopulationQuery{
+		"65 536 studies": {Studies: make([]int, math.MaxUint16+1)},
+		"a long label":   {Studies: pets, Encoding: strings.Repeat("e", math.MaxUint16+1)},
+	} {
+		if _, err := medserver.EncodePopulationRequestInto(nil, &bad); !errors.Is(err, transport.ErrWireHeader) {
+			t.Errorf("%s: %v, want ErrWireHeader", name, err)
+		}
+	}
+
+	var room [medserver.PopulationRoom]byte
+	eight := medserver.PopulationQuery{Studies: []int{1, 2, 3, 4, 5, 6, 7, 8}, Encoding: strings.Repeat("e", 64)}
+	if allocs := testing.AllocsPerRun(10, func() {
+		framed, err := medserver.EncodePopulationRequestInto(room[:], &eight)
+		if err != nil || &framed[0] != &room[0] {
+			t.Fatalf("eight studies with a 64-byte label are not framed in the room: %v", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("framing eight studies in PopulationRoom: %.0f allocations, want 0", allocs)
+	}
+
+	body := resp[transport.FrameOverhead:]
+	for name, c := range map[string]struct {
+		reply []byte
+		want  error
+	}{
+		"a header":  {encodeFrameT(t, []byte{1}, body), transport.ErrWireHeader},
+		"cut short": {resp[:len(resp)-1], transport.ErrFrameTruncated},
+	} {
+		if err := medserver.DecodePopulationReply(&got, c.reply); !errors.Is(err, c.want) {
+			t.Errorf("a reply with %s: %v, want %v", name, err, c.want)
+		}
 	}
 }
 
@@ -536,9 +635,11 @@ func FuzzQueryResponseFrame(f *testing.F) {
 }
 
 // FuzzServeRPC hands arbitrary bytes to a small bare server, as the
-// request itself and — a fuzzer cannot forge a CRC — as the spec header
-// of a well-formed request: the answer is a typed error or a frame
-// DecodeQueryResponse accepts, never a panic.
+// request itself and — a fuzzer cannot forge a CRC — as the header of a
+// well-formed request, of either method: a medical query's spec or a
+// population query's. The answer is a typed error or a frame its client
+// accepts — DecodeQueryResponse and a DATA_REGION that unmarshals, or a
+// population reply whose REGION decodes — never a panic.
 func FuzzServeRPC(f *testing.F) {
 	sys := bareServer(f, Config{Bits: 4, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true})
 	study := sys.Studies[0].StudyID
@@ -552,22 +653,58 @@ func FuzzServeRPC(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(req, true)
-		f.Add(req[:len(req)-3], true)
-		f.Add(req[transport.FrameOverhead:], false)
+		f.Add(req, true, false)
+		f.Add(req[:len(req)-3], true, false)
+		f.Add(req[transport.FrameOverhead:], false, false)
 	}
-	f.Add([]byte(`{"studyId":1,"fullStudy":true}`), false)
-	f.Add([]byte{}, false)
-	f.Add([]byte{}, true)
-	f.Fuzz(func(t *testing.T, data []byte, whole bool) {
+	f.Add([]byte(`{"studyId":1,"fullStudy":true}`), false, false)
+	f.Add([]byte{}, false, false)
+	f.Add([]byte{}, true, false)
+
+	// The population seeds: a valid request over both studies, the same
+	// cut short, and headers with no study, with a count past the ids
+	// present, with an unknown flag bit and with a trailing byte.
+	b := sys.BandRegions[study][0]
+	popRequest := func(studies ...int) []byte {
+		req, err := medserver.EncodePopulationRequestInto(nil, &medserver.PopulationQuery{
+			Studies: studies, BandLo: int(b.Lo), BandHi: int(b.Hi), Encoding: EncHilbertNaive})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return req
+	}
+	pop := popRequest(study, sys.Studies[1].StudyID)
+	header := pop[transport.FrameOverhead:]
+	f.Add(pop, true, true)
+	f.Add(pop[:len(pop)-3], true, true)
+	f.Add(header, false, true)
+	f.Add(popRequest()[transport.FrameOverhead:], false, true)
+	overflow := bytes.Clone(header)
+	binary.BigEndian.PutUint16(overflow[18:], 3)
+	f.Add(overflow, false, true)
+	flagged := bytes.Clone(header)
+	flagged[1] = 0x80
+	f.Add(flagged, false, true)
+	f.Add(append(bytes.Clone(header), 0xAA), false, true)
+	f.Fuzz(func(t *testing.T, data []byte, whole, population bool) {
 		request := data
 		if !whole {
 			request = encodeFrameT(t, data, nil)
 		}
-		resp, err := sys.ServeRPC(nil, QueryMethod, request)
+		method := QueryMethod
+		if population {
+			method = medserver.PopulationMethod
+		}
+		resp, err := sys.ServeRPC(nil, method, request)
 		if err != nil {
 			if resp != nil {
 				t.Fatal("an error came with a response")
+			}
+			return
+		}
+		if population {
+			if err := medserver.DecodePopulationReply(new(region.Region), resp); err != nil {
+				t.Fatalf("ServeRPC answered a population query with a frame its own client refuses: %v", err)
 			}
 			return
 		}

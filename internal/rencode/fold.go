@@ -17,7 +17,7 @@ var ErrCurveMismatch = errors.New("rencode: REGIONs on different curves")
 // intersection of the population query (Table 4), taken over the rows as
 // the server stores them: k³-trees. A row is never decoded: one walk of
 // its bytes merges it into the intersection so far, which is kept as the
-// walk's block pieces (k3Set with words) until Region makes runs of it.
+// walk's block pieces (k3Set with words) until RegionInto makes runs of it.
 // The fold takes no other codec: a γ or naive row would have to become a
 // k³-tree first, which costs more than decoding it and intersecting runs
 // (region.IntersectN), so a caller holding such rows does that instead
@@ -102,36 +102,42 @@ func (p *K3Probe) maxPieces() int {
 	return n
 }
 
-// Region returns the intersection of the rows folded so far — nil before
-// the first — as a new Region with an exactly sized run list of its own.
-func (f *StoredFold) Region() *region.Region {
+// RegionInto refills r (region.Region.Refill) with the intersection of
+// the rows folded so far, and reports whether there is one: before the
+// first row it leaves r as it was and returns false. The runs are built
+// in the room of the fold's spare pieces when they fit there, and in a
+// new, exactly sized run list otherwise, so r may share the fold's
+// memory: it is valid until the fold's next Intersect.
+func (f *StoredFold) RegionInto(r *region.Region) bool {
 	if f.curve == nil {
-		return nil
+		return false
 	}
 	// A piece holds a run per set bit with its predecessor clear, less
 	// one where it continues the piece before.
 	n, end := 0, uint64(0) // end: one past the last position counted
-	for i, r := range f.acc.runs {
+	for i, p := range f.acc.runs {
 		w := f.acc.words[i]
-		if n += bits.OnesCount64(w &^ (w >> 1)); i > 0 && w>>63 != 0 && end == r.Lo {
+		if n += bits.OnesCount64(w &^ (w >> 1)); i > 0 && w>>63 != 0 && end == p.Lo {
 			n--
 		}
-		if end = r.Hi + 1; w != ^uint64(0) {
-			end = r.Lo + 64 - uint64(bits.TrailingZeros64(w))
+		if end = p.Hi + 1; w != ^uint64(0) {
+			end = p.Lo + 64 - uint64(bits.TrailingZeros64(w))
 		}
 	}
-	var runs []region.Run
-	if n > 0 {
+	// The spare pieces share no memory with the intersection's, so the
+	// answer written in their room overwrites none of it.
+	runs := f.spare.runs[:0]
+	if cap(runs) < n {
 		runs = make([]region.Run, 0, n)
-		for i, r := range f.acc.runs {
-			if w := f.acc.words[i]; w == ^uint64(0) {
-				runs = k3Emit(runs, r.Lo, r.Hi)
-			} else {
-				runs = k3WordRuns(runs, w, r.Lo)
-			}
+	}
+	for i, p := range f.acc.runs {
+		if w := f.acc.words[i]; w == ^uint64(0) {
+			runs = k3Emit(runs, p.Lo, p.Hi)
+		} else {
+			runs = k3WordRuns(runs, w, p.Lo)
 		}
 	}
 	// The runs are normalized and on f.curve: the fold's own result.
-	r, _ := region.FromOwnedRuns(f.curve, runs)
-	return r
+	_ = r.Refill(f.curve, runs)
+	return true
 }

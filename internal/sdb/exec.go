@@ -21,14 +21,14 @@ type Result struct {
 // run, without keeping the statement. Optional args supply values for
 // "?" bind placeholders, in order.
 func (db *DB) Exec(sql string, args ...Value) (*Result, error) {
-	stmt, err := Parse(sql)
+	stmt, nparams, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	if _, ok := stmt.(*SelectStmt); ok {
-		return materialize(db.queryParsed(db.stmtSpan(nil), stmt, args))
+		return materialize(db.queryParsed(db.stmtSpan(nil), stmt, nparams, args))
 	}
-	c, err := db.compile(stmt)
+	c, err := db.compile(stmt, nparams)
 	if err != nil {
 		return nil, err
 	}
@@ -228,19 +228,19 @@ func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 func (db *DB) QuerySpan(parent *obs.Span, sql string, args ...Value) (*Rows, error) {
 	sp := db.stmtSpan(parent)
 	ps := sp.Child("sql.parse")
-	stmt, err := Parse(sql)
+	stmt, nparams, err := parse(sql)
 	ps.End()
 	if err != nil {
 		return nil, failQuery(sp, err)
 	}
-	return db.queryParsed(sp, stmt, args)
+	return db.queryParsed(sp, stmt, nparams, args)
 }
 
-// queryParsed compiles stmt and starts its one execution under the
-// statement span sp.
-func (db *DB) queryParsed(sp *obs.Span, stmt Statement, args []Value) (*Rows, error) {
+// queryParsed compiles stmt, of nparams bind arguments, and starts its one
+// execution under the statement span sp.
+func (db *DB) queryParsed(sp *obs.Span, stmt Statement, nparams int, args []Value) (*Rows, error) {
 	pl := sp.Child("sql.plan")
-	c, err := db.compile(stmt)
+	c, err := db.compile(stmt, nparams)
 	rows := new(Rows)
 	if err == nil {
 		err = c.query(rows, db, sp, args)

@@ -66,7 +66,7 @@ func exprString(x Expr) string {
 	switch n := x.(type) {
 	case *Literal:
 		if n.Val.T == TString {
-			return "'" + n.Val.S + "'"
+			return "'" + strings.ReplaceAll(n.Val.S, "'", "''") + "'"
 		}
 		return n.Val.String()
 	case *Placeholder:

@@ -135,7 +135,7 @@ func TestExprString(t *testing.T) {
 	for i, item := range sel.Exprs {
 		got[i] = exprString(item.Expr)
 	}
-	want := []string{"NOT v", "-v", "(v + 1)", "f(v, '*it's*')", "count(v)", "?"}
+	want := []string{"NOT v", "-v", "(v + 1)", "f(v, '*it''s*')", "count(v)", "?"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("exprString[%d] = %q, want %q", i, got[i], want[i])

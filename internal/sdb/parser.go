@@ -10,20 +10,27 @@ import (
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(input string) (Statement, error) {
+	stmt, _, err := parse(input)
+	return stmt, err
+}
+
+// parse is Parse that also returns how many bind arguments the statement
+// needs: the "?" placeholders the parser numbered, in order.
+func parse(input string) (Statement, int, error) {
 	toks, err := lex(input)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.accept(tokSymbol, ";")
 	if !p.at(tokEOF, "") {
-		return nil, p.errorf("trailing input %q", p.peek().text)
+		return nil, 0, p.errorf("trailing input %q", p.peek().text)
 	}
-	return stmt, nil
+	return stmt, p.nparams, nil
 }
 
 type parser struct {

@@ -344,34 +344,3 @@ func walkExpr(x Expr, f func(Expr)) {
 		}
 	}
 }
-
-// countPlaceholders returns how many bind arguments a statement needs
-// (the highest placeholder ordinal plus one).
-func countPlaceholders(stmt Statement) int {
-	max := -1
-	note := func(x Expr) {
-		walkExpr(x, func(e Expr) {
-			if p, ok := e.(*Placeholder); ok && p.Idx > max {
-				max = p.Idx
-			}
-		})
-	}
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		for _, item := range s.Exprs {
-			if !item.Star {
-				note(item.Expr)
-			}
-		}
-		note(s.Where)
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, x := range row {
-				note(x)
-			}
-		}
-	case *ExplainStmt:
-		return countPlaceholders(s.Stmt)
-	}
-	return max + 1
-}

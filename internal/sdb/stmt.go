@@ -97,10 +97,10 @@ func (s *Stmt) Reserve(n int) error {
 	}
 }
 
-// compile validates and plans a parsed statement, binding its AST in
-// place.
-func (db *DB) compile(stmt Statement) (*compiled, error) {
-	c := &compiled{gen: db.gen.Load(), stmt: stmt, nparams: countPlaceholders(stmt)}
+// compile validates and plans a parsed statement of nparams bind
+// arguments, binding its AST in place.
+func (db *DB) compile(stmt Statement, nparams int) (*compiled, error) {
+	c := &compiled{gen: db.gen.Load(), stmt: stmt, nparams: nparams}
 	sel, _ := stmt.(*SelectStmt)
 	if ex, ok := stmt.(*ExplainStmt); ok {
 		if sel, ok = ex.Stmt.(*SelectStmt); !ok {
@@ -143,11 +143,11 @@ type Stmt struct {
 // Prepare parses, validates and plans one SQL statement for repeated
 // execution.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
-	stmt, err := Parse(sql)
+	stmt, nparams, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	c, err := db.compile(stmt)
+	c, err := db.compile(stmt, nparams)
 	if err != nil {
 		return nil, err
 	}
@@ -165,11 +165,11 @@ func (s *Stmt) current() (*compiled, error) {
 	if c.gen == s.db.gen.Load() {
 		return c, nil
 	}
-	stmt, err := Parse(s.sql)
+	stmt, nparams, err := parse(s.sql)
 	if err != nil {
 		return nil, err
 	}
-	if c, err = s.db.compile(stmt); err != nil {
+	if c, err = s.db.compile(stmt, nparams); err != nil {
 		return nil, err
 	}
 	s.plan.Store(c)
