@@ -73,11 +73,9 @@ func main() {
 	pageCorrupt := flag.Float64("pagecorrupt", 0, "device: per-page probability of a silent bit flip (caught by page checksums)")
 	faultSeed := flag.Uint64("faultseed", 1, "fault injection seed")
 	retries := flag.Int("retries", 5, "max query attempts (1 = no retries)")
-	checksums := flag.Bool("checksums", true, "enable per-page CRC32 checksums on long fields")
 
 	cachePages := flag.Int("cachepages", 0, "LFM page cache capacity in 4KB pages (0 = no cache, the paper's protocol)")
 	gapPages := flag.Uint64("gappages", 0, "coalesce extraction reads across page gaps up to this wide (0 = exact runs)")
-	workers := flag.Int("workers", 0, "worker pool size for multi-study plans (0/1 = serial)")
 	noPushdown := flag.Bool("nopushdown", false, "disable SQL predicate pushdown and hash joins (A/B baseline)")
 
 	addr := flag.String("addr", "", "query the running qbismd at this host:port instead of loading a corpus in-process")
@@ -93,7 +91,6 @@ func main() {
 
 	cfg := qbism.Config{
 		Bits: *bits, NumPET: *pets, NumMRI: *mris, Seed: *seed, SmallStudies: *small,
-		Checksums:  *checksums,
 		CachePages: *cachePages, ReadGapPages: *gapPages,
 		Trace: *trace,
 	}
@@ -104,7 +101,7 @@ func main() {
 	}
 	pol := qbism.DefaultRetryPolicy()
 	pol.MaxAttempts, pol.Seed = *retries, *faultSeed
-	opts := []qbism.Option{qbism.WithRetry(pol), qbism.WithSlowLog(*slowlog), qbism.WithWorkers(*workers)}
+	opts := []qbism.Option{qbism.WithRetry(pol), qbism.WithSlowLog(*slowlog)}
 
 	buildSpec := func() qbism.QuerySpec {
 		spec := qbism.QuerySpec{
@@ -179,9 +176,9 @@ func main() {
 	// Timing goes to stderr: stdout stays identical run to run.
 	fmt.Fprintf(os.Stderr, "loaded %d studies in %.2f s on %d procs\n",
 		len(sys.Studies), time.Since(loadStart).Seconds(), runtime.GOMAXPROCS(0))
-	fmt.Printf("loaded %d^3 atlas, %d studies, %d structures; cache=%dp gap=%dp workers=%d\n",
+	fmt.Printf("loaded %d^3 atlas, %d studies, %d structures; cache=%dp gap=%dp\n",
 		sys.Side(), len(sys.Studies), len(sys.Atlas.Structures),
-		*cachePages, *gapPages, *workers)
+		*cachePages, *gapPages)
 
 	runSQL := func(stmt string) error {
 		res, err := sys.DB.Exec(stmt)
@@ -336,11 +333,6 @@ func parseNodeRef(flagName, v string) (shard, replica int, ok bool) {
 func runClusterQuery(cfg qbism.Config, opts []qbism.Option, shards, replicas int, noPushdown bool, deadNode, slowNode string, slowlog time.Duration, metrics bool, out string, spec qbism.QuerySpec) {
 	deadSh, deadR, haveDead := parseNodeRef("-deadnode", deadNode)
 	slowSh, slowR, haveSlow := parseNodeRef("-slownode", slowNode)
-	if replicas == 0 {
-		// ClusterConfig treats 0 as "default" (one replica); an explicit
-		// -replicas 0 on the CLI means none.
-		replicas = -1
-	}
 	ccfg := qbism.ClusterConfig{
 		Shards: shards, Replicas: replicas, Base: cfg,
 		HedgeAfter: 25 * time.Millisecond,
@@ -367,9 +359,6 @@ func runClusterQuery(cfg qbism.Config, opts []qbism.Option, shards, replicas int
 				node.DB.SetPushdown(false)
 			}
 		}
-	}
-	if replicas < 0 {
-		replicas = 0
 	}
 	fmt.Printf("loaded %d studies across %d shards x (1 primary + %d replica(s)); studies per shard: %v\n",
 		len(cs.Studies), shards, replicas, perShard)

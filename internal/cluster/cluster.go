@@ -265,10 +265,16 @@ type ReadInfo struct {
 
 // Read routes the key to its shard and reads from it.
 func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
-	return c.ReadShard(parent, c.part.Shard(key), key, method, request, validate)
+	return c.read(parent, c.part.Shard(key), key, true, method, request, validate)
 }
 
-// ReadShard executes one read against a specific shard: it dials the
+// ReadShard is Read against a given shard, for a request that may name
+// several keys: its span and its errors are labelled by the shard alone.
+func (c *Cluster) ReadShard(parent *obs.Span, shard int, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
+	return c.read(parent, shard, Key{}, false, method, request, validate)
+}
+
+// read executes one read against a specific shard: it dials the
 // first breaker-admitted node (primary-first), fails over to the next
 // node on retryable errors with capped backoff, hedges against nodes
 // whose latency EWMA exceeds HedgeAfter, and returns a typed
@@ -277,8 +283,9 @@ func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte,
 // give the same answer. validate, when non-nil, runs once on every reply
 // a node returns, the hedge's included: a reply it refuses is that
 // node's failure — it trips the node's breaker and is classified and
-// failed over like a call error.
-func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
+// failed over like a call error. When keyed, key labels the span and a
+// terminal error; otherwise the shard alone does.
+func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, ReadInfo{Shard: shard}, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.shards))
 	}
@@ -287,7 +294,9 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 	defer span.End()
 	if span != nil {
 		span.SetInt("shard", int64(shard))
-		span.SetStr("key", key.String())
+		if keyed {
+			span.SetStr("key", key.String())
+		}
 	}
 
 	info := ReadInfo{Shard: shard}
@@ -350,6 +359,9 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			// semantic failure is the answer, not a health problem.
 			info.Node = st.nodes[node].Name()
 			span.SetStr("terminal", err.Error())
+			if !keyed {
+				return nil, info, fmt.Errorf("cluster: shard %d: %w", shard, lastErr)
+			}
 			return nil, info, fmt.Errorf("cluster: shard %d %s: %w", shard, key, lastErr)
 		}
 		if attempt < c.cfg.Retry.MaxAttempts {

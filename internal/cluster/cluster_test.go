@@ -502,7 +502,7 @@ func TestReadShardOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadShard(nil, 7, Key{}, "q", nil, nil); err == nil {
+	if _, _, err := c.ReadShard(nil, 7, "q", nil, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }

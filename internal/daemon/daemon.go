@@ -43,9 +43,6 @@ type Config struct {
 	// Admission is the per-client token-bucket policy (zero Rate
 	// disables).
 	Admission transport.AdmissionConfig
-	// MaxFrameBytes bounds accepted request frames (transport default
-	// applies when zero).
-	MaxFrameBytes int64
 }
 
 // Daemon is one serving MedicalServer: RPC server plus admin endpoint.
@@ -73,12 +70,11 @@ func New(b Backend, cfg Config) *Daemon {
 		cfg:       cfg,
 		adminDone: make(chan error, 1),
 		srv: transport.NewServer(b.ServeRPC, transport.ServerConfig{
-			Addr:          cfg.Addr,
-			MaxConns:      cfg.MaxConns,
-			Admission:     cfg.Admission,
-			MaxFrameBytes: cfg.MaxFrameBytes,
-			Metrics:       metrics,
-			Tracer:        tracer,
+			Addr:      cfg.Addr,
+			MaxConns:  cfg.MaxConns,
+			Admission: cfg.Admission,
+			Metrics:   metrics,
+			Tracer:    tracer,
 		}),
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qbism/internal/lfm"
+	"qbism/internal/medserver"
 	"qbism/internal/obs"
 	"qbism/internal/qbism"
 	"qbism/internal/transport"
@@ -214,5 +215,45 @@ func TestDrainAndCloseConcurrently(t *testing.T) {
 				t.Errorf("round %d: %v", i, err)
 			}
 		}
+	}
+}
+
+// TestRottedPageRefusedOverTCP: a server built as cmd/qbismd builds it —
+// its Config from the command's flags, no integrity setting — verifies
+// every page it reads. A VOLUME page that rots at rest reaches a client
+// over TCP as a typed, retryable error naming the checksum mismatch,
+// after the retries ran out, and never as the rotted bytes.
+func TestRottedPageRefusedOverTCP(t *testing.T) {
+	srv, err := medserver.New(medserver.Config{Bits: 4, NumPET: 2, NumMRI: 1, Seed: 1993, SmallStudies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := New(srv, Config{Addr: "127.0.0.1:0", MaxConns: 64})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	defer tcp.Close()
+	client := qbism.NewClient(tcp, qbism.Config{Bits: 4}, qbism.WithRetry(transport.DefaultRetryPolicy()))
+	spec := qbism.QuerySpec{StudyID: 1, Atlas: "Talairach", FullStudy: true}
+	if _, err := client.RunQuery(spec); err != nil {
+		t.Fatalf("clean read: %v", err)
+	}
+
+	res, err := srv.DB.Exec(`select wv.data from warpedVolume wv where wv.studyId = 1`)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("study 1's VOLUME: %d rows, %v", len(res.Rows), err)
+	}
+	if err := srv.LFM.Corrupt(res.Rows[0][0].L, 100, 0x10); err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.RunQuery(spec)
+	if got != nil || !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), lfm.ErrChecksum.Error()) {
+		t.Fatalf("read of a rotted VOLUME page over TCP: (%v, %v), want a typed %q and no answer", got, err, lfm.ErrChecksum)
+	}
+	if n := srv.LFM.Stats().ChecksumFailures; n == 0 {
+		t.Error("the server counted no checksum failure")
 	}
 }

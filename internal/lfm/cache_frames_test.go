@@ -3,7 +3,6 @@ package lfm
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"qbism/internal/faultsim"
@@ -16,57 +15,54 @@ import (
 // nothing, a recycled frame never shows through).
 
 // TestCacheThrashAllocatesNothing: with the working set far larger than
-// the cache, every page request is a miss and an eviction, and none of
-// them allocates once the cache has filled.
+// the cache, every page request is a miss, a verified transfer and an
+// eviction, and none of them allocates once the cache has filled. Every
+// transfer is checked against the field's checksums, so the one case is
+// the verified scan.
 func TestCacheThrashAllocatesNothing(t *testing.T) {
-	for _, checksums := range []bool{false, true} {
-		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
-			m, err := New(1<<20, 4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const pages, cachePages = 32, 4
-			data := pattern(pages*4096-100, 0x42) // the last page is short
-			h, err := m.Allocate(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if checksums {
-				m.EnableChecksums()
-			}
-			m.EnableCache(cachePages)
-			// One pass in 8-page reads: a cyclic scan through a CLOCK
-			// cache an eighth of its size never hits.
-			io := IO{M: m}
-			dst := make([]byte, 8*4096)
-			scan := func() {
-				for off := 0; off < len(data); off += len(dst) {
-					n := min(len(dst), len(data)-off)
-					if err := io.ReadAtInto(h, uint64(off), dst[:n]); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(dst[:n], data[off:off+n]) {
-						t.Fatalf("wrong bytes at offset %d", off)
-					}
+	t.Run("checksums=true", func(t *testing.T) {
+		m, err := New(1<<20, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const pages, cachePages = 32, 4
+		data := pattern(pages*4096-100, 0x42) // the last page is short
+		h, err := m.Allocate(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableCache(cachePages)
+		// One pass in 8-page reads: a cyclic scan through a CLOCK
+		// cache an eighth of its size never hits.
+		io := IO{M: m}
+		dst := make([]byte, 8*4096)
+		scan := func() {
+			for off := 0; off < len(data); off += len(dst) {
+				n := min(len(dst), len(data)-off)
+				if err := io.ReadAtInto(h, uint64(off), dst[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dst[:n], data[off:off+n]) {
+					t.Fatalf("wrong bytes at offset %d", off)
 				}
 			}
-			scan() // fills the cache: the only frames ever allocated
-			before := m.Stats()
-			const runs = 20
-			if got := testing.AllocsPerRun(runs, scan); got != 0 {
-				t.Errorf("%.0f allocations per scan of %d misses, want 0", got, pages)
-			}
-			d := m.Stats().Sub(before)
-			// AllocsPerRun runs the function once more to warm up.
-			if want := uint64((runs + 1) * pages); d.CacheMisses != want || d.CacheEvictions != want || d.CacheHits != 0 {
-				t.Errorf("misses %d evictions %d hits %d, want %d/%d/0: the scan was meant to thrash",
-					d.CacheMisses, d.CacheEvictions, d.CacheHits, want, want)
-			}
-			if got := cachedPages(m); got != cachePages {
-				t.Errorf("cache holds %d pages, want %d", got, cachePages)
-			}
-		})
-	}
+		}
+		scan() // fills the cache: the only frames ever allocated
+		before := m.Stats()
+		const runs = 20
+		if got := testing.AllocsPerRun(runs, scan); got != 0 {
+			t.Errorf("%.0f allocations per scan of %d misses, want 0", got, pages)
+		}
+		d := m.Stats().Sub(before)
+		// AllocsPerRun runs the function once more to warm up.
+		if want := uint64((runs + 1) * pages); d.CacheMisses != want || d.CacheEvictions != want || d.CacheHits != 0 {
+			t.Errorf("misses %d evictions %d hits %d, want %d/%d/0: the scan was meant to thrash",
+				d.CacheMisses, d.CacheEvictions, d.CacheHits, want, want)
+		}
+		if got := cachedPages(m); got != cachePages {
+			t.Errorf("cache holds %d pages, want %d", got, cachePages)
+		}
+	})
 }
 
 // TestCacheFramesAreLazy: enabling a large cache allocates no frames;
@@ -111,7 +107,7 @@ func TestCacheFramesAreLazy(t *testing.T) {
 func TestFailedFillLeavesVictimIntact(t *testing.T) {
 	for _, kind := range []faultsim.Kind{faultsim.ReadErr, faultsim.PageCorrupt} {
 		t.Run(kind.String(), func(t *testing.T) {
-			m := cachedManager(t, 2, true)
+			m := cachedManager(t, 2)
 			data := pattern(4*4096, 0x5A)
 			h, err := m.Allocate(data)
 			if err != nil {
@@ -177,7 +173,7 @@ func TestFailedFillLeavesVictimIntact(t *testing.T) {
 // page goes on to hold a full page, and the other way round, with
 // nothing of the previous tenant showing.
 func TestShortPageFrameReuse(t *testing.T) {
-	m := cachedManager(t, 1, false)
+	m := cachedManager(t, 1)
 	short := pattern(4096+100, 0x01) // page 1 is 100 bytes
 	full := pattern(2*4096, 0x80)
 	hs, err := m.Allocate(short)

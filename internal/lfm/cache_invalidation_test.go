@@ -24,16 +24,13 @@ func forCacheSizes(t *testing.T, test func(t *testing.T, cachePages int)) {
 	}
 }
 
-func cachedManager(t *testing.T, cachePages int, checksums bool) *Manager {
+func cachedManager(t *testing.T, cachePages int) *Manager {
 	t.Helper()
 	m, err := New(1<<20, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.EnableCache(cachePages)
-	if checksums {
-		m.EnableChecksums()
-	}
 	return m
 }
 
@@ -42,7 +39,7 @@ func cachedManager(t *testing.T, cachePages int, checksums bool) *Manager {
 // the cache empty, and the retry must read the true bytes from the
 // device — not a poisoned cache entry.
 func TestFailedFillNeverCached(t *testing.T) {
-	m := cachedManager(t, 16, true)
+	m := cachedManager(t, 16)
 	data := pattern(3*4096, 0xA5)
 	h, err := m.Allocate(data)
 	if err != nil {
@@ -76,7 +73,7 @@ func TestFailedFillNeverCached(t *testing.T) {
 // the damage is repaired (the bit flipped back) reads serve correct
 // bytes.
 func TestChecksumFailNeverCached(t *testing.T) {
-	m := cachedManager(t, 16, true)
+	m := cachedManager(t, 16)
 	data := pattern(2*4096, 0x3C)
 	h, err := m.Allocate(data)
 	if err != nil {
@@ -115,7 +112,7 @@ func TestChecksumFailNeverCached(t *testing.T) {
 func TestCorruptRacingReaders(t *testing.T) { forCacheSizes(t, testCorruptRacingReaders) }
 
 func testCorruptRacingReaders(t *testing.T, cachePages int) {
-	m := cachedManager(t, cachePages, true)
+	m := cachedManager(t, cachePages)
 	const size = 4 * 4096
 	data := pattern(size, 0x77)
 	h, err := m.Allocate(data)

@@ -121,13 +121,13 @@ func TestCacheClockSecondChance(t *testing.T) {
 }
 
 // TestCacheInvalidation: Corrupt drops the field's cached pages, so bit
-// rot on the device is visible to the next read.
+// rot on the device is visible to the next read, which fails its
+// checksum instead of hitting the clean cached copy.
 func TestCacheInvalidation(t *testing.T) {
 	t.Run("corrupt", func(t *testing.T) {
 		m, _ := New(1<<20, 4096)
 		m.EnableCache(8)
-		old := pattern(4096, 10)
-		h, err := m.Allocate(old)
+		h, err := m.Allocate(pattern(4096, 10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +137,12 @@ func TestCacheInvalidation(t *testing.T) {
 		if err := m.Corrupt(h, 100, 0xFF); err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Read(h)
-		if err != nil {
-			t.Fatal(err)
+		before := m.Stats()
+		if _, err := m.Read(h); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("read after Corrupt: %v, want ErrChecksum: bit-rot must be observable", err)
 		}
-		if got[100] == old[100] {
-			t.Error("Corrupt invisible through the cache: bit-rot must be observable")
+		if d := m.Stats().Sub(before); d.CacheHits != 0 || d.CacheMisses != 1 {
+			t.Errorf("read after Corrupt: %d hits, %d misses; want 0 and 1", d.CacheHits, d.CacheMisses)
 		}
 	})
 	// A Corrupt call refused for its offset changes nothing, so it must
@@ -172,7 +172,6 @@ func TestCacheInvalidation(t *testing.T) {
 
 func TestCacheChecksumOnMissOnly(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	m.EnableChecksums()
 	m.EnableCache(8)
 	h, err := m.Allocate(pattern(2*4096, 5))
 	if err != nil {
@@ -227,7 +226,6 @@ func TestCacheReadFaultsOnMissOnly(t *testing.T) {
 // or stale read is detectable by content alone.
 func TestCacheConcurrentStress(t *testing.T) {
 	m, _ := New(1<<22, 4096)
-	m.EnableChecksums()
 	m.EnableCache(16)
 
 	const fields = 4

@@ -72,15 +72,19 @@ func pageSpan(runs []region.Run, size uint64) (off, n uint64) {
 // runs' page span with ReadAtInto and copies the runs out. Every read
 // must leave the same bytes, bill the same Stats field by field, draw
 // the same faults and fail with the same typed error, with the cache off
-// and on, checksums on, ReadErr and PageCorrupt faults, and a page of
-// the field Corrupted on both devices partway through.
+// and on, and ReadErr and PageCorrupt faults. In the +verified cases a
+// page of the field is Corrupted on both devices partway through, and
+// every read that touches it must fail its checksum.
+//
+// Every page is verified, so a read that succeeds returns the stored
+// bytes in every case.
 func TestReadRunsMatchesReadAt(t *testing.T) {
 	const size = 11*4096 + 777 // a short last page
 	data := pattern(size, 0x5c)
 	faults := faultsim.Policy{Seed: 45, ReadErrProb: 0.01, PageCorruptProb: 0.02}
 	for _, tc := range []struct {
 		name       string
-		checksums  bool
+		rot        bool
 		cachePages int
 		faults     *faultsim.Policy
 	}{
@@ -102,9 +106,6 @@ func TestReadRunsMatchesReadAt(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.checksums {
-					m.EnableChecksums()
-				}
 				m.EnableCache(tc.cachePages)
 				var in *faultsim.Injector
 				if tc.faults != nil {
@@ -121,7 +122,7 @@ func TestReadRunsMatchesReadAt(t *testing.T) {
 			onDevice := bytes.Clone(data)
 			errs := map[bool]int{}
 			for i := 0; i < 1500; i++ {
-				if i == 700 {
+				if tc.rot && i == 700 {
 					for _, m := range []*Manager{mG, mR} {
 						if err := m.Corrupt(h, 5*4096+99, 0x10); err != nil {
 							t.Fatal(err)
@@ -167,17 +168,16 @@ func TestReadRunsMatchesReadAt(t *testing.T) {
 				if !bytes.Equal(got, copied) {
 					t.Fatalf("%s: gathered bytes differ from ReadAt's", where)
 				}
-				// Unfaulted, or with every page verified, a read that
-				// succeeds returns what the device holds (a verified read
-				// of the rotten page fails).
-				if (tc.faults == nil || tc.checksums) && !bytes.Equal(got, want) {
+				// A read that succeeds returns what the device holds: a
+				// read of the rotten page fails.
+				if !bytes.Equal(got, want) {
 					t.Fatalf("%s: not the stored bytes", where)
 				}
 			}
 			if a, b := mG.Stats(), mR.Stats(); a != b {
 				t.Errorf("meters differ:\ngather %+v\nReadAt %+v", a, b)
 			}
-			if (tc.faults != nil || tc.checksums) && errs[true] == 0 {
+			if (tc.faults != nil || tc.rot) && errs[true] == 0 {
 				t.Error("no read failed: the error paths went unchecked")
 			}
 			t.Logf("%d reads succeeded, %d failed", errs[false], errs[true])
@@ -225,8 +225,8 @@ func TestReadRunsRefusesBadRuns(t *testing.T) {
 }
 
 // TestConcurrentGathersBillExactly races gathering reads and whole-field
-// reads over a CLOCK cache far smaller than the fields, with checksums
-// on: the manager lock is held per page transfer, so pages of different
+// reads over a CLOCK cache far smaller than the fields, every page
+// verified: the manager lock is held per page transfer, so pages of different
 // reads interleave and every read's frames are recycled under the
 // others. Every read must still return the stored bytes, and the bills
 // must sum to what the device meter counted. `make chaos` runs it under
@@ -245,7 +245,6 @@ func TestConcurrentGathersBillExactly(t *testing.T) {
 		}
 		hs = append(hs, h)
 	}
-	m.EnableChecksums()
 	m.EnableCache(3)
 	before := m.Stats()
 

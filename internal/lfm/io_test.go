@@ -111,7 +111,6 @@ func TestIOBillsFailedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableChecksums()
 	h, err := m.Allocate(make([]byte, 3*4096))
 	if err != nil {
 		t.Fatal(err)

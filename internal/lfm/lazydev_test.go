@@ -69,7 +69,7 @@ func TestLazyDeviceHoldsOnlyWhatWasWritten(t *testing.T) {
 
 // TestLazyDeviceMatchesFlatModel drives random allocate / failed write /
 // read traffic, sized to straddle extent boundaries, against a plain map
-// of what each field should hold, with checksums on. A failed write
+// of what each field should hold, every page verified. A failed write
 // leaves its first pages on the device, where the next field goes.
 func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -77,7 +77,6 @@ func TestLazyDeviceMatchesFlatModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableChecksums()
 	model := make(map[Handle][]byte)
 	var live []Handle
 	payload := func() []byte {
@@ -137,7 +136,6 @@ func TestCorruptAcrossExtentBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableChecksums()
 	data := make([]byte, 3*extentSize)
 	rand.New(rand.NewSource(5)).Read(data)
 	h, err := m.Allocate(data)

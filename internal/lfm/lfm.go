@@ -149,9 +149,6 @@ type Manager struct {
 	// writes (faultsim.ReadErr/PageCorrupt/WriteErr/TornWrite).
 	// guarded by mu
 	faults *faultsim.Injector
-	// verify checks every page a read transfers against its field's
-	// CRC32 table. guarded by mu
-	verify bool
 	// cache, when non-nil, is the CLOCK page cache; reads consult it
 	// page by page and only misses touch the device. guarded by mu
 	cache *pageCache
@@ -231,19 +228,6 @@ func (m *Manager) EnableCache(pages int) {
 	m.cache = newPageCache(pages)
 }
 
-// EnableChecksums switches on per-page CRC32 verification: every read
-// checks the pages it touches against the table Allocate recorded for
-// the field, from the bytes it was given, and fails with ErrChecksum on
-// a mismatch. Allocate records the table whatever the setting, so fields
-// stored before the call are covered too. Verification does not change
-// the page accounting — a read checks each page it transfers, whole, as
-// it transfers it.
-func (m *Manager) EnableChecksums() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.verify = true
-}
-
 // Corrupt flips stored bytes of a field on the device without updating
 // its checksum table — a chaos hook simulating at-rest media corruption
 // (bit rot). xor is applied to the byte at logical offset off.
@@ -294,8 +278,9 @@ func (m *Manager) usedPages(size uint64) uint64 {
 // page and returns its handle. The field holds the pages its bytes span,
 // at least one, and the next field starts on the page after them. The
 // write is counted page-granularly, and the field's page checksums are
-// recorded whatever the verification setting. A failed write records
-// nothing: the next field is written over the pages it touched.
+// recorded from the bytes it was given: every page a read transfers is
+// checked against them. A failed write records nothing: the next field
+// is written over the pages it touched.
 func (m *Manager) Allocate(data []byte) (Handle, error) {
 	size := uint64(len(data))
 	sums := pageChecksums(data, m.pageSize)
@@ -419,11 +404,11 @@ func (m *Manager) readPages(cost *Stats, page *[]byte, h Handle, f field, off, n
 // and is then transferred whole — into the cache's spare frame, and
 // copied out of it, or straight into out. ReadErr stops the read before
 // the transfer; PageCorrupt flips one bit of the transferred page (the
-// device itself stays intact — a transient bus/DMA error). The page is
-// checked against the field's checksum table when checksums are on, and
-// only then cached, so a page that fails its read or its checksum leaves
-// the cache, and the page it would have evicted, as they were. Callers
-// must hold m.mu.
+// device itself stays intact — a transient bus/DMA error). Every
+// transferred page is checked, whole, against the field's checksum
+// table (ErrChecksum on a mismatch) and only then cached, so a page that
+// fails its read or its checksum leaves the cache, and the page it would
+// have evicted, as they were. Callers must hold m.mu.
 func (m *Manager) readPage(cost *Stats, h Handle, f field, j uint64, out []byte, want bool) error {
 	key := pageKey{h: h, page: j}
 	if m.cache != nil {
@@ -455,12 +440,10 @@ func (m *Manager) readPage(cost *Stats, h Handle, f field, j uint64, out []byte,
 	if mask != 0 && pos < len(page) {
 		page[pos] ^= mask
 	}
-	if m.verify {
-		if int(j) >= len(f.sums) || crc32.ChecksumIEEE(page) != f.sums[j] {
-			cost.ChecksumFailures++
-			cost.Reads++
-			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
-		}
+	if int(j) >= len(f.sums) || crc32.ChecksumIEEE(page) != f.sums[j] {
+		cost.ChecksumFailures++
+		cost.Reads++
+		return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
 	}
 	if m.cache != nil {
 		if m.cache.put(key, page) {

@@ -198,7 +198,6 @@ func TestWriteFaultTyped(t *testing.T) {
 // corrupted bytes.
 func TestChecksumCatchesBitFlip(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	m.EnableChecksums()
 	blob := make([]byte, 3*4096+17) // odd tail: last page is short
 	for i := range blob {
 		blob[i] = byte(i * 31)
@@ -228,45 +227,8 @@ func TestChecksumCatchesBitFlip(t *testing.T) {
 	}
 }
 
-func TestChecksumWithoutVerifyIsSilent(t *testing.T) {
-	// Without checksums, at-rest corruption is silent — the hazard the
-	// integrity layer exists to remove.
-	m, _ := New(1<<20, 4096)
-	blob := []byte("pristine contents")
-	h, _ := m.Allocate(blob)
-	if err := m.Corrupt(h, 3, 0xFF); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Read(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, blob) {
-		t.Error("corruption did not take")
-	}
-}
-
-func TestEnableChecksumsCoversExistingFields(t *testing.T) {
-	m, _ := New(1<<20, 4096)
-	blob := make([]byte, 2*4096)
-	blob[100] = 42
-	h, _ := m.Allocate(blob)
-	m.EnableChecksums()
-	m.EnableChecksums() // idempotent
-	if got, err := m.Read(h); err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("read after enable: %v", err)
-	}
-	if err := m.Corrupt(h, 100, 0x01); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Read(h); !errors.Is(err, ErrChecksum) {
-		t.Errorf("want ErrChecksum, got %v", err)
-	}
-}
-
 func TestTornWriteDetectedByChecksum(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	m.EnableChecksums()
 	data := make([]byte, 4096)
 	for i := range data {
 		data[i] = byte(i)
@@ -287,7 +249,6 @@ func TestTornWriteDetectedByChecksum(t *testing.T) {
 
 func TestPageCorruptDetectedByChecksum(t *testing.T) {
 	m, _ := New(1<<20, 4096)
-	m.EnableChecksums()
 	data := make([]byte, 2*4096)
 	h, _ := m.Allocate(data)
 	// In-transfer corruption on the first page of the next read.
@@ -465,20 +426,18 @@ func BenchmarkRead(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name       string
-		checksums  bool
 		cachePages int
 		off, n     uint64
 		runs       []region.Run // nil: ReadAtInto of [off, off+n)
 	}{
-		{"whole", false, 0, 0, size, nil},
-		{"whole-verified", true, 0, 0, size, nil},
-		{"whole-cached", false, size / 4096, 0, size, nil},
-		{"range-16-pages", false, 0, 64 * 4096, 16 * 4096, nil},
-		{"sub-page-512B", false, 0, 64*4096 + 1000, 512, nil},
-		{"gather-q2-box", false, 0, 0, 0, box.RunsView()},
-		{"gather-q2-box-cached", false, size / 4096, 0, 0, box.RunsView()},
-		{"gather-band", false, 0, 0, 0, band},
-		{"gather-band-cached", false, size / 4096, 0, 0, band},
+		{"whole", 0, 0, size, nil},
+		{"whole-cached", size / 4096, 0, size, nil},
+		{"range-16-pages", 0, 64 * 4096, 16 * 4096, nil},
+		{"sub-page-512B", 0, 64*4096 + 1000, 512, nil},
+		{"gather-q2-box", 0, 0, 0, box.RunsView()},
+		{"gather-q2-box-cached", size / 4096, 0, 0, box.RunsView()},
+		{"gather-band", 0, 0, 0, band},
+		{"gather-band-cached", size / 4096, 0, 0, band},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m, err := New(1<<24, 4096)
@@ -488,9 +447,6 @@ func BenchmarkRead(b *testing.B) {
 			h, err := m.Allocate(data)
 			if err != nil {
 				b.Fatal(err)
-			}
-			if bc.checksums {
-				m.EnableChecksums()
 			}
 			m.EnableCache(bc.cachePages)
 			io := IO{M: m}

@@ -14,8 +14,9 @@ import (
 // The reference read path: the three hand-kept copies of the page logic
 // the manager read through before its one page loop — readRange, which
 // drew every fault of an uncached read before transferring anything,
-// readVerified and readCached — kept verbatim under ref names as the
-// oracle TestReadMatchesReference holds the loop to.
+// readVerified and readCached — kept under ref names as the oracle
+// TestReadMatchesReference holds the loop to. Every page is verified, so
+// the uncached reference is readVerified's whole-range transfer.
 
 // refRead is the reference ReadAt (whole: Read): the range check, the
 // reference read, and its cost on the device meter. It also returns the
@@ -52,8 +53,8 @@ type refBitFlip struct {
 }
 
 // refReadRange fills dst with [off, off+len(dst)) of a field, dispatching
-// to the cached or verified paths as configured, and counts in cost what
-// the read did. Callers must hold m.mu.
+// to the cached or uncached verified path, and counts in cost what the
+// read did. Callers must hold m.mu.
 func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	if n == 0 {
@@ -86,23 +87,7 @@ func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst [
 		}
 	}
 
-	if m.verify {
-		return m.refReadVerified(cost, h, f, off, dst, j0, j1, flips)
-	}
-
-	m.devRead(f.off+off, dst)
-	for _, fl := range flips {
-		// Apply the flip where the corrupted page position overlaps the
-		// requested range.
-		abs := fl.page*m.pageSize + uint64(fl.pos)
-		if abs >= off && abs < off+n {
-			dst[abs-off] ^= fl.mask
-		}
-	}
-	cost.Reads++
-	cost.BytesRead += n
-	cost.PageReads += m.pagesSpanned(f.off+off, n)
-	return nil
+	return m.refReadVerified(cost, h, f, off, dst, j0, j1, flips)
 }
 
 // refReadVerified transfers the full pages the range touches, applies any
@@ -111,8 +96,8 @@ func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst [
 // request for whole pages — every VOLUME extraction and every whole-field
 // read — is transferred into dst and verified there; only a request that
 // starts or ends inside a page goes through a buffer of its own. It
-// counts the same page I/O the unverified path would — verification
-// inspects only pages the read already paid for. Callers must hold m.mu.
+// counts the pages the range spans — verification inspects only pages
+// the read already paid for. Callers must hold m.mu.
 func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []refBitFlip) error {
 	n := uint64(len(dst))
 	base := j0 * m.pageSize
@@ -160,9 +145,9 @@ func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, ds
 // decision (nothing crossed the bus), and no checksum work (the page
 // was verified when it was filled). Misses transfer the whole page from
 // the device into the cache's spare frame, draw one fault decision,
-// verify against the field's checksum table when checksums are on, and
-// only then insert the page — a fill that fails leaves the cache, and
-// the page it would have evicted, exactly as they were. PageReads
+// verify against the field's checksum table, and only then insert the
+// page — a fill that fails leaves the cache, and the page it would have
+// evicted, exactly as they were. PageReads
 // therefore counts device transfers only — exactly what the paper's I/O
 // column would be with a buffer pool in front of the LFM. Callers must
 // hold m.mu.
@@ -195,12 +180,10 @@ func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst 
 				page[flip.pos] ^= flip.mask
 			}
 			cost.PageReads++
-			if m.verify {
-				if int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
-					cost.ChecksumFailures++
-					cost.Reads++
-					return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
-				}
+			if int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
+				cost.ChecksumFailures++
+				cost.Reads++
+				return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
 			}
 			if m.cache.put(key, page) {
 				cost.CacheEvictions++
@@ -231,22 +214,25 @@ func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst 
 // paths, in every read-path configuration. After every read the bytes,
 // the error text, every Stats field and the number of fault decisions
 // drawn must match, and at the end so must the next draws of both
-// injectors: the fault streams ran in lockstep.
+// injectors: the fault streams ran in lockstep. Every page is verified;
+// in the +verified cases a page of the first field rots at rest on both
+// devices halfway through, and every read that touches it must fail its
+// checksum.
 //
 // The one allowed difference is a failed read with no cache: the loop
 // stops at the page that failed. A ReadErr on page k bills k − first
 // pages (the reference billed 0). A checksum failure on page k bills
 // k − first + 1 (the reference billed the whole range). The reference
 // drew every page's fault before it transferred any, so a checksum
-// failure before the range's last page also leaves it further along its
-// fault stream — and a ReadErr among the later pages was its error.
-// There the test checks the loop's side alone and reseeds both
-// injectors alike.
+// failure before the range's last page, with faults on, also leaves it
+// further along its fault stream — and a ReadErr among the later pages
+// was its error. There the test checks the loop's side alone and
+// reseeds both injectors alike.
 func TestReadMatchesReference(t *testing.T) {
 	faults := faultsim.Policy{Seed: 99, ReadErrProb: 0.03, PageCorruptProb: 0.03}
 	for _, tc := range []struct {
 		name       string
-		checksums  bool
+		rot        bool
 		cachePages int
 		faults     *faultsim.Policy
 	}{
@@ -274,9 +260,6 @@ func TestReadMatchesReference(t *testing.T) {
 					}
 					hs = append(hs, h)
 				}
-				if tc.checksums {
-					m.EnableChecksums()
-				}
 				m.EnableCache(tc.cachePages)
 				m.ResetStats()
 				return m, hs
@@ -297,8 +280,15 @@ func TestReadMatchesReference(t *testing.T) {
 			io := IO{M: mNew}
 			buf := make([]byte, len(datas[0])+8)
 			rng := rand.New(rand.NewSource(20260929))
-			var readErrs, sumErrs, reseeds int
+			var readErrs, sumErrs, reseeds, rotErrs int
 			for i := 0; i < 2000; i++ {
+				if tc.rot && i == 1000 {
+					for _, m := range []*Manager{mNew, mRef} {
+						if err := m.Corrupt(hs[0], 3*4096+5, 0x10); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				fi := rng.Intn(len(datas))
 				h, size := hs[fi], len(datas[fi])
 				off := rng.Intn(size + 1)
@@ -340,20 +330,24 @@ func TestReadMatchesReference(t *testing.T) {
 				drewNew, drewRef := inNew.Ops()-opsNew, inRef.Ops()-opsRef
 				where := fmt.Sprintf("op %d field %d [%d,+%d)", i, fi, off, n)
 
+				if tc.rot && i >= 1000 && fi == 0 && errors.Is(errNew, ErrChecksum) {
+					rotErrs++
+				}
 				if tc.cachePages == 0 && errors.Is(errNew, ErrChecksum) {
-					// The loop drew one fault a page through the failing
-					// one, transferred each of those pages, and stopped.
+					// The loop transferred each page through the failing
+					// one (drawing one fault a page, with faults on) and
+					// stopped. Without a fault drawn, only the rot fails.
 					sumErrs++
 					first, last := uint64(off)/4096, (uint64(off)+uint64(n)-1)/4096
-					k := first + drewNew - 1
+					k := first + cost.PageReads - 1
 					if wantErr := fmt.Sprintf("lfm: field %d page %d: %v", h, k, ErrChecksum); errNew.Error() != wantErr {
 						t.Fatalf("%s: error %q, want %q", where, errNew, wantErr)
 					}
-					if cost.PageReads != drewNew || cost.Reads != 1 || cost.ChecksumFailures != 1 || cost.BytesRead != 0 ||
-						cost.FaultsInjected == 0 || cost.FaultsInjected > refCost.FaultsInjected {
+					if (tc.faults != nil && cost.PageReads != drewNew) || cost.Reads != 1 || cost.ChecksumFailures != 1 || cost.BytesRead != 0 ||
+						(cost.FaultsInjected == 0 && !tc.rot) || cost.FaultsInjected > refCost.FaultsInjected {
 						t.Fatalf("%s: failed read cost %+v after %d draws (reference %+v)", where, cost, drewNew, refCost)
 					}
-					if k < last {
+					if tc.faults != nil && k < last {
 						// The reference drew past page k, and a ReadErr among
 						// those pages was its error: reseed both alike.
 						if drewRef <= drewNew || errRef == nil ||
@@ -365,8 +359,9 @@ func TestReadMatchesReference(t *testing.T) {
 						seed(rng.Uint64())
 						continue
 					}
-					// Failing on the range's last page, both drew the same
-					// faults; only the bill differs.
+					// Failing on the range's last page, or with no faults
+					// to draw, both drew the same faults; only the bill
+					// differs.
 					if refCost.PageReads != last-first+1 {
 						t.Fatalf("%s: the reference billed %d pages", where, refCost.PageReads)
 					}
@@ -388,9 +383,9 @@ func TestReadMatchesReference(t *testing.T) {
 				if errNew == nil && !bytes.Equal(got, want) {
 					t.Fatalf("%s: bytes differ", where)
 				}
-				// Without faults, or with every page verified, a read that
-				// succeeds returns what was stored.
-				if errNew == nil && (tc.faults == nil || tc.checksums) && !bytes.Equal(got, datas[fi][off:off+n]) {
+				// Every page is verified: a read that succeeds returns
+				// what was stored.
+				if errNew == nil && !bytes.Equal(got, datas[fi][off:off+n]) {
 					t.Fatalf("%s: not the stored bytes", where)
 				}
 				if cost != refCost {
@@ -400,7 +395,11 @@ func TestReadMatchesReference(t *testing.T) {
 					t.Fatalf("%s: the loop drew %d faults, the reference %d", where, drewNew, drewRef)
 				}
 			}
-			t.Logf("uncached: %d ReadErrs, %d checksum failures (%d before the range's last page)", readErrs, sumErrs, reseeds)
+			t.Logf("uncached: %d ReadErrs, %d checksum failures (%d before the range's last page); %d reads of the rotten field failed",
+				readErrs, sumErrs, reseeds, rotErrs)
+			if tc.rot && rotErrs == 0 {
+				t.Error("no read of the rotten field failed: the rot went unchecked")
+			}
 			if tc.faults == nil {
 				return
 			}
@@ -417,7 +416,7 @@ func TestReadMatchesReference(t *testing.T) {
 			if tc.cachePages == 0 && readErrs == 0 {
 				t.Error("no uncached ReadErr drawn: that bill went unchecked")
 			}
-			if tc.cachePages == 0 && tc.checksums && reseeds == 0 {
+			if tc.cachePages == 0 && reseeds == 0 {
 				t.Error("no uncached checksum failure before a range's last page: that bill went unchecked")
 			}
 		})

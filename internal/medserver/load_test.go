@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"qbism/internal/lfm"
 	"qbism/internal/synth"
 	"qbism/internal/warp"
 )
@@ -63,6 +67,52 @@ func TestRunOrdered(t *testing.T) {
 		}
 		if err := runOrdered(workers, jobs); err != errCommit {
 			t.Errorf("workers=%d: got %v, want the first failure in job order (%v)", workers, err, errCommit)
+		}
+	}
+}
+
+// TestRunOrderedCommitFailureUnwinds fails a commit part-way, as a
+// device that runs out of space at some study's commit would: each job
+// stores one page on a device of three, so job 3's commit gets
+// lfm.ErrNoSpace. At 1 and 4 workers the error must be the serial
+// loop's, returned bare; the commits before it, and none after it, must
+// have run; and no worker may outlive the call.
+func TestRunOrderedCommitFailureUnwinds(t *testing.T) {
+	workersAlive := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "medserver.runOrdered.func")
+	}
+	for _, workers := range []int{1, 4} {
+		mgr, err := lfm.New(3*lfm.DefaultPageSize, lfm.DefaultPageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prepared atomic.Int32
+		jobs := make([]loadJob, 10)
+		for i := range jobs {
+			jobs[i] = func() (func() error, error) {
+				prepared.Add(1)
+				page := bytes.Repeat([]byte{byte(i)}, lfm.DefaultPageSize)
+				return func() error { _, err := mgr.Allocate(page); return err }, nil
+			}
+		}
+		if err := runOrdered(workers, jobs); err != lfm.ErrNoSpace {
+			t.Errorf("workers=%d: got %v, want the serial loop's bare %v", workers, err, lfm.ErrNoSpace)
+		}
+		if n := mgr.NumFields(); n != 3 {
+			t.Errorf("workers=%d: %d commits stored, want jobs 0-2's", workers, n)
+		}
+		if n := prepared.Load(); n < 4 || int(n) > 3+workers {
+			t.Errorf("workers=%d: %d jobs prepared, want job 3 and at most %d past it", workers, n, workers-1)
+		}
+		// wg.Wait has returned, but a goroutine past its deferred Done
+		// may not have left the scheduler's books yet.
+		deadline := time.Now().Add(5 * time.Second)
+		for workersAlive() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d workers outlive runOrdered", workers, workersAlive())
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

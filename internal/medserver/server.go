@@ -72,13 +72,7 @@ type Config struct {
 	// in an unsharded system. Non-listed studies are skipped entirely
 	// (no rows, no device space). An empty non-nil slice loads nothing.
 	OnlyStudies []int
-	// DeviceBytes is the LFM device capacity (0 = sized automatically).
-	DeviceBytes uint64
 
-	// Checksums enables per-page CRC32 integrity on the LFM device:
-	// written pages are checksummed and reads verify them, so device
-	// corruption surfaces as a typed error instead of silent bad data.
-	Checksums bool
 	// DeviceFaults, when non-nil, injects faults on LFM page I/O (read
 	// errors, in-transfer bit flips, write errors, torn pages).
 	// Installed after loading.
@@ -116,12 +110,16 @@ func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1993
 	}
-	if c.DeviceBytes == 0 {
-		volBytes := uint64(1) << (3 * c.Bits)
-		perStudy := volBytes * 8 // warped + bands + slack
-		c.DeviceBytes = uint64(c.NumPET+c.NumMRI+2)*perStudy + (64 << 20)
-	}
 	return c
+}
+
+// deviceBytes is the LFM device capacity New gives a corpus: room for
+// every study's VOLUME eight times over (warped, bands, slack) plus two
+// studies and 64 MiB more. The device is backed lazily, so the capacity
+// is address space: only the pages written occupy memory.
+func (c Config) deviceBytes() uint64 {
+	perStudy := uint64(8) << (3 * c.Bits)
+	return uint64(c.NumPET+c.NumMRI+2)*perStudy + (64 << 20)
 }
 
 // StudyInfo summarizes one loaded study.
@@ -184,12 +182,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := lfm.New(cfg.DeviceBytes, lfm.DefaultPageSize)
+	mgr, err := lfm.New(cfg.deviceBytes(), lfm.DefaultPageSize)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Checksums {
-		mgr.EnableChecksums()
 	}
 	s := &Server{
 		Cfg:         cfg,

@@ -14,11 +14,10 @@ import (
 
 // registerSpatialUDFs installs the spatial operators of Section 3.2 (and
 // the helpers the MedicalServer's generated SQL uses) as user-defined
-// SQL functions, the way the prototype extended Starburst. Each carries
-// a relative Cost hint so the planner orders same-level predicates
-// cheapest-first: voxel extraction (a long-field read) is priced far
-// above region algebra, which is priced above pure geometry like
-// boxRegion.
+// SQL functions, the way the prototype extended Starburst. They serve
+// one curve, the server's: VOLUMEs and every REGION the server's SQL
+// reads are stored in its Hilbert order, and a REGION on another curve
+// is refused (onCurve) where it would meet another operand or a VOLUME.
 //
 // A REGION-valued function returns its result parsed (parsedRegion),
 // and a REGION argument is taken in whatever form it arrives
@@ -33,7 +32,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// INTERSECTION(REGION r1, REGION r2) -> REGION. A k³-tree
 			// operand stays in its stored form: its walk meets the other's
 			// run list, or, of two k³-trees, the smaller one's (intersect).
-			Name: "intersection", MinArgs: 2, MaxArgs: 2, Cost: 20, State: newCallState,
+			Name: "intersection", MinArgs: 2, MaxArgs: 2, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				st := stateOf(call)
 				a, err := s.regionOf(call.IO(), call, st.arg(0), args[0], false)
@@ -42,6 +41,9 @@ func (s *Server) registerSpatialUDFs() error {
 				}
 				b, err := s.regionOf(call.IO(), call, st.arg(1), args[1], false)
 				if err != nil {
+					return sdb.Value{}, err
+				}
+				if err := s.onCurve(a, b); err != nil {
 					return sdb.Value{}, err
 				}
 				out, err := intersect(st.result(), st.arg(0), st.arg(1), a, b)
@@ -53,14 +55,14 @@ func (s *Server) registerSpatialUDFs() error {
 		},
 		{
 			// UNION(r1, r2), mentioned as a straightforward extension.
-			Name: "unionRegion", MinArgs: 2, MaxArgs: 2, Cost: 20, State: newCallState,
+			Name: "unionRegion", MinArgs: 2, MaxArgs: 2, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				return s.regionBinop(call, args, region.Union)
 			},
 		},
 		{
 			// DIFFERENCE(r1, r2), likewise.
-			Name: "differenceRegion", MinArgs: 2, MaxArgs: 2, Cost: 20, State: newCallState,
+			Name: "differenceRegion", MinArgs: 2, MaxArgs: 2, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				return s.regionBinop(call, args, region.Difference)
 			},
@@ -70,7 +72,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// stays queryable: r2's runs are one coverage sweep in id
 			// order over r1's stored representation (CoversRuns), which
 			// on a k³-tree counts rank₁ by cursor.
-			Name: "contains", MinArgs: 2, MaxArgs: 2, Cost: 20, ProbeOnly: true, State: newCallState,
+			Name: "contains", MinArgs: 2, MaxArgs: 2, ProbeOnly: true, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				st := stateOf(call)
 				a, err := s.regionOf(call.IO(), call, st.arg(0), args[0], false)
@@ -92,9 +94,8 @@ func (s *Server) registerSpatialUDFs() error {
 			// containsPoint(REGION r, x, y, z) -> BOOLEAN: point
 			// membership. On a k³-tree REGION this is an O(depth) descent
 			// over the encoded bitmaps, a one-shot rank₁ a level — no
-			// decode, no run list — which is why its Cost sits just above
-			// boxRegion's.
-			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, Cost: 2, ProbeOnly: true, State: newCallState,
+			// decode, no run list.
+			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, ProbeOnly: true, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				q, err := s.regionOf(call.IO(), call, stateOf(call).arg(0), args[0], false)
 				if err != nil {
@@ -116,7 +117,7 @@ func (s *Server) registerSpatialUDFs() error {
 		},
 		{
 			// EXTRACT_DATA(VOLUME v, REGION r) -> DATA_REGION
-			Name: "extractVoxels", MinArgs: 2, MaxArgs: 2, Cost: 100, State: newCallState,
+			Name: "extractVoxels", MinArgs: 2, MaxArgs: 2, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("extractVoxels: first argument must be a VOLUME long field, got %s", args[0].T)
@@ -126,12 +127,8 @@ func (s *Server) registerSpatialUDFs() error {
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				// VOLUMEs are stored in the system's Hilbert order;
-				// regions arriving in another order are recoded first.
-				if r.Curve().Kind() != s.Curve.Kind() {
-					if r, err = r.Recode(s.Curve); err != nil {
-						return sdb.Value{}, err
-					}
+				if err := s.onCurve(r); err != nil {
+					return sdb.Value{}, err
 				}
 				blob, err := extractStoredBlob(call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
@@ -143,7 +140,7 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// fullVolume(VOLUME v) -> DATA_REGION over the whole grid
 			// (the "flat file" access path of query Q1).
-			Name: "fullVolume", MinArgs: 1, MaxArgs: 1, Cost: 100,
+			Name: "fullVolume", MinArgs: 1, MaxArgs: 1,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("fullVolume: argument must be a VOLUME long field, got %s", args[0].T)
@@ -161,7 +158,7 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// boxRegion(x0,y0,z0,x1,y1,z1) -> REGION for geometric probes
 			// such as Q2's rectangular solid.
-			Name: "boxRegion", MinArgs: 6, MaxArgs: 6, Cost: 1, State: newCallState,
+			Name: "boxRegion", MinArgs: 6, MaxArgs: 6, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				var c [6]uint32
 				for i, a := range args {
@@ -183,7 +180,7 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// numVoxels never needs a run list: the k³-tree header carries
 			// the count, so a compressed REGION answers from 12 bytes.
-			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, Cost: 10, ProbeOnly: true, State: newCallState,
+			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, ProbeOnly: true, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				q, err := s.regionOf(call.IO(), call, stateOf(call).arg(0), args[0], false)
 				if err != nil {
@@ -193,7 +190,7 @@ func (s *Server) registerSpatialUDFs() error {
 			},
 		},
 		{
-			Name: "numRuns", MinArgs: 1, MaxArgs: 1, Cost: 10, State: newCallState,
+			Name: "numRuns", MinArgs: 1, MaxArgs: 1, State: newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				r, err := s.regionRuns(call.IO(), call, stateOf(call).arg(0), args[0])
 				if err != nil {
@@ -205,7 +202,7 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// avgIntensity(DATA_REGION) -> FLOAT, a statistical response
 			// over an extraction.
-			Name: "avgIntensity", MinArgs: 1, MaxArgs: 1, Cost: 10,
+			Name: "avgIntensity", MinArgs: 1, MaxArgs: 1,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TBytes {
 					return sdb.Value{}, fmt.Errorf("avgIntensity: argument must be a DATA_REGION")
@@ -226,8 +223,8 @@ func (s *Server) registerSpatialUDFs() error {
 	return nil
 }
 
-// regionBinop evaluates a binary spatial operator on run lists,
-// recoding the second operand onto the first's curve if needed.
+// regionBinop evaluates a binary spatial operator on run lists on the
+// server's curve.
 func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 	op func(a, b *region.Region) (*region.Region, error)) (sdb.Value, error) {
 	st := stateOf(call)
@@ -239,10 +236,8 @@ func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 	if err != nil {
 		return sdb.Value{}, err
 	}
-	if a.Curve().Kind() != b.Curve().Kind() {
-		if b, err = b.Recode(a.Curve()); err != nil {
-			return sdb.Value{}, err
-		}
+	if err := s.onCurve(a, b); err != nil {
+		return sdb.Value{}, err
 	}
 	out, err := op(a, b)
 	if err != nil {
@@ -257,17 +252,10 @@ func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 // the one with the smaller encoding becomes a run list in its own slot
 // (runsOf) for the other's walk to meet — at paper scale half the time
 // of a descent through both trees in step (DESIGN.md §51). The canonical
-// run list is the same whichever way it is computed. An operand on
-// another curve is recoded onto a's first. The result is dst's Region,
-// refilled (a new one when dst is nil), so dst must hold neither operand.
+// run list is the same whichever way it is computed. Both operands are
+// on one curve (onCurve). The result is dst's Region, refilled (a new
+// one when dst is nil), so dst must hold neither operand.
 func intersect(dst, sa, sb *regionSlot, a, b region.Queryable) (*region.Region, error) {
-	if !region.SameCurve(a.Curve(), b.Curve()) {
-		r, err := recode(b, a.Curve())
-		if err != nil {
-			return nil, err
-		}
-		b = r
-	}
 	pa, aK3 := a.(*rencode.K3Probe)
 	pb, bK3 := b.(*rencode.K3Probe)
 	var err error
@@ -298,13 +286,18 @@ func runsOf(slot *regionSlot, q region.Queryable) (*region.Region, error) {
 	return q.(*region.Region), nil
 }
 
-// recode returns q's voxel set on curve c.
-func recode(q region.Queryable, c sfc.Curve) (*region.Region, error) {
-	r, err := runsOf(nil, q)
-	if err != nil {
-		return nil, err
+// onCurve refuses an operand that is not on the server's curve, with an
+// error wrapping rencode.ErrCurveMismatch, as the population fold
+// refuses a row on another curve. The server stores every VOLUME and
+// REGION in its own order, so only a REGION built by hand reaches this.
+func (s *Server) onCurve(operands ...region.Queryable) error {
+	for _, q := range operands {
+		if c := q.Curve(); !region.SameCurve(c, s.Curve) {
+			return fmt.Errorf("%w: a %s %dD/%db REGION on a %s %dD/%db server", rencode.ErrCurveMismatch,
+				c.Kind(), c.Dim(), c.Bits(), s.Curve.Kind(), s.Curve.Dim(), s.Curve.Bits())
+		}
 	}
-	return r.Recode(c)
+	return nil
 }
 
 // parsedRegion is a REGION one spatial function returns to the function

@@ -17,8 +17,8 @@ import (
 	"qbism/internal/volume"
 )
 
-// chaosBaseConfig is a small, fast system for chaos runs. Checksums are
-// on so silent device corruption is detectable end to end.
+// chaosBaseConfig is a small, fast system for chaos runs. Every page
+// read is verified, so silent device corruption is detectable end to end.
 func chaosBaseConfig() Config {
 	return Config{
 		Bits:         4,
@@ -26,7 +26,6 @@ func chaosBaseConfig() Config {
 		NumMRI:       1,
 		Seed:         11,
 		SmallStudies: true,
-		Checksums:    true,
 	}
 }
 

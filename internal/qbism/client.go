@@ -39,7 +39,6 @@ type Client struct {
 	SlowLog *obs.SlowLog
 
 	slowThresh time.Duration
-	workers    int // RunQueries' pool size when the caller passes none
 	// routes maps a study to its routing key; nil for a single server,
 	// whose one shard serves every study.
 	routes map[int]cluster.Key
@@ -96,7 +95,6 @@ type Option func(*clientOptions)
 type clientOptions struct {
 	retry   transport.RetryPolicy
 	slowLog time.Duration
-	workers int
 }
 
 // WithRetry governs retries of transient failures: MaxAttempts bounds
@@ -108,11 +106,6 @@ func WithRetry(p transport.RetryPolicy) Option { return func(o *clientOptions) {
 // slow in Client.SlowLog, and so turns tracing on. A d of zero or less
 // leaves the log off.
 func WithSlowLog(d time.Duration) Option { return func(o *clientOptions) { o.slowLog = d } }
-
-// WithWorkers bounds the worker pool of a batch (RunQueries) whose
-// caller passes no size, and a ClusterSystem's scatter-gather. Without
-// it, or with n of zero or one, a batch runs serially.
-func WithWorkers(n int) Option { return func(o *clientOptions) { o.workers = n } }
 
 func collectOptions(opts []Option) (o clientOptions) {
 	for _, opt := range opts {
@@ -145,7 +138,6 @@ func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Co
 		Cluster:    cl,
 		Metrics:    metrics,
 		slowThresh: o.slowLog,
-		workers:    o.workers,
 	}
 	if cfg.Trace || o.slowLog > 0 {
 		c.Tracer = obs.NewTracer()
@@ -231,8 +223,8 @@ type population struct {
 // [bandLo, bandHi] under the given band label. Each shard (a single
 // server is shard 0) gets one request naming its studies, through the
 // one cluster read, and replies with the fold of their stored band rows;
-// the client intersects the answers. The shards are read on the batch
-// pool (workers, or WithWorkers when it is zero); a cluster of one calls
+// the client intersects the answers. The shards are read on a pool of
+// workers goroutines (one or fewer: serially); a cluster of one calls
 // its shard directly. No DX stage runs and no query is counted; a trace
 // is one "population" span over the reads. A shard lost past retries
 // leaves its studies out, and the PartialResult names it; err is a
@@ -264,9 +256,6 @@ func (c *Client) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 				}
 			}
 			shards[sh].studies = grouped[start:]
-		}
-		if workers <= 0 {
-			workers = c.workers
 		}
 		par.Each(len(shards), workers, func(sh int) { c.readPopulation(root, sh, &shards[sh], bandLo, bandHi, encoding) })
 	}
@@ -315,10 +304,8 @@ func (c *Client) readPopulation(root *obs.Span, shard int, p *population, bandLo
 	if request, p.err = medserver.EncodePopulationRequestInto(p.req[:], &q); p.err != nil {
 		return
 	}
-	// The key labels the read's span and errors; the shard is given.
-	key, _ := c.route(p.studies[0])
 	kept := false
-	_, _, p.err = c.Cluster.ReadShard(root, shard, key, medserver.PopulationMethod, request, func(resp []byte) error {
+	_, _, p.err = c.Cluster.ReadShard(root, shard, medserver.PopulationMethod, request, func(resp []byte) error {
 		if kept {
 			var hedge region.Region
 			return medserver.DecodePopulationReply(&hedge, resp)

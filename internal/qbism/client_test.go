@@ -24,7 +24,7 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cs, err := NewClusterSystem(ClusterConfig{Shards: 1, Replicas: -1, Base: cfg})
+	cs, err := NewClusterSystem(ClusterConfig{Shards: 1, Replicas: 0, Base: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

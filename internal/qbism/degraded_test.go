@@ -22,7 +22,7 @@ import (
 // range the bill is the unrestricted query's floor, page for page: the
 // structure field and its VOLUME pages, or every VOLUME page.
 func TestDegradedBandEveryShape(t *testing.T) {
-	srv := bareServer(t, Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true, Checksums: true})
+	srv := bareServer(t, Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true})
 	ps := srv.LFM.PageSize()
 	metrics, _ := srv.Observers()
 	degraded := metrics.Counter("qbism_degraded_total")

@@ -11,6 +11,7 @@ import (
 	"qbism/internal/rencode"
 	"qbism/internal/rencode/zoo"
 	"qbism/internal/sdb"
+	"qbism/internal/sfc"
 	"qbism/internal/transport"
 )
 
@@ -210,6 +211,53 @@ func TestZooRegionsRefused(t *testing.T) {
 		sdb.Str(experiments.EncOctant))
 	if !errors.Is(err, rencode.ErrCorrupt) {
 		t.Errorf("stored octant row: err %v, want rencode.ErrCorrupt", err)
+	}
+}
+
+// TestZOrderRegionRefused: the spatial functions serve the server's
+// curve only. A Z-order REGION handed to extractVoxels, to either side
+// of intersection, unionRegion or differenceRegion fails with an error
+// wrapping rencode.ErrCurveMismatch instead of being recoded.
+func TestZOrderRegionRefused(t *testing.T) {
+	s := testSystem(t)
+	putamen, err := s.Atlas.ByName("putamen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zc, err := sfc.New(sfc.ZOrder, 3, s.Curve.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := putamen.Region.Recode(zc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := rencode.Encode(rencode.Naive, zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := rencode.Encode(rencode.Naive, putamen.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		sql  string
+		args []sdb.Value
+	}{
+		{`select extractVoxels(wv.data, ?) from warpedVolume wv where wv.studyId = 1`, []sdb.Value{sdb.Bytes(z)}},
+		{`select intersection(?, ?) from atlas a`, []sdb.Value{sdb.Bytes(z), sdb.Bytes(h)}},
+		{`select intersection(?, ?) from atlas a`, []sdb.Value{sdb.Bytes(h), sdb.Bytes(z)}},
+		{`select intersection(?, ?) from atlas a`, []sdb.Value{sdb.Bytes(z), sdb.Bytes(z)}},
+		{`select numVoxels(unionRegion(?, ?)) from atlas a`, []sdb.Value{sdb.Bytes(h), sdb.Bytes(z)}},
+		{`select differenceRegion(?, ?) from atlas a`, []sdb.Value{sdb.Bytes(z), sdb.Bytes(h)}},
+	} {
+		if _, err := s.DB.Exec(q.sql, q.args...); !errors.Is(err, rencode.ErrCurveMismatch) {
+			t.Errorf("%s: err %v, want rencode.ErrCurveMismatch", q.sql, err)
+		}
+	}
+	// The same statements on the server's curve answer.
+	if _, err := s.DB.Exec(`select intersection(?, ?) from atlas a`, sdb.Bytes(h), sdb.Bytes(h)); err != nil {
+		t.Errorf("Hilbert operands: %v", err)
 	}
 }
 

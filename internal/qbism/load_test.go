@@ -210,21 +210,18 @@ func loaderGoroutines() int {
 	return count
 }
 
-// TestLoadFailureUnwinds fails loads part-way — a device that runs out
-// of space at some study's commit, a grid too small to synthesize at
-// the first study's prepare — and checks the error is the one the
-// serial loop returned, whatever the worker count, and that no worker
-// outlives New.
+// TestLoadFailureUnwinds fails a load part-way — a grid too small to
+// synthesize at the first study's prepare — and checks the error is the
+// one the serial loop returned, whatever the worker count, and that no
+// worker outlives New. A commit that fails part-way is
+// TestRunOrderedCommitFailureUnwinds (internal/medserver): the device is
+// sized from the corpus, so a load cannot be made to fill it.
 func TestLoadFailureUnwinds(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
 		check func(error) bool
 	}{
-		// 64 pages: the atlas and the first studies fit, a later one
-		// does not. The serial loader returned Allocate's error bare.
-		{"device full", Config{Bits: 5, DeviceBytes: 64 * lfm.DefaultPageSize},
-			func(err error) bool { return err == lfm.ErrNoSpace }},
 		{"atlas too small to sample", Config{Bits: 2},
 			func(err error) bool {
 				return err != nil && strings.Contains(err.Error(), "synth: atlas side 4 too small")

@@ -31,11 +31,10 @@ type BatchItem struct {
 }
 
 // RunQueries executes the specs across a bounded worker pool and
-// returns one BatchItem per spec, in input order. workers <= 0 takes
-// the pool size from WithWorkers; a resolved size of 0 or 1 runs
-// serially on the calling goroutine. Individual query failures (after
-// RunQuery's own retries) land in their item's Err; the batch always
-// completes.
+// returns one BatchItem per spec, in input order. workers is the pool
+// size; one or fewer runs serially on the calling goroutine. Individual
+// query failures (after RunQuery's own retries) land in their item's
+// Err; the batch always completes.
 func (c *Client) RunQueries(specs []QuerySpec, workers int) []BatchItem {
 	items, _ := c.RunQueriesTraced(specs, workers)
 	return items
@@ -55,9 +54,6 @@ func (c *Client) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, 
 // runBatch is the one batch loop. It leaves the batch span open so the
 // cluster can annotate it with what the batch lost; the caller ends it.
 func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
-	if workers <= 0 {
-		workers = c.workers
-	}
 	batch := c.Tracer.Start("batch")
 	batch.SetInt("queries", int64(len(specs)))
 	batch.SetInt("workers", int64(workers))

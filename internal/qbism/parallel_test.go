@@ -55,19 +55,15 @@ func TestRunQueriesMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunQueriesSerialFallback checks the workers<=1 and WithWorkers
-// plumbing paths.
+// TestRunQueriesSerialFallback checks the serial path: a pool size of
+// one or fewer runs the batch on the calling goroutine, in order.
 func TestRunQueriesSerialFallback(t *testing.T) {
-	sys, err := New(chaosBaseConfig(), WithWorkers(3))
+	sys, err := New(chaosBaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.workers != 3 {
-		t.Fatalf("WithWorkers(3) left the client's pool at %d", sys.workers)
-	}
 	pool := chaosSpecPool(sys)[:6]
-	// workers=0 defers to WithWorkers (3); workers=1 forces serial.
-	for _, w := range []int{0, 1} {
+	for _, w := range []int{-1, 0, 1} {
 		items := sys.RunQueries(pool, w)
 		for i, item := range items {
 			if item.Err != nil {
@@ -248,7 +244,7 @@ func TestConsistentBandRegionErrors(t *testing.T) {
 	}
 }
 
-// TestConsistentBandRegionBadRow: with checksums on, a PET study's band
+// TestConsistentBandRegionBadRow: every page verified, a PET study's band
 // field rotted at rest fails the population query with the typed
 // checksum error, naming that study (the first PET on one band, the last
 // on another), under either label: both rows of a band point at its one
@@ -440,7 +436,7 @@ func TestPaperScaleFoldMatchesIntersectN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewClusterSystem(ClusterConfig{Shards: 2, Replicas: -1, Base: Config{Bits: 7, NumPET: 5, NumMRI: 0}})
+	cs, err := NewClusterSystem(ClusterConfig{Shards: 2, Replicas: 0, Base: Config{Bits: 7, NumPET: 5, NumMRI: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

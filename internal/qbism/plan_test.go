@@ -128,14 +128,15 @@ func TestExplainSpatialPredicatePushdown(t *testing.T) {
 	// A Table 4-style probe written as raw SQL: which structures'
 	// REGIONs contain a given box? The contains() predicate names only
 	// the atlasStructure alias, so it is evaluated at that scan — below
-	// the join and the projection — and the cheap atlasId comparison
-	// runs before the REGION-reading UDF on the same node.
+	// the join and the projection — and the atlasId comparison, which
+	// calls no function, runs before the REGION-reading UDF on the same
+	// node although it is written after it.
 	s := testSystem(t)
 	res, err := s.DB.Exec(`
 explain select ns.structureName
 from   atlasStructure as, neuralStructure ns
-where  as.atlasId = 1 and
-       contains(as.region, boxRegion(14, 14, 14, 16, 16, 16)) and
+where  contains(as.region, boxRegion(14, 14, 14, 16, 16, 16)) and
+       as.atlasId = 1 and
        as.structureId = ns.structureId`)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ where  as.atlasId = 1 and
 	if si := lineIndex(lines, "scan atlasStructure"); si != ci+1 {
 		t.Errorf("contains() filter not on the atlasStructure scan:\n%s", plan)
 	}
-	// Cost-ordered conjuncts: the integer comparison precedes the
+	// Conjuncts by call count: the integer comparison precedes the
 	// long-field-reading UDF inside the same filter.
 	cheap := strings.Index(lines[ci], "as.atlasId = 1")
 	costly := strings.Index(lines[ci], "contains(")

@@ -8,7 +8,7 @@ import "testing"
 //	go test ./internal/qbism -bench BenchmarkSuite -run xxx
 
 func benchSuite(b *testing.B, trace bool) {
-	cfg := Config{Bits: 6, NumPET: 5, NumMRI: 1, Seed: 1993, SmallStudies: true, Checksums: true}
+	cfg := Config{Bits: 6, NumPET: 5, NumMRI: 1, Seed: 1993, SmallStudies: true}
 	cfg.Trace = trace
 	sys, err := New(cfg)
 	if err != nil {

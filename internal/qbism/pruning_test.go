@@ -227,7 +227,7 @@ func TestExtractGapSaturates(t *testing.T) {
 func TestPruningBeatsFullVolume(t *testing.T) {
 	cfg := Config{
 		Bits: 6, NumPET: 1, NumMRI: 0, Seed: 11,
-		SmallStudies: true, Checksums: true,
+		SmallStudies: true,
 	}
 	sys, err := New(cfg)
 	if err != nil {
@@ -315,7 +315,7 @@ func referenceExtractStored(m *lfm.Manager, h lfm.Handle, r *region.Region, opts
 // reference assembly's values for exactly its LFM traffic, and the
 // server's one-step blob is MarshalDataRegion of that result.
 func TestExtractStoredEqualsReference(t *testing.T) {
-	sys, err := New(Config{Bits: 5, NumPET: 1, NumMRI: 1, Seed: 11, SmallStudies: true, Checksums: true})
+	sys, err := New(Config{Bits: 5, NumPET: 1, NumMRI: 1, Seed: 11, SmallStudies: true})
 	if err != nil {
 		t.Fatal(err)
 	}

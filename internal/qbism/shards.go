@@ -32,16 +32,15 @@ import (
 type ClusterConfig struct {
 	// Shards is the partition count K (default 2).
 	Shards int
-	// Replicas is the number of replicas per shard beyond the primary.
-	// Zero means the default of 1 (each shard is a primary/replica
-	// pair); a negative value means no replicas, every shard its primary
-	// alone.
+	// Replicas is the number of replicas per shard beyond the primary:
+	// 0 means none, every shard its primary alone; 1 makes each shard a
+	// primary/replica pair.
 	Replicas int
-	// Base configures every node: corpus, wire codec, checksums, device.
+	// Base configures every node: corpus, wire codec, cache, faults.
 	// Base.OnlyStudies is overwritten per node with the shard's subset;
 	// Base.DeviceFaults applies to every node unless NodeFaults overrides
-	// it. Base.Trace traces the front end. Its scatter-gather pool is the
-	// WithWorkers option, its retries the WithRetry option.
+	// it. Base.Trace traces the front end. Its retries are the WithRetry
+	// option; a batch's pool size is the workers argument of the call.
 	Base Config
 	// NodeFaults, when non-nil, returns the given node's link and device
 	// fault policies (replica 0 is the primary); nil means no injection.
@@ -57,11 +56,6 @@ type ClusterConfig struct {
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Shards < 1 {
 		c.Shards = 2
-	}
-	if c.Replicas < 0 {
-		c.Replicas = 0
-	} else if c.Replicas == 0 {
-		c.Replicas = 1
 	}
 	return c
 }
@@ -102,6 +96,9 @@ func (cs *ClusterSystem) Close() error {
 // loading only its shard's studies, and one Client in front of them.
 func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*ClusterSystem, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Replicas < 0 {
+		return nil, fmt.Errorf("qbism: %d replicas per shard", cfg.Replicas)
+	}
 
 	// The routing table is derived from the corpus's IDs alone, before
 	// any node exists.

@@ -39,7 +39,7 @@ type populationBand struct {
 func populationCluster(t *testing.T, opts ...Option) (*ClusterSystem, []int, []populationBand) {
 	t.Helper()
 	base := Config{Bits: 5, NumPET: 5, NumMRI: 1, Seed: 7, SmallStudies: true}
-	cs, err := NewClusterSystem(ClusterConfig{Shards: 2, Replicas: -1, Base: base}, opts...)
+	cs, err := NewClusterSystem(ClusterConfig{Shards: 2, Replicas: 0, Base: base}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +139,20 @@ func TestClusterConsistentBandRegionDoesNoDXWork(t *testing.T) {
 	}
 	if n := cs.Metrics.Counter("qbism_queries_total").Value(); n != 1 {
 		t.Errorf("qbism_queries_total = %d after one RunQuery, want 1", n)
+	}
+}
+
+// TestPopulationErrorNamesItsShard pins the error of a population call
+// refused on two shards. Each shard's read names its studies, so the
+// error is labelled by the shard, the first in shard order, never by one
+// of its studies.
+func TestPopulationErrorNamesItsShard(t *testing.T) {
+	cs, pets, bands := populationCluster(t)
+	const want = `qbism: population query: cluster: shard 0: node s0p: qbism: band encoding "octant" is not stored (have h-naive, k3-tree)`
+	for _, studies := range [][]int{{1, 2}, pets} {
+		_, _, err := cs.ConsistentBandRegion(studies, bands[0].lo, bands[0].hi, "octant", 2)
+		if err == nil || err.Error() != want {
+			t.Errorf("studies %v: error\n%v\nwant\n%s", studies, err, want)
+		}
 	}
 }

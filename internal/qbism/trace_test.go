@@ -401,7 +401,7 @@ func TestPerCallIOExactUnderConcurrency(t *testing.T) {
 			name = "traced"
 		}
 		t.Run(name, func(t *testing.T) {
-			sys, err := New(Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 11, SmallStudies: true, Checksums: true, Trace: trace})
+			sys, err := New(Config{Bits: 5, NumPET: 2, NumMRI: 1, Seed: 11, SmallStudies: true, Trace: trace})
 			if err != nil {
 				t.Fatal(err)
 			}

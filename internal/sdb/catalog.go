@@ -202,15 +202,12 @@ func (db *DB) RegisterUDF(u *UDF) error {
 // call site appears once in its statement. Any other value Fn returns,
 // BYTES included, is the caller's to keep.
 //
-// Cost is an optional planner hint: same-node filter predicates run
-// cheapest-first, so an expensive extraction function should carry a
-// high Cost and a fast region test a low one. Zero is fine for trivial
-// functions.
+// The planner takes no hint from a UDF: same-node filter predicates run
+// in order of how many function calls they make, fewest first.
 type UDF struct {
 	Name    string
 	MinArgs int
 	MaxArgs int // -1 for variadic
-	Cost    int
 	// ProbeOnly marks functions that only probe REGION membership or
 	// coverage (CONTAINS-style) and never need a materialized run list.
 	// Calls to them are the demand the queryable k³-tree encoding

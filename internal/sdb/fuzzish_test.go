@@ -149,15 +149,15 @@ func fuzzEquivDB() *DB {
 	for id := 1; id <= 7; id++ {
 		db.MustExec(fmt.Sprintf(`insert into p values (%d, %d)`, id%5, id*3%11))
 	}
-	// Pure, total, NULL-safe UDFs with contrasting planner costs.
-	db.RegisterUDF(&UDF{Name: "dbl", MinArgs: 1, MaxArgs: 1, Cost: 1,
+	// Pure, total, NULL-safe UDFs.
+	db.RegisterUDF(&UDF{Name: "dbl", MinArgs: 1, MaxArgs: 1,
 		Fn: func(_ *Call, args []Value) (Value, error) {
 			if args[0].IsNull() {
 				return Null(), nil
 			}
 			return Int(args[0].I * 2), nil
 		}})
-	db.RegisterUDF(&UDF{Name: "heavy", MinArgs: 1, MaxArgs: 1, Cost: 100,
+	db.RegisterUDF(&UDF{Name: "heavy", MinArgs: 1, MaxArgs: 1,
 		Fn: func(_ *Call, args []Value) (Value, error) {
 			if args[0].IsNull() {
 				return Null(), nil

@@ -229,7 +229,7 @@ func (db *DB) buildTree(ordered []source, conjuncts []conjunct) planNode {
 	if len(levelConj[0]) > 0 {
 		node = &filterNode{
 			child:  node,
-			preds:  db.orderPreds(levelConj[0]),
+			preds:  orderPreds(levelConj[0]),
 			pushed: multi,
 		}
 	}
@@ -252,13 +252,13 @@ func (db *DB) buildTree(ordered []source, conjuncts []conjunct) planNode {
 		}
 		var right planNode = &scanNode{src: ordered[li], slot: li}
 		if len(inner) > 0 {
-			right = &filterNode{child: right, preds: db.orderPreds(inner), pushed: true}
+			right = &filterNode{child: right, preds: orderPreds(inner), pushed: true}
 		}
 		node = &joinNode{left: node, right: right, slot: li, leftKeys: leftKeys, rightKeys: rightKeys}
 		if len(residual) > 0 {
 			node = &filterNode{
 				child:  node,
-				preds:  db.orderPreds(residual),
+				preds:  orderPreds(residual),
 				pushed: li < len(ordered)-1,
 			}
 		}
@@ -296,31 +296,28 @@ func subsetOf(set, of map[string]bool) bool {
 	return true
 }
 
-// orderPreds sorts a filter's conjuncts cheapest-first (stable) using
-// the UDF cost hints, so an inexpensive spatial test like CONTAINS
-// runs before a costly EXTRACT_DATA-class function on the same node.
-func (db *DB) orderPreds(conjuncts []conjunct) []Expr {
+// orderPreds sorts a filter's conjuncts cheapest-first by exprCost,
+// stably: a comparison of columns and literals runs before a predicate
+// that calls a function, and conjuncts of equal cost keep the order
+// they are written in. The order is visible in EXPLAIN.
+func orderPreds(conjuncts []conjunct) []Expr {
 	preds := make([]Expr, len(conjuncts))
 	for i, c := range conjuncts {
 		preds[i] = c.expr
 	}
 	sort.SliceStable(preds, func(a, b int) bool {
-		return db.exprCost(preds[a]) < db.exprCost(preds[b])
+		return exprCost(preds[a]) < exprCost(preds[b])
 	})
 	return preds
 }
 
-// exprCost estimates evaluation cost from UDF cost hints: each
-// function call costs 1 plus its registered Cost; columns, literals,
-// and operators are free.
-func (db *DB) exprCost(x Expr) int {
+// exprCost is the number of function calls in x; columns, literals and
+// operators are free.
+func exprCost(x Expr) int {
 	cost := 0
 	walkExpr(x, func(e Expr) {
-		if fc, ok := e.(*FuncCall); ok {
+		if _, ok := e.(*FuncCall); ok {
 			cost++
-			if u, found := db.lookupUDF(fc.Name); found {
-				cost += u.Cost
-			}
 		}
 	})
 	return cost

@@ -39,7 +39,7 @@ func retainDB(t *testing.T) *DB {
 	db.MustExec(`insert into l values (1, 'one'), (2, 'two'), (3, 'three'), (4, 'four')`)
 	db.MustExec(`insert into b values (1, 10), (2, 20), (3, 30)`)
 	db.MustExec(`insert into c values (10, 'ten'), (20, 'twenty'), (30, 'thirty')`)
-	db.RegisterUDF(&UDF{Name: "failif", MinArgs: 2, MaxArgs: 2, Cost: 1,
+	db.RegisterUDF(&UDF{Name: "failif", MinArgs: 2, MaxArgs: 2,
 		Fn: func(_ *Call, args []Value) (Value, error) {
 			if args[0].Equal(args[1]) {
 				return Value{}, errors.New("asked to fail")
@@ -312,7 +312,7 @@ func TestRetainedTreesDieWithTheirPlan(t *testing.T) {
 	}{
 		{"CreateTable", func(db *DB) { db.MustExec(`create table extra (a int)`) }},
 		{"RegisterUDF", func(db *DB) {
-			db.RegisterUDF(&UDF{Name: "failif", MinArgs: 2, MaxArgs: 2, Cost: 1,
+			db.RegisterUDF(&UDF{Name: "failif", MinArgs: 2, MaxArgs: 2,
 				Fn: func(_ *Call, args []Value) (Value, error) { return Int(args[0].I + 5), nil }})
 		}},
 		{"SetPushdown", func(db *DB) { db.SetPushdown(false) }},

@@ -30,11 +30,11 @@ const FrameMagic uint16 = 0x514D
 // FrameOverhead is the fixed frame prefix size in bytes.
 const FrameOverhead = 14
 
-// DefaultMaxFrameBytes bounds how large a frame a stream reader will
-// accept before rejecting it as hostile: a full-study response at the
-// paper's 128³ grid is ~2 MB, so 64 MiB leaves two orders of magnitude
-// of headroom while still refusing a forged multi-gigabyte length
-// before any allocation happens.
+// DefaultMaxFrameBytes bounds how large a frame every stream reader —
+// the server's and the TCP client's — will accept before rejecting it
+// as hostile: a full-study response at the paper's 128³ grid is ~2 MB,
+// so 64 MiB leaves two orders of magnitude of headroom while still
+// refusing a forged multi-gigabyte length before any allocation happens.
 const DefaultMaxFrameBytes = 64 << 20
 
 // Typed frame failures. Truncation and corruption indicate the payload
@@ -188,10 +188,7 @@ func (s *frameScratch) write(w io.Writer, head, body []byte) error {
 // read reads one frame; see ReadFrame for the contract. With reuse the
 // frame lands in the scratch's own buffer and its sections are valid
 // only until the next read; without, in a new buffer the caller keeps.
-func (s *frameScratch) read(r io.Reader, maxBytes int64, reuse bool) (header, body []byte, err error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxFrameBytes
-	}
+func (s *frameScratch) read(r io.Reader, reuse bool) (header, body []byte, err error) {
 	if cap(s.kept) > maxKeptFrame {
 		s.kept = nil
 	}
@@ -207,8 +204,8 @@ func (s *frameScratch) read(r io.Reader, maxBytes int64, reuse bool) (header, bo
 	hlen := uint64(binary.BigEndian.Uint32(s.prefix[2:]))
 	blen := uint64(binary.BigEndian.Uint32(s.prefix[6:]))
 	total := FrameOverhead + hlen + blen
-	if total > uint64(maxBytes) {
-		return nil, nil, fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrFrameOversize, total, maxBytes)
+	if total > DefaultMaxFrameBytes {
+		return nil, nil, fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrFrameOversize, total, DefaultMaxFrameBytes)
 	}
 	buf := s.kept
 	if !reuse || uint64(cap(buf)) < total {
@@ -227,16 +224,15 @@ func (s *frameScratch) read(r io.Reader, maxBytes int64, reuse bool) (header, bo
 
 // ReadFrame reads exactly one frame from a byte stream: the fixed
 // prefix first, then — after the magic and the declared lengths pass
-// validation against maxBytes — exactly the declared payload. Unlike
-// DecodeFrame, bytes after the frame are not an error; they are the
-// next frame and stay unread in r. maxBytes <= 0 means
-// DefaultMaxFrameBytes. A stream that ends mid-frame fails with
-// ErrFrameTruncated (wrapping the underlying I/O error); a clean EOF
-// before any byte surfaces as io.EOF so connection loops can
-// distinguish "peer closed" from "peer lied".
-func ReadFrame(r io.Reader, maxBytes int64) (header, body []byte, err error) {
+// validation against DefaultMaxFrameBytes — exactly the declared
+// payload. Unlike DecodeFrame, bytes after the frame are not an error;
+// they are the next frame and stay unread in r. A stream that ends
+// mid-frame fails with ErrFrameTruncated (wrapping the underlying I/O
+// error); a clean EOF before any byte surfaces as io.EOF so connection
+// loops can distinguish "peer closed" from "peer lied".
+func ReadFrame(r io.Reader) (header, body []byte, err error) {
 	var s frameScratch
-	return s.read(r, maxBytes, false)
+	return s.read(r, false)
 }
 
 // WriteFrame writes the frame EncodeFrame would build — the same bytes —

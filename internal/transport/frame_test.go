@@ -87,14 +87,14 @@ func TestReadFrameStreamContract(t *testing.T) {
 	f2 := mustFrame(t, []byte("second"), []byte("two"))
 	r := bytes.NewReader(append(append([]byte(nil), f1...), f2...))
 
-	h, b, err := ReadFrame(r, 0)
+	h, b, err := ReadFrame(r)
 	if err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
 	if string(h) != "first" || string(b) != "one" {
 		t.Fatalf("first frame: got %q/%q", h, b)
 	}
-	h, b, err = ReadFrame(r, 0)
+	h, b, err = ReadFrame(r)
 	if err != nil {
 		t.Fatalf("second frame: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestReadFrameStreamContract(t *testing.T) {
 		t.Fatalf("second frame: got %q/%q", h, b)
 	}
 	// A cleanly exhausted stream is io.EOF, not a frame error.
-	if _, _, err := ReadFrame(r, 0); err != io.EOF {
+	if _, _, err := ReadFrame(r); err != io.EOF {
 		t.Fatalf("exhausted stream: got %v, want io.EOF", err)
 	}
 }
@@ -110,37 +110,43 @@ func TestReadFrameStreamContract(t *testing.T) {
 func TestReadFrameMidFrameEOF(t *testing.T) {
 	f := mustFrame(t, []byte("header"), []byte("body"))
 	for n := 1; n < len(f); n++ {
-		_, _, err := ReadFrame(bytes.NewReader(f[:n]), 0)
+		_, _, err := ReadFrame(bytes.NewReader(f[:n]))
 		if !errors.Is(err, ErrFrameTruncated) {
 			t.Fatalf("stream cut at %d bytes: got %v, want ErrFrameTruncated", n, err)
 		}
 	}
 }
 
-// TestReadFrameOversizeRejectedBeforeAllocation: a forged length field
-// larger than the limit fails typed, without reading the (absent)
-// payload. The reader after the failure is positioned after the prefix
-// only — nothing was slurped.
+// TestReadFrameOversizeRejected: a forged length field larger than
+// DefaultMaxFrameBytes — by a GiB or by one byte — fails typed, without
+// reading the payload. The reader after the failure is positioned after
+// the prefix only — nothing was slurped.
 func TestReadFrameOversizeRejected(t *testing.T) {
-	var prefix [FrameOverhead]byte
-	binary.BigEndian.PutUint16(prefix[:], FrameMagic)
-	binary.BigEndian.PutUint32(prefix[2:], 1<<30) // 1 GiB header
-	binary.BigEndian.PutUint32(prefix[6:], 1<<30) // 1 GiB body
-	_, _, err := ReadFrame(bytes.NewReader(prefix[:]), 1<<20)
-	if !errors.Is(err, ErrFrameOversize) {
-		t.Fatalf("forged 2 GiB frame: got %v, want ErrFrameOversize", err)
-	}
-	// The default limit applies when maxBytes <= 0.
-	_, _, err = ReadFrame(bytes.NewReader(prefix[:]), 0)
-	if !errors.Is(err, ErrFrameOversize) {
-		t.Fatalf("forged 2 GiB frame, default limit: got %v, want ErrFrameOversize", err)
+	for _, c := range []struct {
+		name       string
+		hlen, blen uint32
+	}{
+		{"forged 2 GiB", 1 << 30, 1 << 30},
+		{"one byte over", 0, DefaultMaxFrameBytes - FrameOverhead + 1},
+	} {
+		var prefix [FrameOverhead]byte
+		binary.BigEndian.PutUint16(prefix[:], FrameMagic)
+		binary.BigEndian.PutUint32(prefix[2:], c.hlen)
+		binary.BigEndian.PutUint32(prefix[6:], c.blen)
+		r := bytes.NewReader(append(prefix[:], "payload"...))
+		if _, _, err := ReadFrame(r); !errors.Is(err, ErrFrameOversize) {
+			t.Fatalf("%s frame: got %v, want ErrFrameOversize", c.name, err)
+		}
+		if r.Len() != len("payload") {
+			t.Errorf("%s frame: the reader consumed %d bytes past the prefix", c.name, len("payload")-r.Len())
+		}
 	}
 }
 
 func TestReadFrameBadMagic(t *testing.T) {
 	f := mustFrame(t, []byte("h"), []byte("b"))
 	f[0] = 0x00
-	_, _, err := ReadFrame(bytes.NewReader(f), 0)
+	_, _, err := ReadFrame(bytes.NewReader(f))
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("bad magic: got %v, want ErrFrameCorrupt", err)
 	}

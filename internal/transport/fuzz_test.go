@@ -77,7 +77,7 @@ func FuzzFrame(f *testing.F) {
 		}
 
 		r := bytes.NewReader(data)
-		sh, sb, serr := ReadFrame(r, DefaultMaxFrameBytes)
+		sh, sb, serr := ReadFrame(r)
 		if serr != nil {
 			if serr != io.EOF &&
 				!errors.Is(serr, ErrFrameTruncated) &&

@@ -35,10 +35,6 @@ type ServerConfig struct {
 	// Admission is the per-client token-bucket policy (zero Rate
 	// disables).
 	Admission AdmissionConfig
-	// MaxFrameBytes bounds accepted request frames (default
-	// DefaultMaxFrameBytes). Oversize frames are rejected with a typed
-	// error before allocation and the connection is closed.
-	MaxFrameBytes int64
 	// Metrics receives server counters and the per-call latency
 	// histogram; nil disables.
 	Metrics *obs.Registry
@@ -52,9 +48,6 @@ type ServerConfig struct {
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 64
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
 	}
 	if c.now == nil {
 		c.now = wallNow
@@ -226,7 +219,7 @@ func (s *Server) serveConn(sc *serverConn) {
 	}()
 	client := clientKey(sc.c.RemoteAddr())
 	for {
-		method, request, err := sc.fs.read(sc.c, s.cfg.MaxFrameBytes, true)
+		method, request, err := sc.fs.read(sc.c, true)
 		if err == nil {
 			method, err = parseCallHeader(method)
 		}

@@ -75,7 +75,7 @@ func TestServerDropsConnAfterShortWrite(t *testing.T) {
 	}
 	// What did arrive is the start of one frame, then end of stream.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := ReadFrame(conn, 0); !errors.Is(err, ErrFrameTruncated) {
+	if _, _, err := ReadFrame(conn); !errors.Is(err, ErrFrameTruncated) {
 		t.Errorf("client read %v, want ErrFrameTruncated", err)
 	}
 	srv.Close()

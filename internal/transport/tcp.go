@@ -122,9 +122,6 @@ type TCPOptions struct {
 	// connection deadlines (default 60s; 0 keeps the default, negative
 	// disables deadlines).
 	CallTimeout time.Duration
-	// MaxFrameBytes bounds accepted response frames (default
-	// DefaultMaxFrameBytes).
-	MaxFrameBytes int64
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
@@ -133,9 +130,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 60 * time.Second
-	}
-	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = DefaultMaxFrameBytes
 	}
 	return o
 }
@@ -227,7 +221,7 @@ func (t *TCP) callLocked(method string, request []byte, bill *Stats) ([]byte, er
 		return nil, err
 	}
 	// The response buffer is allocated per call: the caller keeps it.
-	header, body, err := t.fs.read(t.conn, t.opts.MaxFrameBytes, false)
+	header, body, err := t.fs.read(t.conn, false)
 	if err != nil {
 		// The stream is unsynchronized after any read failure (io.EOF
 		// here means the server hung up mid-exchange); drop the

@@ -201,7 +201,7 @@ func rawServer(t *testing.T, status []byte) string {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := ReadFrame(conn, 0); err == nil {
+		if _, _, err := ReadFrame(conn); err == nil {
 			_ = WriteFrame(conn, status, nil) // the client's verdict is the test
 		}
 	}()
@@ -256,7 +256,7 @@ func TestServerRefusesCallHeaderVersion(t *testing.T) {
 		if err := WriteFrame(conn, header, nil); err != nil {
 			t.Fatal(err)
 		}
-		status, _, err := ReadFrame(conn, 0)
+		status, _, err := ReadFrame(conn)
 		if err != nil {
 			t.Fatalf("%s: no status reply: %v", name, err)
 		}
@@ -264,7 +264,7 @@ func TestServerRefusesCallHeaderVersion(t *testing.T) {
 		if err != nil || kind != kindTerminal || !strings.Contains(string(text), "call header") {
 			t.Errorf("%s: status kind %d text %q err %v, want a terminal refusal naming the call header", name, kind, text, err)
 		}
-		if _, _, err := ReadFrame(conn, 0); err == nil {
+		if _, _, err := ReadFrame(conn); err == nil {
 			t.Errorf("%s: connection stayed open after a refused call header", name)
 		}
 		conn.Close()

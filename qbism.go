@@ -201,8 +201,8 @@ func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
 	return core.NewClient(t, cfg, opts...)
 }
 
-// WithRetry, WithSlowLog and WithWorkers are the client's Options.
-var WithRetry, WithSlowLog, WithWorkers = core.WithRetry, core.WithSlowLog, core.WithWorkers
+// WithRetry and WithSlowLog are the client's Options.
+var WithRetry, WithSlowLog = core.WithRetry, core.WithSlowLog
 
 // DialTCP is the transport to the qbismd listening at addr. The
 // connection is made by the first call.
