@@ -171,10 +171,13 @@ cover:
 # BenchmarkServeRPCMixed and BenchmarkServeRPCBulk for the server side
 # of one small request, of one structure ∩ band request (intersection()
 # inside extractVoxels(), the REGION passed parsed between them) and of
-# one full-study reply through a thrashing page cache (allocs/op and
-# B/op are what TestServeRPCAllocBudget and TestBulkReplyAllocBudget put
-# ceilings on), BenchmarkServeRPCTraced for the small request with a
-# tracer attached (what trace-on costs, beside the line it is measured
+# one full-study reply through a thrashing page cache, released as the
+# daemon releases it (allocs/op and B/op are what TestServeRPCAllocBudget
+# and TestBulkReplyAllocBudget put ceilings on), BenchmarkDaemonBulk for
+# the same full-study reply over loopback TCP through transport.Server's
+# write and release (both ends in one process: B/op is the client's
+# response buffer; DESIGN.md §59), BenchmarkServeRPCTraced for the small
+# request with a tracer attached (what trace-on costs, beside the line it is measured
 # against), BenchmarkRunQueryMixed for the structure ∩ band query end to
 # end in one process (DX client, simulated link and server;
 # TestRunQueryAllocBudget pins the allocations), and BenchmarkStmtQuery
@@ -222,6 +225,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
+	$(GO) test -run '^$$' -bench '^BenchmarkDaemonBulk$$' -benchtime 100x -benchmem ./internal/daemon
 	$(GO) test -run '^$$' -bench '^Benchmark(IntersectN|FromBox)$$' -benchtime 100x -benchmem ./internal/region
 	$(GO) test -run '^$$' -bench '^BenchmarkBuildAtlas$$' -benchtime 10x -benchmem ./internal/atlas
 	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver

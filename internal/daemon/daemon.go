@@ -22,11 +22,14 @@ import (
 )
 
 // Backend is what a Daemon serves and observes: a MedicalServer's RPC
-// handler, and the registry and tracer it reports into. A
-// *medserver.Server is one; so is a *qbism.System, whose client shares
-// its server's.
+// handler and the hand-back of the replies it built (transport.Service:
+// the daemon releases each ok reply once its socket write has returned,
+// and the backend builds a later reply in it), and the registry and
+// tracer it reports into. A *medserver.Server is one; so is a
+// *qbism.System, whose client shares its server's and which gets these
+// methods by promotion.
 type Backend interface {
-	ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error)
+	transport.Service
 	Observers() (*obs.Registry, *obs.Tracer)
 }
 
@@ -69,7 +72,7 @@ func New(b Backend, cfg Config) *Daemon {
 		metrics:   metrics,
 		cfg:       cfg,
 		adminDone: make(chan error, 1),
-		srv: transport.NewServer(b.ServeRPC, transport.ServerConfig{
+		srv: transport.NewServer(b, transport.ServerConfig{
 			Addr:      cfg.Addr,
 			MaxConns:  cfg.MaxConns,
 			Admission: cfg.Admission,

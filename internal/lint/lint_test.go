@@ -436,10 +436,17 @@ func TestLoadAllFindsKnownPackages(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, p := range pkgs {
+		for _, f := range p.Files {
+			seen[filepath.Base(p.Fset.Position(f.Pos()).Filename)] = true
+		}
 		seen[p.Path] = true
 		if p.Types == nil || p.Info == nil || len(p.Files) == 0 {
 			t.Errorf("package %s loaded without types/info/files", p.Path)
 		}
+	}
+	// A file only the race build includes is linted too.
+	if !seen["poison_race.go"] {
+		t.Error("LoadAll left out medserver's race-only poison_race.go")
 	}
 	for _, want := range []string{
 		"qbism/internal/lfm",

@@ -3,12 +3,14 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -72,8 +74,9 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 }
 
 // LoadAll loads every package under the module root (skipping testdata,
-// hidden directories, and _test.go files) and returns them sorted by
-// import path.
+// hidden directories, _test.go files and files that neither the default
+// build nor the race build includes) and returns them sorted by import
+// path.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.moduleRoot, func(path string, d os.DirEntry, err error) error {
@@ -151,6 +154,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
 			continue
 		}
+		if ok, err := builtByAny(dir, fn); err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, fn), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
@@ -189,6 +197,27 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil
+}
+
+// builds are the constraint sets a file is loaded under: the default
+// build and the race detector's. A file that either builds is loaded and
+// linted, so a race-only file must declare nothing the default build
+// also declares (it sets the default's state in an init instead), or its
+// package fails to type-check here.
+var builds = func() []build.Context {
+	race := build.Default
+	race.BuildTags = append(slices.Clone(race.BuildTags), "race")
+	return []build.Context{build.Default, race}
+}()
+
+// builtByAny reports whether some build in builds includes dir/fn.
+func builtByAny(dir, fn string) (bool, error) {
+	for _, b := range builds {
+		if ok, err := b.MatchFile(dir, fn); ok || err != nil {
+			return ok, err
+		}
+	}
+	return false, nil
 }
 
 // hasGoFiles reports whether dir directly contains at least one

@@ -90,11 +90,13 @@ type PopulationQuery struct {
 // every field is read whole, once; no VOLUME page is read. The first row
 // that fails to read or parse, or is not a k³-tree, in fold order, ends
 // the call with an error naming its study, wrapping the read's or the
-// fold's. A call allocates the read buffer and the fold's runs and words
+// fold's. A call takes the read buffer from the server's free list of
+// reply buffers (replies.go) and allocates the fold's runs and words
 // (reserve): the answer's runs are built in the fold's spare room when
 // they fit (StoredFold.RegionInto), and the reply is encoded into the
-// read buffer, which grows only when the reply outgrows it. The field
-// list of up to eight studies stays on the stack.
+// read buffer, which grows only when the reply outgrows it; the reply is
+// the caller's, as a medical query's is. The field list of up to eight
+// studies stays on the stack.
 func (s *Server) handlePopulation(sp *obs.Span, request []byte) ([]byte, error) {
 	var ids [8]int
 	var q PopulationQuery
@@ -126,7 +128,7 @@ func (s *Server) handlePopulation(sp *obs.Span, request []byte) ([]byte, error) 
 		largest = max(largest, size)
 	}
 	slices.SortStableFunc(fields, func(a, b bandField) int { return cmp.Compare(a.size, b.size) })
-	buf := make([]byte, largest)
+	buf := s.replies.get(largest)
 	io := lfm.IO{M: s.LFM}
 	var fold rencode.StoredFold
 	for _, f := range fields {

@@ -136,9 +136,10 @@ const QueryMethod = "medicalQuery"
 // by method name — a medical query (QueryMethod) or the population query
 // (PopulationMethod). A daemon serves it over TCP and the in-process
 // transport.Sim calls it between two link crossings, so both flavors run
-// identical server code. Unknown methods fail with
-// transport.ErrUnknownMethod (typed, terminal), so a version-skewed
-// client gets a classifiable refusal instead of a hang.
+// identical server code. The reply is the caller's: Sim's keeps it, and
+// the daemon hands it back through ReleaseReply once written. Unknown
+// methods fail with transport.ErrUnknownMethod (typed, terminal), so a
+// version-skewed client gets a classifiable refusal instead of a hang.
 func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	switch method {
 	case QueryMethod:
@@ -505,7 +506,11 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 	if d, err = d.Filter(lo, hi); err != nil {
 		return nil, "", err
 	}
-	blob, err := MarshalDataRegion(d, s.Cfg.Method)
+	// Filter copied the in-band voxels and kept no alias of the unbanded
+	// blob, which nothing else holds: it goes back to the free list, and
+	// the next full-study read is built in it.
+	s.replies.put(row[0].Y)
+	blob, err := marshalDataRegion(&s.replies, d, s.Cfg.Method)
 	if err != nil {
 		return nil, "", err
 	}

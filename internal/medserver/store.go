@@ -17,9 +17,15 @@ import (
 const dataRegionTag = 0xD7
 
 // MarshalDataRegion serializes a DataRegion: the REGION (self-describing
-// rencode encoding) followed by the intensity values in curve order.
+// rencode encoding) followed by the intensity values in curve order. The
+// blob is new, and the caller's.
 func MarshalDataRegion(d *volume.DataRegion, method rencode.Method) ([]byte, error) {
-	blob, values, err := newDataRegionBlob(d.Region, method)
+	return marshalDataRegion(nil, d, method)
+}
+
+// marshalDataRegion is MarshalDataRegion with the blob taken from p.
+func marshalDataRegion(p *replyPool, d *volume.DataRegion, method rencode.Method) ([]byte, error) {
+	blob, values, err := newDataRegionBlob(p, d.Region, method)
 	if err != nil {
 		return nil, err
 	}
@@ -30,18 +36,22 @@ func MarshalDataRegion(d *volume.DataRegion, method rencode.Method) ([]byte, err
 	return blob, nil
 }
 
-// newDataRegionBlob allocates the DATA_REGION blob that carries r, once
-// and at its final size, and encodes r straight into it. It returns the
-// blob and its value section — r.NumVoxels() bytes, in curve order, for
-// the caller to fill. The blob has replyHeadroom bytes of spare capacity
-// past its end, where EncodeQueryResponse frames the reply in place.
-func newDataRegionBlob(r *region.Region, method rencode.Method) (blob, values []byte, err error) {
+// newDataRegionBlob takes the DATA_REGION blob that carries r from p's
+// free list — a new buffer when the list has none of its size, or p is
+// nil — once and at its final size, and encodes r straight into it. It
+// returns the blob and its value section — r.NumVoxels() bytes, in curve
+// order, which the caller must fill, since a recycled buffer holds an
+// earlier reply's bytes. The blob has at least replyHeadroom bytes of
+// spare capacity past its end, where EncodeQueryResponse frames the reply
+// in place. The blob is the caller's: the reply it becomes goes back to
+// the list only through Server.ReleaseReply.
+func newDataRegionBlob(p *replyPool, r *region.Region, method rencode.Method) (blob, values []byte, err error) {
 	n, err := rencode.EncodedSize(method, r)
 	if err != nil {
 		return nil, nil, err
 	}
 	size := 5 + uint64(n) + r.NumVoxels()
-	blob = make([]byte, 5, size+replyHeadroom)
+	blob = p.get(int(size + replyHeadroom))[:5]
 	blob[0] = dataRegionTag
 	binary.BigEndian.PutUint32(blob[1:], uint32(n))
 	if blob, err = rencode.AppendEncode(blob, method, r); err != nil {
@@ -130,10 +140,10 @@ func extractStored(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts)
 
 // extractStoredBlob is extractStored and MarshalDataRegion in one
 // step, which is how the server answers: the voxels are gathered from
-// the LFM's pages into the DATA_REGION blob's value section and are not
-// copied again.
-func extractStoredBlob(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
-	blob, values, err := newDataRegionBlob(r, method)
+// the LFM's pages into the DATA_REGION blob's value section, taken from
+// p (newDataRegionBlob), and are not copied again.
+func extractStoredBlob(p *replyPool, io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
+	blob, values, err := newDataRegionBlob(p, r, method)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,9 @@ var codecStructures = sync.OnceValue(func() []*region.Region {
 // BenchmarkDataRegionCodec is the REGION half of a DATA_REGION on both
 // sides of the wire, for the wire's codec (Elias γ) and the naive runs it
 // replaced: the server encoding each small structure into its reply blob
-// (newDataRegionBlob, one allocation: the blob) and the client decoding
-// the blob (UnmarshalDataRegion). ns/run is per run of the REGIONs.
+// (newDataRegionBlob with no free list, one allocation: the blob) and the
+// client decoding the blob (UnmarshalDataRegion). ns/run is per run of
+// the REGIONs.
 // `make bench-smoke` runs a few iterations.
 func BenchmarkDataRegionCodec(b *testing.B) {
 	regions := codecStructures()
@@ -44,7 +45,7 @@ func BenchmarkDataRegionCodec(b *testing.B) {
 	for _, m := range []rencode.Method{rencode.Naive, rencode.Elias} {
 		blobs := make([][]byte, len(regions))
 		for i, r := range regions {
-			blob, _, err := newDataRegionBlob(r, m)
+			blob, _, err := newDataRegionBlob(nil, r, m)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func BenchmarkDataRegionCodec(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, r := range regions {
-					if _, _, err := newDataRegionBlob(r, m); err != nil {
+					if _, _, err := newDataRegionBlob(nil, r, m); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -130,7 +130,7 @@ func (s *Server) registerSpatialUDFs() error {
 				if err := s.onCurve(r); err != nil {
 					return sdb.Value{}, err
 				}
-				blob, err := extractStoredBlob(call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
+				blob, err := extractStoredBlob(&s.replies, call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -148,7 +148,7 @@ func (s *Server) registerSpatialUDFs() error {
 				// The whole grid is one run, so this is extractVoxels' read
 				// plan with a single range: one read of the whole field,
 				// every page straight into the blob.
-				blob, err := extractStoredBlob(call.IO(), args[0].L, s.full, s.extractOpts(), s.Cfg.Method)
+				blob, err := extractStoredBlob(&s.replies, call.IO(), args[0].L, s.full, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -424,10 +424,11 @@ func (s *Server) regionRuns(io *lfm.IO, call *sdb.Call, slot *regionSlot, v sdb.
 // decoded into slots it keeps, and the REGION it returns. Every call
 // refills what it uses. A call's result points into it only as the
 // parsedRegion Object, as sdb's contract allows; the DATA_REGION blob
-// extractVoxels returns is new, being the reply, and extraction gathers
-// the voxels straight into it. Its methods take a nil *callState — no
-// execution, so no state — and then hand out nothing, so that the
-// callee allocates.
+// extractVoxels returns is the caller's, taken from the server's free
+// list of reply buffers because it becomes the reply (replies.go), and
+// extraction gathers the voxels straight into it. Its methods take a
+// nil *callState — no execution, so no state — and then hand out
+// nothing, so that the callee allocates.
 type callState struct {
 	args [2]regionSlot
 	out  regionSlot // the result's run list; out's field and probe stay unused

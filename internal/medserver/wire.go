@@ -135,8 +135,10 @@ func decodeQueryRequest(request []byte, names map[string]string) (QuerySpec, err
 // DataRegion blob in one frame. It takes ownership of blob: when blob's
 // spare capacity holds the frame prefix and the header, the blob's bytes
 // move up in place and the frame is blob's own buffer (newDataRegionBlob
-// allocates every blob with that room); otherwise the frame is one new
-// buffer, sized once, and blob is left as it was.
+// gives every blob that room); otherwise the frame is one new buffer,
+// sized once, and blob is left as it was. Either way the frame is the
+// caller's, to keep or — once written — to hand back to the server's
+// free list (Server.ReleaseReply).
 func EncodeQueryResponse(meta *QueryMeta, blob []byte) ([]byte, error) {
 	n, err := metaSize(meta)
 	if err != nil {

@@ -14,8 +14,10 @@ import (
 // §17), reads each into its own row with no Rows (§27), decodes and
 // encodes fixed binary headers (§22), and its spatial UDFs read, parse
 // and build into their call sites' state (§27), and the spec's strings
-// are the catalog's own (§29); what is left is the DATA_REGION blob,
-// which the reply is framed in (§47). Re-introduce
+// are the catalog's own (§29); what was left is the DATA_REGION blob,
+// which the reply is framed in (§47), and a reply handed back the way
+// the TCP server hands it back is the next reply's blob (§59), so a
+// request served that way allocates nothing. Re-introduce
 // per-call parsing or planning (+500 allocations a request), a
 // per-execution operator tree or hash table (+40) or a per-row
 // allocation in the executor and these ceilings trip long before the
@@ -77,8 +79,14 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		name string
 		spec QuerySpec
 		srv  *medserver.Server // nil: the Bits 5 server
-		// As measured: the blob, the reply framed in it. They were 2
-		// and 2 while the reply was copied into a frame of its own, 4 and
+		// keep serves as transport.Sim does: the caller keeps every
+		// reply, so none goes back to the free list.
+		keep bool
+		// As measured, each reply released: nothing, the reply built in
+		// the one released before it. They were 1 and 1 — the blob, the
+		// reply framed in it — while every reply was a new buffer, as the
+		// kept leg's still is; 2 and 2 while the reply was copied into a
+		// frame of its own, 4 and
 		// 4 while the spec's two strings were copied out of every
 		// request, 16 and 17 while a UDF call allocated its
 		// field buffer, probe, run list and Region, each statement its
@@ -90,27 +98,30 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		// execution, 91 and 101 before the one-pass decode.
 		ceiling float64
 	}{
-		{"small-structure", small, nil, 1},
-		{"structure-and-band", mixed, nil, 1},
-		// The band and structure ∩ band under the h-naive label: 1 and 1
+		{"small-structure", small, nil, false, 0},
+		{"small-structure-kept", small, nil, true, 1},
+		{"structure-and-band", mixed, nil, false, 0},
+		// The band and structure ∩ band under the h-naive label: 0 and 0
 		// as measured, the k³-tree field's since each band is stored once
-		// (1 and 1 too on the h-naive rows that were stored beside it,
-		// decoded into the call site's slot; 2 and 2 with a separate
-		// frame; on an all-naive store the structure requests were 4 and
-		// 5 while a naive REGION was decoded to a new Region).
-		{"band-h-naive", naiveBand, nil, 1},
-		{"structure-and-band-h-naive", naiveMixed, nil, 1},
+		// (1 and 1 while every reply was a new buffer, and on the h-naive
+		// rows that were stored beside it, decoded into the call site's
+		// slot; 2 and 2 with a separate frame; on an all-naive store the
+		// structure requests were 4 and 5 while a naive REGION was decoded
+		// to a new Region).
+		{"band-h-naive", naiveBand, nil, false, 0},
+		{"structure-and-band-h-naive", naiveMixed, nil, false, 0},
 		// The paper's Q2 probe, boxRegion(30, 30, 30, 100, 100, 100), on a
-		// paper-scale grid: 4 as measured — the box's Region and its
-		// runs, the spec's box and the blob, the voxels gathered from the
-		// LFM's pages straight into the blob and the reply framed in it.
-		// It was 5 while the reply was copied into a frame of its own, 10
-		// while extraction read each page range into a range
+		// paper-scale grid: 3 as measured — the box's Region and its
+		// runs and the spec's box; the voxels are gathered from the LFM's
+		// pages straight into the reply released before, and the reply is
+		// framed in it. It was 4 while every blob was a new buffer (under
+		// a ceiling of 5), 5 while the reply was copied into a frame of
+		// its own, 10 while extraction read each page range into a range
 		// buffer, grown five times (a buffer this size is dropped when
 		// the tree goes idle), and copied the runs out of it; 30 while
 		// FromBox built a voxel id array by append, sorted a copy and
 		// grew the runs.
-		{"q2-box", q2Box, paper, 5},
+		{"q2-box", q2Box, paper, false, 3},
 	} {
 		srv := cmp.Or(tc.srv, sys)
 		req, err := EncodeQueryRequest(tc.spec)
@@ -118,8 +129,12 @@ func TestServeRPCAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			if _, err := srv.ServeRPC(nil, QueryMethod, req); err != nil {
+			resp, err := srv.ServeRPC(nil, QueryMethod, req)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if !tc.keep {
+				srv.ReleaseReply(resp)
 			}
 		})
 		t.Logf("%s: %.0f allocs per ServeRPC", tc.name, got)
@@ -185,7 +200,9 @@ func benchServeSmall(b *testing.B, trace bool) {
 // The bulk replies — a whole study, a whole band, a hemisphere — are
 // where the bytes are: the reply should cost the server its blob, which
 // the application frame is built in, and little else (DESIGN.md §18,
-// §47), however many pages it is read from.
+// §47), however many pages it is read from; and a reply handed back as
+// the TCP server hands it back is the next one's blob (§59), so the
+// server writes the reply's bytes once and allocates none.
 
 // bulkAllocConfig is a Bits 6 corpus (a VOLUME is 64 pages) behind a
 // page cache that holds a quarter of one VOLUME, so bulk reads thrash it
@@ -214,32 +231,38 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		// Allocations as measured, bytes at ≈ 1.2–1.25 × measured (1.03,
-		// 1.03, 1.08 × the reply; 2, 2, 2 allocations and 2.06, 2.05,
-		// 2.17 × while the reply was copied into a frame of its own; 2, 3,
-		// 2 allocations and 2.06, 3.18,
+		// keep serves as transport.Sim does: the caller keeps every
+		// reply, so none goes back to the free list.
+		keep bool
+		// Allocations per ServeRPC as measured, and bytes allocated per
+		// ServeRPC as a multiple of the reply's size. A kept reply is its
+		// one new buffer: 1 and 1.03 × (ceiling 1.3: a second
+		// payload-sized buffer must trip it). Each reply released:
+		// 0, 0, 0 and ≈ 0 ×, every reply built in the one released before
+		// it (ceiling 0.05: a payload-sized buffer per reply must trip
+		// it). While every reply was a new buffer they were 1, 1, 1 and
+		// 1.03, 1.03, 1.08 × the reply under a ceiling of 1.3 — the blob,
+		// framed in place, the band gathered from the VOLUME's pages
+		// straight into it as the full study is; 2, 2, 2 allocations and
+		// 2.06, 2.05, 2.17 × while the reply was copied into a frame of
+		// its own; 2, 3, 2 allocations and 2.06, 3.18,
 		// 2.07 × while extraction read the band's page ranges into a
 		// range buffer and copied its runs out; 3, 4, 4 allocations while the spec's
 		// strings were copied; 10, 15, 18 and 2.07, 3.54, 5.02 before
 		// the call sites kept their buffers; PR 20 was at 18, 23, 26 and 2.07, 3.54,
 		// 5.02, PR 17 at 45, 60, 67 and 2.09, 3.57, 5.32, PR 16 at 47, 91,
 		// 96 and 2.09, 4.06, 7.02, PR 13 at 112, 162, 128 and 4.09, 6.20,
-		// 11.85):
-		// allocations per ServeRPC, and bytes allocated per
-		// ServeRPC as a multiple of the reply's size. The full study is
-		// the blob, framed in place, and nothing else to speak of
-		// (ceiling 1.3: a second payload-sized buffer must trip it). A
-		// band whose voxels lie on every page is gathered from the
-		// VOLUME's pages straight into the blob, as the full study is, so
-		// it has the same one buffer and the same ceiling; so has the
-		// hemisphere, a 23 KB reply under the same fixed costs.
+		// 11.85. The hemisphere is a 23 KB reply under the same fixed
+		// costs.
 		maxAllocs, maxBytesPerReplyByte float64
 	}{
 		// (Allocations were 11, 16 and 19 while every UDF call allocated
 		// its argument vector.)
-		{"full-study", full, 1, 1.3},
-		{"whole-band", band, 1, 1.3},
-		{"hemisphere", hemisphere, 1, 1.3},
+		// The kept leg runs first, while the free list is empty.
+		{"full-study-kept", full, true, 1, 1.3},
+		{"full-study", full, false, 0, 0.05},
+		{"whole-band", band, false, 0, 0.05},
+		{"hemisphere", hemisphere, false, 0, 0.05},
 	} {
 		req, err := EncodeQueryRequest(tc.spec)
 		if err != nil {
@@ -252,6 +275,9 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			reply = len(resp)
+			if !tc.keep {
+				sys.ReleaseReply(resp)
+			}
 		}
 		allocs := testing.AllocsPerRun(20, serve)
 		const runs = 20
@@ -275,8 +301,10 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 }
 
 // BenchmarkServeRPCBulk is one full-study request served directly
-// through a thrashing page cache: B/op against the reply size is the
-// number of payload-sized buffers a bulk reply costs the server.
+// through a thrashing page cache, each reply released as the TCP server
+// releases it: B/op against the reply size is the number of
+// payload-sized buffers a bulk reply costs the server, ≈ 0 since the
+// reply is built in the one released before it (DESIGN.md §59).
 // `make bench-smoke` runs a few iterations.
 func BenchmarkServeRPCBulk(b *testing.B) {
 	sys := bareServer(b, bulkAllocConfig)
@@ -290,11 +318,14 @@ func BenchmarkServeRPCBulk(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(resp)))
+	sys.ReleaseReply(resp)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ServeRPC(nil, QueryMethod, req); err != nil {
+		resp, err := sys.ServeRPC(nil, QueryMethod, req)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sys.ReleaseReply(resp)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Server is the wire side of the seam: a TCP listener speaking the
-// frame protocol, dispatching requests to a Handler (the
+// frame protocol, dispatching requests to a Service (the
 // MedicalServer) with a bounded connection-goroutine pool, per-client
 // token-bucket admission control, and graceful drain. cmd/qbismd wraps
 // it in a daemon; the loopback equivalence and drain tests drive it
@@ -81,11 +81,22 @@ type ServerStats struct {
 	WriteErrors uint64
 }
 
-// Server listens for framed RPCs and dispatches them to a Handler.
+// Service is what a Server serves: the Handler as a method, and the
+// hand-back of the replies it returns. The Server passes every ok reply
+// to ReleaseReply once its vectored write has returned, delivered or not
+// (the write is synchronous, so the Server holds no reference to the
+// reply after it), and touches it no more: the service may build a later
+// reply in it. A service that recycles nothing releases with a no-op.
+type Service interface {
+	ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error)
+	ReleaseReply(reply []byte)
+}
+
+// Server listens for framed RPCs and dispatches them to a Service.
 type Server struct {
-	cfg     ServerConfig
-	handler Handler
-	admit   *admitter
+	cfg   ServerConfig
+	svc   Service
+	admit *admitter
 
 	ln    net.Listener
 	slots chan struct{} // connection-pool semaphore
@@ -142,12 +153,12 @@ func (sc *serverConn) forceClose() {
 	}
 }
 
-// NewServer builds a server around a handler.
-func NewServer(h Handler, cfg ServerConfig) *Server {
+// NewServer builds a server around a service.
+func NewServer(svc Service, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:        cfg,
-		handler:    h,
+		svc:        svc,
 		admit:      newAdmitter(cfg.Admission, cfg.now),
 		slots:      make(chan struct{}, cfg.MaxConns),
 		conns:      make(map[*serverConn]struct{}),
@@ -296,7 +307,7 @@ func (s *Server) serveOne(sc *serverConn, client, method string, request []byte)
 		sp.SetStr("client", client)
 	}
 	start := s.cfg.now()
-	resp, err := s.handler(sp, method, request)
+	resp, err := s.svc.ServeRPC(sp, method, request)
 	elapsed := s.cfg.now().Sub(start)
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Histogram("transport_server_call_seconds", obs.LatencyBuckets).Observe(elapsed.Seconds())
@@ -312,7 +323,9 @@ func (s *Server) serveOne(sc *serverConn, client, method string, request []byte)
 	}
 	sp.SetInt("bytes", int64(len(resp)))
 	sp.End()
-	return s.writeStatus(sc, kindOK, "", resp)
+	err = s.writeStatus(sc, kindOK, "", resp)
+	s.svc.ReleaseReply(resp)
+	return err
 }
 
 // writeStatus sends one response frame: the status header from the

@@ -48,10 +48,10 @@ func waitConnDropped(t *testing.T, srv *Server, calls *atomic.Int32) {
 func TestServerDropsConnAfterShortWrite(t *testing.T) {
 	var calls atomic.Int32
 	metrics := obs.NewRegistry()
-	srv := NewServer(func(sp *obs.Span, method string, request []byte) ([]byte, error) {
+	srv := NewServer(kept(func(sp *obs.Span, method string, request []byte) ([]byte, error) {
 		calls.Add(1)
 		return make([]byte, 1<<16), nil
-	}, ServerConfig{Metrics: metrics})
+	}), ServerConfig{Metrics: metrics})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

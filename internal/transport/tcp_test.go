@@ -11,12 +11,21 @@ import (
 	"qbism/internal/obs"
 )
 
+// kept serves a Handler as a Service that recycles no reply.
+type kept Handler
+
+func (h kept) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
+	return h(sp, method, request)
+}
+
+func (kept) ReleaseReply([]byte) {}
+
 // startServer runs a Server on an ephemeral loopback port and tears it
 // down with the test.
 func startServer(t *testing.T, h Handler, cfg ServerConfig) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
-	srv := NewServer(h, cfg)
+	srv := NewServer(kept(h), cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestTCPAdmissionRejection(t *testing.T) {
 // retryable error and the client redials lazily — the next call works
 // against a new server on the same address.
 func TestTCPReconnectsAfterServerRestart(t *testing.T) {
-	srv := NewServer(echoHandler, ServerConfig{Addr: "127.0.0.1:0"})
+	srv := NewServer(kept(echoHandler), ServerConfig{Addr: "127.0.0.1:0"})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestTCPReconnectsAfterServerRestart(t *testing.T) {
 		t.Fatalf("dead server: got %v, want a retryable error", err)
 	}
 
-	srv2 := NewServer(echoHandler, ServerConfig{Addr: addr})
+	srv2 := NewServer(kept(echoHandler), ServerConfig{Addr: addr})
 	if err := srv2.Start(); err != nil {
 		t.Skipf("ephemeral port %s reused before restart: %v", addr, err)
 	}
@@ -278,5 +287,63 @@ func TestTCPGarbageRequestDropsConnection(t *testing.T) {
 	}
 	if got := srv.Stats().FrameErrors; got != 1 {
 		t.Errorf("frame errors %d, want 1", got)
+	}
+}
+
+// releasing is a Service that fails the method "fail", echoes any other,
+// and reports each reply it is handed back.
+type releasing chan []byte
+
+func (releasing) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
+	if method == "fail" {
+		return nil, errors.New("releasing: fail")
+	}
+	return append([]byte(nil), request...), nil
+}
+
+func (r releasing) ReleaseReply(reply []byte) { r <- reply }
+
+// TestServerReleasesOKReplies: a Server hands each ok reply back to its
+// Service once the reply has been written, and only then; a failed call
+// has no reply to hand back.
+func TestServerReleasesOKReplies(t *testing.T) {
+	released := make(releasing, 2) // the test's two ok calls
+	srv := NewServer(released, ServerConfig{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dialServer(t, srv)
+	payload := bytes.Repeat([]byte("qbism"), 20_000)
+	resp, err := c.Call(nil, "echo", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resp, payload) {
+		t.Fatal("reply differs from the request")
+	}
+	select {
+	case got := <-released:
+		if !bytes.Equal(got, payload) {
+			t.Errorf("released %d bytes, not the reply", len(got))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the ok reply was never released")
+	}
+	if _, err := c.Call(nil, "fail", payload); err == nil {
+		t.Fatal("fail: got no error")
+	}
+	if _, err := c.Call(nil, "echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	// Releases come in call order on one connection, so the next one is
+	// the empty echo's, not anything from the failed call.
+	select {
+	case got := <-released:
+		if len(got) != 0 {
+			t.Errorf("released %d bytes after a failed call, want the empty echo's reply", len(got))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the empty reply was never released")
 	}
 }

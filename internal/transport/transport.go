@@ -67,7 +67,11 @@ var (
 // The span is the server-side trace span for the call (nil when the
 // call is untraced). request is valid only until the handler returns —
 // a Server reads the connection's next request into the same buffer —
-// so a handler copies what it keeps.
+// so a handler copies what it keeps. The reply is the handler's until it
+// is written: Sim hands it to its caller, who keeps it — DX renders
+// straight from the wire bytes — so a reply Sim carries is never
+// released; a Server serves a Service, and releases each ok reply once
+// written (server.go).
 type Handler func(sp *obs.Span, method string, request []byte) ([]byte, error)
 
 // Stats is traffic accounting in one of two roles. Exchange returns one

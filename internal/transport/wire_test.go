@@ -346,9 +346,9 @@ func TestTCPExchangeAllocBudget(t *testing.T) {
 func BenchmarkTCPExchange(b *testing.B) {
 	for _, n := range exchangeBodies {
 		b.Run(fmt.Sprintf("body=%d", n), func(b *testing.B) {
-			srv := NewServer(func(sp *obs.Span, method string, request []byte) ([]byte, error) {
+			srv := NewServer(kept(func(sp *obs.Span, method string, request []byte) ([]byte, error) {
 				return request, nil
-			}, ServerConfig{Addr: "127.0.0.1:0"})
+			}), ServerConfig{Addr: "127.0.0.1:0"})
 			if err := srv.Start(); err != nil {
 				b.Fatal(err)
 			}
