@@ -3,9 +3,13 @@
 // failover, circuit breaking, and hedging — all on a deterministic
 // simulated clock so chaos runs replay byte-for-byte from a seed.
 //
-// The package is deliberately generic: a Node is anything that can
-// answer a framed request (a transport to a server, over a simulated
-// link or TCP, or a test fake). Routing is by (patient, study) key so
+// The package is deliberately generic: a node is a transport.Transport
+// (a simulated link or TCP to a server, or a test fake), named by its
+// position alone. Each exchange returns its own bill — the
+// transport.Stats of that one call, failed ones included — whose
+// Latency drives the cluster's clock, EWMA tracking and hedging, and
+// which a read sums into ReadInfo.Net. Nothing in the cluster
+// serializes calls to one node. Routing is by (patient, study) key so
 // a study's queries always land on the same shard regardless of which
 // front end issues them.
 package cluster
@@ -19,23 +23,6 @@ import (
 	"qbism/internal/obs"
 	"qbism/internal/transport"
 )
-
-// Node is one storage node: something that can answer a framed request.
-// Each call returns its own bill — the transport.Stats of that one
-// exchange, failed ones included — whose Latency (for a simulated node,
-// network-model time plus injected latency) drives the cluster's clock,
-// EWMA tracking, and hedging decisions, and which a read sums into
-// ReadInfo.Net. Call must be safe for concurrent use; nothing in the
-// cluster serializes calls to one node.
-type Node interface {
-	// Name identifies the node in metrics and errors (e.g. "s0p",
-	// "s1r1").
-	Name() string
-	// Call answers one request, returning the response payload and the
-	// call's bill. Errors should wrap typed causes with %w so errors.Is
-	// classification survives the cluster's own wrapping.
-	Call(parent *obs.Span, method string, request []byte) (resp []byte, bill transport.Stats, err error)
-}
 
 // Key routes a query: every (patient, study) pair maps to exactly one
 // shard, so a study's rows are always served by the same node set.
@@ -129,7 +116,8 @@ const ewmaAlpha = 0.3
 
 // shardState is one shard's node set plus health bookkeeping.
 type shardState struct {
-	nodes    []Node
+	nodes    []transport.Transport
+	names    []string // nodeName of each node's position
 	breakers []*Breaker
 	ewma     []float64 // guarded by Cluster.mu; simulated ns per call
 	// latencySeries and errorSeries name each node's latency histogram
@@ -148,9 +136,9 @@ type Cluster struct {
 }
 
 // New builds a cluster over the given node sets, one inner slice per
-// shard (index 0 is the primary, the rest replicas). Every shard must
-// have at least one node.
-func New(cfg Config, shards [][]Node) (*Cluster, error) {
+// shard (index 0 is the primary, the rest replicas); a node is named by
+// its position (nodeName). Every shard must have at least one node.
+func New(cfg Config, shards [][]transport.Transport) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
@@ -161,19 +149,30 @@ func New(cfg Config, shards [][]Node) (*Cluster, error) {
 	}
 	cfg.Retry.MaxAttempts = max(cfg.Retry.MaxAttempts, 1)
 	c := &Cluster{cfg: cfg, part: NewPartitioner(len(shards))}
-	for _, nodes := range shards {
+	for sh, nodes := range shards {
 		st := &shardState{
 			nodes: nodes,
 			ewma:  make([]float64, len(nodes)),
 		}
-		for _, n := range nodes {
+		for r := range nodes {
+			name := nodeName(sh, r)
+			st.names = append(st.names, name)
 			st.breakers = append(st.breakers, NewBreaker(cfg.Breaker))
-			st.latencySeries = append(st.latencySeries, "cluster_node_latency_seconds_"+n.Name())
-			st.errorSeries = append(st.errorSeries, "cluster_node_errors_total_"+n.Name())
+			st.latencySeries = append(st.latencySeries, "cluster_node_latency_seconds_"+name)
+			st.errorSeries = append(st.errorSeries, "cluster_node_errors_total_"+name)
 		}
 		c.shards = append(c.shards, st)
 	}
 	return c, nil
+}
+
+// nodeName names a node by its position, in metrics and errors: s<k>p
+// for shard k's primary, s<k>r<i> for its i-th replica.
+func nodeName(shard, replica int) string {
+	if replica == 0 {
+		return fmt.Sprintf("s%dp", shard)
+	}
+	return fmt.Sprintf("s%dr%d", shard, replica)
 }
 
 // Partitioner returns the cluster's routing function.
@@ -327,7 +326,7 @@ func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method 
 		if prevNode >= 0 && node != prevNode {
 			info.Failovers++
 			c.count("cluster_failover_total", 1)
-			span.SetStr("failover", st.nodes[node].Name())
+			span.SetStr("failover", st.names[node])
 		}
 		// Hedging keys off the EWMA as of *before* this call: a node
 		// already known slow gets a racing replica call; the first slow
@@ -342,7 +341,7 @@ func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method 
 				info.Hedged = true
 				info.HedgeWon = hedgeWon
 			}
-			info.Node = st.nodes[winner].Name()
+			info.Node = st.names[winner]
 			info.LatencySim = winLat
 			if span != nil {
 				span.SetStr("node", info.Node)
@@ -351,13 +350,13 @@ func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method 
 			// Replicas are byte-identical: a hedge wins on latency only.
 			return resp, info, nil
 		}
-		lastErr = fmt.Errorf("node %s: %w", st.nodes[node].Name(), err)
+		lastErr = fmt.Errorf("node %s: %w", st.names[node], err)
 		info.LastError = err.Error()
 		prevNode = node
 		if !transport.RetryableError(err) {
 			// Terminal: every replica holds identical bytes, so a
 			// semantic failure is the answer, not a health problem.
-			info.Node = st.nodes[node].Name()
+			info.Node = st.names[node]
 			span.SetStr("terminal", err.Error())
 			if !keyed {
 				return nil, info, fmt.Errorf("cluster: shard %d: %w", shard, lastErr)
@@ -403,8 +402,7 @@ func (c *Cluster) pickNode(st *shardState, avoid int) int {
 // call's bill to net, advancing the simulated clock and updating
 // breaker + EWMA + per-node metrics.
 func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method string, request []byte, validate func([]byte) error, net *transport.Stats) ([]byte, time.Duration, error) {
-	n := st.nodes[node]
-	resp, bill, err := n.Call(span, method, request)
+	resp, bill, err := st.nodes[node].Exchange(span, method, request)
 	*net = net.Add(bill)
 	if err == nil && validate != nil {
 		err = validate(resp)
@@ -439,7 +437,7 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 		return
 	}
 	hspan := span.Child("cluster.hedge")
-	hspan.SetStr("node", st.nodes[alt].Name())
+	hspan.SetStr("node", st.names[alt])
 	_, altLat, err := c.callNode(hspan, st, alt, method, request, validate, net)
 	hspan.End()
 	hedged = true

@@ -17,17 +17,14 @@ var errSemantic = errors.New("unknown study")
 
 // fakeNode answers from a script: each call consumes the next entry.
 type fakeNode struct {
-	name    string
 	resp    []byte
 	lat     time.Duration
 	failSeq []error // per-call errors; nil entry = success; exhausted = success
 	calls   int
 }
 
-func (f *fakeNode) Name() string { return f.name }
-
-// Call bills two messages and the node's latency per call, failed or not.
-func (f *fakeNode) Call(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
+// Exchange bills two messages and the node's latency per call, failed or not.
+func (f *fakeNode) Exchange(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
 	i := f.calls
 	f.calls++
 	bill := transport.Stats{Calls: 1, Messages: 2, Latency: f.lat}
@@ -51,9 +48,9 @@ func testConfig() Config {
 }
 
 func TestReadPrimaryHappyPath(t *testing.T) {
-	p := &fakeNode{name: "s0p", resp: []byte("primary")}
-	r := &fakeNode{name: "s0r1", resp: []byte("primary")}
-	c, err := New(testConfig(), [][]Node{{p, r}})
+	p := &fakeNode{resp: []byte("primary")}
+	r := &fakeNode{resp: []byte("primary")}
+	c, err := New(testConfig(), [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +73,9 @@ func TestReadFailsOverToReplica(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig()
 	cfg.Metrics = reg
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
-	r := &fakeNode{name: "s0r1", resp: []byte("rows")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	r := &fakeNode{resp: []byte("rows")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +101,9 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig()
 	cfg.Metrics = reg
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
-	r := &fakeNode{name: "s0r1", failSeq: alwaysFail(errFlaky)}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	r := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +129,9 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 }
 
 func TestReadTerminalErrorNoFailover(t *testing.T) {
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errSemantic)}
-	r := &fakeNode{name: "s0r1", resp: []byte("never")}
-	c, err := New(testConfig(), [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errSemantic)}
+	r := &fakeNode{resp: []byte("never")}
+	c, err := New(testConfig(), [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +153,9 @@ func TestReadTerminalErrorNoFailover(t *testing.T) {
 func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	cfg := testConfig()
 	cfg.Breaker = BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
-	r := &fakeNode{name: "s0r1", resp: []byte("ok")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	r := &fakeNode{resp: []byte("ok")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +185,9 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	cfg := testConfig()
 	cfg.Breaker = BreakerConfig{FailureThreshold: 1, Cooldown: 5 * time.Millisecond}
 	// Primary fails twice then recovers.
-	p := &fakeNode{name: "s0p", resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
-	r := &fakeNode{name: "s0r1", resp: []byte("ok")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
+	r := &fakeNode{resp: []byte("ok")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +221,9 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 	cfg := testConfig()
 	cfg.Metrics = reg
 	cfg.HedgeAfter = 10 * time.Millisecond
-	slow := &fakeNode{name: "s0p", resp: []byte("rows"), lat: 50 * time.Millisecond}
-	fast := &fakeNode{name: "s0r1", resp: []byte("rows")}
-	c, err := New(cfg, [][]Node{{slow, fast}})
+	slow := &fakeNode{resp: []byte("rows"), lat: 50 * time.Millisecond}
+	fast := &fakeNode{resp: []byte("rows")}
+	c, err := New(cfg, [][]transport.Transport{{slow, fast}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +256,11 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 // bill — the failed attempt before a failover, and the hedge beside the
 // call it raced — not only the winner's.
 func TestReadBillsEveryCall(t *testing.T) {
-	p := &fakeNode{name: "s0p", resp: []byte("rows"), lat: 50 * time.Millisecond, failSeq: []error{errFlaky}}
-	r := &fakeNode{name: "s0r1", resp: []byte("rows")}
+	p := &fakeNode{resp: []byte("rows"), lat: 50 * time.Millisecond, failSeq: []error{errFlaky}}
+	r := &fakeNode{resp: []byte("rows")}
 	cfg := testConfig()
 	cfg.HedgeAfter = 10 * time.Millisecond
-	c, err := New(cfg, [][]Node{{p, r}})
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +292,9 @@ func TestReadValidateRefusalFailsOver(t *testing.T) {
 	cfg := testConfig()
 	cfg.Metrics = reg
 	cfg.Breaker = BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}
-	p := &fakeNode{name: "s0p", resp: []byte("garbage")}
-	r := &fakeNode{name: "s0r1", resp: []byte("rows")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{resp: []byte("garbage")}
+	r := &fakeNode{resp: []byte("rows")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +324,11 @@ func TestReadValidateRefusalFailsOver(t *testing.T) {
 	}
 
 	// A fast replica whose replies are refused loses every hedge.
-	slow := &fakeNode{name: "s0p", resp: []byte("rows"), lat: 50 * time.Millisecond}
-	bad := &fakeNode{name: "s0r1", resp: []byte("garbage")}
+	slow := &fakeNode{resp: []byte("rows"), lat: 50 * time.Millisecond}
+	bad := &fakeNode{resp: []byte("garbage")}
 	cfg.HedgeAfter = 10 * time.Millisecond
 	cfg.Breaker = BreakerConfig{}
-	if c, err = New(cfg, [][]Node{{slow, bad}}); err != nil {
+	if c, err = New(cfg, [][]transport.Transport{{slow, bad}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -348,9 +345,9 @@ func TestReadBackoffDeterministic(t *testing.T) {
 	run := func() (ReadInfo, time.Duration) {
 		cfg := testConfig()
 		cfg.Retry = transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 42}
-		p := &fakeNode{name: "s0p", failSeq: []error{errFlaky, errFlaky}}
-		r := &fakeNode{name: "s0r1", failSeq: []error{errFlaky}, resp: []byte("ok")}
-		c, err := New(cfg, [][]Node{{p, r}})
+		p := &fakeNode{failSeq: []error{errFlaky, errFlaky}}
+		r := &fakeNode{failSeq: []error{errFlaky}, resp: []byte("ok")}
+		c, err := New(cfg, [][]transport.Transport{{p, r}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,9 +375,9 @@ func TestReadBackoffDeterministic(t *testing.T) {
 // DX client's fetch has when it talks to one MedicalServer.
 
 // oneNode is a one-shard, one-node cluster retrying per pol.
-func oneNode(t *testing.T, n Node, pol transport.RetryPolicy) *Cluster {
+func oneNode(t *testing.T, n transport.Transport, pol transport.RetryPolicy) *Cluster {
 	t.Helper()
-	c, err := New(Config{Retry: pol}, [][]Node{{n}})
+	c, err := New(Config{Retry: pol}, [][]transport.Transport{{n}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +385,7 @@ func oneNode(t *testing.T, n Node, pol transport.RetryPolicy) *Cluster {
 }
 
 func TestReadRetryCuresTransientFailures(t *testing.T) {
-	n := &fakeNode{name: "s0p", resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
+	n := &fakeNode{resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
 	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 5, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Seed: 7})
 	resp, info, err := c.Read(nil, Key{Study: 1}, "q", []byte("req"), nil)
 	if err != nil {
@@ -412,7 +409,7 @@ func TestReadRetryCuresTransientFailures(t *testing.T) {
 }
 
 func TestReadRetryTerminalFailsFast(t *testing.T) {
-	n := &fakeNode{name: "s0p", failSeq: alwaysFail(errSemantic)}
+	n := &fakeNode{failSeq: alwaysFail(errSemantic)}
 	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 5, Seed: 1})
 	_, info, err := c.Read(nil, Key{Study: 1}, "q", nil, nil)
 	if !errors.Is(err, errSemantic) || errors.Is(err, ErrShardUnavailable) {
@@ -424,7 +421,7 @@ func TestReadRetryTerminalFailsFast(t *testing.T) {
 }
 
 func TestReadRetryExhaustion(t *testing.T) {
-	n := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
+	n := &fakeNode{failSeq: alwaysFail(errFlaky)}
 	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1})
 	_, info, err := c.Read(nil, Key{Study: 1}, "q", nil, nil)
 	if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, errFlaky) {
@@ -442,7 +439,7 @@ func TestReadRetryExhaustion(t *testing.T) {
 // refuses is retried exactly like a call failure — the loop the query
 // path relies on for replies corrupted past the link's own checks.
 func TestReadRetryValidateFailureRetried(t *testing.T) {
-	n := &fakeNode{name: "s0p", resp: []byte("ok")}
+	n := &fakeNode{resp: []byte("ok")}
 	c := oneNode(t, n, transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1})
 	checked := 0
 	resp, info, err := c.Read(nil, Key{Study: 1}, "q", nil, func([]byte) error {
@@ -471,7 +468,7 @@ func TestReadRetryValidateFailureRetried(t *testing.T) {
 func TestReadRetryDeterministicBackoff(t *testing.T) {
 	pol := transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 9}
 	run := func(request string) time.Duration {
-		c := oneNode(t, &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}, pol)
+		c := oneNode(t, &fakeNode{failSeq: alwaysFail(errFlaky)}, pol)
 		_, info, _ := c.Read(nil, Key{Study: 1}, "q", []byte(request), nil)
 		return info.BackoffSim
 	}
@@ -492,13 +489,13 @@ func TestNewRejectsBadTopology(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Fatal("New accepted zero shards")
 	}
-	if _, err := New(Config{}, [][]Node{{}}); err == nil {
+	if _, err := New(Config{}, [][]transport.Transport{{}}); err == nil {
 		t.Fatal("New accepted empty shard")
 	}
 }
 
 func TestReadShardOutOfRange(t *testing.T) {
-	c, err := New(testConfig(), [][]Node{{&fakeNode{name: "s0p"}}})
+	c, err := New(testConfig(), [][]transport.Transport{{&fakeNode{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +510,7 @@ func partialCluster(t *testing.T, reg *obs.Registry, shards ...int) (*Cluster, [
 	t.Helper()
 	cfg := testConfig()
 	cfg.Metrics = reg
-	c, err := New(cfg, [][]Node{{&fakeNode{name: "s0p"}}, {&fakeNode{name: "s1p"}}, {&fakeNode{name: "s2p"}}})
+	c, err := New(cfg, [][]transport.Transport{{&fakeNode{}}, {&fakeNode{}}, {&fakeNode{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +594,7 @@ func TestReadAllocatesNothing(t *testing.T) {
 	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
 		cfg := testConfig()
 		cfg.Metrics = reg
-		c, err := New(cfg, [][]Node{{&fakeNode{name: "s0p", resp: []byte("rows")}, &fakeNode{name: "s0r1", resp: []byte("rows")}}})
+		c, err := New(cfg, [][]transport.Transport{{&fakeNode{resp: []byte("rows")}, &fakeNode{resp: []byte("rows")}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,5 +607,30 @@ func TestReadAllocatesNothing(t *testing.T) {
 		if got != 0 {
 			t.Errorf("metrics %v: %.0f allocations per fault-free Read, want 0", reg != nil, got)
 		}
+	}
+}
+
+// TestNodesNamedByPosition: a node's name is its place in the topology,
+// s<k>p for shard k's primary and s<k>r<i> for its replicas, in a read's
+// Node and in the per-node series.
+func TestNodesNamedByPosition(t *testing.T) {
+	cfg := testConfig()
+	cfg.Metrics = obs.NewRegistry()
+	c, err := New(cfg, [][]transport.Transport{
+		{&fakeNode{resp: []byte("rows")}},
+		{&fakeNode{failSeq: alwaysFail(errFlaky)}, &fakeNode{resp: []byte("rows")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := c.ReadShard(nil, 1, "q", []byte("req"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Node != "s1r1" {
+		t.Fatalf("served by %q, want s1r1", info.Node)
+	}
+	if n := cfg.Metrics.Counter("cluster_node_errors_total_s1p").Value(); n != 1 {
+		t.Errorf("cluster_node_errors_total_s1p = %d, want 1", n)
 	}
 }

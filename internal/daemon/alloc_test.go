@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"testing"
-	"time"
 
 	"qbism/internal/medserver"
 	"qbism/internal/qbism"
@@ -34,7 +33,7 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer conn.Close()
 
 	study := srv.Studies[0].StudyID
@@ -107,7 +106,7 @@ func TestDaemonClientAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer conn.Close()
 	client := qbism.NewClient(conn, cfg)
 
@@ -158,7 +157,7 @@ func BenchmarkDaemonBulk(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer conn.Close()
 	request, err := qbism.EncodeQueryRequest(qbism.QuerySpec{StudyID: srv.Studies[0].StudyID, Atlas: "Talairach", FullStudy: true})
 	if err != nil {

@@ -55,7 +55,7 @@ func TestAdminEndpoint(t *testing.T) {
 	}
 
 	// Drive one RPC so the transport counters exist in the registry.
-	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer c.Close()
 	req, err := qbism.EncodeQueryRequest(sys.Table3Queries()[0])
 	if err != nil {
@@ -97,7 +97,7 @@ func TestDaemonDrainFlipsHealth(t *testing.T) {
 		}
 	}
 	// New RPC dials are refused.
-	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{DialTimeout: time.Second})
+	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer c.Close()
 	if _, err := c.Call(nil, "anything", nil); !errors.Is(err, transport.ErrDial) {
 		t.Errorf("call after drain: %v, want ErrDial", err)
@@ -108,7 +108,7 @@ func TestDaemonDrainFlipsHealth(t *testing.T) {
 // typed terminal refusal end to end.
 func TestDaemonUnknownMethodOverWire(t *testing.T) {
 	d, _ := startDaemon(t, Config{})
-	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 10 * time.Second})
+	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer c.Close()
 	_, err := c.Call(nil, "medicalQuery/v99", nil)
 	if !errors.Is(err, transport.ErrUnknownMethod) {
@@ -151,7 +151,7 @@ func TestClientRetryOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer tcp.Close()
 	retry := qbism.WithRetry(transport.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5})
 
@@ -187,7 +187,7 @@ func TestAdminFailureReported(t *testing.T) {
 	for deadline := time.Now().Add(10 * time.Second); len(d.adminDone) == 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 10 * time.Second})
+	c := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer c.Close()
 	if _, err := c.Call(nil, "medicalQuery/v99", nil); !errors.Is(err, transport.ErrUnknownMethod) {
 		t.Errorf("RPC after the admin listener died: %v, want the server's refusal", err)
@@ -234,7 +234,7 @@ func TestRottedPageRefusedOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer tcp.Close()
 	client := qbism.NewClient(tcp, qbism.Config{Bits: 4}, qbism.WithRetry(transport.DefaultRetryPolicy()))
 	spec := qbism.QuerySpec{StudyID: 1, Atlas: "Talairach", FullStudy: true}

@@ -116,7 +116,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	defer tcp.Close()
 
 	sameAnswers(t, specs, baseline, runSuite(t, qbism.NewClient(tcp, testConfig), specs))
@@ -143,7 +143,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	dialed := transport.DialTCP(bare.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	dialed := transport.DialTCP(bare.Addr().String(), transport.TCPOptions{})
 	defer dialed.Close()
 	client := qbism.NewClient(dialed, testConfig)
 
@@ -181,7 +181,7 @@ func TestPopulationOverTCP(t *testing.T) {
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
+	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 	client := qbism.NewClient(tcp, testConfig)
 
 	pets := sys.PETStudyIDs()

@@ -26,10 +26,8 @@ var configStructs = []string{
 // configStructs that no non-test file sets, each with what needs it. A
 // name leaves this list when a program sets it or it is deleted.
 var keptUnset = map[string]string{
-	"medserver.Config.Method":          "benchmark pin: the wire codec the benchmark runs is the zero value, Elias γ, until the benchmark names it (ROADMAP 4(a)); tests send naive runs",
-	"qbism.ClusterConfig.Breaker":      "chaos suites: the degraded-shard tests open, probe and close node breakers",
-	"transport.TCPOptions.CallTimeout": "test bound: the daemon and transport tests fail a hung call in 10-30 s, not the 60 s default",
-	"transport.TCPOptions.DialTimeout": "test bound: the refused-dial tests wait at most 1 s, not the 5 s default",
+	"medserver.Config.Method":     "benchmark pin: the wire codec the benchmark runs is the zero value, Elias γ, until the benchmark names it (ROADMAP 4(a)); tests send naive runs",
+	"qbism.ClusterConfig.Breaker": "chaos suites: the degraded-shard tests open, probe and close node breakers",
 }
 
 // TestConfigFieldsAreSet is the config census (DESIGN.md §58): every

@@ -148,7 +148,7 @@ func TestReplyPoolBound(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 60 * time.Second})
+			conn := transport.DialTCP(d.Addr().String(), transport.TCPOptions{})
 			defer conn.Close()
 			for r := 0; r < rounds; r++ {
 				// Every connection asks for the full study each round, so

@@ -81,8 +81,8 @@ func TestNetBillExactUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestClusterNodeCallsConcurrently: two calls through one transportNode
-// are both inside the node's handler before either returns — nothing
+// TestClusterNodeCallsConcurrently: two cluster reads of one node are
+// both inside the node's handler before either returns — nothing
 // serializes a node's calls. The handler gives up after a while, so a
 // serialized node fails the test rather than hanging it.
 func TestClusterNodeCallsConcurrently(t *testing.T) {
@@ -99,11 +99,14 @@ func TestClusterNodeCallsConcurrently(t *testing.T) {
 			return nil, errors.New("the other call never entered the handler")
 		}
 	}
-	n := &transportNode{name: "s0p", t: transport.NewSim(costmodel.Default1993(), h)}
+	cl, err := cluster.New(cluster.Config{}, [][]transport.Transport{{transport.NewSim(costmodel.Default1993(), h)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, _, err := n.Call(nil, QueryMethod, []byte("req"))
+			_, _, err := cl.Read(nil, cluster.Key{Study: 1}, QueryMethod, []byte("req"), nil)
 			errs <- err
 		}()
 	}
@@ -151,7 +154,7 @@ func TestClusterNetBillReconcilesUnderFaults(t *testing.T) {
 		batch = append(batch, pool[pick.Intn(len(pool))])
 	}
 
-	items, partial := cs.RunQueries(batch, 4)
+	items, partial, _ := cs.RunQueries(batch, 4)
 	if partial != nil {
 		t.Fatalf("clean replicas, yet a partial batch: %v", partial)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"time"
@@ -310,6 +311,42 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 	}
 }
 
+// TestSingleServerBatchPartial: a single server is a cluster of one, so
+// a batch that loses its node reports the partial a cluster would — shard
+// 0, every key, counted — and the same shard 0 the population call names.
+func TestSingleServerBatchPartial(t *testing.T) {
+	sys, _ := newFaulty(t, chaosBaseConfig(), deadLink(), WithRetry(transport.RetryPolicy{MaxAttempts: 2}))
+	defer sys.Close()
+	var specs []QuerySpec
+	var keys []cluster.Key
+	for _, st := range sys.Studies {
+		specs = append(specs, QuerySpec{StudyID: st.StudyID, Atlas: "Talairach", Structure: "ntal"})
+		keys = append(keys, cluster.Key{Study: st.StudyID})
+	}
+	items, partial, _ := sys.Client.RunQueries(specs, 2)
+	for _, item := range items {
+		if !errors.Is(item.Err, cluster.ErrShardUnavailable) {
+			t.Errorf("%s: %v, want ErrShardUnavailable", item.Spec.Label(), item.Err)
+		}
+	}
+	if got := partial.LostShards(); len(got) != 1 || got[0] != 0 || partial.TotalShards != 1 {
+		t.Fatalf("partial %v, want shard 0 of 1 lost", partial)
+	}
+	if got := partial.Failed[0].Keys; !slices.Equal(got, keys) {
+		t.Errorf("lost keys %v, want %v", got, keys)
+	}
+	if n, lost := sys.Metrics.Counter("cluster_partial_total").Value(), sys.Metrics.Counter("cluster_lost_queries_total").Value(); n != 1 || lost != int64(len(specs)) {
+		t.Errorf("cluster_partial_total %d, cluster_lost_queries_total %d; want 1 and %d", n, lost, len(specs))
+	}
+	_, pop, err := sys.Client.ConsistentBandRegion(sys.PETStudyIDs(), 0, 31, EncHilbertNaive, 1)
+	if !errors.Is(err, cluster.ErrShardUnavailable) {
+		t.Errorf("population call over a dead link: %v, want ErrShardUnavailable", err)
+	}
+	if got := pop.LostShards(); !slices.Equal(got, partial.LostShards()) {
+		t.Errorf("population call lost shards %v, the batch %v", got, partial.LostShards())
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Degraded-shard suite: the cluster under slow, dead, corrupt, and
 // flapping nodes. Every test asserts the graceful-degradation contract:
@@ -500,7 +537,7 @@ func TestClusterDeadShardPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := chaosSpecPool(control)
-	items, partial := cs.RunQueries(pool, 1)
+	items, partial, _ := cs.RunQueries(pool, 1)
 
 	lost := 0
 	for i, item := range items {
@@ -868,7 +905,7 @@ func TestClusterScatterGatherRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := chaosSpecPool(control)
-	items, partial := cs.RunQueries(pool, 4)
+	items, partial, _ := cs.RunQueries(pool, 4)
 	for i, item := range items {
 		if sh, _ := cs.Route(item.Spec.StudyID); sh == victim {
 			if item.Err == nil || !errors.Is(item.Err, cluster.ErrShardUnavailable) {

@@ -124,13 +124,13 @@ func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
 // newNodeClient is NewClient with the registry the client and its
 // cluster report into.
 func newNodeClient(t transport.Transport, cfg Config, o clientOptions, metrics *obs.Registry) *Client {
-	return newClient(cfg, o, metrics, cluster.Config{}, [][]cluster.Node{{&transportNode{name: nodeName(0, 0), t: t}}})
+	return newClient(cfg, o, metrics, cluster.Config{}, [][]transport.Transport{{t}})
 }
 
 // newClient builds the client of either topology: one cluster over
 // shards, configured by cc and WithRetry, reporting into metrics.
 // cluster.New fails only on a shard without nodes, which no caller has.
-func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Config, shards [][]cluster.Node) *Client {
+func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Config, shards [][]transport.Transport) *Client {
 	cc.Retry, cc.Metrics = o.retry.WithDefaults(), metrics
 	cl, _ := cluster.New(cc, shards)
 	c := &Client{
@@ -146,22 +146,6 @@ func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Co
 		c.SlowLog = obs.NewSlowLog(slowLogCapacity)
 	}
 	return c
-}
-
-// transportNode adapts one node's Transport to the cluster.Node seam:
-// the cluster does not know whether a node is a simulated link or a
-// live daemon — it consumes each exchange's own bill either way, so
-// calls to one node run as concurrently as its transport allows.
-type transportNode struct {
-	name string
-	t    transport.Transport
-}
-
-func (n *transportNode) Name() string { return n.name }
-
-// Call is one exchange with the node; the cluster validates the reply.
-func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([]byte, transport.Stats, error) {
-	return n.t.Exchange(parent, method, request)
 }
 
 // route returns a study's routing key: its entry in the routing table,

@@ -60,8 +60,11 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 		same(spec.Label(), a, b)
 	}
 
-	as := sys.RunQueries(specs, 2)
-	bs, partial := cs.RunQueries(specs, 2)
+	as, partial, _ := sys.Client.RunQueries(specs, 2)
+	if partial != nil {
+		t.Fatalf("healthy node reported a partial batch: %v", partial)
+	}
+	bs, partial, _ := cs.RunQueries(specs, 2)
 	if partial != nil {
 		t.Fatalf("healthy cluster reported a partial batch: %v", partial)
 	}

@@ -1,6 +1,7 @@
 package qbism
 
 import (
+	"qbism/internal/cluster"
 	"qbism/internal/obs"
 	"qbism/internal/par"
 )
@@ -31,30 +32,20 @@ type BatchItem struct {
 }
 
 // RunQueries executes the specs across a bounded worker pool and
-// returns one BatchItem per spec, in input order. workers is the pool
-// size; one or fewer runs serially on the calling goroutine. Individual
-// query failures (after RunQuery's own retries) land in their item's
-// Err; the batch always completes.
-func (c *Client) RunQueries(specs []QuerySpec, workers int) []BatchItem {
-	items, _ := c.RunQueriesTraced(specs, workers)
-	return items
-}
-
-// RunQueriesTraced is RunQueries plus the batch's root span: every
-// per-study query tree hangs off one "batch" span, so a multi-study
-// workload renders as a single forest. The span is nil when tracing is
-// off. Spans are internally locked, so concurrent workers appending
-// children under the shared root are race-clean.
-func (c *Client) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
-	items, batch := c.runBatch(specs, workers)
-	batch.End()
-	return items, batch
-}
-
-// runBatch is the one batch loop. It leaves the batch span open so the
-// cluster can annotate it with what the batch lost; the caller ends it.
-func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
+// returns one BatchItem per spec, in input order, the batch's
+// PartialResult and its root span. workers is the pool size; one or
+// fewer runs serially on the calling goroutine. Individual query
+// failures (after the read's own retries) land in their item's Err; the
+// batch always completes. The partial is nil when every shard answered;
+// otherwise it names each shard lost past retries — a single server's
+// one shard, 0, included — and the keys that went unanswered with it,
+// whose items carry a cluster.ErrShardUnavailable error. The surviving
+// items are complete and exact. Every query's tree hangs off the one
+// "batch" span, nil when tracing is off; spans are internally locked,
+// so concurrent workers appending children under it are race-clean.
+func (c *Client) RunQueries(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
 	batch := c.Tracer.Start("batch")
+	defer batch.End()
 	batch.SetInt("queries", int64(len(specs)))
 	batch.SetInt("workers", int64(workers))
 	out := make([]BatchItem, len(specs))
@@ -64,5 +55,9 @@ func (c *Client) runBatch(specs []QuerySpec, workers int) ([]BatchItem, *obs.Spa
 	par.Each(len(specs), workers, func(i int) {
 		out[i].Res, out[i].Err = c.runQuerySpan(batch, out[i].Spec)
 	})
-	return out, batch
+	partial := c.Cluster.BuildPartial(batch, len(out), func(i int) (cluster.Key, error) {
+		key, _ := c.route(out[i].Spec.StudyID)
+		return key, out[i].Err
+	})
+	return out, partial, batch
 }

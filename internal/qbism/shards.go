@@ -2,7 +2,7 @@ package qbism
 
 // Sharded execution: the study corpus partitioned across K shards,
 // each a (primary, replica...) set of Nodes — bare MedicalServers, each
-// behind its own simulated link — behind the cluster package's Node seam.
+// behind its own simulated link, whose transport the cluster reads.
 // One Client, the kind the single-node System embeds, fronts them all
 // through the same cluster read — there a cluster of one node — so a
 // query runs, batches and finishes identically whether it was fetched
@@ -26,6 +26,7 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/medserver"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
 // ClusterConfig parameterizes a ClusterSystem.
@@ -61,10 +62,9 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 }
 
 // ClusterSystem is a sharded QBISM deployment: K shards of replicated
-// nodes behind one front end. It exposes the same query surface as
-// System — RunQuery, RunQueries, ConsistentBandRegion — with routing,
-// failover, and partial-result semantics layered in; its
-// ConsistentBandRegion is the Client's, which returns the partial.
+// nodes behind one front end. Its query surface is the Client's —
+// RunQuery, and RunQueries and ConsistentBandRegion with the partial
+// they return — with the routing table in front.
 type ClusterSystem struct {
 	// Client is the DX half, the same one a System embeds; its Cluster
 	// holds the shards and its routing table the studies' keys.
@@ -113,7 +113,7 @@ func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*ClusterSystem, error)
 		perShard[sh] = append(perShard[sh], info.StudyID)
 	}
 
-	shardNodes := make([][]cluster.Node, cfg.Shards)
+	shardNodes := make([][]transport.Transport, cfg.Shards)
 	for sh := range cs.Nodes {
 		for r := 0; r <= cfg.Replicas; r++ {
 			nodeCfg := cfg.Base
@@ -133,21 +133,13 @@ func NewClusterSystem(cfg ClusterConfig, opts ...Option) (*ClusterSystem, error)
 				n.Transport.SetFaults(faultsim.New(*link))
 			}
 			cs.Nodes[sh] = append(cs.Nodes[sh], n)
-			shardNodes[sh] = append(shardNodes[sh], &transportNode{name: nodeName(sh, r), t: n.Transport})
+			shardNodes[sh] = append(shardNodes[sh], n.Transport)
 		}
 	}
 
 	cs.Client = newClient(cfg.Base, collectOptions(opts), obs.NewRegistry(), cluster.Config{Breaker: cfg.Breaker, HedgeAfter: cfg.HedgeAfter}, shardNodes)
 	cs.routes = routes
 	return cs, nil
-}
-
-// nodeName follows the s<shard>p / s<shard>r<i> convention.
-func nodeName(shard, replica int) string {
-	if replica == 0 {
-		return fmt.Sprintf("s%dp", shard)
-	}
-	return fmt.Sprintf("s%dr%d", shard, replica)
 }
 
 // Route returns the shard a study's queries are served by.
@@ -157,28 +149,4 @@ func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
 		return 0, false
 	}
 	return cs.Cluster.Partitioner().Shard(key), true
-}
-
-// RunQueries scatter-gathers the specs across the cluster over a
-// bounded worker pool, returning one BatchItem per spec in input order
-// plus the batch's PartialResult: nil when every shard answered,
-// otherwise the typed meta naming each shard lost past retries and the
-// keys that went unanswered with it. Items lost to a dead shard carry
-// a cluster.ErrShardUnavailable error; the surviving items' results
-// are complete and exact — graceful degradation, never a silent wrong
-// answer.
-func (cs *ClusterSystem) RunQueries(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult) {
-	items, partial, _ := cs.RunQueriesTraced(specs, workers)
-	return items, partial
-}
-
-// RunQueriesTraced is RunQueries plus the batch's root span (nil when
-// tracing is off).
-func (cs *ClusterSystem) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
-	out, batch := cs.runBatch(specs, workers)
-	defer batch.End()
-	partial := cs.Cluster.BuildPartial(batch, len(out), func(i int) (cluster.Key, error) {
-		return cs.routes[out[i].Spec.StudyID], out[i].Err
-	})
-	return out, partial, batch
 }

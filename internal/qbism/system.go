@@ -122,9 +122,17 @@ func New(cfg Config, opts ...Option) (*System, error) {
 	return &System{Node: n, Client: c}, nil
 }
 
+// RunQueries is the Client's batch call over the link, its items alone:
+// a lost node fails its items with cluster.ErrShardUnavailable, and the
+// partial that names shard 0 is Client.RunQueries'.
+func (s *System) RunQueries(specs []QuerySpec, workers int) []BatchItem {
+	items, _, _ := s.Client.RunQueries(specs, workers)
+	return items
+}
+
 // ConsistentBandRegion is the Client's population call over the link. A
-// single server's one shard answers or fails the call: there is no
-// partial result.
+// single server's one shard answers or fails the call, so the error
+// alone is returned; Client.ConsistentBandRegion's partial names shard 0.
 func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
 	r, _, err := s.Client.ConsistentBandRegion(studies, bandLo, bandHi, encoding, workers)
 	return r, err

@@ -268,7 +268,7 @@ func TestSlowLogImpliesTracing(t *testing.T) {
 	}
 }
 
-// TestBatchRootSpan checks RunQueriesTraced hangs every per-study query
+// TestBatchRootSpan checks RunQueries hangs every per-study query
 // tree off one batch root — including under a concurrent worker pool,
 // where span appends from different goroutines interleave.
 func TestBatchRootSpan(t *testing.T) {
@@ -283,7 +283,7 @@ func TestBatchRootSpan(t *testing.T) {
 			QuerySpec{StudyID: id, Atlas: "Talairach", Structure: "ntal"},
 		)
 	}
-	items, batch := sys.RunQueriesTraced(specs, 4)
+	items, _, batch := sys.Client.RunQueries(specs, 4)
 	if batch == nil {
 		t.Fatal("tracing on but batch span is nil")
 	}
@@ -310,7 +310,7 @@ func TestBatchRootSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, batch = plain.RunQueriesTraced(specs[:2], 2)
+	items, _, batch = plain.Client.RunQueries(specs[:2], 2)
 	if batch != nil {
 		t.Error("untraced batch returned a span")
 	}

@@ -159,8 +159,15 @@ func (s *frameScratch) begin() []byte {
 	return s.head[:FrameOverhead]
 }
 
-// write sends the frame whose header was appended to begin()'s buffer.
-// See WriteFrame for the contract.
+// write sends the frame whose header was appended to begin()'s buffer —
+// the bytes EncodeFrame would build — without building it: prefix and
+// header go out from head and body from the caller's slice, as one
+// vectored write. On a *net.TCPConn that is a single writev under the
+// connection's write lock, so a concurrent-writer bug still shows up as
+// whole interleaved frames, and a response body is never copied on its
+// way to the socket; any other writer sees at most two Write calls. A
+// failed or short write leaves part of a frame on the stream: the caller
+// must drop the connection.
 func (s *frameScratch) write(w io.Writer, head, body []byte) error {
 	s.head = head
 	header := head[FrameOverhead:]
@@ -185,7 +192,14 @@ func (s *frameScratch) write(w io.Writer, head, body []byte) error {
 	return nil
 }
 
-// read reads one frame; see ReadFrame for the contract. With reuse the
+// read reads exactly one frame from a byte stream: the fixed prefix
+// first, then — after the magic and the declared lengths pass
+// validation against DefaultMaxFrameBytes — exactly the declared
+// payload. Unlike DecodeFrame, bytes after the frame are not an error;
+// they are the next frame and stay unread in r. A stream that ends
+// mid-frame fails with ErrFrameTruncated (wrapping the underlying I/O
+// error); a clean EOF before any byte surfaces as io.EOF so connection
+// loops can distinguish "peer closed" from "peer lied". With reuse the
 // frame lands in the scratch's own buffer and its sections are valid
 // only until the next read; without, in a new buffer the caller keeps.
 func (s *frameScratch) read(r io.Reader, reuse bool) (header, body []byte, err error) {
@@ -220,31 +234,4 @@ func (s *frameScratch) read(r io.Reader, reuse bool) (header, body []byte, err e
 		return nil, nil, fmt.Errorf("%w: reading %d-byte frame: %w", ErrFrameTruncated, total, err)
 	}
 	return DecodeFrame(buf)
-}
-
-// ReadFrame reads exactly one frame from a byte stream: the fixed
-// prefix first, then — after the magic and the declared lengths pass
-// validation against DefaultMaxFrameBytes — exactly the declared
-// payload. Unlike DecodeFrame, bytes after the frame are not an error;
-// they are the next frame and stay unread in r. A stream that ends
-// mid-frame fails with ErrFrameTruncated (wrapping the underlying I/O
-// error); a clean EOF before any byte surfaces as io.EOF so connection
-// loops can distinguish "peer closed" from "peer lied".
-func ReadFrame(r io.Reader) (header, body []byte, err error) {
-	var s frameScratch
-	return s.read(r, false)
-}
-
-// WriteFrame writes the frame EncodeFrame would build — the same bytes —
-// without building it: prefix and header go out from one small buffer
-// and body from the caller's slice, as one vectored write. On a
-// *net.TCPConn that is a single writev under the connection's write
-// lock, so a concurrent-writer bug still shows up as whole interleaved
-// frames, and a response body is never copied on its way to the socket;
-// any other writer sees at most two Write calls. A failed or short write
-// leaves part of a frame on the stream: the caller must drop the
-// connection.
-func WriteFrame(w io.Writer, header, body []byte) error {
-	var s frameScratch
-	return s.write(w, append(s.begin(), header...), body)
 }

@@ -81,36 +81,40 @@ func TestFrameHugeDeclaredLength(t *testing.T) {
 
 // TestReadFrameStreamContract: the stream reader consumes exactly one
 // frame and leaves the next frame's bytes unread — the asymmetry that
-// distinguishes it from the datagram decoder.
+// distinguishes it from the datagram decoder — whether it reads into new
+// buffers, as TCP does, or into its own, as a Server does.
 func TestReadFrameStreamContract(t *testing.T) {
 	f1 := mustFrame(t, []byte("first"), []byte("one"))
 	f2 := mustFrame(t, []byte("second"), []byte("two"))
-	r := bytes.NewReader(append(append([]byte(nil), f1...), f2...))
-
-	h, b, err := ReadFrame(r)
-	if err != nil {
-		t.Fatalf("first frame: %v", err)
-	}
-	if string(h) != "first" || string(b) != "one" {
-		t.Fatalf("first frame: got %q/%q", h, b)
-	}
-	h, b, err = ReadFrame(r)
-	if err != nil {
-		t.Fatalf("second frame: %v", err)
-	}
-	if string(h) != "second" || string(b) != "two" {
-		t.Fatalf("second frame: got %q/%q", h, b)
-	}
-	// A cleanly exhausted stream is io.EOF, not a frame error.
-	if _, _, err := ReadFrame(r); err != io.EOF {
-		t.Fatalf("exhausted stream: got %v, want io.EOF", err)
+	for _, reuse := range []bool{false, true} {
+		r := bytes.NewReader(append(append([]byte(nil), f1...), f2...))
+		var fs frameScratch
+		h, b, err := fs.read(r, reuse)
+		if err != nil {
+			t.Fatalf("reuse=%v: first frame: %v", reuse, err)
+		}
+		if string(h) != "first" || string(b) != "one" {
+			t.Fatalf("reuse=%v: first frame: got %q/%q", reuse, h, b)
+		}
+		h, b, err = fs.read(r, reuse)
+		if err != nil {
+			t.Fatalf("reuse=%v: second frame: %v", reuse, err)
+		}
+		if string(h) != "second" || string(b) != "two" {
+			t.Fatalf("reuse=%v: second frame: got %q/%q", reuse, h, b)
+		}
+		// A cleanly exhausted stream is io.EOF, not a frame error.
+		if _, _, err := fs.read(r, reuse); err != io.EOF {
+			t.Fatalf("reuse=%v: exhausted stream: got %v, want io.EOF", reuse, err)
+		}
 	}
 }
 
 func TestReadFrameMidFrameEOF(t *testing.T) {
 	f := mustFrame(t, []byte("header"), []byte("body"))
+	var fs frameScratch
 	for n := 1; n < len(f); n++ {
-		_, _, err := ReadFrame(bytes.NewReader(f[:n]))
+		_, _, err := fs.read(bytes.NewReader(f[:n]), false)
 		if !errors.Is(err, ErrFrameTruncated) {
 			t.Fatalf("stream cut at %d bytes: got %v, want ErrFrameTruncated", n, err)
 		}
@@ -134,7 +138,8 @@ func TestReadFrameOversizeRejected(t *testing.T) {
 		binary.BigEndian.PutUint32(prefix[2:], c.hlen)
 		binary.BigEndian.PutUint32(prefix[6:], c.blen)
 		r := bytes.NewReader(append(prefix[:], "payload"...))
-		if _, _, err := ReadFrame(r); !errors.Is(err, ErrFrameOversize) {
+		var fs frameScratch
+		if _, _, err := fs.read(r, false); !errors.Is(err, ErrFrameOversize) {
 			t.Fatalf("%s frame: got %v, want ErrFrameOversize", c.name, err)
 		}
 		if r.Len() != len("payload") {
@@ -146,7 +151,8 @@ func TestReadFrameOversizeRejected(t *testing.T) {
 func TestReadFrameBadMagic(t *testing.T) {
 	f := mustFrame(t, []byte("h"), []byte("b"))
 	f[0] = 0x00
-	_, _, err := ReadFrame(bytes.NewReader(f))
+	var fs frameScratch
+	_, _, err := fs.read(bytes.NewReader(f), false)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("bad magic: got %v, want ErrFrameCorrupt", err)
 	}
@@ -158,11 +164,12 @@ func TestReadFrameBadMagic(t *testing.T) {
 func TestWriteFrameVectored(t *testing.T) {
 	header, body := []byte("hdr"), []byte("body")
 	var w countingWriter
-	if err := WriteFrame(&w, header, body); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	var fs frameScratch
+	if err := fs.write(&w, append(fs.begin(), header...), body); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	if len(w.chunks) != 2 {
-		t.Fatalf("WriteFrame issued %d writes, want 2 (prefix+header, body)", len(w.chunks))
+		t.Fatalf("write issued %d writes, want 2 (prefix+header, body)", len(w.chunks))
 	}
 	if &w.chunks[1][0] != &body[0] || len(w.chunks[1]) != len(body) {
 		t.Error("the body reached the writer as a copy, not as the caller's slice")
@@ -172,8 +179,8 @@ func TestWriteFrameVectored(t *testing.T) {
 	}
 
 	w = countingWriter{}
-	if err := WriteFrame(&w, header, nil); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := fs.write(&w, append(fs.begin(), header...), nil); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	if len(w.chunks) != 1 {
 		t.Errorf("empty body: %d writes, want 1", len(w.chunks))
@@ -188,7 +195,8 @@ func TestWriteFrameVectored(t *testing.T) {
 func TestWriteFrameShortWrite(t *testing.T) {
 	for _, honest := range []bool{true, false} {
 		w := &shortWriter{limit: FrameOverhead + 5, honest: honest}
-		err := WriteFrame(w, []byte("hdr"), []byte("a body that will not fit"))
+		var fs frameScratch
+		err := fs.write(w, append(fs.begin(), "hdr"...), []byte("a body that will not fit"))
 		if !errors.Is(err, ErrConn) || !errors.Is(err, io.ErrShortWrite) {
 			t.Errorf("honest=%v: got %v, want ErrConn wrapping io.ErrShortWrite", honest, err)
 		}
@@ -196,7 +204,8 @@ func TestWriteFrameShortWrite(t *testing.T) {
 }
 
 func TestWriteFrameWrappedWriteError(t *testing.T) {
-	err := WriteFrame(failWriter{}, []byte("h"), nil)
+	var fs frameScratch
+	err := fs.write(failWriter{}, append(fs.begin(), 'h'), nil)
 	if !errors.Is(err, ErrConn) {
 		t.Fatalf("write failure: got %v, want ErrConn", err)
 	}

@@ -13,16 +13,19 @@ import (
 //
 //  1. Neither decoder panics, whatever the input.
 //  2. Failures are typed: every error matches ErrFrameTruncated,
-//     ErrFrameCorrupt, or ErrFrameOversize (ReadFrame may also return
-//     a bare io.EOF for an empty stream).
+//     ErrFrameCorrupt, or ErrFrameOversize (the stream reader,
+//     frameScratch.read, may also return a bare io.EOF for an empty
+//     stream).
 //  3. Accepted frames are canonical: re-encoding the decoded sections
 //     reproduces the input byte-for-byte.
 //  4. The two readers agree on exact-length input: when the buffer is
-//     exactly one frame, ReadFrame and DecodeFrame return the same
-//     sections; DecodeFrame's trailing-bytes rejections are exactly
-//     the inputs where ReadFrame stops early with bytes left over.
-//  5. The wire does not depend on how a frame is produced: WriteFrame
-//     of the decoded sections puts EncodeFrame's bytes on the stream,
+//     exactly one frame, the stream reader and DecodeFrame return the
+//     same sections; DecodeFrame's trailing-bytes rejections are
+//     exactly the inputs where the stream reader stops early with bytes
+//     left over.
+//  5. The wire does not depend on how a frame is produced: the stream
+//     writer (frameScratch.write, what TCP and Server send with) puts
+//     EncodeFrame's bytes on the stream for the decoded sections,
 //     and cut short anywhere it reports ErrConn with a prefix of those
 //     bytes written and nothing else.
 func FuzzFrame(f *testing.F) {
@@ -46,6 +49,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(seed([]byte(`{"ok":true}`), bytes.Repeat([]byte("voxel"), 3<<20/5)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var fs frameScratch
 		header, body, err := DecodeFrame(data)
 		if err != nil {
 			if !errors.Is(err, ErrFrameTruncated) && !errors.Is(err, ErrFrameCorrupt) {
@@ -60,30 +64,30 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("accepted frame is not canonical: decode→encode changed bytes")
 			}
 			var whole countingWriter
-			if werr := WriteFrame(&whole, header, body); werr != nil {
-				t.Fatalf("WriteFrame of accepted frame: %v", werr)
+			if werr := fs.write(&whole, append(fs.begin(), header...), body); werr != nil {
+				t.Fatalf("write of accepted frame: %v", werr)
 			}
 			if !bytes.Equal(whole.buf.Bytes(), re) {
-				t.Fatalf("WriteFrame and EncodeFrame disagree on the wire bytes")
+				t.Fatalf("write and EncodeFrame disagree on the wire bytes")
 			}
 			// Cut the stream at a point the frame's own checksum picks.
 			cut := &shortWriter{limit: int(binary.BigEndian.Uint32(re[10:]) % uint32(len(re))), honest: true}
-			if werr := WriteFrame(cut, header, body); !errors.Is(werr, ErrConn) {
-				t.Fatalf("WriteFrame cut short: got %v, want ErrConn", werr)
+			if werr := fs.write(cut, append(fs.begin(), header...), body); !errors.Is(werr, ErrConn) {
+				t.Fatalf("write cut short: got %v, want ErrConn", werr)
 			}
 			if !bytes.HasPrefix(re, cut.taken.Bytes()) {
-				t.Fatalf("WriteFrame cut short left bytes that are not a prefix of the frame")
+				t.Fatalf("write cut short left bytes that are not a prefix of the frame")
 			}
 		}
 
 		r := bytes.NewReader(data)
-		sh, sb, serr := ReadFrame(r)
+		sh, sb, serr := fs.read(r, false)
 		if serr != nil {
 			if serr != io.EOF &&
 				!errors.Is(serr, ErrFrameTruncated) &&
 				!errors.Is(serr, ErrFrameCorrupt) &&
 				!errors.Is(serr, ErrFrameOversize) {
-				t.Fatalf("ReadFrame: untyped error %v", serr)
+				t.Fatalf("read: untyped error %v", serr)
 			}
 			return
 		}
@@ -93,10 +97,10 @@ func FuzzFrame(f *testing.F) {
 		// rejected the buffer as trailing garbage.
 		if r.Len() == 0 {
 			if err != nil {
-				t.Fatalf("ReadFrame accepted the full buffer but DecodeFrame rejected it: %v", err)
+				t.Fatalf("read accepted the full buffer but DecodeFrame rejected it: %v", err)
 			}
 			if !bytes.Equal(sh, header) || !bytes.Equal(sb, body) {
-				t.Fatal("ReadFrame and DecodeFrame disagree on sections")
+				t.Fatal("read and DecodeFrame disagree on sections")
 			}
 		} else if err == nil {
 			t.Fatalf("DecodeFrame accepted a buffer with %d trailing bytes", r.Len())

@@ -75,7 +75,8 @@ func TestServerDropsConnAfterShortWrite(t *testing.T) {
 	}
 	// What did arrive is the start of one frame, then end of stream.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := ReadFrame(conn); !errors.Is(err, ErrFrameTruncated) {
+	var fs frameScratch
+	if _, _, err := fs.read(conn, false); !errors.Is(err, ErrFrameTruncated) {
 		t.Errorf("client read %v, want ErrFrameTruncated", err)
 	}
 	srv.Close()

@@ -114,25 +114,17 @@ func remoteErr(method string, kind statusKind, text []byte) error {
 	return fmt.Errorf("transport: %s: remote: %s", method, text)
 }
 
-// TCPOptions tunes a TCP client transport.
-type TCPOptions struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// CallTimeout bounds one full request/response exchange via
-	// connection deadlines (default 60s; 0 keeps the default, negative
-	// disables deadlines).
-	CallTimeout time.Duration
-}
+// TCPOptions holds nothing: a TCP transport dials within dialTimeout
+// and bounds each call by callTimeout. It remains as DialTCP's second
+// argument only because the repo benchmark passes one.
+type TCPOptions struct{}
 
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.CallTimeout == 0 {
-		o.CallTimeout = 60 * time.Second
-	}
-	return o
-}
+// A TCP transport's two bounds: the dial, and one full
+// request/response exchange, set as the connection's deadline.
+const (
+	dialTimeout = 5 * time.Second
+	callTimeout = 60 * time.Second
+)
 
 // TCP is the real-socket flavor of the seam: one connection, one
 // outstanding call at a time (calls serialize on an internal mutex —
@@ -143,7 +135,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // retryable error and the retry dials fresh.
 type TCP struct {
 	addr string
-	opts TCPOptions
 
 	mu     sync.Mutex
 	conn   net.Conn     // guarded by mu; nil when not connected
@@ -155,8 +146,8 @@ type TCP struct {
 // DialTCP creates a TCP transport for the daemon at addr. The
 // connection itself is established lazily, so DialTCP never blocks;
 // an unreachable server surfaces as ErrDial from the first Call.
-func DialTCP(addr string, opts TCPOptions) *TCP {
-	return &TCP{addr: addr, opts: opts.withDefaults()}
+func DialTCP(addr string, _ TCPOptions) *TCP {
+	return &TCP{addr: addr}
 }
 
 // Exchange implements Transport: one framed exchange on the connection,
@@ -203,17 +194,15 @@ func (t *TCP) callLocked(method string, request []byte, bill *Stats) ([]byte, er
 		return nil, fmt.Errorf("transport: tcp %s: %w", t.addr, ErrClosed)
 	}
 	if t.conn == nil {
-		conn, err := net.DialTimeout("tcp", t.addr, t.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", t.addr, dialTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %w", ErrDial, t.addr, err)
 		}
 		t.conn = conn
 	}
-	if t.opts.CallTimeout > 0 {
-		if err := t.conn.SetDeadline(wallNow().Add(t.opts.CallTimeout)); err != nil {
-			t.teardownLocked()
-			return nil, fmt.Errorf("%w: %s: setting deadline: %w", ErrConn, t.addr, err)
-		}
+	if err := t.conn.SetDeadline(wallNow().Add(callTimeout)); err != nil {
+		t.teardownLocked()
+		return nil, fmt.Errorf("%w: %s: setting deadline: %w", ErrConn, t.addr, err)
 	}
 	bill.Messages, bill.BytesOut = 2, uint64(len(request))
 	if err := t.fs.write(t.conn, appendCallHeader(t.fs.begin(), method), request); err != nil {

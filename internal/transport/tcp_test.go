@@ -35,7 +35,7 @@ func startServer(t *testing.T, h Handler, cfg ServerConfig) *Server {
 
 func dialServer(t *testing.T, srv *Server) *TCP {
 	t.Helper()
-	c := DialTCP(srv.Addr().String(), TCPOptions{CallTimeout: 10 * time.Second})
+	c := DialTCP(srv.Addr().String(), TCPOptions{})
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -206,7 +206,7 @@ func TestTCPDialFailureTyped(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	c := DialTCP(addr, TCPOptions{DialTimeout: time.Second})
+	c := DialTCP(addr, TCPOptions{})
 	defer c.Close()
 	assertNothingOnWire(t, c, func() (Stats, error) {
 		_, bill, err := c.Exchange(nil, "ping", []byte("never sent"))

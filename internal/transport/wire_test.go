@@ -201,8 +201,9 @@ func rawServer(t *testing.T, status []byte) string {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := ReadFrame(conn); err == nil {
-			_ = WriteFrame(conn, status, nil) // the client's verdict is the test
+		var fs frameScratch
+		if _, _, err := fs.read(conn, false); err == nil {
+			_ = fs.write(conn, append(fs.begin(), status...), nil) // the client's verdict is the test
 		}
 	}()
 	return ln.Addr().String()
@@ -228,7 +229,7 @@ func TestClientRefusesBadStatus(t *testing.T) {
 		{"version 2", []byte{2, byte(kindOK)}, ErrWireHeader, false},
 		{"unknown kind", []byte{wireVersion, 0x7F, 'n', 'e', 'w'}, nil, false},
 	} {
-		c := DialTCP(rawServer(t, tc.status), TCPOptions{CallTimeout: 10 * time.Second})
+		c := DialTCP(rawServer(t, tc.status), TCPOptions{})
 		_, err := c.Call(nil, "m", nil)
 		c.Close()
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) || RetryableError(err) != tc.retryable {
@@ -253,10 +254,11 @@ func TestServerRefusesCallHeaderVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := WriteFrame(conn, header, nil); err != nil {
+		var fs frameScratch
+		if err := fs.write(conn, append(fs.begin(), header...), nil); err != nil {
 			t.Fatal(err)
 		}
-		status, _, err := ReadFrame(conn)
+		status, _, err := fs.read(conn, false)
 		if err != nil {
 			t.Fatalf("%s: no status reply: %v", name, err)
 		}
@@ -264,7 +266,7 @@ func TestServerRefusesCallHeaderVersion(t *testing.T) {
 		if err != nil || kind != kindTerminal || !strings.Contains(string(text), "call header") {
 			t.Errorf("%s: status kind %d text %q err %v, want a terminal refusal naming the call header", name, kind, text, err)
 		}
-		if _, _, err := ReadFrame(conn); err == nil {
+		if _, _, err := fs.read(conn, false); err == nil {
 			t.Errorf("%s: connection stayed open after a refused call header", name)
 		}
 		conn.Close()

@@ -160,9 +160,13 @@ var (
 type (
 	// System is a MedicalServer and the DX Client that queries it.
 	System = core.System
-	// Client is the DX half of a query (RunQuery, RunQueries, the DX
-	// cache and observability sinks); System and ClusterSystem both
-	// embed one.
+	// Client is the DX half of a query (RunQuery, the DX cache and
+	// observability sinks) and the one batch and population call of
+	// either topology: RunQueries and ConsistentBandRegion return the
+	// answer and the PartialResult naming any shard lost, a single
+	// server's shard 0 included. ClusterSystem embeds one and exposes
+	// both as they are; System keeps the one-result RunQueries and the
+	// two-result ConsistentBandRegion.
 	Client = core.Client
 	// Config parameterizes the MedicalServer of NewSystem and each node's.
 	Config = core.Config
