@@ -173,7 +173,11 @@ cover:
 # inside extractVoxels(), the REGION passed parsed between them) and of
 # one full-study reply through a thrashing page cache, released as the
 # daemon releases it (allocs/op and B/op are what TestServeRPCAllocBudget
-# and TestBulkReplyAllocBudget put ceilings on), BenchmarkDaemonBulk for
+# and TestBulkReplyAllocBudget put ceilings on), BenchmarkServeRPCPaperMix
+# for the server side of the paper-scale mix at Bits 7 — every atlas
+# structure, three boxes, the full study, the widest band and a structure
+# ∩ band, one per iteration in turn, each reply released — whose
+# allocs/op TestPaperMixAllocBudget holds at 0 (DESIGN.md §61), BenchmarkDaemonBulk for
 # the same full-study reply over loopback TCP through transport.Server's
 # write and release (both ends in one process: B/op is the client's
 # response buffer; DESIGN.md §59), BenchmarkServeRPCTraced for the small
@@ -220,7 +224,7 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism
-	$(GO) test -run '^$$' -bench '^Benchmark(ServeRPC(Small|Mixed|Traced|Bulk)|RunQueryMixed)$$' -benchtime 100x -benchmem ./internal/qbism
+	$(GO) test -run '^$$' -bench '^Benchmark(ServeRPC(Small|Mixed|Traced|Bulk|PaperMix)|RunQueryMixed)$$' -benchtime 100x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkDegradedBand$$' -benchtime 10x -benchmem ./internal/qbism
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode

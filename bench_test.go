@@ -326,11 +326,12 @@ func BenchmarkRunPrunedExtraction(b *testing.B) {
 // band field — a k³-tree, as under the k3-tree label, since each band is
 // stored once — whole, one at a time, walks it once into the fold and
 // sends back only the answer REGION, which the client decodes.
-// allocs/op is the call's: 5 on this band (the client's answer object and
-// run list, the server's read buffer and the fold's two slabs), 4 on an
-// empty one, 6 where the answer's runs outgrow the fold's spare room;
+// allocs/op is the call's: 3 on this band (the client's answer object and
+// run list, and the server's read buffer, which the reply is encoded in
+// and the simulated link's client keeps), 2 on an empty one; the fold's
+// slabs and answer runs come from the server's free lists;
 // TestConsistentBandRegionAllocBudget holds the mean over the eight
-// paper-scale bands to 5.0.
+// paper-scale bands to 2.625.
 func BenchmarkParallelMultiStudy(b *testing.B) {
 	b.ReportAllocs()
 	s := benchSystem(b)

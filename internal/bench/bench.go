@@ -1,8 +1,14 @@
 // Package bench holds the host fingerprint the repo benchmark
-// (benchmark/) stamps on every run it records.
+// (benchmark/) stamps on every run it records, and the exact allocation
+// count the allocation budget tests hold the code to.
 package bench
 
-import "runtime"
+import (
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"time"
+)
 
 // Host fingerprints the machine a benchmark ran on. Simulated-clock
 // numbers are host-independent; wall-clock numbers are only meaningful
@@ -21,4 +27,52 @@ func CurrentHost() Host {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 	}
+}
+
+// AllocsPerCall is the mean number of heap allocations a call of f makes
+// over n calls, measured as testing.AllocsPerRun measures it — on one
+// processor, after one call to warm up — but as a float: AllocsPerRun
+// divides as integers, so its ceiling of 0 admits up to n-1 allocations
+// in n calls, where this one's admits none.
+//
+// The runtime allocates on its own, and a process-wide count sees it. The
+// collector is off while f runs, after one collection and a pause for the
+// work it sets off (the unique package's map cleanup), so what is left is
+// the type-assertion and type-switch caches: the runtime builds a site's
+// cache at a random one of the calls that miss it, about 1 in 1024, so it
+// allocates at a call no warm-up can pin down. A single measurement reads
+// it now and then — 6.020 where the TCP daemon chain makes 6, 1.100 where
+// a kept full-study reply is 1 — so the count is the least of up to three
+// measurements, stopping at one of 0. An allocation that f makes in only
+// some of its calls would hide in that least, so when the measurements
+// differ each is passed to logf (a test's t.Logf) and shows in the test
+// output. With the collector off, keep n × the bytes f allocates small.
+func AllocsPerCall(logf func(format string, args ...any), n int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	each := make([]float64, 0, 3)
+	for len(each) < cap(each) {
+		m := mallocsPerCall(n, f)
+		if each = append(each, m); m == 0 {
+			break
+		}
+	}
+	if slices.Min(each) != slices.Max(each) {
+		logf("allocations per call differ between measurements %v; the least counts", each)
+	}
+	return slices.Min(each)
+}
+
+// mallocsPerCall is one measurement of AllocsPerCall.
+func mallocsPerCall(n int, f func()) float64 {
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"testing"
 
+	"qbism/internal/bench"
 	"qbism/internal/medserver"
 	"qbism/internal/qbism"
 	"qbism/internal/transport"
@@ -57,7 +58,7 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 			HasBand: true, BandLo: int(band.Lo), BandHi: int(band.Hi)}, 5},
 		{"full-study", qbism.QuerySpec{StudyID: study, Atlas: "Talairach", FullStudy: true}, 6},
 	} {
-		got := testing.AllocsPerRun(50, func() {
+		got := bench.AllocsPerCall(t.Logf, 50, func() {
 			request, err := qbism.EncodeQueryRequest(tc.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -74,9 +75,9 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocs per query", tc.name, got)
+		t.Logf("%s: %.3f allocs per query", tc.name, got)
 		if got > tc.ceiling {
-			t.Errorf("%s: %.0f allocs per query, ceiling %.0f — is a frame copied, or a per-call buffer allocated, on either side of the socket again?",
+			t.Errorf("%s: %.3f allocs per query, ceiling %.0f — is a frame copied, or a per-call buffer allocated, on either side of the socket again?",
 				tc.name, got, tc.ceiling)
 		}
 	}

@@ -27,6 +27,7 @@ var keptUncalled = map[string]string{
 	// The fault hook.
 	"lfm.Manager.Corrupt": "fault hook: at-rest bit rot for the qbism chaos and trace tests",
 	// Cross-package test observers: a test file cannot serve another package.
+	"bench.AllocsPerCall":              "observer: the qbism and daemon allocation budgets count exact allocations per call",
 	"bitio.Writer.Len":                 "observer: rencode's TestGammaCode reads each code's exact bit length",
 	"cluster.Cluster.NodeState":        "observer: the qbism chaos suite reads a node's breaker",
 	"cluster.Cluster.SimNow":           "observer: the qbism chaos suite reads the cluster's simulated clock",

@@ -39,7 +39,7 @@ func (s *Server) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 		lines = append(lines, fmt.Sprintf("band repr: %s (%s)", spec.Encoding, src))
 	}
 	var binds dataBinds
-	shape, args, err := dataQuerySQL(spec, &binds)
+	shape, args, err := dataQuerySQL(spec, spec.Box, &binds)
 	if err != nil {
 		return nil, err
 	}
@@ -90,13 +90,15 @@ type PopulationQuery struct {
 // every field is read whole, once; no VOLUME page is read. The first row
 // that fails to read or parse, or is not a k³-tree, in fold order, ends
 // the call with an error naming its study, wrapping the read's or the
-// fold's. A call takes the read buffer from the server's free list of
-// reply buffers (replies.go) and allocates the fold's runs and words
-// (reserve): the answer's runs are built in the fold's spare room when
-// they fit (StoredFold.RegionInto), and the reply is encoded into the
-// read buffer, which grows only when the reply outgrows it; the reply is
-// the caller's, as a medical query's is. The field list of up to eight
-// studies stays on the stack.
+// fold's. A call takes every buffer it builds in from the server's free
+// lists (replies.go) and allocates none of its own: the read buffer; the
+// fold's run and word slabs (StoredFold.Runs and Words), and the
+// answer's runs, built in the fold's spare room when they fit and in a
+// run list from the list otherwise (StoredFold.RegionInto). The reply is
+// encoded into the read buffer, which grows only when the reply outgrows
+// it, and is the caller's, as a medical query's is; the fold's memory
+// goes back to the lists once the reply is encoded. The field list of up
+// to eight studies stays on the stack.
 func (s *Server) handlePopulation(sp *obs.Span, request []byte) ([]byte, error) {
 	var ids [8]int
 	var q PopulationQuery
@@ -128,9 +130,10 @@ func (s *Server) handlePopulation(sp *obs.Span, request []byte) ([]byte, error) 
 		largest = max(largest, size)
 	}
 	slices.SortStableFunc(fields, func(a, b bandField) int { return cmp.Compare(a.size, b.size) })
-	buf := s.replies.get(largest)
+	buf := s.free.bytes.Get(largest)
 	io := lfm.IO{M: s.LFM}
-	var fold rencode.StoredFold
+	fold := rencode.StoredFold{Runs: &s.free.runs, Words: &s.free.words}
+	defer fold.Release()
 	for _, f := range fields {
 		data, err := io.ReadInto(f.h, buf)
 		if err == nil {

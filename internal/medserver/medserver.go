@@ -159,14 +159,17 @@ func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 // a typed, retryable error instead of executing a different query. The
 // decoded spec's strings are the catalog's own when it holds them and
 // copies otherwise, so nothing here outlives the handler holding
-// request (transport.Handler: the buffer is the connection's).
+// request (transport.Handler: the buffer is the connection's). A box is
+// decoded onto this frame's stack and travels apart from the spec, whose
+// strings the statements' binds keep (decodeQueryRequest).
 func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
-	spec, err := decodeQueryRequest(request, s.names)
+	var room [6]uint32
+	spec, box, err := decodeQueryRequest(request, s.names, &room)
 	if err != nil {
 		return nil, err
 	}
 	if sp != nil {
-		sp.SetStr("query", spec.Label())
+		sp.SetStr("query", labelOf(spec, box))
 	}
 	start := time.Now()
 	// What this call read: each statement it runs adds its reads.
@@ -179,7 +182,7 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 		return nil, err
 	}
 	dsp := sp.Child("sql.data")
-	blob, warning, err := s.runDataQuery(dsp, &bill, spec)
+	blob, warning, err := s.runDataQuery(dsp, &bill, spec, box)
 	dsp.End()
 	if err != nil {
 		return nil, err
@@ -201,6 +204,12 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	sp.SetInt("lfm.pages", int64(bill.PageReads))
 	sp.SetInt("lfm.reads", int64(bill.Reads))
 	return EncodeQueryResponse(&meta, blob)
+}
+
+// labelOf is the Label of spec with box as its Box.
+func labelOf(spec QuerySpec, box *[6]uint32) string {
+	spec.Box = box
+	return spec.Label()
 }
 
 // querySingle runs a generated SELECT that should yield one row
@@ -358,15 +367,16 @@ func (s *Server) ReserveExecutions(n int) error {
 // takes the most).
 type dataBinds [7]sdb.Value
 
-// dataQuerySQL translates a QuerySpec into the second §3.4 SQL query:
-// which prepared shape to run, plus its bind values, written into the
-// caller's buf so that a request's bind vector can live on its stack.
+// dataQuerySQL translates a QuerySpec, whose box is box (spec.Box is not
+// read), into the second §3.4 SQL query: which prepared shape to run,
+// plus its bind values, written into the caller's buf so that a
+// request's bind vector can live on its stack.
 // A band spec arrives with its Encoding resolved (resolveBandEncoding). The
 // shapes combine a band with a structure and nothing else; any other
 // mix of restrictions is refused rather than answered in part.
-func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error) {
+func dataQuerySQL(spec QuerySpec, b *[6]uint32, buf *dataBinds) (dataShape, []sdb.Value, error) {
 	study := sdb.Int(int64(spec.StudyID))
-	box, structure, band := spec.Box != nil, spec.Structure != "", spec.HasBand
+	box, structure, band := b != nil, spec.Structure != "", spec.HasBand
 	switch {
 	case spec.FullStudy && (box || structure || band), box && (structure || band):
 		return 0, nil, fmt.Errorf("qbism: query spec restrictions conflict (FullStudy=%t Box=%t Structure=%q band=%t): FullStudy and Box each stand alone",
@@ -376,7 +386,6 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 		return shapeFullStudy, append(buf[:0], study), nil
 
 	case box:
-		b := spec.Box
 		return shapeBox, append(buf[:0],
 			sdb.Int(int64(b[0])), sdb.Int(int64(b[1])), sdb.Int(int64(b[2])),
 			sdb.Int(int64(b[3])), sdb.Int(int64(b[4])), sdb.Int(int64(b[5])),
@@ -416,7 +425,7 @@ func dataQuerySQL(spec QuerySpec, buf *dataBinds) (dataShape, []sdb.Value, error
 // A checksum/read fault surfaces mid-execution, from the row that read
 // the field; querySingle returns it like any other failure, so the
 // fallback conditions are unchanged.
-func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (blob []byte, warning string, err error) {
+func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec, box *[6]uint32) (blob []byte, warning string, err error) {
 	// A band spec's encoding resolves before SQL generation, so the
 	// generated query binds a label the store holds — the SQL itself
 	// stays representation-agnostic, and a label no row could match fails
@@ -427,7 +436,7 @@ func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (bl
 		}
 	}
 	var binds dataBinds
-	shape, args, err := dataQuerySQL(spec, &binds)
+	shape, args, err := dataQuerySQL(spec, box, &binds)
 	if err != nil {
 		return nil, "", err
 	}
@@ -450,7 +459,7 @@ func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec) (bl
 		return nil, "", err
 	}
 	if n != 1 {
-		return nil, "", fmt.Errorf("qbism: data query returned %d rows (spec %s)", n, spec.Label())
+		return nil, "", fmt.Errorf("qbism: data query returned %d rows (spec %s)", n, labelOf(spec, box))
 	}
 	v := row[0]
 	if v.T != sdb.TBytes {
@@ -484,7 +493,7 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 	spec.HasBand, spec.BandLo, spec.BandHi, spec.Encoding = false, 0, 0, ""
 	spec.FullStudy = spec.Structure == ""
 	var binds dataBinds
-	shape, args, err := dataQuerySQL(spec, &binds)
+	shape, args, err := dataQuerySQL(spec, nil, &binds)
 	if err != nil {
 		return nil, "", err
 	}
@@ -509,8 +518,8 @@ func (s *Server) bandSlowPath(parent *obs.Span, bill *lfm.Stats, spec QuerySpec,
 	// Filter copied the in-band voxels and kept no alias of the unbanded
 	// blob, which nothing else holds: it goes back to the free list, and
 	// the next full-study read is built in it.
-	s.replies.put(row[0].Y)
-	blob, err := marshalDataRegion(&s.replies, d, s.Cfg.Method)
+	s.free.bytes.Put(row[0].Y)
+	blob, err := marshalDataRegion(&s.free.bytes, d, s.Cfg.Method)
 	if err != nil {
 		return nil, "", err
 	}

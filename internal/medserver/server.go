@@ -166,9 +166,11 @@ type Server struct {
 	stmts serverStmts
 	// full is the whole grid on Curve, fullVolume's REGION.
 	full *region.Region
-	// replies is the free list of reply buffers (replies.go): what
-	// ReleaseReply hands back, and what the next reply is built in.
-	replies replyPool
+	// free is the server's free lists (replies.go): the reply buffers
+	// ReleaseReply hands back, which the next reply is built in, and the
+	// large run lists, stored REGIONs and fold slabs a request gives back
+	// for a later one to build in.
+	free freeLists
 	// names maps each name the catalog holds — atlas and structure names,
 	// band encoding labels — to itself, so a request's spec strings come
 	// from here instead of being copied (decodeQueryRequest). Read-only

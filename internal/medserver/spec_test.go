@@ -68,7 +68,8 @@ func TestDecodeRequestInternsNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeQueryRequest(request, names)
+	var room [6]uint32
+	got, _, err := decodeQueryRequest(request, names, &room)
 	if err != nil || got.Key() != known.Key() {
 		t.Fatalf("decodeQueryRequest = %+v, %v; want %+v", got, err, known)
 	}
@@ -77,11 +78,27 @@ func TestDecodeRequestInternsNames(t *testing.T) {
 			t.Errorf("%q was copied, not taken from the name set", s)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = decodeQueryRequest(request, names) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = decodeQueryRequest(request, names, &room) }); n != 0 {
 		t.Errorf("decoding a request of known names: %.0f allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeQueryRequest(request) }); n != 3 {
 		t.Errorf("DecodeQueryRequest: %.0f allocations, want 3 (a copy per string)", n)
+	}
+
+	// A box is decoded into the caller's room, apart from the spec.
+	boxed := QuerySpec{StudyID: 3, Atlas: "Talairach", Box: &[6]uint32{30, 30, 30, 100, 100, 100}}
+	if request, err = EncodeQueryRequest(boxed); err != nil {
+		t.Fatal(err)
+	}
+	got, box, err := decodeQueryRequest(request, names, &room)
+	if err != nil || box != &room || *box != *boxed.Box || got.Box != nil {
+		t.Fatalf("decodeQueryRequest(box) = %+v, box %v, %v; want the box in the room and none in the spec", got, box, err)
+	}
+	if got.Box = box; got.Key() != boxed.Key() {
+		t.Errorf("decodeQueryRequest(box) = %+v, want %+v", got, boxed)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = decodeQueryRequest(request, names, &room) }); n != 0 {
+		t.Errorf("decoding a box request of known names: %.0f allocations, want 0", n)
 	}
 
 	unknown := known
@@ -90,7 +107,7 @@ func TestDecodeRequestInternsNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = decodeQueryRequest(request, names)
+	got, _, err = decodeQueryRequest(request, names, &room)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func MarshalDataRegion(d *volume.DataRegion, method rencode.Method) ([]byte, err
 }
 
 // marshalDataRegion is MarshalDataRegion with the blob taken from p.
-func marshalDataRegion(p *replyPool, d *volume.DataRegion, method rencode.Method) ([]byte, error) {
+func marshalDataRegion(p *freeList[byte], d *volume.DataRegion, method rencode.Method) ([]byte, error) {
 	blob, values, err := newDataRegionBlob(p, d.Region, method)
 	if err != nil {
 		return nil, err
@@ -45,13 +45,13 @@ func marshalDataRegion(p *replyPool, d *volume.DataRegion, method rencode.Method
 // spare capacity past its end, where EncodeQueryResponse frames the reply
 // in place. The blob is the caller's: the reply it becomes goes back to
 // the list only through Server.ReleaseReply.
-func newDataRegionBlob(p *replyPool, r *region.Region, method rencode.Method) (blob, values []byte, err error) {
+func newDataRegionBlob(p *freeList[byte], r *region.Region, method rencode.Method) (blob, values []byte, err error) {
 	n, err := rencode.EncodedSize(method, r)
 	if err != nil {
 		return nil, nil, err
 	}
 	size := 5 + uint64(n) + r.NumVoxels()
-	blob = p.get(int(size + replyHeadroom))[:5]
+	blob = p.Get(int(size + replyHeadroom))[:5]
 	blob[0] = dataRegionTag
 	binary.BigEndian.PutUint32(blob[1:], uint32(n))
 	if blob, err = rencode.AppendEncode(blob, method, r); err != nil {
@@ -142,7 +142,7 @@ func extractStored(io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts)
 // step, which is how the server answers: the voxels are gathered from
 // the LFM's pages into the DATA_REGION blob's value section, taken from
 // p (newDataRegionBlob), and are not copied again.
-func extractStoredBlob(p *replyPool, io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
+func extractStoredBlob(p *freeList[byte], io *lfm.IO, h lfm.Handle, r *region.Region, opts ExtractOpts, method rencode.Method) ([]byte, error) {
 	blob, values, err := newDataRegionBlob(p, r, method)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package medserver
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"qbism/internal/lfm"
 	"qbism/internal/region"
@@ -32,7 +31,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// INTERSECTION(REGION r1, REGION r2) -> REGION. A k³-tree
 			// operand stays in its stored form: its walk meets the other's
 			// run list, or, of two k³-trees, the smaller one's (intersect).
-			Name: "intersection", MinArgs: 2, MaxArgs: 2, State: newCallState,
+			Name: "intersection", MinArgs: 2, MaxArgs: 2, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				st := stateOf(call)
 				a, err := s.regionOf(call.IO(), call, st.arg(0), args[0], false)
@@ -55,14 +54,14 @@ func (s *Server) registerSpatialUDFs() error {
 		},
 		{
 			// UNION(r1, r2), mentioned as a straightforward extension.
-			Name: "unionRegion", MinArgs: 2, MaxArgs: 2, State: newCallState,
+			Name: "unionRegion", MinArgs: 2, MaxArgs: 2, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				return s.regionBinop(call, args, region.Union)
 			},
 		},
 		{
 			// DIFFERENCE(r1, r2), likewise.
-			Name: "differenceRegion", MinArgs: 2, MaxArgs: 2, State: newCallState,
+			Name: "differenceRegion", MinArgs: 2, MaxArgs: 2, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				return s.regionBinop(call, args, region.Difference)
 			},
@@ -72,7 +71,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// stays queryable: r2's runs are one coverage sweep in id
 			// order over r1's stored representation (CoversRuns), which
 			// on a k³-tree counts rank₁ by cursor.
-			Name: "contains", MinArgs: 2, MaxArgs: 2, ProbeOnly: true, State: newCallState,
+			Name: "contains", MinArgs: 2, MaxArgs: 2, ProbeOnly: true, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				st := stateOf(call)
 				a, err := s.regionOf(call.IO(), call, st.arg(0), args[0], false)
@@ -95,7 +94,7 @@ func (s *Server) registerSpatialUDFs() error {
 			// membership. On a k³-tree REGION this is an O(depth) descent
 			// over the encoded bitmaps, a one-shot rank₁ a level — no
 			// decode, no run list.
-			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, ProbeOnly: true, State: newCallState,
+			Name: "containsPoint", MinArgs: 4, MaxArgs: 4, ProbeOnly: true, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				q, err := s.regionOf(call.IO(), call, stateOf(call).arg(0), args[0], false)
 				if err != nil {
@@ -117,7 +116,7 @@ func (s *Server) registerSpatialUDFs() error {
 		},
 		{
 			// EXTRACT_DATA(VOLUME v, REGION r) -> DATA_REGION
-			Name: "extractVoxels", MinArgs: 2, MaxArgs: 2, State: newCallState,
+			Name: "extractVoxels", MinArgs: 2, MaxArgs: 2, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				if args[0].T != sdb.TLong {
 					return sdb.Value{}, fmt.Errorf("extractVoxels: first argument must be a VOLUME long field, got %s", args[0].T)
@@ -130,7 +129,7 @@ func (s *Server) registerSpatialUDFs() error {
 				if err := s.onCurve(r); err != nil {
 					return sdb.Value{}, err
 				}
-				blob, err := extractStoredBlob(&s.replies, call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
+				blob, err := extractStoredBlob(&s.free.bytes, call.IO(), args[0].L, r, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -148,7 +147,7 @@ func (s *Server) registerSpatialUDFs() error {
 				// The whole grid is one run, so this is extractVoxels' read
 				// plan with a single range: one read of the whole field,
 				// every page straight into the blob.
-				blob, err := extractStoredBlob(&s.replies, call.IO(), args[0].L, s.full, s.extractOpts(), s.Cfg.Method)
+				blob, err := extractStoredBlob(&s.free.bytes, call.IO(), args[0].L, s.full, s.extractOpts(), s.Cfg.Method)
 				if err != nil {
 					return sdb.Value{}, err
 				}
@@ -158,7 +157,7 @@ func (s *Server) registerSpatialUDFs() error {
 		{
 			// boxRegion(x0,y0,z0,x1,y1,z1) -> REGION for geometric probes
 			// such as Q2's rectangular solid.
-			Name: "boxRegion", MinArgs: 6, MaxArgs: 6, State: newCallState,
+			Name: "boxRegion", MinArgs: 6, MaxArgs: 6, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				var c [6]uint32
 				for i, a := range args {
@@ -167,20 +166,21 @@ func (s *Server) registerSpatialUDFs() error {
 					}
 					c[i] = uint32(a.I)
 				}
-				r, err := region.FromBox(s.Curve, region.Box{
+				st := stateOf(call)
+				r, err := st.result().box(s.Curve, region.Box{
 					Min: sfc.Pt(c[0], c[1], c[2]),
 					Max: sfc.Pt(c[3], c[4], c[5]),
 				})
 				if err != nil {
 					return sdb.Value{}, err
 				}
-				return s.parsed(stateOf(call), r), nil
+				return s.parsed(st, r), nil
 			},
 		},
 		{
 			// numVoxels never needs a run list: the k³-tree header carries
 			// the count, so a compressed REGION answers from 12 bytes.
-			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, ProbeOnly: true, State: newCallState,
+			Name: "numVoxels", MinArgs: 1, MaxArgs: 1, ProbeOnly: true, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				q, err := s.regionOf(call.IO(), call, stateOf(call).arg(0), args[0], false)
 				if err != nil {
@@ -190,7 +190,7 @@ func (s *Server) registerSpatialUDFs() error {
 			},
 		},
 		{
-			Name: "numRuns", MinArgs: 1, MaxArgs: 1, State: newCallState,
+			Name: "numRuns", MinArgs: 1, MaxArgs: 1, State: s.newCallState,
 			Fn: func(call *sdb.Call, args []sdb.Value) (sdb.Value, error) {
 				r, err := s.regionRuns(call.IO(), call, stateOf(call).arg(0), args[0])
 				if err != nil {
@@ -437,15 +437,35 @@ type callState struct {
 
 // regionSlot is the memory one REGION is read, parsed and materialized
 // into. A nil *regionSlot is no memory: its methods allocate.
+//
+// A buffer over sdb.MaxIdleBytes does not idle with the slot: reset gives
+// it to the server's free list and keeps only its capacity, and the
+// slot's next read or run list takes one that large back (reuse). So an
+// idle statement pins nothing large, and a paper-scale call builds in a
+// buffer an earlier call grew.
 type regionSlot struct {
 	field []byte          // the stored REGION, read whole
 	probe rencode.K3Probe // field, when it is a k³-tree
 	// reg is the run list last materialized here; its backing is where
 	// the next one is built.
-	reg region.Region
+	reg  region.Region
+	free *freeLists // the server's
+	// fieldCap and runsCap are the capacities of the field and run list
+	// reset gave to free; 0 when the slot holds its own.
+	fieldCap, runsCap int
 }
 
-func newCallState() sdb.SiteState { return new(callState) }
+// newCallState is the spatial functions' sdb.UDF.State hook: a call
+// site's state, its slots giving back to the server's free lists.
+func (s *Server) newCallState() sdb.SiteState { return newCallState(&s.free) }
+
+func newCallState(free *freeLists) *callState {
+	st := &callState{out: regionSlot{free: free}}
+	for i := range st.args {
+		st.args[i].free = free
+	}
+	return st
+}
 
 // stateOf returns call's site state; nil outside an execution.
 func stateOf(call *sdb.Call) *callState {
@@ -479,21 +499,34 @@ func (st *callState) Reset() {
 }
 
 func (s *regionSlot) reset() {
-	if oversized(s.field) {
-		s.field = nil
-	}
 	// The probe's level table holds at most a tree's depth of levels.
 	s.probe.Reset()
-	if oversized(s.reg.RunsView()) {
+	s.field = giveBack(&s.free.bytes, s.field, &s.fieldCap)
+	if runs := s.reg.RunsView(); giveBack(&s.free.runs, runs, &s.runsCap) == nil {
 		s.reg = region.Region{}
 	}
 }
 
-// oversized reports whether buf's backing is larger than an idle state
-// may keep (sdb.MaxIdleBytes).
-func oversized[E any](buf []E) bool {
-	var e E
-	return uintptr(cap(buf))*unsafe.Sizeof(e) > sdb.MaxIdleBytes
+// giveBack is reset's rule for one buffer: one larger than an idle state
+// may keep (sdb.MaxIdleBytes) goes to l, its capacity to *keep, and nil
+// comes back; any other comes back as it is.
+func giveBack[E freeElem](l *freeList[E], buf []E, keep *int) []E {
+	if sizeOf(buf) <= sdb.MaxIdleBytes {
+		return buf
+	}
+	*keep = cap(buf)
+	l.Put(buf)
+	return nil
+}
+
+// reuse is the backing a slot's next build starts from, emptied: buf,
+// or — when reset gave the last one away (*keep > 0) — one of that
+// capacity taken back from l.
+func reuse[E freeElem](l *freeList[E], buf []E, keep *int) []E {
+	if *keep > 0 {
+		buf, *keep = l.Get(*keep), 0
+	}
+	return buf[:0]
 }
 
 // read reads the stored REGION h whole on io's bill, into the slot's
@@ -502,6 +535,7 @@ func (s *regionSlot) read(io *lfm.IO, h lfm.Handle) ([]byte, error) {
 	if s == nil {
 		return io.Read(h)
 	}
+	s.field = reuse(&s.free.bytes, s.field, &s.fieldCap)
 	d, err := io.ReadInto(h, s.field)
 	if err != nil {
 		return nil, err
@@ -547,7 +581,18 @@ func (s *regionSlot) runsBuf() []region.Run {
 	if s == nil {
 		return nil
 	}
-	return s.reg.RunsView()[:0]
+	return reuse(&s.free.runs, s.reg.RunsView(), &s.runsCap)
+}
+
+// box builds the box's REGION in the slot (region.FromBoxInto).
+func (s *regionSlot) box(c sfc.Curve, b region.Box) (*region.Region, error) {
+	if s == nil {
+		return region.FromBox(c, b)
+	}
+	if err := region.FromBoxInto(&s.reg, c, b, s.runsBuf()); err != nil {
+		return nil, err
+	}
+	return &s.reg, nil
 }
 
 // refill makes runs, on curve c, the slot's Region.

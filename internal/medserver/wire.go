@@ -112,23 +112,32 @@ func EncodeQueryRequestInto(room []byte, spec QuerySpec) ([]byte, error) {
 // DecodeQueryRequest is the server's inverse of EncodeQueryRequest. The
 // spec copies its strings out of request.
 func DecodeQueryRequest(request []byte) (QuerySpec, error) {
-	return decodeQueryRequest(request, nil)
+	var room [6]uint32
+	spec, box, err := decodeQueryRequest(request, nil, &room)
+	if box != nil {
+		b := *box
+		spec.Box = &b
+	}
+	return spec, err
 }
 
 // decodeQueryRequest is DecodeQueryRequest with a set of known strings,
-// each mapped to itself: a spec string in names is names' copy, so only
-// one the set lacks is copied out of request. A nil set copies every
-// string.
-func decodeQueryRequest(request []byte, names map[string]string) (QuerySpec, error) {
+// each mapped to itself, and the box kept apart: a spec string in names
+// is names' copy, so only one the set lacks is copied out of request (a
+// nil set copies every string), and the spec's box is decoded into *room
+// and returned — nil when the spec has none — with the spec's Box left
+// nil. The spec's strings go on to the statements' binds, which outlive
+// the call; a box kept apart from them can stay on the caller's stack.
+func decodeQueryRequest(request []byte, names map[string]string, room *[6]uint32) (QuerySpec, *[6]uint32, error) {
 	header, _, err := transport.DecodeFrame(request)
 	if err != nil {
-		return QuerySpec{}, fmt.Errorf("qbism: request: %w", err)
+		return QuerySpec{}, nil, fmt.Errorf("qbism: request: %w", err)
 	}
-	spec, err := decodeSpec(header, names)
+	spec, box, err := decodeSpec(header, names, room)
 	if err != nil {
-		return QuerySpec{}, fmt.Errorf("qbism: bad query spec: %w", err)
+		return QuerySpec{}, nil, fmt.Errorf("qbism: bad query spec: %w", err)
 	}
-	return spec, nil
+	return spec, box, nil
 }
 
 // EncodeQueryResponse builds the server's reply: the meta header and the
@@ -300,26 +309,29 @@ func appendSpec(dst []byte, q *QuerySpec) []byte {
 	return appendStr(appendStr(appendStr(dst, q.Atlas), q.Structure), q.Encoding)
 }
 
-func decodeSpec(b []byte, names map[string]string) (QuerySpec, error) {
+// decodeSpec decodes a spec header, its box into *room: it returns the
+// spec with a nil Box, and room when the spec has a box.
+func decodeSpec(b []byte, names map[string]string, room *[6]uint32) (QuerySpec, *[6]uint32, error) {
 	r := wireReader{b: b, names: names}
 	version, flags := r.u8(), r.u8()
 	q := QuerySpec{
 		FullStudy: flags&specFullStudy != 0, HasBand: flags&specHasBand != 0,
 		StudyID: r.i64(), BandLo: r.i64(), BandHi: r.i64(),
 	}
+	var box *[6]uint32
 	if flags&specHasBox != 0 {
-		if box := r.take(boxSize); box != nil {
-			q.Box = new([6]uint32)
-			for i := range q.Box {
-				q.Box[i] = binary.BigEndian.Uint32(box[4*i:])
+		if c := r.take(boxSize); c != nil {
+			for i := range room {
+				room[i] = binary.BigEndian.Uint32(c[4*i:])
 			}
+			box = room
 		}
 	}
 	q.Atlas, q.Structure, q.Encoding = r.str(), r.str(), r.str()
 	if err := r.done("spec", version, flags&^specFlags); err != nil {
-		return QuerySpec{}, err
+		return QuerySpec{}, nil, err
 	}
-	return q, nil
+	return q, box, nil
 }
 
 func metaSize(m *QueryMeta) (int, error) {

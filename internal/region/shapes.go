@@ -40,17 +40,31 @@ func (b Box) cell(lo, hi sfc.Point) sfc.Cell {
 // (sfc.Cover), taking whole the aligned cubes inside the box, so its
 // cost follows the box's surface, not its volume.
 func FromBox(c sfc.Curve, b Box) (*Region, error) {
+	r := new(Region)
+	if err := FromBoxInto(r, c, b, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// FromBoxInto makes dst, in place, the region FromBox returns, as Refill
+// does: its runs are built in buf's backing when it has room for them
+// all, and in a new run list of exactly their number otherwise. dst must
+// not be read while it is built, so buf may be dst's own run list. On an
+// error dst is left unchanged.
+func FromBoxInto(dst *Region, c sfc.Curve, b Box, buf []Run) error {
 	side := uint32(1) << c.Bits()
 	if b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z {
-		return nil, fmt.Errorf("region: inverted box %v..%v", b.Min, b.Max)
+		return fmt.Errorf("region: inverted box %v..%v", b.Min, b.Max)
 	}
 	if b.Max.X >= side || b.Max.Y >= side || (c.Dim() == 3 && b.Max.Z >= side) {
-		return nil, fmt.Errorf("region: box %v..%v exceeds grid side %d", b.Min, b.Max, side)
+		return fmt.Errorf("region: box %v..%v exceeds grid side %d", b.Min, b.Max, side)
 	}
 	if c.Dim() == 2 && (b.Min.Z != 0 || b.Max.Z != 0) {
-		return nil, fmt.Errorf("region: 2D box must have Z=0")
+		return fmt.Errorf("region: 2D box must have Z=0")
 	}
-	return fromCells(c, b, b.cell), nil
+	fromCells(dst, c, b, b.cell, buf)
+	return nil
 }
 
 // Ellipsoid is an axis-aligned ellipsoid: center (CX,CY,CZ) and semi-axes
@@ -146,7 +160,8 @@ func FromEllipsoid(c sfc.Curve, e Ellipsoid) (*Region, error) {
 	if c.Dim() == 2 {
 		b.Min.Z, b.Max.Z = 0, 0
 	}
-	return fromCells(c, b, func(lo, hi sfc.Point) sfc.Cell {
+	r := new(Region)
+	fromCells(r, c, b, func(lo, hi sfc.Point) sfc.Cell {
 		// Out where either b or the ellipsoid says Out, In only where both say In.
 		in := b.cell(lo, hi)
 		if in == sfc.Out {
@@ -156,16 +171,17 @@ func FromEllipsoid(c sfc.Curve, e Ellipsoid) (*Region, error) {
 			return v
 		}
 		return in
-	}), nil
+	}, nil)
+	return r, nil
 }
 
-// fromCells builds the region of the voxels of bound that classify
+// fromCells makes dst the region of the voxels of bound that classify
 // calls In; classify follows sfc.Cover's contract and calls every cube
 // outside bound Out. On a Hilbert or Z curve one walk counts the runs
-// and a second fills a run list of exactly that size; a scanline curve,
-// whose aligned cubes are not id ranges, asks about bound voxel by
-// voxel.
-func fromCells(c sfc.Curve, bound Box, classify func(lo, hi sfc.Point) sfc.Cell) *Region {
+// and a second fills them into buf's backing, or into a run list of
+// exactly that size when buf is short; a scanline curve, whose aligned
+// cubes are not id ranges, asks about bound voxel by voxel.
+func fromCells(dst *Region, c sfc.Curve, bound Box, classify func(lo, hi sfc.Point) sfc.Cell, buf []Run) {
 	if c.Kind() == sfc.Scanline {
 		var ids []uint64
 		for z := bound.Min.Z; z <= bound.Max.Z; z++ {
@@ -178,13 +194,17 @@ func fromCells(c sfc.Curve, bound Box, classify func(lo, hi sfc.Point) sfc.Cell)
 			}
 		}
 		r, _ := fromOwnedIDs(c, ids)
-		return r
+		*dst = *r
+		return
 	}
 	n := 0
 	sfc.Cover(c, classify, func(_, _ uint64) { n++ })
-	r := &Region{curve: c, runs: make([]Run, 0, n)}
-	sfc.Cover(c, classify, func(first, last uint64) { r.runs = append(r.runs, Run{Lo: first, Hi: last}) })
-	return r
+	runs := buf[:0]
+	if cap(runs) < n {
+		runs = make([]Run, 0, n)
+	}
+	sfc.Cover(c, classify, func(first, last uint64) { runs = append(runs, Run{Lo: first, Hi: last}) })
+	dst.curve, dst.runs = c, runs
 }
 
 // FromSphere builds a spherical region of the given center and radius.

@@ -287,6 +287,52 @@ func TestFromBoxAllocs(t *testing.T) {
 	}
 }
 
+// TestFromBoxInto: a box built into a Region and a run buffer is
+// FromBox's, in the buffer when it has room and in one exactly sized
+// run list when it has not; a bad box leaves the Region as it was, and a
+// box built in the Region's own runs allocates nothing.
+func TestFromBoxInto(t *testing.T) {
+	c := sfc.MustNew(sfc.Hilbert, 3, 7)
+	q2 := Box{Min: sfc.Pt(30, 30, 30), Max: sfc.Pt(100, 100, 100)}
+	want, err := FromBox(c, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := want.NumRuns()
+	var r Region
+	short := make([]Run, 0, n-1)
+	if err := FromBoxInto(&r, c, q2, short); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Equal(want) || cap(r.RunsView()) != n {
+		t.Errorf("short buffer: %d runs in a %d-run list, want FromBox's %d in an exactly sized one", r.NumRuns(), cap(r.RunsView()), n)
+	}
+	roomy := make([]Run, 0, n+5)
+	if err := FromBoxInto(&r, c, q2, roomy); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Equal(want) || &r.RunsView()[0] != &roomy[:1][0] {
+		t.Error("a buffer with room: the runs are not FromBox's, or not built in it")
+	}
+	if err := FromBoxInto(&r, c, Box{Min: sfc.Pt(0, 0, 0), Max: sfc.Pt(128, 0, 0)}, nil); err == nil {
+		t.Error("a box past the grid was accepted")
+	}
+	if !r.Equal(want) {
+		t.Error("a refused box changed the Region")
+	}
+	small := Box{Min: sfc.Pt(40, 50, 60), Max: sfc.Pt(55, 65, 75)}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := FromBoxInto(&r, c, small, r.RunsView()); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("FromBoxInto in the Region's own runs allocates %.1f/op, want 0", got)
+	}
+	if want, _ := FromBox(c, small); !r.Equal(want) {
+		t.Error("a box built in the Region's own runs is not FromBox's")
+	}
+}
+
 // BenchmarkFromBox builds the paper's Q2 probe, the 71^3 box with
 // corners (30,30,30) and (100,100,100), on the 128^3 Hilbert grid.
 func BenchmarkFromBox(b *testing.B) {

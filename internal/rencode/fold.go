@@ -21,12 +21,32 @@ var ErrCurveMismatch = errors.New("rencode: REGIONs on different curves")
 // The fold takes no other codec: a γ or naive row would have to become a
 // k³-tree first, which costs more than decoding it and intersecting runs
 // (region.IntersectN), so a caller holding such rows does that instead
-// (DESIGN.md §53). The zero StoredFold has folded no row.
+// (DESIGN.md §53). A StoredFold whose caller has set Runs and Words has
+// folded no row; the fold allocates none of its memory.
 type StoredFold struct {
+	// Runs and Words lend the fold the slabs its pieces and answer are
+	// built in, and take them back (Release). The caller sets both.
+	Runs  Slabs[region.Run]
+	Words Slabs[uint64]
+
 	curve  sfc.Curve            // the first row's; nil before it
 	acc    k3Set                // the intersection of the rows so far
 	spare  k3Set                // where the next step writes its result
 	levels [k3MaxLevels]k3Level // a row's level table
+	// runSlab and wordSlab hold acc and spare; answer is RegionInto's
+	// runs when they did not fit spare's room.
+	runSlab  []region.Run
+	wordSlab []uint64
+	answer   []region.Run
+}
+
+// Slabs lends memory: Get returns a slice of length n, whose elements
+// the borrower overwrites before it reads them, and Put takes back one
+// that Get returned, which the borrower no longer touches, and ignores a
+// nil slice.
+type Slabs[E any] interface {
+	Get(n int) []E
+	Put(b []E)
 }
 
 // Intersect folds the k³-tree encoded in data into the intersection: the
@@ -55,14 +75,16 @@ func (f *StoredFold) Intersect(data []byte) error {
 		return fmt.Errorf("%w: a %s %dD/%db row after %s %dD/%db ones", ErrCurveMismatch,
 			curve.Kind(), curve.Dim(), curve.Bits(), f.curve.Kind(), f.curve.Dim(), f.curve.Bits())
 	}
-	acc := f.acc
+	// The intersection so far is read after reserve, which may move it
+	// to new slabs and hand the old ones back.
+	whole, all := [1]region.Run{{Hi: curve.Length() - 1}}, [1]uint64{^uint64(0)}
+	acc := k3Set{runs: whole[:], words: all[:]}
 	if f.curve == nil {
 		f.curve = curve
 		f.reserve(p.maxPieces())
-		whole, all := [1]region.Run{{Hi: curve.Length() - 1}}, [1]uint64{^uint64(0)}
-		acc = k3Set{runs: whole[:], words: all[:]}
 	} else {
 		f.reserve(len(f.acc.runs))
+		acc = f.acc
 	}
 	f.spare.runs, f.spare.words = f.spare.runs[:0], f.spare.words[:0]
 	p.walk(acc, &f.spare)
@@ -72,19 +94,34 @@ func (f *StoredFold) Intersect(data []byte) error {
 
 // reserve gives the next step's result room for n pieces. A step's
 // result seldom outgrows the intersection so far by much, so when spare
-// is short, new runs and words with a quarter more room than n for both
-// sets take the intersection so far: the steps after take turns in them.
+// is short, run and word slabs with a quarter more room than n for both
+// sets take the intersection so far, and the ones it outgrew go back:
+// the steps after take turns in them.
 func (f *StoredFold) reserve(n int) {
 	if cap(f.spare.runs) >= n && cap(f.spare.words) >= n {
 		return
 	}
 	room := n + n/4
-	runs, words := make([]region.Run, 2*room), make([]uint64, 2*room)
+	runs, words := f.Runs.Get(2*room), f.Words.Get(2*room)
 	f.acc = k3Set{
 		runs:  runs[room : room+copy(runs[room:], f.acc.runs)],
 		words: words[room : room+copy(words[room:], f.acc.words)],
 	}
 	f.spare = k3Set{runs: runs[:0:room], words: words[:0:room]}
+	f.Runs.Put(f.runSlab)
+	f.Words.Put(f.wordSlab)
+	f.runSlab, f.wordSlab = runs, words
+}
+
+// Release gives the fold's slabs back to Runs and Words and leaves the
+// fold as one that has folded no row, with the same Runs and Words.
+// Neither the fold's results nor a Region RegionInto refilled may be read
+// after.
+func (f *StoredFold) Release() {
+	f.Runs.Put(f.runSlab)
+	f.Words.Put(f.wordSlab)
+	f.Runs.Put(f.answer)
+	*f = StoredFold{Runs: f.Runs, Words: f.Words}
 }
 
 // maxPieces bounds the pieces walk makes of the tree and the whole
@@ -105,9 +142,10 @@ func (p *K3Probe) maxPieces() int {
 // RegionInto refills r (region.Region.Refill) with the intersection of
 // the rows folded so far, and reports whether there is one: before the
 // first row it leaves r as it was and returns false. The runs are built
-// in the room of the fold's spare pieces when they fit there, and in a
-// new, exactly sized run list otherwise, so r may share the fold's
-// memory: it is valid until the fold's next Intersect.
+// in the room of the fold's spare pieces when they fit there, and
+// otherwise in a run list of exactly their number that the fold takes
+// from Runs, so r shares the fold's memory: it is valid until the fold's
+// next Intersect, RegionInto or Release.
 func (f *StoredFold) RegionInto(r *region.Region) bool {
 	if f.curve == nil {
 		return false
@@ -128,7 +166,9 @@ func (f *StoredFold) RegionInto(r *region.Region) bool {
 	// answer written in their room overwrites none of it.
 	runs := f.spare.runs[:0]
 	if cap(runs) < n {
-		runs = make([]region.Run, 0, n)
+		f.Runs.Put(f.answer)
+		f.answer = f.Runs.Get(n)[:0]
+		runs = f.answer
 	}
 	for i, p := range f.acc.runs {
 		if w := f.acc.words[i]; w == ^uint64(0) {

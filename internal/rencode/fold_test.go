@@ -19,13 +19,22 @@ import (
 // method; on a row Decode refuses, with Decode's very error (ErrCorrupt
 // or not); on another curve, with an ErrCurveMismatch. Otherwise its
 // answer must be IntersectN's, built in the fold's spare room when it
-// fits there.
+// fits there. The fold borrows its slabs from lenders, which poison what
+// it hands back, and must have handed back all of them after Release.
 func checkFold(t *testing.T, rows [][]byte) {
 	t.Helper()
 	if len(rows) == 0 {
 		return
 	}
-	var f StoredFold
+	runs := &lender[region.Run]{poison: region.Run{Lo: 0xDBDB, Hi: 0xDB}}
+	words := &lender[uint64]{poison: 0xDBDBDBDBDBDBDBDB}
+	f := StoredFold{Runs: runs, Words: words}
+	defer func() {
+		f.Release()
+		if runs.out != 0 || words.out != 0 {
+			t.Errorf("after Release %d run and %d word slabs are still out", runs.out, words.out)
+		}
+	}()
 	var decoded []*region.Region
 	for i, row := range rows {
 		dec, derr := Decode(row)
@@ -80,6 +89,35 @@ func checkFold(t *testing.T, rows [][]byte) {
 		if inRoom != (len(runs) <= len(room)) {
 			t.Fatalf("%d rows: %d runs, %d runs of room: built in the room %t", len(rows), len(runs), len(room), inRoom)
 		}
+	}
+}
+
+// lender is a Slabs that counts the slabs out, hands each out with spare
+// capacity, as the server's free lists may, and poisons every slab it
+// takes back, so a fold that reads one after handing it back answers
+// wrong.
+type lender[E any] struct {
+	out    int
+	poison E
+}
+
+func (l *lender[E]) Get(n int) []E {
+	l.out++
+	b := make([]E, n, n+n/3)
+	for i := range b {
+		b[i] = l.poison
+	}
+	return b
+}
+
+func (l *lender[E]) Put(b []E) {
+	if b == nil {
+		return
+	}
+	l.out--
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = l.poison
 	}
 }
 

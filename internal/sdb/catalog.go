@@ -230,13 +230,18 @@ type SiteState interface {
 	// Reset runs when the tree goes idle. It drops every reference the
 	// state holds — field bytes, parsed forms, results — and keeps the
 	// capacity of its buffers, except that a buffer larger than
-	// MaxIdleBytes is released, so that one large call pins nothing
-	// while the statement idles.
+	// MaxIdleBytes is not kept, so that one large call pins nothing
+	// while the statement idles. A state may hand such a buffer to a
+	// free list its owner bounds and keep only its capacity, for the
+	// site's next large call to take one that size back; it must then
+	// hold no reference into the buffer, since the list lends it on.
 	Reset()
 }
 
 // MaxIdleBytes is the largest buffer a SiteState keeps across Reset:
-// the transport's rule for a connection's frame scratch.
+// the transport's rule for a connection's frame scratch. A larger one
+// leaves the state at Reset — to the collector, or to its owner's free
+// list.
 const MaxIdleBytes = 64 << 10
 
 // lookupUDF finds a registered function by name. Plans call it when
