@@ -180,7 +180,12 @@ cover:
 # allocs/op TestPaperMixAllocBudget holds at 0 (DESIGN.md §61), BenchmarkDaemonBulk for
 # the same full-study reply over loopback TCP through transport.Server's
 # write and release (both ends in one process: B/op is the client's
-# response buffer; DESIGN.md §59), BenchmarkServeRPCTraced for the small
+# response buffer; DESIGN.md §59), BenchmarkDaemonChain for the four calls
+# the repo benchmark's daemon workloads make per query over loopback TCP —
+# EncodeQueryRequest, TCP.Call, DecodeQueryResponse and
+# UnmarshalDataRegion — on a small structure, a structure ∩ band and the
+# full study, whose allocs/op TestDaemonChainAllocBudget holds at 5, 4
+# and 5 (the client's all: DESIGN.md §62), BenchmarkServeRPCTraced for the small
 # request with a tracer attached (what trace-on costs, beside the line it is measured
 # against), BenchmarkRunQueryMixed for the structure ∩ band query end to
 # end in one process (DX client, simulated link and server;
@@ -229,7 +234,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkStmtQuery(Row)?$$' -benchtime 100x -benchmem ./internal/sdb
 	$(GO) test -run '^$$' -bench '^Benchmark(DecodeK3|ParseK3|DecodeNaive)$$' -benchtime 100x -benchmem ./internal/rencode
 	$(GO) test -run '^$$' -bench '^BenchmarkTCPExchange$$' -benchtime 100x -benchmem ./internal/transport
-	$(GO) test -run '^$$' -bench '^BenchmarkDaemonBulk$$' -benchtime 100x -benchmem ./internal/daemon
+	$(GO) test -run '^$$' -bench '^BenchmarkDaemon(Bulk|Chain)$$' -benchtime 100x -benchmem ./internal/daemon
 	$(GO) test -run '^$$' -bench '^Benchmark(IntersectN|FromBox)$$' -benchtime 100x -benchmem ./internal/region
 	$(GO) test -run '^$$' -bench '^BenchmarkBuildAtlas$$' -benchtime 10x -benchmem ./internal/atlas
 	$(GO) test -run '^$$' -bench '^BenchmarkDataRegionCodec$$' -benchtime 100x -benchmem ./internal/medserver

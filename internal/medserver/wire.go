@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
+	"unsafe"
 
 	"qbism/internal/region"
 	"qbism/internal/rencode"
@@ -68,6 +68,12 @@ const (
 // a caller that hands EncodeQueryRequestInto this much room frames such
 // a request without an allocation.
 const RequestRoom = transport.FrameOverhead + specFixed + boxSize + 3*2 + specStrRoom
+
+// MetaRoom is the room a caller lends DecodeQueryResponseInto for a
+// reply header's patient name, date and warning: the metaStrRoom bytes
+// every reply's headroom reserves for them, so a header the server
+// framed in its blob's buffer decodes without an allocation.
+const MetaRoom = metaStrRoom
 
 // PopulationRoom is the size of the request frame of any population
 // query of at most eight studies and a label of at most 64 bytes.
@@ -170,28 +176,40 @@ func EncodeQueryResponse(meta *QueryMeta, blob []byte) ([]byte, error) {
 // DecodeQueryResponse validates a response frame and separates the meta
 // header from the DataRegion blob. Truncated or corrupted frames fail
 // with transport.ErrFrameTruncated/ErrFrameCorrupt — typed, retryable —
-// so a damaged reply is never mis-parsed as data.
+// so a damaged reply is never mis-parsed as data. The header is one new
+// object, its strings held in its own room; a header whose strings
+// outgrow MetaRoom costs one more allocation, for them.
 func DecodeQueryResponse(resp []byte) (*QueryMeta, []byte, error) {
-	meta := new(QueryMeta)
-	blob, err := DecodeQueryResponseInto(meta, resp)
+	d := new(struct {
+		meta QueryMeta
+		room [MetaRoom]byte
+	})
+	meta, blob, err := DecodeQueryResponseInto(&d.room, resp)
 	if err != nil {
 		return nil, nil, err
 	}
-	return meta, blob, nil
+	d.meta = meta
+	return &d.meta, blob, nil
 }
 
-// DecodeQueryResponseInto is DecodeQueryResponse into *meta, which it
-// overwrites whole: a caller that keeps the header by value decodes it
-// without an allocation of its own. On an error *meta is unspecified.
-func DecodeQueryResponseInto(meta *QueryMeta, resp []byte) ([]byte, error) {
+// DecodeQueryResponseInto is DecodeQueryResponse with the header
+// returned by value and its strings — the patient name, the date and
+// the warning — copied into room when they fit it, so it allocates
+// nothing; strings that do not (a degraded reply's long warning) share
+// one new string instead. Either way they keep nothing of resp, which
+// the transport may reuse. The strings live in room: the caller must not
+// write it again while it keeps the header. On an error room's contents
+// are unspecified.
+func DecodeQueryResponseInto(room *[MetaRoom]byte, resp []byte) (QueryMeta, []byte, error) {
 	header, blob, err := transport.DecodeFrame(resp)
 	if err != nil {
-		return nil, fmt.Errorf("qbism: response: %w", err)
+		return QueryMeta{}, nil, fmt.Errorf("qbism: response: %w", err)
 	}
-	if err := decodeMeta(meta, header); err != nil {
-		return nil, fmt.Errorf("qbism: bad response header: %w", err)
+	meta, err := decodeMeta(room, header)
+	if err != nil {
+		return QueryMeta{}, nil, fmt.Errorf("qbism: bad response header: %w", err)
 	}
-	return blob, nil
+	return meta, blob, nil
 }
 
 // EncodePopulationRequestInto builds the wire request body for
@@ -357,27 +375,41 @@ func appendMeta(dst []byte, m *QueryMeta) []byte {
 	return appendStr(appendStr(appendStr(dst, m.Patient), m.Date), m.Warning)
 }
 
-func decodeMeta(m *QueryMeta, b []byte) error {
+// decodeMeta decodes a meta header, its strings into room (see
+// DecodeQueryResponseInto). The header is returned by value, never
+// stored through a pointer, so room stays wherever its caller put it: a
+// room on the stack of a caller that only checks the header stays there.
+func decodeMeta(room *[MetaRoom]byte, b []byte) (QueryMeta, error) {
 	r := wireReader{b: b}
 	version, flags := r.u8(), r.u8()
-	*m = QueryMeta{
+	m := QueryMeta{
 		Degraded: flags&metaDegraded != 0,
 		N:        r.i64(), DX: r.f64(), DY: r.f64(), DZ: r.f64(),
 		AtlasID: r.i64(), PatientID: r.i64(), DBCPUNanos: int64(r.u64()),
 		LFMPages: r.u64(), LFMReads: r.u64(), CacheHits: r.u64(), CacheMisses: r.u64(),
 	}
-	// The three strings are copied into one: one allocation whatever
-	// their number, none when all are empty. A field's string keeps the
-	// others' bytes alive, and nothing of b.
+	// The three strings are copied into one, in room when they fit it and
+	// in one new buffer otherwise, and point into it: no allocation for
+	// the usual header, one for a longer one, and nothing of b kept.
 	patient, date, warning := r.bytes(), r.bytes(), r.bytes()
-	var sb strings.Builder
-	sb.Grow(len(patient) + len(date) + len(warning))
-	sb.Write(patient)
-	sb.Write(date)
-	sb.Write(warning)
-	all, i, j := sb.String(), len(patient), len(patient)+len(date)
+	i := len(patient)
+	j := i + len(date)
+	n := j + len(warning)
+	var buf []byte
+	if n <= len(room) {
+		buf = room[:n]
+	} else {
+		buf = make([]byte, n)
+	}
+	copy(buf, patient)
+	copy(buf[i:], date)
+	copy(buf[j:], warning)
+	all := unsafe.String(unsafe.SliceData(buf), n)
 	m.Patient, m.Date, m.Warning = all[:i], all[i:j], all[j:]
-	return r.done("meta", version, flags&^metaFlags)
+	if err := r.done("meta", version, flags&^metaFlags); err != nil {
+		return QueryMeta{}, err
+	}
+	return m, nil
 }
 
 // wireReader walks a header front to back. Running short is sticky and

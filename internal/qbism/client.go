@@ -54,16 +54,20 @@ type fetched struct {
 
 // answer is an answered query as the client allocates it: one object
 // holding the result, the field DX imported, the header of the image it
-// rendered, and the room its request was framed in. The reply, the
-// image's pixels and the meta header's one string are the query's only
-// other allocations. The DX cache keeps &field, so a cached entry pins
-// its own answer — this object, the reply, the image — and nothing of
-// other queries.
+// rendered, the room its request was framed in, and the room the reply
+// header's strings were decoded into (res.Meta's patient, date and
+// warning point into meta). The reply and the image's pixels are the
+// query's only other allocations, and each is kept: the field reads the
+// reply's bytes, the image holds the pixels. A header whose strings
+// outgrow the room, a degraded reply's long warning, adds one more. The
+// DX cache keeps &field, so a cached entry pins its own answer — this
+// object, the reply, the image — and nothing of other queries.
 type answer struct {
 	res   QueryResult
 	field dx.Field
 	img   dx.Image
 	req   [medserver.RequestRoom]byte
+	meta  [medserver.MetaRoom]byte
 }
 
 // cacheKey is the DX cache's key for a spec: its fields, the box by
@@ -169,8 +173,9 @@ func (c *Client) route(study int) (cluster.Key, error) {
 // corrupted past the link layer's own checks is that attempt's failure,
 // retried or failed over like a failed call, rather than a fault
 // downstream in the DX import. The first valid reply is the one the read
-// returns; a hedge's is checked and dropped.
-func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched, error) {
+// returns, its header's strings decoded into room; a hedge's is checked
+// and dropped, in a room of the check's own, which stays on its stack.
+func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte, room *[medserver.MetaRoom]byte) (fetched, error) {
 	var f fetched
 	key, err := c.route(spec.StudyID)
 	if err != nil {
@@ -179,12 +184,12 @@ func (c *Client) fetch(root *obs.Span, spec QuerySpec, request []byte) (fetched,
 	var kept bool
 	_, f.read, err = c.Cluster.Read(root, key, QueryMethod, request, func(resp []byte) error {
 		if kept { // a later reply, a hedge's: checked, then dropped
-			var meta QueryMeta
-			_, err := medserver.DecodeQueryResponseInto(&meta, resp)
+			var hedge [medserver.MetaRoom]byte
+			_, _, err := medserver.DecodeQueryResponseInto(&hedge, resp)
 			return err
 		}
-		blob, err := medserver.DecodeQueryResponseInto(&f.meta, resp)
-		f.blob, kept = blob, err == nil
+		meta, blob, err := medserver.DecodeQueryResponseInto(room, resp)
+		f.meta, f.blob, kept = meta, blob, err == nil
 		return err
 	})
 	if err != nil {
@@ -335,14 +340,15 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	}
 
 	// The request frame seeds the retry jitter. It is framed in the
-	// answer's room, as the reply is imported and rendered into the
-	// answer's field and image.
+	// answer's room, as the reply's header strings are decoded into the
+	// answer's other room and the reply is imported and rendered into
+	// the answer's field and image.
 	a := new(answer)
 	request, err := medserver.EncodeQueryRequestInto(a.req[:], spec)
 	if err != nil {
 		return nil, c.fail(root, cluster.ReadInfo{}, err)
 	}
-	f, err := c.fetch(root, spec, request)
+	f, err := c.fetch(root, spec, request, &a.meta)
 	if err != nil {
 		return nil, c.fail(root, f.read, err)
 	}
@@ -448,7 +454,7 @@ func (c *Client) observe(spec QuerySpec, t QueryTiming, retries int, root *obs.S
 func (c *Client) RunQueryCached(spec QuerySpec) (*QueryResult, bool, error) {
 	if field, ok := c.Cache.Get(cacheKeyOf(spec)); ok {
 		// The same one object as a miss's answer; its Field is the
-		// cached one, so its own field and request room stay unused.
+		// cached one, so its own field and both rooms stay unused.
 		a := new(answer)
 		if err := field.RenderInto(&a.img, dx.RenderOpts{Axis: 2, Mode: dx.MIP}); err != nil {
 			return nil, false, err

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qbism/internal/bench"
 	"qbism/internal/dx"
 	"qbism/internal/medserver"
 )
@@ -96,9 +97,11 @@ func TestClusterOfOneMatchesSystem(t *testing.T) {
 // TestRunQueryAllocBudget pins the client half beside the server
 // ceilings of serve_alloc_test.go: a whole RunQuery through the sim
 // transport on the shapes a DX session asks for, and a four-spec batch
-// on two workers. A seam that starts boxing its result, a pool that
-// allocates per item, or a reply decoded into a Region again trips here
-// before it reaches the repo benchmark's allocs_per_query.
+// on two workers. The counts are exact means (bench.AllocsPerCall), so a
+// seam that starts boxing its result, a pool that allocates per item, a
+// reply decoded into a Region again or a header string copied out on its
+// own trips here before it reaches the repo benchmark's
+// allocs_per_query.
 func TestRunQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates, a few objects more or less per query from run to run")
@@ -116,16 +119,22 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		name string
 		sys  *System
 		spec QuerySpec
-		// As measured: the client's answer object, the image's pixels
-		// and the meta header's one string, plus ServeRPC's 1, 1, 4 and
-		// 1, the reply among them. The client renders the reply's
-		// REGION off its encoded bytes into the answer, frames the
-		// request in the answer's room, keys the DX cache on the spec's
-		// value, and a repeated query's Put moves its key in the LRU
-		// list in place. While the client allocated the result, the
-		// field, the image header, the request, the cache key string
-		// and each meta string apart, these were 9, 9, 12 and 9. While
-		// the server copied its reply
+		// As measured: the client's answer object, the reply the sim
+		// link keeps for it, and the image's pixels — each kept by the
+		// result; the server builds the reply in its free list's buffer
+		// and allocates nothing else (DESIGN.md §61). The client renders
+		// the reply's REGION off its encoded bytes into the answer,
+		// frames the request in the answer's room, decodes the header's
+		// strings into the answer's other room, keys the DX cache on the
+		// spec's value, and a repeated query's Put moves its key in the
+		// LRU list in place. These were 4, 4, 4 and 4 while the header's
+		// strings were copied into a new string of their own (DESIGN.md
+		// §62), the Q2 box's 7 while the server allocated for its box
+		// REGION and run lists (§61), and 4, 4, 7 and 4 with ServeRPC's
+		// 1, 1, 4 and 1 the reply among them before that. While the
+		// client allocated the result, the field, the image header, the
+		// request, the cache key string and each meta string apart, these
+		// were 9, 9, 12 and 9. While the server copied its reply
 		// into a frame of its own, these were 10, 10, 13 and 10. While
 		// the client built a Table 3 label for every query, they were
 		// 11, 11, 19 and 11. While it
@@ -140,25 +149,25 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		// off; 51 and 57 with JSON headers.
 		ceiling float64
 	}{
-		{"small-structure", sys, small, 4},
-		{"structure-and-band", sys, mixed, 4},
-		{"q2-box", paper, q2Box, 7},
-		{"full-study", sys, full, 4},
+		{"small-structure", sys, small, 3},
+		{"structure-and-band", sys, mixed, 3},
+		{"q2-box", paper, q2Box, 3},
+		{"full-study", sys, full, 3},
 	} {
-		got := testing.AllocsPerRun(20, func() {
+		got := bench.AllocsPerCall(t.Logf, 20, func() {
 			if _, err := tc.sys.RunQuery(tc.spec); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocs per RunQuery", tc.name, got)
+		t.Logf("%s: %.3f allocs per RunQuery", tc.name, got)
 		if got > tc.ceiling {
-			t.Errorf("%s: %.0f allocs per RunQuery, ceiling %.0f — does the client decode the reply into a Region again?", tc.name, got, tc.ceiling)
+			t.Errorf("%s: %.3f allocs per RunQuery, ceiling %.0f — does the client decode the reply into a Region, or the header's strings into a string of their own, again?", tc.name, got, tc.ceiling)
 		}
 	}
 	batch := []QuerySpec{small, mixed, small, mixed}
 	// Two workers can run one statement at once, and sdb builds the
 	// statement's second operator tree the first time they do, then keeps
-	// it. Counting on one processor (testing.AllocsPerRun), the workers
+	// it. Counting on one processor (bench.AllocsPerCall), the workers
 	// overlap only when the scheduler preempts one mid-query; on a loaded
 	// host that can fall inside the count, and the tree's build showed as
 	// 21 or 22 allocations a batch. Reserve the trees two workers keep:
@@ -167,16 +176,16 @@ func TestRunQueryAllocBudget(t *testing.T) {
 	if err := sys.Server.ReserveExecutions(2); err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(20, func() {
+	got := bench.AllocsPerCall(t.Logf, 20, func() {
 		for _, item := range sys.RunQueries(batch, 2) {
 			if item.Err != nil {
 				t.Fatal(item.Err)
 			}
 		}
 	})
-	t.Logf("batch of 4 on 2 workers: %.0f allocs per RunQueries", got)
-	if got > 20 { // as measured: four queries, the items, the pool (40 while each query allocated its result's parts apart, 44 while the server copied each reply into a frame, 48 while each query built its label, 62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
-		t.Errorf("%.0f allocs per 4-spec RunQueries, ceiling 20 — does the pool allocate per item?", got)
+	t.Logf("batch of 4 on 2 workers: %.3f allocs per RunQueries", got)
+	if got > 16 { // as measured: four queries of 3, the items, the pool (20 while each query's header strings were a string of their own, 40 while each query allocated its result's parts apart, 44 while the server copied each reply into a frame, 48 while each query built its label, 62 while replies were decoded into Regions, 72 while the server copied spec strings and the pool had a channel)
+		t.Errorf("%.3f allocs per 4-spec RunQueries, ceiling 16 — does the pool allocate per item?", got)
 	}
 }
 
