@@ -1,5 +1,5 @@
-# Pre-merge check: gofmt, vet, build, the wire's import gate, the
-# daemon's (qbismd-deps) and the client's (client-deps), the server's
+# Pre-merge check: gofmt, vet, build, the wire's import gates (no
+# document codec, no store: transport-deps), the daemon's (qbismd-deps) and the client's (client-deps), the server's
 # reproduction boundary (repro-boundary), the repo's own static analysis
 # (qbismlint — errwrap and the interprocedural closer, the two
 # analyzers DESIGN.md §50's census kept; see §11 and §15), the
@@ -30,9 +30,9 @@ FUZZTIME ?= 5s
 # `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc ab ab-smoke
+.PHONY: check fmt vet build wire-imports transport-deps qbismd-deps client-deps repro-boundary lint lint-ignores test race cover chaos fuzz-smoke bench-smoke loc ab ab-smoke
 
-check: fmt vet build wire-imports qbismd-deps client-deps repro-boundary lint lint-ignores race chaos cover fuzz-smoke bench-smoke
+check: fmt vet build wire-imports transport-deps qbismd-deps client-deps repro-boundary lint lint-ignores race chaos cover fuzz-smoke bench-smoke
 
 # Formatting gate: any file gofmt would rewrite fails the check (and is
 # named in the output).
@@ -49,6 +49,12 @@ build:
 # transport must not grow a document codec again.
 wire-imports:
 	@if $(GO) list -f '{{join .Imports " "}}' ./internal/transport | grep -qw encoding/json; then echo "wire-imports: internal/transport imports encoding/json"; exit 1; fi
+
+# The seam does not link the store (DESIGN.md §63): the service
+# classifies the store's failures before they reach the transport, so
+# neither lfm nor what it links comes back into the transport's closure.
+transport-deps:
+	@bad="$$($(GO) list -deps ./internal/transport | grep -E '^qbism/internal/(lfm|region|sfc)$$')"; if [ -n "$$bad" ]; then echo "transport-deps: internal/transport links:"; echo "$$bad"; exit 1; fi
 
 # The daemon links the server half only (DESIGN.md §23): the DX front
 # end, the cluster, the experiment drivers and what only they use — the

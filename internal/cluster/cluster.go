@@ -15,7 +15,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -92,7 +94,7 @@ type Config struct {
 	// MaxBackoff and Seed drive the simulated wait before each retry,
 	// jittered per request; a zero BaseBackoff waits none (the clock
 	// still advances by per-call quanta). transport.RetryableError
-	// decides which failures another node or attempt may cure.
+	// decides which failures a retry may cure; a node fault fails over.
 	Retry transport.RetryPolicy
 	// HedgeAfter enables hedged reads: when the serving node's EWMA of
 	// simulated latency reaches this threshold, Read also dials the
@@ -239,10 +241,10 @@ type ReadInfo struct {
 	Node string
 	// Attempts is the number of node calls issued, including hedges.
 	Attempts int
-	// Retries is the number of failed attempts that were retried.
+	// Retries is the number of failed attempts retried after a backoff.
 	Retries int
 	// Failovers counts attempts served by a different node than the
-	// previous attempt dialed (the read "switched nodes").
+	// previous attempt dialed, after a retry or a node fault.
 	Failovers int
 	// Hedged reports whether a hedge call was issued.
 	Hedged bool
@@ -277,13 +279,15 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, method string, request 
 // first breaker-admitted node (primary-first), fails over to the next
 // node on retryable errors with capped backoff, hedges against nodes
 // whose latency EWMA exceeds HedgeAfter, and returns a typed
-// ErrShardUnavailable once attempts are exhausted. Terminal (semantic)
-// errors return immediately without failover — another replica would
-// give the same answer. validate, when non-nil, runs once on every reply
-// a node returns, the hedge's included: a reply it refuses is that
-// node's failure — it trips the node's breaker and is classified and
-// failed over like a call error. When keyed, key labels the span and a
-// terminal error; otherwise the shard alone does.
+// ErrShardUnavailable once attempts are exhausted. A node fault fails
+// over at once, never back to that node, and is terminal once every node
+// gave one. Terminal (semantic) errors return immediately without
+// failover — another replica would give the same answer. validate, when
+// non-nil, runs once on every reply a node returns, the hedge's
+// included: a reply it refuses is that node's failure — it trips the
+// node's breaker and is classified and failed over like a call error.
+// When keyed, key labels the span and a terminal error; otherwise the
+// shard alone does.
 func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, ReadInfo{Shard: shard}, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.shards))
@@ -304,12 +308,13 @@ func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method 
 	var rng *faultsim.Rand
 	var lastErr error
 	prevNode := -1
+	var faulted []bool // nodes that gave a node fault; made at the first
 
 	for attempt := 1; attempt <= c.cfg.Retry.MaxAttempts; attempt++ {
 		// Pick the first healthy node, preferring the primary, then
 		// skipping past the node that just failed so consecutive
 		// attempts rotate through the shard.
-		node := c.pickNode(st, prevNode)
+		node := c.pickNode(st, prevNode, faulted)
 		if node < 0 {
 			// Every breaker is open and refusing probes: charge the
 			// quantum so cooldowns eventually elapse, then retry.
@@ -353,6 +358,16 @@ func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method 
 		lastErr = fmt.Errorf("node %s: %w", st.names[node], err)
 		info.LastError = err.Error()
 		prevNode = node
+		if errors.Is(err, transport.ErrNodeFault) {
+			if faulted == nil {
+				faulted = make([]bool, len(st.nodes))
+			}
+			faulted[node] = true
+			// Replicas match only as written: ask one that did not rot, now.
+			if slices.Contains(faulted, false) {
+				continue
+			}
+		}
 		if !transport.RetryableError(err) {
 			// Terminal: every replica holds identical bytes, so a
 			// semantic failure is the answer, not a health problem.
@@ -376,23 +391,23 @@ func (c *Cluster) read(parent *obs.Span, shard int, key Key, keyed bool, method 
 
 // pickNode returns the index of the first breaker-admitted node,
 // starting at the primary but skipping avoid (the node that just
-// failed) unless it is the only choice. Returns -1 when every breaker
-// refuses.
-func (c *Cluster) pickNode(st *shardState, avoid int) int {
+// failed) unless it is the only choice, and never one marked faulted.
+// Returns -1 when every breaker refuses.
+func (c *Cluster) pickNode(st *shardState, avoid int, faulted []bool) int {
 	now := c.now()
 	// Allow has a side effect — a half-open breaker grants exactly one
 	// probe per Allow — so it must only be asked about nodes this pick
 	// will actually dial. Checking avoid first keeps a skipped node's
 	// probe slot intact for the next pick.
 	for i := range st.nodes {
-		if i == avoid {
+		if i == avoid || (faulted != nil && faulted[i]) {
 			continue
 		}
 		if st.breakers[i].Allow(now) {
 			return i
 		}
 	}
-	if avoid >= 0 && st.breakers[avoid].Allow(now) {
+	if avoid >= 0 && (faulted == nil || !faulted[avoid]) && st.breakers[avoid].Allow(now) {
 		return avoid
 	}
 	return -1
@@ -432,7 +447,7 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 	if priorEWMA < c.cfg.HedgeAfter {
 		return
 	}
-	alt := c.pickNode(st, served)
+	alt := c.pickNode(st, served, nil)
 	if alt < 0 || alt == served {
 		return
 	}

@@ -119,8 +119,9 @@ func TestDaemonUnknownMethodOverWire(t *testing.T) {
 	}
 }
 
-// flakyBackend fails its first calls with a device read fault, which the
-// server reports over the wire as retryable, then serves Backend.
+// flakyBackend fails its first calls with a device read fault, classified
+// as the server classifies one (retryable, transport.ErrRemote), then
+// serves Backend.
 type flakyBackend struct {
 	Backend
 	failures atomic.Int32
@@ -128,7 +129,7 @@ type flakyBackend struct {
 
 func (f *flakyBackend) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
 	if f.failures.Add(-1) >= 0 {
-		return nil, fmt.Errorf("daemon test: %w", lfm.ErrReadFault)
+		return nil, fmt.Errorf("daemon test: %w: %w", transport.ErrRemote, lfm.ErrReadFault)
 	}
 	return f.Backend.ServeRPC(sp, method, request)
 }
@@ -220,9 +221,11 @@ func TestDrainAndCloseConcurrently(t *testing.T) {
 
 // TestRottedPageRefusedOverTCP: a server built as cmd/qbismd builds it —
 // its Config from the command's flags, no integrity setting — verifies
-// every page it reads. A VOLUME page that rots at rest reaches a client
-// over TCP as a typed, retryable error naming the checksum mismatch,
-// after the retries ran out, and never as the rotted bytes.
+// every page it reads. A VOLUME page that rots at rest fails its
+// checksum on the store's re-read too, so it reaches a client over TCP
+// as a typed node fault naming the study, the field and the page, after
+// one attempt — a retry of the one node would read the same rot — and
+// never as the rotted bytes.
 func TestRottedPageRefusedOverTCP(t *testing.T) {
 	srv, err := medserver.New(medserver.Config{Bits: 4, NumPET: 2, NumMRI: 1, Seed: 1993, SmallStudies: true})
 	if err != nil {
@@ -246,14 +249,24 @@ func TestRottedPageRefusedOverTCP(t *testing.T) {
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("study 1's VOLUME: %d rows, %v", len(res.Rows), err)
 	}
-	if err := srv.LFM.Corrupt(res.Rows[0][0].L, 100, 0x10); err != nil {
+	field := res.Rows[0][0].L
+	if err := srv.LFM.Corrupt(field, 100, 0x10); err != nil {
 		t.Fatal(err)
 	}
+	before := d.Stats().Calls
 	got, err := client.RunQuery(spec)
-	if got != nil || !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), lfm.ErrChecksum.Error()) {
-		t.Fatalf("read of a rotted VOLUME page over TCP: (%v, %v), want a typed %q and no answer", got, err, lfm.ErrChecksum)
+	if got != nil || !errors.Is(err, transport.ErrNodeFault) || transport.RetryableError(err) {
+		t.Fatalf("read of a rotted VOLUME page over TCP: (%v, %v), want a typed %v and no answer", got, err, transport.ErrNodeFault)
 	}
-	if n := srv.LFM.Stats().ChecksumFailures; n == 0 {
-		t.Error("the server counted no checksum failure")
+	for _, want := range []string{"study 1", fmt.Sprintf("field %d page 0", field), lfm.ErrChecksum.Error()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if calls := d.Stats().Calls - before; calls != 1 {
+		t.Errorf("the client made %d calls for a rotted page, want 1", calls)
+	}
+	if n := srv.LFM.Stats().ChecksumFailures; n != 2 {
+		t.Errorf("the server counted %d checksum failures, want 2 (the transfer and its re-read)", n)
 	}
 }

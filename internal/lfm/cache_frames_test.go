@@ -128,12 +128,15 @@ func TestFailedFillLeavesVictimIntact(t *testing.T) {
 			if before.CacheEvictions != 1 {
 				t.Fatalf("set-up made %d evictions, want 1", before.CacheEvictions)
 			}
-			// The next page miss draws the fault.
-			m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{{Op: 1, Kind: kind}}}))
+			// The next page miss draws the fault. A flip must strike the
+			// re-read too, or the re-read cures it.
+			sched := []faultsim.Scheduled{{Op: 1, Kind: kind}}
 			want := ErrReadFault
 			if kind == faultsim.PageCorrupt {
+				sched = append(sched, faultsim.Scheduled{Op: 2, Kind: kind})
 				want = ErrChecksum
 			}
+			m.SetFaults(faultsim.New(faultsim.Policy{Schedule: sched}))
 			if err := read(3); !errors.Is(err, want) {
 				t.Fatalf("fill of page 3: got %v, want %v", err, want)
 			}

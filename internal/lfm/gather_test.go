@@ -72,9 +72,11 @@ func pageSpan(runs []region.Run, size uint64) (off, n uint64) {
 // runs' page span with ReadAtInto and copies the runs out. Every read
 // must leave the same bytes, bill the same Stats field by field, draw
 // the same faults and fail with the same typed error, with the cache off
-// and on, and ReadErr and PageCorrupt faults. In the +verified cases a
-// page of the field is Corrupted on both devices partway through, and
-// every read that touches it must fail its checksum.
+// and on, and ReadErr and PageCorrupt faults. Both re-read a page that
+// fails its checksum, so a flip in transfer is cured alike on both
+// sides, and with faults on some are. In the +verified cases a page of
+// the field is Corrupted on both devices partway through, and every read
+// that touches it must fail its checksum.
 //
 // Every page is verified, so a read that succeeds returns the stored
 // bytes in every case.
@@ -121,6 +123,7 @@ func TestReadRunsMatchesReadAt(t *testing.T) {
 			span := make([]byte, size)
 			onDevice := bytes.Clone(data)
 			errs := map[bool]int{}
+			cured := 0 // reads a re-read saved from a transfer flip
 			for i := 0; i < 1500; i++ {
 				if tc.rot && i == 700 {
 					for _, m := range []*Manager{mG, mR} {
@@ -161,6 +164,9 @@ func TestReadRunsMatchesReadAt(t *testing.T) {
 				if errG != nil {
 					continue
 				}
+				if gather.ChecksumFailures > 0 {
+					cured++
+				}
 				copied := got[:0:0]
 				for _, r := range runs {
 					copied = append(copied, span[r.Lo-off:r.Hi-off+1]...)
@@ -180,7 +186,10 @@ func TestReadRunsMatchesReadAt(t *testing.T) {
 			if (tc.faults != nil || tc.rot) && errs[true] == 0 {
 				t.Error("no read failed: the error paths went unchecked")
 			}
-			t.Logf("%d reads succeeded, %d failed", errs[false], errs[true])
+			if tc.faults != nil && cured == 0 {
+				t.Error("no read was cured by a re-read: the re-read went unchecked")
+			}
+			t.Logf("%d reads succeeded (%d after a re-read cured a flip), %d failed", errs[false], cured, errs[true])
 		})
 	}
 }

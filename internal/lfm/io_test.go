@@ -103,9 +103,10 @@ func TestIOBillsOnlyItsOwnReads(t *testing.T) {
 }
 
 // TestIOBillsFailedReads: a read that fails its checksum still cost the
-// pages it transferred — 2 of the field's 3, since the read stops at
-// page 1, the rotten one — and the per-field bill says which field
-// failed and how.
+// transfers it made — 2 of the field's 3 pages, since the read stops at
+// page 1, the rotten one, and that page's re-read — and the per-field
+// bill says which field failed and how: both transfers of page 1 failed
+// their checksum.
 func TestIOBillsFailedReads(t *testing.T) {
 	m, err := New(1<<20, 4096)
 	if err != nil {
@@ -126,8 +127,8 @@ func TestIOBillsFailedReads(t *testing.T) {
 	if _, err := io.Read(h + 99); !errors.Is(err, ErrUnknownHandle) {
 		t.Fatalf("read of no field: %v", err)
 	}
-	if io.ChecksumFailures != 1 || io.Reads != 1 || io.PageReads != 2 || io.Stats != m.Stats() {
-		t.Errorf("bill %+v, device %+v: want one read failed after 2 pages on both", io.Stats, m.Stats())
+	if io.ChecksumFailures != 2 || io.Reads != 1 || io.PageReads != 3 || io.Stats != m.Stats() {
+		t.Errorf("bill %+v, device %+v: want one read failed after 2 pages and a re-read on both", io.Stats, m.Stats())
 	}
 	root := obs.NewTracer().Start("call")
 	io.Spans(root)
@@ -135,8 +136,8 @@ func TestIOBillsFailedReads(t *testing.T) {
 	if n, _ := sp.Int("errors"); n != 1 {
 		t.Errorf("span counts %d errors, want 1", n)
 	}
-	if n, _ := sp.Int("checksumFailures"); n != 1 {
-		t.Errorf("span counts %d checksum failures, want 1", n)
+	if n, _ := sp.Int("checksumFailures"); n != 2 {
+		t.Errorf("span counts %d checksum failures, want 2", n)
 	}
 	if msg, _ := sp.Str("lastError"); msg == "" {
 		t.Error("span carries no lastError")

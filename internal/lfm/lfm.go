@@ -13,7 +13,8 @@
 // which is exactly the "LFM Disk I/Os (4KB Pages)" metric of the paper's
 // Tables 3 and 4. A read transfers its pages one at a time, in order,
 // the manager lock held for one page transfer at a time, and PageReads
-// counts the transfers it made: all of its pages when it succeeds; when
+// counts the transfers it made, each re-read of a page that failed its
+// checksum included (readPage): all of its pages when it succeeds; when
 // a read fault stops it, the pages before that one; when a checksum
 // mismatch does, the pages through the one that failed. A read either
 // fills one contiguous piece of a field or gathers the bytes of a sorted
@@ -49,8 +50,8 @@ var (
 	ErrReadFault = errors.New("lfm: device read fault")
 	// ErrWriteFault is an injected device write error.
 	ErrWriteFault = errors.New("lfm: device write fault")
-	// ErrChecksum means a page's content does not match its stored
-	// CRC32 — corruption on the device or in transfer was detected.
+	// ErrChecksum means a page failed its stored CRC32 on two transfers
+	// in a row: it rotted at rest (a re-read cures a flip in transfer).
 	ErrChecksum = errors.New("lfm: page checksum mismatch")
 )
 
@@ -67,7 +68,7 @@ type Stats struct {
 	Writes       uint64 // write operations
 
 	FaultsInjected   uint64 // device faults injected by the fault policy
-	ChecksumFailures uint64 // page reads rejected by CRC verification
+	ChecksumFailures uint64 // page transfers rejected by CRC verification: a cured flip 1, a rotted page 2
 
 	CacheHits      uint64 // page requests served from the page cache
 	CacheMisses    uint64 // page requests that went to the device
@@ -406,9 +407,11 @@ func (m *Manager) readPages(cost *Stats, page *[]byte, h Handle, f field, off, n
 // the transfer; PageCorrupt flips one bit of the transferred page (the
 // device itself stays intact — a transient bus/DMA error). Every
 // transferred page is checked, whole, against the field's checksum
-// table (ErrChecksum on a mismatch) and only then cached, so a page that
-// fails its read or its checksum leaves the cache, and the page it would
-// have evicted, as they were. Callers must hold m.mu.
+// table; a mismatch is transferred once more, into the same frame, so a
+// flip in transfer is cured and a second mismatch is rot (ErrChecksum).
+// Only a verified page is cached: one that fails its read or its
+// checksum leaves the cache, and the page it would have evicted, as
+// they were. Callers must hold m.mu.
 func (m *Manager) readPage(cost *Stats, h Handle, f field, j uint64, out []byte, want bool) error {
 	key := pageKey{h: h, page: j}
 	if m.cache != nil {
@@ -421,29 +424,34 @@ func (m *Manager) readPage(cost *Stats, h Handle, f field, j uint64, out []byte,
 		}
 		cost.CacheMisses++
 	}
-	var pos int
-	var mask byte // 0: no corruption drawn
-	switch m.faults.ReadFault() {
-	case faultsim.ReadErr:
-		cost.FaultsInjected++
-		return fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
-	case faultsim.PageCorrupt:
-		cost.FaultsInjected++
-		pos, mask = m.faults.Intn(int(m.pageSize)), 1<<m.faults.Intn(8)
-	}
 	page := out
 	if m.cache != nil {
 		page = m.cache.spareFrame(m.pageSize)[:len(out)]
 	}
-	m.devRead(f.off+j*m.pageSize, page)
-	cost.PageReads++
-	if mask != 0 && pos < len(page) {
-		page[pos] ^= mask
-	}
-	if int(j) >= len(f.sums) || crc32.ChecksumIEEE(page) != f.sums[j] {
+	for transfers := 1; ; transfers++ {
+		var pos int
+		var mask byte // 0: no corruption drawn
+		switch m.faults.ReadFault() {
+		case faultsim.ReadErr:
+			cost.FaultsInjected++
+			return fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
+		case faultsim.PageCorrupt:
+			cost.FaultsInjected++
+			pos, mask = m.faults.Intn(int(m.pageSize)), 1<<m.faults.Intn(8)
+		}
+		m.devRead(f.off+j*m.pageSize, page)
+		cost.PageReads++
+		if mask != 0 && pos < len(page) {
+			page[pos] ^= mask
+		}
+		if int(j) < len(f.sums) && crc32.ChecksumIEEE(page) == f.sums[j] {
+			break
+		}
 		cost.ChecksumFailures++
-		cost.Reads++
-		return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+		if transfers == 2 {
+			cost.Reads++
+			return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+		}
 	}
 	if m.cache != nil {
 		if m.cache.put(key, page) {

@@ -3,6 +3,7 @@ package lfm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -247,13 +248,17 @@ func TestTornWriteDetectedByChecksum(t *testing.T) {
 	}
 }
 
+// TestPageCorruptDetectedByChecksum: a page flipped in transfer on both
+// its first transfer and its re-read reads as rot — ErrChecksum — and
+// is never returned. The device itself is intact, so the next read
+// succeeds.
 func TestPageCorruptDetectedByChecksum(t *testing.T) {
 	m, _ := New(1<<20, 4096)
 	data := make([]byte, 2*4096)
 	h, _ := m.Allocate(data)
-	// In-transfer corruption on the first page of the next read.
+	// In-transfer corruption on the first page of the next read, twice.
 	m.SetFaults(faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{
-		{Op: 1, Kind: faultsim.PageCorrupt},
+		{Op: 1, Kind: faultsim.PageCorrupt}, {Op: 2, Kind: faultsim.PageCorrupt},
 	}}))
 	if _, err := m.Read(h); !errors.Is(err, ErrChecksum) {
 		t.Errorf("in-transfer corruption not detected: %v", err)
@@ -261,6 +266,57 @@ func TestPageCorruptDetectedByChecksum(t *testing.T) {
 	// The device itself is intact: the re-read succeeds.
 	if got, err := m.Read(h); err != nil || !bytes.Equal(got, data) {
 		t.Errorf("re-read after transient corruption: %v", err)
+	}
+}
+
+// TestTransferFlipCuredInPlace: a page flipped in its first transfer
+// and not in its second is a flip in transfer, which the store's re-read
+// cures: the read returns the stored bytes, and its bill shows the one
+// rejected transfer and the one extra page read, on both cache settings.
+func TestTransferFlipCuredInPlace(t *testing.T) {
+	for _, cachePages := range []int{0, 4} {
+		m, _ := New(1<<20, 4096)
+		data := pattern(3*4096+17, 0x6b)
+		h, _ := m.Allocate(data)
+		m.EnableCache(cachePages)
+		m.ResetStats()
+		// Op 2 is page 1's first transfer; op 3 its re-read.
+		in := faultsim.New(faultsim.Policy{Schedule: []faultsim.Scheduled{{Op: 2, Kind: faultsim.PageCorrupt}}})
+		m.SetFaults(in)
+		io := IO{M: m}
+		got, err := io.Read(h)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("cache=%d: read after a transfer flip: %v", cachePages, err)
+		}
+		if io.ChecksumFailures != 1 || io.PageReads != 5 || io.FaultsInjected != 1 || io.Reads != 1 || in.Ops() != 5 {
+			t.Errorf("cache=%d: bill %+v after %d draws; want 1 checksum failure, 5 page reads (4 + 1 re-read), 1 fault, 5 draws",
+				cachePages, io.Stats, in.Ops())
+		}
+	}
+}
+
+// TestRotFailsAfterTwoTransfers: a page that rotted at rest fails its
+// checksum on the transfer and on the re-read, and the read stops there
+// with ErrChecksum after exactly those two transfers of it, on both
+// cache settings.
+func TestRotFailsAfterTwoTransfers(t *testing.T) {
+	for _, cachePages := range []int{0, 4} {
+		m, _ := New(1<<20, 4096)
+		h, _ := m.Allocate(pattern(4*4096, 0x17))
+		m.EnableCache(cachePages)
+		if err := m.Corrupt(h, 4096+9, 0x04); err != nil {
+			t.Fatal(err)
+		}
+		m.ResetStats()
+		io := IO{M: m}
+		_, err := io.Read(h)
+		if want := fmt.Sprintf("lfm: field %d page 1: %v", h, ErrChecksum); err == nil || err.Error() != want {
+			t.Fatalf("cache=%d: read of a rotten page: %v, want %q", cachePages, err, want)
+		}
+		// Page 0, then page 1 twice.
+		if io.PageReads != 3 || io.ChecksumFailures != 2 || io.Reads != 1 || io.BytesRead != 0 || io.Stats != m.Stats() {
+			t.Errorf("cache=%d: bill %+v, device %+v; want 3 page reads, 2 checksum failures, 1 failed read", cachePages, io.Stats, m.Stats())
+		}
 	}
 }
 

@@ -16,15 +16,20 @@ import (
 // drew every fault of an uncached read before transferring anything,
 // readVerified and readCached — kept under ref names as the oracle
 // TestReadMatchesReference holds the loop to. Every page is verified, so
-// the uncached reference is readVerified's whole-range transfer.
+// the uncached reference is readVerified's whole-range transfer. Both
+// references model the store's re-read: a page that fails its checksum
+// is transferred once more after one more fault decision, and only a
+// second mismatch fails the read.
 
 // refRead is the reference ReadAt (whole: Read): the range check, the
 // reference read, and its cost on the device meter. It also returns the
-// cost, as the reference's bill.
-func (m *Manager) refRead(h Handle, whole bool, off, n uint64) ([]byte, Stats, error) {
+// cost, as the reference's bill, and the first logical page the read
+// re-read (-1: none).
+func (m *Manager) refRead(h Handle, whole bool, off, n uint64) ([]byte, Stats, int, error) {
+	reread := -1
 	f, err := m.field(h)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, reread, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -32,16 +37,16 @@ func (m *Manager) refRead(h Handle, whole bool, off, n uint64) ([]byte, Stats, e
 		n = f.size
 	}
 	if off > f.size || n > f.size-off {
-		return nil, Stats{}, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
+		return nil, Stats{}, reread, fmt.Errorf("%w: [%d,%d) of %d-byte field", ErrOutOfRange, off, off+n, f.size)
 	}
 	out := make([]byte, n)
 	var cost Stats
-	err = m.refReadRange(&cost, h, f, off, out)
+	err = m.refReadRange(&cost, &reread, h, f, off, out)
 	m.stats.Add(cost)
 	if err != nil {
-		return nil, cost, err
+		return nil, cost, reread, err
 	}
-	return out, cost, nil
+	return out, cost, reread, nil
 }
 
 // refBitFlip records one injected single-bit corruption: logical page j of
@@ -53,16 +58,17 @@ type refBitFlip struct {
 }
 
 // refReadRange fills dst with [off, off+len(dst)) of a field, dispatching
-// to the cached or uncached verified path, and counts in cost what the
-// read did. Callers must hold m.mu.
-func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
+// to the cached or uncached verified path, counts in cost what the read
+// did and leaves in *reread the first page it re-read, if any. Callers
+// must hold m.mu.
+func (m *Manager) refReadRange(cost *Stats, reread *int, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	if n == 0 {
 		cost.Reads++
 		return nil
 	}
 	if m.cache != nil {
-		return m.refReadCached(cost, h, f, off, dst)
+		return m.refReadCached(cost, reread, h, f, off, dst)
 	}
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
 
@@ -87,7 +93,30 @@ func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst [
 		}
 	}
 
-	return m.refReadVerified(cost, h, f, off, dst, j0, j1, flips)
+	return m.refReadVerified(cost, reread, h, f, off, dst, j0, j1, flips)
+}
+
+// refReread is the reference re-read of logical page j, whose first
+// transfer failed its checksum: one more fault decision, one more
+// transfer into page, and the checksum again. It reports whether the
+// page now matches.
+func (m *Manager) refReread(cost *Stats, f field, j uint64, page []byte) (bool, error) {
+	cost.ChecksumFailures++
+	var flip refBitFlip // mask 0: no corruption drawn
+	switch m.faults.ReadFault() {
+	case faultsim.ReadErr:
+		cost.FaultsInjected++
+		return false, fmt.Errorf("lfm: page %d: %w", (f.off+j*m.pageSize)/m.pageSize, ErrReadFault)
+	case faultsim.PageCorrupt:
+		cost.FaultsInjected++
+		flip = refBitFlip{page: j, pos: m.faults.Intn(int(m.pageSize)), mask: 1 << m.faults.Intn(8)}
+	}
+	m.devRead(f.off+j*m.pageSize, page)
+	cost.PageReads++
+	if flip.mask != 0 && flip.pos < len(page) {
+		page[flip.pos] ^= flip.mask
+	}
+	return int(j) < len(f.sums) && crc32.ChecksumIEEE(page) == f.sums[j], nil
 }
 
 // refReadVerified transfers the full pages the range touches, applies any
@@ -97,8 +126,10 @@ func (m *Manager) refReadRange(cost *Stats, h Handle, f field, off uint64, dst [
 // read — is transferred into dst and verified there; only a request that
 // starts or ends inside a page goes through a buffer of its own. It
 // counts the pages the range spans — verification inspects only pages
-// the read already paid for. Callers must hold m.mu.
-func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []refBitFlip) error {
+// the read already paid for — and the re-read of the first page that
+// fails its checksum, which it draws after every page's first decision.
+// Callers must hold m.mu.
+func (m *Manager) refReadVerified(cost *Stats, reread *int, h Handle, f field, off uint64, dst []byte, j0, j1 uint64, flips []refBitFlip) error {
 	n := uint64(len(dst))
 	base := j0 * m.pageSize
 	end := (j1 + 1) * m.pageSize
@@ -124,7 +155,18 @@ func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, ds
 		if hi > uint64(len(buf)) {
 			hi = uint64(len(buf))
 		}
-		if int(j) >= len(sums) || crc32.ChecksumIEEE(buf[lo:hi]) != sums[j] {
+		if int(j) < len(sums) && crc32.ChecksumIEEE(buf[lo:hi]) == sums[j] {
+			continue
+		}
+		if *reread < 0 {
+			*reread = int(j)
+		}
+		ok, err := m.refReread(cost, f, j, buf[lo:hi])
+		if err != nil {
+			cost.PageReads += m.pagesSpanned(f.off+off, n)
+			return err
+		}
+		if !ok {
 			cost.ChecksumFailures++
 			cost.Reads++
 			cost.PageReads += m.pagesSpanned(f.off+off, n)
@@ -147,11 +189,11 @@ func (m *Manager) refReadVerified(cost *Stats, h Handle, f field, off uint64, ds
 // the device into the cache's spare frame, draw one fault decision,
 // verify against the field's checksum table, and only then insert the
 // page — a fill that fails leaves the cache, and the page it would have
-// evicted, exactly as they were. PageReads
-// therefore counts device transfers only — exactly what the paper's I/O
-// column would be with a buffer pool in front of the LFM. Callers must
-// hold m.mu.
-func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst []byte) error {
+// evicted, exactly as they were. A miss that fails its checksum is
+// re-read once into the same frame. PageReads therefore counts device
+// transfers only — exactly what the paper's I/O column would be with a
+// buffer pool in front of the LFM. Callers must hold m.mu.
+func (m *Manager) refReadCached(cost *Stats, reread *int, h Handle, f field, off uint64, dst []byte) error {
 	n := uint64(len(dst))
 	j0, j1 := off/m.pageSize, (off+n-1)/m.pageSize
 	sums := f.sums
@@ -181,9 +223,18 @@ func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst 
 			}
 			cost.PageReads++
 			if int(j) >= len(sums) || crc32.ChecksumIEEE(page) != sums[j] {
-				cost.ChecksumFailures++
-				cost.Reads++
-				return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+				if *reread < 0 {
+					*reread = int(j)
+				}
+				ok, err := m.refReread(cost, f, j, page)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					cost.ChecksumFailures++
+					cost.Reads++
+					return fmt.Errorf("lfm: field %d page %d: %w", h, j, ErrChecksum)
+				}
 			}
 			if m.cache.put(key, page) {
 				cost.CacheEvictions++
@@ -219,15 +270,18 @@ func (m *Manager) refReadCached(cost *Stats, h Handle, f field, off uint64, dst 
 // devices halfway through, and every read that touches it must fail its
 // checksum.
 //
-// The one allowed difference is a failed read with no cache: the loop
-// stops at the page that failed. A ReadErr on page k bills k − first
-// pages (the reference billed 0). A checksum failure on page k bills
-// k − first + 1 (the reference billed the whole range). The reference
-// drew every page's fault before it transferred any, so a checksum
-// failure before the range's last page, with faults on, also leaves it
-// further along its fault stream — and a ReadErr among the later pages
-// was its error. There the test checks the loop's side alone and
-// reseeds both injectors alike.
+// The one allowed difference is the uncached read that fails or re-reads.
+// The loop stops at the page that failed. A ReadErr on page k bills
+// k − first pages (the reference billed 0, or, when the ReadErr struck
+// the re-read of the range's last page, the same). A checksum failure
+// on page k bills k − first + 2, its re-read included (the reference
+// billed the whole range and the re-read). The reference drew every
+// page's first fault before it transferred any, and its re-read's after
+// them, so a re-read before the range's last page, with faults on,
+// leaves the two streams one decision apart from there on — and a
+// ReadErr among the later pages may have been the reference's error.
+// There the test checks the loop's side alone and reseeds both
+// injectors alike.
 func TestReadMatchesReference(t *testing.T) {
 	faults := faultsim.Policy{Seed: 99, ReadErrProb: 0.03, PageCorruptProb: 0.03}
 	for _, tc := range []struct {
@@ -280,7 +334,7 @@ func TestReadMatchesReference(t *testing.T) {
 			io := IO{M: mNew}
 			buf := make([]byte, len(datas[0])+8)
 			rng := rand.New(rand.NewSource(20260929))
-			var readErrs, sumErrs, reseeds, rotErrs int
+			var readErrs, sumErrs, reseeds, rotErrs, cured int
 			for i := 0; i < 2000; i++ {
 				if tc.rot && i == 1000 {
 					for _, m := range []*Manager{mNew, mRef} {
@@ -326,52 +380,86 @@ func TestReadMatchesReference(t *testing.T) {
 				if entry != 0 && io.Stats != cost {
 					t.Fatalf("op %d: IO billed %+v, the device counted %+v", i, io.Stats, cost)
 				}
-				want, refCost, errRef := mRef.refRead(h, whole, uint64(off), uint64(n))
+				want, refCost, reread, errRef := mRef.refRead(h, whole, uint64(off), uint64(n))
 				drewNew, drewRef := inNew.Ops()-opsNew, inRef.Ops()-opsRef
 				where := fmt.Sprintf("op %d field %d [%d,+%d)", i, fi, off, n)
+				first, last := uint64(off)/4096, (uint64(off)+uint64(max(n, 1))-1)/4096
 
 				if tc.rot && i >= 1000 && fi == 0 && errors.Is(errNew, ErrChecksum) {
 					rotErrs++
 				}
+				if errNew == nil && cost.ChecksumFailures > 0 {
+					cured++
+				}
+				if tc.cachePages == 0 && tc.faults != nil && cost.ChecksumFailures > 0 && reread != int(last) {
+					// The loop re-read a page before the range's last (the
+					// reference re-read that page too, or stopped at a
+					// ReadErr it drew for a later one), so its later draws
+					// ran one decision ahead of the reference's. Each page
+					// through the one it stopped at was transferred once,
+					// and each that failed its checksum once more.
+					switch {
+					case errNew == nil:
+						if cost.ChecksumFailures != 1 || cost.PageReads != drewNew || !bytes.Equal(got, datas[fi][off:off+n]) {
+							t.Fatalf("%s: cured read cost %+v after %d draws", where, cost, drewNew)
+						}
+					case errors.Is(errNew, ErrChecksum):
+						k := first + cost.PageReads - cost.ChecksumFailures
+						if wantErr := fmt.Sprintf("lfm: field %d page %d: %v", h, k, ErrChecksum); errNew.Error() != wantErr {
+							t.Fatalf("%s: error %q, want %q", where, errNew, wantErr)
+						}
+						if cost.PageReads != drewNew || cost.Reads != 1 || cost.ChecksumFailures < 2 || cost.BytesRead != 0 {
+							t.Fatalf("%s: failed read cost %+v after %d draws", where, cost, drewNew)
+						}
+						sumErrs++
+					case errors.Is(errNew, ErrReadFault):
+						if cost.PageReads != drewNew-1 {
+							t.Fatalf("%s: ReadErr billed %d pages after %d draws", where, cost.PageReads, drewNew)
+						}
+						readErrs++
+					default:
+						t.Fatalf("%s: error %v", where, errNew)
+					}
+					if reread < 0 && !errors.Is(errRef, ErrReadFault) {
+						t.Fatalf("%s: the reference re-read nothing and returned %v", where, errRef)
+					}
+					reseeds++
+					seed(rng.Uint64())
+					continue
+				}
 				if tc.cachePages == 0 && errors.Is(errNew, ErrChecksum) {
 					// The loop transferred each page through the failing
-					// one (drawing one fault a page, with faults on) and
-					// stopped. Without a fault drawn, only the rot fails.
+					// one (drawing one fault a page, with faults on), that
+					// page once more, and stopped. Without a fault drawn,
+					// only the rot fails.
 					sumErrs++
-					first, last := uint64(off)/4096, (uint64(off)+uint64(n)-1)/4096
-					k := first + cost.PageReads - 1
+					k := first + cost.PageReads - 2
 					if wantErr := fmt.Sprintf("lfm: field %d page %d: %v", h, k, ErrChecksum); errNew.Error() != wantErr {
 						t.Fatalf("%s: error %q, want %q", where, errNew, wantErr)
 					}
-					if (tc.faults != nil && cost.PageReads != drewNew) || cost.Reads != 1 || cost.ChecksumFailures != 1 || cost.BytesRead != 0 ||
+					if (tc.faults != nil && cost.PageReads != drewNew) || cost.Reads != 1 || cost.ChecksumFailures != 2 || cost.BytesRead != 0 ||
 						(cost.FaultsInjected == 0 && !tc.rot) || cost.FaultsInjected > refCost.FaultsInjected {
 						t.Fatalf("%s: failed read cost %+v after %d draws (reference %+v)", where, cost, drewNew, refCost)
-					}
-					if tc.faults != nil && k < last {
-						// The reference drew past page k, and a ReadErr among
-						// those pages was its error: reseed both alike.
-						if drewRef <= drewNew || errRef == nil ||
-							(errRef.Error() != errNew.Error() && !errors.Is(errRef, ErrReadFault)) {
-							t.Fatalf("%s: the reference drew %d faults to the loop's %d and returned %v",
-								where, drewRef, drewNew, errRef)
-						}
-						reseeds++
-						seed(rng.Uint64())
-						continue
 					}
 					// Failing on the range's last page, or with no faults
 					// to draw, both drew the same faults; only the bill
 					// differs.
-					if refCost.PageReads != last-first+1 {
+					if refCost.PageReads != last-first+2 {
 						t.Fatalf("%s: the reference billed %d pages", where, refCost.PageReads)
 					}
 					refCost.PageReads = cost.PageReads
 				}
 				if tc.cachePages == 0 && errors.Is(errNew, ErrReadFault) {
 					// A ReadErr on page k: the loop transferred the k − first
-					// pages before it; the reference transferred none.
+					// pages before it; the reference transferred none — unless
+					// the ReadErr struck the re-read of the last page, when
+					// both transferred the whole range.
 					readErrs++
-					if refCost.PageReads != 0 || cost.PageReads != drewNew-1 {
+					refPages := uint64(0)
+					if cost.ChecksumFailures > 0 {
+						refPages = last - first + 1
+					}
+					if refCost.PageReads != refPages || cost.PageReads != drewNew-1 {
 						t.Fatalf("%s: ReadErr billed %d pages after %d draws, the reference %d",
 							where, cost.PageReads, drewNew, refCost.PageReads)
 					}
@@ -395,8 +483,8 @@ func TestReadMatchesReference(t *testing.T) {
 					t.Fatalf("%s: the loop drew %d faults, the reference %d", where, drewNew, drewRef)
 				}
 			}
-			t.Logf("uncached: %d ReadErrs, %d checksum failures (%d before the range's last page); %d reads of the rotten field failed",
-				readErrs, sumErrs, reseeds, rotErrs)
+			t.Logf("%d flips cured by the re-read; %d reads of the rotten field failed; uncached: %d ReadErrs, %d checksum failures, %d re-reads before the range's last page",
+				cured, rotErrs, readErrs, sumErrs, reseeds)
 			if tc.rot && rotErrs == 0 {
 				t.Error("no read of the rotten field failed: the rot went unchecked")
 			}
@@ -412,12 +500,15 @@ func TestReadMatchesReference(t *testing.T) {
 			if mNew.Stats().FaultsInjected == 0 {
 				t.Error("the faulted configuration injected nothing")
 			}
+			if cured == 0 {
+				t.Error("no transfer flip was cured by the re-read")
+			}
 			// The documented difference is exercised where it applies.
 			if tc.cachePages == 0 && readErrs == 0 {
 				t.Error("no uncached ReadErr drawn: that bill went unchecked")
 			}
 			if tc.cachePages == 0 && reseeds == 0 {
-				t.Error("no uncached checksum failure before a range's last page: that bill went unchecked")
+				t.Error("no uncached re-read before a range's last page: that bill went unchecked")
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 
 // ErrWrapAnalyzer guards the typed-error chains that retry and
 // degradation logic depends on (PR 1): in the fault-plumbing packages
-// (lfm, faultsim, transport, medserver, qbism), a fmt.Errorf
+// (lfm, faultsim, transport, medserver, qbism, cluster), a fmt.Errorf
 // that formats an error-typed argument must use %w, not %v/%s —
 // otherwise errors.Is/As stops matching transport.ErrDropped,
 // lfm.ErrChecksum, etc., and the client silently loses its
@@ -22,7 +22,7 @@ var ErrWrapAnalyzer = &Analyzer{
 
 // errWrapScope names the fault-plumbing packages errwrap checks.
 var errWrapScope = map[string]bool{
-	"lfm": true, "faultsim": true, "medserver": true, "qbism": true, "transport": true,
+	"lfm": true, "faultsim": true, "medserver": true, "qbism": true, "transport": true, "cluster": true,
 }
 
 func runErrWrap(pass *Pass) {

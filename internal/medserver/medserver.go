@@ -140,15 +140,26 @@ const QueryMethod = "medicalQuery"
 // the daemon hands it back through ReleaseReply once written. Unknown
 // methods fail with transport.ErrUnknownMethod (typed, terminal), so a
 // version-skewed client gets a classifiable refusal instead of a hang.
-func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, error) {
+// The store's failures are classified here, for both flavors: a rotted
+// page is a transport.ErrNodeFault, a device read fault a retryable
+// transport.ErrRemote, each wrapping the store's error.
+func (s *Server) ServeRPC(sp *obs.Span, method string, request []byte) (resp []byte, err error) {
 	switch method {
 	case QueryMethod:
-		return s.handleMedicalQuery(sp, request)
+		resp, err = s.handleMedicalQuery(sp, request)
 	case PopulationMethod:
-		return s.handlePopulation(sp, request)
+		resp, err = s.handlePopulation(sp, request)
 	default:
-		return nil, fmt.Errorf("qbism: %w: %q", transport.ErrUnknownMethod, method)
+		err = fmt.Errorf("qbism: %w: %q", transport.ErrUnknownMethod, method)
 	}
+	switch {
+	case err == nil:
+	case errors.Is(err, lfm.ErrChecksum):
+		err = fmt.Errorf("%w: %w", transport.ErrNodeFault, err)
+	case errors.Is(err, lfm.ErrReadFault):
+		err = fmt.Errorf("%w: %w", transport.ErrRemote, err)
+	}
+	return resp, err
 }
 
 // handleMedicalQuery is the MedicalServer RPC handler: it receives a
@@ -185,7 +196,7 @@ func (s *Server) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	blob, warning, err := s.runDataQuery(dsp, &bill, spec, box)
 	dsp.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("qbism: %s: %w", labelOf(spec, box), err)
 	}
 	if warning != "" {
 		meta.Degraded = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"time"
@@ -13,6 +14,7 @@ import (
 	"qbism/internal/cluster"
 	"qbism/internal/faultsim"
 	"qbism/internal/medserver"
+	"qbism/internal/obs"
 	"qbism/internal/rencode"
 	"qbism/internal/transport"
 	"qbism/internal/volume"
@@ -108,9 +110,10 @@ func marshalResult(t *testing.T, method rencode.Method, res *QueryResult) []byte
 // TestChaosQueries is the headline robustness check: several hundred
 // queries against a system with faults injected on both the link and the
 // device. Every query must either return bytes identical to the
-// fault-free run or fail with a typed, classified error — never panic,
-// never silently return corrupted data — and with retries enabled the
-// success rate must stay at or above 95%.
+// fault-free run or fail with a typed, classified error — retryable, or a
+// node fault where one page's transfer and its re-read both flipped,
+// which reads as rot — never panic, never silently return corrupted data
+// — and with retries enabled the success rate must stay at or above 95%.
 func TestChaosQueries(t *testing.T) {
 	clean, err := New(chaosBaseConfig())
 	if err != nil {
@@ -135,12 +138,14 @@ func TestChaosQueries(t *testing.T) {
 
 	const queries = 300
 	pick := faultsim.NewRand(999)
-	succeeded, retried := 0, 0
+	succeeded, retried, nodeFaults := 0, 0, 0
 	for i := 0; i < queries; i++ {
 		spec := pool[pick.Intn(len(pool))]
 		res, err := sys.RunQuery(spec)
 		if err != nil {
-			if !transport.RetryableError(err) {
+			if errors.Is(err, transport.ErrNodeFault) {
+				nodeFaults++
+			} else if !transport.RetryableError(err) {
 				t.Fatalf("query %d (%s): fatal-classified error escaped: %v", i, spec.Label(), err)
 			}
 			continue
@@ -155,6 +160,7 @@ func TestChaosQueries(t *testing.T) {
 			t.Errorf("query %d: %d retries but no simulated backoff", i, res.Read.Retries)
 		}
 	}
+	t.Logf("%d/%d queries succeeded; %d stopped on a node fault", succeeded, queries, nodeFaults)
 	if rate := float64(succeeded) / queries; rate < 0.95 {
 		t.Errorf("success rate %.3f < 0.95 (%d/%d)", rate, succeeded, queries)
 	}
@@ -632,6 +638,79 @@ func TestClusterCorruptNodeFailover(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Error("no checksum failures recorded on corrupt primaries")
+	}
+}
+
+// TestRottedPrimaryFailsOverAtOnce: a VOLUME page that rotted at rest on
+// a shard's primary fails the store's re-read too, so the server calls it
+// a node fault. The read then goes to the replica at once — no backoff,
+// no retry — and answers with the control's bytes, on the simulated link
+// and over loopback TCP alike. Alone, the rotted node's answer is the
+// typed fault after one call: it is up, so the shard is not unavailable.
+func TestRottedPrimaryFailsOverAtOnce(t *testing.T) {
+	control, _ := clusterControl(t)
+	spec := QuerySpec{StudyID: control.Studies[0].StudyID, Atlas: "Talairach", FullStudy: true}
+	res, err := control.RunQuery(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalResult(t, control.Cfg.Method, res)
+	cfg := clusterChaosConfig()
+	cfg.Shards = 1
+	retry := transport.DefaultRetryPolicy()
+	cs, err := NewClusterSystem(cfg, WithRetry(retry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	primary := cs.Nodes[0][0]
+	rows, err := primary.DB.Exec(fmt.Sprintf(`select wv.data from warpedVolume wv where wv.studyId = %d`, spec.StudyID))
+	if err != nil || len(rows.Rows) != 1 {
+		t.Fatalf("the study's VOLUME: %v, %v", rows, err)
+	}
+	if err := primary.LFM.Corrupt(rows.Rows[0][0].L, 100, 0x10); err != nil {
+		t.Fatal(err)
+	}
+
+	// The primary and the replica served over loopback, for the TCP leg.
+	var socks []transport.Transport
+	for _, n := range cs.Nodes[0] {
+		srv := transport.NewServer(n.Server, transport.ServerConfig{Addr: "127.0.0.1:0"})
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tcp := transport.DialTCP(srv.Addr().String(), transport.TCPOptions{})
+		defer tcp.Close()
+		socks = append(socks, tcp)
+	}
+	overTCP := newClient(cfg.Base, clientOptions{retry: retry.WithDefaults()}, obs.NewRegistry(), cluster.Config{}, [][]transport.Transport{socks})
+	for _, leg := range []struct {
+		name string
+		c    *Client
+	}{{"sim", cs.Client}, {"tcp", overTCP}} {
+		res, err := leg.c.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if !bytes.Equal(marshalResult(t, control.Cfg.Method, res), want) {
+			t.Errorf("%s: answer differs from the control", leg.name)
+		}
+		r := res.Read
+		if r.Node != "s0r1" || r.Attempts != 2 || r.Failovers != 1 || r.Retries != 0 || r.BackoffSim != 0 ||
+			!strings.Contains(r.LastError, transport.ErrNodeFault.Error()) {
+			t.Errorf("%s: read %+v, want the replica after one node fault: 1 failover, no retry, no backoff", leg.name, r)
+		}
+	}
+
+	alone := NewClient(primary.Transport, cfg.Base, WithRetry(retry))
+	calls := primary.Transport.Stats().Calls
+	_, err = alone.RunQuery(spec)
+	if !errors.Is(err, transport.ErrNodeFault) || errors.Is(err, cluster.ErrShardUnavailable) || transport.RetryableError(err) {
+		t.Errorf("alone: %v, want a terminal node fault", err)
+	}
+	if n := primary.Transport.Stats().Calls - calls; n != 1 || alone.Metrics.Counter("qbism_retries_total").Value() != 0 {
+		t.Errorf("alone: %d calls, %d retries; want 1 and 0", n, alone.Metrics.Counter("qbism_retries_total").Value())
 	}
 }
 

@@ -2,6 +2,7 @@ package qbism
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,8 +86,9 @@ func TestPrunedReadPathByteIdentical(t *testing.T) {
 
 // TestPrunedReadPathUnderFaults reruns the chaos workload with the gap
 // threshold and the page cache both on: successes must stay
-// byte-identical to the fault-free baseline, failures must stay typed
-// and retryable, and the PR 1 success-rate guarantee must hold.
+// byte-identical to the fault-free baseline, failures must stay typed —
+// retryable, or a node fault where a page flipped on both its transfer
+// and its re-read — and the chaos suite's 95% success floor must hold.
 func TestPrunedReadPathUnderFaults(t *testing.T) {
 	clean, err := New(chaosBaseConfig())
 	if err != nil {
@@ -101,14 +103,15 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 	cfg.DeviceFaults = chaosDevicePolicy(302)
 	sys, _ := newFaulty(t, cfg, chaosLinkPolicy(301), WithRetry(transport.DefaultRetryPolicy()))
 
-	succeeded := 0
-	total := 0
+	succeeded, total, nodeFaults := 0, 0, 0
 	for round := 0; round < 4; round++ {
 		for _, spec := range pool {
 			total++
 			res, err := sys.RunQuery(spec)
 			if err != nil {
-				if !transport.RetryableError(err) {
+				if errors.Is(err, transport.ErrNodeFault) {
+					nodeFaults++
+				} else if !transport.RetryableError(err) {
 					t.Fatalf("%s: fatal-classified error escaped: %v", spec.Label(), err)
 				}
 				continue
@@ -120,6 +123,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d/%d queries succeeded; %d stopped on a node fault", succeeded, total, nodeFaults)
 	if rate := float64(succeeded) / float64(total); rate < 0.95 {
 		t.Errorf("success rate %.3f < 0.95 (%d/%d)", rate, succeeded, total)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qbism/internal/faultsim"
-	"qbism/internal/lfm"
 )
 
 // RetryPolicy governs how a client retries transient call failures.
@@ -67,30 +66,24 @@ func (p RetryPolicy) Backoff(attempt int, rng *faultsim.Rand) time.Duration {
 }
 
 // RetryableError reports whether err is a transient failure a retry
-// can plausibly cure: link-level drops, timeouts, and detected
-// corruption; truncated or corrupted frames; broken or refused
-// connections; admission rejections and draining servers (back off,
-// the server is telling the client to slow down or look elsewhere);
-// server-classified retryable remote failures; and device read faults
-// or checksum mismatches (re-reads succeed when the corruption
-// happened in transfer rather than at rest). Semantic failures —
-// unknown study, unknown structure, malformed spec, unknown method —
-// are terminal.
+// can plausibly cure: link-level drops and timeouts; truncated or
+// corrupted frames; broken or refused connections; admission rejections
+// and draining servers (back off, the server is telling the client to
+// slow down or look elsewhere); and failures the service classified as
+// retryable (ErrRemote). Node faults (ErrNodeFault) and semantic
+// failures — unknown study or structure, malformed spec, unknown method
+// — are terminal.
 func RetryableError(err error) bool {
 	switch {
 	case errors.Is(err, ErrDropped),
 		errors.Is(err, ErrLinkTimeout),
-		errors.Is(err, ErrCorrupt),
 		errors.Is(err, ErrFrameTruncated),
 		errors.Is(err, ErrFrameCorrupt),
 		errors.Is(err, ErrDial),
 		errors.Is(err, ErrConn),
 		errors.Is(err, ErrAdmissionRejected),
 		errors.Is(err, ErrDraining),
-		errors.Is(err, ErrRemote),
-		errors.Is(err, lfm.ErrReadFault),
-		errors.Is(err, lfm.ErrWriteFault),
-		errors.Is(err, lfm.ErrChecksum):
+		errors.Is(err, ErrRemote):
 		return true
 	}
 	return false

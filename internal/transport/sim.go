@@ -11,16 +11,13 @@ import (
 	"qbism/internal/obs"
 )
 
-// Typed link failures of the simulated wire. RetryableError classifies
-// all three as retryable.
+// Typed link failures of the simulated wire, both retryable; a detected
+// corruption is ErrFrameCorrupt, as on a socket.
 var (
 	// ErrDropped means the message was lost in flight.
 	ErrDropped = errors.New("transport: message dropped")
 	// ErrLinkTimeout means the call exceeded its deadline.
 	ErrLinkTimeout = errors.New("transport: call timed out")
-	// ErrCorrupt means the payload was damaged in flight and the link
-	// layer detected it.
-	ErrCorrupt = errors.New("transport: payload corrupted in flight")
 )
 
 // Sim carries calls to an in-process Handler over a simulated link —
@@ -28,7 +25,7 @@ var (
 // crosses the link, the handler runs, the response crosses back. Each
 // crossing is counted in messages and bytes by the cost model, and an
 // optional faultsim.Injector makes it drop, time out, gain latency, or
-// get corrupted — detectably (ErrCorrupt) or silently (Tamper flips a
+// get corrupted — detectably (ErrFrameCorrupt) or silently (Tamper flips a
 // byte that only an end-to-end integrity check can see). Fault draws
 // are seeded, so the chaos and differential suites replay byte for byte
 // (same spans, same counters, same draws in the same order); the
@@ -145,7 +142,7 @@ func (s *Sim) cross(parent *obs.Span, dir, method string, payload []byte, bill *
 	case faultsim.Timeout:
 		return nil, fmt.Errorf("transport: %s: %w", method, ErrLinkTimeout)
 	case faultsim.Corrupt:
-		return nil, fmt.Errorf("transport: %s: %w", method, ErrCorrupt)
+		return nil, fmt.Errorf("transport: %s: %w", method, ErrFrameCorrupt)
 	case faultsim.Tamper:
 		if len(payload) > 0 {
 			tampered := make([]byte, len(payload))

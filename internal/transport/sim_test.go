@@ -95,7 +95,7 @@ func TestConcurrentCallsUnderFaults(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, err := sim.Call(nil, "inc", []byte{1, 2, 3})
-			if err != nil && !errors.Is(err, ErrDropped) && !errors.Is(err, ErrLinkTimeout) && !errors.Is(err, ErrCorrupt) {
+			if err != nil && !errors.Is(err, ErrDropped) && !errors.Is(err, ErrLinkTimeout) && !errors.Is(err, ErrFrameCorrupt) {
 				t.Errorf("untyped error: %v", err)
 			}
 		}()
@@ -119,7 +119,7 @@ func TestScheduledFaultsTyped(t *testing.T) {
 	if _, err := sim.Call(nil, "m", []byte("b")); !errors.Is(err, ErrLinkTimeout) {
 		t.Errorf("call 2: %v", err)
 	}
-	if _, err := sim.Call(nil, "m", []byte("c")); !errors.Is(err, ErrCorrupt) {
+	if _, err := sim.Call(nil, "m", []byte("c")); !errors.Is(err, ErrFrameCorrupt) {
 		t.Errorf("call 3: %v", err)
 	}
 	if c := inj.Counts(); len(c) != 3 || c[faultsim.Drop] != 1 || c[faultsim.Timeout] != 1 || c[faultsim.Corrupt] != 1 {
@@ -238,7 +238,7 @@ func TestLinkFaultsReconcileWithInjector(t *testing.T) {
 			failed[faultsim.Drop]++
 		case errors.Is(err, ErrLinkTimeout):
 			failed[faultsim.Timeout]++
-		case errors.Is(err, ErrCorrupt):
+		case errors.Is(err, ErrFrameCorrupt):
 			failed[faultsim.Corrupt]++
 		case err != nil:
 			t.Fatalf("call %d: untyped error %v", i, err)
@@ -332,7 +332,7 @@ func TestCallSpanFaultAnnotations(t *testing.T) {
 	}{
 		{faultsim.Drop, "drop", ErrDropped},
 		{faultsim.Timeout, "timeout", ErrLinkTimeout},
-		{faultsim.Corrupt, "corrupt", ErrCorrupt},
+		{faultsim.Corrupt, "corrupt", ErrFrameCorrupt},
 		{faultsim.Latency, "latency", nil},
 		{faultsim.Tamper, "tamper", nil},
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -50,6 +51,7 @@ const (
 	kindRetryable
 	kindTerminal
 	kindUnknownMethod
+	kindNodeFault
 )
 
 // kindSentinel is the one table both directions read: classifyKind
@@ -60,6 +62,7 @@ var kindSentinel = [...]error{
 	kindDraining:      ErrDraining,
 	kindRetryable:     ErrRemote,
 	kindUnknownMethod: ErrUnknownMethod,
+	kindNodeFault:     ErrNodeFault,
 }
 
 // appendCallHeader appends the call header for method to dst.
@@ -106,10 +109,10 @@ func parseStatus(h []byte) (statusKind, []byte, error) {
 	return statusKind(h[1]), h[statusSize:], nil
 }
 
-// remoteErr reconstructs a typed client-side error from a failed status.
+// remoteErr rebuilds a typed error from a failed status, naming its sentinel once.
 func remoteErr(method string, kind statusKind, text []byte) error {
 	if int(kind) < len(kindSentinel) && kindSentinel[kind] != nil {
-		return fmt.Errorf("transport: %s: %w: %s", method, kindSentinel[kind], text)
+		return fmt.Errorf("transport: %s: %w: %s", method, kindSentinel[kind], bytes.TrimPrefix(text, []byte(kindSentinel[kind].Error()+": ")))
 	}
 	return fmt.Errorf("transport: %s: remote: %s", method, text)
 }

@@ -18,10 +18,10 @@
 // Exchange returns the call's own bill (Stats), exact however many calls
 // overlap, and Stats() is the cumulative meter, for metrics.
 //
-// The client's resilience policy lives here too (retry.go): RetryPolicy is
-// the capped-exponential, deterministically jittered retry schedule, and
-// RetryableError the one classification of transient-vs-terminal. The
-// cluster's read loop applies both, to one server and to a shard alike.
+// The client's resilience policy lives here too (retry.go): RetryPolicy,
+// the jittered retry schedule, and RetryableError, which judges only the
+// transport's own sentinels — the service wraps its failures in
+// ErrRemote or ErrNodeFault. The cluster's read loop applies both.
 package transport
 
 import (
@@ -50,10 +50,13 @@ var (
 	// answer).
 	ErrDraining = errors.New("transport: server draining")
 	// ErrRemote marks a server-side failure the server itself
-	// classified as retryable (e.g. a device read fault); the concrete
-	// cause only exists in the server process, so the client matches
+	// classified as retryable (a device read fault); it wraps the cause,
+	// which over a socket arrives only as text, so the client matches
 	// this sentinel instead.
 	ErrRemote = errors.New("transport: retryable remote failure")
+	// ErrNodeFault marks a failure of this node's copy (a page rotted at
+	// rest): not retryable on this node, but a replica may answer.
+	ErrNodeFault = errors.New("transport: node fault")
 	// ErrUnknownMethod means the server has no handler for the method.
 	ErrUnknownMethod = errors.New("transport: unknown method")
 	// ErrWireHeader means a header inside a valid frame — call, status,

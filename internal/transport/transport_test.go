@@ -170,7 +170,7 @@ func TestRetryableErrorClassification(t *testing.T) {
 		}
 	}
 	terminal := []error{
-		ErrClosed, ErrUnknownMethod, ErrFrameOversize,
+		ErrClosed, ErrUnknownMethod, ErrFrameOversize, ErrNodeFault,
 		errors.New("unknown study"),
 	}
 	for _, err := range terminal {

@@ -34,6 +34,7 @@ func TestWireGolden(t *testing.T) {
 		{"status retryable", appendStatus(nil, kindRetryable, "lfm: read fault")},
 		{"status terminal", appendStatus(nil, kindTerminal, "qbism: no warped study 9 in atlas \"Talairach\"")},
 		{"status unknown-method", appendStatus(nil, kindUnknownMethod, "qbism: transport: unknown method: \"nope\"")},
+		{"status node-fault", appendStatus(nil, kindNodeFault, "lfm: field 7 page 3: lfm: page checksum mismatch")},
 	}
 	var out strings.Builder
 	for _, tc := range cases {
@@ -131,6 +132,45 @@ func TestUnknownMethodTypedOnBothFlavors(t *testing.T) {
 	}
 	if got := sim.Stats(); got.BytesOut != uint64(len(request)) || got.BytesIn != 0 || got.Messages != model.Messages(uint64(len(request))) {
 		t.Errorf("sim metered %+v, want exactly the request's crossing", got)
+	}
+}
+
+// TestNodeFaultTypedOnBothFlavors: a handler error the service classified
+// as a node fault reaches the caller as ErrNodeFault — not retryable, its
+// cause's text intact — over the simulated link and over a socket.
+func TestNodeFaultTypedOnBothFlavors(t *testing.T) {
+	rot := errors.New("lfm: field 7 page 3: lfm: page checksum mismatch")
+	handler := func(sp *obs.Span, method string, request []byte) ([]byte, error) {
+		return nil, fmt.Errorf("%w: %w", ErrNodeFault, rot)
+	}
+	for _, tc := range []struct {
+		flavor string
+		tr     Transport
+	}{
+		{"sim", NewSim(costmodel.Default1993(), handler)},
+		{"tcp", dialServer(t, startServer(t, handler, ServerConfig{}))},
+	} {
+		_, _, err := tc.tr.Exchange(nil, "m", nil)
+		if !errors.Is(err, ErrNodeFault) || RetryableError(err) || !strings.Contains(err.Error(), rot.Error()) {
+			t.Errorf("%s: %v, want a non-retryable ErrNodeFault naming %q", tc.flavor, err, rot)
+		}
+	}
+}
+
+// TestNodeFaultTerminalOnAnOlderClient: a client of the wire revision
+// before kind 6 has no sentinel for it, so remoteErr's fallback reads a
+// node fault as a terminal remote error — it never retries the node.
+func TestNodeFaultTerminalOnAnOlderClient(t *testing.T) {
+	text := []byte("lfm: field 7 page 3: lfm: page checksum mismatch")
+	if err := remoteErr("m", kindNodeFault, text); !errors.Is(err, ErrNodeFault) || RetryableError(err) {
+		t.Fatalf("this revision: %v, want a non-retryable ErrNodeFault", err)
+	}
+	saved := kindSentinel[kindNodeFault]
+	kindSentinel[kindNodeFault] = nil // the older client's table
+	defer func() { kindSentinel[kindNodeFault] = saved }()
+	err := remoteErr("m", kindNodeFault, text)
+	if errors.Is(err, ErrNodeFault) || RetryableError(err) || err.Error() != "transport: m: remote: "+string(text) {
+		t.Errorf("older client: %v, want the terminal remote fallback", err)
 	}
 }
 
