@@ -428,14 +428,13 @@ func dataQuerySQL(spec QuerySpec, b *[6]uint32, buf *dataBinds) (dataShape, []sd
 // one row at a time, rather than materializing a result set first.
 //
 // Band queries degrade gracefully: when the stored intensityBand REGION
-// is missing, unreadable, or fails its checksum, the query runs again
+// is missing or has rotted (lfm.ErrChecksum), the query runs again
 // without its band and keeps the voxels in the band (bandSlowPath — a
 // full-volume read, Q1's I/O cost, unless a structure narrows it), and
 // the returned warning marks the answer Degraded. The voxel bytes are
-// identical to what the fast path would return.
-// A checksum/read fault surfaces mid-execution, from the row that read
-// the field; querySingle returns it like any other failure, so the
-// fallback conditions are unchanged.
+// identical to what the fast path would return. A transient read fault
+// fails the call, as ServeRPC's retryable ErrRemote, and the retry reads
+// the stored band.
 func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec, box *[6]uint32) (blob []byte, warning string, err error) {
 	// A band spec's encoding resolves before SQL generation, so the
 	// generated query binds a label the store holds — the SQL itself
@@ -455,8 +454,8 @@ func (s *Server) runDataQuery(sp *obs.Span, bill *lfm.Stats, spec QuerySpec, box
 	n, err := querySingle(sp, bill, s.stmts.data[shape], row[:], args...)
 	if spec.HasBand {
 		switch {
-		case err != nil && (errors.Is(err, lfm.ErrChecksum) || errors.Is(err, lfm.ErrReadFault)):
-			// The stored band REGION (or a joined region) is unreadable.
+		case errors.Is(err, lfm.ErrChecksum):
+			// The stored band REGION (or a joined region) has rotted.
 			return s.bandSlowPath(sp, bill, spec, fmt.Sprintf(
 				"stored intensityBand [%d,%d] unreadable (%v); recomputed from VOLUME", spec.BandLo, spec.BandHi, err))
 		case err == nil && n == 0:

@@ -26,6 +26,7 @@ import (
 //
 // A population request has no body; its reply has no header, and its
 // body is the answer REGION in the server's wire codec (Config.Method).
+// Each is a sealed frame, whose CRC only its decoder checks.
 //
 // A value has one encoding and the decoders accept nothing else: another
 // version, an unknown flag bit, a short header or trailing bytes fail

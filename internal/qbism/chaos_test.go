@@ -295,6 +295,48 @@ func TestDegradedBandRecompute(t *testing.T) {
 	}
 }
 
+// TestBandReadFaultIsRetriedNotDegraded: a transient device read fault
+// on the first page a band query transfers is not a lost band. The call
+// fails as the retryable ErrRemote, and the retry reads the stored band:
+// the answer is the fault-free one, not marked Degraded, and the
+// degraded counter does not move. Alone and ∩ a structure.
+func TestBandReadFaultIsRetriedNotDegraded(t *testing.T) {
+	clean, err := New(chaosBaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := clean.Studies[0].StudyID
+	b := clean.BandRegions[study][len(clean.BandRegions[study])/2]
+	for _, structure := range []string{"", "ntal"} {
+		spec := QuerySpec{StudyID: study, Atlas: "Talairach", Structure: structure, HasBand: true, BandLo: int(b.Lo), BandHi: int(b.Hi)}
+		want, err := clean.RunQuery(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := chaosBaseConfig()
+		cfg.DeviceFaults = &faultsim.Policy{Schedule: []faultsim.Scheduled{{Op: 1, Kind: faultsim.ReadErr}}}
+		sys, err := New(cfg, WithRetry(transport.DefaultRetryPolicy()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded := sys.Metrics.Counter("qbism_degraded_total")
+		res, err := sys.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		if sys.DeviceFaults.Count(faultsim.ReadErr) != 1 {
+			t.Fatalf("%s: the scheduled read fault did not fire: %v", spec.Label(), sys.DeviceFaults.Counts())
+		}
+		if res.Meta.Degraded || res.Read.Retries < 1 || degraded.Value() != 0 {
+			t.Errorf("%s: degraded %v (%q), %d retries, qbism_degraded_total %d; want a retried, undegraded answer",
+				spec.Label(), res.Meta.Degraded, res.Meta.Warning, res.Read.Retries, degraded.Value())
+		}
+		if !bytes.Equal(marshalResult(t, sys.Cfg.Method, res), marshalResult(t, clean.Cfg.Method, want)) {
+			t.Errorf("%s: the answer differs from the fault-free one", spec.Label())
+		}
+	}
+}
+
 // TestRetryExhaustionIsTyped drives the link at a 100% drop rate: every
 // query must fail after exactly MaxAttempts tries with a typed,
 // retryable error — proof the client never spins forever and never

@@ -639,7 +639,8 @@ func FuzzQueryResponseFrame(f *testing.F) {
 // well-formed request, of either method: a medical query's spec or a
 // population query's. The answer is a typed error or a frame its client
 // accepts — DecodeQueryResponse and a DATA_REGION that unmarshals, or a
-// population reply whose REGION decodes — never a panic.
+// population reply whose REGION decodes — never a panic; a request that
+// is not a sealed frame is ErrFrameCorrupt or ErrFrameTruncated.
 func FuzzServeRPC(f *testing.F) {
 	sys := bareServer(f, Config{Bits: 4, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true})
 	study := sys.Studies[0].StudyID
@@ -696,6 +697,12 @@ func FuzzServeRPC(f *testing.F) {
 			method = medserver.PopulationMethod
 		}
 		resp, err := sys.ServeRPC(nil, method, request)
+		// The request's frame is the one check of its bytes: one that is
+		// not a sealed frame is refused as damage, retryable.
+		if _, _, ferr := transport.DecodeFrame(request); ferr != nil &&
+			(!errors.Is(err, transport.ErrFrameCorrupt) && !errors.Is(err, transport.ErrFrameTruncated) || !transport.RetryableError(err)) {
+			t.Fatalf("a request that is not a sealed frame (%v): %v, want ErrFrameCorrupt or ErrFrameTruncated", ferr, err)
+		}
 		if err != nil {
 			if resp != nil {
 				t.Fatal("an error came with a response")

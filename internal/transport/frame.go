@@ -7,22 +7,21 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 )
 
-// Every payload crossing the seam travels in a length+checksum frame so
-// either end detects truncated or corrupted payloads instead of
-// mis-parsing them:
+// A frame is the layout every payload crossing the seam is sealed in:
 //
 //	magic(2) | headerLen(4) | bodyLen(4) | crc32(4) | header | body
 //
-// For a medicalQuery request the header is the binary QuerySpec and the
-// body is empty; for a response the header is the binary QueryMeta and
-// the body is the DataRegion blob (internal/qbism/wire.go). On the wire
-// the same frame carries one extra nesting level: the header is the call
-// header naming the method, or the response's status header (tcp.go),
-// and the body is the application frame. The CRC32 (IEEE) covers header
-// and body, so any single flipped bit anywhere in the payload is
-// detected.
+// It has two roles, and each payload byte is summed once a side. The
+// application frame (EncodeFrame, SealFrame, DecodeFrame) is the
+// payload: a spec or meta header and nothing or the DataRegion blob
+// (internal/medserver/wire.go). Its CRC32 (IEEE) covers header and body
+// and is checked by the one decoder that reads it, on either transport.
+// On a TCP stream it is the body of an envelope (frameScratch) whose
+// header is the call or status header (tcp.go) and whose CRC covers
+// only its two length fields and that header.
 
 // FrameMagic marks a frame ("QM").
 const FrameMagic uint16 = 0x514D
@@ -30,17 +29,13 @@ const FrameMagic uint16 = 0x514D
 // FrameOverhead is the fixed frame prefix size in bytes.
 const FrameOverhead = 14
 
-// DefaultMaxFrameBytes bounds how large a frame every stream reader —
-// the server's and the TCP client's — will accept before rejecting it
-// as hostile: a full-study response at the paper's 128³ grid is ~2 MB,
-// so 64 MiB leaves two orders of magnitude of headroom while still
-// refusing a forged multi-gigabyte length before any allocation happens.
+// DefaultMaxFrameBytes bounds the frame a stream reader accepts: a
+// full-study reply at the paper's 128³ grid is ~2 MB, so 64 MiB refuses
+// only a forged length, before anything is allocated for it.
 const DefaultMaxFrameBytes = 64 << 20
 
-// Typed frame failures. Truncation and corruption indicate the payload
-// was damaged in flight, so both are retryable; oversize means a
-// declared length exceeded the reader's bound and the frame was
-// rejected before allocation.
+// Typed frame failures: truncation and corruption are damage in flight,
+// retryable; oversize is a length past a bound, refused before allocation.
 var (
 	// ErrFrameTruncated means the payload is shorter than its frame
 	// declares (bytes were lost).
@@ -53,20 +48,13 @@ var (
 	ErrFrameOversize = errors.New("transport: frame oversize")
 )
 
-// EncodeFrame wraps header and body in a checksummed frame. Sections
-// whose length cannot be declared in the frame's uint32 fields are
-// rejected with ErrFrameOversize — before this check existed, a >4 GiB
-// section would have encoded a silently truncated length and produced
-// a frame that decodes to different bytes than were passed in.
+// EncodeFrame seals header and body in a new frame. A section whose
+// length the frame's uint32 fields cannot declare is ErrFrameOversize.
 func EncodeFrame(header, body []byte) ([]byte, error) {
-	if err := checkSections(header, body); err != nil {
-		return nil, err
-	}
 	out := make([]byte, FrameOverhead+len(header)+len(body))
 	copy(out[FrameOverhead:], header)
 	copy(out[FrameOverhead+len(header):], body)
-	putPrefix(out, header, body)
-	return out, nil
+	return SealFrame(out, len(header))
 }
 
 // checkSections rejects sections the frame's length fields cannot declare.
@@ -79,15 +67,18 @@ func checkSections(header, body []byte) error {
 	return nil
 }
 
-// putPrefix writes the fixed prefix of the frame carrying header and
-// body into dst[:FrameOverhead]. The checksum runs over header, then
-// body, so the sections need not sit in one buffer.
-func putPrefix(dst, header, body []byte) {
+// putLengths writes the magic and the lengths of header and body into
+// dst[:10]; the checksum after them is the frame's role's.
+func putLengths(dst, header, body []byte) {
 	binary.BigEndian.PutUint16(dst, FrameMagic)
 	binary.BigEndian.PutUint32(dst[2:], uint32(len(header)))
 	binary.BigEndian.PutUint32(dst[6:], uint32(len(body)))
-	sum := crc32.Update(crc32.Update(0, crc32.IEEETable, header), crc32.IEEETable, body)
-	binary.BigEndian.PutUint32(dst[10:], sum)
+}
+
+// envelopeSum is a stream envelope's checksum: its two length fields,
+// prefix[2:10], then its header.
+func envelopeSum(prefix, header []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(prefix[2:10]), crc32.IEEETable, header)
 }
 
 // DecodeFrame validates and unwraps a complete frame held in memory.
@@ -118,36 +109,38 @@ func DecodeFrame(buf []byte) (header, body []byte, err error) {
 	return buf[FrameOverhead : FrameOverhead+hlen], buf[FrameOverhead+hlen:], nil
 }
 
-// SealFrame completes a frame built in place: buf holds FrameOverhead
-// reserved bytes, then headerLen bytes of header, then the body. It
-// writes the prefix over the reserved bytes and returns buf — the bytes
-// EncodeFrame would have produced, without the sections ever existing
-// apart from the frame.
+// SealFrame completes a frame built in place — FrameOverhead reserved
+// bytes, headerLen bytes of header, then the body — by writing its
+// prefix, and returns buf: EncodeFrame's bytes, with no copy.
 func SealFrame(buf []byte, headerLen int) ([]byte, error) {
 	header, body := buf[FrameOverhead:FrameOverhead+headerLen], buf[FrameOverhead+headerLen:]
 	if err := checkSections(header, body); err != nil {
 		return nil, err
 	}
-	putPrefix(buf, header, body)
+	putLengths(buf, header, body)
+	binary.BigEndian.PutUint32(buf[10:], crc32.Update(crc32.ChecksumIEEE(header), crc32.IEEETable, body))
 	return buf, nil
 }
 
-// frameScratch is what reading and writing frames on one stream needs
-// besides the payloads: the prefix being read, the prefix+header being
-// written and the backing of the vectored write. A connection that
-// carries one message at a time owns one and reuses it for every
-// message, so the plumbing costs nothing per message.
+// frameScratch is what reading and writing envelopes on one stream needs
+// besides the payloads. A connection that carries one message at a time
+// owns one and reuses it, so the plumbing costs nothing per message.
 type frameScratch struct {
 	prefix [FrameOverhead]byte
+	in     []byte // the header being read, grow-only up to maxEnvelopeHeader
 	head   []byte // prefix+header write buffer, grow-only
 	vec    [2][]byte
 	bufs   net.Buffers // over vec; a field so that WriteTo's receiver is not a fresh heap object per write
-	kept   []byte      // a reusing reader's frame buffer, grow-only up to maxKeptFrame
+	kept   []byte      // a reusing reader's body buffer, grow-only up to maxKeptFrame
 }
 
-// maxKeptFrame is the largest read buffer a scratch keeps for its next
+// maxEnvelopeHeader bounds an envelope's header: the largest status
+// header a server writes.
+const maxEnvelopeHeader = statusSize + maxStatusText
+
+// maxKeptFrame is the largest body buffer a scratch keeps for its next
 // read; a larger one is released before that read blocks, so one bulk
-// frame pins nothing while the connection idles.
+// body pins nothing while the connection idles.
 const maxKeptFrame = 64 << 10
 
 // begin returns the write buffer with the prefix reserved: append the
@@ -159,22 +152,22 @@ func (s *frameScratch) begin() []byte {
 	return s.head[:FrameOverhead]
 }
 
-// write sends the frame whose header was appended to begin()'s buffer —
-// the bytes EncodeFrame would build — without building it: prefix and
-// header go out from head and body from the caller's slice, as one
-// vectored write. On a *net.TCPConn that is a single writev under the
-// connection's write lock, so a concurrent-writer bug still shows up as
-// whole interleaved frames, and a response body is never copied on its
-// way to the socket; any other writer sees at most two Write calls. A
-// failed or short write leaves part of a frame on the stream: the caller
-// must drop the connection.
+// write sends the envelope whose header was appended to begin()'s
+// buffer, carrying body, as one vectored write: prefix and header from
+// head, the body from the caller's slice, never copied or summed. On a
+// *net.TCPConn that is a single writev under the connection's write
+// lock, so a concurrent-writer bug still shows up as whole interleaved
+// frames; any other writer sees at most two Write calls. A failed or
+// short write leaves part of a frame on the stream: the caller must drop
+// the connection.
 func (s *frameScratch) write(w io.Writer, head, body []byte) error {
 	s.head = head
 	header := head[FrameOverhead:]
 	if err := checkSections(header, body); err != nil {
 		return err
 	}
-	putPrefix(head, header, body)
+	putLengths(head, header, body)
+	binary.BigEndian.PutUint32(head[10:], envelopeSum(head, header))
 	s.vec[0], s.vec[1] = head, body
 	s.bufs = s.vec[:1]
 	if len(body) > 0 {
@@ -192,16 +185,16 @@ func (s *frameScratch) write(w io.Writer, head, body []byte) error {
 	return nil
 }
 
-// read reads exactly one frame from a byte stream: the fixed prefix
-// first, then — after the magic and the declared lengths pass
-// validation against DefaultMaxFrameBytes — exactly the declared
-// payload. Unlike DecodeFrame, bytes after the frame are not an error;
-// they are the next frame and stay unread in r. A stream that ends
-// mid-frame fails with ErrFrameTruncated (wrapping the underlying I/O
-// error); a clean EOF before any byte surfaces as io.EOF so connection
-// loops can distinguish "peer closed" from "peer lied". With reuse the
-// frame lands in the scratch's own buffer and its sections are valid
-// only until the next read; without, in a new buffer the caller keeps.
+// read reads exactly one envelope from a byte stream: the prefix, then
+// a header of at most maxEnvelopeHeader bytes, whose checksum must
+// match, and only then a body within DefaultMaxFrameBytes — so damage to
+// the prefix or header costs no body read or allocation. The body comes
+// back unverified: its payload is checked by the decoder that reads it.
+// Bytes after the frame stay unread in r. A stream that ends mid-frame
+// is ErrFrameTruncated; a clean EOF before any byte is io.EOF, so a
+// connection loop tells "peer closed" from "peer lied". The header is
+// valid until the next read, and so is the body with reuse, which reads
+// it into the scratch's own buffer; without, it is a new buffer.
 func (s *frameScratch) read(r io.Reader, reuse bool) (header, body []byte, err error) {
 	if cap(s.kept) > maxKeptFrame {
 		s.kept = nil
@@ -215,23 +208,30 @@ func (s *frameScratch) read(r io.Reader, reuse bool) (header, body []byte, err e
 	if m := binary.BigEndian.Uint16(s.prefix[:]); m != FrameMagic {
 		return nil, nil, fmt.Errorf("%w: bad magic %#04x", ErrFrameCorrupt, m)
 	}
-	hlen := uint64(binary.BigEndian.Uint32(s.prefix[2:]))
-	blen := uint64(binary.BigEndian.Uint32(s.prefix[6:]))
-	total := FrameOverhead + hlen + blen
-	if total > DefaultMaxFrameBytes {
+	hlen := binary.BigEndian.Uint32(s.prefix[2:])
+	blen := binary.BigEndian.Uint32(s.prefix[6:])
+	if hlen > maxEnvelopeHeader {
+		return nil, nil, fmt.Errorf("%w: header declares %d bytes, limit %d", ErrFrameCorrupt, hlen, maxEnvelopeHeader)
+	}
+	s.in = slices.Grow(s.in[:0], int(hlen))
+	header = s.in[:hlen]
+	if _, err := io.ReadFull(r, header); err != nil {
+		return nil, nil, fmt.Errorf("%w: reading %d-byte frame header: %w", ErrFrameTruncated, hlen, err)
+	}
+	if got, want := envelopeSum(s.prefix[:], header), binary.BigEndian.Uint32(s.prefix[10:]); got != want {
+		return nil, nil, fmt.Errorf("%w: header checksum %#08x, want %#08x", ErrFrameCorrupt, got, want)
+	}
+	if total := FrameOverhead + uint64(hlen) + uint64(blen); total > DefaultMaxFrameBytes {
 		return nil, nil, fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrFrameOversize, total, DefaultMaxFrameBytes)
 	}
-	buf := s.kept
-	if !reuse || uint64(cap(buf)) < total {
-		buf = make([]byte, total)
-		if reuse {
-			s.kept = buf
-		}
+	if reuse {
+		s.kept = slices.Grow(s.kept[:0], int(blen))
+		body = s.kept[:blen]
+	} else {
+		body = make([]byte, blen)
 	}
-	buf = buf[:total]
-	copy(buf, s.prefix[:])
-	if _, err := io.ReadFull(r, buf[FrameOverhead:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: reading %d-byte frame: %w", ErrFrameTruncated, total, err)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, nil, fmt.Errorf("%w: reading %d-byte frame body: %w", ErrFrameTruncated, blen, err)
 	}
-	return DecodeFrame(buf)
+	return header, body, nil
 }

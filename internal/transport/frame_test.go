@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -16,6 +18,17 @@ func mustFrame(t *testing.T, header, body []byte) []byte {
 		t.Fatalf("EncodeFrame: %v", err)
 	}
 	return f
+}
+
+// envelope builds the stream envelope of header and body from the
+// layout's definition, apart from the writer: the prefix's checksum
+// covers the two length fields and the header, and not the body.
+func envelope(header, body []byte) []byte {
+	out := binary.BigEndian.AppendUint16(nil, FrameMagic)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(header)))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(body)))
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(append(bytes.Clone(out[2:]), header...)))
+	return append(append(out, header...), body...)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -80,12 +93,13 @@ func TestFrameHugeDeclaredLength(t *testing.T) {
 }
 
 // TestReadFrameStreamContract: the stream reader consumes exactly one
-// frame and leaves the next frame's bytes unread — the asymmetry that
+// envelope and leaves the next one's bytes unread — the asymmetry that
 // distinguishes it from the datagram decoder — whether it reads into new
-// buffers, as TCP does, or into its own, as a Server does.
+// buffers, as TCP does, or into its own, as a Server does. The body is
+// not its to check: any bytes pass, sealed frame or not.
 func TestReadFrameStreamContract(t *testing.T) {
-	f1 := mustFrame(t, []byte("first"), []byte("one"))
-	f2 := mustFrame(t, []byte("second"), []byte("two"))
+	f1 := envelope([]byte("first"), []byte("one"))
+	f2 := envelope([]byte("second"), []byte("two"))
 	for _, reuse := range []bool{false, true} {
 		r := bytes.NewReader(append(append([]byte(nil), f1...), f2...))
 		var fs frameScratch
@@ -111,7 +125,7 @@ func TestReadFrameStreamContract(t *testing.T) {
 }
 
 func TestReadFrameMidFrameEOF(t *testing.T) {
-	f := mustFrame(t, []byte("header"), []byte("body"))
+	f := envelope([]byte("header"), []byte("body"))
 	var fs frameScratch
 	for n := 1; n < len(f); n++ {
 		_, _, err := fs.read(bytes.NewReader(f[:n]), false)
@@ -121,35 +135,76 @@ func TestReadFrameMidFrameEOF(t *testing.T) {
 	}
 }
 
-// TestReadFrameOversizeRejected: a forged length field larger than
+// TestReadFrameOversizeRejected: a body length whose frame exceeds
 // DefaultMaxFrameBytes — by a GiB or by one byte — fails typed, without
-// reading the payload. The reader after the failure is positioned after
-// the prefix only — nothing was slurped.
+// reading the payload, and so does a header longer than any the
+// protocol writes, before the header is read. The reader after the
+// failure is positioned after the prefix and the header — nothing of
+// the body was slurped.
 func TestReadFrameOversizeRejected(t *testing.T) {
+	header := appendCallHeader(nil, "m")
 	for _, c := range []struct {
-		name       string
-		hlen, blen uint32
+		name   string
+		header []byte
+		blen   uint32
+		want   error
 	}{
-		{"forged 2 GiB", 1 << 30, 1 << 30},
-		{"one byte over", 0, DefaultMaxFrameBytes - FrameOverhead + 1},
+		{"forged 2 GiB", header, 1 << 31, ErrFrameOversize},
+		{"one byte over", nil, DefaultMaxFrameBytes - FrameOverhead + 1, ErrFrameOversize},
+		{"header over the bound", make([]byte, maxEnvelopeHeader+1), 0, ErrFrameCorrupt},
 	} {
-		var prefix [FrameOverhead]byte
-		binary.BigEndian.PutUint16(prefix[:], FrameMagic)
-		binary.BigEndian.PutUint32(prefix[2:], c.hlen)
-		binary.BigEndian.PutUint32(prefix[6:], c.blen)
-		r := bytes.NewReader(append(prefix[:], "payload"...))
+		f := envelope(c.header, nil)
+		binary.BigEndian.PutUint32(f[6:], c.blen)
+		binary.BigEndian.PutUint32(f[10:], crc32.ChecksumIEEE(append(bytes.Clone(f[2:10]), c.header...)))
+		r := bytes.NewReader(append(f, "payload"...))
 		var fs frameScratch
-		if _, _, err := fs.read(r, false); !errors.Is(err, ErrFrameOversize) {
-			t.Fatalf("%s frame: got %v, want ErrFrameOversize", c.name, err)
+		if _, _, err := fs.read(r, false); !errors.Is(err, c.want) {
+			t.Fatalf("%s frame: got %v, want %v", c.name, err, c.want)
 		}
-		if r.Len() != len("payload") {
-			t.Errorf("%s frame: the reader consumed %d bytes past the prefix", c.name, len("payload")-r.Len())
+		read := FrameOverhead + len(c.header)
+		if c.want == ErrFrameCorrupt {
+			read = FrameOverhead
+		}
+		if consumed := len(f) + len("payload") - r.Len(); consumed != read {
+			t.Errorf("%s frame: the reader consumed %d bytes, want the %d before the body", c.name, consumed, read)
 		}
 	}
 }
 
+// TestReadEnvelopeDamageCostsNoBodyRead: an envelope that declares a
+// 60 MiB body — within the frame bound — but whose header fails its
+// checksum is refused as corrupt having read the prefix and the header
+// alone, and nothing is allocated for the body it declared.
+func TestReadEnvelopeDamageCostsNoBodyRead(t *testing.T) {
+	header := appendStatus(nil, kindOK, "")
+	f := envelope(header, nil)
+	binary.BigEndian.PutUint32(f[6:], 60<<20) // the checksum now disagrees
+	tail := []byte("the body's first bytes")
+	data := append(f, tail...)
+	var fs frameScratch
+	r := bytes.NewReader(data)
+	if _, _, err := fs.read(r, false); !errors.Is(err, ErrFrameCorrupt) { // warms the header buffer
+		t.Fatalf("got %v, want ErrFrameCorrupt", err)
+	}
+	if r.Len() != len(tail) {
+		t.Fatalf("the reader consumed %d bytes, want prefix + header = %d", len(data)-r.Len(), FrameOverhead+len(header))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 8 {
+		r.Reset(data)
+		if _, _, err := fs.read(r, false); !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("got %v, want ErrFrameCorrupt", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+		t.Errorf("8 refused envelopes allocated %d bytes: the declared body was allocated", grown)
+	}
+}
+
 func TestReadFrameBadMagic(t *testing.T) {
-	f := mustFrame(t, []byte("h"), []byte("b"))
+	f := envelope([]byte("h"), []byte("b"))
 	f[0] = 0x00
 	var fs frameScratch
 	_, _, err := fs.read(bytes.NewReader(f), false)
@@ -158,9 +213,9 @@ func TestReadFrameBadMagic(t *testing.T) {
 	}
 }
 
-// TestWriteFrameVectored: the frame goes out as prefix+header, then the
-// caller's body slice itself — never a copy of it — and the bytes are
-// EncodeFrame's. An empty body is one write.
+// TestWriteFrameVectored: the envelope goes out as prefix+header, then
+// the caller's body slice itself — never a copy of it — and the bytes
+// are the envelope's layout. An empty body is one write.
 func TestWriteFrameVectored(t *testing.T) {
 	header, body := []byte("hdr"), []byte("body")
 	var w countingWriter
@@ -174,8 +229,8 @@ func TestWriteFrameVectored(t *testing.T) {
 	if &w.chunks[1][0] != &body[0] || len(w.chunks[1]) != len(body) {
 		t.Error("the body reached the writer as a copy, not as the caller's slice")
 	}
-	if want := mustFrame(t, header, body); !bytes.Equal(w.buf.Bytes(), want) {
-		t.Errorf("written frame differs from EncodeFrame's:\n got %x\nwant %x", w.buf.Bytes(), want)
+	if want := envelope(header, body); !bytes.Equal(w.buf.Bytes(), want) {
+		t.Errorf("written frame differs from the envelope's layout:\n got %x\nwant %x", w.buf.Bytes(), want)
 	}
 
 	w = countingWriter{}
@@ -185,8 +240,8 @@ func TestWriteFrameVectored(t *testing.T) {
 	if len(w.chunks) != 1 {
 		t.Errorf("empty body: %d writes, want 1", len(w.chunks))
 	}
-	if want := mustFrame(t, header, nil); !bytes.Equal(w.buf.Bytes(), want) {
-		t.Errorf("empty-body frame differs from EncodeFrame's")
+	if want := envelope(header, nil); !bytes.Equal(w.buf.Bytes(), want) {
+		t.Errorf("empty-body frame differs from the envelope's layout")
 	}
 }
 

@@ -4,30 +4,32 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
 
-// FuzzFrame drives arbitrary bytes through both frame readers and
-// checks the codec's invariants:
+// FuzzFrame drives arbitrary bytes through both frame roles — DecodeFrame,
+// which reads an application frame, and the stream reader
+// (frameScratch.read), which reads an envelope — and checks their
+// invariants:
 //
-//  1. Neither decoder panics, whatever the input.
+//  1. Neither reader panics, whatever the input.
 //  2. Failures are typed: every error matches ErrFrameTruncated,
-//     ErrFrameCorrupt, or ErrFrameOversize (the stream reader,
-//     frameScratch.read, may also return a bare io.EOF for an empty
-//     stream).
-//  3. Accepted frames are canonical: re-encoding the decoded sections
-//     reproduces the input byte-for-byte.
-//  4. The two readers agree on exact-length input: when the buffer is
-//     exactly one frame, the stream reader and DecodeFrame return the
-//     same sections; DecodeFrame's trailing-bytes rejections are
-//     exactly the inputs where the stream reader stops early with bytes
-//     left over.
-//  5. The wire does not depend on how a frame is produced: the stream
-//     writer (frameScratch.write, what TCP and Server send with) puts
-//     EncodeFrame's bytes on the stream for the decoded sections,
-//     and cut short anywhere it reports ErrConn with a prefix of those
-//     bytes written and nothing else.
+//     ErrFrameCorrupt, or ErrFrameOversize (the stream reader may also
+//     return a bare io.EOF for an empty stream).
+//  3. Accepted application frames are canonical: re-encoding the
+//     decoded sections reproduces the input byte-for-byte.
+//  4. The stream reader accepts a frame if and only if its magic, its
+//     lengths and its header checksum check, whatever the body holds:
+//     it then returns the declared sections and leaves the bytes after
+//     the frame unread.
+//  5. The writer's bytes are the envelope encoding: the stream writer
+//     (frameScratch.write, what TCP and Server send with) puts back
+//     exactly the bytes the reader accepted, and for any sections the
+//     envelope of the layout's definition; cut short anywhere it
+//     reports ErrConn with a prefix of those bytes written and nothing
+//     else.
 func FuzzFrame(f *testing.F) {
 	seed := func(header, body []byte) []byte {
 		buf, err := EncodeFrame(header, body)
@@ -36,17 +38,20 @@ func FuzzFrame(f *testing.F) {
 		}
 		return buf
 	}
-	f.Add(seed([]byte(`{"studyId":1,"fullStudy":true}`), nil))
-	f.Add(seed([]byte(`{"ok":true}`), []byte("voxels voxels voxels")))
+	call := appendCallHeader(nil, "medicalQuery")
+	ok := appendStatus(nil, kindOK, "")
+	f.Add(seed(call, nil))
+	f.Add(seed(ok, []byte("voxels voxels voxels")))
 	f.Add(seed(nil, nil))
-	f.Add(seed([]byte("medicalQuery"), seed([]byte(`{"n":32}`), []byte{1, 2, 3}))) // nested wire frame
+	f.Add(envelope(call, seed([]byte("a spec"), nil)))                  // a request on the stream
+	f.Add(envelope(ok, seed([]byte("a meta header"), []byte{1, 2, 3}))) // an ok reply on the stream
+	f.Add(envelope(appendStatus(nil, kindRetryable, "lfm: read fault"), nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x51, 0x4D})                   // magic only
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))       // bad magic, huge lengths
 	f.Add(append(seed([]byte("h"), nil), 0xAA)) // trailing byte
-	// A bulk reply: a status header over a 3 MB body. (The empty-body
-	// status reply is testdata/fuzz/FuzzFrame/40a2244017b47002.)
-	f.Add(seed([]byte(`{"ok":true}`), bytes.Repeat([]byte("voxel"), 3<<20/5)))
+	// A bulk reply: a status header over a 3 MB body.
+	f.Add(envelope(ok, bytes.Repeat([]byte("voxel"), 3<<20/5)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fs frameScratch
@@ -63,47 +68,69 @@ func FuzzFrame(f *testing.F) {
 			if !bytes.Equal(re, data) {
 				t.Fatalf("accepted frame is not canonical: decode→encode changed bytes")
 			}
-			var whole countingWriter
-			if werr := fs.write(&whole, append(fs.begin(), header...), body); werr != nil {
-				t.Fatalf("write of accepted frame: %v", werr)
-			}
-			if !bytes.Equal(whole.buf.Bytes(), re) {
-				t.Fatalf("write and EncodeFrame disagree on the wire bytes")
-			}
-			// Cut the stream at a point the frame's own checksum picks.
-			cut := &shortWriter{limit: int(binary.BigEndian.Uint32(re[10:]) % uint32(len(re))), honest: true}
-			if werr := fs.write(cut, append(fs.begin(), header...), body); !errors.Is(werr, ErrConn) {
-				t.Fatalf("write cut short: got %v, want ErrConn", werr)
-			}
-			if !bytes.HasPrefix(re, cut.taken.Bytes()) {
-				t.Fatalf("write cut short left bytes that are not a prefix of the frame")
-			}
+			checkWrite(t, &fs, header, body, envelope(header, body))
 		}
 
 		r := bytes.NewReader(data)
 		sh, sb, serr := fs.read(r, false)
+		if serr != nil && serr != io.EOF &&
+			!errors.Is(serr, ErrFrameTruncated) &&
+			!errors.Is(serr, ErrFrameCorrupt) &&
+			!errors.Is(serr, ErrFrameOversize) {
+			t.Fatalf("read: untyped error %v", serr)
+		}
+		total, valid := envelopeChecks(data)
+		if valid != (serr == nil) {
+			t.Fatalf("read: error %v, but the envelope's magic, lengths and header checksum check: %v", serr, valid)
+		}
 		if serr != nil {
-			if serr != io.EOF &&
-				!errors.Is(serr, ErrFrameTruncated) &&
-				!errors.Is(serr, ErrFrameCorrupt) &&
-				!errors.Is(serr, ErrFrameOversize) {
-				t.Fatalf("read: untyped error %v", serr)
-			}
 			return
 		}
-		// The stream reader accepted a frame. If it consumed the whole
-		// buffer, the datagram decoder must have agreed; if bytes
-		// remain, they are the next frame and DecodeFrame must have
-		// rejected the buffer as trailing garbage.
-		if r.Len() == 0 {
-			if err != nil {
-				t.Fatalf("read accepted the full buffer but DecodeFrame rejected it: %v", err)
-			}
-			if !bytes.Equal(sh, header) || !bytes.Equal(sb, body) {
-				t.Fatal("read and DecodeFrame disagree on sections")
-			}
-		} else if err == nil {
-			t.Fatalf("DecodeFrame accepted a buffer with %d trailing bytes", r.Len())
+		hlen := int(binary.BigEndian.Uint32(data[2:]))
+		if !bytes.Equal(sh, data[FrameOverhead:FrameOverhead+hlen]) || !bytes.Equal(sb, data[FrameOverhead+hlen:total]) {
+			t.Fatal("read returned other sections than the envelope declares")
 		}
+		if r.Len() != len(data)-total {
+			t.Fatalf("read left %d bytes, want the %d after the frame", r.Len(), len(data)-total)
+		}
+		checkWrite(t, &fs, sh, sb, data[:total])
 	})
+}
+
+// envelopeChecks says, from the layout's definition, whether data
+// starts with an envelope the stream reader must accept, and how long
+// that envelope is.
+func envelopeChecks(data []byte) (total int, valid bool) {
+	if len(data) < FrameOverhead || binary.BigEndian.Uint16(data) != FrameMagic {
+		return 0, false
+	}
+	hlen := uint64(binary.BigEndian.Uint32(data[2:]))
+	blen := uint64(binary.BigEndian.Uint32(data[6:]))
+	end := FrameOverhead + hlen + blen
+	if hlen > maxEnvelopeHeader || end > DefaultMaxFrameBytes || end > uint64(len(data)) {
+		return 0, false
+	}
+	covered := append(bytes.Clone(data[2:10]), data[FrameOverhead:FrameOverhead+hlen]...)
+	return int(end), crc32.ChecksumIEEE(covered) == binary.BigEndian.Uint32(data[10:])
+}
+
+// checkWrite holds the stream writer to want, the envelope of header and
+// body, whole and cut short.
+func checkWrite(t *testing.T, fs *frameScratch, header, body, want []byte) {
+	t.Helper()
+	var whole countingWriter
+	if err := fs.write(&whole, append(fs.begin(), header...), body); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if !bytes.Equal(whole.buf.Bytes(), want) {
+		t.Fatalf("write and the envelope encoding disagree on the wire bytes")
+	}
+	// Cut the stream at a point the envelope's own checksum picks.
+	cut := &shortWriter{limit: int(binary.BigEndian.Uint32(want[10:]) % uint32(len(want))), honest: true}
+	if err := fs.write(cut, append(fs.begin(), header...), body); !errors.Is(err, ErrConn) {
+		t.Fatalf("write cut short: got %v, want ErrConn", err)
+	}
+	if !bytes.HasPrefix(want, cut.taken.Bytes()) {
+		t.Fatalf("write cut short left bytes that are not a prefix of the frame")
+	}
 }

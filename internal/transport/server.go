@@ -71,8 +71,9 @@ type ServerStats struct {
 	Errors uint64
 	// AdmissionRejected counts calls refused by the token bucket;
 	// DrainRejected counts calls refused because the server was
-	// draining; FrameErrors counts connections dropped on malformed,
-	// oversize, or corrupt request frames.
+	// draining; FrameErrors counts connections dropped on a damaged
+	// envelope or an unknown call header (a payload failing its own CRC
+	// is a handler error, and its connection carries the next call).
 	AdmissionRejected uint64
 	DrainRejected     uint64
 	FrameErrors       uint64

@@ -12,13 +12,12 @@ import (
 	"qbism/internal/obs"
 )
 
-// The wire protocol: each call is one frame exchange on a TCP stream.
-// The request frame's header is the call header and its body the
-// application payload (itself a CRC frame — the protocol nests, so both
-// the wire hop and the application payload are independently
-// integrity-checked). The response frame's header is the status header
-// and its body the application response, empty unless the kind is ok.
-// Both headers are fixed binary layouts, big-endian (DESIGN.md §14):
+// The wire protocol: each call is one envelope exchange on a TCP stream
+// (frame.go). The request envelope's header is the call header and its
+// body the application payload, a sealed frame whose decoder checks it;
+// the response envelope's header is the status header and its body the
+// application response, empty unless the kind is ok. Both headers are
+// fixed binary layouts, big-endian (DESIGN.md §14):
 //
 //	call:   version(1)=1 | flags(1) | traceID(16) | parentSpan(8) | deadline(8) | method
 //	status: version(1)=1 | kind(1) | error text, at most maxStatusText bytes
@@ -33,7 +32,7 @@ const (
 	callHeaderSize = 1 + 1 + 16 + 8 + 8 // the method name follows
 	statusSize     = 1 + 1              // the error text follows
 	// maxStatusText bounds the error text a status header carries: the
-	// server truncates to it, the client refuses more before converting.
+	// server truncates to it, a reader refuses more (maxEnvelopeHeader).
 	maxStatusText = 4 << 10
 	truncatedTail = "…(truncated)"
 )
@@ -97,13 +96,13 @@ func appendStatus(dst []byte, kind statusKind, text string) []byte {
 	return append(append(dst, text[:cut]...), truncatedTail...)
 }
 
-// parseStatus splits a status header. The text stays bytes: only a
-// failed call turns it into a string.
+// parseStatus splits a status header, its length bounded by the reader.
+// The text stays bytes: only a failed call turns it into a string.
 func parseStatus(h []byte) (statusKind, []byte, error) {
 	switch {
 	case len(h) >= 1 && h[0] != wireVersion:
 		return 0, nil, fmt.Errorf("%w: status header version %d, want %d", ErrWireHeader, h[0], wireVersion)
-	case len(h) < statusSize, len(h) > statusSize+maxStatusText, statusKind(h[1]) == kindOK && len(h) > statusSize:
+	case len(h) < statusSize, statusKind(h[1]) == kindOK && len(h) > statusSize:
 		return 0, nil, fmt.Errorf("%w: %d-byte status header", ErrFrameCorrupt, len(h))
 	}
 	return statusKind(h[1]), h[statusSize:], nil

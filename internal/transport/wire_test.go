@@ -19,9 +19,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_golden.txt from the encoders")
 
-// TestWireGolden pins the call and status headers byte for byte: a
-// layout change shows up as a diff of testdata/wire_golden.txt, and the
-// offsets DESIGN.md §14 documents are asserted against the same bytes.
+// TestWireGolden pins the call and status headers byte for byte, and the
+// envelope's prefix in front of each: a layout change, or a change of
+// what the envelope's checksum covers, shows up as a diff of
+// testdata/wire_golden.txt, and the offsets DESIGN.md §14 documents are
+// asserted against the same bytes.
 func TestWireGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,6 +41,32 @@ func TestWireGolden(t *testing.T) {
 	var out strings.Builder
 	for _, tc := range cases {
 		fmt.Fprintf(&out, "%s: %s\n", tc.name, hex.EncodeToString(tc.got))
+	}
+	// The whole envelope in front of a request's and an ok reply's
+	// payload, prefix and header, as the writer puts it on the stream.
+	// Its checksum covers the lengths and the header and not the body,
+	// so two bodies of one length get the same bytes.
+	for _, e := range []struct {
+		name   string
+		header []byte
+		blen   int
+	}{
+		{"envelope call medicalQuery, 60-byte body", cases[0].got, 60},
+		{"envelope status ok, 262144-byte body", cases[1].got, 256 << 10},
+	} {
+		var heads [2][]byte
+		for fill := range heads {
+			var w countingWriter
+			var fs frameScratch
+			if err := fs.write(&w, append(fs.begin(), e.header...), bytes.Repeat([]byte{byte(fill)}, e.blen)); err != nil {
+				t.Fatal(err)
+			}
+			heads[fill] = w.chunks[0]
+		}
+		if !bytes.Equal(heads[0], heads[1]) {
+			t.Errorf("%s: the envelope depends on the body's bytes", e.name)
+		}
+		fmt.Fprintf(&out, "%s: %s\n", e.name, hex.EncodeToString(heads[0]))
 	}
 	const path = "testdata/wire_golden.txt"
 	if *updateGolden {
