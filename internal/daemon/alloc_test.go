@@ -63,9 +63,12 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 // into), the image's pixels and the response buffer, each kept by the
 // result; the server's is nothing, since the daemon releases each reply
 // once written and the next is built in it. The counts are exact means
-// (bench.AllocsPerCall). A per-query allocation back in the client, a
-// frame copied on either side of the socket, or a reply blob allocated
-// per query again trips here.
+// (bench.AllocsPerCall). A four-spec RunQueries on two workers over the
+// same connection allocates the four response buffers, one slab of
+// answers and one of pixels, the items and the pool. A per-query
+// allocation back in the client, a frame copied on either side of the
+// socket, a reply blob allocated per query again, or a batch that
+// allocates each answer on its own trips here.
 func TestDaemonClientAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates, a few objects more or less per query from run to run")
@@ -96,6 +99,22 @@ func TestDaemonClientAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.3f allocs per RunQuery, ceiling %.0f — does the client allocate its result's parts apart again?",
 				tc.name, got, tc.ceiling)
 		}
+	}
+	batch := []qbism.QuerySpec{small, mixed, full, small}
+	if err := srv.ReserveExecutions(2); err != nil {
+		t.Fatal(err)
+	}
+	got := bench.AllocsPerCall(t.Logf, 50, func() {
+		items, _, _ := client.RunQueries(batch, 2)
+		for _, item := range items {
+			if item.Err != nil {
+				t.Fatal(item.Err)
+			}
+		}
+	})
+	t.Logf("batch of 4 on 2 workers: %.3f allocs per RunQueries", got)
+	if got > 10 { // as measured (16 while each answer and each image's pixels were allocated on their own)
+		t.Errorf("%.3f allocs per 4-spec RunQueries over TCP, ceiling 10 — does the batch allocate each answer, or each image's pixels, on its own again?", got)
 	}
 }
 
@@ -185,6 +204,10 @@ func BenchmarkDaemonChain(b *testing.B) {
 // goes through transport.Server's write and release, so B/op is the
 // client's response buffer, ≈ 1 × the reply, and the server's share is
 // the reply it builds in the one released before it (DESIGN.md §59).
+// Each reply is decoded as every client decodes it
+// (DecodeQueryResponseInto, its header's strings into a room on the
+// stack), so ns/op includes the one check of the reply's bytes, the
+// sealed frame's CRC, and allocs/op stays the response buffer's one.
 // `make bench-smoke` runs a few iterations.
 func BenchmarkDaemonBulk(b *testing.B) {
 	srv, err := medserver.New(qbism.Config{Bits: 6, NumPET: 1, NumMRI: 1, Seed: 7, SmallStudies: true, CachePages: 16})
@@ -210,8 +233,13 @@ func BenchmarkDaemonBulk(b *testing.B) {
 	b.SetBytes(int64(len(response)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var room [medserver.MetaRoom]byte
 	for i := 0; i < b.N; i++ {
-		if _, err := conn.Call(nil, qbism.QueryMethod, request); err != nil {
+		response, err := conn.Call(nil, qbism.QueryMethod, request)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := medserver.DecodeQueryResponseInto(&room, response); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -207,9 +207,11 @@ func (f *Field) Render(opts RenderOpts) (*Image, error) {
 }
 
 // RenderInto projects the field orthographically along the chosen axis
-// into the caller's *img, which it overwrites whole: a Side×Side raster
-// whose pixels are its one allocation (Average's sums and counts are
-// two more). On an error *img is unspecified.
+// into the caller's *img, which it overwrites whole: a Side×Side raster.
+// The pixels go into img.Pix's storage, cleared first, when its capacity
+// holds Side² of them; a nil or shorter Pix is replaced by a new buffer,
+// the render's one allocation (Average's sums and counts are two more).
+// On an error *img is unspecified.
 //
 // On a Hilbert or Z curve it walks the curve's digit tree once over the
 // field's runs (sfc.WalkRuns), which hands it the coordinates of a whole
@@ -228,7 +230,14 @@ func (f *Field) RenderInto(img *Image, opts RenderOpts) error {
 	if err := cur.start(f); err != nil {
 		return err
 	}
-	*img = Image{W: f.Side, H: f.Side, Pix: make([]uint8, f.Side*f.Side)}
+	pix := img.Pix[:0]
+	if n := f.Side * f.Side; cap(pix) >= n {
+		pix = pix[:n]
+		clear(pix)
+	} else {
+		pix = make([]uint8, n)
+	}
+	*img = Image{W: f.Side, H: f.Side, Pix: pix}
 	p := newProjector(f.Side, opts.Axis, img.Pix, f.values)
 	draw := p.mip
 	if opts.Mode == Average {

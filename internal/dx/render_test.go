@@ -154,6 +154,88 @@ func TestRenderMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestRenderIntoReusesPix: RenderInto draws into the caller's pixel
+// buffer when its capacity holds the image — a buffer full of garbage
+// from another render, as a batch's slab hands over — and the image is
+// byte for byte a fresh render's, in both modes, with no pixel buffer
+// allocated. A nil or too-small Pix gets a new buffer, the same image,
+// and is itself left as it was.
+func TestRenderIntoReusesPix(t *testing.T) {
+	c := sfc.MustNew(sfc.Hilbert, 3, 5)
+	side := 1 << c.Bits()
+	vol, shapes := renderShapes(t, c)
+	garbage := func(n, capacity int) []uint8 {
+		b := make([]uint8, capacity)
+		for i := range b {
+			b[i] = uint8(i*37 + 11)
+		}
+		return b[:n]
+	}
+	for _, sh := range shapes {
+		d, err := volume.Extract(vol, sh.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := rencode.Encode(rencode.Elias, sh.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := new(Field)
+		if _, err := ImportEncoded(field, enc, d.Values); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{MIP, Average} {
+			opts := RenderOpts{Axis: 2, Mode: mode}
+			want, err := field.Render(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				name  string
+				pix   []uint8
+				reuse bool
+			}{
+				{"exact", garbage(side*side, side*side), true},
+				{"short-len", garbage(3, side*side), true},
+				{"roomy", garbage(side*side, side*side+side), true},
+				{"nil", nil, false},
+				{"too-small", garbage(side*side-1, side*side-1), false},
+			} {
+				before := slices.Clone(tc.pix)
+				img := Image{W: 1, H: 2, Pix: tc.pix}
+				if err := field.RenderInto(&img, opts); err != nil {
+					t.Fatal(err)
+				}
+				if img.W != side || img.H != side || !bytes.Equal(img.Pix, want.Pix) {
+					t.Fatalf("%s mode %d, %s Pix: %dx%d image differs from a fresh render", sh.name, mode, tc.name, img.W, img.H)
+				}
+				if reused := tc.pix != nil && &img.Pix[0] == &tc.pix[0]; reused != tc.reuse {
+					t.Errorf("%s mode %d, %s Pix (cap %d): buffer reused %v, want %v", sh.name, mode, tc.name, cap(tc.pix), reused, tc.reuse)
+				}
+				if !tc.reuse && !bytes.Equal(tc.pix, before) {
+					t.Errorf("%s mode %d: a %s Pix was written", sh.name, mode, tc.name)
+				}
+			}
+			fresh := testing.AllocsPerRun(10, func() {
+				var img Image
+				if err := field.RenderInto(&img, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			img := Image{Pix: garbage(side*side, side*side)}
+			reused := testing.AllocsPerRun(10, func() {
+				if err := field.RenderInto(&img, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if reused != fresh-1 || (mode == MIP && reused != 0) {
+				t.Errorf("%s mode %d: %.0f allocs into a reused Pix, %.0f into a nil one — want one fewer, the pixels, and none for MIP",
+					sh.name, mode, reused, fresh)
+			}
+		}
+	}
+}
+
 // TestImportEncodedEveryMethod: a REGION in any codec the server sends
 // imports and renders as its decoded Region does — γ walked off the
 // bytes, naive and the k³-tree decoded first — and Data gives back the

@@ -39,6 +39,9 @@ type Client struct {
 	SlowLog *obs.SlowLog
 
 	slowThresh time.Duration
+	// side is the configured grid's side, which RunQueries cuts its
+	// images' pixel slabs for.
+	side int
 	// routes maps a study to its routing key; nil for a single server,
 	// whose one shard serves every study.
 	routes map[int]cluster.Key
@@ -59,9 +62,14 @@ type fetched struct {
 // warning point into meta). The reply and the image's pixels are the
 // query's only other allocations, and each is kept: the field reads the
 // reply's bytes, the image holds the pixels. A header whose strings
-// outgrow the room, a degraded reply's long warning, adds one more. The
-// DX cache keeps &field, so a cached entry pins its own answer — this
-// object, the reply, the image — and nothing of other queries.
+// outgrow the room, a degraded reply's long warning, adds one more.
+// RunQuery allocates one answer a query; RunQueries allocates its
+// answers, and their images' pixels, in slabs of at most cacheCapacity
+// (answerSlab). The DX cache keeps &field, so a cached entry pins its
+// answer's whole slab: a single query's answer, reply and image, or up
+// to cacheCapacity answers and images of one batch, with each of their
+// replies. A full cache so pins at most cacheCapacity² answers and
+// images, however large the batches that filled it.
 type answer struct {
 	res   QueryResult
 	field dx.Field
@@ -92,6 +100,11 @@ func cacheKeyOf(spec QuerySpec) cacheKey {
 // slowLogCapacity is the slow-query ring size.
 const slowLogCapacity = 32
 
+// cacheCapacity is the DX cache's size, in fields, and the most answers
+// RunQueries allocates in one slab, which bounds what the cache pins
+// (answer).
+const cacheCapacity = 8
+
 // Option sets what only the DX client reads. New, NewClient and
 // NewClusterSystem take the same ones, and none is invalid on any.
 type Option func(*clientOptions)
@@ -120,7 +133,9 @@ func collectOptions(opts []Option) (o clientOptions) {
 
 // NewClient builds a DX client that reaches its MedicalServer over t: a
 // cluster of one shard of one node, no breaker or hedging. Of cfg it
-// reads Trace. Its sinks start empty: query traffic only.
+// reads Trace and Bits: a batch's pixel slabs are cut for that grid, and
+// a reply of another grid renders into a buffer of its own. Its sinks
+// start empty: query traffic only.
 func NewClient(t transport.Transport, cfg Config, opts ...Option) *Client {
 	return newNodeClient(t, cfg, collectOptions(opts), obs.NewRegistry())
 }
@@ -132,16 +147,18 @@ func newNodeClient(t transport.Transport, cfg Config, o clientOptions, metrics *
 }
 
 // newClient builds the client of either topology: one cluster over
-// shards, configured by cc and WithRetry, reporting into metrics.
+// shards, configured by cc and WithRetry, reporting into metrics. Of cfg
+// it reads Trace and Bits, whose grid sets the side of a batch's images.
 // cluster.New fails only on a shard without nodes, which no caller has.
 func newClient(cfg Config, o clientOptions, metrics *obs.Registry, cc cluster.Config, shards [][]transport.Transport) *Client {
 	cc.Retry, cc.Metrics = o.retry.WithDefaults(), metrics
 	cl, _ := cluster.New(cc, shards)
 	c := &Client{
-		Cache:      dx.NewCache[cacheKey](8),
+		Cache:      dx.NewCache[cacheKey](cacheCapacity),
 		Cluster:    cl,
 		Metrics:    metrics,
 		slowThresh: o.slowLog,
+		side:       1 << cfg.WithDefaults().Bits,
 	}
 	if cfg.Trace || o.slowLog > 0 {
 		c.Tracer = obs.NewTracer()
@@ -320,13 +337,14 @@ func (c *Client) readPopulation(root *obs.Span, shard int, p *population, bandLo
 // Read.BackoffSim. The result's Read field reports how the read was
 // served.
 func (c *Client) RunQuery(spec QuerySpec) (*QueryResult, error) {
-	return c.runQuerySpan(nil, spec)
+	return c.runQuerySpan(nil, new(answer), spec)
 }
 
-// runQuerySpan is RunQuery with an optional parent span (the batch
-// root, for RunQueries). With tracing enabled it produces the query's
-// span tree, feeds the metrics registry, and captures slow queries.
-func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
+// runQuerySpan is RunQuery into the caller's answer a, with an optional
+// parent span (the batch root, for RunQueries). With tracing enabled it
+// produces the query's span tree, feeds the metrics registry, and
+// captures slow queries. A failed query's answer is no result's.
+func (c *Client) runQuerySpan(parent *obs.Span, a *answer, spec QuerySpec) (*QueryResult, error) {
 	totalStart := time.Now()
 
 	var root *obs.Span
@@ -343,7 +361,6 @@ func (c *Client) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	// answer's room, as the reply's header strings are decoded into the
 	// answer's other room and the reply is imported and rendered into
 	// the answer's field and image.
-	a := new(answer)
 	request, err := medserver.EncodeQueryRequestInto(a.req[:], spec)
 	if err != nil {
 		return nil, c.fail(root, cluster.ReadInfo{}, err)

@@ -43,6 +43,11 @@ type BatchItem struct {
 // items are complete and exact. Every query's tree hangs off the one
 // "batch" span, nil when tracing is off; spans are internally locked,
 // so concurrent workers appending children under it are race-clean.
+//
+// The answers are allocated cacheCapacity to a slab, and their images'
+// pixels in one slab beside each (answerSlab): a batch the DX cache can
+// hold whole makes two allocations for what n queries run one at a time
+// make 2n of. A failed item's place in its slabs goes unused.
 func (c *Client) RunQueries(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
 	batch := c.Tracer.Start("batch")
 	defer batch.End()
@@ -52,12 +57,55 @@ func (c *Client) RunQueries(specs []QuerySpec, workers int) ([]BatchItem, *clust
 	for i, spec := range specs {
 		out[i].Spec = spec
 	}
+	answers := c.batchAnswers(len(specs))
 	par.Each(len(specs), workers, func(i int) {
-		out[i].Res, out[i].Err = c.runQuerySpan(batch, out[i].Spec)
+		out[i].Res, out[i].Err = c.runQuerySpan(batch, answers.at(i), out[i].Spec)
 	})
 	partial := c.Cluster.BuildPartial(batch, len(out), func(i int) (cluster.Key, error) {
 		key, _ := c.route(out[i].Spec.StudyID)
 		return key, out[i].Err
 	})
 	return out, partial, batch
+}
+
+// batchAnswers are a batch's answers, in slabs of cacheCapacity: head is
+// the first slab and rest the others, nil for a batch of one slab, so a
+// batch the DX cache can hold whole finds its answers with no allocation
+// beyond its slabs.
+type batchAnswers struct {
+	head []answer
+	rest [][]answer
+}
+
+// batchAnswers allocates the answers of a batch of n.
+func (c *Client) batchAnswers(n int) batchAnswers {
+	b := batchAnswers{head: c.answerSlab(min(n, cacheCapacity))}
+	for lo := cacheCapacity; lo < n; lo += cacheCapacity {
+		b.rest = append(b.rest, c.answerSlab(min(n-lo, cacheCapacity)))
+	}
+	return b
+}
+
+// at returns the answer of the batch's item i.
+func (b batchAnswers) at(i int) *answer {
+	if i < cacheCapacity {
+		return &b.head[i]
+	}
+	return &b.rest[i/cacheCapacity-1][i%cacheCapacity]
+}
+
+// answerSlab allocates n answers in one object and their images' pixels
+// in another, a side² piece each for the configured grid. Each piece is
+// capped, so an append to one image's Pix moves it rather than write
+// over the next image. A reply of another grid renders into a buffer of
+// its own (dx.Field.RenderInto): correct, just not in the slab.
+func (c *Client) answerSlab(n int) []answer {
+	slab := make([]answer, n)
+	area := c.side * c.side
+	pix := make([]uint8, n*area)
+	for j := range slab {
+		lo, hi := j*area, (j+1)*area
+		slab[j].img.Pix = pix[lo:hi:hi]
+	}
+	return slab
 }

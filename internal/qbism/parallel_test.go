@@ -22,21 +22,27 @@ import (
 
 // TestRunQueriesMatchesSerial fans the whole chaos spec pool across 4
 // workers and checks every result against a serial run: same order,
-// same bytes, no errors. Run under -race this is also the concurrency
-// proof for the full query stack (LFM mutex, link lock, read-only SQL).
+// same bytes, the same image, no errors. The pool spans several answer
+// slabs, each image rendered into its slab's pixels. Run under -race
+// this is also the concurrency proof for the full query stack (LFM
+// mutex, link lock, read-only SQL, workers filling one slab).
 func TestRunQueriesMatchesSerial(t *testing.T) {
 	sys, err := New(chaosBaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := chaosSpecPool(sys)
+	if len(pool) <= 2*cacheCapacity {
+		t.Fatalf("a pool of %d specs spans fewer than three answer slabs", len(pool))
+	}
 	want := make([][]byte, len(pool))
+	wantPix := make([][]byte, len(pool))
 	for i, spec := range pool {
 		res, err := sys.RunQuery(spec)
 		if err != nil {
 			t.Fatalf("serial %s: %v", spec.Label(), err)
 		}
-		want[i] = marshalResult(t, sys.Cfg.Method, res)
+		want[i], wantPix[i] = marshalResult(t, sys.Cfg.Method, res), res.Image.Pix
 	}
 
 	items := sys.RunQueries(pool, 4)
@@ -52,6 +58,9 @@ func TestRunQueriesMatchesSerial(t *testing.T) {
 		}
 		if got := marshalResult(t, sys.Cfg.Method, item.Res); !bytes.Equal(got, want[i]) {
 			t.Fatalf("item %d (%s): parallel result differs from serial", i, item.Spec.Label())
+		}
+		if !bytes.Equal(item.Res.Image.Pix, wantPix[i]) {
+			t.Fatalf("item %d (%s): parallel image differs from serial", i, item.Spec.Label())
 		}
 	}
 }
@@ -397,10 +406,11 @@ func TestConsistentBandRegionSameLabelRules(t *testing.T) {
 	}
 }
 
-// paperPETs is the repo benchmark's population corpus — the five PET
-// studies at Bits 7 — on a System, loaded once for the tests below.
-var paperPETs = sync.OnceValues(func() (*System, error) {
-	return New(Config{Bits: 7, OnlyStudies: []int{1, 2, 3, 4, 5}})
+// paperCorpus is the repo benchmark's paper-scale corpus — five PET and
+// three MRI studies at Bits 7 — on a System, loaded once for the tests
+// below.
+var paperCorpus = sync.OnceValues(func() (*System, error) {
+	return New(Config{Bits: 7})
 })
 
 // paperBands returns, for every band of the five PET studies, its bounds
@@ -437,7 +447,7 @@ func paperBands(t *testing.T, sys *System) (pets []int, bands []populationBand) 
 // cursors of the levels below past each; one cursor left behind would
 // read another subtree's groups, and some band's answer would differ.
 func TestPaperScaleFoldMatchesIntersectN(t *testing.T) {
-	sys, err := paperPETs()
+	sys, err := paperCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +503,7 @@ func TestConsistentBandRegionAllocBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates, a few objects more or less per call from run to run")
 	}
 	const budget = 2.625
-	sys, err := paperPETs()
+	sys, err := paperCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,5 +530,64 @@ func TestConsistentBandRegionAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.3f allocations a call over the %d bands, budget %.3f — is the answer decoded, or a reply framed, in a buffer of its own again?",
 				enc, mean, len(bands), budget)
 		}
+	}
+}
+
+// TestPaperSweepAllocBudget pins a population_batch sweep, the repo
+// benchmark's, end to end at paper scale: a small structure ∩ band over
+// all eight studies, one RunQueries of eight specs on two workers, then
+// ConsistentBandRegion over the five PET studies, every band in turn.
+// The budget is the mean a sweep, as measured: the batch's items, the
+// pool's three objects, one answer slab and one pixel slab, and the eight
+// replies the simulated link keeps for the results — 14 — and the
+// population call's 2.625 (TestConsistentBandRegionAllocBudget). While
+// each answer and each image's pixels were allocated on their own, the
+// batch made 28, and a sweep 30.625.
+func TestPaperSweepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, a few objects more or less per call from run to run")
+	}
+	if testing.Short() {
+		t.Skip("loads a paper-scale server")
+	}
+	const budget = 16.625
+	sys, err := paperCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pets, bands := paperBands(t, sys)
+	sweeps := make([][]QuerySpec, len(bands))
+	for i, b := range bands {
+		for _, st := range sys.Studies {
+			sweeps[i] = append(sweeps[i], QuerySpec{StudyID: st.StudyID, Atlas: "Talairach", Structure: "putamen",
+				HasBand: true, BandLo: b.lo, BandHi: b.hi})
+		}
+		if len(sweeps[i]) != cacheCapacity {
+			t.Fatalf("a sweep of %d specs, want the corpus's %d studies", len(sweeps[i]), cacheCapacity)
+		}
+	}
+	if err := sys.Server.ReserveExecutions(2); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	sweep := func() {
+		b := bands[i%len(bands)]
+		for _, item := range sys.RunQueries(sweeps[i%len(bands)], 2) {
+			if item.Err != nil {
+				t.Fatal(item.Err)
+			}
+		}
+		if _, err := sys.ConsistentBandRegion(pets, b.lo, b.hi, EncHilbertNaive, 2); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range len(bands) {
+		sweep()
+	}
+	got := bench.AllocsPerCall(t.Logf, 4*len(bands), sweep)
+	t.Logf("%.3f allocs per paper-scale sweep over %d bands", got, len(bands))
+	if got > budget {
+		t.Errorf("%.3f allocs per sweep, budget %.3f — does the batch allocate each answer, or each image's pixels, on its own again?", got, budget)
 	}
 }

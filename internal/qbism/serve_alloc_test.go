@@ -448,7 +448,7 @@ func TestPaperPopulationAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a paper-scale server")
 	}
-	sys, err := paperPETs()
+	sys, err := paperCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
