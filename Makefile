@@ -2,7 +2,7 @@
 # document codec, no store: transport-deps), the daemon's (qbismd-deps) and the client's (client-deps), the server's
 # reproduction boundary (repro-boundary), the repo's own static analysis
 # (qbismlint — errwrap and the interprocedural closer, the two
-# analyzers DESIGN.md §50's census kept; see §11 and §15), the
+# analyzers the census of DESIGN.md §17 kept), the
 # suppression budget (lint-ignores), the
 # full test suite under the race detector (the
 # chaos, simulated-link, and planner-equivalence concurrency tests are required
@@ -45,25 +45,25 @@ vet:
 build:
 	$(GO) build ./...
 
-# The wire's headers are fixed binary layouts (DESIGN.md §14): the
+# The wire's headers are fixed binary layouts (DESIGN.md §12): the
 # transport must not grow a document codec again.
 wire-imports:
 	@if $(GO) list -f '{{join .Imports " "}}' ./internal/transport | grep -qw encoding/json; then echo "wire-imports: internal/transport imports encoding/json"; exit 1; fi
 
-# The seam does not link the store (DESIGN.md §63): the service
+# The seam does not link the store (DESIGN.md §12): the service
 # classifies the store's failures before they reach the transport, so
 # neither lfm nor what it links comes back into the transport's closure.
 transport-deps:
 	@bad="$$($(GO) list -deps ./internal/transport | grep -E '^qbism/internal/(lfm|region|sfc)$$')"; if [ -n "$$bad" ]; then echo "transport-deps: internal/transport links:"; echo "$$bad"; exit 1; fi
 
-# The daemon links the server half only (DESIGN.md §23): the DX front
+# The daemon links the server half only (DESIGN.md §11): the DX front
 # end, the cluster, the experiment drivers and what only they use — the
-# codec zoo among them (DESIGN.md §48) — must not come back into
+# codec zoo among them (DESIGN.md §7) — must not come back into
 # qbismd's dependency closure.
 qbismd-deps:
 	@bad="$$($(GO) list -deps ./cmd/qbismd | grep -E '^qbism/internal/(qbism|dx|cluster|feature|mining|spindex|stats|rencode/zoo)$$')"; if [ -n "$$bad" ]; then echo "qbismd-deps: cmd/qbismd links:"; echo "$$bad"; exit 1; fi
 
-# The DX client links no paper analysis (DESIGN.md §25): the experiment
+# The DX client links no paper analysis (DESIGN.md §18): the experiment
 # drivers live in internal/experiments, and neither they nor what only
 # they use may come back into internal/qbism or the CLI. stats and the
 # codec zoo are allowed in cmd/qbism because the root facade re-exports
@@ -72,12 +72,12 @@ client-deps:
 	@bad="$$($(GO) list -deps ./internal/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex|stats|rencode/zoo)$$')"; if [ -n "$$bad" ]; then echo "client-deps: internal/qbism links:"; echo "$$bad"; exit 1; fi
 	@bad="$$($(GO) list -deps ./cmd/qbism | grep -E '^qbism/internal/(experiments|feature|mining|spindex)$$')"; if [ -n "$$bad" ]; then echo "client-deps: cmd/qbism links:"; echo "$$bad"; exit 1; fi
 
-# The server stores and serves one Hilbert layout (DESIGN.md §36): Table
+# The server stores and serves one Hilbert layout (DESIGN.md §11): Table
 # 4's z-naive and octant rows and the Section 4.2 Z-order comparisons
 # belong to internal/experiments, so no non-test file of
 # internal/medserver may name the Z curve or those rows' labels again.
 # The octant codecs are the codec zoo's, which qbismd-deps keeps out. Pricing a query in 1993 seconds is Table 3's
-# (DESIGN.md §43): no non-test file of internal/qbism but table3.go may
+# (DESIGN.md §14): no non-test file of internal/qbism but table3.go may
 # name the cost model's pricing terms.
 repro-boundary:
 	@bad="$$(ls internal/medserver/*.go | grep -v '_test\.go$$' | xargs grep -nE '\<(sfc\.ZOrder|EncZNaive|EncOctant)\>')"; if [ -n "$$bad" ]; then echo "repro-boundary: internal/medserver names:"; echo "$$bad"; exit 1; fi
@@ -183,15 +183,15 @@ cover:
 # for the server side of the paper-scale mix at Bits 7 — every atlas
 # structure, three boxes, the full study, the widest band and a structure
 # ∩ band, one per iteration in turn, each reply released — whose
-# allocs/op TestPaperMixAllocBudget holds at 0 (DESIGN.md §61), BenchmarkDaemonBulk for
+# allocs/op TestPaperMixAllocBudget holds at 0 (DESIGN.md §11), BenchmarkDaemonBulk for
 # the same full-study reply over loopback TCP through transport.Server's
 # write and release (both ends in one process: B/op is the client's
-# response buffer; DESIGN.md §59), BenchmarkDaemonChain for the four calls
+# response buffer; DESIGN.md §11), BenchmarkDaemonChain for the four calls
 # the repo benchmark's daemon workloads make per query over loopback TCP —
 # EncodeQueryRequest, TCP.Call, DecodeQueryResponse and
 # UnmarshalDataRegion — on a small structure, a structure ∩ band and the
 # full study, whose allocs/op TestDaemonChainAllocBudget holds at 5, 4
-# and 5 (the client's all: DESIGN.md §62), BenchmarkServeRPCTraced for the small
+# and 5 (the client's all: DESIGN.md §14), BenchmarkServeRPCTraced for the small
 # request with a tracer attached (what trace-on costs, beside the line it is measured
 # against), BenchmarkRunQueryMixed for the structure ∩ band query end to
 # end in one process (DX client, simulated link and server;
@@ -216,22 +216,22 @@ cover:
 # the server and decoded by the client, naive runs against the wire's
 # Elias γ, in ns per run and allocs — and BenchmarkRead, the LFM's one
 # page loop on a 2 MiB field: whole (unbuffered, checksummed, cached),
-# a 16-page range and a 512-byte piece inside a page (DESIGN.md §35),
+# a 16-page range and a 512-byte piece inside a page (DESIGN.md §9),
 # and the gathering reads of the Q2 box's and a short-run band's runs,
-# unbuffered and cached, at 0 allocs/op (DESIGN.md §45) —
+# unbuffered and cached, at 0 allocs/op (DESIGN.md §9) —
 # and the load's two per-study kernels at paper scale:
 # BenchmarkFromScanline, one 128^3 volume reordered onto the Hilbert
 # curve by the tree walk, and BenchmarkResample, one PET study warped to
-# the atlas (DESIGN.md §37) — and the REGION builders the walk serves:
+# the atlas (DESIGN.md §11) — and the REGION builders the walk serves:
 # BenchmarkFromBox, the paper's Q2 box at 128^3 (TestFromBoxAllocs pins
 # it at two allocations), and BenchmarkBuildAtlas, the paper-scale atlas
-# every load builds first (DESIGN.md §40) — and BenchmarkRender, DX's MIP
+# every load builds first (DESIGN.md §8) — and BenchmarkRender, DX's MIP
 # along Z at Bits 7 on an atlas structure, the Q2 box, the full grid and
 # a short-run band REGION, each from a decoded Region and from its wire
-# bytes, in ns per rendered voxel (DESIGN.md §41, §42) — and
+# bytes, in ns per rendered voxel (DESIGN.md §15) — and
 # BenchmarkDegradedBand, a band range no intensityBand row holds (70-90)
 # at paper scale, alone and ∩ ntal1: the query run without its band and
-# filtered by value (DESIGN.md §54).
+# filtered by value (DESIGN.md §11).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|ParallelMultiStudy)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkNewClusterSystem$$' -benchtime 1x -benchmem ./internal/qbism

@@ -1,5 +1,5 @@
 // Command qbismlint runs the repo's static-analysis suite (see
-// internal/lint and DESIGN.md §11/§15) over every package under the
+// internal/lint and DESIGN.md §17) over every package under the
 // module root and exits non-zero if any unsuppressed diagnostic
 // remains.
 //

@@ -1,6 +1,6 @@
 // Package bench holds the host fingerprint the repo benchmark
 // (benchmark/) stamps on every run it records, and the exact allocation
-// count the allocation budget tests hold the code to.
+// counts the allocation budget tests hold the code to.
 package bench
 
 import (
@@ -48,26 +48,46 @@ func CurrentHost() Host {
 // differ each is passed to logf (a test's t.Logf) and shows in the test
 // output. With the collector off, keep n × the bytes f allocates small.
 func AllocsPerCall(logf func(format string, args ...any), n int, f func()) float64 {
+	return leastOfThree(logf, func() float64 { return mallocs(n, f, f) })
+}
+
+// AllocsInWindow is the number of heap allocations one run of window
+// makes, measured as AllocsPerCall measures a call — on one processor,
+// after a collection and a pause, with the collector off, as a float,
+// the least of up to three measurements — but with no warm-up call:
+// setup runs before each measurement, uncounted, and leaves the state
+// window starts from. So a window that happens once in a state's life
+// (the first overlap of two executions) is measured afresh each time,
+// and two windows measured this way compare like for like.
+func AllocsInWindow(logf func(format string, args ...any), setup, window func()) float64 {
+	return leastOfThree(logf, func() float64 { return mallocs(1, setup, window) })
+}
+
+// leastOfThree takes up to three measurements on one processor, stopping
+// at one of 0, and returns the least; when they differ each is passed to
+// logf.
+func leastOfThree(logf func(format string, args ...any), measure func() float64) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	each := make([]float64, 0, 3)
 	for len(each) < cap(each) {
-		m := mallocsPerCall(n, f)
+		m := measure()
 		if each = append(each, m); m == 0 {
 			break
 		}
 	}
 	if slices.Min(each) != slices.Max(each) {
-		logf("allocations per call differ between measurements %v; the least counts", each)
+		logf("allocations differ between measurements %v; the least counts", each)
 	}
 	return slices.Min(each)
 }
 
-// mallocsPerCall is one measurement of AllocsPerCall.
-func mallocsPerCall(n int, f func()) float64 {
+// mallocs is one measurement: a collection and a pause, the collector
+// off, setup uncounted, then the mean count of n calls of f.
+func mallocs(n int, setup, f func()) float64 {
 	runtime.GC()
 	time.Sleep(10 * time.Millisecond)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
+	setup()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range n {

@@ -14,9 +14,9 @@ import (
 // EncodeQueryRequest, a transport.TCP call to a daemon on 127.0.0.1,
 // DecodeQueryResponse and UnmarshalDataRegion. The server's share is
 // nothing: it builds each reply in one the daemon released after its
-// socket write (DESIGN.md §59). The client's is the request, the response
+// socket write (DESIGN.md §11). The client's is the request, the response
 // buffer, the reply header (one object, its strings in its own room,
-// DESIGN.md §62) and the decoded DataRegion. A frame copied on
+// DESIGN.md §14) and the decoded DataRegion. A frame copied on
 // either side of the socket, a reply the daemon no longer releases, or a
 // per-call allocation in the transport trips here before it reaches
 // allocs_per_query.
@@ -34,10 +34,10 @@ func TestDaemonChainAllocBudget(t *testing.T) {
 		// the DataRegion with its Region, and the run list, which an
 		// empty structure ∩ band answer does not have. Each was one more
 		// while the header's strings shared a string of their own
-		// (DESIGN.md §62), one more again while the server built every
-		// reply in a new blob (§59), one more again while the header
-		// copied each string apart (§49), one more again while the server
-		// copied its reply into a frame of its own (§47), and one more
+		// (DESIGN.md §14), one more again while the server built every
+		// reply in a new blob (§11), one more again while the header
+		// copied each string apart (§14), one more again while the server
+		// copied its reply into a frame of its own (§11), and one more
 		// again while UnmarshalDataRegion allocated the DataRegion and
 		// its Region apart.
 		ceiling float64
@@ -81,7 +81,7 @@ func TestDaemonClientAllocBudget(t *testing.T) {
 		spec qbism.QuerySpec
 		// As measured: the answer, the pixels and the response buffer
 		// (and the meta header's string, 4 a query, while it was a
-		// string of its own, DESIGN.md §62; and the server's blob, 5 a
+		// string of its own, DESIGN.md §14; and the server's blob, 5 a
 		// query, while every reply was a new buffer).
 		ceiling float64
 	}{
@@ -203,7 +203,7 @@ func BenchmarkDaemonChain(b *testing.B) {
 // ServeRPC benchmarks, which call the handler directly, each reply here
 // goes through transport.Server's write and release, so B/op is the
 // client's response buffer, ≈ 1 × the reply, and the server's share is
-// the reply it builds in the one released before it (DESIGN.md §59).
+// the reply it builds in the one released before it (DESIGN.md §11).
 // Each reply is decoded as every client decodes it
 // (DecodeQueryResponseInto, its header's strings into a room on the
 // stack), so ns/op includes the one check of the reply's bytes, the

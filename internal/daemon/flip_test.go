@@ -14,7 +14,7 @@ import (
 	"qbism/internal/transport"
 )
 
-// The stream layout these tests read and damage by hand (DESIGN.md §14):
+// The stream layout these tests read and damage by hand (DESIGN.md §12):
 // an envelope of magic(2) | headerLen(4) | bodyLen(4) | crc32(4) |
 // header | body, whose body is the application frame.
 const (

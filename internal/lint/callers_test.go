@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// keptUncalled is the census's kept rows (DESIGN.md §41): functions and
+// keptUncalled is the census's kept rows (DESIGN.md §17): functions and
 // methods under internal/ that no non-test file calls, each with what
 // needs it. A name leaves this list when it gains a caller or is deleted.
 var keptUncalled = map[string]string{
@@ -28,6 +28,7 @@ var keptUncalled = map[string]string{
 	"lfm.Manager.Corrupt": "fault hook: at-rest bit rot for the qbism chaos and trace tests",
 	// Cross-package test observers: a test file cannot serve another package.
 	"bench.AllocsPerCall":              "observer: the qbism and daemon allocation budgets count exact allocations per call",
+	"bench.AllocsInWindow":             "observer: sdb's first-overlap budget and qbism's paper-mix diagnostic count one window's allocations",
 	"bitio.Writer.Len":                 "observer: rencode's TestGammaCode reads each code's exact bit length",
 	"cluster.Cluster.NodeState":        "observer: the qbism chaos suite reads a node's breaker",
 	"cluster.Cluster.SimNow":           "observer: the qbism chaos suite reads the cluster's simulated clock",

@@ -30,7 +30,7 @@ var keptUnset = map[string]string{
 	"qbism.ClusterConfig.Breaker": "chaos suites: the degraded-shard tests open, probe and close node breakers",
 }
 
-// TestConfigFieldsAreSet is the config census (DESIGN.md §58): every
+// TestConfigFieldsAreSet is the config census (DESIGN.md §17): every
 // exported field of configStructs is set by some non-test file of the
 // module — a keyed composite literal, an assignment, or its address
 // taken — outside the struct's own methods (its defaults), or is a kept

@@ -2,8 +2,8 @@
 // zero-dependency, vet-style analyzer driver plus the two analyzers
 // that have each caught a real defect in this tree — errwrap (an error
 // formatted with %v where errors.Is needs %w) and closer (a resource not
-// released on every path). DESIGN.md §50 is the census that kept them;
-// §11 and §15 describe them.
+// released on every path). DESIGN.md §17 describes them and the census
+// that kept them.
 package lint
 
 import (

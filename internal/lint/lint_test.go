@@ -165,7 +165,7 @@ func reseededFixture(dir string) (string, error) {
 }
 
 // TestEveryAnalyzerHasReseededDefect keeps the census's rule (DESIGN.md
-// §50): an analyzer stays in the suite only while its fixture holds a
+// §17): an analyzer stays in the suite only while its fixture holds a
 // defect it caught in this tree's history, re-seeded from the commit
 // that held it, with the diagnostic it gives.
 func TestEveryAnalyzerHasReseededDefect(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 // The server's free lists. A reply that a stream transport has written
 // is handed back (Server.ReleaseReply) and the next reply of about its
 // size is built in it, so a daemon writes each reply's bytes once instead
-// of zeroing a fresh buffer and then overwriting it (DESIGN.md §59).
+// of zeroing a fresh buffer and then overwriting it (DESIGN.md §11).
 // transport.Sim hands every reply to a client that keeps it, so a process
 // that serves only through Sim never releases one.
 //
 // The same list, over run lists and words, holds the large working
-// buffers a request grows and no longer needs (DESIGN.md §61): a spatial
+// buffers a request grows and no longer needs (DESIGN.md §11): a spatial
 // call site's stored REGION and run list over sdb.MaxIdleBytes, which it
 // gives back when its statement goes idle (regionSlot.reset), and the
 // population fold's slabs and answer runs (handlePopulation). So a

@@ -9,10 +9,10 @@ import (
 // The stored layout. Every atlas structure and every band is stored
 // once, as a k³-tree, so structure probes — CONTAINS, point membership —
 // run on the compressed bytes, and the population fold walks them
-// (rencode.StoredFold, which takes no other form: DESIGN.md §53). In
+// (rencode.StoredFold, which takes no other form: DESIGN.md §7). In
 // every corpus the repo loads the k³-tree is the smaller form for every
 // band but the empty and one- or two-run ones, where it is a byte or two
-// larger (DESIGN.md §13), so there is nothing to choose per band. A
+// larger (DESIGN.md §7), so there is nothing to choose per band. A
 // band's one long field has one intensityBand row per label of
 // bandLabels, each with its handle: a band spec that names no Encoding
 // reads the k3-tree row, and h-naive is a synonym for it, kept only

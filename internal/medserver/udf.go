@@ -251,7 +251,7 @@ func (s *Server) regionBinop(call *sdb.Call, args []sdb.Value,
 // list by a walk of its bytes, and two run lists merge. Of two k³-trees,
 // the one with the smaller encoding becomes a run list in its own slot
 // (runsOf) for the other's walk to meet — at paper scale half the time
-// of a descent through both trees in step (DESIGN.md §51). The canonical
+// of a descent through both trees in step (DESIGN.md §7). The canonical
 // run list is the same whichever way it is computed. Both operands are
 // on one curve (onCurve). The result is dst's Region, refilled (a new
 // one when dst is nil), so dst must hold neither operand.

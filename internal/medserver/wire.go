@@ -14,7 +14,7 @@ import (
 // The binary forms of QuerySpec and QueryMeta — the headers of the
 // medicalQuery request and response frames — and of PopulationQuery, the
 // population request's. Numbers are big-endian and
-// fixed-width, strings carry a u16 length; DESIGN.md §14 has the offsets.
+// fixed-width, strings carry a u16 length; DESIGN.md §12 has the offsets.
 //
 //	spec: version(1)=1 | flags(1) | StudyID i64 | BandLo i64 | BandHi i64 |
 //	      [Box 6×u32, iff specHasBox] | Atlas | Structure | Encoding

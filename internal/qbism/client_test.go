@@ -122,15 +122,15 @@ func TestRunQueryAllocBudget(t *testing.T) {
 		// As measured: the client's answer object, the reply the sim
 		// link keeps for it, and the image's pixels — each kept by the
 		// result; the server builds the reply in its free list's buffer
-		// and allocates nothing else (DESIGN.md §61). The client renders
+		// and allocates nothing else (DESIGN.md §11). The client renders
 		// the reply's REGION off its encoded bytes into the answer,
 		// frames the request in the answer's room, decodes the header's
 		// strings into the answer's other room, keys the DX cache on the
 		// spec's value, and a repeated query's Put moves its key in the
 		// LRU list in place. These were 4, 4, 4 and 4 while the header's
 		// strings were copied into a new string of their own (DESIGN.md
-		// §62), the Q2 box's 7 while the server allocated for its box
-		// REGION and run lists (§61), and 4, 4, 7 and 4 with ServeRPC's
+		// §14), the Q2 box's 7 while the server allocated for its box
+		// REGION and run lists (§11), and 4, 4, 7 and 4 with ServeRPC's
 		// 1, 1, 4 and 1 the reply among them before that. While the
 		// client allocated the result, the field, the image header, the
 		// request, the cache key string and each meta string apart, these

@@ -123,11 +123,11 @@ func TestLoadByteIdentity(t *testing.T) {
 // same bits, not just the same picture: a noise sum that drifts by one
 // ULP, a curve that disagrees on one id, or a commit out of order
 // changes this hash. The store it pins keeps each band once (DESIGN.md
-// §51): it is the last two-row store's manifest with every h-naive row
+// §11): it is the last two-row store's manifest with every h-naive row
 // given its k³-tree twin's handle, the 64 h-naive fields dropped, the
 // rest renumbered in order and their 78 pages free — nothing else moved.
 // The device is its configured size rounded up to whole pages, and its
-// free pages are those past the last field (DESIGN.md §55).
+// free pages are those past the last field (DESIGN.md §9).
 func TestLoadGoldenDigest(t *testing.T) {
 	const want = "a60e25cc5457ba835a3f94d5d32b8f841e8d04e9dab27bf3be9a186622111b23"
 	sum := sha256.Sum256([]byte(strings.Join(loadManifest(t, Config{Bits: 5}, runtime.GOMAXPROCS(0), false), "\n")))
@@ -139,7 +139,7 @@ func TestLoadGoldenDigest(t *testing.T) {
 // TestLoadPageCensus pins the device pages a Bits 6 store holds, by
 // the kind of field that owns them. Each long field holds the pages its
 // bytes span, at least one, and the next field starts on the page after
-// them (DESIGN.md §55). The band fields are counted once, though two
+// them (DESIGN.md §9). The band fields are counted once, though two
 // rows, h-naive and k3-tree, point at each; the h-naive fields the store
 // kept until each band was stored once held 212 pages more, 805 in all.
 func TestLoadPageCensus(t *testing.T) {

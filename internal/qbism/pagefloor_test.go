@@ -10,7 +10,7 @@ import (
 	"qbism/internal/sdb"
 )
 
-// The page floor of the repo benchmark's request shapes (DESIGN.md §32):
+// The page floor of the repo benchmark's request shapes (DESIGN.md §9):
 // what a query must read under the paper's unbuffered protocol is the
 // VOLUME pages holding its answer's voxels, plus every page of each
 // stored REGION field its plan reads — REGION fields are read whole. The
@@ -180,7 +180,7 @@ func pagesAtFieldFloor(t *testing.T, srv *medserver.Server) string {
 }
 
 // TestPagesAtFieldFloor holds every daemon_small and population_batch
-// shape of a Bits 6 corpus to the page floor (DESIGN.md §32 has the
+// shape of a Bits 6 corpus to the page floor (DESIGN.md §9 has the
 // paper-scale split).
 func TestPagesAtFieldFloor(t *testing.T) {
 	srv := bareServer(t, Config{Bits: 6, NumPET: 2, NumMRI: 1, Seed: 7, SmallStudies: true})

@@ -492,7 +492,7 @@ func TestPaperScaleFoldMatchesIntersectN(t *testing.T) {
 // simulated link's client keeps, so it never goes back to the server's
 // free list. The server allocates nothing else: the fold's run and word
 // slabs and the answer's runs come from its free lists and go back once
-// the reply is encoded (DESIGN.md §61), and the reply is encoded into the
+// the reply is encoded (DESIGN.md §11), and the reply is encoded into the
 // read buffer. The field list of five studies and the request's studies
 // are on the stack, and so are the answer's Region and the fold. While
 // the fold made its two slabs per call, a call took 5 on a non-empty band

@@ -12,12 +12,12 @@ import (
 // The per-request allocation budget of the MedicalServer, pinned where
 // `go test ./...` sees it. A request runs two prepared statements
 // on operator trees the statements keep between executions (DESIGN.md
-// §17), reads each into its own row with no Rows (§27), decodes and
-// encodes fixed binary headers (§22), and its spatial UDFs read, parse
-// and build into their call sites' state (§27), and the spec's strings
-// are the catalog's own (§29); what was left is the DATA_REGION blob,
-// which the reply is framed in (§47), and a reply handed back the way
-// the TCP server hands it back is the next reply's blob (§59), so a
+// §10), reads each into its own row with no Rows (§11), decodes and
+// encodes fixed binary headers (§12), and its spatial UDFs read, parse
+// and build into their call sites' state (§11), and the spec's strings
+// are the catalog's own (§11); what was left is the DATA_REGION blob,
+// which the reply is framed in (§11), and a reply handed back the way
+// the TCP server hands it back is the next reply's blob (§11), so a
 // request served that way allocates nothing. Re-introduce
 // per-call parsing or planning (+500 allocations a request), a
 // per-execution operator tree or hash table (+40) or a per-row
@@ -118,7 +118,7 @@ func TestServeRPCAllocBudget(t *testing.T) {
 		// paper-scale grid: 0 as measured. The box's REGION is built in
 		// boxRegion's call site state, in the run list its last call grew,
 		// which went to the server's free list while the statement idled
-		// and came back (DESIGN.md §61); the spec's box is decoded onto the
+		// and came back (DESIGN.md §11); the spec's box is decoded onto the
 		// handler's stack; the voxels are gathered from the LFM's pages
 		// straight into the reply released before, and the reply is framed
 		// in it. It was 3 while the box's Region and runs and the spec's
@@ -206,9 +206,9 @@ func benchServeSmall(b *testing.B, trace bool) {
 
 // The bulk replies — a whole study, a whole band, a hemisphere — are
 // where the bytes are: the reply should cost the server its blob, which
-// the application frame is built in, and little else (DESIGN.md §18,
-// §47), however many pages it is read from; and a reply handed back as
-// the TCP server hands it back is the next one's blob (§59), so the
+// the application frame is built in, and little else (DESIGN.md
+// §11), however many pages it is read from; and a reply handed back as
+// the TCP server hands it back is the next one's blob (§11), so the
 // server writes the reply's bytes once and allocates none.
 
 // bulkAllocConfig is a Bits 6 corpus (a VOLUME is 64 pages) behind a
@@ -311,7 +311,7 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 // through a thrashing page cache, each reply released as the TCP server
 // releases it: B/op against the reply size is the number of
 // payload-sized buffers a bulk reply costs the server, ≈ 0 since the
-// reply is built in the one released before it (DESIGN.md §59).
+// reply is built in the one released before it (DESIGN.md §11).
 // `make bench-smoke` runs a few iterations.
 func BenchmarkServeRPCBulk(b *testing.B) {
 	sys := bareServer(b, bulkAllocConfig)
@@ -342,7 +342,7 @@ func BenchmarkServeRPCBulk(b *testing.B) {
 // stays with it while its statement idles; at Bits 7 a hemisphere's run
 // list, the widest band's and a large box's do not, and each goes back
 // to the server's free list when its statement idles, for the site's
-// next large call to take back (DESIGN.md §61). The mix cycles through
+// next large call to take back (DESIGN.md §11). The mix cycles through
 // shapes of every size in one loop, as the repo benchmark's workloads
 // do, so a call site meets a larger REGION than its last.
 
@@ -424,14 +424,10 @@ func TestPaperMixAllocBudget(t *testing.T) {
 		t.Logf("%s: %.3f allocs per ServeRPC over %d shapes", tc.name, got, len(reqs))
 		if got > tc.ceiling {
 			// Name the shapes that allocate: one more pass, call by call.
-			var before, after runtime.MemStats
-			for i = 0; i < len(reqs); {
-				spec := specs[i]
-				runtime.ReadMemStats(&before)
-				serve()
-				runtime.ReadMemStats(&after)
-				if n := after.Mallocs - before.Mallocs; float64(n) > tc.ceiling {
-					t.Logf("%s: %s: %d allocs", tc.name, spec.Label(), n)
+			for k, spec := range specs {
+				n := bench.AllocsInWindow(t.Logf, func() { i = k }, serve)
+				if n > tc.ceiling {
+					t.Logf("%s: %s: %.0f allocs", tc.name, spec.Label(), n)
 				}
 			}
 			t.Errorf("%s: %.3f allocs per ServeRPC at Bits 7, ceiling %.0f — does a call site drop a large buffer for the collector again?",

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkNewClusterSystem builds and closes a 2-shard, primary+replica
 // cluster at Bits 5: B/op and allocs/op are what four node loads and the
-// one client in front of them cost (DESIGN.md §31). `make bench-smoke`
+// one client in front of them cost (DESIGN.md §14). `make bench-smoke`
 // runs it once.
 func BenchmarkNewClusterSystem(b *testing.B) {
 	cfg := ClusterConfig{Shards: 2, Replicas: 1, Base: Config{

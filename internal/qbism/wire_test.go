@@ -96,7 +96,7 @@ func decodeMetaHeader(t testing.TB, b []byte) (*QueryMeta, error) {
 
 // TestWireGolden pins one request and one response of each data shape,
 // and a degraded reply, byte for byte: a layout change is a diff of
-// testdata/wire_golden.txt. The offsets DESIGN.md §14 documents are
+// testdata/wire_golden.txt. The offsets DESIGN.md §12 documents are
 // asserted against the same bytes.
 func TestWireGolden(t *testing.T) {
 	var out strings.Builder
@@ -163,7 +163,7 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: documented fields end at %d, header is %d bytes", what, off, len(b))
 		}
 	}
-	const specHasBox, specHasBand, metaDegraded = 1 << 1, 1 << 2, 1 << 0 // flag bits, DESIGN.md §14
+	const specHasBox, specHasBand, metaDegraded = 1 << 1, 1 << 2, 1 << 0 // flag bits, DESIGN.md §12
 	box := goldenSpecs()[1].spec
 	b := specHeader(box)
 	check("spec", b, []field{

@@ -21,7 +21,7 @@ var ErrCurveMismatch = errors.New("rencode: REGIONs on different curves")
 // The fold takes no other codec: a γ or naive row would have to become a
 // k³-tree first, which costs more than decoding it and intersecting runs
 // (region.IntersectN), so a caller holding such rows does that instead
-// (DESIGN.md §53). A StoredFold whose caller has set Runs and Words has
+// (DESIGN.md §7). A StoredFold whose caller has set Runs and Words has
 // folded no row; the fold allocates none of its memory.
 type StoredFold struct {
 	// Runs and Words lend the fold the slabs its pieces and answer are

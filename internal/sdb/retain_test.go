@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"qbism/internal/bench"
 	"qbism/internal/obs"
 )
 
@@ -515,38 +515,46 @@ func TestStmtQueryAllocBudget(t *testing.T) {
 // TestStmtReserveCoversFirstOverlap: a statement that has run, reserved
 // for two and run again in a row — which grows the reserved tree, taken
 // first — runs its first two executions at once without building an
-// operator tree or growing a hash table, at what two in a row cost.
+// operator tree or growing a hash table, at what two in a row cost. Both
+// sides are counted the same way (bench.AllocsInWindow), each window on a
+// statement set up afresh, so neither side is a truncated mean nor counts
+// what another goroutine allocates meanwhile.
 func TestStmtReserveCoversFirstOverlap(t *testing.T) {
-	_, stmt := joinChainDB(t, 2000)
 	id, name := Int(5), Str("t1-5")
-	runJoinChain(t, stmt, id, name)
-	if err := stmt.Reserve(2); err != nil {
-		t.Fatal(err)
+	var stmt *Stmt
+	inRow := func() {
+		runJoinChain(t, stmt, id, name)
+		runJoinChain(t, stmt, id, name)
 	}
-	inRow := testing.AllocsPerRun(20, func() {
+	setup := func() {
+		_, stmt = joinChainDB(t, 2000)
 		runJoinChain(t, stmt, id, name)
-		runJoinChain(t, stmt, id, name)
+		if err := stmt.Reserve(2); err != nil {
+			t.Fatal(err)
+		}
+		inRow()
+	}
+	twoInRow := bench.AllocsInWindow(t.Logf, setup, inRow)
+	overlap := bench.AllocsInWindow(t.Logf, setup, func() {
+		var open [2]*Rows
+		for i := range open {
+			rows, err := stmt.Query(nil, id, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			open[i] = rows
+		}
+		for _, rows := range open {
+			for rows.Next() {
+			}
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var open [2]*Rows
-	for i := range open {
-		rows, err := stmt.Query(nil, id, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		open[i] = rows
-	}
-	for _, rows := range open {
-		for rows.Next() {
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; float64(got) > inRow {
-		t.Errorf("the first overlap made %d allocations, two executions in a row %.0f — was a tree built or grown?", got, inRow)
+	t.Logf("the first overlap: %.0f allocations; two executions in a row: %.0f", overlap, twoInRow)
+	if overlap > twoInRow {
+		t.Errorf("the first overlap made %.0f allocations, two executions in a row %.0f — was a tree built or grown?", overlap, twoInRow)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // body the application payload, a sealed frame whose decoder checks it;
 // the response envelope's header is the status header and its body the
 // application response, empty unless the kind is ok. Both headers are
-// fixed binary layouts, big-endian (DESIGN.md §14):
+// fixed binary layouts, big-endian (DESIGN.md §12):
 //
 //	call:   version(1)=1 | flags(1) | traceID(16) | parentSpan(8) | deadline(8) | method
 //	status: version(1)=1 | kind(1) | error text, at most maxStatusText bytes

@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_golden.txt 
 // TestWireGolden pins the call and status headers byte for byte, and the
 // envelope's prefix in front of each: a layout change, or a change of
 // what the envelope's checksum covers, shows up as a diff of
-// testdata/wire_golden.txt, and the offsets DESIGN.md §14 documents are
+// testdata/wire_golden.txt, and the offsets DESIGN.md §12 documents are
 // asserted against the same bytes.
 func TestWireGolden(t *testing.T) {
 	cases := []struct {
